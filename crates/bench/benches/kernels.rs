@@ -1,21 +1,19 @@
 //! Criterion micro-benchmarks for the kernels underlying the figure
 //! harnesses, plus the ablation studies called out in DESIGN.md §4:
 //!
-//! * `ablation_balance`   — buffered-sweep 2:1 balance vs naive
-//!   one-violator-at-a-time (motivates the paper's ripple propagation);
 //! * `ablation_partition` — Morton-curve partition vs naive block
 //!   partition of *unsorted* leaves, measured by inter-part adjacency
 //!   (communication surface);
 //! * `ablation_precond`   — AMG V-cycle vs Jacobi preconditioning of the
 //!   variable-viscosity Poisson block (CG iteration counts);
-//! * DG derivative kernels, Morton ops, mesh extraction.
+//! * DG derivative kernels, Morton ops, 2:1 balance, mesh extraction.
 
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
 
 use la::{cg, Amg, AmgOptions, Csr};
 use mangll::kernels::ElementDerivative;
 use mesh::extract::extract_mesh;
-use octree::balance::{balance_local, balance_local_naive};
+use octree::balance::balance_local;
 use octree::ops::{new_tree, refine};
 use octree::parallel::DistOctree;
 use octree::{Octant, MAX_LEVEL, ROOT_LEN};
@@ -50,24 +48,14 @@ fn bench_morton(c: &mut Criterion) {
     });
 }
 
-fn bench_balance_ablation(c: &mut Criterion) {
-    let mut g = c.benchmark_group("ablation_balance");
-    g.sample_size(10);
-    g.bench_function("buffered_sweeps", |b| {
+fn bench_balance(c: &mut Criterion) {
+    c.bench_function("balance_local_center_spike", |b| {
         b.iter_batched(
             || center_spike(6),
             |mut t| balance_local(&mut t),
             BatchSize::SmallInput,
         )
     });
-    g.bench_function("naive_one_at_a_time", |b| {
-        b.iter_batched(
-            || center_spike(6),
-            |mut t| balance_local_naive(&mut t),
-            BatchSize::SmallInput,
-        )
-    });
-    g.finish();
 }
 
 /// Count pairs of face-adjacent leaves placed in different parts — the
@@ -271,7 +259,7 @@ fn bench_extract_mesh(c: &mut Criterion) {
 criterion_group!(
     benches,
     bench_morton,
-    bench_balance_ablation,
+    bench_balance,
     bench_partition_ablation,
     bench_precond_ablation,
     bench_dg_kernels,

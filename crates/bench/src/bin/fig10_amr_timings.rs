@@ -7,22 +7,15 @@
 //!
 //! Here, two parts:
 //!
-//! 1. **Measured adapt-cycle A/B at P = 4** (PR 4): the fast adaptation
-//!    path (recursive seed-propagation balance + allocation-free
-//!    partition/transfer) against the retained PR 3 baseline
-//!    (`balance_ripple` + allocating partition/transfer wrappers), with
-//!    bitwise-identical post-balance leaf sets asserted every cycle and
-//!    a warm-cycle zero-allocation check on the fast path. Medians land
-//!    in `BENCH_pr4.json`; the full (release) run gates on ≥2× speedup.
+//! 1. A measured adapt cycle at P = 4 (refine → coarsen → balance →
+//!    partition → transfer on reusable buffers): median wall time per
+//!    cycle, with a warm-cycle zero-allocation check.
 //! 2. The modeled paper table: the measured host AMR phase profile of
 //!    the real RHEA run plus the machine model's communication terms,
-//!    printed in the paper's format (full mode only).
-//!
-//! Usage: `fig10_amr_timings [--smoke] [--out PATH]`.
+//!    printed in the paper's format.
 
-use obs::json::Value;
 use octree::balance::BalanceKind;
-use octree::parallel::{transfer_fields, transfer_fields_into, DistOctree, PartitionPlan};
+use octree::parallel::{transfer_fields_into, DistOctree, PartitionPlan};
 use octree::Octant;
 use rhea::timers::Phase;
 use rhea_bench::{banner, convection_workload, paper_core_counts, Table};
@@ -30,8 +23,7 @@ use scomm::{spmd, MachineModel};
 use std::time::Instant;
 
 /// The deterministic geometric cycle predicates: the cycle map reaches a
-/// periodic orbit, so warm-path buffer capacities stop growing and the
-/// two trees stay comparable cycle for cycle.
+/// periodic orbit, so warm-path buffer capacities stop growing.
 fn should_refine(o: &Octant, max_level: u8) -> bool {
     let ctr = o.center_unit();
     let d2 = (ctr[0] - 0.3).powi(2) + (ctr[1] - 0.4).powi(2) + (ctr[2] - 0.5).powi(2);
@@ -47,43 +39,33 @@ fn median(mut v: Vec<f64>) -> f64 {
     v[v.len() / 2]
 }
 
-/// Measured adapt-cycle A/B at P = 4. Returns the JSON record; panics if
-/// the two paths ever disagree on the leaf set or if a warm fast cycle
-/// allocates.
-fn bench_adapt_cycle(smoke: bool) -> Value {
-    let (level, samples, warmups) = if smoke {
-        (2u8, 3usize, 8usize)
-    } else {
-        (3, 15, 8)
-    };
+/// Measured adapt cycle at P = 4; panics if a warm cycle allocates.
+fn measure_adapt_cycle() {
+    let (level, samples, warmups) = (3u8, 15usize, 8usize);
     let max_level = level + 2;
     let min_level = level;
     let out = spmd::run(4, move |c| {
-        let mut fast = DistOctree::new_uniform(c, level);
-        let mut base = DistOctree::new_uniform(c, level);
+        let mut tree = DistOctree::new_uniform(c, level);
         let mut plan = PartitionPlan::default();
         let mut data: Vec<f64> = Vec::new();
         let mut counts: Vec<usize> = Vec::new();
         let mut recv_counts: Vec<usize> = Vec::new();
         let mut moved: Vec<f64> = Vec::new();
 
-        let mut fast_ns = Vec::new();
-        let mut base_ns = Vec::new();
+        let mut cycle_ns = Vec::new();
         let mut alloc_delta = 0u64;
-        let mut rounds = 0u64;
         for cycle in 0..warmups + samples {
-            // Fast path: fast balance + reusable plan/buffers.
             c.barrier();
-            let cap0 = fast.alloc_bytes()
+            let cap0 = tree.alloc_bytes()
                 + ((data.capacity() + moved.capacity()) * 8) as u64
                 + ((counts.capacity() + recv_counts.capacity()) * 8) as u64;
             let t0 = Instant::now();
-            fast.refine(|o| should_refine(o, max_level));
-            fast.coarsen(|o| should_coarsen(o, min_level));
-            fast.balance(BalanceKind::Full);
+            tree.refine(|o| should_refine(o, max_level));
+            tree.coarsen(|o| should_coarsen(o, min_level));
+            tree.balance(BalanceKind::Full);
             data.clear();
-            data.resize(8 * fast.local.len(), 1.0);
-            fast.partition_with(&mut plan);
+            data.resize(8 * tree.local.len(), 1.0);
+            tree.partition_with(&mut plan);
             transfer_fields_into(
                 c,
                 &plan,
@@ -94,62 +76,27 @@ fn bench_adapt_cycle(smoke: bool) -> Value {
                 &mut moved,
             );
             c.barrier();
-            let dt_fast = t0.elapsed().as_nanos() as f64;
-            rounds = fast.last_balance_rounds();
+            let dt = t0.elapsed().as_nanos() as f64;
             if cycle >= warmups {
-                fast_ns.push(dt_fast);
-                let cap1 = fast.alloc_bytes()
+                cycle_ns.push(dt);
+                let cap1 = tree.alloc_bytes()
                     + ((data.capacity() + moved.capacity()) * 8) as u64
                     + ((counts.capacity() + recv_counts.capacity()) * 8) as u64;
                 alloc_delta += cap1 - cap0;
             }
-
-            // Baseline: ripple balance + allocating wrappers (PR 3 idiom).
-            c.barrier();
-            let t0 = Instant::now();
-            base.refine(|o| should_refine(o, max_level));
-            base.coarsen(|o| should_coarsen(o, min_level));
-            base.balance_ripple(BalanceKind::Full);
-            let bdata = vec![1.0f64; 8 * base.local.len()];
-            let bplan = base.partition();
-            let _bmoved = transfer_fields(c, &bplan, &bdata, 8);
-            c.barrier();
-            let dt_base = t0.elapsed().as_nanos() as f64;
-            if cycle >= warmups {
-                base_ns.push(dt_base);
-            }
-
-            // The two paths must agree bitwise: same leaves, same ranks.
-            assert_eq!(
-                fast.local, base.local,
-                "fast and ripple adapt paths diverged at cycle {cycle}"
-            );
         }
-        assert_eq!(alloc_delta, 0, "warm fast adapt cycle allocated");
+        assert_eq!(alloc_delta, 0, "warm adapt cycle allocated");
         (
-            median(fast_ns),
-            median(base_ns),
-            fast.global_count(),
-            rounds,
+            median(cycle_ns),
+            tree.global_count(),
+            tree.last_balance_rounds(),
         )
     });
-    let (fast_med, base_med, elements, rounds) = out[0];
-    let speedup = base_med / fast_med;
+    let (med, elements, rounds) = out[0];
     println!(
-        "adapt cycle A/B (P=4, {elements} elements, {rounds} balance rounds): \
-         fast {:.2} ms, baseline {:.2} ms, speedup {speedup:.2}x",
-        fast_med / 1e6,
-        base_med / 1e6
+        "adapt cycle (P=4, {elements} elements, {rounds} balance rounds): {:.2} ms\n",
+        med / 1e6
     );
-    Value::object([
-        ("ranks", Value::from(4u64)),
-        ("elements", Value::from(elements)),
-        ("fast_ns_per_cycle", Value::from(fast_med)),
-        ("baseline_ns_per_cycle", Value::from(base_med)),
-        ("speedup", Value::from(speedup)),
-        ("balance_rounds", Value::from(rounds)),
-        ("warm_alloc_bytes", Value::from(0u64)),
-    ])
 }
 
 fn modeled_paper_table() {
@@ -241,33 +188,10 @@ fn modeled_paper_table() {
 }
 
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let smoke = args.iter().any(|a| a == "--smoke");
-    let out_path = args
-        .iter()
-        .position(|a| a == "--out")
-        .and_then(|i| args.get(i + 1))
-        .cloned()
-        .unwrap_or_else(|| "BENCH_pr4.json".to_string());
-
     banner(
         "Figure 10",
         "AMR function timings vs. solve time (full convection)",
     );
-    let adapt = bench_adapt_cycle(smoke);
-    let speedup = adapt.get("speedup").and_then(|v| v.as_f64()).unwrap();
-    let doc = Value::object([
-        ("schema", Value::from("bench.pr4.v1")),
-        ("mode", Value::from(if smoke { "smoke" } else { "full" })),
-        ("adapt_cycle", adapt),
-    ]);
-    std::fs::write(&out_path, doc.to_json() + "\n").expect("write BENCH_pr4.json");
-    println!("wrote {out_path} (adapt-cycle speedup {speedup:.2}x)\n");
-    if !smoke {
-        assert!(
-            speedup >= 2.0,
-            "adapt-cycle speedup regressed below 2x: {speedup:.2}"
-        );
-        modeled_paper_table();
-    }
+    measure_adapt_cycle();
+    modeled_paper_table();
 }

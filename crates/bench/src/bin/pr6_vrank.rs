@@ -19,7 +19,8 @@
 //!
 //! Usage: `pr6_vrank [--smoke] [--out PATH]`. `--smoke` shrinks world
 //! sizes and repetition counts for CI; the committed `BENCH_pr6.json`
-//! comes from a full `--release` run (`scripts/bench.sh pr6`).
+//! comes from a full `--release` run
+//! (`cargo run --release -p rhea-bench --bin pr6_vrank`).
 
 use fem::op::DofMap;
 use mesh::extract::extract_mesh;

@@ -8,19 +8,18 @@
 //!   state ([`crate::octree_checks`]::{morton_order, partition,
 //!   balance21, ghost_symmetry} and [`crate::mesh_checks`]::{constraints,
 //!   dof_numbering});
-//! * the distributed fast balance produces a global leaf set **bitwise
+//! * the distributed balance produces a global leaf set **bitwise
 //!   equal** to the serial naive oracle
-//!   ([`octree::balance::balance_local_naive_kind`]) applied to the
-//!   gathered pre-balance union;
-//! * the packed-key oracle agrees bitwise with the retained unpacked
+//!   ([`crate::oracles::balance_local_naive_kind`]) applied to the
+//!   gathered pre-balance union, and so does the serial local balance
+//!   kernel;
+//! * the packed-key oracle agrees bitwise with the unpacked
 //!   coordinate-struct oracle
-//!   ([`octree::unpacked::balance_naive_unpacked`]), and the vectorized
-//!   and forced-scalar local balance kernels agree bitwise with each
-//!   other and with the oracle (the PR 7 differential gates);
+//!   ([`crate::oracles::unpacked::balance_naive_unpacked`]);
 //! * the recursive forest ghost constructor, run over the same leaves
-//!   wrapped as a one-tree forest, reproduces the flat `ghost_layer()`
-//!   bitwise on its face-adjacent subset, adds only edge/corner
-//!   entries beyond it, and passes the kind-aware
+//!   wrapped as a one-tree forest, reproduces the single-tree
+//!   `DistOctree::ghost_layer()` bitwise on its face-adjacent subset,
+//!   adds only edge/corner entries beyond it, and passes the kind-aware
 //!   [`crate::forest_checks::ghost_symmetry`] mirror check;
 //! * field transfer conserves: the interpolated field reproduces a
 //!   linear function to 1e-12 through coarsen/refine/balance, the global
@@ -34,14 +33,13 @@
 
 use mesh::extract::{extract_mesh, node_coords, Mesh, NodeResolution};
 use mesh::interp::interpolate_node_field;
-use octree::balance::{
-    balance_local_kind_ws_simd, balance_local_naive_kind, BalanceKind, BalanceWorkspace,
-};
+use octree::balance::{balance_local_kind_ws, BalanceKind, BalanceWorkspace};
 use octree::parallel::{transfer_fields, DistOctree};
-use octree::unpacked::balance_naive_unpacked;
 use octree::Octant;
 use scomm::{spmd, Comm};
 
+use crate::oracles::unpacked::balance_naive_unpacked;
+use crate::oracles::{balance_local_naive_kind, forest_flat_adjacent};
 use crate::{mesh_checks, octree_checks, Violation};
 
 /// Configuration of one fuzz run (one communicator size, many cycles).
@@ -57,11 +55,6 @@ pub struct FuzzConfig {
     pub max_level: u8,
     /// Balance neighborhood fuzzed against the naive oracle.
     pub kind: BalanceKind,
-    /// Drive the distributed pipeline with the vectorized kernels
-    /// (`false` forces the scalar fallback end to end; both settings
-    /// must replay the exact same trees, since every cycle asserts
-    /// bitwise equality against the same partition-independent oracles).
-    pub use_simd: bool,
 }
 
 impl Default for FuzzConfig {
@@ -72,7 +65,6 @@ impl Default for FuzzConfig {
             level: 2,
             max_level: 4,
             kind: BalanceKind::Full,
-            use_simd: true,
         }
     }
 }
@@ -144,7 +136,6 @@ fn unpack_corners(mesh: &Mesh, data: &[f64]) -> Vec<f64> {
 pub fn run_cycles(comm: &Comm, cfg: &FuzzConfig) -> u64 {
     let domain = [1.0, 1.0, 1.0];
     let mut tree = DistOctree::new_uniform(comm, cfg.level);
-    tree.set_use_simd(cfg.use_simd);
     let mut ws = BalanceWorkspace::new();
     let mut mesh = extract_mesh(&tree, domain);
     let mut vals: Vec<f64> = (0..mesh.n_owned)
@@ -158,18 +149,17 @@ pub fn run_cycles(comm: &Comm, cfg: &FuzzConfig) -> u64 {
         tree.coarsen(|o| o.level() > 1 && roll(cfg.seed, cycle, 0xC0A5, o) < 35);
         tree.refine(|o| o.level() < cfg.max_level && roll(cfg.seed, cycle, 0x5EF1, o) < 25);
 
-        // BalanceTree: the distributed fast path must match the serial
+        // BalanceTree: the distributed balance must match the serial
         // naive oracle on the gathered union, bitwise.
         let pre: Vec<Octant> = comm.allgatherv(&tree.local);
         let mut expected = pre.clone();
         balance_local_naive_kind(&mut expected, cfg.kind);
 
-        // PR 7 gates on the same gathered union. (1) The packed-key
-        // naive oracle agrees bitwise with the retained unpacked
-        // coordinate-struct oracle, so the packed representation never
-        // silently changes the leaf set. (2) The vectorized and scalar
-        // local balance kernels agree bitwise with each other and with
-        // the oracle.
+        // Same gathered union: (1) the packed-key naive oracle agrees
+        // bitwise with the unpacked coordinate-struct oracle, so the
+        // packed representation never silently changes the leaf set;
+        // (2) the serial local balance kernel (AVX2 or scalar, whichever
+        // this build and CPU select) agrees bitwise with the oracle.
         let mut expected_unpacked = pre.clone();
         balance_naive_unpacked(&mut expected_unpacked, cfg.kind);
         if expected_unpacked != expected {
@@ -182,22 +172,14 @@ pub fn run_cycles(comm: &Comm, cfg: &FuzzConfig) -> u64 {
                 ),
             );
         }
-        let mut via_simd = pre.clone();
-        let mut via_scalar = pre;
-        balance_local_kind_ws_simd(
-            &mut via_simd,
-            cfg.kind,
-            &mut ws,
-            octree::simd::simd_available(),
-        );
-        balance_local_kind_ws_simd(&mut via_scalar, cfg.kind, &mut ws, false);
-        if via_simd != via_scalar || via_simd != expected {
+        let mut serial = pre;
+        balance_local_kind_ws(&mut serial, cfg.kind, &mut ws);
+        if serial != expected {
             fail(
                 &ctx,
                 &format!(
-                    "simd/scalar balance mismatch: simd {} vs scalar {} vs oracle {} leaves",
-                    via_simd.len(),
-                    via_scalar.len(),
+                    "serial balance mismatch vs naive oracle: {} vs {} leaves",
+                    serial.len(),
                     expected.len()
                 ),
             );
@@ -267,10 +249,10 @@ pub fn run_cycles(comm: &Comm, cfg: &FuzzConfig) -> u64 {
         v.extend(mesh_checks::dof_numbering(&tree, &new_mesh));
         assert_clean_with_ctx(comm, &ctx, &v);
 
-        // Recursive forest ghosts vs the flat oracle: wrap the same
-        // leaves as a one-tree forest and require (a) the face-adjacent
-        // subset of the recursive layer to be *bitwise* the flat
-        // `ghost_layer()`, (b) every entry classified `Face` to be
+        // Recursive forest ghosts vs the single-tree constructor: wrap
+        // the same leaves as a one-tree forest and require (a) the
+        // face-adjacent subset of the recursive layer to be *bitwise*
+        // `DistOctree::ghost_layer()`, (b) every entry classified `Face` to be
         // flat-adjacent (extras are strictly edge/corner additions),
         // and (c) the kind-aware forest symmetry checker to be clean.
         let forest = forest::Forest::from_local(
@@ -285,7 +267,7 @@ pub fn run_cycles(comm: &Comm, cfg: &FuzzConfig) -> u64 {
         let face_subset: Vec<(usize, Octant)> = layer
             .entries
             .iter()
-            .filter(|e| forest.flat_adjacent(&e.leaf))
+            .filter(|e| forest_flat_adjacent(&forest, &e.leaf))
             .map(|e| (e.owner as usize, e.leaf.oct))
             .collect();
         if face_subset != ghosts {
@@ -293,14 +275,14 @@ pub fn run_cycles(comm: &Comm, cfg: &FuzzConfig) -> u64 {
                 &ctx,
                 &format!(
                     "recursive ghost layer's flat-adjacent subset diverges from \
-                     the flat oracle: {} vs {} entries",
+                     the single-tree ghost layer: {} vs {} entries",
                     face_subset.len(),
                     ghosts.len()
                 ),
             );
         }
         for e in &layer.entries {
-            if e.kind == forest::GhostKind::Face && !forest.flat_adjacent(&e.leaf) {
+            if e.kind == forest::GhostKind::Face && !forest_flat_adjacent(&forest, &e.leaf) {
                 fail(
                     &ctx,
                     &format!("face-classified ghost {:?} is not flat-adjacent", e.leaf),

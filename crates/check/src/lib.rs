@@ -29,6 +29,9 @@
 //!   every checker, bitwise balance equality against the naive oracle,
 //!   and field-transfer conservation; failures replay from the
 //!   `(seed, cycle, p)` triple in the panic message.
+//! * **Oracles** ([`oracles`]) — the one independent reference
+//!   implementation per invariant that production paths are compared
+//!   against; none of them is public API of the crate it checks.
 //!
 //! Fault injection lives in `scomm::fault` (it must interpose on the
 //! communicator internals); its smoke tests live here, where the full
@@ -49,6 +52,7 @@ pub mod forest_checks;
 pub mod fuzz_amr;
 pub mod mesh_checks;
 pub mod octree_checks;
+pub mod oracles;
 
 pub use differential::{run_differential, DiffOptions, Fingerprint};
 

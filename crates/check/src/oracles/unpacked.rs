@@ -1,19 +1,19 @@
-//! Coordinate-arithmetic reference octants: the pre-PR 7
-//! `(x, y, z, level)` struct representation, retained verbatim as the
-//! differential oracle for the packed-key arithmetic in [`crate::morton`].
+//! Coordinate-arithmetic reference octants: the `(x, y, z, level)`
+//! struct representation, the oracle for the packed-key arithmetic in
+//! `octree::morton`.
 //!
-//! Every operation here computes with explicit anchor coordinates — the
-//! way the old AoS `Octant` did — and is compared bitwise against the
-//! branchless packed-key implementation by the proptests in this crate
-//! and by `check::fuzz_amr` (which replays whole adapt cycles through
-//! [`balance_naive_unpacked`] at P ∈ {1, 2, 4, 8}). The same role PR 4's
-//! naive balance played for the fast balance: slow, obvious, and
-//! independent of the optimization under test.
+//! Every operation here computes with explicit anchor coordinates and is
+//! compared bitwise against the branchless packed-key implementation by
+//! the tests below, the proptests in `tests/oracles.rs`, and
+//! [`crate::fuzz_amr`] (which replays whole adapt cycles through
+//! [`balance_naive_unpacked`] at P ∈ {1, 2, 4, 8}): slow, obvious, and
+//! independent of the representation under test.
 
-use crate::balance::BalanceKind;
-use crate::morton::{morton_key, Octant, MAX_LEVEL, ROOT_LEN};
+use octree::balance::BalanceKind;
+use octree::morton::morton_key;
+use octree::{Octant, MAX_LEVEL, ROOT_LEN};
 
-/// The old struct-of-coordinates quadrant representation.
+/// The struct-of-coordinates octant representation.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct Unpacked {
     pub x: u32,
@@ -109,7 +109,7 @@ impl Unpacked {
     }
 
     /// Same-size neighbor by signed coordinate arithmetic with explicit
-    /// domain bounds checks (the pre-PR 7 implementation).
+    /// domain bounds checks.
     pub fn neighbor(&self, dx: i32, dy: i32, dz: i32) -> Option<Unpacked> {
         let len = self.len() as i64;
         let nx = self.x as i64 + dx as i64 * len;
@@ -194,12 +194,12 @@ fn first_violator_unpacked(leaves: &[Unpacked], dirs: &[(i32, i32, i32)]) -> Opt
     first
 }
 
-/// Naive one-violator-at-a-time 2:1 balance computed entirely in the old
+/// Naive one-violator-at-a-time 2:1 balance computed entirely in the
 /// coordinate representation: packed leaves are converted to [`Unpacked`]
 /// structs, balanced with coordinate arithmetic, and converted back.
 /// Because the minimal balanced refinement is unique, the result must be
-/// bitwise identical to `balance::balance_local_kind` on packed keys —
-/// this is the packed-vs-struct gate `check::fuzz_amr` replays every
+/// bitwise identical to `octree::balance::balance_local_kind` on packed
+/// keys — the packed-vs-struct gate [`crate::fuzz_amr`] replays every
 /// adapt cycle. Returns the number of leaves added.
 pub fn balance_naive_unpacked(leaves: &mut Vec<Octant>, kind: BalanceKind) -> usize {
     let mut u: Vec<Unpacked> = leaves.iter().map(|&o| Unpacked::from(o)).collect();
@@ -217,8 +217,8 @@ pub fn balance_naive_unpacked(leaves: &mut Vec<Octant>, kind: BalanceKind) -> us
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::balance::balance_local_kind;
-    use crate::ops::{new_tree, refine};
+    use octree::balance::balance_local_kind;
+    use octree::ops::{new_tree, refine};
 
     fn exhaustive_octants(max_level: u8) -> Vec<Octant> {
         let mut v = Vec::new();

@@ -131,7 +131,6 @@ fn pipeline_nonblocking(plan: Option<scomm::FaultPlan>) -> (Vec<u64>, u64, Vec<u
             }),
             None,
         );
-        assert!(op.overlap(), "split-phase path must be exercised");
         let x: Vec<f64> = (0..m.n_owned)
             .map(|d| ((m.global_offset + d as u64) % 11) as f64 - 5.0)
             .collect();

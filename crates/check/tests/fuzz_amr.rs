@@ -1,7 +1,6 @@
 //! The fuzzed adaptation regression suite.
 //!
-//! `smoke_*` run on fixed seeds in a few seconds (the CI `amr-fuzz-smoke`
-//! job). The `#[ignore]`d `full_200_cycles` test is the acceptance run:
+//! `smoke_*` run on fixed seeds in a few seconds. The `#[ignore]`d `full_200_cycles` test is the acceptance run:
 //! 200 seeded cycles spread over P ∈ {1, 2, 4, 8} (4 ranks × 5 seeds ×
 //! 10 cycles). Replay a failure by plugging the `(seed, cycle, p)` from
 //! the panic message into a one-off `FuzzConfig`.
@@ -40,25 +39,22 @@ fn smoke_four_ranks_deeper() {
     );
 }
 
-/// The PR 7 packed/SIMD differential gates (packed-vs-unpacked oracle,
-/// simd-vs-scalar local balance) fire inside every cycle; exercise them
-/// at every acceptance rank count, including the forced-scalar pipeline.
+/// The packed-vs-unpacked oracle gate and the serial-kernel-vs-oracle
+/// gate fire inside every cycle; exercise them at every acceptance rank
+/// count.
 #[test]
 fn smoke_packed_gates_all_ranks() {
     for p in [1usize, 2, 4, 8] {
-        for use_simd in [true, false] {
-            fuzz_amr(
-                p,
-                &FuzzConfig {
-                    seed: 9,
-                    cycles: 1,
-                    level: 2,
-                    max_level: 3,
-                    use_simd,
-                    ..Default::default()
-                },
-            );
-        }
+        fuzz_amr(
+            p,
+            &FuzzConfig {
+                seed: 9,
+                cycles: 1,
+                level: 2,
+                max_level: 3,
+                ..Default::default()
+            },
+        );
     }
 }
 

@@ -1,11 +1,11 @@
 //! Golden contracts for the zero-allocation matvec pipeline:
 //!
-//! * fused MINRES with **batched** reductions (one allreduce of the whole
+//! * MINRES with **batched** reductions (one allreduce of the whole
 //!   scalar batch) is bitwise identical to the same algorithm issuing one
 //!   reduction per scalar — the batching is a pure communication
 //!   optimization;
-//! * the **packed interleaved** ghost exchange and reverse accumulation
-//!   are bitwise identical to the strided per-component reference path.
+//! * the **split-phase packed** ghost exchange and reverse accumulation
+//!   are bitwise identical to the allocating per-component collectives.
 //!
 //! Both run under [`check::run_differential`] at P ∈ {1, 4} so the
 //! contracts are exercised serially and with real ghost traffic.
@@ -13,7 +13,7 @@
 use check::{run_differential, DiffOptions, Fingerprint};
 use fem::element::stiffness_matrix;
 use fem::op::{DistOp, DofMap};
-use la::minres_fused;
+use la::minres;
 use mesh::extract::{extract_mesh, ExchangeBuffers, Mesh};
 use octree::balance::BalanceKind;
 use octree::parallel::DistOctree;
@@ -43,7 +43,7 @@ fn fingerprint_of(t: &DistOctree, m: &Mesh) -> (Vec<(u32, u64, u8)>, Vec<u64>, V
 }
 
 #[test]
-fn fused_minres_batched_reductions_are_bitwise_identical() {
+fn minres_batched_reductions_are_bitwise_identical() {
     let opts = DiffOptions {
         series_rel_tol: 1e-6,
         series_len_slack: 1,
@@ -75,13 +75,13 @@ fn fused_minres_batched_reductions_are_bitwise_identical() {
             }
         }
 
-        // Same fused algorithm, two reduction schedules: one batched
+        // Same algorithm, two reduction schedules: one batched
         // allreduce per iteration vs one allreduce per scalar.
         let run = |batched: bool| {
             let mut x = vec![0.0; m.n_owned];
             let mut series = Vec::new();
             let info = if batched {
-                minres_fused(
+                minres(
                     &op,
                     None::<&la::Csr>,
                     &rhs,
@@ -92,7 +92,7 @@ fn fused_minres_batched_reductions_are_bitwise_identical() {
                     |_, r| series.push(r),
                 )
             } else {
-                minres_fused(
+                minres(
                     &op,
                     None::<&la::Csr>,
                     &rhs,
@@ -121,14 +121,14 @@ fn fused_minres_batched_reductions_are_bitwise_identical() {
             leaves,
             node_keys,
             counts,
-            series: vec![("minres.fused.residual".to_string(), s_batched)],
+            series: vec![("minres.residual".to_string(), s_batched)],
         }
     });
     result.unwrap_or_else(|errs| panic!("differential mismatches:\n{}", errs.join("\n")));
 }
 
 #[test]
-fn packed_exchange_is_bitwise_identical_to_strided() {
+fn split_phase_exchange_is_bitwise_identical_to_allocating() {
     let result = run_differential(&[1, 4], &DiffOptions::default(), |c| {
         let (t, m) = fixture(c);
         let (leaves, node_keys, counts) = fingerprint_of(&t, &m);
@@ -143,24 +143,27 @@ fn packed_exchange_is_bitwise_identical_to_strided() {
                 owned[3 * d + k] = gid as f64 * 1e-3 + k as f64;
             }
         }
-        let strided = map.to_local(&owned);
-        let mut packed = Vec::new();
-        let mut buf = ExchangeBuffers::new();
-        map.to_local_into(&owned, &mut packed, &mut buf);
+        let allocating = map.to_local(&owned);
+        let mut split = Vec::new();
+        let mut buf = ExchangeBuffers::with_stream(1);
+        map.fill_local(&owned, &mut split);
+        map.exchange_begin(&split, &mut buf);
+        map.exchange_end(&mut split, &mut buf);
         assert_eq!(
-            strided, packed,
-            "packed interleaved exchange must fill ghosts bitwise identically"
+            allocating, split,
+            "split-phase packed exchange must fill ghosts bitwise identically"
         );
 
         // Reverse accumulation of a deterministic owned+ghost vector.
         let seed = |i: usize| ((i.wrapping_mul(2654435761)) % 1000) as f64 / 7.0 - 60.0;
-        let mut w_strided: Vec<f64> = (0..map.n_local()).map(seed).collect();
-        let mut w_packed = w_strided.clone();
-        map.reverse_accumulate(&mut w_strided);
-        map.reverse_accumulate_with(&mut w_packed, &mut buf);
+        let mut w_allocating: Vec<f64> = (0..map.n_local()).map(seed).collect();
+        let mut w_split = w_allocating.clone();
+        map.reverse_accumulate(&mut w_allocating);
+        map.reverse_accumulate_begin(&mut w_split, &mut buf);
+        map.reverse_accumulate_end(&mut w_split, &mut buf);
         assert_eq!(
-            w_strided, w_packed,
-            "packed reverse accumulation must match the strided path bitwise"
+            w_allocating, w_split,
+            "split-phase reverse accumulation must match the allocating path bitwise"
         );
 
         Fingerprint {

@@ -127,7 +127,9 @@ impl<'a> DofMap<'a> {
         self.comm.allreduce_max(&[local])[0]
     }
 
-    /// Expand an owned vector into owned+ghost layout and fill ghosts.
+    /// Expand an owned vector into owned+ghost layout and fill ghosts
+    /// (allocating collective tier — set-up paths; hot paths use
+    /// [`DofMap::fill_local`] + [`DofMap::exchange_begin`]).
     pub fn to_local(&self, owned: &[f64]) -> Vec<f64> {
         debug_assert_eq!(owned.len(), self.n_owned());
         let mut v = vec![0.0; self.n_local()];
@@ -136,41 +138,12 @@ impl<'a> DofMap<'a> {
         v
     }
 
-    /// Allocation-free [`DofMap::to_local`]: expand into a reusable
-    /// owned+ghost vector using the packed interleaved exchange.
-    pub fn to_local_into(&self, owned: &[f64], v: &mut Vec<f64>, buf: &mut ExchangeBuffers) {
-        debug_assert_eq!(owned.len(), self.n_owned());
-        reset(v, self.n_local());
-        v[..owned.len()].copy_from_slice(owned);
-        self.exchange_with(v, buf);
-    }
-
-    /// Allocation-free ghost exchange: one packed interleaved message
-    /// per neighbor instead of one strided pass per component. Ghost
+    /// Split-phase, allocation-free ghost fill: post one packed
+    /// interleaved message per neighbor and return while the messages are
+    /// in flight. Only the owned block of `v` is read at post time, so
+    /// interior-element work may proceed on `v` until
+    /// [`DofMap::exchange_end`] fills the ghost block. The completed ghost
     /// values are bitwise identical to [`DofMap::exchange`].
-    pub fn exchange_with(&self, v: &mut [f64], buf: &mut ExchangeBuffers) {
-        self.mesh
-            .exchange
-            .exchange_interleaved(self.comm, v, self.mesh.n_owned, self.ncomp, buf);
-    }
-
-    /// Allocation-free reverse accumulation; results are bitwise
-    /// identical to [`DofMap::reverse_accumulate`].
-    pub fn reverse_accumulate_with(&self, v: &mut [f64], buf: &mut ExchangeBuffers) {
-        self.mesh.exchange.reverse_accumulate_interleaved(
-            self.comm,
-            v,
-            self.mesh.n_owned,
-            self.ncomp,
-            buf,
-        );
-    }
-
-    /// Split-phase [`DofMap::exchange_with`]: post the packed ghost fill
-    /// and return while the messages are in flight. Only the owned block
-    /// of `v` is read at post time, so interior-element work may proceed
-    /// on `v` until [`DofMap::exchange_end`] fills the ghost block. The
-    /// completed ghost values are bitwise identical to the blocking path.
     pub fn exchange_begin(&self, v: &[f64], buf: &mut ExchangeBuffers) {
         self.mesh
             .exchange
@@ -188,7 +161,7 @@ impl<'a> DofMap<'a> {
         );
     }
 
-    /// Split-phase [`DofMap::reverse_accumulate_with`]: post the ghost
+    /// Split-phase, allocation-free reverse accumulation: post the ghost
     /// contributions back to their owners and zero the ghost block.
     pub fn reverse_accumulate_begin(&self, v: &mut [f64], buf: &mut ExchangeBuffers) {
         self.mesh.exchange.reverse_accumulate_begin_interleaved(
@@ -202,7 +175,7 @@ impl<'a> DofMap<'a> {
 
     /// Complete the accumulation posted by
     /// [`DofMap::reverse_accumulate_begin`]; owner sums are bitwise
-    /// identical to the blocking path.
+    /// identical to [`DofMap::reverse_accumulate`].
     pub fn reverse_accumulate_end(&self, v: &mut [f64], buf: &mut ExchangeBuffers) {
         self.mesh.exchange.reverse_accumulate_end_interleaved(
             self.comm,
@@ -360,8 +333,8 @@ impl<'a> DofMap<'a> {
 /// sums followed by **one** `allreduce_sum` of the whole batch. The
 /// simulated allreduce combines contributions elementwise in rank order,
 /// so each scalar of the batch is bitwise identical to what a separate
-/// [`DofMap::dot`] call would have produced — the contract the fused
-/// solvers ([`la::krylov::minres_fused`]) rely on.
+/// [`DofMap::dot`] call would have produced — the contract the Krylov
+/// solver ([`la::krylov::minres`]) relies on.
 impl la::DotBatch for &DofMap<'_> {
     fn dot(&self, a: &[f64], b: &[f64]) -> f64 {
         DofMap::dot(self, a, b)
@@ -385,14 +358,13 @@ impl la::DotBatch for &DofMap<'_> {
 /// optional symmetric Dirichlet elimination. Carries its own reusable
 /// [`Workspace`], so repeated applications are allocation-free.
 ///
-/// By default applications run **split-phase** (the SC'08 §4 pattern):
-/// the ghost exchange is posted, interior elements — those touching only
+/// Applications run **split-phase** (the SC'08 §4 pattern): the ghost
+/// exchange is posted, interior elements — those touching only
 /// non-shared owned dofs — are swept while the messages are in flight,
-/// the exchange completes, and the surface elements are swept last. Both
-/// the overlapped and the blocking path sweep interior-then-surface in
-/// the same order, so their results are **bitwise identical**; the
-/// blocking path (`set_overlap(false)`) is retained as the differential
-/// oracle and benchmark baseline.
+/// the exchange completes, and the surface elements are swept last.
+/// `check::oracles::dist_apply_reference` rebuilds the same product from
+/// the allocating collective tier in the same accumulation order; the
+/// two agree bitwise.
 pub struct DistOp<'a> {
     map: &'a DofMap<'a>,
     /// Fills the `(8·ncomp)²` row-major element matrix of element `e`.
@@ -403,8 +375,6 @@ pub struct DistOp<'a> {
     ws: RefCell<Workspace>,
     /// Cumulative workspace growth, in bytes (see [`DistOp::alloc_bytes`]).
     grown: Cell<u64>,
-    /// Overlap the ghost exchange with interior-element sweeps.
-    overlap: Cell<bool>,
 }
 
 impl<'a> DistOp<'a> {
@@ -419,24 +389,12 @@ impl<'a> DistOp<'a> {
             bc_mask,
             ws: RefCell::new(Workspace::new()),
             grown: Cell::new(0),
-            overlap: Cell::new(true),
         }
     }
 
     /// The dof map this operator acts on.
     pub fn map(&self) -> &DofMap<'a> {
         self.map
-    }
-
-    /// Select the split-phase (`true`, default) or blocking (`false`)
-    /// exchange path. Results are bitwise identical either way.
-    pub fn set_overlap(&self, overlap: bool) {
-        self.overlap.set(overlap);
-    }
-
-    /// Whether applications overlap the ghost exchange with interior work.
-    pub fn overlap(&self) -> bool {
-        self.overlap.get()
     }
 
     /// Cumulative bytes of workspace growth over all applications so
@@ -475,23 +433,12 @@ impl<'a> DistOp<'a> {
         reset(&mut ws.mat, dim * dim);
         reset(&mut ws.ue, dim);
         reset(&mut ws.re, dim);
-        // Both paths sweep interior elements first, then surface
-        // elements, so the floating-point accumulation order — and hence
-        // the result — is identical; only the point at which the ghost
-        // exchange completes differs.
-        if self.overlap.get() {
-            map.exchange_begin(&ws.xl, &mut ws.exch);
-            self.sweep(&map.mesh.interior_elems, ws);
-            map.exchange_end(&mut ws.xl, &mut ws.exch);
-            self.sweep(&map.mesh.surface_elems, ws);
-            map.reverse_accumulate_begin(&mut ws.yl, &mut ws.exch);
-            map.reverse_accumulate_end(&mut ws.yl, &mut ws.exch);
-        } else {
-            map.exchange_with(&mut ws.xl, &mut ws.exch);
-            self.sweep(&map.mesh.interior_elems, ws);
-            self.sweep(&map.mesh.surface_elems, ws);
-            map.reverse_accumulate_with(&mut ws.yl, &mut ws.exch);
-        }
+        map.exchange_begin(&ws.xl, &mut ws.exch);
+        self.sweep(&map.mesh.interior_elems, ws);
+        map.exchange_end(&mut ws.xl, &mut ws.exch);
+        self.sweep(&map.mesh.surface_elems, ws);
+        map.reverse_accumulate_begin(&mut ws.yl, &mut ws.exch);
+        map.reverse_accumulate_end(&mut ws.yl, &mut ws.exch);
         y.copy_from_slice(&ws.yl[..n_owned]);
         if let Some(mask) = self.bc_mask {
             for (i, &m) in mask.iter().enumerate() {
@@ -692,59 +639,6 @@ mod tests {
                 "steady-state applies must not allocate"
             );
         });
-    }
-
-    #[test]
-    fn overlapped_apply_bitwise_matches_blocking() {
-        // The split-phase path (post exchange, sweep interior, complete,
-        // sweep surface) must reproduce the blocking path bit for bit,
-        // including on adapted meshes with hanging-node constraints.
-        for p in [1usize, 2, 4] {
-            spmd::run(p, |c| {
-                let mut t = DistOctree::new_uniform(c, 2);
-                t.refine(|o| o.center_unit()[2] > 0.6);
-                t.balance(BalanceKind::Full);
-                t.partition();
-                let m = extract_mesh(&t, [1.0, 1.0, 1.0]);
-                let map = DofMap::new(&m, c, 1);
-                let mesh_ref = &m;
-                let bc: Vec<bool> = (0..m.n_owned).map(|d| m.dof_on_boundary(d)).collect();
-                let op = DistOp::new(
-                    &map,
-                    Box::new(move |e, out: &mut [f64]| {
-                        let k = stiffness_matrix(mesh_ref.element_size(e), 1.0);
-                        for i in 0..8 {
-                            for j in 0..8 {
-                                out[i * 8 + j] = k[i][j];
-                            }
-                        }
-                    }),
-                    Some(&bc),
-                );
-                let x: Vec<f64> = (0..m.n_owned)
-                    .map(|d| {
-                        let g = m.global_offset + d as u64;
-                        ((g.wrapping_mul(6364136223846793005) >> 33) % 4001) as f64 / 4001.0 - 0.5
-                    })
-                    .collect();
-                let mut y_over = vec![0.0; m.n_owned];
-                let mut y_block = vec![0.0; m.n_owned];
-                assert!(op.overlap(), "overlap must be the default");
-                op.apply_owned(&x, &mut y_over);
-                op.set_overlap(false);
-                op.apply_owned(&x, &mut y_block);
-                let bits = |v: &[f64]| v.iter().map(|f| f.to_bits()).collect::<Vec<_>>();
-                assert_eq!(bits(&y_over), bits(&y_block), "paths diverge at P={p}");
-                // Warm overlapped applies stay allocation-free.
-                op.set_overlap(true);
-                op.apply_owned(&x, &mut y_over);
-                let warm = op.alloc_bytes();
-                for _ in 0..3 {
-                    op.apply_owned(&x, &mut y_over);
-                }
-                assert_eq!(op.alloc_bytes(), warm, "overlapped applies allocate");
-            });
-        }
     }
 
     #[test]

@@ -14,9 +14,7 @@
 //! face transforms — valid for connectivities in which every pair of
 //! edge/corner-adjacent trees is also linked by a chain of at most three
 //! face hops (true for `unit_cube`, `brick`, and `cubed_sphere`; general
-//! arbitrary-valence corner tables remain out of scope). The flat
-//! [`Forest::ghost_layer`] below stays face-only and is retained as the
-//! differential oracle for the recursive constructor.
+//! arbitrary-valence corner tables remain out of scope).
 
 use std::sync::Arc;
 
@@ -605,49 +603,6 @@ impl<'c> Forest<'c> {
             + cap(&self.gather)
     }
 
-    /// Ghost layer: remote leaves adjacent (within-tree 26-neighborhood or
-    /// across tree faces) to this rank's leaves, with owners, sorted.
-    pub fn ghost_layer(&self) -> Vec<(usize, ForestLeaf)> {
-        let p = self.comm.size();
-        let me = self.comm.rank();
-        let mut outgoing: Vec<Vec<ForestLeaf>> = vec![Vec::new(); p];
-        for l in &self.local {
-            let mut sent = Vec::new();
-            for (dx, dy, dz) in Octant::neighbor_directions() {
-                let Some(n) = self.neighbor(l, dx, dy, dz) else {
-                    continue;
-                };
-                let (rlo, rhi) = self.owner_range(&n);
-                for r in rlo..=rhi.min(p - 1) {
-                    if r != me && !sent.contains(&r) {
-                        sent.push(r);
-                        outgoing[r].push(*l);
-                    }
-                }
-            }
-        }
-        let incoming = self.comm.alltoallv(&outgoing);
-        let mut ghosts: Vec<(usize, ForestLeaf)> = Vec::new();
-        for (src, leaves) in incoming.iter().enumerate() {
-            for &l in leaves {
-                let adjacent = Octant::neighbor_directions().any(|(dx, dy, dz)| {
-                    self.neighbor(&l, dx, dy, dz)
-                        .map(|n| {
-                            let (rlo, rhi) = self.owner_range(&n);
-                            rlo <= me && me <= rhi
-                        })
-                        .unwrap_or(false)
-                });
-                if adjacent {
-                    ghosts.push((src, l));
-                }
-            }
-        }
-        ghosts.sort_by_key(|a| a.1);
-        ghosts.dedup();
-        ghosts
-    }
-
     /// Collective validation: per-rank sortedness, cross-rank ordering,
     /// and per-tree volume completeness.
     pub fn validate(&self) -> bool {
@@ -838,22 +793,6 @@ mod tests {
             assert_eq!(f.global_count(), n);
             let share = n / 3;
             assert!((f.local.len() as u64) >= share && (f.local.len() as u64) <= share + 1);
-        });
-    }
-
-    #[test]
-    fn forest_ghosts_are_remote_and_adjacent() {
-        let conn = sphere();
-        spmd::run(4, |c| {
-            let mut f = Forest::new_uniform(c, conn.clone(), 1);
-            f.refine(|l| l.tree % 2 == 0);
-            f.balance(BalanceKind::Full);
-            f.partition();
-            let ghosts = f.ghost_layer();
-            for (owner, g) in &ghosts {
-                assert_ne!(*owner, c.rank());
-                assert_eq!(f.owner_of(g), *owner);
-            }
         });
     }
 

@@ -10,10 +10,7 @@
 //!   (boxes whose entire 26-neighborhood is owned by this rank), and
 //!   tests ownership bounds through the batched
 //!   [`octree::simd::upper_bounds_into`] range-query kernel over
-//!   per-tree projections of the curve markers. The flat
-//!   [`Forest::ghost_layer`] scan is retained as the differential
-//!   oracle: entries satisfying [`Forest::flat_adjacent`] must match it
-//!   bitwise, and the extras are edge/corner additions only.
+//!   per-tree projections of the curve markers.
 //! * [`Forest::search`] / [`Forest::search_points`] — the `p4est_search`
 //!   shape: user callbacks see every recursion node top-down and prune
 //!   by returning `false`; point queries carry a shrinking candidate set
@@ -288,7 +285,6 @@ pub struct SearchNode<'a> {
 struct SearchCtx<'a> {
     leaves: &'a [ForestLeaf],
     keys: &'a [u64],
-    use_simd: bool,
     needles: Vec<u64>,
     ends: Vec<u32>,
 }
@@ -298,7 +294,6 @@ impl<'a> SearchCtx<'a> {
         SearchCtx {
             leaves,
             keys,
-            use_simd: simd::simd_available(),
             needles: Vec::new(),
             ends: Vec::new(),
         }
@@ -316,13 +311,7 @@ impl<'a> SearchCtx<'a> {
     }
 
     fn split(&mut self, oct: &Octant, lo: usize, hi: usize) -> [u32; 8] {
-        ops::child_split(
-            &self.keys[lo..hi],
-            oct,
-            self.use_simd,
-            &mut self.needles,
-            &mut self.ends,
-        );
+        ops::child_split(&self.keys[lo..hi], oct, &mut self.needles, &mut self.ends);
         std::array::from_fn(|k| self.ends[k])
     }
 
@@ -578,22 +567,6 @@ impl<'c> Forest<'c> {
         out.dedup();
     }
 
-    /// The flat oracle's receiver predicate: some ≤1-face-transform
-    /// neighbor region of `leaf` intersects this rank's owned range.
-    /// Exactly the set [`Forest::ghost_layer`] keeps — the recursive
-    /// layer restricted to this predicate must match it bitwise.
-    pub fn flat_adjacent(&self, leaf: &ForestLeaf) -> bool {
-        let me = self.comm().rank();
-        Octant::neighbor_directions().any(|(dx, dy, dz)| {
-            self.neighbor(leaf, dx, dy, dz)
-                .map(|n| {
-                    let (rlo, rhi) = self.owner_range(&n);
-                    rlo <= me && me <= rhi
-                })
-                .unwrap_or(false)
-        })
-    }
-
     /// Classify a received leaf by the minimal codimension over the 26
     /// directions (faces first) whose composed neighbor regions
     /// intersect this rank's owned range. `None` means not adjacent.
@@ -659,7 +632,6 @@ impl<'c> Forest<'c> {
     pub fn ghost_layer_into<'w>(&self, ws: &'w mut GhostWorkspace) -> &'w GhostLayer {
         let p = self.comm().size();
         let me = self.comm().rank();
-        let use_simd = simd::simd_available();
         let GhostWorkspace {
             keys,
             tmarkers,
@@ -723,13 +695,7 @@ impl<'c> Forest<'c> {
                     if self.insulated(t, &node, me, insu) {
                         continue;
                     }
-                    ops::child_split(
-                        &keys[lo as usize..hi as usize],
-                        &node,
-                        use_simd,
-                        needles,
-                        ends,
-                    );
+                    ops::child_split(&keys[lo as usize..hi as usize], &node, needles, ends);
                     let mut start = 0u32;
                     for (k, child) in node.children().into_iter().enumerate() {
                         let end = ends[k];
@@ -748,7 +714,7 @@ impl<'c> Forest<'c> {
                 let b = run_octs.len();
                 nbrs.clear();
                 for &(dx, dy, dz) in DIRS.iter() {
-                    simd::neighbor_keys_into(run_octs, dx, dy, dz, use_simd, nbrs);
+                    simd::neighbor_keys_into(run_octs, dx, dy, dz, nbrs);
                 }
                 bnd_lo.clear();
                 bnd_hi.clear();
@@ -763,8 +729,8 @@ impl<'c> Forest<'c> {
                 }
                 own_lo.clear();
                 own_hi.clear();
-                simd::upper_bounds_into(tmarkers, bnd_lo, use_simd, own_lo);
-                simd::upper_bounds_into(tmarkers, bnd_hi, use_simd, own_hi);
+                simd::upper_bounds_into(tmarkers, bnd_lo, own_lo);
+                simd::upper_bounds_into(tmarkers, bnd_hi, own_hi);
                 for i in 0..b {
                     let leaf = self.local[lo_us + i];
                     let serial = lo as u64 + i as u64 + 1;
@@ -1250,42 +1216,19 @@ mod tests {
     }
 
     #[test]
-    fn recursive_ghosts_match_flat_oracle() {
+    fn recursive_ghosts_are_sorted_remote_and_owned() {
+        // The flat-scan oracle comparison lives in check's
+        // `dg_differential`; this pins the layer's own shape.
         let conn = sphere();
         for p in [1usize, 2, 4, 8] {
             spmd::run(p, |c| {
                 let f = adapted_forest(c, conn.clone());
-                let flat: Vec<(usize, ForestLeaf)> = f.ghost_layer();
                 let layer = f.ghosts();
                 // Entries are sorted and unique.
                 assert!(layer
                     .entries
                     .windows(2)
                     .all(|w| (w[0].leaf, w[0].owner) < (w[1].leaf, w[1].owner)));
-                // Restricted to the oracle predicate: bitwise identical.
-                let rec_flat: Vec<(usize, ForestLeaf)> = layer
-                    .entries
-                    .iter()
-                    .filter(|e| f.flat_adjacent(&e.leaf))
-                    .map(|e| (e.owner as usize, e.leaf))
-                    .collect();
-                assert_eq!(rec_flat, flat, "P={p}: flat-adjacent subset diverged");
-                // Superset only; extras are edge/corner provenance.
-                let flat_set: BTreeSet<(usize, ForestLeaf)> = flat.into_iter().collect();
-                for e in &layer.entries {
-                    let key = (e.owner as usize, e.leaf);
-                    if !flat_set.contains(&key) {
-                        assert!(
-                            e.kind != GhostKind::Face,
-                            "P={p}: extra ghost with face provenance"
-                        );
-                        assert!(!f.flat_adjacent(&e.leaf));
-                    }
-                }
-                // Face provenance implies flat adjacency.
-                for e in layer.face_entries() {
-                    assert!(f.flat_adjacent(&e.leaf));
-                }
                 // Owners are correct and never self.
                 for e in &layer.entries {
                     assert_eq!(f.owner_of(&e.leaf), e.owner as usize);

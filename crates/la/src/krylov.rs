@@ -2,10 +2,11 @@
 //!
 //! MINRES is the paper's outer solver for the stabilized Stokes saddle
 //! point system (Section III): each iteration applies the Stokes operator
-//! once, stores a handful of vectors, and takes two inner products. The
-//! preconditioner must be symmetric positive definite; the implementation
-//! follows Elman–Silvester–Wathen, *Finite Elements and Fast Iterative
-//! Solvers* (the paper's reference [11]).
+//! and the preconditioner once, stores a handful of vectors, and takes
+//! one batched global reduction. The preconditioner must be symmetric
+//! positive definite; the recurrence follows Elman–Silvester–Wathen,
+//! *Finite Elements and Fast Iterative Solvers* (the paper's reference
+//! [11]), rearranged so both Lanczos scalars come out of one reduction.
 //!
 //! Both solvers are written against the [`LinearOp`] trait plus a
 //! caller-supplied inner product, so the same code runs serially and
@@ -65,7 +66,7 @@ pub fn euclidean_dot(a: &[f64], b: &[f64]) -> f64 {
 /// per-entry combination order equals the scalar reduction's.
 ///
 /// Every `Fn(&[f64], &[f64]) -> f64` closure is a `DotBatch` whose
-/// `dots` falls back to one call per pair — the unfused reference path.
+/// `dots` falls back to one call per pair.
 pub trait DotBatch {
     fn dot(&self, a: &[f64], b: &[f64]) -> f64;
 
@@ -88,160 +89,14 @@ impl<F: Fn(&[f64], &[f64]) -> f64> DotBatch for F {
 /// preconditioner applied by `m_inv ≈ A⁻¹`. Solves `A x = b`; the initial
 /// content of `x` is the starting guess. Converges when the
 /// preconditioned residual norm drops below `tol` times its initial
-/// value.
-#[allow(clippy::too_many_arguments)]
-pub fn minres<A, M, D>(
-    a: &A,
-    m_inv: Option<&M>,
-    b: &[f64],
-    x: &mut [f64],
-    tol: f64,
-    max_iter: usize,
-    dot: D,
-) -> SolveInfo
-where
-    A: LinearOp + ?Sized,
-    M: LinearOp + ?Sized,
-    D: DotBatch,
-{
-    minres_observed(a, m_inv, b, x, tol, max_iter, dot, |_, _| {})
-}
-
-/// [`minres`] with a per-iteration observer `observe(iteration,
-/// residual_estimate)` — the hook the telemetry layer uses to record
-/// residual histories without coupling the solver to any recorder type.
-/// The residual estimate is the preconditioned norm `|η|` that the
-/// convergence test uses.
-#[allow(clippy::too_many_arguments)]
-pub fn minres_observed<A, M, D, O>(
-    a: &A,
-    m_inv: Option<&M>,
-    b: &[f64],
-    x: &mut [f64],
-    tol: f64,
-    max_iter: usize,
-    dot: D,
-    mut observe: O,
-) -> SolveInfo
-where
-    A: LinearOp + ?Sized,
-    M: LinearOp + ?Sized,
-    D: DotBatch,
-    O: FnMut(usize, f64),
-{
-    let n = b.len();
-    let apply_m = |r: &[f64], z: &mut [f64]| match m_inv {
-        Some(m) => m.apply(r, z),
-        None => z.copy_from_slice(r),
-    };
-
-    // r1 = b − A x ; z1 = M⁻¹ r1 ; γ1 = sqrt(<z1, r1>).
-    let mut r0 = vec![0.0; n]; // previous Lanczos residual
-    let mut r1 = vec![0.0; n];
-    a.apply(x, &mut r1);
-    for i in 0..n {
-        r1[i] = b[i] - r1[i];
-    }
-    let mut z1 = vec![0.0; n];
-    apply_m(&r1, &mut z1);
-    // One batched reduction covers both startup scalars.
-    let mut init = [0.0f64; 2];
-    dot.dots(&[(&z1, &r1), (&r1, &r1)], &mut init);
-    let g2 = init[0];
-    assert!(
-        g2 >= -1e-12 * init[1].max(1.0),
-        "MINRES preconditioner is not positive definite"
-    );
-    let mut gamma1 = g2.max(0.0).sqrt();
-    let gamma_init = gamma1;
-    if gamma1 == 0.0 {
-        return SolveInfo {
-            iterations: 0,
-            converged: true,
-            residual: 0.0,
-        };
-    }
-    let mut gamma0 = 1.0f64; // γ0 (unused weight on the vanishing j=1 term)
-
-    let mut eta = gamma1;
-    let (mut s0, mut s1) = (0.0f64, 0.0f64);
-    let (mut c0, mut c1) = (1.0f64, 1.0f64);
-    let mut w0 = vec![0.0; n];
-    let mut w1 = vec![0.0; n];
-    let mut az = vec![0.0; n];
-    // Rotating buffers: all vectors live for the whole solve, so the
-    // iteration performs zero heap allocations.
-    let mut r2 = vec![0.0; n];
-    let mut z2 = vec![0.0; n];
-    let mut w2 = vec![0.0; n];
-
-    for iter in 1..=max_iter {
-        // Lanczos step.
-        let inv_g = 1.0 / gamma1;
-        for zi in z1.iter_mut() {
-            *zi *= inv_g;
-        }
-        a.apply(&z1, &mut az);
-        let delta = dot.dot(&az, &z1);
-        for i in 0..n {
-            r2[i] = az[i] - (delta / gamma1) * r1[i];
-        }
-        if iter > 1 {
-            for i in 0..n {
-                r2[i] -= (gamma1 / gamma0) * r0[i];
-            }
-        }
-        apply_m(&r2, &mut z2);
-        let gamma2 = dot.dot(&z2, &r2).max(0.0).sqrt();
-
-        // Givens rotations.
-        let alpha0 = c1 * delta - c0 * s1 * gamma1;
-        let alpha1 = (alpha0 * alpha0 + gamma2 * gamma2).sqrt();
-        let alpha2 = s1 * delta + c0 * c1 * gamma1;
-        let alpha3 = s0 * gamma1;
-        c0 = c1;
-        s0 = s1;
-        c1 = alpha0 / alpha1;
-        s1 = gamma2 / alpha1;
-
-        // Solution update: w2 = (z1 − α3 w0 − α2 w1)/α1 ; x += c1 η w2.
-        for i in 0..n {
-            w2[i] = (z1[i] - alpha3 * w0[i] - alpha2 * w1[i]) / alpha1;
-            x[i] += c1 * eta * w2[i];
-        }
-        eta *= -s1;
-
-        // Shift state (buffer rotation, no allocation: the vector cycled
-        // into each scratch slot is fully overwritten next iteration).
-        std::mem::swap(&mut r0, &mut r1);
-        std::mem::swap(&mut r1, &mut r2);
-        std::mem::swap(&mut z1, &mut z2);
-        gamma0 = gamma1;
-        gamma1 = gamma2;
-        std::mem::swap(&mut w0, &mut w1);
-        std::mem::swap(&mut w1, &mut w2);
-
-        observe(iter, eta.abs());
-        if eta.abs() <= tol * gamma_init || gamma1 == 0.0 {
-            return SolveInfo {
-                iterations: iter,
-                converged: true,
-                residual: eta.abs(),
-            };
-        }
-    }
-    SolveInfo {
-        iterations: max_iter,
-        converged: false,
-        residual: eta.abs(),
-    }
-}
-
-/// Single-reduction preconditioned MINRES: algebraically equivalent to
-/// [`minres_observed`] but with **one** batched global reduction per
-/// iteration instead of two sequentially dependent ones.
+/// value. `observe(iteration, residual_estimate)` runs once per iteration
+/// with the preconditioned norm `|η|` the convergence test uses — the
+/// hook the telemetry layer records residual histories through (pass
+/// `|_, _| {}` for none).
 ///
-/// The classic iteration needs `δ = <Az₁, z₁>` elementwise before it can
+/// Algebraically the Paige–Saunders iteration, with **one** batched
+/// global reduction per iteration instead of two sequentially dependent
+/// ones. The classic iteration needs `δ = <Az₁, z₁>` elementwise before it can
 /// form the next residual whose norm is the second reduction — the two
 /// cannot be batched transparently. This variant removes the dependency
 /// (Chronopoulos/Gear-style recurrence adapted to preconditioned MINRES):
@@ -268,13 +123,14 @@ where
 /// operator and one preconditioner application. Requires `m_inv` to be a
 /// *linear* operator (an AMG V-cycle with zero initial guess is).
 ///
-/// Floating-point results differ from [`minres_observed`] in the last
-/// bits (different evaluation order); with a batched [`DotBatch`] the
-/// residual series is bitwise identical to running this same algorithm
-/// with per-scalar reductions — that is the batching contract the golden
-/// tests pin down.
+/// Floating-point results differ from the classic two-reduction
+/// iteration (`check::oracles::minres_classic`) in the last bits
+/// (different evaluation order); with a batched [`DotBatch`] the residual
+/// series is bitwise identical to running this same algorithm with
+/// per-scalar reductions — that is the batching contract the golden tests
+/// pin down.
 #[allow(clippy::too_many_arguments)]
-pub fn minres_fused<A, M, D, O>(
+pub fn minres<A, M, D, O>(
     a: &A,
     m_inv: Option<&M>,
     b: &[f64],
@@ -396,7 +252,7 @@ where
             }
         }
 
-        // Givens rotations (identical to the classic variant).
+        // Givens rotations.
         let alpha0 = c1 * delta - c0 * s1 * gamma1;
         let alpha1 = (alpha0 * alpha0 + gamma2 * gamma2).sqrt();
         let alpha2 = s1 * delta + c0 * c1 * gamma1;
@@ -611,7 +467,16 @@ mod tests {
         let a = laplace1d(60);
         let b: Vec<f64> = (0..60).map(|i| (i as f64 * 0.1).sin()).collect();
         let mut x = vec![0.0; 60];
-        let info = minres(&a, None::<&Csr>, &b, &mut x, 1e-10, 1000, euclidean_dot);
+        let info = minres(
+            &a,
+            None::<&Csr>,
+            &b,
+            &mut x,
+            1e-10,
+            1000,
+            euclidean_dot,
+            |_, _| {},
+        );
         assert!(info.converged, "{info:?}");
         assert!(
             residual(&a, &x, &b) < 1e-6,
@@ -625,7 +490,16 @@ mod tests {
         let a = indefinite(40);
         let b = vec![1.0; 40];
         let mut x = vec![0.0; 40];
-        let info = minres(&a, None::<&Csr>, &b, &mut x, 1e-12, 2000, euclidean_dot);
+        let info = minres(
+            &a,
+            None::<&Csr>,
+            &b,
+            &mut x,
+            1e-12,
+            2000,
+            euclidean_dot,
+            |_, _| {},
+        );
         assert!(info.converged, "{info:?}");
         assert!(
             residual(&a, &x, &b) < 1e-8,
@@ -646,7 +520,16 @@ mod tests {
         });
         let b = vec![1.0; 40];
         let mut x = vec![0.0; 40];
-        let info = minres(&a, Some(&m), &b, &mut x, 1e-12, 2000, euclidean_dot);
+        let info = minres(
+            &a,
+            Some(&m),
+            &b,
+            &mut x,
+            1e-12,
+            2000,
+            euclidean_dot,
+            |_, _| {},
+        );
         assert!(info.converged, "{info:?}");
         assert!(residual(&a, &x, &b) < 1e-8);
     }
@@ -657,7 +540,7 @@ mod tests {
         let b: Vec<f64> = (0..60).map(|i| (i as f64 * 0.3).cos()).collect();
         let mut x = vec![0.0; 60];
         let mut history: Vec<(usize, f64)> = Vec::new();
-        let info = minres_observed(
+        let info = minres(
             &a,
             None::<&Csr>,
             &b,
@@ -676,114 +559,9 @@ mod tests {
         assert_eq!(history.last().unwrap().1, info.residual);
     }
 
-    #[test]
-    fn minres_fused_matches_classic_on_spd() {
-        let a = laplace1d(60);
-        let b: Vec<f64> = (0..60).map(|i| (i as f64 * 0.1).sin()).collect();
-        let mut x_ref = vec![0.0; 60];
-        let info_ref = minres(&a, None::<&Csr>, &b, &mut x_ref, 1e-10, 1000, euclidean_dot);
-        let mut x = vec![0.0; 60];
-        let info = minres_fused(
-            &a,
-            None::<&Csr>,
-            &b,
-            &mut x,
-            1e-10,
-            1000,
-            euclidean_dot,
-            |_, _| {},
-        );
-        assert!(info.converged, "{info:?}");
-        assert!(residual(&a, &x, &b) < 1e-6);
-        // Same algorithm in exact arithmetic: iteration counts agree to
-        // within one and the solutions coincide to solver tolerance.
-        assert!(
-            info.iterations.abs_diff(info_ref.iterations) <= 1,
-            "{} vs {}",
-            info.iterations,
-            info_ref.iterations
-        );
-        for (u, v) in x.iter().zip(&x_ref) {
-            assert!((u - v).abs() < 1e-7, "{u} vs {v}");
-        }
-    }
-
-    #[test]
-    fn minres_fused_solves_indefinite_system() {
-        let a = indefinite(40);
-        let b = vec![1.0; 40];
-        let mut x = vec![0.0; 40];
-        let info = minres_fused(
-            &a,
-            None::<&Csr>,
-            &b,
-            &mut x,
-            1e-12,
-            2000,
-            euclidean_dot,
-            |_, _| {},
-        );
-        assert!(info.converged, "{info:?}");
-        assert!(
-            residual(&a, &x, &b) < 1e-8,
-            "res = {}",
-            residual(&a, &x, &b)
-        );
-    }
-
-    #[test]
-    fn minres_fused_with_spd_preconditioner() {
-        let a = indefinite(40);
-        let d = a.diagonal();
-        let m = (40, move |x: &[f64], y: &mut [f64]| {
-            for i in 0..x.len() {
-                y[i] = x[i] / d[i].abs();
-            }
-        });
-        let b = vec![1.0; 40];
-        let mut x = vec![0.0; 40];
-        let info = minres_fused(
-            &a,
-            Some(&m),
-            &b,
-            &mut x,
-            1e-12,
-            2000,
-            euclidean_dot,
-            |_, _| {},
-        );
-        assert!(info.converged, "{info:?}");
-        assert!(residual(&a, &x, &b) < 1e-8);
-    }
-
-    #[test]
-    fn minres_fused_observer_and_warm_start() {
-        let a = laplace1d(20);
-        let b = vec![1.0; 20];
-        let mut x = vec![0.0; 20];
-        cg(&a, None::<&Csr>, &b, &mut x, 1e-12, 500, euclidean_dot);
-        let mut y = x.clone();
-        let mut history = Vec::new();
-        let info = minres_fused(
-            &a,
-            None::<&Csr>,
-            &b,
-            &mut y,
-            1e-8,
-            100,
-            euclidean_dot,
-            |it, r| history.push((it, r)),
-        );
-        assert!(info.iterations <= 2, "warm start should converge fast");
-        assert_eq!(history.len(), info.iterations);
-        if let Some(&(_, last)) = history.last() {
-            assert_eq!(last, info.residual);
-        }
-    }
-
     /// A batch-aware dot provider whose `dots` computes per-pair partial
     /// sums exactly like `dot` and "reduces" them together — the serial
-    /// stand-in for the distributed batched reduction. Fused MINRES must
+    /// stand-in for the distributed batched reduction. MINRES must
     /// produce a bitwise-identical residual series through either path.
     struct Batched;
     impl DotBatch for Batched {
@@ -798,18 +576,18 @@ mod tests {
     }
 
     #[test]
-    fn fused_batched_and_separate_reductions_are_bitwise_identical() {
+    fn batched_and_separate_reductions_are_bitwise_identical() {
         let a = indefinite(50);
         let b: Vec<f64> = (0..50).map(|i| 1.0 + (i as f64 * 0.2).cos()).collect();
         let run = |batched: bool| {
             let mut x = vec![0.0; 50];
             let mut series = Vec::new();
             let info = if batched {
-                minres_fused(&a, None::<&Csr>, &b, &mut x, 1e-10, 500, Batched, |_, r| {
+                minres(&a, None::<&Csr>, &b, &mut x, 1e-10, 500, Batched, |_, r| {
                     series.push(r)
                 })
             } else {
-                minres_fused(
+                minres(
                     &a,
                     None::<&Csr>,
                     &b,
@@ -834,7 +612,16 @@ mod tests {
         let a = laplace1d(10);
         let b = vec![0.0; 10];
         let mut x = vec![0.0; 10];
-        let info = minres(&a, None::<&Csr>, &b, &mut x, 1e-10, 100, euclidean_dot);
+        let info = minres(
+            &a,
+            None::<&Csr>,
+            &b,
+            &mut x,
+            1e-10,
+            100,
+            euclidean_dot,
+            |_, _| {},
+        );
         assert_eq!(info.iterations, 0);
         assert!(info.converged);
         assert!(x.iter().all(|&v| v == 0.0));
@@ -848,10 +635,24 @@ mod tests {
         let mut x = vec![0.0; 20];
         cg(&a, None::<&Csr>, &b, &mut x, 1e-12, 500, euclidean_dot);
         let mut y = x.clone();
-        let info = minres(&a, None::<&Csr>, &b, &mut y, 1e-8, 100, euclidean_dot);
+        let mut history = Vec::new();
+        let info = minres(
+            &a,
+            None::<&Csr>,
+            &b,
+            &mut y,
+            1e-8,
+            100,
+            euclidean_dot,
+            |it, r| history.push((it, r)),
+        );
         assert!(
             info.iterations <= 2,
             "warm start should converge immediately"
         );
+        assert_eq!(history.len(), info.iterations);
+        if let Some(&(_, last)) = history.last() {
+            assert_eq!(last, info.residual);
+        }
     }
 }

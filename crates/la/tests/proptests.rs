@@ -80,7 +80,7 @@ proptest! {
         let mut x1 = vec![0.0; n];
         let mut x2 = vec![0.0; n];
         cg(&a, None::<&Csr>, &b, &mut x1, 1e-12, 10_000, euclidean_dot);
-        minres(&a, None::<&Csr>, &b, &mut x2, 1e-12, 10_000, euclidean_dot);
+        minres(&a, None::<&Csr>, &b, &mut x2, 1e-12, 10_000, euclidean_dot, |_, _| {});
         for i in 0..n {
             prop_assert!((x1[i] - x2[i]).abs() < 1e-6, "entry {i}: {} vs {}", x1[i], x2[i]);
         }

@@ -51,10 +51,6 @@ pub struct DgParams {
     pub cfl: f64,
     /// State injected at inflow domain boundaries.
     pub inflow_value: f64,
-    /// Overlap interior face work with the split-phase ghost exchange
-    /// (default). `false` selects the blocking-collective oracle path,
-    /// which must produce bitwise-identical states.
-    pub overlap: bool,
 }
 
 impl Default for DgParams {
@@ -63,7 +59,6 @@ impl Default for DgParams {
             order: 2,
             cfl: 0.3,
             inflow_value: 0.0,
-            overlap: true,
         }
     }
 }
@@ -317,24 +312,6 @@ impl<'f, 'c> DgAdvection<'f, 'c> {
         self.scatter_ghost_recv();
     }
 
-    /// Blocking ghost refresh (the differential oracle for the
-    /// split-phase path). Collective.
-    fn exchange_ghosts(&mut self) {
-        self.pack_ghost_sends();
-        let comm = self.forest.comm();
-        let mut recv_flat = std::mem::take(&mut self.recv_flat);
-        let mut recv_counts = std::mem::take(&mut self.recv_counts);
-        comm.alltoallv_flat(
-            &self.send_flat,
-            &self.send_counts,
-            &mut recv_flat,
-            &mut recv_counts,
-        );
-        self.recv_flat = recv_flat;
-        self.recv_counts = recv_counts;
-        self.scatter_ghost_recv();
-    }
-
     /// Locate the leaf containing a probe region: local (`Ok(idx)`) or
     /// ghost (`Err(ghost_idx)`). `None` if absent (domain boundary).
     fn find_leaf(&self, target: &ForestLeaf) -> Option<Result<usize, usize>> {
@@ -386,7 +363,7 @@ impl<'f, 'c> DgAdvection<'f, 'c> {
     /// the node's tree coordinates through the face (and inter-tree
     /// transform where needed) and locates the containing local or ghost
     /// leaf plus the reference point inside it. Returns `None` at the
-    /// domain boundary. This is the probe oracle the precomputed mortar
+    /// domain boundary. This is the probe the precomputed mortar
     /// table must reproduce entry for entry.
     fn locate_neighbor(
         &self,
@@ -444,11 +421,10 @@ impl<'f, 'c> DgAdvection<'f, 'c> {
         Some((found, xi))
     }
 
-    /// Neighbor trace at one of our face nodes (probe oracle; the
-    /// per-stage path reads the mortar table instead — the
-    /// `dg-differential` suite pins the two against each other).
-    /// Returns `None` at the domain boundary.
-    pub fn neighbor_value(&self, e: usize, face: usize, node_ref: [f64; 3]) -> Option<f64> {
+    /// Neighbor trace at one of our face nodes through the probe that
+    /// built the mortar table (`None` at the domain boundary).
+    #[cfg(test)]
+    fn neighbor_value(&self, e: usize, face: usize, node_ref: [f64; 3]) -> Option<f64> {
         let (src, xi) = self.locate_neighbor(e, face, node_ref)?;
         Some(self.eval_at(src, xi))
     }
@@ -461,9 +437,9 @@ impl<'f, 'c> DgAdvection<'f, 'c> {
     }
 
     /// Exterior trace of face node `(a, b)` of `(e, face)` through the
-    /// precomputed mortar table (`None` at the domain boundary) — the
-    /// table-driven twin of [`Self::neighbor_value`].
-    pub fn mortar_value(&self, e: usize, face: usize, a_i: usize, b: usize) -> Option<f64> {
+    /// precomputed mortar table (`None` at the domain boundary).
+    #[cfg(test)]
+    fn mortar_value(&self, e: usize, face: usize, a_i: usize, b: usize) -> Option<f64> {
         match self.mortar[self.mortar_idx(e, face, a_i, b)] {
             MortarSrc::Boundary => None,
             MortarSrc::Local { elem, xi } => Some(self.eval_at(Ok(elem as usize), xi)),
@@ -471,10 +447,11 @@ impl<'f, 'c> DgAdvection<'f, 'c> {
         }
     }
 
-    /// Blocking refresh of the ghost element data from the current
-    /// solution (exposed for the differential suites). Collective.
+    /// Refresh the ghost element data from the current solution: one
+    /// split-phase round, completed before returning.
     pub fn refresh_ghosts(&mut self) {
-        self.exchange_ghosts();
+        self.exchange_ghosts_start();
+        self.exchange_ghosts_end();
     }
 
     /// Build the mortar face tables by walking every face entity of the
@@ -664,12 +641,10 @@ impl<'f, 'c> DgAdvection<'f, 'c> {
         self.params.cfl * g
     }
 
-    /// Advance one LSRK45 step. Collective (5 ghost exchanges). With
-    /// `params.overlap` the ghost exchange of each stage is posted
-    /// split-phase and the volume plus interior face terms execute while
-    /// it is in flight; the blocking path is the differential oracle and
-    /// produces bitwise-identical states (interior elements read no
-    /// ghost data by construction).
+    /// Advance one LSRK45 step (5 ghost exchanges). The ghost exchange
+    /// of each stage is posted split-phase and the volume plus interior
+    /// face terms execute while it is in flight (interior elements read
+    /// no ghost data by construction).
     pub fn step(&mut self, dt: f64) {
         let ndof = self.u.len();
         let mut res = vec![0.0; ndof];
@@ -677,18 +652,11 @@ impl<'f, 'c> DgAdvection<'f, 'c> {
         let interior = std::mem::take(&mut self.interior_elems);
         let surface = std::mem::take(&mut self.surface_elems);
         for stage in 0..5 {
-            if self.params.overlap {
-                self.exchange_ghosts_start();
-                self.rhs_volume(&mut k);
-                self.rhs_faces(&interior, &mut k);
-                self.exchange_ghosts_end();
-                self.rhs_faces(&surface, &mut k);
-            } else {
-                self.exchange_ghosts();
-                self.rhs_volume(&mut k);
-                self.rhs_faces(&interior, &mut k);
-                self.rhs_faces(&surface, &mut k);
-            }
+            self.exchange_ghosts_start();
+            self.rhs_volume(&mut k);
+            self.rhs_faces(&interior, &mut k);
+            self.exchange_ghosts_end();
+            self.rhs_faces(&surface, &mut k);
             for i in 0..ndof {
                 res[i] = RK_A[stage] * res[i] + dt * k[i];
                 self.u[i] += RK_B[stage] * res[i];
@@ -759,7 +727,6 @@ impl<'f, 'c> DgAdvection<'f, 'c> {
             order: self.params.order,
             cfl: self.params.cfl,
             inflow_value: self.params.inflow_value,
-            overlap: self.params.overlap,
         };
         let mut new = DgAdvection::new(new_forest, params, |_| 0.0, vel);
         let n3 = self.ed.n3();
@@ -829,7 +796,6 @@ mod tests {
                     order: 3,
                     cfl: 0.3,
                     inflow_value: 1.0,
-                    ..Default::default()
                 },
                 |_| 1.0,
                 |_| [0.7, -0.4, 0.2],
@@ -1221,39 +1187,5 @@ mod tests {
                 );
             }
         }
-    }
-
-    /// The split-phase overlapped step must be bitwise identical to the
-    /// blocking-collective oracle on a distributed adaptive forest.
-    #[test]
-    fn overlap_matches_blocking_oracle() {
-        let conn = Arc::new(Connectivity::brick(2, 1, 1));
-        let dt = 1e-3;
-        let run = |overlap: bool| -> Vec<u64> {
-            let conn = conn.clone();
-            let per_rank = spmd::run(4, move |c| {
-                let f = adapted_brick(c, conn.clone());
-                let mut dg = DgAdvection::new(
-                    &f,
-                    DgParams {
-                        order: 2,
-                        overlap,
-                        ..Default::default()
-                    },
-                    front_init,
-                    |_| [0.8, -0.3, 0.1],
-                );
-                for _ in 0..3 {
-                    dg.step(dt);
-                }
-                dg.u.iter().map(|v| v.to_bits()).collect::<Vec<u64>>()
-            });
-            per_rank.into_iter().flatten().collect()
-        };
-        assert_eq!(
-            run(true),
-            run(false),
-            "overlapped and blocking ghost exchange diverged"
-        );
     }
 }

@@ -130,8 +130,8 @@ impl ElementDerivative {
     /// Tensor-product path: three 1D contractions per element, written as
     /// unit-stride axpy sweeps so each direction vectorizes. Per output
     /// node the contraction still accumulates in ascending `m` order from
-    /// a zero start, so results are **bitwise identical** to the scalar
-    /// [`Self::apply_tensor_batch_reference`] (pinned by a test):
+    /// a zero start, so results are **bitwise identical** to the plain
+    /// scalar triple loop (pinned by a test):
     ///
     /// * ∂/∂ξ — each contiguous `n`-line of the output accumulates
     ///   `Dᵀ`-rows scaled by one input value (hence [`diff_t`]);
@@ -188,8 +188,9 @@ impl ElementDerivative {
 
     /// Straightforward scalar tensor-product contraction: the readable
     /// reference implementation the vectorized [`Self::apply_tensor_batch`]
-    /// must match bitwise. Kept for tests and benchmark baselines.
-    pub fn apply_tensor_batch_reference(&self, u: &[f64], out: &mut [f64], nelem: usize) {
+    /// must match bitwise.
+    #[cfg(test)]
+    fn apply_tensor_batch_reference(&self, u: &[f64], out: &mut [f64], nelem: usize) {
         let n = self.n1;
         let n3 = self.n3();
         let d = &self.lgl.diff;

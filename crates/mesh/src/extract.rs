@@ -54,8 +54,8 @@ pub struct ExchangePattern {
     pub recv_counts: Vec<usize>,
 }
 
-/// Reusable pack/unpack buffers for the interleaved (flat) exchange
-/// paths — blocking and split-phase alike. Grow-only: once a solver
+/// Reusable pack/unpack buffers for the split-phase interleaved
+/// exchange. Grow-only: once a solver
 /// reaches steady state every call recycles the same allocations.
 ///
 /// One `ExchangeBuffers` value also carries the [`scomm::Exchange`]
@@ -144,69 +144,10 @@ impl ExchangePattern {
         }
     }
 
-    /// Allocation-free ghost fill for a vector with `ncomp` interleaved
-    /// components per dof (`v[d*ncomp + k]`): one packed exchange instead
-    /// of one strided exchange per component. The ghost block is grouped
-    /// by owner rank in receive order, so the flat receive buffer copies
-    /// straight into it — ghost values are bitwise identical to the
-    /// per-component [`ExchangePattern::exchange`] path. Collective.
-    pub fn exchange_interleaved(
-        &self,
-        comm: &Comm,
-        v: &mut [f64],
-        n_owned: usize,
-        ncomp: usize,
-        buf: &mut ExchangeBuffers,
-    ) {
-        buf.send.clear();
-        buf.send_counts.clear();
-        for idx in &self.send_idx {
-            buf.send_counts.push(idx.len() * ncomp);
-            for &i in idx {
-                buf.send.extend_from_slice(&v[i * ncomp..(i + 1) * ncomp]);
-            }
-        }
-        comm.alltoallv_flat(
-            &buf.send,
-            &buf.send_counts,
-            &mut buf.recv,
-            &mut buf.recv_counts,
-        );
-        for (r, &cnt) in self.recv_counts.iter().enumerate() {
-            assert_eq!(buf.recv_counts[r], cnt * ncomp);
-        }
-        let ghost = &mut v[n_owned * ncomp..];
-        assert_eq!(ghost.len(), buf.recv.len());
-        ghost.copy_from_slice(&buf.recv);
-    }
-
-    /// Allocation-free reverse accumulation for interleaved components:
-    /// the ghost block itself is the flat send buffer (no pack pass).
-    /// Contributions accumulate into each owned entry in ascending source
-    /// rank order — the same order as the per-component
-    /// [`ExchangePattern::reverse_accumulate`] path, so results are
-    /// bitwise identical. Collective.
-    pub fn reverse_accumulate_interleaved(
-        &self,
-        comm: &Comm,
-        v: &mut [f64],
-        n_owned: usize,
-        ncomp: usize,
-        buf: &mut ExchangeBuffers,
-    ) {
-        buf.send_counts.clear();
-        buf.send_counts
-            .extend(self.recv_counts.iter().map(|&c| c * ncomp));
-        let (owned, ghost) = v.split_at_mut(n_owned * ncomp);
-        comm.alltoallv_flat(ghost, &buf.send_counts, &mut buf.recv, &mut buf.recv_counts);
-        ghost.fill(0.0);
-        self.accumulate_received(owned, ncomp, buf);
-    }
-
     /// Fold the received reverse contributions into the owned block, in
-    /// ascending source-rank then send-index order — the accumulation
-    /// order every reverse path (blocking or split-phase) shares, which
-    /// is what makes them bitwise interchangeable.
+    /// ascending source-rank then send-index order — the same order as
+    /// the per-component [`ExchangePattern::reverse_accumulate`], so the
+    /// two tiers are bitwise interchangeable.
     fn accumulate_received(&self, owned: &mut [f64], ncomp: usize, buf: &ExchangeBuffers) {
         let mut pos = 0;
         for (r, idx) in self.send_idx.iter().enumerate() {
@@ -221,13 +162,14 @@ impl ExchangePattern {
     }
 
     // ----------------------------------------------------------------
-    // Split-phase (overlapped) counterparts
+    // Split-phase, allocation-free tier (every hot path)
     // ----------------------------------------------------------------
 
-    /// Post the ghost fill of [`ExchangePattern::exchange_interleaved`]
-    /// without completing it: pack the owned values each neighbor needs
-    /// and start a split-phase round on `buf`'s stream. Only the *owned*
-    /// block of `v` is read, so the caller is free to compute with it —
+    /// Post the ghost fill of a vector with `ncomp` interleaved components
+    /// per dof (`v[d*ncomp + k]`) without completing it: pack the owned
+    /// values each neighbor needs — one packed message per neighbor, not
+    /// one per component — and start a split-phase round on `buf`'s
+    /// stream. Only the *owned* block of `v` is read, so the caller is free to compute with it —
     /// interior-element sweeps — until
     /// [`ExchangePattern::exchange_end_interleaved`]. Not collective in
     /// the rendezvous sense: no barrier at either end.
@@ -254,11 +196,10 @@ impl ExchangePattern {
 
     /// Complete the round posted by
     /// [`ExchangePattern::exchange_begin_interleaved`] and copy the
-    /// received values into the ghost block of `v`. The ghost block ends
-    /// up bitwise identical to what the blocking
-    /// [`ExchangePattern::exchange_interleaved`] produces: the payloads,
-    /// their packing order and the source-rank receive order are all the
-    /// same — only the completion point moved.
+    /// received values into the ghost block of `v`. The ghost block is
+    /// grouped by owner rank in receive order, so the flat receive buffer
+    /// copies straight into it — bitwise identical to one
+    /// [`ExchangePattern::exchange`] per component.
     pub fn exchange_end_interleaved(
         &self,
         comm: &Comm,
@@ -276,10 +217,10 @@ impl ExchangePattern {
         ghost.copy_from_slice(&buf.recv);
     }
 
-    /// Post the reverse accumulation of
-    /// [`ExchangePattern::reverse_accumulate_interleaved`] without
-    /// completing it: the ghost block is sent back to the owners (payload
-    /// copied at post time) and zeroed. The owned block is untouched until
+    /// Post the reverse accumulation for interleaved components without
+    /// completing it: the ghost block itself is the flat send buffer (no
+    /// pack pass; payload copied at post time) and is then zeroed. The
+    /// owned block is untouched until
     /// [`ExchangePattern::reverse_accumulate_end_interleaved`].
     pub fn reverse_accumulate_begin_interleaved(
         &self,
@@ -303,8 +244,7 @@ impl ExchangePattern {
     /// Complete the round posted by
     /// [`ExchangePattern::reverse_accumulate_begin_interleaved`],
     /// accumulating the neighbors' contributions into the owned block in
-    /// the shared source-rank order — bitwise identical to the blocking
-    /// reverse path.
+    /// ascending source-rank order.
     pub fn reverse_accumulate_end_interleaved(
         &self,
         comm: &Comm,
@@ -1217,10 +1157,11 @@ mod tests {
     }
 
     #[test]
-    fn interleaved_exchange_bitwise_matches_strided() {
-        // The packed ncomp=3 exchange and reverse accumulation must agree
-        // bit for bit with one strided pass per component, and the pack
-        // buffers must stop growing after the first call.
+    fn split_phase_exchange_bitwise_matches_strided() {
+        // The packed ncomp=3 begin/end exchange and reverse accumulation
+        // must agree bit for bit with one allocating strided pass per
+        // component, and the pack buffers must stop growing after the
+        // first round.
         spmd::run(4, |c| {
             let mut t = DistOctree::new_uniform(c, 2);
             t.refine(|o| o.center_unit()[2] > 0.6);
@@ -1241,6 +1182,7 @@ mod tests {
                     v_ref[d * ncomp + k] = fill(d, k);
                 }
             }
+            let mut v = v_ref.clone();
             let mut scratch = vec![0.0; n_local];
             for k in 0..ncomp {
                 for i in 0..n_local {
@@ -1252,87 +1194,7 @@ mod tests {
                 }
             }
 
-            // Packed path.
-            let mut v = vec![0.0; n_local * ncomp];
-            for d in 0..m.n_owned {
-                for k in 0..ncomp {
-                    v[d * ncomp + k] = fill(d, k);
-                }
-            }
-            let mut buf = ExchangeBuffers::new();
-            m.exchange
-                .exchange_interleaved(c, &mut v, m.n_owned, ncomp, &mut buf);
-            assert_eq!(v, v_ref, "ghost values must be bitwise identical");
-
-            // Reverse accumulation: seed ghosts, compare owner sums.
-            let mut w_ref = vec![0.0; n_local * ncomp];
-            let mut w = vec![0.0; n_local * ncomp];
-            for g in 0..m.n_ghost {
-                for k in 0..ncomp {
-                    let val = fill(g, k) + 0.5;
-                    w_ref[(m.n_owned + g) * ncomp + k] = val;
-                    w[(m.n_owned + g) * ncomp + k] = val;
-                }
-            }
-            for k in 0..ncomp {
-                for i in 0..n_local {
-                    scratch[i] = w_ref[i * ncomp + k];
-                }
-                m.exchange.reverse_accumulate(c, &mut scratch, m.n_owned);
-                for i in 0..n_local {
-                    w_ref[i * ncomp + k] = scratch[i];
-                }
-            }
-            m.exchange
-                .reverse_accumulate_interleaved(c, &mut w, m.n_owned, ncomp, &mut buf);
-            assert_eq!(w, w_ref, "accumulated values must be bitwise identical");
-            // Steady state: further exchanges must not grow the buffers.
-            let cap = buf.capacity_bytes();
-            m.exchange
-                .exchange_interleaved(c, &mut v, m.n_owned, ncomp, &mut buf);
-            m.exchange
-                .reverse_accumulate_interleaved(c, &mut w, m.n_owned, ncomp, &mut buf);
-            assert_eq!(buf.capacity_bytes(), cap, "buffers must be reused");
-        });
-    }
-
-    #[test]
-    fn split_phase_exchange_bitwise_matches_blocking() {
-        // The begin/end pair must reproduce the blocking interleaved
-        // paths bit for bit — same payloads, same packing, same receive
-        // order; only the completion point moves — and the buffers must
-        // stop growing after the first round.
-        spmd::run(4, |c| {
-            let mut t = DistOctree::new_uniform(c, 2);
-            t.refine(|o| o.center_unit()[2] > 0.6);
-            t.balance(BalanceKind::Full);
-            t.partition();
-            let m = extract_mesh(&t, [1.0, 1.0, 1.0]);
-            let ncomp = 3;
-            let n_local = m.n_local();
-            let fill = |d: usize, k: usize| {
-                let g = (m.global_offset + d as u64) as f64;
-                (g + 1.0) * (k as f64 + 1.0) * 0.37 - g * 0.11
-            };
-
-            // Blocking reference.
-            let mut v_ref = vec![0.0; n_local * ncomp];
-            for d in 0..m.n_owned {
-                for k in 0..ncomp {
-                    v_ref[d * ncomp + k] = fill(d, k);
-                }
-            }
-            let mut buf_ref = ExchangeBuffers::new();
-            m.exchange
-                .exchange_interleaved(c, &mut v_ref, m.n_owned, ncomp, &mut buf_ref);
-
             // Split-phase path.
-            let mut v = vec![0.0; n_local * ncomp];
-            for d in 0..m.n_owned {
-                for k in 0..ncomp {
-                    v[d * ncomp + k] = fill(d, k);
-                }
-            }
             let mut buf = ExchangeBuffers::with_stream(1);
             m.exchange
                 .exchange_begin_interleaved(c, &v, ncomp, &mut buf);
@@ -1342,23 +1204,23 @@ mod tests {
             assert!(!buf.in_flight());
             assert_eq!(v, v_ref, "ghost values must be bitwise identical");
 
-            // Reverse: seed identical ghost contributions on both paths.
+            // Reverse accumulation: seed ghosts, compare owner sums.
             let mut w_ref = vec![0.0; n_local * ncomp];
-            let mut w = vec![0.0; n_local * ncomp];
             for g in 0..m.n_ghost {
                 for k in 0..ncomp {
-                    let val = fill(g, k) + 0.5;
-                    w_ref[(m.n_owned + g) * ncomp + k] = val;
-                    w[(m.n_owned + g) * ncomp + k] = val;
+                    w_ref[(m.n_owned + g) * ncomp + k] = fill(g, k) + 0.5;
                 }
             }
-            m.exchange.reverse_accumulate_interleaved(
-                c,
-                &mut w_ref,
-                m.n_owned,
-                ncomp,
-                &mut buf_ref,
-            );
+            let mut w = w_ref.clone();
+            for k in 0..ncomp {
+                for i in 0..n_local {
+                    scratch[i] = w_ref[i * ncomp + k];
+                }
+                m.exchange.reverse_accumulate(c, &mut scratch, m.n_owned);
+                for i in 0..n_local {
+                    w_ref[i * ncomp + k] = scratch[i];
+                }
+            }
             m.exchange
                 .reverse_accumulate_begin_interleaved(c, &mut w, m.n_owned, ncomp, &mut buf);
             m.exchange

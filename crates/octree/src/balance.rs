@@ -8,30 +8,21 @@
 //! and keeps hanging-node constraints local to faces and edges.
 //!
 //! Balance only ever *refines* (adds leaves), and the minimal balanced
-//! refinement of a complete linear octree is unique. Three algorithms
-//! compute it here:
+//! refinement of a complete linear octree is unique.
+//! [`balance_local_kind`] computes it by recursive sorted-merge *seed-set
+//! propagation*. Every input leaf seeds a demand "this region holds
+//! leaves at level ≥ k"; demands propagate coarser one level at a time
+//! through the closure rule `w ∈ D at level k ⟹ parent(w).neighbor(d) ∈ D
+//! at level k−1` for every direction `d` of the balance kind. The output
+//! is rebuilt in one pass by recursively splitting each input leaf
+//! wherever a strictly finer demand lands inside it (binary-searched
+//! ranges over the sorted demand array). No per-octant neighbor probes
+//! against the leaf array, no fixpoint sweeps over the whole tree.
 //!
-//! * [`balance_local_kind`] — the fast path: recursive sorted-merge
-//!   *seed-set propagation*. Every input leaf seeds a demand "this region
-//!   holds leaves at level ≥ k"; demands propagate coarser one level at a
-//!   time through the closure rule `w ∈ D at level k ⟹
-//!   parent(w).neighbor(d) ∈ D at level k−1` for every direction `d` of
-//!   the balance kind. The output is rebuilt in one pass by recursively
-//!   splitting each input leaf wherever a strictly finer demand lands
-//!   inside it (binary-searched ranges over the sorted demand array). No
-//!   per-octant neighbor probes against the leaf array, no fixpoint
-//!   sweeps over the whole tree.
-//! * [`balance_local_ripple_kind`] — the PR 3 buffered ripple sweep
-//!   (refine all violators per round, repeat until clean), retained as
-//!   the benchmark baseline.
-//! * [`balance_local_naive_kind`] — one violator at a time with a full
-//!   rescan: the differential oracle. Slowest, simplest, and shares the
-//!   same [`BalanceKind`] direction selection as the other two so all
-//!   three are comparable for every kind.
-//!
-//! Uniqueness of the minimal balanced refinement means the three must
-//! agree *bitwise*; `check::fuzz_amr` and the proptests in this crate
-//! enforce exactly that.
+//! Uniqueness means any other correct algorithm must agree *bitwise*;
+//! `check::oracles::balance_local_naive_kind` (one violator at a time,
+//! full rescan) is that other algorithm, compared by `check`'s oracle
+//! tests and every `check::fuzz_amr` cycle.
 
 use crate::morton::{raw_keys, Octant, LEVEL_MASK, MAX_LEVEL};
 use crate::ops::find_containing;
@@ -107,30 +98,6 @@ impl BalanceKind {
     pub fn directions(self) -> Vec<(i32, i32, i32)> {
         self.direction_slice().to_vec()
     }
-}
-
-/// One balance sweep: mark every leaf that violates the 2:1 condition
-/// against some finer leaf, i.e. every leaf `c` such that a leaf `o` with
-/// `o.level > c.level + 1` has `c` covering one of `o`'s same-size
-/// neighbor positions. Returns the indices of leaves that must be refined.
-fn violating_leaves(leaves: &[Octant], dirs: &[(i32, i32, i32)]) -> Vec<usize> {
-    let mut mark = vec![false; leaves.len()];
-    for o in leaves {
-        for &(dx, dy, dz) in dirs {
-            let Some(n) = o.neighbor(dx, dy, dz) else {
-                continue;
-            };
-            if let Some(idx) = find_containing(leaves, &n) {
-                if leaves[idx].level() + 1 < o.level() {
-                    mark[idx] = true;
-                }
-            }
-        }
-    }
-    mark.iter()
-        .enumerate()
-        .filter_map(|(i, &m)| if m { Some(i) } else { None })
-        .collect()
 }
 
 /// Grow-only scratch buffers for [`balance_local_kind_ws`]. Reusing one
@@ -220,19 +187,6 @@ pub fn balance_local_kind_ws(
     kind: BalanceKind,
     ws: &mut BalanceWorkspace,
 ) -> usize {
-    balance_local_kind_ws_simd(leaves, kind, ws, simd::simd_available())
-}
-
-/// [`balance_local_kind_ws`] with an explicit kernel selection: `use_simd
-/// = false` forces the scalar fallback path of every batched kernel.
-/// Both paths are bit-identical (the A/B benchmark and the scalar CI job
-/// rely on this entry point).
-pub fn balance_local_kind_ws_simd(
-    leaves: &mut Vec<Octant>,
-    kind: BalanceKind,
-    ws: &mut BalanceWorkspace,
-    use_simd: bool,
-) -> usize {
     let before = leaves.len();
     if before <= 1 {
         return 0; // a root-only (or empty) tree is trivially balanced
@@ -287,7 +241,7 @@ pub fn balance_local_kind_ws_simd(
         }
         for &(dx, dy, dz) in dirs {
             ws.nbrs.clear();
-            simd::neighbor_keys_into(&ws.parents, dx, dy, dz, use_simd, &mut ws.nbrs);
+            simd::neighbor_keys_into(&ws.parents, dx, dy, dz, &mut ws.nbrs);
             down.extend(ws.nbrs.iter().copied().filter(|&n| n != Octant::INVALID));
         }
         k -= 1;
@@ -313,13 +267,13 @@ pub fn balance_local_kind_ws_simd(
         ws.needles.push(leaf.raw());
     }
     ws.q_lo.clear();
-    simd::upper_bounds_into(raw_keys(&ws.demands), &ws.needles, use_simd, &mut ws.q_lo);
+    simd::upper_bounds_into(raw_keys(&ws.demands), &ws.needles, &mut ws.q_lo);
     ws.needles.clear();
     for leaf in leaves.iter() {
         ws.needles.push(leaf.last_descendant().raw() | LEVEL_MASK);
     }
     ws.q_hi.clear();
-    simd::upper_bounds_into(raw_keys(&ws.demands), &ws.needles, use_simd, &mut ws.q_hi);
+    simd::upper_bounds_into(raw_keys(&ws.demands), &ws.needles, &mut ws.q_hi);
     for (i, &leaf) in leaves.iter().enumerate() {
         let (lo, hi) = (ws.q_lo[i] as usize, ws.q_hi[i] as usize);
         emit_completed(leaf, &ws.demands[lo..hi], &mut ws.out);
@@ -334,33 +288,6 @@ pub fn balance_local_kind_ws_simd(
 pub fn balance_local_kind(leaves: &mut Vec<Octant>, kind: BalanceKind) -> usize {
     let mut ws = BalanceWorkspace::new();
     balance_local_kind_ws(leaves, kind, &mut ws)
-}
-
-/// Buffered ripple balance (the PR 3 algorithm, retained as the benchmark
-/// baseline): refine every violator per sweep, repeat until clean. Same
-/// unique result as [`balance_local_kind`], much more work per round.
-pub fn balance_local_ripple_kind(leaves: &mut Vec<Octant>, kind: BalanceKind) -> usize {
-    let dirs = kind.direction_slice();
-    let before = leaves.len();
-    loop {
-        let viol = violating_leaves(leaves, dirs);
-        if viol.is_empty() {
-            break;
-        }
-        // Refine the violators; splice children in place to keep order.
-        let mut out = Vec::with_capacity(leaves.len() + 7 * viol.len());
-        let mut v = 0;
-        for (i, &o) in leaves.iter().enumerate() {
-            if v < viol.len() && viol[v] == i {
-                out.extend_from_slice(&o.children());
-                v += 1;
-            } else {
-                out.push(o);
-            }
-        }
-        *leaves = out;
-    }
-    leaves.len() - before
 }
 
 /// Balance with the default full 26-neighbor condition.
@@ -389,31 +316,6 @@ pub fn is_balanced_kind(leaves: &[Octant], kind: BalanceKind) -> bool {
 /// Check the full 26-neighbor 2:1 condition.
 pub fn is_balanced(leaves: &[Octant]) -> bool {
     is_balanced_kind(leaves, BalanceKind::Full)
-}
-
-/// Naive reference balance — the differential oracle: refine one violator
-/// at a time and restart the scan. Shares the [`BalanceKind`] direction
-/// selection with the fast and ripple paths so all three are comparable
-/// for every kind. Same (unique) result, much more work.
-pub fn balance_local_naive_kind(leaves: &mut Vec<Octant>, kind: BalanceKind) -> usize {
-    let dirs = kind.direction_slice();
-    let before = leaves.len();
-    'outer: loop {
-        let viol = violating_leaves(leaves, dirs);
-        match viol.first() {
-            None => break 'outer,
-            Some(&i) => {
-                let o = leaves[i];
-                leaves.splice(i..=i, o.children());
-            }
-        }
-    }
-    leaves.len() - before
-}
-
-/// Naive reference balance with the full 26-neighbor condition.
-pub fn balance_local_naive(leaves: &mut Vec<Octant>) -> usize {
-    balance_local_naive_kind(leaves, BalanceKind::Full)
 }
 
 #[cfg(test)]
@@ -483,39 +385,6 @@ mod tests {
         // Full balance implies face balance.
         assert!(is_balanced_kind(&b, BalanceKind::Face));
         assert!(b.len() >= a.len());
-    }
-
-    #[test]
-    fn naive_matches_buffered() {
-        let mut a = center_spike(5);
-        let mut b = a.clone();
-        balance_local(&mut a);
-        balance_local_naive(&mut b);
-        assert_eq!(
-            a, b,
-            "both balance algorithms must produce the minimal balanced refinement"
-        );
-    }
-
-    #[test]
-    fn fast_matches_ripple_and_naive_all_kinds() {
-        for depth in [3u8, 5, 6] {
-            for kind in [BalanceKind::Face, BalanceKind::FaceEdge, BalanceKind::Full] {
-                let mut fast = center_spike(depth);
-                let mut ripple = fast.clone();
-                let mut naive = fast.clone();
-                let n_fast = balance_local_kind(&mut fast, kind);
-                let n_ripple = balance_local_ripple_kind(&mut ripple, kind);
-                let n_naive = balance_local_naive_kind(&mut naive, kind);
-                assert_eq!(fast, ripple, "fast vs ripple, depth {depth}, {kind:?}");
-                assert_eq!(fast, naive, "fast vs naive, depth {depth}, {kind:?}");
-                assert_eq!(n_fast, n_ripple);
-                assert_eq!(n_fast, n_naive);
-                assert!(is_balanced_kind(&fast, kind));
-                assert!(is_complete(&fast));
-                assert!(is_valid_linear(&fast));
-            }
-        }
     }
 
     #[test]

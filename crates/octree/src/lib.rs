@@ -42,7 +42,6 @@ pub mod morton;
 pub mod ops;
 pub mod parallel;
 pub mod simd;
-pub mod unpacked;
 
 pub use morton::{Octant, MAX_LEVEL, ROOT_LEN};
 
@@ -50,7 +49,7 @@ pub use morton::{Octant, MAX_LEVEL, ROOT_LEN};
 /// non-overlapping (no leaf is an ancestor of another). Runs the
 /// vectorized adjacent-pair sweep when available.
 pub fn is_valid_linear(leaves: &[Octant]) -> bool {
-    simd::find_invalid_pair(leaves, simd::simd_available()).is_none()
+    simd::find_invalid_pair(leaves).is_none()
 }
 
 /// Check that `leaves` form a complete linear octree covering the root

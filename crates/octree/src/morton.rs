@@ -31,8 +31,8 @@
 //! operations on the key; same-size neighbors use branchless dilated
 //! integer arithmetic per axis (add/subtract within the interleaved bit
 //! lanes, no decode). The coordinate-arithmetic reference implementation
-//! of every operation lives in [`crate::unpacked`] and is differentially
-//! tested against this module.
+//! of every operation lives in `check::oracles::unpacked` and is
+//! differentially tested against this module.
 
 /// Maximum refinement depth. `3 * MAX_LEVEL = 57` interleaved bits plus
 /// the 5 level bits fit a `u64` with the top bit to spare. The paper's

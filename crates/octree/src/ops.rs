@@ -159,13 +159,7 @@ pub fn find_containing(leaves: &[Octant], target: &Octant) -> Option<usize> {
 /// lets the recursive forest traversals descend without touching
 /// individual leaves. `needles` and `ends` are grow-only caller scratch;
 /// both are overwritten.
-pub fn child_split(
-    keys: &[u64],
-    node: &Octant,
-    use_simd: bool,
-    needles: &mut Vec<u64>,
-    ends: &mut Vec<u32>,
-) {
+pub fn child_split(keys: &[u64], node: &Octant, needles: &mut Vec<u64>, ends: &mut Vec<u32>) {
     debug_assert!(node.level() < MAX_LEVEL);
     needles.clear();
     for child in node.children() {
@@ -177,7 +171,7 @@ pub fn child_split(
         needles.push(child.last_descendant().raw());
     }
     ends.clear();
-    crate::simd::upper_bounds_into(keys, needles, use_simd, ends);
+    crate::simd::upper_bounds_into(keys, needles, ends);
 }
 
 /// Histogram of leaf counts per level (used by the Fig. 5 right panel).
@@ -286,27 +280,25 @@ mod tests {
         let mut t = new_tree(2);
         refine(&mut t, |o| o.child_id() % 3 == 0);
         refine(&mut t, |o| o.level() == 3 && o.child_id() == 5);
-        for &use_simd in &[false, crate::simd::simd_available()] {
-            for node in [
-                Octant::root(),
-                Octant::root().child(3),
-                Octant::root().child(0),
-            ] {
-                let lo = t.partition_point(|o| o < &node);
-                let hi = t.partition_point(|o| o <= &node.last_descendant());
-                let keys: Vec<u64> = t[lo..hi].iter().map(|o| o.raw()).collect();
-                let (mut needles, mut ends) = (Vec::new(), Vec::new());
-                child_split(&keys, &node, use_simd, &mut needles, &mut ends);
-                assert_eq!(ends.len(), 8);
-                assert_eq!(*ends.last().unwrap() as usize, keys.len());
-                let mut start = 0usize;
-                for (k, child) in node.children().into_iter().enumerate() {
-                    let end = ends[k] as usize;
-                    for o in &t[lo + start..lo + end] {
-                        assert!(child.contains(o), "child {k} range holds a stray leaf");
-                    }
-                    start = end;
+        for node in [
+            Octant::root(),
+            Octant::root().child(3),
+            Octant::root().child(0),
+        ] {
+            let lo = t.partition_point(|o| o < &node);
+            let hi = t.partition_point(|o| o <= &node.last_descendant());
+            let keys: Vec<u64> = t[lo..hi].iter().map(|o| o.raw()).collect();
+            let (mut needles, mut ends) = (Vec::new(), Vec::new());
+            child_split(&keys, &node, &mut needles, &mut ends);
+            assert_eq!(ends.len(), 8);
+            assert_eq!(*ends.last().unwrap() as usize, keys.len());
+            let mut start = 0usize;
+            for (k, child) in node.children().into_iter().enumerate() {
+                let end = ends[k] as usize;
+                for o in &t[lo + start..lo + end] {
+                    assert!(child.contains(o), "child {k} range holds a stray leaf");
                 }
+                start = end;
             }
         }
     }

@@ -144,11 +144,6 @@ pub struct DistOctree<'c> {
     ws: TreeWorkspace,
     /// Ripple rounds used by the most recent [`DistOctree::balance`] call.
     balance_rounds: u64,
-    /// Kernel selection for the vectorizable hot paths. Defaults to
-    /// runtime AVX2 detection; [`DistOctree::set_use_simd`] forces the
-    /// scalar fallback for A/B benchmarking (per-instance, so concurrent
-    /// `spmd` rank threads cannot race on a global toggle).
-    use_simd: bool,
 }
 
 /// Fill `ws.own_lo` / `ws.own_hi` with the batched marker range queries
@@ -157,7 +152,7 @@ pub struct DistOctree<'c> {
 /// `ws.nbrs[i]` (entries for `Octant::INVALID` are meaningless and must
 /// be skipped by the caller). The two binary-search sweeps over the rank
 /// markers run through the vectorized upper-bound kernel.
-fn owner_ranges_batched(markers: &[u64], ws: &mut TreeWorkspace, use_simd: bool) {
+fn owner_ranges_batched(markers: &[u64], ws: &mut TreeWorkspace) {
     ws.key_lo.clear();
     ws.key_hi.clear();
     for &n in &ws.nbrs {
@@ -172,9 +167,9 @@ fn owner_ranges_batched(markers: &[u64], ws: &mut TreeWorkspace, use_simd: bool)
         }
     }
     ws.own_lo.clear();
-    simd::upper_bounds_into(markers, &ws.key_lo, use_simd, &mut ws.own_lo);
+    simd::upper_bounds_into(markers, &ws.key_lo, &mut ws.own_lo);
     ws.own_hi.clear();
-    simd::upper_bounds_into(markers, &ws.key_hi, use_simd, &mut ws.own_hi);
+    simd::upper_bounds_into(markers, &ws.key_hi, &mut ws.own_hi);
 }
 
 /// Description of the element movement performed by a repartition; apply
@@ -209,7 +204,6 @@ impl<'c> DistOctree<'c> {
             gather: Vec::new(),
             ws: TreeWorkspace::default(),
             balance_rounds: 0,
-            use_simd: simd::simd_available(),
         };
         tree.update_markers();
         tree
@@ -226,17 +220,9 @@ impl<'c> DistOctree<'c> {
             gather: Vec::new(),
             ws: TreeWorkspace::default(),
             balance_rounds: 0,
-            use_simd: simd::simd_available(),
         };
         tree.update_markers();
         tree
-    }
-
-    /// Select the vectorized (`true`) or scalar-fallback (`false`) kernel
-    /// path for this tree's hot loops. Both produce bit-identical trees;
-    /// the A/B benchmark and the scalar CI job flip this.
-    pub fn set_use_simd(&mut self, use_simd: bool) {
-        self.use_simd = use_simd && simd::simd_available();
     }
 
     /// Re-establish the per-rank markers after any structural change.
@@ -383,17 +369,11 @@ impl<'c> DistOctree<'c> {
         if ws.req_bufs.len() < p {
             ws.req_bufs.resize_with(p, Vec::new);
         }
-        let use_simd = self.use_simd;
         loop {
             rounds += 1;
             // Local pass first (no communication): recursive seed-set
             // propagation through the retained workspace.
-            crate::balance::balance_local_kind_ws_simd(
-                &mut self.local,
-                kind,
-                &mut ws.bal,
-                use_simd,
-            );
+            crate::balance::balance_local_kind_ws(&mut self.local, kind, &mut ws.bal);
             self.update_markers();
 
             // Collect remote size requests: the same-size neighbor
@@ -408,8 +388,8 @@ impl<'c> DistOctree<'c> {
             }
             for &(dx, dy, dz) in dirs {
                 ws.nbrs.clear();
-                simd::neighbor_keys_into(&self.local, dx, dy, dz, use_simd, &mut ws.nbrs);
-                owner_ranges_batched(&self.markers, &mut ws, use_simd);
+                simd::neighbor_keys_into(&self.local, dx, dy, dz, &mut ws.nbrs);
+                owner_ranges_batched(&self.markers, &mut ws);
                 for i in 0..ws.nbrs.len() {
                     let n = ws.nbrs[i];
                     if n == Octant::INVALID {
@@ -498,66 +478,6 @@ impl<'c> DistOctree<'c> {
             + cap(&self.markers)
             + cap(&self.counts)
             + cap(&self.gather)
-    }
-
-    /// The PR 3 parallel balance, retained verbatim as the benchmark
-    /// baseline and a second differential oracle: buffered ripple sweeps
-    /// locally, nested (allocating) alltoallv for the boundary requests.
-    /// Produces the same unique minimal balanced refinement as
-    /// [`DistOctree::balance`].
-    pub fn balance_ripple(&mut self, kind: BalanceKind) -> u64 {
-        let before = self.global_count();
-        let dirs = kind.directions();
-        let p = self.comm.size();
-        loop {
-            crate::balance::balance_local_ripple_kind(&mut self.local, kind);
-            self.update_markers();
-            let mut outgoing: Vec<Vec<(Octant, u64)>> = vec![Vec::new(); p];
-            for o in &self.local {
-                for &(dx, dy, dz) in &dirs {
-                    let Some(n) = o.neighbor(dx, dy, dz) else {
-                        continue;
-                    };
-                    let (rlo, rhi) = self.owner_range(&n);
-                    for r in rlo..=rhi {
-                        if r != self.comm.rank() {
-                            outgoing[r].push((n, o.level() as u64));
-                        }
-                    }
-                }
-            }
-            let incoming = self.comm.alltoallv(&outgoing);
-            let mut to_refine = vec![false; self.local.len()];
-            let mut changed = 0u64;
-            for reqs in &incoming {
-                for &(n, lvl) in reqs {
-                    if let Some(i) = find_containing(&self.local, &n) {
-                        if (self.local[i].level() as u64) + 1 < lvl && !to_refine[i] {
-                            to_refine[i] = true;
-                            changed += 1;
-                        }
-                    }
-                }
-            }
-            let global_changed = self.comm.allreduce_sum(&[changed])[0];
-            if global_changed == 0 {
-                break;
-            }
-            if changed > 0 {
-                let mut i = 0usize;
-                ops::refine(&mut self.local, |_| {
-                    let m = to_refine[i];
-                    i += 1;
-                    m
-                });
-            }
-            self.update_markers();
-        }
-        #[cfg(debug_assertions)]
-        if scomm::checks_enabled() {
-            assert!(self.validate(), "octree invariants violated after balance");
-        }
-        self.global_count() - before
     }
 
     /// `PartitionTree`: redistribute leaves so that every rank owns an
@@ -650,7 +570,7 @@ impl<'c> DistOctree<'c> {
         let dirs: Vec<(i32, i32, i32)> = Octant::neighbor_directions().collect();
         ws.nbrs.clear();
         for &(dx, dy, dz) in &dirs {
-            simd::neighbor_keys_into(&self.local, dx, dy, dz, self.use_simd, &mut ws.nbrs);
+            simd::neighbor_keys_into(&self.local, dx, dy, dz, &mut ws.nbrs);
         }
         ws.key_lo.clear();
         ws.key_hi.clear();
@@ -665,8 +585,8 @@ impl<'c> DistOctree<'c> {
         }
         ws.own_lo.clear();
         ws.own_hi.clear();
-        simd::upper_bounds_into(&self.markers, &ws.key_lo, self.use_simd, &mut ws.own_lo);
-        simd::upper_bounds_into(&self.markers, &ws.key_hi, self.use_simd, &mut ws.own_hi);
+        simd::upper_bounds_into(&self.markers, &ws.key_lo, &mut ws.own_lo);
+        simd::upper_bounds_into(&self.markers, &ws.key_hi, &mut ws.own_hi);
 
         // Send each boundary leaf to every rank owning an adjacent region,
         // reading the precomputed batches leaf-major so the send order is
@@ -1023,39 +943,6 @@ mod tests {
             let n = t.global_count() as f64;
             assert!((n - 900.0).abs() / 900.0 < 0.3, "global count {n}");
         });
-    }
-
-    #[test]
-    fn fast_balance_matches_ripple_baseline_distributed() {
-        // The retained PR 3 ripple path and the seed-propagation fast path
-        // must produce bitwise-identical global leaf sets.
-        fn build(c: &Comm) -> DistOctree<'_> {
-            let mut t = DistOctree::new_uniform(c, 1);
-            let mut h = 0x9e3779b97f4a7c15u64;
-            for _ in 0..3 {
-                t.refine(|o| {
-                    h = h.wrapping_mul(6364136223846793005).wrapping_add(o.key());
-                    o.level() < 5 && h.is_multiple_of(5)
-                });
-                t.partition();
-            }
-            t
-        }
-        for p in [1usize, 2, 4] {
-            let locals = spmd::run(p, |c| {
-                let mut fast = build(c);
-                fast.balance(BalanceKind::Full);
-                assert!(fast.last_balance_rounds() >= 1);
-                let mut ripple = build(c);
-                ripple.balance_ripple(BalanceKind::Full);
-                (fast.local.clone(), ripple.local)
-            });
-            let (f, r): (Vec<_>, Vec<_>) = locals.into_iter().unzip();
-            let fast_union: Vec<Octant> = f.into_iter().flatten().collect();
-            let ripple_union: Vec<Octant> = r.into_iter().flatten().collect();
-            assert_eq!(fast_union, ripple_union, "P={p}");
-            assert!(is_balanced(&fast_union));
-        }
     }
 
     #[test]

@@ -14,11 +14,12 @@
 //!   `std::simd` is nightly-only) compiled under the `simd` feature and
 //!   selected by `is_x86_feature_detected!`.
 //!
-//! Both paths compute bit-identical results; the unit tests here and the
-//! `fuzz_amr` replay gate compare them exhaustively. Every public kernel
-//! takes an explicit `use_simd` flag rather than consulting a global so
-//! that A/B benchmarking is race-free under the multi-threaded `spmd`
-//! rank executor (`use_simd && simd_available()` decides the path).
+//! Both paths compute bit-identical results. The choice is made here,
+//! by what the build and the CPU offer, never by the caller: the unit
+//! tests compare each dispatching kernel against the plain
+//! `Octant::neighbor` / `partition_point` / `windows(2)` expression, which
+//! covers AVX2 on a default build and the scalar path under the
+//! `--no-default-features` CI job.
 //!
 //! AVX2 notes: u64 lanes have no unsigned compare, so operands are
 //! sign-biased (`x ^ i64::MIN`) before `_mm256_cmpgt_epi64`; per-lane
@@ -54,23 +55,15 @@ pub fn simd_available() -> bool {
 /// This is the inner loop of the balance closure (parent-neighbor
 /// demands) and of ghost-candidate generation, batched so a whole level
 /// bucket is processed per call.
-pub fn neighbor_keys_into(
-    octs: &[Octant],
-    dx: i32,
-    dy: i32,
-    dz: i32,
-    use_simd: bool,
-    out: &mut Vec<Octant>,
-) {
+pub fn neighbor_keys_into(octs: &[Octant], dx: i32, dy: i32, dz: i32, out: &mut Vec<Octant>) {
     debug_assert!(dx.unsigned_abs() <= 1 && dy.unsigned_abs() <= 1 && dz.unsigned_abs() <= 1);
     out.reserve(octs.len());
     #[cfg(all(feature = "simd", target_arch = "x86_64"))]
-    if use_simd && simd_available() {
+    if simd_available() {
         // SAFETY: AVX2 presence checked above.
         unsafe { avx2::neighbor_keys_into(octs, dx, dy, dz, out) };
         return;
     }
-    let _ = use_simd;
     for o in octs {
         out.push(Octant::from_raw(neighbor_raw_unit(o.raw(), dx, dy, dz)));
     }
@@ -104,7 +97,7 @@ fn upper_bound(a: &[u64], key: u64) -> usize {
 /// Serves the partition/ownership range queries (`owner_of` over the
 /// rank markers) and the per-leaf demand range queries of the balance
 /// rebuild — four binary searches advance in lockstep in the AVX2 path.
-pub fn upper_bounds_into(haystack: &[u64], needles: &[u64], use_simd: bool, out: &mut Vec<u32>) {
+pub fn upper_bounds_into(haystack: &[u64], needles: &[u64], out: &mut Vec<u32>) {
     debug_assert!(haystack.len() < u32::MAX as usize);
     out.reserve(needles.len());
     if haystack.is_empty() {
@@ -112,12 +105,11 @@ pub fn upper_bounds_into(haystack: &[u64], needles: &[u64], use_simd: bool, out:
         return;
     }
     #[cfg(all(feature = "simd", target_arch = "x86_64"))]
-    if use_simd && simd_available() {
+    if simd_available() {
         // SAFETY: AVX2 presence checked above.
         unsafe { avx2::upper_bounds_into(haystack, needles, out) };
         return;
     }
-    let _ = use_simd;
     for &n in needles {
         out.push(upper_bound(haystack, n) as u32);
     }
@@ -143,13 +135,12 @@ fn pair_invalid(a: u64, b: u64) -> bool {
 /// invariant (strictly Morton-sorted, non-overlapping), or `None` if the
 /// array is a valid linear octree. Drives `is_valid_linear` and the
 /// distributed `validate` sweeps.
-pub fn find_invalid_pair(octs: &[Octant], use_simd: bool) -> Option<usize> {
+pub fn find_invalid_pair(octs: &[Octant]) -> Option<usize> {
     #[cfg(all(feature = "simd", target_arch = "x86_64"))]
-    if use_simd && simd_available() {
+    if simd_available() {
         // SAFETY: AVX2 presence checked above.
         return unsafe { avx2::find_invalid_pair(octs) };
     }
-    let _ = use_simd;
     octs.windows(2)
         .position(|w| pair_invalid(w[0].raw(), w[1].raw()))
 }
@@ -405,6 +396,13 @@ mod tests {
             .collect()
     }
 
+    /// The kernel's contract spelled with the `Octant` API, one at a time.
+    fn plain_neighbors(octs: &[Octant], dx: i32, dy: i32, dz: i32) -> Vec<Octant> {
+        octs.iter()
+            .map(|o| o.neighbor(dx, dy, dz).unwrap_or(Octant::INVALID))
+            .collect()
+    }
+
     #[test]
     fn simd_path_is_compiled_in_by_default() {
         // On the x86-64 CI host with the default feature set the AVX2
@@ -420,20 +418,16 @@ mod tests {
     }
 
     #[test]
-    fn neighbor_kernel_matches_scalar_and_octant_api() {
+    fn neighbor_kernel_matches_octant_api() {
         let octs = random_octants(257, MAX_LEVEL, 42);
         for (dx, dy, dz) in Octant::neighbor_directions() {
-            let mut simd_out = Vec::new();
-            let mut scalar_out = Vec::new();
-            neighbor_keys_into(&octs, dx, dy, dz, true, &mut simd_out);
-            neighbor_keys_into(&octs, dx, dy, dz, false, &mut scalar_out);
-            assert_eq!(simd_out, scalar_out, "dir ({dx},{dy},{dz})");
-            for (o, n) in octs.iter().zip(&scalar_out) {
-                match o.neighbor(dx, dy, dz) {
-                    Some(nb) => assert_eq!(*n, nb),
-                    None => assert_eq!(*n, Octant::INVALID),
-                }
-            }
+            let mut out = Vec::new();
+            neighbor_keys_into(&octs, dx, dy, dz, &mut out);
+            assert_eq!(
+                out,
+                plain_neighbors(&octs, dx, dy, dz),
+                "dir ({dx},{dy},{dz})"
+            );
         }
     }
 
@@ -451,7 +445,7 @@ mod tests {
         ];
         for (dx, dy, dz) in Octant::neighbor_directions() {
             let mut out = Vec::new();
-            neighbor_keys_into(&octs, dx, dy, dz, true, &mut out);
+            neighbor_keys_into(&octs, dx, dy, dz, &mut out);
             for (o, n) in octs.iter().zip(&out) {
                 assert_eq!(
                     o.neighbor(dx, dy, dz),
@@ -470,15 +464,13 @@ mod tests {
             let mut hay: Vec<u64> = (0..hay_len).map(|_| splitmix(&mut s) % 500).collect();
             hay.sort_unstable();
             let needles: Vec<u64> = (0..131).map(|_| splitmix(&mut s) % 600).collect();
-            let mut simd_out = Vec::new();
-            let mut scalar_out = Vec::new();
-            upper_bounds_into(&hay, &needles, true, &mut simd_out);
-            upper_bounds_into(&hay, &needles, false, &mut scalar_out);
-            assert_eq!(simd_out, scalar_out, "hay_len {hay_len}");
-            for (k, &ub) in needles.iter().zip(&scalar_out) {
-                let want = hay.partition_point(|h| h <= k) as u32;
-                assert_eq!(ub, want, "needle {k}, hay_len {hay_len}");
-            }
+            let mut out = Vec::new();
+            upper_bounds_into(&hay, &needles, &mut out);
+            let want: Vec<u32> = needles
+                .iter()
+                .map(|k| hay.partition_point(|h| h <= k) as u32)
+                .collect();
+            assert_eq!(out, want, "hay_len {hay_len}");
         }
     }
 
@@ -487,7 +479,7 @@ mod tests {
         let hay = vec![5u64, 5, 5, 9, 9, u64::MAX];
         let needles = vec![0u64, 4, 5, 6, 9, 10, u64::MAX, u64::MAX - 1];
         let mut out = Vec::new();
-        upper_bounds_into(&hay, &needles, true, &mut out);
+        upper_bounds_into(&hay, &needles, &mut out);
         let want: Vec<u32> = needles
             .iter()
             .map(|k| hay.partition_point(|h| h <= k) as u32)
@@ -495,36 +487,43 @@ mod tests {
         assert_eq!(out, want);
     }
 
+    /// The invariant spelled with the `Octant` API, one pair at a time.
+    fn first_invalid_window(octs: &[Octant]) -> Option<usize> {
+        octs.windows(2)
+            .position(|w| w[0] >= w[1] || w[0].is_ancestor_of(&w[1]))
+    }
+
     #[test]
-    fn find_invalid_pair_matches_is_valid_linear() {
+    fn find_invalid_pair_matches_window_scan() {
         let mut t = new_tree(2);
         refine(&mut t, |o| o.x() == 0);
-        assert_eq!(find_invalid_pair(&t, true), None);
-        assert_eq!(find_invalid_pair(&t, false), None);
+        assert_eq!(find_invalid_pair(&t), None);
+        assert_eq!(first_invalid_window(&t), None);
 
         // Break sortedness mid-array.
         let mut bad = t.clone();
         bad.swap(10, 11);
-        assert_eq!(find_invalid_pair(&bad, true), Some(10));
-        assert_eq!(find_invalid_pair(&bad, false), Some(10));
+        assert_eq!(find_invalid_pair(&bad), Some(10));
+        assert_eq!(first_invalid_window(&bad), Some(10));
 
-        // Insert an ancestor overlap.
-        let mut overlap = t.clone();
-        let anc = overlap[20].parent();
-        overlap.insert(20, anc);
-        let vi = find_invalid_pair(&overlap, true);
-        assert_eq!(vi, find_invalid_pair(&overlap, false));
-        assert!(vi.is_some());
-        assert!(!crate::is_valid_linear(&overlap));
+        // Insert an ancestor overlap at every position, so the violation
+        // lands in every vector lane and in the scalar tail.
+        for at in 0..t.len() {
+            let mut overlap = t.clone();
+            let anc = overlap[at].parent();
+            overlap.insert(at, anc);
+            let vi = find_invalid_pair(&overlap);
+            assert!(vi.is_some());
+            assert_eq!(vi, first_invalid_window(&overlap), "insert at {at}");
+        }
     }
 
     #[test]
     fn find_invalid_pair_short_arrays() {
-        assert_eq!(find_invalid_pair(&[], true), None);
-        assert_eq!(find_invalid_pair(&[Octant::root()], true), None);
+        assert_eq!(find_invalid_pair(&[]), None);
+        assert_eq!(find_invalid_pair(&[Octant::root()]), None);
         let pair = [Octant::root(), Octant::root().child(0)];
-        assert_eq!(find_invalid_pair(&pair, true), Some(0));
-        assert_eq!(find_invalid_pair(&pair, false), Some(0));
+        assert_eq!(find_invalid_pair(&pair), Some(0));
     }
 
     #[test]
@@ -532,12 +531,9 @@ mod tests {
         // Exercise every remainder length around the 4-lane width.
         for n in 0..13usize {
             let octs = random_octants(n, 6, n as u64 + 1);
-            let mut a = Vec::new();
-            let mut b = Vec::new();
-            neighbor_keys_into(&octs, 1, 0, -1, true, &mut a);
-            neighbor_keys_into(&octs, 1, 0, -1, false, &mut b);
-            assert_eq!(a, b, "n = {n}");
-            assert_eq!(a.len(), n);
+            let mut out = Vec::new();
+            neighbor_keys_into(&octs, 1, 0, -1, &mut out);
+            assert_eq!(out, plain_neighbors(&octs, 1, 0, -1), "n = {n}");
         }
     }
 }

@@ -72,32 +72,6 @@ proptest! {
     }
 
     #[test]
-    fn balance_differential_all_kinds(t in arb_tree(4), which in 0usize..3) {
-        // The minimal balanced refinement is unique, so the recursive
-        // seed-propagation fast path, the buffered ripple sweep, and the
-        // one-violator-at-a-time naive oracle must agree *bitwise* for
-        // every neighbor-set kind.
-        use octree::balance::{
-            balance_local_kind, balance_local_naive_kind, balance_local_ripple_kind,
-            is_balanced_kind, BalanceKind,
-        };
-        let kind = [BalanceKind::Face, BalanceKind::FaceEdge, BalanceKind::Full][which];
-        let mut fast = t.clone();
-        let mut ripple = t.clone();
-        let mut naive = t;
-        let n_fast = balance_local_kind(&mut fast, kind);
-        let n_ripple = balance_local_ripple_kind(&mut ripple, kind);
-        let n_naive = balance_local_naive_kind(&mut naive, kind);
-        prop_assert_eq!(&fast, &ripple, "fast vs ripple ({:?})", kind);
-        prop_assert_eq!(&fast, &naive, "fast vs naive ({:?})", kind);
-        prop_assert_eq!(n_fast, n_ripple);
-        prop_assert_eq!(n_fast, n_naive);
-        prop_assert!(is_balanced_kind(&fast, kind));
-        prop_assert!(is_complete(&fast));
-        prop_assert!(is_valid_linear(&fast));
-    }
-
-    #[test]
     fn coarsen_then_is_complete(mut t in arb_tree(3), seed in any::<u64>()) {
         let mut h = seed;
         coarsen(&mut t, |o| {
@@ -190,32 +164,5 @@ proptest! {
         let mut by_lex = v;
         by_lex.sort_by(|a, b| a.key().cmp(&b.key()).then(a.level().cmp(&b.level())));
         prop_assert_eq!(by_raw, by_lex);
-    }
-
-    #[test]
-    fn packed_ops_agree_with_unpacked_reference(
-        a in arb_octant(MAX_LEVEL),
-        b in arb_octant(MAX_LEVEL),
-    ) {
-        // Differential gate against the retained coordinate-arithmetic
-        // oracle, including comparisons between arbitrary pairs.
-        use octree::unpacked::Unpacked;
-        let (ua, ub) = (Unpacked::from(a), Unpacked::from(b));
-        prop_assert_eq!(Octant::from(ua), a);
-        prop_assert_eq!(a.cmp(&b), ua.cmp(&ub));
-        prop_assert_eq!(a.contains(&b), ua.contains(&ub));
-        prop_assert_eq!(a.len(), ua.len());
-        prop_assert_eq!(a.key(), ua.key());
-        prop_assert_eq!(a.last_descendant(), Octant::from(ua.last_descendant()));
-        if a.level() > 0 {
-            prop_assert_eq!(a.parent(), Octant::from(ua.parent()));
-            prop_assert_eq!(a.child_id(), ua.child_id());
-        }
-        for (dx, dy, dz) in Octant::neighbor_directions() {
-            prop_assert_eq!(
-                a.neighbor(dx, dy, dz),
-                ua.neighbor(dx, dy, dz).map(Octant::from)
-            );
-        }
     }
 }

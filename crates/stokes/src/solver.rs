@@ -5,7 +5,7 @@ use fem::element::{
     divergence_matrix, lumped_mass, pressure_stabilization, stiffness_matrix, viscous_matrix,
 };
 use fem::op::DofMap;
-use la::krylov::{minres_fused, minres_observed, DotBatch, LinearOp, SolveInfo};
+use la::krylov::{minres, DotBatch, LinearOp, SolveInfo};
 use la::{Amg, AmgOptions};
 use mesh::extract::{ExchangeBuffers, Mesh};
 use obs::Recorder;
@@ -18,16 +18,6 @@ pub struct StokesOptions {
     pub tol: f64,
     pub max_iter: usize,
     pub amg: AmgOptions,
-    /// Use the single-reduction fused MINRES ([`minres_fused`]) instead of
-    /// the classic two-reduction iteration. On by default; the classic
-    /// path is kept for differential testing.
-    pub fused_reductions: bool,
-    /// Split-phase ghost exchange in operator applications: post the
-    /// velocity and pressure exchanges, sweep interior elements while the
-    /// messages are in flight, complete, then sweep surface elements. On
-    /// by default; the blocking path is kept as the differential oracle
-    /// and benchmark baseline. Results are bitwise identical either way.
-    pub overlap_exchange: bool,
 }
 
 impl Default for StokesOptions {
@@ -36,8 +26,6 @@ impl Default for StokesOptions {
             tol: 1e-8,
             max_iter: 500,
             amg: AmgOptions::default(),
-            fused_reductions: true,
-            overlap_exchange: true,
         }
     }
 }
@@ -313,32 +301,23 @@ impl<'a> StokesSolver<'a> {
         ws.yu.resize(self.vmap.n_local(), 0.0);
         ws.yp.clear();
         ws.yp.resize(self.smap.n_local(), 0.0);
-        // Both paths sweep interior-then-surface elements in the same
-        // order, so results are bitwise identical; only the exchange
-        // completion point differs.
-        if self.options.overlap_exchange {
-            self.vmap.fill_local(&ws.u, &mut ws.ul);
-            self.smap.fill_local(&x[nu..], &mut ws.pl);
-            self.vmap.exchange_begin(&ws.ul, &mut ws.vexch);
-            self.smap.exchange_begin(&ws.pl, &mut ws.sexch);
-            self.sweep(&self.mesh.interior_elems, ws);
-            self.vmap.exchange_end(&mut ws.ul, &mut ws.vexch);
-            self.smap.exchange_end(&mut ws.pl, &mut ws.sexch);
-            self.sweep(&self.mesh.surface_elems, ws);
-            self.vmap
-                .reverse_accumulate_begin(&mut ws.yu, &mut ws.vexch);
-            self.smap
-                .reverse_accumulate_begin(&mut ws.yp, &mut ws.sexch);
-            self.vmap.reverse_accumulate_end(&mut ws.yu, &mut ws.vexch);
-            self.smap.reverse_accumulate_end(&mut ws.yp, &mut ws.sexch);
-        } else {
-            self.vmap.to_local_into(&ws.u, &mut ws.ul, &mut ws.vexch);
-            self.smap.to_local_into(&x[nu..], &mut ws.pl, &mut ws.sexch);
-            self.sweep(&self.mesh.interior_elems, ws);
-            self.sweep(&self.mesh.surface_elems, ws);
-            self.vmap.reverse_accumulate_with(&mut ws.yu, &mut ws.vexch);
-            self.smap.reverse_accumulate_with(&mut ws.yp, &mut ws.sexch);
-        }
+        // Split-phase: post both exchanges (velocity and pressure on
+        // distinct streams), sweep interior elements while the messages
+        // are in flight, complete, then sweep surface elements.
+        self.vmap.fill_local(&ws.u, &mut ws.ul);
+        self.smap.fill_local(&x[nu..], &mut ws.pl);
+        self.vmap.exchange_begin(&ws.ul, &mut ws.vexch);
+        self.smap.exchange_begin(&ws.pl, &mut ws.sexch);
+        self.sweep(&self.mesh.interior_elems, ws);
+        self.vmap.exchange_end(&mut ws.ul, &mut ws.vexch);
+        self.smap.exchange_end(&mut ws.pl, &mut ws.sexch);
+        self.sweep(&self.mesh.surface_elems, ws);
+        self.vmap
+            .reverse_accumulate_begin(&mut ws.yu, &mut ws.vexch);
+        self.smap
+            .reverse_accumulate_begin(&mut ws.yp, &mut ws.sexch);
+        self.vmap.reverse_accumulate_end(&mut ws.yu, &mut ws.vexch);
+        self.smap.reverse_accumulate_end(&mut ws.yp, &mut ws.sexch);
         y[..nu].copy_from_slice(&ws.yu[..nu]);
         y[nu..].copy_from_slice(&ws.yp[..np]);
         if constrained {
@@ -476,29 +455,16 @@ impl<'a> StokesSolver<'a> {
                 }
             };
             let dots = CombinedDots(self.comm);
-            let info = if self.options.fused_reductions {
-                minres_fused(
-                    &op,
-                    Some(&pre),
-                    rhs,
-                    x,
-                    self.options.tol,
-                    self.options.max_iter,
-                    dots,
-                    observe,
-                )
-            } else {
-                minres_observed(
-                    &op,
-                    Some(&pre),
-                    rhs,
-                    x,
-                    self.options.tol,
-                    self.options.max_iter,
-                    dots,
-                    observe,
-                )
-            };
+            let info = minres(
+                &op,
+                Some(&pre),
+                rhs,
+                x,
+                self.options.tol,
+                self.options.max_iter,
+                dots,
+                observe,
+            );
             (info, pre.1.get())
         };
         self.stats.minres_seconds += t0.elapsed().as_secs_f64();
@@ -786,40 +752,6 @@ mod tests {
             max <= 4 * iters[0].max(10),
             "iterations blow up with viscosity contrast: {iters:?}"
         );
-    }
-
-    #[test]
-    fn overlapped_solve_bitwise_matches_blocking() {
-        // Full MINRES solves over the split-phase and blocking exchange
-        // paths must agree bit for bit — same mesh, same RHS, only the
-        // exchange completion point differs.
-        let run = |overlap: bool| -> Vec<Vec<u64>> {
-            spmd::run(2, move |c| {
-                let mut t = DistOctree::new_uniform(c, 2);
-                t.refine(|o| o.center_unit()[2] > 0.6);
-                t.balance(BalanceKind::Full);
-                t.partition();
-                let m = extract_mesh(&t, [1.0, 1.0, 1.0]);
-                let n = m.n_owned;
-                let bc: Vec<bool> = (0..3 * n).map(|i| m.dof_on_boundary(i / 3)).collect();
-                let visc: Vec<f64> = m
-                    .elements
-                    .iter()
-                    .map(|o| if o.center_unit()[2] > 0.5 { 100.0 } else { 1.0 })
-                    .collect();
-                let opts = StokesOptions {
-                    overlap_exchange: overlap,
-                    ..StokesOptions::default()
-                };
-                let mut solver = StokesSolver::new(&m, c, visc, bc, opts);
-                let (rhs, mut x) =
-                    solver.build_rhs(|p| [0.0, 0.0, (5.0 * p[0]).sin()], |_| [0.0; 3]);
-                let info = solver.solve(&rhs, &mut x);
-                assert!(info.converged, "{info:?}");
-                x.iter().map(|v| v.to_bits()).collect()
-            })
-        };
-        assert_eq!(run(true), run(false), "solve paths diverge");
     }
 
     #[test]

@@ -17,8 +17,9 @@
 use octree::balance::BalanceKind;
 use octree::parallel::{transfer_fields_into, DistOctree, PartitionPlan};
 use octree::Octant;
-use rhea::timers::Phase;
-use rhea_bench::{banner, convection_workload, paper_core_counts, Table};
+use rhea_bench::{
+    banner, convection_workload_traced, paper_core_counts, phase_comm_seconds, Table,
+};
 use scomm::{spmd, MachineModel};
 use std::time::Instant;
 
@@ -102,7 +103,8 @@ fn measure_adapt_cycle() {
 fn modeled_paper_table() {
     let steps = 6;
     let adapt_every = 3;
-    let (timers, n_elem, _) = convection_workload(1, 4, steps, adapt_every);
+    let (profiles, n_elem, _) = convection_workload_traced(1, 4, steps, adapt_every);
+    let serial = &profiles[0].summary;
     let machine = MachineModel::ranger();
     let adapt_count = (steps / adapt_every) as f64;
     println!(
@@ -129,39 +131,28 @@ fn modeled_paper_table() {
     for &p in &paper_core_counts(16384) {
         let a2a = machine.t_alltoallv(surface_bytes, 26);
         let ar = machine.t_allreduce(8.0, p);
-        let comm = |phase: Phase| -> f64 {
-            if p == 1 {
-                return 0.0;
-            }
-            match phase {
-                Phase::BalanceTree => 6.0 * (a2a + ar),
-                Phase::PartitionTree => 4.0 * a2a + ar,
-                Phase::ExtractMesh => 5.0 * a2a + 4.0 * ar,
-                Phase::MarkElements => 40.0 * ar,
-                Phase::TransferFields => 2.0 * a2a,
-                Phase::NewTree => ar,
-                _ => 0.0,
-            }
-        };
         // Per adaptation step (the paper's unit).
-        let per_adapt = |ph: Phase| host_to_model(timers.get(ph)) / adapt_count + comm(ph);
-        let newtree = host_to_model(timers.get(Phase::NewTree)); // once per run
-        let cr = per_adapt(Phase::CoarsenTree) + per_adapt(Phase::RefineTree);
-        let bal = per_adapt(Phase::BalanceTree);
-        let part = per_adapt(Phase::PartitionTree);
-        let ext = per_adapt(Phase::ExtractMesh);
-        let it = per_adapt(Phase::InterpolateFields) + per_adapt(Phase::TransferFields);
-        let mark = per_adapt(Phase::MarkElements);
+        let per_adapt = |name: &str| {
+            host_to_model(serial.incl_seconds(name)) / adapt_count
+                + phase_comm_seconds(name, p, &machine, surface_bytes)
+        };
+        let newtree = host_to_model(serial.incl_seconds("NewTree")); // once per run
+        let cr = per_adapt("CoarsenTree") + per_adapt("RefineTree");
+        let bal = per_adapt("BalanceTree");
+        let part = per_adapt("PartitionTree");
+        let ext = per_adapt("ExtractMesh");
+        let it = per_adapt("InterpolateFields") + per_adapt("TransferFields");
+        let mark = per_adapt("MarkElements");
         // Solve time per adaptation step: all PDE phases + their comm.
+        // (The MINRES span already contains its AMGSolve V-cycles.)
         let iters_comm = if p == 1 {
             0.0
         } else {
             200.0 * (a2a + 2.0 * ar) // MINRES iterations across 16 steps
         };
-        let solve = (host_to_model(timers.get(Phase::Minres))
-            + host_to_model(timers.get(Phase::AmgSetup))
-            + host_to_model(timers.get(Phase::AmgSolve))
-            + host_to_model(timers.get(Phase::TimeIntegration)))
+        let solve = (host_to_model(serial.incl_seconds("MINRES"))
+            + host_to_model(serial.incl_seconds("AMGSetup"))
+            + host_to_model(serial.incl_seconds("TimeIntegration")))
             / adapt_count
             + iters_comm;
         let amr = cr + bal + part + ext + it + mark;

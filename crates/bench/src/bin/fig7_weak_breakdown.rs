@@ -17,9 +17,8 @@ use mesh::extract::extract_mesh;
 use obs::{ObsSession, RankProfile, Reduce, Summary, Value};
 use octree::parallel::DistOctree;
 use rhea::adapt::{adapt_mesh, gradient_indicator, AdaptParams};
-use rhea::timers::{Phase, PhaseTimers};
 use rhea::transport::{TransportParams, TransportSolver};
-use rhea_bench::{banner, paper_core_counts, Table};
+use rhea_bench::{banner, paper_core_counts, phase_comm_seconds, Table, PAPER_PHASES};
 use scomm::{spmd, CommStats, MachineModel};
 
 /// Run the adaptive transport loop with tracing on and return the
@@ -85,45 +84,14 @@ fn main() {
     let steps = 32; // one adaptation per 32 steps, the paper's cadence
     let (serial_profiles, n_elem, _) = run_traced(1, 4, steps, 32);
     let serial = &serial_profiles[0].summary;
-    let timers = PhaseTimers::from_summary(serial);
     let machine = MachineModel::ranger();
     let elem_per_core = n_elem as f64;
 
     // Convert each phase's measured local seconds into model flops; add
-    // modeled per-phase communication at scale. Collective counts per
-    // phase from the algorithm structure (per adaptation step):
-    //   BalanceTree      ~ levels rounds of alltoallv + allreduce
-    //   PartitionTree    ~ 1 alltoallv + marker allgather
-    //   ExtractMesh      ~ ghost alltoallv + gid lookups (3) + allgathers
-    //   MarkElements     ~ ~40 allreduce iterations
-    //   TransferFields   ~ 1 alltoallv (volume = fields)
-    //   InterpolateF.    ~ local only
-    //   TimeIntegration  ~ 2 ghost exchanges per step (surface volume)
-    let phases = Phase::ALL;
+    // the modeled per-phase communication at scale (one adaptation per
+    // run, `steps` time steps).
     let host_to_flops = |sec: f64| sec * machine.fem_efficiency * machine.peak_flops_per_core;
     let surface_bytes = 8.0 * 6.0 * (elem_per_core).powf(2.0 / 3.0) * 8.0; // 8B/node, 6 faces
-
-    let comm_time = |phase: Phase, p: usize| -> f64 {
-        if p == 1 {
-            return 0.0;
-        }
-        let lg = (p as f64).log2().ceil();
-        let a2a = machine.t_alltoallv(surface_bytes, 26); // neighbor exchange
-        let ar = machine.t_allreduce(8.0, p);
-        let ag = machine.t_allgather(8.0, p);
-        match phase {
-            Phase::BalanceTree => 6.0 * (a2a + ar),
-            Phase::PartitionTree => a2a * 4.0 + ag, // bulk element movement
-            Phase::ExtractMesh => 5.0 * a2a + 4.0 * ag,
-            Phase::MarkElements => 40.0 * ar,
-            Phase::TransferFields => a2a * 2.0,
-            Phase::InterpolateFields => 0.0,
-            Phase::TimeIntegration => steps as f64 * 4.0 * a2a,
-            Phase::NewTree => ag,
-            Phase::CoarsenTree | Phase::RefineTree => 0.0,
-            _ => lg * 0.0,
-        }
-    };
 
     let cores = paper_core_counts(62464);
     let mut table = Table::new(&[
@@ -140,36 +108,37 @@ fn main() {
     ]);
     let mut base_total = 0.0;
     for &p in &cores {
-        let adapt_count = (steps / 32) as f64;
-        let mut t = Vec::new();
-        let mut total = 0.0;
-        for &ph in &phases {
-            let local = machine.t_fem_flops(host_to_flops(timers.get(ph)));
-            let comm = comm_time(ph, p) * adapt_count.max(1.0);
-            t.push((ph, local + comm));
-            total += local + comm;
-        }
+        let modeled = |name: &str| -> f64 {
+            let occurrences = if name == "TimeIntegration" {
+                steps as f64
+            } else {
+                1.0
+            };
+            machine.t_fem_flops(host_to_flops(serial.incl_seconds(name)))
+                + occurrences * phase_comm_seconds(name, p, &machine, surface_bytes)
+        };
+        let total: f64 = PAPER_PHASES.iter().map(|(name, _)| modeled(name)).sum();
         if p == 1 {
             base_total = total;
         }
-        let pct = |ph: Phase| -> f64 { 100.0 * t.iter().find(|x| x.0 == ph).unwrap().1 / total };
-        let amr_pct: f64 = t
+        let pct = |name: &str| -> f64 { 100.0 * modeled(name) / total };
+        let amr_pct: f64 = PAPER_PHASES
             .iter()
-            .filter(|(ph, _)| ph.is_amr())
-            .map(|(_, v)| 100.0 * v / total)
+            .filter(|(_, cat)| *cat == "amr")
+            .map(|(name, _)| pct(name))
             .sum();
         // Weak-scaling efficiency: same elements/core ⇒ ideal keeps total
         // constant.
         let eff = base_total / total;
         table.row(&[
             p.to_string(),
-            format!("{:.1}", pct(Phase::TimeIntegration)),
-            format!("{:.1}", pct(Phase::BalanceTree)),
-            format!("{:.1}", pct(Phase::PartitionTree)),
-            format!("{:.1}", pct(Phase::ExtractMesh)),
-            format!("{:.1}", pct(Phase::InterpolateFields)),
-            format!("{:.1}", pct(Phase::TransferFields)),
-            format!("{:.1}", pct(Phase::MarkElements)),
+            format!("{:.1}", pct("TimeIntegration")),
+            format!("{:.1}", pct("BalanceTree")),
+            format!("{:.1}", pct("PartitionTree")),
+            format!("{:.1}", pct("ExtractMesh")),
+            format!("{:.1}", pct("InterpolateFields")),
+            format!("{:.1}", pct("TransferFields")),
+            format!("{:.1}", pct("MarkElements")),
             format!("{:.1}", amr_pct),
             format!("{:.2}", eff),
         ]);
@@ -184,11 +153,11 @@ fn main() {
         "  {:<18} {:>6} {:>10} {:>10}",
         "phase", "count", "incl s", "excl s"
     );
-    for ph in Phase::ALL {
-        if let Some(st) = serial.phases.get(ph.label()) {
+    for (name, _) in PAPER_PHASES {
+        if let Some(st) = serial.phases.get(name) {
             println!(
                 "  {:<18} {:>6} {:>10.3} {:>10.3}",
-                ph.label(),
+                name,
                 st.count,
                 st.incl_seconds(),
                 st.excl_seconds()
@@ -257,13 +226,6 @@ fn main() {
         ]);
     }
     ab.print();
-
-    // Measured — not extrapolated — collective trees: the virtual-rank
-    // executor runs the real binomial software tree at P = 256 and 1024
-    // on 8 OS threads, and the fitted α–β validates that measured times
-    // follow the 2·⌈log₂ P⌉ round structure the model above assumes.
-    println!();
-    rhea_bench::report_virtual_tree_collectives(&[256, 1024], 8, 5);
 
     let extra = Value::object([
         ("figure", Value::from("fig7")),

@@ -15,8 +15,9 @@
 //! coarse-level collectives (log²P), the paper's observed trend.
 
 use obs::{ObsSession, Reduce, Summary, Value};
-use rhea::timers::{Phase, PhaseTimers};
-use rhea_bench::{banner, convection_workload_traced, paper_core_counts, Table};
+use rhea_bench::{
+    banner, convection_workload_traced, paper_core_counts, phase_comm_seconds, Table, PAPER_PHASES,
+};
 use scomm::MachineModel;
 
 fn main() {
@@ -29,7 +30,6 @@ fn main() {
     let (serial_profiles, n_elem, minres_iters) =
         convection_workload_traced(1, 4, steps, adapt_every);
     let serial = &serial_profiles[0].summary;
-    let timers = PhaseTimers::from_summary(serial);
     let machine = MachineModel::ranger();
     println!(
         "measured serial run: {n_elem} elements, {steps} steps, {minres_iters} MINRES iterations\n"
@@ -39,31 +39,32 @@ fn main() {
     let elem_per_core = n_elem as f64;
     let surface_bytes = 8.0 * 6.0 * elem_per_core.powf(2.0 / 3.0) * 8.0;
 
-    // Per-step communication model for the numerical phases: every MINRES
-    // iteration needs 1 ghost exchange + 2 allreduces; every V-cycle
-    // crosses ~L levels with an allreduce each (block-Jacobi AMG keeps
-    // V-cycles local; the setup allgathers grow with log P).
+    // Per-step communication of the three Stokes rows, modeled here where
+    // the iteration count is known: every MINRES iteration needs 1 ghost
+    // exchange + 2 allreduces; every V-cycle crosses ~L levels with an
+    // allreduce each (block-Jacobi AMG keeps V-cycles local; the setup
+    // allgathers grow with log P). The AMR rows and `TimeIntegration`
+    // come from the shared per-phase table.
     let iters_per_step = minres_iters as f64 / steps as f64;
-    let comm_per_step = |phase: Phase, p: usize| -> f64 {
+    let stokes_comm_per_step = |name: &str, p: usize| -> f64 {
         if p == 1 {
             return 0.0;
         }
         let a2a = machine.t_alltoallv(surface_bytes, 26);
         let ar = machine.t_allreduce(8.0, p);
         let lg = (p as f64).log2().ceil();
-        match phase {
-            Phase::Minres => iters_per_step * (a2a + 2.0 * ar),
-            Phase::AmgSolve => iters_per_step * 3.0 * lg * ar, // level sweep barriers
-            Phase::AmgSetup => (1.0 / adapt_every as f64) * lg * lg * (ar + a2a),
-            Phase::TimeIntegration => 4.0 * a2a,
-            Phase::BalanceTree => (6.0 * (a2a + ar)) / adapt_every as f64,
-            Phase::PartitionTree => (4.0 * a2a + ar) / adapt_every as f64,
-            Phase::ExtractMesh => (5.0 * a2a + 4.0 * ar) / adapt_every as f64,
-            Phase::MarkElements => 40.0 * ar / adapt_every as f64,
-            Phase::TransferFields => 2.0 * a2a / adapt_every as f64,
+        match name {
+            "MINRES" => iters_per_step * (a2a + 2.0 * ar),
+            "AMGSolve" => iters_per_step * 3.0 * lg * ar, // level sweep barriers
+            "AMGSetup" => (1.0 / adapt_every as f64) * lg * lg * (ar + a2a),
             _ => 0.0,
         }
     };
+    let local_per_step =
+        |host_sec: f64| machine.t_fem_flops(host_to_flops(host_sec)) / steps as f64;
+    // The MINRES span wraps the V-cycles it triggers; the paper's MINRES
+    // column excludes them.
+    let minres_sec = (serial.incl_seconds("MINRES") - serial.incl_seconds("AMGSolve")).max(0.0);
 
     let mut table = Table::new(&[
         "#cores",
@@ -76,18 +77,21 @@ fn main() {
         "Stokes %",
     ]);
     for &p in &paper_core_counts(16384) {
-        let per_step = |ph: Phase| -> f64 {
-            machine.t_fem_flops(host_to_flops(timers.get(ph))) / steps as f64 + comm_per_step(ph, p)
-        };
-        let amr: f64 = Phase::ALL
+        let table_comm = |name: &str| phase_comm_seconds(name, p, &machine, surface_bytes);
+        let amr: f64 = PAPER_PHASES
             .iter()
-            .filter(|ph| ph.is_amr())
-            .map(|&ph| per_step(ph))
+            .filter(|(_, cat)| *cat == "amr")
+            .map(|(name, _)| {
+                local_per_step(serial.incl_seconds(name)) + table_comm(name) / adapt_every as f64
+            })
             .sum();
-        let ti = per_step(Phase::TimeIntegration);
-        let mr = per_step(Phase::Minres);
-        let ags = per_step(Phase::AmgSetup);
-        let agv = per_step(Phase::AmgSolve);
+        let ti =
+            local_per_step(serial.incl_seconds("TimeIntegration")) + table_comm("TimeIntegration");
+        let mr = local_per_step(minres_sec) + stokes_comm_per_step("MINRES", p);
+        let ags =
+            local_per_step(serial.incl_seconds("AMGSetup")) + stokes_comm_per_step("AMGSetup", p);
+        let agv =
+            local_per_step(serial.incl_seconds("AMGSolve")) + stokes_comm_per_step("AMGSolve", p);
         let total = amr + ti + mr + ags + agv;
         let stokes_pct = 100.0 * (mr + ags + agv) / total;
         table.row(&[
@@ -108,11 +112,11 @@ fn main() {
         "  {:<18} {:>6} {:>10} {:>12}",
         "phase", "count", "incl s", "incl s/step"
     );
-    for ph in Phase::ALL {
-        if let Some(st) = serial.phases.get(ph.label()) {
+    for (name, _) in PAPER_PHASES {
+        if let Some(st) = serial.phases.get(name) {
             println!(
                 "  {:<18} {:>6} {:>10.3} {:>12.4}",
-                ph.label(),
+                name,
                 st.count,
                 st.incl_seconds(),
                 st.incl_seconds() / steps as f64
@@ -146,13 +150,6 @@ fn main() {
          comm time {:.4} s (merged incl)",
         merged.cat_incl_seconds("comm")
     );
-    // Measured collective trees at virtual P: fig8's collective-depth
-    // terms come from log₂(P) in the machine model; the virtual-rank
-    // executor validates the assumption with real software trees at the
-    // same world sizes the model extrapolates to.
-    println!();
-    rhea_bench::report_virtual_tree_collectives(&[256, 1024], 8, 5);
-
     let extra = Value::object([
         ("figure", Value::from("fig8")),
         ("ranks", Value::from(ranks as u64)),

@@ -7,8 +7,7 @@
 //! paper's core counts (DESIGN.md substitution #1). Measured rows are
 //! tagged `measured`; extrapolated rows are tagged `modeled`.
 
-use scomm::machine::TreeSample;
-use scomm::{CommStats, MachineModel};
+use scomm::MachineModel;
 
 /// Print a figure/table banner.
 pub fn banner(id: &str, paper: &str) {
@@ -43,23 +42,62 @@ pub fn paper_core_counts(max: usize) -> Vec<usize> {
     v
 }
 
-/// Modeled end-to-end time for one rank of a bulk-synchronous phase:
-/// local work (perfectly partitioned) plus the communication model
-/// applied to per-rank message statistics.
-pub fn modeled_phase_time(
-    machine: &MachineModel,
-    flops_per_rank: f64,
-    stats: &CommStats,
-    cores: usize,
-) -> f64 {
-    machine.t_fem_flops(flops_per_rank) + machine.t_comm(stats, cores)
-}
+/// The paper's thirteen runtime phases (Figs. 7, 8, 10) in legend order:
+/// `(obs span name, category)`. The figure harnesses read each phase's
+/// time as `Summary::incl_seconds(name)`; "AMR time" is the sum over the
+/// `amr` rows. The `MINRES` span wraps the `AMGSolve` V-cycles it
+/// triggers, so the paper's "MINRES" column is
+/// `incl("MINRES") − incl("AMGSolve")`.
+pub const PAPER_PHASES: [(&str, &str); 13] = [
+    ("NewTree", "amr"),
+    ("CoarsenTree", "amr"),
+    ("RefineTree", "amr"),
+    ("BalanceTree", "amr"),
+    ("PartitionTree", "amr"),
+    ("ExtractMesh", "amr"),
+    ("InterpolateFields", "amr"),
+    ("TransferFields", "amr"),
+    ("MarkElements", "amr"),
+    ("TimeIntegration", "solve"),
+    ("MINRES", "solve"),
+    ("AMGSetup", "solve"),
+    ("AMGSolve", "solve"),
+];
 
-/// Scale a measured per-rank communication record to a different world
-/// size, holding per-rank volume fixed (weak scaling) — collective counts
-/// stay, point-to-point volume stays; the model adds the log(P) factors.
-pub fn weak_scale_stats(stats: &CommStats) -> CommStats {
-    stats.clone()
+/// Modeled communication seconds of one occurrence of a paper phase on
+/// `p` cores — one mesh adaptation for the `amr` rows, one time step for
+/// `TimeIntegration` — from the collective structure of the algorithm:
+///
+/// * `BalanceTree`: ~6 rounds of neighbor alltoallv + allreduce;
+/// * `PartitionTree`: bulk element movement (4 alltoallv) + the marker
+///   allgather (`update_markers` is an `allgatherv_into`);
+/// * `ExtractMesh`: ghost alltoallv + gid lookups (5) + 4 allgathers;
+/// * `MarkElements`: ~40 allreduce bisection iterations;
+/// * `TransferFields`: 2 alltoallv (volume = fields);
+/// * `NewTree`: the marker allgather;
+/// * `TimeIntegration`: 4 surface-volume ghost exchanges per step;
+/// * `CoarsenTree`, `RefineTree`, `InterpolateFields`: local only.
+///
+/// The three Stokes rows depend on the measured iteration count and are
+/// modeled where it is known (`fig8_full_breakdown`); they return 0 here.
+/// `surface_bytes` is the per-rank ghost-surface volume of one exchange.
+pub fn phase_comm_seconds(span: &str, p: usize, machine: &MachineModel, surface_bytes: f64) -> f64 {
+    if p == 1 {
+        return 0.0;
+    }
+    let a2a = machine.t_alltoallv(surface_bytes, 26); // neighbor exchange
+    let ar = machine.t_allreduce(8.0, p);
+    let ag = machine.t_allgather(8.0, p);
+    match span {
+        "BalanceTree" => 6.0 * (a2a + ar),
+        "PartitionTree" => 4.0 * a2a + ag,
+        "ExtractMesh" => 5.0 * a2a + 4.0 * ag,
+        "MarkElements" => 40.0 * ar,
+        "TransferFields" => 2.0 * a2a,
+        "NewTree" => ag,
+        "TimeIntegration" => 4.0 * a2a,
+        _ => 0.0,
+    }
 }
 
 /// A simple aligned table printer.
@@ -104,99 +142,13 @@ impl Table {
     }
 }
 
-/// Measure real software collective trees at virtual world sizes: for
-/// each `p` in `world_sizes` and each payload in `payload_elems` (f64
-/// elements), run `reps` binomial [`scomm::Comm::allreduce_tree`] calls
-/// over `workers` OS threads on the virtual executor and record the
-/// median wall time per call on rank 0 (barrier-fenced). Every hop is a
-/// real park/resume through the scheduler, so the sample's `rounds`
-/// field — `2·⌈log₂ p⌉`, reduce plus broadcast — is the *measured* tree
-/// depth, not an extrapolation; feed the samples to
-/// [`scomm::machine::fit_alpha_beta`] to recover the host's effective
-/// α–β parameters.
-pub fn measure_tree_collectives(
-    world_sizes: &[usize],
-    workers: usize,
-    payload_elems: &[usize],
-    reps: usize,
-) -> Vec<TreeSample> {
-    use std::time::Instant;
-    let mut samples = Vec::new();
-    for &p in world_sizes {
-        for &elems in payload_elems {
-            let secs = scomm::spmd::run_virtual(p, workers, move |c| {
-                let data = vec![1.0f64; elems];
-                // Warm the tree (stacks, mailboxes) before timing.
-                c.allreduce_tree(&data, |a, b| a + b);
-                let mut times = Vec::with_capacity(reps);
-                for _ in 0..reps {
-                    c.barrier();
-                    let t0 = Instant::now();
-                    let s = c.allreduce_tree(&data, |a, b| a + b);
-                    times.push(t0.elapsed().as_secs_f64());
-                    assert_eq!(s[0], p as f64);
-                }
-                times.sort_by(|a, b| a.partial_cmp(b).unwrap());
-                times[times.len() / 2]
-            });
-            samples.push(TreeSample {
-                p,
-                rounds: 2 * scomm::tree_depth(p),
-                bytes: (elems * 8) as f64,
-                seconds: secs[0],
-            });
-        }
-    }
-    samples
-}
-
-/// Measure software collective trees at virtual P and print the
-/// measured-vs-extrapolated comparison the fig7/fig8 harnesses embed:
-/// for each world size, the binomial allreduce wall time over `workers`
-/// OS threads next to what the Ranger model's flat `t_allreduce`
-/// extrapolation claims, plus the α–β parameters fitted from the
-/// measured samples. Returns the fit (None if the samples were
-/// degenerate, e.g. a single world size).
-pub fn report_virtual_tree_collectives(
-    world_sizes: &[usize],
-    workers: usize,
-    reps: usize,
-) -> Option<scomm::machine::AlphaBetaFit> {
-    let samples = measure_tree_collectives(world_sizes, workers, &[1, 512], reps);
-    let machine = MachineModel::ranger();
-    let mut table = Table::new(&["P", "rounds", "bytes", "measured us", "ranger model us"]);
-    for s in &samples {
-        table.row(&[
-            s.p.to_string(),
-            s.rounds.to_string(),
-            format!("{:.0}", s.bytes),
-            format!("{:.1}", s.seconds * 1e6),
-            format!("{:.1}", machine.t_allreduce(s.bytes, s.p) * 1e6),
-        ]);
-    }
-    println!(
-        "measured collective trees at virtual P (allreduce over {workers} workers, \
-         2*ceil(log2 P) real message rounds):"
-    );
-    table.print();
-    let fit = scomm::machine::fit_alpha_beta(&samples);
-    if let Some(f) = &fit {
-        println!(
-            "  host alpha-beta fit: alpha = {:.2} us/round, rel RMS misfit {:.1}%",
-            f.alpha * 1e6,
-            f.rel_rms_error(&samples) * 100.0
-        );
-    }
-    fit
-}
-
 /// Shared full-convection workload used by the Fig. 8 and Fig. 10
 /// harnesses: runs RHEA (Stokes + transport + AMR every `adapt_every`
 /// steps) on `ranks` simulated ranks with tracing on, and returns the
 /// per-rank telemetry profiles, the element count, and total MINRES
 /// iterations. The profiles carry the full span/series/histogram record —
-/// write them with [`obs::ObsSession`] or collapse them with
-/// [`rhea::timers::PhaseTimers::from_summary`].
+/// write them with [`obs::ObsSession`] or read phase times from each
+/// profile's [`obs::Summary`] by [`PAPER_PHASES`] span name.
 pub fn convection_workload_traced(
     ranks: usize,
     level: u8,
@@ -236,20 +188,6 @@ pub fn convection_workload_traced(
     (profiles, n_elem, iters)
 }
 
-/// Classic view of [`convection_workload_traced`]: rank 0's phase timers
-/// (via the obs compat mapping), the element count, and total MINRES
-/// iterations.
-pub fn convection_workload(
-    ranks: usize,
-    level: u8,
-    steps: usize,
-    adapt_every: usize,
-) -> (rhea::timers::PhaseTimers, u64, usize) {
-    let (profiles, n_elem, iters) = convection_workload_traced(ranks, level, steps, adapt_every);
-    let timers = rhea::timers::PhaseTimers::from_summary(&profiles[0].summary);
-    (timers, n_elem, iters)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -268,6 +206,50 @@ mod tests {
         assert!(v.contains(&1) && v.contains(&16384) && v.contains(&62464));
         let w = paper_core_counts(8);
         assert_eq!(w, vec![1, 2, 4, 8]);
+    }
+
+    /// Every [`PAPER_PHASES`] row names a span the convection loop
+    /// really records, under the listed category: a renamed span fails
+    /// here instead of silently zeroing a figure column.
+    #[test]
+    fn paper_phases_are_recorded_by_the_convection_loop() {
+        let (profiles, _, _) = convection_workload_traced(1, 2, 3, 2);
+        let summary = &profiles[0].summary;
+        for (name, cat) in PAPER_PHASES {
+            let st = summary
+                .phases
+                .get(name)
+                .unwrap_or_else(|| panic!("{name} not recorded"));
+            assert_eq!(st.cat, cat, "{name}");
+            assert!(st.incl_ns > 0, "{name}");
+        }
+    }
+
+    /// The communication table matches spans by name, so a misspelt arm
+    /// would silently model zero: pin which rows communicate.
+    #[test]
+    fn comm_model_rows_are_paper_phases() {
+        let machine = MachineModel::ranger();
+        let communicating: Vec<&str> = PAPER_PHASES
+            .iter()
+            .map(|&(name, _)| name)
+            .filter(|name| phase_comm_seconds(name, 1024, &machine, 1e4) > 0.0)
+            .collect();
+        assert_eq!(
+            communicating,
+            [
+                "NewTree",
+                "BalanceTree",
+                "PartitionTree",
+                "ExtractMesh",
+                "TransferFields",
+                "MarkElements",
+                "TimeIntegration"
+            ]
+        );
+        for (name, _) in PAPER_PHASES {
+            assert_eq!(phase_comm_seconds(name, 1, &machine, 1e4), 0.0);
+        }
     }
 
     /// The figure harnesses' acceptance path: a 4-rank traced run must

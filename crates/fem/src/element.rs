@@ -45,25 +45,22 @@ pub fn shape_grad(c: usize, x: f64, y: f64, z: f64) -> [f64; 3] {
 /// Iterate the 8 tensor-product Gauss points: yields
 /// `(weight · |J|, [x,y,z], [N_0..N_7], [∇N_0..∇N_7])` with *physical*
 /// gradients for a box of size `h`.
-pub fn quad_points(h: [f64; 3]) -> Vec<(f64, [f64; 3], [f64; 8], [[f64; 3]; 8])> {
+pub fn quad_points(h: [f64; 3]) -> [(f64, [f64; 3], [f64; 8], [[f64; 3]; 8]); 8] {
     let jac = h[0] * h[1] * h[2];
-    let mut out = Vec::with_capacity(8);
-    for &(gz, wz) in &GAUSS_2 {
-        for &(gy, wy) in &GAUSS_2 {
-            for &(gx, wx) in &GAUSS_2 {
-                let w = wx * wy * wz * jac;
-                let mut n = [0.0; 8];
-                let mut g = [[0.0; 3]; 8];
-                for c in 0..8 {
-                    n[c] = shape(c, gx, gy, gz);
-                    let gr = shape_grad(c, gx, gy, gz);
-                    g[c] = [gr[0] / h[0], gr[1] / h[1], gr[2] / h[2]];
-                }
-                out.push((w, [gx, gy, gz], n, g));
-            }
+    std::array::from_fn(|q| {
+        let (gx, wx) = GAUSS_2[q & 1];
+        let (gy, wy) = GAUSS_2[(q >> 1) & 1];
+        let (gz, wz) = GAUSS_2[(q >> 2) & 1];
+        let w = wx * wy * wz * jac;
+        let mut n = [0.0; 8];
+        let mut g = [[0.0; 3]; 8];
+        for c in 0..8 {
+            n[c] = shape(c, gx, gy, gz);
+            let gr = shape_grad(c, gx, gy, gz);
+            g[c] = [gr[0] / h[0], gr[1] / h[1], gr[2] / h[2]];
         }
-    }
-    out
+        (w, [gx, gy, gz], n, g)
+    })
 }
 
 /// Consistent mass matrix `∫ N_i N_j`.

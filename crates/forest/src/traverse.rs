@@ -117,11 +117,6 @@ impl GhostLayer {
         self.entries.is_empty()
     }
 
-    /// Entries of face provenance only (what a face-flux consumer needs).
-    pub fn face_entries(&self) -> impl Iterator<Item = &GhostEntry> {
-        self.entries.iter().filter(|e| e.kind == GhostKind::Face)
-    }
-
     pub fn capacity_bytes(&self) -> u64 {
         (self.entries.capacity() * std::mem::size_of::<GhostEntry>()) as u64
     }
@@ -813,22 +808,6 @@ impl<'c> Forest<'c> {
         });
     }
 
-    /// Recursive search over the merged local+ghost view: the leaf array
-    /// handed to callbacks interleaves local and ghost leaves in curve
-    /// order (disambiguate with [`Forest::owner_of`]).
-    pub fn search_with_ghosts<V: FnMut(&SearchNode<'_>) -> bool>(
-        &self,
-        ghosts: &GhostLayer,
-        visit: &mut V,
-    ) {
-        let merged = self.merged_leaves(ghosts);
-        let keys: Vec<u64> = merged.iter().map(|l| l.oct.raw()).collect();
-        let mut ctx = SearchCtx::new(&merged, &keys);
-        for_each_tree_range(&merged, |t, lo, hi| {
-            ctx.recurse(t, Octant::root(), lo, hi, visit);
-        });
-    }
-
     /// Multi-point recursive search: `point_in(node, q)` keeps query `q`
     /// alive below `node`; `matched(node, i, q)` fires at bottomed-out
     /// leaves for every surviving query. A query can match several
@@ -844,23 +823,6 @@ impl<'c> Forest<'c> {
         for_each_tree_range(&self.local, |t, lo, hi| {
             ctx.recurse_points(t, Octant::root(), lo, hi, points, &all, point_in, matched);
         });
-    }
-
-    fn merged_leaves(&self, ghosts: &GhostLayer) -> Vec<ForestLeaf> {
-        let mut merged = Vec::with_capacity(self.local.len() + ghosts.len());
-        let (mut i, mut j) = (0usize, 0usize);
-        while i < self.local.len() || j < ghosts.len() {
-            let take_local = j >= ghosts.len()
-                || (i < self.local.len() && self.local[i] < ghosts.entries[j].leaf);
-            if take_local {
-                merged.push(self.local[i]);
-                i += 1;
-            } else {
-                merged.push(ghosts.entries[j].leaf);
-                j += 1;
-            }
-        }
-        merged
     }
 
     fn merged_view(&self, ghosts: &GhostLayer) -> Vec<(ForestLeaf, LeafOrigin)> {

@@ -56,7 +56,6 @@ impl Default for AmgOptions {
     }
 }
 
-#[derive(Clone)]
 struct Level {
     a: Csr,
     diag: Vec<f64>,
@@ -65,7 +64,6 @@ struct Level {
     r: Csr,
 }
 
-#[derive(Clone)]
 enum CoarseSolve {
     Cholesky(Cholesky),
     Lu(Lu),
@@ -76,7 +74,7 @@ enum CoarseSolve {
 /// Per-level V-cycle scratch (residual, restricted residual, coarse
 /// correction, prolonged correction), sized at setup so steady-state
 /// V-cycles are allocation-free.
-#[derive(Clone, Default)]
+#[derive(Default)]
 struct CycleScratch {
     r: Vec<f64>,
     rc: Vec<f64>,
@@ -86,7 +84,6 @@ struct CycleScratch {
 
 /// A smoothed-aggregation AMG hierarchy for an SPD (or semi-definite)
 /// matrix.
-#[derive(Clone)]
 pub struct Amg {
     levels: Vec<Level>,
     coarse_a: Csr,

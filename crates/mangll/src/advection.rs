@@ -698,15 +698,6 @@ impl<'f, 'c> DgAdvection<'f, 'c> {
         }
         self.forest.comm().allreduce_max(&[local])[0]
     }
-
-    /// Per-element mean |u| (useful as an adaptation indicator).
-    pub fn element_means(&self) -> Vec<f64> {
-        let n3 = self.ed.n3();
-        self.u
-            .chunks(n3)
-            .map(|c| c.iter().map(|v| v.abs()).sum::<f64>() / n3 as f64)
-            .collect()
-    }
 }
 
 impl<'f, 'c> DgAdvection<'f, 'c> {

@@ -236,14 +236,6 @@ impl ElementDerivative {
             }
         }
     }
-
-    /// Apply with the chosen kernel.
-    pub fn apply_batch(&self, kernel: DerivativeKernel, u: &[f64], out: &mut [f64], nelem: usize) {
-        match kernel {
-            DerivativeKernel::MatrixBased => self.apply_matrix_batch(u, out, nelem),
-            DerivativeKernel::TensorProduct => self.apply_tensor_batch(u, out, nelem),
-        }
-    }
 }
 
 #[cfg(test)]

@@ -379,22 +379,6 @@ impl Mesh {
         }
         out
     }
-
-    /// Scatter per-corner contributions of element `e` into a local
-    /// residual vector, transposing the hanging-node constraints
-    /// (element-level `Cᵀ` application).
-    pub fn scatter_corners(&self, e: usize, contrib: &[f64; 8], v: &mut [f64]) {
-        for (c, &nref) in self.elem_nodes[e].iter().enumerate() {
-            match &self.node_table[nref as usize] {
-                NodeResolution::Dof(d) => v[*d] += contrib[c],
-                NodeResolution::Constrained(terms) => {
-                    for &(d, w) in terms {
-                        v[d] += w * contrib[c];
-                    }
-                }
-            }
-        }
-    }
 }
 
 /// Vertex keys of a leaf (z-order).

@@ -100,17 +100,6 @@ pub fn coarsen_marked_with(
     count
 }
 
-/// [`refine`] with precomputed per-leaf marks.
-pub fn refine_marked(leaves: &mut Vec<Octant>, marks: &[bool]) -> usize {
-    assert_eq!(leaves.len(), marks.len());
-    let mut i = 0;
-    refine(leaves, |_| {
-        let m = marks[i];
-        i += 1;
-        m
-    })
-}
-
 /// Remove overlaps from a sorted octant list, keeping the *finest* octants
 /// (drop any octant that is a strict ancestor of the one following it).
 /// Input must be sorted; duplicates are removed too.

@@ -13,11 +13,6 @@ use crate::ops::{self, find_containing};
 use crate::simd;
 use scomm::{pod, Comm};
 
-/// Tags for point-to-point traffic (none currently needed; all exchanges
-/// are alltoallv-based).
-#[allow(dead_code)]
-const TAG_BALANCE: u64 = 0x0c7ee;
-
 /// Grow-only scratch for the distributed adaptation hot path. One instance
 /// lives inside each [`DistOctree`]; once every buffer has reached its
 /// steady-state capacity a warm mark→refine→coarsen→balance→partition

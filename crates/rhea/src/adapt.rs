@@ -109,7 +109,7 @@ pub struct AdaptReport {
 }
 
 /// Per-element gradient error indicator `η_e = h ‖∇T‖` at the element
-/// center — the refinement criterion driving `MarkElements`. (The paper
+/// center — the quantity `MarkElements` thresholds. (The paper
 /// also supports adjoint-based indicators; the gradient indicator is the
 /// standard feature-tracking choice for the transport-driven runs.)
 pub fn gradient_indicator(mesh: &Mesh, comm: &Comm, t_owned: &[f64]) -> Vec<f64> {
@@ -141,8 +141,8 @@ pub fn gradient_indicator(mesh: &Mesh, comm: &Comm, t_owned: &[f64]) -> Vec<f64>
 ///
 /// Every pipeline stage is recorded as an `amr`-category span named after
 /// the paper's phase (`MarkElements`, `BalanceTree`, …) under one `AMR`
-/// umbrella span; [`crate::timers::PhaseTimers::from_summary`] recovers
-/// the classic per-phase seconds from the recorder's summary.
+/// umbrella span; read per-phase seconds with
+/// [`obs::Summary::incl_seconds`] by span name.
 pub fn adapt_mesh(
     tree: &mut DistOctree,
     old_mesh: &Mesh,
@@ -409,23 +409,25 @@ mod tests {
                     new_fields[0][d]
                 );
             }
-            // The recorder captured every pipeline phase, and the compat
-            // view recovers paper-style totals from it.
+            // The recorder captured every pipeline phase under the
+            // paper's span name (the figure harnesses read these by name).
             let summary = rec.summary();
             for phase in [
                 "MarkElements",
+                "RefineTree",
+                "CoarsenTree",
                 "BalanceTree",
+                "ExtractMesh",
+                "InterpolateFields",
                 "PartitionTree",
                 "TransferFields",
             ] {
-                assert!(summary.phases.contains_key(phase), "{phase} missing");
+                assert!(summary.incl_seconds(phase) > 0.0, "{phase} not recorded");
             }
             assert_eq!(
                 summary.phases["ExtractMesh"].count, 2,
                 "pre- and post-partition"
             );
-            let timers = crate::timers::PhaseTimers::from_summary(&summary);
-            assert!(timers.amr_total() > 0.0);
         });
     }
 

@@ -10,7 +10,6 @@
 //!
 //! Modules:
 //!
-//! * [`timers`] — named phase timers matching the paper's breakdowns;
 //! * [`rheology`] — the Section VI three-layer temperature-dependent
 //!   viscosity with plastic yielding;
 //! * [`transport`] — predictor–corrector SUPG transport (eq. (3));
@@ -21,11 +20,9 @@
 pub mod adapt;
 pub mod convection;
 pub mod rheology;
-pub mod timers;
 pub mod transport;
 
 pub use adapt::{adapt_mesh, adapt_mesh_ws, AdaptParams, AdaptReport, AdaptWorkspace};
 pub use convection::{ConvectionParams, ConvectionSim, StepReport};
 pub use rheology::{ViscosityLaw, YieldingLaw};
-pub use timers::{Phase, PhaseTimers};
 pub use transport::{TransportParams, TransportSolver};

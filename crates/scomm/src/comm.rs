@@ -301,11 +301,6 @@ impl Comm {
         self.stats.borrow().clone()
     }
 
-    /// Reset the statistics counters (e.g. between benchmark phases).
-    pub fn reset_stats(&self) {
-        *self.stats.borrow_mut() = CommStats::default();
-    }
-
     /// Attach a telemetry recorder. From here on every communication op
     /// records a span named `comm:<op>` (category `"comm"`) — wait time at
     /// barriers shows up as span duration — and payload sizes are recorded

@@ -46,7 +46,6 @@
 //! assert!(results.iter().all(|&s| s == 10.0));
 //! ```
 
-pub mod coll_tree;
 pub mod comm;
 pub mod fault;
 pub mod gate;
@@ -57,7 +56,6 @@ pub mod spmd;
 pub mod stats;
 pub mod vrank;
 
-pub use coll_tree::tree_depth;
 pub use comm::{Comm, OVERLAP_COUNTER};
 pub use fault::{FaultCounters, FaultPlan};
 pub use gate::checks_enabled;

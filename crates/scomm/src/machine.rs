@@ -23,110 +23,6 @@
 
 use crate::stats::CommStats;
 
-/// One measured collective-tree execution: the harness ran a binomial
-/// collective ([`crate::coll_tree`]) over `p` virtual ranks, which took
-/// `rounds` = [`crate::tree_depth`]`(p)` message rounds moving `bytes`
-/// per rank along the critical path, and took `seconds` of wall clock.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct TreeSample {
-    pub p: usize,
-    pub rounds: usize,
-    /// Bytes carried per tree round on the critical path.
-    pub bytes: f64,
-    pub seconds: f64,
-}
-
-/// Postal-model parameters recovered from measured tree collectives.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct AlphaBetaFit {
-    /// Per-message latency α, seconds.
-    pub alpha: f64,
-    /// Bandwidth β, bytes/second (`f64::INFINITY` when the samples carry
-    /// no resolvable bandwidth term).
-    pub beta: f64,
-}
-
-impl AlphaBetaFit {
-    /// Modeled time for a tree collective of `rounds` rounds moving
-    /// `bytes` per round: `rounds · (α + bytes/β)`.
-    pub fn predict(&self, rounds: usize, bytes: f64) -> f64 {
-        rounds as f64 * (self.alpha + bytes / self.beta)
-    }
-
-    /// Root-mean-square *relative* misfit of the model over `samples`
-    /// (0 = perfect). The bench harness reports this as the validation
-    /// number next to the fitted parameters.
-    pub fn rel_rms_error(&self, samples: &[TreeSample]) -> f64 {
-        if samples.is_empty() {
-            return 0.0;
-        }
-        let mut acc = 0.0;
-        for s in samples {
-            let pred = self.predict(s.rounds, s.bytes);
-            let rel = if s.seconds > 0.0 {
-                (pred - s.seconds) / s.seconds
-            } else {
-                0.0
-            };
-            acc += rel * rel;
-        }
-        (acc / samples.len() as f64).sqrt()
-    }
-}
-
-/// Least-squares fit of the α–β postal model to measured tree
-/// collectives: minimizes `Σ (rounds·α + rounds·bytes·β⁻¹ − seconds)²`
-/// over (α, β⁻¹) via the 2×2 normal equations. This is the inverse
-/// direction of [`MachineModel`]: instead of assuming Ranger's α–β and
-/// predicting times, it recovers the *host's* effective parameters from
-/// the virtual-executor measurements, validating that measured collective
-/// depth really scales as ⌈log₂ P⌉ (the fig7/fig8 story).
-///
-/// Returns `None` for fewer than two samples or a singular system (e.g.
-/// all samples at one world size). If the bandwidth term is numerically
-/// irrelevant (zero-byte payloads), `beta` comes back infinite and the
-/// fit is latency-only.
-pub fn fit_alpha_beta(samples: &[TreeSample]) -> Option<AlphaBetaFit> {
-    if samples.len() < 2 {
-        return None;
-    }
-    // Design matrix columns: a_i = rounds_i, b_i = rounds_i · bytes_i.
-    let (mut saa, mut sab, mut sbb, mut sat, mut sbt) = (0.0f64, 0.0, 0.0, 0.0, 0.0);
-    for s in samples {
-        let a = s.rounds as f64;
-        let b = s.rounds as f64 * s.bytes;
-        saa += a * a;
-        sab += a * b;
-        sbb += b * b;
-        sat += a * s.seconds;
-        sbt += b * s.seconds;
-    }
-    if sbb == 0.0 {
-        // No bytes moved anywhere: latency-only fit.
-        if saa == 0.0 {
-            return None;
-        }
-        return Some(AlphaBetaFit {
-            alpha: sat / saa,
-            beta: f64::INFINITY,
-        });
-    }
-    let det = saa * sbb - sab * sab;
-    // Relative singularity test: collinear columns (single world size /
-    // single payload size cannot separate α from β).
-    if det.abs() <= 1e-12 * saa * sbb {
-        return None;
-    }
-    let alpha = (sat * sbb - sbt * sab) / det;
-    let inv_beta = (saa * sbt - sab * sat) / det;
-    let beta = if inv_beta > 0.0 {
-        1.0 / inv_beta
-    } else {
-        f64::INFINITY
-    };
-    Some(AlphaBetaFit { alpha, beta })
-}
-
 /// Parameters of the modeled machine.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct MachineModel {
@@ -173,11 +69,6 @@ impl MachineModel {
     /// Time to execute `flops` in a dense (BLAS3-like) kernel.
     pub fn t_dense_flops(&self, flops: f64) -> f64 {
         flops / (self.dense_efficiency * self.peak_flops_per_core)
-    }
-
-    /// Time to stream `bytes` through memory.
-    pub fn t_mem(&self, bytes: f64) -> f64 {
-        bytes / self.mem_bandwidth
     }
 
     /// Time for one point-to-point message of `bytes`.
@@ -287,61 +178,6 @@ mod tests {
             assert_eq!(o, comp.max(comm));
             assert_eq!(b, comp + comm);
         }
-    }
-
-    #[test]
-    fn alpha_beta_fit_recovers_synthetic_parameters() {
-        // Generate exact postal-model times at several world and payload
-        // sizes; the fit must recover the parameters to rounding.
-        let (alpha, beta) = (2.3e-6, 0.9e9);
-        let mut samples = Vec::new();
-        for p in [256usize, 1024, 4096] {
-            for bytes in [8.0f64, 4096.0, 65536.0] {
-                let rounds = crate::coll_tree::tree_depth(p);
-                samples.push(TreeSample {
-                    p,
-                    rounds,
-                    bytes,
-                    seconds: rounds as f64 * (alpha + bytes / beta),
-                });
-            }
-        }
-        let fit = fit_alpha_beta(&samples).unwrap();
-        assert!(
-            (fit.alpha - alpha).abs() / alpha < 1e-9,
-            "alpha = {}",
-            fit.alpha
-        );
-        assert!((fit.beta - beta).abs() / beta < 1e-9, "beta = {}", fit.beta);
-        assert!(fit.rel_rms_error(&samples) < 1e-9);
-        // Prediction at an unseen size interpolates the same model.
-        let rounds = crate::coll_tree::tree_depth(512);
-        let want = rounds as f64 * (alpha + 1024.0 / beta);
-        assert!((fit.predict(rounds, 1024.0) - want).abs() / want < 1e-9);
-    }
-
-    #[test]
-    fn alpha_beta_fit_rejects_degenerate_inputs() {
-        assert!(fit_alpha_beta(&[]).is_none());
-        let one = TreeSample {
-            p: 64,
-            rounds: 6,
-            bytes: 8.0,
-            seconds: 1e-5,
-        };
-        assert!(fit_alpha_beta(&[one]).is_none());
-        // Identical (rounds, bytes) rows cannot separate alpha from beta.
-        assert!(fit_alpha_beta(&[one, one]).is_none());
-        // Zero-byte samples: latency-only fit with infinite bandwidth.
-        let z = |rounds: usize| TreeSample {
-            p: 1 << rounds,
-            rounds,
-            bytes: 0.0,
-            seconds: rounds as f64 * 5e-6,
-        };
-        let fit = fit_alpha_beta(&[z(4), z(8)]).unwrap();
-        assert!((fit.alpha - 5e-6).abs() < 1e-18);
-        assert!(fit.beta.is_infinite());
     }
 
     #[test]

@@ -29,4 +29,4 @@ pub mod picard;
 pub mod solver;
 
 pub use picard::{picard_solve, PicardOptions, PicardResult};
-pub use solver::{StokesOptions, StokesSolver, StokesStats};
+pub use solver::{StokesOptions, StokesSolver};

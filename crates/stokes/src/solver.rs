@@ -110,16 +110,6 @@ impl DotBatch for CombinedDots<'_> {
     }
 }
 
-/// Measured phase timings and iteration counts (feeds Figs. 2 and 8).
-#[derive(Debug, Clone, Copy, Default)]
-pub struct StokesStats {
-    pub minres_iterations: usize,
-    pub amg_setup_seconds: f64,
-    pub amg_vcycle_seconds: f64,
-    pub minres_seconds: f64,
-    pub amg_levels: usize,
-}
-
 /// A variable-viscosity Stokes solver bound to a mesh.
 ///
 /// Unknown layout: `[u₀x u₀y u₀z u₁x … | p₀ p₁ …]` — velocity block of
@@ -135,13 +125,14 @@ pub struct StokesSolver<'a> {
     vmap: DofMap<'a>,
     smap: DofMap<'a>,
     /// AMG hierarchies on the rank-local η-weighted scalar Poisson
-    /// block, one per velocity component (their Dirichlet masks differ
-    /// under free-slip conditions).
+    /// block, one per *distinct* velocity-component Dirichlet mask (the
+    /// masks differ under free-slip conditions).
     amg: Vec<Amg>,
+    /// Velocity component → index into `amg`.
+    amg_of_comp: [usize; 3],
     /// Inverse of the η⁻¹-weighted lumped pressure mass diagonal.
     schur_diag_inv: Vec<f64>,
     ws: RefCell<SolverWorkspace>,
-    pub stats: StokesStats,
     options: StokesOptions,
 }
 
@@ -167,9 +158,9 @@ impl<'a> StokesSolver<'a> {
             vmap,
             smap,
             amg: Vec::new(),
+            amg_of_comp: [0; 3],
             schur_diag_inv: Vec::new(),
             ws: RefCell::new(SolverWorkspace::default()),
-            stats: StokesStats::default(),
             options,
         };
         solver.setup();
@@ -188,7 +179,6 @@ impl<'a> StokesSolver<'a> {
     /// Poisson owned block, build AMG, and the Schur diagonal.
     pub fn setup(&mut self) {
         let _span = self.recorder().map(|r| r.span_cat("AMGSetup", "solve"));
-        let t0 = std::time::Instant::now();
         // One scalar η-weighted Poisson hierarchy per velocity component:
         // under free-slip conditions the components carry different
         // Dirichlet masks, and using a shared all-boundary mask degrades
@@ -234,18 +224,14 @@ impl<'a> StokesSolver<'a> {
             eq[idx] == p
         };
         self.amg.clear();
-        let mut built: Vec<(usize, usize)> = Vec::new(); // (mask idx, amg idx)
         for comp in 0..3 {
-            if let Some(&(_, idx)) = built.iter().find(|&&(m, _)| globally_equal(m, comp)) {
-                let shared = self.amg[idx].clone();
-                self.amg.push(shared);
+            if let Some(earlier) = (0..comp).find(|&m| globally_equal(m, comp)) {
+                self.amg_of_comp[comp] = self.amg_of_comp[earlier];
                 continue;
             }
             let a_block = fem::assembly::assemble_owned_block(&self.smap, &src, Some(&masks[comp]));
-            let amg = Amg::new(a_block, self.options.amg);
-            self.stats.amg_levels = amg.num_levels();
-            built.push((comp, self.amg.len()));
-            self.amg.push(amg);
+            self.amg_of_comp[comp] = self.amg.len();
+            self.amg.push(Amg::new(a_block, self.options.amg));
         }
 
         // Schur approximation: lumped pressure mass weighted by 1/η.
@@ -260,7 +246,6 @@ impl<'a> StokesSolver<'a> {
             .iter()
             .map(|&v| if v > 0.0 { 1.0 / v } else { 1.0 })
             .collect();
-        self.stats.amg_setup_seconds += t0.elapsed().as_secs_f64();
     }
 
     /// Total owned unknowns (velocity + pressure).
@@ -381,7 +366,7 @@ impl<'a> StokesSolver<'a> {
     pub fn apply_preconditioner(&self, r: &[f64], z: &mut [f64]) {
         let n = self.mesh.n_owned;
         let nu = 3 * n;
-        assert_eq!(self.amg.len(), 3, "setup() must run first");
+        assert!(!self.amg.is_empty(), "setup() must run first");
         let mut ws_ref = self.ws.borrow_mut();
         let ws = &mut *ws_ref;
         ws.rc.clear();
@@ -392,7 +377,7 @@ impl<'a> StokesSolver<'a> {
             for i in 0..n {
                 ws.rc[i] = r[3 * i + c];
             }
-            self.amg[c].vcycle(&ws.rc, &mut ws.zc);
+            self.amg[self.amg_of_comp[c]].vcycle(&ws.rc, &mut ws.zc);
             for i in 0..n {
                 z[3 * i + c] = ws.zc[i];
             }
@@ -415,16 +400,14 @@ impl<'a> StokesSolver<'a> {
                 self.0.n_owned()
             }
         }
-        struct PreWrap<'s, 'a>(&'s StokesSolver<'a>, std::cell::Cell<f64>, Option<Recorder>);
+        struct PreWrap<'s, 'a>(&'s StokesSolver<'a>, Option<Recorder>);
         impl LinearOp for PreWrap<'_, '_> {
             fn apply(&self, r: &[f64], z: &mut [f64]) {
-                let _span = self.2.as_ref().map(|rec| {
+                let _span = self.1.as_ref().map(|rec| {
                     rec.add_count("amg.vcycles", 3); // one per velocity component
                     rec.span_cat("AMGSolve", "solve")
                 });
-                let t0 = std::time::Instant::now();
                 self.0.apply_preconditioner(r, z);
-                self.1.set(self.1.get() + t0.elapsed().as_secs_f64());
             }
             fn len(&self) -> usize {
                 self.0.n_owned()
@@ -432,15 +415,14 @@ impl<'a> StokesSolver<'a> {
         }
         let rec = self.recorder();
         let _span = rec.as_ref().map(|r| r.span_cat("MINRES", "solve"));
-        let t0 = std::time::Instant::now();
         // Snapshot communication stats and workspace capacity: their
         // deltas across the solve become the per-solve telemetry counters
         // (reductions per iteration, exchange messages, allocation proof).
         let stats0 = self.comm.stats();
         let cap0 = self.ws.borrow().capacity_bytes();
-        let (info, vcycle_secs) = {
+        let info = {
             let op = OpWrap(self);
-            let pre = PreWrap(self, std::cell::Cell::new(0.0), rec.clone());
+            let pre = PreWrap(self, rec.clone());
             let observe = |_iter: usize, res: f64| {
                 #[cfg(debug_assertions)]
                 if scomm::checks_enabled() {
@@ -455,7 +437,7 @@ impl<'a> StokesSolver<'a> {
                 }
             };
             let dots = CombinedDots(self.comm);
-            let info = minres(
+            minres(
                 &op,
                 Some(&pre),
                 rhs,
@@ -464,12 +446,8 @@ impl<'a> StokesSolver<'a> {
                 self.options.max_iter,
                 dots,
                 observe,
-            );
-            (info, pre.1.get())
+            )
         };
-        self.stats.minres_seconds += t0.elapsed().as_secs_f64();
-        self.stats.amg_vcycle_seconds += vcycle_secs;
-        self.stats.minres_iterations += info.iterations;
         if let Some(r) = rec.as_ref() {
             let stats1 = self.comm.stats();
             let cap1 = self.ws.borrow().capacity_bytes();

@@ -23,6 +23,11 @@ cargo test -q --workspace
 echo "==> CHECK_INVARIANTS=1 cargo test -q --workspace"
 CHECK_INVARIANTS=1 cargo test -q --workspace
 
+# The P = 256 MINRES executor differential is #[ignore]d in the debug
+# passes above (it dominated them); run it once, optimized.
+echo "==> vrank_diff P = 256 (release, --ignored)"
+cargo test -q --release -p check --test vrank_diff -- --ignored
+
 # Scalar-fallback job: build and test the octree crate with the AVX2
 # path compiled out entirely (--no-default-features drops the `simd`
 # feature). The kernel unit tests compare each dispatching kernel with a

@@ -216,11 +216,78 @@ pub fn pressure_stabilization(h: [f64; 3], eta: f64) -> [[f64; 8]; 8] {
     c
 }
 
+/// The unit-coefficient element blocks of the stabilized Stokes system
+/// on a box of size `h`, integrated once and scaled per element: on an
+/// axis-aligned box `viscous_matrix(h, η) = η·viscous`,
+/// `stiffness_matrix(h, η) = η·stiffness`,
+/// `pressure_stabilization(h, η) = stabilization/η`, and the divergence
+/// and mass blocks carry no coefficient. An octree mesh on a box domain
+/// has one `h` per refinement level, so callers keep one of these per
+/// level; a mapped geometry would keep one per element.
+pub struct StokesBlocks {
+    /// `viscous_matrix(h, 1)`.
+    pub viscous: [[f64; 24]; 24],
+    /// `divergence_matrix(h)`.
+    pub divergence: [[f64; 24]; 8],
+    /// `pressure_stabilization(h, 1)`.
+    pub stabilization: [[f64; 8]; 8],
+    /// `stiffness_matrix(h, 1)`.
+    pub stiffness: [[f64; 8]; 8],
+    /// `mass_matrix(h)`.
+    pub mass: [[f64; 8]; 8],
+    /// `lumped_mass(h)`.
+    pub lumped_mass: [f64; 8],
+}
+
+impl StokesBlocks {
+    pub fn new(h: [f64; 3]) -> Self {
+        StokesBlocks {
+            viscous: viscous_matrix(h, 1.0),
+            divergence: divergence_matrix(h),
+            stabilization: pressure_stabilization(h, 1.0),
+            stiffness: stiffness_matrix(h, 1.0),
+            mass: mass_matrix(h),
+            lumped_mass: lumped_mass(h),
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
 
     const H: [f64; 3] = [0.5, 0.25, 1.0];
+
+    /// The identity [`StokesBlocks`] rests on: the coefficient factors out
+    /// of every block to rounding, for anisotropic `h` and η over decades.
+    #[test]
+    fn coefficient_factors_out_of_every_block() {
+        fn assert_scaled<const N: usize>(
+            what: &str,
+            got: &[[f64; N]; N],
+            unit: &[[f64; N]; N],
+            s: f64,
+        ) {
+            let largest = got.iter().flatten().fold(0.0f64, |m, v| m.max(v.abs()));
+            for i in 0..N {
+                for j in 0..N {
+                    let err = (got[i][j] - s * unit[i][j]).abs();
+                    assert!(err <= 1e-13 * largest, "{what}[{i}][{j}] off by {err}");
+                }
+            }
+        }
+        for h in [H, [1.0 / 32.0, 1.0 / 16.0, 1.0 / 32.0], [0.3, 0.7, 0.11]] {
+            let unit = StokesBlocks::new(h);
+            for eta in [1e-3, 0.37, 1.0, 42.0, 1e4] {
+                let a = viscous_matrix(h, eta);
+                assert_scaled("viscous", &a, &unit.viscous, eta);
+                let c = pressure_stabilization(h, eta);
+                assert_scaled("stabilization", &c, &unit.stabilization, 1.0 / eta);
+                let k = stiffness_matrix(h, eta);
+                assert_scaled("stiffness", &k, &unit.stiffness, eta);
+            }
+        }
+    }
 
     #[test]
     fn shapes_partition_unity() {

@@ -77,6 +77,20 @@ enum MortarSrc {
     Ghost { g: u32, xi: [f64; 3] },
 }
 
+/// Largest supported 1-D node count (`order + 1`): the Lagrange weights
+/// of one trace evaluation live in stack arrays of this size.
+const MAX_NODES_1D: usize = 16;
+
+/// Grow-only scratch of [`DgAdvection::step`]: RK residual, stage
+/// right-hand side and one element's reference gradient. Warm steps
+/// allocate nothing.
+#[derive(Default)]
+struct StepScratch {
+    res: Vec<f64>,
+    k: Vec<f64>,
+    grad: Vec<f64>,
+}
+
 /// A nodal DG advection solver bound to a forest snapshot.
 pub struct DgAdvection<'f, 'c> {
     pub forest: &'f Forest<'c>,
@@ -117,6 +131,7 @@ pub struct DgAdvection<'f, 'c> {
     recv_counts: Vec<usize>,
     /// Expected receive counts (dofs per source rank), fixed per snapshot.
     expect_counts: Vec<usize>,
+    scratch: StepScratch,
 }
 
 impl<'f, 'c> DgAdvection<'f, 'c> {
@@ -130,6 +145,11 @@ impl<'f, 'c> DgAdvection<'f, 'c> {
         vel: impl Fn([f64; 3]) -> [f64; 3],
     ) -> Self {
         let ed = ElementDerivative::new(params.order);
+        assert!(
+            ed.lgl.n() <= MAX_NODES_1D,
+            "order {} needs more than {MAX_NODES_1D} nodes per direction",
+            params.order
+        );
         let n3 = ed.n3();
         let nelem = forest.local.len();
         let conn = forest.connectivity().clone();
@@ -186,6 +206,7 @@ impl<'f, 'c> DgAdvection<'f, 'c> {
             recv_flat: Vec::new(),
             recv_counts: Vec::new(),
             expect_counts: Vec::new(),
+            scratch: StepScratch::default(),
         };
         // Sample fields at physical node positions.
         for e in 0..nelem {
@@ -339,9 +360,9 @@ impl<'f, 'c> DgAdvection<'f, 'c> {
             Ok(e) => &self.u[e * n3..(e + 1) * n3],
             Err(g) => &self.ghost_data[g * n3..(g + 1) * n3],
         };
-        let mut lx = vec![0.0; n];
-        let mut ly = vec![0.0; n];
-        let mut lz = vec![0.0; n];
+        let mut lx = [0.0; MAX_NODES_1D];
+        let mut ly = [0.0; MAX_NODES_1D];
+        let mut lz = [0.0; MAX_NODES_1D];
         for j in 0..n {
             lx[j] = lagrange_1d(&self.ed.lgl.nodes, j, xi[0]);
             ly[j] = lagrange_1d(&self.ed.lgl.nodes, j, xi[1]);
@@ -543,15 +564,15 @@ impl<'f, 'c> DgAdvection<'f, 'c> {
     }
 
     /// Volume terms of the DG right-hand side `−a·∇u` for every local
-    /// element, written into `rhs`. Ghost-independent.
-    fn rhs_volume(&self, rhs: &mut [f64]) {
+    /// element, written into `rhs`; `grad` is scratch for one element's
+    /// reference gradient (`3·n³`). Ghost-independent.
+    fn rhs_volume(&self, grad: &mut [f64], rhs: &mut [f64]) {
         let n3 = self.ed.n3();
         let nelem = self.forest.local.len();
         // Reference gradient then chain rule per node.
-        let mut grad = vec![0.0; 3 * n3];
         for e in 0..nelem {
             self.ed
-                .apply_tensor_batch(&self.u[e * n3..(e + 1) * n3], &mut grad, 1);
+                .apply_tensor_batch(&self.u[e * n3..(e + 1) * n3], grad, 1);
             let h = self.half[e];
             for node in 0..n3 {
                 let a = &self.velocity[(e * n3 + node) * 3..(e * n3 + node) * 3 + 3];
@@ -647,16 +668,21 @@ impl<'f, 'c> DgAdvection<'f, 'c> {
     /// no ghost data by construction).
     pub fn step(&mut self, dt: f64) {
         let ndof = self.u.len();
-        let mut res = vec![0.0; ndof];
-        let mut k = vec![0.0; ndof];
+        let mut s = std::mem::take(&mut self.scratch);
+        s.res.clear();
+        s.res.resize(ndof, 0.0);
+        // `rhs_volume` overwrites every entry of `k` and `grad`.
+        s.k.resize(ndof, 0.0);
+        s.grad.resize(3 * self.ed.n3(), 0.0);
+        let StepScratch { res, k, grad } = &mut s;
         let interior = std::mem::take(&mut self.interior_elems);
         let surface = std::mem::take(&mut self.surface_elems);
         for stage in 0..5 {
             self.exchange_ghosts_start();
-            self.rhs_volume(&mut k);
-            self.rhs_faces(&interior, &mut k);
+            self.rhs_volume(grad, k);
+            self.rhs_faces(&interior, k);
             self.exchange_ghosts_end();
-            self.rhs_faces(&surface, &mut k);
+            self.rhs_faces(&surface, k);
             for i in 0..ndof {
                 res[i] = RK_A[stage] * res[i] + dt * k[i];
                 self.u[i] += RK_B[stage] * res[i];
@@ -664,6 +690,7 @@ impl<'f, 'c> DgAdvection<'f, 'c> {
         }
         self.interior_elems = interior;
         self.surface_elems = surface;
+        self.scratch = s;
     }
 
     /// Global ∫u dΩ by LGL quadrature (conservation diagnostic).

@@ -177,9 +177,12 @@ impl<'c> ConvectionSim<'c> {
             .unwrap_or_else(|| vec![0.0; 4 * self.mesh.n_owned]);
         let mut edot: Option<Vec<f64>> = None;
 
-        // Buoyancy: f = Ra · T(x) · e_z, sampled nodally inside build_rhs.
-        // Temperature lookup at dof coordinates via owned values.
-        let tvals = self.temperature.clone();
+        // Buoyancy f = Ra · T · e_z with the *discrete* T: the load is
+        // M·f for the nodal vector, not for a sampled function.
+        let mut buoyancy = vec![0.0; 3 * self.mesh.n_owned];
+        for (d, &t) in self.temperature.iter().enumerate() {
+            buoyancy[3 * d + 2] = ra * t;
+        }
         for _picard in 0..self.params.picard_steps.max(1) {
             self.viscosity = self.eval_viscosity(law, edot.as_deref());
             let mut solver = StokesSolver::new(
@@ -189,42 +192,8 @@ impl<'c> ConvectionSim<'c> {
                 bc.clone(),
                 self.params.stokes,
             );
-            let (rhs, x0) = solver.build_rhs(
-                |_p| [0.0, 0.0, 0.0], // replaced below by nodal buoyancy
-                |_| [0.0; 3],
-            );
-            // Nodal buoyancy: build_rhs applies the consistent mass to a
-            // sampled function; we need M·(Ra·T) with the *discrete* T, so
-            // redo the load directly.
-            let mut rhs = rhs;
-            {
-                let vmap = fem::op::DofMap::new(&self.mesh, self.comm, 3);
-                let n = self.mesh.n_owned;
-                let mut fv = vec![0.0; 3 * n];
-                for d in 0..n {
-                    fv[3 * d + 2] = ra * tvals[d];
-                }
-                let fl = vmap.to_local(&fv);
-                let mut rl = vec![0.0; vmap.n_local()];
-                let mut fe = [0.0; 24];
-                let mut re = [0.0; 24];
-                for e in 0..self.mesh.elements.len() {
-                    let mm = fem::element::mass_matrix(self.mesh.element_size(e));
-                    vmap.gather_element(e, &fl, &mut fe);
-                    for i in 0..8 {
-                        for ccomp in 0..3 {
-                            re[3 * i + ccomp] = (0..8).map(|j| mm[i][j] * fe[3 * j + ccomp]).sum();
-                        }
-                    }
-                    vmap.scatter_element(e, &re, &mut rl);
-                }
-                vmap.reverse_accumulate(&mut rl);
-                for i in 0..3 * n {
-                    if !bc[i] {
-                        rhs[i] = rl[i];
-                    }
-                }
-            }
+            let mut rhs = solver.nodal_load(&buoyancy);
+            let x0 = solver.dirichlet_lift(&mut rhs, |_| [0.0; 3]);
             if self.flow.is_none() {
                 x = x0;
             }

@@ -1,9 +1,7 @@
 //! The stabilized Stokes operator, its block preconditioner, and the
 //! MINRES driver.
 
-use fem::element::{
-    divergence_matrix, lumped_mass, pressure_stabilization, stiffness_matrix, viscous_matrix,
-};
+use fem::element::StokesBlocks;
 use fem::op::DofMap;
 use la::krylov::{minres, DotBatch, LinearOp, SolveInfo};
 use la::{Amg, AmgOptions};
@@ -110,6 +108,36 @@ impl DotBatch for CombinedDots<'_> {
     }
 }
 
+/// Unit-viscosity element blocks, integrated once per solver: one entry
+/// per octree level present in the mesh (a box domain has one element
+/// size per level). Every element matrix the solver uses is one of these
+/// scaled by the element's η. [`LevelBlocks::of`] is the only place that
+/// knows the table is indexed by level; a mapped geometry would index
+/// per-element blocks there instead.
+struct LevelBlocks(Vec<Option<Box<StokesBlocks>>>);
+
+impl LevelBlocks {
+    fn new(mesh: &Mesh) -> Self {
+        let mut table: Vec<Option<Box<StokesBlocks>>> = Vec::new();
+        for (e, o) in mesh.elements.iter().enumerate() {
+            let level = o.level() as usize;
+            if table.len() <= level {
+                table.resize_with(level + 1, || None);
+            }
+            table[level].get_or_insert_with(|| Box::new(StokesBlocks::new(mesh.element_size(e))));
+        }
+        LevelBlocks(table)
+    }
+
+    /// The blocks of local element `e` of the mesh the table was built on.
+    #[inline]
+    fn of(&self, mesh: &Mesh, e: usize) -> &StokesBlocks {
+        self.0[mesh.elements[e].level() as usize]
+            .as_deref()
+            .expect("a block per level present in the mesh")
+    }
+}
+
 /// A variable-viscosity Stokes solver bound to a mesh.
 ///
 /// Unknown layout: `[u₀x u₀y u₀z u₁x … | p₀ p₁ …]` — velocity block of
@@ -124,6 +152,7 @@ pub struct StokesSolver<'a> {
     pub vel_bc: Vec<bool>,
     vmap: DofMap<'a>,
     smap: DofMap<'a>,
+    blocks: LevelBlocks,
     /// AMG hierarchies on the rank-local η-weighted scalar Poisson
     /// block, one per *distinct* velocity-component Dirichlet mask (the
     /// masks differ under free-slip conditions).
@@ -157,6 +186,7 @@ impl<'a> StokesSolver<'a> {
             vel_bc,
             vmap,
             smap,
+            blocks: LevelBlocks::new(mesh),
             amg: Vec::new(),
             amg_of_comp: [0; 3],
             schur_diag_inv: Vec::new(),
@@ -185,13 +215,12 @@ impl<'a> StokesSolver<'a> {
         // MINRES badly (tangential boundary rows would be preconditioned
         // as identities). Components with identical masks share one
         // hierarchy.
-        let visc = &self.viscosity;
-        let mref = self.mesh;
+        let (blocks, mesh, visc) = (&self.blocks, self.mesh, &self.viscosity);
         let src = move |e: usize, out: &mut [f64]| {
-            let k = stiffness_matrix(mref.element_size(e), visc[e]);
+            let (k, eta) = (&blocks.of(mesh, e).stiffness, visc[e]);
             for i in 0..8 {
                 for j in 0..8 {
-                    out[i * 8 + j] = k[i][j];
+                    out[i * 8 + j] = eta * k[i][j];
                 }
             }
         };
@@ -237,7 +266,7 @@ impl<'a> StokesSolver<'a> {
         // Schur approximation: lumped pressure mass weighted by 1/η.
         let mut sdiag = vec![0.0; self.smap.n_local()];
         for e in 0..self.mesh.elements.len() {
-            let lm = lumped_mass(self.mesh.element_size(e));
+            let lm = &self.blocks.of(self.mesh, e).lumped_mass;
             let scaled: [f64; 8] = std::array::from_fn(|i| lm[i] / self.viscosity[e]);
             self.smap.scatter_element(e, &scaled, &mut sdiag);
         }
@@ -323,37 +352,40 @@ impl<'a> StokesSolver<'a> {
     fn sweep(&self, elems: &[u32], ws: &mut SolverWorkspace) {
         let mut ue = [0.0; 24];
         let mut pe = [0.0; 8];
-        let mut ru = [0.0; 24];
         let mut rp = [0.0; 8];
         for &e in elems {
             let e = e as usize;
-            let h = self.mesh.element_size(e);
             let eta = self.viscosity[e];
-            let a = viscous_matrix(h, eta);
-            let b = divergence_matrix(h);
-            let c = pressure_stabilization(h, eta);
+            let StokesBlocks {
+                viscous: a,
+                divergence: b,
+                stabilization: c,
+                ..
+            } = self.blocks.of(self.mesh, e);
             self.vmap.gather_element(e, &ws.ul, &mut ue);
             self.smap.gather_element(e, &ws.pl, &mut pe);
-            // ru = A u + Bᵀ p ; rp = B u − C p.
+            // ru = η·(A₁ u) + Bᵀ p, accumulated one column of the
+            // (symmetric) A₁ and one row of B at a time so the inner
+            // loops run over contiguous memory with no reduction.
+            let mut ru = [0.0; 24];
+            for j in 0..24 {
+                for i in 0..24 {
+                    ru[i] += a[j][i] * ue[j];
+                }
+            }
             for i in 0..24 {
-                let mut acc = 0.0;
-                for j in 0..24 {
-                    acc += a[i][j] * ue[j];
-                }
-                for q in 0..8 {
-                    acc += b[q][i] * pe[q];
-                }
-                ru[i] = acc;
+                ru[i] *= eta;
             }
             for q in 0..8 {
-                let mut acc = 0.0;
-                for j in 0..24 {
-                    acc += b[q][j] * ue[j];
+                for i in 0..24 {
+                    ru[i] += b[q][i] * pe[q];
                 }
-                for r in 0..8 {
-                    acc -= c[q][r] * pe[r];
-                }
-                rp[q] = acc;
+            }
+            // rp = B u − (C₁ p)/η.
+            for q in 0..8 {
+                let bu: f64 = (0..24).map(|j| b[q][j] * ue[j]).sum();
+                let cp: f64 = (0..8).map(|r| c[q][r] * pe[r]).sum();
+                rp[q] = bu - cp / eta;
             }
             self.vmap.scatter_element(e, &ru, &mut ws.yu);
             self.smap.scatter_element(e, &rp, &mut ws.yp);
@@ -480,21 +512,27 @@ impl<'a> StokesSolver<'a> {
         G: Fn([f64; 3]) -> [f64; 3],
     {
         let n = self.mesh.n_owned;
-        let nu = 3 * n;
-        // Consistent body-force load: rhs_u = M (f sampled nodally).
-        let mut fv = vec![0.0; nu];
+        let mut fv = vec![0.0; 3 * n];
         for d in 0..n {
-            let val = f(self.mesh.dof_coords(d));
-            for c in 0..3 {
-                fv[3 * d + c] = val[c];
-            }
+            fv[3 * d..3 * d + 3].copy_from_slice(&f(self.mesh.dof_coords(d)));
         }
-        let fl = self.vmap.to_local(&fv);
+        let mut rhs = self.nodal_load(&fv);
+        let x0 = self.dirichlet_lift(&mut rhs, g);
+        (rhs, x0)
+    }
+
+    /// Consistent body-force load `M·f` for a nodal force `fv` (three
+    /// components per owned dof), as a combined vector with a zero
+    /// pressure block. Collective.
+    pub fn nodal_load(&self, fv: &[f64]) -> Vec<f64> {
+        let nu = 3 * self.mesh.n_owned;
+        assert_eq!(fv.len(), nu);
+        let fl = self.vmap.to_local(fv);
         let mut rhs_local = vec![0.0; self.vmap.n_local()];
         let mut fe = [0.0; 24];
         let mut re = [0.0; 24];
         for e in 0..self.mesh.elements.len() {
-            let mm = fem::element::mass_matrix(self.mesh.element_size(e));
+            let mm = &self.blocks.of(self.mesh, e).mass;
             self.vmap.gather_element(e, &fl, &mut fe);
             for i in 0..8 {
                 for c in 0..3 {
@@ -506,12 +544,21 @@ impl<'a> StokesSolver<'a> {
         self.vmap.reverse_accumulate(&mut rhs_local);
         let mut rhs = vec![0.0; self.n_owned()];
         rhs[..nu].copy_from_slice(&rhs_local[..nu]);
+        rhs
+    }
 
-        // Dirichlet lift: x0 carries g on constrained entries; subtract
-        // A·x0 from the RHS, then overwrite BC rows with the BC values.
+    /// Dirichlet lift of the combined `rhs` for boundary values
+    /// `g(point) -> [ux, uy, uz]` on the constrained components: the
+    /// returned `x0` carries `g` there, `A·x0` is subtracted from `rhs`,
+    /// and the constrained rows become the identity equation `u = g`.
+    /// Collective.
+    pub fn dirichlet_lift<G>(&self, rhs: &mut [f64], g: G) -> Vec<f64>
+    where
+        G: Fn([f64; 3]) -> [f64; 3],
+    {
         let mut x0 = vec![0.0; self.n_owned()];
         let mut any_bc = false;
-        for d in 0..n {
+        for d in 0..self.mesh.n_owned {
             let val = g(self.mesh.dof_coords(d));
             for c in 0..3 {
                 if self.vel_bc[3 * d + c] {
@@ -539,7 +586,7 @@ impl<'a> StokesSolver<'a> {
                 rhs[i] = x0[i];
             }
         }
-        (rhs, x0)
+        x0
     }
 
     /// Operator application without BC elimination (used for the lift).
@@ -755,6 +802,109 @@ mod tests {
             let div_res: f64 = solver.dot(&y[nu..], &y[nu..]).sqrt();
             let rhs_norm: f64 = solver.dot(&rhs, &rhs).sqrt().max(1e-30);
             assert!(div_res / rhs_norm < 1e-6, "divergence residual {div_res}");
+        });
+    }
+
+    /// The operator the block table must reproduce: every element
+    /// integrated with its own `h` and η by the `fem::element` builders,
+    /// through the allocating exchange tier.
+    fn reference_apply(s: &StokesSolver, x: &[f64], constrained: bool) -> Vec<f64> {
+        use fem::element::{divergence_matrix, pressure_stabilization, viscous_matrix};
+        let nu = 3 * s.mesh.n_owned;
+        let mut u = x[..nu].to_vec();
+        if constrained {
+            for (ui, &m) in u.iter_mut().zip(&s.vel_bc) {
+                if m {
+                    *ui = 0.0;
+                }
+            }
+        }
+        let ul = s.vmap.to_local(&u);
+        let pl = s.smap.to_local(&x[nu..]);
+        let mut yu = vec![0.0; s.vmap.n_local()];
+        let mut yp = vec![0.0; s.smap.n_local()];
+        let (mut ue, mut pe) = ([0.0; 24], [0.0; 8]);
+        for e in 0..s.mesh.elements.len() {
+            let (h, eta) = (s.mesh.element_size(e), s.viscosity[e]);
+            let a = viscous_matrix(h, eta);
+            let b = divergence_matrix(h);
+            let c = pressure_stabilization(h, eta);
+            s.vmap.gather_element(e, &ul, &mut ue);
+            s.smap.gather_element(e, &pl, &mut pe);
+            let ru: [f64; 24] = std::array::from_fn(|i| {
+                (0..24).map(|j| a[i][j] * ue[j]).sum::<f64>()
+                    + (0..8).map(|q| b[q][i] * pe[q]).sum::<f64>()
+            });
+            let rp: [f64; 8] = std::array::from_fn(|q| {
+                (0..24).map(|j| b[q][j] * ue[j]).sum::<f64>()
+                    - (0..8).map(|r| c[q][r] * pe[r]).sum::<f64>()
+            });
+            s.vmap.scatter_element(e, &ru, &mut yu);
+            s.smap.scatter_element(e, &rp, &mut yp);
+        }
+        s.vmap.reverse_accumulate(&mut yu);
+        s.smap.reverse_accumulate(&mut yp);
+        let mut y = yu[..nu].to_vec();
+        y.extend_from_slice(&yp[..s.mesh.n_owned]);
+        if constrained {
+            for (i, &m) in s.vel_bc.iter().enumerate() {
+                if m {
+                    y[i] = x[i];
+                }
+            }
+        }
+        y
+    }
+
+    #[test]
+    fn apply_matches_per_element_integration() {
+        // Hanging nodes, two ranks, an anisotropic box, and η scattered
+        // element by element over four decades.
+        spmd::run(2, |c| {
+            let mut t = DistOctree::new_uniform(c, 2);
+            t.refine(|o| o.center_unit()[0] < 0.4 && o.center_unit()[2] > 0.3);
+            t.balance(BalanceKind::Full);
+            t.partition();
+            let m = extract_mesh(&t, [2.0, 1.0, 1.0]);
+            let n = m.n_owned;
+            let hanging = m
+                .node_table
+                .iter()
+                .filter(|r| matches!(r, mesh::extract::NodeResolution::Constrained(_)))
+                .count();
+            assert!(hanging > 0, "rank {} sees no hanging node", c.rank());
+            // Seeded per rank so the two ranks draw different values.
+            let mut state = 0x9E37_79B9_7F4A_7C15u64 ^ (c.rank() as u64 + 1);
+            let mut unit = move || {
+                state = state
+                    .wrapping_mul(6364136223846793005)
+                    .wrapping_add(1442695040888963407);
+                (state >> 11) as f64 / (1u64 << 53) as f64
+            };
+            let visc: Vec<f64> = m
+                .elements
+                .iter()
+                .map(|_| 10f64.powf(4.0 * unit() - 2.0))
+                .collect();
+            let bc: Vec<bool> = (0..3 * n).map(|i| m.dof_on_boundary(i / 3)).collect();
+            let solver = StokesSolver::new(&m, c, visc, bc, StokesOptions::default());
+            let x: Vec<f64> = (0..solver.n_owned()).map(|_| 2.0 * unit() - 1.0).collect();
+            let mut y = vec![0.0; solver.n_owned()];
+            for constrained in [true, false] {
+                if constrained {
+                    solver.apply(&x, &mut y);
+                } else {
+                    solver.apply_unconstrained(&x, &mut y);
+                }
+                let want = reference_apply(&solver, &x, constrained);
+                let scale = c.allreduce_max(&[want.iter().fold(0.0f64, |m, v| m.max(v.abs()))])[0];
+                for (i, (got, want)) in y.iter().zip(&want).enumerate() {
+                    assert!(
+                        (got - want).abs() <= 1e-12 * scale,
+                        "constrained = {constrained}, entry {i}: {got} vs {want}"
+                    );
+                }
+            }
         });
     }
 

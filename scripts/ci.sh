@@ -41,4 +41,9 @@ timeout 300 cargo test -q -p octree --no-default-features
 echo "==> benchmark smoke"
 timeout 600 cargo test -q --offline --manifest-path benchmark/Cargo.toml
 
+# The paired-benchmark protocol is run by hand (it takes tens of minutes);
+# here only that the script parses.
+echo "==> bash -n scripts/bench_pair.sh"
+bash -n scripts/bench_pair.sh
+
 echo "ci: all green"

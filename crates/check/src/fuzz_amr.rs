@@ -21,18 +21,26 @@
 //!   `DistOctree::ghost_layer()` bitwise on its face-adjacent subset,
 //!   adds only edge/corner entries beyond it, and passes the kind-aware
 //!   [`crate::forest_checks::ghost_symmetry`] mirror check;
-//! * field transfer conserves: the interpolated field reproduces a
-//!   linear function to 1e-12 through coarsen/refine/balance, the global
-//!   corner-data sum is conserved across the repartition to 1e-12, and
-//!   the unpacked post-partition nodal field is again exact to 1e-12.
+//! * field transfer conserves: the production kernel
+//!   ([`mesh::interp::transfer_corner_values_into`], the Morton merge
+//!   `rhea::adapt` runs) reproduces a linear function to 1e-12 at every
+//!   corner of the adapted leaves through coarsen/refine/balance, the
+//!   global corner-data sum is conserved across the repartition to
+//!   1e-12, and the unpacked post-partition nodal field is again exact to
+//!   1e-12;
+//! * the kernel agrees with the point-location path
+//!   ([`mesh::interp::interpolate_node_field`] on an intermediate mesh):
+//!   a field hashed from the node keys, resampled every cycle so it never
+//!   smooths out, is carried by both and must agree to 1e-12 at every
+//!   owned dof after the unpack.
 //!
 //! Randomness is a pure function of `(seed, cycle, octant)` — never of
 //! the rank or the partition — so a failure replays exactly from the
 //! `(seed, cycle, p)` triple carried in every panic message (the seed
 //! replay protocol of DESIGN.md §11).
 
-use mesh::extract::{extract_mesh, node_coords, Mesh, NodeResolution};
-use mesh::interp::interpolate_node_field;
+use mesh::extract::{extract_mesh, Mesh};
+use mesh::interp::{interpolate_node_field, transfer_corner_values_into, unpack_corner_values};
 use octree::balance::{balance_local_kind_ws, BalanceKind, BalanceWorkspace};
 use octree::parallel::{transfer_fields, DistOctree};
 use octree::Octant;
@@ -110,24 +118,21 @@ fn assert_clean_with_ctx(comm: &Comm, ctx: &str, violations: &[Violation]) {
     }
 }
 
-/// Unpack element-corner data onto the owned dofs of `mesh` (the same
-/// first-match rule the rhea pipeline uses).
-fn unpack_corners(mesh: &Mesh, data: &[f64]) -> Vec<f64> {
-    let mut f = vec![0.0; mesh.n_owned];
-    let mut filled = vec![false; mesh.n_owned];
-    for e in 0..mesh.elements.len() {
-        for (c, &nref) in mesh.elem_nodes[e].iter().enumerate() {
-            if let NodeResolution::Dof(d) = mesh.node_table[nref as usize] {
-                if d < mesh.n_owned && !filled[d] {
-                    let _ = node_coords(mesh.node_keys[nref as usize]);
-                    f[d] = data[8 * e + c];
-                    filled[d] = true;
-                }
-            }
-        }
-    }
-    assert!(filled.iter().all(|&x| x), "owned dof not covered by unpack");
-    f
+/// The rough field of the differential: a pure function of the node key
+/// in `[0, 1)`, with no smoothness for an interpolation error to hide in.
+fn hashed(mesh: &Mesh, seed: u64) -> Vec<f64> {
+    mesh.dof_keys[..mesh.n_owned]
+        .iter()
+        .map(|&k| (mix(seed ^ k) >> 11) as f64 / (1u64 << 53) as f64)
+        .collect()
+}
+
+/// `owned` expanded to the local layout of `mesh`, ghost block filled.
+fn with_ghosts(comm: &Comm, mesh: &Mesh, owned: &[f64]) -> Vec<f64> {
+    let mut v = vec![0.0; mesh.n_local()];
+    v[..mesh.n_owned].copy_from_slice(owned);
+    mesh.exchange.exchange(comm, &mut v, mesh.n_owned);
+    v
 }
 
 /// Drive `cfg.cycles` adaptation cycles on `comm`, asserting the full
@@ -198,35 +203,45 @@ pub fn run_cycles(comm: &Comm, cfg: &FuzzConfig) -> u64 {
             );
         }
 
-        // InterpolateFields onto the adapted (pre-partition) mesh: the
-        // linear field must come through exactly.
-        let mid_mesh = extract_mesh(&tree, domain);
-        let mut fl = vec![0.0; mesh.n_local()];
-        fl[..mesh.n_owned].copy_from_slice(&vals);
-        mesh.exchange.exchange(comm, &mut fl, mesh.n_owned);
-        let mut mid_vals = interpolate_node_field(&mesh, &fl, &mid_mesh);
-        for d in 0..mid_mesh.n_owned {
-            let expect = field(mid_mesh.dof_coords(d));
-            if (mid_vals[d] - expect).abs() > 1e-12 {
-                fail(
-                    &ctx,
-                    &format!(
-                        "interpolation lost the linear field at dof {d}: {} vs {expect}",
-                        mid_vals[d]
-                    ),
-                );
+        // InterpolateFields, production path: merge the old elements with
+        // the adapted (pre-partition) leaves. The linear field must come
+        // through exactly at every corner, hanging ones included.
+        let fl = with_ghosts(comm, &mesh, &vals);
+        let hl = with_ghosts(comm, &mesh, &hashed(&mesh, cfg.seed ^ cycle));
+        let (mut corner, mut rough) = (Vec::new(), Vec::new());
+        transfer_corner_values_into(&mesh, &fl, &tree.local, &mut corner);
+        transfer_corner_values_into(&mesh, &hl, &tree.local, &mut rough);
+        for (j, o) in tree.local.iter().enumerate() {
+            let (a, h) = (o.anchor_unit(), o.len_unit());
+            for k in 0..8 {
+                let q = std::array::from_fn(|d| a[d] + h * ((k >> d) & 1) as f64);
+                let expect = field(q);
+                if (corner[8 * j + k] - expect).abs() > 1e-12 {
+                    fail(
+                        &ctx,
+                        &format!(
+                            "interpolation lost the linear field at corner {k} of {o:?}: \
+                             {} vs {expect}",
+                            corner[8 * j + k]
+                        ),
+                    );
+                }
             }
         }
 
-        // Pack corner data and repartition; the global corner sum is the
-        // conservation functional.
+        // The differential: the same rough field by point location from
+        // the dofs of an intermediate mesh.
+        let mid_mesh = extract_mesh(&tree, domain);
+        let mut mid_vals = interpolate_node_field(&mesh, &hl, &mid_mesh);
         mid_mesh
             .exchange
             .exchange(comm, &mut mid_vals, mid_mesh.n_owned);
-        let mut corner = Vec::with_capacity(8 * mid_mesh.elements.len());
-        for e in 0..mid_mesh.elements.len() {
-            corner.extend_from_slice(&mid_mesh.corner_values(e, &mid_vals));
-        }
+        let rough_ref: Vec<f64> = (0..mid_mesh.elements.len())
+            .flat_map(|e| mid_mesh.corner_values(e, &mid_vals))
+            .collect();
+
+        // Repartition; the global corner sum is the conservation
+        // functional.
         let s0 = comm.allreduce_sum(&[corner.iter().sum::<f64>()])[0];
         let plan = tree.partition();
         let moved = transfer_fields(comm, &plan, &corner, 8);
@@ -294,7 +309,7 @@ pub fn run_cycles(comm: &Comm, cfg: &FuzzConfig) -> u64 {
 
         // Carry the field across to the next cycle through the unpacked
         // corner data; end-to-end it must still be the linear field.
-        let new_vals = unpack_corners(&new_mesh, &moved);
+        let new_vals = unpack_corner_values(&new_mesh, &moved);
         for d in 0..new_mesh.n_owned {
             let expect = field(new_mesh.dof_coords(d));
             if (new_vals[d] - expect).abs() > 1e-12 {
@@ -303,6 +318,23 @@ pub fn run_cycles(comm: &Comm, cfg: &FuzzConfig) -> u64 {
                     &format!(
                         "post-transfer field wrong at dof {d}: {} vs {expect}",
                         new_vals[d]
+                    ),
+                );
+            }
+        }
+        let [got, want] = [&rough, &rough_ref].map(|data| {
+            let moved = transfer_fields(comm, &plan, data, 8);
+            unpack_corner_values(&new_mesh, &moved)
+        });
+        for d in 0..new_mesh.n_owned {
+            if (got[d] - want[d]).abs() > 1e-12 {
+                fail(
+                    &ctx,
+                    &format!(
+                        "merge kernel and point location disagree at dof {d} ({:?}): {} vs {}",
+                        new_mesh.dof_coords(d),
+                        got[d],
+                        want[d]
                     ),
                 );
             }

@@ -47,7 +47,7 @@ pub use scomm;
 pub mod prelude {
     pub use forest::{Connectivity, Forest, ForestLeaf, TreeGeometry};
     pub use mesh::extract::{extract_mesh, Mesh};
-    pub use mesh::interp::interpolate_node_field;
+    pub use mesh::interp::{transfer_corner_values_into, unpack_corner_values};
     pub use octree::balance::BalanceKind;
     pub use octree::mark::{Mark, MarkParams};
     pub use octree::parallel::{transfer_fields, DistOctree, PartitionPlan};
@@ -62,7 +62,7 @@ mod tests {
     #[test]
     fn facade_pipeline_end_to_end() {
         // The Fig. 4 loop through the façade: mark → adapt → balance →
-        // extract → interpolate → partition → transfer → extract.
+        // interpolate → partition → transfer → extract → unpack.
         scomm::spmd::run(2, |comm| {
             let mut tree = DistOctree::new_uniform(comm, 2);
             let mesh = extract_mesh(&tree, [1.0, 1.0, 1.0]);
@@ -78,21 +78,20 @@ mod tests {
             };
             tree.adapt_to_target(&ind, &params);
             tree.balance(BalanceKind::Full);
-            let mid = extract_mesh(&tree, [1.0, 1.0, 1.0]);
             let mut old_local = vec![0.0; mesh.n_local()];
             old_local[..mesh.n_owned].copy_from_slice(&field);
             mesh.exchange.exchange(comm, &mut old_local, mesh.n_owned);
-            let moved = interpolate_node_field(&mesh, &old_local, &mid);
-            assert_eq!(moved.len(), mid.n_local());
+            let mut corners = Vec::new();
+            transfer_corner_values_into(&mesh, &old_local, &tree.local, &mut corners);
+            assert_eq!(corners.len(), 8 * tree.local.len());
             let plan = tree.partition();
-            let elem_payload: Vec<u64> = tree.local.iter().map(|o| o.key()).collect();
-            // transfer an element payload to prove the plan shape: note
-            // the plan was produced *by* this partition call, so payload
-            // must be the pre-partition data — rebuild it accordingly.
-            let _ = (plan, elem_payload);
+            let moved = transfer_fields(comm, &plan, &corners, 8);
             assert!(tree.validate());
             let fin = extract_mesh(&tree, [1.0, 1.0, 1.0]);
-            assert!(fin.n_global >= mid.n_owned as u64 / 2);
+            let carried = unpack_corner_values(&fin, &moved);
+            for d in 0..fin.n_owned {
+                assert!((carried[d] - fin.dof_coords(d)[0]).abs() < 1e-12);
+            }
         });
     }
 }

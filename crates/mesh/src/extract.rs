@@ -401,25 +401,16 @@ fn is_vertex_of(p: (u32, u32, u32), o: &Octant) -> bool {
         && (p.2 == o.z() || p.2 == o.z() + l)
 }
 
-/// The up-to-8 finest-level cells incident to node `p`, as octants.
-fn incident_probes(p: (u32, u32, u32)) -> Vec<Octant> {
-    let mut probes = Vec::with_capacity(8);
-    for dz in 0..2u32 {
-        for dy in 0..2u32 {
-            for dx in 0..2u32 {
-                let (x, y, z) = (
-                    p.0 as i64 - dx as i64,
-                    p.1 as i64 - dy as i64,
-                    p.2 as i64 - dz as i64,
-                );
-                let lim = ROOT_LEN as i64;
-                if x >= 0 && y >= 0 && z >= 0 && x < lim && y < lim && z < lim {
-                    probes.push(Octant::new(x as u32, y as u32, z as u32, MAX_LEVEL));
-                }
-            }
-        }
-    }
-    probes
+/// The up-to-8 finest-level cells incident to node `p`, as octants, in
+/// z-order of the offset `p − anchor` (so the cell anchored at `p` comes
+/// first and the Morton-smallest cell last).
+pub(crate) fn incident_probes(p: (u32, u32, u32)) -> impl Iterator<Item = Octant> {
+    (0..8u32).filter_map(move |i| {
+        let x = p.0.checked_sub(i & 1)?;
+        let y = p.1.checked_sub((i >> 1) & 1)?;
+        let z = p.2.checked_sub((i >> 2) & 1)?;
+        (x < ROOT_LEN && y < ROOT_LEN && z < ROOT_LEN).then(|| Octant::new(x, y, z, MAX_LEVEL))
+    })
 }
 
 /// Sorted local+ghost leaf view with owner provenance — the mesh
@@ -500,12 +491,10 @@ impl LeafView {
 /// Owner rank of node `p`: the owner of the Morton-smallest incident
 /// cell — computable on every rank from the partition markers alone.
 fn node_owner(tree: &DistOctree, p: (u32, u32, u32)) -> usize {
-    let probes = incident_probes(p);
-    let smallest = probes
-        .iter()
+    let smallest = incident_probes(p)
         .min()
         .expect("node has at least one incident cell");
-    tree.owner_of(smallest)
+    tree.owner_of(&smallest)
 }
 
 /// Wire term of a remote constraint answer.

@@ -9,9 +9,10 @@
 //!   with recursive (chained) constraints handled through a bounded
 //!   number of collective resolution rounds;
 //! * the ghost-dof exchange pattern (one layer of remote elements);
-//! * `InterpolateFields` — transfer of nodal fields onto a mesh obtained
-//!   by at most one level of coarsening/refinement, communication-free
-//!   given ghost values, as in the paper.
+//! * `InterpolateFields` — transfer of nodal fields onto the leaves
+//!   obtained by coarsening, refinement and balance, as element-corner
+//!   data produced by one Morton merge of old elements and new leaves;
+//!   communication-free given ghost values, as in the paper.
 //!
 //! The mesh is Cartesian: a single octree mapped to a box `[0,Lx] ×
 //! [0,Ly] × [0,Lz]` (the paper's mantle simulations use 8×4×1). Forest
@@ -23,5 +24,5 @@ pub mod interp;
 pub mod vtk;
 
 pub use extract::{CornerRef, ExchangePattern, Mesh, NodeResolution};
-pub use interp::interpolate_node_field;
+pub use interp::{transfer_corner_values_into, unpack_corner_values};
 pub use vtk::write_vtk;

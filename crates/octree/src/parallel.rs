@@ -77,6 +77,10 @@ impl TreeWorkspace {
     }
 }
 
+/// Leaves per batch of [`DistOctree::ghost_layer_into`]'s candidate
+/// staging: 1024 × 832 B fits a per-core L2.
+const GHOST_BLOCK: usize = 1024;
+
 /// Grow-only scratch for [`DistOctree::ghost_layer_into`]: staging,
 /// wire, and output buffers for the ghost gather, owned by the caller so
 /// warm AMR cycles rebuild the ghost layer without heap allocation.
@@ -558,54 +562,60 @@ impl<'c> DistOctree<'c> {
     pub fn ghost_layer_into<'w>(&self, ws: &'w mut GhostScratch) -> &'w [(usize, Octant)] {
         let p = self.comm.size();
         let me = self.comm.rank();
-        let n_local = self.local.len();
-        // Batch phase: all 26·n candidate neighbor positions and their
-        // ownership ranges in one vectorized sweep per direction
-        // (direction-major layout: entry d·n + i is leaf i, direction d).
         let dirs: Vec<(i32, i32, i32)> = Octant::neighbor_directions().collect();
-        ws.nbrs.clear();
-        for &(dx, dy, dz) in &dirs {
-            simd::neighbor_keys_into(&self.local, dx, dy, dz, &mut ws.nbrs);
-        }
-        ws.key_lo.clear();
-        ws.key_hi.clear();
-        for &n in &ws.nbrs {
-            if n == Octant::INVALID {
-                ws.key_lo.push(u64::MAX);
-                ws.key_hi.push(u64::MAX);
-            } else {
-                ws.key_lo.push(n.key());
-                ws.key_hi.push(n.last_descendant().key());
-            }
-        }
-        ws.own_lo.clear();
-        ws.own_hi.clear();
-        simd::upper_bounds_into(&self.markers, &ws.key_lo, &mut ws.own_lo);
-        simd::upper_bounds_into(&self.markers, &ws.key_hi, &mut ws.own_hi);
-
-        // Send each boundary leaf to every rank owning an adjacent region,
-        // reading the precomputed batches leaf-major so the send order is
-        // exactly the pre-batching order.
         ws.outgoing.resize_with(p, Vec::new);
         for buf in ws.outgoing.iter_mut() {
             buf.clear();
         }
-        // Per-leaf dedup of destination ranks. A leaf's 26 neighbor
-        // regions can span arbitrarily many ranks when the curve is
-        // finely partitioned, so this must not be a fixed-size buffer.
-        for (i, o) in self.local.iter().enumerate() {
-            ws.sent_to.clear();
-            for d in 0..dirs.len() {
-                let idx = d * n_local + i;
-                if ws.nbrs[idx] == Octant::INVALID {
-                    continue;
+        // A block of leaves at a time: the 26-per-leaf staging below
+        // (832 B per leaf) stays cache-sized however long the leaf array
+        // is, and a caller that keeps `ws` warm does not keep 26·n
+        // entries resident.
+        for block in self.local.chunks(GHOST_BLOCK) {
+            // Batch phase: the block's 26·n candidate neighbor positions
+            // and their ownership ranges in one vectorized sweep per
+            // direction (direction-major layout: entry d·n + i is leaf i
+            // of the block, direction d).
+            let n_block = block.len();
+            ws.nbrs.clear();
+            for &(dx, dy, dz) in &dirs {
+                simd::neighbor_keys_into(block, dx, dy, dz, &mut ws.nbrs);
+            }
+            ws.key_lo.clear();
+            ws.key_hi.clear();
+            for &n in &ws.nbrs {
+                if n == Octant::INVALID {
+                    ws.key_lo.push(u64::MAX);
+                    ws.key_hi.push(u64::MAX);
+                } else {
+                    ws.key_lo.push(n.key());
+                    ws.key_hi.push(n.last_descendant().key());
                 }
-                let rlo = (ws.own_lo[idx] as usize).saturating_sub(1);
-                let rhi = (ws.own_hi[idx] as usize).saturating_sub(1);
-                for r in rlo..=rhi.min(p - 1) {
-                    if r != me && !ws.sent_to.contains(&r) {
-                        ws.sent_to.push(r);
-                        ws.outgoing[r].push(*o);
+            }
+            ws.own_lo.clear();
+            ws.own_hi.clear();
+            simd::upper_bounds_into(&self.markers, &ws.key_lo, &mut ws.own_lo);
+            simd::upper_bounds_into(&self.markers, &ws.key_hi, &mut ws.own_hi);
+
+            // Send each boundary leaf to every rank owning an adjacent
+            // region, reading the precomputed batches leaf-major so the
+            // send order is leaf order. Per-leaf dedup of destination ranks. A leaf's 26 neighbor
+            // regions can span arbitrarily many ranks when the curve is
+            // finely partitioned, so this must not be a fixed-size buffer.
+            for (i, o) in block.iter().enumerate() {
+                ws.sent_to.clear();
+                for d in 0..dirs.len() {
+                    let idx = d * n_block + i;
+                    if ws.nbrs[idx] == Octant::INVALID {
+                        continue;
+                    }
+                    let rlo = (ws.own_lo[idx] as usize).saturating_sub(1);
+                    let rhi = (ws.own_hi[idx] as usize).saturating_sub(1);
+                    for r in rlo..=rhi.min(p - 1) {
+                        if r != me && !ws.sent_to.contains(&r) {
+                            ws.sent_to.push(r);
+                            ws.outgoing[r].push(*o);
+                        }
                     }
                 }
             }

@@ -88,3 +88,28 @@ fn ghost_layer_handles_more_than_32_adjacent_ranks() {
     });
     assert!(ghost0.iter().sum::<u64>() > 0);
 }
+
+#[test]
+fn ghost_layer_is_exact_across_staging_blocks() {
+    // The candidate staging runs in blocks of 1024 leaves. A uniform
+    // level-4 tree on two ranks gives each 2048 leaves — two blocks —
+    // and a ghost layer known in closed form: the 16 × 16 leaves of the
+    // other rank that touch the plane z = 1/2.
+    spmd::run(2, |c| {
+        let t = DistOctree::new_uniform(c, 4);
+        assert_eq!(t.local.len(), 2048);
+        let half = ROOT_LEN / 2;
+        let other = 1 - c.rank();
+        let mut expect: Vec<(usize, Octant)> = (0..4096)
+            .map(|i| Octant::from_uniform_index(4, i))
+            .filter(|o| match other {
+                1 => o.z() == half,
+                _ => o.z() + o.len() == half,
+            })
+            .map(|o| (other, o))
+            .collect();
+        expect.sort_by_key(|a| a.1);
+        assert_eq!(expect.len(), 256);
+        assert_eq!(t.ghost_layer(), expect);
+    });
+}

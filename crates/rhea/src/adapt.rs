@@ -1,7 +1,7 @@
 //! The dynamic adaptation pipeline of the paper's Fig. 4:
 //!
 //! ```text
-//! MarkElements → CoarsenTree/RefineTree → BalanceTree → ExtractMesh
+//! MarkElements → CoarsenTree/RefineTree → BalanceTree
 //!   → InterpolateFields → PartitionTree → TransferFields → ExtractMesh
 //! ```
 //!
@@ -10,9 +10,18 @@
 //! `TransferFields` plan as the elements themselves — exactly the
 //! paper's arrangement, where field data follows the Morton order of the
 //! elements.
+//!
+//! The paper's Fig. 4 extracts a mesh twice, once before
+//! `InterpolateFields` and once after `TransferFields`. Here
+//! `InterpolateFields` needs no mesh on the adapted leaves: before the
+//! repartition the old mesh's elements and the adapted local leaves tile
+//! the same curve segment, so
+//! [`mesh::interp::transfer_corner_values_into`] pairs them by one Morton
+//! merge and writes the corner data directly. `ExtractMesh` runs once per
+//! adaptation, on the final partition.
 
-use mesh::extract::{extract_mesh_with_ghosts, node_coords, Mesh, NodeResolution};
-use mesh::interp::interpolate_node_field_into;
+use mesh::extract::{extract_mesh_with_ghosts, Mesh};
+use mesh::interp::{transfer_corner_values_into, unpack_corner_values};
 use octree::mark::MarkParams;
 use octree::parallel::{transfer_fields_into, DistOctree, PartitionPlan};
 use octree::{balance::BalanceKind, ops::level_histogram};
@@ -54,19 +63,16 @@ pub struct AdaptWorkspace {
     plan: PartitionPlan,
     /// Ghost-expanded old field.
     fl: Vec<f64>,
-    /// Per-field interpolant on the intermediate (pre-partition) mesh.
-    mid_fields: Vec<Vec<f64>>,
-    /// Per-field element-corner packing (8 values per element).
+    /// Per-field corner values of the adapted, not yet repartitioned
+    /// leaves (8 values per element).
     corner_data: Vec<Vec<f64>>,
     /// Per-field corner data after the transfer.
     moved: Vec<Vec<f64>>,
     /// Transfer count scratch.
     counts: Vec<usize>,
     recv_counts: Vec<usize>,
-    /// Dof-coverage flags for the unpack.
-    filled: Vec<bool>,
-    /// Ghost-layer staging and wire buffers (grow-only), so the two
-    /// `ExtractMesh` stages of a warm cycle rebuild their ghost layers
+    /// Ghost-layer staging and wire buffers (grow-only), so the
+    /// `ExtractMesh` stage of a warm cycle rebuilds its ghost layer
     /// without heap allocation.
     ghost: octree::parallel::GhostScratch,
 }
@@ -81,15 +87,10 @@ impl AdaptWorkspace {
         fn cap<T>(v: &Vec<T>) -> u64 {
             (v.capacity() * std::mem::size_of::<T>()) as u64
         }
-        let mut b = cap(&self.plan.send_ranges) + cap(&self.fl) + cap(&self.filled);
+        let mut b = cap(&self.plan.send_ranges) + cap(&self.fl);
         b += cap(&self.counts) + cap(&self.recv_counts);
-        b += cap(&self.mid_fields) + cap(&self.corner_data) + cap(&self.moved);
-        for v in self
-            .mid_fields
-            .iter()
-            .chain(&self.corner_data)
-            .chain(&self.moved)
-        {
+        b += cap(&self.corner_data) + cap(&self.moved);
+        for v in self.corner_data.iter().chain(&self.moved) {
             b += cap(v);
         }
         b + self.ghost.capacity_bytes()
@@ -203,8 +204,6 @@ pub fn adapt_mesh_ws(
         coarsen_ns,
     );
 
-    let n_adapted = tree.global_count();
-
     // BalanceTree.
     let balance_added = rec.with_cat("BalanceTree", "amr", || tree.balance(BalanceKind::Full));
 
@@ -215,34 +214,24 @@ pub fn adapt_mesh_ws(
         check::guard_tree(tree, BalanceKind::Full, Some(rec));
     }
 
-    // Intermediate ExtractMesh (pre-partition) for interpolation. The
-    // ghost layer is rebuilt through the grow-only workspace so warm
-    // cycles stay allocation-free on the gather path.
-    let mid_mesh = rec.with_cat("ExtractMesh", "amr", || {
-        tree.ghost_layer_into(&mut ws.ghost);
-        extract_mesh_with_ghosts(tree, domain, ws.ghost.ghosts())
-    });
-
     let nf = fields.len();
     let AdaptWorkspace {
         plan,
         fl,
-        mid_fields,
         corner_data,
         moved,
         counts,
         recv_counts,
-        filled,
         ghost,
     } = ws;
-    if mid_fields.len() < nf {
-        mid_fields.resize_with(nf, Vec::new);
+    if corner_data.len() < nf {
         corner_data.resize_with(nf, Vec::new);
         moved.resize_with(nf, Vec::new);
     }
 
-    // InterpolateFields onto the intermediate mesh, then pack as
-    // element-corner data (8 values per element) for the transfer.
+    // InterpolateFields: the adapted leaves still tile the old mesh's
+    // curve segment, so the corner data of the transfer (8 values per
+    // element) comes straight from the old elements' corner values.
     {
         let _s = rec.span_cat("InterpolateFields", "amr");
         for (i, f) in fields.iter().enumerate() {
@@ -251,15 +240,7 @@ pub fn adapt_mesh_ws(
             fl.resize(old_mesh.n_local(), 0.0);
             fl[..old_mesh.n_owned].copy_from_slice(f);
             old_mesh.exchange.exchange(comm, fl, old_mesh.n_owned);
-            interpolate_node_field_into(old_mesh, fl, &mid_mesh, &mut mid_fields[i]);
-            mid_mesh
-                .exchange
-                .exchange(comm, &mut mid_fields[i], mid_mesh.n_owned);
-            let data = &mut corner_data[i];
-            data.clear();
-            for e in 0..mid_mesh.elements.len() {
-                data.extend_from_slice(&mid_mesh.corner_values(e, &mid_fields[i]));
-            }
+            transfer_corner_values_into(old_mesh, fl, &tree.local, &mut corner_data[i]);
         }
     }
 
@@ -282,7 +263,9 @@ pub fn adapt_mesh_ws(
         }
     }
 
-    // Final ExtractMesh on the new partition.
+    // ExtractMesh on the new partition. The ghost layer is rebuilt
+    // through the grow-only workspace so warm cycles stay allocation-free
+    // on the gather path.
     let new_mesh = rec.with_cat("ExtractMesh", "amr", || {
         tree.ghost_layer_into(ghost);
         extract_mesh_with_ghosts(tree, domain, ghost.ghosts())
@@ -296,45 +279,24 @@ pub fn adapt_mesh_ws(
         check::guard_mesh(tree, &new_mesh, Some(rec));
     }
 
-    // Unpack: every owned dof appears as the corner of some local
-    // element; take its value from the first match.
+    // Unpack the moved corner data onto the owned dofs of the new mesh.
     let new_fields: Vec<Vec<f64>> = {
         let _s = rec.span_cat("TransferFields", "amr");
         moved[..nf]
             .iter()
-            .map(|data| {
-                let mut f = vec![0.0; new_mesh.n_owned];
-                filled.clear();
-                filled.resize(new_mesh.n_owned, false);
-                for e in 0..new_mesh.elements.len() {
-                    let o = &new_mesh.elements[e];
-                    let l = o.len();
-                    for (c, &nref) in new_mesh.elem_nodes[e].iter().enumerate() {
-                        if let NodeResolution::Dof(d) = new_mesh.node_table[nref as usize] {
-                            if d < new_mesh.n_owned && !filled[d] {
-                                // Corner position check is implicit: the
-                                // node ref *is* this corner.
-                                let _ = (l, node_coords(new_mesh.node_keys[nref as usize]));
-                                f[d] = data[8 * e + c];
-                                filled[d] = true;
-                            }
-                        }
-                    }
-                }
-                debug_assert!(filled.iter().all(|&x| x), "every owned dof covered");
-                f
-            })
+            .map(|data| unpack_corner_values(&new_mesh, data))
             .collect()
     };
 
     let elements_after = tree.global_count();
+    let marked = comm.allreduce_sum(&[refined as u64, coarsened as u64]);
     let report = AdaptReport {
-        refined: comm.allreduce_sum(&[refined as u64])[0],
-        coarsened_families: comm.allreduce_sum(&[coarsened as u64])[0],
+        refined: marked[0],
+        coarsened_families: marked[1],
         balance_added,
         unchanged: n_before
-            .saturating_sub(comm.allreduce_sum(&[refined as u64])[0])
-            .saturating_sub(8 * comm.allreduce_sum(&[coarsened as u64])[0]),
+            .saturating_sub(marked[0])
+            .saturating_sub(8 * marked[1]),
         elements_after,
         level_histogram: {
             let local = level_histogram(&tree.local);
@@ -363,7 +325,6 @@ pub fn adapt_mesh_ws(
     rec.add_count("amr.p2p_msgs", stats1.p2p_messages - stats0.p2p_messages);
     rec.add_count("amr.ripple_rounds", tree.last_balance_rounds());
 
-    let _ = n_adapted;
     (new_mesh, new_fields, report)
 }
 
@@ -425,8 +386,8 @@ mod tests {
                 assert!(summary.incl_seconds(phase) > 0.0, "{phase} not recorded");
             }
             assert_eq!(
-                summary.phases["ExtractMesh"].count, 2,
-                "pre- and post-partition"
+                summary.phases["ExtractMesh"].count, 1,
+                "one extraction per adaptation, on the final partition"
             );
         });
     }

@@ -4,7 +4,7 @@
 //! variable-viscosity (Picard-linearized) Stokes solve for the flow —
 //! with dynamic AMR every `adapt_every` steps.
 
-use crate::adapt::{adapt_mesh, gradient_indicator, AdaptParams, AdaptReport};
+use crate::adapt::{adapt_mesh_ws, gradient_indicator, AdaptParams, AdaptReport, AdaptWorkspace};
 use crate::rheology::ViscosityLaw;
 use crate::transport::{TransportParams, TransportSolver};
 use mesh::extract::{extract_mesh, Mesh};
@@ -82,6 +82,8 @@ pub struct ConvectionSim<'c> {
     pub rec: Recorder,
     pub step_count: usize,
     pub time: f64,
+    /// Adaptation scratch, kept warm across the adaptations of `step`.
+    adapt_ws: AdaptWorkspace,
 }
 
 impl<'c> ConvectionSim<'c> {
@@ -124,6 +126,7 @@ impl<'c> ConvectionSim<'c> {
             rec,
             step_count: 0,
             time: 0.0,
+            adapt_ws: AdaptWorkspace::new(),
         }
     }
 
@@ -258,13 +261,14 @@ impl<'c> ConvectionSim<'c> {
             let ind = gradient_indicator(&self.mesh, self.comm, &self.temperature);
             let fields = [self.temperature.clone()];
             let rec = self.rec.clone();
-            let (new_mesh, mut new_fields, rep) = adapt_mesh(
+            let (new_mesh, mut new_fields, rep) = adapt_mesh_ws(
                 &mut self.tree,
                 &self.mesh,
                 &fields,
                 &ind,
                 &self.params.adapt,
                 &rec,
+                &mut self.adapt_ws,
             );
             self.mesh = new_mesh;
             self.temperature = new_fields.remove(0);

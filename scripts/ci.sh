@@ -28,6 +28,12 @@ CHECK_INVARIANTS=1 cargo test -q --workspace
 echo "==> vrank_diff P = 256 (release, --ignored)"
 cargo test -q --release -p check --test vrank_diff -- --ignored
 
+# The AMR fuzz acceptance run (200 seeded cycles over P ∈ {1, 2, 4, 8},
+# the merge kernel against the point-location path every cycle) is
+# #[ignore]d for the same reason; ~15 s optimized.
+echo "==> fuzz_amr 200 cycles (release, --ignored)"
+cargo test -q --release -p check --test fuzz_amr -- --ignored
+
 # Scalar-fallback job: build and test the octree crate with the AVX2
 # path compiled out entirely (--no-default-features drops the `simd`
 # feature). The kernel unit tests compare each dispatching kernel with a

@@ -10,7 +10,7 @@
 //! the 24-tree cubed sphere across simulated ranks (exercising the
 //! inter-tree face transforms and ghost exchanges), then the machine
 //! model produces the weak-scaling efficiency ladder for p = 4 and
-//! p = 6 from the measured per-element cost and communication profile.
+//! p = 6 from the per-element flop count and the face-trace traffic.
 
 use forest::{Connectivity, Forest};
 use mangll::advection::{DgAdvection, DgParams};
@@ -27,7 +27,6 @@ fn main() {
     let conn = Arc::new(Connectivity::cubed_sphere(0.55, 1.0));
     let nsteps = 20;
     let order = 2;
-    let t0 = std::time::Instant::now();
     let (out, stats) = spmd::run_with_stats(4, move |c| {
         let f = Forest::new_uniform(c, conn.clone(), 1);
         let init = |q: [f64; 3]| {
@@ -55,14 +54,13 @@ fn main() {
         let gmax = c.allreduce_max(&[umax])[0];
         (f.global_count(), m0, m1, gmax, dt * nsteps as f64)
     });
-    let wall = t0.elapsed().as_secs_f64();
     let (n_elem, m0, m1, umax, t_sim) = out[0];
     println!(
         "real run: {} elements (24 trees), p = {order}, {nsteps} RK45 steps, rotation angle {:.2} rad",
         n_elem, t_sim
     );
     println!(
-        "front max {umax:.3} (bounded), mass drift {:.2}% (faceted-geometry mortar),",
+        "front max {umax:.3} (bounded), mass drift {:.2}% (box geometry; the mortars are exact),",
         100.0 * (m1 - m0).abs() / m0.abs().max(1e-300)
     );
     println!(
@@ -72,29 +70,21 @@ fn main() {
     );
 
     // Weak-scaling efficiency ladder (machine model): per-core work fixed
-    // at the paper's granularity; communication = face exchanges (5 RK
-    // stages) + curve-partition collectives.
+    // at the paper's granularity and counted in flops — the tensor
+    // derivative plus ~40 per node for the chain rule, faces and RK
+    // update, per stage; communication = one face exchange per RK stage
+    // + curve-partition collectives. Nothing here is timed on this host.
     let machine = MachineModel::ranger();
     let elems_per_core = 400.0;
-    let host_per_elem_step = wall / (n_elem as f64 * nsteps as f64);
     let mut table = Table::new(&["#cores", "p=4 efficiency", "p=6 efficiency"]);
     let eff = |p_order: usize, cores: usize| -> f64 {
-        let n1 = (p_order + 1) as f64;
-        let flops = elems_per_core * (tensor_derivative_flops(p_order) as f64 + 40.0 * n1.powi(3));
-        // Scale measured per-element cost by the order-dependent work.
-        let scale = flops
-            / (elems_per_core
-                * (tensor_derivative_flops(order) as f64 + 40.0 * ((order + 1) as f64).powi(3)));
-        let w = host_per_elem_step
-            * machine.fem_efficiency
-            * machine.peak_flops_per_core
-            * elems_per_core
-            * scale;
-        let t1 = machine.t_fem_flops(w);
         if cores == 1 {
             return 1.0;
         }
-        let face_bytes = 5.0 * 6.0 * elems_per_core.powf(2.0 / 3.0) * n1 * n1 * 8.0;
+        let n1 = (p_order + 1) as f64;
+        let flops = elems_per_core * (tensor_derivative_flops(p_order) as f64 + 40.0 * n1.powi(3));
+        let t1 = machine.t_fem_flops(5.0 * flops);
+        let face_bytes = 6.0 * elems_per_core.powf(2.0 / 3.0) * n1 * n1 * 8.0;
         let comm =
             5.0 * machine.t_alltoallv(face_bytes, 26) + 2.0 * machine.t_allreduce(8.0, cores);
         t1 / (t1 + comm)

@@ -23,6 +23,16 @@ pub const FACE_CORNERS: [[usize; 4]; 6] = [
     [4, 5, 6, 7], // +z
 ];
 
+/// The two axes tangential to `face`, ascending — the order in which
+/// face nodes, hanging-face children and [`FACE_CORNERS`] are laid out.
+pub fn transverse_axes(face: u8) -> [usize; 2] {
+    match face / 2 {
+        0 => [1, 2],
+        1 => [0, 2],
+        _ => [0, 1],
+    }
+}
+
 /// How tree reference coordinates map to physical space.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum TreeGeometry {
@@ -50,21 +60,25 @@ pub struct FaceTransform {
 }
 
 impl FaceTransform {
-    /// Map a continuous point given in *doubled* source-tree lattice
-    /// coordinates (possibly outside `[0, 2·ROOT_LEN]` along the face
-    /// normal) into doubled destination-tree coordinates. Used by the DG
-    /// layer to locate face-node counterparts across tree boundaries.
-    pub fn apply_point(&self, p2: [f64; 3]) -> [f64; 3] {
-        let mut out = [0.0; 3];
-        for i in 0..3 {
-            out[i] = self.sign[i] as f64 * p2[self.axis[i]] + self.off[i] as f64;
+    /// How the face lattice turns on the way across, seen from source
+    /// face `face`: with both faces' transverse axes taken in ascending
+    /// order, bit 0 says they swap, and bit `1 + c` that the
+    /// destination's `c`-th transverse axis runs against the source axis
+    /// it images. Translations (every brick) give 0.
+    pub fn orientation(&self, face: u8) -> u8 {
+        let src = transverse_axes(face);
+        let dst = transverse_axes(self.face);
+        let mut o = u8::from(self.axis[dst[0]] != src[0]);
+        for c in 0..2 {
+            if self.sign[dst[c]] < 0 {
+                o |= 2 << c;
+            }
         }
-        out
+        o
     }
 
-    /// Integer twin of [`FaceTransform::apply_point`]: exact lattice
-    /// points in doubled coordinates, as tracked for the corner and edge
-    /// entities of the recursive iterate traversal.
+    /// Map an exact lattice point in doubled coordinates, as tracked for
+    /// the corner and edge entities of the recursive iterate traversal.
     pub fn apply_point_i64(&self, p2: [i64; 3]) -> [i64; 3] {
         let mut out = [0i64; 3];
         for i in 0..3 {
@@ -537,6 +551,11 @@ mod tests {
                 .filter(|&f| c.neighbor_across(t, f).is_some())
                 .count();
             assert_eq!(lateral, 4, "tree {t}");
+            // The caps' tangential axes are laid out cyclically: no seam
+            // turns or mirrors the face lattice.
+            for f in 0..4 {
+                assert_eq!(c.neighbor_across(t, f).unwrap().orientation(f), 0);
+            }
             assert!(c.neighbor_across(t, 4).is_none(), "inner shell boundary");
             assert!(c.neighbor_across(t, 5).is_none(), "outer shell boundary");
         }

@@ -29,7 +29,7 @@ pub mod connectivity;
 pub mod dist;
 pub mod traverse;
 
-pub use connectivity::{Connectivity, FaceTransform, TreeGeometry};
+pub use connectivity::{transverse_axes, Connectivity, FaceTransform, TreeGeometry};
 pub use dist::{Forest, ForestLeaf};
 pub use traverse::{
     CornerVisit, EdgeVisit, FaceSide, FaceVisit, GhostEntry, GhostKind, GhostLayer, GhostWorkspace,

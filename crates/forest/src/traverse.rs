@@ -30,7 +30,7 @@
 
 use octree::{ops, simd, Octant, MAX_LEVEL, ROOT_LEN};
 
-use crate::connectivity::Connectivity;
+use crate::connectivity::{transverse_axes, Connectivity};
 use crate::dist::{Forest, ForestLeaf};
 
 /// The 26 unit directions grouped by codimension: 6 faces (indexed to
@@ -423,6 +423,11 @@ pub struct FaceSide {
     pub origin: LeafOrigin,
     /// The face of `leaf` lying on the entity, in `leaf`'s tree frame.
     pub face: u8,
+    /// [`crate::FaceTransform::orientation`] of the way from this side's
+    /// tree to the opposite side's, seen from `face`: how to lay the
+    /// opposite side's face lattice over this one's. 0 inside a tree and
+    /// on the domain boundary.
+    pub orient: u8,
 }
 
 /// A face entity: the big (or equal-size) side, and the opposite
@@ -861,6 +866,7 @@ impl<'c> Forest<'c> {
                             leaf: x,
                             origin: xo,
                             face,
+                            orient: 0,
                         };
                         visit(&FaceVisit {
                             big,
@@ -870,13 +876,28 @@ impl<'c> Forest<'c> {
                     }
                     continue;
                 };
-                let facing = if n.tree == x.tree {
-                    face ^ 1
+                // The facing face and both sides' orientation codes.
+                let (facing, orient, back) = if n.tree == x.tree {
+                    (face ^ 1, 0, 0)
                 } else {
-                    self.connectivity()
+                    let conn = self.connectivity();
+                    let there = conn
                         .neighbor_across(x.tree, face)
-                        .expect("neighbor() crossed a connected face")
-                        .face
+                        .expect("neighbor() crossed a connected face");
+                    let back = conn
+                        .neighbor_across(n.tree, there.face)
+                        .expect("face connections are mutual");
+                    (
+                        there.face,
+                        there.orientation(face),
+                        back.orientation(there.face),
+                    )
+                };
+                let big = FaceSide {
+                    leaf: x,
+                    origin: xo,
+                    face,
+                    orient,
                 };
                 match view_containing(&view, &n) {
                     Some(yi) => {
@@ -890,13 +911,10 @@ impl<'c> Forest<'c> {
                                 leaf: y,
                                 origin: yo,
                                 face: facing,
+                                orient: back,
                             });
                             visit(&FaceVisit {
-                                big: FaceSide {
-                                    leaf: x,
-                                    origin: xo,
-                                    face,
-                                },
+                                big,
                                 fine: &fine,
                                 hanging: false,
                             });
@@ -925,6 +943,7 @@ impl<'c> Forest<'c> {
                                         leaf: view[ki].0,
                                         origin: view[ki].1,
                                         face: facing,
+                                        orient: back,
                                     });
                                 }
                                 _ => missing = true,
@@ -939,11 +958,7 @@ impl<'c> Forest<'c> {
                         }
                         if xo.is_local() || fine.iter().any(|s| s.origin.is_local()) {
                             visit(&FaceVisit {
-                                big: FaceSide {
-                                    leaf: x,
-                                    origin: xo,
-                                    face,
-                                },
+                                big,
                                 fine: &fine,
                                 hanging: true,
                             });
@@ -1039,11 +1054,7 @@ impl<'c> Forest<'c> {
             let anchor = [o.x() as i64, o.y() as i64, o.z() as i64];
             for e in 0u8..12 {
                 let axis = (e / 4) as usize;
-                let (t1, t2) = match axis {
-                    0 => (1, 2),
-                    1 => (0, 2),
-                    _ => (0, 1),
-                };
+                let [t1, t2] = transverse_axes(2 * axis as u8);
                 let s1 = (e % 4) & 1;
                 let s2 = (e % 4) >> 1;
                 let mut mid2 = [0i64; 3];

@@ -238,6 +238,105 @@ impl ElementDerivative {
     }
 }
 
+/// `out = (B ⊗ A) x` on an `n × n` face trace `x[a + n·b]`: `A`
+/// contracts the fast index, `B` the slow one (row-major `n × n`, rows
+/// are outputs); `2n³` multiply-adds, `tmp` is `n²` scratch. With the
+/// half-interval operators of [`Lgl`] this is the mortar interpolation
+/// onto, or projection from, one quarter of a 2:1 hanging face.
+pub fn apply_face(a: &[f64], b: &[f64], n: usize, x: &[f64], tmp: &mut [f64], out: &mut [f64]) {
+    for (trow, xrow) in tmp.chunks_exact_mut(n).zip(x.chunks_exact(n)) {
+        for (t, arow) in trow.iter_mut().zip(a.chunks_exact(n)) {
+            *t = arow.iter().zip(xrow).map(|(&av, &xv)| av * xv).sum();
+        }
+    }
+    for (orow, brow) in out.chunks_exact_mut(n).zip(b.chunks_exact(n)) {
+        orow.fill(0.0);
+        for (&bv, trow) in brow.iter().zip(tmp.chunks_exact(n)) {
+            for (o, &t) in orow.iter_mut().zip(trow) {
+                *o += bv * t;
+            }
+        }
+    }
+}
+
+/// `out = (C ⊗ B ⊗ A) x` on an `n³` element `x[i + n·(j + n·k)]`, one
+/// matrix per axis: with the half-interval interpolations of [`Lgl`],
+/// the parent polynomial on one of its eight children. `tmp` is `n³`
+/// scratch.
+pub fn apply_volume(m: [&[f64]; 3], n: usize, x: &[f64], tmp: &mut [f64], out: &mut [f64]) {
+    let n2 = n * n;
+    for (oslab, xslab) in out.chunks_exact_mut(n2).zip(x.chunks_exact(n2)) {
+        apply_face(m[0], m[1], n, xslab, &mut tmp[..n2], oslab);
+    }
+    tmp.copy_from_slice(out);
+    for (oslab, crow) in out.chunks_exact_mut(n2).zip(m[2].chunks_exact(n)) {
+        oslab.fill(0.0);
+        for (&cv, tslab) in crow.iter().zip(tmp.chunks_exact(n2)) {
+            for (o, &t) in oslab.iter_mut().zip(tslab) {
+                *o += cv * t;
+            }
+        }
+    }
+}
+
+/// Index tables of the `n²` trace of an element face. Face node
+/// `a + n·b` runs `a` along the lower and `b` along the higher of the
+/// face's two transverse axes.
+pub struct FaceTables {
+    n2: usize,
+    nodes: Vec<u32>,
+    perm: Vec<u32>,
+}
+
+impl FaceTables {
+    pub fn new(n: usize) -> Self {
+        let n2 = n * n;
+        let mut nodes = Vec::with_capacity(6 * n2);
+        for face in 0..6 {
+            let (axis, end) = (face / 2, (face % 2) * (n - 1));
+            let stride = |ax: usize| n.pow(ax as u32);
+            let [t1, t2] = forest::transverse_axes(face as u8);
+            for b in 0..n {
+                for a in 0..n {
+                    nodes.push((end * stride(axis) + a * stride(t1) + b * stride(t2)) as u32);
+                }
+            }
+        }
+        let mut perm = Vec::with_capacity(8 * n2);
+        for o in 0..8 {
+            for b in 0..n {
+                for a in 0..n {
+                    let ours = [a, b];
+                    let theirs: [usize; 2] = std::array::from_fn(|c| {
+                        let i = ours[c ^ (o & 1)];
+                        if (o >> (1 + c)) & 1 == 1 {
+                            n - 1 - i
+                        } else {
+                            i
+                        }
+                    });
+                    perm.push((theirs[0] + n * theirs[1]) as u32);
+                }
+            }
+        }
+        FaceTables { n2, nodes, perm }
+    }
+
+    /// Volume node index of every node of `face`, in trace order.
+    pub fn nodes(&self, face: usize) -> &[u32] {
+        &self.nodes[face * self.n2..(face + 1) * self.n2]
+    }
+
+    /// For every node of our trace, the index of the coinciding node in
+    /// the trace of the element across the face, under the forest's
+    /// orientation code `orient` ([`forest::FaceTransform::orientation`]
+    /// seen from our side). LGL nodes are symmetric, so a reversed axis
+    /// is the reversed index.
+    pub fn perm(&self, orient: u8) -> &[u32] {
+        &self.perm[orient as usize * self.n2..(orient as usize + 1) * self.n2]
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -289,6 +388,140 @@ mod tests {
             ed.apply_tensor_batch(&u, &mut a, nelem);
             ed.apply_tensor_batch_reference(&u, &mut b, nelem);
             assert_eq!(a, b, "p={p}: vectorized kernel must match bitwise");
+        }
+    }
+
+    fn pseudo_random(len: usize, seed: usize) -> Vec<f64> {
+        (0..len)
+            .map(|i| (((i + seed) * 2654435761 + 17) % 1000) as f64 / 499.0 - 1.0)
+            .collect()
+    }
+
+    /// The 2-D mortar algebra a conservative hanging face rests on:
+    /// interpolating a trace onto the four quarters and projecting back
+    /// is the identity, and the projection keeps the face integral (the
+    /// quarters have a quarter of the area).
+    #[test]
+    fn face_mortar_projection_inverts_interpolation_and_keeps_integrals() {
+        for p in 1..=6 {
+            let lgl = Lgl::new(p);
+            let n = lgl.n();
+            let n2 = n * n;
+            let (mut tmp, mut fine, mut back) = (vec![0.0; n2], vec![0.0; n2], vec![0.0; n2]);
+            for k in 0..n2 {
+                let mut unit = vec![0.0; n2];
+                unit[k] = 1.0;
+                let mut sum = vec![0.0; n2];
+                for q in 0..4 {
+                    let (lo, hi) = (q & 1 != 0, q & 2 != 0);
+                    apply_face(
+                        lgl.interp(lo),
+                        lgl.interp(hi),
+                        n,
+                        &unit,
+                        &mut tmp,
+                        &mut fine,
+                    );
+                    apply_face(
+                        lgl.project(lo),
+                        lgl.project(hi),
+                        n,
+                        &fine,
+                        &mut tmp,
+                        &mut back,
+                    );
+                    sum.iter_mut().zip(&back).for_each(|(s, b)| *s += b);
+                }
+                for (j, (s, u)) in sum.iter().zip(&unit).enumerate() {
+                    assert!((s - u).abs() < 1e-13, "p={p} ({j},{k}): {s}");
+                }
+            }
+            let integral = |g: &[f64]| -> f64 {
+                (0..n2)
+                    .map(|k| lgl.weights[k % n] * lgl.weights[k / n] * g[k])
+                    .sum()
+            };
+            let (mut coarse, mut children) = (0.0, 0.0);
+            for q in 0..4 {
+                let g = pseudo_random(n2, 31 * q + p);
+                apply_face(
+                    lgl.project(q & 1 != 0),
+                    lgl.project(q & 2 != 0),
+                    n,
+                    &g,
+                    &mut tmp,
+                    &mut back,
+                );
+                coarse += integral(&back);
+                children += 0.25 * integral(&g);
+            }
+            assert!(
+                (coarse - children).abs() < 1e-13,
+                "p={p}: {coarse} vs {children}"
+            );
+        }
+    }
+
+    /// `apply_volume` with the child interpolations is the parent
+    /// polynomial evaluated at the child's nodes.
+    #[test]
+    fn volume_interpolation_reproduces_the_parent_polynomial() {
+        let p = 3;
+        let lgl = Lgl::new(p);
+        let n = lgl.n();
+        let f = |x: f64, y: f64, z: f64| (1.0 + x - x.powi(3)) * (0.5 - y * y) * (2.0 + z.powi(3));
+        let sample = |at: &dyn Fn(f64) -> [f64; 3]| -> Vec<f64> {
+            let x = &lgl.nodes;
+            let mut out = Vec::new();
+            for k in 0..n {
+                for j in 0..n {
+                    for i in 0..n {
+                        out.push(f(at(x[i])[0], at(x[j])[1], at(x[k])[2]));
+                    }
+                }
+            }
+            out
+        };
+        let parent = sample(&|x| [x; 3]);
+        let (mut tmp, mut child) = (vec![0.0; n * n * n], vec![0.0; n * n * n]);
+        for c in 0..8usize {
+            let hi = [c & 1 != 0, c & 2 != 0, c & 4 != 0];
+            apply_volume(hi.map(|h| lgl.interp(h)), n, &parent, &mut tmp, &mut child);
+            let half = |d: usize, x: f64| 0.5 * (x + if hi[d] { 1.0 } else { -1.0 });
+            let exact = sample(&|x| [half(0, x), half(1, x), half(2, x)]);
+            for (a, b) in child.iter().zip(&exact) {
+                assert!((a - b).abs() < 1e-13, "child {c}: {a} vs {b}");
+            }
+        }
+    }
+
+    /// Face node tables against the node numbering, and the orientation
+    /// permutations against their definition.
+    #[test]
+    fn face_tables_index_the_face_nodes() {
+        let n = 4;
+        let ft = FaceTables::new(n);
+        for face in 0..6 {
+            let [t1, t2] = forest::transverse_axes(face as u8);
+            for (k, &node) in ft.nodes(face).iter().enumerate() {
+                let idx = [
+                    node as usize % n,
+                    node as usize / n % n,
+                    node as usize / (n * n),
+                ];
+                assert_eq!(idx[face / 2], (face % 2) * (n - 1));
+                assert_eq!((idx[t1], idx[t2]), (k % n, k / n));
+            }
+        }
+        assert!(ft.perm(0).iter().enumerate().all(|(k, &j)| j as usize == k));
+        // Swap alone transposes; a flip alone reverses one index.
+        assert_eq!(ft.perm(1)[1], n as u32);
+        assert_eq!(ft.perm(2)[0], (n - 1) as u32);
+        assert_eq!(ft.perm(4)[0], (n * (n - 1)) as u32);
+        for o in 0..8 {
+            let mut seen = vec![false; n * n];
+            ft.perm(o).iter().for_each(|&j| seen[j as usize] = true);
+            assert!(seen.iter().all(|&s| s), "orientation {o} is a permutation");
         }
     }
 

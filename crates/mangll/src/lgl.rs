@@ -36,18 +36,13 @@ fn legendre(n: usize, x: f64) -> (f64, f64) {
         p0 = p1;
         p1 = p2;
     }
-    // Derivative from the standard identity (guard endpoints).
+    // dP_n/dx = n (P_{n-1} − x P_n) / (1 − x²), with the endpoint values
+    // ±n(n+1)/2 where that is 0/0.
+    let nf = n as f64;
     let dp = if (x * x - 1.0).abs() < 1e-14 {
-        let nf = n as f64;
         x.powi(n as i32 - 1) * nf * (nf + 1.0) / 2.0
     } else {
-        -((n as f64) * (x * p0 - p1) / (1.0 - x * x))
-    };
-    // dP_n/dx = n (P_{n-1} - x P_n) / (1 - x²)
-    let dp = if (x * x - 1.0).abs() < 1e-14 {
-        dp
-    } else {
-        (n as f64) * (p0 - x * p1) / (1.0 - x * x)
+        nf * (p0 - x * p1) / (1.0 - x * x)
     };
     (p1, dp)
 }
@@ -267,6 +262,24 @@ impl Lgl {
     /// Number of 1D nodes.
     pub fn n(&self) -> usize {
         self.order + 1
+    }
+
+    /// Interpolation onto the low (`[−1,0]`) or high (`[0,1]`) half.
+    pub fn interp(&self, hi: bool) -> &[f64] {
+        if hi {
+            &self.interp_hi
+        } else {
+            &self.interp_lo
+        }
+    }
+
+    /// L² projection back from the low or high half.
+    pub fn project(&self, hi: bool) -> &[f64] {
+        if hi {
+            &self.project_hi
+        } else {
+            &self.project_lo
+        }
     }
 }
 

@@ -34,6 +34,12 @@ cargo test -q --release -p check --test vrank_diff -- --ignored
 echo "==> fuzz_amr 200 cycles (release, --ignored)"
 cargo test -q --release -p check --test fuzz_amr -- --ignored
 
+# DG in release: the 1e-12 conservation and bitwise P-vs-serial tests are
+# claims about the optimized code too (fused, vectorized arithmetic); the
+# debug passes above are otherwise the only place DG runs.
+echo "==> mangll (release)"
+cargo test -q --release -p mangll
+
 # Scalar-fallback job: build and test the octree crate with the AVX2
 # path compiled out entirely (--no-default-features drops the `simd`
 # feature). The kernel unit tests compare each dispatching kernel with a

@@ -6,68 +6,34 @@
 //! the MINRES element kernels scale nearly ideally, while AMG setup and
 //! V-cycle times grow with scale.
 //!
-//! Here: the full RHEA loop (Stokes + transport + AMR) runs for real at
-//! host scale under the `obs` tracing subsystem; the per-phase profile,
-//! solver telemetry (MINRES residual history, V-cycle counts) and the
-//! Chrome trace / run manifest under `results/obs/` all come from the
-//! recorded spans. The machine model adds per-phase communication at
-//! each paper core count. AMG's modeled growth reflects its extra
-//! coarse-level collectives (log²P), the paper's observed trend.
+//! Here: the full RHEA loop (Stokes + transport + AMR) at a fixed element
+//! count per rank, once per rank count in `RANK_COUNTS`, under the `obs`
+//! tracing subsystem. Every row carries the busiest rank's on-CPU
+//! seconds, the MINRES iterations and the communication per rank and
+//! step; the per-step phase seconds are span seconds on the slowest rank,
+//! printed only where every rank had a core to itself. The largest such
+//! run leaves its solver telemetry below and its Chrome trace / run
+//! manifest under `results/obs/`.
 
-use obs::{ObsSession, Reduce, Summary, Value};
 use rhea_bench::{
-    banner, convection_workload_traced, paper_core_counts, phase_comm_seconds, Table, PAPER_PHASES,
+    banner, convection_workload_traced, scaling_headers, single_run_note, Run, Table, RANK_COUNTS,
 };
-use scomm::MachineModel;
 
 fn main() {
     banner(
         "Figure 8",
         "Full mantle convection: per-time-step runtime breakdown",
     );
-    let steps = 6;
+    let (level, steps) = (4u8, 6);
     let adapt_every = 3; // paper: 16; scaled to the short run
-    let (serial_profiles, n_elem, minres_iters) =
-        convection_workload_traced(1, 4, steps, adapt_every);
-    let serial = &serial_profiles[0].summary;
-    let machine = MachineModel::ranger();
     println!(
-        "measured serial run: {n_elem} elements, {steps} steps, {minres_iters} MINRES iterations\n"
+        "{steps} steps, adapted toward {} elements per rank twice before the first step and \
+         every {adapt_every} steps\n",
+        8u64.pow(level as u32)
     );
-
-    let host_to_flops = |sec: f64| sec * machine.fem_efficiency * machine.peak_flops_per_core;
-    let elem_per_core = n_elem as f64;
-    let surface_bytes = 8.0 * 6.0 * elem_per_core.powf(2.0 / 3.0) * 8.0;
-
-    // Per-step communication of the three Stokes rows, modeled here where
-    // the iteration count is known: every MINRES iteration needs 1 ghost
-    // exchange + 2 allreduces; every V-cycle crosses ~L levels with an
-    // allreduce each (block-Jacobi AMG keeps V-cycles local; the setup
-    // allgathers grow with log P). The AMR rows and `TimeIntegration`
-    // come from the shared per-phase table.
-    let iters_per_step = minres_iters as f64 / steps as f64;
-    let stokes_comm_per_step = |name: &str, p: usize| -> f64 {
-        if p == 1 {
-            return 0.0;
-        }
-        let a2a = machine.t_alltoallv(surface_bytes, 26);
-        let ar = machine.t_allreduce(8.0, p);
-        let lg = (p as f64).log2().ceil();
-        match name {
-            "MINRES" => iters_per_step * (a2a + 2.0 * ar),
-            "AMGSolve" => iters_per_step * 3.0 * lg * ar, // level sweep barriers
-            "AMGSetup" => (1.0 / adapt_every as f64) * lg * lg * (ar + a2a),
-            _ => 0.0,
-        }
-    };
-    let local_per_step =
-        |host_sec: f64| machine.t_fem_flops(host_to_flops(host_sec)) / steps as f64;
-    // The MINRES span wraps the V-cycles it triggers; the paper's MINRES
-    // column excludes them.
-    let minres_sec = (serial.incl_seconds("MINRES") - serial.incl_seconds("AMGSolve")).max(0.0);
-
-    let mut table = Table::new(&[
-        "#cores",
+    let mut scaling = Table::new(&scaling_headers(&["elem/rank", "efficiency", "MINRES its"]));
+    let mut breakdown = Table::new(&[
+        "#ranks",
         "AMR s/step",
         "TimeInt s/step",
         "MINRES s/step",
@@ -76,61 +42,57 @@ fn main() {
         "total s/step",
         "Stokes %",
     ]);
-    for &p in &paper_core_counts(16384) {
-        let table_comm = |name: &str| phase_comm_seconds(name, p, &machine, surface_bytes);
-        let amr: f64 = PAPER_PHASES
-            .iter()
-            .filter(|(_, cat)| *cat == "amr")
-            .map(|(name, _)| {
-                local_per_step(serial.incl_seconds(name)) + table_comm(name) / adapt_every as f64
-            })
-            .sum();
-        let ti =
-            local_per_step(serial.incl_seconds("TimeIntegration")) + table_comm("TimeIntegration");
-        let mr = local_per_step(minres_sec) + stokes_comm_per_step("MINRES", p);
-        let ags =
-            local_per_step(serial.incl_seconds("AMGSetup")) + stokes_comm_per_step("AMGSetup", p);
-        let agv =
-            local_per_step(serial.incl_seconds("AMGSolve")) + stokes_comm_per_step("AMGSolve", p);
-        let total = amr + ti + mr + ags + agv;
-        let stokes_pct = 100.0 * (mr + ags + agv) / total;
-        table.row(&[
+    let mut base = 0.0;
+    let mut traced: Option<Run> = None;
+    for p in RANK_COUNTS {
+        let run = convection_workload_traced(p, level, steps, adapt_every);
+        if p == 1 {
+            base = run.max_cpu_s();
+        }
+        scaling.row(&run.scaling_row(vec![
+            (run.elements / p as u64).to_string(),
+            format!("{:.2}", base / run.max_cpu_s()),
+            run.minres_iters.to_string(),
+        ]));
+
+        let stokes = run.minres_s() + run.phase_s("AMGSetup") + run.phase_s("AMGSolve");
+        let total = run.amr_s() + run.phase_s("TimeIntegration") + stokes;
+        let per_step =
+            |seconds: f64| run.phase_cell(seconds, |s| format!("{:.3}", s / steps as f64));
+        breakdown.row(&[
             p.to_string(),
-            format!("{amr:.3}"),
-            format!("{ti:.3}"),
-            format!("{mr:.3}"),
-            format!("{ags:.3}"),
-            format!("{agv:.3}"),
-            format!("{total:.3}"),
-            format!("{stokes_pct:.1}"),
+            per_step(run.amr_s()),
+            per_step(run.phase_s("TimeIntegration")),
+            per_step(run.minres_s()),
+            per_step(run.phase_s("AMGSetup")),
+            per_step(run.phase_s("AMGSolve")),
+            per_step(total),
+            run.phase_cell(stokes, |s| format!("{:.1}", 100.0 * s / total)),
         ]);
-    }
-    table.print();
-    println!();
-    println!("measured serial span profile:");
-    println!(
-        "  {:<18} {:>6} {:>10} {:>12}",
-        "phase", "count", "incl s", "incl s/step"
-    );
-    for (name, _) in PAPER_PHASES {
-        if let Some(st) = serial.phases.get(name) {
-            println!(
-                "  {:<18} {:>6} {:>10.3} {:>12.4}",
-                name,
-                st.count,
-                st.incl_seconds(),
-                st.incl_seconds() / steps as f64
-            );
+        if run.spans_are_measured() {
+            traced = Some(run);
         }
     }
+    scaling.print();
+    single_run_note();
     println!();
-    println!("solver telemetry (from obs counters/series):");
+    println!("span seconds per step (slowest rank; `-`: more ranks than cores):");
+    breakdown.print();
+
+    let run = traced.expect("one rank always has a core");
+    run.report("fig8_full_breakdown");
+    let rank0 = &run.profiles[0];
+    println!();
+    println!("solver telemetry (rank 0, from obs counters/series):");
     println!(
         "  minres.iterations  {}",
-        serial.counter("minres.iterations")
+        rank0.summary.counter("minres.iterations")
     );
-    println!("  amg.vcycles        {}", serial.counter("amg.vcycles"));
-    if let Some(res) = serial_profiles[0].series.get("minres.residual") {
+    println!(
+        "  amg.vcycles        {}",
+        rank0.summary.counter("amg.vcycles")
+    );
+    if let Some(res) = rank0.series.get("minres.residual") {
         if let (Some(first), Some(last)) = (res.first(), res.last()) {
             println!(
                 "  minres.residual    {} samples, {first:.3e} → {last:.3e}",
@@ -138,42 +100,11 @@ fn main() {
             );
         }
     }
-
-    // Four simulated ranks: the same convection loop, traced, with the
-    // figure's observability artifacts written under results/obs/.
-    let ranks = 4;
-    let (profiles, n4, iters4) = convection_workload_traced(ranks, 3, 4, 2);
-    let merged = Summary::reduce_all(profiles.iter().map(|p| &p.summary));
     println!();
     println!(
-        "{ranks}-rank traced run: {n4} elements, {iters4} MINRES iterations, \
-         comm time {:.4} s (merged incl)",
-        merged.cat_incl_seconds("comm")
-    );
-    let extra = Value::object([
-        ("figure", Value::from("fig8")),
-        ("ranks", Value::from(ranks as u64)),
-        ("elements", Value::from(n4)),
-        ("minres_iterations", Value::from(iters4 as u64)),
-        ("serial_elements", Value::from(n_elem)),
-        ("steps", Value::from(steps as u64)),
-    ]);
-    match ObsSession::new("fig8_full_breakdown").write(&profiles, extra) {
-        Ok(w) => {
-            println!("obs artifacts:");
-            println!("  manifest     {}", w.manifest.display());
-            println!(
-                "  chrome trace {}  (load in chrome://tracing)",
-                w.trace.display()
-            );
-            println!("  event log    {}", w.events.display());
-        }
-        Err(e) => eprintln!("warning: could not write obs artifacts: {e}"),
-    }
-    println!();
-    println!(
-        "paper shape anchors: Stokes (MINRES + AMG) > 95% of runtime at every\n\
-         scale; AMR and explicit transport negligible and flat; AMG setup and\n\
-         V-cycle grow with core count."
+        "paper, not reproduced at this scale: Stokes (MINRES + AMG) > 95% of runtime from\n\
+         1 to 16,384 cores at ~50K elements/core; AMR and explicit transport flat; AMG\n\
+         setup and V-cycle seconds growing with core count — wall-clock on Ranger.\n\
+         Nothing above 8 ranks was run here."
     );
 }

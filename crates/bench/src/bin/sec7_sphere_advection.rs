@@ -8,15 +8,13 @@
 //!
 //! Here: the real DG solver advects a front by solid-body rotation on
 //! the 24-tree cubed sphere across simulated ranks (exercising the
-//! inter-tree face transforms and ghost exchanges), then the machine
-//! model produces the weak-scaling efficiency ladder for p = 4 and
-//! p = 6 from the per-element flop count and the face-trace traffic.
+//! inter-tree face transforms and ghost exchanges). The paper's
+//! weak-scaling efficiencies are not reproduced.
 
 use forest::{Connectivity, Forest};
 use mangll::advection::{DgAdvection, DgParams};
-use mangll::kernels::tensor_derivative_flops;
-use rhea_bench::{banner, paper_core_counts, Table};
-use scomm::{spmd, MachineModel};
+use rhea_bench::banner;
+use scomm::spmd;
 use std::sync::Arc;
 
 fn main() {
@@ -64,43 +62,14 @@ fn main() {
         100.0 * (m1 - m0).abs() / m0.abs().max(1e-300)
     );
     println!(
-        "per-rank comm per step: {:.0} msgs, {:.0} KB\n",
+        "per-rank comm per step: {:.0} msgs, {:.0} KB",
         stats[0].p2p_messages as f64 / nsteps as f64,
         stats[0].p2p_bytes as f64 / nsteps as f64 / 1024.0
     );
-
-    // Weak-scaling efficiency ladder (machine model): per-core work fixed
-    // at the paper's granularity and counted in flops — the tensor
-    // derivative plus ~40 per node for the chain rule, faces and RK
-    // update, per stage; communication = one face exchange per RK stage
-    // + curve-partition collectives. Nothing here is timed on this host.
-    let machine = MachineModel::ranger();
-    let elems_per_core = 400.0;
-    let mut table = Table::new(&["#cores", "p=4 efficiency", "p=6 efficiency"]);
-    let eff = |p_order: usize, cores: usize| -> f64 {
-        if cores == 1 {
-            return 1.0;
-        }
-        let n1 = (p_order + 1) as f64;
-        let flops = elems_per_core * (tensor_derivative_flops(p_order) as f64 + 40.0 * n1.powi(3));
-        let t1 = machine.t_fem_flops(5.0 * flops);
-        let face_bytes = 6.0 * elems_per_core.powf(2.0 / 3.0) * n1 * n1 * 8.0;
-        let comm =
-            5.0 * machine.t_alltoallv(face_bytes, 26) + 2.0 * machine.t_allreduce(8.0, cores);
-        t1 / (t1 + comm)
-    };
-    for &p in &paper_core_counts(32768) {
-        table.row(&[
-            p.to_string(),
-            format!("{:.2}", eff(4, p)),
-            format!("{:.2}", eff(6, p)),
-        ]);
-    }
-    table.print();
     println!();
     println!(
-        "paper anchors: 90% parallel efficiency at 16,384 cores (p = 4, vs 64),\n\
-         83% at 32,768 cores (p = 6, vs 32), adapting every 32 steps; higher order\n\
-         ⇒ more interior work per face byte ⇒ better efficiency."
+        "paper, not reproduced at this scale: 90% parallel efficiency at 16,384 cores\n\
+         (p = 4, vs 64), 83% at 32,768 cores (p = 6, vs 32), adapting every 32 steps.\n\
+         One 4-rank run was made here; no efficiency was measured."
     );
 }

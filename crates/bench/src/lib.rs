@@ -1,13 +1,14 @@
 //! Shared harness utilities for the paper-figure reproductions.
 //!
 //! Every binary in `src/bin/` regenerates one table or figure of the
-//! paper (see DESIGN.md §3 for the index). The harnesses run the *real*
-//! distributed algorithms on simulated ranks at host scale, then use the
-//! calibrated Ranger [`scomm::MachineModel`] to extend the series to the
-//! paper's core counts (DESIGN.md substitution #1). Measured rows are
-//! tagged `measured`; extrapolated rows are tagged `modeled`.
+//! paper (see DESIGN.md §3 for the index). The scaling figures run the
+//! *real* distributed algorithms at the rank counts in [`RANK_COUNTS`],
+//! one thread per rank, and print one row per run: what a row shows was
+//! read from a clock or a counter during that run. The paper's numbers at
+//! 1…62,464 cores are quoted beside them as not reproduced.
 
-use scomm::MachineModel;
+use obs::{RankProfile, Recorder};
+use scomm::{spmd, Comm, CommStats};
 
 /// Print a figure/table banner.
 pub fn banner(id: &str, paper: &str) {
@@ -27,19 +28,6 @@ pub fn human(n: u64) -> String {
     } else {
         n.to_string()
     }
-}
-
-/// The core counts the paper sweeps (Figs. 6–8): powers of two plus the
-/// odd-sized full-machine runs.
-pub fn paper_core_counts(max: usize) -> Vec<usize> {
-    let mut v: Vec<usize> = (0..=16)
-        .map(|k| 1usize << k)
-        .take_while(|&c| c <= max)
-        .collect();
-    if max >= 62464 && !v.contains(&62464) {
-        v.push(62464);
-    }
-    v
 }
 
 /// The paper's thirteen runtime phases (Figs. 7, 8, 10) in legend order:
@@ -64,40 +52,182 @@ pub const PAPER_PHASES: [(&str, &str); 13] = [
     ("AMGSolve", "solve"),
 ];
 
-/// Modeled communication seconds of one occurrence of a paper phase on
-/// `p` cores — one mesh adaptation for the `amr` rows, one time step for
-/// `TimeIntegration` — from the collective structure of the algorithm:
-///
-/// * `BalanceTree`: ~6 rounds of neighbor alltoallv + allreduce;
-/// * `PartitionTree`: bulk element movement (4 alltoallv) + the marker
-///   allgather (`update_markers` is an `allgatherv_into`);
-/// * `ExtractMesh`: ghost alltoallv + gid lookups (5) + 4 allgathers;
-/// * `MarkElements`: ~40 allreduce bisection iterations;
-/// * `TransferFields`: 2 alltoallv (volume = fields);
-/// * `NewTree`: the marker allgather;
-/// * `TimeIntegration`: 4 surface-volume ghost exchanges per step;
-/// * `CoarsenTree`, `RefineTree`, `InterpolateFields`: local only.
-///
-/// The three Stokes rows depend on the measured iteration count and are
-/// modeled where it is known (`fig8_full_breakdown`); they return 0 here.
-/// `surface_bytes` is the per-rank ghost-surface volume of one exchange.
-pub fn phase_comm_seconds(span: &str, p: usize, machine: &MachineModel, surface_bytes: f64) -> f64 {
-    if p == 1 {
-        return 0.0;
+/// The rank counts every scaling figure runs, one OS thread per rank.
+pub const RANK_COUNTS: [usize; 4] = [1, 2, 4, 8];
+
+/// One traced run of a figure workload at one rank count — one table row.
+pub struct Run {
+    pub profiles: Vec<RankProfile>,
+    /// Global element count when the workload returned.
+    pub elements: u64,
+    pub minres_iters: usize,
+    /// Time steps taken: the divisor of the per-step columns.
+    pub steps: usize,
+    /// Per-rank on-CPU seconds of the workload closure.
+    pub cpu_s: Vec<f64>,
+    /// Per-rank communication counters of the workload closure.
+    pub stats: Vec<CommStats>,
+}
+
+/// Run `workload` on `ranks` traced ranks; it returns `(elements, MINRES
+/// iterations)` and is clocked per rank with [`obs::thread_cpu_ns`].
+pub fn measure<F>(ranks: usize, steps: usize, workload: F) -> Run
+where
+    F: Fn(&Comm, &Recorder) -> (u64, usize) + Sync,
+{
+    let (out, profiles) = spmd::run_traced(ranks, |c, rec| {
+        let cpu0 = obs::thread_cpu_ns();
+        let (elements, iters) = workload(c, rec);
+        let cpu_s = (obs::thread_cpu_ns() - cpu0) as f64 * 1e-9;
+        (elements, iters, cpu_s, c.stats())
+    });
+    Run {
+        profiles,
+        elements: out[0].0,
+        minres_iters: out[0].1,
+        steps,
+        cpu_s: out.iter().map(|o| o.2).collect(),
+        stats: out.into_iter().map(|o| o.3).collect(),
     }
-    let a2a = machine.t_alltoallv(surface_bytes, 26); // neighbor exchange
-    let ar = machine.t_allreduce(8.0, p);
-    let ag = machine.t_allgather(8.0, p);
-    match span {
-        "BalanceTree" => 6.0 * (a2a + ar),
-        "PartitionTree" => 4.0 * a2a + ag,
-        "ExtractMesh" => 5.0 * a2a + 4.0 * ag,
-        "MarkElements" => 40.0 * ar,
-        "TransferFields" => 2.0 * a2a,
-        "NewTree" => ag,
-        "TimeIntegration" => 4.0 * a2a,
-        _ => 0.0,
+}
+
+impl Run {
+    pub fn ranks(&self) -> usize {
+        self.profiles.len()
     }
+
+    /// On-CPU seconds of the busiest rank: the run's critical path when
+    /// every rank has a core, and still a rank's own work when not.
+    pub fn max_cpu_s(&self) -> f64 {
+        self.cpu_s.iter().cloned().fold(0.0, f64::max)
+    }
+
+    /// Span seconds are wall time, which measures a rank only while it
+    /// has a core to itself: phase columns are printed for such runs only.
+    pub fn spans_are_measured(&self) -> bool {
+        self.ranks() <= std::thread::available_parallelism().map_or(1, |n| n.get())
+    }
+
+    /// Inclusive seconds of a [`PAPER_PHASES`] span on its slowest rank.
+    pub fn phase_s(&self, name: &str) -> f64 {
+        self.profiles
+            .iter()
+            .map(|p| p.summary.incl_seconds(name))
+            .fold(0.0, f64::max)
+    }
+
+    /// Seconds over all `amr` rows of [`PAPER_PHASES`] but `NewTree`
+    /// (built once, not per adaptation).
+    pub fn amr_s(&self) -> f64 {
+        PAPER_PHASES
+            .iter()
+            .filter(|&&(name, cat)| cat == "amr" && name != "NewTree")
+            .map(|(name, _)| self.phase_s(name))
+            .sum()
+    }
+
+    /// The paper's MINRES column: the `MINRES` span wraps the `AMGSolve`
+    /// V-cycles it triggers, the column excludes them.
+    pub fn minres_s(&self) -> f64 {
+        self.profiles
+            .iter()
+            .map(|p| p.summary.incl_seconds("MINRES") - p.summary.incl_seconds("AMGSolve"))
+            .fold(0.0, f64::max)
+    }
+
+    /// `cell(seconds)` where spans are measured, `-` where they are not.
+    pub fn phase_cell(&self, seconds: f64, cell: impl Fn(f64) -> String) -> String {
+        if self.spans_are_measured() {
+            cell(seconds)
+        } else {
+            "-".into()
+        }
+    }
+
+    /// One row under [`scaling_headers`]: ranks, elements, max and mean
+    /// per-rank on-CPU seconds, the figure's own `middle` cells, then
+    /// point-to-point messages, KB and collectives per rank per step.
+    pub fn scaling_row(&self, middle: Vec<String>) -> Vec<String> {
+        let mean = self.cpu_s.iter().sum::<f64>() / self.ranks() as f64;
+        let mut total = CommStats::default();
+        for s in &self.stats {
+            total.merge(s);
+        }
+        let per = (self.ranks() * self.steps) as f64;
+        let mut cells = vec![
+            self.ranks().to_string(),
+            self.elements.to_string(),
+            format!("{:.3}", self.max_cpu_s()),
+            format!("{mean:.3}"),
+        ];
+        cells.extend(middle);
+        cells.extend([
+            format!("{:.1}", total.p2p_messages as f64 / per),
+            format!("{:.1}", total.p2p_bytes as f64 / 1024.0 / per),
+            format!("{:.1}", total.collectives() as f64 / per),
+        ]);
+        cells
+    }
+
+    /// Print the [`PAPER_PHASES`] spans of this run (count on rank 0,
+    /// seconds on the slowest rank) and write its Chrome trace, event log
+    /// and run manifest as `results/obs/<name>.*`.
+    pub fn report(&self, name: &str) {
+        println!();
+        println!(
+            "span profile of the {}-rank run (slowest rank per phase):",
+            self.ranks()
+        );
+        println!(
+            "  {:<18} {:>6} {:>10} {:>12}",
+            "phase", "count", "incl ms", "incl ms/step"
+        );
+        for (phase, _) in PAPER_PHASES {
+            if let Some(st) = self.profiles[0].summary.phases.get(phase) {
+                let ms = 1e3 * self.phase_s(phase);
+                let per_step = ms / self.steps as f64;
+                println!("  {phase:<18} {:>6} {ms:>10.3} {per_step:>12.3}", st.count);
+            }
+        }
+        let extra = obs::Value::object([
+            ("ranks", obs::Value::from(self.ranks() as u64)),
+            ("elements", obs::Value::from(self.elements)),
+            (
+                "minres_iterations",
+                obs::Value::from(self.minres_iters as u64),
+            ),
+            ("steps", obs::Value::from(self.steps as u64)),
+        ]);
+        match obs::ObsSession::new(name).write(&self.profiles, extra) {
+            Ok(w) => {
+                println!();
+                println!("obs artifacts:");
+                println!("  manifest     {}", w.manifest.display());
+                println!(
+                    "  chrome trace {}  (load in chrome://tracing)",
+                    w.trace.display()
+                );
+                println!("  event log    {}", w.events.display());
+            }
+            Err(e) => eprintln!("warning: could not write obs artifacts: {e}"),
+        }
+    }
+}
+
+/// The caveat under every scaling table: rows are not repeated.
+pub fn single_run_note() {
+    println!(
+        "(every row is a single run; this host's speed drifts by tens of percent between\n\
+         runs, and ratios between rows carry that noise)"
+    );
+}
+
+/// Headers of [`Run::scaling_row`] around the figure's own `middle`.
+pub fn scaling_headers(middle: &[&'static str]) -> Vec<&'static str> {
+    let mut headers = vec!["#ranks", "elements", "max CPU s", "mean CPU s"];
+    headers.extend(middle);
+    headers.extend(["msgs/rank/step", "KB/rank/step", "coll/rank/step"]);
+    headers
 }
 
 /// A simple aligned table printer.
@@ -142,27 +272,92 @@ impl Table {
     }
 }
 
-/// Shared full-convection workload used by the Fig. 8 and Fig. 10
-/// harnesses: runs RHEA (Stokes + transport + AMR every `adapt_every`
-/// steps) on `ranks` simulated ranks with tracing on, and returns the
-/// per-rank telemetry profiles, the element count, and total MINRES
-/// iterations. The profiles carry the full span/series/histogram record —
-/// write them with [`obs::ObsSession`] or read phase times from each
-/// profile's [`obs::Summary`] by [`PAPER_PHASES`] span name.
+/// The adaptive advection–diffusion workload of the Fig. 6 and Fig. 7
+/// harnesses: a spherical front in a rotating flow, the mesh adapted
+/// toward `target_elements` twice before the first step (as the paper
+/// adapts its initial mesh) and then every `adapt_every` steps.
+pub fn transport_workload_traced(
+    ranks: usize,
+    level: u8,
+    target_elements: u64,
+    steps: usize,
+    adapt_every: usize,
+) -> Run {
+    use mesh::extract::extract_mesh;
+    use octree::parallel::DistOctree;
+    use rhea::adapt::{adapt_mesh_ws, gradient_indicator, AdaptParams, AdaptWorkspace};
+    use rhea::transport::{TransportParams, TransportSolver};
+    measure(ranks, steps, move |c, rec| {
+        let mut tree = rec.with_cat("NewTree", "amr", || DistOctree::new_uniform(c, level));
+        let mut mesh = rec.with_cat("ExtractMesh", "amr", || {
+            extract_mesh(&tree, [1.0, 1.0, 1.0])
+        });
+        let mut temp: Vec<f64> = (0..mesh.n_owned)
+            .map(|d| {
+                let p = mesh.dof_coords(d);
+                let r = ((p[0] - 0.6).powi(2) + (p[1] - 0.5).powi(2) + (p[2] - 0.5).powi(2)).sqrt();
+                0.5 * (1.0 - ((r - 0.25) * 30.0).tanh())
+            })
+            .collect();
+        let aparams = AdaptParams {
+            target_elements,
+            // Tighter than the default 0.1: the weak-scaling rows compare
+            // runs by their element count per rank.
+            tolerance: 0.02,
+            max_level: level + 2,
+            min_level: 1,
+            ..Default::default()
+        };
+        let mut ws = AdaptWorkspace::new();
+        let mut adapt = |mesh: &mut mesh::extract::Mesh, temp: &mut Vec<f64>| {
+            let ind = gradient_indicator(mesh, c, temp);
+            let fields = [std::mem::take(temp)];
+            let (nm, mut nf, _) =
+                adapt_mesh_ws(&mut tree, mesh, &fields, &ind, &aparams, rec, &mut ws);
+            *mesh = nm;
+            *temp = nf.remove(0);
+        };
+        adapt(&mut mesh, &mut temp);
+        adapt(&mut mesh, &mut temp);
+        for s in 0..steps {
+            rec.with_cat("TimeIntegration", "solve", || {
+                let params = TransportParams {
+                    kappa: 1e-6,
+                    source: 0.0,
+                    cfl: 0.4,
+                };
+                let mut ts = TransportSolver::new(&mesh, c, params);
+                ts.set_velocity_fn(|p| [0.5 - p[1], p[0] - 0.5, 0.0]);
+                let dt = ts.stable_dt().min(0.01);
+                ts.step(&mut temp, dt);
+            });
+            if s % adapt_every == adapt_every - 1 {
+                adapt(&mut mesh, &mut temp);
+            }
+        }
+        (tree.global_count(), 0)
+    })
+}
+
+/// The full-convection workload of the Fig. 8 and Fig. 10 harnesses:
+/// RHEA (Stokes + transport + AMR every `adapt_every` steps) at a fixed
+/// `8^level` elements per rank. Two adaptations before the first step
+/// take the uniform level-`level` start to that size, as the paper adapts
+/// its initial mesh before time stepping.
 pub fn convection_workload_traced(
     ranks: usize,
     level: u8,
     steps: usize,
     adapt_every: usize,
-) -> (Vec<obs::RankProfile>, u64, usize) {
+) -> Run {
     use rhea::convection::{ConvectionParams, ConvectionSim};
     use rhea::rheology::ArrheniusLaw;
-    let (out, profiles) = scomm::spmd::run_traced(ranks, move |c, _rec| {
+    measure(ranks, steps, move |c, _rec| {
         let params = ConvectionParams {
             rayleigh: 1e5,
             adapt_every,
             adapt: rhea::adapt::AdaptParams {
-                target_elements: 8 * 8u64.pow(level as u32 - 1),
+                target_elements: ranks as u64 * 8u64.pow(level as u32),
                 max_level: level + 2,
                 min_level: 1,
                 ..Default::default()
@@ -176,16 +371,15 @@ pub fn convection_workload_traced(
             ..Default::default()
         };
         let mut sim = ConvectionSim::new(c, level, params);
+        sim.adapt();
+        sim.adapt();
         let law = ArrheniusLaw::default();
         let mut iters = 0;
         for _ in 0..steps {
-            let rep = sim.step(&law);
-            iters += rep.minres_iterations;
+            iters += sim.step(&law).minres_iterations;
         }
         (sim.tree.global_count(), iters)
-    });
-    let (n_elem, iters) = out[0];
-    (profiles, n_elem, iters)
+    })
 }
 
 #[cfg(test)]
@@ -200,20 +394,12 @@ mod tests {
         assert_eq!(human(1_070_000_000), "1.07B");
     }
 
-    #[test]
-    fn core_counts_include_full_machine() {
-        let v = paper_core_counts(62464);
-        assert!(v.contains(&1) && v.contains(&16384) && v.contains(&62464));
-        let w = paper_core_counts(8);
-        assert_eq!(w, vec![1, 2, 4, 8]);
-    }
-
     /// Every [`PAPER_PHASES`] row names a span the convection loop
     /// really records, under the listed category: a renamed span fails
     /// here instead of silently zeroing a figure column.
     #[test]
     fn paper_phases_are_recorded_by_the_convection_loop() {
-        let (profiles, _, _) = convection_workload_traced(1, 2, 3, 2);
+        let profiles = convection_workload_traced(1, 2, 3, 2).profiles;
         let summary = &profiles[0].summary;
         for (name, cat) in PAPER_PHASES {
             let st = summary
@@ -225,42 +411,16 @@ mod tests {
         }
     }
 
-    /// The communication table matches spans by name, so a misspelt arm
-    /// would silently model zero: pin which rows communicate.
-    #[test]
-    fn comm_model_rows_are_paper_phases() {
-        let machine = MachineModel::ranger();
-        let communicating: Vec<&str> = PAPER_PHASES
-            .iter()
-            .map(|&(name, _)| name)
-            .filter(|name| phase_comm_seconds(name, 1024, &machine, 1e4) > 0.0)
-            .collect();
-        assert_eq!(
-            communicating,
-            [
-                "NewTree",
-                "BalanceTree",
-                "PartitionTree",
-                "ExtractMesh",
-                "TransferFields",
-                "MarkElements",
-                "TimeIntegration"
-            ]
-        );
-        for (name, _) in PAPER_PHASES {
-            assert_eq!(phase_comm_seconds(name, 1, &machine, 1e4), 0.0);
-        }
-    }
-
     /// The figure harnesses' acceptance path: a 4-rank traced run must
     /// produce a valid Chrome trace with one track per rank and a
     /// run manifest.
     #[test]
     fn traced_workload_writes_figure_artifacts() {
         let dir = std::env::temp_dir().join(format!("rhea-bench-obs-{}", std::process::id()));
-        let (profiles, n_elem, iters) = convection_workload_traced(4, 2, 2, 2);
+        let run = convection_workload_traced(4, 2, 2, 2);
+        let profiles = run.profiles;
         assert_eq!(profiles.len(), 4);
-        assert!(n_elem > 0 && iters > 0);
+        assert!(run.elements > 0 && run.minres_iters > 0);
         let extra = obs::Value::object([("ranks", obs::Value::from(4u64))]);
         let written = obs::ObsSession::with_dir("fig_acceptance", &dir)
             .write(&profiles, extra)

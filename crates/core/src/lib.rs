@@ -52,7 +52,7 @@ pub mod prelude {
     pub use octree::mark::{Mark, MarkParams};
     pub use octree::parallel::{transfer_fields, DistOctree, PartitionPlan};
     pub use octree::{Octant, MAX_LEVEL, ROOT_LEN};
-    pub use scomm::{spmd, Comm, MachineModel};
+    pub use scomm::{spmd, Comm};
 }
 
 #[cfg(test)]

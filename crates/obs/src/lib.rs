@@ -46,5 +46,5 @@ pub use agg::{ProfileCollector, WorldProfile, DEFAULT_SAMPLE_RANKS};
 pub use export::{chrome_trace, jsonl_events, run_manifest, ObsSession, WrittenRun};
 pub use json::{ToJson, Value};
 pub use metrics::LogHistogram;
-pub use rec::{InstantEvent, RankProfile, Recorder, SpanEvent, SpanGuard};
+pub use rec::{thread_cpu_ns, InstantEvent, RankProfile, Recorder, SpanEvent, SpanGuard};
 pub use summary::{PhaseStats, Reduce, Summary};

@@ -19,6 +19,18 @@ fn epoch_ns() -> u64 {
     EPOCH.get_or_init(Instant::now).elapsed().as_nanos() as u64
 }
 
+/// Nanoseconds the calling thread has spent on a CPU
+/// (`/proc/thread-self/schedstat`, field 1); 0 where the file is absent.
+/// Threaded ranks park on condvars while they wait, so between two reads
+/// inside a rank's closure this is that rank's own work, however many
+/// ranks share the host's cores.
+pub fn thread_cpu_ns() -> u64 {
+    std::fs::read_to_string("/proc/thread-self/schedstat")
+        .ok()
+        .and_then(|s| s.split_whitespace().next()?.parse().ok())
+        .unwrap_or(0)
+}
+
 /// Spans kept in the detailed trace per rank; beyond this the aggregate
 /// summary keeps accumulating but the event list stops growing (the
 /// `obs.dropped_spans` counter records how many were elided).
@@ -232,9 +244,9 @@ impl Recorder {
         }
     }
 
-    /// Record an externally measured span (known start and duration).
-    /// Used when a measured interval is attributed after the fact — e.g.
-    /// splitting one timed call across the paper's phase names.
+    /// Record an externally measured span (known start and duration):
+    /// an interval whose end is only known after the fact, such as a
+    /// nonblocking receive from post to completion.
     pub fn add_span_external(
         &self,
         name: impl Into<String>,
@@ -442,6 +454,29 @@ mod tests {
         assert_eq!(s.phases["phase"].excl_ns, 0);
         assert_eq!(s.phases["sub1"].incl_ns, 600);
         assert_eq!(s.phases["sub2"].incl_ns, 400);
+    }
+
+    /// Preemption can only lower the busy ratio, so the best of a few
+    /// attempts is taken; a clock that does not count work fails them all.
+    #[test]
+    fn thread_cpu_clock_counts_work_not_sleep() {
+        if thread_cpu_ns() == 0 {
+            return; // no schedstat on this platform
+        }
+        let busy = (0..5)
+            .map(|_| {
+                let (c0, t0) = (thread_cpu_ns(), Instant::now());
+                while t0.elapsed().as_millis() < 20 {
+                    std::hint::spin_loop();
+                }
+                (thread_cpu_ns() - c0) as f64 / t0.elapsed().as_nanos() as f64
+            })
+            .fold(0.0, f64::max);
+        assert!(busy >= 0.8, "busy loop counted at {busy:.2} of wall");
+        let (c0, t0) = (thread_cpu_ns(), Instant::now());
+        std::thread::sleep(std::time::Duration::from_millis(50));
+        let slept = (thread_cpu_ns() - c0) as f64 / t0.elapsed().as_nanos() as f64;
+        assert!(slept < 0.25, "sleep counted at {slept:.2} of wall");
     }
 
     #[test]

@@ -53,7 +53,6 @@ struct TreeWorkspace {
     /// `adapt_to_target` buffers.
     marks: Vec<Mark>,
     coarsen_flags: Vec<bool>,
-    refine_flags: Vec<bool>,
 }
 
 impl TreeWorkspace {
@@ -66,7 +65,7 @@ impl TreeWorkspace {
         b += cap(&self.send_counts) + cap(&self.recv_counts);
         b += cap(&self.to_refine) + cap(&self.part_counts) + cap(&self.part_recv);
         b += cap(&self.part_recv_counts) + cap(&self.marks);
-        b += cap(&self.coarsen_flags) + cap(&self.refine_flags);
+        b += cap(&self.coarsen_flags);
         b += cap(&self.nbrs) + cap(&self.key_lo) + cap(&self.key_hi);
         b += cap(&self.own_lo) + cap(&self.own_hi);
         b += cap(&self.req_bufs);
@@ -307,50 +306,69 @@ impl<'c> DistOctree<'c> {
         n
     }
 
-    /// `MarkElements` + apply: adapt toward a global element-count target
-    /// driven by per-element indicators. Returns
-    /// `(refined, coarsened_families)`. Warm calls reuse the tree's
-    /// workspace and do not allocate.
-    pub fn adapt_to_target(&mut self, indicators: &[f64], params: &MarkParams) -> (usize, usize) {
-        let comm = self.comm;
-        let mut ws = std::mem::take(&mut self.ws);
-        mark_elements_into(comm, &self.local, indicators, params, &mut ws.marks);
+    /// `MarkElements`: the collective threshold bisection toward a global
+    /// element-count target, driven by per-element indicators. Leaves one
+    /// mark per local leaf in the tree's workspace for
+    /// [`DistOctree::coarsen_marked`] and [`DistOctree::refine_marked`],
+    /// which must follow in that order.
+    pub fn mark_for_target(&mut self, indicators: &[f64], params: &MarkParams) {
+        mark_elements_into(
+            self.comm,
+            &self.local,
+            indicators,
+            params,
+            &mut self.ws.marks,
+        );
+    }
+
+    /// `CoarsenTree` on the marks of [`DistOctree::mark_for_target`]
+    /// (family-aligned by construction). Local; returns the number of
+    /// families coarsened and re-aligns the marks with the new leaves.
+    pub fn coarsen_marked(&mut self) -> usize {
+        let ws = &mut self.ws;
         ws.coarsen_flags.clear();
         ws.coarsen_flags
             .extend(ws.marks.iter().map(|m| *m == Mark::Coarsen));
-        // Coarsen first (marks are family-aligned by construction), then
-        // refine survivors.
         let coarsened =
             ops::coarsen_marked_with(&mut self.local, &mut ws.scratch, &ws.coarsen_flags);
-        // Rebuild the refine flags against the post-coarsening leaf list:
-        // coarsened families disappear, other leaves keep their flag.
-        ws.refine_flags.clear();
+        // Coarsened families disappear into a parent that keeps its
+        // size; every other leaf keeps its mark.
         let mut j = 0usize;
-        while ws.refine_flags.len() < self.local.len() {
+        for i in 0..self.local.len() {
             if ws.coarsen_flags[j] {
-                ws.refine_flags.push(false); // freshly coarsened parent
+                ws.marks[i] = Mark::None;
                 j += 8;
             } else {
-                ws.refine_flags.push(ws.marks[j] == Mark::Refine);
+                ws.marks[i] = ws.marks[j];
                 j += 1;
             }
         }
-        let refined = {
-            let TreeWorkspace {
-                scratch,
-                refine_flags,
-                ..
-            } = &mut ws;
-            let mut i = 0usize;
-            ops::refine_with(&mut self.local, scratch, |_| {
-                let m = refine_flags[i];
-                i += 1;
-                m
-            })
-        };
-        self.ws = ws;
+        ws.marks.truncate(self.local.len());
+        coarsened
+    }
+
+    /// `RefineTree` on the surviving marks, then the one marker refresh
+    /// of the adaptation. Returns the number of leaves refined.
+    pub fn refine_marked(&mut self) -> usize {
+        let TreeWorkspace { scratch, marks, .. } = &mut self.ws;
+        let mut i = 0usize;
+        let refined = ops::refine_with(&mut self.local, scratch, |_| {
+            let m = marks[i] == Mark::Refine;
+            i += 1;
+            m
+        });
         self.update_markers();
-        (refined, coarsened)
+        refined
+    }
+
+    /// `MarkElements` + apply: [`DistOctree::mark_for_target`], then
+    /// coarsen, then refine the survivors. Returns
+    /// `(refined, coarsened_families)`. Warm calls reuse the tree's
+    /// workspace and do not allocate.
+    pub fn adapt_to_target(&mut self, indicators: &[f64], params: &MarkParams) -> (usize, usize) {
+        self.mark_for_target(indicators, params);
+        let coarsened = self.coarsen_marked();
+        (self.refine_marked(), coarsened)
     }
 
     /// Parallel `BalanceTree`: prioritized ripple propagation. Each round
@@ -948,6 +966,34 @@ mod tests {
             let n = t.global_count() as f64;
             assert!((n - 900.0).abs() / 900.0 < 0.3, "global count {n}");
         });
+    }
+
+    #[test]
+    fn three_steps_by_hand_equal_adapt_to_target() {
+        for p in [1, 4] {
+            spmd::run(p, |c| {
+                let mut whole = DistOctree::new_uniform(c, 3);
+                let mut by_hand = DistOctree::new_uniform(c, 3);
+                let ind: Vec<f64> = whole
+                    .local
+                    .iter()
+                    .map(|o| (-o.center_unit()[0] * 6.0).exp())
+                    .collect();
+                let params = MarkParams {
+                    target_elements: 700,
+                    ..Default::default()
+                };
+                let counts = whole.adapt_to_target(&ind, &params);
+                by_hand.mark_for_target(&ind, &params);
+                let coarsened = by_hand.coarsen_marked();
+                let refined = by_hand.refine_marked();
+                assert!(refined > 0 && coarsened > 0, "both splices must run");
+                assert_eq!((refined, coarsened), counts);
+                assert_eq!(by_hand.local, whole.local);
+                assert_eq!(by_hand.markers, whole.markers);
+                assert_eq!(by_hand.counts, whole.counts);
+            });
+        }
     }
 
     #[test]

@@ -177,7 +177,7 @@ pub fn adapt_mesh_ws(
     let stats0 = comm.stats();
     let cap0 = tree.alloc_bytes() + ws.capacity_bytes();
 
-    // MarkElements + Coarsen/Refine.
+    // MarkElements, then CoarsenTree and RefineTree on its marks.
     let mark_params = MarkParams {
         target_elements: params.target_elements,
         tolerance: params.tolerance,
@@ -186,23 +186,11 @@ pub fn adapt_mesh_ws(
         coarsen_ratio: params.coarsen_ratio,
         ..Default::default()
     };
-    let t_mark = rec.now_ns();
-    let (refined, coarsened) = tree.adapt_to_target(indicators, &mark_params);
-    let total_ns = rec.now_ns().saturating_sub(t_mark);
-    // Attribute proportionally: marking is collective-heavy; refine and
-    // coarsen are the local splice passes. The three synthetic spans tile
-    // the measured interval sequentially on the trace timeline.
-    let mark_ns = (0.6 * total_ns as f64) as u64;
-    let refine_ns = (0.2 * total_ns as f64) as u64;
-    let coarsen_ns = total_ns - mark_ns - refine_ns;
-    rec.add_span_external("MarkElements", "amr", t_mark, mark_ns);
-    rec.add_span_external("RefineTree", "amr", t_mark + mark_ns, refine_ns);
-    rec.add_span_external(
-        "CoarsenTree",
-        "amr",
-        t_mark + mark_ns + refine_ns,
-        coarsen_ns,
-    );
+    rec.with_cat("MarkElements", "amr", || {
+        tree.mark_for_target(indicators, &mark_params)
+    });
+    let coarsened = rec.with_cat("CoarsenTree", "amr", || tree.coarsen_marked());
+    let refined = rec.with_cat("RefineTree", "amr", || tree.refine_marked());
 
     // BalanceTree.
     let balance_added = rec.with_cat("BalanceTree", "amr", || tree.balance(BalanceKind::Full));
@@ -390,6 +378,45 @@ mod tests {
                 "one extraction per adaptation, on the final partition"
             );
         });
+    }
+
+    /// `MarkElements` is a span around the bisection itself, so the
+    /// allreduces it issues are its children on the trace and come off
+    /// its exclusive time.
+    #[test]
+    fn mark_elements_span_contains_its_allreduces() {
+        let (_, profiles) = spmd::run_traced(3, |c, rec| {
+            let mut tree = DistOctree::new_uniform(c, 3);
+            let mesh = extract_mesh(&tree, [1.0, 1.0, 1.0]);
+            let t = vec![0.0; mesh.n_owned];
+            let ind: Vec<f64> = mesh
+                .elements
+                .iter()
+                .map(|o| (-o.center_unit()[0] * 6.0).exp())
+                .collect();
+            let params = AdaptParams {
+                target_elements: 700,
+                ..Default::default()
+            };
+            adapt_mesh(&mut tree, &mesh, &[t], &ind, &params, rec);
+        });
+        for p in &profiles {
+            let st = &p.summary.phases["MarkElements"];
+            assert!(st.excl_ns < st.incl_ns, "rank {}: {st:?}", p.rank);
+            let inside = |outer: &obs::SpanEvent, t: u64| {
+                outer.start_ns <= t && t < outer.start_ns + outer.dur_ns
+            };
+            let mut nested = 0;
+            for mark in p.spans.iter().filter(|e| e.name == "MarkElements") {
+                for ar in p.spans.iter().filter(|e| e.name == "comm:allreduce") {
+                    if inside(mark, ar.start_ns) {
+                        assert!(ar.depth > mark.depth, "{ar:?} beside {mark:?}");
+                        nested += 1;
+                    }
+                }
+            }
+            assert!(nested > 0, "the bisection reduces at least once");
+        }
     }
 
     /// The zero-allocation proof for the adapt hot path: after warm-up,

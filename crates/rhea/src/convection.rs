@@ -77,8 +77,7 @@ pub struct ConvectionSim<'c> {
     /// Per-element viscosity of the last flow solve.
     pub viscosity: Vec<f64>,
     /// Per-rank telemetry recorder; shared with the communicator (so comm
-    /// ops emit spans) and with the solvers below. The classic phase-timer
-    /// view is available through [`ConvectionSim::timers`].
+    /// ops emit spans) and with the solvers below.
     pub rec: Recorder,
     pub step_count: usize,
     pub time: f64,
@@ -150,64 +149,48 @@ impl<'c> ConvectionSim<'c> {
         bc
     }
 
-    /// Per-element viscosity from the current temperature, depth and
-    /// strain-rate invariant.
-    fn eval_viscosity(&self, law: &impl ViscosityLaw, edot: Option<&[f64]>) -> Vec<f64> {
-        let map = fem::op::DofMap::new(&self.mesh, self.comm, 1);
-        let tl = map.to_local(&self.temperature);
-        let mut te = [0.0; 8];
-        let lz = self.params.domain[2];
-        (0..self.mesh.elements.len())
-            .map(|e| {
-                map.gather_element(e, &tl, &mut te);
-                let tc: f64 = te.iter().sum::<f64>() / 8.0;
-                let z = self.mesh.elements[e].center_unit()[2] * lz / lz; // non-dim z'
-                let ed = edot.map(|v| v[e]).unwrap_or(0.0);
-                law.eta_clamped(tc, z, ed)
-            })
-            .collect()
-    }
-
     /// Solve the (nonlinear) Stokes flow for the current temperature.
     /// Returns total MINRES iterations. Collective.
     pub fn solve_flow(&mut self, law: &impl ViscosityLaw) -> usize {
-        let bc = self.velocity_bc();
-        let ra = self.params.rayleigh;
-        let mut total_iters = 0;
-        let mut x = self
-            .flow
-            .clone()
-            .unwrap_or_else(|| vec![0.0; 4 * self.mesh.n_owned]);
-        let mut edot: Option<Vec<f64>> = None;
+        // Element-mean temperature: with the element's non-dimensional
+        // height, all the viscosity law reads besides the strain rate.
+        let map = fem::op::DofMap::new(&self.mesh, self.comm, 1);
+        let tl = map.to_local(&self.temperature);
+        let mut te = [0.0; 8];
+        let t_mean: Vec<f64> = (0..self.mesh.elements.len())
+            .map(|e| {
+                map.gather_element(e, &tl, &mut te);
+                te.iter().sum::<f64>() / 8.0
+            })
+            .collect();
+        let elements = &self.mesh.elements;
+        let rheology =
+            |e: usize, edot: f64| law.eta_clamped(t_mean[e], elements[e].center_unit()[2], edot);
 
         // Buoyancy f = Ra · T · e_z with the *discrete* T: the load is
         // M·f for the nodal vector, not for a sampled function.
         let mut buoyancy = vec![0.0; 3 * self.mesh.n_owned];
         for (d, &t) in self.temperature.iter().enumerate() {
-            buoyancy[3 * d + 2] = ra * t;
+            buoyancy[3 * d + 2] = self.params.rayleigh * t;
         }
-        for _picard in 0..self.params.picard_steps.max(1) {
-            self.viscosity = self.eval_viscosity(law, edot.as_deref());
-            let mut solver = StokesSolver::new(
-                &self.mesh,
-                self.comm,
-                self.viscosity.clone(),
-                bc.clone(),
-                self.params.stokes,
-            );
-            let mut rhs = solver.nodal_load(&buoyancy);
-            let x0 = solver.dirichlet_lift(&mut rhs, |_| [0.0; 3]);
-            if self.flow.is_none() {
-                x = x0;
-            }
-            // The solver reports AMGSetup/MINRES/AMGSolve spans and the
-            // residual series itself, through the communicator's recorder.
-            let info = solver.solve(&rhs, &mut x);
-            total_iters += info.iterations;
-            edot = Some(solver.strain_rate_invariant(&x));
-        }
+        // The solver reports AMGSetup/MINRES/AMGSolve spans and the
+        // residual series itself, through the communicator's recorder.
+        let mut solver = StokesSolver::new(
+            &self.mesh,
+            self.comm,
+            (0..elements.len()).map(|e| rheology(e, 0.0)).collect(),
+            self.velocity_bc(),
+            self.params.stokes,
+        );
+        let mut x = self
+            .flow
+            .take()
+            .unwrap_or_else(|| vec![0.0; 4 * self.mesh.n_owned]);
+        let steps = self.params.picard_steps.max(1);
+        let result = stokes::picard_solve(&mut solver, &buoyancy, &mut x, rheology, steps);
+        self.viscosity = std::mem::take(&mut solver.viscosity);
         self.flow = Some(x);
-        total_iters
+        result.total_minres_iterations
     }
 
     /// Surface Nusselt number: mean conductive heat flux `−∂T/∂z` through
@@ -245,6 +228,28 @@ impl<'c> ConvectionSim<'c> {
         mean_flux / (1.0 / lz)
     }
 
+    /// One Fig. 4 adaptation of mesh and temperature toward
+    /// `params.adapt`; `step` calls it every `adapt_every` steps.
+    /// Collective.
+    pub fn adapt(&mut self) -> AdaptReport {
+        let ind = gradient_indicator(&self.mesh, self.comm, &self.temperature);
+        let fields = [std::mem::take(&mut self.temperature)];
+        let (new_mesh, mut new_fields, report) = adapt_mesh_ws(
+            &mut self.tree,
+            &self.mesh,
+            &fields,
+            &ind,
+            &self.params.adapt,
+            &self.rec,
+            &mut self.adapt_ws,
+        );
+        self.mesh = new_mesh;
+        self.temperature = new_fields.remove(0);
+        self.flow = None; // mesh changed: warm start invalid
+        self.viscosity = vec![1.0; self.mesh.elements.len()];
+        report
+    }
+
     /// One full time step: (adapt every k steps) → flow solve →
     /// transport step. Collective.
     pub fn step(&mut self, law: &impl ViscosityLaw) -> StepReport {
@@ -253,28 +258,11 @@ impl<'c> ConvectionSim<'c> {
             ..Default::default()
         };
 
-        // Adaptation.
         if self.params.adapt_every > 0
             && self.step_count > 0
             && self.step_count.is_multiple_of(self.params.adapt_every)
         {
-            let ind = gradient_indicator(&self.mesh, self.comm, &self.temperature);
-            let fields = [self.temperature.clone()];
-            let rec = self.rec.clone();
-            let (new_mesh, mut new_fields, rep) = adapt_mesh_ws(
-                &mut self.tree,
-                &self.mesh,
-                &fields,
-                &ind,
-                &self.params.adapt,
-                &rec,
-                &mut self.adapt_ws,
-            );
-            self.mesh = new_mesh;
-            self.temperature = new_fields.remove(0);
-            self.flow = None; // mesh changed: warm start invalid
-            self.viscosity = vec![1.0; self.mesh.elements.len()];
-            report.adapt = Some(rep);
+            report.adapt = Some(self.adapt());
         }
 
         // Flow solve.

@@ -176,7 +176,7 @@ impl<'a> TransportSolver<'a> {
             if let Some(vp) = v_prev_local {
                 self.map.gather_element(e, vp, &mut ve);
             }
-            let mm = mass_matrix(h);
+            let mm = (self.params.source != 0.0).then(|| mass_matrix(h));
             for i in 0..8 {
                 let mut acc = 0.0;
                 for j in 0..8 {
@@ -186,7 +186,7 @@ impl<'a> TransportSolver<'a> {
                     }
                 }
                 // Source: γ ∫ (N_i + τ a·∇N_i).
-                if self.params.source != 0.0 {
+                if let Some(mm) = &mm {
                     let mi: f64 = mm[i].iter().sum();
                     // Row sum of S_m equals τ ∫ (a·∇N_i) (Σ_j N_j = 1).
                     let si: f64 = sm[i].iter().sum();
@@ -409,9 +409,10 @@ mod tests {
                     let dt = 0.01;
                     ts.step(&mut temp, dt);
                 }
-                // Return (gid, value) pairs for comparison.
+                // (lattice key, value): the key names the node whatever
+                // the partition.
                 (0..m.n_owned)
-                    .map(|d| (m.global_offset + d as u64, temp[d]))
+                    .map(|d| (m.dof_keys[d], temp[d]))
                     .collect::<Vec<_>>()
             })
             .into_iter()
@@ -424,16 +425,14 @@ mod tests {
         par.sort_by_key(|p| p.0);
         assert_eq!(serial.len(), par.len());
         for (s, p) in serial.iter().zip(&par) {
-            // gids may be numbered differently across rank counts; compare
-            // multisets of values instead if ids mismatch.
-            let _ = s.0 == p.0;
-        }
-        let mut sv: Vec<f64> = serial.iter().map(|p| p.1).collect();
-        let mut pv: Vec<f64> = par.iter().map(|p| p.1).collect();
-        sv.sort_by(|a, b| a.partial_cmp(b).unwrap());
-        pv.sort_by(|a, b| a.partial_cmp(b).unwrap());
-        for (a, b) in sv.iter().zip(&pv) {
-            assert!((a - b).abs() < 1e-9, "{a} vs {b}");
+            assert_eq!(s.0, p.0, "the same nodes at both rank counts");
+            assert!(
+                (s.1 - p.1).abs() < 1e-9,
+                "node {:?}: {} vs {}",
+                s.0,
+                s.1,
+                p.1
+            );
         }
     }
 }

@@ -24,14 +24,11 @@
 //!   [`Comm::bcast`], [`Comm::alltoallv`] — all with MPI semantics
 //!   (every rank of the communicator must call them in the same order).
 //! * **Statistics** ([`stats::CommStats`]) — per-rank message and byte
-//!   counts, used by the machine model to extrapolate to Ranger scale.
+//!   counts, printed per rank and step by the figure harnesses.
 //! * **Fault injection** ([`fault::FaultPlan`]) — a seeded adversarial
 //!   scheduler that delays/reorders point-to-point deliveries, drops
 //!   messages with a panic, and staggers collective entries, to shake out
 //!   ordering assumptions deterministically ([`Comm::set_fault_plan`]).
-//! * A **machine model** ([`machine::MachineModel`]) of a 2008-era
-//!   Ranger-like system used by the benchmark harnesses to convert measured
-//!   operation counts into modeled large-scale times.
 //!
 //! ## Example
 //!
@@ -49,7 +46,6 @@
 pub mod comm;
 pub mod fault;
 pub mod gate;
-pub mod machine;
 pub mod pod;
 pub mod request;
 pub mod spmd;
@@ -59,7 +55,6 @@ pub mod vrank;
 pub use comm::{Comm, OVERLAP_COUNTER};
 pub use fault::{FaultCounters, FaultPlan};
 pub use gate::checks_enabled;
-pub use machine::MachineModel;
 pub use pod::Pod;
 pub use request::{Exchange, RecvRequest, SendRequest};
 pub use stats::CommStats;

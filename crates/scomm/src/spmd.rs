@@ -42,8 +42,7 @@ where
 }
 
 /// Like [`run`] but additionally returns each rank's accumulated
-/// [`CommStats`], which the benchmark harnesses feed into the machine
-/// model.
+/// [`CommStats`].
 pub fn run_with_stats<F, R>(nranks: usize, f: F) -> (Vec<R>, Vec<CommStats>)
 where
     F: Fn(&Comm) -> R + Sync,

@@ -1,8 +1,8 @@
 //! Per-rank communication statistics.
 //!
-//! Every [`crate::Comm`] operation increments these counters. The benchmark
-//! harnesses run the real SPMD algorithms at host scale, read the counters,
-//! and hand them to [`crate::MachineModel`] to model Ranger-scale behaviour.
+//! Every [`crate::Comm`] operation increments these counters. The figure
+//! harnesses run the real SPMD algorithms at host scale and print the
+//! counters per rank and step.
 
 use obs::{ToJson, Value};
 

@@ -28,5 +28,5 @@
 pub mod picard;
 pub mod solver;
 
-pub use picard::{picard_solve, PicardOptions, PicardResult};
+pub use picard::{picard_solve, PicardResult};
 pub use solver::{StokesOptions, StokesSolver};

@@ -8,86 +8,50 @@
 //! setup is re-run whenever the viscosity changes (as the paper reuses
 //! the preconditioner only while the mesh and coefficients stand still).
 
-use crate::solver::{StokesOptions, StokesSolver};
-use mesh::extract::Mesh;
-use scomm::Comm;
+use crate::solver::StokesSolver;
 
-/// Options for the nonlinear loop.
+/// Relative viscosity change below which the fixed point has converged.
+const RHEOLOGY_TOL: f64 = 1e-3;
+
+/// What a nonlinear solve did. The iterate and the final viscosity stay
+/// where the caller can see them: `x` and `solver.viscosity`.
 #[derive(Debug, Clone, Copy)]
-pub struct PicardOptions {
-    pub max_picard: usize,
-    /// Relative viscosity-change convergence threshold.
-    pub rheology_tol: f64,
-    pub stokes: StokesOptions,
-}
-
-impl Default for PicardOptions {
-    fn default() -> Self {
-        PicardOptions {
-            max_picard: 30,
-            rheology_tol: 1e-3,
-            stokes: StokesOptions::default(),
-        }
-    }
-}
-
-/// Result of a nonlinear solve.
-#[derive(Debug, Clone)]
 pub struct PicardResult {
-    /// Combined (velocity | pressure) solution in owned layout.
-    pub x: Vec<f64>,
-    /// Final per-element viscosity.
-    pub viscosity: Vec<f64>,
     pub picard_iterations: usize,
     pub total_minres_iterations: usize,
+    /// The last viscosity re-evaluation moved η by less than the
+    /// tolerance; `false` when the step cap ended the loop first.
     pub converged: bool,
 }
 
 /// Solve the nonlinear Stokes problem `−∇·[η(ė)(∇u+∇uᵀ)] + ∇p = f`,
-/// `∇·u = 0`, where `rheology(element, strain_rate_invariant)` evaluates
-/// the viscosity law. Collective.
-#[allow(clippy::too_many_arguments)]
-pub fn picard_solve<R, F, G>(
-    mesh: &Mesh,
-    comm: &Comm,
-    vel_bc: Vec<bool>,
-    rheology: R,
-    body_force: F,
-    bc_values: G,
-    options: PicardOptions,
-) -> PicardResult
-where
-    R: Fn(usize, f64) -> f64,
-    F: Fn([f64; 3]) -> [f64; 3],
-    G: Fn([f64; 3]) -> [f64; 3],
-{
-    // Initial viscosity at zero strain rate. One solver instance lives
-    // across the whole nonlinear loop, so its workspace (ghost-exchange
-    // staging, operator scratch) is allocated once; each Picard step only
-    // re-runs the preconditioner setup on the updated viscosity.
-    let viscosity: Vec<f64> = (0..mesh.elements.len()).map(|e| rheology(e, 0.0)).collect();
-    let mut solver = StokesSolver::new(mesh, comm, viscosity, vel_bc, options.stokes);
-    let mut x = vec![0.0; 4 * mesh.n_owned];
-    let mut total_minres = 0;
-    let mut converged = false;
-    let mut iters = 0;
-    for it in 0..options.max_picard {
-        iters = it + 1;
-        let (rhs, x0) = solver.build_rhs(&body_force, &bc_values);
-        if it == 0 {
-            x = x0;
-        } else {
-            // Keep the previous iterate as warm start; refresh BC rows.
-            for (i, &m) in solver.vel_bc.iter().enumerate() {
-                if m {
-                    x[i] = x0[i];
-                }
-            }
+/// `∇·u = 0` with homogeneous velocity conditions on `solver.vel_bc`.
+/// `solver` arrives set up on `rheology(element, 0)`; `force` is the
+/// nodal body force (three components per owned dof); `x` is the warm
+/// start and returns the iterate; `rheology(element, strain_rate_invariant)`
+/// evaluates the viscosity law. The strain rate is swept only when
+/// `max_steps` allows another solve to use it. Collective.
+pub fn picard_solve(
+    solver: &mut StokesSolver,
+    force: &[f64],
+    x: &mut [f64],
+    rheology: impl Fn(usize, f64) -> f64,
+    max_steps: usize,
+) -> PicardResult {
+    let mut result = PicardResult {
+        picard_iterations: 0,
+        total_minres_iterations: 0,
+        converged: false,
+    };
+    loop {
+        let mut rhs = solver.nodal_load(force);
+        solver.dirichlet_lift(&mut rhs, |_| [0.0; 3]);
+        result.total_minres_iterations += solver.solve(&rhs, x).iterations;
+        result.picard_iterations += 1;
+        if result.picard_iterations >= max_steps {
+            return result;
         }
-        let info = solver.solve(&rhs, &mut x);
-        total_minres += info.iterations;
-        // Re-evaluate the rheology.
-        let edot = solver.strain_rate_invariant(&x);
+        let edot = solver.strain_rate_invariant(x);
         let mut max_rel = 0.0f64;
         for (e, &ed) in edot.iter().enumerate() {
             let eta_new = rheology(e, ed);
@@ -95,29 +59,36 @@ where
             max_rel = max_rel.max((eta_new - eta_old).abs() / eta_old.abs().max(1e-300));
             solver.viscosity[e] = eta_new;
         }
-        let global_rel = comm.allreduce_max(&[max_rel])[0];
-        if global_rel < options.rheology_tol {
-            converged = true;
-            break;
+        if solver.comm.allreduce_max(&[max_rel])[0] < RHEOLOGY_TOL {
+            result.converged = true;
+            return result;
         }
         // Viscosity changed: rebuild the AMG hierarchy and Schur diagonal.
         solver.setup();
-    }
-    PicardResult {
-        x,
-        viscosity: std::mem::take(&mut solver.viscosity),
-        picard_iterations: iters,
-        total_minres_iterations: total_minres,
-        converged,
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use mesh::extract::extract_mesh;
+    use mesh::extract::{extract_mesh, Mesh};
     use octree::parallel::DistOctree;
-    use scomm::spmd;
+    use scomm::{spmd, Comm};
+
+    /// A unit-viscosity solver on `m` and the nodal force `(0, 0, fz)`.
+    fn problem<'a>(
+        m: &'a Mesh,
+        c: &'a Comm,
+        bc: Vec<bool>,
+        fz: impl Fn([f64; 3]) -> f64,
+    ) -> (StokesSolver<'a>, Vec<f64>) {
+        let solver = StokesSolver::new(m, c, vec![1.0; m.elements.len()], bc, Default::default());
+        let mut force = vec![0.0; 3 * m.n_owned];
+        for d in 0..m.n_owned {
+            force[3 * d + 2] = fz(m.dof_coords(d));
+        }
+        (solver, force)
+    }
 
     #[test]
     fn linear_rheology_converges_in_one_or_two_steps() {
@@ -126,15 +97,9 @@ mod tests {
             let m = extract_mesh(&t, [1.0, 1.0, 1.0]);
             let n = m.n_owned;
             let bc: Vec<bool> = (0..3 * n).map(|i| m.dof_on_boundary(i / 3)).collect();
-            let res = picard_solve(
-                &m,
-                c,
-                bc,
-                |_, _| 1.0, // Newtonian
-                |p| [0.0, 0.0, (p[0] * 5.0).sin()],
-                |_| [0.0; 3],
-                PicardOptions::default(),
-            );
+            let (mut solver, force) = problem(&m, c, bc, |p| (p[0] * 5.0).sin());
+            let mut x = vec![0.0; 4 * n];
+            let res = picard_solve(&mut solver, &force, &mut x, |_, _| 1.0, 30);
             assert!(res.converged);
             assert!(res.picard_iterations <= 2, "{}", res.picard_iterations);
         });
@@ -148,27 +113,20 @@ mod tests {
             let n = m.n_owned;
             let bc: Vec<bool> = (0..3 * n).map(|i| m.dof_on_boundary(i / 3)).collect();
             let sigma_y = 0.05; // low yield stress: forcing will exceed it
-            let res = picard_solve(
-                &m,
-                c,
-                bc,
-                move |_, edot| {
-                    let eta0 = 1.0f64;
-                    if edot > 0.0 {
-                        eta0.min(sigma_y / (2.0 * edot)).max(1e-4)
-                    } else {
-                        eta0
-                    }
-                },
-                |p| [0.0, 0.0, 10.0 * (std::f64::consts::PI * p[0]).sin()],
-                |_| [0.0; 3],
-                PicardOptions {
-                    max_picard: 40,
-                    ..Default::default()
-                },
-            );
+            let (mut solver, force) =
+                problem(&m, c, bc, |p| 10.0 * (std::f64::consts::PI * p[0]).sin());
+            let mut x = vec![0.0; 4 * n];
+            let yielding = move |_, edot: f64| {
+                let eta0 = 1.0f64;
+                if edot > 0.0 {
+                    eta0.min(sigma_y / (2.0 * edot)).max(1e-4)
+                } else {
+                    eta0
+                }
+            };
+            let res = picard_solve(&mut solver, &force, &mut x, yielding, 40);
             assert!(res.converged, "picard did not converge");
-            let min_eta = res.viscosity.iter().cloned().fold(f64::INFINITY, f64::min);
+            let min_eta = (solver.viscosity.iter().cloned()).fold(f64::INFINITY, f64::min);
             let g = c.allreduce_min(&[min_eta])[0];
             assert!(
                 g < 1.0,

@@ -7,6 +7,16 @@ cd "$(dirname "$0")/.."
 echo "==> cargo fmt --check"
 cargo fmt --all -- --check
 
+# Figure rows are measurements: the machine model, the hand-written comm
+# table and the extrapolated rows stay deleted.
+echo "==> no modeled figure rows"
+if grep -rnE 'MachineModel|phase_comm_seconds|paper_core_counts|host_to_(model|flops)' \
+    crates src tests examples ||
+    grep -rniE 'modeled|extrapolat' crates/bench/src results/*.txt; then
+    echo "ci: a figure row that is not a measurement (see above)" >&2
+    exit 1
+fi
+
 echo "==> cargo clippy --workspace -- -D warnings"
 cargo clippy --workspace --all-targets -- -D warnings
 
@@ -39,6 +49,12 @@ cargo test -q --release -p check --test fuzz_amr -- --ignored
 # debug passes above are otherwise the only place DG runs.
 echo "==> mangll (release)"
 cargo test -q --release -p mangll
+
+# The two figure bins that finish in seconds, so that a figure bin that
+# panics fails here; the other eight are run by hand.
+echo "==> figure bins smoke (release)"
+cargo run -q --release -p rhea-bench --bin fig6_strong_scaling >/dev/null
+cargo run -q --release -p rhea-bench --bin fig10_amr_timings >/dev/null
 
 # Scalar-fallback job: build and test the octree crate with the AVX2
 # path compiled out entirely (--no-default-features drops the `simd`

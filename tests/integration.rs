@@ -209,23 +209,6 @@ fn dg_and_fem_share_octree_infrastructure() {
     });
 }
 
-/// Machine-model sanity across the harness path: modeled times are
-/// positive, increase with work, and collective terms grow with P.
-#[test]
-fn machine_model_behaviour() {
-    let m = scomm::MachineModel::ranger();
-    let stats = scomm::CommStats {
-        p2p_messages: 100,
-        p2p_bytes: 1 << 22,
-        allreduces: 50,
-        ..Default::default()
-    };
-    let t64 = m.t_comm(&stats, 64);
-    let t16k = m.t_comm(&stats, 16384);
-    assert!(t64 > 0.0 && t16k > t64);
-    assert!(m.t_fem_flops(2e9) > m.t_fem_flops(1e9));
-}
-
 /// Differential P-vs-1 run of one full rhea AMR + Stokes-solve cycle:
 /// the refined tree must be bitwise identical at P=1 and P=4, and the
 /// MINRES residual history must match under the band contract that a

@@ -1,12 +1,13 @@
 //! P-vs-1 differential tests: the same seeded problem run at several
 //! rank counts must produce the identical global leaf set and node-key
-//! set, and solver residual series matching to tolerance.
+//! set, and solver residual series matching to tolerance. Plus one
+//! P = 64 solve that must reproduce itself bitwise.
 
 use check::{run_differential, DiffOptions, Fingerprint};
 use mesh::extract::extract_mesh;
 use octree::balance::BalanceKind;
 use octree::parallel::DistOctree;
-use scomm::Comm;
+use scomm::{spmd, Comm};
 
 /// The seeded AMR pipeline: uniform → graded refine → balance →
 /// partition → mesh extraction. Entirely deterministic, no RNG.
@@ -180,5 +181,53 @@ fn differential_harness_reports_rank_dependence() {
     assert!(
         errs.iter().any(|e| e.contains("leaf sets differ")),
         "{errs:?}"
+    );
+}
+
+/// The regression the deleted virtual-rank executor found at P = 64
+/// (DESIGN.md §13): ranks that own no Dirichlet dof exist there, and a
+/// branch around communicating code decided on such a rank alone — the
+/// AMG hierarchy dedup, the `build_rhs` Dirichlet lift — skips exchange
+/// rounds and wedges the solve. The fixture must keep such a rank, the
+/// solve must converge, and two runs must agree bitwise.
+#[test]
+fn minres_at_p64_has_interior_only_ranks_and_is_reproducible() {
+    let program = |c: &Comm| {
+        let mut t = DistOctree::new_uniform(c, 2);
+        t.refine(|o| o.center_unit()[2] > 0.6);
+        t.balance(BalanceKind::Full);
+        t.partition();
+        let m = extract_mesh(&t, [1.0, 1.0, 1.0]);
+        let bc: Vec<bool> = (0..3 * m.n_owned)
+            .map(|i| m.dof_on_boundary(i / 3))
+            .collect();
+        let owns_dirichlet = bc.contains(&true);
+        let visc: Vec<f64> = m
+            .elements
+            .iter()
+            .map(|o| if o.center_unit()[2] > 0.5 { 50.0 } else { 1.0 })
+            .collect();
+        let mut solver =
+            stokes::StokesSolver::new(&m, c, visc, bc, stokes::StokesOptions::default());
+        let (rhs, mut x) = solver.build_rhs(|q| [0.0, 0.0, (4.0 * q[0]).sin()], |_| [0.0; 3]);
+        let info = solver.solve(&rhs, &mut x);
+        let x_bits: Vec<u64> = x.iter().map(|v| v.to_bits()).collect();
+        (owns_dirichlet, info.converged, info.iterations, x_bits)
+    };
+    let first = spmd::run(64, program);
+    let interior_only = first.iter().filter(|r| !r.0).count();
+    assert!(
+        interior_only > 0,
+        "every rank owns a Dirichlet dof: the fixture no longer exercises rank-local branches"
+    );
+    assert!(
+        first.iter().all(|r| r.1),
+        "P = 64 MINRES must converge ({} iterations)",
+        first[0].2
+    );
+    let second = spmd::run(64, program);
+    assert!(
+        first == second,
+        "two P = 64 runs differ in x or in the iteration count"
     );
 }

@@ -35,14 +35,12 @@
 //! assert!(merged.incl_seconds("MINRES") >= merged.incl_seconds("AMGSolve"));
 //! ```
 
-pub mod agg;
 pub mod export;
 pub mod json;
 pub mod metrics;
 pub mod rec;
 pub mod summary;
 
-pub use agg::{ProfileCollector, WorldProfile, DEFAULT_SAMPLE_RANKS};
 pub use export::{chrome_trace, jsonl_events, run_manifest, ObsSession, WrittenRun};
 pub use json::{ToJson, Value};
 pub use metrics::LogHistogram;

@@ -10,26 +10,22 @@
 //! barrier*. The trailing barrier makes slot reuse by the next collective
 //! safe.
 //!
-//! ## Two executors, one transport
+//! ## One executor, and what a dead rank does to it
 //!
-//! A world runs in one of two execution modes ([`Exec`]), fixed at
-//! construction: **threaded** (one OS thread per rank, `spmd::run`) or
-//! **virtual** (M coroutine ranks over N worker threads,
-//! `spmd::run_virtual`). The mode changes exactly one thing — *how a rank
-//! blocks*. Threaded ranks sleep on condvars; virtual ranks park their
-//! coroutine through the [`crate::vrank`] scheduler so the worker can run
-//! another rank, and every mailbox push / barrier release wakes the
-//! parked peer. Everything above the three blocking primitives
-//! ([`World::pop_blocking`], [`World::barrier_wait`],
-//! [`World::stagger_yield`]) — matching, ordering, fault injection,
-//! statistics, telemetry — is shared code, which is the structural reason
-//! the two executors produce bitwise-identical results.
+//! Every rank is an OS thread (`spmd::run`), and a rank blocks in exactly
+//! two places: `World::pop_blocking` (a receive, `wait`, or
+//! `exchange_end` with nothing matching yet) and `World::barrier_wait`
+//! (every collective). Both sleep on a condvar. When a rank's closure
+//! panics, `spmd::run` calls `World::abort`: the world remembers the
+//! first dead rank and wakes every condvar, and any rank that is blocked
+//! there, or blocks there later, panics naming the dead rank instead of
+//! waiting for a peer that will never arrive.
 
 use std::cell::RefCell;
 use std::collections::VecDeque;
 use std::marker::PhantomData;
-use std::sync::atomic::{AtomicBool, Ordering::SeqCst};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering::SeqCst};
+use std::sync::{Arc, Condvar, Mutex, PoisonError};
 
 use obs::Recorder;
 
@@ -37,12 +33,14 @@ use crate::fault::{FaultCounters, FaultPlan, FaultState};
 use crate::pod::{as_bytes, from_bytes, Pod};
 use crate::request::{Exchange, RecvRequest, SendRequest};
 use crate::stats::CommStats;
-use crate::vrank::{ParkSite, Scheduler};
 
 /// Name under which completed nonblocking receives and exchange rounds
 /// accumulate their overlap window (post→wait-entry, i.e. the time a
 /// request was in flight while the rank was free to compute).
 pub const OVERLAP_COUNTER: &str = "comm.overlap_ns";
+
+/// `World::dead` while every rank is alive.
+const ALIVE: usize = usize::MAX;
 
 /// A point-to-point message in flight.
 pub(crate) struct Message {
@@ -52,38 +50,26 @@ pub(crate) struct Message {
 }
 
 /// One rank's incoming-message queue: a FIFO under a mutex, with a
-/// condvar for the threaded executor. Senders push under the lock in
-/// program order regardless of executor, so the per-`(src, tag)` FIFO
-/// invariant the matching layer relies on holds identically in both
-/// modes — including across coroutine parks.
+/// condvar its owner sleeps on. Senders push under the lock in program
+/// order, which is the per-`(src, tag)` FIFO invariant the matching layer
+/// relies on.
 struct Mailbox {
     q: Mutex<VecDeque<Message>>,
     cv: Condvar,
 }
 
-/// Barrier state shared by both executors (a hand-rolled generation
-/// barrier; `std::sync::Barrier` cannot release coroutine waiters).
+/// Generation barrier state (rather than `std::sync::Barrier`, which
+/// cannot be woken when a peer dies).
 struct BarState {
     count: usize,
     gen: u64,
-    /// Virtual mode only: ranks parked on this generation, woken by the
-    /// last arriver.
-    waiters: Vec<usize>,
-}
-
-/// How this world's ranks execute — and therefore how a rank blocks.
-enum Exec {
-    /// One OS thread per rank; blocking sleeps the thread on a condvar.
-    Threads,
-    /// Virtual ranks over a worker pool; blocking parks the coroutine so
-    /// the worker can pick up another runnable rank.
-    Virtual(Arc<Scheduler>),
 }
 
 /// Shared state of a simulated machine with `nranks` ranks.
 pub(crate) struct World {
     nranks: usize,
-    exec: Exec,
+    /// The first rank whose closure panicked, or [`ALIVE`].
+    dead: AtomicUsize,
     /// Reusable rendezvous for collectives.
     bar: Mutex<BarState>,
     bar_cv: Condvar,
@@ -99,16 +85,12 @@ pub(crate) struct World {
 }
 
 impl World {
-    fn build(nranks: usize, exec: Exec) -> Arc<World> {
+    pub(crate) fn new(nranks: usize) -> Arc<World> {
         assert!(nranks >= 1, "a communicator needs at least one rank");
         Arc::new(World {
             nranks,
-            exec,
-            bar: Mutex::new(BarState {
-                count: 0,
-                gen: 0,
-                waiters: Vec::new(),
-            }),
+            dead: AtomicUsize::new(ALIVE),
+            bar: Mutex::new(BarState { count: 0, gen: 0 }),
             bar_cv: Condvar::new(),
             slots: (0..nranks).map(|_| Mutex::new(Vec::new())).collect(),
             matrix: (0..nranks * nranks)
@@ -122,22 +104,6 @@ impl World {
                 .collect(),
             attached: (0..nranks).map(|_| AtomicBool::new(false)).collect(),
         })
-    }
-
-    /// A threaded-executor world (one OS thread per rank).
-    pub(crate) fn new(nranks: usize) -> Arc<World> {
-        World::build(nranks, Exec::Threads)
-    }
-
-    /// A virtual-executor world: ranks are coroutines scheduled by
-    /// `sched`, and every blocking point parks through it.
-    pub(crate) fn new_virtual(nranks: usize, sched: Arc<Scheduler>) -> Arc<World> {
-        assert_eq!(
-            sched.nranks(),
-            nranks,
-            "scheduler sized for a different world"
-        );
-        World::build(nranks, Exec::Virtual(sched))
     }
 
     /// Build the communicator handle for `rank`. Each rank must be attached
@@ -157,18 +123,33 @@ impl World {
         }
     }
 
-    // ----------------------------------------------------------------
-    // The three executor-sensitive blocking primitives. Everything else
-    // in this file is executor-agnostic.
-    // ----------------------------------------------------------------
+    /// Record that `rank`'s closure panicked and wake every blocked rank.
+    /// Only the first death is kept: later ones are its consequences.
+    pub(crate) fn abort(&self, rank: usize) {
+        let _ = self.dead.compare_exchange(ALIVE, rank, SeqCst, SeqCst);
+        // Notify under each lock, so a waiter that checked `dead` before
+        // the store above is already asleep and gets the wake-up. A lock
+        // poisoned by the panic is still a lock.
+        for mb in &self.mailboxes {
+            let _q = mb.q.lock().unwrap_or_else(PoisonError::into_inner);
+            mb.cv.notify_all();
+        }
+        let _st = self.bar.lock().unwrap_or_else(PoisonError::into_inner);
+        self.bar_cv.notify_all();
+    }
 
-    /// Deliver a message into `dst`'s mailbox and make `dst` runnable.
+    /// The first rank whose closure panicked, if any.
+    pub(crate) fn dead_rank(&self) -> Option<usize> {
+        match self.dead.load(SeqCst) {
+            ALIVE => None,
+            r => Some(r),
+        }
+    }
+
+    /// Deliver a message into `dst`'s mailbox and wake `dst`.
     fn post(&self, dst: usize, msg: Message) {
         self.mailboxes[dst].q.lock().unwrap().push_back(msg);
-        match &self.exec {
-            Exec::Threads => self.mailboxes[dst].cv.notify_one(),
-            Exec::Virtual(s) => s.wake(dst),
-        }
+        self.mailboxes[dst].cv.notify_one();
     }
 
     /// Non-blocking pop from `rank`'s own mailbox.
@@ -176,94 +157,48 @@ impl World {
         self.mailboxes[rank].q.lock().unwrap().pop_front()
     }
 
-    /// Blocking pop from `rank`'s own mailbox. `site`/`fill` describe the
-    /// blocked operation for the virtual executor's deadlock dump; both
-    /// are unused on the threaded path.
-    fn pop_blocking(
-        &self,
-        rank: usize,
-        site: ParkSite,
-        fill: &dyn Fn(&mut Vec<(usize, u64)>),
-    ) -> Message {
-        match &self.exec {
-            Exec::Threads => {
-                let mb = &self.mailboxes[rank];
-                let mut q = mb.q.lock().unwrap();
-                loop {
-                    if let Some(m) = q.pop_front() {
-                        return m;
-                    }
-                    q = mb.cv.wait(q).unwrap();
-                }
+    /// Blocking pop from `rank`'s own mailbox.
+    fn pop_blocking(&self, rank: usize) -> Message {
+        let mb = &self.mailboxes[rank];
+        let mut q = mb.q.lock().unwrap();
+        loop {
+            if let Some(m) = q.pop_front() {
+                return m;
             }
-            Exec::Virtual(s) => loop {
-                // Poll-park loop: `park_current` may return spuriously on
-                // a stale wake permit, so re-poll after every park.
-                if let Some(m) = self.try_pop(rank) {
-                    return m;
-                }
-                s.park_current(site, |v| fill(v));
-            },
+            if let Some(dead) = self.dead_rank() {
+                drop(q);
+                dead_peer(rank, dead);
+            }
+            q = mb.cv.wait(q).unwrap();
         }
     }
 
     /// Rendezvous of all ranks (the collective building block).
-    fn barrier_wait(&self, site: ParkSite, fill: &dyn Fn(&mut Vec<(usize, u64)>)) {
-        match &self.exec {
-            Exec::Threads => {
-                let mut st = self.bar.lock().unwrap();
-                let my_gen = st.gen;
-                st.count += 1;
-                if st.count == self.nranks {
-                    st.count = 0;
-                    st.gen = st.gen.wrapping_add(1);
-                    self.bar_cv.notify_all();
-                } else {
-                    while st.gen == my_gen {
-                        st = self.bar_cv.wait(st).unwrap();
-                    }
-                }
+    fn barrier_wait(&self, rank: usize) {
+        let mut st = self.bar.lock().unwrap();
+        let my_gen = st.gen;
+        st.count += 1;
+        if st.count == self.nranks {
+            st.count = 0;
+            st.gen = st.gen.wrapping_add(1);
+            self.bar_cv.notify_all();
+            return;
+        }
+        while st.gen == my_gen {
+            if let Some(dead) = self.dead_rank() {
+                drop(st);
+                dead_peer(rank, dead);
             }
-            Exec::Virtual(s) => {
-                let my_gen;
-                let wake_list;
-                {
-                    let mut st = self.bar.lock().unwrap();
-                    my_gen = st.gen;
-                    st.count += 1;
-                    if st.count == self.nranks {
-                        st.count = 0;
-                        st.gen = st.gen.wrapping_add(1);
-                        wake_list = std::mem::take(&mut st.waiters);
-                    } else {
-                        st.waiters.push(s.current_rank());
-                        wake_list = Vec::new();
-                    }
-                }
-                // Wake outside the lock so released ranks can re-check
-                // the generation immediately.
-                for rid in wake_list {
-                    s.wake(rid);
-                }
-                loop {
-                    if self.bar.lock().unwrap().gen != my_gen {
-                        return;
-                    }
-                    s.park_current(site, |v| fill(v));
-                }
-            }
+            st = self.bar_cv.wait(st).unwrap();
         }
     }
+}
 
-    /// One cooperative yield, for fault-plan stagger injection: give the
-    /// OS (threaded) or the scheduler (virtual) a chance to run someone
-    /// else before this rank enters a rendezvous.
-    fn stagger_yield(&self) {
-        match &self.exec {
-            Exec::Threads => std::thread::yield_now(),
-            Exec::Virtual(s) => s.yield_current(),
-        }
-    }
+/// `rank` was about to wait for a peer, or for someone who waits for one,
+/// but rank `dead` has panicked: end this rank too, and say why. Callers
+/// drop their lock first, so this panic poisons nothing.
+fn dead_peer(rank: usize, dead: usize) -> ! {
+    panic!("scomm: rank {rank} cannot complete a blocking operation: rank {dead} panicked");
 }
 
 /// Per-rank communicator handle (the analogue of an `MPI_Comm` plus the
@@ -346,31 +281,20 @@ impl Comm {
         self.fault.borrow().as_ref().map(|f| f.counters)
     }
 
-    /// Snapshot of the unmatched `(src, tag)` pairs sitting in this
-    /// rank's pending queue, for the virtual executor's deadlock dump.
-    fn fill_pending(&self, v: &mut Vec<(usize, u64)>) {
-        v.extend(self.pending.borrow().iter().map(|m| (m.src, m.tag)));
-    }
-
-    /// Enter the collective rendezvous, identifying the blocked op for
-    /// the deadlock dump.
-    fn coll_barrier(&self, name: &'static str) {
-        self.world
-            .barrier_wait(ParkSite::Collective(name), &|v| self.fill_pending(v));
+    /// Enter the collective rendezvous.
+    fn coll_barrier(&self) {
+        self.world.barrier_wait(self.rank);
     }
 
     /// Pull the next message off the wire, through the fault scheduler when
     /// one is attached. Deadlock-free: the virtual clock only advances when
     /// the real inbox is empty, so every held message is eventually
-    /// released without requiring further traffic. `site` identifies the
-    /// blocked operation if this rank ends up parked in a deadlock.
-    fn pull_message(&self, site: ParkSite) -> Message {
+    /// released without requiring further traffic.
+    fn pull_message(&self) -> Message {
         let mut fault = self.fault.borrow_mut();
         let Some(fs) = fault.as_mut() else {
             drop(fault);
-            return self
-                .world
-                .pop_blocking(self.rank, site, &|v| self.fill_pending(v));
+            return self.world.pop_blocking(self.rank);
         };
         loop {
             // Admit everything already arrived without blocking.
@@ -383,9 +307,7 @@ impl Comm {
             }
             if fs.is_drained() {
                 // Nothing buffered: block for the next real arrival.
-                let m = self
-                    .world
-                    .pop_blocking(self.rank, site, &|v| self.fill_pending(v));
+                let m = self.world.pop_blocking(self.rank);
                 let (src, tag) = (m.src, m.tag);
                 fs.admit(src, tag, m);
             } else {
@@ -404,7 +326,7 @@ impl Comm {
             .as_mut()
             .map_or(0, |f| f.collective_stagger());
         for _ in 0..yields {
-            self.world.stagger_yield();
+            std::thread::yield_now();
         }
     }
 
@@ -436,9 +358,8 @@ impl Comm {
     /// it: the matching core shared by `recv`, `wait` and `exchange_end`.
     /// Scans earlier unmatched arrivals first, then pulls from the wire
     /// (through the fault scheduler when one is attached, so delays and
-    /// reordering take effect here — at completion time). `site` labels
-    /// the blocked op for the virtual executor's deadlock dump.
-    fn match_message(&self, src: usize, tag: u64, site: ParkSite) -> Message {
+    /// reordering take effect here — at completion time).
+    fn match_message(&self, src: usize, tag: u64) -> Message {
         {
             let mut pending = self.pending.borrow_mut();
             if let Some(pos) = pending.iter().position(|m| m.src == src && m.tag == tag) {
@@ -446,7 +367,7 @@ impl Comm {
             }
         }
         loop {
-            let msg = self.pull_message(site);
+            let msg = self.pull_message();
             if msg.src == src && msg.tag == tag {
                 return msg;
             }
@@ -457,8 +378,7 @@ impl Comm {
     /// Blocking receive of a message from `src` with `tag`.
     pub fn recv<T: Pod>(&self, src: usize, tag: u64) -> Vec<T> {
         let _t = self.op_span("comm:recv");
-        let site = ParkSite::Recv { src, tag };
-        from_bytes(&self.match_message(src, tag, site).bytes)
+        from_bytes(&self.match_message(src, tag).bytes)
     }
 
     /// Blocking receive of the next message with `tag` from any source.
@@ -473,7 +393,7 @@ impl Comm {
             }
         }
         loop {
-            let msg = self.pull_message(ParkSite::RecvAny { tag });
+            let msg = self.pull_message();
             if msg.tag == tag {
                 return (msg.src, from_bytes(&msg.bytes));
             }
@@ -539,11 +459,7 @@ impl Comm {
     /// completion time — never at post time.
     pub fn wait<T: Pod>(&self, req: RecvRequest<T>) -> Vec<T> {
         let wait_entry = self.rec.borrow().as_ref().map(|r| r.now_ns());
-        let site = ParkSite::Recv {
-            src: req.src,
-            tag: req.tag,
-        };
-        let msg = self.match_message(req.src, req.tag, site);
+        let msg = self.match_message(req.src, req.tag);
         self.finish_recv(&req, wait_entry, msg.bytes.len() as u64);
         from_bytes(&msg.bytes)
     }
@@ -552,11 +468,7 @@ impl Comm {
     /// appended to `out` (cleared first, capacity reused).
     pub fn wait_into<T: Pod>(&self, req: RecvRequest<T>, out: &mut Vec<T>) {
         let wait_entry = self.rec.borrow().as_ref().map(|r| r.now_ns());
-        let site = ParkSite::Recv {
-            src: req.src,
-            tag: req.tag,
-        };
-        let msg = self.match_message(req.src, req.tag, site);
+        let msg = self.match_message(req.src, req.tag);
         self.finish_recv(&req, wait_entry, msg.bytes.len() as u64);
         out.clear();
         crate::pod::extend_from_bytes(out, &msg.bytes);
@@ -732,8 +644,7 @@ impl Comm {
             if cnt == 0 {
                 continue;
             }
-            let site = ParkSite::ExchangeEnd { stream: ex.stream };
-            let msg = self.match_message(src, tag, site);
+            let msg = self.match_message(src, tag);
             assert_eq!(
                 msg.bytes.len(),
                 cnt * elem,
@@ -763,7 +674,7 @@ impl Comm {
         let _t = self.op_span("comm:barrier");
         self.maybe_stagger();
         self.stats.borrow_mut().barriers += 1;
-        self.coll_barrier("barrier");
+        self.coll_barrier();
     }
 
     /// Gather `data` (same length on every rank) from all ranks, in rank
@@ -783,7 +694,7 @@ impl Comm {
             slot.clear();
             slot.extend_from_slice(as_bytes(data));
         }
-        self.coll_barrier("allgatherv");
+        self.coll_barrier();
         let mut out = Vec::new();
         let mut total_bytes = 0u64;
         for r in 0..world.nranks {
@@ -791,7 +702,7 @@ impl Comm {
             total_bytes += slot.len() as u64;
             out.extend(from_bytes::<T>(&slot));
         }
-        self.coll_barrier("allgatherv");
+        self.coll_barrier();
         {
             let mut s = self.stats.borrow_mut();
             s.allgathers += 1;
@@ -814,7 +725,7 @@ impl Comm {
             slot.clear();
             slot.extend_from_slice(as_bytes(data));
         }
-        self.coll_barrier("allgatherv");
+        self.coll_barrier();
         out.clear();
         let mut total_bytes = 0u64;
         for r in 0..world.nranks {
@@ -822,7 +733,7 @@ impl Comm {
             total_bytes += slot.len() as u64;
             crate::pod::extend_from_bytes(out, &slot);
         }
-        self.coll_barrier("allgatherv");
+        self.coll_barrier();
         {
             let mut s = self.stats.borrow_mut();
             s.allgathers += 1;
@@ -911,12 +822,12 @@ impl Comm {
             slot.clear();
             slot.extend_from_slice(as_bytes(data));
         }
-        self.coll_barrier("bcast");
+        self.coll_barrier();
         let out = {
             let slot = world.slots[root].lock().unwrap();
             from_bytes::<T>(&slot)
         };
-        self.coll_barrier("bcast");
+        self.coll_barrier();
         {
             let mut s = self.stats.borrow_mut();
             s.bcasts += 1;
@@ -944,13 +855,13 @@ impl Comm {
                 sent_bytes += slot.len() as u64;
             }
         }
-        self.coll_barrier("alltoallv");
+        self.coll_barrier();
         let mut incoming = Vec::with_capacity(p);
         for src in 0..p {
             let slot = world.matrix[src * p + self.rank].lock().unwrap();
             incoming.push(from_bytes::<T>(&slot));
         }
-        self.coll_barrier("alltoallv");
+        self.coll_barrier();
         {
             let mut s = self.stats.borrow_mut();
             s.alltoalls += 1;
@@ -1004,7 +915,7 @@ impl Comm {
                 }
             }
         }
-        self.coll_barrier("alltoallv");
+        self.coll_barrier();
         recv.clear();
         recv_counts.clear();
         let elem = std::mem::size_of::<T>().max(1);
@@ -1013,7 +924,7 @@ impl Comm {
             recv_counts.push(slot.len() / elem);
             crate::pod::extend_from_bytes(recv, &slot);
         }
-        self.coll_barrier("alltoallv");
+        self.coll_barrier();
         {
             let mut s = self.stats.borrow_mut();
             s.alltoalls += 1;

@@ -50,7 +50,6 @@ pub mod pod;
 pub mod request;
 pub mod spmd;
 pub mod stats;
-pub mod vrank;
 
 pub use comm::{Comm, OVERLAP_COUNTER};
 pub use fault::{FaultCounters, FaultPlan};

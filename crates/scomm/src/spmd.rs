@@ -1,27 +1,21 @@
-//! SPMD launcher: run the same closure on `P` simulated ranks.
-//!
-//! Two executors share one transport and one programming model:
-//!
-//! * [`run`] / [`run_with_stats`] / [`run_traced`] — one OS thread per
-//!   rank. Faithful preemption, but `P` is capped by what the OS will
-//!   thread-spawn (≈ a few hundred).
-//! * [`run_virtual`] / [`run_virtual_with_stats`] / [`run_virtual_traced`]
-//!   — `P` virtual ranks cooperatively scheduled over `W` worker threads
-//!   ([`crate::vrank`]). The same closure, the same [`Comm`] semantics
-//!   and bitwise-identical results, but `P` can be 1024 or 4096 on a
-//!   laptop: a rank that blocks in the split-phase request layer or a
-//!   collective parks its coroutine and the worker runs another rank.
+//! SPMD launcher: run the same closure on `P` simulated ranks, one OS
+//! thread per rank.
 //!
 //! The closure is the "main" of the simulated MPI program. Results are
-//! collected in rank order.
+//! collected in rank order. `P` is bounded by what the OS will
+//! thread-spawn and schedule sensibly — a few hundred on a laptop; the
+//! test suite goes to 64.
+//!
+//! A rank that panics ends the run, like an MPI abort: its peers stop
+//! waiting for it (see [`crate::comm`]) and [`run`] re-raises the dead
+//! rank's own panic.
 
-use std::sync::Arc;
+use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 
-use obs::{ProfileCollector, RankProfile, Recorder, WorldProfile};
+use obs::{RankProfile, Recorder};
 
 use crate::comm::{Comm, World};
 use crate::stats::CommStats;
-use crate::vrank::Scheduler;
 
 /// A standalone single-rank communicator (the analogue of `MPI_COMM_SELF`),
 /// for running SPMD algorithms serially without a launcher.
@@ -31,8 +25,11 @@ pub fn self_comm() -> Comm {
 
 /// Run `f` on `nranks` ranks and return the per-rank results in rank order.
 ///
-/// Panics in any rank propagate (the launcher re-panics after joining),
-/// matching the fail-fast behaviour of an MPI abort.
+/// If a rank panics, every peer that is blocked in (or later enters) a
+/// receive, `wait`, `exchange_end` or collective panics too, naming the
+/// dead rank; once all ranks have ended, this re-raises the panic of the
+/// first rank that died — its own payload, not a peer's "rank r
+/// panicked".
 pub fn run<F, R>(nranks: usize, f: F) -> Vec<R>
 where
     F: Fn(&Comm) -> R + Sync,
@@ -49,173 +46,41 @@ where
     R: Send,
 {
     let world = World::new(nranks);
-    let mut results: Vec<Option<(R, CommStats)>> = (0..nranks).map(|_| None).collect();
     if nranks == 1 {
         // Fast path: run inline, no thread spawn.
         let comm = world.attach(0);
         let r = f(&comm);
-        results[0] = Some((r, comm.stats()));
-    } else {
-        std::thread::scope(|scope| {
-            let mut handles = Vec::with_capacity(nranks);
-            for rank in 0..nranks {
-                let world = &world;
-                let f = &f;
-                handles.push(scope.spawn(move || {
+        return (vec![r], vec![comm.stats()]);
+    }
+    let mut ranks: Vec<std::thread::Result<(R, CommStats)>> = std::thread::scope(|scope| {
+        let handles: Vec<_> = (0..nranks)
+            .map(|rank| {
+                let (world, f) = (&world, &f);
+                scope.spawn(move || {
                     let comm = world.attach(rank);
-                    let r = f(&comm);
-                    let stats = comm.stats();
-                    (r, stats)
-                }));
-            }
-            for (rank, h) in handles.into_iter().enumerate() {
-                match h.join() {
-                    Ok(pair) => results[rank] = Some(pair),
-                    Err(e) => std::panic::resume_unwind(e),
-                }
-            }
-        });
-    }
-    let mut out = Vec::with_capacity(nranks);
-    let mut stats = Vec::with_capacity(nranks);
-    for slot in results {
-        let (r, s) = slot.expect("every rank produces a result");
-        out.push(r);
-        stats.push(s);
-    }
-    (out, stats)
-}
-
-/// Run `f` on `nranks` *virtual* ranks cooperatively scheduled over
-/// `workers` OS threads, and return the per-rank results in rank order.
-///
-/// Drop-in equivalent of [`run`] for any `f`: the transport, matching,
-/// collective fold orders, fault injection and telemetry are shared code
-/// (see [`crate::comm`]), so results are bitwise-identical to the
-/// threaded executor — the `check` crate's differential suite asserts
-/// this for ghost exchange, operator application and full solves. Use
-/// this executor when `nranks` exceeds what OS threads tolerate: the
-/// fig7/fig8 harnesses run P = 1024 on ≤ 16 workers.
-///
-/// Each rank is pinned to worker `rank % workers` for its whole life
-/// (rank state is not `Send`); ranks only switch at communication
-/// blocking points, so pure compute does not interleave. Panics in any
-/// rank propagate after all ranks unwind; a communication cycle that can
-/// never complete panics with a per-rank deadlock dump instead of
-/// hanging (see `vrank`'s watchdog).
-pub fn run_virtual<F, R>(nranks: usize, workers: usize, f: F) -> Vec<R>
-where
-    F: Fn(&Comm) -> R + Sync,
-    R: Send,
-{
-    run_virtual_with_stats(nranks, workers, f).0
-}
-
-/// Like [`run_virtual`] but additionally returns each rank's accumulated
-/// [`CommStats`] (the virtual counterpart of [`run_with_stats`]).
-pub fn run_virtual_with_stats<F, R>(nranks: usize, workers: usize, f: F) -> (Vec<R>, Vec<CommStats>)
-where
-    F: Fn(&Comm) -> R + Sync,
-    R: Send,
-{
-    let sched = Scheduler::new(nranks, workers);
-    let world = World::new_virtual(nranks, Arc::clone(&sched));
-    let mut results: Vec<Option<(R, CommStats)>> = (0..nranks).map(|_| None).collect();
-
-    /// A raw slot pointer that crosses into a coroutine; disjoint per
-    /// rank, written exactly once. (The write goes through a method so
-    /// closures capture the whole `Send` wrapper, not the raw field.)
-    struct SendPtr<T>(*mut T);
-    unsafe impl<T> Send for SendPtr<T> {}
-    impl<T> SendPtr<T> {
-        /// SAFETY: caller guarantees exclusive access to the slot.
-        unsafe fn write(&self, v: T) {
-            *self.0 = v;
-        }
-    }
-
-    let entries: Vec<Box<dyn FnOnce() + Send>> = results
-        .iter_mut()
-        .enumerate()
-        .map(|(rank, slot)| {
-            let world = Arc::clone(&world);
-            let f = &f;
-            let slot = SendPtr(slot as *mut Option<(R, CommStats)>);
-            let entry: Box<dyn FnOnce() + Send + '_> = Box::new(move || {
-                let comm = world.attach(rank);
-                let r = f(&comm);
-                let stats = comm.stats();
-                // SAFETY: slots are disjoint per rank and outlive the
-                // scheduler run below.
-                unsafe { slot.write(Some((r, stats))) };
-            });
-            // SAFETY: lifetime erasure only. `sched.run` consumes every
-            // entry and joins its workers before returning, and both
-            // `sched` and `world` drop before this function's borrows
-            // (`f`, `results`) go out of scope.
-            unsafe {
-                std::mem::transmute::<Box<dyn FnOnce() + Send + '_>, Box<dyn FnOnce() + Send>>(
-                    entry,
-                )
-            }
-        })
-        .collect();
-    sched.run(entries);
-
-    let mut out = Vec::with_capacity(nranks);
-    let mut stats = Vec::with_capacity(nranks);
-    for slot in results {
-        let (r, s) = slot.expect("every virtual rank produces a result");
-        out.push(r);
-        stats.push(s);
-    }
-    (out, stats)
-}
-
-/// Like [`run_traced`] but on the virtual executor: per-rank recorders,
-/// profiles returned in rank order. At large `nranks` prefer
-/// [`run_virtual_traced_bounded`], which aggregates instead of retaining
-/// one full profile per rank.
-pub fn run_virtual_traced<F, R>(nranks: usize, workers: usize, f: F) -> (Vec<R>, Vec<RankProfile>)
-where
-    F: Fn(&Comm, &Recorder) -> R + Sync,
-    R: Send,
-{
-    let paired = run_virtual(nranks, workers, |comm| {
-        let rec = Recorder::new(comm.rank());
-        comm.set_recorder(rec.clone());
-        let r = f(comm, &rec);
-        (r, rec.profile())
+                    let r = catch_unwind(AssertUnwindSafe(|| f(&comm)));
+                    if r.is_err() {
+                        world.abort(rank);
+                    }
+                    r.map(|r| (r, comm.stats()))
+                })
+            })
+            .collect();
+        handles
+            .into_iter()
+            .map(|h| h.join().and_then(|r| r))
+            .collect()
     });
-    paired.into_iter().unzip()
-}
-
-/// Like [`run_virtual_traced`] but with memory bounded by `sample_cap`
-/// instead of `nranks`: each rank's profile is folded into one merged
-/// [`obs::Summary`] as soon as the rank finishes, and only ranks
-/// `< sample_cap` keep their full span-level [`RankProfile`] (for the
-/// Chrome trace). At P = 4096 this is the difference between thousands
-/// of retained trace tracks and a fixed handful — the
-/// [`WorldProfile::elided`] count records exactly what was dropped.
-pub fn run_virtual_traced_bounded<F, R>(
-    nranks: usize,
-    workers: usize,
-    sample_cap: usize,
-    f: F,
-) -> (Vec<R>, WorldProfile)
-where
-    F: Fn(&Comm, &Recorder) -> R + Sync,
-    R: Send,
-{
-    let collector = ProfileCollector::new(sample_cap);
-    let out = run_virtual(nranks, workers, |comm| {
-        let rec = Recorder::new(comm.rank());
-        comm.set_recorder(rec.clone());
-        let r = f(comm, &rec);
-        collector.absorb(rec.profile());
-        r
-    });
-    (out, collector.finish())
+    if let Some(dead) = world.dead_rank() {
+        let Err(payload) = ranks.swap_remove(dead) else {
+            unreachable!("rank {dead} is recorded dead but returned")
+        };
+        resume_unwind(payload);
+    }
+    ranks
+        .into_iter()
+        .map(|r| r.unwrap_or_else(|payload| resume_unwind(payload)))
+        .unzip()
 }
 
 /// Like [`run`] but with per-rank telemetry: each rank gets an
@@ -295,8 +160,117 @@ mod tests {
             if c.rank() == 1 {
                 panic!("deliberate");
             }
-            // Rank 0 must not block forever on a collective with a dead
-            // peer in this test; it just returns.
+            c.barrier();
         });
+    }
+
+    /// The last rank panics while its peers are in `op`. The run must
+    /// end, not hang, and re-raise that panic rather than a peer's "rank r
+    /// panicked". A peer that blocks after the death must end too, so the
+    /// test holds in either order; the sleep makes "already asleep on the
+    /// condvar" (the wake-up path) the usual one, and `rank_panic_propagates`
+    /// the other.
+    fn last_rank_dies_while_peers_block_in(nranks: usize, op: fn(&Comm)) {
+        run(nranks, |c| {
+            if c.rank() == c.size() - 1 {
+                std::thread::sleep(std::time::Duration::from_millis(50));
+                panic!("deliberate");
+            }
+            op(c);
+        });
+    }
+
+    fn barrier(c: &Comm) {
+        c.barrier();
+    }
+
+    fn allreduce(c: &Comm) {
+        c.allreduce_sum(&[1.0f64]);
+    }
+
+    fn recv_from_last(c: &Comm) {
+        c.recv::<u64>(c.size() - 1, 0);
+    }
+
+    /// Every rank sends one value to every other and waits for all of
+    /// them: the live peers' payloads arrive, the dead rank's never does.
+    fn exchange(c: &Comm) {
+        let ones = vec![1usize; c.size()];
+        let send = vec![c.rank() as u64; c.size()];
+        let mut ex = crate::request::Exchange::new(1);
+        let (mut recv, mut counts) = (Vec::<u64>::new(), Vec::new());
+        c.exchange_start(&send, &ones, &ones, &mut ex);
+        c.exchange_end(&mut ex, &mut recv, &mut counts);
+    }
+
+    #[test]
+    #[should_panic(expected = "deliberate")]
+    fn dead_peer_ends_barrier_p2() {
+        last_rank_dies_while_peers_block_in(2, barrier);
+    }
+
+    #[test]
+    #[should_panic(expected = "deliberate")]
+    fn dead_peer_ends_barrier_p8() {
+        last_rank_dies_while_peers_block_in(8, barrier);
+    }
+
+    #[test]
+    #[should_panic(expected = "deliberate")]
+    fn dead_peer_ends_allreduce_p2() {
+        last_rank_dies_while_peers_block_in(2, allreduce);
+    }
+
+    #[test]
+    #[should_panic(expected = "deliberate")]
+    fn dead_peer_ends_allreduce_p8() {
+        last_rank_dies_while_peers_block_in(8, allreduce);
+    }
+
+    #[test]
+    #[should_panic(expected = "deliberate")]
+    fn dead_peer_ends_recv_p2() {
+        last_rank_dies_while_peers_block_in(2, recv_from_last);
+    }
+
+    #[test]
+    #[should_panic(expected = "deliberate")]
+    fn dead_peer_ends_recv_p8() {
+        last_rank_dies_while_peers_block_in(8, recv_from_last);
+    }
+
+    #[test]
+    #[should_panic(expected = "deliberate")]
+    fn dead_peer_ends_exchange_end_p2() {
+        last_rank_dies_while_peers_block_in(2, exchange);
+    }
+
+    #[test]
+    #[should_panic(expected = "deliberate")]
+    fn dead_peer_ends_exchange_end_p8() {
+        last_rank_dies_while_peers_block_in(8, exchange);
+    }
+
+    #[test]
+    fn blocked_peer_panics_naming_the_dead_rank() {
+        let seen = std::sync::Mutex::new(String::new());
+        let err = catch_unwind(AssertUnwindSafe(|| {
+            run(3, |c| {
+                if c.rank() == 2 {
+                    panic!("deliberate");
+                }
+                let e = catch_unwind(AssertUnwindSafe(|| c.barrier()))
+                    .expect_err("a barrier with a dead peer must panic");
+                if c.rank() == 0 {
+                    *seen.lock().unwrap() = e.downcast_ref::<String>().cloned().unwrap_or_default();
+                }
+            })
+        }))
+        .expect_err("the dead rank's panic must be re-raised");
+        assert_eq!(err.downcast_ref::<&str>(), Some(&"deliberate"));
+        assert_eq!(
+            *seen.lock().unwrap(),
+            "scomm: rank 0 cannot complete a blocking operation: rank 2 panicked"
+        );
     }
 }

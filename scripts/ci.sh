@@ -7,13 +7,16 @@ cd "$(dirname "$0")/.."
 echo "==> cargo fmt --check"
 cargo fmt --all -- --check
 
-# Figure rows are measurements: the machine model, the hand-written comm
-# table and the extrapolated rows stay deleted.
-echo "==> no modeled figure rows"
+# What stays deleted: the machine model, the hand-written comm table and
+# the extrapolated figure rows (PR 24); the virtual-rank coroutine
+# executor and its profile aggregator (PR 25).
+echo "==> deleted code stays deleted"
 if grep -rnE 'MachineModel|phase_comm_seconds|paper_core_counts|host_to_(model|flops)' \
     crates src tests examples ||
+    grep -rnE 'run_virtual|scomm::vrank|global_asm|ParkSite|ProfileCollector|SCOMM_VRANK_STACK' \
+        crates src tests examples ||
     grep -rniE 'modeled|extrapolat' crates/bench/src results/*.txt; then
-    echo "ci: a figure row that is not a measurement (see above)" >&2
+    echo "ci: deleted code is back (see above)" >&2
     exit 1
 fi
 
@@ -21,9 +24,9 @@ echo "==> cargo clippy --workspace -- -D warnings"
 cargo clippy --workspace --all-targets -- -D warnings
 
 # Every unit, integration and differential test of every crate — the
-# fault-injection, AMR-fuzz, virtual-rank and oracle suites in
-# crates/check/tests and crates/scomm/tests included. Nothing below
-# repeats a test this pass already ran.
+# fault-injection, AMR-fuzz, oracle and P = 64 MINRES suites in
+# crates/check/tests, and the dead-peer tests in scomm, included.
+# Nothing below repeats a test this pass already ran.
 echo "==> cargo test -q --workspace"
 cargo test -q --workspace
 
@@ -33,14 +36,10 @@ cargo test -q --workspace
 echo "==> CHECK_INVARIANTS=1 cargo test -q --workspace"
 CHECK_INVARIANTS=1 cargo test -q --workspace
 
-# The P = 256 MINRES executor differential is #[ignore]d in the debug
-# passes above (it dominated them); run it once, optimized.
-echo "==> vrank_diff P = 256 (release, --ignored)"
-cargo test -q --release -p check --test vrank_diff -- --ignored
-
 # The AMR fuzz acceptance run (200 seeded cycles over P ∈ {1, 2, 4, 8},
 # the merge kernel against the point-location path every cycle) is
-# #[ignore]d for the same reason; ~15 s optimized.
+# #[ignore]d in the debug passes above (it would dominate them); ~15 s
+# optimized.
 echo "==> fuzz_amr 200 cycles (release, --ignored)"
 cargo test -q --release -p check --test fuzz_amr -- --ignored
 

@@ -9,7 +9,6 @@
 
 use fem::op::DofMap;
 use forest::{Forest, ForestLeaf};
-use la::{DotBatch, LinearOp, SolveInfo};
 use octree::balance::BalanceKind;
 use octree::ops::find_containing;
 use octree::Octant;
@@ -101,9 +100,9 @@ pub fn forest_ghosts_flat(forest: &Forest) -> Vec<(usize, ForestLeaf)> {
 }
 
 /// `y = A x` on owned vectors, rebuilt from the allocating collective
-/// tier: `to_local` → gather / mat-vec / scatter over
-/// `interior_elems ++ surface_elems` → `reverse_accumulate`, with the
-/// same symmetric Dirichlet elimination as `DistOp`. Different transport
+/// tier: `to_local` → gather / mat-vec / scatter over the local elements
+/// in element order → `reverse_accumulate`, with the same symmetric
+/// Dirichlet elimination as `DistOp`. Different transport
 /// (one blocking `alltoallv` per component instead of a packed
 /// split-phase round), same floating-point accumulation order, so
 /// `DistOp::apply_owned` must agree bitwise. Collective.
@@ -121,9 +120,7 @@ pub fn dist_apply_reference(
     let mut yl = vec![0.0; map.n_local()];
     let dim = 8 * map.ncomp;
     let (mut mat, mut ue, mut re) = (vec![0.0; dim * dim], vec![0.0; dim], vec![0.0; dim]);
-    let mesh = map.mesh;
-    for &e in mesh.interior_elems.iter().chain(&mesh.surface_elems) {
-        let e = e as usize;
+    for e in 0..map.mesh.elements.len() {
         elem_matrix(e, &mut mat);
         map.gather_element(e, &xl, &mut ue);
         for (r, row) in re.iter_mut().zip(mat.chunks_exact(dim)) {
@@ -135,134 +132,4 @@ pub fn dist_apply_reference(
     (0..x.len())
         .map(|i| if masked(i) { x[i] } else { yl[i] })
         .collect()
-}
-
-/// Classic preconditioned MINRES (Paige–Saunders as in
-/// Elman–Silvester–Wathen): two sequentially dependent inner products per
-/// iteration, `δ = ⟨Az₁, z₁⟩` and then `γ₂² = ⟨z₂, r₂⟩` of the freshly
-/// formed residual. Same signature as [`la::minres`], whose
-/// single-reduction recurrence must track this one to rounding.
-#[allow(clippy::too_many_arguments)]
-pub fn minres_classic<A, M, D, O>(
-    a: &A,
-    m_inv: Option<&M>,
-    b: &[f64],
-    x: &mut [f64],
-    tol: f64,
-    max_iter: usize,
-    dot: D,
-    mut observe: O,
-) -> SolveInfo
-where
-    A: LinearOp + ?Sized,
-    M: LinearOp + ?Sized,
-    D: DotBatch,
-    O: FnMut(usize, f64),
-{
-    let n = b.len();
-    let apply_m = |r: &[f64], z: &mut [f64]| match m_inv {
-        Some(m) => m.apply(r, z),
-        None => z.copy_from_slice(r),
-    };
-
-    // r1 = b − A x ; z1 = M⁻¹ r1 ; γ1 = sqrt(<z1, r1>).
-    let mut r0 = vec![0.0; n]; // previous Lanczos residual
-    let mut r1 = vec![0.0; n];
-    a.apply(x, &mut r1);
-    for i in 0..n {
-        r1[i] = b[i] - r1[i];
-    }
-    let mut z1 = vec![0.0; n];
-    apply_m(&r1, &mut z1);
-    // One batched reduction covers both startup scalars.
-    let mut init = [0.0f64; 2];
-    dot.dots(&[(&z1, &r1), (&r1, &r1)], &mut init);
-    let g2 = init[0];
-    assert!(
-        g2 >= -1e-12 * init[1].max(1.0),
-        "MINRES preconditioner is not positive definite"
-    );
-    let mut gamma1 = g2.max(0.0).sqrt();
-    let gamma_init = gamma1;
-    if gamma1 == 0.0 {
-        return SolveInfo {
-            iterations: 0,
-            converged: true,
-            residual: 0.0,
-        };
-    }
-    let mut gamma0 = 1.0f64; // γ0 (unused weight on the vanishing j=1 term)
-
-    let mut eta = gamma1;
-    let (mut s0, mut s1) = (0.0f64, 0.0f64);
-    let (mut c0, mut c1) = (1.0f64, 1.0f64);
-    let mut w0 = vec![0.0; n];
-    let mut w1 = vec![0.0; n];
-    let mut az = vec![0.0; n];
-    // Rotating buffers: all vectors live for the whole solve, so the
-    // iteration performs zero heap allocations.
-    let mut r2 = vec![0.0; n];
-    let mut z2 = vec![0.0; n];
-    let mut w2 = vec![0.0; n];
-
-    for iter in 1..=max_iter {
-        // Lanczos step.
-        let inv_g = 1.0 / gamma1;
-        for zi in z1.iter_mut() {
-            *zi *= inv_g;
-        }
-        a.apply(&z1, &mut az);
-        let delta = dot.dot(&az, &z1);
-        for i in 0..n {
-            r2[i] = az[i] - (delta / gamma1) * r1[i];
-        }
-        if iter > 1 {
-            for i in 0..n {
-                r2[i] -= (gamma1 / gamma0) * r0[i];
-            }
-        }
-        apply_m(&r2, &mut z2);
-        let gamma2 = dot.dot(&z2, &r2).max(0.0).sqrt();
-
-        // Givens rotations.
-        let alpha0 = c1 * delta - c0 * s1 * gamma1;
-        let alpha1 = (alpha0 * alpha0 + gamma2 * gamma2).sqrt();
-        let alpha2 = s1 * delta + c0 * c1 * gamma1;
-        let alpha3 = s0 * gamma1;
-        c0 = c1;
-        s0 = s1;
-        c1 = alpha0 / alpha1;
-        s1 = gamma2 / alpha1;
-
-        // Solution update: w2 = (z1 − α3 w0 − α2 w1)/α1 ; x += c1 η w2.
-        for i in 0..n {
-            w2[i] = (z1[i] - alpha3 * w0[i] - alpha2 * w1[i]) / alpha1;
-            x[i] += c1 * eta * w2[i];
-        }
-        eta *= -s1;
-
-        // Shift state (buffer rotation, no allocation: the vector cycled
-        // into each scratch slot is fully overwritten next iteration).
-        std::mem::swap(&mut r0, &mut r1);
-        std::mem::swap(&mut r1, &mut r2);
-        std::mem::swap(&mut z1, &mut z2);
-        gamma0 = gamma1;
-        gamma1 = gamma2;
-        std::mem::swap(&mut w0, &mut w1);
-        std::mem::swap(&mut w1, &mut w2);
-
-        observe(iter, eta.abs());
-        if eta.abs() <= tol * gamma_init || gamma1 == 0.0 {
-            return SolveInfo {
-                iterations: iter,
-                converged: true,
-                residual: eta.abs(),
-            };
-        }
-    }
-    SolveInfo {
-        iterations: max_iter,
-        converged: false,
-        residual: eta.abs(),
-    }
 }

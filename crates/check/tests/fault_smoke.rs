@@ -85,8 +85,8 @@ fn pipeline_under_adversarial_schedule_is_deterministic() {
 
 /// Nonblocking mirror of [`pipeline`]: the same p2p traffic is driven
 /// through `isend`/`irecv`/`wait` (faults apply at completion time), and
-/// the mesh extraction is followed by overlapped ghost exchanges through
-/// the split-phase `DistOp` path. Returns (leaf keys, n_global, apply
+/// the mesh extraction is followed by a split-phase ghost exchange
+/// through `DistOp::apply_owned`. Returns (leaf keys, n_global, apply
 /// result bits, per-rank delayed counts).
 fn pipeline_nonblocking(plan: Option<scomm::FaultPlan>) -> (Vec<u64>, u64, Vec<u64>, Vec<u64>) {
     use fem::element::stiffness_matrix;
@@ -168,7 +168,7 @@ fn nonblocking_pipeline_under_adversarial_schedule_is_deterministic() {
     assert_eq!(clean.1, faulted1.1, "dof count must match the clean run");
     assert_eq!(
         clean.2, faulted1.2,
-        "overlapped apply must be fault-invariant"
+        "split-phase apply must be fault-invariant"
     );
     // ...and the faulty schedule itself must be reproducible.
     assert_eq!(faulted1, faulted2, "same seed, same run, same counters");

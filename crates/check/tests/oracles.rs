@@ -1,20 +1,20 @@
 //! Every production path against its one oracle in [`check::oracles`]
 //! (the DESIGN.md §9 table): 2:1 balance vs the naive restart loop,
 //! packed octant arithmetic vs coordinate structs, recursive forest
-//! ghosts vs the flat scan, single-reduction MINRES vs the classic
-//! recurrence, and the split-phase `DistOp` vs the allocating-collective
-//! rebuild of the same product.
+//! ghosts vs the flat scan, MINRES vs a dense LU solve, and the
+//! split-phase `DistOp` vs the allocating-collective rebuild of the same
+//! product.
 
 use std::sync::Arc;
 
 use check::oracles::unpacked::Unpacked;
 use check::oracles::{
     balance_local_naive_kind, dist_apply_reference, forest_flat_adjacent, forest_ghosts_flat,
-    minres_classic,
 };
 use fem::element::stiffness_matrix;
 use fem::op::{DistOp, DofMap};
 use forest::{Connectivity, Forest, ForestLeaf, GhostKind};
+use la::dense::Lu;
 use la::krylov::euclidean_dot;
 use la::{minres, Csr};
 use mesh::extract::extract_mesh;
@@ -202,51 +202,42 @@ fn indefinite(n: usize) -> Csr {
 }
 
 #[test]
-fn minres_tracks_classic_to_machine_eps() {
-    // Same Krylov method in exact arithmetic; in floating point the two
-    // recurrences differ only in evaluation order, so per-iteration
-    // residual estimates track to rounding and the iteration counts
-    // agree to within one.
+fn minres_matches_dense_lu() {
+    // A different algorithm on the same system: Krylov iterates against
+    // a pivoted direct factorization, with and without a preconditioner.
     let n = 60;
     let a = indefinite(n);
+    let mut dense = vec![0.0; n * n];
+    let mut col = vec![0.0; n];
+    for j in 0..n {
+        let mut unit = vec![0.0; n];
+        unit[j] = 1.0;
+        a.matvec(&unit, &mut col);
+        for i in 0..n {
+            dense[i * n + j] = col[i];
+        }
+    }
+    let b: Vec<f64> = (0..n).map(|i| 1.0 + (i as f64 * 0.2).cos()).collect();
+    let x_lu = Lu::factor(&dense, n)
+        .expect("indefinite(60) is nonsingular")
+        .solve(&b);
+    let scale = x_lu.iter().fold(0.0f64, |m, v| m.max(v.abs()));
     let d = a.diagonal();
     let jacobi = (n, move |x: &[f64], y: &mut [f64]| {
         for i in 0..x.len() {
             y[i] = x[i] / d[i].abs();
         }
     });
-    let b: Vec<f64> = (0..n).map(|i| 1.0 + (i as f64 * 0.2).cos()).collect();
     for pre in [None, Some(&jacobi)] {
-        let (mut x, mut x_ref) = (vec![0.0; n], vec![0.0; n]);
-        let (mut s, mut s_ref) = (Vec::new(), Vec::new());
-        let info = minres(&a, pre, &b, &mut x, 1e-10, 500, euclidean_dot, |_, r| {
-            s.push(r)
-        });
-        let info_ref = minres_classic(
-            &a,
-            pre,
-            &b,
-            &mut x_ref,
-            1e-10,
-            500,
-            euclidean_dot,
-            |_, r| s_ref.push(r),
-        );
-        assert!(info.converged && info_ref.converged);
-        assert!(
-            info.iterations.abs_diff(info_ref.iterations) <= 1,
-            "{} vs {}",
-            info.iterations,
-            info_ref.iterations
-        );
-        for (k, (r, r_ref)) in s.iter().zip(&s_ref).enumerate() {
+        let mut x = vec![0.0; n];
+        let info = minres(&a, pre, &b, &mut x, 1e-12, 500, euclidean_dot, |_, _| {});
+        assert!(info.converged, "{info:?}");
+        for (i, (u, v)) in x.iter().zip(&x_lu).enumerate() {
             assert!(
-                (r - r_ref).abs() <= 1e-9 * s_ref[0],
-                "residual estimate drifts at iteration {k}: {r} vs {r_ref}"
+                (u - v).abs() <= 1e-8 * scale,
+                "preconditioned {}, entry {i}: {u} vs {v}",
+                pre.is_some()
             );
-        }
-        for (u, v) in x.iter().zip(&x_ref) {
-            assert!((u - v).abs() < 1e-8, "{u} vs {v}");
         }
     }
 }
@@ -256,9 +247,8 @@ fn minres_tracks_classic_to_machine_eps() {
 #[test]
 fn dist_op_apply_matches_reference_bitwise() {
     // Split-phase packed transport vs one allocating collective per
-    // component; same interior-then-surface accumulation order. Adapted
-    // mesh, so hanging-node constraints and an uneven interior/surface
-    // split are in play on every rank.
+    // component; same element-order accumulation. Adapted mesh, so
+    // hanging-node constraints are in play on every rank.
     for p in [1usize, 2, 4, 8] {
         spmd::run(p, |c| {
             let mut t = DistOctree::new_uniform(c, 2);

@@ -140,8 +140,7 @@ impl<'a> DofMap<'a> {
 
     /// Split-phase, allocation-free ghost fill: post one packed
     /// interleaved message per neighbor and return while the messages are
-    /// in flight. Only the owned block of `v` is read at post time, so
-    /// interior-element work may proceed on `v` until
+    /// in flight. Only the owned block of `v` is read at post time;
     /// [`DofMap::exchange_end`] fills the ghost block. The completed ghost
     /// values are bitwise identical to [`DofMap::exchange`].
     pub fn exchange_begin(&self, v: &[f64], buf: &mut ExchangeBuffers) {
@@ -329,39 +328,12 @@ impl<'a> DofMap<'a> {
     }
 }
 
-/// Batched globally-consistent inner products: per-pair local partial
-/// sums followed by **one** `allreduce_sum` of the whole batch. The
-/// simulated allreduce combines contributions elementwise in rank order,
-/// so each scalar of the batch is bitwise identical to what a separate
-/// [`DofMap::dot`] call would have produced — the contract the Krylov
-/// solver ([`la::krylov::minres`]) relies on.
-impl la::DotBatch for &DofMap<'_> {
-    fn dot(&self, a: &[f64], b: &[f64]) -> f64 {
-        DofMap::dot(self, a, b)
-    }
-
-    fn dots(&self, pairs: &[(&[f64], &[f64])], out: &mut [f64]) {
-        const MAX: usize = 16;
-        assert!(pairs.len() <= MAX, "dot batch larger than {MAX}");
-        debug_assert_eq!(pairs.len(), out.len());
-        let mut locals = [0.0f64; MAX];
-        for (l, (a, b)) in locals.iter_mut().zip(pairs) {
-            debug_assert_eq!(a.len(), self.n_owned());
-            *l = a.iter().zip(b.iter()).map(|(x, y)| x * y).sum();
-        }
-        let global = self.comm.allreduce_sum(&locals[..pairs.len()]);
-        out.copy_from_slice(&global);
-    }
-}
-
 /// A distributed symmetric operator defined by per-element matrices, with
 /// optional symmetric Dirichlet elimination. Carries its own reusable
 /// [`Workspace`], so repeated applications are allocation-free.
 ///
-/// Applications run **split-phase** (the SC'08 §4 pattern): the ghost
-/// exchange is posted, interior elements — those touching only
-/// non-shared owned dofs — are swept while the messages are in flight,
-/// the exchange completes, and the surface elements are swept last.
+/// An application posts the split-phase ghost exchange, completes it,
+/// sweeps every local element in element order and reverse-accumulates.
 /// `check::oracles::dist_apply_reference` rebuilds the same product from
 /// the allocating collective tier in the same accumulation order; the
 /// two agree bitwise.
@@ -434,9 +406,8 @@ impl<'a> DistOp<'a> {
         reset(&mut ws.ue, dim);
         reset(&mut ws.re, dim);
         map.exchange_begin(&ws.xl, &mut ws.exch);
-        self.sweep(&map.mesh.interior_elems, ws);
         map.exchange_end(&mut ws.xl, &mut ws.exch);
-        self.sweep(&map.mesh.surface_elems, ws);
+        self.sweep(ws);
         map.reverse_accumulate_begin(&mut ws.yl, &mut ws.exch);
         map.reverse_accumulate_end(&mut ws.yl, &mut ws.exch);
         y.copy_from_slice(&ws.yl[..n_owned]);
@@ -451,15 +422,12 @@ impl<'a> DistOp<'a> {
             .set(self.grown.get() + (ws.capacity_bytes() - cap0));
     }
 
-    /// Sweep the given elements: form each element matrix, gather the
+    /// Sweep every local element: form its element matrix, gather the
     /// element vector from `ws.xl`, multiply, scatter into `ws.yl`.
-    /// Interior elements gather only non-shared owned dofs, so this is
-    /// safe to run while a ghost exchange on `ws.xl` is still in flight.
-    fn sweep(&self, elems: &[u32], ws: &mut Workspace) {
+    fn sweep(&self, ws: &mut Workspace) {
         let map = self.map;
         let dim = 8 * map.ncomp;
-        for &e in elems {
-            let e = e as usize;
+        for e in 0..map.mesh.elements.len() {
             (self.elem_matrix)(e, &mut ws.mat);
             map.gather_element(e, &ws.xl, &mut ws.ue);
             if dim == 8 {
@@ -566,7 +534,9 @@ mod tests {
             }
 
             let mut u = vec![0.0; m.n_owned];
-            let info = cg(&op, None::<&la::Csr>, &rhs, &mut u, 1e-10, 2000, &map);
+            let info = cg(&op, None::<&la::Csr>, &rhs, &mut u, 1e-10, 2000, |a, b| {
+                map.dot(a, b)
+            });
             assert!(info.converged, "{info:?}");
 
             // Max-norm error at owned dofs.

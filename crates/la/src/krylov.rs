@@ -3,10 +3,9 @@
 //! MINRES is the paper's outer solver for the stabilized Stokes saddle
 //! point system (Section III): each iteration applies the Stokes operator
 //! and the preconditioner once, stores a handful of vectors, and takes
-//! one batched global reduction. The preconditioner must be symmetric
-//! positive definite; the recurrence follows Elman–Silvester–Wathen,
-//! *Finite Elements and Fast Iterative Solvers* (the paper's reference
-//! [11]), rearranged so both Lanczos scalars come out of one reduction.
+//! two global reductions. The preconditioner must be symmetric positive
+//! definite; the recurrence follows Elman–Silvester–Wathen, *Finite
+//! Elements and Fast Iterative Solvers* (the paper's reference [11]).
 //!
 //! Both solvers are written against the [`LinearOp`] trait plus a
 //! caller-supplied inner product, so the same code runs serially and
@@ -55,80 +54,22 @@ pub fn euclidean_dot(a: &[f64], b: &[f64]) -> f64 {
     a.iter().zip(b).map(|(x, y)| x * y).sum()
 }
 
-/// Inner-product provider for Krylov solvers.
-///
-/// [`DotBatch::dot`] computes one (possibly global) inner product;
-/// [`DotBatch::dots`] computes several in a single communication round.
-/// **Batching contract:** `dots` must return values bitwise identical to
-/// calling `dot` on each pair separately. Distributed implementations
-/// satisfy this by computing per-pair local partial sums with the same
-/// summation as `dot` and reducing them in one slice `allreduce`, whose
-/// per-entry combination order equals the scalar reduction's.
-///
-/// Every `Fn(&[f64], &[f64]) -> f64` closure is a `DotBatch` whose
-/// `dots` falls back to one call per pair.
-pub trait DotBatch {
-    fn dot(&self, a: &[f64], b: &[f64]) -> f64;
-
-    /// Compute `out[k] = dot(pairs[k].0, pairs[k].1)` for all pairs.
-    fn dots(&self, pairs: &[(&[f64], &[f64])], out: &mut [f64]) {
-        debug_assert_eq!(pairs.len(), out.len());
-        for (o, (a, b)) in out.iter_mut().zip(pairs) {
-            *o = self.dot(a, b);
-        }
-    }
-}
-
-impl<F: Fn(&[f64], &[f64]) -> f64> DotBatch for F {
-    fn dot(&self, a: &[f64], b: &[f64]) -> f64 {
-        self(a, b)
-    }
-}
-
 /// Preconditioned MINRES for symmetric (possibly indefinite) `A` with SPD
 /// preconditioner applied by `m_inv ≈ A⁻¹`. Solves `A x = b`; the initial
 /// content of `x` is the starting guess. Converges when the
 /// preconditioned residual norm drops below `tol` times its initial
-/// value. `observe(iteration, residual_estimate)` runs once per iteration
-/// with the preconditioned norm `|η|` the convergence test uses — the
-/// hook the telemetry layer records residual histories through (pass
-/// `|_, _| {}` for none).
+/// value. `dot` is the (possibly global) inner product. `observe(iteration,
+/// residual_estimate)` runs once per iteration with the preconditioned
+/// norm `|η|` the convergence test uses — the hook the telemetry layer
+/// records residual histories through (pass `|_, _| {}` for none).
 ///
-/// Algebraically the Paige–Saunders iteration, with **one** batched
-/// global reduction per iteration instead of two sequentially dependent
-/// ones. The classic iteration needs `δ = <Az₁, z₁>` elementwise before it can
-/// form the next residual whose norm is the second reduction — the two
-/// cannot be batched transparently. This variant removes the dependency
-/// (Chronopoulos/Gear-style recurrence adapted to preconditioned MINRES):
-/// with `r₂ = Az₁ − (δ/γ₁)r₁ − (γ₁/γ₀)r₀` and
-/// `z₂ = M⁻¹Az₁ − δz₁ − γ₁z₀` (z's normalized, r's unnormalized), the
-/// norm `γ₂² = <z₂, r₂>` is a bilinear form in vectors that are all known
-/// *before* `δ` is — so one reduction of the nine constituent dots
-///
-/// ```text
-/// <Az₁,z₁>  <M⁻¹Az₁,Az₁>  <Az₁,z₀>
-/// <z₁,r₀>   <M⁻¹Az₁,r₁>   <M⁻¹Az₁,r₀>
-/// <z₁,r₁>   <z₀,r₁>       <z₀,r₀>
-/// ```
-///
-/// determines `δ` and `γ₂²` simultaneously. The expansion is *exact* —
-/// it assumes no Lanczos orthogonality or normalization identities, which
-/// is what keeps the recurrence stable: a γ₂ computed from the idealized
-/// `d₂ − δ² − γ₁²` drifts from the true norm of the computed vectors and
-/// the error compounds geometrically, while the full expansion re-measures
-/// the actual vectors every iteration (in exact arithmetic the cross terms
-/// collapse and both reduce to `d₂ − δ² − γ₁²`). The next preconditioned
-/// vector follows without a second solve by linearity of the
-/// preconditioner (`z₂` above) — so the cost per iteration stays one
-/// operator and one preconditioner application. Requires `m_inv` to be a
-/// *linear* operator (an AMG V-cycle with zero initial guess is).
-///
-/// Floating-point results differ from the classic two-reduction
-/// iteration (`check::oracles::minres_classic`) in the last bits
-/// (different evaluation order); with a batched [`DotBatch`] the residual
-/// series is bitwise identical to running this same algorithm with
-/// per-scalar reductions — that is the batching contract the golden tests
-/// pin down.
+/// The classic Paige–Saunders recurrence as in Elman–Silvester–Wathen:
+/// two sequentially dependent inner products per iteration, `δ = ⟨Az₁, z₁⟩`
+/// and then `γ₂² = ⟨z₂, r₂⟩` of the freshly formed residual. If the
+/// Givens step meets `α₁ = 0` (the Lanczos process broke down without
+/// reaching the tolerance, e.g. on an inconsistent singular system) the
+/// step is skipped and the solve returns `converged: false` with the last
+/// finite residual estimate, leaving `x` as it was before that step.
 #[allow(clippy::too_many_arguments)]
 pub fn minres<A, M, D, O>(
     a: &A,
@@ -143,7 +84,7 @@ pub fn minres<A, M, D, O>(
 where
     A: LinearOp + ?Sized,
     M: LinearOp + ?Sized,
-    D: DotBatch,
+    D: Fn(&[f64], &[f64]) -> f64,
     O: FnMut(usize, f64),
 {
     let n = b.len();
@@ -153,7 +94,7 @@ where
     };
 
     // r1 = b − A x ; z1 = M⁻¹ r1 ; γ1 = sqrt(<z1, r1>).
-    let mut r0 = vec![0.0; n];
+    let mut r0 = vec![0.0; n]; // previous Lanczos residual
     let mut r1 = vec![0.0; n];
     a.apply(x, &mut r1);
     for i in 0..n {
@@ -161,11 +102,9 @@ where
     }
     let mut z1 = vec![0.0; n];
     apply_m(&r1, &mut z1);
-    let mut init = [0.0f64; 2];
-    dot.dots(&[(&z1, &r1), (&r1, &r1)], &mut init);
-    let g2 = init[0];
+    let g2 = dot(&z1, &r1);
     assert!(
-        g2 >= -1e-12 * init[1].max(1.0),
+        g2 >= -1e-12 * dot(&r1, &r1).max(1.0),
         "MINRES preconditioner is not positive definite"
     );
     let mut gamma1 = g2.max(0.0).sqrt();
@@ -177,84 +116,51 @@ where
             residual: 0.0,
         };
     }
-    // Normalize z1 once; from here z0/z1 stay normalized.
-    let inv_g = 1.0 / gamma1;
-    for zi in z1.iter_mut() {
-        *zi *= inv_g;
-    }
-    let mut z0 = vec![0.0; n];
-    let mut gamma0 = 1.0f64;
+    let mut gamma0 = 1.0f64; // γ0 (unused weight on the vanishing j=1 term)
 
     let mut eta = gamma1;
     let (mut s0, mut s1) = (0.0f64, 0.0f64);
     let (mut c0, mut c1) = (1.0f64, 1.0f64);
     let mut w0 = vec![0.0; n];
     let mut w1 = vec![0.0; n];
-    let mut w2 = vec![0.0; n];
     let mut az = vec![0.0; n];
-    let mut maz = vec![0.0; n];
-    let mut scalars = [0.0f64; 9];
+    // Rotating buffers: all vectors live for the whole solve, so the
+    // iteration performs zero heap allocations.
+    let mut r2 = vec![0.0; n];
+    let mut z2 = vec![0.0; n];
+    let mut w2 = vec![0.0; n];
 
     for iter in 1..=max_iter {
+        // Lanczos step.
+        let inv_g = 1.0 / gamma1;
+        for zi in z1.iter_mut() {
+            *zi *= inv_g;
+        }
         a.apply(&z1, &mut az);
-        apply_m(&az, &mut maz);
-        // The single fused reduction of the iteration. The batch length
-        // is fixed at 9 so every rank always reduces the same slice; on
-        // the first iteration z0 and r0 are zero vectors and the entries
-        // involving them vanish identically.
-        dot.dots(
-            &[
-                (&az, &z1),
-                (&maz, &az),
-                (&az, &z0),
-                (&z1, &r0),
-                (&maz, &r1),
-                (&maz, &r0),
-                (&z1, &r1),
-                (&z0, &r1),
-                (&z0, &r0),
-            ],
-            &mut scalars,
-        );
-        let [delta, d2, e0, c01, mr1, mr0, n11, zr01, n00] = scalars;
-
-        // γ₂² = <z₂, r₂> expanded over the nine dots. With aa = δ/γ₁ and
-        // bb = γ₁/γ₀ the r-recurrence coefficients (bb = 0 on the first
-        // iteration, where r₀ = z₀ = 0):
-        //   <maz − δz₁ − γ₁z₀, az − aa·r₁ − bb·r₀>
-        let aa = delta / gamma1;
-        let bb = if iter == 1 { 0.0 } else { gamma1 / gamma0 };
-        let g2sq = d2 - aa * mr1 - bb * mr0 - delta * delta + aa * delta * n11 + bb * delta * c01
-            - gamma1 * e0
-            + aa * gamma1 * zr01
-            + bb * gamma1 * n00;
-        let gamma2 = g2sq.max(0.0).sqrt();
-
-        // Residual recurrence (r's unnormalized, z's normalized):
-        // r2 = Az₁ − (δ/γ₁) r1 − (γ₁/γ₀) r0 ; z2 = M⁻¹Az₁ − δ z1 − γ₁ z0.
-        // r2 overwrites r0, z2 overwrites z0 — those slots become the
-        // new r1/z1 after the shift below.
-        if iter == 1 {
+        let delta = dot(&az, &z1);
+        for i in 0..n {
+            r2[i] = az[i] - (delta / gamma1) * r1[i];
+        }
+        if iter > 1 {
             for i in 0..n {
-                r0[i] = az[i] - (delta / gamma1) * r1[i];
-                z0[i] = maz[i] - delta * z1[i];
-            }
-        } else {
-            for i in 0..n {
-                r0[i] = az[i] - (delta / gamma1) * r1[i] - (gamma1 / gamma0) * r0[i];
-                z0[i] = maz[i] - delta * z1[i] - gamma1 * z0[i];
+                r2[i] -= (gamma1 / gamma0) * r0[i];
             }
         }
-        if gamma2 > 0.0 {
-            let inv = 1.0 / gamma2;
-            for zi in z0.iter_mut() {
-                *zi *= inv;
-            }
-        }
+        apply_m(&r2, &mut z2);
+        let gamma2 = dot(&z2, &r2).max(0.0).sqrt();
 
         // Givens rotations.
         let alpha0 = c1 * delta - c0 * s1 * gamma1;
         let alpha1 = (alpha0 * alpha0 + gamma2 * gamma2).sqrt();
+        if alpha1 == 0.0 {
+            // α₀ = γ₂ = 0 short of the tolerance: the Krylov space holds
+            // no better iterate, and the rotation below would divide 0/0.
+            return SolveInfo {
+                iterations: iter - 1,
+                converged: false,
+                residual: eta.abs(),
+            };
+        }
         let alpha2 = s1 * delta + c0 * c1 * gamma1;
         let alpha3 = s0 * gamma1;
         c0 = c1;
@@ -262,16 +168,18 @@ where
         c1 = alpha0 / alpha1;
         s1 = gamma2 / alpha1;
 
+        // Solution update: w2 = (z1 − α3 w0 − α2 w1)/α1 ; x += c1 η w2.
         for i in 0..n {
             w2[i] = (z1[i] - alpha3 * w0[i] - alpha2 * w1[i]) / alpha1;
             x[i] += c1 * eta * w2[i];
         }
         eta *= -s1;
 
-        // Shift: (r0, r1) ← (r1, r2) and (z0, z1) ← (z1, z2), where r2/z2
-        // currently occupy the r0/z0 slots.
+        // Shift state (buffer rotation, no allocation: the vector cycled
+        // into each scratch slot is fully overwritten next iteration).
         std::mem::swap(&mut r0, &mut r1);
-        std::mem::swap(&mut z0, &mut z1);
+        std::mem::swap(&mut r1, &mut r2);
+        std::mem::swap(&mut z1, &mut z2);
         gamma0 = gamma1;
         gamma1 = gamma2;
         std::mem::swap(&mut w0, &mut w1);
@@ -306,29 +214,27 @@ pub fn cg<A, M, D>(
 where
     A: LinearOp + ?Sized,
     M: LinearOp + ?Sized,
-    D: DotBatch,
+    D: Fn(&[f64], &[f64]) -> f64,
 {
     let n = b.len();
+    let apply_m = |r: &[f64], z: &mut [f64]| match m_inv {
+        Some(m) => m.apply(r, z),
+        None => z.copy_from_slice(r),
+    };
     let mut r = vec![0.0; n];
     a.apply(x, &mut r);
     for i in 0..n {
         r[i] = b[i] - r[i];
     }
     let mut z = vec![0.0; n];
-    match m_inv {
-        Some(m) => m.apply(&r, &mut z),
-        None => z.copy_from_slice(&r),
-    }
-    let mut init = [0.0f64; 2];
-    dot.dots(&[(&r, &z), (b, b)], &mut init);
-    let mut rz = init[0];
-    let norm_b = init[1].sqrt().max(f64::MIN_POSITIVE);
+    apply_m(&r, &mut z);
+    let mut rz = dot(&r, &z);
+    let norm_b = dot(b, b).sqrt().max(f64::MIN_POSITIVE);
     let mut ap = vec![0.0; n];
     let mut p = z.clone();
-    let mut pair = [0.0f64; 2];
     for iter in 1..=max_iter {
         a.apply(&p, &mut ap);
-        let pap = dot.dot(&p, &ap);
+        let pap = dot(&p, &ap);
         if pap <= 0.0 {
             return SolveInfo {
                 iterations: iter,
@@ -341,17 +247,7 @@ where
             x[i] += alpha * p[i];
             r[i] -= alpha * ap[i];
         }
-        // Apply the preconditioner *before* the convergence test so the
-        // residual norm and <r, z> reduce in one batch (values are
-        // unchanged — the two scalars are independent; the only cost is
-        // one discarded preconditioner application on the final
-        // iteration).
-        match m_inv {
-            Some(m) => m.apply(&r, &mut z),
-            None => z.copy_from_slice(&r),
-        }
-        dot.dots(&[(&r, &r), (&r, &z)], &mut pair);
-        let rnorm = pair[0].sqrt();
+        let rnorm = dot(&r, &r).sqrt();
         if rnorm <= tol * norm_b {
             return SolveInfo {
                 iterations: iter,
@@ -359,14 +255,15 @@ where
                 residual: rnorm,
             };
         }
-        let rz_new = pair[1];
+        apply_m(&r, &mut z);
+        let rz_new = dot(&r, &z);
         let beta = rz_new / rz;
         rz = rz_new;
         for i in 0..n {
             p[i] = z[i] + beta * p[i];
         }
     }
-    let rnorm = dot.dot(&r, &r).sqrt();
+    let rnorm = dot(&r, &r).sqrt();
     SolveInfo {
         iterations: max_iter,
         converged: rnorm <= tol * norm_b,
@@ -559,54 +456,6 @@ mod tests {
         assert_eq!(history.last().unwrap().1, info.residual);
     }
 
-    /// A batch-aware dot provider whose `dots` computes per-pair partial
-    /// sums exactly like `dot` and "reduces" them together — the serial
-    /// stand-in for the distributed batched reduction. MINRES must
-    /// produce a bitwise-identical residual series through either path.
-    struct Batched;
-    impl DotBatch for Batched {
-        fn dot(&self, a: &[f64], b: &[f64]) -> f64 {
-            euclidean_dot(a, b)
-        }
-        fn dots(&self, pairs: &[(&[f64], &[f64])], out: &mut [f64]) {
-            for (o, (a, b)) in out.iter_mut().zip(pairs) {
-                *o = euclidean_dot(a, b);
-            }
-        }
-    }
-
-    #[test]
-    fn batched_and_separate_reductions_are_bitwise_identical() {
-        let a = indefinite(50);
-        let b: Vec<f64> = (0..50).map(|i| 1.0 + (i as f64 * 0.2).cos()).collect();
-        let run = |batched: bool| {
-            let mut x = vec![0.0; 50];
-            let mut series = Vec::new();
-            let info = if batched {
-                minres(&a, None::<&Csr>, &b, &mut x, 1e-10, 500, Batched, |_, r| {
-                    series.push(r)
-                })
-            } else {
-                minres(
-                    &a,
-                    None::<&Csr>,
-                    &b,
-                    &mut x,
-                    1e-10,
-                    500,
-                    euclidean_dot,
-                    |_, r| series.push(r),
-                )
-            };
-            (info, x, series)
-        };
-        let (i0, x0, s0) = run(false);
-        let (i1, x1, s1) = run(true);
-        assert_eq!(i0, i1);
-        assert_eq!(s0, s1, "residual series must be bitwise identical");
-        assert_eq!(x0, x1, "solutions must be bitwise identical");
-    }
-
     #[test]
     fn zero_rhs_returns_immediately() {
         let a = laplace1d(10);
@@ -625,6 +474,52 @@ mod tests {
         assert_eq!(info.iterations, 0);
         assert!(info.converged);
         assert!(x.iter().all(|&v| v == 0.0));
+    }
+
+    fn diag(d: &[f64]) -> Csr {
+        let t: Vec<_> = d.iter().enumerate().map(|(i, &v)| (i, i, v)).collect();
+        Csr::from_triplets(d.len(), d.len(), &t)
+    }
+
+    #[test]
+    fn zero_operator_is_not_reported_converged() {
+        // α₁ = 0 on the first step: the Givens rotation would divide 0/0.
+        let a = diag(&[0.0; 4]);
+        let b = [1.0, 2.0, 3.0, 4.0];
+        let mut x = vec![0.0; 4];
+        let info = minres(
+            &a,
+            None::<&Csr>,
+            &b,
+            &mut x,
+            1e-10,
+            100,
+            euclidean_dot,
+            |_, _| {},
+        );
+        assert!(!info.converged, "{info:?}");
+        assert_eq!(info.residual, 30f64.sqrt(), "{info:?}");
+        assert!(x.iter().all(|&v| v == 0.0), "x = {x:?}");
+    }
+
+    #[test]
+    fn singular_consistent_system_converges() {
+        let a = diag(&[1.0, 1.0, 0.0, 0.0]);
+        let b = [1.0, 2.0, 0.0, 0.0];
+        let mut x = vec![0.0; 4];
+        let info = minres(
+            &a,
+            None::<&Csr>,
+            &b,
+            &mut x,
+            1e-10,
+            100,
+            euclidean_dot,
+            |_, _| {},
+        );
+        assert!(info.converged, "{info:?}");
+        assert!(info.residual.is_finite());
+        assert!(residual(&a, &x, &b) < 1e-12, "x = {x:?}");
     }
 
     #[test]

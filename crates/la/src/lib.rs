@@ -24,4 +24,4 @@ pub mod krylov;
 pub use amg::{Amg, AmgOptions};
 pub use csr::Csr;
 pub use dense::Cholesky;
-pub use krylov::{cg, minres, DotBatch, LinearOp, SolveInfo};
+pub use krylov::{cg, minres, LinearOp, SolveInfo};

@@ -175,11 +175,6 @@ pub struct DgAdvection<'f, 'c> {
     send_faces: Vec<(u32, u8)>,
     send_counts: Vec<usize>,
     recv_counts: Vec<usize>,
-    /// Elements with no ghost neighbour: their face terms can run while
-    /// the ghost exchange is in flight.
-    interior_elems: Vec<u32>,
-    /// Elements with at least one ghost neighbour.
-    surface_elems: Vec<u32>,
     /// Split-phase exchange state and wire buffers.
     ex: Exchange,
     send_flat: Vec<f64>,
@@ -258,8 +253,6 @@ impl<'f, 'c> DgAdvection<'f, 'c> {
             send_faces: Vec::new(),
             send_counts: Vec::new(),
             recv_counts: Vec::new(),
-            interior_elems: Vec::new(),
-            surface_elems: Vec::new(),
             ex: Exchange::new(DG_STREAM),
             send_flat: Vec::new(),
             got_counts: Vec::new(),
@@ -409,18 +402,6 @@ impl<'f, 'c> DgAdvection<'f, 'c> {
                 t.id = need.binary_search(&key).expect("ghost trace was requested") as u32;
             }
         }
-        // An element whose neighbours are all local never reads ghost
-        // data: its face terms can run while the exchange is posted.
-        for e in 0..nelem {
-            let ghost =
-                (links[e * 6..(e + 1) * 6].iter()).any(|l| l.traces().iter().any(|t| t.ghost));
-            if ghost {
-                self.surface_elems.push(e as u32);
-            } else {
-                self.interior_elems.push(e as u32);
-            }
-        }
-
         // The fine sides' a·n on the mortars, through the same pattern.
         self.send_flat.clear();
         for &(e, face) in &self.send_faces {
@@ -451,9 +432,15 @@ impl<'f, 'c> DgAdvection<'f, 'c> {
         self.links = links;
     }
 
-    /// Post the nonblocking ghost refresh (split-phase start): the
-    /// current trace of every requested face, per destination rank.
-    fn exchange_ghosts_start(&mut self) {
+    /// Complete a posted exchange into the ghost slots.
+    fn exchange_ghosts_end(&mut self) {
+        (self.forest.comm()).exchange_end(&mut self.ex, &mut self.ghost_u, &mut self.got_counts);
+    }
+
+    /// Refresh the ghost traces from the current solution: post the
+    /// current trace of every requested face, per destination rank, as
+    /// one split-phase round, and complete it before returning.
+    pub fn refresh_ghosts(&mut self) {
         let n3 = self.ed.n3();
         self.send_flat.clear();
         for &(e, face) in &self.send_faces {
@@ -466,17 +453,6 @@ impl<'f, 'c> DgAdvection<'f, 'c> {
             &self.recv_counts,
             &mut self.ex,
         );
-    }
-
-    /// Complete the ghost refresh posted by [`Self::exchange_ghosts_start`].
-    fn exchange_ghosts_end(&mut self) {
-        (self.forest.comm()).exchange_end(&mut self.ex, &mut self.ghost_u, &mut self.got_counts);
-    }
-
-    /// Refresh the ghost traces from the current solution: one
-    /// split-phase round, completed before returning.
-    pub fn refresh_ghosts(&mut self) {
-        self.exchange_ghosts_start();
         self.exchange_ghosts_end();
     }
 
@@ -504,8 +480,8 @@ impl<'f, 'c> DgAdvection<'f, 'c> {
     /// the neighbour's nodes coincide with ours, or (neighbour coarser)
     /// its trace is interpolated onto our quarter — except a face with
     /// four finer neighbours, whose mortars are their faces: there `own`
-    /// is interpolated down. `work` is `2n²` scratch. Surface elements
-    /// need current ghosts.
+    /// is interpolated down. `work` is `2n²` scratch. Ghost traces must
+    /// be current.
     fn mortar_states(
         &self,
         e: usize,
@@ -576,14 +552,12 @@ impl<'f, 'c> DgAdvection<'f, 'c> {
         }
     }
 
-    /// Upwind face lifting for the given element subset, accumulated
-    /// into `rhs` face by face from the traces on both sides. On the
-    /// coarse side of a hanging face the flux is taken on each of the
-    /// four mortars with the fine side's `a·n` and projected back.
-    /// `work` is `5n²` scratch. Elements with ghost neighbours require
-    /// ghosts to be current; the interior subset never reads ghost data
-    /// and may run during the exchange.
-    fn rhs_faces(&self, elems: &[u32], work: &mut [f64], rhs: &mut [f64]) {
+    /// Upwind face lifting for every local element, accumulated into
+    /// `rhs` face by face from the traces on both sides. On the coarse
+    /// side of a hanging face the flux is taken on each of the four
+    /// mortars with the fine side's `a·n` and projected back. `work` is
+    /// `5n²` scratch. Ghost traces must be current.
+    fn rhs_faces(&self, work: &mut [f64], rhs: &mut [f64]) {
         let (n, n3) = (self.ed.lgl.n(), self.ed.n3());
         let n2 = n * n;
         let lgl = &self.ed.lgl;
@@ -591,8 +565,7 @@ impl<'f, 'c> DgAdvection<'f, 'c> {
         let (own, work) = work.split_at_mut(n2);
         let (ext, work) = work.split_at_mut(n2);
         let (flux, work) = work.split_at_mut(n2);
-        for &e in elems {
-            let e = e as usize;
+        for e in 0..self.forest.local.len() {
             let h = self.half[e];
             for face in 0..6 {
                 if let FaceLink::Finer { an, .. } = self.links[e * 6 + face] {
@@ -662,20 +635,16 @@ impl<'f, 'c> DgAdvection<'f, 'c> {
         self.params.cfl * g
     }
 
-    /// One right-hand-side evaluation into `s.k`. The ghost exchange is
-    /// posted split-phase and the volume plus interior face terms
-    /// execute while it is in flight (interior elements read no ghost
-    /// data by construction).
+    /// One right-hand-side evaluation into `s.k`: refresh the ghost
+    /// traces, then the volume and face terms of every local element.
     fn rhs(&mut self, s: &mut StepScratch) {
         // `rhs_volume` overwrites every entry of `k` and `grad`.
         s.k.resize(self.u.len(), 0.0);
         s.grad.resize(3 * self.ed.n3(), 0.0);
         s.face.resize(5 * self.ed.lgl.n().pow(2), 0.0);
-        self.exchange_ghosts_start();
+        self.refresh_ghosts();
         self.rhs_volume(&mut s.grad, &mut s.k);
-        self.rhs_faces(&self.interior_elems, &mut s.face, &mut s.k);
-        self.exchange_ghosts_end();
-        self.rhs_faces(&self.surface_elems, &mut s.face, &mut s.k);
+        self.rhs_faces(&mut s.face, &mut s.k);
     }
 
     /// Advance one LSRK45 step (5 ghost exchanges).

@@ -169,9 +169,8 @@ impl ExchangePattern {
     /// per dof (`v[d*ncomp + k]`) without completing it: pack the owned
     /// values each neighbor needs — one packed message per neighbor, not
     /// one per component — and start a split-phase round on `buf`'s
-    /// stream. Only the *owned* block of `v` is read, so the caller is free to compute with it —
-    /// interior-element sweeps — until
-    /// [`ExchangePattern::exchange_end_interleaved`]. Not collective in
+    /// stream. Only the *owned* block of `v` is read; the ghost block is
+    /// filled by [`ExchangePattern::exchange_end_interleaved`]. Not collective in
     /// the rendezvous sense: no barrier at either end.
     pub fn exchange_begin_interleaved(
         &self,
@@ -287,17 +286,6 @@ pub struct Mesh {
     pub dof_keys: Vec<NodeKey>,
     /// Ghost exchange pattern.
     pub exchange: ExchangePattern,
-    /// Local element indices whose corners resolve (through hanging-node
-    /// constraints) exclusively to owned dofs that no neighbor rank
-    /// ghosts: their sweep neither reads ghost values nor contributes to
-    /// any value another rank is waiting for, so they can be processed
-    /// while a ghost exchange is in flight.
-    pub interior_elems: Vec<u32>,
-    /// The complement of [`Mesh::interior_elems`]: elements touching a
-    /// ghost dof or a shared owned dof, swept only after the exchange
-    /// completes. `interior_elems ∪ surface_elems` enumerates
-    /// `0..elements.len()` exactly once, each list ascending.
-    pub surface_elems: Vec<u32>,
 }
 
 impl Mesh {
@@ -896,38 +884,6 @@ pub fn extract_mesh_with_ghosts(
         })
         .collect();
 
-    // ---- Interior/surface element classification --------------------
-    // An element is *interior* iff every corner resolves (through
-    // hanging-node constraints) exclusively to owned dofs that appear in
-    // no rank's send list: reading its corners needs no ghost value and
-    // writing its residual touches no dof a neighbor exchange carries.
-    // Interior elements are exactly the ones an overlapped operator may
-    // sweep while the ghost exchange is still in flight (Tu, O'Hallaron
-    // & Ghattas SC'05; Burstedde et al. SC'08 §4).
-    let mut shared = vec![false; n_owned + n_ghost];
-    for s in shared.iter_mut().skip(n_owned) {
-        *s = true; // every ghost dof is shared by definition
-    }
-    for idx in &send_idx {
-        for &i in idx {
-            shared[i] = true;
-        }
-    }
-    let dof_is_interior = |d: usize| !shared[d];
-    let mut interior_elems: Vec<u32> = Vec::new();
-    let mut surface_elems: Vec<u32> = Vec::new();
-    for (e, refs) in elem_nodes.iter().enumerate() {
-        let interior = refs.iter().all(|&nref| match &node_table[nref as usize] {
-            NodeResolution::Dof(d) => dof_is_interior(*d),
-            NodeResolution::Constrained(terms) => terms.iter().all(|&(d, _)| dof_is_interior(d)),
-        });
-        if interior {
-            interior_elems.push(e as u32);
-        } else {
-            surface_elems.push(e as u32);
-        }
-    }
-
     // dof keys: owned then ghost (`owned_keys` is not needed again, so
     // move it instead of copying).
     let mut dof_keys = owned_keys;
@@ -966,8 +922,6 @@ pub fn extract_mesh_with_ghosts(
             send_idx,
             recv_counts,
         },
-        interior_elems,
-        surface_elems,
     }
 }
 
@@ -1212,75 +1166,6 @@ mod tests {
                 .reverse_accumulate_end_interleaved(c, &mut w, m.n_owned, ncomp, &mut buf);
             assert_eq!(buf.capacity_bytes(), cap, "buffers must be reused");
         });
-    }
-
-    #[test]
-    fn interior_surface_partition_invariants() {
-        for nranks in [1usize, 2, 4] {
-            spmd::run(nranks, |c| {
-                let mut t = DistOctree::new_uniform(c, 2);
-                t.refine(|o| o.center_unit()[2] > 0.6);
-                t.balance(BalanceKind::Full);
-                t.partition();
-                let m = extract_mesh(&t, [1.0, 1.0, 1.0]);
-                // The two lists partition 0..elements.len(), each ascending.
-                let mut all: Vec<u32> = m
-                    .interior_elems
-                    .iter()
-                    .chain(m.surface_elems.iter())
-                    .copied()
-                    .collect();
-                assert!(m.interior_elems.windows(2).all(|w| w[0] < w[1]));
-                assert!(m.surface_elems.windows(2).all(|w| w[0] < w[1]));
-                all.sort_unstable();
-                let want: Vec<u32> = (0..m.elements.len() as u32).collect();
-                assert_eq!(all, want, "lists must partition the element range");
-                // Interior elements must resolve to owned dofs only (the
-                // not-shared half of the rule is pinned by construction
-                // and by the overlap differential tests).
-                for &e in &m.interior_elems {
-                    for &nref in &m.elem_nodes[e as usize] {
-                        match &m.node_table[nref as usize] {
-                            NodeResolution::Dof(d) => assert!(*d < m.n_owned),
-                            NodeResolution::Constrained(terms) => {
-                                assert!(terms.iter().all(|&(d, _)| d < m.n_owned))
-                            }
-                        }
-                    }
-                }
-                if c.size() == 1 {
-                    // Serial: nothing is shared, every element is interior.
-                    assert!(m.surface_elems.is_empty());
-                    assert_eq!(m.interior_elems.len(), m.elements.len());
-                } else {
-                    assert!(
-                        !m.surface_elems.is_empty(),
-                        "a partitioned mesh must have surface elements"
-                    );
-                }
-            });
-        }
-    }
-
-    #[test]
-    fn interior_surface_counts_pinned_on_adapted_tree() {
-        // Known 4-rank adapted fixture (same tree as the exchange tests):
-        // uniform level 2, refine z > 0.6, full balance, repartition.
-        // Pinned per-rank (interior, surface) counts catch silent changes
-        // to the classification rule or the partition.
-        let out = spmd::run(4, |c| {
-            let mut t = DistOctree::new_uniform(c, 2);
-            t.refine(|o| o.center_unit()[2] > 0.6);
-            t.balance(BalanceKind::Full);
-            t.partition();
-            let m = extract_mesh(&t, [1.0, 1.0, 1.0]);
-            (m.interior_elems.len(), m.surface_elems.len())
-        });
-        // 64 level-2 cells; the 32 with z-center > 0.6 refine into 8 each:
-        // 32 + 256 = 288 elements, Morton-partitioned over 4 ranks.
-        let total: usize = out.iter().map(|&(i, s)| i + s).sum();
-        assert_eq!(total, 32 + 32 * 8);
-        assert_eq!(out, vec![(24, 48), (11, 61), (9, 63), (29, 43)]);
     }
 
     #[test]

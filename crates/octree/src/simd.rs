@@ -8,18 +8,17 @@
 //! sweeps — into straight-line integer arithmetic on `u64` lanes. This
 //! module provides each kernel twice:
 //!
-//! * a **scalar** path, always compiled, used on non-x86 targets, when
-//!   the `simd` cargo feature is off, or when AVX2 is absent at runtime;
-//! * an **AVX2** path (4 × u64 lanes, `core::arch::x86_64` intrinsics —
-//!   `std::simd` is nightly-only) compiled under the `simd` feature and
+//! * a **scalar** body, a private function, used on non-x86 targets and
+//!   when AVX2 is absent at runtime;
+//! * an **AVX2** body (4 × u64 lanes, `core::arch::x86_64` intrinsics —
+//!   `std::simd` is nightly-only) compiled on every x86-64 build and
 //!   selected by `is_x86_feature_detected!`.
 //!
-//! Both paths compute bit-identical results. The choice is made here,
-//! by what the build and the CPU offer, never by the caller: the unit
-//! tests compare each dispatching kernel against the plain
-//! `Octant::neighbor` / `partition_point` / `windows(2)` expression, which
-//! covers AVX2 on a default build and the scalar path under the
-//! `--no-default-features` CI job.
+//! Both bodies compute bit-identical results. The choice is made here,
+//! by what the target and the CPU offer, never by the caller. The unit
+//! tests run the dispatching kernel and the scalar body side by side
+//! against the plain `Octant::neighbor` / `partition_point` /
+//! `windows(2)` expression, so one build covers both.
 //!
 //! AVX2 notes: u64 lanes have no unsigned compare, so operands are
 //! sign-biased (`x ^ i64::MIN`) before `_mm256_cmpgt_epi64`; per-lane
@@ -30,15 +29,15 @@
 
 use crate::morton::{neighbor_raw_unit, Octant};
 
-/// True when the vectorized path is compiled in *and* the CPU supports
-/// AVX2. Kernels silently fall back to scalar when false.
+/// True when the CPU supports AVX2 (always false off x86-64). Kernels
+/// fall back to their scalar body when false.
 #[inline]
-pub fn simd_available() -> bool {
-    #[cfg(all(feature = "simd", target_arch = "x86_64"))]
+fn simd_available() -> bool {
+    #[cfg(target_arch = "x86_64")]
     {
         std::arch::is_x86_feature_detected!("avx2")
     }
-    #[cfg(not(all(feature = "simd", target_arch = "x86_64")))]
+    #[cfg(not(target_arch = "x86_64"))]
     {
         false
     }
@@ -58,12 +57,16 @@ pub fn simd_available() -> bool {
 pub fn neighbor_keys_into(octs: &[Octant], dx: i32, dy: i32, dz: i32, out: &mut Vec<Octant>) {
     debug_assert!(dx.unsigned_abs() <= 1 && dy.unsigned_abs() <= 1 && dz.unsigned_abs() <= 1);
     out.reserve(octs.len());
-    #[cfg(all(feature = "simd", target_arch = "x86_64"))]
+    #[cfg(target_arch = "x86_64")]
     if simd_available() {
         // SAFETY: AVX2 presence checked above.
         unsafe { avx2::neighbor_keys_into(octs, dx, dy, dz, out) };
         return;
     }
+    neighbor_keys_scalar(octs, dx, dy, dz, out);
+}
+
+fn neighbor_keys_scalar(octs: &[Octant], dx: i32, dy: i32, dz: i32, out: &mut Vec<Octant>) {
     for o in octs {
         out.push(Octant::from_raw(neighbor_raw_unit(o.raw(), dx, dy, dz)));
     }
@@ -104,12 +107,16 @@ pub fn upper_bounds_into(haystack: &[u64], needles: &[u64], out: &mut Vec<u32>) 
         out.extend(std::iter::repeat_n(0u32, needles.len()));
         return;
     }
-    #[cfg(all(feature = "simd", target_arch = "x86_64"))]
+    #[cfg(target_arch = "x86_64")]
     if simd_available() {
         // SAFETY: AVX2 presence checked above.
         unsafe { avx2::upper_bounds_into(haystack, needles, out) };
         return;
     }
+    upper_bounds_scalar(haystack, needles, out);
+}
+
+fn upper_bounds_scalar(haystack: &[u64], needles: &[u64], out: &mut Vec<u32>) {
     for &n in needles {
         out.push(upper_bound(haystack, n) as u32);
     }
@@ -136,11 +143,15 @@ fn pair_invalid(a: u64, b: u64) -> bool {
 /// array is a valid linear octree. Drives `is_valid_linear` and the
 /// distributed `validate` sweeps.
 pub fn find_invalid_pair(octs: &[Octant]) -> Option<usize> {
-    #[cfg(all(feature = "simd", target_arch = "x86_64"))]
+    #[cfg(target_arch = "x86_64")]
     if simd_available() {
         // SAFETY: AVX2 presence checked above.
         return unsafe { avx2::find_invalid_pair(octs) };
     }
+    find_invalid_pair_scalar(octs)
+}
+
+fn find_invalid_pair_scalar(octs: &[Octant]) -> Option<usize> {
     octs.windows(2)
         .position(|w| pair_invalid(w[0].raw(), w[1].raw()))
 }
@@ -149,7 +160,7 @@ pub fn find_invalid_pair(octs: &[Octant]) -> Option<usize> {
 // AVX2 implementations.
 // ---------------------------------------------------------------------
 
-#[cfg(all(feature = "simd", target_arch = "x86_64"))]
+#[cfg(target_arch = "x86_64")]
 mod avx2 {
     use super::*;
     use crate::morton::{raw_keys, DIL_HI, DIL_X, DIL_Y, DIL_Z, LEVEL_BITS, LEVEL_MASK, MAX_LEVEL};
@@ -403,31 +414,48 @@ mod tests {
             .collect()
     }
 
+    // Each test runs the dispatching kernel (AVX2 on an AVX2 host) and the
+    // scalar body, so one build covers both.
+    type NeighborFn = fn(&[Octant], i32, i32, i32, &mut Vec<Octant>);
+    type UpperBoundsFn = fn(&[u64], &[u64], &mut Vec<u32>);
+    type InvalidPairFn = fn(&[Octant]) -> Option<usize>;
+    const NEIGHBORS: [(&str, NeighborFn); 2] = [
+        ("dispatch", neighbor_keys_into),
+        ("scalar", neighbor_keys_scalar),
+    ];
+    const UPPER_BOUNDS: [(&str, UpperBoundsFn); 2] = [
+        ("dispatch", upper_bounds_into),
+        ("scalar", upper_bounds_scalar),
+    ];
+    const INVALID_PAIR: [(&str, InvalidPairFn); 2] = [
+        ("dispatch", find_invalid_pair),
+        ("scalar", find_invalid_pair_scalar),
+    ];
+
     #[test]
-    fn simd_path_is_compiled_in_by_default() {
-        // On the x86-64 CI host with the default feature set the AVX2
-        // path must actually be exercised; elsewhere this degrades to
-        // asserting the scalar fallback reports itself correctly.
-        #[cfg(all(feature = "simd", target_arch = "x86_64"))]
+    fn avx2_is_used_where_the_cpu_has_it() {
+        #[cfg(target_arch = "x86_64")]
         assert_eq!(
             simd_available(),
             std::arch::is_x86_feature_detected!("avx2")
         );
-        #[cfg(not(all(feature = "simd", target_arch = "x86_64")))]
+        #[cfg(not(target_arch = "x86_64"))]
         assert!(!simd_available());
     }
 
     #[test]
     fn neighbor_kernel_matches_octant_api() {
         let octs = random_octants(257, MAX_LEVEL, 42);
-        for (dx, dy, dz) in Octant::neighbor_directions() {
-            let mut out = Vec::new();
-            neighbor_keys_into(&octs, dx, dy, dz, &mut out);
-            assert_eq!(
-                out,
-                plain_neighbors(&octs, dx, dy, dz),
-                "dir ({dx},{dy},{dz})"
-            );
+        for (name, kernel) in NEIGHBORS {
+            for (dx, dy, dz) in Octant::neighbor_directions() {
+                let mut out = Vec::new();
+                kernel(&octs, dx, dy, dz, &mut out);
+                assert_eq!(
+                    out,
+                    plain_neighbors(&octs, dx, dy, dz),
+                    "{name} dir ({dx},{dy},{dz})"
+                );
+            }
         }
     }
 
@@ -443,15 +471,17 @@ mod tests {
             Octant::new(m, 0, m, MAX_LEVEL),
             Octant::root(),
         ];
-        for (dx, dy, dz) in Octant::neighbor_directions() {
-            let mut out = Vec::new();
-            neighbor_keys_into(&octs, dx, dy, dz, &mut out);
-            for (o, n) in octs.iter().zip(&out) {
-                assert_eq!(
-                    o.neighbor(dx, dy, dz),
-                    (*n != Octant::INVALID).then_some(*n),
-                    "octant {o:?} dir ({dx},{dy},{dz})"
-                );
+        for (name, kernel) in NEIGHBORS {
+            for (dx, dy, dz) in Octant::neighbor_directions() {
+                let mut out = Vec::new();
+                kernel(&octs, dx, dy, dz, &mut out);
+                for (o, n) in octs.iter().zip(&out) {
+                    assert_eq!(
+                        o.neighbor(dx, dy, dz),
+                        (*n != Octant::INVALID).then_some(*n),
+                        "{name}: octant {o:?} dir ({dx},{dy},{dz})"
+                    );
+                }
             }
         }
     }
@@ -464,13 +494,15 @@ mod tests {
             let mut hay: Vec<u64> = (0..hay_len).map(|_| splitmix(&mut s) % 500).collect();
             hay.sort_unstable();
             let needles: Vec<u64> = (0..131).map(|_| splitmix(&mut s) % 600).collect();
-            let mut out = Vec::new();
-            upper_bounds_into(&hay, &needles, &mut out);
             let want: Vec<u32> = needles
                 .iter()
                 .map(|k| hay.partition_point(|h| h <= k) as u32)
                 .collect();
-            assert_eq!(out, want, "hay_len {hay_len}");
+            for (name, kernel) in UPPER_BOUNDS {
+                let mut out = Vec::new();
+                kernel(&hay, &needles, &mut out);
+                assert_eq!(out, want, "{name}, hay_len {hay_len}");
+            }
         }
     }
 
@@ -478,13 +510,15 @@ mod tests {
     fn upper_bounds_with_duplicates_and_extremes() {
         let hay = vec![5u64, 5, 5, 9, 9, u64::MAX];
         let needles = vec![0u64, 4, 5, 6, 9, 10, u64::MAX, u64::MAX - 1];
-        let mut out = Vec::new();
-        upper_bounds_into(&hay, &needles, &mut out);
         let want: Vec<u32> = needles
             .iter()
             .map(|k| hay.partition_point(|h| h <= k) as u32)
             .collect();
-        assert_eq!(out, want);
+        for (name, kernel) in UPPER_BOUNDS {
+            let mut out = Vec::new();
+            kernel(&hay, &needles, &mut out);
+            assert_eq!(out, want, "{name}");
+        }
     }
 
     /// The invariant spelled with the `Octant` API, one pair at a time.
@@ -497,33 +531,35 @@ mod tests {
     fn find_invalid_pair_matches_window_scan() {
         let mut t = new_tree(2);
         refine(&mut t, |o| o.x() == 0);
-        assert_eq!(find_invalid_pair(&t), None);
         assert_eq!(first_invalid_window(&t), None);
-
-        // Break sortedness mid-array.
         let mut bad = t.clone();
         bad.swap(10, 11);
-        assert_eq!(find_invalid_pair(&bad), Some(10));
         assert_eq!(first_invalid_window(&bad), Some(10));
-
-        // Insert an ancestor overlap at every position, so the violation
-        // lands in every vector lane and in the scalar tail.
-        for at in 0..t.len() {
-            let mut overlap = t.clone();
-            let anc = overlap[at].parent();
-            overlap.insert(at, anc);
-            let vi = find_invalid_pair(&overlap);
-            assert!(vi.is_some());
-            assert_eq!(vi, first_invalid_window(&overlap), "insert at {at}");
+        for (name, kernel) in INVALID_PAIR {
+            assert_eq!(kernel(&t), None, "{name}");
+            // Break sortedness mid-array.
+            assert_eq!(kernel(&bad), Some(10), "{name}");
+            // Insert an ancestor overlap at every position, so the
+            // violation lands in every vector lane and in the scalar tail.
+            for at in 0..t.len() {
+                let mut overlap = t.clone();
+                let anc = overlap[at].parent();
+                overlap.insert(at, anc);
+                let vi = kernel(&overlap);
+                assert!(vi.is_some());
+                assert_eq!(vi, first_invalid_window(&overlap), "{name}: insert at {at}");
+            }
         }
     }
 
     #[test]
     fn find_invalid_pair_short_arrays() {
-        assert_eq!(find_invalid_pair(&[]), None);
-        assert_eq!(find_invalid_pair(&[Octant::root()]), None);
         let pair = [Octant::root(), Octant::root().child(0)];
-        assert_eq!(find_invalid_pair(&pair), Some(0));
+        for (name, kernel) in INVALID_PAIR {
+            assert_eq!(kernel(&[]), None, "{name}");
+            assert_eq!(kernel(&[Octant::root()]), None, "{name}");
+            assert_eq!(kernel(&pair), Some(0), "{name}");
+        }
     }
 
     #[test]
@@ -531,9 +567,11 @@ mod tests {
         // Exercise every remainder length around the 4-lane width.
         for n in 0..13usize {
             let octs = random_octants(n, 6, n as u64 + 1);
-            let mut out = Vec::new();
-            neighbor_keys_into(&octs, 1, 0, -1, &mut out);
-            assert_eq!(out, plain_neighbors(&octs, 1, 0, -1), "n = {n}");
+            for (name, kernel) in NEIGHBORS {
+                let mut out = Vec::new();
+                kernel(&octs, 1, 0, -1, &mut out);
+                assert_eq!(out, plain_neighbors(&octs, 1, 0, -1), "{name}, n = {n}");
+            }
         }
     }
 }

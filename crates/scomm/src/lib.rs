@@ -14,8 +14,9 @@
 //! * **Nonblocking requests** ([`Comm::isend`], [`Comm::irecv`],
 //!   [`Comm::wait`], [`Comm::waitall`], [`Comm::test`]) and a split-phase
 //!   neighbor exchange ([`Comm::exchange_start`] / [`Comm::exchange_end`]
-//!   over a reusable [`Exchange`] stream) — the request-based contract the
-//!   FEM layers use to overlap ghost exchange with interior computation.
+//!   over a reusable [`Exchange`] stream) — the barrier-free contract the
+//!   FEM and DG layers use for ghost exchange, with several streams in
+//!   flight at once.
 //!   Completion-time semantics (matching, fault jitter, the post→complete
 //!   telemetry span and the `comm.overlap_ns` counter) live in
 //!   [`request`].

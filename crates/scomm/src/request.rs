@@ -15,7 +15,7 @@
 //!   records the `(source, tag)` pair and a post timestamp; matching,
 //!   fault-plan jitter (delays, reordering, drop-with-panic) and telemetry
 //!   all happen when the request is completed, never at post time. This is
-//!   what makes an attached [`crate::FaultPlan`] exercise the overlapped
+//!   what makes an attached [`crate::FaultPlan`] exercise the split-phase
 //!   code paths: a delayed message stalls `wait`, not the post.
 //! * **Per-`(source, tag)` FIFO order is preserved** across blocking and
 //!   nonblocking receives, with or without a fault plan attached.

@@ -3,7 +3,7 @@
 
 use fem::element::StokesBlocks;
 use fem::op::DofMap;
-use la::krylov::{minres, DotBatch, LinearOp, SolveInfo};
+use la::krylov::{minres, LinearOp, SolveInfo};
 use la::{Amg, AmgOptions};
 use mesh::extract::{ExchangeBuffers, Mesh};
 use obs::Recorder;
@@ -80,31 +80,6 @@ impl SolverWorkspace {
             * std::mem::size_of::<f64>()) as u64
             + self.vexch.capacity_bytes()
             + self.sexch.capacity_bytes()
-    }
-}
-
-/// Globally consistent inner products on combined (velocity | pressure)
-/// owned vectors: per-pair local partials, one `allreduce_sum` for the
-/// whole batch. Each batched scalar is bitwise identical to a separate
-/// [`StokesSolver::dot`] call (the simulated allreduce combines ranks
-/// elementwise in rank order).
-struct CombinedDots<'c>(&'c Comm);
-
-impl DotBatch for CombinedDots<'_> {
-    fn dot(&self, a: &[f64], b: &[f64]) -> f64 {
-        let local: f64 = a.iter().zip(b).map(|(x, y)| x * y).sum();
-        self.0.allreduce_sum(&[local])[0]
-    }
-
-    fn dots(&self, pairs: &[(&[f64], &[f64])], out: &mut [f64]) {
-        const MAX: usize = 16;
-        assert!(pairs.len() <= MAX, "dot batch larger than {MAX}");
-        let mut locals = [0.0f64; MAX];
-        for (l, (a, b)) in locals.iter_mut().zip(pairs) {
-            *l = a.iter().zip(b.iter()).map(|(x, y)| x * y).sum();
-        }
-        let global = self.0.allreduce_sum(&locals[..pairs.len()]);
-        out.copy_from_slice(&global);
     }
 }
 
@@ -315,17 +290,15 @@ impl<'a> StokesSolver<'a> {
         ws.yu.resize(self.vmap.n_local(), 0.0);
         ws.yp.clear();
         ws.yp.resize(self.smap.n_local(), 0.0);
-        // Split-phase: post both exchanges (velocity and pressure on
-        // distinct streams), sweep interior elements while the messages
-        // are in flight, complete, then sweep surface elements.
+        // Post both exchanges (velocity and pressure on distinct
+        // streams, in flight together), complete them, sweep.
         self.vmap.fill_local(&ws.u, &mut ws.ul);
         self.smap.fill_local(&x[nu..], &mut ws.pl);
         self.vmap.exchange_begin(&ws.ul, &mut ws.vexch);
         self.smap.exchange_begin(&ws.pl, &mut ws.sexch);
-        self.sweep(&self.mesh.interior_elems, ws);
         self.vmap.exchange_end(&mut ws.ul, &mut ws.vexch);
         self.smap.exchange_end(&mut ws.pl, &mut ws.sexch);
-        self.sweep(&self.mesh.surface_elems, ws);
+        self.sweep(ws);
         self.vmap
             .reverse_accumulate_begin(&mut ws.yu, &mut ws.vexch);
         self.smap
@@ -344,17 +317,14 @@ impl<'a> StokesSolver<'a> {
         }
     }
 
-    /// Sweep the given elements of the stabilized Stokes stencil:
+    /// Sweep every local element of the stabilized Stokes stencil:
     /// gather velocity/pressure element vectors from `ws.ul`/`ws.pl`,
-    /// apply the block stencil, scatter into `ws.yu`/`ws.yp`. Interior
-    /// elements touch only non-shared owned dofs, so this is safe to run
-    /// while ghost exchanges on `ws.ul`/`ws.pl` are still in flight.
-    fn sweep(&self, elems: &[u32], ws: &mut SolverWorkspace) {
+    /// apply the block stencil, scatter into `ws.yu`/`ws.yp`.
+    fn sweep(&self, ws: &mut SolverWorkspace) {
         let mut ue = [0.0; 24];
         let mut pe = [0.0; 8];
         let mut rp = [0.0; 8];
-        for &e in elems {
-            let e = e as usize;
+        for e in 0..self.mesh.elements.len() {
             let eta = self.viscosity[e];
             let StokesBlocks {
                 viscous: a,
@@ -468,7 +438,6 @@ impl<'a> StokesSolver<'a> {
                     r.push_series("minres.residual", res);
                 }
             };
-            let dots = CombinedDots(self.comm);
             minres(
                 &op,
                 Some(&pre),
@@ -476,7 +445,7 @@ impl<'a> StokesSolver<'a> {
                 x,
                 self.options.tol,
                 self.options.max_iter,
-                dots,
+                |a: &[f64], b: &[f64]| self.dot(a, b),
                 observe,
             )
         };

@@ -65,7 +65,9 @@ fn main() {
             }
         }
         let mut u = vec![0.0; mesh.n_owned];
-        let info = cg(&op, None::<&la::Csr>, &rhs, &mut u, 1e-8, 500, &map);
+        let info = cg(&op, None::<&la::Csr>, &rhs, &mut u, 1e-8, 500, |a, b| {
+            map.dot(a, b)
+        });
         let umax = map.norm_inf(&u);
 
         (

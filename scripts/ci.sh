@@ -10,10 +10,15 @@ cargo fmt --all -- --check
 # What stays deleted: the machine model, the hand-written comm table and
 # the extrapolated figure rows (PR 24); the virtual-rank coroutine
 # executor and its profile aggregator (PR 25).
+# Single-reduction MINRES with its batched dots, the interior/surface
+# overlap and the `simd` cargo feature, each measured end to end against
+# its simpler variant (EXPERIMENTS.md, "Retained fast paths").
 echo "==> deleted code stays deleted"
 if grep -rnE 'MachineModel|phase_comm_seconds|paper_core_counts|host_to_(model|flops)' \
     crates src tests examples ||
     grep -rnE 'run_virtual|scomm::vrank|global_asm|ParkSite|ProfileCollector|SCOMM_VRANK_STACK' \
+        crates src tests examples ||
+    grep -rnE 'DotBatch|minres_classic|CombinedDots|interior_elems|surface_elems|feature = "simd"' \
         crates src tests examples ||
     grep -rniE 'modeled|extrapolat' crates/bench/src results/*.txt; then
     echo "ci: deleted code is back (see above)" >&2
@@ -54,14 +59,6 @@ cargo test -q --release -p mangll
 echo "==> figure bins smoke (release)"
 cargo run -q --release -p rhea-bench --bin fig6_strong_scaling >/dev/null
 cargo run -q --release -p rhea-bench --bin fig10_amr_timings >/dev/null
-
-# Scalar-fallback job: build and test the octree crate with the AVX2
-# path compiled out entirely (--no-default-features drops the `simd`
-# feature). The kernel unit tests compare each dispatching kernel with a
-# plain scalar expression, so this run covers the fallback the way the
-# default run covers AVX2.
-echo "==> octree scalar-fallback (no simd feature)"
-timeout 300 cargo test -q -p octree --no-default-features
 
 # The benchmark is a package of its own (not a workspace member): its
 # smoke run and failing-path tests.

@@ -99,13 +99,15 @@ pub fn forest_ghosts_flat(forest: &Forest) -> Vec<(usize, ForestLeaf)> {
     ghosts
 }
 
-/// `y = A x` on owned vectors, rebuilt from the allocating collective
-/// tier: `to_local` → gather / mat-vec / scatter over the local elements
-/// in element order → `reverse_accumulate`, with the same symmetric
-/// Dirichlet elimination as `DistOp`. Different transport
-/// (one blocking `alltoallv` per component instead of a packed
-/// split-phase round), same floating-point accumulation order, so
-/// `DistOp::apply_owned` must agree bitwise. Collective.
+/// `y = A x` on owned vectors, rebuilt as an allocating sweep: `to_local`
+/// → gather / mat-vec / scatter over the local elements in element order
+/// into fresh vectors → `reverse_accumulate`, with the same symmetric
+/// Dirichlet elimination as `DistOp`. Its independence is the sweep —
+/// no workspace, no fixed-size fast path, masking by index — not the
+/// transport: both sides ship ghosts through the one split-phase round,
+/// which `check/tests/exchange_analytic.rs` pins to a closed form. Same
+/// floating-point accumulation order, so `DistOp::apply_owned` must
+/// agree bitwise. Collective.
 pub fn dist_apply_reference(
     map: &DofMap,
     elem_matrix: &dyn Fn(usize, &mut [f64]),

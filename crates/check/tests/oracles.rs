@@ -246,9 +246,9 @@ fn minres_matches_dense_lu() {
 
 #[test]
 fn dist_op_apply_matches_reference_bitwise() {
-    // Split-phase packed transport vs one allocating collective per
-    // component; same element-order accumulation. Adapted mesh, so
-    // hanging-node constraints are in play on every rank.
+    // Workspace sweep vs an allocating sweep; same transport (pinned by
+    // exchange_analytic.rs) and element-order accumulation. Adapted mesh,
+    // so hanging-node constraints are in play on every rank.
     for p in [1usize, 2, 4, 8] {
         spmd::run(p, |c| {
             let mut t = DistOctree::new_uniform(c, 2);

@@ -127,13 +127,12 @@ impl<'a> DofMap<'a> {
         self.comm.allreduce_max(&[local])[0]
     }
 
-    /// Expand an owned vector into owned+ghost layout and fill ghosts
-    /// (allocating collective tier — set-up paths; hot paths use
-    /// [`DofMap::fill_local`] + [`DofMap::exchange_begin`]).
+    /// Expand an owned vector into a fresh owned+ghost vector and fill its
+    /// ghosts: [`DofMap::fill_local`] + [`DofMap::exchange`], for set-up
+    /// code that does not keep a buffer.
     pub fn to_local(&self, owned: &[f64]) -> Vec<f64> {
-        debug_assert_eq!(owned.len(), self.n_owned());
-        let mut v = vec![0.0; self.n_local()];
-        v[..owned.len()].copy_from_slice(owned);
+        let mut v = Vec::new();
+        self.fill_local(owned, &mut v);
         self.exchange(&mut v);
         v
     }
@@ -141,8 +140,7 @@ impl<'a> DofMap<'a> {
     /// Split-phase, allocation-free ghost fill: post one packed
     /// interleaved message per neighbor and return while the messages are
     /// in flight. Only the owned block of `v` is read at post time;
-    /// [`DofMap::exchange_end`] fills the ghost block. The completed ghost
-    /// values are bitwise identical to [`DofMap::exchange`].
+    /// [`DofMap::exchange_end`] fills the ghost block.
     pub fn exchange_begin(&self, v: &[f64], buf: &mut ExchangeBuffers) {
         self.mesh
             .exchange
@@ -173,8 +171,7 @@ impl<'a> DofMap<'a> {
     }
 
     /// Complete the accumulation posted by
-    /// [`DofMap::reverse_accumulate_begin`]; owner sums are bitwise
-    /// identical to [`DofMap::reverse_accumulate`].
+    /// [`DofMap::reverse_accumulate_begin`].
     pub fn reverse_accumulate_end(&self, v: &mut [f64], buf: &mut ExchangeBuffers) {
         self.mesh.exchange.reverse_accumulate_end_interleaved(
             self.comm,
@@ -195,50 +192,20 @@ impl<'a> DofMap<'a> {
     }
 
     /// Exchange ghost values of an owned+ghost vector with `ncomp`
-    /// interleaved components.
+    /// interleaved components: one packed round, posted and completed on
+    /// a fresh stream-0 buffer set (see [`ExchangeBuffers::new`]).
     pub fn exchange(&self, v: &mut [f64]) {
-        if self.ncomp == 1 {
-            self.mesh.exchange.exchange(self.comm, v, self.mesh.n_owned);
-            return;
-        }
-        // Interleaved components: exchange each component strided.
-        // (Kept simple — one pass per component.)
-        let n_local = self.mesh.n_local();
-        let mut scratch = vec![0.0; n_local];
-        for c in 0..self.ncomp {
-            for i in 0..n_local {
-                scratch[i] = v[i * self.ncomp + c];
-            }
-            self.mesh
-                .exchange
-                .exchange(self.comm, &mut scratch, self.mesh.n_owned);
-            for i in 0..n_local {
-                v[i * self.ncomp + c] = scratch[i];
-            }
-        }
+        let mut buf = ExchangeBuffers::new();
+        self.exchange_begin(v, &mut buf);
+        self.exchange_end(v, &mut buf);
     }
 
-    /// Reverse-accumulate ghost contributions to owners (assembly step).
+    /// Reverse-accumulate ghost contributions to owners (assembly step):
+    /// one packed round, posted and completed.
     pub fn reverse_accumulate(&self, v: &mut [f64]) {
-        if self.ncomp == 1 {
-            self.mesh
-                .exchange
-                .reverse_accumulate(self.comm, v, self.mesh.n_owned);
-            return;
-        }
-        let n_local = self.mesh.n_local();
-        let mut scratch = vec![0.0; n_local];
-        for c in 0..self.ncomp {
-            for i in 0..n_local {
-                scratch[i] = v[i * self.ncomp + c];
-            }
-            self.mesh
-                .exchange
-                .reverse_accumulate(self.comm, &mut scratch, self.mesh.n_owned);
-            for i in 0..n_local {
-                v[i * self.ncomp + c] = scratch[i];
-            }
-        }
+        let mut buf = ExchangeBuffers::new();
+        self.reverse_accumulate_begin(v, &mut buf);
+        self.reverse_accumulate_end(v, &mut buf);
     }
 
     /// Gather the element-local vector (length `8·ncomp`) of element `e`
@@ -335,8 +302,9 @@ impl<'a> DofMap<'a> {
 /// An application posts the split-phase ghost exchange, completes it,
 /// sweeps every local element in element order and reverse-accumulates.
 /// `check::oracles::dist_apply_reference` rebuilds the same product from
-/// the allocating collective tier in the same accumulation order; the
-/// two agree bitwise.
+/// freshly allocated vectors and the blocking `to_local` /
+/// `reverse_accumulate`, in the same accumulation order; the two agree
+/// bitwise.
 pub struct DistOp<'a> {
     map: &'a DofMap<'a>,
     /// Fills the `(8·ncomp)²` row-major element matrix of element `e`.

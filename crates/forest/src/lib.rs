@@ -33,5 +33,5 @@ pub use connectivity::{transverse_axes, Connectivity, FaceTransform, TreeGeometr
 pub use dist::{Forest, ForestLeaf};
 pub use traverse::{
     CornerVisit, EdgeVisit, FaceSide, FaceVisit, GhostEntry, GhostKind, GhostLayer, GhostWorkspace,
-    Incident, LeafOrigin, SearchNode, DIRS,
+    Incident, LeafOrigin, DIRS,
 };

@@ -1,6 +1,6 @@
-//! Recursive forest traversal: ghost, search, and iterate.
+//! Recursive forest traversal: ghost and iterate.
 //!
-//! The three entry points mirror the recursive distributed-forest
+//! The two entry points mirror the recursive distributed-forest
 //! algorithms of Isaac, Burstedde, Wilcox & Ghattas 2014 (PAPERS.md):
 //!
 //! * [`Forest::ghost_layer_into`] — a top-down recursive ghost
@@ -11,10 +11,6 @@
 //!   tests ownership bounds through the batched
 //!   [`octree::simd::upper_bounds_into`] range-query kernel over
 //!   per-tree projections of the curve markers.
-//! * [`Forest::search`] / [`Forest::search_points`] — the `p4est_search`
-//!   shape: user callbacks see every recursion node top-down and prune
-//!   by returning `false`; point queries carry a shrinking candidate set
-//!   down the tree.
 //! * [`Forest::iterate_faces`] / [`Forest::iterate_edges`] /
 //!   [`Forest::iterate_corners`] — visit every face/edge/corner entity
 //!   touching a local leaf exactly once, with full hanging-neighbor
@@ -256,144 +252,6 @@ fn collect_extended_pt(
                 out,
             );
         }
-    }
-}
-
-// ----------------------------------------------------------------------
-// Recursive search
-// ----------------------------------------------------------------------
-
-/// One node of the top-down recursion handed to search callbacks.
-pub struct SearchNode<'a> {
-    /// Tree the node lives in.
-    pub tree: u32,
-    /// The recursion box.
-    pub oct: Octant,
-    /// The leaves of the searched array inside the box.
-    pub leaves: &'a [ForestLeaf],
-    /// Index of `leaves[0]` within the searched array.
-    pub offset: usize,
-    /// `oct` *is* `leaves[0]` — the recursion bottomed out.
-    pub is_leaf: bool,
-}
-
-struct SearchCtx<'a> {
-    leaves: &'a [ForestLeaf],
-    keys: &'a [u64],
-    needles: Vec<u64>,
-    ends: Vec<u32>,
-}
-
-impl<'a> SearchCtx<'a> {
-    fn new(leaves: &'a [ForestLeaf], keys: &'a [u64]) -> Self {
-        SearchCtx {
-            leaves,
-            keys,
-            needles: Vec::new(),
-            ends: Vec::new(),
-        }
-    }
-
-    fn node(&self, tree: u32, oct: Octant, lo: usize, hi: usize) -> SearchNode<'a> {
-        let is_leaf = hi - lo == 1 && self.leaves[lo].oct == oct;
-        SearchNode {
-            tree,
-            oct,
-            leaves: &self.leaves[lo..hi],
-            offset: lo,
-            is_leaf,
-        }
-    }
-
-    fn split(&mut self, oct: &Octant, lo: usize, hi: usize) -> [u32; 8] {
-        ops::child_split(&self.keys[lo..hi], oct, &mut self.needles, &mut self.ends);
-        std::array::from_fn(|k| self.ends[k])
-    }
-
-    fn recurse<V: FnMut(&SearchNode<'_>) -> bool>(
-        &mut self,
-        tree: u32,
-        oct: Octant,
-        lo: usize,
-        hi: usize,
-        visit: &mut V,
-    ) {
-        let sn = self.node(tree, oct, lo, hi);
-        let descend = visit(&sn);
-        if !descend || sn.is_leaf || oct.level() == MAX_LEVEL {
-            return;
-        }
-        let ends = self.split(&oct, lo, hi);
-        let mut start = 0u32;
-        for (k, child) in oct.children().into_iter().enumerate() {
-            let end = ends[k];
-            if end > start {
-                self.recurse(tree, child, lo + start as usize, lo + end as usize, visit);
-            }
-            start = end;
-        }
-    }
-
-    #[allow(clippy::too_many_arguments)]
-    fn recurse_points<Q, B, M>(
-        &mut self,
-        tree: u32,
-        oct: Octant,
-        lo: usize,
-        hi: usize,
-        points: &[Q],
-        active: &[u32],
-        point_in: &mut B,
-        matched: &mut M,
-    ) where
-        B: FnMut(&SearchNode<'_>, &Q) -> bool,
-        M: FnMut(&SearchNode<'_>, usize, &Q),
-    {
-        let sn = self.node(tree, oct, lo, hi);
-        let survivors: Vec<u32> = active
-            .iter()
-            .copied()
-            .filter(|&q| point_in(&sn, &points[q as usize]))
-            .collect();
-        if survivors.is_empty() {
-            return;
-        }
-        if sn.is_leaf || oct.level() == MAX_LEVEL {
-            for &q in &survivors {
-                matched(&sn, q as usize, &points[q as usize]);
-            }
-            return;
-        }
-        let ends = self.split(&oct, lo, hi);
-        let mut start = 0u32;
-        for (k, child) in oct.children().into_iter().enumerate() {
-            let end = ends[k];
-            if end > start {
-                self.recurse_points(
-                    tree,
-                    child,
-                    lo + start as usize,
-                    lo + end as usize,
-                    points,
-                    &survivors,
-                    point_in,
-                    matched,
-                );
-            }
-            start = end;
-        }
-    }
-}
-
-/// Tree-major driver shared by the search variants: calls `per_tree`
-/// with `(tree, lo, hi)` for every tree with leaves in `leaves`.
-fn for_each_tree_range(leaves: &[ForestLeaf], mut per_tree: impl FnMut(u32, usize, usize)) {
-    let mut lo = 0usize;
-    while lo < leaves.len() {
-        let t = leaves[lo].tree;
-        let hi = lo + leaves[lo..].partition_point(|l| l.tree == t);
-        per_tree(t, lo, hi);
-        lo = hi;
     }
 }
 
@@ -799,35 +657,6 @@ impl<'c> Forest<'c> {
         let mut ws = GhostWorkspace::new();
         self.ghost_layer_into(&mut ws);
         ws.take_layer()
-    }
-
-    /// Top-down recursive search over the local leaves. `visit` sees
-    /// every recursion node (tree root downward, curve order) and
-    /// returns `false` to prune the subtree; `is_leaf` marks bottomed-out
-    /// nodes. The `p4est_search` shape.
-    pub fn search<V: FnMut(&SearchNode<'_>) -> bool>(&self, visit: &mut V) {
-        let keys: Vec<u64> = self.local.iter().map(|l| l.oct.raw()).collect();
-        let mut ctx = SearchCtx::new(&self.local, &keys);
-        for_each_tree_range(&self.local, |t, lo, hi| {
-            ctx.recurse(t, Octant::root(), lo, hi, visit);
-        });
-    }
-
-    /// Multi-point recursive search: `point_in(node, q)` keeps query `q`
-    /// alive below `node`; `matched(node, i, q)` fires at bottomed-out
-    /// leaves for every surviving query. A query can match several
-    /// leaves (or none) depending on how `point_in` treats boundaries.
-    pub fn search_points<Q, B, M>(&self, points: &[Q], point_in: &mut B, matched: &mut M)
-    where
-        B: FnMut(&SearchNode<'_>, &Q) -> bool,
-        M: FnMut(&SearchNode<'_>, usize, &Q),
-    {
-        let keys: Vec<u64> = self.local.iter().map(|l| l.oct.raw()).collect();
-        let all: Vec<u32> = (0..points.len() as u32).collect();
-        let mut ctx = SearchCtx::new(&self.local, &keys);
-        for_each_tree_range(&self.local, |t, lo, hi| {
-            ctx.recurse_points(t, Octant::root(), lo, hi, points, &all, point_in, matched);
-        });
     }
 
     fn merged_view(&self, ghosts: &GhostLayer) -> Vec<(ForestLeaf, LeafOrigin)> {
@@ -1274,72 +1103,6 @@ mod tests {
             f.neighbors_full(&l, 1, 1, 0, &mut out);
             let trees: BTreeSet<u32> = out.iter().map(|n| n.tree).collect();
             assert_eq!(trees, BTreeSet::from([3]), "edge direction reaches tree 3");
-        });
-    }
-
-    #[test]
-    fn search_visits_all_leaves_and_prunes() {
-        let conn = sphere();
-        spmd::run(2, |c| {
-            let f = adapted_forest(c, conn.clone());
-            let mut leaves = 0usize;
-            let mut nodes = 0usize;
-            f.search(&mut |sn: &SearchNode<'_>| {
-                nodes += 1;
-                if sn.is_leaf {
-                    leaves += 1;
-                    assert_eq!(sn.leaves.len(), 1);
-                    assert_eq!(sn.leaves[0].oct, sn.oct);
-                }
-                true
-            });
-            assert_eq!(leaves, f.local.len());
-            assert!(nodes >= leaves);
-            // Pruning at tree roots visits exactly one node per tree.
-            let mut pruned_nodes = 0usize;
-            f.search(&mut |_sn: &SearchNode<'_>| {
-                pruned_nodes += 1;
-                false
-            });
-            let tree_count = f
-                .local
-                .iter()
-                .map(|l| l.tree)
-                .collect::<BTreeSet<_>>()
-                .len();
-            assert_eq!(pruned_nodes, tree_count);
-        });
-    }
-
-    #[test]
-    fn search_points_finds_containing_leaves() {
-        let conn = sphere();
-        spmd::run(2, |c| {
-            let f = adapted_forest(c, conn.clone());
-            // Query: the first descendant cell of every 4th local leaf.
-            let queries: Vec<ForestLeaf> = f
-                .local
-                .iter()
-                .step_by(4)
-                .map(|l| ForestLeaf {
-                    tree: l.tree,
-                    oct: l.oct.first_descendant(),
-                })
-                .collect();
-            let mut hits = vec![0usize; queries.len()];
-            f.search_points(
-                &queries,
-                &mut |sn: &SearchNode<'_>, q: &ForestLeaf| {
-                    sn.tree == q.tree && sn.oct.contains(&q.oct)
-                },
-                &mut |sn: &SearchNode<'_>, i: usize, q: &ForestLeaf| {
-                    assert!(sn.is_leaf);
-                    assert_eq!(sn.tree, q.tree);
-                    assert!(sn.oct.contains(&q.oct));
-                    hits[i] += 1;
-                },
-            );
-            assert!(hits.iter().all(|&h| h == 1), "each query matches one leaf");
         });
     }
 

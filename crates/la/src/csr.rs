@@ -93,33 +93,6 @@ impl Csr {
         }
     }
 
-    /// `y += A x`.
-    pub fn matvec_add(&self, x: &[f64], y: &mut [f64]) {
-        for r in 0..self.nrows {
-            let mut acc = 0.0;
-            for i in self.row_ptr[r]..self.row_ptr[r + 1] {
-                acc += self.values[i] * x[self.col_idx[i]];
-            }
-            y[r] += acc;
-        }
-    }
-
-    /// `y = Aᵀ x`.
-    pub fn matvec_transpose(&self, x: &[f64], y: &mut [f64]) {
-        debug_assert_eq!(x.len(), self.nrows);
-        debug_assert_eq!(y.len(), self.ncols);
-        y.fill(0.0);
-        for r in 0..self.nrows {
-            let xr = x[r];
-            if xr == 0.0 {
-                continue;
-            }
-            for i in self.row_ptr[r]..self.row_ptr[r + 1] {
-                y[self.col_idx[i]] += self.values[i] * xr;
-            }
-        }
-    }
-
     /// Main diagonal (zeros where absent).
     pub fn diagonal(&self) -> Vec<f64> {
         let mut d = vec![0.0; self.nrows];
@@ -263,10 +236,7 @@ mod tests {
         let mut y = [0.0; 3];
         a.matvec(&x, &mut y);
         assert_eq!(y, [4.0, 10.0, 14.0]);
-        // A is symmetric, so Aᵀx = Ax.
-        let mut z = [0.0; 3];
-        a.matvec_transpose(&x, &mut z);
-        assert_eq!(z, y);
+        // A is symmetric.
         assert_eq!(a.transpose().diff_norm(&a), 0.0);
     }
 
@@ -292,13 +262,5 @@ mod tests {
         let mut y = [0.0; 2];
         a.matvec(&[1.0, 1.0, 1.0], &mut y);
         assert_eq!(y, [1.0, 2.0]);
-    }
-
-    #[test]
-    fn matvec_add_accumulates() {
-        let a = example();
-        let mut y = [1.0, 1.0, 1.0];
-        a.matvec_add(&[1.0, 0.0, 0.0], &mut y);
-        assert_eq!(y, [3.0, 2.0, 1.0]);
     }
 }

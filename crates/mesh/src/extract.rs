@@ -77,6 +77,12 @@ pub struct ExchangeBuffers {
 }
 
 impl ExchangeBuffers {
+    /// Buffers posting on stream 0. The blocking
+    /// [`ExchangePattern::exchange`] and
+    /// [`ExchangePattern::reverse_accumulate`] each use a fresh set of
+    /// these: they post and complete their round before returning, so
+    /// they never leave a stream-0 round in flight. A caller must not
+    /// call them while it holds a stream-0 round of its own in flight.
     pub fn new() -> ExchangeBuffers {
         ExchangeBuffers::default()
     }
@@ -107,47 +113,26 @@ impl ExchangeBuffers {
 
 impl ExchangePattern {
     /// Fill the ghost block of `v` (`v.len() = n_owned + n_ghost`) with
-    /// the owners' current values. Collective.
+    /// the owners' current values: one split-phase round, posted and
+    /// completed. Collective over the ranks of the pattern.
     pub fn exchange(&self, comm: &Comm, v: &mut [f64], n_owned: usize) {
-        let outgoing: Vec<Vec<f64>> = self
-            .send_idx
-            .iter()
-            .map(|idx| idx.iter().map(|&i| v[i]).collect())
-            .collect();
-        let incoming = comm.alltoallv(&outgoing);
-        let mut pos = n_owned;
-        for (r, part) in incoming.iter().enumerate() {
-            assert_eq!(part.len(), self.recv_counts[r]);
-            v[pos..pos + part.len()].copy_from_slice(part);
-            pos += part.len();
-        }
+        let mut buf = ExchangeBuffers::new();
+        self.exchange_begin_interleaved(comm, v, 1, &mut buf);
+        self.exchange_end_interleaved(comm, v, n_owned, 1, &mut buf);
     }
 
     /// Reverse exchange: add each ghost value back into the owner's entry
-    /// and zero the ghost block (FEM assembly accumulation). Collective.
+    /// and zero the ghost block (FEM assembly accumulation). One
+    /// split-phase round, posted and completed.
     pub fn reverse_accumulate(&self, comm: &Comm, v: &mut [f64], n_owned: usize) {
-        let mut outgoing: Vec<Vec<f64>> = vec![Vec::new(); self.recv_counts.len()];
-        let mut pos = n_owned;
-        for (r, &cnt) in self.recv_counts.iter().enumerate() {
-            outgoing[r] = v[pos..pos + cnt].to_vec();
-            for g in &mut v[pos..pos + cnt] {
-                *g = 0.0;
-            }
-            pos += cnt;
-        }
-        let incoming = comm.alltoallv(&outgoing);
-        for (r, part) in incoming.iter().enumerate() {
-            assert_eq!(part.len(), self.send_idx[r].len());
-            for (&i, &val) in self.send_idx[r].iter().zip(part) {
-                v[i] += val;
-            }
-        }
+        let mut buf = ExchangeBuffers::new();
+        self.reverse_accumulate_begin_interleaved(comm, v, n_owned, 1, &mut buf);
+        self.reverse_accumulate_end_interleaved(comm, v, n_owned, 1, &mut buf);
     }
 
     /// Fold the received reverse contributions into the owned block, in
-    /// ascending source-rank then send-index order — the same order as
-    /// the per-component [`ExchangePattern::reverse_accumulate`], so the
-    /// two tiers are bitwise interchangeable.
+    /// ascending source-rank then send-index order, component by
+    /// component — the one accumulation order of every reverse exchange.
     fn accumulate_received(&self, owned: &mut [f64], ncomp: usize, buf: &ExchangeBuffers) {
         let mut pos = 0;
         for (r, idx) in self.send_idx.iter().enumerate() {
@@ -160,10 +145,6 @@ impl ExchangePattern {
             }
         }
     }
-
-    // ----------------------------------------------------------------
-    // Split-phase, allocation-free tier (every hot path)
-    // ----------------------------------------------------------------
 
     /// Post the ghost fill of a vector with `ncomp` interleaved components
     /// per dof (`v[d*ncomp + k]`) without completing it: pack the owned
@@ -197,8 +178,7 @@ impl ExchangePattern {
     /// [`ExchangePattern::exchange_begin_interleaved`] and copy the
     /// received values into the ghost block of `v`. The ghost block is
     /// grouped by owner rank in receive order, so the flat receive buffer
-    /// copies straight into it — bitwise identical to one
-    /// [`ExchangePattern::exchange`] per component.
+    /// copies straight into it.
     pub fn exchange_end_interleaved(
         &self,
         comm: &Comm,
@@ -1086,7 +1066,7 @@ mod tests {
     #[test]
     fn split_phase_exchange_bitwise_matches_strided() {
         // The packed ncomp=3 begin/end exchange and reverse accumulation
-        // must agree bit for bit with one allocating strided pass per
+        // must agree bit for bit with one strided ncomp=1 round per
         // component, and the pack buffers must stop growing after the
         // first round.
         spmd::run(4, |c| {

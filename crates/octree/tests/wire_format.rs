@@ -55,22 +55,34 @@ fn octant_is_eight_packed_bytes() {
 
 #[test]
 fn scomm_round_trip_is_deterministic() {
-    // Two-rank ping-pong: rank 0 sends the soup, rank 1 echoes it back.
-    // Both the received octants and their byte image must match the
-    // sender's exactly — this is what the padded struct could not
-    // guarantee.
+    // Two-rank ping-pong over two exchange rounds: rank 0 sends the soup,
+    // rank 1 echoes it back. Both the received octants and their byte
+    // image must match the sender's exactly — this is what the padded
+    // struct could not guarantee.
     spmd::run(2, |c| {
         let octs = sample_octants();
-        if c.rank() == 0 {
-            c.send(1, 7, &octs);
-            let back: Vec<Octant> = c.recv(1, 8);
-            assert_eq!(back, octs);
-            assert_eq!(pod::as_bytes(&back), pod::as_bytes(&octs));
+        let n = octs.len();
+        let mut ex = scomm::Exchange::new(1);
+        let (mut got, mut counts) = (Vec::<Octant>::new(), Vec::new());
+        // Round 1: 0 → 1. Round 2: 1 → 0, echoing what arrived.
+        let (ping, pong) = if c.rank() == 0 {
+            ([0, n], [0, 0])
         } else {
-            let got: Vec<Octant> = c.recv(0, 7);
+            ([0, 0], [n, 0])
+        };
+        let mine = if c.rank() == 0 { &octs[..] } else { &[] };
+        c.exchange_start(mine, &ping, &pong, &mut ex);
+        c.exchange_end(&mut ex, &mut got, &mut counts);
+        if c.rank() == 1 {
             assert_eq!(got, octs);
             assert_eq!(pod::as_bytes(&got), pod::as_bytes(&octs));
-            c.send(0, 8, &got);
+        }
+        let echo = got.clone();
+        c.exchange_start(&echo, &pong, &ping, &mut ex);
+        c.exchange_end(&mut ex, &mut got, &mut counts);
+        if c.rank() == 0 {
+            assert_eq!(got, octs);
+            assert_eq!(pod::as_bytes(&got), pod::as_bytes(&octs));
         }
     });
 }

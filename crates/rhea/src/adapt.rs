@@ -20,7 +20,7 @@
 //! merge and writes the corner data directly. `ExtractMesh` runs once per
 //! adaptation, on the final partition.
 
-use mesh::extract::{extract_mesh_with_ghosts, Mesh};
+use mesh::extract::{extract_mesh_with_ghosts, ExchangeBuffers, Mesh};
 use mesh::interp::{transfer_corner_values_into, unpack_corner_values};
 use octree::mark::MarkParams;
 use octree::parallel::{transfer_fields_into, DistOctree, PartitionPlan};
@@ -63,6 +63,8 @@ pub struct AdaptWorkspace {
     plan: PartitionPlan,
     /// Ghost-expanded old field.
     fl: Vec<f64>,
+    /// Pack/unpack buffers of the old field's ghost exchange.
+    exch: ExchangeBuffers,
     /// Per-field corner values of the adapted, not yet repartitioned
     /// leaves (8 values per element).
     corner_data: Vec<Vec<f64>>,
@@ -93,7 +95,7 @@ impl AdaptWorkspace {
         for v in self.corner_data.iter().chain(&self.moved) {
             b += cap(v);
         }
-        b + self.ghost.capacity_bytes()
+        b + self.exch.capacity_bytes() + self.ghost.capacity_bytes()
     }
 }
 
@@ -206,6 +208,7 @@ pub fn adapt_mesh_ws(
     let AdaptWorkspace {
         plan,
         fl,
+        exch,
         corner_data,
         moved,
         counts,
@@ -227,7 +230,9 @@ pub fn adapt_mesh_ws(
             fl.clear();
             fl.resize(old_mesh.n_local(), 0.0);
             fl[..old_mesh.n_owned].copy_from_slice(f);
-            old_mesh.exchange.exchange(comm, fl, old_mesh.n_owned);
+            let pattern = &old_mesh.exchange;
+            pattern.exchange_begin_interleaved(comm, fl, 1, exch);
+            pattern.exchange_end_interleaved(comm, fl, old_mesh.n_owned, 1, exch);
             transfer_corner_values_into(old_mesh, fl, &tree.local, &mut corner_data[i]);
         }
     }

@@ -1,114 +1,29 @@
-//! Nonblocking request handles and split-phase neighbor exchange state.
-//!
-//! This module holds the *handle* types of the request-based communication
-//! contract; the operations themselves live on [`crate::Comm`]
-//! (`isend` / `irecv` / `wait` / `waitall` / `test`,
-//! `exchange_start` / `exchange_end`).
-//!
-//! Semantics mirror MPI's nonblocking point-to-point layer, restricted to
-//! what the simulated machine needs:
-//!
-//! * **Sends are buffered**, so [`Comm::isend`](crate::Comm::isend)
-//!   completes at post time and the returned [`SendRequest`] exists for
-//!   API symmetry — its `wait` is a no-op and its `test` is always true.
-//! * **Receives complete at `wait`**. [`Comm::irecv`](crate::Comm::irecv)
-//!   records the `(source, tag)` pair and a post timestamp; matching,
-//!   fault-plan jitter (delays, reordering, drop-with-panic) and telemetry
-//!   all happen when the request is completed, never at post time. This is
-//!   what makes an attached [`crate::FaultPlan`] exercise the split-phase
-//!   code paths: a delayed message stalls `wait`, not the post.
-//! * **Per-`(source, tag)` FIFO order is preserved** across blocking and
-//!   nonblocking receives, with or without a fault plan attached.
+//! Split-phase neighbor exchange state: the one point-to-point primitive.
 //!
 //! [`Exchange`] is the reusable state for one *stream* of split-phase
-//! neighbor exchanges (`exchange_start` / `exchange_end`) — the
-//! request-based counterpart of
-//! [`Comm::alltoallv_flat`](crate::Comm::alltoallv_flat). Unlike the
-//! blocking collective it is pure point-to-point: no barrier, no shared
-//! staging matrix, so a rank only synchronizes with the neighbors it
-//! actually exchanges payloads with, and the messages are in flight while
-//! the caller computes between `start` and `end`.
-
-use std::marker::PhantomData;
-
-use crate::pod::Pod;
-
-/// Handle for a posted nonblocking send.
-///
-/// The simulated machine buffers sends (the payload is copied into the
-/// destination mailbox at post time), so a send request is complete the
-/// moment [`Comm::isend`](crate::Comm::isend) returns. The handle exists
-/// so call sites read like their MPI counterparts and so the type system
-/// reminds callers that a posted send conceptually has a completion point.
-#[derive(Debug)]
-#[must_use = "complete the posted send with wait() (a no-op for buffered sends)"]
-pub struct SendRequest {
-    pub(crate) dst: usize,
-    pub(crate) tag: u64,
-}
-
-impl SendRequest {
-    /// Complete the send. Buffered sends complete at post time, so this is
-    /// a no-op that consumes the handle.
-    pub fn wait(self) {}
-
-    /// Whether the send has completed. Always true for buffered sends.
-    pub fn test(&self) -> bool {
-        true
-    }
-
-    /// Destination rank the send was posted to.
-    pub fn dst(&self) -> usize {
-        self.dst
-    }
-
-    /// Tag the send was posted with.
-    pub fn tag(&self) -> u64 {
-        self.tag
-    }
-}
-
-/// Handle for a posted nonblocking receive of `T` elements.
-///
-/// Created by [`Comm::irecv`](crate::Comm::irecv); completed by
-/// [`Comm::wait`](crate::Comm::wait) /
-/// [`Comm::wait_into`](crate::Comm::wait_into) /
-/// [`Comm::waitall`](crate::Comm::waitall); probed (non-blocking, never
-/// advancing the fault clock) by [`Comm::test`](crate::Comm::test).
-///
-/// Dropping a request without waiting leaves any matching message in the
-/// rank's pending queue for a later `recv`/`wait` with the same
-/// `(source, tag)` — exactly as if the request had never been posted.
-#[derive(Debug)]
-#[must_use = "a posted receive must be completed with wait()/wait_into()/waitall()"]
-pub struct RecvRequest<T: Pod> {
-    pub(crate) src: usize,
-    pub(crate) tag: u64,
-    /// Recorder timestamp at post time; completion emits a `comm`-span
-    /// covering post→complete plus the `comm.overlap_ns` counter.
-    pub(crate) posted_ns: Option<u64>,
-    pub(crate) _elem: PhantomData<T>,
-}
-
-impl<T: Pod> RecvRequest<T> {
-    /// Source rank the receive was posted for.
-    pub fn src(&self) -> usize {
-        self.src
-    }
-
-    /// Tag the receive was posted for.
-    pub fn tag(&self) -> u64 {
-        self.tag
-    }
-}
+//! neighbor exchanges; the operations live on [`crate::Comm`]
+//! (`exchange_start` / `exchange_end`). A round is pure point-to-point —
+//! no barrier, no shared staging matrix — so a rank only synchronizes
+//! with the neighbors it actually exchanges payloads with, and only when
+//! it completes the round.
+//!
+//! * **Sends are buffered**: `exchange_start` copies every payload into
+//!   its destination's mailbox before it returns.
+//! * **Everything observable happens at completion**: message matching,
+//!   fault-plan jitter (delays, reordering, drop-with-panic) and the
+//!   `comm:exchange` span all happen in `exchange_end`, never at post
+//!   time. A delayed message stalls `exchange_end`, not the post.
+//! * **Per-`(source, tag)` FIFO order is preserved**, with or without a
+//!   fault plan attached.
+//!
+//! Every ghost-value exchange of the mesh, FEM and DG layers is one such
+//! round; a blocking one is an `exchange_start` followed at once by its
+//! `exchange_end`.
 
 /// Number of low bits of the exchange tag carrying the round sequence.
 const EXCHANGE_SEQ_BITS: u32 = 32;
 
-/// High-bit namespace for split-phase exchange tags, so exchange traffic
-/// can never collide with user point-to-point tags (which are small in
-/// practice: mesh extraction, AMR transfer and the tests all use tags well
-/// below 2^32).
+/// High-bit namespace of the exchange tags.
 const EXCHANGE_TAG_BASE: u64 = 0xE5C0 << 48;
 
 /// Reusable state for one stream of split-phase neighbor exchanges.

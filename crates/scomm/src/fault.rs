@@ -1,8 +1,8 @@
 //! Seeded fault injection for the simulated machine.
 //!
 //! Parallel AMR codes are full of latent ordering assumptions: a rank
-//! that calls `recv_any` and silently assumes messages arrive in rank
-//! order, a collective whose result depends on which rank reaches the
+//! that silently assumes its neighbours' messages arrive in rank order,
+//! a collective whose result depends on which rank reaches the
 //! staging area first, an exchange pattern that only works because the
 //! simulated network happens to be FIFO across *sources*. On a real
 //! machine (the paper's Ranger runs at 62,464 cores) none of these hold.
@@ -32,17 +32,11 @@
 //! ranks stays as nondeterministic as the underlying threads, which is
 //! exactly the point: results must not depend on it.
 //!
-//! **Nonblocking requests.** The scheduler sits on the receive side, in
-//! the message-pull loop shared by every completion path, so it covers
-//! the request-based contract with no extra machinery: for
-//! [`crate::Comm::irecv`] / [`crate::Comm::wait`] and the split-phase
-//! [`crate::Comm::exchange_end`], delays and reordering take effect at
-//! *completion* time (the `wait` stalls, never the post), a planned drop
-//! panics inside `wait`, and per-`(source, tag)` FIFO order is preserved
-//! across blocking and nonblocking receives alike.
-//! [`crate::Comm::test`] only admits already-arrived traffic — it never
-//! advances the virtual clock, so a held message stays invisible to
-//! polling until a `wait` forces its release.
+//! **Completion time.** The scheduler sits on the receive side, in the
+//! message-pull loop of [`crate::Comm::exchange_end`], so delays and
+//! reordering take effect when a split-phase round is *completed* (the
+//! `exchange_end` stalls, never the post), a planned drop panics inside
+//! `exchange_end`, and per-`(source, tag)` FIFO order is preserved.
 
 use std::collections::HashMap;
 
@@ -83,7 +77,7 @@ impl FaultPlan {
         }
     }
 
-    /// Certain drop of the first eligible message: every p2p receive path
+    /// Certain drop of the first eligible message: the exchange round
     /// that depends on it panics deterministically.
     pub fn drops(seed: u64) -> FaultPlan {
         FaultPlan {

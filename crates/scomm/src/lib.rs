@@ -9,17 +9,13 @@
 //!
 //! The substrate provides:
 //!
-//! * **Point-to-point** tagged, typed, buffered sends and blocking receives
-//!   ([`Comm::send`], [`Comm::recv`], [`Comm::sendrecv`]).
-//! * **Nonblocking requests** ([`Comm::isend`], [`Comm::irecv`],
-//!   [`Comm::wait`], [`Comm::waitall`], [`Comm::test`]) and a split-phase
-//!   neighbor exchange ([`Comm::exchange_start`] / [`Comm::exchange_end`]
-//!   over a reusable [`Exchange`] stream) — the barrier-free contract the
-//!   FEM and DG layers use for ghost exchange, with several streams in
-//!   flight at once.
-//!   Completion-time semantics (matching, fault jitter, the post→complete
-//!   telemetry span and the `comm.overlap_ns` counter) live in
-//!   [`request`].
+//! * **One point-to-point primitive**: the split-phase neighbor exchange
+//!   ([`Comm::exchange_start`] / [`Comm::exchange_end`] over a reusable
+//!   [`Exchange`] stream) — the barrier-free contract that every ghost
+//!   exchange of the mesh, FEM and DG layers uses, with several streams
+//!   in flight at once. A blocking exchange is a start followed at once by
+//!   its end. Completion-time semantics (matching, fault jitter, the
+//!   post→complete telemetry span) are described in [`exchange`].
 //! * **Collectives** — [`Comm::barrier`], [`Comm::allgather`],
 //!   [`Comm::allgatherv`], [`Comm::allreduce_sum`], [`Comm::exscan_sum`],
 //!   [`Comm::bcast`], [`Comm::alltoallv`] — all with MPI semantics
@@ -45,16 +41,16 @@
 //! ```
 
 pub mod comm;
+pub mod exchange;
 pub mod fault;
 pub mod gate;
 pub mod pod;
-pub mod request;
 pub mod spmd;
 pub mod stats;
 
-pub use comm::{Comm, OVERLAP_COUNTER};
+pub use comm::Comm;
+pub use exchange::Exchange;
 pub use fault::{FaultCounters, FaultPlan};
 pub use gate::checks_enabled;
 pub use pod::Pod;
-pub use request::{Exchange, RecvRequest, SendRequest};
 pub use stats::CommStats;

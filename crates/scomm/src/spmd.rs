@@ -25,8 +25,8 @@ pub fn self_comm() -> Comm {
 
 /// Run `f` on `nranks` ranks and return the per-rank results in rank order.
 ///
-/// If a rank panics, every peer that is blocked in (or later enters) a
-/// receive, `wait`, `exchange_end` or collective panics too, naming the
+/// If a rank panics, every peer that is blocked in (or later enters) an
+/// `exchange_end` or a collective panics too, naming the
 /// dead rank; once all ranks have ended, this re-raises the panic of the
 /// first rank that died — its own payload, not a peer's "rank r
 /// panicked".
@@ -106,6 +106,7 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::exchange::Exchange;
 
     #[test]
     fn results_in_rank_order() {
@@ -116,12 +117,16 @@ mod tests {
     #[test]
     fn stats_returned_per_rank() {
         let (_, stats) = run_with_stats(3, |c| {
-            if c.rank() == 1 {
-                c.send(0, 0, &[1u8, 2, 3]);
-            }
-            if c.rank() == 0 {
-                let _ = c.recv::<u8>(1, 0);
-            }
+            // Rank 1 sends three bytes to rank 0; nobody else sends.
+            let (send, send_counts, recv_counts) = match c.rank() {
+                1 => (vec![1u8, 2, 3], [3, 0, 0], [0; 3]),
+                0 => (Vec::new(), [0; 3], [0, 3, 0]),
+                _ => (Vec::new(), [0; 3], [0; 3]),
+            };
+            let mut ex = Exchange::new(1);
+            let (mut recv, mut counts) = (Vec::<u8>::new(), Vec::new());
+            c.exchange_start(&send, &send_counts, &recv_counts, &mut ex);
+            c.exchange_end(&mut ex, &mut recv, &mut counts);
             c.barrier();
         });
         assert_eq!(stats[1].p2p_bytes, 3);
@@ -145,11 +150,34 @@ mod tests {
             assert_eq!(p.summary.phases["Step"].count, 1);
             assert_eq!(p.summary.phases["comm:allreduce"].cat, "comm");
             assert_eq!(p.summary.phases["comm:barrier"].count, 1);
-            // allreduce nests allgatherv under it on the same rank.
-            assert_eq!(p.summary.phases["comm:allgatherv"].count, 1);
+            // allreduce gathers through the private body: no nested span.
+            assert!(!p.summary.phases.contains_key("comm:allgatherv"));
             // Payload sizes landed in the histogram (8 bytes * 3 ranks).
             assert_eq!(p.summary.hists["comm.bytes"].count, 1);
             assert_eq!(p.summary.hists["comm.bytes"].sum, 24);
+        }
+    }
+
+    /// Every collective records one span under its own name and bumps
+    /// one counter of its own, so a trace and `CommStats` agree op for op.
+    #[test]
+    fn comm_span_counts_match_comm_stats() {
+        let (stats, profiles) = run_traced(3, |c, _| {
+            c.allreduce_sum(&[1.0f64]);
+            c.allgatherv(&[c.rank() as u64]);
+            c.allreduce_max(&[c.rank() as u64]);
+            c.exscan_sum(1u64);
+            let mut buf = Vec::new();
+            c.allgatherv_into(&[1u32], &mut buf);
+            c.allreduce_min(&[2i64]);
+            c.stats()
+        });
+        for (s, p) in stats.iter().zip(&profiles) {
+            let count = |name: &str| p.summary.phases.get(name).map_or(0, |st| st.count);
+            assert_eq!(count("comm:allgatherv"), s.allgathers, "rank {}", p.rank);
+            assert_eq!(count("comm:allreduce"), s.allreduces, "rank {}", p.rank);
+            assert_eq!(count("comm:exscan"), s.exscans, "rank {}", p.rank);
+            assert_eq!((s.allgathers, s.allreduces, s.exscans), (2, 3, 1));
         }
     }
 
@@ -188,16 +216,12 @@ mod tests {
         c.allreduce_sum(&[1.0f64]);
     }
 
-    fn recv_from_last(c: &Comm) {
-        c.recv::<u64>(c.size() - 1, 0);
-    }
-
     /// Every rank sends one value to every other and waits for all of
     /// them: the live peers' payloads arrive, the dead rank's never does.
     fn exchange(c: &Comm) {
         let ones = vec![1usize; c.size()];
         let send = vec![c.rank() as u64; c.size()];
-        let mut ex = crate::request::Exchange::new(1);
+        let mut ex = Exchange::new(1);
         let (mut recv, mut counts) = (Vec::<u64>::new(), Vec::new());
         c.exchange_start(&send, &ones, &ones, &mut ex);
         c.exchange_end(&mut ex, &mut recv, &mut counts);
@@ -225,18 +249,6 @@ mod tests {
     #[should_panic(expected = "deliberate")]
     fn dead_peer_ends_allreduce_p8() {
         last_rank_dies_while_peers_block_in(8, allreduce);
-    }
-
-    #[test]
-    #[should_panic(expected = "deliberate")]
-    fn dead_peer_ends_recv_p2() {
-        last_rank_dies_while_peers_block_in(2, recv_from_last);
-    }
-
-    #[test]
-    #[should_panic(expected = "deliberate")]
-    fn dead_peer_ends_recv_p8() {
-        last_rank_dies_while_peers_block_in(8, recv_from_last);
     }
 
     #[test]

@@ -59,23 +59,4 @@ proptest! {
         }
     }
 
-    #[test]
-    fn allreduce_into_matches_allocating_path((n, seed) in arb_case()) {
-        let out = spmd::run(4, move |c| {
-            let mine = rank_values(seed, c.rank(), n);
-            let reference = c.allreduce(&mine, f64::max);
-            let mut buf = Vec::new();
-            c.allreduce_into(&mine, &mut buf, f64::max);
-            assert_eq!(buf, reference);
-            // Warm call reuses the output allocation.
-            let ptr = buf.as_ptr();
-            c.allreduce_into(&mine, &mut buf, f64::max);
-            assert_eq!(ptr, buf.as_ptr(), "allreduce_into must not reallocate");
-            (buf, reference, c.stats().allreduces)
-        });
-        for (buf, reference, count) in out {
-            prop_assert_eq!(buf, reference);
-            prop_assert_eq!(count, 3);
-        }
-    }
 }

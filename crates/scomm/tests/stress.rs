@@ -1,6 +1,6 @@
 //! Stress and ordering tests for the simulated communicator.
 
-use scomm::spmd;
+use scomm::{spmd, Exchange, FaultPlan};
 
 /// Many interleaved collectives of different kinds must stay in lockstep
 /// (barrier-generation alignment under heavy reuse).
@@ -11,7 +11,7 @@ fn interleaved_collectives_stay_aligned() {
         for round in 0..50u64 {
             match round % 4 {
                 0 => {
-                    let g = c.allgather_u64(c.rank() as u64 + round);
+                    let g = c.allgather(&[c.rank() as u64 + round]);
                     acc += g.iter().sum::<u64>();
                 }
                 1 => {
@@ -51,50 +51,52 @@ fn interleaved_collectives_stay_aligned() {
     }
 }
 
-/// Saturating point-to-point traffic with mixed tags across many ranks.
-#[test]
-fn p2p_mixed_tag_storm() {
-    let p = 5;
-    spmd::run(p, move |c| {
-        // Everyone sends 3 messages with distinct tags to every other
-        // rank, then receives in a rank-dependent (shuffled) order.
-        for dst in 0..c.size() {
-            if dst != c.rank() {
-                for tag in 0..3u64 {
-                    c.send(dst, tag, &[(c.rank() as u64) * 10 + tag]);
-                }
-            }
-        }
-        let mut total = 0u64;
-        for src in 0..c.size() {
-            if src == c.rank() {
-                continue;
-            }
-            // Reverse tag order exercises the pending queue.
-            for tag in (0..3u64).rev() {
-                let v = c.recv::<u64>(src, tag);
-                assert_eq!(v, vec![(src as u64) * 10 + tag]);
-                total += v[0];
-            }
-        }
-        assert!(total > 0);
-    });
+/// The value stream `s` carries from `src` to `dst` at `round`, entry `i`.
+fn storm_value(s: usize, src: usize, dst: usize, round: usize, i: usize) -> u64 {
+    ((s * 1000 + src * 100 + dst * 10 + round) as u64) << 16 | i as u64
 }
 
-/// sendrecv ring with payloads growing per hop.
+/// Three exchange streams in flight at once under an adversarial
+/// schedule, completed in reverse order of posting, with payloads that
+/// differ per stream, source and destination and grow every round.
 #[test]
-fn sendrecv_ring_growing_payload() {
-    spmd::run(4, |c| {
-        let next = (c.rank() + 1) % c.size();
-        let prev = (c.rank() + c.size() - 1) % c.size();
-        let mut payload = vec![c.rank() as f64];
-        for hop in 0..8 {
-            let received = c.sendrecv(next, prev, hop, &payload);
-            payload = received;
-            payload.push(c.rank() as f64);
+fn exchange_storm_three_streams_under_delays() {
+    let p = 5;
+    let delayed = spmd::run(p, move |c| {
+        c.set_fault_plan(Some(FaultPlan::delays(0x570c)));
+        let me = c.rank();
+        let mut streams: Vec<Exchange> = (1..=3).map(Exchange::new).collect();
+        let (mut recv, mut counts) = (Vec::<u64>::new(), Vec::new());
+        for round in 0..8 {
+            // Stream s sends round + s + 1 values to every other rank.
+            let n = |s: usize| -> Vec<usize> {
+                (0..p)
+                    .map(|r| if r == me { 0 } else { round + s + 1 })
+                    .collect()
+            };
+            for (s, ex) in streams.iter_mut().enumerate() {
+                let send: Vec<u64> = (0..p)
+                    .flat_map(|dst| (0..n(s)[dst]).map(move |i| storm_value(s, me, dst, round, i)))
+                    .collect();
+                c.exchange_start(&send, &n(s), &n(s), ex);
+            }
+            for (s, ex) in streams.iter_mut().enumerate().rev() {
+                c.exchange_end(ex, &mut recv, &mut counts);
+                let want: Vec<u64> = (0..p)
+                    .flat_map(|src| (0..n(s)[src]).map(move |i| storm_value(s, src, me, round, i)))
+                    .collect();
+                assert_eq!(recv, want, "stream {s}, round {round}");
+                assert_eq!(counts, n(s));
+            }
         }
-        assert_eq!(payload.len(), 9);
+        let delayed = c.fault_counters().unwrap().delayed;
+        c.set_fault_plan(None);
+        delayed
     });
+    assert!(
+        delayed.iter().sum::<u64>() > 0,
+        "the plan must delay something"
+    );
 }
 
 /// Worlds of size 1..8 all work, including empty payloads everywhere.

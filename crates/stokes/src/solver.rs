@@ -776,7 +776,7 @@ mod tests {
 
     /// The operator the block table must reproduce: every element
     /// integrated with its own `h` and η by the `fem::element` builders,
-    /// through the allocating exchange tier.
+    /// through the blocking `to_local` / `reverse_accumulate`.
     fn reference_apply(s: &StokesSolver, x: &[f64], constrained: bool) -> Vec<f64> {
         use fem::element::{divergence_matrix, pressure_stabilization, viscous_matrix};
         let nu = 3 * s.mesh.n_owned;

@@ -3,10 +3,13 @@
 //!
 //! Run with: `cargo run --release --example quickstart`
 
-use alps::prelude::*;
 use fem::element::stiffness_matrix;
 use fem::op::{DistOp, DofMap};
 use la::cg;
+use mesh::extract::extract_mesh;
+use octree::balance::BalanceKind;
+use octree::parallel::DistOctree;
+use scomm::spmd;
 
 fn main() {
     const RANKS: usize = 4;

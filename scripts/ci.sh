@@ -13,12 +13,17 @@ cargo fmt --all -- --check
 # Single-reduction MINRES with its batched dots, the interior/surface
 # overlap and the `simd` cargo feature, each measured end to end against
 # its simpler variant (EXPERIMENTS.md, "Retained fast paths").
+# The blocking and request-based point-to-point API, its overlap counter
+# and the duplicate collective entry points (the split-phase `Exchange`
+# is the one point-to-point path); forest search; the `alps` façade.
 echo "==> deleted code stays deleted"
 if grep -rnE 'MachineModel|phase_comm_seconds|paper_core_counts|host_to_(model|flops)' \
     crates src tests examples ||
     grep -rnE 'run_virtual|scomm::vrank|global_asm|ParkSite|ProfileCollector|SCOMM_VRANK_STACK' \
         crates src tests examples ||
     grep -rnE 'DotBatch|minres_classic|CombinedDots|interior_elems|surface_elems|feature = "simd"' \
+        crates src tests examples ||
+    grep -rnE 'fn (send|recv|recv_any|sendrecv|isend|irecv|wait_into|waitall)<|RecvRequest|SendRequest|OVERLAP_COUNTER|overlap_ns|allgather_u64|search_points|SearchNode|alps::' \
         crates src tests examples ||
     grep -rniE 'modeled|extrapolat' crates/bench/src results/*.txt; then
     echo "ci: deleted code is back (see above)" >&2

@@ -1,2 +1,1 @@
 //! Umbrella package carrying the workspace examples and integration tests.
-pub use alps;

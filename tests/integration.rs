@@ -306,3 +306,41 @@ fn rhea_amr_solve_cycle_is_rank_count_independent() {
         series4[0]
     );
 }
+
+/// The Fig. 4 loop through the layer crates' public API: mark → adapt →
+/// balance → interpolate → partition → transfer → extract → unpack.
+#[test]
+fn facade_pipeline_end_to_end() {
+    use mesh::interp::{transfer_corner_values_into, unpack_corner_values};
+    use octree::parallel::transfer_fields;
+    spmd::run(2, |comm| {
+        let mut tree = DistOctree::new_uniform(comm, 2);
+        let mesh = extract_mesh(&tree, [1.0, 1.0, 1.0]);
+        let field: Vec<f64> = (0..mesh.n_owned).map(|d| mesh.dof_coords(d)[0]).collect();
+        let ind: Vec<f64> = tree
+            .local
+            .iter()
+            .map(|o| (1.0 - o.center_unit()[0]).max(0.0))
+            .collect();
+        let params = MarkParams {
+            target_elements: 200,
+            ..Default::default()
+        };
+        tree.adapt_to_target(&ind, &params);
+        tree.balance(BalanceKind::Full);
+        let mut old_local = vec![0.0; mesh.n_local()];
+        old_local[..mesh.n_owned].copy_from_slice(&field);
+        mesh.exchange.exchange(comm, &mut old_local, mesh.n_owned);
+        let mut corners = Vec::new();
+        transfer_corner_values_into(&mesh, &old_local, &tree.local, &mut corners);
+        assert_eq!(corners.len(), 8 * tree.local.len());
+        let plan = tree.partition();
+        let moved = transfer_fields(comm, &plan, &corners, 8);
+        assert!(tree.validate());
+        let fin = extract_mesh(&tree, [1.0, 1.0, 1.0]);
+        let carried = unpack_corner_values(&fin, &moved);
+        for d in 0..fin.n_owned {
+            assert!((carried[d] - fin.dof_coords(d)[0]).abs() < 1e-12);
+        }
+    });
+}

@@ -8,6 +8,9 @@
 //!   state ([`crate::octree_checks`]::{morton_order, partition,
 //!   balance21, ghost_symmetry} and [`crate::mesh_checks`]::{constraints,
 //!   dof_numbering});
+//! * every local node of the extracted mesh is `Constrained` iff the
+//!   eight-probe incidence oracle
+//!   ([`crate::oracles::hanging_master_probes`]) says it hangs;
 //! * the distributed balance produces a global leaf set **bitwise
 //!   equal** to the serial naive oracle
 //!   ([`crate::oracles::balance_local_naive_kind`]) applied to the
@@ -47,7 +50,7 @@ use octree::Octant;
 use scomm::{spmd, Comm};
 
 use crate::oracles::unpacked::balance_naive_unpacked;
-use crate::oracles::{balance_local_naive_kind, forest_flat_adjacent};
+use crate::oracles::{balance_local_naive_kind, forest_flat_adjacent, hanging_disagreements};
 use crate::{mesh_checks, octree_checks, Violation};
 
 /// Configuration of one fuzz run (one communicator size, many cycles).
@@ -91,6 +94,13 @@ fn mix(mut z: u64) -> u64 {
 /// locally-complete family.
 fn roll(seed: u64, cycle: u64, salt: u64, o: &Octant) -> u64 {
     mix(seed ^ mix(cycle ^ mix(salt ^ mix(o.key() ^ ((o.level() as u64) << 56))))) % 100
+}
+
+/// One cycle's Mark + CoarsenTree + RefineTree, hash-driven: the seeded
+/// marks every fuzz cycle starts from. Leaves the tree unbalanced.
+pub fn mark_coarsen_refine(tree: &mut DistOctree, cfg: &FuzzConfig, cycle: u64) {
+    tree.coarsen(|o| o.level() > 1 && roll(cfg.seed, cycle, 0xC0A5, o) < 35);
+    tree.refine(|o| o.level() < cfg.max_level && roll(cfg.seed, cycle, 0x5EF1, o) < 25);
 }
 
 /// The linear field threaded through every transfer; trilinear
@@ -150,9 +160,7 @@ pub fn run_cycles(comm: &Comm, cfg: &FuzzConfig) -> u64 {
     for cycle in 0..cfg.cycles as u64 {
         let ctx = format!("seed={} cycle={cycle} p={}", cfg.seed, comm.size());
 
-        // Mark + CoarsenTree + RefineTree, hash-driven.
-        tree.coarsen(|o| o.level() > 1 && roll(cfg.seed, cycle, 0xC0A5, o) < 35);
-        tree.refine(|o| o.level() < cfg.max_level && roll(cfg.seed, cycle, 0x5EF1, o) < 25);
+        mark_coarsen_refine(&mut tree, cfg, cycle);
 
         // BalanceTree: the distributed balance must match the serial
         // naive oracle on the gathered union, bitwise.
@@ -263,6 +271,21 @@ pub fn run_cycles(comm: &Comm, cfg: &FuzzConfig) -> u64 {
         v.extend(mesh_checks::constraints(&tree, &new_mesh));
         v.extend(mesh_checks::dof_numbering(&tree, &new_mesh));
         assert_clean_with_ctx(comm, &ctx, &v);
+
+        // Hanging-node classification: the parent-midpoint rule of the
+        // extraction against the eight-probe incidence oracle.
+        let wrong = hanging_disagreements(&tree, &new_mesh);
+        if comm.allreduce_sum(&[wrong.len() as u64])[0] > 0 {
+            fail(
+                &ctx,
+                &format!(
+                    "{} node(s) on this rank resolved against the probe oracle's \
+                     hanging classification, first {:?}",
+                    wrong.len(),
+                    wrong.first().map(|&k| mesh::extract::node_coords(k))
+                ),
+            );
+        }
 
         // Recursive forest ghosts vs the single-tree constructor: wrap
         // the same leaves as a one-tree forest and require (a) the

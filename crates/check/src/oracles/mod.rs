@@ -9,11 +9,77 @@
 
 use fem::op::DofMap;
 use forest::{Forest, ForestLeaf};
+use mesh::extract::{node_coords, LeafView, Mesh, NodeKey, NodeResolution};
 use octree::balance::BalanceKind;
 use octree::ops::find_containing;
-use octree::Octant;
+use octree::parallel::DistOctree;
+use octree::{Octant, MAX_LEVEL, ROOT_LEN};
 
 pub mod unpacked;
+
+/// Corner-incidence classification of lattice node `p`: resolve each of
+/// the up-to-8 finest-level cells touching `p` through the view and
+/// report
+///
+/// * `None` — some incident cell is missing from the view (the node is
+///   outside this rank's local + ghost coverage),
+/// * `Some(None)` — `p` is a vertex of every incident leaf, i.e. an
+///   independent node,
+/// * `Some(Some(i))` — `p` hangs on view leaf `i`: the coarsest incident
+///   leaf that does not have `p` as a vertex (the first in probe order on
+///   a level tie).
+///
+/// Independent of `mesh::extract`'s parent-midpoint rule: it reads the
+/// definition of a hanging node off all incident leaves and assumes no
+/// balance at all.
+pub fn hanging_master_probes(view: &LeafView, p: (u32, u32, u32)) -> Option<Option<usize>> {
+    let is_vertex = |o: &Octant| {
+        let l = o.len();
+        [(p.0, o.x()), (p.1, o.y()), (p.2, o.z())]
+            .iter()
+            .all(|&(v, lo)| v == lo || v == lo + l)
+    };
+    let mut coarsest: Option<usize> = None;
+    for i in 0..8u32 {
+        let (Some(x), Some(y), Some(z)) = (
+            p.0.checked_sub(i & 1),
+            p.1.checked_sub((i >> 1) & 1),
+            p.2.checked_sub((i >> 2) & 1),
+        ) else {
+            continue;
+        };
+        if x >= ROOT_LEN || y >= ROOT_LEN || z >= ROOT_LEN {
+            continue;
+        }
+        let idx = view.containing(&Octant::new(x, y, z, MAX_LEVEL))?;
+        let leaf = view.entry(idx).0;
+        if !is_vertex(&leaf) {
+            coarsest = match coarsest {
+                Some(cur) if view.entry(cur).0.level() <= leaf.level() => Some(cur),
+                _ => Some(idx),
+            };
+        }
+    }
+    Some(coarsest)
+}
+
+/// Keys of the local nodes of `mesh` whose resolution disagrees with
+/// [`hanging_master_probes`] over `tree`'s local + ghost leaves: a node
+/// must be `Constrained` iff the oracle says it hangs. A node outside
+/// the view's coverage counts as a disagreement. Collective (it builds
+/// the ghost layer).
+pub fn hanging_disagreements(tree: &DistOctree, mesh: &Mesh) -> Vec<NodeKey> {
+    let view = LeafView::new(tree, &tree.ghost_layer());
+    mesh.node_keys
+        .iter()
+        .zip(&mesh.node_table)
+        .filter(|&(&k, res)| {
+            let constrained = matches!(res, NodeResolution::Constrained(_));
+            hanging_master_probes(&view, node_coords(k)).map(|m| m.is_some()) != Some(constrained)
+        })
+        .map(|(&k, _)| k)
+        .collect()
+}
 
 /// Naive 2:1 balance: find the first leaf that is too coarse for some
 /// finer leaf's same-size neighbor position, split it, rescan from

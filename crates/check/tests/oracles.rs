@@ -1,15 +1,18 @@
 //! Every production path against its one oracle in [`check::oracles`]
 //! (the DESIGN.md §9 table): 2:1 balance vs the naive restart loop,
 //! packed octant arithmetic vs coordinate structs, recursive forest
-//! ghosts vs the flat scan, MINRES vs a dense LU solve, and the
+//! ghosts vs the flat scan, the parent-midpoint hanging-node rule vs
+//! the eight-probe incidence walk, MINRES vs a dense LU solve, and the
 //! split-phase `DistOp` vs the allocating-collective rebuild of the same
 //! product.
 
 use std::sync::Arc;
 
+use check::fuzz_amr::{mark_coarsen_refine, FuzzConfig};
 use check::oracles::unpacked::Unpacked;
 use check::oracles::{
     balance_local_naive_kind, dist_apply_reference, forest_flat_adjacent, forest_ghosts_flat,
+    hanging_disagreements,
 };
 use fem::element::stiffness_matrix;
 use fem::op::{DistOp, DofMap};
@@ -17,7 +20,7 @@ use forest::{Connectivity, Forest, ForestLeaf, GhostKind};
 use la::dense::Lu;
 use la::krylov::euclidean_dot;
 use la::{minres, Csr};
-use mesh::extract::extract_mesh;
+use mesh::extract::{extract_mesh, node_coords, NodeResolution};
 use octree::balance::{balance_local_kind, is_balanced_kind, BalanceKind};
 use octree::ops::{new_tree, refine};
 use octree::parallel::DistOctree;
@@ -181,6 +184,65 @@ fn recursive_ghosts_match_flat_scan() {
                 }
                 let v = check::forest_checks::ghost_symmetry(&f, &layer);
                 assert!(v.is_empty(), "ghost symmetry violations at P={p}: {v:?}");
+            });
+        }
+    }
+}
+
+// ------------------------------------------------ hanging classification
+
+/// Refined three levels deep around the sphere `|x − c| = 0.3`.
+fn sphere_tree(c: &scomm::Comm) -> DistOctree<'_> {
+    let mut t = DistOctree::new_uniform(c, 2);
+    for _ in 0..3 {
+        t.refine(|o| {
+            let q = o.center_unit();
+            let r = ((q[0] - 0.45).powi(2) + (q[1] - 0.55).powi(2) + (q[2] - 0.5).powi(2)).sqrt();
+            (r - 0.3).abs() < o.len_unit()
+        });
+    }
+    t
+}
+
+/// Three cycles of `fuzz_amr`'s seeded marks.
+fn fuzz_marked_tree(c: &scomm::Comm) -> DistOctree<'_> {
+    let cfg = FuzzConfig {
+        seed: 4,
+        ..Default::default()
+    };
+    let mut t = DistOctree::new_uniform(c, cfg.level);
+    for cycle in 0..3 {
+        mark_coarsen_refine(&mut t, &cfg, cycle);
+        t.balance(BalanceKind::Full);
+    }
+    t
+}
+
+#[test]
+fn hanging_nodes_match_probe_oracle() {
+    // The parent-midpoint rule against the eight-probe incidence oracle:
+    // every local node is `Constrained` iff the oracle says it hangs.
+    for build in [sphere_tree, fuzz_marked_tree] {
+        for p in [1usize, 2, 4, 8] {
+            spmd::run(p, |c| {
+                let mut t = build(c);
+                t.balance(BalanceKind::Full);
+                t.partition();
+                let m = extract_mesh(&t, [1.0, 1.0, 1.0]);
+                let wrong = hanging_disagreements(&t, &m);
+                assert!(
+                    wrong.is_empty(),
+                    "P={p}, rank {}: {} node(s) disagree, first at {:?}",
+                    c.rank(),
+                    wrong.len(),
+                    node_coords(wrong[0])
+                );
+                let hanging = m
+                    .node_table
+                    .iter()
+                    .filter(|r| matches!(r, NodeResolution::Constrained(_)))
+                    .count();
+                assert!(c.allreduce_sum(&[hanging as u64])[0] > 0, "P={p}");
             });
         }
     }

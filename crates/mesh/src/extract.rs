@@ -5,11 +5,18 @@
 //! iff it is a vertex of **every** leaf whose closed region touches it;
 //! otherwise it is *hanging* (it sits on a face or edge of some coarser
 //! neighbor) and its value is algebraically constrained to the coarse
-//! element's corner dofs. Constraint chains (a master that is itself
-//! hanging) are resolved recursively; chains crossing rank boundaries are
-//! resolved with a bounded number of query/answer rounds.
+//! element's corner dofs.
+//!
+//! The extraction works on sorted arrays. The node table is the sorted,
+//! deduplicated list of local element corners. Each node is classified
+//! once, from one incident local element, by the 2:1 parent-midpoint
+//! rule (`corner_master`), which needs full (corner) 2:1 balance.
+//! Constraint chains (a master corner that itself hangs) are expanded in
+//! ascending master level, a topological order, into flat arenas; chains
+//! crossing rank boundaries are resolved with a bounded number of
+//! query/answer rounds.
 
-use std::collections::HashMap;
+use std::ops::Range;
 
 use octree::morton::{morton_decode, morton_key};
 use octree::parallel::DistOctree;
@@ -250,7 +257,8 @@ pub struct Mesh {
     pub elem_nodes: Vec<[CornerRef; 8]>,
     /// Distinct local nodes: resolution into local dofs.
     pub node_table: Vec<NodeResolution>,
-    /// Lattice key of each entry of `node_table`.
+    /// Lattice key of each entry of `node_table`, strictly ascending: the
+    /// sorted, deduplicated corner keys of `elements`.
     pub node_keys: Vec<NodeKey>,
     /// Number of owned dofs (local dof indices `0..n_owned`).
     pub n_owned: usize,
@@ -361,14 +369,6 @@ fn leaf_corner_keys(o: &Octant) -> [NodeKey; 8] {
     })
 }
 
-/// Is node `p` a vertex of leaf `o`?
-fn is_vertex_of(p: (u32, u32, u32), o: &Octant) -> bool {
-    let l = o.len();
-    (p.0 == o.x() || p.0 == o.x() + l)
-        && (p.1 == o.y() || p.1 == o.y() + l)
-        && (p.2 == o.z() || p.2 == o.z() + l)
-}
-
 /// The up-to-8 finest-level cells incident to node `p`, as octants, in
 /// z-order of the offset `p − anchor` (so the cell anchored at `p` comes
 /// first and the Morton-smallest cell last).
@@ -382,10 +382,8 @@ pub(crate) fn incident_probes(p: (u32, u32, u32)) -> impl Iterator<Item = Octant
 }
 
 /// Sorted local+ghost leaf view with owner provenance — the mesh
-/// extraction analogue of the forest traversal's merged view. Exposes
-/// containment and corner-incidence queries so the hanging-node
-/// classification consumes a named incidence API instead of open-coded
-/// probe loops.
+/// extraction analogue of the forest traversal's merged view. This
+/// rank's leaves are one contiguous run of it.
 pub struct LeafView {
     entries: Vec<(Octant, usize)>,
 }
@@ -401,14 +399,6 @@ impl LeafView {
         LeafView { entries }
     }
 
-    pub fn len(&self) -> usize {
-        self.entries.len()
-    }
-
-    pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
-    }
-
     /// The view leaf at index `i` and its owner rank.
     pub fn entry(&self, i: usize) -> (Octant, usize) {
         self.entries[i]
@@ -417,52 +407,96 @@ impl LeafView {
     /// Index of the view leaf containing `probe` (equal or ancestor),
     /// or `None` if that region is not covered by local + ghost leaves.
     pub fn containing(&self, probe: &Octant) -> Option<usize> {
-        let idx = self.entries.partition_point(|e| e.0 <= *probe);
-        if idx == 0 {
-            return None;
-        }
-        let cand = idx - 1;
-        if self.entries[cand].0.contains(probe) {
-            Some(cand)
-        } else {
-            None
-        }
-    }
-
-    /// Corner-incidence classification of lattice node `p`: resolve
-    /// every incident finest-level probe through the view and report
-    ///
-    /// * `None` — some incident cell is missing from the view (the node
-    ///   is outside this rank's local + ghost coverage),
-    /// * `Some(None)` — `p` is a vertex of every incident leaf, i.e. an
-    ///   independent (potential dof) node,
-    /// * `Some(Some(i))` — `p` hangs on view leaf `i`: the coarsest
-    ///   incident leaf that does not have `p` as a vertex (first such
-    ///   leaf in probe order on level ties, which is well defined since
-    ///   equal-level candidates are the same leaf).
-    pub fn hanging_master(&self, p: (u32, u32, u32)) -> Option<Option<usize>> {
-        let mut coarsest: Option<usize> = None;
-        for probe in incident_probes(p) {
-            let idx = self.containing(&probe)?;
-            let leaf = &self.entries[idx].0;
-            if !is_vertex_of(p, leaf) {
-                coarsest = match coarsest {
-                    Some(cur) if self.entries[cur].0.level() <= leaf.level() => Some(cur),
-                    _ => Some(idx),
-                };
-            }
-        }
-        Some(coarsest)
+        let idx = self
+            .entries
+            .partition_point(|e| e.0 <= *probe)
+            .checked_sub(1)?;
+        self.entries[idx].0.contains(probe).then_some(idx)
     }
 }
 
+/// The leaf that corner `c` of local leaf `o` hangs on, by the 2:1
+/// parent-midpoint rule, as a view index; `None` if the corner is
+/// independent.
+///
+/// Let `o` be child `k` of its parent and `m = c ^ k`. For `m` ∈ {0, 7}
+/// the corner is a corner or the centre of the parent: independent.
+/// Otherwise it is the midpoint of a parent face (two bits of `m` set)
+/// or edge (one bit), and it hangs iff one of the 1 or 3 parent
+/// neighbours across that face or edge is a leaf one level coarser than
+/// `o`. Each neighbour is read through one finest-level probe that
+/// touches the corner and lies inside it; neighbours outside the root
+/// are skipped. On a tie the leaf owned by `me` wins, which keeps the
+/// constraint chain local. Needs full (corner) 2:1 balance: a probed
+/// leaf two levels coarser than `o` panics with the node and both levels.
+fn corner_master(view: &LeafView, o: &Octant, c: usize, me: usize) -> Option<usize> {
+    let l = o.level();
+    if l == 0 {
+        return None;
+    }
+    let m = c ^ o.child_id() as usize;
+    if m == 0 || m == 7 {
+        return None;
+    }
+    let len = o.len();
+    let anchor = [o.x(), o.y(), o.z()];
+    let p: [u32; 3] = std::array::from_fn(|d| anchor[d] + ((c >> d) & 1) as u32 * len);
+    // Axes on which `p` lies on the parent's boundary; the parent
+    // neighbours through `p` are displaced along each nonempty subset.
+    let boundary = !m & 7;
+    let mut master: Option<usize> = None;
+    let mut sub = boundary;
+    while sub != 0 {
+        // On a boundary axis the probe steps below `p` when exactly one of
+        // "the neighbour is displaced on this axis" and "`p` is on the
+        // parent's upper side" holds; on a midpoint axis it stays at `p`.
+        let below = (sub ^ c) & boundary;
+        let cell = std::array::from_fn::<_, 3, _>(|d| {
+            p[d].checked_sub(((below >> d) & 1) as u32)
+                .filter(|&x| x < ROOT_LEN)
+        });
+        sub = (sub - 1) & boundary;
+        let [Some(x), Some(y), Some(z)] = cell else {
+            continue;
+        };
+        let i = view
+            .containing(&Octant::new(x, y, z, MAX_LEVEL))
+            .unwrap_or_else(|| panic!("incident cell of node {p:?} missing from local+ghost view"));
+        let (leaf, owner) = view.entry(i);
+        assert!(
+            leaf.level() + 1 >= l,
+            "ExtractMesh needs full 2:1 balance: node {p:?} of a level-{l} element \
+             touches a level-{} leaf",
+            leaf.level()
+        );
+        if leaf.level() + 1 == l && master.is_none_or(|j| view.entry(j).1 != me && owner == me) {
+            master = Some(i);
+        }
+    }
+    master
+}
+
+/// Trilinear weights of master leaf `c`'s corners at lattice point `p`,
+/// zeros dropped, in corner order. Each reference coordinate is 0, ½ or
+/// 1 by the 2:1 balance, so every weight is exact.
+fn master_weights(c: &Octant, p: (u32, u32, u32)) -> impl Iterator<Item = (usize, f64)> {
+    let l = c.len() as f64;
+    let r = [(p.0, c.x()), (p.1, c.y()), (p.2, c.z())].map(|(v, lo)| (v - lo) as f64 / l);
+    (0..8).filter_map(move |ci| {
+        let w: f64 = (0..3)
+            .map(|d| if (ci >> d) & 1 == 1 { r[d] } else { 1.0 - r[d] })
+            .product();
+        (w > 0.0).then_some((ci, w))
+    })
+}
+
 /// Owner rank of node `p`: the owner of the Morton-smallest incident
-/// cell — computable on every rank from the partition markers alone.
+/// cell, the one a lattice step below `p` on every axis where that stays
+/// inside the root — computable on every rank from the partition
+/// markers alone.
 fn node_owner(tree: &DistOctree, p: (u32, u32, u32)) -> usize {
-    let smallest = incident_probes(p)
-        .min()
-        .expect("node has at least one incident cell");
-    tree.owner_of(&smallest)
+    let [x, y, z] = [p.0, p.1, p.2].map(|v| v.saturating_sub(1));
+    tree.owner_of(&Octant::new(x, y, z, MAX_LEVEL))
 }
 
 /// Wire term of a remote constraint answer.
@@ -479,6 +513,9 @@ struct WireTerm {
 }
 unsafe impl scomm::Pod for WireTerm {}
 
+/// Marks an independent node in the per-node master table.
+const INDEPENDENT: u32 = u32::MAX;
+
 /// Build the distributed mesh from a balanced octree (collective).
 pub fn extract_mesh(tree: &DistOctree, domain: [f64; 3]) -> Mesh {
     let ghosts = tree.ghost_layer();
@@ -488,7 +525,8 @@ pub fn extract_mesh(tree: &DistOctree, domain: [f64; 3]) -> Mesh {
 /// [`extract_mesh`] with a caller-supplied ghost layer (as produced by
 /// `DistOctree::ghost_layer` or its grow-only `ghost_layer_into`
 /// variant), so AMR loops that already maintain a ghost workspace do
-/// not rebuild — or reallocate — the layer here (collective).
+/// not rebuild — or reallocate — the layer here (collective). The tree
+/// must be balanced with `BalanceKind::Full`.
 pub fn extract_mesh_with_ghosts(
     tree: &DistOctree,
     domain: [f64; 3],
@@ -497,178 +535,102 @@ pub fn extract_mesh_with_ghosts(
     let comm = tree.comm();
     let me = comm.rank();
     let p = comm.size();
-
-    // ---- Gather the local + ghost leaf view ------------------------
+    let local = &tree.local;
     let view = LeafView::new(tree, ghosts);
+    // View index of local element 0: a local view index minus this is the
+    // element index.
+    let first_local = local
+        .first()
+        .map_or(0, |o| view.entries.partition_point(|e| e.0 < *o));
 
-    // ---- Collect local nodes (corners of local elements) ------------
-    let mut node_ids: HashMap<NodeKey, u32> = HashMap::new();
+    // ---- Node table: sorted, deduplicated corner keys ----------------
+    let mut corners: Vec<(NodeKey, u32)> = Vec::with_capacity(8 * local.len());
+    for (e, o) in local.iter().enumerate() {
+        for (c, k) in leaf_corner_keys(o).into_iter().enumerate() {
+            corners.push((k, (8 * e + c) as u32));
+        }
+    }
+    corners.sort_unstable();
     let mut node_keys: Vec<NodeKey> = Vec::new();
-    let mut elem_nodes: Vec<[CornerRef; 8]> = Vec::with_capacity(tree.local.len());
-    for o in &tree.local {
-        let corners = leaf_corner_keys(o);
-        let refs = corners.map(|k| {
-            *node_ids.entry(k).or_insert_with(|| {
-                node_keys.push(k);
-                (node_keys.len() - 1) as u32
-            })
-        });
-        elem_nodes.push(refs);
+    // Each node's first local corner, packed as 8·e + c.
+    let mut first_corner: Vec<u32> = Vec::new();
+    let mut elem_nodes = vec![[0 as CornerRef; 8]; local.len()];
+    for &(k, ec) in &corners {
+        if node_keys.last() != Some(&k) {
+            node_keys.push(k);
+            first_corner.push(ec);
+        }
+        elem_nodes[ec as usize / 8][ec as usize % 8] = (node_keys.len() - 1) as CornerRef;
     }
+    drop(corners);
+    let n_nodes = node_keys.len();
 
-    // ---- Local hanging classification and recursive resolution ------
-    // For each node seen locally: independent, or expand through the
-    // coarsest non-vertex touching leaf. Foreign masters (corners of
-    // ghost elements) are resolved in rounds below.
+    // ---- Classification: each node once, from its first corner -------
+    let master: Vec<u32> = first_corner
+        .iter()
+        .map(|&ec| {
+            let (e, c) = (ec as usize / 8, ec as usize % 8);
+            corner_master(&view, &local[e], c, me).map_or(INDEPENDENT, |i| i as u32)
+        })
+        .collect();
 
-    // Pending foreign queries: (owner rank, node key) with multiplied
-    // weights folded in by the requesting node's partial expansion.
-    // We first build "one-step" expansions; chains are then closed
-    // transitively.
-    #[derive(Clone, Debug)]
-    enum OneStep {
-        Independent,
-        Hanging(Vec<(NodeKey, f64, Option<usize>)>), // (master, w, foreign owner)
+    // ---- Expansion in ascending master level -------------------------
+    // An independent node expands to itself. A hanging node expands
+    // through its master's corners: a foreign master's corners are left
+    // to its owner; a local master's corners are local nodes that hang,
+    // if at all, on a strictly coarser leaf — so in ascending master
+    // level their expansions are complete when read. Each node's terms
+    // are one span of `indep` (over independent keys) and one of
+    // `foreign` (owner, key, weight).
+    let mut indep: Vec<(NodeKey, f64)> = Vec::with_capacity(n_nodes);
+    let mut foreign: Vec<(usize, NodeKey, f64)> = Vec::new();
+    let mut spans: Vec<(Range<usize>, Range<usize>)> = vec![(0..0, 0..0); n_nodes];
+    let mut hanging: Vec<(u8, usize)> = Vec::new();
+    for (n, &mi) in master.iter().enumerate() {
+        if mi == INDEPENDENT {
+            spans[n].0 = indep.len()..indep.len() + 1;
+            indep.push((node_keys[n], 1.0));
+        } else {
+            hanging.push((view.entry(mi as usize).0.level(), n));
+        }
     }
-    let mut one_step: HashMap<NodeKey, OneStep> = HashMap::new();
-
-    // Classify a node through the view's corner-incidence query.
-    // Returns None if some incident cell is not covered by the view
-    // (cannot happen for corners of local elements; used as a sanity
-    // check).
-    let classify = |key: NodeKey| -> Option<OneStep> {
-        let pc = node_coords(key);
-        match view.hanging_master(pc)? {
-            None => Some(OneStep::Independent),
-            Some(ci) => {
-                let (c, owner) = view.entry(ci);
-                // Reference position of the node inside c: each component
-                // is 0, 1/2 or 1 by the 2:1 balance.
-                let l = c.len() as f64;
-                let r = [
-                    (pc.0 - c.x()) as f64 / l,
-                    (pc.1 - c.y()) as f64 / l,
-                    (pc.2 - c.z()) as f64 / l,
-                ];
-                let ckeys = leaf_corner_keys(&c);
-                let mut terms = Vec::new();
-                for (ci2, &ck) in ckeys.iter().enumerate() {
-                    let wx = if ci2 & 1 == 1 { r[0] } else { 1.0 - r[0] };
-                    let wy = if (ci2 >> 1) & 1 == 1 {
-                        r[1]
-                    } else {
-                        1.0 - r[1]
-                    };
-                    let wz = if (ci2 >> 2) & 1 == 1 {
-                        r[2]
-                    } else {
-                        1.0 - r[2]
-                    };
-                    let w = wx * wy * wz;
-                    if w > 0.0 {
-                        let foreign = if owner == me { None } else { Some(owner) };
-                        terms.push((ck, w, foreign));
-                    }
-                }
-                Some(OneStep::Hanging(terms))
+    hanging.sort_unstable();
+    for &(_, n) in &hanging {
+        let mi = master[n] as usize;
+        let (mo, owner) = view.entry(mi);
+        let (i0, f0) = (indep.len(), foreign.len());
+        let mkeys = leaf_corner_keys(&mo);
+        for (ci, w) in master_weights(&mo, node_coords(node_keys[n])) {
+            if owner != me {
+                foreign.push((owner, mkeys[ci], w));
+                continue;
+            }
+            let (si, sf) = spans[elem_nodes[mi - first_local][ci] as usize].clone();
+            for j in si {
+                indep.push((indep[j].0, w * indep[j].1));
+            }
+            for j in sf {
+                let (o2, k2, w2) = foreign[j];
+                foreign.push((o2, k2, w * w2));
             }
         }
-    };
-
-    // Seed classification with every node referenced by local elements.
-    // Drain the seeds lazily rather than copying `node_keys` wholesale;
-    // only chained masters enter the explicit worklist.
-    let mut seeds = node_keys.iter().copied();
-    let mut work: Vec<NodeKey> = Vec::new();
-    while let Some(key) = work.pop().or_else(|| seeds.next()) {
-        if one_step.contains_key(&key) {
-            continue;
-        }
-        let step = classify(key).unwrap_or_else(|| {
-            panic!(
-                "incident cell of node {:?} missing from local+ghost view",
-                node_coords(key)
-            )
-        });
-        if let OneStep::Hanging(terms) = &step {
-            for &(mk, _, foreign) in terms {
-                // Local masters can be classified here too (their
-                // incident cells neighbor a local or ghost element we
-                // contain — if not, they are foreign and resolved
-                // remotely).
-                if foreign.is_none() && !one_step.contains_key(&mk) {
-                    work.push(mk);
-                }
-            }
-        }
-        one_step.insert(key, step);
-    }
-
-    // Close local chains and collect foreign queries. `expand` memoizes
-    // each key's expansion (terms over independent keys + foreign
-    // remainders `(owner, key, weight)`) and returns a borrow of the memo
-    // entry — callers iterate it in place instead of cloning the term
-    // vectors on every lookup.
-    fn expand<'m>(
-        key: NodeKey,
-        one_step: &HashMap<NodeKey, OneStep>,
-        memo: &'m mut HashMap<NodeKey, (Vec<(NodeKey, f64)>, Vec<(usize, NodeKey, f64)>)>,
-        depth: usize,
-    ) -> &'m (Vec<(NodeKey, f64)>, Vec<(usize, NodeKey, f64)>) {
-        if !memo.contains_key(&key) {
-            assert!(depth < 64, "hanging-node constraint chain too deep");
-            let result = match one_step.get(&key) {
-                Some(OneStep::Independent) => (vec![(key, 1.0)], Vec::new()),
-                Some(OneStep::Hanging(terms)) => {
-                    let mut indep: Vec<(NodeKey, f64)> = Vec::new();
-                    let mut foreign: Vec<(usize, NodeKey, f64)> = Vec::new();
-                    for &(mk, w, f) in terms {
-                        match f {
-                            Some(owner) => foreign.push((owner, mk, w)),
-                            None => {
-                                let (sub_i, sub_f) = expand(mk, one_step, memo, depth + 1);
-                                for &(k2, w2) in sub_i {
-                                    indep.push((k2, w * w2));
-                                }
-                                for &(o2, k2, w2) in sub_f {
-                                    foreign.push((o2, k2, w * w2));
-                                }
-                            }
-                        }
-                    }
-                    (indep, foreign)
-                }
-                None => unreachable!("every reachable key was classified"),
-            };
-            memo.insert(key, result);
-        }
-        memo.get(&key).expect("just inserted")
-    }
-
-    let mut memo: HashMap<NodeKey, (Vec<(NodeKey, f64)>, Vec<(usize, NodeKey, f64)>)> =
-        HashMap::new();
-    // Final expansions per local node (keys referenced by local elements).
-    let mut final_terms: HashMap<NodeKey, Vec<(NodeKey, f64)>> = HashMap::new();
-    // Outstanding foreign parts: (local node key, owner, remote key, w).
-    let mut pending: Vec<(NodeKey, usize, NodeKey, f64)> = Vec::new();
-    for &key in &node_keys {
-        let (indep, foreign) = expand(key, &one_step, &mut memo, 0);
-        for &(o, k, w) in foreign {
-            pending.push((key, o, k, w));
-        }
-        final_terms.insert(key, indep.clone());
+        spans[n] = (i0..indep.len(), f0..foreign.len());
     }
 
     // ---- Rounds: resolve foreign constraint chains -------------------
+    // Outstanding foreign parts: (local node, owner, remote key, weight).
+    let mut pending: Vec<(usize, usize, NodeKey, f64)> = Vec::new();
+    for (n, (_, sf)) in spans.iter().enumerate() {
+        pending.extend(foreign[sf.clone()].iter().map(|&(o, k, w)| (n, o, k, w)));
+    }
+    // Resolved remote terms: (local node, independent key, weight).
+    let mut remote: Vec<(usize, NodeKey, f64)> = Vec::new();
     loop {
         let n_pending = comm.allreduce_sum(&[pending.len() as u64])[0];
         if n_pending == 0 {
             break;
         }
-        // One query per distinct (owner, key): several pending entries may
-        // need the same remote node, and it may even be reachable through
-        // ghost elements of different owners — answer sets are keyed by
-        // (owner, key) below so each entry consumes exactly one answer.
+        // One query per distinct (owner, key), in key order.
         let mut queries: Vec<Vec<u64>> = vec![Vec::new(); p];
         for &(_, owner, k, _) in &pending {
             queries[owner].push(k);
@@ -678,196 +640,166 @@ pub fn extract_mesh_with_ghosts(
             q.dedup();
         }
         let incoming = comm.alltoallv(&queries);
-        // Answer: expand each queried key with MY one-step data.
+        // Answer each queried key with this rank's expansion of it.
         let mut answers: Vec<Vec<WireTerm>> = vec![Vec::new(); p];
         for (src, qs) in incoming.iter().enumerate() {
-            for &qk in qs {
-                let (indep, foreign) = expand(qk, &one_step, &mut memo, 0);
-                for &(k2, w2) in indep {
-                    answers[src].push(WireTerm {
-                        query: qk,
-                        node: k2,
-                        weight: w2,
-                        next_owner: u64::MAX,
-                    });
-                }
-                for &(o2, k2, w2) in foreign {
-                    answers[src].push(WireTerm {
-                        query: qk,
-                        node: k2,
-                        weight: w2,
-                        next_owner: o2 as u64,
-                    });
-                }
+            for &query in qs {
+                let n = node_keys.binary_search(&query).unwrap_or_else(|_| {
+                    panic!("rank {me} asked to resolve unknown node {query:#x}")
+                });
+                let (si, sf) = spans[n].clone();
+                let term = |node, weight, next_owner| WireTerm {
+                    query,
+                    node,
+                    weight,
+                    next_owner,
+                };
+                answers[src].extend(indep[si].iter().map(|&(k, w)| term(k, w, u64::MAX)));
+                answers[src].extend(foreign[sf].iter().map(|&(o, k, w)| term(k, w, o as u64)));
             }
         }
+        // Replies arrive sorted by query key, as the queries went out.
         let replies = comm.alltoallv(&answers);
-        // Substitute into pending: answers keyed by (answering rank, key).
-        let mut reply_map: HashMap<(usize, u64), Vec<&WireTerm>> = HashMap::new();
-        for (src, part) in replies.iter().enumerate() {
-            for t in part {
-                reply_map.entry((src, t.query)).or_default().push(t);
-            }
-        }
         let mut next_pending = Vec::new();
-        for (local_key, owner, k, w) in pending {
-            let terms = reply_map.get(&(owner, k)).expect("query must be answered");
-            for t in terms {
+        for (n, owner, k, w) in pending {
+            let part = &replies[owner];
+            let lo = part.partition_point(|t| t.query < k);
+            let hi = lo + part[lo..].partition_point(|t| t.query == k);
+            assert!(
+                hi > lo,
+                "query for node {k:#x} to rank {owner} must be answered"
+            );
+            for t in &part[lo..hi] {
                 if t.next_owner == u64::MAX {
-                    final_terms
-                        .get_mut(&local_key)
-                        .unwrap()
-                        .push((t.node, w * t.weight));
+                    remote.push((n, t.node, w * t.weight));
                 } else {
-                    next_pending.push((local_key, t.next_owner as usize, t.node, w * t.weight));
+                    next_pending.push((n, t.next_owner as usize, t.node, w * t.weight));
                 }
             }
         }
         pending = next_pending;
     }
-
-    // Merge duplicate keys in each final expansion.
-    for terms in final_terms.values_mut() {
-        terms.sort_by_key(|t| t.0);
-        let mut merged: Vec<(NodeKey, f64)> = Vec::with_capacity(terms.len());
-        for &(k, w) in terms.iter() {
-            match merged.last_mut() {
-                Some(last) if last.0 == k => last.1 += w,
-                _ => merged.push((k, w)),
-            }
-        }
-        *terms = merged;
-    }
+    remote.sort_by_key(|t| t.0);
 
     // ---- Own + number the independent dofs --------------------------
-    // Owned = independent keys appearing in any final expansion whose
-    // node-owner is me AND that I see as a local-element corner... by the
-    // ownership rule the owner always sees its node as a local corner, so
-    // collecting from node_keys suffices.
-    let mut owned_keys: Vec<NodeKey> = node_keys
-        .iter()
-        .copied()
-        .filter(|&k| matches!(one_step.get(&k), Some(OneStep::Independent)))
-        .filter(|&k| node_owner(tree, node_coords(k)) == me)
-        .collect();
-    owned_keys.sort_unstable();
-    owned_keys.dedup();
+    // The owner of a node sees it as a local-element corner, so the
+    // owned keys are the independent, owned entries of the sorted table.
+    let mut owned_keys: Vec<NodeKey> = Vec::new();
+    let mut foreign_keys: Vec<NodeKey> = Vec::new();
+    for (n, &k) in node_keys.iter().enumerate() {
+        if master[n] == INDEPENDENT {
+            if node_owner(tree, node_coords(k)) == me {
+                owned_keys.push(k);
+            } else {
+                foreign_keys.push(k);
+            }
+        }
+    }
     let n_owned = owned_keys.len();
     let global_offset = comm.exscan_sum(n_owned as u64);
     let n_global = comm.allreduce_sum(&[n_owned as u64])[0];
-    let owned_index: HashMap<NodeKey, usize> = owned_keys
-        .iter()
-        .enumerate()
-        .map(|(i, &k)| (k, i))
-        .collect();
 
     // ---- Foreign gid lookup + exchange pattern -----------------------
-    // Foreign independent keys referenced by my expansions.
-    let mut foreign_keys: Vec<NodeKey> = final_terms
-        .values()
-        .flatten()
-        .map(|&(k, _)| k)
-        .filter(|k| !owned_index.contains_key(k))
-        .collect();
+    // Foreign independent keys: the non-owned ones above plus every
+    // non-owned key a constraint row names.
+    let row_keys = hanging
+        .iter()
+        .flat_map(|&(_, n)| &indep[spans[n].0.clone()]);
+    foreign_keys.extend(
+        row_keys
+            .map(|t| t.0)
+            .chain(remote.iter().map(|t| t.1))
+            .filter(|k| owned_keys.binary_search(k).is_err()),
+    );
     foreign_keys.sort_unstable();
     foreign_keys.dedup();
+    let foreign_owner: Vec<usize> = foreign_keys
+        .iter()
+        .map(|&k| node_owner(tree, node_coords(k)))
+        .collect();
     let mut gid_queries: Vec<Vec<u64>> = vec![Vec::new(); p];
-    for &k in &foreign_keys {
-        let owner = node_owner(tree, node_coords(k));
+    for (&k, &owner) in foreign_keys.iter().zip(&foreign_owner) {
         debug_assert_ne!(owner, me, "owned key classified as foreign");
         gid_queries[owner].push(k);
     }
     let gid_incoming = comm.alltoallv(&gid_queries);
-    // Answer with gids; also record requests for the exchange pattern.
+    // Answer with gids. Queries arrive sorted and unique, so the owned
+    // indices they name are the gid-sorted send list of that rank.
     let mut gid_answers: Vec<Vec<u64>> = vec![Vec::new(); p];
-    let mut send_requests: Vec<Vec<NodeKey>> = vec![Vec::new(); p];
+    let mut send_idx: Vec<Vec<usize>> = vec![Vec::new(); p];
     for (src, qs) in gid_incoming.iter().enumerate() {
         for &k in qs {
-            let li = *owned_index
-                .get(&k)
-                .unwrap_or_else(|| panic!("rank {me} asked for non-owned node {k}"));
+            let li = owned_keys
+                .binary_search(&k)
+                .unwrap_or_else(|_| panic!("rank {me} asked for non-owned node {k}"));
             gid_answers[src].push(global_offset + li as u64);
-            send_requests[src].push(k);
+            send_idx[src].push(li);
         }
     }
     let gid_replies = comm.alltoallv(&gid_answers);
-    let mut key_to_gid: HashMap<NodeKey, u64> = HashMap::new();
-    for (r, qs) in gid_queries.iter().enumerate() {
-        for (i, &k) in qs.iter().enumerate() {
-            key_to_gid.insert(k, gid_replies[r][i]);
-        }
-    }
 
-    // Ghost block: foreign keys sorted by gid (groups by owner since gid
-    // ranges are contiguous per rank).
-    let mut ghost_pairs: Vec<(u64, NodeKey)> =
-        foreign_keys.iter().map(|&k| (key_to_gid[&k], k)).collect();
-    ghost_pairs.sort_unstable();
-    let ghost_gids: Vec<u64> = ghost_pairs.iter().map(|&(g, _)| g).collect();
-    let ghost_index: HashMap<NodeKey, usize> = ghost_pairs
+    // Ghost block: the queries concatenated in owner order. Gid ranges
+    // are contiguous per rank and follow key order within one, so this
+    // is gid order. One cursor per owner hands each foreign key its slot.
+    let ghost_gids: Vec<u64> = gid_replies.concat();
+    debug_assert!(ghost_gids.windows(2).all(|w| w[0] < w[1]));
+    let n_ghost = ghost_gids.len();
+    let mut cursor = vec![n_owned; p];
+    for r in 1..p {
+        cursor[r] = cursor[r - 1] + gid_queries[r - 1].len();
+    }
+    let ghost_slot: Vec<usize> = foreign_owner
         .iter()
-        .enumerate()
-        .map(|(i, &(_, k))| (k, n_owned + i))
+        .map(|&owner| {
+            cursor[owner] += 1;
+            cursor[owner] - 1
+        })
         .collect();
-    let n_ghost = ghost_pairs.len();
 
-    // Exchange pattern: for each rank, owned indices it requested,
-    // ordered by gid (matching the requester's ghost-block order).
-    let mut send_idx: Vec<Vec<usize>> = vec![Vec::new(); p];
-    for (r, reqs) in send_requests.iter().enumerate() {
-        let mut pairs: Vec<(u64, usize)> = reqs
-            .iter()
-            .map(|k| {
-                let li = owned_index[k];
-                (global_offset + li as u64, li)
-            })
-            .collect();
-        pairs.sort_unstable();
-        pairs.dedup();
-        send_idx[r] = pairs.into_iter().map(|(_, li)| li).collect();
-    }
-    let mut recv_counts = vec![0usize; p];
-    for &(g, _) in &ghost_pairs {
-        // Owner of gid g: the rank whose [offset, offset+n) contains it.
-        // Recover via search over gathered offsets.
-        let _ = g;
-    }
     // recv counts per owner rank: gather rank offsets to map gid→rank.
     let offsets = comm.allgatherv(&[global_offset]);
-    for &(g, _) in &ghost_pairs {
-        let r = offsets.partition_point(|&o| o <= g) - 1;
-        recv_counts[r] += 1;
+    let mut recv_counts = vec![0usize; p];
+    for &g in &ghost_gids {
+        recv_counts[offsets.partition_point(|&o| o <= g) - 1] += 1;
     }
-    // De-duplicated send counts must match requester's recv counts: the
-    // requester deduplicated before querying, and we deduplicated pairs
-    // above, so both sides agree.
 
     // ---- Build the node table over local dof indices ----------------
+    // A constraint row is the node's local terms then its remote ones,
+    // stably sorted by key with duplicate keys summed.
     let lookup_dof = |k: NodeKey| -> usize {
-        owned_index
-            .get(&k)
-            .copied()
-            .or_else(|| ghost_index.get(&k).copied())
-            .unwrap_or_else(|| panic!("unresolved node key {k}"))
+        owned_keys.binary_search(&k).unwrap_or_else(|_| {
+            let fi = foreign_keys
+                .binary_search(&k)
+                .unwrap_or_else(|_| panic!("unresolved node key {k}"));
+            ghost_slot[fi]
+        })
     };
-    let node_table: Vec<NodeResolution> = node_keys
-        .iter()
-        .map(|&k| {
-            let terms = &final_terms[&k];
-            if terms.len() == 1 && terms[0].0 == k && (terms[0].1 - 1.0).abs() < 1e-14 {
-                NodeResolution::Dof(lookup_dof(k))
-            } else {
-                NodeResolution::Constrained(
-                    terms.iter().map(|&(mk, w)| (lookup_dof(mk), w)).collect(),
-                )
+    let mut row: Vec<(NodeKey, f64)> = Vec::new();
+    let node_table: Vec<NodeResolution> = (0..n_nodes)
+        .map(|n| {
+            if master[n] == INDEPENDENT {
+                return NodeResolution::Dof(lookup_dof(node_keys[n]));
             }
+            let lo = remote.partition_point(|t| t.0 < n);
+            let hi = remote.partition_point(|t| t.0 <= n);
+            row.clear();
+            row.extend_from_slice(&indep[spans[n].0.clone()]);
+            row.extend(remote[lo..hi].iter().map(|&(_, k, w)| (k, w)));
+            row.sort_by_key(|t| t.0);
+            row.dedup_by(|t, kept| {
+                t.0 == kept.0 && {
+                    kept.1 += t.1;
+                    true
+                }
+            });
+            NodeResolution::Constrained(row.iter().map(|&(k, w)| (lookup_dof(k), w)).collect())
         })
         .collect();
 
     // dof keys: owned then ghost (`owned_keys` is not needed again, so
     // move it instead of copying).
     let mut dof_keys = owned_keys;
-    dof_keys.extend(ghost_pairs.iter().map(|&(_, k)| k));
+    dof_keys.extend(gid_queries.iter().flatten());
 
     // Hanging-node rows are convex combinations: weights in (0,1]
     // summing to 1. O(local); the cross-rank consistency checks live in
@@ -1159,6 +1091,48 @@ mod tests {
             let center = (0..m.n_owned).find(|&d| !m.dof_on_boundary(d)).unwrap();
             assert_eq!(m.dof_boundary_faces(center), 0);
             assert_eq!(m.dof_coords(center), [0.5, 0.5, 0.5]);
+        });
+    }
+
+    #[test]
+    fn node_keys_are_sorted_and_indexed_by_corner() {
+        for nranks in [1, 2, 3, 4] {
+            spmd::run(nranks, |c| {
+                let mut t = DistOctree::new_uniform(c, 2);
+                t.refine(|o| {
+                    let ctr = o.center_unit();
+                    (ctr[0] - 0.4).powi(2) + (ctr[1] - 0.6).powi(2) + ctr[2].powi(2) < 0.2
+                });
+                t.refine(|o| o.level() == 3 && o.center_unit()[1] > 0.5);
+                t.balance(BalanceKind::Full);
+                t.partition();
+                let m = extract_mesh(&t, [1.0, 1.0, 1.0]);
+                assert!(m.node_keys.windows(2).all(|w| w[0] < w[1]));
+                assert_eq!(m.node_keys.len(), m.node_table.len());
+                for (e, o) in m.elements.iter().enumerate() {
+                    let keys = leaf_corner_keys(o);
+                    for (i, &nref) in m.elem_nodes[e].iter().enumerate() {
+                        assert_eq!(m.node_keys[nref as usize], keys[i], "elem {e} corner {i}");
+                    }
+                }
+            });
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "needs full 2:1 balance")]
+    fn face_balanced_tree_with_a_coarse_edge_neighbour_panics() {
+        // Octant 0 refined twice toward the centre: face balance refines
+        // octants 1, 2 and 4 to level 2 but leaves octant 3 at level 1, so
+        // the level-3 corner (½, ½, ⅜) sits on a parent edge whose
+        // diagonal neighbour is two levels coarser.
+        spmd::run(1, |c| {
+            let mut t = DistOctree::new_uniform(c, 1);
+            let inner = Octant::root().child(0).child(7);
+            t.refine(|o| o.contains(&inner));
+            t.refine(|o| *o == inner);
+            t.balance(BalanceKind::Face);
+            extract_mesh(&t, [1.0, 1.0, 1.0]);
         });
     }
 }

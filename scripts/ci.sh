@@ -16,6 +16,8 @@ cargo fmt --all -- --check
 # The blocking and request-based point-to-point API, its overlap counter
 # and the duplicate collective entry points (the split-phase `Exchange`
 # is the one point-to-point path); forest search; the `alps` façade.
+# The hashed node tables of `ExtractMesh` and its eight-probe
+# classification (now the oracle `check::oracles::hanging_master_probes`).
 echo "==> deleted code stays deleted"
 if grep -rnE 'MachineModel|phase_comm_seconds|paper_core_counts|host_to_(model|flops)' \
     crates src tests examples ||
@@ -25,6 +27,8 @@ if grep -rnE 'MachineModel|phase_comm_seconds|paper_core_counts|host_to_(model|f
         crates src tests examples ||
     grep -rnE 'fn (send|recv|recv_any|sendrecv|isend|irecv|wait_into|waitall)<|RecvRequest|SendRequest|OVERLAP_COUNTER|overlap_ns|allgather_u64|search_points|SearchNode|alps::' \
         crates src tests examples ||
+    grep -nE 'HashMap' crates/mesh/src/extract.rs ||
+    grep -rnE 'fn hanging_master\b' crates/mesh ||
     grep -rniE 'modeled|extrapolat' crates/bench/src results/*.txt; then
     echo "ci: deleted code is back (see above)" >&2
     exit 1

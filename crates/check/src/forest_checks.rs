@@ -7,34 +7,11 @@
 
 use forest::{Forest, ForestLeaf, GhostKind, GhostLayer, DIRS};
 use octree::balance::BalanceKind;
+use octree::curve::{CurveKey, CurveLeaf};
+use octree::ops::find_containing;
 use octree::ROOT_LEN;
 
 use crate::{violation, Violation};
-
-/// Curve position of a leaf's first descendant.
-fn curve_start(l: &ForestLeaf) -> u128 {
-    ((l.tree as u128) << 64) | l.oct.key() as u128
-}
-
-/// Curve position of a leaf's last descendant.
-fn curve_end(l: &ForestLeaf) -> u128 {
-    ((l.tree as u128) << 64) | l.oct.last_descendant().key() as u128
-}
-
-/// Containment search in a sorted global leaf union.
-fn find_containing_in(leaves: &[ForestLeaf], target: &ForestLeaf) -> Option<usize> {
-    let idx = leaves.partition_point(|l| l <= target);
-    if idx == 0 {
-        return None;
-    }
-    let cand = idx - 1;
-    let c = &leaves[cand];
-    if c.tree == target.tree && c.oct.contains(&target.oct) {
-        Some(cand)
-    } else {
-        None
-    }
-}
 
 /// Leaf curve ordering and non-overlap within and across trees and
 /// ranks. Cost: O(local) + one allgather of four limbs per rank.
@@ -44,7 +21,7 @@ pub fn morton_order(forest: &Forest) -> Vec<Violation> {
     let me = comm.rank();
     let mut out = Vec::new();
     for (i, w) in forest.local.windows(2).enumerate() {
-        if curve_end(&w[0]) >= curve_start(&w[1]) {
+        if w[0].curve_end() >= w[1].curve_key() {
             out.push(violation(
                 NAME,
                 me,
@@ -58,18 +35,12 @@ pub fn morton_order(forest: &Forest) -> Vec<Violation> {
             ));
         }
     }
-    let first = forest.local.first().map(curve_start).unwrap_or(u128::MAX);
-    let last = forest.local.last().map(curve_end).unwrap_or(0);
-    let limbs = comm.allgatherv(&[
-        (first >> 64) as u64,
-        first as u64,
-        (last >> 64) as u64,
-        last as u64,
-    ]);
+    let first = forest.local.first().map_or(u128::MAX, |l| l.curve_key());
+    let last = forest.local.last().map_or(0, |l| l.curve_end());
+    let limbs = comm.allgatherv(&[first.to_words(), last.to_words()].concat());
     let mut prev: Option<(usize, u128)> = None;
-    for r in 0..comm.size() {
-        let f = ((limbs[4 * r] as u128) << 64) | limbs[4 * r + 1] as u128;
-        let l = ((limbs[4 * r + 2] as u128) << 64) | limbs[4 * r + 3] as u128;
+    for (r, limbs) in limbs.chunks_exact(4).enumerate() {
+        let (f, l) = (u128::from_words(limbs), u128::from_words(&limbs[2..]));
         if f == u128::MAX {
             continue;
         }
@@ -169,12 +140,21 @@ pub fn partition(forest: &Forest) -> Vec<Violation> {
 #[repr(C)]
 struct GhostClaim {
     leaf: ForestLeaf,
-    /// 0 = face, 1 = edge, 2 = corner (the `GhostKind` discriminant).
-    kind: u32,
+    /// 0 = face, 1 = edge, 2 = corner (the `GhostKind` discriminant);
+    /// as wide as the leaf's alignment, so the record has no tail padding.
+    kind: u64,
 }
+
+const _: () = assert!(
+    std::mem::size_of::<GhostClaim>()
+        == std::mem::size_of::<ForestLeaf>() + std::mem::size_of::<u64>()
+);
+
+// SAFETY: repr(C) of a padding-free `Pod` leaf and a u64, with no padding
+// (asserted above).
 unsafe impl scomm::Pod for GhostClaim {}
 
-fn kind_code(k: GhostKind) -> u32 {
+fn kind_code(k: GhostKind) -> u64 {
     match k {
         GhostKind::Face => 0,
         GhostKind::Edge => 1,
@@ -192,7 +172,7 @@ fn mirror_kind(
     l: &ForestLeaf,
     j: usize,
     scratch: &mut Vec<ForestLeaf>,
-) -> Option<u32> {
+) -> Option<u64> {
     for (d, &(dx, dy, dz)) in DIRS.iter().enumerate() {
         forest.neighbors_full(l, dx, dy, dz, scratch);
         let hit = scratch.iter().any(|n| {
@@ -248,11 +228,11 @@ pub fn ghost_symmetry(forest: &Forest, ghosts: &GhostLayer) -> Vec<Violation> {
     // codimension over the composed 26-direction neighborhoods whose
     // owner range includes that peer.
     let mut scratch: Vec<ForestLeaf> = Vec::new();
-    let mut expected: Vec<Vec<(ForestLeaf, u32)>> = vec![Vec::new(); p];
+    let mut expected: Vec<Vec<(ForestLeaf, u64)>> = vec![Vec::new(); p];
     for l in &forest.local {
         // A peer's kind is its *first* hit over the dir scan; collect
         // per-peer minima in one pass.
-        let mut seen: Vec<(usize, u32)> = Vec::new();
+        let mut seen: Vec<(usize, u64)> = Vec::new();
         for (d, &(dx, dy, dz)) in DIRS.iter().enumerate() {
             forest.neighbors_full(l, dx, dy, dz, &mut scratch);
             let code = if d < 6 {
@@ -278,7 +258,7 @@ pub fn ghost_symmetry(forest: &Forest, ghosts: &GhostLayer) -> Vec<Violation> {
         if j == me {
             continue;
         }
-        let mut have: Vec<(ForestLeaf, u32)> =
+        let mut have: Vec<(ForestLeaf, u64)> =
             claimed[j].iter().map(|c| (c.leaf, c.kind)).collect();
         have.sort();
         have.dedup();
@@ -334,14 +314,14 @@ pub fn balance21(forest: &Forest, kind: BalanceKind) -> Vec<Violation> {
     let me = comm.rank();
     let mut union: Vec<ForestLeaf> = comm.allgatherv(&forest.local);
     union.sort();
-    let dirs = kind.directions();
+    let dirs = kind.direction_slice();
     let mut out = Vec::new();
     for l in &forest.local {
-        for &(dx, dy, dz) in &dirs {
+        for &(dx, dy, dz) in dirs {
             let Some(n) = forest.neighbor(l, dx, dy, dz) else {
                 continue;
             };
-            if let Some(i) = find_containing_in(&union, &n) {
+            if let Some(i) = find_containing(&union, &n) {
                 if union[i].oct.level() + 1 < l.oct.level() {
                     out.push(violation(
                         NAME,

@@ -92,7 +92,7 @@ fn mix(mut z: u64) -> u64 {
 /// function of `(seed, cycle, salt, octant)`, independent of rank and
 /// partition so every rank count replays the same tree evolution per
 /// locally-complete family.
-fn roll(seed: u64, cycle: u64, salt: u64, o: &Octant) -> u64 {
+pub fn roll(seed: u64, cycle: u64, salt: u64, o: &Octant) -> u64 {
     mix(seed ^ mix(cycle ^ mix(salt ^ mix(o.key() ^ ((o.level() as u64) << 56))))) % 100
 }
 
@@ -298,7 +298,7 @@ pub fn run_cycles(comm: &Comm, cfg: &FuzzConfig) -> u64 {
             std::sync::Arc::new(forest::Connectivity::unit_cube()),
             tree.local
                 .iter()
-                .map(|&o| forest::ForestLeaf { tree: 0, oct: o })
+                .map(|&o| forest::ForestLeaf::new(0, o))
                 .collect(),
         );
         let layer = forest.ghosts();

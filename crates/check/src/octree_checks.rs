@@ -155,10 +155,10 @@ pub fn balance21(tree: &DistOctree, kind: BalanceKind) -> Vec<Violation> {
     let me = comm.rank();
     let mut union: Vec<Octant> = comm.allgatherv(&tree.local);
     union.sort();
-    let dirs = kind.directions();
+    let dirs = kind.direction_slice();
     let mut out = Vec::new();
     for o in &tree.local {
-        for &(dx, dy, dz) in &dirs {
+        for &(dx, dy, dz) in dirs {
             let Some(n) = o.neighbor(dx, dy, dz) else {
                 continue;
             };

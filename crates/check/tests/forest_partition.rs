@@ -1,12 +1,17 @@
 //! Forest partition edge cases, each checked against
-//! `check::forest_checks::partition` and leaf-count conservation.
+//! `check::forest_checks::partition` and leaf-count conservation, and the
+//! one-tree forest against the single octree stage by stage.
 
 use std::sync::Arc;
 
 use check::forest_checks;
+use check::fuzz_amr::roll;
 use forest::{Connectivity, Forest};
 use octree::balance::BalanceKind;
-use scomm::spmd;
+use octree::mark::MarkParams;
+use octree::parallel::{DistOctree, PartitionPlan};
+use octree::Octant;
+use scomm::{spmd, Comm};
 
 fn assert_partition_clean(f: &Forest) {
     let v = forest_checks::partition(f);
@@ -78,4 +83,89 @@ fn balanced_24_tree_shell_partition_is_stable() {
         let v = forest_checks::balance21(&f, BalanceKind::Full);
         assert!(v.is_empty(), "balance checker found: {v:?}");
     });
+}
+
+/// Leaves, rank counts and validity agree between the two tree types.
+fn assert_same(stage: &str, c: &Comm, tree: &DistOctree, forest: &Forest) {
+    let octs: Vec<Octant> = forest.local.iter().map(|l| l.oct).collect();
+    assert!(forest.local.iter().all(|l| l.tree == 0));
+    assert_eq!(
+        octs,
+        tree.local,
+        "{stage}: leaves differ on rank {}",
+        c.rank()
+    );
+    assert_eq!(
+        forest.rank_counts(),
+        tree.rank_counts(),
+        "{stage}: rank counts"
+    );
+    assert!(tree.validate(), "{stage}: octree invalid");
+    assert!(forest.validate(), "{stage}: forest invalid");
+}
+
+/// `DistOctree` and a one-tree `Forest` over `unit_cube` run the same
+/// curve code (`octree::curve`): one seeded sequence of refine, coarsen,
+/// `adapt_to_target`, `balance(Full)` and `partition_with` must leave
+/// bitwise-equal leaf arrays, rank counts and partition plans after every
+/// stage, at P ∈ {1, 2, 4, 8}. Balance is two different algorithms (seed
+/// propagation against a neighbour fixpoint) that must reach the same
+/// unique 2:1 closure.
+#[test]
+fn one_tree_forest_matches_octree_stage_by_stage() {
+    let conn = Arc::new(Connectivity::unit_cube());
+    for p in [1, 2, 4, 8] {
+        spmd::run(p, |c| {
+            let mut tree = DistOctree::new_uniform(c, 2);
+            let mut forest = Forest::new_uniform(c, conn.clone(), 2);
+            assert_same("new_uniform", c, &tree, &forest);
+            let (seed, mut balance_added) = (17, 0);
+            for cycle in 0..3 {
+                let refine = |o: &Octant| o.level() < 6 && roll(seed, cycle, 1, o) < 30;
+                let n = tree.refine(refine);
+                assert_eq!(forest.refine(|l| refine(&l.oct)), n);
+                assert_same("refine", c, &tree, &forest);
+
+                // Decided per parent, so whole families agree.
+                let coarsen = |o: &Octant| o.level() > 2 && roll(seed, cycle, 2, &o.parent()) < 40;
+                let n = tree.coarsen(coarsen);
+                assert_eq!(forest.coarsen(|l| coarsen(&l.oct)), n);
+                assert_same("coarsen", c, &tree, &forest);
+
+                // A bump at a seeded centre: refines near it, coarsens far
+                // from it.
+                let centre = Octant::from_uniform_index(3, 97 * cycle + 11).center_unit();
+                let ind: Vec<f64> = tree
+                    .local
+                    .iter()
+                    .map(|o| {
+                        let x = o.center_unit();
+                        let d2: f64 = (0..3).map(|i| (x[i] - centre[i]).powi(2)).sum();
+                        (-20.0 * d2).exp()
+                    })
+                    .collect();
+                let params = MarkParams {
+                    target_elements: tree.global_count(),
+                    max_level: 6,
+                    min_level: 1,
+                    ..Default::default()
+                };
+                let counts = tree.adapt_to_target(&ind, &params);
+                assert_eq!(forest.adapt_to_target(&ind, &params), counts);
+                assert_same("adapt_to_target", c, &tree, &forest);
+
+                let added = tree.balance(BalanceKind::Full);
+                assert_eq!(forest.balance(BalanceKind::Full), added);
+                assert_same("balance", c, &tree, &forest);
+                balance_added += added;
+
+                let (mut a, mut b) = (PartitionPlan::default(), PartitionPlan::default());
+                tree.partition_with(&mut a);
+                forest.partition_with(&mut b);
+                assert_eq!(a, b, "partition plans differ on rank {}", c.rank());
+                assert_same("partition_with", c, &tree, &forest);
+            }
+            assert!(balance_added > 0, "balance never refined: no cross-check");
+        });
+    }
 }

@@ -2,10 +2,14 @@
 //!
 //! Leaves are `(tree, octant)` pairs ordered lexicographically — the
 //! space-filling curve traverses tree 0's octree, then tree 1's, and so
-//! on, exactly as in P4EST. Partitioning, balancing, ghost construction,
-//! and field transfer mirror the single-tree implementations in the
-//! `octree` crate, extended by the inter-tree face transforms of the
-//! [`crate::Connectivity`].
+//! on, exactly as in P4EST. The curve bookkeeping is the single octree's:
+//! markers, ownership, refine/coarsen, mark application, partition and
+//! validation are [`octree::curve::LeafCurve`], the same code that serves
+//! [`octree::parallel::DistOctree`], instantiated with [`ForestLeaf`] and
+//! its `u128` `(tree, Morton)` keys. What differs stays here: neighbour
+//! stepping through the inter-tree face transforms of the
+//! [`crate::Connectivity`], and the 2:1 balance built on it (the ghost
+//! layer is in [`crate::traverse`]).
 //!
 //! *Scope note (documented in DESIGN.md §15):* the 2:1 balance is
 //! enforced over the full 26-neighborhood within each tree and across
@@ -19,7 +23,9 @@
 use std::sync::Arc;
 
 use octree::balance::BalanceKind;
-use octree::mark::{Mark, MarkParams};
+use octree::curve::{capacity_bytes as cap, CurveLeaf, LeafCurve};
+use octree::mark::MarkParams;
+use octree::ops::find_containing;
 use octree::{Octant, ROOT_LEN};
 use scomm::Comm;
 
@@ -30,11 +36,19 @@ use crate::connectivity::Connectivity;
 #[repr(C)]
 pub struct ForestLeaf {
     pub tree: u32,
+    /// Always zero: fills the four bytes between `tree` and the 8-byte
+    /// aligned `oct`, so the wire image has no padding.
+    pad: u32,
     pub oct: Octant,
 }
 
-// SAFETY: repr(C); both fields are Pod; padding (3 bytes after the inner
-// octant's level) is tolerated.
+const _: () = assert!(
+    std::mem::size_of::<ForestLeaf>()
+        == 2 * std::mem::size_of::<u32>() + std::mem::size_of::<Octant>()
+);
+
+// SAFETY: repr(C) of two u32 and the u64 `Octant`, 16 bytes with no
+// padding (asserted above); every field is plain data.
 unsafe impl scomm::Pod for ForestLeaf {}
 
 impl PartialOrd for ForestLeaf {
@@ -50,10 +64,9 @@ impl Ord for ForestLeaf {
 }
 
 impl ForestLeaf {
-    /// Linearized curve position `(tree, morton key)` used for ownership
-    /// queries.
-    pub(crate) fn curve_key(&self) -> u128 {
-        ((self.tree as u128) << 64) | self.oct.key() as u128
+    /// The octant `oct` of tree `tree`.
+    pub const fn new(tree: u32, oct: Octant) -> Self {
+        ForestLeaf { tree, pad: 0, oct }
     }
 
     /// Containment within the same tree.
@@ -62,62 +75,59 @@ impl ForestLeaf {
     }
 }
 
-/// Re-export of the partition plan shape shared with the octree crate.
-pub use octree::parallel::PartitionPlan;
+impl CurveLeaf for ForestLeaf {
+    /// `(tree, Morton key)` as one integer.
+    type Key = u128;
+    fn oct(&self) -> Octant {
+        self.oct
+    }
+    fn tree(&self) -> u32 {
+        self.tree
+    }
+    fn with_oct(&self, oct: Octant) -> Self {
+        ForestLeaf::new(self.tree, oct)
+    }
+    fn curve_key(&self) -> u128 {
+        ((self.tree as u128) << 64) | self.oct.key() as u128
+    }
+}
 
-/// Grow-only scratch for the forest adaptation hot path, mirroring the
-/// octree crate's workspace discipline: once warm, balance and partition
-/// perform no steady-state heap allocation ([`Forest::alloc_bytes`]).
+/// Re-export of the partition plan shape shared with the octree crate.
+pub use octree::curve::PartitionPlan;
+
+/// Grow-only scratch of the forest balance: once warm, balance performs
+/// no steady-state heap allocation ([`Forest::alloc_bytes`]).
 #[derive(Default)]
-struct ForestWorkspace {
-    /// Swap partner for refine/coarsen rebuilds.
-    scratch: Vec<ForestLeaf>,
-    /// Per-destination staging of balance size-requests.
-    req_bufs: Vec<Vec<(ForestLeaf, u64)>>,
+struct BalanceScratch {
+    /// Per-destination staging of balance size-requests: the same-size
+    /// neighbour region, whose level is the requesting leaf's.
+    req_bufs: Vec<Vec<ForestLeaf>>,
     /// Flat balance exchange buffers.
-    send_flat: Vec<(ForestLeaf, u64)>,
+    send_flat: Vec<ForestLeaf>,
     send_counts: Vec<usize>,
-    recv_flat: Vec<(ForestLeaf, u64)>,
+    recv_flat: Vec<ForestLeaf>,
     recv_counts: Vec<usize>,
     /// Per-leaf refine flags.
     to_refine: Vec<bool>,
-    /// Partition exchange buffers (the send side is `local` itself).
-    part_counts: Vec<usize>,
-    part_recv: Vec<ForestLeaf>,
-    part_recv_counts: Vec<usize>,
 }
 
-impl ForestWorkspace {
+impl BalanceScratch {
     fn capacity_bytes(&self) -> u64 {
-        fn cap<T>(v: &Vec<T>) -> u64 {
-            (v.capacity() * std::mem::size_of::<T>()) as u64
-        }
-        let mut b = cap(&self.scratch) + cap(&self.send_flat) + cap(&self.recv_flat);
-        b += cap(&self.send_counts) + cap(&self.recv_counts) + cap(&self.to_refine);
-        b += cap(&self.part_counts) + cap(&self.part_recv) + cap(&self.part_recv_counts);
-        b += cap(&self.req_bufs);
-        for v in &self.req_bufs {
-            b += cap(v);
-        }
-        b
+        let mut b = cap(&self.send_flat) + cap(&self.recv_flat) + cap(&self.to_refine);
+        b += cap(&self.send_counts) + cap(&self.recv_counts);
+        b + cap(&self.req_bufs) + self.req_bufs.iter().map(cap).sum::<u64>()
     }
 }
 
 /// A distributed forest of octrees on a simulated communicator.
 pub struct Forest<'c> {
-    comm: &'c Comm,
     conn: Arc<Connectivity>,
     /// Locally owned leaves in global `(tree, Morton)` order.
     pub local: Vec<ForestLeaf>,
-    /// Curve key of each rank's first leaf (`u128::MAX` when empty).
-    markers: Vec<u128>,
-    counts: Vec<u64>,
-    /// Marker gather buffer. A direct field (not part of the workspace) so
-    /// `update_markers` stays usable while the workspace is temporarily
-    /// moved out during balance/partition.
-    gather: Vec<u64>,
-    /// Grow-only adaptation scratch.
-    ws: ForestWorkspace,
+    /// Markers, counts, and the refine/coarsen/partition scratch.
+    curve: LeafCurve<'c, ForestLeaf>,
+    /// Grow-only balance scratch.
+    ws: BalanceScratch,
 }
 
 impl<'c> Forest<'c> {
@@ -128,25 +138,13 @@ impl<'c> Forest<'c> {
         let n = per_tree * conn.num_trees() as u64;
         let p = comm.size() as u64;
         let r = comm.rank() as u64;
-        let lo = n * r / p;
-        let hi = n * (r + 1) / p;
-        let local = (lo..hi)
-            .map(|g| ForestLeaf {
-                tree: (g / per_tree) as u32,
-                oct: Octant::from_uniform_index(level, g % per_tree),
+        let local = (n * r / p..n * (r + 1) / p)
+            .map(|g| {
+                let oct = Octant::from_uniform_index(level, g % per_tree);
+                ForestLeaf::new((g / per_tree) as u32, oct)
             })
             .collect();
-        let mut f = Forest {
-            comm,
-            conn,
-            local,
-            markers: Vec::new(),
-            counts: Vec::new(),
-            gather: Vec::new(),
-            ws: ForestWorkspace::default(),
-        };
-        f.update_markers();
-        f
+        Self::from_local(comm, conn, local)
     }
 
     /// Wrap an existing curve-ordered local leaf array into a forest.
@@ -159,17 +157,12 @@ impl<'c> Forest<'c> {
     pub fn from_local(comm: &'c Comm, conn: Arc<Connectivity>, local: Vec<ForestLeaf>) -> Self {
         debug_assert!(local.windows(2).all(|w| w[0] < w[1]));
         debug_assert!(local.iter().all(|l| (l.tree as usize) < conn.num_trees()));
-        let mut f = Forest {
-            comm,
+        Forest {
+            curve: LeafCurve::new(comm, conn.num_trees(), &local),
             conn,
             local,
-            markers: Vec::new(),
-            counts: Vec::new(),
-            gather: Vec::new(),
-            ws: ForestWorkspace::default(),
-        };
-        f.update_markers();
-        f
+            ws: BalanceScratch::default(),
+        }
     }
 
     /// The connectivity this forest is built on.
@@ -179,82 +172,39 @@ impl<'c> Forest<'c> {
 
     /// The communicator.
     pub fn comm(&self) -> &'c Comm {
-        self.comm
+        self.curve.comm()
     }
 
     /// Replicated curve-key markers: entry `r` is the curve position of
     /// rank `r`'s first leaf (back-filled from the right for empty
     /// ranks). The recursive traversals project these per tree.
     pub(crate) fn markers(&self) -> &[u128] {
-        &self.markers
-    }
-
-    fn update_markers(&mut self) {
-        let comm = self.comm;
-        let first = self
-            .local
-            .first()
-            .map(|l| l.curve_key())
-            .unwrap_or(u128::MAX);
-        comm.allgatherv_into(
-            &[(first >> 64) as u64, first as u64, self.local.len() as u64],
-            &mut self.gather,
-        );
-        let p = comm.size();
-        self.markers.clear();
-        self.markers.resize(p, u128::MAX);
-        self.counts.clear();
-        self.counts.resize(p, 0);
-        for r in 0..p {
-            let hi = self.gather[3 * r] as u128;
-            let lo = self.gather[3 * r + 1] as u128;
-            self.markers[r] = (hi << 64) | lo;
-            self.counts[r] = self.gather[3 * r + 2];
-        }
-        let mut next = u128::MAX;
-        for r in (0..p).rev() {
-            if self.counts[r] == 0 {
-                self.markers[r] = next;
-            } else {
-                next = self.markers[r];
-            }
-        }
+        self.curve.markers()
     }
 
     /// Global leaf count.
     pub fn global_count(&self) -> u64 {
-        self.counts.iter().sum()
+        self.curve.global_count()
     }
 
     /// Global index of this rank's first leaf.
     pub fn global_offset(&self) -> u64 {
-        self.counts[..self.comm.rank()].iter().sum()
+        self.curve.global_offset()
     }
 
     /// Replicated per-rank leaf counts (one entry per rank).
     pub fn rank_counts(&self) -> &[u64] {
-        &self.counts
+        self.curve.rank_counts()
     }
 
     /// Rank owning the region of `leaf`.
     pub fn owner_of(&self, leaf: &ForestLeaf) -> usize {
-        let key = leaf.curve_key();
-        self.markers
-            .partition_point(|&m| m <= key)
-            .saturating_sub(1)
+        self.curve.owner_of(leaf)
     }
 
     /// Inclusive rank range intersecting the region of `leaf`.
     pub fn owner_range(&self, leaf: &ForestLeaf) -> (usize, usize) {
-        let lo = self.owner_of(&ForestLeaf {
-            tree: leaf.tree,
-            oct: leaf.oct.first_descendant(),
-        });
-        let hi = self.owner_of(&ForestLeaf {
-            tree: leaf.tree,
-            oct: leaf.oct.last_descendant(),
-        });
-        (lo, hi)
+        self.curve.owner_range(leaf)
     }
 
     /// Same-size neighbor of `(tree, oct)` in direction `(dx,dy,dz)`,
@@ -272,18 +222,15 @@ impl<'c> Forest<'c> {
         let lim = ROOT_LEN as i64;
         let out: Vec<usize> = (0..3).filter(|&i| a[i] < 0 || a[i] >= lim).collect();
         match out.len() {
-            0 => Some(ForestLeaf {
-                tree: leaf.tree,
-                oct: Octant::new(a[0] as u32, a[1] as u32, a[2] as u32, o.level()),
-            }),
+            0 => Some(ForestLeaf::new(
+                leaf.tree,
+                Octant::new(a[0] as u32, a[1] as u32, a[2] as u32, o.level()),
+            )),
             1 => {
                 let axis = out[0];
                 let face = (2 * axis + usize::from(a[axis] >= lim)) as u8;
                 let t = self.conn.neighbor_across(leaf.tree, face)?;
-                Some(ForestLeaf {
-                    tree: t.tree,
-                    oct: t.apply(a, o.level()),
-                })
+                Some(ForestLeaf::new(t.tree, t.apply(a, o.level())))
             }
             _ => None,
         }
@@ -291,128 +238,27 @@ impl<'c> Forest<'c> {
 
     /// Binary-search the local leaves for the one containing `target`.
     pub fn find_containing(&self, target: &ForestLeaf) -> Option<usize> {
-        let idx = self.local.partition_point(|l| l <= target);
-        if idx == 0 {
-            return None;
-        }
-        let cand = idx - 1;
-        if self.local[cand].contains(target) {
-            Some(cand)
-        } else {
-            None
-        }
+        find_containing(&self.local, target)
     }
 
     /// `RefineTree` on the forest: local, no communication. Warm calls
-    /// reuse the workspace swap buffer and do not allocate.
-    pub fn refine<F: FnMut(&ForestLeaf) -> bool>(&mut self, mut should_refine: F) -> usize {
-        let out = &mut self.ws.scratch;
-        out.clear();
-        let mut count = 0;
-        for &l in &self.local {
-            if should_refine(&l) && l.oct.level() < octree::MAX_LEVEL {
-                out.extend(l.oct.children().into_iter().map(|c| ForestLeaf {
-                    tree: l.tree,
-                    oct: c,
-                }));
-                count += 1;
-            } else {
-                out.push(l);
-            }
-        }
-        std::mem::swap(&mut self.local, out);
-        self.update_markers();
-        count
+    /// reuse the curve's swap buffer and do not allocate.
+    pub fn refine<F: FnMut(&ForestLeaf) -> bool>(&mut self, should_refine: F) -> usize {
+        self.curve.refine(&mut self.local, should_refine)
     }
 
     /// `CoarsenTree` on the forest: merge complete same-tree families
-    /// whose eight leaves are all marked. Warm calls reuse workspace
-    /// buffers and do not allocate.
+    /// whose eight leaves are all marked. Warm calls do not allocate.
     pub fn coarsen<F: FnMut(&ForestLeaf) -> bool>(&mut self, should_coarsen: F) -> usize {
-        let mut ws = std::mem::take(&mut self.ws);
-        ws.to_refine.clear();
-        ws.to_refine.extend(self.local.iter().map(should_coarsen));
-        let ForestWorkspace {
-            scratch, to_refine, ..
-        } = &mut ws;
-        let n = Self::coarsen_marked_into(&mut self.local, scratch, to_refine);
-        self.ws = ws;
-        self.update_markers();
-        n
+        self.curve.coarsen(&mut self.local, should_coarsen)
     }
 
-    fn coarsen_marked(&mut self, marks: &[bool]) -> usize {
-        Self::coarsen_marked_into(&mut self.local, &mut self.ws.scratch, marks)
-    }
-
-    fn coarsen_marked_into(
-        local: &mut Vec<ForestLeaf>,
-        scratch: &mut Vec<ForestLeaf>,
-        marks: &[bool],
-    ) -> usize {
-        let leaves = &*local;
-        scratch.clear();
-        let mut count = 0;
-        let mut i = 0;
-        while i < leaves.len() {
-            let l = leaves[i];
-            if l.oct.level() > 0 && l.oct.child_id() == 0 && i + 8 <= leaves.len() {
-                let parent = l.oct.parent();
-                let ok = (0..8).all(|k| {
-                    leaves[i + k].tree == l.tree
-                        && leaves[i + k].oct == parent.child(k as u8)
-                        && marks[i + k]
-                });
-                if ok {
-                    scratch.push(ForestLeaf {
-                        tree: l.tree,
-                        oct: parent,
-                    });
-                    count += 1;
-                    i += 8;
-                    continue;
-                }
-            }
-            scratch.push(l);
-            i += 1;
-        }
-        std::mem::swap(local, scratch);
-        count
-    }
-
-    /// `MarkElements` + apply on the forest (same threshold iteration as
-    /// the octree crate, applied to forest leaves).
+    /// `MarkElements` + apply on the forest: the octree's threshold
+    /// iteration and mark application on forest leaves. Returns
+    /// `(refined, coarsened_families)`; warm calls do not allocate.
     pub fn adapt_to_target(&mut self, indicators: &[f64], params: &MarkParams) -> (usize, usize) {
-        // Reuse the octree mark logic on the octant parts. Its octant-only
-        // family detection cannot straddle trees inside one rank's local
-        // list: a contiguous curve segment that contains leaves of two
-        // trees contains all of the first tree's tail, which ends on a
-        // child-7 leaf, so every 8-window starting at a child 0 lies in a
-        // single tree. Hence mark families coincide with ours exactly.
-        let octs: Vec<Octant> = self.local.iter().map(|l| l.oct).collect();
-        let marks = octree::mark::mark_elements(self.comm, &octs, indicators, params);
-        let coar: Vec<bool> = marks.iter().map(|m| *m == Mark::Coarsen).collect();
-        let refn: Vec<bool> = marks.iter().map(|m| *m == Mark::Refine).collect();
-        let coarsened = self.coarsen_marked(&coar);
-        let mut new_flags = Vec::with_capacity(self.local.len());
-        let mut j = 0usize;
-        while new_flags.len() < self.local.len() {
-            if coar[j] {
-                new_flags.push(false); // freshly coarsened parent
-                j += 8;
-            } else {
-                new_flags.push(refn[j]);
-                j += 1;
-            }
-        }
-        let mut k = 0usize;
-        let refined = self.refine(|_| {
-            let m = new_flags[k];
-            k += 1;
-            m
-        });
-        self.update_markers();
-        (refined, coarsened)
+        self.curve
+            .adapt_to_target(&mut self.local, indicators, params)
     }
 
     /// Parallel 2:1 `BalanceTree` across the forest, face-connected
@@ -420,8 +266,8 @@ impl<'c> Forest<'c> {
     pub fn balance(&mut self, kind: BalanceKind) -> u64 {
         let before = self.global_count();
         let dirs = kind.direction_slice();
-        let p = self.comm.size();
-        let me = self.comm.rank();
+        let comm = self.comm();
+        let (p, me) = (comm.size(), comm.rank());
         let mut ws = std::mem::take(&mut self.ws);
         if ws.req_bufs.len() < p {
             ws.req_bufs.resize_with(p, Vec::new);
@@ -447,13 +293,14 @@ impl<'c> Forest<'c> {
                     }
                 }
                 if changed_local {
-                    let mut i = 0;
-                    self.refine_flags_no_marker(&ws.to_refine, &mut ws.scratch, &mut i);
+                    self.curve.refine_flagged(&mut self.local, &ws.to_refine);
                 }
             }
-            self.update_markers();
+            self.curve.update(&self.local);
 
             // Remote requests, exchanged through the flat reusable buffers.
+            // A request is the same-size neighbour region itself: its
+            // level is the requesting leaf's.
             for buf in &mut ws.req_bufs {
                 buf.clear();
             }
@@ -465,7 +312,7 @@ impl<'c> Forest<'c> {
                     let (rlo, rhi) = self.owner_range(&n);
                     for r in rlo..=rhi {
                         if r != me {
-                            ws.req_bufs[r].push((n, l.oct.level() as u64));
+                            ws.req_bufs[r].push(n);
                         }
                     }
                 }
@@ -476,7 +323,7 @@ impl<'c> Forest<'c> {
                 ws.send_counts.push(buf.len());
                 ws.send_flat.extend_from_slice(buf);
             }
-            self.comm.alltoallv_flat(
+            comm.alltoallv_flat(
                 &ws.send_flat,
                 &ws.send_counts,
                 &mut ws.recv_flat,
@@ -485,23 +332,22 @@ impl<'c> Forest<'c> {
             ws.to_refine.clear();
             ws.to_refine.resize(self.local.len(), false);
             let mut changed = 0u64;
-            for &(n, lvl) in &ws.recv_flat {
-                if let Some(i) = self.find_containing(&n) {
-                    if (self.local[i].oct.level() as u64) + 1 < lvl && !ws.to_refine[i] {
+            for n in &ws.recv_flat {
+                if let Some(i) = self.find_containing(n) {
+                    if self.local[i].oct.level() + 1 < n.oct.level() && !ws.to_refine[i] {
                         ws.to_refine[i] = true;
                         changed += 1;
                     }
                 }
             }
-            let global_changed = self.comm.allreduce_sum(&[changed])[0];
+            let global_changed = comm.allreduce_sum(&[changed])[0];
             if global_changed == 0 {
                 break;
             }
             if changed > 0 {
-                let mut i = 0;
-                self.refine_flags_no_marker(&ws.to_refine, &mut ws.scratch, &mut i);
+                self.curve.refine_flagged(&mut self.local, &ws.to_refine);
             }
-            self.update_markers();
+            self.curve.update(&self.local);
         }
         self.ws = ws;
         #[cfg(debug_assertions)]
@@ -511,168 +357,30 @@ impl<'c> Forest<'c> {
         self.global_count() - before
     }
 
-    fn refine_flags_no_marker(
-        &mut self,
-        flags: &[bool],
-        scratch: &mut Vec<ForestLeaf>,
-        cursor: &mut usize,
-    ) {
-        scratch.clear();
-        for &l in &self.local {
-            if flags[*cursor] {
-                scratch.extend(l.oct.children().into_iter().map(|c| ForestLeaf {
-                    tree: l.tree,
-                    oct: c,
-                }));
-            } else {
-                scratch.push(l);
-            }
-            *cursor += 1;
-        }
-        std::mem::swap(&mut self.local, scratch);
-    }
-
     /// `PartitionTree` on the forest: equal share of the curve per rank.
     pub fn partition(&mut self) -> PartitionPlan {
-        let mut plan = PartitionPlan {
-            send_ranges: Vec::new(),
-            new_len: 0,
-        };
+        let mut plan = PartitionPlan::default();
         self.partition_with(&mut plan);
         plan
     }
 
     /// [`Forest::partition`] writing the plan into a caller-provided value
-    /// (ranges cleared first, capacity reused). As in the octree crate,
-    /// the send ranges tile the local leaf array contiguously in rank
-    /// order, so `local` itself is the flat send buffer — no packing copy,
-    /// and warm calls do not allocate.
+    /// (see [`LeafCurve::partition_with`]); warm calls do not allocate.
     pub fn partition_with(&mut self, plan: &mut PartitionPlan) {
-        let p = self.comm.size() as u64;
-        let n = self.global_count();
-        let my_off = self.global_offset();
-        let my_len = self.local.len() as u64;
-        let target_lo = |r: u64| (n * r) / p;
-        let mut ws = std::mem::take(&mut self.ws);
-        plan.send_ranges.clear();
-        ws.part_counts.clear();
-        for r in 0..p {
-            let lo = target_lo(r).max(my_off);
-            let hi = target_lo(r + 1).min(my_off + my_len);
-            if lo < hi {
-                let s = (lo - my_off) as usize;
-                let e = (hi - my_off) as usize;
-                plan.send_ranges.push((s, e));
-                ws.part_counts.push(e - s);
-            } else {
-                let s = (lo.min(my_off + my_len).max(my_off) - my_off) as usize;
-                plan.send_ranges.push((s, s));
-                ws.part_counts.push(0);
-            }
-        }
-        self.comm.alltoallv_flat(
-            &self.local,
-            &ws.part_counts,
-            &mut ws.part_recv,
-            &mut ws.part_recv_counts,
-        );
-        std::mem::swap(&mut self.local, &mut ws.part_recv);
-        self.ws = ws;
-        self.update_markers();
-        #[cfg(debug_assertions)]
-        if scomm::checks_enabled() {
-            assert!(
-                self.validate(),
-                "forest invariants violated after partition"
-            );
-        }
-        plan.new_len = self.local.len();
+        self.curve.partition_with(&mut self.local, plan)
     }
 
     /// Heap capacity currently held by this forest's tracked buffers, in
     /// bytes; its growth across a warm adapt cycle must be zero at steady
     /// state (the forest's contribution to `amr.alloc_bytes`).
     pub fn alloc_bytes(&self) -> u64 {
-        fn cap<T>(v: &Vec<T>) -> u64 {
-            (v.capacity() * std::mem::size_of::<T>()) as u64
-        }
-        self.ws.capacity_bytes()
-            + cap(&self.local)
-            + cap(&self.markers)
-            + cap(&self.counts)
-            + cap(&self.gather)
+        self.curve.alloc_bytes(&self.local) + self.ws.capacity_bytes()
     }
 
     /// Collective validation: per-rank sortedness, cross-rank ordering,
     /// and per-tree volume completeness.
     pub fn validate(&self) -> bool {
-        let sorted = self
-            .local
-            .windows(2)
-            .all(|w| w[0] < w[1] && !w[0].contains(&w[1]));
-        // Global order across ranks.
-        let first = self
-            .local
-            .first()
-            .map(|l| l.curve_key())
-            .unwrap_or(u128::MAX);
-        let last = self
-            .local
-            .last()
-            .map(|l| ((l.tree as u128) << 64) | l.oct.last_descendant().key() as u128)
-            .unwrap_or(0);
-        let firsts = self.comm.allgatherv(&[(first >> 64) as u64, first as u64]);
-        let lasts = self.comm.allgatherv(&[(last >> 64) as u64, last as u64]);
-        let mut ordered = true;
-        let mut prev = 0u128;
-        for r in 0..self.comm.size() {
-            let f = ((firsts[2 * r] as u128) << 64) | firsts[2 * r + 1] as u128;
-            let l = ((lasts[2 * r] as u128) << 64) | lasts[2 * r + 1] as u128;
-            if f == u128::MAX {
-                continue;
-            }
-            if f < prev {
-                ordered = false;
-            }
-            prev = prev.max(l);
-        }
-        // Exact per-tree volumes in u128 via two-limb transfer.
-        let ntrees = self.conn.num_trees();
-        let mut vol_lo = vec![0u64; ntrees];
-        let mut vol_hi = vec![0u64; ntrees];
-        for l in &self.local {
-            let s = l.oct.len() as u128;
-            let v = s * s * s;
-            let t = l.tree as usize;
-            let prev = ((vol_hi[t] as u128) << 64) | vol_lo[t] as u128;
-            let next = prev + v;
-            vol_hi[t] = (next >> 64) as u64;
-            vol_lo[t] = next as u64;
-        }
-        // Low limbs may carry, so sum in u128 from gathered pairs.
-        let gathered = self.comm.allgatherv(&{
-            let mut v = Vec::with_capacity(2 * ntrees);
-            for t in 0..ntrees {
-                v.push(vol_hi[t]);
-                v.push(vol_lo[t]);
-            }
-            v
-        });
-
-        let mut complete = true;
-        let root_vol = (ROOT_LEN as u128).pow(3);
-        for t in 0..ntrees {
-            let mut total: u128 = 0;
-            for r in 0..self.comm.size() {
-                let base = r * 2 * ntrees + 2 * t;
-                total += ((gathered[base] as u128) << 64) | gathered[base + 1] as u128;
-            }
-            if total != root_vol {
-                complete = false;
-            }
-        }
-        let ok = sorted && ordered && complete;
-        self.comm.allreduce_min(&[ok as u64])[0] == 1
+        self.curve.validate(&self.local)
     }
 }
 
@@ -704,10 +412,7 @@ mod tests {
         spmd::run(1, |c| {
             let f = Forest::new_uniform(c, conn.clone(), 1);
             // Leaf at +x boundary of tree 0 crosses into tree 1.
-            let l = ForestLeaf {
-                tree: 0,
-                oct: Octant::new(ROOT_LEN / 2, 0, 0, 1),
-            };
+            let l = ForestLeaf::new(0, Octant::new(ROOT_LEN / 2, 0, 0, 1));
             let n = f.neighbor(&l, 1, 0, 0).expect("crosses into tree 1");
             assert_eq!(n.tree, 1);
             assert_eq!((n.oct.x(), n.oct.y(), n.oct.z()), (0, 0, 0));
@@ -805,20 +510,43 @@ mod tests {
                 send_ranges: Vec::new(),
                 new_len: 0,
             };
+            // `adapt_to_target` undoes this cycle's refine and coarsen:
+            // its indicator refines the trees `coarsen` coarsened and
+            // coarsens the families `refine` created. The tolerance accepts
+            // the first threshold iterate, so it marks, coarsens and
+            // refines on every warm cycle.
+            let params = MarkParams {
+                target_elements: 1,
+                tolerance: f64::INFINITY,
+                max_level: 2,
+                min_level: 2,
+                ..Default::default()
+            };
+            let mut ind = Vec::new();
             // Deterministic geometric cycle: reaches a periodic orbit, so
             // after warm-up no buffer finds a new capacity maximum.
-            let cycle = |f: &mut Forest, plan: &mut PartitionPlan| {
+            let mut cycle = |f: &mut Forest, plan: &mut PartitionPlan| {
                 f.refine(|l| l.oct.level() < 3 && l.tree < 6 && l.oct.x() < ROOT_LEN / 2);
                 f.coarsen(|l| l.oct.level() > 1 && l.tree >= 12);
+                ind.clear();
+                ind.extend(
+                    f.local
+                        .iter()
+                        .map(|l| if l.tree >= 12 { 1.0 } else { 1e-6 }),
+                );
+                let (refined, coarsened) = f.adapt_to_target(&ind, &params);
                 f.balance(BalanceKind::Full);
                 f.partition_with(plan);
+                (refined as u64, coarsened as u64)
             };
             for _ in 0..3 {
                 cycle(&mut f, &mut plan);
             }
             let baseline = f.alloc_bytes();
             for _ in 0..4 {
-                cycle(&mut f, &mut plan);
+                let (refined, coarsened) = cycle(&mut f, &mut plan);
+                let adapted = c.allreduce_sum(&[refined, coarsened]);
+                assert!(adapted.iter().all(|&n| n > 0), "adapt idle: {adapted:?}");
                 assert_eq!(
                     f.alloc_bytes(),
                     baseline,

@@ -170,9 +170,7 @@ impl GhostWorkspace {
     }
 
     pub fn capacity_bytes(&self) -> u64 {
-        fn cap<T>(v: &Vec<T>) -> u64 {
-            (v.capacity() * std::mem::size_of::<T>()) as u64
-        }
+        use octree::curve::capacity_bytes as cap;
         let mut b = cap(&self.keys) + cap(&self.tmarkers) + cap(&self.stack);
         b += cap(&self.needles) + cap(&self.ends) + cap(&self.run_octs);
         b += cap(&self.nbrs) + cap(&self.bnd_lo) + cap(&self.bnd_hi);
@@ -201,10 +199,10 @@ fn collect_extended(
 ) {
     let lim = ROOT_LEN as i64;
     if (0..3).all(|i| (0..lim).contains(&a[i])) {
-        out.push(ForestLeaf {
+        out.push(ForestLeaf::new(
             tree,
-            oct: Octant::new(a[0] as u32, a[1] as u32, a[2] as u32, level),
-        });
+            Octant::new(a[0] as u32, a[1] as u32, a[2] as u32, level),
+        ));
         return;
     }
     for axis in 0..3 {
@@ -230,10 +228,10 @@ fn collect_extended_pt(
 ) {
     let lim = ROOT_LEN as i64;
     if (0..3).all(|i| (0..lim).contains(&a[i])) {
-        let region = ForestLeaf {
+        let region = ForestLeaf::new(
             tree,
-            oct: Octant::new(a[0] as u32, a[1] as u32, a[2] as u32, level),
-        };
+            Octant::new(a[0] as u32, a[1] as u32, a[2] as u32, level),
+        );
         out.push((region, p2));
         return;
     }
@@ -451,17 +449,14 @@ impl<'c> Forest<'c> {
     /// exclusively by rank `me`: no leaf below it can have a remote
     /// neighbor, so the ghost recursion prunes the whole subtree.
     fn insulated(&self, t: u32, node: &Octant, me: usize, scratch: &mut Vec<ForestLeaf>) -> bool {
-        let nl = ForestLeaf {
-            tree: t,
-            oct: *node,
-        };
+        let nl = ForestLeaf::new(t, *node);
         if self.owner_range(&nl) != (me, me) {
             return false;
         }
         for &(dx, dy, dz) in DIRS.iter() {
             match node.neighbor(dx, dy, dz) {
                 Some(n) => {
-                    if self.owner_range(&ForestLeaf { tree: t, oct: n }) != (me, me) {
+                    if self.owner_range(&ForestLeaf::new(t, n)) != (me, me) {
                         return false;
                     }
                 }
@@ -762,10 +757,7 @@ impl<'c> Forest<'c> {
                             if (k >> axis) & 1 != side {
                                 continue;
                             }
-                            let kid = ForestLeaf {
-                                tree: n.tree,
-                                oct: n.oct.child(k),
-                            };
+                            let kid = ForestLeaf::new(n.tree, n.oct.child(k));
                             match view_containing(&view, &kid) {
                                 Some(ki) if view[ki].0.oct.level() == kid.oct.level() => {
                                     fine.push(FaceSide {
@@ -965,10 +957,7 @@ impl<'c> Forest<'c> {
                 let Some(probe) = probe_at(&region.oct, *p2, lo) else {
                     return false;
                 };
-                let probe_leaf = ForestLeaf {
-                    tree: region.tree,
-                    oct: probe,
-                };
+                let probe_leaf = ForestLeaf::new(region.tree, probe);
                 let Some(vi) = view_containing(view, &probe_leaf) else {
                     return false;
                 };
@@ -1088,10 +1077,7 @@ mod tests {
         let conn = Arc::new(Connectivity::brick(2, 2, 2));
         spmd::run(1, |c| {
             let f = Forest::new_uniform(c, conn.clone(), 0);
-            let l = ForestLeaf {
-                tree: 0,
-                oct: Octant::root(),
-            };
+            let l = ForestLeaf::new(0, Octant::root());
             let mut out = Vec::new();
             f.neighbors_full(&l, 1, 1, 1, &mut out);
             let trees: BTreeSet<u32> = out.iter().map(|n| n.tree).collect();

@@ -30,10 +30,7 @@ fn within_cap_crossing_is_a_translation() {
     let h = ROOT_LEN / 2;
     spmd::run(1, |c| {
         let f = Forest::new_uniform(c, conn.clone(), 1);
-        let l = ForestLeaf {
-            tree: 20,
-            oct: Octant::new(h, 0, 0, 1),
-        };
+        let l = ForestLeaf::new(20, Octant::new(h, 0, 0, 1));
         let n = f.neighbor(&l, 1, 0, 0).expect("crosses into tree 21");
         assert_eq!(n.tree, 21);
         assert_eq!(
@@ -59,10 +56,7 @@ fn cross_cap_edge_orientation_pinned() {
     let h = ROOT_LEN / 2;
     spmd::run(1, |c| {
         let f = Forest::new_uniform(c, conn.clone(), 1);
-        let l = ForestLeaf {
-            tree: 21,
-            oct: Octant::new(h, 0, 0, 1),
-        };
+        let l = ForestLeaf::new(21, Octant::new(h, 0, 0, 1));
         let n = f.neighbor(&l, 1, 0, 0).expect("crosses into tree 6");
         assert_eq!(n.tree, 6);
         assert_eq!(
@@ -70,10 +64,7 @@ fn cross_cap_edge_orientation_pinned() {
             (0, h, 0, 1)
         );
         // Radial layering is preserved across the seam.
-        let l = ForestLeaf {
-            tree: 21,
-            oct: Octant::new(h, 0, h, 1),
-        };
+        let l = ForestLeaf::new(21, Octant::new(h, 0, h, 1));
         let n = f.neighbor(&l, 1, 0, 0).expect("crosses into tree 6");
         assert_eq!((n.tree, n.oct.z()), (6, h));
     });

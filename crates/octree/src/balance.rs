@@ -24,7 +24,7 @@
 //! full rescan) is that other algorithm, compared by `check`'s oracle
 //! tests and every `check::fuzz_amr` cycle.
 
-use crate::morton::{raw_keys, Octant, LEVEL_MASK, MAX_LEVEL};
+use crate::morton::{raw_keys, Octant, ALL_DIRS, LEVEL_MASK, MAX_LEVEL};
 use crate::ops::find_containing;
 use crate::simd;
 
@@ -37,32 +37,6 @@ pub enum BalanceKind {
     FaceEdge,
     /// Full 26-neighborhood (faces, edges, corners).
     Full,
-}
-
-/// All 26 displacement triples in `neighbor_directions()` order
-/// (z outermost, x innermost), computed at compile time.
-const ALL_DIRS: [(i32, i32, i32); 26] = build_all_dirs();
-
-const fn build_all_dirs() -> [(i32, i32, i32); 26] {
-    let mut out = [(0, 0, 0); 26];
-    let mut n = 0;
-    let mut dz = -1;
-    while dz <= 1 {
-        let mut dy = -1;
-        while dy <= 1 {
-            let mut dx = -1;
-            while dx <= 1 {
-                if !(dx == 0 && dy == 0 && dz == 0) {
-                    out[n] = (dx, dy, dz);
-                    n += 1;
-                }
-                dx += 1;
-            }
-            dy += 1;
-        }
-        dz += 1;
-    }
-    out
 }
 
 const fn filter_dirs<const N: usize>(max_order: i32) -> [(i32, i32, i32); N] {
@@ -85,18 +59,13 @@ const FACE_EDGE_DIRS: [(i32, i32, i32); 18] = filter_dirs::<18>(2);
 
 impl BalanceKind {
     /// The displacement triples of this neighbor set, as a static slice
-    /// (allocation-free; the order matches `neighbor_directions()`).
+    /// (allocation-free; in [`Octant::neighbor_directions`] order).
     pub fn direction_slice(self) -> &'static [(i32, i32, i32)] {
         match self {
             BalanceKind::Face => &FACE_DIRS,
             BalanceKind::FaceEdge => &FACE_EDGE_DIRS,
             BalanceKind::Full => &ALL_DIRS,
         }
-    }
-
-    /// The displacement triples of this neighbor set.
-    pub fn directions(self) -> Vec<(i32, i32, i32)> {
-        self.direction_slice().to_vec()
     }
 }
 
@@ -407,9 +376,9 @@ mod tests {
 
     #[test]
     fn direction_counts() {
-        assert_eq!(BalanceKind::Face.directions().len(), 6);
-        assert_eq!(BalanceKind::FaceEdge.directions().len(), 18);
-        assert_eq!(BalanceKind::Full.directions().len(), 26);
+        assert_eq!(BalanceKind::Face.direction_slice().len(), 6);
+        assert_eq!(BalanceKind::FaceEdge.direction_slice().len(), 18);
+        assert_eq!(BalanceKind::Full.direction_slice().len(), 26);
         // Static slices match the iterator-derived sets order-for-order.
         let all: Vec<_> = Octant::neighbor_directions().collect();
         assert_eq!(BalanceKind::Full.direction_slice(), &all[..]);

@@ -14,7 +14,12 @@
 //! | `CoarsenTree`  | [`ops::coarsen`] / [`parallel::DistOctree::coarsen`] |
 //! | `BalanceTree`  | [`balance::balance_local`] / [`parallel::DistOctree::balance`] |
 //! | `PartitionTree`| [`parallel::DistOctree::partition`] |
-//! | `MarkElements` | [`mark::mark_elements`] |
+//! | `MarkElements` | [`mark::mark_elements_into`] / [`parallel::DistOctree::adapt_to_target`] |
+//!
+//! The distributed bookkeeping that does not depend on the tree type —
+//! rank markers, ownership, refine/coarsen, mark application, partition,
+//! validation — lives in [`curve`], generic over the leaf type, and
+//! serves the forest of octrees too.
 //!
 //! A leaf octant is an axis-aligned cube identified by its anchor corner in
 //! integer coordinates on a `2^MAX_LEVEL`-wide lattice plus a refinement
@@ -37,6 +42,7 @@
 //! ```
 
 pub mod balance;
+pub mod curve;
 pub mod mark;
 pub mod morton;
 pub mod ops;

@@ -8,7 +8,9 @@
 //! with an allreduce per iterate) until the number of elements expected
 //! after adaptation lies within a prescribed tolerance around the target.
 
-use crate::morton::{Octant, MAX_LEVEL};
+use crate::curve::CurveLeaf;
+use crate::morton::MAX_LEVEL;
+use crate::ops::is_family;
 use scomm::Comm;
 
 /// Per-element adaptation decision.
@@ -52,63 +54,57 @@ impl Default for MarkParams {
 /// Count, for a threshold pair, how many local elements would be marked
 /// for refinement and how many complete local sibling families would be
 /// marked for coarsening.
-fn count_marks(
-    leaves: &[Octant],
+fn count_marks<L: CurveLeaf>(
+    leaves: &[L],
     indicators: &[f64],
     theta_refine: f64,
     theta_coarsen: f64,
     params: &MarkParams,
 ) -> (u64, u64) {
     let mut n_ref = 0u64;
-    for (o, &eta) in leaves.iter().zip(indicators) {
-        if eta > theta_refine && o.level() < params.max_level {
+    for (l, &eta) in leaves.iter().zip(indicators) {
+        if eta > theta_refine && l.oct().level() < params.max_level {
             n_ref += 1;
         }
     }
-    // Families: eight consecutive same-parent leaves, all below the
-    // coarsening threshold and above the level floor.
     let mut n_families = 0u64;
     let mut i = 0;
     while i < leaves.len() {
-        let o = leaves[i];
-        if o.level() > params.min_level && o.child_id() == 0 && i + 8 <= leaves.len() {
-            let parent = o.parent();
-            let ok = (0..8).all(|k| {
-                leaves[i + k] == parent.child(k as u8) && indicators[i + k] < theta_coarsen
-            });
-            if ok {
-                n_families += 1;
-                i += 8;
-                continue;
-            }
+        if coarsenable(leaves, indicators, i, theta_coarsen, params) {
+            n_families += 1;
+            i += 8;
+        } else {
+            i += 1;
         }
-        i += 1;
     }
     (n_ref, n_families)
 }
 
+/// Whether the family starting at `leaves[i]` is marked for coarsening:
+/// eight same-parent leaves above the level floor, all below the
+/// coarsening threshold.
+fn coarsenable<L: CurveLeaf>(
+    leaves: &[L],
+    indicators: &[f64],
+    i: usize,
+    theta_coarsen: f64,
+    params: &MarkParams,
+) -> bool {
+    leaves[i].oct().level() > params.min_level
+        && is_family(leaves, i)
+        && indicators[i..i + 8].iter().all(|&eta| eta < theta_coarsen)
+}
+
 /// Compute per-element marks such that the expected global element count
 /// after refine (+7 each) and family coarsening (−7 each) lies within
-/// `params.tolerance` of `params.target_elements`.
+/// `params.tolerance` of `params.target_elements`, writing them into
+/// `marks` (cleared first, capacity reused: warm calls do not allocate).
 ///
 /// `leaves` and `indicators` are this rank's portion; every rank must call
 /// this collectively.
-pub fn mark_elements(
+pub fn mark_elements_into<L: CurveLeaf>(
     comm: &Comm,
-    leaves: &[Octant],
-    indicators: &[f64],
-    params: &MarkParams,
-) -> Vec<Mark> {
-    let mut marks = Vec::new();
-    mark_elements_into(comm, leaves, indicators, params, &mut marks);
-    marks
-}
-
-/// [`mark_elements`] writing into a caller-provided buffer (cleared first,
-/// capacity reused): warm calls do not allocate.
-pub fn mark_elements_into(
-    comm: &Comm,
-    leaves: &[Octant],
+    leaves: &[L],
     indicators: &[f64],
     params: &MarkParams,
     marks: &mut Vec<Mark>,
@@ -156,33 +152,26 @@ pub fn mark_elements_into(
     // Emit the marks for the chosen thresholds, family-consistent.
     marks.clear();
     marks.resize(leaves.len(), Mark::None);
-    for (i, (o, &eta)) in leaves.iter().zip(indicators).enumerate() {
-        if eta > theta && o.level() < params.max_level {
+    for (i, (l, &eta)) in leaves.iter().zip(indicators).enumerate() {
+        if eta > theta && l.oct().level() < params.max_level {
             marks[i] = Mark::Refine;
         }
     }
     let mut i = 0;
     while i < leaves.len() {
-        let o = leaves[i];
-        if o.level() > params.min_level && o.child_id() == 0 && i + 8 <= leaves.len() {
-            let parent = o.parent();
-            let ok = (0..8)
-                .all(|k| leaves[i + k] == parent.child(k as u8) && indicators[i + k] < theta_c);
-            if ok {
-                for k in 0..8 {
-                    marks[i + k] = Mark::Coarsen;
-                }
-                i += 8;
-                continue;
-            }
+        if coarsenable(leaves, indicators, i, theta_c, params) {
+            marks[i..i + 8].fill(Mark::Coarsen);
+            i += 8;
+        } else {
+            i += 1;
         }
-        i += 1;
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::morton::Octant;
     use crate::ops::new_tree;
     use scomm::spmd;
 
@@ -221,7 +210,8 @@ mod tests {
             tolerance: 0.1,
             ..Default::default()
         };
-        let marks = mark_elements(&comm, &leaves, &ind, &params);
+        let mut marks = Vec::new();
+        mark_elements_into(&comm, &leaves, &ind, &params, &mut marks);
         let after = apply(&leaves, &marks);
         let n = after.len() as f64;
         assert!((n - 1000.0).abs() / 1000.0 < 0.25, "got {n} elements");
@@ -237,7 +227,8 @@ mod tests {
             max_level: 2,            // but nothing may exceed level 2
             ..Default::default()
         };
-        let marks = mark_elements(&comm, &leaves, &ind, &params);
+        let mut marks = Vec::new();
+        mark_elements_into(&comm, &leaves, &ind, &params, &mut marks);
         assert!(marks.iter().all(|m| *m == Mark::None));
     }
 
@@ -251,7 +242,8 @@ mod tests {
             min_level: 1,
             ..Default::default()
         };
-        let marks = mark_elements(&comm, &leaves, &ind, &params);
+        let mut marks = Vec::new();
+        mark_elements_into(&comm, &leaves, &ind, &params, &mut marks);
         // Coarsen marks must come in aligned groups of 8.
         let mut i = 0;
         while i < marks.len() {
@@ -281,7 +273,8 @@ mod tests {
                 target_elements: 800,
                 ..Default::default()
             };
-            let marks = mark_elements(c, &mine, &ind, &params);
+            let mut marks = Vec::new();
+            mark_elements_into(c, &mine, &ind, &params, &mut marks);
             let after = apply(&mine, &marks);
             after.len() as u64
         });

@@ -161,6 +161,32 @@ pub(crate) const fn neighbor_raw_unit(raw: u64, dx: i32, dy: i32, dz: i32) -> u6
     }
 }
 
+/// The 26 displacement triples of [`Octant::neighbor_directions`], z
+/// outermost and x innermost, computed at compile time.
+pub(crate) const ALL_DIRS: [(i32, i32, i32); 26] = build_all_dirs();
+
+const fn build_all_dirs() -> [(i32, i32, i32); 26] {
+    let mut out = [(0, 0, 0); 26];
+    let mut n = 0;
+    let mut dz = -1;
+    while dz <= 1 {
+        let mut dy = -1;
+        while dy <= 1 {
+            let mut dx = -1;
+            while dx <= 1 {
+                if !(dx == 0 && dy == 0 && dz == 0) {
+                    out[n] = (dx, dy, dz);
+                    n += 1;
+                }
+                dx += 1;
+            }
+            dy += 1;
+        }
+        dz += 1;
+    }
+    out
+}
+
 impl Octant {
     /// Out-of-domain marker used by the batch neighbor kernels in
     /// [`crate::simd`]; not a valid octant (level field = 31).
@@ -329,19 +355,9 @@ impl Octant {
     }
 
     /// Iterate the 26 `(dx,dy,dz)` displacement triples of the full
-    /// face/edge/corner neighborhood.
+    /// face/edge/corner neighborhood (z outermost, x innermost).
     pub fn neighbor_directions() -> impl Iterator<Item = (i32, i32, i32)> {
-        (-1..=1).flat_map(move |dz| {
-            (-1..=1).flat_map(move |dy| {
-                (-1..=1).filter_map(move |dx| {
-                    if dx == 0 && dy == 0 && dz == 0 {
-                        None
-                    } else {
-                        Some((dx, dy, dz))
-                    }
-                })
-            })
-        })
+        ALL_DIRS.into_iter()
     }
 
     /// Geometric anchor in the unit cube `[0,1)^3`.

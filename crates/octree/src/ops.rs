@@ -6,6 +6,7 @@
 //! place* in the sorted order, which is valid because the children occupy
 //! exactly the parent's Morton range.
 
+use crate::curve::CurveLeaf;
 use crate::morton::{Octant, MAX_LEVEL};
 
 /// Build a uniform octree refined to `level` (the paper's `NewTree` grows
@@ -30,21 +31,22 @@ pub fn refine<F: FnMut(&Octant) -> bool>(leaves: &mut Vec<Octant>, should_refine
 /// [`refine`] writing through a caller-provided scratch buffer, which is
 /// swapped with `leaves` on return. Reusing one scratch across calls keeps
 /// the {leaves, scratch} pair grow-only: warm calls never allocate.
-pub fn refine_with<F: FnMut(&Octant) -> bool>(
-    leaves: &mut Vec<Octant>,
-    scratch: &mut Vec<Octant>,
+/// Generic over the leaf type, so a forest's leaves refine here too.
+pub fn refine_with<L: CurveLeaf, F: FnMut(&L) -> bool>(
+    leaves: &mut Vec<L>,
+    scratch: &mut Vec<L>,
     mut should_refine: F,
 ) -> usize {
     scratch.clear();
     let mut count = 0;
-    for &o in leaves.iter() {
+    for &l in leaves.iter() {
         // Evaluate the predicate exactly once per leaf, in order, so that
         // index-driven closures stay aligned even for depth-capped leaves.
-        if should_refine(&o) && o.level() < MAX_LEVEL {
-            scratch.extend_from_slice(&o.children());
+        if should_refine(&l) && l.oct().level() < MAX_LEVEL {
+            scratch.extend(l.oct().children().map(|c| l.with_oct(c)));
             count += 1;
         } else {
-            scratch.push(o);
+            scratch.push(l);
         }
     }
     std::mem::swap(leaves, scratch);
@@ -59,20 +61,15 @@ pub fn refine_with<F: FnMut(&Octant) -> bool>(
 /// in order.
 pub fn coarsen<F: FnMut(&Octant) -> bool>(leaves: &mut Vec<Octant>, should_coarsen: F) -> usize {
     let marks: Vec<bool> = leaves.iter().map(should_coarsen).collect();
-    coarsen_marked(leaves, &marks)
+    coarsen_marked_with(leaves, &mut Vec::with_capacity(leaves.len()), &marks)
 }
 
-/// [`coarsen`] with precomputed per-leaf marks (one per leaf, in order).
-pub fn coarsen_marked(leaves: &mut Vec<Octant>, marks: &[bool]) -> usize {
-    let mut scratch = Vec::with_capacity(leaves.len());
-    coarsen_marked_with(leaves, &mut scratch, marks)
-}
-
-/// [`coarsen_marked`] writing through a caller-provided scratch buffer,
-/// swapped with `leaves` on return (see [`refine_with`]).
-pub fn coarsen_marked_with(
-    leaves: &mut Vec<Octant>,
-    scratch: &mut Vec<Octant>,
+/// [`coarsen`] with precomputed per-leaf marks (one per leaf, in order),
+/// writing through a caller-provided scratch buffer that is swapped with
+/// `leaves` on return (see [`refine_with`]).
+pub fn coarsen_marked_with<L: CurveLeaf>(
+    leaves: &mut Vec<L>,
+    scratch: &mut Vec<L>,
     marks: &[bool],
 ) -> usize {
     assert_eq!(leaves.len(), marks.len());
@@ -80,24 +77,36 @@ pub fn coarsen_marked_with(
     let mut count = 0;
     let mut i = 0;
     while i < leaves.len() {
-        let o = leaves[i];
-        // A coarsenable family starts at a child 0 and occupies eight
-        // consecutive positions in Morton order.
-        if o.level() > 0 && o.child_id() == 0 && i + 8 <= leaves.len() {
-            let parent = o.parent();
-            let family_ok = (0..8).all(|k| leaves[i + k] == parent.child(k as u8) && marks[i + k]);
-            if family_ok {
-                scratch.push(parent);
-                count += 1;
-                i += 8;
-                continue;
-            }
+        let l = leaves[i];
+        if is_family(leaves, i) && marks[i..i + 8].iter().all(|&m| m) {
+            scratch.push(l.with_oct(l.oct().parent()));
+            count += 1;
+            i += 8;
+        } else {
+            scratch.push(l);
+            i += 1;
         }
-        scratch.push(o);
-        i += 1;
     }
     std::mem::swap(leaves, scratch);
     count
+}
+
+/// Whether `leaves[i..i + 8]` is one complete sibling family: a child 0
+/// followed by the other seven children of its parent, all in one tree.
+/// A family occupies eight consecutive curve positions, so this is the
+/// only place coarsening and marking look for one.
+#[inline]
+pub fn is_family<L: CurveLeaf>(leaves: &[L], i: usize) -> bool {
+    let first = leaves[i];
+    let o = first.oct();
+    if o.level() == 0 || o.child_id() != 0 || i + 8 > leaves.len() {
+        return false;
+    }
+    let parent = o.parent();
+    (1..8).all(|k| {
+        let l = leaves[i + k];
+        l.tree() == first.tree() && l.oct() == parent.child(k as u8)
+    })
 }
 
 /// Remove overlaps from a sorted octant list, keeping the *finest* octants
@@ -120,21 +129,14 @@ pub fn linearize(octants: &mut Vec<Octant>) {
 }
 
 /// Binary-search the sorted leaf array for the leaf that contains `target`
-/// (i.e. equals it or is its ancestor). Returns its index, or `None` if the
-/// containing region is not present locally.
-pub fn find_containing(leaves: &[Octant], target: &Octant) -> Option<usize> {
+/// (i.e. equals it or is its ancestor in the same tree). Returns its
+/// index, or `None` if the containing region is not present locally.
+pub fn find_containing<L: CurveLeaf>(leaves: &[L], target: &L) -> Option<usize> {
     // partition_point gives the first leaf > target; the candidate is the
     // one before it (ancestors sort before descendants).
-    let idx = leaves.partition_point(|o| o <= target);
-    if idx == 0 {
-        return None;
-    }
-    let cand = idx - 1;
-    if leaves[cand].contains(target) {
-        Some(cand)
-    } else {
-        None
-    }
+    let idx = leaves.partition_point(|l| l <= target);
+    let cand = leaves[..idx].last()?;
+    (cand.tree() == target.tree() && cand.oct().contains(&target.oct())).then_some(idx - 1)
 }
 
 /// Split a curve-ordered packed-key slice into the eight child subranges

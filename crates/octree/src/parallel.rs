@@ -7,24 +7,68 @@
 //! `allgather` of one long integer per core — exactly the paper's scheme.
 
 use crate::balance::{BalanceKind, BalanceWorkspace};
-use crate::mark::{mark_elements_into, Mark, MarkParams};
+pub use crate::curve::PartitionPlan;
+use crate::curve::{capacity_bytes as cap, LeafCurve};
+use crate::mark::MarkParams;
 use crate::morton::Octant;
-use crate::ops::{self, find_containing};
+use crate::ops::find_containing;
 use crate::simd;
 use scomm::{pod, Comm};
 
-/// Grow-only scratch for the distributed adaptation hot path. One instance
-/// lives inside each [`DistOctree`]; once every buffer has reached its
-/// steady-state capacity a warm mark→refine→coarsen→balance→partition
-/// cycle performs no heap allocation in this crate. [`DistOctree::alloc_bytes`]
-/// reports the tracked capacity so callers can prove it (the
-/// `amr.alloc_bytes` obs counter).
+/// Batched marker range queries over a block of same-size neighbor
+/// positions: after [`OwnerRanges::query`], [`OwnerRanges::ranks`]`(i)` is
+/// the inclusive range of ranks whose curve segments intersect region
+/// `nbrs[i]` (meaningless for `Octant::INVALID`, which callers skip). The
+/// two binary-search sweeps over the rank markers run through the
+/// vectorized upper-bound kernel.
 #[derive(Default)]
-struct TreeWorkspace {
+struct OwnerRanges {
+    /// Morton-key needles: each region's first and last descendant.
+    key_lo: Vec<u64>,
+    key_hi: Vec<u64>,
+    /// `upper_bounds_into` outputs over the rank markers.
+    lo: Vec<u32>,
+    hi: Vec<u32>,
+}
+
+impl OwnerRanges {
+    fn query(&mut self, markers: &[u64], nbrs: &[Octant]) {
+        self.key_lo.clear();
+        self.key_hi.clear();
+        for &n in nbrs {
+            if n == Octant::INVALID {
+                self.key_lo.push(u64::MAX);
+                self.key_hi.push(u64::MAX);
+            } else {
+                self.key_lo.push(n.key());
+                self.key_hi.push(n.last_descendant().key());
+            }
+        }
+        self.lo.clear();
+        simd::upper_bounds_into(markers, &self.key_lo, &mut self.lo);
+        self.hi.clear();
+        simd::upper_bounds_into(markers, &self.key_hi, &mut self.hi);
+    }
+
+    fn ranks(&self, i: usize) -> (usize, usize) {
+        let rank = |bound: u32| (bound as usize).saturating_sub(1);
+        (rank(self.lo[i]), rank(self.hi[i]))
+    }
+
+    fn capacity_bytes(&self) -> u64 {
+        cap(&self.key_lo) + cap(&self.key_hi) + cap(&self.lo) + cap(&self.hi)
+    }
+}
+
+/// Grow-only scratch of the distributed 2:1 balance. Together with the
+/// tree's [`LeafCurve`] it makes a warm mark→refine→coarsen→balance→
+/// partition cycle perform no heap allocation in this crate.
+/// [`DistOctree::alloc_bytes`] reports the tracked capacity so callers can
+/// prove it (the `amr.alloc_bytes` obs counter).
+#[derive(Default)]
+struct BalanceScratch {
     /// Seed-propagation balance scratch.
     bal: BalanceWorkspace,
-    /// Swap partner for refine/coarsen rebuilds.
-    scratch: Vec<Octant>,
     /// Per-destination staging of balance size-requests. A request is the
     /// packed key of the same-size neighbor position: its level *is* the
     /// requesting leaf's level, so the old `(Octant, level)` 16-byte tuple
@@ -38,41 +82,17 @@ struct TreeWorkspace {
     /// Batch neighbor-kernel output (one entry per local leaf, per
     /// direction; `Octant::INVALID` marks out-of-domain).
     nbrs: Vec<Octant>,
-    /// Morton-key needles of the batched ownership range queries.
-    key_lo: Vec<u64>,
-    key_hi: Vec<u64>,
-    /// Batched `upper_bounds_into` outputs over the rank markers.
-    own_lo: Vec<u32>,
-    own_hi: Vec<u32>,
+    owners: OwnerRanges,
     /// Per-leaf refine flags driven by remote requests.
     to_refine: Vec<bool>,
-    /// Partition exchange buffers (the send side is `local` itself).
-    part_counts: Vec<usize>,
-    part_recv: Vec<Octant>,
-    part_recv_counts: Vec<usize>,
-    /// `adapt_to_target` buffers.
-    marks: Vec<Mark>,
-    coarsen_flags: Vec<bool>,
 }
 
-impl TreeWorkspace {
+impl BalanceScratch {
     fn capacity_bytes(&self) -> u64 {
-        fn cap<T>(v: &Vec<T>) -> u64 {
-            (v.capacity() * std::mem::size_of::<T>()) as u64
-        }
-        let mut b = self.bal.capacity_bytes();
-        b += cap(&self.scratch) + cap(&self.send_flat) + cap(&self.recv_flat);
-        b += cap(&self.send_counts) + cap(&self.recv_counts);
-        b += cap(&self.to_refine) + cap(&self.part_counts) + cap(&self.part_recv);
-        b += cap(&self.part_recv_counts) + cap(&self.marks);
-        b += cap(&self.coarsen_flags);
-        b += cap(&self.nbrs) + cap(&self.key_lo) + cap(&self.key_hi);
-        b += cap(&self.own_lo) + cap(&self.own_hi);
-        b += cap(&self.req_bufs);
-        for v in &self.req_bufs {
-            b += cap(v);
-        }
-        b
+        let mut b = self.bal.capacity_bytes() + self.owners.capacity_bytes();
+        b += cap(&self.send_flat) + cap(&self.recv_flat) + cap(&self.nbrs);
+        b += cap(&self.send_counts) + cap(&self.recv_counts) + cap(&self.to_refine);
+        b + cap(&self.req_bufs) + self.req_bufs.iter().map(cap).sum::<u64>()
     }
 }
 
@@ -86,10 +106,7 @@ const GHOST_BLOCK: usize = 1024;
 #[derive(Default)]
 pub struct GhostScratch {
     nbrs: Vec<Octant>,
-    key_lo: Vec<u64>,
-    key_hi: Vec<u64>,
-    own_lo: Vec<u32>,
-    own_hi: Vec<u32>,
+    owners: OwnerRanges,
     outgoing: Vec<Vec<Octant>>,
     sent_to: Vec<usize>,
     send_flat: Vec<Octant>,
@@ -111,75 +128,23 @@ impl GhostScratch {
     }
 
     pub fn capacity_bytes(&self) -> u64 {
-        fn cap<T>(v: &Vec<T>) -> u64 {
-            (v.capacity() * std::mem::size_of::<T>()) as u64
-        }
-        let mut b = cap(&self.nbrs) + cap(&self.key_lo) + cap(&self.key_hi);
-        b += cap(&self.own_lo) + cap(&self.own_hi) + cap(&self.sent_to);
-        b += cap(&self.send_flat) + cap(&self.send_counts);
+        let mut b = cap(&self.nbrs) + self.owners.capacity_bytes() + cap(&self.sent_to);
+        b += cap(&self.send_flat) + cap(&self.send_counts) + cap(&self.ghosts);
         b += cap(&self.recv_flat) + cap(&self.recv_counts);
-        b += cap(&self.ghosts) + cap(&self.outgoing);
-        for v in &self.outgoing {
-            b += cap(v);
-        }
-        b
+        b + cap(&self.outgoing) + self.outgoing.iter().map(cap).sum::<u64>()
     }
 }
 
 /// A distributed linear octree: this rank's view.
 pub struct DistOctree<'c> {
-    comm: &'c Comm,
     /// Locally owned leaves, Morton-sorted.
     pub local: Vec<Octant>,
-    /// Morton key of each rank's first owned leaf (`u64::MAX` for a rank
-    /// with no elements and none following); length = world size.
-    markers: Vec<u64>,
-    /// Per-rank element counts.
-    counts: Vec<u64>,
-    /// Reused `(first_key, count)` gather buffer for marker refresh.
-    gather: Vec<(u64, u64)>,
-    /// Grow-only adaptation scratch.
-    ws: TreeWorkspace,
+    /// Markers, counts, and the refine/coarsen/partition scratch.
+    curve: LeafCurve<'c, Octant>,
+    /// Grow-only balance scratch.
+    ws: BalanceScratch,
     /// Ripple rounds used by the most recent [`DistOctree::balance`] call.
     balance_rounds: u64,
-}
-
-/// Fill `ws.own_lo` / `ws.own_hi` with the batched marker range queries
-/// for every neighbor position in `ws.nbrs`: `own_*[i].saturating_sub(1)`
-/// is the first/last rank whose curve segment intersects the region of
-/// `ws.nbrs[i]` (entries for `Octant::INVALID` are meaningless and must
-/// be skipped by the caller). The two binary-search sweeps over the rank
-/// markers run through the vectorized upper-bound kernel.
-fn owner_ranges_batched(markers: &[u64], ws: &mut TreeWorkspace) {
-    ws.key_lo.clear();
-    ws.key_hi.clear();
-    for &n in &ws.nbrs {
-        if n == Octant::INVALID {
-            ws.key_lo.push(u64::MAX);
-            ws.key_hi.push(u64::MAX);
-        } else {
-            // First descendant shares the anchor key; last descendant
-            // closes the region's Morton interval.
-            ws.key_lo.push(n.key());
-            ws.key_hi.push(n.last_descendant().key());
-        }
-    }
-    ws.own_lo.clear();
-    simd::upper_bounds_into(markers, &ws.key_lo, &mut ws.own_lo);
-    ws.own_hi.clear();
-    simd::upper_bounds_into(markers, &ws.key_hi, &mut ws.own_hi);
-}
-
-/// Description of the element movement performed by a repartition; apply
-/// the same plan to element-attached data with [`transfer_fields`]
-/// (the paper's `TransferFields`).
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct PartitionPlan {
-    /// For each destination rank, the half-open local index range of
-    /// elements sent there (empty ranges allowed).
-    pub send_ranges: Vec<(usize, usize)>,
-    /// Number of elements owned after the repartition.
-    pub new_len: usize,
 }
 
 impl<'c> DistOctree<'c> {
@@ -189,186 +154,88 @@ impl<'c> DistOctree<'c> {
         let n = 1u64 << (3 * level as u64);
         let p = comm.size() as u64;
         let r = comm.rank() as u64;
-        let lo = (n * r) / p;
-        let hi = (n * (r + 1)) / p;
-        let local: Vec<Octant> = (lo..hi)
+        let local = (n * r / p..n * (r + 1) / p)
             .map(|i| Octant::from_uniform_index(level, i))
             .collect();
-        let mut tree = DistOctree {
-            comm,
-            local,
-            markers: Vec::new(),
-            counts: Vec::new(),
-            gather: Vec::new(),
-            ws: TreeWorkspace::default(),
-            balance_rounds: 0,
-        };
-        tree.update_markers();
-        tree
+        Self::from_local(comm, local)
     }
 
     /// Wrap already-distributed leaves (must be globally Morton-sorted and
     /// non-overlapping across ranks).
     pub fn from_local(comm: &'c Comm, local: Vec<Octant>) -> Self {
-        let mut tree = DistOctree {
-            comm,
+        DistOctree {
+            curve: LeafCurve::new(comm, 1, &local),
             local,
-            markers: Vec::new(),
-            counts: Vec::new(),
-            gather: Vec::new(),
-            ws: TreeWorkspace::default(),
+            ws: BalanceScratch::default(),
             balance_rounds: 0,
-        };
-        tree.update_markers();
-        tree
-    }
-
-    /// Re-establish the per-rank markers after any structural change.
-    /// One allgather of `(first_key, count)` per rank; all buffers reused.
-    fn update_markers(&mut self) {
-        let comm = self.comm;
-        let first = self.local.first().map(|o| o.key()).unwrap_or(u64::MAX);
-        comm.allgatherv_into(&[(first, self.local.len() as u64)], &mut self.gather);
-        let p = comm.size();
-        self.markers.clear();
-        self.markers.resize(p, u64::MAX);
-        self.counts.clear();
-        self.counts.resize(p, 0);
-        for (r, &(key, count)) in self.gather.iter().enumerate() {
-            self.counts[r] = count;
-            self.markers[r] = key;
-        }
-        // Give empty ranks the marker of the next non-empty rank so that
-        // ownership search never selects them.
-        let mut next = u64::MAX;
-        for r in (0..p).rev() {
-            if self.counts[r] == 0 {
-                self.markers[r] = next;
-            } else {
-                next = self.markers[r];
-            }
         }
     }
 
     /// Global number of elements.
     pub fn global_count(&self) -> u64 {
-        self.counts.iter().sum()
+        self.curve.global_count()
     }
 
     /// Global index of this rank's first element.
     pub fn global_offset(&self) -> u64 {
-        self.counts[..self.comm.rank()].iter().sum()
+        self.curve.global_offset()
     }
 
     /// The communicator this tree lives on.
     pub fn comm(&self) -> &'c Comm {
-        self.comm
+        self.curve.comm()
     }
 
     /// Per-rank element counts (metadata from the last marker exchange).
     pub fn rank_counts(&self) -> &[u64] {
-        &self.counts
+        self.curve.rank_counts()
     }
 
     /// The rank owning `octant` (by its first descendant). Assumes the
     /// global tree covers the octant's region.
     pub fn owner_of(&self, octant: &Octant) -> usize {
-        let key = octant.key(); // first descendant shares the anchor key
-        let idx = self.markers.partition_point(|&m| m <= key);
-        idx.saturating_sub(1)
+        self.curve.owner_of(octant)
     }
 
     /// The inclusive rank range whose segments intersect the region of
     /// `octant` (it may span several ranks).
     pub fn owner_range(&self, octant: &Octant) -> (usize, usize) {
-        let lo = self.owner_of(&octant.first_descendant());
-        let hi = self.owner_of(&octant.last_descendant());
-        (lo, hi)
+        self.curve.owner_range(octant)
     }
 
     /// `RefineTree`: purely local, no communication (markers refreshed).
     pub fn refine<F: FnMut(&Octant) -> bool>(&mut self, should_refine: F) -> usize {
-        let n = ops::refine_with(&mut self.local, &mut self.ws.scratch, should_refine);
-        self.update_markers();
-        n
+        self.curve.refine(&mut self.local, should_refine)
     }
 
-    /// `CoarsenTree`: local families only — as in the paper, families
-    /// spanning rank boundaries are not coarsened (at most `P−1` such
-    /// families exist).
+    /// `CoarsenTree`: local families only (see [`LeafCurve::coarsen`]).
     pub fn coarsen<F: FnMut(&Octant) -> bool>(&mut self, should_coarsen: F) -> usize {
-        let ws = &mut self.ws;
-        ws.coarsen_flags.clear();
-        ws.coarsen_flags
-            .extend(self.local.iter().map(should_coarsen));
-        let n = ops::coarsen_marked_with(&mut self.local, &mut ws.scratch, &ws.coarsen_flags);
-        self.update_markers();
-        n
+        self.curve.coarsen(&mut self.local, should_coarsen)
     }
 
-    /// `MarkElements`: the collective threshold bisection toward a global
-    /// element-count target, driven by per-element indicators. Leaves one
-    /// mark per local leaf in the tree's workspace for
-    /// [`DistOctree::coarsen_marked`] and [`DistOctree::refine_marked`],
-    /// which must follow in that order.
+    /// `MarkElements` (see [`LeafCurve::mark_for_target`]); the marks stay
+    /// with the tree for [`DistOctree::coarsen_marked`] and
+    /// [`DistOctree::refine_marked`], which must follow in that order.
     pub fn mark_for_target(&mut self, indicators: &[f64], params: &MarkParams) {
-        mark_elements_into(
-            self.comm,
-            &self.local,
-            indicators,
-            params,
-            &mut self.ws.marks,
-        );
+        self.curve.mark_for_target(&self.local, indicators, params)
     }
 
-    /// `CoarsenTree` on the marks of [`DistOctree::mark_for_target`]
-    /// (family-aligned by construction). Local; returns the number of
-    /// families coarsened and re-aligns the marks with the new leaves.
+    /// `CoarsenTree` on the marks; returns the families coarsened.
     pub fn coarsen_marked(&mut self) -> usize {
-        let ws = &mut self.ws;
-        ws.coarsen_flags.clear();
-        ws.coarsen_flags
-            .extend(ws.marks.iter().map(|m| *m == Mark::Coarsen));
-        let coarsened =
-            ops::coarsen_marked_with(&mut self.local, &mut ws.scratch, &ws.coarsen_flags);
-        // Coarsened families disappear into a parent that keeps its
-        // size; every other leaf keeps its mark.
-        let mut j = 0usize;
-        for i in 0..self.local.len() {
-            if ws.coarsen_flags[j] {
-                ws.marks[i] = Mark::None;
-                j += 8;
-            } else {
-                ws.marks[i] = ws.marks[j];
-                j += 1;
-            }
-        }
-        ws.marks.truncate(self.local.len());
-        coarsened
+        self.curve.coarsen_marked(&mut self.local)
     }
 
     /// `RefineTree` on the surviving marks, then the one marker refresh
     /// of the adaptation. Returns the number of leaves refined.
     pub fn refine_marked(&mut self) -> usize {
-        let TreeWorkspace { scratch, marks, .. } = &mut self.ws;
-        let mut i = 0usize;
-        let refined = ops::refine_with(&mut self.local, scratch, |_| {
-            let m = marks[i] == Mark::Refine;
-            i += 1;
-            m
-        });
-        self.update_markers();
-        refined
+        self.curve.refine_marked(&mut self.local)
     }
 
-    /// `MarkElements` + apply: [`DistOctree::mark_for_target`], then
-    /// coarsen, then refine the survivors. Returns
-    /// `(refined, coarsened_families)`. Warm calls reuse the tree's
-    /// workspace and do not allocate.
+    /// `MarkElements` + apply. Returns `(refined, coarsened_families)`.
+    /// Warm calls reuse the tree's scratch and do not allocate.
     pub fn adapt_to_target(&mut self, indicators: &[f64], params: &MarkParams) -> (usize, usize) {
-        self.mark_for_target(indicators, params);
-        let coarsened = self.coarsen_marked();
-        (self.refine_marked(), coarsened)
+        self.curve
+            .adapt_to_target(&mut self.local, indicators, params)
     }
 
     /// Parallel `BalanceTree`: prioritized ripple propagation. Each round
@@ -379,10 +246,10 @@ impl<'c> DistOctree<'c> {
     pub fn balance(&mut self, kind: BalanceKind) -> u64 {
         let before = self.global_count();
         let dirs = kind.direction_slice();
-        let p = self.comm.size();
-        let me = self.comm.rank();
+        let comm = self.comm();
+        let (p, me) = (comm.size(), comm.rank());
         let mut rounds = 0u64;
-        let mut ws = std::mem::take(&mut self.ws);
+        let ws = &mut self.ws;
         if ws.req_bufs.len() < p {
             ws.req_bufs.resize_with(p, Vec::new);
         }
@@ -391,7 +258,7 @@ impl<'c> DistOctree<'c> {
             // Local pass first (no communication): recursive seed-set
             // propagation through the retained workspace.
             crate::balance::balance_local_kind_ws(&mut self.local, kind, &mut ws.bal);
-            self.update_markers();
+            self.curve.update(&self.local);
 
             // Collect remote size requests: the same-size neighbor
             // position of each boundary leaf, as a bare packed key (its
@@ -406,14 +273,12 @@ impl<'c> DistOctree<'c> {
             for &(dx, dy, dz) in dirs {
                 ws.nbrs.clear();
                 simd::neighbor_keys_into(&self.local, dx, dy, dz, &mut ws.nbrs);
-                owner_ranges_batched(&self.markers, &mut ws);
-                for i in 0..ws.nbrs.len() {
-                    let n = ws.nbrs[i];
+                ws.owners.query(self.curve.markers(), &ws.nbrs);
+                for (i, &n) in ws.nbrs.iter().enumerate() {
                     if n == Octant::INVALID {
                         continue;
                     }
-                    let rlo = (ws.own_lo[i] as usize).saturating_sub(1);
-                    let rhi = (ws.own_hi[i] as usize).saturating_sub(1);
+                    let (rlo, rhi) = ws.owners.ranks(i);
                     for r in rlo..=rhi {
                         if r != me {
                             ws.req_bufs[r].push(n);
@@ -427,7 +292,7 @@ impl<'c> DistOctree<'c> {
                 ws.send_counts.push(buf.len());
                 ws.send_flat.extend_from_slice(buf);
             }
-            self.comm.alltoallv_flat(
+            comm.alltoallv_flat(
                 &ws.send_flat,
                 &ws.send_counts,
                 &mut ws.recv_flat,
@@ -448,24 +313,15 @@ impl<'c> DistOctree<'c> {
                     }
                 }
             }
-            let global_changed = self.comm.allreduce_sum(&[changed])[0];
+            let global_changed = comm.allreduce_sum(&[changed])[0];
             if global_changed == 0 {
                 break;
             }
             if changed > 0 {
-                let TreeWorkspace {
-                    scratch, to_refine, ..
-                } = &mut ws;
-                let mut i = 0usize;
-                ops::refine_with(&mut self.local, scratch, |_| {
-                    let m = to_refine[i];
-                    i += 1;
-                    m
-                });
+                self.curve.refine_flagged(&mut self.local, &ws.to_refine);
             }
-            self.update_markers();
+            self.curve.update(&self.local);
         }
-        self.ws = ws;
         self.balance_rounds = rounds;
         #[cfg(debug_assertions)]
         if scomm::checks_enabled() {
@@ -482,84 +338,28 @@ impl<'c> DistOctree<'c> {
     }
 
     /// Heap capacity currently held by this tree's tracked buffers (leaf
-    /// array, marker metadata, and the adaptation workspace), in bytes.
-    /// The growth of this value across a warm adapt cycle is the
+    /// array, curve metadata, and the adaptation scratch), in bytes. The
+    /// growth of this value across a warm adapt cycle is the
     /// `amr.alloc_bytes` contribution of the tree layer; at steady state
     /// it must be zero.
     pub fn alloc_bytes(&self) -> u64 {
-        fn cap<T>(v: &Vec<T>) -> u64 {
-            (v.capacity() * std::mem::size_of::<T>()) as u64
-        }
-        self.ws.capacity_bytes()
-            + cap(&self.local)
-            + cap(&self.markers)
-            + cap(&self.counts)
-            + cap(&self.gather)
+        self.curve.alloc_bytes(&self.local) + self.ws.capacity_bytes()
     }
 
     /// `PartitionTree`: redistribute leaves so that every rank owns an
     /// equal share (±1) of the Morton curve. Returns the plan, which must
     /// be replayed on element data with [`transfer_fields`].
     pub fn partition(&mut self) -> PartitionPlan {
-        let mut plan = PartitionPlan {
-            send_ranges: Vec::new(),
-            new_len: 0,
-        };
+        let mut plan = PartitionPlan::default();
         self.partition_with(&mut plan);
         plan
     }
 
     /// [`DistOctree::partition`] writing the plan into a caller-provided
-    /// value (ranges cleared first, capacity reused). The send ranges tile
-    /// the local array contiguously in rank order, so the leaf array
-    /// itself serves as the flat exchange buffer — the repartition moves
-    /// each octant exactly once with no packing copy, and warm calls do
-    /// not allocate.
+    /// value (see [`LeafCurve::partition_with`]); warm calls do not
+    /// allocate.
     pub fn partition_with(&mut self, plan: &mut PartitionPlan) {
-        let p = self.comm.size() as u64;
-        let n = self.global_count();
-        let my_off = self.global_offset();
-        let my_len = self.local.len() as u64;
-
-        // Target global ranges: rank r owns [r*n/p, (r+1)*n/p).
-        let target_lo = |r: u64| (n * r) / p;
-        let mut ws = std::mem::take(&mut self.ws);
-        plan.send_ranges.clear();
-        ws.part_counts.clear();
-        for r in 0..p {
-            let lo = target_lo(r).max(my_off);
-            let hi = target_lo(r + 1).min(my_off + my_len);
-            if lo < hi {
-                let s = (lo - my_off) as usize;
-                let e = (hi - my_off) as usize;
-                plan.send_ranges.push((s, e));
-                ws.part_counts.push(e - s);
-            } else {
-                // Keep ranges well-formed (empty) at a valid position.
-                let s = (lo.min(my_off + my_len).max(my_off) - my_off) as usize;
-                plan.send_ranges.push((s, s));
-                ws.part_counts.push(0);
-            }
-        }
-        self.comm.alltoallv_flat(
-            &self.local,
-            &ws.part_counts,
-            &mut ws.part_recv,
-            &mut ws.part_recv_counts,
-        );
-        // Rank order = Morton order: the flat receive buffer is the new
-        // local segment.
-        std::mem::swap(&mut self.local, &mut ws.part_recv);
-        self.ws = ws;
-        self.update_markers();
-        #[cfg(debug_assertions)]
-        if scomm::checks_enabled() {
-            assert!(
-                self.validate(),
-                "octree invariants violated after partition"
-            );
-        }
-        plan.new_len = self.local.len();
+        self.curve.partition_with(&mut self.local, plan)
     }
 
     /// Build the ghost layer: the remote leaves face/edge/corner-adjacent
@@ -578,9 +378,9 @@ impl<'c> DistOctree<'c> {
     /// (the workspace discipline the `rhea` AMR loop asserts through
     /// `amr.alloc_bytes == 0`). The result lands in `ws.ghosts`.
     pub fn ghost_layer_into<'w>(&self, ws: &'w mut GhostScratch) -> &'w [(usize, Octant)] {
-        let p = self.comm.size();
-        let me = self.comm.rank();
-        let dirs: Vec<(i32, i32, i32)> = Octant::neighbor_directions().collect();
+        let comm = self.comm();
+        let (p, me) = (comm.size(), comm.rank());
+        let dirs = BalanceKind::Full.direction_slice();
         ws.outgoing.resize_with(p, Vec::new);
         for buf in ws.outgoing.iter_mut() {
             buf.clear();
@@ -596,24 +396,10 @@ impl<'c> DistOctree<'c> {
             // of the block, direction d).
             let n_block = block.len();
             ws.nbrs.clear();
-            for &(dx, dy, dz) in &dirs {
+            for &(dx, dy, dz) in dirs {
                 simd::neighbor_keys_into(block, dx, dy, dz, &mut ws.nbrs);
             }
-            ws.key_lo.clear();
-            ws.key_hi.clear();
-            for &n in &ws.nbrs {
-                if n == Octant::INVALID {
-                    ws.key_lo.push(u64::MAX);
-                    ws.key_hi.push(u64::MAX);
-                } else {
-                    ws.key_lo.push(n.key());
-                    ws.key_hi.push(n.last_descendant().key());
-                }
-            }
-            ws.own_lo.clear();
-            ws.own_hi.clear();
-            simd::upper_bounds_into(&self.markers, &ws.key_lo, &mut ws.own_lo);
-            simd::upper_bounds_into(&self.markers, &ws.key_hi, &mut ws.own_hi);
+            ws.owners.query(self.curve.markers(), &ws.nbrs);
 
             // Send each boundary leaf to every rank owning an adjacent
             // region, reading the precomputed batches leaf-major so the
@@ -627,8 +413,7 @@ impl<'c> DistOctree<'c> {
                     if ws.nbrs[idx] == Octant::INVALID {
                         continue;
                     }
-                    let rlo = (ws.own_lo[idx] as usize).saturating_sub(1);
-                    let rhi = (ws.own_hi[idx] as usize).saturating_sub(1);
+                    let (rlo, rhi) = ws.owners.ranks(idx);
                     for r in rlo..=rhi.min(p - 1) {
                         if r != me && !ws.sent_to.contains(&r) {
                             ws.sent_to.push(r);
@@ -646,7 +431,7 @@ impl<'c> DistOctree<'c> {
         for buf in ws.outgoing.iter() {
             ws.send_flat.extend_from_slice(buf);
         }
-        self.comm.alltoallv_flat(
+        comm.alltoallv_flat(
             &ws.send_flat,
             &ws.send_counts,
             &mut ws.recv_flat,
@@ -658,7 +443,7 @@ impl<'c> DistOctree<'c> {
             for &o in &ws.recv_flat[off..off + cnt] {
                 // Keep only ghosts actually adjacent to my leaves (the
                 // sender over-approximated with owner ranges).
-                let adjacent = Octant::neighbor_directions().any(|(dx, dy, dz)| {
+                let adjacent = dirs.iter().any(|&(dx, dy, dz)| {
                     o.neighbor(dx, dy, dz)
                         .map(|n| {
                             // Does region n intersect my ownership range?
@@ -679,45 +464,10 @@ impl<'c> DistOctree<'c> {
     }
 
     /// Validate the distributed linear-octree invariants (collective):
-    /// local validity, global sortedness across rank boundaries, global
-    /// completeness.
+    /// local validity (the vectorized sweep), global sortedness across
+    /// rank boundaries, global completeness.
     pub fn validate(&self) -> bool {
-        let locally_valid = crate::is_valid_linear(&self.local);
-        let first = self.local.first().map(|o| o.key()).unwrap_or(u64::MAX);
-        let last = self
-            .local
-            .last()
-            .map(|o| o.last_descendant().key())
-            .unwrap_or(0);
-        let firsts = self.comm.allgatherv(&[first]);
-        let lasts = self.comm.allgatherv(&[last]);
-        let mut globally_sorted = true;
-        let mut prev_last = 0u64;
-        for r in 0..self.comm.size() {
-            if firsts[r] == u64::MAX {
-                continue;
-            }
-            if firsts[r] < prev_last {
-                globally_sorted = false;
-            }
-            prev_last = lasts[r].max(prev_last);
-        }
-        let vol: u128 = self
-            .local
-            .iter()
-            .map(|o| {
-                let s = o.len() as u128;
-                s * s * s
-            })
-            .sum();
-        let vols = self.comm.allgatherv(&[(vol >> 64) as u64, vol as u64]);
-        let mut total: u128 = 0;
-        for c in vols.chunks(2) {
-            total += ((c[0] as u128) << 64) | c[1] as u128;
-        }
-        let complete = total == (crate::ROOT_LEN as u128).pow(3);
-        let ok = locally_valid && globally_sorted && complete;
-        self.comm.allreduce_min(&[ok as u64])[0] == 1
+        self.curve.validate(&self.local)
     }
 }
 
@@ -990,8 +740,8 @@ mod tests {
                 assert!(refined > 0 && coarsened > 0, "both splices must run");
                 assert_eq!((refined, coarsened), counts);
                 assert_eq!(by_hand.local, whole.local);
-                assert_eq!(by_hand.markers, whole.markers);
-                assert_eq!(by_hand.counts, whole.counts);
+                assert_eq!(by_hand.curve.markers(), whole.curve.markers());
+                assert_eq!(by_hand.rank_counts(), whole.rank_counts());
             });
         }
     }

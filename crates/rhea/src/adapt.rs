@@ -86,9 +86,7 @@ impl AdaptWorkspace {
 
     /// Heap capacity currently held by the workspace, in bytes.
     pub fn capacity_bytes(&self) -> u64 {
-        fn cap<T>(v: &Vec<T>) -> u64 {
-            (v.capacity() * std::mem::size_of::<T>()) as u64
-        }
+        use octree::curve::capacity_bytes as cap;
         let mut b = cap(&self.plan.send_ranges) + cap(&self.fl);
         b += cap(&self.counts) + cap(&self.recv_counts);
         b += cap(&self.corner_data) + cap(&self.moved);

@@ -13,10 +13,17 @@
 /// # Safety
 ///
 /// Implementors must be `#[repr(C)]` (or a primitive), contain no
-/// references, pointers, or non-`Pod` fields, and must tolerate having
-/// their padding bytes (if any) read. Every byte pattern produced by
-/// `as_bytes` of a valid value must be accepted by `from_bytes`.
-pub unsafe trait Pod: Copy + Send + 'static {}
+/// references, pointers, or non-`Pod` fields, and have no padding bytes:
+/// [`as_bytes`] reads every byte of a value, and a padding byte is
+/// uninitialised memory. Every byte pattern produced by `as_bytes` of a
+/// valid value must be accepted by `from_bytes`.
+pub unsafe trait Pod: Copy + Send + 'static {
+    /// Evaluated by [`as_bytes`] for every type it views: the tuple
+    /// impls below turn a tuple whose fields leave padding into a compile
+    /// error there.
+    #[doc(hidden)]
+    const NO_PADDING: () = ();
+}
 
 unsafe impl Pod for u8 {}
 unsafe impl Pod for u16 {}
@@ -30,14 +37,29 @@ unsafe impl Pod for i64 {}
 unsafe impl Pod for isize {}
 unsafe impl Pod for f32 {}
 unsafe impl Pod for f64 {}
-unsafe impl<A: Pod, B: Pod> Pod for (A, B) {}
-unsafe impl<A: Pod, B: Pod, C: Pod> Pod for (A, B, C) {}
+// SAFETY (tuples): the fields are `Pod`, and `NO_PADDING` rejects any
+// tuple whose size exceeds the sum of its fields' sizes.
+unsafe impl<A: Pod, B: Pod> Pod for (A, B) {
+    const NO_PADDING: () = assert!(
+        std::mem::size_of::<(A, B)>() == std::mem::size_of::<A>() + std::mem::size_of::<B>(),
+        "a tuple with padding bytes is not Pod"
+    );
+}
+unsafe impl<A: Pod, B: Pod, C: Pod> Pod for (A, B, C) {
+    const NO_PADDING: () = assert!(
+        std::mem::size_of::<(A, B, C)>()
+            == std::mem::size_of::<A>() + std::mem::size_of::<B>() + std::mem::size_of::<C>(),
+        "a tuple with padding bytes is not Pod"
+    );
+}
+// SAFETY: an array of `Pod` elements has no bytes besides theirs.
 unsafe impl<T: Pod, const N: usize> Pod for [T; N] {}
 
 /// View a slice of `Pod` values as raw bytes.
 pub fn as_bytes<T: Pod>(data: &[T]) -> &[u8] {
-    // SAFETY: `T: Pod` guarantees the representation is plain bytes and
-    // reading padding is tolerated. Lifetime and length are preserved.
+    let () = T::NO_PADDING;
+    // SAFETY: `T: Pod` guarantees the representation is plain,
+    // initialised bytes with no padding. Lifetime and length are preserved.
     unsafe { std::slice::from_raw_parts(data.as_ptr() as *const u8, std::mem::size_of_val(data)) }
 }
 

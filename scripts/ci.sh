@@ -18,6 +18,8 @@ cargo fmt --all -- --check
 # is the one point-to-point path); forest search; the `alps` façade.
 # The hashed node tables of `ExtractMesh` and its eight-probe
 # classification (now the oracle `check::oracles::hanging_master_probes`).
+# The forest's copies of the curve bookkeeping (`octree::curve` serves
+# both tree types) and the allocating `mark_elements` wrapper.
 echo "==> deleted code stays deleted"
 if grep -rnE 'MachineModel|phase_comm_seconds|paper_core_counts|host_to_(model|flops)' \
     crates src tests examples ||
@@ -29,6 +31,8 @@ if grep -rnE 'MachineModel|phase_comm_seconds|paper_core_counts|host_to_(model|f
         crates src tests examples ||
     grep -nE 'HashMap' crates/mesh/src/extract.rs ||
     grep -rnE 'fn hanging_master\b' crates/mesh ||
+    grep -rnE 'fn (update_markers|coarsen_marked_into|refine_flags_no_marker)\b|target_lo' crates/forest/src ||
+    grep -rn 'fn mark_elements\b' crates ||
     grep -rniE 'modeled|extrapolat' crates/bench/src results/*.txt; then
     echo "ci: deleted code is back (see above)" >&2
     exit 1

@@ -59,15 +59,17 @@ pub fn assemble_owned_block(
     use mesh::extract::NodeResolution;
     for e in 0..mesh.elements.len() {
         elem_matrix(e, &mut mat);
-        let nodes = &mesh.elem_nodes[e];
-        // Corner expansions.
-        let expansions: Vec<Vec<(usize, f64)>> = nodes
-            .iter()
-            .map(|&nref| match &mesh.node_table[nref as usize] {
-                NodeResolution::Dof(d) => vec![(*d, 1.0)],
-                NodeResolution::Constrained(terms) => terms.clone(),
-            })
-            .collect();
+        let resolution = |c: usize| &mesh.node_table[mesh.elem_nodes[e][c] as usize];
+        // Corner expansions: a plain dof is one unit-weight term in a
+        // stack slot, a hanging corner its constraint terms in place.
+        let plain: [(usize, f64); 8] = std::array::from_fn(|c| match resolution(c) {
+            NodeResolution::Dof(d) => (*d, 1.0),
+            NodeResolution::Constrained(_) => (usize::MAX, 0.0),
+        });
+        let expansions: [&[(usize, f64)]; 8] = std::array::from_fn(|c| match resolution(c) {
+            NodeResolution::Dof(_) => std::slice::from_ref(&plain[c]),
+            NodeResolution::Constrained(terms) => terms.as_slice(),
+        });
         for ci in 0..8 {
             for cj in 0..8 {
                 for a in 0..nc {
@@ -76,8 +78,8 @@ pub fn assemble_owned_block(
                         if v == 0.0 {
                             continue;
                         }
-                        for &(di, wi) in &expansions[ci] {
-                            for &(dj, wj) in &expansions[cj] {
+                        for &(di, wi) in expansions[ci] {
+                            for &(dj, wj) in expansions[cj] {
                                 let val = wi * wj * v;
                                 let ri = di * nc + a;
                                 let cj2 = dj * nc + b;

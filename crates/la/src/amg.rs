@@ -19,6 +19,18 @@
 //! aggregation stalls above `max_coarse` rows the coarsest level is
 //! solved by smoother sweeps, never by a dense factorization.
 //!
+//! **Interleaved components.** An [`Amg<C>`] applies `C` scalar
+//! hierarchies to the `C` interleaved components of one vector (the
+//! velocity block of the Stokes preconditioner, `[ux uy uz]` per node).
+//! [`Amg::fuse`] stores their finest operators once, on the union of
+//! their sparsity patterns with every lane's value per entry, so one
+//! Gauss–Seidel pass advances all `C` dependency chains together. Each
+//! lane's arithmetic is that of its own scalar V-cycle, operation for
+//! operation, so the result is bitwise the same; restriction,
+//! prolongation and the coarser levels stay per hierarchy. The smoother
+//! and residual are written once, generic over `C`; the scalar [`Amg`]
+//! is the instance `C = 1`.
+//!
 //! **Communication.** This hierarchy is deliberately *rank-local*
 //! (block-Jacobi across ranks): [`Amg::new`] takes the owned diagonal
 //! block and every smoother sweep, restriction, and coarse solve touches
@@ -57,44 +69,363 @@ impl Default for AmgOptions {
     }
 }
 
-struct Level {
-    a: Csr,
-    diag: Vec<f64>,
-    /// Prolongator to this (finer) level from the next coarser one.
-    p: Csr,
-    r: Csr,
+/// Symmetric Gauss–Seidel sweeps that solve a coarsest level which has
+/// no dense factor.
+const COARSE_SWEEPS: usize = 20;
+
+/// One stored entry of a [`LevelOp`]: its column and every lane's value.
+#[derive(Clone, Copy)]
+struct Entry<const C: usize> {
+    val: [f64; C],
+    col: u32,
+    /// Bit `c` is set when lane `c`'s matrix stores the entry.
+    present: u8,
 }
 
-enum CoarseSolve {
+impl<const C: usize> Entry<C> {
+    /// Lane `c`'s term `a_ij · x_j`. A lane that does not store the entry
+    /// gets `+0.0`: an exact no-op for `σ −= t` and for a sum that starts
+    /// at `+0.0`, whereas `0.0 · x_j` is `−0.0` for negative `x_j` and
+    /// turns a `−0.0` partial result into `+0.0`.
+    #[inline(always)]
+    fn term(&self, c: usize, x: f64) -> f64 {
+        let t = self.val[c] * x;
+        if C == 1 || self.present >> c & 1 != 0 {
+            t
+        } else {
+            0.0
+        }
+    }
+}
+
+/// One level's operator in the form the smoother reads: the `C` lane
+/// matrices, all of order `n`, on the union of their sparsity patterns
+/// (columns ascending within a row).
+struct LevelOp<const C: usize> {
+    row_ptr: Vec<usize>,
+    entries: Vec<Entry<C>>,
+    /// Per row, where the entries left and right of the diagonal end and
+    /// start: the smoother skips the diagonal slot between them.
+    around_diag: Vec<(usize, usize)>,
+    /// Per row, each lane's diagonal (`0.0` where not stored).
+    diag: Vec<[f64; C]>,
+}
+
+impl LevelOp<1> {
+    fn from_csr(a: Csr, diag: Vec<f64>) -> Self {
+        assert!(
+            u32::try_from(a.ncols).is_ok(),
+            "{} columns exceed the u32 column index",
+            a.ncols
+        );
+        let entries = a
+            .col_idx
+            .iter()
+            .zip(&a.values)
+            .map(|(&col, &v)| Entry {
+                val: [v],
+                col: col as u32,
+                present: 1,
+            })
+            .collect();
+        LevelOp::new(a.row_ptr, entries, diag.into_iter().map(|d| [d]).collect())
+    }
+}
+
+impl<const C: usize> LevelOp<C> {
+    fn new(row_ptr: Vec<usize>, entries: Vec<Entry<C>>, diag: Vec<[f64; C]>) -> Self {
+        let around_diag = (0..diag.len())
+            .map(|i| {
+                let (lo, hi) = (row_ptr[i], row_ptr[i + 1]);
+                let mid = lo + entries[lo..hi].partition_point(|e| (e.col as usize) < i);
+                let on_diag = mid < hi && entries[mid].col as usize == i;
+                (mid, mid + usize::from(on_diag))
+            })
+            .collect();
+        LevelOp {
+            row_ptr,
+            entries,
+            around_diag,
+            diag,
+        }
+    }
+
+    /// The lane matrices `lanes[c]` (scalar operators of one order, the
+    /// same one in several lanes if they share it) on one pattern.
+    fn union(lanes: [&LevelOp<1>; C]) -> Self {
+        const { assert!(C >= 1 && C <= 8, "one presence bit per lane in a u8") };
+        let n = lanes[0].n();
+        assert!(
+            lanes.iter().all(|l| l.n() == n),
+            "lane operators of one order"
+        );
+        // Row `i` of the union, entry by entry in column order.
+        let merge_row = |i: usize, emit: &mut dyn FnMut(Entry<C>)| {
+            let mut rows = lanes.map(|l| &l.entries[l.row_ptr[i]..l.row_ptr[i + 1]]);
+            while let Some(col) = rows.iter().filter_map(|r| r.first()).map(|e| e.col).min() {
+                let mut entry = Entry {
+                    val: [0.0; C],
+                    col,
+                    present: 0,
+                };
+                for (c, row) in rows.iter_mut().enumerate() {
+                    if let Some((first, rest)) = row.split_first().filter(|(f, _)| f.col == col) {
+                        entry.val[c] = first.val[0];
+                        entry.present |= 1 << c;
+                        *row = rest;
+                    }
+                }
+                emit(entry);
+            }
+        };
+        // Count first, so the entries are allocated once at their size.
+        let mut nnz = 0;
+        for i in 0..n {
+            merge_row(i, &mut |_| nnz += 1);
+        }
+        let mut row_ptr = Vec::with_capacity(n + 1);
+        row_ptr.push(0);
+        let mut entries = Vec::with_capacity(nnz);
+        for i in 0..n {
+            merge_row(i, &mut |e| entries.push(e));
+            row_ptr.push(entries.len());
+        }
+        let diag = (0..n)
+            .map(|i| std::array::from_fn(|c| lanes[c].diag[i][0]))
+            .collect();
+        LevelOp::new(row_ptr, entries, diag)
+    }
+
+    fn n(&self) -> usize {
+        self.diag.len()
+    }
+
+    /// One symmetric Gauss–Seidel sweep (forward, then backward) of every
+    /// lane of the interleaved `x` (length `C·n`).
+    fn sgs(&self, b: &[f64], x: &mut [f64]) {
+        let (b, x) = (lanes::<C>(b), lanes_mut::<C>(x));
+        for i in 0..self.n() {
+            self.relax(i, b, x);
+        }
+        for i in (0..self.n()).rev() {
+            self.relax(i, b, x);
+        }
+    }
+
+    /// Solve row `i` of every lane for `x_i`, the other unknowns fixed.
+    #[inline(always)]
+    fn relax(&self, i: usize, b: &[[f64; C]], x: &mut [[f64; C]]) {
+        let (lower_end, upper_start) = self.around_diag[i];
+        let mut sigma = b[i];
+        for part in [
+            &self.entries[self.row_ptr[i]..lower_end],
+            &self.entries[upper_start..self.row_ptr[i + 1]],
+        ] {
+            for e in part {
+                let xj = x[e.col as usize];
+                for c in 0..C {
+                    sigma[c] -= e.term(c, xj[c]);
+                }
+            }
+        }
+        let d = self.diag[i];
+        x[i] = std::array::from_fn(|c| sigma[c] / d[c]);
+    }
+
+    /// `r = b − A x`, every lane.
+    fn residual(&self, b: &[f64], x: &[f64], r: &mut [f64]) {
+        let (b, x, r) = (lanes::<C>(b), lanes::<C>(x), lanes_mut::<C>(r));
+        for (i, ri) in r.iter_mut().enumerate() {
+            let mut acc = [0.0; C];
+            for e in &self.entries[self.row_ptr[i]..self.row_ptr[i + 1]] {
+                let xj = x[e.col as usize];
+                for c in 0..C {
+                    acc[c] += e.term(c, xj[c]);
+                }
+            }
+            *ri = std::array::from_fn(|c| b[i][c] - acc[c]);
+        }
+    }
+}
+
+/// An interleaved vector as one `[f64; C]` per row.
+fn lanes<const C: usize>(v: &[f64]) -> &[[f64; C]] {
+    let (rows, rest) = v.as_chunks();
+    assert!(rest.is_empty(), "a length that is a multiple of {C}");
+    rows
+}
+
+fn lanes_mut<const C: usize>(v: &mut [f64]) -> &mut [[f64; C]] {
+    let (rows, rest) = v.as_chunks_mut();
+    assert!(rest.is_empty(), "a length that is a multiple of {C}");
+    rows
+}
+
+/// `out = R r_c`: restriction of lane `c` of the interleaved `r`.
+fn restrict_lane<const C: usize>(rmat: &Csr, r: &[f64], c: usize, out: &mut [f64]) {
+    let r = lanes::<C>(r);
+    for (i, o) in out.iter_mut().enumerate() {
+        let mut acc = 0.0;
+        for k in rmat.row_ptr[i]..rmat.row_ptr[i + 1] {
+            acc += rmat.values[k] * r[rmat.col_idx[k]][c];
+        }
+        *o = acc;
+    }
+}
+
+/// `x_c += P e`: prolongation of `e` added to lane `c` of the
+/// interleaved `x`.
+fn prolong_add_lane<const C: usize>(p: &Csr, e: &[f64], c: usize, x: &mut [f64]) {
+    for (i, xi) in lanes_mut::<C>(x).iter_mut().enumerate() {
+        let mut acc = 0.0;
+        for k in p.row_ptr[i]..p.row_ptr[i + 1] {
+            acc += p.values[k] * e[p.col_idx[k]];
+        }
+        xi[c] += acc;
+    }
+}
+
+/// How a coarsest level is solved.
+enum Direct {
     Cholesky(Cholesky),
     Lu(Lu),
-    /// Fallback for a coarsest level that is singular or still larger
-    /// than `max_coarse`: symmetric Gauss–Seidel sweeps.
-    Sweeps(Csr, Vec<f64>),
+    /// [`COARSE_SWEEPS`] smoother sweeps from zero, for a coarsest level
+    /// that is singular or still larger than `max_coarse` (its vanishing
+    /// diagonal entries are replaced by `1.0`).
+    Sweeps,
 }
 
-/// Per-level V-cycle scratch (residual, restricted residual, coarse
-/// correction, prolonged correction), sized at setup so steady-state
-/// V-cycles are allocation-free.
-#[derive(Default)]
-struct CycleScratch {
+/// What follows one level for one scalar hierarchy.
+enum Below {
+    /// Restrict, cycle on the next coarser level, prolong.
+    Coarser { r: Csr, p: Csr, next: Box<Level<1>> },
+    /// This is the coarsest level: solve it directly.
+    Solve(Direct),
+}
+
+/// One level of `C` lanes: its operator and, per distinct hierarchy,
+/// what follows it.
+struct Level<const C: usize> {
+    op: LevelOp<C>,
+    below: Vec<Below>,
+    /// Lane `c` continues in `below[lanes[c]]`.
+    lanes: [usize; C],
+    /// Whether some lane coarsens from here (and is smoothed here).
+    coarsens: bool,
+    /// Interior mutability because `LinearOp::apply` takes `&self`.
+    /// V-cycles never nest, and each level is visited by one cycle at a
+    /// time, so the borrow is always uncontended.
+    scratch: RefCell<Scratch>,
+}
+
+/// Per-level V-cycle scratch, sized at setup so steady-state V-cycles are
+/// allocation-free. Every buffer is fully overwritten before it is read,
+/// so reuse is bitwise-transparent.
+struct Scratch {
+    /// Interleaved residual, `C·n` (empty if no lane coarsens).
     r: Vec<f64>,
+    /// Restricted residual and coarse correction, sized for the largest
+    /// next level.
     rc: Vec<f64>,
     ec: Vec<f64>,
-    e: Vec<f64>,
+    /// One lane, for the dense direct solves.
+    lane: Vec<f64>,
+    /// Every lane swept from zero, for [`Direct::Sweeps`].
+    swept: Vec<f64>,
 }
 
-/// A smoothed-aggregation AMG hierarchy for an SPD (or semi-definite)
-/// matrix.
-pub struct Amg {
-    levels: Vec<Level>,
-    coarse_a: Csr,
-    coarse: CoarseSolve,
-    options: AmgOptions,
-    /// One scratch set per non-coarse level; interior mutability because
-    /// `LinearOp::apply` takes `&self`. V-cycles never nest, so the
-    /// borrow is always uncontended.
-    scratch: RefCell<Vec<CycleScratch>>,
+impl<const C: usize> Level<C> {
+    fn new(op: LevelOp<C>, below: Vec<Below>, lanes: [usize; C]) -> Self {
+        let n = op.n();
+        let coarser = || {
+            below.iter().filter_map(|b| match b {
+                Below::Coarser { r, .. } => Some(r.nrows),
+                Below::Solve(_) => None,
+            })
+        };
+        let coarsens = coarser().next().is_some();
+        let nc = coarser().max().unwrap_or(0);
+        let solves =
+            |f: fn(&Direct) -> bool| below.iter().any(|b| matches!(b, Below::Solve(d) if f(d)));
+        let dense = solves(|d| !matches!(d, Direct::Sweeps));
+        let sweeps = solves(|d| matches!(d, Direct::Sweeps));
+        let scratch = Scratch {
+            r: vec![0.0; if coarsens { C * n } else { 0 }],
+            rc: vec![0.0; nc],
+            ec: vec![0.0; nc],
+            lane: vec![0.0; if dense { n } else { 0 }],
+            swept: vec![0.0; if sweeps { C * n } else { 0 }],
+        };
+        Level {
+            op,
+            below,
+            lanes,
+            coarsens,
+            scratch: RefCell::new(scratch),
+        }
+    }
+
+    /// One V-cycle from the initial guess in `x`, on every lane.
+    fn cycle(&self, b: &[f64], x: &mut [f64], sweeps: usize) {
+        let mut guard = self.scratch.borrow_mut();
+        let s = &mut *guard;
+        if self.coarsens {
+            for _ in 0..sweeps {
+                self.op.sgs(b, x);
+            }
+            self.op.residual(b, x, &mut s.r);
+            for (c, &k) in self.lanes.iter().enumerate() {
+                if let Below::Coarser { r, p, next } = &self.below[k] {
+                    let (rc, ec) = (&mut s.rc[..r.nrows], &mut s.ec[..r.nrows]);
+                    restrict_lane::<C>(r, &s.r, c, rc);
+                    ec.fill(0.0);
+                    next.cycle(rc, ec, sweeps);
+                    prolong_add_lane::<C>(p, ec, c, x);
+                }
+            }
+            for _ in 0..sweeps {
+                self.op.sgs(b, x);
+            }
+        }
+        if !s.swept.is_empty() {
+            s.swept.fill(0.0);
+            for _ in 0..COARSE_SWEEPS {
+                self.op.sgs(b, &mut s.swept);
+            }
+        }
+        for (c, &k) in self.lanes.iter().enumerate() {
+            let Below::Solve(direct) = &self.below[k] else {
+                continue;
+            };
+            let x = lanes_mut::<C>(x);
+            if let Direct::Sweeps = direct {
+                for (xi, si) in x.iter_mut().zip(lanes::<C>(&s.swept)) {
+                    xi[c] = si[c];
+                }
+                continue;
+            }
+            for (li, bi) in s.lane.iter_mut().zip(lanes::<C>(b)) {
+                *li = bi[c];
+            }
+            if let Direct::Cholesky(ch) = direct {
+                ch.solve(&mut s.lane);
+            }
+            if let Direct::Lu(lu) = direct {
+                lu.solve_in_place(&mut s.lane);
+            }
+            for (xi, li) in x.iter_mut().zip(&s.lane) {
+                xi[c] = *li;
+            }
+        }
+    }
+}
+
+/// `C` smoothed-aggregation hierarchies, one per interleaved component
+/// of the vectors they precondition (see the module documentation). The
+/// plain `Amg` is one hierarchy for a scalar vector.
+pub struct Amg<const C: usize = 1> {
+    top: Level<C>,
+    smooth_sweeps: usize,
 }
 
 /// Strength-of-connection threshold θ: `j` is a strong neighbor of `i`
@@ -196,33 +527,8 @@ fn spectral_radius_dinv_a(a: &Csr, diag: &[f64], iters: usize) -> f64 {
     lambda.max(1e-8)
 }
 
-/// One symmetric-Gauss–Seidel smoothing sweep (forward then backward).
-fn sgs_sweep(a: &Csr, diag: &[f64], b: &[f64], x: &mut [f64]) {
-    let n = a.nrows;
-    for i in 0..n {
-        let mut sigma = b[i];
-        for k in a.row_ptr[i]..a.row_ptr[i + 1] {
-            let j = a.col_idx[k];
-            if j != i {
-                sigma -= a.values[k] * x[j];
-            }
-        }
-        x[i] = sigma / diag[i];
-    }
-    for i in (0..n).rev() {
-        let mut sigma = b[i];
-        for k in a.row_ptr[i]..a.row_ptr[i + 1] {
-            let j = a.col_idx[k];
-            if j != i {
-                sigma -= a.values[k] * x[j];
-            }
-        }
-        x[i] = sigma / diag[i];
-    }
-}
-
 /// Dense Cholesky, else LU, factorization of `a`; `None` if singular.
-fn dense_factor(a: &Csr) -> Option<CoarseSolve> {
+fn dense_factor(a: &Csr) -> Option<Direct> {
     let n = a.nrows;
     let mut dense = vec![0.0; n * n];
     for i in 0..n {
@@ -231,15 +537,16 @@ fn dense_factor(a: &Csr) -> Option<CoarseSolve> {
         }
     }
     match Cholesky::factor(&dense, n) {
-        Some(ch) => Some(CoarseSolve::Cholesky(ch)),
-        None => Lu::factor(&dense, n).map(CoarseSolve::Lu),
+        Some(ch) => Some(Direct::Cholesky(ch)),
+        None => Lu::factor(&dense, n).map(Direct::Lu),
     }
 }
 
 impl Amg {
     /// Setup phase: build the hierarchy for SPD `a`.
     pub fn new(a: Csr, options: AmgOptions) -> Amg {
-        let mut levels = Vec::new();
+        // (operator, prolongator from the next level, restriction to it)
+        let mut levels: Vec<(LevelOp<1>, Csr, Csr)> = Vec::new();
         let mut current = a;
         while current.nrows > options.max_coarse && levels.len() < options.max_levels {
             let diag = current.diagonal();
@@ -274,61 +581,59 @@ impl Amg {
             let p = Csr::from_triplets(current.nrows, n_agg, &p_trip);
             let r = p.transpose();
             let coarse = r.matmul(&current.matmul(&p));
-            levels.push(Level {
-                a: current,
-                diag,
-                p,
-                r,
-            });
-            current = coarse;
+            let fine = std::mem::replace(&mut current, coarse);
+            levels.push((LevelOp::from_csr(fine, diag), p, r));
         }
         // Direct coarse solve, degrading to smoother sweeps for singular
         // coarse operators (e.g. pure-Neumann problems) and for a level
         // that stalled above `max_coarse` rows, where a dense factor
         // would cost O(n²) per V-cycle.
+        let mut diag = current.diagonal();
         let factor = if current.nrows <= options.max_coarse {
             dense_factor(&current)
         } else {
             None
         };
-        let coarse = factor.unwrap_or_else(|| {
-            let d = current
-                .diagonal()
-                .iter()
-                .map(|&v| if v.abs() < 1e-300 { 1.0 } else { v })
-                .collect();
-            CoarseSolve::Sweeps(current.clone(), d)
+        let direct = factor.unwrap_or_else(|| {
+            for d in &mut diag {
+                if d.abs() < 1e-300 {
+                    *d = 1.0;
+                }
+            }
+            Direct::Sweeps
         });
-        let scratch = levels
-            .iter()
-            .map(|l| CycleScratch {
-                r: vec![0.0; l.a.nrows],
-                rc: vec![0.0; l.p.ncols],
-                ec: vec![0.0; l.p.ncols],
-                e: vec![0.0; l.a.nrows],
-            })
-            .collect();
-        Amg {
-            levels,
-            coarse_a: current,
-            coarse,
-            options,
-            scratch: RefCell::new(scratch),
+        let mut top = Level::new(
+            LevelOp::from_csr(current, diag),
+            vec![Below::Solve(direct)],
+            [0],
+        );
+        for (op, p, r) in levels.into_iter().rev() {
+            let next = Box::new(top);
+            top = Level::new(op, vec![Below::Coarser { r, p, next }], [0]);
         }
+        Amg {
+            top,
+            smooth_sweeps: options.smooth_sweeps,
+        }
+    }
+
+    /// The levels, finest first.
+    fn levels(&self) -> impl Iterator<Item = &Level<1>> {
+        std::iter::successors(Some(&self.top), |l| match &l.below[0] {
+            Below::Coarser { next, .. } => Some(&**next),
+            Below::Solve(_) => None,
+        })
     }
 
     /// Number of levels including the coarse grid.
     pub fn num_levels(&self) -> usize {
-        self.levels.len() + 1
+        self.levels().count()
     }
 
     /// `(rows, non-zeros)` of the operator on every level, finest first.
     pub fn level_sizes(&self) -> Vec<(usize, usize)> {
-        self.levels
-            .iter()
-            .map(|l| &l.a)
-            .chain([&self.coarse_a])
-            .map(|a| (a.nrows, a.nnz()))
+        self.levels()
+            .map(|l| (l.op.n(), l.op.entries.len()))
             .collect()
     }
 
@@ -339,77 +644,54 @@ impl Amg {
         let total: usize = sizes.iter().map(|&(_, nnz)| nnz).sum();
         total as f64 / sizes[0].1 as f64
     }
+}
 
-    fn cycle(&self, level: usize, b: &[f64], x: &mut [f64], scratch: &mut [CycleScratch]) {
-        if level == self.levels.len() {
-            match &self.coarse {
-                CoarseSolve::Cholesky(ch) => {
-                    x.copy_from_slice(b);
-                    ch.solve(x);
-                }
-                CoarseSolve::Lu(lu) => {
-                    let sol = lu.solve(b);
-                    x.copy_from_slice(&sol);
-                }
-                CoarseSolve::Sweeps(a, d) => {
-                    x.fill(0.0);
-                    for _ in 0..20 {
-                        sgs_sweep(a, d, b, x);
-                    }
-                }
-            }
-            return;
-        }
-        let lvl = &self.levels[level];
-        let n = lvl.a.nrows;
-        let (s, rest) = scratch
-            .split_first_mut()
-            .expect("one scratch set per level");
-        // Pre-smooth.
-        for _ in 0..self.options.smooth_sweeps {
-            sgs_sweep(&lvl.a, &lvl.diag, b, x);
-        }
-        // Residual and restriction (scratch is fully overwritten, so
-        // reuse is bitwise-transparent; only `ec` carries state in as the
-        // coarse initial guess and is re-zeroed).
-        lvl.a.matvec(x, &mut s.r);
-        for i in 0..n {
-            s.r[i] = b[i] - s.r[i];
-        }
-        lvl.r.matvec(&s.r, &mut s.rc);
-        // Coarse correction.
-        s.ec.fill(0.0);
-        self.cycle(level + 1, &s.rc, &mut s.ec, rest);
-        lvl.p.matvec(&s.ec, &mut s.e);
-        for i in 0..n {
-            x[i] += s.e[i];
-        }
-        // Post-smooth.
-        for _ in 0..self.options.smooth_sweeps {
-            sgs_sweep(&lvl.a, &lvl.diag, b, x);
+impl<const C: usize> Amg<C> {
+    /// Lane `c` of the vectors this preconditions is preconditioned by
+    /// `hierarchies[lanes[c]]`, V-cycle for V-cycle bitwise as that
+    /// hierarchy alone would. Their finest operators are stored once (see
+    /// the module documentation); every coarser level is kept as built.
+    pub fn fuse(hierarchies: Vec<Amg>, lanes: [usize; C]) -> Amg<C> {
+        assert!(
+            lanes.iter().all(|&k| k < hierarchies.len()),
+            "lanes {lanes:?} index {} hierarchies",
+            hierarchies.len()
+        );
+        let smooth_sweeps = hierarchies[lanes[0]].smooth_sweeps;
+        assert!(
+            hierarchies.iter().all(|h| h.smooth_sweeps == smooth_sweeps),
+            "one smoothing schedule"
+        );
+        let (ops, below): (Vec<LevelOp<1>>, Vec<Below>) = hierarchies
+            .into_iter()
+            .map(|h| {
+                let Level { op, mut below, .. } = h.top;
+                (op, below.pop().expect("a scalar level has one successor"))
+            })
+            .unzip();
+        let op = LevelOp::union(lanes.map(|k| &ops[k]));
+        drop(ops);
+        Amg {
+            top: Level::new(op, below, lanes),
+            smooth_sweeps,
         }
     }
 
     /// Apply one V-cycle to `b` with zero initial guess: `x = B b` where
-    /// `B ≈ A⁻¹` is SPD. Allocation-free: all per-level scratch was sized
-    /// during setup (the rare dense-LU coarse fallback excepted).
+    /// `B ≈ A⁻¹` is SPD, on each of the `C` interleaved lanes.
+    /// Allocation-free: all per-level scratch was sized during setup.
     pub fn vcycle(&self, b: &[f64], x: &mut [f64]) {
         x.fill(0.0);
-        let mut scratch = self.scratch.borrow_mut();
-        self.cycle(0, b, x, &mut scratch);
+        self.top.cycle(b, x, self.smooth_sweeps);
     }
 }
 
-impl LinearOp for Amg {
+impl<const C: usize> LinearOp for Amg<C> {
     fn apply(&self, x: &[f64], y: &mut [f64]) {
         self.vcycle(x, y);
     }
     fn len(&self) -> usize {
-        if let Some(l) = self.levels.first() {
-            l.a.nrows
-        } else {
-            self.coarse_a.nrows
-        }
+        C * self.top.op.n()
     }
 }
 
@@ -571,5 +853,115 @@ mod tests {
             (lhs - rhs).abs() <= 1e-10 * lhs.abs().max(rhs.abs()),
             "V-cycle not symmetric: {lhs} vs {rhs}"
         );
+    }
+
+    /// Symmetric Dirichlet elimination of `mask` (identity rows and
+    /// columns), as `fem::assembly` applies a velocity component's mask.
+    fn eliminate(a: &Csr, mask: impl Fn(usize) -> bool) -> Csr {
+        let mut t = Vec::new();
+        for i in 0..a.nrows {
+            if mask(i) {
+                t.push((i, i, 1.0));
+                continue;
+            }
+            for k in a.row_ptr[i]..a.row_ptr[i + 1] {
+                if !mask(a.col_idx[k]) {
+                    t.push((i, a.col_idx[k], a.values[k]));
+                }
+            }
+        }
+        Csr::from_triplets(a.nrows, a.ncols, &t)
+    }
+
+    /// Free-slip masks on an `n³` grid: lane `c` pins the rows on the two
+    /// faces normal to axis `c`.
+    fn free_slip(a: &Csr, n: usize) -> [Csr; 3] {
+        std::array::from_fn(|c| {
+            eliminate(a, |i| {
+                let x = i / n.pow(c as u32) % n;
+                x == 0 || x == n - 1
+            })
+        })
+    }
+
+    /// The fused V-cycle on interleaved `b` against one scalar V-cycle
+    /// per lane, bit for bit. `b` holds `±0.0` and negative values at
+    /// masked rows and elsewhere.
+    fn assert_fused_matches_scalar(mats: &[Csr], lanes: [usize; 3]) {
+        let n = mats[0].nrows;
+        let build = || -> Vec<Amg> {
+            mats.iter()
+                .map(|a| Amg::new(a.clone(), AmgOptions::default()))
+                .collect()
+        };
+        let scalar = build();
+        let fused = Amg::fuse(build(), lanes);
+        assert_eq!(fused.len(), 3 * n);
+        let b: Vec<f64> = (0..3 * n)
+            .map(|i| match i % 5 {
+                0 => -0.0,
+                1 => 0.0,
+                _ => ((i * 7919) % 211) as f64 / 50.0 - 2.2,
+            })
+            .collect();
+        let mut z = vec![f64::NAN; 3 * n];
+        // Twice: the second cycle runs on warm scratch.
+        for _ in 0..2 {
+            fused.vcycle(&b, &mut z);
+            for (c, &k) in lanes.iter().enumerate() {
+                let bc: Vec<f64> = (0..n).map(|i| b[3 * i + c]).collect();
+                let mut zc = vec![0.0; n];
+                scalar[k].vcycle(&bc, &mut zc);
+                for i in 0..n {
+                    assert_eq!(
+                        z[3 * i + c].to_bits(),
+                        zc[i].to_bits(),
+                        "lane {c}, row {i}: {} vs {}",
+                        z[3 * i + c],
+                        zc[i]
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn fused_vcycle_matches_scalar_vcycles_bitwise() {
+        let n = 10;
+        let a = poisson3d(n, |i, j, k| 1.0 + ((i * 7 + j * 3 + k) % 5) as f64 * 30.0);
+        let [ax, ay, az] = free_slip(&a, n);
+        assert!(Amg::new(ax.clone(), AmgOptions::default()).num_levels() >= 3);
+        // Free-slip: three masks, three hierarchies.
+        assert_fused_matches_scalar(&[ax.clone(), ay, az.clone()], [0, 1, 2]);
+        // No-slip: one mask shared by all lanes.
+        let all = eliminate(&a, |i| {
+            (0..3).any(|c| [0, n - 1].contains(&(i / n.pow(c) % n)))
+        });
+        assert_fused_matches_scalar(&[all], [0, 0, 0]);
+        // Two lanes share one hierarchy, listed out of order.
+        assert_fused_matches_scalar(&[az, ax], [1, 0, 1]);
+    }
+
+    #[test]
+    fn fused_vcycle_matches_on_coarse_only_and_mixed_hierarchies() {
+        // 27 rows ≤ max_coarse: every lane is one dense direct solve.
+        let a = poisson3d(3, |i, _, _| 1.0 + i as f64);
+        let coarse_only = free_slip(&a, 3);
+        assert_eq!(
+            Amg::new(coarse_only[0].clone(), AmgOptions::default()).num_levels(),
+            1
+        );
+        assert_fused_matches_scalar(&coarse_only, [0, 1, 2]);
+        // One lane of identity rows only (no aggregate, solved by sweeps)
+        // beside two that coarsen.
+        let n = 8;
+        let a = poisson3d(n, |_, j, _| 1.0 + j as f64);
+        let [ax, _, az] = free_slip(&a, n);
+        let ident = eliminate(&a, |_| true);
+        assert_eq!(
+            Amg::new(ident.clone(), AmgOptions::default()).num_levels(),
+            1
+        );
+        assert_fused_matches_scalar(&[ax, ident, az], [0, 1, 2]);
     }
 }

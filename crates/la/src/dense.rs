@@ -74,7 +74,8 @@ impl Cholesky {
 pub struct Lu {
     n: usize,
     lu: Vec<f64>,
-    piv: Vec<usize>,
+    /// Elimination step `k` swapped row `k` with row `swaps[k]`.
+    swaps: Vec<usize>,
 }
 
 impl Lu {
@@ -83,7 +84,7 @@ impl Lu {
     pub fn factor(a: &[f64], n: usize) -> Option<Lu> {
         assert_eq!(a.len(), n * n);
         let mut lu = a.to_vec();
-        let mut piv: Vec<usize> = (0..n).collect();
+        let mut swaps = Vec::with_capacity(n);
         for k in 0..n {
             // Pivot.
             let mut pmax = k;
@@ -102,8 +103,8 @@ impl Lu {
                 for j in 0..n {
                     lu.swap(k * n + j, pmax * n + j);
                 }
-                piv.swap(k, pmax);
             }
+            swaps.push(pmax);
             let pivot = lu[k * n + k];
             for i in k + 1..n {
                 let f = lu[i * n + k] / pivot;
@@ -113,14 +114,24 @@ impl Lu {
                 }
             }
         }
-        Some(Lu { n, lu, piv })
+        Some(Lu { n, lu, swaps })
     }
 
     /// Solve `A x = b`; returns `x`.
     pub fn solve(&self, b: &[f64]) -> Vec<f64> {
+        let mut x = b.to_vec();
+        self.solve_in_place(&mut x);
+        x
+    }
+
+    /// Solve `A x = b` in place: `x` holds `b` on entry and the solution
+    /// on return.
+    pub fn solve_in_place(&self, x: &mut [f64]) {
         let n = self.n;
-        assert_eq!(b.len(), n);
-        let mut x: Vec<f64> = self.piv.iter().map(|&p| b[p]).collect();
+        assert_eq!(x.len(), n);
+        for (k, &p) in self.swaps.iter().enumerate() {
+            x.swap(k, p);
+        }
         for i in 1..n {
             let mut sum = x[i];
             for k in 0..i {
@@ -135,7 +146,6 @@ impl Lu {
             }
             x[i] = sum / self.lu[i * n + i];
         }
-        x
     }
 }
 

@@ -42,9 +42,6 @@ struct SolverWorkspace {
     /// Owned+ghost result accumulators.
     yu: Vec<f64>,
     yp: Vec<f64>,
-    /// Preconditioner per-component scratch.
-    rc: Vec<f64>,
-    zc: Vec<f64>,
     /// Packed ghost-exchange staging for the velocity / scalar maps.
     /// Distinct streams so both exchanges may be in flight concurrently
     /// on the split-phase path without their messages crossing.
@@ -60,8 +57,6 @@ impl Default for SolverWorkspace {
             pl: Vec::new(),
             yu: Vec::new(),
             yp: Vec::new(),
-            rc: Vec::new(),
-            zc: Vec::new(),
             vexch: ExchangeBuffers::with_stream(1),
             sexch: ExchangeBuffers::with_stream(2),
         }
@@ -74,9 +69,7 @@ impl SolverWorkspace {
             + self.ul.capacity()
             + self.pl.capacity()
             + self.yu.capacity()
-            + self.yp.capacity()
-            + self.rc.capacity()
-            + self.zc.capacity())
+            + self.yp.capacity())
             * std::mem::size_of::<f64>()) as u64
             + self.vexch.capacity_bytes()
             + self.sexch.capacity_bytes()
@@ -89,24 +82,45 @@ impl SolverWorkspace {
 /// scaled by the element's η. [`LevelBlocks::of`] is the only place that
 /// knows the table is indexed by level; a mapped geometry would index
 /// per-element blocks there instead.
-struct LevelBlocks(Vec<Option<Box<StokesBlocks>>>);
+struct LevelBlocks(Vec<Option<Box<LevelBlock>>>);
+
+/// One level's blocks, plus `B` and `C₁` transposed, so that `sweep` runs
+/// `Bu` and `C₁p` with the eight pressure rows as vector lanes.
+struct LevelBlock {
+    blocks: StokesBlocks,
+    divergence_t: [[f64; 8]; 24],
+    stabilization_t: [[f64; 8]; 8],
+}
+
+impl LevelBlock {
+    fn new(h: [f64; 3]) -> Self {
+        let blocks = StokesBlocks::new(h);
+        LevelBlock {
+            divergence_t: std::array::from_fn(|j| std::array::from_fn(|q| blocks.divergence[q][j])),
+            stabilization_t: std::array::from_fn(|r| {
+                std::array::from_fn(|q| blocks.stabilization[q][r])
+            }),
+            blocks,
+        }
+    }
+}
 
 impl LevelBlocks {
     fn new(mesh: &Mesh) -> Self {
-        let mut table: Vec<Option<Box<StokesBlocks>>> = Vec::new();
+        let mut table: Vec<Option<Box<LevelBlock>>> = Vec::new();
         for (e, o) in mesh.elements.iter().enumerate() {
             let level = o.level() as usize;
             if table.len() <= level {
                 table.resize_with(level + 1, || None);
             }
-            table[level].get_or_insert_with(|| Box::new(StokesBlocks::new(mesh.element_size(e))));
+            table[level].get_or_insert_with(|| Box::new(LevelBlock::new(mesh.element_size(e))));
         }
         LevelBlocks(table)
     }
 
     /// The blocks of local element `e` of the mesh the table was built on.
     #[inline]
-    fn of(&self, mesh: &Mesh, e: usize) -> &StokesBlocks {
+    fn of(&self, mesh: &Mesh, e: usize) -> &LevelBlock {
         self.0[mesh.elements[e].level() as usize]
             .as_deref()
             .expect("a block per level present in the mesh")
@@ -128,12 +142,11 @@ pub struct StokesSolver<'a> {
     vmap: DofMap<'a>,
     smap: DofMap<'a>,
     blocks: LevelBlocks,
-    /// AMG hierarchies on the rank-local η-weighted scalar Poisson
-    /// block, one per *distinct* velocity-component Dirichlet mask (the
-    /// masks differ under free-slip conditions).
-    amg: Vec<Amg>,
-    /// Velocity component → index into `amg`.
-    amg_of_comp: [usize; 3],
+    /// AMG on the rank-local η-weighted scalar Poisson block, one
+    /// hierarchy per *distinct* velocity-component Dirichlet mask (the
+    /// masks differ under free-slip conditions), applied to the three
+    /// interleaved components at once. `None` until `setup` runs.
+    amg: Option<Amg<3>>,
     /// Inverse of the η⁻¹-weighted lumped pressure mass diagonal.
     schur_diag_inv: Vec<f64>,
     ws: RefCell<SolverWorkspace>,
@@ -162,8 +175,7 @@ impl<'a> StokesSolver<'a> {
             vmap,
             smap,
             blocks: LevelBlocks::new(mesh),
-            amg: Vec::new(),
-            amg_of_comp: [0; 3],
+            amg: None,
             schur_diag_inv: Vec::new(),
             ws: RefCell::new(SolverWorkspace::default()),
             options,
@@ -192,7 +204,7 @@ impl<'a> StokesSolver<'a> {
         // hierarchy.
         let (blocks, mesh, visc) = (&self.blocks, self.mesh, &self.viscosity);
         let src = move |e: usize, out: &mut [f64]| {
-            let (k, eta) = (&blocks.of(mesh, e).stiffness, visc[e]);
+            let (k, eta) = (&blocks.of(mesh, e).blocks.stiffness, visc[e]);
             for i in 0..8 {
                 for j in 0..8 {
                     out[i * 8 + j] = eta * k[i][j];
@@ -227,21 +239,23 @@ impl<'a> StokesSolver<'a> {
             };
             eq[idx] == p
         };
-        self.amg.clear();
+        let mut hierarchies = Vec::new();
+        let mut lanes = [0; 3];
         for comp in 0..3 {
             if let Some(earlier) = (0..comp).find(|&m| globally_equal(m, comp)) {
-                self.amg_of_comp[comp] = self.amg_of_comp[earlier];
+                lanes[comp] = lanes[earlier];
                 continue;
             }
             let a_block = fem::assembly::assemble_owned_block(&self.smap, &src, Some(&masks[comp]));
-            self.amg_of_comp[comp] = self.amg.len();
-            self.amg.push(Amg::new(a_block, self.options.amg));
+            lanes[comp] = hierarchies.len();
+            hierarchies.push(Amg::new(a_block, self.options.amg));
         }
+        self.amg = Some(Amg::fuse(hierarchies, lanes));
 
         // Schur approximation: lumped pressure mass weighted by 1/η.
         let mut sdiag = vec![0.0; self.smap.n_local()];
         for e in 0..self.mesh.elements.len() {
-            let lm = &self.blocks.of(self.mesh, e).lumped_mass;
+            let lm = &self.blocks.of(self.mesh, e).blocks.lumped_mass;
             let scaled: [f64; 8] = std::array::from_fn(|i| lm[i] / self.viscosity[e]);
             self.smap.scatter_element(e, &scaled, &mut sdiag);
         }
@@ -319,18 +333,49 @@ impl<'a> StokesSolver<'a> {
 
     /// Sweep every local element of the stabilized Stokes stencil:
     /// gather velocity/pressure element vectors from `ws.ul`/`ws.pl`,
-    /// apply the block stencil, scatter into `ws.yu`/`ws.yp`.
+    /// apply the block stencil, scatter into `ws.yu`/`ws.yp`. Runs
+    /// [`StokesSolver::sweep_body`] compiled for AVX2 where the CPU has
+    /// it; both builds compute the same bits.
     fn sweep(&self, ws: &mut SolverWorkspace) {
+        #[cfg(target_arch = "x86_64")]
+        if std::arch::is_x86_feature_detected!("avx2") {
+            // SAFETY: the CPU supports AVX2, checked on the line above.
+            unsafe { self.sweep_avx2(ws) };
+            return;
+        }
+        self.sweep_body(ws);
+    }
+
+    /// [`StokesSolver::sweep_body`] with 256-bit vectors. AVX2 brings no
+    /// FMA, and Rust never contracts `a * b + c`, so every lane rounds
+    /// as the plain build does.
+    ///
+    /// # Safety
+    /// The CPU must support AVX2.
+    #[cfg(target_arch = "x86_64")]
+    #[target_feature(enable = "avx2")]
+    unsafe fn sweep_avx2(&self, ws: &mut SolverWorkspace) {
+        self.sweep_body(ws);
+    }
+
+    /// The element sweep, written once and inlined into each build.
+    /// Every output is an independent accumulation in a fixed order, so
+    /// vector lanes change no rounding.
+    #[inline(always)]
+    fn sweep_body(&self, ws: &mut SolverWorkspace) {
         let mut ue = [0.0; 24];
         let mut pe = [0.0; 8];
-        let mut rp = [0.0; 8];
         for e in 0..self.mesh.elements.len() {
             let eta = self.viscosity[e];
-            let StokesBlocks {
-                viscous: a,
-                divergence: b,
-                stabilization: c,
-                ..
+            let LevelBlock {
+                blocks:
+                    StokesBlocks {
+                        viscous: a,
+                        divergence: b,
+                        ..
+                    },
+                divergence_t: bt,
+                stabilization_t: ct,
             } = self.blocks.of(self.mesh, e);
             self.vmap.gather_element(e, &ws.ul, &mut ue);
             self.smap.gather_element(e, &ws.pl, &mut pe);
@@ -351,41 +396,36 @@ impl<'a> StokesSolver<'a> {
                     ru[i] += b[q][i] * pe[q];
                 }
             }
-            // rp = B u − (C₁ p)/η.
-            for q in 0..8 {
-                let bu: f64 = (0..24).map(|j| b[q][j] * ue[j]).sum();
-                let cp: f64 = (0..8).map(|r| c[q][r] * pe[r]).sum();
-                rp[q] = bu - cp / eta;
+            // rp = B u − (C₁ p)/η over the eight rows at once, from the
+            // transposed blocks. Each row sums in index order from −0.0,
+            // the start of `Iterator::sum` for f64.
+            let mut bu = [-0.0; 8];
+            for j in 0..24 {
+                for q in 0..8 {
+                    bu[q] += bt[j][q] * ue[j];
+                }
             }
+            let mut cp = [-0.0; 8];
+            for r in 0..8 {
+                for q in 0..8 {
+                    cp[q] += ct[r][q] * pe[r];
+                }
+            }
+            let rp: [f64; 8] = std::array::from_fn(|q| bu[q] - cp[q] / eta);
             self.vmap.scatter_element(e, &ru, &mut ws.yu);
             self.smap.scatter_element(e, &rp, &mut ws.yp);
         }
     }
 
     /// Apply the block preconditioner `P⁻¹ = diag(Ã⁻¹, S̃⁻¹)`: one AMG
-    /// V-cycle per velocity component, diagonal solve on pressure.
-    /// Allocation-free at steady state.
+    /// V-cycle per velocity component, all three in one fused pass,
+    /// diagonal solve on pressure. Allocation-free.
     pub fn apply_preconditioner(&self, r: &[f64], z: &mut [f64]) {
-        let n = self.mesh.n_owned;
-        let nu = 3 * n;
-        assert!(!self.amg.is_empty(), "setup() must run first");
-        let mut ws_ref = self.ws.borrow_mut();
-        let ws = &mut *ws_ref;
-        ws.rc.clear();
-        ws.rc.resize(n, 0.0);
-        ws.zc.clear();
-        ws.zc.resize(n, 0.0);
-        for c in 0..3 {
-            for i in 0..n {
-                ws.rc[i] = r[3 * i + c];
-            }
-            self.amg[self.amg_of_comp[c]].vcycle(&ws.rc, &mut ws.zc);
-            for i in 0..n {
-                z[3 * i + c] = ws.zc[i];
-            }
-        }
-        for i in 0..n {
-            z[nu + i] = r[nu + i] * self.schur_diag_inv[i];
+        let nu = 3 * self.mesh.n_owned;
+        let amg = self.amg.as_ref().expect("setup() must run first");
+        amg.vcycle(&r[..nu], &mut z[..nu]);
+        for ((zi, ri), s) in z[nu..].iter_mut().zip(&r[nu..]).zip(&self.schur_diag_inv) {
+            *zi = ri * s;
         }
     }
 
@@ -501,7 +541,7 @@ impl<'a> StokesSolver<'a> {
         let mut fe = [0.0; 24];
         let mut re = [0.0; 24];
         for e in 0..self.mesh.elements.len() {
-            let mm = &self.blocks.of(self.mesh, e).mass;
+            let mm = &self.blocks.of(self.mesh, e).blocks.mass;
             self.vmap.gather_element(e, &fl, &mut fe);
             for i in 0..8 {
                 for c in 0..3 {
@@ -825,36 +865,59 @@ mod tests {
         y
     }
 
+    /// An adapted mesh of an anisotropic box with hanging nodes on every
+    /// rank.
+    fn adapted_mesh(c: &Comm) -> Mesh {
+        let mut t = DistOctree::new_uniform(c, 2);
+        t.refine(|o| o.center_unit()[0] < 0.4 && o.center_unit()[2] > 0.3);
+        t.balance(BalanceKind::Full);
+        t.partition();
+        let m = extract_mesh(&t, [2.0, 1.0, 1.0]);
+        let hanging = m
+            .node_table
+            .iter()
+            .filter(|r| matches!(r, mesh::extract::NodeResolution::Constrained(_)))
+            .count();
+        assert!(hanging > 0, "rank {} sees no hanging node", c.rank());
+        m
+    }
+
+    /// Uniform draws in [0, 1), seeded per rank so ranks differ.
+    fn uniform(c: &Comm) -> impl FnMut() -> f64 {
+        let mut state = 0x9E37_79B9_7F4A_7C15u64 ^ (c.rank() as u64 + 1);
+        move || {
+            state = state
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            (state >> 11) as f64 / (1u64 << 53) as f64
+        }
+    }
+
+    /// η scattered element by element over four decades.
+    fn random_viscosity(m: &Mesh, unit: &mut impl FnMut() -> f64) -> Vec<f64> {
+        m.elements
+            .iter()
+            .map(|_| 10f64.powf(4.0 * unit() - 2.0))
+            .collect()
+    }
+
+    /// Free-slip walls: each wall pins the velocity component normal to it,
+    /// so the three component masks differ.
+    fn free_slip(m: &Mesh) -> Vec<bool> {
+        (0..3 * m.n_owned)
+            .map(|i| m.dof_boundary_faces(i / 3) & (0b11 << (2 * (i % 3))) != 0)
+            .collect()
+    }
+
     #[test]
     fn apply_matches_per_element_integration() {
         // Hanging nodes, two ranks, an anisotropic box, and η scattered
         // element by element over four decades.
         spmd::run(2, |c| {
-            let mut t = DistOctree::new_uniform(c, 2);
-            t.refine(|o| o.center_unit()[0] < 0.4 && o.center_unit()[2] > 0.3);
-            t.balance(BalanceKind::Full);
-            t.partition();
-            let m = extract_mesh(&t, [2.0, 1.0, 1.0]);
+            let m = adapted_mesh(c);
             let n = m.n_owned;
-            let hanging = m
-                .node_table
-                .iter()
-                .filter(|r| matches!(r, mesh::extract::NodeResolution::Constrained(_)))
-                .count();
-            assert!(hanging > 0, "rank {} sees no hanging node", c.rank());
-            // Seeded per rank so the two ranks draw different values.
-            let mut state = 0x9E37_79B9_7F4A_7C15u64 ^ (c.rank() as u64 + 1);
-            let mut unit = move || {
-                state = state
-                    .wrapping_mul(6364136223846793005)
-                    .wrapping_add(1442695040888963407);
-                (state >> 11) as f64 / (1u64 << 53) as f64
-            };
-            let visc: Vec<f64> = m
-                .elements
-                .iter()
-                .map(|_| 10f64.powf(4.0 * unit() - 2.0))
-                .collect();
+            let mut unit = uniform(c);
+            let visc = random_viscosity(&m, &mut unit);
             let bc: Vec<bool> = (0..3 * n).map(|i| m.dof_on_boundary(i / 3)).collect();
             let solver = StokesSolver::new(&m, c, visc, bc, StokesOptions::default());
             let x: Vec<f64> = (0..solver.n_owned()).map(|_| 2.0 * unit() - 1.0).collect();
@@ -874,6 +937,142 @@ mod tests {
                     );
                 }
             }
+        });
+    }
+
+    /// The preconditioner as three scalar V-cycles, one per velocity
+    /// component, on blocks assembled here, and the solver's pressure
+    /// diagonal.
+    struct ScalarVcycles<'s, 'a> {
+        solver: &'s StokesSolver<'a>,
+        amg: [Amg; 3],
+    }
+
+    impl<'s, 'a> ScalarVcycles<'s, 'a> {
+        fn new(solver: &'s StokesSolver<'a>) -> Self {
+            let (m, visc) = (solver.mesh, &solver.viscosity);
+            let src = |e: usize, out: &mut [f64]| {
+                let k = &solver.blocks.of(m, e).blocks.stiffness;
+                for i in 0..8 {
+                    for j in 0..8 {
+                        out[i * 8 + j] = visc[e] * k[i][j];
+                    }
+                }
+            };
+            let amg = std::array::from_fn(|comp| {
+                let mask: Vec<bool> = (0..m.n_owned)
+                    .map(|d| solver.vel_bc[3 * d + comp])
+                    .collect();
+                let block = fem::assembly::assemble_owned_block(&solver.smap, &src, Some(&mask));
+                Amg::new(block, solver.options.amg)
+            });
+            ScalarVcycles { solver, amg }
+        }
+    }
+
+    impl LinearOp for ScalarVcycles<'_, '_> {
+        fn apply(&self, r: &[f64], z: &mut [f64]) {
+            let n = self.solver.mesh.n_owned;
+            for (c, amg) in self.amg.iter().enumerate() {
+                let r_lane: Vec<f64> = (0..n).map(|i| r[3 * i + c]).collect();
+                let mut z_lane = vec![0.0; n];
+                amg.vcycle(&r_lane, &mut z_lane);
+                for i in 0..n {
+                    z[3 * i + c] = z_lane[i];
+                }
+            }
+            for i in 0..n {
+                z[3 * n + i] = r[3 * n + i] * self.solver.schur_diag_inv[i];
+            }
+        }
+        fn len(&self) -> usize {
+            self.solver.n_owned()
+        }
+    }
+
+    #[test]
+    fn fused_preconditioner_gives_bitwise_minres_iterates() {
+        for nranks in [1, 2] {
+            spmd::run(nranks, |c| {
+                let m = adapted_mesh(c);
+                let mut unit = uniform(c);
+                let visc = random_viscosity(&m, &mut unit);
+                let options = StokesOptions {
+                    tol: 1e-6,
+                    ..StokesOptions::default()
+                };
+                let mut solver = StokesSolver::new(&m, c, visc, free_slip(&m), options);
+                let (rhs, x0) = solver.build_rhs(
+                    |p| [(5.0 * p[1]).cos(), 0.0, (3.0 * p[0]).sin()],
+                    |_| [0.0; 3],
+                );
+                let n = solver.n_owned();
+                let op = (n, |x: &[f64], y: &mut [f64]| solver.apply(x, y));
+                let fused = (n, |r: &[f64], z: &mut [f64]| {
+                    solver.apply_preconditioner(r, z)
+                });
+                let scalar = ScalarVcycles::new(&solver);
+                let run = |pre: &dyn LinearOp| {
+                    let (mut x, mut residuals) = (x0.clone(), Vec::new());
+                    let info = minres(
+                        &op,
+                        Some(pre),
+                        &rhs,
+                        &mut x,
+                        options.tol,
+                        options.max_iter,
+                        |a: &[f64], b: &[f64]| solver.dot(a, b),
+                        |_, res: f64| residuals.push(res.to_bits()),
+                    );
+                    (
+                        info,
+                        residuals,
+                        x.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
+                    )
+                };
+                let (want, got) = (run(&scalar), run(&fused));
+                assert!(want.0.converged, "{:?}", want.0);
+                assert!(want.0.iterations > 20, "{:?}", want.0);
+                assert_eq!(got.0, want.0, "P = {nranks}");
+                assert!(got.1 == want.1, "P = {nranks}: residual series differ");
+                assert!(got.2 == want.2, "P = {nranks}: solutions differ");
+                // The production entry point runs the same iteration.
+                let mut x = x0.clone();
+                let info = solver.solve(&rhs, &mut x);
+                assert_eq!(info, want.0);
+                assert!(x.iter().map(|v| v.to_bits()).eq(want.2.iter().copied()));
+            });
+        }
+    }
+
+    #[test]
+    fn sweep_builds_agree_bitwise() {
+        // The dispatching sweep (AVX2 on an AVX2 host) against the plain
+        // build of the same body, so one build covers both.
+        spmd::run(2, |c| {
+            let m = adapted_mesh(c);
+            let mut unit = uniform(c);
+            let visc = random_viscosity(&m, &mut unit);
+            let solver = StokesSolver::new(&m, c, visc, free_slip(&m), StokesOptions::default());
+            let ul: Vec<f64> = (0..solver.vmap.n_local())
+                .map(|_| 2.0 * unit() - 1.0)
+                .collect();
+            let pl: Vec<f64> = (0..solver.smap.n_local())
+                .map(|_| 2.0 * unit() - 1.0)
+                .collect();
+            let workspace = || SolverWorkspace {
+                yu: vec![0.0; ul.len()],
+                yp: vec![0.0; pl.len()],
+                ul: ul.clone(),
+                pl: pl.clone(),
+                ..SolverWorkspace::default()
+            };
+            let (mut ws, mut plain) = (workspace(), workspace());
+            solver.sweep(&mut ws);
+            solver.sweep_body(&mut plain);
+            let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+            assert_eq!(bits(&ws.yu), bits(&plain.yu));
+            assert_eq!(bits(&ws.yp), bits(&plain.yp));
         });
     }
 

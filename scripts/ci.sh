@@ -20,6 +20,8 @@ cargo fmt --all -- --check
 # classification (now the oracle `check::oracles::hanging_master_probes`).
 # The forest's copies of the curve bookkeeping (`octree::curve` serves
 # both tree types) and the allocating `mark_elements` wrapper.
+# The per-component copies of the Stokes preconditioner (one fused
+# V-cycle reads and writes the interleaved velocity).
 echo "==> deleted code stays deleted"
 if grep -rnE 'MachineModel|phase_comm_seconds|paper_core_counts|host_to_(model|flops)' \
     crates src tests examples ||
@@ -33,6 +35,7 @@ if grep -rnE 'MachineModel|phase_comm_seconds|paper_core_counts|host_to_(model|f
     grep -rnE 'fn hanging_master\b' crates/mesh ||
     grep -rnE 'fn (update_markers|coarsen_marked_into|refine_flags_no_marker)\b|target_lo' crates/forest/src ||
     grep -rn 'fn mark_elements\b' crates ||
+    grep -nE '\b(rc|zc): Vec<f64>' crates/stokes/src/solver.rs ||
     grep -rniE 'modeled|extrapolat' crates/bench/src results/*.txt; then
     echo "ci: deleted code is back (see above)" >&2
     exit 1
@@ -66,6 +69,11 @@ cargo test -q --release -p check --test fuzz_amr -- --ignored
 # debug passes above are otherwise the only place DG runs.
 echo "==> mangll (release)"
 cargo test -q --release -p mangll
+
+# The fused V-cycle and the AVX2 element sweep claim bitwise-identical
+# iterates, which is a claim about the optimized code too.
+echo "==> la, stokes (release)"
+cargo test -q --release -p la -p stokes
 
 # The two figure bins that finish in seconds, so that a figure bin that
 # panics fails here; the other eight are run by hand.

@@ -3,11 +3,15 @@
 //! Same contract as [`crate::octree_checks`]: collective, read-only,
 //! data-independent collective schedule. Leaf identity lives in the
 //! `(tree, Morton key)` curve space, and adjacency follows the
-//! connectivity's inter-tree face transforms via [`Forest::neighbor`].
+//! connectivity's composed inter-tree crossings
+//! ([`Forest::neighbors_full`]). The ghost-symmetry checker serves both
+//! tree types: a single octree is the one-tree case, with no seam.
 
-use forest::{Forest, ForestLeaf, GhostKind, GhostLayer, DIRS};
+use std::fmt::Debug;
+
+use forest::{Forest, ForestLeaf, GhostEntry, GhostKind, DIRS};
 use octree::balance::BalanceKind;
-use octree::curve::{CurveKey, CurveLeaf};
+use octree::curve::{adjacent_regions, CurveKey, CurveLeaf, LeafCurve, TreeSeam};
 use octree::ops::find_containing;
 use octree::ROOT_LEN;
 
@@ -135,79 +139,53 @@ pub fn partition(forest: &Forest) -> Vec<Violation> {
     out
 }
 
-/// Wire form of one ghost claim shipped back to its recorded owner.
-#[derive(Clone, Copy)]
-#[repr(C)]
-struct GhostClaim {
-    leaf: ForestLeaf,
-    /// 0 = face, 1 = edge, 2 = corner (the `GhostKind` discriminant);
-    /// as wide as the leaf's alignment, so the record has no tail padding.
-    kind: u64,
-}
-
-const _: () = assert!(
-    std::mem::size_of::<GhostClaim>()
-        == std::mem::size_of::<ForestLeaf>() + std::mem::size_of::<u64>()
-);
-
-// SAFETY: repr(C) of a padding-free `Pod` leaf and a u64, with no padding
-// (asserted above).
-unsafe impl scomm::Pod for GhostClaim {}
-
-fn kind_code(k: GhostKind) -> u64 {
-    match k {
-        GhostKind::Face => 0,
-        GhostKind::Edge => 1,
-        GhostKind::Corner => 2,
-    }
-}
-
-/// Minimal-codimension adjacency class of leaf `l` (owned by this rank)
-/// with respect to peer rank `j`, through the same composed-transform
-/// neighborhoods the recursive ghost constructor uses: `Some(kind)` iff
-/// some region of some direction's neighborhood intersects `j`'s curve
-/// range, faces probed first.
-fn mirror_kind(
-    forest: &Forest,
-    l: &ForestLeaf,
+/// The adjacency class of the first of the [`DIRS`] (faces first) whose
+/// same-size regions around my leaf `l` reach rank `j`'s curve range.
+fn mirror_kind<L: CurveLeaf, S: TreeSeam<L>>(
+    curve: &LeafCurve<L>,
+    seam: &S,
+    l: &L,
     j: usize,
-    scratch: &mut Vec<ForestLeaf>,
-) -> Option<u64> {
-    for (d, &(dx, dy, dz)) in DIRS.iter().enumerate() {
-        forest.neighbors_full(l, dx, dy, dz, scratch);
-        let hit = scratch.iter().any(|n| {
-            let (rlo, rhi) = forest.owner_range(n);
-            rlo <= j && j <= rhi
-        });
-        if hit {
-            return Some(if d < 6 {
-                0
-            } else if d < 18 {
-                1
-            } else {
-                2
-            });
-        }
-    }
-    None
+    scratch: &mut Vec<L>,
+) -> Option<GhostKind> {
+    DIRS.iter()
+        .position(|&d| {
+            adjacent_regions(seam, l, d, scratch);
+            scratch.iter().any(|n| {
+                let (rlo, rhi) = curve.owner_range(n);
+                rlo <= j && j <= rhi
+            })
+        })
+        .map(GhostKind::of_dir)
 }
 
-/// Ghost-layer symmetry for the recursive face/edge/corner constructor:
-/// rank i's ghost entries of rank j — leaf, owner, *and* adjacency kind
-/// — must be exactly the mirror list rank j independently recomputes
-/// from its own leaves and the partition markers. Extends the PR 2
-/// octree checker with kind awareness: a face ghost misclassified as an
-/// edge ghost is a violation even though the leaf sets agree.
-/// Cost: O(boundary · 26) + one alltoallv.
-pub fn ghost_symmetry(forest: &Forest, ghosts: &GhostLayer) -> Vec<Violation> {
+/// Ghost-layer symmetry, for either tree type: rank i's ghost entries of
+/// rank j — leaf, owner, *and* adjacency kind — must be exactly the
+/// mirror list rank j independently recomputes from its own leaves, the
+/// partition markers and the tree seam (each leaf against the 26
+/// directions, one at a time). A face ghost misclassified as an edge
+/// ghost is a violation even though the leaf sets agree. Cost:
+/// O(boundary · 26) + two alltoallvs.
+pub fn ghost_symmetry<L, S>(
+    curve: &LeafCurve<L>,
+    local: &[L],
+    seam: &S,
+    ghosts: &[GhostEntry<L>],
+) -> Vec<Violation>
+where
+    L: CurveLeaf + Debug,
+    S: TreeSeam<L>,
+{
     const NAME: &str = "ghost_symmetry";
-    let comm = forest.comm();
-    let me = comm.rank();
-    let p = comm.size();
+    let comm = curve.comm();
+    let (p, me) = (comm.size(), comm.rank());
     let mut out = Vec::new();
 
-    let mut outgoing: Vec<Vec<GhostClaim>> = vec![Vec::new(); p];
-    for e in &ghosts.entries {
+    // Each claim goes back to its recorded owner: the leaf, and its kind
+    // in a second exchange of the same shape.
+    let mut leaves: Vec<Vec<L>> = vec![Vec::new(); p];
+    let mut kinds: Vec<Vec<u64>> = vec![Vec::new(); p];
+    for e in ghosts {
         let owner = e.owner as usize;
         if owner >= p || owner == me {
             out.push(violation(
@@ -217,55 +195,43 @@ pub fn ghost_symmetry(forest: &Forest, ghosts: &GhostLayer) -> Vec<Violation> {
             ));
             continue;
         }
-        outgoing[owner].push(GhostClaim {
-            leaf: e.leaf,
-            kind: kind_code(e.kind),
-        });
+        leaves[owner].push(e.leaf);
+        kinds[owner].push(e.kind as u64);
     }
-    let claimed = comm.alltoallv(&outgoing);
+    let (leaves, kinds) = (comm.alltoallv(&leaves), comm.alltoallv(&kinds));
 
-    // Expected mirror per peer: for each of my leaves, the minimal
-    // codimension over the composed 26-direction neighborhoods whose
-    // owner range includes that peer.
-    let mut scratch: Vec<ForestLeaf> = Vec::new();
-    let mut expected: Vec<Vec<(ForestLeaf, u64)>> = vec![Vec::new(); p];
-    for l in &forest.local {
-        // A peer's kind is its *first* hit over the dir scan; collect
-        // per-peer minima in one pass.
-        let mut seen: Vec<(usize, u64)> = Vec::new();
-        for (d, &(dx, dy, dz)) in DIRS.iter().enumerate() {
-            forest.neighbors_full(l, dx, dy, dz, &mut scratch);
-            let code = if d < 6 {
-                0
-            } else if d < 18 {
-                1
-            } else {
-                2
-            };
+    // Expected mirror per peer: for each of my leaves, the kind of the
+    // first direction whose regions reach that peer.
+    let mut scratch = Vec::new();
+    let mut expected: Vec<Vec<(L, u64)>> = vec![Vec::new(); p];
+    for l in local {
+        let mut seen: Vec<usize> = Vec::new();
+        for (d, &dir) in DIRS.iter().enumerate() {
+            adjacent_regions(seam, l, dir, &mut scratch);
             for n in &scratch {
-                let (rlo, rhi) = forest.owner_range(n);
+                let (rlo, rhi) = curve.owner_range(n);
                 for r in rlo..=rhi.min(p - 1) {
-                    if r != me && !seen.iter().any(|&(s, _)| s == r) {
-                        seen.push((r, code));
-                        expected[r].push((*l, code));
+                    if r != me && !seen.contains(&r) {
+                        seen.push(r);
+                        expected[r].push((*l, GhostKind::of_dir(d) as u64));
                     }
                 }
             }
         }
     }
 
-    for j in 0..p {
-        if j == me {
-            continue;
-        }
-        let mut have: Vec<(ForestLeaf, u64)> =
-            claimed[j].iter().map(|c| (c.leaf, c.kind)).collect();
+    for j in (0..p).filter(|&j| j != me) {
+        let mut have: Vec<(L, u64)> = leaves[j]
+            .iter()
+            .copied()
+            .zip(kinds[j].iter().copied())
+            .collect();
         have.sort();
         have.dedup();
-        let mut want = expected[j].clone();
+        let want = &mut expected[j];
         want.sort();
         for &(g, kind) in &have {
-            if forest.local.binary_search(&g).is_err() {
+            if local.binary_search(&g).is_err() {
                 out.push(violation(
                     NAME,
                     me,
@@ -273,25 +239,20 @@ pub fn ghost_symmetry(forest: &Forest, ghosts: &GhostLayer) -> Vec<Violation> {
                 ));
             } else if want.binary_search(&(g, kind)).is_err() {
                 // Distinguish wrong-kind from spurious for the report.
-                match mirror_kind(forest, &g, j, &mut scratch) {
-                    Some(k) => out.push(violation(
-                        NAME,
-                        me,
-                        format!(
-                            "rank {j} holds ghost {g:?} with kind code {kind}, \
-                             but its adjacency class is {k}"
-                        ),
-                    )),
-                    None => out.push(violation(
-                        NAME,
-                        me,
-                        format!("rank {j} holds spurious ghost {g:?} (not adjacent to its range)"),
-                    )),
-                }
+                let detail = match mirror_kind(curve, seam, &g, j, &mut scratch) {
+                    Some(k) => format!(
+                        "rank {j} holds ghost {g:?} with kind code {kind}, \
+                         but its adjacency class is {k:?}"
+                    ),
+                    None => {
+                        format!("rank {j} holds spurious ghost {g:?} (not adjacent to its range)")
+                    }
+                };
+                out.push(violation(NAME, me, detail));
             }
         }
-        for &(g, kind) in &want {
-            if have.binary_search(&(g, kind)).is_err() && !have.iter().any(|&(h, _)| h == g) {
+        for &(g, kind) in want.iter() {
+            if !have.iter().any(|&(h, _)| h == g) {
                 out.push(violation(
                     NAME,
                     me,
@@ -306,8 +267,10 @@ pub fn ghost_symmetry(forest: &Forest, ghosts: &GhostLayer) -> Vec<Violation> {
     out
 }
 
-/// 2:1 balance across the forest, including inter-tree face transforms.
-/// Cost: O(collective) — gathers the global leaf union.
+/// 2:1 balance across the forest over the relation production enforces:
+/// every same-size region of every direction, across tree faces, edges
+/// and corners through composed face transforms. Cost: O(collective) —
+/// gathers the global leaf union.
 pub fn balance21(forest: &Forest, kind: BalanceKind) -> Vec<Violation> {
     const NAME: &str = "balance21";
     let comm = forest.comm();
@@ -316,12 +279,11 @@ pub fn balance21(forest: &Forest, kind: BalanceKind) -> Vec<Violation> {
     union.sort();
     let dirs = kind.direction_slice();
     let mut out = Vec::new();
+    let mut regions = Vec::new();
     for l in &forest.local {
         for &(dx, dy, dz) in dirs {
-            let Some(n) = forest.neighbor(l, dx, dy, dz) else {
-                continue;
-            };
-            if let Some(i) = find_containing(&union, &n) {
+            forest.neighbors_full(l, dx, dy, dz, &mut regions);
+            for i in regions.iter().filter_map(|n| find_containing(&union, n)) {
                 if union[i].oct.level() + 1 < l.oct.level() {
                     out.push(violation(
                         NAME,

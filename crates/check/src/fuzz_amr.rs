@@ -4,10 +4,10 @@
 //! partition → transfer` cycles on a distributed octree and asserts,
 //! every cycle:
 //!
-//! * all six PR 2 invariant checkers are clean on the post-partition
-//!   state ([`crate::octree_checks`]::{morton_order, partition,
-//!   balance21, ghost_symmetry} and [`crate::mesh_checks`]::{constraints,
-//!   dof_numbering});
+//! * all six invariant checkers are clean on the post-partition state
+//!   ([`crate::octree_checks`]::{morton_order, partition, balance21}, the
+//!   kind-aware [`crate::forest_checks::ghost_symmetry`] and
+//!   [`crate::mesh_checks`]::{constraints, dof_numbering});
 //! * every local node of the extracted mesh is `Constrained` iff the
 //!   eight-probe incidence oracle
 //!   ([`crate::oracles::hanging_master_probes`]) says it hangs;
@@ -19,11 +19,10 @@
 //! * the packed-key oracle agrees bitwise with the unpacked
 //!   coordinate-struct oracle
 //!   ([`crate::oracles::unpacked::balance_naive_unpacked`]);
-//! * the recursive forest ghost constructor, run over the same leaves
-//!   wrapped as a one-tree forest, reproduces the single-tree
-//!   `DistOctree::ghost_layer()` bitwise on its face-adjacent subset,
-//!   adds only edge/corner entries beyond it, and passes the kind-aware
-//!   [`crate::forest_checks::ghost_symmetry`] mirror check;
+//! * the ghost layer of the same leaves wrapped as a one-tree forest, and
+//!   the tree's own, both equal the flat per-leaf scan
+//!   ([`crate::oracles::forest_ghosts_flat`]) bitwise, entry for entry,
+//!   and the forest's passes the kind-aware mirror check;
 //! * field transfer conserves: the production kernel
 //!   ([`mesh::interp::transfer_corner_values_into`], the Morton merge
 //!   `rhea::adapt` runs) reproduces a linear function to 1e-12 at every
@@ -45,12 +44,14 @@
 use mesh::extract::{extract_mesh, Mesh};
 use mesh::interp::{interpolate_node_field, transfer_corner_values_into, unpack_corner_values};
 use octree::balance::{balance_local_kind_ws, BalanceKind, BalanceWorkspace};
+use octree::curve::NoSeam;
 use octree::parallel::{transfer_fields, DistOctree};
 use octree::Octant;
 use scomm::{spmd, Comm};
 
+use crate::forest_checks::ghost_symmetry;
 use crate::oracles::unpacked::balance_naive_unpacked;
-use crate::oracles::{balance_local_naive_kind, forest_flat_adjacent, hanging_disagreements};
+use crate::oracles::{balance_local_naive_kind, forest_ghosts_flat, hanging_disagreements};
 use crate::{mesh_checks, octree_checks, Violation};
 
 /// Configuration of one fuzz run (one communicator size, many cycles).
@@ -261,13 +262,13 @@ pub fn run_cycles(comm: &Comm, cfg: &FuzzConfig) -> u64 {
             );
         }
 
-        // All six PR 2 invariants on the post-partition state.
+        // All six invariants on the post-partition state.
         let new_mesh = extract_mesh(&tree, domain);
         let mut v = octree_checks::morton_order(&tree);
         v.extend(octree_checks::partition(&tree));
         v.extend(octree_checks::balance21(&tree, cfg.kind));
         let ghosts = tree.ghost_layer();
-        v.extend(octree_checks::ghost_symmetry(&tree, &ghosts));
+        v.extend(ghost_symmetry(tree.curve(), &tree.local, &NoSeam, &ghosts));
         v.extend(mesh_checks::constraints(&tree, &new_mesh));
         v.extend(mesh_checks::dof_numbering(&tree, &new_mesh));
         assert_clean_with_ctx(comm, &ctx, &v);
@@ -287,12 +288,10 @@ pub fn run_cycles(comm: &Comm, cfg: &FuzzConfig) -> u64 {
             );
         }
 
-        // Recursive forest ghosts vs the single-tree constructor: wrap
-        // the same leaves as a one-tree forest and require (a) the
-        // face-adjacent subset of the recursive layer to be *bitwise*
-        // `DistOctree::ghost_layer()`, (b) every entry classified `Face` to be
-        // flat-adjacent (extras are strictly edge/corner additions),
-        // and (c) the kind-aware forest symmetry checker to be clean.
+        // The ghost layer against the flat scan: wrap the same leaves as a
+        // one-tree forest and require the production layer, every entry
+        // with its owner, to be the oracle's bitwise, and so the tree's
+        // own; then the kind-aware mirror check on the forest.
         let forest = forest::Forest::from_local(
             comm,
             std::sync::Arc::new(forest::Connectivity::unit_cube()),
@@ -302,32 +301,33 @@ pub fn run_cycles(comm: &Comm, cfg: &FuzzConfig) -> u64 {
                 .collect(),
         );
         let layer = forest.ghosts();
-        let face_subset: Vec<(usize, Octant)> = layer
+        let flat = forest_ghosts_flat(&forest);
+        let produced: Vec<_> = layer
             .entries
             .iter()
-            .filter(|e| forest_flat_adjacent(&forest, &e.leaf))
-            .map(|e| (e.owner as usize, e.leaf.oct))
+            .map(|e| (e.owner as usize, e.leaf))
             .collect();
-        if face_subset != ghosts {
+        let tree_layer: Vec<_> = ghosts
+            .iter()
+            .map(|e| (e.owner as usize, forest::ForestLeaf::new(0, e.leaf)))
+            .collect();
+        if produced != flat || tree_layer != flat {
             fail(
                 &ctx,
                 &format!(
-                    "recursive ghost layer's flat-adjacent subset diverges from \
-                     the single-tree ghost layer: {} vs {} entries",
-                    face_subset.len(),
-                    ghosts.len()
+                    "ghost layer diverges from the flat scan: forest {} / tree {} vs {} entries",
+                    produced.len(),
+                    tree_layer.len(),
+                    flat.len()
                 ),
             );
         }
-        for e in &layer.entries {
-            if e.kind == forest::GhostKind::Face && !forest_flat_adjacent(&forest, &e.leaf) {
-                fail(
-                    &ctx,
-                    &format!("face-classified ghost {:?} is not flat-adjacent", e.leaf),
-                );
-            }
-        }
-        let fv = crate::forest_checks::ghost_symmetry(&forest, &layer);
+        let fv = ghost_symmetry(
+            forest.curve(),
+            &forest.local,
+            forest.connectivity().as_ref(),
+            &layer.entries,
+        );
         assert_clean_with_ctx(comm, &ctx, &fv);
 
         // Carry the field across to the next cycle through the unpacked

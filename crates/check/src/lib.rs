@@ -45,6 +45,7 @@
 
 use obs::json::Value;
 use obs::Recorder;
+use octree::curve::NoSeam;
 use scomm::Comm;
 
 pub mod differential;
@@ -151,7 +152,12 @@ pub fn guard_forest(
     v.extend(forest_checks::partition(forest));
     v.extend(forest_checks::balance21(forest, kind));
     let ghosts = forest.ghosts();
-    v.extend(forest_checks::ghost_symmetry(forest, &ghosts));
+    v.extend(forest_checks::ghost_symmetry(
+        forest.curve(),
+        &forest.local,
+        forest.connectivity().as_ref(),
+        &ghosts.entries,
+    ));
     if let Some(r) = rec {
         report(r, &v);
     }
@@ -159,8 +165,9 @@ pub fn guard_forest(
 }
 
 /// Stage guard over an extracted mesh (plus the ghost layer of the tree
-/// it came from): constraint consistency, dof numbering, and ghost
-/// symmetry. Collective; panics on the first global violation.
+/// it came from): constraint consistency, dof numbering, and the
+/// kind-aware ghost symmetry. Collective; panics on the first global
+/// violation.
 pub fn guard_mesh(
     tree: &octree::parallel::DistOctree,
     mesh: &mesh::extract::Mesh,
@@ -168,7 +175,7 @@ pub fn guard_mesh(
 ) {
     let _s = rec.map(|r| r.span_cat("check:mesh", "check"));
     let ghosts = tree.ghost_layer();
-    let mut v = octree_checks::ghost_symmetry(tree, &ghosts);
+    let mut v = forest_checks::ghost_symmetry(tree.curve(), &tree.local, &NoSeam, &ghosts);
     v.extend(mesh_checks::constraints(tree, mesh));
     v.extend(mesh_checks::dof_numbering(tree, mesh));
     if let Some(r) = rec {

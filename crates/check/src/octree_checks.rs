@@ -181,89 +181,3 @@ pub fn balance21(tree: &DistOctree, kind: BalanceKind) -> Vec<Violation> {
     }
     out
 }
-
-/// Ghost-layer symmetry: rank i's ghosts of rank j must be exactly
-/// rank j's mirror list for rank i. Cost: O(boundary) + one alltoallv.
-///
-/// Each rank ships every ghost entry back to its recorded owner; the
-/// owner independently recomputes the mirror set it expects each peer
-/// to hold (the same marker-based region predicate the ghost builder
-/// uses, evaluated on the owner's leaves) and reports any claimed ghost
-/// that is not an owned leaf, any spurious claim, and any missing
-/// mirror.
-pub fn ghost_symmetry(tree: &DistOctree, ghosts: &[(usize, Octant)]) -> Vec<Violation> {
-    const NAME: &str = "ghost_symmetry";
-    let comm = tree.comm();
-    let me = comm.rank();
-    let p = comm.size();
-    let mut out = Vec::new();
-
-    let mut outgoing: Vec<Vec<Octant>> = vec![Vec::new(); p];
-    for &(owner, g) in ghosts {
-        if owner >= p || owner == me {
-            out.push(violation(
-                NAME,
-                me,
-                format!("ghost {g:?} recorded with invalid owner {owner}"),
-            ));
-            continue;
-        }
-        outgoing[owner].push(g);
-    }
-    let claimed = comm.alltoallv(&outgoing);
-
-    // Expected mirror set per peer: my leaves whose neighbor regions
-    // intersect that peer's ownership range.
-    let mut expected: Vec<Vec<Octant>> = vec![Vec::new(); p];
-    for o in &tree.local {
-        let mut sent: Vec<usize> = Vec::new();
-        for (dx, dy, dz) in Octant::neighbor_directions() {
-            let Some(n) = o.neighbor(dx, dy, dz) else {
-                continue;
-            };
-            let (rlo, rhi) = tree.owner_range(&n);
-            for r in rlo..=rhi.min(p - 1) {
-                if r != me && !sent.contains(&r) {
-                    sent.push(r);
-                    expected[r].push(*o);
-                }
-            }
-        }
-    }
-
-    for j in 0..p {
-        if j == me {
-            continue;
-        }
-        let mut have: Vec<Octant> = claimed[j].clone();
-        have.sort();
-        have.dedup();
-        let mut want = expected[j].clone();
-        want.sort();
-        for g in &have {
-            if tree.local.binary_search(g).is_err() {
-                out.push(violation(
-                    NAME,
-                    me,
-                    format!("rank {j} ghosts {g:?}, which is not a leaf I own"),
-                ));
-            } else if want.binary_search(g).is_err() {
-                out.push(violation(
-                    NAME,
-                    me,
-                    format!("rank {j} holds spurious ghost {g:?} (not adjacent to its range)"),
-                ));
-            }
-        }
-        for g in &want {
-            if have.binary_search(g).is_err() {
-                out.push(violation(
-                    NAME,
-                    me,
-                    format!("rank {j} is missing the mirror of my boundary leaf {g:?}"),
-                ));
-            }
-        }
-    }
-    out
-}

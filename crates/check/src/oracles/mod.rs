@@ -112,6 +112,46 @@ pub fn balance_local_naive_kind(leaves: &mut Vec<Octant>, kind: BalanceKind) -> 
     leaves.len() - before
 }
 
+/// Naive forest 2:1 balance over the gathered leaf union: a neighbour
+/// fixpoint. Every sweep flags each leaf that is too coarse for some
+/// finer leaf's same-size neighbour region under `relation` (which
+/// overwrites its output with the regions of a leaf in a direction), then
+/// refines the flagged leaves; sweeps repeat until none is flagged.
+/// Serial, over one array, with no seed propagation, no rank boundaries
+/// and no tree seam of its own. With the composed relation
+/// (`Forest::neighbors_full`, the DESIGN.md §9 rule) the minimal
+/// balanced refinement is unique, so `Forest::balance` must equal it
+/// bitwise. Returns the number of leaves added.
+pub fn forest_balance_naive(
+    union: &mut Vec<ForestLeaf>,
+    kind: BalanceKind,
+    mut relation: impl FnMut(&ForestLeaf, (i32, i32, i32), &mut Vec<ForestLeaf>),
+) -> usize {
+    let before = union.len();
+    let mut regions = Vec::new();
+    loop {
+        let mut flags = vec![false; union.len()];
+        for l in union.iter() {
+            for &d in kind.direction_slice() {
+                relation(l, d, &mut regions);
+                for n in &regions {
+                    if let Some(i) = find_containing(union, n) {
+                        flags[i] |= union[i].oct.level() + 1 < l.oct.level();
+                    }
+                }
+            }
+        }
+        if !flags.contains(&true) {
+            return union.len() - before;
+        }
+        let mut i = 0;
+        octree::ops::refine_with(union, &mut Vec::new(), |_| {
+            i += 1;
+            flags[i - 1]
+        });
+    }
+}
+
 /// Some ≤1-face-transform neighbor region of `leaf` intersects the
 /// calling rank's owned range — the receiver predicate of
 /// [`forest_ghosts_flat`].
@@ -129,9 +169,10 @@ pub fn forest_flat_adjacent(forest: &Forest, leaf: &ForestLeaf) -> bool {
 /// owns part of one of its 26 same-size neighbor regions (within the
 /// tree or across one tree face); receivers keep what is
 /// [`forest_flat_adjacent`]. Returns `(owner, leaf)` sorted by leaf.
-/// The recursive `Forest::ghost_layer_into`, restricted to
+/// The recursive ghost layer (`octree::ghost`), restricted to
 /// [`forest_flat_adjacent`] entries, must equal this bitwise; what it
-/// adds beyond are inter-tree edge/corner ghosts only. Collective.
+/// adds beyond are inter-tree edge/corner ghosts only, so on one tree it
+/// must equal this entry for entry. Collective.
 pub fn forest_ghosts_flat(forest: &Forest) -> Vec<(usize, ForestLeaf)> {
     let comm = forest.comm();
     let (p, me) = (comm.size(), comm.rank());

@@ -5,9 +5,12 @@
 //! other ranks (all checkers keep a data-independent collective
 //! schedule, so these tests also prove "diagnose, don't deadlock").
 
+use check::forest_checks::ghost_symmetry;
 use forest::{Connectivity, Forest};
 use mesh::extract::{extract_mesh, NodeResolution};
 use octree::balance::BalanceKind;
+use octree::curve::NoSeam;
+use octree::ghost::{GhostEntry, GhostKind};
 use octree::parallel::DistOctree;
 use octree::{Octant, MAX_LEVEL, ROOT_LEN};
 use scomm::{spmd, Comm};
@@ -154,7 +157,7 @@ fn ghost_symmetry_clean() {
     spmd::run(4, |c| {
         let t = adapted_tree(c);
         let g = t.ghost_layer();
-        let v = check::octree_checks::ghost_symmetry(&t, &g);
+        let v = ghost_symmetry(t.curve(), &t.local, &NoSeam, &g);
         assert_eq!(total_violations(c, &v), 0, "{v:?}");
     });
 }
@@ -171,9 +174,13 @@ fn ghost_symmetry_detects_missing_and_bogus_ghosts() {
             g.remove(0);
             // Bogus: claim a ghost of rank 1 that is not a leaf there
             // (the adapted tree never reaches MAX_LEVEL).
-            g.push((1, Octant::new(0, 0, 0, MAX_LEVEL)));
+            g.push(GhostEntry {
+                owner: 1,
+                kind: GhostKind::Corner,
+                leaf: Octant::new(0, 0, 0, MAX_LEVEL),
+            });
         }
-        let v = check::octree_checks::ghost_symmetry(&t, &g);
+        let v = ghost_symmetry(t.curve(), &t.local, &NoSeam, &g);
         let total = total_violations(c, &v);
         assert!(
             total >= 2,

@@ -43,7 +43,12 @@ fn pipeline(plan: Option<FaultPlan>) -> Outcome {
         let mut v = check::octree_checks::morton_order(&t);
         v.extend(check::octree_checks::partition(&t));
         v.extend(check::octree_checks::balance21(&t, BalanceKind::Full));
-        v.extend(check::octree_checks::ghost_symmetry(&t, &g));
+        v.extend(check::forest_checks::ghost_symmetry(
+            t.curve(),
+            &t.local,
+            &octree::curve::NoSeam,
+            &g,
+        ));
         v.extend(check::mesh_checks::constraints(&t, &m));
         v.extend(check::mesh_checks::dof_numbering(&t, &m));
         check::assert_clean(c, &v);

@@ -1,16 +1,18 @@
 //! Forest partition edge cases, each checked against
-//! `check::forest_checks::partition` and leaf-count conservation, and the
-//! one-tree forest against the single octree stage by stage.
+//! `check::forest_checks::partition` and leaf-count conservation; the
+//! one-tree forest against the single octree stage by stage; and the
+//! forest balance against its serial oracle.
 
 use std::sync::Arc;
 
 use check::forest_checks;
 use check::fuzz_amr::roll;
-use forest::{Connectivity, Forest};
+use check::oracles::forest_balance_naive;
+use forest::{Connectivity, Forest, ForestLeaf};
 use octree::balance::BalanceKind;
 use octree::mark::MarkParams;
 use octree::parallel::{DistOctree, PartitionPlan};
-use octree::Octant;
+use octree::{Octant, ROOT_LEN};
 use scomm::{spmd, Comm};
 
 fn assert_partition_clean(f: &Forest) {
@@ -85,7 +87,8 @@ fn balanced_24_tree_shell_partition_is_stable() {
     });
 }
 
-/// Leaves, rank counts and validity agree between the two tree types.
+/// Leaves, rank counts, validity and ghost layers (entries, owners and
+/// kinds) agree between the two tree types.
 fn assert_same(stage: &str, c: &Comm, tree: &DistOctree, forest: &Forest) {
     let octs: Vec<Octant> = forest.local.iter().map(|l| l.oct).collect();
     assert!(forest.local.iter().all(|l| l.tree == 0));
@@ -102,15 +105,29 @@ fn assert_same(stage: &str, c: &Comm, tree: &DistOctree, forest: &Forest) {
     );
     assert!(tree.validate(), "{stage}: octree invalid");
     assert!(forest.validate(), "{stage}: forest invalid");
+    let lifted: Vec<_> = tree
+        .ghost_layer()
+        .iter()
+        .map(|e| (e.owner, e.kind, ForestLeaf::new(0, e.leaf)))
+        .collect();
+    let layer: Vec<_> = (forest.ghosts().entries.iter())
+        .map(|e| (e.owner, e.kind, e.leaf))
+        .collect();
+    assert_eq!(
+        layer,
+        lifted,
+        "{stage}: ghost layers differ on rank {}",
+        c.rank()
+    );
 }
 
 /// `DistOctree` and a one-tree `Forest` over `unit_cube` run the same
-/// curve code (`octree::curve`): one seeded sequence of refine, coarsen,
-/// `adapt_to_target`, `balance(Full)` and `partition_with` must leave
-/// bitwise-equal leaf arrays, rank counts and partition plans after every
-/// stage, at P ∈ {1, 2, 4, 8}. Balance is two different algorithms (seed
-/// propagation against a neighbour fixpoint) that must reach the same
-/// unique 2:1 closure.
+/// curve code (`octree::curve`, `octree::ghost`) at two leaf types: one
+/// seeded sequence of refine, coarsen, `adapt_to_target`, `balance(Full)`
+/// and `partition_with` must leave bitwise-equal leaf arrays, rank
+/// counts, ghost layers and partition plans after every stage, at
+/// P ∈ {1, 2, 4, 8}. The independent balance check is
+/// `forest_balance_matches_naive_oracle`.
 #[test]
 fn one_tree_forest_matches_octree_stage_by_stage() {
     let conn = Arc::new(Connectivity::unit_cube());
@@ -167,5 +184,74 @@ fn one_tree_forest_matches_octree_stage_by_stage() {
             }
             assert!(balance_added > 0, "balance never refined: no cross-check");
         });
+    }
+}
+
+/// Tree 0 of a 2×2×2 brick refined five levels deep at the brick's
+/// centre, the corner all eight trees share.
+fn brick_centre(c: &Comm) -> Forest<'_> {
+    let mut f = Forest::new_uniform(c, Arc::new(Connectivity::brick(2, 2, 2)), 1);
+    for _ in 0..5 {
+        f.refine(|l| {
+            let o = l.oct;
+            l.tree == 0
+                && [o.x(), o.y(), o.z()]
+                    .iter()
+                    .all(|&a| a + o.len() == ROOT_LEN)
+        });
+    }
+    f
+}
+
+/// The 24-tree shell refined in a seeded pattern, two levels.
+fn shell(c: &Comm) -> Forest<'_> {
+    let mut f = Forest::new_uniform(c, Arc::new(Connectivity::cubed_sphere(0.55, 1.0)), 1);
+    for cycle in 0..2 {
+        f.refine(|l| roll(5, cycle, l.tree as u64, &l.oct) < 20);
+    }
+    f
+}
+
+/// `Forest::balance` (seed propagation per tree run, requests across
+/// ranks and tree seams) against the serial neighbour fixpoint over the
+/// gathered pre-balance union with the composed relation, bitwise at
+/// P ∈ {1, 2, 4, 8}. On the brick, the diagonal tree 7 touches tree 0
+/// only at the centre corner: the composed relation refines it there
+/// deeper than the face-only relation (`Forest::neighbor`) does.
+#[test]
+fn forest_balance_matches_naive_oracle() {
+    for build in [brick_centre, shell] {
+        for p in [1, 2, 4, 8] {
+            spmd::run(p, |c| {
+                let mut f = build(c);
+                let mut expected: Vec<ForestLeaf> = c.allgatherv(&f.local);
+                let mut face_only = expected.clone();
+                let added = forest_balance_naive(&mut expected, BalanceKind::Full, |l, d, out| {
+                    f.neighbors_full(l, d.0, d.1, d.2, out)
+                });
+                forest_balance_naive(&mut face_only, BalanceKind::Full, |l, d, out| {
+                    out.clear();
+                    out.extend(f.neighbor(l, d.0, d.1, d.2));
+                });
+                assert_eq!(f.balance(BalanceKind::Full), added as u64, "P={p}");
+                let got: Vec<ForestLeaf> = c.allgatherv(&f.local);
+                assert_eq!(got, expected, "P={p}: balance differs from the oracle");
+                let v = forest_checks::balance21(&f, BalanceKind::Full);
+                assert!(v.is_empty(), "P={p}: {v:?}");
+                let deepest = |leaves: &[ForestLeaf], t| {
+                    leaves
+                        .iter()
+                        .filter(|l| l.tree == t)
+                        .map(|l| l.oct.level())
+                        .max()
+                };
+                if f.connectivity().num_trees() == 8 {
+                    assert!(
+                        deepest(&got, 7) > deepest(&face_only, 7),
+                        "P={p}: the corner-only tree is not refined beyond the face-only balance"
+                    );
+                }
+            });
+        }
     }
 }

@@ -182,7 +182,12 @@ fn recursive_ghosts_match_flat_scan() {
                 if p > 1 {
                     assert!(!layer.entries.is_empty(), "P={p} must produce ghosts");
                 }
-                let v = check::forest_checks::ghost_symmetry(&f, &layer);
+                let v = check::forest_checks::ghost_symmetry(
+                    f.curve(),
+                    &f.local,
+                    f.connectivity().as_ref(),
+                    &layer.entries,
+                );
                 assert!(v.is_empty(), "ghost symmetry violations at P={p}: {v:?}");
             });
         }

@@ -6,24 +6,20 @@
 //! markers, ownership, refine/coarsen, mark application, partition and
 //! validation are [`octree::curve::LeafCurve`], the same code that serves
 //! [`octree::parallel::DistOctree`], instantiated with [`ForestLeaf`] and
-//! its `u128` `(tree, Morton)` keys. What differs stays here: neighbour
-//! stepping through the inter-tree face transforms of the
-//! [`crate::Connectivity`], and the 2:1 balance built on it (the ghost
-//! layer is in [`crate::traverse`]).
-//!
-//! *Scope note (documented in DESIGN.md §15):* the 2:1 balance is
-//! enforced over the full 26-neighborhood within each tree and across
-//! tree *faces*. Inter-tree edge/corner adjacency is reached by the
-//! recursive traversal layer ([`crate::traverse`]) through *composed*
-//! face transforms — valid for connectivities in which every pair of
-//! edge/corner-adjacent trees is also linked by a chain of at most three
-//! face hops (true for `unit_cube`, `brick`, and `cubed_sphere`; general
+//! its `u128` `(tree, Morton)` keys; so are the 2:1 balance and the ghost
+//! layer ([`octree::ghost`]). What differs is the [`octree::curve::TreeSeam`]
+//! the [`crate::Connectivity`] provides: a step out of a tree's root cube
+//! is chased through *composed* face transforms, one face per hop
+//! ([`crate::traverse`]), so balance and ghosts both hold across tree
+//! faces, edges and corners. This covers every connectivity in which
+//! edge/corner-adjacent trees are linked by a chain of at most three face
+//! hops (true for `unit_cube`, `brick`, and `cubed_sphere`; general
 //! arbitrary-valence corner tables remain out of scope).
 
 use std::sync::Arc;
 
 use octree::balance::BalanceKind;
-use octree::curve::{capacity_bytes as cap, CurveLeaf, LeafCurve};
+use octree::curve::{CurveLeaf, LeafCurve};
 use octree::mark::MarkParams;
 use octree::ops::find_containing;
 use octree::{Octant, ROOT_LEN};
@@ -95,39 +91,13 @@ impl CurveLeaf for ForestLeaf {
 /// Re-export of the partition plan shape shared with the octree crate.
 pub use octree::curve::PartitionPlan;
 
-/// Grow-only scratch of the forest balance: once warm, balance performs
-/// no steady-state heap allocation ([`Forest::alloc_bytes`]).
-#[derive(Default)]
-struct BalanceScratch {
-    /// Per-destination staging of balance size-requests: the same-size
-    /// neighbour region, whose level is the requesting leaf's.
-    req_bufs: Vec<Vec<ForestLeaf>>,
-    /// Flat balance exchange buffers.
-    send_flat: Vec<ForestLeaf>,
-    send_counts: Vec<usize>,
-    recv_flat: Vec<ForestLeaf>,
-    recv_counts: Vec<usize>,
-    /// Per-leaf refine flags.
-    to_refine: Vec<bool>,
-}
-
-impl BalanceScratch {
-    fn capacity_bytes(&self) -> u64 {
-        let mut b = cap(&self.send_flat) + cap(&self.recv_flat) + cap(&self.to_refine);
-        b += cap(&self.send_counts) + cap(&self.recv_counts);
-        b + cap(&self.req_bufs) + self.req_bufs.iter().map(cap).sum::<u64>()
-    }
-}
-
 /// A distributed forest of octrees on a simulated communicator.
 pub struct Forest<'c> {
     conn: Arc<Connectivity>,
     /// Locally owned leaves in global `(tree, Morton)` order.
     pub local: Vec<ForestLeaf>,
-    /// Markers, counts, and the refine/coarsen/partition scratch.
+    /// Markers, counts, and the refine/coarsen/balance/partition scratch.
     curve: LeafCurve<'c, ForestLeaf>,
-    /// Grow-only balance scratch.
-    ws: BalanceScratch,
 }
 
 impl<'c> Forest<'c> {
@@ -161,7 +131,6 @@ impl<'c> Forest<'c> {
             curve: LeafCurve::new(comm, conn.num_trees(), &local),
             conn,
             local,
-            ws: BalanceScratch::default(),
         }
     }
 
@@ -175,11 +144,9 @@ impl<'c> Forest<'c> {
         self.curve.comm()
     }
 
-    /// Replicated curve-key markers: entry `r` is the curve position of
-    /// rank `r`'s first leaf (back-filled from the right for empty
-    /// ranks). The recursive traversals project these per tree.
-    pub(crate) fn markers(&self) -> &[u128] {
-        self.curve.markers()
+    /// The shared curve metadata (markers, ownership) of this forest.
+    pub fn curve(&self) -> &LeafCurve<'c, ForestLeaf> {
+        &self.curve
     }
 
     /// Global leaf count.
@@ -210,7 +177,7 @@ impl<'c> Forest<'c> {
     /// Same-size neighbor of `(tree, oct)` in direction `(dx,dy,dz)`,
     /// following a face transform when exactly one axis exits the tree.
     /// Returns `None` on the domain boundary and for inter-tree
-    /// edge/corner crossings (see module docs).
+    /// edge/corner crossings, which [`Forest::neighbors_full`] follows.
     pub fn neighbor(&self, leaf: &ForestLeaf, dx: i32, dy: i32, dz: i32) -> Option<ForestLeaf> {
         let o = &leaf.oct;
         let len = o.len() as i64;
@@ -220,14 +187,13 @@ impl<'c> Forest<'c> {
             o.z() as i64 + dz as i64 * len,
         ];
         let lim = ROOT_LEN as i64;
-        let out: Vec<usize> = (0..3).filter(|&i| a[i] < 0 || a[i] >= lim).collect();
-        match out.len() {
-            0 => Some(ForestLeaf::new(
+        let mut out = (0..3).filter(|&i| a[i] < 0 || a[i] >= lim);
+        match (out.next(), out.next()) {
+            (None, _) => Some(ForestLeaf::new(
                 leaf.tree,
                 Octant::new(a[0] as u32, a[1] as u32, a[2] as u32, o.level()),
             )),
-            1 => {
-                let axis = out[0];
+            (Some(axis), None) => {
                 let face = (2 * axis + usize::from(a[axis] >= lim)) as u8;
                 let t = self.conn.neighbor_across(leaf.tree, face)?;
                 Some(ForestLeaf::new(t.tree, t.apply(a, o.level())))
@@ -261,100 +227,12 @@ impl<'c> Forest<'c> {
             .adapt_to_target(&mut self.local, indicators, params)
     }
 
-    /// Parallel 2:1 `BalanceTree` across the forest, face-connected
-    /// between trees. Returns leaves added globally.
+    /// Parallel 2:1 `BalanceTree` across the forest (see
+    /// [`LeafCurve::balance`]), through composed crossings between trees.
+    /// Returns leaves added globally.
     pub fn balance(&mut self, kind: BalanceKind) -> u64 {
-        let before = self.global_count();
-        let dirs = kind.direction_slice();
-        let comm = self.comm();
-        let (p, me) = (comm.size(), comm.rank());
-        let mut ws = std::mem::take(&mut self.ws);
-        if ws.req_bufs.len() < p {
-            ws.req_bufs.resize_with(p, Vec::new);
-        }
-        loop {
-            let mut changed_local = true;
-            // Local fixpoint: within this rank's leaves (any tree).
-            while changed_local {
-                changed_local = false;
-                ws.to_refine.clear();
-                ws.to_refine.resize(self.local.len(), false);
-                for l in &self.local {
-                    for &(dx, dy, dz) in dirs {
-                        let Some(n) = self.neighbor(l, dx, dy, dz) else {
-                            continue;
-                        };
-                        if let Some(i) = self.find_containing(&n) {
-                            if self.local[i].oct.level() + 1 < l.oct.level() && !ws.to_refine[i] {
-                                ws.to_refine[i] = true;
-                                changed_local = true;
-                            }
-                        }
-                    }
-                }
-                if changed_local {
-                    self.curve.refine_flagged(&mut self.local, &ws.to_refine);
-                }
-            }
-            self.curve.update(&self.local);
-
-            // Remote requests, exchanged through the flat reusable buffers.
-            // A request is the same-size neighbour region itself: its
-            // level is the requesting leaf's.
-            for buf in &mut ws.req_bufs {
-                buf.clear();
-            }
-            for l in &self.local {
-                for &(dx, dy, dz) in dirs {
-                    let Some(n) = self.neighbor(l, dx, dy, dz) else {
-                        continue;
-                    };
-                    let (rlo, rhi) = self.owner_range(&n);
-                    for r in rlo..=rhi {
-                        if r != me {
-                            ws.req_bufs[r].push(n);
-                        }
-                    }
-                }
-            }
-            ws.send_flat.clear();
-            ws.send_counts.clear();
-            for buf in &ws.req_bufs[..p] {
-                ws.send_counts.push(buf.len());
-                ws.send_flat.extend_from_slice(buf);
-            }
-            comm.alltoallv_flat(
-                &ws.send_flat,
-                &ws.send_counts,
-                &mut ws.recv_flat,
-                &mut ws.recv_counts,
-            );
-            ws.to_refine.clear();
-            ws.to_refine.resize(self.local.len(), false);
-            let mut changed = 0u64;
-            for n in &ws.recv_flat {
-                if let Some(i) = self.find_containing(n) {
-                    if self.local[i].oct.level() + 1 < n.oct.level() && !ws.to_refine[i] {
-                        ws.to_refine[i] = true;
-                        changed += 1;
-                    }
-                }
-            }
-            let global_changed = comm.allreduce_sum(&[changed])[0];
-            if global_changed == 0 {
-                break;
-            }
-            if changed > 0 {
-                self.curve.refine_flagged(&mut self.local, &ws.to_refine);
-            }
-            self.curve.update(&self.local);
-        }
-        self.ws = ws;
-        #[cfg(debug_assertions)]
-        if scomm::checks_enabled() {
-            assert!(self.validate(), "forest invariants violated after balance");
-        }
-        self.global_count() - before
+        self.curve
+            .balance(&mut self.local, kind, self.conn.as_ref())
     }
 
     /// `PartitionTree` on the forest: equal share of the curve per rank.
@@ -374,7 +252,7 @@ impl<'c> Forest<'c> {
     /// bytes; its growth across a warm adapt cycle must be zero at steady
     /// state (the forest's contribution to `amr.alloc_bytes`).
     pub fn alloc_bytes(&self) -> u64 {
-        self.curve.alloc_bytes(&self.local) + self.ws.capacity_bytes()
+        self.curve.alloc_bytes(&self.local)
     }
 
     /// Collective validation: per-rank sortedness, cross-rank ordering,

@@ -21,9 +21,10 @@
 //!
 //! The distributed forest ([`Forest`]) orders leaves by `(tree, Morton)` —
 //! the curve threads the trees one after another — and supports the same
-//! AMR operations as the single tree: refine, coarsen, 2:1 balance
-//! (full 26-neighbor inside a tree, face-connected across trees), SFC
-//! partition, and ghost layers.
+//! AMR operations as the single tree, with the same code: refine,
+//! coarsen, 2:1 balance (full 26-neighbor, across tree faces, edges and
+//! corners through composed face transforms), SFC partition, and ghost
+//! layers.
 
 pub mod connectivity;
 pub mod dist;

@@ -1,190 +1,29 @@
-//! Recursive forest traversal: ghost and iterate.
+//! Forest traversal: the tree seam, and iterate.
 //!
-//! The two entry points mirror the recursive distributed-forest
-//! algorithms of Isaac, Burstedde, Wilcox & Ghattas 2014 (PAPERS.md):
-//!
-//! * [`Forest::ghost_layer_into`] — a top-down recursive ghost
-//!   constructor producing **face, edge, and corner** ghosts with
-//!   per-neighbor provenance ([`GhostKind`]). The recursion descends the
-//!   implicit octree above the local leaves, prunes *insulated* subtrees
-//!   (boxes whose entire 26-neighborhood is owned by this rank), and
-//!   tests ownership bounds through the batched
-//!   [`octree::simd::upper_bounds_into`] range-query kernel over
-//!   per-tree projections of the curve markers.
+//! * The forest's [`TreeSeam`]: a same-size neighbour region that leaves
+//!   the root cube is chased across connected faces through *composed*
+//!   face transforms ([`crate::FaceTransform::apply_anchor`]), one face
+//!   per hop, each hop strictly reducing the number of out-of-range axes.
+//!   This covers every connectivity in which edge/corner-adjacent trees
+//!   are linked by chains of at most three face hops — true for
+//!   `unit_cube`, `brick`, and `cubed_sphere`. The 2:1 balance and the
+//!   recursive ghost layer ([`octree::ghost`], re-exported here: face,
+//!   edge and corner ghosts with [`GhostKind`] provenance) run the same
+//!   code as the single octree over this seam.
 //! * [`Forest::iterate_faces`] / [`Forest::iterate_edges`] /
 //!   [`Forest::iterate_corners`] — visit every face/edge/corner entity
 //!   touching a local leaf exactly once, with full hanging-neighbor
 //!   information, over the merged local+ghost leaf view.
-//!
-//! Inter-tree edge/corner adjacency is reached through *composed* face
-//! transforms ([`crate::FaceTransform::apply_anchor`]): a neighbor
-//! region that leaves the tree on more than one axis is chased across
-//! one face per step, each hop strictly reducing the number of
-//! out-of-range axes. This covers every connectivity in which
-//! edge/corner-adjacent trees are linked by chains of at most three face
-//! hops — true for `unit_cube`, `brick`, and `cubed_sphere`.
 
-use octree::{ops, simd, Octant, MAX_LEVEL, ROOT_LEN};
+use octree::curve::{adjacent_regions, TreeSeam};
+pub use octree::ghost::{GhostEntry, GhostKind, GhostWorkspace, DIRS};
+use octree::{Octant, MAX_LEVEL, ROOT_LEN};
 
 use crate::connectivity::{transverse_axes, Connectivity};
 use crate::dist::{Forest, ForestLeaf};
 
-/// The 26 unit directions grouped by codimension: 6 faces (indexed to
-/// match the face numbering `f = 2*axis + high_side`), then 12 edges,
-/// then 8 corners.
-pub const DIRS: [(i32, i32, i32); 26] = [
-    (-1, 0, 0),
-    (1, 0, 0),
-    (0, -1, 0),
-    (0, 1, 0),
-    (0, 0, -1),
-    (0, 0, 1),
-    (-1, -1, 0),
-    (1, -1, 0),
-    (-1, 1, 0),
-    (1, 1, 0),
-    (-1, 0, -1),
-    (1, 0, -1),
-    (-1, 0, 1),
-    (1, 0, 1),
-    (0, -1, -1),
-    (0, 1, -1),
-    (0, -1, 1),
-    (0, 1, 1),
-    (-1, -1, -1),
-    (1, -1, -1),
-    (-1, 1, -1),
-    (1, 1, -1),
-    (-1, -1, 1),
-    (1, -1, 1),
-    (-1, 1, 1),
-    (1, 1, 1),
-];
-
-/// Leaf runs at or below this size stop the recursion and are processed
-/// with the direction-major batched kernels.
-const RUN: usize = 32;
-
-/// Ghost provenance: the minimal codimension of an adjacency direction
-/// through which the ghost touches this rank's leaves.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
-pub enum GhostKind {
-    /// Codimension 1: shares a face with a local leaf.
-    Face,
-    /// Codimension 2: touches local leaves through an edge only.
-    Edge,
-    /// Codimension 3: touches local leaves through a corner only.
-    Corner,
-}
-
-fn kind_of_dir(d: usize) -> GhostKind {
-    if d < 6 {
-        GhostKind::Face
-    } else if d < 18 {
-        GhostKind::Edge
-    } else {
-        GhostKind::Corner
-    }
-}
-
-/// One ghost leaf with provenance.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct GhostEntry {
-    /// Owning rank.
-    pub owner: u32,
-    /// Minimal-codimension adjacency class.
-    pub kind: GhostKind,
-    /// The remote leaf.
-    pub leaf: ForestLeaf,
-}
-
-/// The recursive ghost layer: entries sorted by `(leaf, owner)`.
-#[derive(Debug, Default)]
-pub struct GhostLayer {
-    pub entries: Vec<GhostEntry>,
-}
-
-impl GhostLayer {
-    pub fn len(&self) -> usize {
-        self.entries.len()
-    }
-
-    pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
-    }
-
-    pub fn capacity_bytes(&self) -> u64 {
-        (self.entries.capacity() * std::mem::size_of::<GhostEntry>()) as u64
-    }
-}
-
-/// Grow-only scratch for [`Forest::ghost_layer_into`], following the
-/// PR 3/4 zero-allocation workspace discipline: once warm, rebuilding
-/// the ghost layer performs no steady-state heap allocation.
-#[derive(Default)]
-pub struct GhostWorkspace {
-    /// Packed raw keys of the local leaves, rebuilt per call.
-    keys: Vec<u64>,
-    /// Per-tree u64 projection of the u128 curve markers.
-    tmarkers: Vec<u64>,
-    /// Explicit recursion stack: `(node, lo, hi)` over the local slice.
-    stack: Vec<(Octant, u32, u32)>,
-    /// Child-split scratch.
-    needles: Vec<u64>,
-    ends: Vec<u32>,
-    /// Direction-major leaf-run batches.
-    run_octs: Vec<Octant>,
-    nbrs: Vec<Octant>,
-    bnd_lo: Vec<u64>,
-    bnd_hi: Vec<u64>,
-    own_lo: Vec<u32>,
-    own_hi: Vec<u32>,
-    /// Per-destination staging and per-(leaf, rank) dedup stamps.
-    send_bufs: Vec<Vec<ForestLeaf>>,
-    stamp: Vec<u64>,
-    /// Composed-transform region scratch (insulation / leaf dirs).
-    insu: Vec<ForestLeaf>,
-    xnbrs: Vec<ForestLeaf>,
-    /// Flat wire buffers.
-    send_flat: Vec<ForestLeaf>,
-    send_counts: Vec<usize>,
-    recv_flat: Vec<ForestLeaf>,
-    recv_counts: Vec<usize>,
-    /// The constructed layer (output; kept for reuse).
-    layer: GhostLayer,
-}
-
-impl GhostWorkspace {
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// The last constructed layer.
-    pub fn layer(&self) -> &GhostLayer {
-        &self.layer
-    }
-
-    /// Take ownership of the last constructed layer.
-    pub fn take_layer(&mut self) -> GhostLayer {
-        std::mem::take(&mut self.layer)
-    }
-
-    pub fn capacity_bytes(&self) -> u64 {
-        use octree::curve::capacity_bytes as cap;
-        let mut b = cap(&self.keys) + cap(&self.tmarkers) + cap(&self.stack);
-        b += cap(&self.needles) + cap(&self.ends) + cap(&self.run_octs);
-        b += cap(&self.nbrs) + cap(&self.bnd_lo) + cap(&self.bnd_hi);
-        b += cap(&self.own_lo) + cap(&self.own_hi) + cap(&self.stamp);
-        b += cap(&self.insu) + cap(&self.xnbrs);
-        b += cap(&self.send_flat) + cap(&self.send_counts);
-        b += cap(&self.recv_flat) + cap(&self.recv_counts);
-        b += cap(&self.send_bufs);
-        for v in &self.send_bufs {
-            b += cap(v);
-        }
-        b + self.layer.capacity_bytes()
-    }
-}
+/// The forest's ghost layer: entries sorted by `(leaf, owner)`.
+pub type GhostLayer = octree::ghost::GhostLayer<ForestLeaf>;
 
 /// Chase a same-size neighbor region given by extended (possibly
 /// out-of-tree) anchor coordinates across connected faces, one
@@ -213,6 +52,24 @@ fn collect_extended(
         if let Some(tr) = conn.neighbor_across(tree, face) {
             collect_extended(conn, tr.tree, tr.apply_anchor(a, level), level, out);
         }
+    }
+}
+
+/// Composed crossings: every image of a region that leaves the tree, in
+/// all crossing orders.
+impl TreeSeam<ForestLeaf> for Connectivity {
+    fn across(&self, leaf: &ForestLeaf, d: (i32, i32, i32), out: &mut Vec<ForestLeaf>) {
+        out.clear();
+        let o = &leaf.oct;
+        let len = o.len() as i64;
+        let a = [
+            o.x() as i64 + d.0 as i64 * len,
+            o.y() as i64 + d.1 as i64 * len,
+            o.z() as i64 + d.2 as i64 * len,
+        ];
+        collect_extended(self, leaf.tree, a, o.level(), out);
+        out.sort_unstable();
+        out.dedup();
     }
 }
 
@@ -410,241 +267,14 @@ impl<'c> Forest<'c> {
         dz: i32,
         out: &mut Vec<ForestLeaf>,
     ) {
-        out.clear();
-        let o = &leaf.oct;
-        let len = o.len() as i64;
-        let a = [
-            o.x() as i64 + dx as i64 * len,
-            o.y() as i64 + dy as i64 * len,
-            o.z() as i64 + dz as i64 * len,
-        ];
-        collect_extended(self.connectivity().as_ref(), leaf.tree, a, o.level(), out);
-        out.sort_unstable();
-        out.dedup();
+        adjacent_regions(self.connectivity().as_ref(), leaf, (dx, dy, dz), out);
     }
 
-    /// Classify a received leaf by the minimal codimension over the 26
-    /// directions (faces first) whose composed neighbor regions
-    /// intersect this rank's owned range. `None` means not adjacent.
-    pub fn classify_ghost(
-        &self,
-        leaf: &ForestLeaf,
-        scratch: &mut Vec<ForestLeaf>,
-    ) -> Option<GhostKind> {
-        let me = self.comm().rank();
-        for (d, &(dx, dy, dz)) in DIRS.iter().enumerate() {
-            self.neighbors_full(leaf, dx, dy, dz, scratch);
-            let hit = scratch.iter().any(|n| {
-                let (rlo, rhi) = self.owner_range(n);
-                rlo <= me && me <= rhi
-            });
-            if hit {
-                return Some(kind_of_dir(d));
-            }
-        }
-        None
-    }
-
-    /// The box `node` in tree `t` plus its full 26-neighborhood is owned
-    /// exclusively by rank `me`: no leaf below it can have a remote
-    /// neighbor, so the ghost recursion prunes the whole subtree.
-    fn insulated(&self, t: u32, node: &Octant, me: usize, scratch: &mut Vec<ForestLeaf>) -> bool {
-        let nl = ForestLeaf::new(t, *node);
-        if self.owner_range(&nl) != (me, me) {
-            return false;
-        }
-        for &(dx, dy, dz) in DIRS.iter() {
-            match node.neighbor(dx, dy, dz) {
-                Some(n) => {
-                    if self.owner_range(&ForestLeaf::new(t, n)) != (me, me) {
-                        return false;
-                    }
-                }
-                None => {
-                    self.neighbors_full(&nl, dx, dy, dz, scratch);
-                    if scratch.iter().any(|nb| self.owner_range(nb) != (me, me)) {
-                        return false;
-                    }
-                }
-            }
-        }
-        true
-    }
-
-    /// Recursive ghost construction into grow-only workspace storage.
-    ///
-    /// Sender side: a top-down recursion per tree over the implicit
-    /// octree above the local leaves. Subtrees whose 26-neighborhood is
-    /// wholly local are pruned (insulation test); interior nodes split
-    /// their leaf run through [`octree::ops::child_split`]; runs of at
-    /// most [`RUN`] leaves are processed direction-major with the
-    /// batched [`octree::simd`] neighbor/range kernels against per-tree
-    /// u64 projections of the curve markers. Receiver side: every
-    /// received leaf is classified by minimal adjacency codimension
-    /// ([`Forest::classify_ghost`]) or dropped.
-    pub fn ghost_layer_into<'w>(&self, ws: &'w mut GhostWorkspace) -> &'w GhostLayer {
-        let p = self.comm().size();
-        let me = self.comm().rank();
-        let GhostWorkspace {
-            keys,
-            tmarkers,
-            stack,
-            needles,
-            ends,
-            run_octs,
-            nbrs,
-            bnd_lo,
-            bnd_hi,
-            own_lo,
-            own_hi,
-            send_bufs,
-            stamp,
-            insu,
-            xnbrs,
-            send_flat,
-            send_counts,
-            recv_flat,
-            recv_counts,
-            layer,
-        } = ws;
-
-        send_bufs.resize_with(p, Vec::new);
-        for b in send_bufs.iter_mut() {
-            b.clear();
-        }
-        stamp.clear();
-        stamp.resize(p, 0);
-        keys.clear();
-        keys.extend(self.local.iter().map(|l| l.oct.raw()));
-
-        let markers = self.markers();
-        let mut t_lo = 0usize;
-        while t_lo < self.local.len() {
-            let t = self.local[t_lo].tree;
-            let t_hi = t_lo + self.local[t_lo..].partition_point(|l| l.tree == t);
-            // Project the u128 curve markers into tree t's 64-bit key
-            // space so in-tree owner bounds become plain u64 range
-            // queries for the batched kernel.
-            tmarkers.clear();
-            let tbase = (t as u128) << 64;
-            let tnext = ((t as u128) + 1) << 64;
-            for &m in markers {
-                tmarkers.push(if m <= tbase {
-                    0
-                } else if m < tnext {
-                    m as u64
-                } else {
-                    u64::MAX
-                });
-            }
-            stack.clear();
-            stack.push((Octant::root(), t_lo as u32, t_hi as u32));
-            while let Some((node, lo, hi)) = stack.pop() {
-                let cnt = (hi - lo) as usize;
-                if cnt == 0 {
-                    continue;
-                }
-                if cnt > RUN && node.level() < MAX_LEVEL {
-                    if self.insulated(t, &node, me, insu) {
-                        continue;
-                    }
-                    ops::child_split(&keys[lo as usize..hi as usize], &node, needles, ends);
-                    let mut start = 0u32;
-                    for (k, child) in node.children().into_iter().enumerate() {
-                        let end = ends[k];
-                        if end > start {
-                            stack.push((child, lo + start, lo + end));
-                        }
-                        start = end;
-                    }
-                    continue;
-                }
-                // Leaf run: direction-major batched neighbor keys and
-                // owner bounds.
-                let (lo_us, hi_us) = (lo as usize, hi as usize);
-                run_octs.clear();
-                run_octs.extend(self.local[lo_us..hi_us].iter().map(|l| l.oct));
-                let b = run_octs.len();
-                nbrs.clear();
-                for &(dx, dy, dz) in DIRS.iter() {
-                    simd::neighbor_keys_into(run_octs, dx, dy, dz, nbrs);
-                }
-                bnd_lo.clear();
-                bnd_hi.clear();
-                for n in nbrs.iter() {
-                    if *n == Octant::INVALID {
-                        bnd_lo.push(0);
-                        bnd_hi.push(0);
-                    } else {
-                        bnd_lo.push(n.key());
-                        bnd_hi.push(n.last_descendant().key());
-                    }
-                }
-                own_lo.clear();
-                own_hi.clear();
-                simd::upper_bounds_into(tmarkers, bnd_lo, own_lo);
-                simd::upper_bounds_into(tmarkers, bnd_hi, own_hi);
-                for i in 0..b {
-                    let leaf = self.local[lo_us + i];
-                    let serial = lo as u64 + i as u64 + 1;
-                    for (d, &(dx, dy, dz)) in DIRS.iter().enumerate() {
-                        let idx = d * b + i;
-                        if nbrs[idx] != Octant::INVALID {
-                            let rlo = (own_lo[idx] as usize).saturating_sub(1);
-                            let rhi = (own_hi[idx] as usize).saturating_sub(1).min(p - 1);
-                            for r in rlo..=rhi {
-                                if r != me && stamp[r] != serial {
-                                    stamp[r] = serial;
-                                    send_bufs[r].push(leaf);
-                                }
-                            }
-                        } else {
-                            // Left the root cube: domain boundary or an
-                            // inter-tree crossing (possibly composed).
-                            self.neighbors_full(&leaf, dx, dy, dz, xnbrs);
-                            for nb in xnbrs.iter() {
-                                let (rlo, rhi) = self.owner_range(nb);
-                                for r in rlo..=rhi.min(p - 1) {
-                                    if r != me && stamp[r] != serial {
-                                        stamp[r] = serial;
-                                        send_bufs[r].push(leaf);
-                                    }
-                                }
-                            }
-                        }
-                    }
-                }
-            }
-            t_lo = t_hi;
-        }
-
-        send_counts.clear();
-        send_flat.clear();
-        for buf in send_bufs.iter() {
-            send_counts.push(buf.len());
-        }
-        for buf in send_bufs.iter() {
-            send_flat.extend_from_slice(buf);
-        }
-        self.comm()
-            .alltoallv_flat(send_flat, send_counts, recv_flat, recv_counts);
-
-        layer.entries.clear();
-        let mut off = 0usize;
-        for (src, &cnt) in recv_counts.iter().enumerate() {
-            for &l in &recv_flat[off..off + cnt] {
-                if let Some(kind) = self.classify_ghost(&l, xnbrs) {
-                    layer.entries.push(GhostEntry {
-                        owner: src as u32,
-                        kind,
-                        leaf: l,
-                    });
-                }
-            }
-            off += cnt;
-        }
-        layer.entries.sort_by_key(|e| (e.leaf, e.owner));
-        layer
+    /// The recursive ghost layer (see [`octree::ghost`]) into grow-only
+    /// workspace storage.
+    pub fn ghost_layer_into<'w>(&self, ws: &'w mut GhostWorkspace<ForestLeaf>) -> &'w GhostLayer {
+        self.curve()
+            .ghost_layer_into(&self.local, self.connectivity().as_ref(), ws)
     }
 
     /// Convenience allocating wrapper around [`Forest::ghost_layer_into`].

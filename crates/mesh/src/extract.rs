@@ -18,6 +18,7 @@
 
 use std::ops::Range;
 
+use octree::ghost::GhostEntry;
 use octree::morton::{morton_decode, morton_key};
 use octree::parallel::DistOctree;
 use octree::{Octant, MAX_LEVEL, ROOT_LEN};
@@ -391,10 +392,10 @@ pub struct LeafView {
 impl LeafView {
     /// Merge this rank's leaves (owned by `rank()`) with the supplied
     /// ghost layer into one Morton-sorted view.
-    pub fn new(tree: &DistOctree, ghosts: &[(usize, Octant)]) -> Self {
+    pub fn new(tree: &DistOctree, ghosts: &[GhostEntry<Octant>]) -> Self {
         let me = tree.comm().rank();
         let mut entries: Vec<(Octant, usize)> = tree.local.iter().map(|&o| (o, me)).collect();
-        entries.extend(ghosts.iter().map(|&(r, o)| (o, r)));
+        entries.extend(ghosts.iter().map(|g| (g.leaf, g.owner as usize)));
         entries.sort_by_key(|a| a.0);
         LeafView { entries }
     }
@@ -530,7 +531,7 @@ pub fn extract_mesh(tree: &DistOctree, domain: [f64; 3]) -> Mesh {
 pub fn extract_mesh_with_ghosts(
     tree: &DistOctree,
     domain: [f64; 3],
-    ghosts: &[(usize, Octant)],
+    ghosts: &[GhostEntry<Octant>],
 ) -> Mesh {
     let comm = tree.comm();
     let me = comm.rank();

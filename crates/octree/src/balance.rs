@@ -24,6 +24,7 @@
 //! full rescan) is that other algorithm, compared by `check`'s oracle
 //! tests and every `check::fuzz_amr` cycle.
 
+use crate::curve::CurveLeaf;
 use crate::morton::{raw_keys, Octant, ALL_DIRS, LEVEL_MASK, MAX_LEVEL};
 use crate::ops::find_containing;
 use crate::simd;
@@ -117,11 +118,12 @@ impl BalanceWorkspace {
     }
 }
 
-/// Recursively rebuild the subtree of `v`: split wherever a demand in
-/// `demands` (all strict descendants of `v`, sorted) forces finer leaves.
-fn emit_completed(v: Octant, demands: &[Octant], out: &mut Vec<Octant>) {
+/// Recursively rebuild the subtree of `v` (in `leaf`'s tree): split
+/// wherever a demand in `demands` (all strict descendants of `v`, sorted)
+/// forces finer leaves.
+fn emit_completed<L: CurveLeaf>(leaf: &L, v: Octant, demands: &[Octant], out: &mut Vec<L>) {
     if demands.is_empty() {
-        out.push(v);
+        out.push(leaf.with_oct(v));
         return;
     }
     debug_assert!(v.level() < MAX_LEVEL, "demand below MAX_LEVEL leaf");
@@ -143,7 +145,7 @@ fn emit_completed(v: Octant, demands: &[Octant], out: &mut Vec<Octant>) {
         while lo < mine.len() && mine[lo].level() <= c.level() {
             lo += 1;
         }
-        emit_completed(c, &mine[lo..], out);
+        emit_completed(leaf, c, &mine[lo..], out);
     }
 }
 
@@ -156,9 +158,29 @@ pub fn balance_local_kind_ws(
     kind: BalanceKind,
     ws: &mut BalanceWorkspace,
 ) -> usize {
-    let before = leaves.len();
-    if before <= 1 {
-        return 0; // a root-only (or empty) tree is trivially balanced
+    let mut out = std::mem::take(&mut ws.out);
+    out.clear();
+    let added = balance_run_into(leaves, kind, ws, &mut out);
+    std::mem::swap(leaves, &mut out);
+    ws.out = out;
+    added
+}
+
+/// Seed propagation over one tree's sorted run of leaves (a whole tree
+/// or one rank's segment of it), appending the balanced run to `out`:
+/// the body of [`balance_local_kind_ws`] and of every local pass of the
+/// distributed balance. Returns the number of leaves added.
+pub(crate) fn balance_run_into<L: CurveLeaf>(
+    run: &[L],
+    kind: BalanceKind,
+    ws: &mut BalanceWorkspace,
+    out: &mut Vec<L>,
+) -> usize {
+    let before = out.len();
+    if run.len() <= 1 {
+        // A root-only (or empty) run is trivially balanced.
+        out.extend_from_slice(run);
+        return 0;
     }
     let dirs = kind.direction_slice();
 
@@ -172,9 +194,9 @@ pub fn balance_local_kind_ws(
 
     // Seed: every input leaf demands its own level over its own region.
     let mut max_level = 0u8;
-    for o in leaves.iter() {
+    for o in run.iter().map(L::oct) {
         if o.level() >= 2 {
-            ws.buckets[o.level() as usize].push(*o);
+            ws.buckets[o.level() as usize].push(o);
         }
         max_level = max_level.max(o.level());
     }
@@ -230,25 +252,22 @@ pub fn balance_local_kind_ws(
     // keys ≤ L's last-descendant key (u64 compare against the
     // level-saturated last descendant). Both bounds are batched across
     // all leaves through the vectorized upper-bound kernel.
-    ws.out.clear();
     ws.needles.clear();
-    for leaf in leaves.iter() {
-        ws.needles.push(leaf.raw());
-    }
+    ws.needles.extend(run.iter().map(|l| l.oct().raw()));
     ws.q_lo.clear();
     simd::upper_bounds_into(raw_keys(&ws.demands), &ws.needles, &mut ws.q_lo);
     ws.needles.clear();
-    for leaf in leaves.iter() {
-        ws.needles.push(leaf.last_descendant().raw() | LEVEL_MASK);
-    }
+    ws.needles.extend(
+        run.iter()
+            .map(|l| l.oct().last_descendant().raw() | LEVEL_MASK),
+    );
     ws.q_hi.clear();
     simd::upper_bounds_into(raw_keys(&ws.demands), &ws.needles, &mut ws.q_hi);
-    for (i, &leaf) in leaves.iter().enumerate() {
+    for (i, leaf) in run.iter().enumerate() {
         let (lo, hi) = (ws.q_lo[i] as usize, ws.q_hi[i] as usize);
-        emit_completed(leaf, &ws.demands[lo..hi], &mut ws.out);
+        emit_completed(leaf, leaf.oct(), &ws.demands[lo..hi], out);
     }
-    std::mem::swap(leaves, &mut ws.out);
-    leaves.len() - before
+    out.len() - before - run.len()
 }
 
 /// Balance a complete local octree in place with the given neighbor set.

@@ -8,13 +8,29 @@
 //! its `(tree, Morton)` curve, and one tree is the special case. So it is
 //! written once here, generic over the leaf type through [`CurveLeaf`]:
 //! the marker refresh and ownership queries, refine and coarsen,
-//! `MarkElements` and its application, `PartitionTree`, validation and
-//! allocation accounting. What really differs per tree type stays with
-//! it: neighbour stepping, 2:1 balance and the ghost layer.
+//! `MarkElements` and its application, `PartitionTree`, 2:1 balance,
+//! validation and allocation accounting; the ghost layer is written the
+//! same way in [`crate::ghost`]. What really differs per tree type is one
+//! [`TreeSeam`]: the same-size regions a step out of a tree's root cube
+//! reaches in other trees (none for a single octree, the composed face
+//! transforms for a forest). Every step inside a tree runs through the
+//! batched [`crate::simd`] kernels on the tree's `u64` Morton keys, with
+//! the curve markers projected into that key space.
+//!
+//! `BalanceTree` runs seed propagation ([`crate::balance`]) on each
+//! tree's run of the local leaves, then exchanges one size request per
+//! same-size neighbour region owned elsewhere, seam images included (to
+//! this rank too, through the exchange's self slot), and repeats until no
+//! rank refines. Seed propagation is not extended across trees: its
+//! parent rule is not closed under the face transforms. Every refinement
+//! either step makes is forced, so the rounds reach the unique minimal
+//! 2:1 closure of the composed neighbour relation.
 
+use crate::balance::{balance_run_into, BalanceKind, BalanceWorkspace};
 use crate::mark::{mark_elements_into, Mark, MarkParams};
 use crate::morton::{Octant, ROOT_LEN};
-use crate::ops;
+use crate::ops::{self, find_containing};
+use crate::simd;
 use scomm::{Comm, Pod};
 
 /// A position on the space-filling curve, shipped as one or two `u64`
@@ -29,6 +45,11 @@ pub trait CurveKey: Copy + Ord {
     fn to_words(self) -> [u64; 2];
     /// Inverse of [`CurveKey::to_words`].
     fn from_words(words: &[u64]) -> Self;
+    /// This position projected into tree `tree`'s Morton key space: 0 if
+    /// it precedes the tree, `u64::MAX` if it follows it. Ownership
+    /// inside one tree is then a `u64` upper-bound query over the
+    /// projected markers.
+    fn in_tree(self, tree: u32) -> u64;
 }
 
 impl CurveKey for u64 {
@@ -40,6 +61,9 @@ impl CurveKey for u64 {
     fn from_words(words: &[u64]) -> u64 {
         words[0]
     }
+    fn in_tree(self, _tree: u32) -> u64 {
+        self
+    }
 }
 
 impl CurveKey for u128 {
@@ -50,6 +74,16 @@ impl CurveKey for u128 {
     }
     fn from_words(words: &[u64]) -> u128 {
         ((words[0] as u128) << 64) | words[1] as u128
+    }
+    fn in_tree(self, tree: u32) -> u64 {
+        let base = (tree as u128) << 64;
+        if self <= base {
+            0
+        } else if self < base + (1 << 64) {
+            self as u64
+        } else {
+            u64::MAX
+        }
     }
 }
 
@@ -100,6 +134,140 @@ impl CurveLeaf for Octant {
     }
 }
 
+/// How the trees of a curve meet: the one relation 2:1 balance and the
+/// ghost layer follow across tree boundaries.
+pub trait TreeSeam<L: CurveLeaf> {
+    /// Overwrite `out` with the same-size regions adjacent to `leaf` in
+    /// direction `d` that lie in other trees, sorted and deduplicated.
+    /// Called only when the step leaves `leaf`'s root cube; empty on the
+    /// domain boundary.
+    fn across(&self, leaf: &L, d: (i32, i32, i32), out: &mut Vec<L>);
+}
+
+/// The seam of a single octree: every step out of the root cube is the
+/// domain boundary.
+pub struct NoSeam;
+
+impl<L: CurveLeaf> TreeSeam<L> for NoSeam {
+    fn across(&self, _leaf: &L, _d: (i32, i32, i32), out: &mut Vec<L>) {
+        out.clear();
+    }
+}
+
+/// Overwrite `out` with every same-size region adjacent to `leaf` in
+/// direction `d`: the in-tree neighbour, or else the seam's images.
+pub fn adjacent_regions<L: CurveLeaf, S: TreeSeam<L>>(
+    seam: &S,
+    leaf: &L,
+    d: (i32, i32, i32),
+    out: &mut Vec<L>,
+) {
+    match leaf.oct().neighbor(d.0, d.1, d.2) {
+        Some(n) => {
+            out.clear();
+            out.push(leaf.with_oct(n));
+        }
+        None => seam.across(leaf, d, out),
+    }
+}
+
+/// Batched ownership ranges of same-size regions inside one tree: the
+/// curve markers projected into the tree's `u64` key space, and after
+/// [`TreeOwners::query`], [`TreeOwners::ranks`]`(i)` is the inclusive
+/// range of ranks whose segments intersect region `nbrs[i]`
+/// (meaningless for `Octant::INVALID`, which callers send through the
+/// seam). Both sweeps run the vectorized upper-bound kernel.
+#[derive(Default)]
+pub(crate) struct TreeOwners {
+    markers: Vec<u64>,
+    key_lo: Vec<u64>,
+    key_hi: Vec<u64>,
+    lo: Vec<u32>,
+    hi: Vec<u32>,
+}
+
+impl TreeOwners {
+    pub(crate) fn project<K: CurveKey>(&mut self, markers: &[K], tree: u32) {
+        self.markers.clear();
+        self.markers.extend(markers.iter().map(|m| m.in_tree(tree)));
+    }
+
+    pub(crate) fn query(&mut self, nbrs: &[Octant]) {
+        self.key_lo.clear();
+        self.key_hi.clear();
+        for &n in nbrs {
+            let (lo, hi) = if n == Octant::INVALID {
+                (0, 0)
+            } else {
+                (n.key(), n.last_descendant().key())
+            };
+            self.key_lo.push(lo);
+            self.key_hi.push(hi);
+        }
+        self.lo.clear();
+        simd::upper_bounds_into(&self.markers, &self.key_lo, &mut self.lo);
+        self.hi.clear();
+        simd::upper_bounds_into(&self.markers, &self.key_hi, &mut self.hi);
+    }
+
+    pub(crate) fn ranks(&self, i: usize) -> (usize, usize) {
+        let rank = |bound: u32| (bound as usize).saturating_sub(1);
+        (rank(self.lo[i]), rank(self.hi[i]))
+    }
+
+    pub(crate) fn capacity_bytes(&self) -> u64 {
+        let b = capacity_bytes(&self.markers) + capacity_bytes(&self.key_lo);
+        b + capacity_bytes(&self.key_hi) + capacity_bytes(&self.lo) + capacity_bytes(&self.hi)
+    }
+}
+
+/// Grow-only scratch of [`LeafCurve::balance`]'s rounds.
+struct RippleScratch<L> {
+    /// Seed-propagation scratch of the local pass, and its output, swapped
+    /// with the leaf array when the pass added leaves.
+    seeds: BalanceWorkspace,
+    out: Vec<L>,
+    /// Per-destination size requests: a same-size neighbour region, whose
+    /// level is the requesting leaf's.
+    req_bufs: Vec<Vec<L>>,
+    /// Flat request exchange buffers.
+    send_flat: Vec<L>,
+    recv_flat: Vec<L>,
+    /// One tree run's octants, the batch neighbour-kernel output (one
+    /// entry per leaf of the run, per direction) and its ownership ranges.
+    octs: Vec<Octant>,
+    nbrs: Vec<Octant>,
+    owners: TreeOwners,
+    /// Seam images of one leaf and direction.
+    images: Vec<L>,
+}
+
+impl<L> Default for RippleScratch<L> {
+    fn default() -> Self {
+        RippleScratch {
+            seeds: BalanceWorkspace::default(),
+            out: Vec::new(),
+            req_bufs: Vec::new(),
+            send_flat: Vec::new(),
+            recv_flat: Vec::new(),
+            octs: Vec::new(),
+            nbrs: Vec::new(),
+            owners: TreeOwners::default(),
+            images: Vec::new(),
+        }
+    }
+}
+
+impl<L> RippleScratch<L> {
+    fn capacity_bytes(&self) -> u64 {
+        use capacity_bytes as cap;
+        let mut b = self.seeds.capacity_bytes() + self.owners.capacity_bytes();
+        b += cap(&self.out) + cap(&self.send_flat) + cap(&self.recv_flat) + cap(&self.octs);
+        b += cap(&self.nbrs) + cap(&self.images);
+        b + cap(&self.req_bufs) + self.req_bufs.iter().map(cap).sum::<u64>()
+    }
+}
+
 /// Description of the element movement performed by a repartition; apply
 /// the same plan to element-attached data with
 /// [`crate::parallel::transfer_fields`] (the paper's `TransferFields`).
@@ -142,6 +310,9 @@ pub struct LeafCurve<'c, L: CurveLeaf> {
     recv: Vec<L>,
     send_counts: Vec<usize>,
     recv_counts: Vec<usize>,
+    /// Balance scratch, and the rounds the last balance took.
+    ripple: RippleScratch<L>,
+    balance_rounds: u64,
 }
 
 impl<'c, L: CurveLeaf> LeafCurve<'c, L> {
@@ -160,6 +331,8 @@ impl<'c, L: CurveLeaf> LeafCurve<'c, L> {
             recv: Vec::new(),
             send_counts: Vec::new(),
             recv_counts: Vec::new(),
+            ripple: RippleScratch::default(),
+            balance_rounds: 0,
         };
         curve.update(local);
         curve
@@ -242,15 +415,126 @@ impl<'c, L: CurveLeaf> LeafCurve<'c, L> {
         n
     }
 
-    /// Refine the leaves whose flag is set, without the marker refresh
-    /// (the balance rounds refresh once per round).
-    pub fn refine_flagged(&mut self, local: &mut Vec<L>, flags: &[bool]) -> usize {
-        let mut i = 0;
-        ops::refine_with(local, &mut self.scratch, |_| {
-            let f = flags[i];
-            i += 1;
-            f
-        })
+    /// Parallel `BalanceTree` over `kind`'s neighbour set, across trees
+    /// through `seam` (see the module docs): each round a local
+    /// seed-propagation pass per tree run, one alltoallv of size requests
+    /// and one allreduce exit test; the round count is bounded by the
+    /// number of levels, as in the paper. Returns the number of leaves
+    /// added globally.
+    pub fn balance<S: TreeSeam<L>>(
+        &mut self,
+        local: &mut Vec<L>,
+        kind: BalanceKind,
+        seam: &S,
+    ) -> u64 {
+        let before = self.global_count();
+        let dirs = kind.direction_slice();
+        let comm = self.comm;
+        let (p, me) = (comm.size(), comm.rank());
+        let mut ws = std::mem::take(&mut self.ripple);
+        if ws.req_bufs.len() < p {
+            ws.req_bufs.resize_with(p, Vec::new);
+        }
+        self.balance_rounds = 0;
+        loop {
+            self.balance_rounds += 1;
+            ws.out.clear();
+            let mut added = 0;
+            for run in local.chunk_by(|a, b| a.tree() == b.tree()) {
+                added += balance_run_into(run, kind, &mut ws.seeds, &mut ws.out);
+            }
+            if added > 0 {
+                std::mem::swap(local, &mut ws.out);
+            }
+            self.update(local);
+
+            // Size requests, direction-major per tree run: one batched
+            // neighbour-kernel call and one batched ownership query per
+            // direction. A request `n` says some leaf at level
+            // `n.level()` touches region `n`. Request sets are unordered
+            // (the receiver flags idempotently).
+            for buf in &mut ws.req_bufs {
+                buf.clear();
+            }
+            for run in local.chunk_by(|a, b| a.tree() == b.tree()) {
+                ws.owners.project(&self.markers, run[0].tree());
+                ws.octs.clear();
+                ws.octs.extend(run.iter().map(L::oct));
+                for &d in dirs {
+                    ws.nbrs.clear();
+                    simd::neighbor_keys_into(&ws.octs, d.0, d.1, d.2, &mut ws.nbrs);
+                    ws.owners.query(&ws.nbrs);
+                    for (i, &n) in ws.nbrs.iter().enumerate() {
+                        if n != Octant::INVALID {
+                            let (rlo, rhi) = ws.owners.ranks(i);
+                            for r in (rlo..=rhi).filter(|&r| r != me) {
+                                ws.req_bufs[r].push(run[i].with_oct(n));
+                            }
+                            continue;
+                        }
+                        seam.across(&run[i], d, &mut ws.images);
+                        for img in &ws.images {
+                            let (rlo, rhi) = self.owner_range(img);
+                            for buf in &mut ws.req_bufs[rlo..=rhi] {
+                                buf.push(*img);
+                            }
+                        }
+                    }
+                }
+            }
+            ws.send_flat.clear();
+            self.send_counts.clear();
+            for buf in &ws.req_bufs[..p] {
+                self.send_counts.push(buf.len());
+                ws.send_flat.extend_from_slice(buf);
+            }
+            comm.alltoallv_flat(
+                &ws.send_flat,
+                &self.send_counts,
+                &mut ws.recv_flat,
+                &mut self.recv_counts,
+            );
+
+            // Any local leaf containing a requested region must be at
+            // most one level coarser than the requester.
+            self.flags.clear();
+            self.flags.resize(local.len(), false);
+            let mut changed = 0u64;
+            for n in &ws.recv_flat {
+                if let Some(i) = find_containing(local, n) {
+                    if local[i].oct().level() + 1 < n.oct().level() && !self.flags[i] {
+                        self.flags[i] = true;
+                        changed += 1;
+                    }
+                }
+            }
+            if changed > 0 {
+                let (flags, mut i) = (&self.flags, 0);
+                ops::refine_with(local, &mut self.scratch, |_| {
+                    i += 1;
+                    flags[i - 1]
+                });
+            }
+            if comm.allreduce_sum(&[changed])[0] == 0 {
+                break;
+            }
+            self.update(local);
+        }
+        self.ripple = ws;
+        #[cfg(debug_assertions)]
+        if scomm::checks_enabled() {
+            assert!(
+                self.validate(local),
+                "leaf array invariants violated after balance"
+            );
+        }
+        self.global_count() - before
+    }
+
+    /// Rounds (local pass + request exchange) used by the most recent
+    /// [`LeafCurve::balance`] call.
+    pub fn last_balance_rounds(&self) -> u64 {
+        self.balance_rounds
     }
 
     /// `CoarsenTree`: merge the complete local families whose eight leaves
@@ -427,7 +711,7 @@ impl<'c, L: CurveLeaf> LeafCurve<'c, L> {
         use capacity_bytes as cap;
         let mut b = cap(local) + cap(&self.markers) + cap(&self.counts) + cap(&self.gather);
         b += cap(&self.scratch) + cap(&self.flags) + cap(&self.marks) + cap(&self.recv);
-        b + cap(&self.send_counts) + cap(&self.recv_counts)
+        b + cap(&self.send_counts) + cap(&self.recv_counts) + self.ripple.capacity_bytes()
     }
 }
 

@@ -17,9 +17,10 @@
 //! | `MarkElements` | [`mark::mark_elements_into`] / [`parallel::DistOctree::adapt_to_target`] |
 //!
 //! The distributed bookkeeping that does not depend on the tree type —
-//! rank markers, ownership, refine/coarsen, mark application, partition,
-//! validation — lives in [`curve`], generic over the leaf type, and
-//! serves the forest of octrees too.
+//! rank markers, ownership, refine/coarsen, mark application, 2:1
+//! balance, partition, validation — lives in [`curve`], and the ghost
+//! layer in [`ghost`], both generic over the leaf type; they serve the
+//! forest of octrees too, which adds only its [`curve::TreeSeam`].
 //!
 //! A leaf octant is an axis-aligned cube identified by its anchor corner in
 //! integer coordinates on a `2^MAX_LEVEL`-wide lattice plus a refinement
@@ -43,6 +44,7 @@
 
 pub mod balance;
 pub mod curve;
+pub mod ghost;
 pub mod mark;
 pub mod morton;
 pub mod ops;

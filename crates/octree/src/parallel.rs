@@ -5,146 +5,28 @@
 //! (paper, Section IV-A). The only global metadata is one marker per rank
 //! (the Morton key of the first owned leaf), established with an
 //! `allgather` of one long integer per core — exactly the paper's scheme.
+//! Every operation is the one-tree case of the shared curve code:
+//! [`LeafCurve`] (balance included) and [`crate::ghost`], with the
+//! [`NoSeam`] seam — a step out of the root cube is the domain boundary.
 
-use crate::balance::{BalanceKind, BalanceWorkspace};
+use crate::balance::BalanceKind;
 pub use crate::curve::PartitionPlan;
-use crate::curve::{capacity_bytes as cap, LeafCurve};
+use crate::curve::{LeafCurve, NoSeam};
+use crate::ghost::{GhostEntry, GhostLayer, GhostWorkspace};
 use crate::mark::MarkParams;
 use crate::morton::Octant;
-use crate::ops::find_containing;
-use crate::simd;
 use scomm::{pod, Comm};
 
-/// Batched marker range queries over a block of same-size neighbor
-/// positions: after [`OwnerRanges::query`], [`OwnerRanges::ranks`]`(i)` is
-/// the inclusive range of ranks whose curve segments intersect region
-/// `nbrs[i]` (meaningless for `Octant::INVALID`, which callers skip). The
-/// two binary-search sweeps over the rank markers run through the
-/// vectorized upper-bound kernel.
-#[derive(Default)]
-struct OwnerRanges {
-    /// Morton-key needles: each region's first and last descendant.
-    key_lo: Vec<u64>,
-    key_hi: Vec<u64>,
-    /// `upper_bounds_into` outputs over the rank markers.
-    lo: Vec<u32>,
-    hi: Vec<u32>,
-}
-
-impl OwnerRanges {
-    fn query(&mut self, markers: &[u64], nbrs: &[Octant]) {
-        self.key_lo.clear();
-        self.key_hi.clear();
-        for &n in nbrs {
-            if n == Octant::INVALID {
-                self.key_lo.push(u64::MAX);
-                self.key_hi.push(u64::MAX);
-            } else {
-                self.key_lo.push(n.key());
-                self.key_hi.push(n.last_descendant().key());
-            }
-        }
-        self.lo.clear();
-        simd::upper_bounds_into(markers, &self.key_lo, &mut self.lo);
-        self.hi.clear();
-        simd::upper_bounds_into(markers, &self.key_hi, &mut self.hi);
-    }
-
-    fn ranks(&self, i: usize) -> (usize, usize) {
-        let rank = |bound: u32| (bound as usize).saturating_sub(1);
-        (rank(self.lo[i]), rank(self.hi[i]))
-    }
-
-    fn capacity_bytes(&self) -> u64 {
-        cap(&self.key_lo) + cap(&self.key_hi) + cap(&self.lo) + cap(&self.hi)
-    }
-}
-
-/// Grow-only scratch of the distributed 2:1 balance. Together with the
-/// tree's [`LeafCurve`] it makes a warm mark→refine→coarsen→balance→
-/// partition cycle perform no heap allocation in this crate.
-/// [`DistOctree::alloc_bytes`] reports the tracked capacity so callers can
-/// prove it (the `amr.alloc_bytes` obs counter).
-#[derive(Default)]
-struct BalanceScratch {
-    /// Seed-propagation balance scratch.
-    bal: BalanceWorkspace,
-    /// Per-destination staging of balance size-requests. A request is the
-    /// packed key of the same-size neighbor position: its level *is* the
-    /// requesting leaf's level, so the old `(Octant, level)` 16-byte tuple
-    /// collapses to the padding-free 8-byte key.
-    req_bufs: Vec<Vec<Octant>>,
-    /// Flat send/receive buffers for the balance exchange.
-    send_flat: Vec<Octant>,
-    send_counts: Vec<usize>,
-    recv_flat: Vec<Octant>,
-    recv_counts: Vec<usize>,
-    /// Batch neighbor-kernel output (one entry per local leaf, per
-    /// direction; `Octant::INVALID` marks out-of-domain).
-    nbrs: Vec<Octant>,
-    owners: OwnerRanges,
-    /// Per-leaf refine flags driven by remote requests.
-    to_refine: Vec<bool>,
-}
-
-impl BalanceScratch {
-    fn capacity_bytes(&self) -> u64 {
-        let mut b = self.bal.capacity_bytes() + self.owners.capacity_bytes();
-        b += cap(&self.send_flat) + cap(&self.recv_flat) + cap(&self.nbrs);
-        b += cap(&self.send_counts) + cap(&self.recv_counts) + cap(&self.to_refine);
-        b + cap(&self.req_bufs) + self.req_bufs.iter().map(cap).sum::<u64>()
-    }
-}
-
-/// Leaves per batch of [`DistOctree::ghost_layer_into`]'s candidate
-/// staging: 1024 × 832 B fits a per-core L2.
-const GHOST_BLOCK: usize = 1024;
-
-/// Grow-only scratch for [`DistOctree::ghost_layer_into`]: staging,
-/// wire, and output buffers for the ghost gather, owned by the caller so
-/// warm AMR cycles rebuild the ghost layer without heap allocation.
-#[derive(Default)]
-pub struct GhostScratch {
-    nbrs: Vec<Octant>,
-    owners: OwnerRanges,
-    outgoing: Vec<Vec<Octant>>,
-    sent_to: Vec<usize>,
-    send_flat: Vec<Octant>,
-    send_counts: Vec<usize>,
-    recv_flat: Vec<Octant>,
-    recv_counts: Vec<usize>,
-    ghosts: Vec<(usize, Octant)>,
-}
-
-impl GhostScratch {
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// The ghost layer produced by the most recent
-    /// [`DistOctree::ghost_layer_into`] call.
-    pub fn ghosts(&self) -> &[(usize, Octant)] {
-        &self.ghosts
-    }
-
-    pub fn capacity_bytes(&self) -> u64 {
-        let mut b = cap(&self.nbrs) + self.owners.capacity_bytes() + cap(&self.sent_to);
-        b += cap(&self.send_flat) + cap(&self.send_counts) + cap(&self.ghosts);
-        b += cap(&self.recv_flat) + cap(&self.recv_counts);
-        b + cap(&self.outgoing) + self.outgoing.iter().map(cap).sum::<u64>()
-    }
-}
+/// The ghost workspace of a single octree. The name is kept for the
+/// benchmark's import until its next change (ROADMAP item 1(g)).
+pub type GhostScratch = GhostWorkspace<Octant>;
 
 /// A distributed linear octree: this rank's view.
 pub struct DistOctree<'c> {
     /// Locally owned leaves, Morton-sorted.
     pub local: Vec<Octant>,
-    /// Markers, counts, and the refine/coarsen/partition scratch.
+    /// Markers, counts, and the refine/coarsen/balance/partition scratch.
     curve: LeafCurve<'c, Octant>,
-    /// Grow-only balance scratch.
-    ws: BalanceScratch,
-    /// Ripple rounds used by the most recent [`DistOctree::balance`] call.
-    balance_rounds: u64,
 }
 
 impl<'c> DistOctree<'c> {
@@ -166,9 +48,12 @@ impl<'c> DistOctree<'c> {
         DistOctree {
             curve: LeafCurve::new(comm, 1, &local),
             local,
-            ws: BalanceScratch::default(),
-            balance_rounds: 0,
         }
+    }
+
+    /// The shared curve metadata (markers, ownership) of this tree.
+    pub fn curve(&self) -> &LeafCurve<'c, Octant> {
+        &self.curve
     }
 
     /// Global number of elements.
@@ -238,103 +123,17 @@ impl<'c> DistOctree<'c> {
             .adapt_to_target(&mut self.local, indicators, params)
     }
 
-    /// Parallel `BalanceTree`: prioritized ripple propagation. Each round
-    /// balances locally, then ships boundary size-requests to neighboring
-    /// ranks; rounds repeat until a global fixpoint (the round count is
-    /// bounded by the number of levels, as in the paper). Returns the
+    /// Parallel `BalanceTree` (see [`LeafCurve::balance`]). Returns the
     /// number of leaves added globally.
     pub fn balance(&mut self, kind: BalanceKind) -> u64 {
-        let before = self.global_count();
-        let dirs = kind.direction_slice();
-        let comm = self.comm();
-        let (p, me) = (comm.size(), comm.rank());
-        let mut rounds = 0u64;
-        let ws = &mut self.ws;
-        if ws.req_bufs.len() < p {
-            ws.req_bufs.resize_with(p, Vec::new);
-        }
-        loop {
-            rounds += 1;
-            // Local pass first (no communication): recursive seed-set
-            // propagation through the retained workspace.
-            crate::balance::balance_local_kind_ws(&mut self.local, kind, &mut ws.bal);
-            self.curve.update(&self.local);
-
-            // Collect remote size requests: the same-size neighbor
-            // position of each boundary leaf, as a bare packed key (its
-            // level field carries the requester's level). Direction-major
-            // so each direction is one batched neighbor-kernel call plus
-            // one batched ownership range query; per-destination request
-            // sets are unordered (the receiver flags leaves idempotently),
-            // so the reordering vs a leaf-major sweep is immaterial.
-            for buf in &mut ws.req_bufs {
-                buf.clear();
-            }
-            for &(dx, dy, dz) in dirs {
-                ws.nbrs.clear();
-                simd::neighbor_keys_into(&self.local, dx, dy, dz, &mut ws.nbrs);
-                ws.owners.query(self.curve.markers(), &ws.nbrs);
-                for (i, &n) in ws.nbrs.iter().enumerate() {
-                    if n == Octant::INVALID {
-                        continue;
-                    }
-                    let (rlo, rhi) = ws.owners.ranks(i);
-                    for r in rlo..=rhi {
-                        if r != me {
-                            ws.req_bufs[r].push(n);
-                        }
-                    }
-                }
-            }
-            ws.send_flat.clear();
-            ws.send_counts.clear();
-            for buf in &ws.req_bufs[..p] {
-                ws.send_counts.push(buf.len());
-                ws.send_flat.extend_from_slice(buf);
-            }
-            comm.alltoallv_flat(
-                &ws.send_flat,
-                &ws.send_counts,
-                &mut ws.recv_flat,
-                &mut ws.recv_counts,
-            );
-
-            // A request `n` means: some remote leaf at level `n.level()`
-            // touches region `n`; any local leaf containing `n` must have
-            // level ≥ n.level()−1.
-            ws.to_refine.clear();
-            ws.to_refine.resize(self.local.len(), false);
-            let mut changed = 0u64;
-            for &n in &ws.recv_flat {
-                if let Some(i) = find_containing(&self.local, &n) {
-                    if self.local[i].level() + 1 < n.level() && !ws.to_refine[i] {
-                        ws.to_refine[i] = true;
-                        changed += 1;
-                    }
-                }
-            }
-            let global_changed = comm.allreduce_sum(&[changed])[0];
-            if global_changed == 0 {
-                break;
-            }
-            if changed > 0 {
-                self.curve.refine_flagged(&mut self.local, &ws.to_refine);
-            }
-            self.curve.update(&self.local);
-        }
-        self.balance_rounds = rounds;
-        #[cfg(debug_assertions)]
-        if scomm::checks_enabled() {
-            assert!(self.validate(), "octree invariants violated after balance");
-        }
-        self.global_count() - before
+        self.curve.balance(&mut self.local, kind, &NoSeam)
     }
 
     /// Ripple rounds (local-balance + exchange iterations) used by the
     /// most recent [`DistOctree::balance`] call — the `amr.ripple_rounds`
     /// obs counter.
     pub fn last_balance_rounds(&self) -> u64 {
-        self.balance_rounds
+        self.curve.last_balance_rounds()
     }
 
     /// Heap capacity currently held by this tree's tracked buffers (leaf
@@ -343,7 +142,7 @@ impl<'c> DistOctree<'c> {
     /// `amr.alloc_bytes` contribution of the tree layer; at steady state
     /// it must be zero.
     pub fn alloc_bytes(&self) -> u64 {
-        self.curve.alloc_bytes(&self.local) + self.ws.capacity_bytes()
+        self.curve.alloc_bytes(&self.local)
     }
 
     /// `PartitionTree`: redistribute leaves so that every rank owns an
@@ -363,104 +162,21 @@ impl<'c> DistOctree<'c> {
     }
 
     /// Build the ghost layer: the remote leaves face/edge/corner-adjacent
-    /// to this rank's leaves, with their owner ranks, Morton-sorted.
+    /// to this rank's leaves, with owner and adjacency class, sorted.
     /// One alltoallv, mirroring the paper's `ExtractMesh` ghost gather.
     /// Allocating wrapper around [`DistOctree::ghost_layer_into`].
-    pub fn ghost_layer(&self) -> Vec<(usize, Octant)> {
+    pub fn ghost_layer(&self) -> Vec<GhostEntry<Octant>> {
         let mut ws = GhostScratch::default();
         self.ghost_layer_into(&mut ws);
-        std::mem::take(&mut ws.ghosts)
+        ws.take_layer().entries
     }
 
-    /// Grow-only variant of [`DistOctree::ghost_layer`]: all staging and
-    /// wire buffers live in caller scratch, so a warm adapt cycle
-    /// rebuilds the ghost layer without steady-state heap allocation
-    /// (the workspace discipline the `rhea` AMR loop asserts through
-    /// `amr.alloc_bytes == 0`). The result lands in `ws.ghosts`.
-    pub fn ghost_layer_into<'w>(&self, ws: &'w mut GhostScratch) -> &'w [(usize, Octant)] {
-        let comm = self.comm();
-        let (p, me) = (comm.size(), comm.rank());
-        let dirs = BalanceKind::Full.direction_slice();
-        ws.outgoing.resize_with(p, Vec::new);
-        for buf in ws.outgoing.iter_mut() {
-            buf.clear();
-        }
-        // A block of leaves at a time: the 26-per-leaf staging below
-        // (832 B per leaf) stays cache-sized however long the leaf array
-        // is, and a caller that keeps `ws` warm does not keep 26·n
-        // entries resident.
-        for block in self.local.chunks(GHOST_BLOCK) {
-            // Batch phase: the block's 26·n candidate neighbor positions
-            // and their ownership ranges in one vectorized sweep per
-            // direction (direction-major layout: entry d·n + i is leaf i
-            // of the block, direction d).
-            let n_block = block.len();
-            ws.nbrs.clear();
-            for &(dx, dy, dz) in dirs {
-                simd::neighbor_keys_into(block, dx, dy, dz, &mut ws.nbrs);
-            }
-            ws.owners.query(self.curve.markers(), &ws.nbrs);
-
-            // Send each boundary leaf to every rank owning an adjacent
-            // region, reading the precomputed batches leaf-major so the
-            // send order is leaf order. Per-leaf dedup of destination ranks. A leaf's 26 neighbor
-            // regions can span arbitrarily many ranks when the curve is
-            // finely partitioned, so this must not be a fixed-size buffer.
-            for (i, o) in block.iter().enumerate() {
-                ws.sent_to.clear();
-                for d in 0..dirs.len() {
-                    let idx = d * n_block + i;
-                    if ws.nbrs[idx] == Octant::INVALID {
-                        continue;
-                    }
-                    let (rlo, rhi) = ws.owners.ranks(idx);
-                    for r in rlo..=rhi.min(p - 1) {
-                        if r != me && !ws.sent_to.contains(&r) {
-                            ws.sent_to.push(r);
-                            ws.outgoing[r].push(*o);
-                        }
-                    }
-                }
-            }
-        }
-        ws.send_counts.clear();
-        ws.send_flat.clear();
-        for buf in ws.outgoing.iter() {
-            ws.send_counts.push(buf.len());
-        }
-        for buf in ws.outgoing.iter() {
-            ws.send_flat.extend_from_slice(buf);
-        }
-        comm.alltoallv_flat(
-            &ws.send_flat,
-            &ws.send_counts,
-            &mut ws.recv_flat,
-            &mut ws.recv_counts,
-        );
-        ws.ghosts.clear();
-        let mut off = 0usize;
-        for (src, &cnt) in ws.recv_counts.iter().enumerate() {
-            for &o in &ws.recv_flat[off..off + cnt] {
-                // Keep only ghosts actually adjacent to my leaves (the
-                // sender over-approximated with owner ranges).
-                let adjacent = dirs.iter().any(|&(dx, dy, dz)| {
-                    o.neighbor(dx, dy, dz)
-                        .map(|n| {
-                            // Does region n intersect my ownership range?
-                            let (rlo, rhi) = self.owner_range(&n);
-                            rlo <= me && me <= rhi
-                        })
-                        .unwrap_or(false)
-                });
-                if adjacent {
-                    ws.ghosts.push((src, o));
-                }
-            }
-            off += cnt;
-        }
-        ws.ghosts.sort_by_key(|a| a.1);
-        ws.ghosts.dedup();
-        &ws.ghosts
+    /// Grow-only variant of [`DistOctree::ghost_layer`] (see
+    /// [`LeafCurve::ghost_layer_into`]): a warm adapt cycle rebuilds the
+    /// ghost layer without heap allocation (the workspace discipline the
+    /// `rhea` AMR loop asserts through `amr.alloc_bytes == 0`).
+    pub fn ghost_layer_into<'w>(&self, ws: &'w mut GhostScratch) -> &'w GhostLayer<Octant> {
+        self.curve.ghost_layer_into(&self.local, &NoSeam, ws)
     }
 
     /// Validate the distributed linear-octree invariants (collective):
@@ -643,9 +359,9 @@ mod tests {
             let ghosts = t.ghost_layer();
             // Each ghost must be adjacent to at least one local leaf and
             // owned by the rank recorded.
-            for (owner, g) in &ghosts {
-                assert_ne!(*owner, c.rank());
-                assert_eq!(t.owner_of(g), *owner);
+            for GhostEntry { owner, leaf: g, .. } in &ghosts {
+                assert_ne!(*owner as usize, c.rank());
+                assert_eq!(t.owner_of(g), *owner as usize);
                 let touches = t.local.iter().any(|o| {
                     Octant::neighbor_directions().any(|(dx, dy, dz)| {
                         // Adjacency test via integer intervals expanded by

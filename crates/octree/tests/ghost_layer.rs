@@ -24,9 +24,13 @@ fn ghost_counts_pinned_at_4_ranks() {
         let g = t.ghost_layer();
         // Every ghost must be attributed to a foreign rank and be
         // consistent with the ownership metadata.
-        for &(owner, o) in &g {
-            assert_ne!(owner, c.rank());
-            assert_eq!(t.owner_of(&o), owner, "recorded owner must be real");
+        for e in &g {
+            assert_ne!(e.owner as usize, c.rank());
+            assert_eq!(
+                t.owner_of(&e.leaf),
+                e.owner as usize,
+                "recorded owner must be real"
+            );
         }
         g.len() as u64
     });
@@ -79,7 +83,7 @@ fn ghost_layer_handles_more_than_32_adjacent_ranks() {
             let touches_face = t.local.iter().any(|o| o.x() == half && o.level() > 1);
             if touches_face {
                 assert!(
-                    g.iter().any(|&(owner, o)| owner == 0 && o == coarse),
+                    g.iter().any(|e| e.owner == 0 && e.leaf == coarse),
                     "rank {me} touches the face but lacks the coarse ghost"
                 );
             }
@@ -91,10 +95,10 @@ fn ghost_layer_handles_more_than_32_adjacent_ranks() {
 
 #[test]
 fn ghost_layer_is_exact_across_staging_blocks() {
-    // The candidate staging runs in blocks of 1024 leaves. A uniform
-    // level-4 tree on two ranks gives each 2048 leaves — two blocks —
-    // and a ghost layer known in closed form: the 16 × 16 leaves of the
-    // other rank that touch the plane z = 1/2.
+    // A uniform level-4 tree on two ranks gives each 2048 leaves, which
+    // the sender recursion splits into many leaf runs and insulated
+    // boxes, and a ghost layer known in closed form: the 16 × 16 leaves
+    // of the other rank that touch the plane z = 1/2.
     spmd::run(2, |c| {
         let t = DistOctree::new_uniform(c, 4);
         assert_eq!(t.local.len(), 2048);
@@ -110,6 +114,11 @@ fn ghost_layer_is_exact_across_staging_blocks() {
             .collect();
         expect.sort_by_key(|a| a.1);
         assert_eq!(expect.len(), 256);
-        assert_eq!(t.ghost_layer(), expect);
+        let got: Vec<(usize, Octant)> = t
+            .ghost_layer()
+            .iter()
+            .map(|e| (e.owner as usize, e.leaf))
+            .collect();
+        assert_eq!(got, expect);
     });
 }

@@ -22,6 +22,10 @@ cargo fmt --all -- --check
 # both tree types) and the allocating `mark_elements` wrapper.
 # The per-component copies of the Stokes preconditioner (one fused
 # V-cycle reads and writes the interleaved velocity).
+# The per-tree-type 2:1 balance and ghost bodies: the octree's flat ghost
+# gather and its balance scratch, the forest's neighbour-fixpoint balance
+# and its own ghost recursion (`octree::curve` and `octree::ghost` serve
+# both tree types).
 echo "==> deleted code stays deleted"
 if grep -rnE 'MachineModel|phase_comm_seconds|paper_core_counts|host_to_(model|flops)' \
     crates src tests examples ||
@@ -36,6 +40,8 @@ if grep -rnE 'MachineModel|phase_comm_seconds|paper_core_counts|host_to_(model|f
     grep -rnE 'fn (update_markers|coarsen_marked_into|refine_flags_no_marker)\b|target_lo' crates/forest/src ||
     grep -rn 'fn mark_elements\b' crates ||
     grep -nE '\b(rc|zc): Vec<f64>' crates/stokes/src/solver.rs ||
+    grep -rnE 'struct (BalanceScratch|OwnerRanges)\b|GHOST_BLOCK' crates/forest crates/octree/src/parallel.rs ||
+    grep -rn 'fn insulated' crates/forest ||
     grep -rniE 'modeled|extrapolat' crates/bench/src results/*.txt; then
     echo "ci: deleted code is back (see above)" >&2
     exit 1

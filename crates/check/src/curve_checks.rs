@@ -1,37 +1,47 @@
-//! Invariant checkers for the distributed forest of octrees.
+//! Invariant checkers for a distributed leaf curve: the single octree
+//! (`DistOctree`, a one-tree curve with [`NoSeam`]) and the forest of
+//! octrees (`Forest`, the `(tree, Morton)` curve whose seam is the
+//! connectivity's composed face transforms). Each checker is written
+//! once over [`LeafCurve`], the local leaves and, where adjacency
+//! matters, the [`TreeSeam`].
 //!
-//! Same contract as [`crate::octree_checks`]: collective, read-only,
-//! data-independent collective schedule. Leaf identity lives in the
-//! `(tree, Morton key)` curve space, and adjacency follows the
-//! connectivity's composed inter-tree crossings
-//! ([`Forest::neighbors_full`]). The ghost-symmetry checker serves both
-//! tree types: a single octree is the one-tree case, with no seam.
+//! Every checker is collective — all ranks of the curve's communicator
+//! must enter it together — and the sequence of collective operations
+//! inside never depends on the (possibly corrupted) data, so a broken
+//! structure produces violations, not a hang.
+//!
+//! [`NoSeam`]: octree::curve::NoSeam
 
 use std::fmt::Debug;
 
-use forest::{Forest, ForestLeaf, GhostEntry, GhostKind, DIRS};
 use octree::balance::BalanceKind;
 use octree::curve::{adjacent_regions, CurveKey, CurveLeaf, LeafCurve, TreeSeam};
+use octree::ghost::{GhostEntry, GhostKind, DIRS};
 use octree::ops::find_containing;
 use octree::ROOT_LEN;
 
 use crate::{violation, Violation};
 
-/// Leaf curve ordering and non-overlap within and across trees and
-/// ranks. Cost: O(local) + one allgather of four limbs per rank.
-pub fn morton_order(forest: &Forest) -> Vec<Violation> {
+/// Leaf curve order and non-overlap, within the rank and across rank
+/// boundaries. Cost: O(local) + one allgather of two keys per rank.
+///
+/// Within a rank, a valid linear curve has strictly increasing, disjoint
+/// intervals `[curve_key, curve_end]`; any out-of-order pair and any
+/// ancestor/descendant pair violates that. Across ranks the same test is
+/// applied to the gathered per-rank extremes. Cross-rank violations are
+/// attributed to the later-indexed rank so each is reported exactly once.
+pub fn morton_order<L: CurveLeaf + Debug>(curve: &LeafCurve<L>, local: &[L]) -> Vec<Violation> {
     const NAME: &str = "morton_order";
-    let comm = forest.comm();
+    let comm = curve.comm();
     let me = comm.rank();
     let mut out = Vec::new();
-    for (i, w) in forest.local.windows(2).enumerate() {
+    for (i, w) in local.windows(2).enumerate() {
         if w[0].curve_end() >= w[1].curve_key() {
             out.push(violation(
                 NAME,
                 me,
                 format!(
-                    "local forest leaves {i} and {} out of order or overlapping: \
-                     {:?} then {:?}",
+                    "local leaves {i} and {} out of order or overlapping: {:?} then {:?}",
                     i + 1,
                     w[0],
                     w[1]
@@ -39,14 +49,15 @@ pub fn morton_order(forest: &Forest) -> Vec<Violation> {
             ));
         }
     }
-    let first = forest.local.first().map_or(u128::MAX, |l| l.curve_key());
-    let last = forest.local.last().map_or(0, |l| l.curve_end());
-    let limbs = comm.allgatherv(&[first.to_words(), last.to_words()].concat());
-    let mut prev: Option<(usize, u128)> = None;
-    for (r, limbs) in limbs.chunks_exact(4).enumerate() {
-        let (f, l) = (u128::from_words(limbs), u128::from_words(&limbs[2..]));
-        if f == u128::MAX {
-            continue;
+    let w = L::Key::WORDS;
+    let first = local.first().map_or(L::Key::MAX, L::curve_key);
+    let last = local.last().map_or(L::Key::MAX, L::curve_end);
+    let words = comm.allgatherv(&[&first.to_words()[..w], &last.to_words()[..w]].concat());
+    let mut prev: Option<(usize, L::Key)> = None;
+    for (r, rec) in words.chunks_exact(2 * w).enumerate() {
+        let (f, l) = (L::Key::from_words(rec), L::Key::from_words(&rec[w..]));
+        if f == L::Key::MAX {
+            continue; // empty rank
         }
         if let Some((pr, pl)) = prev {
             if f <= pl && r == me {
@@ -54,85 +65,78 @@ pub fn morton_order(forest: &Forest) -> Vec<Violation> {
                     NAME,
                     me,
                     format!(
-                        "rank {r} first curve key not after rank {pr} last: \
-                         global forest order/overlap broken"
+                        "rank {r} first curve key not after rank {pr} last \
+                         descendant: global order/overlap broken"
                     ),
                 ));
             }
         }
-        prev = Some((r, l.max(prev.map(|(_, pl)| pl).unwrap_or(0))));
+        prev = Some((r, prev.map_or(l, |(_, pl)| pl.max(l))));
     }
     out
 }
 
-/// Partition ownership completeness on the forest curve. Cost: O(local)
-/// + two collectives.
+/// Partition ownership completeness. Cost: O(local) + two collectives.
 ///
-/// Mirrors [`crate::octree_checks::partition`]: (1) every local leaf
-/// maps back to this rank under the marker-based ownership search,
-/// (2) the replicated count metadata matches the actual local count,
-/// (3) the leaf regions exactly tile all trees of the connectivity by
-/// volume (no gap, no double coverage).
-pub fn partition(forest: &Forest) -> Vec<Violation> {
+/// Checks that (1) every local leaf maps back to this rank under the
+/// marker-based ownership search, (2) the replicated count metadata
+/// matches the actual local count, and (3) the leaf regions exactly tile
+/// every tree of the curve by volume (no gap, no double coverage).
+pub fn partition<L: CurveLeaf + Debug>(curve: &LeafCurve<L>, local: &[L]) -> Vec<Violation> {
     const NAME: &str = "partition";
-    let comm = forest.comm();
+    let comm = curve.comm();
     let me = comm.rank();
     let mut out = Vec::new();
-    for l in &forest.local {
-        let owner = forest.owner_of(l);
+    for l in local {
+        let owner = curve.owner_of(l);
         if owner != me {
             out.push(violation(
                 NAME,
                 me,
-                format!("local forest leaf {l:?} maps to owner {owner}, not to me"),
+                format!("local leaf {l:?} maps to owner {owner}, not to me"),
             ));
         }
     }
-    if forest.rank_counts()[me] != forest.local.len() as u64 {
+    if curve.rank_counts()[me] != local.len() as u64 {
         out.push(violation(
             NAME,
             me,
             format!(
                 "replicated count {} disagrees with actual local count {}",
-                forest.rank_counts()[me],
-                forest.local.len()
+                curve.rank_counts()[me],
+                local.len()
             ),
         ));
     }
-    let total = comm.allreduce_sum(&[forest.local.len() as u64])[0];
-    if total != forest.global_count() && me == 0 {
+    let total = comm.allreduce_sum(&[local.len() as u64])[0];
+    if total != curve.global_count() && me == 0 {
         out.push(violation(
             NAME,
             me,
             format!(
                 "global count metadata {} disagrees with actual total {total}",
-                forest.global_count()
+                curve.global_count()
             ),
         ));
     }
-    // Exact volume completeness over all trees in u128 via a two-limb
-    // u64 transfer.
-    let vol: u128 = forest
-        .local
+    // Exact volume completeness in u128 via a two-limb u64 transfer.
+    let vol: u128 = local
         .iter()
         .map(|l| {
-            let s = l.oct.len() as u128;
+            let s = l.oct().len() as u128;
             s * s * s
         })
         .sum();
-    let limbs = comm.allgatherv(&[(vol >> 64) as u64, vol as u64]);
-    let mut total_vol: u128 = 0;
-    for c in limbs.chunks(2) {
-        total_vol += ((c[0] as u128) << 64) | c[1] as u128;
-    }
-    let want = (ROOT_LEN as u128).pow(3) * forest.connectivity().num_trees() as u128;
-    if total_vol != want && me == 0 {
+    let limbs = comm.allgatherv(&vol.to_words());
+    let covered: u128 = limbs.chunks_exact(2).map(u128::from_words).sum();
+    let want = (ROOT_LEN as u128).pow(3) * curve.ntrees() as u128;
+    if covered != want && me == 0 {
         out.push(violation(
             NAME,
             me,
             format!(
-                "forest leaf regions do not tile the trees: covered volume \
-                 {total_vol} of {want} (missing or duplicated leaves)"
+                "leaf regions do not tile the trees: covered volume {covered} \
+                 of {want} (missing or duplicated leaves)"
             ),
         ));
     }
@@ -267,33 +271,48 @@ where
     out
 }
 
-/// 2:1 balance across the forest over the relation production enforces:
-/// every same-size region of every direction, across tree faces, edges
-/// and corners through composed face transforms. Cost: O(collective) —
-/// gathers the global leaf union.
-pub fn balance21(forest: &Forest, kind: BalanceKind) -> Vec<Violation> {
+/// 2:1 balance over the neighbourhood of `kind`, through the relation
+/// production enforces: every same-size region of every direction,
+/// across tree faces, edges and corners through the seam. Cost:
+/// O(collective) — gathers the full global leaf union, so this is a
+/// test/debug checker.
+///
+/// Each rank checks its own leaves against the union: a leaf at level
+/// `l` whose adjacent region is covered by a leaf coarser than `l − 1` is
+/// a violation. Too-*fine* neighbours are caught from the fine side by
+/// the rank owning the fine leaf, so the sweep over all ranks covers both
+/// directions.
+pub fn balance21<L, S>(
+    curve: &LeafCurve<L>,
+    local: &[L],
+    seam: &S,
+    kind: BalanceKind,
+) -> Vec<Violation>
+where
+    L: CurveLeaf + Debug,
+    S: TreeSeam<L>,
+{
     const NAME: &str = "balance21";
-    let comm = forest.comm();
+    let comm = curve.comm();
     let me = comm.rank();
-    let mut union: Vec<ForestLeaf> = comm.allgatherv(&forest.local);
+    let mut union: Vec<L> = comm.allgatherv(local);
     union.sort();
-    let dirs = kind.direction_slice();
     let mut out = Vec::new();
     let mut regions = Vec::new();
-    for l in &forest.local {
-        for &(dx, dy, dz) in dirs {
-            forest.neighbors_full(l, dx, dy, dz, &mut regions);
+    for l in local {
+        for &d in kind.direction_slice() {
+            adjacent_regions(seam, l, d, &mut regions);
             for i in regions.iter().filter_map(|n| find_containing(&union, n)) {
-                if union[i].oct.level() + 1 < l.oct.level() {
+                if union[i].oct().level() + 1 < l.oct().level() {
                     out.push(violation(
                         NAME,
                         me,
                         format!(
-                            "2:1 violated across the forest: leaf {l:?} (level {}) \
-                             touches {:?} (level {}) in direction ({dx},{dy},{dz})",
-                            l.oct.level(),
+                            "2:1 violated: leaf {l:?} (level {}) touches {:?} \
+                             (level {}) in direction {d:?}",
+                            l.oct().level(),
                             union[i],
-                            union[i].oct.level()
+                            union[i].oct().level()
                         ),
                     ));
                 }

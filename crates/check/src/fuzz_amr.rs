@@ -5,8 +5,8 @@
 //! every cycle:
 //!
 //! * all six invariant checkers are clean on the post-partition state
-//!   ([`crate::octree_checks`]::{morton_order, partition, balance21}, the
-//!   kind-aware [`crate::forest_checks::ghost_symmetry`] and
+//!   ([`crate::curve_checks`]::{morton_order, partition, balance21}, the
+//!   kind-aware [`crate::curve_checks::ghost_symmetry`] and
 //!   [`crate::mesh_checks`]::{constraints, dof_numbering});
 //! * every local node of the extracted mesh is `Constrained` iff the
 //!   eight-probe incidence oracle
@@ -39,7 +39,7 @@
 //! Randomness is a pure function of `(seed, cycle, octant)` — never of
 //! the rank or the partition — so a failure replays exactly from the
 //! `(seed, cycle, p)` triple carried in every panic message (the seed
-//! replay protocol of DESIGN.md §11).
+//! replay protocol of DESIGN.md §10).
 
 use mesh::extract::{extract_mesh, Mesh};
 use mesh::interp::{interpolate_node_field, transfer_corner_values_into, unpack_corner_values};
@@ -47,12 +47,13 @@ use octree::balance::{balance_local_kind_ws, BalanceKind, BalanceWorkspace};
 use octree::curve::NoSeam;
 use octree::parallel::{transfer_fields, DistOctree};
 use octree::Octant;
+use scomm::rng::mix;
 use scomm::{spmd, Comm};
 
-use crate::forest_checks::ghost_symmetry;
+use crate::curve_checks::{balance21, ghost_symmetry, morton_order, partition};
 use crate::oracles::unpacked::balance_naive_unpacked;
 use crate::oracles::{balance_local_naive_kind, forest_ghosts_flat, hanging_disagreements};
-use crate::{mesh_checks, octree_checks, Violation};
+use crate::{mesh_checks, Violation};
 
 /// Configuration of one fuzz run (one communicator size, many cycles).
 #[derive(Debug, Clone, Copy)]
@@ -81,18 +82,10 @@ impl Default for FuzzConfig {
     }
 }
 
-/// splitmix64 finalizer: the per-octant decision hash.
-fn mix(mut z: u64) -> u64 {
-    z = z.wrapping_add(0x9e37_79b9_7f4a_7c15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    z ^ (z >> 31)
-}
-
-/// Deterministic percentage in `0..100` for an octant's decision: a pure
-/// function of `(seed, cycle, salt, octant)`, independent of rank and
-/// partition so every rank count replays the same tree evolution per
-/// locally-complete family.
+/// Deterministic percentage in `0..100` for an octant's decision, from the
+/// SplitMix64 finalizer [`mix`]: a pure function of `(seed, cycle, salt,
+/// octant)`, independent of rank and partition so every rank count
+/// replays the same tree evolution per locally-complete family.
 pub fn roll(seed: u64, cycle: u64, salt: u64, o: &Octant) -> u64 {
     mix(seed ^ mix(cycle ^ mix(salt ^ mix(o.key() ^ ((o.level() as u64) << 56))))) % 100
 }
@@ -264,9 +257,9 @@ pub fn run_cycles(comm: &Comm, cfg: &FuzzConfig) -> u64 {
 
         // All six invariants on the post-partition state.
         let new_mesh = extract_mesh(&tree, domain);
-        let mut v = octree_checks::morton_order(&tree);
-        v.extend(octree_checks::partition(&tree));
-        v.extend(octree_checks::balance21(&tree, cfg.kind));
+        let mut v = morton_order(tree.curve(), &tree.local);
+        v.extend(partition(tree.curve(), &tree.local));
+        v.extend(balance21(tree.curve(), &tree.local, &NoSeam, cfg.kind));
         let ghosts = tree.ghost_layer();
         v.extend(ghost_symmetry(tree.curve(), &tree.local, &NoSeam, &ghosts));
         v.extend(mesh_checks::constraints(&tree, &new_mesh));

@@ -8,10 +8,10 @@
 //! run — it silently corrupts the solve many phases later, usually only
 //! at specific rank counts. This crate makes them checkable:
 //!
-//! * **Invariant checkers** ([`octree_checks`], [`forest_checks`],
-//!   [`mesh_checks`]) — collective functions that every rank enters
-//!   together; each returns the [`Violation`]s visible from the calling
-//!   rank. They are pure observers: no checker mutates the structure it
+//! * **Invariant checkers** ([`curve_checks`], written once for both
+//!   tree types, and [`mesh_checks`]) — collective functions that every
+//!   rank enters together; each returns the [`Violation`]s visible from
+//!   the calling rank. They are pure observers: no checker mutates the structure it
 //!   inspects, and the number and order of collective operations inside
 //!   a checker never depends on the data, so corrupted structures are
 //!   diagnosed instead of deadlocked on.
@@ -37,7 +37,7 @@
 //! communicator internals); its smoke tests live here, where the full
 //! AMR pipeline is available to exercise under an adversarial schedule.
 //!
-//! Cost classes are documented per checker and tabulated in DESIGN.md §9:
+//! Cost classes are documented per checker and tabulated in DESIGN.md §10:
 //! `O(local)` checkers touch only rank-local state plus O(P) metadata;
 //! `O(collective)` checkers gather remote state proportional to the
 //! global problem (the 2:1 checker gathers the full leaf union and is
@@ -48,11 +48,10 @@ use obs::Recorder;
 use octree::curve::NoSeam;
 use scomm::Comm;
 
+pub mod curve_checks;
 pub mod differential;
-pub mod forest_checks;
 pub mod fuzz_amr;
 pub mod mesh_checks;
-pub mod octree_checks;
 pub mod oracles;
 
 pub use differential::{run_differential, DiffOptions, Fingerprint};
@@ -129,9 +128,10 @@ pub fn guard_tree(
     rec: Option<&Recorder>,
 ) {
     let _s = rec.map(|r| r.span_cat("check:tree", "check"));
-    let mut v = octree_checks::morton_order(tree);
-    v.extend(octree_checks::partition(tree));
-    v.extend(octree_checks::balance21(tree, kind));
+    let curve = tree.curve();
+    let mut v = curve_checks::morton_order(curve, &tree.local);
+    v.extend(curve_checks::partition(curve, &tree.local));
+    v.extend(curve_checks::balance21(curve, &tree.local, &NoSeam, kind));
     if let Some(r) = rec {
         report(r, &v);
     }
@@ -148,14 +148,15 @@ pub fn guard_forest(
     rec: Option<&Recorder>,
 ) {
     let _s = rec.map(|r| r.span_cat("check:forest", "check"));
-    let mut v = forest_checks::morton_order(forest);
-    v.extend(forest_checks::partition(forest));
-    v.extend(forest_checks::balance21(forest, kind));
+    let (curve, seam) = (forest.curve(), forest.connectivity().as_ref());
+    let mut v = curve_checks::morton_order(curve, &forest.local);
+    v.extend(curve_checks::partition(curve, &forest.local));
+    v.extend(curve_checks::balance21(curve, &forest.local, seam, kind));
     let ghosts = forest.ghosts();
-    v.extend(forest_checks::ghost_symmetry(
-        forest.curve(),
+    v.extend(curve_checks::ghost_symmetry(
+        curve,
         &forest.local,
-        forest.connectivity().as_ref(),
+        seam,
         &ghosts.entries,
     ));
     if let Some(r) = rec {
@@ -175,7 +176,7 @@ pub fn guard_mesh(
 ) {
     let _s = rec.map(|r| r.span_cat("check:mesh", "check"));
     let ghosts = tree.ghost_layer();
-    let mut v = forest_checks::ghost_symmetry(tree.curve(), &tree.local, &NoSeam, &ghosts);
+    let mut v = curve_checks::ghost_symmetry(tree.curve(), &tree.local, &NoSeam, &ghosts);
     v.extend(mesh_checks::constraints(tree, mesh));
     v.extend(mesh_checks::dof_numbering(tree, mesh));
     if let Some(r) = rec {

@@ -1,7 +1,7 @@
 //! Invariant checkers for the extracted distributed FEM mesh:
 //! hanging-node constraints and the global dof numbering.
 //!
-//! Same contract as [`crate::octree_checks`]: collective, read-only,
+//! Same contract as [`crate::curve_checks`]: collective, read-only,
 //! data-independent collective schedule.
 
 use std::collections::HashMap;

@@ -1,11 +1,11 @@
 //! Reference implementations the production paths are compared against.
 //!
-//! The rule (DESIGN.md §9): per invariant one production path, in its
+//! The rule (DESIGN.md §10): per invariant one production path, in its
 //! own crate, plus at most one oracle that is *independent by
 //! construction* — a different algorithm or a different transport, not
 //! an older draft of the same code — and lives here, outside the public
-//! API of the crate it checks. DESIGN.md §9 tabulates invariant →
-//! production path → oracle → comparing test.
+//! API of the crate it checks. The layer sections of DESIGN.md (§4–§9)
+//! name each production path with the oracle and test that pin it.
 
 use fem::op::DofMap;
 use forest::{Forest, ForestLeaf};
@@ -119,7 +119,7 @@ pub fn balance_local_naive_kind(leaves: &mut Vec<Octant>, kind: BalanceKind) -> 
 /// refines the flagged leaves; sweeps repeat until none is flagged.
 /// Serial, over one array, with no seed propagation, no rank boundaries
 /// and no tree seam of its own. With the composed relation
-/// (`Forest::neighbors_full`, the DESIGN.md §9 rule) the minimal
+/// (`Forest::neighbors_full`, DESIGN.md §5) the minimal
 /// balanced refinement is unique, so `Forest::balance` must equal it
 /// bitwise. Returns the number of leaves added.
 pub fn forest_balance_naive(

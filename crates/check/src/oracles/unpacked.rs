@@ -4,7 +4,8 @@
 //!
 //! Every operation here computes with explicit anchor coordinates and is
 //! compared bitwise against the branchless packed-key implementation by
-//! the tests below, the proptests in `tests/oracles.rs`, and
+//! the tests below, the seeded property test
+//! `packed_ops_agree_with_unpacked_reference` in `tests/oracles.rs`, and
 //! [`crate::fuzz_amr`] (which replays whole adapt cycles through
 //! [`balance_naive_unpacked`] at P ∈ {1, 2, 4, 8}): slow, obvious, and
 //! independent of the representation under test.

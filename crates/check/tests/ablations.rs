@@ -1,4 +1,4 @@
-//! The two design ablations of DESIGN.md §4 as asserted, deterministic
+//! The two design ablations of DESIGN.md §10 as asserted, deterministic
 //! counts: what the Morton curve buys the partition, and what the AMG
 //! V-cycle buys the Krylov solver under a viscosity jump.
 

@@ -5,7 +5,7 @@
 //! other ranks (all checkers keep a data-independent collective
 //! schedule, so these tests also prove "diagnose, don't deadlock").
 
-use check::forest_checks::ghost_symmetry;
+use check::curve_checks::{balance21, ghost_symmetry, morton_order, partition};
 use forest::{Connectivity, Forest};
 use mesh::extract::{extract_mesh, NodeResolution};
 use octree::balance::BalanceKind;
@@ -39,7 +39,7 @@ fn total_violations(c: &Comm, v: &[check::Violation]) -> u64 {
 fn morton_order_clean() {
     spmd::run(4, |c| {
         let t = adapted_tree(c);
-        let v = check::octree_checks::morton_order(&t);
+        let v = morton_order(t.curve(), &t.local);
         assert_eq!(total_violations(c, &v), 0, "{v:?}");
     });
 }
@@ -51,7 +51,7 @@ fn morton_order_detects_local_disorder() {
         if c.rank() == 0 {
             t.local.swap(0, 1);
         }
-        let v = check::octree_checks::morton_order(&t);
+        let v = morton_order(t.curve(), &t.local);
         assert!(
             total_violations(c, &v) >= 1,
             "swapped leaves must be caught"
@@ -74,7 +74,7 @@ fn morton_order_detects_cross_rank_overlap() {
             .map(|i| Octant::from_uniform_index(2, i))
             .collect();
         let t = DistOctree::from_local(c, local);
-        let v = check::octree_checks::morton_order(&t);
+        let v = morton_order(t.curve(), &t.local);
         assert!(
             total_violations(c, &v) >= 1,
             "globally inverted segments must be caught"
@@ -88,7 +88,7 @@ fn morton_order_detects_cross_rank_overlap() {
 fn balance21_clean() {
     spmd::run(4, |c| {
         let t = adapted_tree(c);
-        let v = check::octree_checks::balance21(&t, BalanceKind::Full);
+        let v = balance21(t.curve(), &t.local, &NoSeam, BalanceKind::Full);
         assert_eq!(total_violations(c, &v), 0, "{v:?}");
     });
 }
@@ -116,7 +116,7 @@ fn balance21_detects_unbalanced_corner() {
             Vec::new()
         };
         let t = DistOctree::from_local(c, local);
-        let v = check::octree_checks::balance21(&t, BalanceKind::Full);
+        let v = balance21(t.curve(), &t.local, &NoSeam, BalanceKind::Full);
         assert!(
             total_violations(c, &v) >= 1,
             "level jump of 2 must be caught"
@@ -130,7 +130,7 @@ fn balance21_detects_unbalanced_corner() {
 fn partition_clean() {
     spmd::run(4, |c| {
         let t = adapted_tree(c);
-        let v = check::octree_checks::partition(&t);
+        let v = partition(t.curve(), &t.local);
         assert_eq!(total_violations(c, &v), 0, "{v:?}");
     });
 }
@@ -142,7 +142,7 @@ fn partition_detects_missing_leaf() {
         if c.rank() == 0 {
             t.local.pop(); // hole in the domain; counts metadata stale
         }
-        let v = check::octree_checks::partition(&t);
+        let v = partition(t.curve(), &t.local);
         assert!(
             total_violations(c, &v) >= 1,
             "dropped leaf must show up as count mismatch and volume gap"
@@ -199,8 +199,13 @@ fn forest_morton_order_and_balance_clean() {
         f.refine(|l| l.tree == 0 && l.oct.center_unit()[0] > 0.5);
         f.balance(BalanceKind::Full);
         f.partition();
-        let mut v = check::forest_checks::morton_order(&f);
-        v.extend(check::forest_checks::balance21(&f, BalanceKind::Full));
+        let mut v = morton_order(f.curve(), &f.local);
+        v.extend(balance21(
+            f.curve(),
+            &f.local,
+            f.connectivity().as_ref(),
+            BalanceKind::Full,
+        ));
         assert_eq!(total_violations(c, &v), 0, "{v:?}");
     });
 }
@@ -213,7 +218,7 @@ fn forest_morton_order_detects_disorder() {
         if c.rank() == 0 && f.local.len() >= 2 {
             f.local.swap(0, 1);
         }
-        let v = check::forest_checks::morton_order(&f);
+        let v = morton_order(f.curve(), &f.local);
         assert!(total_violations(c, &v) >= 1, "swapped forest leaves");
     });
 }
@@ -228,7 +233,12 @@ fn forest_balance21_detects_inter_tree_jump() {
         for _ in 0..2 {
             f.refine(|l| l.tree == 0 && l.oct.x() + l.oct.len() == ROOT_LEN);
         }
-        let v = check::forest_checks::balance21(&f, BalanceKind::Full);
+        let v = balance21(
+            f.curve(),
+            &f.local,
+            f.connectivity().as_ref(),
+            BalanceKind::Full,
+        );
         assert!(
             total_violations(c, &v) >= 1,
             "level jump across the tree face must be caught"

@@ -185,7 +185,7 @@ fn differential_harness_reports_rank_dependence() {
 }
 
 /// The regression the deleted virtual-rank executor found at P = 64
-/// (DESIGN.md §13): ranks that own no Dirichlet dof exist there, and a
+/// (DESIGN.md §4): ranks that own no Dirichlet dof exist there, and a
 /// branch around communicating code decided on such a rank alone — the
 /// AMG hierarchy dedup, the `build_rhs` Dirichlet lift — skips exchange
 /// rounds and wedges the solve. The fixture must keep such a rank, the

@@ -5,6 +5,7 @@
 //! adversarial but seeded message schedule, and produce them twice,
 //! identically.
 
+use check::curve_checks;
 use fem::element::stiffness_matrix;
 use fem::op::{DistOp, DofMap};
 use mesh::extract::extract_mesh;
@@ -40,15 +41,16 @@ fn pipeline(plan: Option<FaultPlan>) -> Outcome {
         let g = t.ghost_layer();
         let m = extract_mesh(&t, [1.0, 1.0, 1.0]);
         // The checkers must stay clean under faulty scheduling.
-        let mut v = check::octree_checks::morton_order(&t);
-        v.extend(check::octree_checks::partition(&t));
-        v.extend(check::octree_checks::balance21(&t, BalanceKind::Full));
-        v.extend(check::forest_checks::ghost_symmetry(
-            t.curve(),
+        let (curve, seam) = (t.curve(), &octree::curve::NoSeam);
+        let mut v = curve_checks::morton_order(curve, &t.local);
+        v.extend(curve_checks::partition(curve, &t.local));
+        v.extend(curve_checks::balance21(
+            curve,
             &t.local,
-            &octree::curve::NoSeam,
-            &g,
+            seam,
+            BalanceKind::Full,
         ));
+        v.extend(curve_checks::ghost_symmetry(curve, &t.local, seam, &g));
         v.extend(check::mesh_checks::constraints(&t, &m));
         v.extend(check::mesh_checks::dof_numbering(&t, &m));
         check::assert_clean(c, &v);

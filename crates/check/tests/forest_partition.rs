@@ -1,11 +1,11 @@
 //! Forest partition edge cases, each checked against
-//! `check::forest_checks::partition` and leaf-count conservation; the
+//! `check::curve_checks::partition` and leaf-count conservation; the
 //! one-tree forest against the single octree stage by stage; and the
 //! forest balance against its serial oracle.
 
 use std::sync::Arc;
 
-use check::forest_checks;
+use check::curve_checks::{balance21, morton_order, partition};
 use check::fuzz_amr::roll;
 use check::oracles::forest_balance_naive;
 use forest::{Connectivity, Forest, ForestLeaf};
@@ -16,9 +16,9 @@ use octree::{Octant, ROOT_LEN};
 use scomm::{spmd, Comm};
 
 fn assert_partition_clean(f: &Forest) {
-    let v = forest_checks::partition(f);
+    let v = partition(f.curve(), &f.local);
     assert!(v.is_empty(), "partition checker found: {v:?}");
-    let v = forest_checks::morton_order(f);
+    let v = morton_order(f.curve(), &f.local);
     assert!(v.is_empty(), "morton_order checker found: {v:?}");
 }
 
@@ -82,7 +82,12 @@ fn balanced_24_tree_shell_partition_is_stable() {
         let (s, e) = plan.send_ranges[c.rank()];
         assert_eq!(e - s, before);
         assert_partition_clean(&f);
-        let v = forest_checks::balance21(&f, BalanceKind::Full);
+        let v = balance21(
+            f.curve(),
+            &f.local,
+            f.connectivity().as_ref(),
+            BalanceKind::Full,
+        );
         assert!(v.is_empty(), "balance checker found: {v:?}");
     });
 }
@@ -236,7 +241,12 @@ fn forest_balance_matches_naive_oracle() {
                 assert_eq!(f.balance(BalanceKind::Full), added as u64, "P={p}");
                 let got: Vec<ForestLeaf> = c.allgatherv(&f.local);
                 assert_eq!(got, expected, "P={p}: balance differs from the oracle");
-                let v = forest_checks::balance21(&f, BalanceKind::Full);
+                let v = balance21(
+                    f.curve(),
+                    &f.local,
+                    f.connectivity().as_ref(),
+                    BalanceKind::Full,
+                );
                 assert!(v.is_empty(), "P={p}: {v:?}");
                 let deepest = |leaves: &[ForestLeaf], t| {
                     leaves

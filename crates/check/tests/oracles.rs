@@ -1,5 +1,5 @@
 //! Every production path against its one oracle in [`check::oracles`]
-//! (the DESIGN.md §9 table): 2:1 balance vs the naive restart loop,
+//! (the DESIGN.md §10 table): 2:1 balance vs the naive restart loop,
 //! packed octant arithmetic vs coordinate structs, recursive forest
 //! ghosts vs the flat scan, the parent-midpoint hanging-node rule vs
 //! the eight-probe incidence walk, MINRES vs a dense LU solve, and the
@@ -25,7 +25,7 @@ use octree::balance::{balance_local_kind, is_balanced_kind, BalanceKind};
 use octree::ops::{new_tree, refine};
 use octree::parallel::DistOctree;
 use octree::{is_complete, is_valid_linear, Octant, MAX_LEVEL, ROOT_LEN};
-use proptest::prelude::*;
+use scomm::rng::{mix, SplitMix64};
 use scomm::spmd;
 
 const KINDS: [BalanceKind; 3] = [BalanceKind::Face, BalanceKind::FaceEdge, BalanceKind::Full];
@@ -62,67 +62,76 @@ fn balance_matches_naive_all_kinds() {
     }
 }
 
-/// Strategy: an arbitrary valid octant at level ≤ `max_level`.
-fn arb_octant(max_level: u8) -> impl Strategy<Value = Octant> {
-    (0..=max_level, any::<u64>()).prop_map(|(level, seed)| {
-        let n = 1u64 << (3 * level as u64);
-        Octant::from_uniform_index(level, seed % n)
-    })
+/// Cases per property.
+const CASES: u64 = 48;
+
+/// The seeds of the cases of the property numbered `prop` in this file;
+/// `SplitMix64::new(seed)` replays one case alone.
+fn seeds(prop: u64) -> impl Iterator<Item = u64> {
+    (0..CASES).map(move |case| mix(prop << 32 | case))
 }
 
-/// Strategy: a complete linear octree built by a random refinement walk.
-fn arb_tree(rounds: usize) -> impl Strategy<Value = Vec<Octant>> {
-    proptest::collection::vec(any::<u64>(), rounds).prop_map(|seeds| {
-        let mut t = new_tree(1);
-        for seed in seeds {
-            let mut h = seed;
-            refine(&mut t, |o| {
-                h = h.wrapping_mul(6364136223846793005).wrapping_add(o.key());
-                o.level() < 5 && h % 11 == 0
-            });
-        }
-        t
-    })
+/// An arbitrary valid octant at level ≤ `max_level`.
+fn arb_octant(rng: &mut SplitMix64, max_level: u8) -> Octant {
+    let level = rng.below(max_level as u64 + 1) as u8;
+    Octant::from_uniform_index(level, rng.below(1 << (3 * level as u64)))
 }
 
-proptest! {
-    #[test]
-    fn balance_matches_naive_on_random_trees(t in arb_tree(4), which in 0usize..3) {
+/// A complete linear octree built by `rounds` random refinement sweeps.
+fn arb_tree(rng: &mut SplitMix64, rounds: usize) -> Vec<Octant> {
+    let mut t = new_tree(1);
+    for _ in 0..rounds {
+        refine(&mut t, |o| o.level() < 5 && rng.below(11) == 0);
+    }
+    t
+}
+
+#[test]
+fn balance_matches_naive_on_random_trees() {
+    for seed in seeds(1) {
         // The minimal balanced refinement is unique, so seed propagation
         // and the one-violator-at-a-time oracle must agree bitwise for
         // every neighbor-set kind.
-        let kind = KINDS[which];
+        let mut rng = SplitMix64::new(seed);
+        let t = arb_tree(&mut rng, 4);
+        let kind = KINDS[rng.below(3) as usize];
         let mut fast = t.clone();
         let mut naive = t;
         let n_fast = balance_local_kind(&mut fast, kind);
         let n_naive = balance_local_naive_kind(&mut naive, kind);
-        prop_assert_eq!(&fast, &naive, "{:?}", kind);
-        prop_assert_eq!(n_fast, n_naive);
-        prop_assert!(is_balanced_kind(&fast, kind));
-        prop_assert!(is_complete(&fast));
-        prop_assert!(is_valid_linear(&fast));
+        assert_eq!(&fast, &naive, "{kind:?}, seed {seed:#x}");
+        assert_eq!(n_fast, n_naive, "seed {seed:#x}");
+        assert!(is_balanced_kind(&fast, kind), "seed {seed:#x}");
+        assert!(is_complete(&fast), "seed {seed:#x}");
+        assert!(is_valid_linear(&fast), "seed {seed:#x}");
     }
+}
 
-    #[test]
-    fn packed_ops_agree_with_unpacked_reference(
-        a in arb_octant(MAX_LEVEL),
-        b in arb_octant(MAX_LEVEL),
-    ) {
+#[test]
+fn packed_ops_agree_with_unpacked_reference() {
+    for seed in seeds(2) {
+        let mut rng = SplitMix64::new(seed);
+        let (a, b) = (
+            arb_octant(&mut rng, MAX_LEVEL),
+            arb_octant(&mut rng, MAX_LEVEL),
+        );
         let (ua, ub) = (Unpacked::from(a), Unpacked::from(b));
-        prop_assert_eq!(Octant::from(ua), a);
-        prop_assert_eq!(a.cmp(&b), ua.cmp(&ub));
-        prop_assert_eq!(a.contains(&b), ua.contains(&ub));
-        prop_assert_eq!(a.len(), ua.len());
-        prop_assert_eq!(a.key(), ua.key());
-        prop_assert_eq!(a.last_descendant(), Octant::from(ua.last_descendant()));
+        assert_eq!(Octant::from(ua), a, "seed {seed:#x}");
+        assert_eq!(a.cmp(&b), ua.cmp(&ub), "seed {seed:#x}");
+        assert_eq!(a.contains(&b), ua.contains(&ub), "seed {seed:#x}");
+        assert_eq!(a.len(), ua.len(), "seed {seed:#x}");
+        assert_eq!(a.key(), ua.key(), "seed {seed:#x}");
+        let last = Octant::from(ua.last_descendant());
+        assert_eq!(a.last_descendant(), last, "seed {seed:#x}");
         if a.level() > 0 {
-            prop_assert_eq!(a.parent(), Octant::from(ua.parent()));
-            prop_assert_eq!(a.child_id(), ua.child_id());
+            assert_eq!(a.parent(), Octant::from(ua.parent()), "seed {seed:#x}");
+            assert_eq!(a.child_id(), ua.child_id(), "seed {seed:#x}");
         }
         for (dx, dy, dz) in Octant::neighbor_directions() {
-            prop_assert_eq!(
+            assert_eq!(
                 a.neighbor(dx, dy, dz),
-                ua.neighbor(dx, dy, dz).map(Octant::from)
+                ua.neighbor(dx, dy, dz).map(Octant::from),
+                "seed {seed:#x}"
             );
         }
     }
@@ -182,7 +191,7 @@ fn recursive_ghosts_match_flat_scan() {
                 if p > 1 {
                     assert!(!layer.entries.is_empty(), "P={p} must produce ghosts");
                 }
-                let v = check::forest_checks::ghost_symmetry(
+                let v = check::curve_checks::ghost_symmetry(
                     f.curve(),
                     &f.local,
                     f.connectivity().as_ref(),

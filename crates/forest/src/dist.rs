@@ -122,8 +122,9 @@ impl<'c> Forest<'c> {
     /// below `conn.num_trees()`; the collective marker exchange runs once
     /// so ownership queries work immediately. This is how single-tree
     /// [`octree::parallel::DistOctree`] states are lifted onto the
-    /// forest traversal layer (e.g. the `fuzz_amr` recursive-vs-flat
-    /// ghost gate).
+    /// forest traversal layer (e.g. by `check::fuzz_amr`, which holds the
+    /// lifted forest's ghost layer and the tree's own to the flat-scan
+    /// oracle every cycle).
     pub fn from_local(comm: &'c Comm, conn: Arc<Connectivity>, local: Vec<ForestLeaf>) -> Self {
         debug_assert!(local.windows(2).all(|w| w[0] < w[1]));
         debug_assert!(local.iter().all(|l| (l.tree as usize) < conn.num_trees()));

@@ -40,7 +40,7 @@
 //! applications that wrap these V-cycles (`fem::op::DistOp`,
 //! `stokes`), not here; if a distributed smoother is ever added, its
 //! halo exchange should adopt the same begin/end pattern. See DESIGN.md
-//! §12 for the deviation note versus the paper's distributed BoomerAMG.
+//! §8 for the deviation note versus the paper's distributed BoomerAMG.
 
 use std::cell::RefCell;
 

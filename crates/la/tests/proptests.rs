@@ -1,93 +1,122 @@
-//! Property-based tests for the linear algebra kernels.
+//! Property tests for the linear algebra kernels: each runs `CASES`
+//! seeded cases, and every assertion names the case seed, which replays
+//! it.
 
 use la::krylov::euclidean_dot;
 use la::{cg, minres, Amg, AmgOptions, Cholesky, Csr};
-use proptest::prelude::*;
+use scomm::rng::{mix, SplitMix64};
 
-/// Strategy: a random SPD matrix built as `AᵀA + n·I` from a random
-/// sparse square seed (diagonal shift guarantees positive definiteness).
-fn arb_spd(max_n: usize) -> impl Strategy<Value = Csr> {
-    (2..max_n, any::<u64>()).prop_map(|(n, seed)| {
-        let mut state = seed | 1;
-        let mut rnd = move || {
-            state ^= state << 13;
-            state ^= state >> 7;
-            state ^= state << 17;
-            (state % 1000) as f64 / 500.0 - 1.0
-        };
-        let mut trips = Vec::new();
-        for i in 0..n {
-            for j in 0..n {
-                if (i + j) % 3 == 0 || i == j {
-                    trips.push((i, j, rnd()));
-                }
-            }
-        }
-        let a = Csr::from_triplets(n, n, &trips);
-        let at = a.transpose();
-        let mut ata = at.matmul(&a);
-        // Shift the diagonal.
-        let mut t2: Vec<(usize, usize, f64)> = Vec::new();
-        for r in 0..n {
-            for k in ata.row_ptr[r]..ata.row_ptr[r + 1] {
-                t2.push((r, ata.col_idx[k], ata.values[k]));
-            }
-            t2.push((r, r, n as f64));
-        }
-        ata = Csr::from_triplets(n, n, &t2);
-        ata
-    })
+/// Cases per property.
+const CASES: u64 = 24;
+
+/// The seeds of the cases of the property numbered `prop` in this file;
+/// `SplitMix64::new(seed)` replays one case alone.
+fn seeds(prop: u64) -> impl Iterator<Item = u64> {
+    (0..CASES).map(move |case| mix(prop << 32 | case))
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(24))]
-
-    #[test]
-    fn transpose_is_involution(a in arb_spd(12)) {
-        let att = a.transpose().transpose();
-        prop_assert!(att.diff_norm(&a) < 1e-12);
+/// A random SPD matrix of order in `[2, max_n)`, built as `AᵀA + n·I`
+/// from a random sparse square seed (the diagonal shift guarantees
+/// positive definiteness).
+fn arb_spd(rng: &mut SplitMix64, max_n: usize) -> Csr {
+    let n = 2 + rng.below(max_n as u64 - 2) as usize;
+    let mut trips = Vec::new();
+    for i in 0..n {
+        for j in 0..n {
+            if (i + j) % 3 == 0 || i == j {
+                trips.push((i, j, rng.below(1000) as f64 / 500.0 - 1.0));
+            }
+        }
     }
+    let a = Csr::from_triplets(n, n, &trips);
+    let ata = a.transpose().matmul(&a);
+    // Shift the diagonal.
+    let mut t2: Vec<(usize, usize, f64)> = Vec::new();
+    for r in 0..n {
+        for k in ata.row_ptr[r]..ata.row_ptr[r + 1] {
+            t2.push((r, ata.col_idx[k], ata.values[k]));
+        }
+        t2.push((r, r, n as f64));
+    }
+    Csr::from_triplets(n, n, &t2)
+}
 
-    #[test]
-    fn matmul_transposes_contravariantly(a in arb_spd(8), b in arb_spd(8)) {
+#[test]
+fn transpose_is_involution() {
+    for seed in seeds(1) {
+        let a = arb_spd(&mut SplitMix64::new(seed), 12);
+        let att = a.transpose().transpose();
+        assert!(att.diff_norm(&a) < 1e-12, "seed {seed:#x}");
+    }
+}
+
+#[test]
+fn matmul_transposes_contravariantly() {
+    for seed in seeds(2) {
+        let mut rng = SplitMix64::new(seed);
+        let (a, b) = (arb_spd(&mut rng, 8), arb_spd(&mut rng, 8));
         if a.ncols == b.nrows {
             let ab_t = a.matmul(&b).transpose();
             let bt_at = b.transpose().matmul(&a.transpose());
-            prop_assert!(ab_t.diff_norm(&bt_at) < 1e-9);
+            assert!(ab_t.diff_norm(&bt_at) < 1e-9, "seed {seed:#x}");
         }
     }
+}
 
-    #[test]
-    fn cg_solves_random_spd(a in arb_spd(14), seed in any::<u64>()) {
+#[test]
+fn cg_solves_random_spd() {
+    for seed in seeds(3) {
+        let mut rng = SplitMix64::new(seed);
+        let a = arb_spd(&mut rng, 14);
         let n = a.nrows;
         let b: Vec<f64> = (0..n)
-            .map(|i| ((seed.wrapping_add(i as u64 * 977) % 1000) as f64) / 500.0 - 1.0)
+            .map(|_| rng.below(1000) as f64 / 500.0 - 1.0)
             .collect();
         let mut x = vec![0.0; n];
         let info = cg(&a, None::<&Csr>, &b, &mut x, 1e-10, 10_000, euclidean_dot);
-        prop_assert!(info.converged, "{info:?}");
+        assert!(info.converged, "{info:?}, seed {seed:#x}");
         let mut r = vec![0.0; n];
         a.matvec(&x, &mut r);
         for i in 0..n {
-            prop_assert!((r[i] - b[i]).abs() < 1e-6, "row {i}");
+            assert!((r[i] - b[i]).abs() < 1e-6, "row {i}, seed {seed:#x}");
         }
     }
+}
 
-    #[test]
-    fn minres_matches_cg_on_spd(a in arb_spd(10)) {
+#[test]
+fn minres_matches_cg_on_spd() {
+    for seed in seeds(4) {
+        let a = arb_spd(&mut SplitMix64::new(seed), 10);
         let n = a.nrows;
         let b = vec![1.0; n];
         let mut x1 = vec![0.0; n];
         let mut x2 = vec![0.0; n];
         cg(&a, None::<&Csr>, &b, &mut x1, 1e-12, 10_000, euclidean_dot);
-        minres(&a, None::<&Csr>, &b, &mut x2, 1e-12, 10_000, euclidean_dot, |_, _| {});
+        minres(
+            &a,
+            None::<&Csr>,
+            &b,
+            &mut x2,
+            1e-12,
+            10_000,
+            euclidean_dot,
+            |_, _| {},
+        );
         for i in 0..n {
-            prop_assert!((x1[i] - x2[i]).abs() < 1e-6, "entry {i}: {} vs {}", x1[i], x2[i]);
+            assert!(
+                (x1[i] - x2[i]).abs() < 1e-6,
+                "entry {i}: {} vs {}, seed {seed:#x}",
+                x1[i],
+                x2[i]
+            );
         }
     }
+}
 
-    #[test]
-    fn cholesky_matches_csr_solve(a in arb_spd(10)) {
+#[test]
+fn cholesky_matches_csr_solve() {
+    for seed in seeds(5) {
+        let a = arb_spd(&mut SplitMix64::new(seed), 10);
         let n = a.nrows;
         // Densify.
         let mut dense = vec![0.0; n * n];
@@ -101,28 +130,54 @@ proptest! {
         let mut x_ch = b.clone();
         ch.solve(&mut x_ch);
         let mut x_cg = vec![0.0; n];
-        cg(&a, None::<&Csr>, &b, &mut x_cg, 1e-13, 10_000, euclidean_dot);
+        cg(
+            &a,
+            None::<&Csr>,
+            &b,
+            &mut x_cg,
+            1e-13,
+            10_000,
+            euclidean_dot,
+        );
         for i in 0..n {
-            prop_assert!((x_ch[i] - x_cg[i]).abs() < 1e-6);
+            assert!(
+                (x_ch[i] - x_cg[i]).abs() < 1e-6,
+                "entry {i}, seed {seed:#x}"
+            );
         }
     }
+}
 
-    #[test]
-    fn amg_vcycle_is_spd_operator(a in arb_spd(30)) {
+#[test]
+fn amg_vcycle_is_spd_operator() {
+    for seed in seeds(6) {
+        let a = arb_spd(&mut SplitMix64::new(seed), 30);
         let n = a.nrows;
-        let amg = Amg::new(a, AmgOptions { max_coarse: 8, ..Default::default() });
-        let u: Vec<f64> = (0..n).map(|i| ((i * 7919) % 100) as f64 / 50.0 - 1.0).collect();
-        let v: Vec<f64> = (0..n).map(|i| ((i * 104729) % 97) as f64 / 48.0 - 1.0).collect();
+        let amg = Amg::new(
+            a,
+            AmgOptions {
+                max_coarse: 8,
+                ..Default::default()
+            },
+        );
+        let u: Vec<f64> = (0..n)
+            .map(|i| ((i * 7919) % 100) as f64 / 50.0 - 1.0)
+            .collect();
+        let v: Vec<f64> = (0..n)
+            .map(|i| ((i * 104729) % 97) as f64 / 48.0 - 1.0)
+            .collect();
         let mut bu = vec![0.0; n];
         let mut bv = vec![0.0; n];
         amg.vcycle(&u, &mut bu);
         amg.vcycle(&v, &mut bv);
         let lhs = euclidean_dot(&bu, &v);
         let rhs = euclidean_dot(&u, &bv);
-        prop_assert!((lhs - rhs).abs() <= 1e-8 * lhs.abs().max(rhs.abs()).max(1e-10),
-            "not symmetric: {lhs} vs {rhs}");
+        assert!(
+            (lhs - rhs).abs() <= 1e-8 * lhs.abs().max(rhs.abs()).max(1e-10),
+            "not symmetric: {lhs} vs {rhs}, seed {seed:#x}"
+        );
         // Positivity on the test vector.
         let quad = euclidean_dot(&u, &bu);
-        prop_assert!(quad >= -1e-10, "not positive: {quad}");
+        assert!(quad >= -1e-10, "not positive: {quad}, seed {seed:#x}");
     }
 }

@@ -739,6 +739,7 @@ impl<'f, 'c> DgAdvection<'f, 'c> {
 mod tests {
     use super::*;
     use forest::{Connectivity, ForestLeaf};
+    use scomm::rng::mix;
     use scomm::spmd;
     use std::sync::Arc;
 
@@ -807,11 +808,8 @@ mod tests {
     /// A value in `[−1, 1)` that depends on the leaf and the node only,
     /// not on which rank holds them.
     fn noise(leaf: &ForestLeaf, node: usize) -> f64 {
-        let mut z = ((leaf.tree as u64) << 58) ^ leaf.oct.raw() ^ ((node as u64) << 32);
-        z = z.wrapping_add(0x9E37_79B9_7F4A_7C15);
-        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-        ((z ^ (z >> 31)) >> 11) as f64 / (1u64 << 52) as f64 - 1.0
+        let z = mix(((leaf.tree as u64) << 58) ^ leaf.oct.raw() ^ ((node as u64) << 32));
+        (z >> 11) as f64 / (1u64 << 52) as f64 - 1.0
     }
 
     /// Exact preservation of a constant state (free-stream).

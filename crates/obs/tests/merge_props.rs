@@ -2,10 +2,11 @@
 //! associative, commutative monoid (the MPI-reduction contract), so a
 //! world's summaries can be combined tree-wise, pairwise, or in rank
 //! order with identical results. All three laws are checked over
-//! randomly generated per-rank summaries.
+//! randomly generated per-rank summaries, `CASES` seeded cases each;
+//! every assertion names the case seed, which replays it.
 
 use obs::{Reduce, Summary};
-use proptest::prelude::*;
+use scomm::rng::{mix, SplitMix64};
 
 /// One random telemetry event: `sel` picks both the name and the kind
 /// (phase / counter / histogram sample); `a`, `b` are the magnitudes.
@@ -50,34 +51,69 @@ fn merged(a: &Summary, b: &Summary) -> Summary {
     m
 }
 
-fn ops() -> impl Strategy<Value = Vec<Op>> {
-    proptest::collection::vec((0u8..=255, 0u32..=1_000_000, 0u32..=1_000_000), 0..24)
+/// Cases per property.
+const CASES: u64 = 48;
+
+/// The seeds of the cases of the property numbered `prop` in this file;
+/// `SplitMix64::new(seed)` replays one case alone.
+fn seeds(prop: u64) -> impl Iterator<Item = u64> {
+    (0..CASES).map(move |case| mix(prop << 32 | case))
 }
 
-proptest! {
-    #[test]
-    fn merge_is_commutative(x in ops(), y in ops()) {
-        let (a, b) = (build(&x), build(&y));
-        prop_assert_eq!(merged(&a, &b), merged(&b, &a));
-    }
+/// Up to 23 random events.
+fn ops(rng: &mut SplitMix64) -> Vec<Op> {
+    let n = rng.below(24);
+    (0..n)
+        .map(|_| {
+            let sel = rng.below(256) as u8;
+            let a = rng.below(1_000_001) as u32;
+            (sel, a, rng.below(1_000_001) as u32)
+        })
+        .collect()
+}
 
-    #[test]
-    fn merge_is_associative(x in ops(), y in ops(), z in ops()) {
-        let (a, b, c) = (build(&x), build(&y), build(&z));
-        prop_assert_eq!(merged(&merged(&a, &b), &c), merged(&a, &merged(&b, &c)));
-    }
+/// Summaries of `K` independent random event lists.
+fn summaries<const K: usize>(seed: u64) -> [Summary; K] {
+    let mut rng = SplitMix64::new(seed);
+    std::array::from_fn(|_| build(&ops(&mut rng)))
+}
 
-    #[test]
-    fn default_is_the_identity(x in ops()) {
-        let a = build(&x);
-        prop_assert_eq!(merged(&a, &Summary::default()), a.clone());
-        prop_assert_eq!(merged(&Summary::default(), &a), a);
+#[test]
+fn merge_is_commutative() {
+    for seed in seeds(1) {
+        let [a, b] = summaries(seed);
+        assert_eq!(merged(&a, &b), merged(&b, &a), "seed {seed:#x}");
     }
+}
 
-    #[test]
-    fn reduce_all_equals_left_fold(x in ops(), y in ops(), z in ops()) {
-        let parts = [build(&x), build(&y), build(&z)];
-        let folded = parts.iter().fold(Summary::default(), |acc, s| merged(&acc, s));
-        prop_assert_eq!(Summary::reduce_all(parts.iter()), folded);
+#[test]
+fn merge_is_associative() {
+    for seed in seeds(2) {
+        let [a, b, c] = summaries(seed);
+        assert_eq!(
+            merged(&merged(&a, &b), &c),
+            merged(&a, &merged(&b, &c)),
+            "seed {seed:#x}"
+        );
+    }
+}
+
+#[test]
+fn default_is_the_identity() {
+    for seed in seeds(3) {
+        let [a] = summaries(seed);
+        assert_eq!(merged(&a, &Summary::default()), a.clone(), "seed {seed:#x}");
+        assert_eq!(merged(&Summary::default(), &a), a, "seed {seed:#x}");
+    }
+}
+
+#[test]
+fn reduce_all_equals_left_fold() {
+    for seed in seeds(4) {
+        let parts: [Summary; 3] = summaries(seed);
+        let folded = parts
+            .iter()
+            .fold(Summary::default(), |acc, s| merged(&acc, s));
+        assert_eq!(Summary::reduce_all(parts.iter()), folded, "seed {seed:#x}");
     }
 }

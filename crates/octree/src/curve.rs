@@ -369,6 +369,11 @@ impl<'c, L: CurveLeaf> LeafCurve<'c, L> {
         }
     }
 
+    /// Number of trees the curve threads.
+    pub fn ntrees(&self) -> usize {
+        self.ntrees
+    }
+
     /// Replicated curve markers, one per rank (see the field docs).
     pub fn markers(&self) -> &[L::Key] {
         &self.markers

@@ -387,22 +387,14 @@ mod tests {
     use super::*;
     use crate::morton::{MAX_LEVEL, ROOT_LEN};
     use crate::ops::{new_tree, refine};
-
-    fn splitmix(state: &mut u64) -> u64 {
-        *state = state.wrapping_add(0x9e3779b97f4a7c15);
-        let mut z = *state;
-        z = (z ^ (z >> 30)).wrapping_mul(0xbf58476d1ce4e5b9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94d049bb133111eb);
-        z ^ (z >> 31)
-    }
+    use scomm::rng::SplitMix64;
 
     fn random_octants(n: usize, max_level: u8, seed: u64) -> Vec<Octant> {
-        let mut s = seed;
+        let mut rng = SplitMix64::new(seed);
         (0..n)
             .map(|_| {
-                let level = (splitmix(&mut s) % (max_level as u64 + 1)) as u8;
-                let cells = 1u64 << (3 * level);
-                Octant::from_uniform_index(level, splitmix(&mut s) % cells)
+                let level = rng.below(max_level as u64 + 1) as u8;
+                Octant::from_uniform_index(level, rng.below(1u64 << (3 * level)))
             })
             .collect()
     }
@@ -488,12 +480,12 @@ mod tests {
 
     #[test]
     fn upper_bounds_match_partition_point() {
-        let mut s = 7u64;
+        let mut rng = SplitMix64::new(7);
         // 16/17 straddle the AVX2 linear-count vs gathered-search cutoff.
         for hay_len in [0usize, 1, 2, 3, 7, 16, 17, 64, 1000] {
-            let mut hay: Vec<u64> = (0..hay_len).map(|_| splitmix(&mut s) % 500).collect();
+            let mut hay: Vec<u64> = (0..hay_len).map(|_| rng.below(500)).collect();
             hay.sort_unstable();
-            let needles: Vec<u64> = (0..131).map(|_| splitmix(&mut s) % 600).collect();
+            let needles: Vec<u64> = (0..131).map(|_| rng.below(600)).collect();
             let want: Vec<u32> = needles
                 .iter()
                 .map(|k| hay.partition_point(|h| h <= k) as u32)

@@ -25,7 +25,7 @@
 //!   rank spins through a seeded number of `yield_now` calls, perturbing
 //!   the thread interleavings that reach the shared staging slots.
 //!
-//! Every decision is drawn from `splitmix64(seed ⊕ message identity)`
+//! Every decision is drawn from [`mix`]`(seed ⊕ message identity)`
 //! where the identity is `(src, dst, tag, per-channel sequence number)` —
 //! no wall-clock, no OS entropy — so a run with a fixed seed makes the
 //! same delay/drop decisions every time. The *interleaving* of racing
@@ -39,6 +39,8 @@
 //! `exchange_end`, and per-`(source, tag)` FIFO order is preserved.
 
 use std::collections::HashMap;
+
+use crate::rng::mix;
 
 /// Knobs of the adversarial scheduler. All probabilities are in permille
 /// (0–1000) so the plan stays `Copy` and hashable-by-field.
@@ -102,15 +104,6 @@ pub struct FaultCounters {
     pub staggered: u64,
 }
 
-/// SplitMix64: the standard 64-bit finalizer; full-period, stateless.
-#[inline]
-fn splitmix64(mut x: u64) -> u64 {
-    x = x.wrapping_add(0x9e3779b97f4a7c15);
-    x = (x ^ (x >> 30)).wrapping_mul(0xbf58476d1ce4e5b9);
-    x = (x ^ (x >> 27)).wrapping_mul(0x94d049bb133111eb);
-    x ^ (x >> 31)
-}
-
 /// A message held in the jitter buffer.
 struct Held<M> {
     /// Virtual tick at which the message becomes deliverable.
@@ -155,10 +148,10 @@ impl<M> FaultState<M> {
     }
 
     fn draw(&self, src: usize, tag: u64, chan_seq: u64) -> u64 {
-        let id = splitmix64(src as u64 ^ (self.me as u64).rotate_left(16))
-            ^ splitmix64(tag).rotate_left(24)
-            ^ splitmix64(chan_seq).rotate_left(40);
-        splitmix64(self.plan.seed ^ id)
+        let id = mix(src as u64 ^ (self.me as u64).rotate_left(16))
+            ^ mix(tag).rotate_left(24)
+            ^ mix(chan_seq).rotate_left(40);
+        mix(self.plan.seed ^ id)
     }
 
     /// Admit one arriving message: decide drop (panics) or hold ticks,

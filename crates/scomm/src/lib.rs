@@ -45,6 +45,7 @@ pub mod exchange;
 pub mod fault;
 pub mod gate;
 pub mod pod;
+pub mod rng;
 pub mod spmd;
 pub mod stats;
 

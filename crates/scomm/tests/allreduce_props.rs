@@ -2,33 +2,30 @@
 //! run, all ranks must compute the *identical* result — bitwise — because
 //! the fold order (ascending rank) is fixed independent of scheduling.
 
-use proptest::prelude::*;
+use scomm::rng::{mix, SplitMix64};
 use scomm::spmd;
 
-/// Strategy: a per-rank contribution length and a seed for deterministic
-/// per-rank payloads (rank r derives its values from `seed ^ r`).
-fn arb_case() -> impl Strategy<Value = (usize, u64)> {
-    (1usize..32, any::<u64>())
+/// Cases per property.
+const CASES: u64 = 16;
+
+/// The seeds of the cases of the property numbered `prop` in this file;
+/// `SplitMix64::new(seed)` replays one case alone.
+fn seeds(prop: u64) -> impl Iterator<Item = u64> {
+    (0..CASES).map(move |case| mix(prop << 32 | case))
 }
 
+/// Rank `rank`'s `n` values: mixed magnitudes and signs, all finite.
 fn rank_values(seed: u64, rank: usize, n: usize) -> Vec<f64> {
-    let mut state = seed ^ (rank as u64).wrapping_mul(0x9e37_79b9_7f4a_7c15) | 1;
+    let mut rng = SplitMix64::new(seed ^ mix(rank as u64));
     (0..n)
-        .map(|_| {
-            state ^= state << 13;
-            state ^= state >> 7;
-            state ^= state << 17;
-            // Mixed magnitudes and signs, all finite.
-            ((state % 2_000_001) as f64 - 1_000_000.0) / 977.0
-        })
+        .map(|_| (rng.below(2_000_001) as f64 - 1_000_000.0) / 977.0)
         .collect()
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(16))]
-
-    #[test]
-    fn allreduce_identical_on_every_rank((n, seed) in arb_case()) {
+#[test]
+fn allreduce_identical_on_every_rank() {
+    for seed in seeds(1) {
+        let n = 1 + SplitMix64::new(seed).below(31) as usize;
         for p in [1usize, 2, 4, 8] {
             let out = spmd::run(p, move |c| {
                 let mine = rank_values(seed, c.rank(), n);
@@ -42,9 +39,10 @@ proptest! {
                 // Bitwise comparison: identical fold order must give
                 // identical floats, not merely close ones.
                 let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
-                prop_assert_eq!(bits(sum), bits(sum0), "sum differs on rank {} at P={}", r, p);
-                prop_assert_eq!(bits(max), bits(max0), "max differs on rank {} at P={}", r, p);
-                prop_assert_eq!(bits(min), bits(min0), "min differs on rank {} at P={}", r, p);
+                let at = format!("on rank {r} at P={p}, seed {seed:#x}");
+                assert_eq!(bits(sum), bits(sum0), "sum differs {at}");
+                assert_eq!(bits(max), bits(max0), "max differs {at}");
+                assert_eq!(bits(min), bits(min0), "min differs {at}");
             }
             // Cross-check against a serial fold in rank order.
             let mut want = rank_values(seed, 0, n);
@@ -54,9 +52,11 @@ proptest! {
                 }
             }
             for (w, s) in want.iter().zip(sum0.iter()) {
-                prop_assert!((w - s).abs() <= 1e-9 * w.abs().max(1.0));
+                assert!(
+                    (w - s).abs() <= 1e-9 * w.abs().max(1.0),
+                    "P={p}, seed {seed:#x}"
+                );
             }
         }
     }
-
 }

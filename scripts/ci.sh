@@ -7,25 +7,30 @@ cd "$(dirname "$0")/.."
 echo "==> cargo fmt --check"
 cargo fmt --all -- --check
 
-# What stays deleted: the machine model, the hand-written comm table and
-# the extrapolated figure rows (PR 24); the virtual-rank coroutine
-# executor and its profile aggregator (PR 25).
-# Single-reduction MINRES with its batched dots, the interior/surface
-# overlap and the `simd` cargo feature, each measured end to end against
-# its simpler variant (EXPERIMENTS.md, "Retained fast paths").
-# The blocking and request-based point-to-point API, its overlap counter
-# and the duplicate collective entry points (the split-phase `Exchange`
-# is the one point-to-point path); forest search; the `alps` façade.
-# The hashed node tables of `ExtractMesh` and its eight-probe
-# classification (now the oracle `check::oracles::hanging_master_probes`).
-# The forest's copies of the curve bookkeeping (`octree::curve` serves
-# both tree types) and the allocating `mark_elements` wrapper.
-# The per-component copies of the Stokes preconditioner (one fused
-# V-cycle reads and writes the interleaved velocity).
-# The per-tree-type 2:1 balance and ghost bodies: the octree's flat ghost
-# gather and its balance scratch, the forest's neighbour-fixpoint balance
-# and its own ghost recursion (`octree::curve` and `octree::ghost` serve
-# both tree types).
+# What stays deleted, each replaced by one production path:
+# - the machine model, the hand-written comm table and the extrapolated
+#   figure rows (every figure number is read from a clock or a counter);
+# - the virtual-rank coroutine executor and its profile aggregator
+#   (`spmd::run` is the one executor);
+# - single-reduction MINRES with its batched dots, the interior/surface
+#   overlap and the `simd` cargo feature, each measured end to end against
+#   its simpler variant (EXPERIMENTS.md, "Retained fast paths");
+# - the blocking and request-based point-to-point API, its overlap counter
+#   and the duplicate collective entry points (the split-phase `Exchange`
+#   is the one point-to-point path); forest search; the `alps` façade;
+# - the hashed node tables of `ExtractMesh` and its eight-probe
+#   classification (now the oracle `check::oracles::hanging_master_probes`);
+# - the forest's copies of the curve bookkeeping (`octree::curve` serves
+#   both tree types) and the allocating `mark_elements` wrapper;
+# - the per-component copies of the Stokes preconditioner (one fused
+#   V-cycle reads and writes the interleaved velocity);
+# - the per-tree-type 2:1 balance and ghost bodies: the octree's flat ghost
+#   gather and its balance scratch, the forest's neighbour-fixpoint balance
+#   and its own ghost recursion (`octree::curve` and `octree::ghost` serve
+#   both tree types);
+# - the in-tree `proptest` stand-in (seeded tests draw from
+#   `scomm::rng::SplitMix64`) and the octree's copy of the invariant
+#   checkers (`check::curve_checks` serves both tree types).
 echo "==> deleted code stays deleted"
 if grep -rnE 'MachineModel|phase_comm_seconds|paper_core_counts|host_to_(model|flops)' \
     crates src tests examples ||
@@ -42,10 +47,50 @@ if grep -rnE 'MachineModel|phase_comm_seconds|paper_core_counts|host_to_(model|f
     grep -nE '\b(rc|zc): Vec<f64>' crates/stokes/src/solver.rs ||
     grep -rnE 'struct (BalanceScratch|OwnerRanges)\b|GHOST_BLOCK' crates/forest crates/octree/src/parallel.rs ||
     grep -rn 'fn insulated' crates/forest ||
+    grep -rn proptest Cargo.toml crates ||
+    grep -rn octree_checks crates ||
     grep -rniE 'modeled|extrapolat' crates/bench/src results/*.txt; then
     echo "ci: deleted code is back (see above)" >&2
     exit 1
 fi
+
+# The documents cite each other by section and heading, and EXPERIMENTS.md
+# indexes every archived output: a CHANGES.md entry longer than 600
+# characters, a cited `DESIGN.md §N` without a `## N.` heading, a quoted
+# `EXPERIMENTS.md, "…"` that no heading contains, or a `results/*.txt` that
+# EXPERIMENTS.md does not name in full fails here.
+echo "==> docs: entry lengths, section citations, archived outputs"
+python3 - <<'PY'
+import glob, os, re, subprocess, sys
+
+bad = []
+for i, line in enumerate(open("CHANGES.md", encoding="utf-8").read().split("\n"), 1):
+    if len(line) > 600:
+        bad.append(f"CHANGES.md:{i}: entry is {len(line)} characters (cap 600)")
+sections = set(re.findall(r"(?m)^## (\d+)\.", open("DESIGN.md", encoding="utf-8").read()))
+experiments = open("EXPERIMENTS.md", encoding="utf-8").read()
+headings = re.findall(r"(?m)^#+ (.*)$", experiments)
+tracked = subprocess.run(["git", "ls-files", "*.md", "*.rs", "*.sh", "*.toml"],
+                         capture_output=True, text=True, check=True).stdout.split()
+for path in tracked:
+    if path.startswith("benchmark/") or path == "ISSUE.md":
+        continue
+    text = open(path, encoding="utf-8").read()
+    # Citations may wrap across comment lines.
+    text = re.sub(r"\n[ \t]*(?:///?!?|#(?!#))?[ \t]*", " ", text)
+    for n in re.findall(r"DESIGN\.md,? §(\d+)", text):
+        if n not in sections:
+            bad.append(f"{path}: cites DESIGN.md §{n}, which has no '## {n}.' heading")
+    for q in re.findall(r'EXPERIMENTS\.md,? "([\w`][^"]*)"', text):
+        if not any(q in h for h in headings):
+            bad.append(f'{path}: quotes EXPERIMENTS.md, "{q}", which no heading contains')
+for f in sorted(glob.glob("results/*.txt")):
+    if os.path.basename(f) not in experiments:
+        bad.append(f"{f} is not named in EXPERIMENTS.md")
+for b in bad:
+    print(b, file=sys.stderr)
+sys.exit(1 if bad else 0)
+PY
 
 echo "==> cargo clippy --workspace -- -D warnings"
 cargo clippy --workspace --all-targets -- -D warnings

@@ -61,17 +61,14 @@ fn adapted_poisson(level: u8) -> Csr {
         t.balance(BalanceKind::Full);
         let m = extract_mesh(&t, [1.0, 1.0, 1.0]);
         let map = fem::op::DofMap::new(&m, c, 1);
-        let mref = &m;
-        let src = move |e: usize, outm: &mut [f64]| {
-            let ctr = mref.elements[e].center_unit();
-            let eta = if ctr[2] > 0.5 { 1e4 } else { 1.0 };
-            let k = fem::element::stiffness_matrix(mref.element_size(e), eta);
-            for i in 0..8 {
-                for j in 0..8 {
-                    outm[i * 8 + j] = k[i][j];
-                }
+        let eta = |e: usize| {
+            if m.elements[e].center_unit()[2] > 0.5 {
+                1e4
+            } else {
+                1.0
             }
         };
+        let src = fem::element::stiffness_source(&m, eta);
         let bc: Vec<bool> = (0..m.n_owned).map(|d| m.dof_on_boundary(d)).collect();
         fem::assembly::assemble_owned_block(&map, &src, Some(&bc))
     });

@@ -6,7 +6,7 @@
 
 use std::collections::HashMap;
 
-use mesh::extract::{node_coords, Mesh, NodeResolution};
+use mesh::extract::{node_coords, sorted_corners, Corner, Mesh};
 use octree::parallel::DistOctree;
 use octree::{Octant, MAX_LEVEL, ROOT_LEN};
 
@@ -57,16 +57,18 @@ struct ResWire {
 unsafe impl scomm::Pod for ResWire {}
 
 /// Hanging-node constraint row-sum and cross-rank consistency.
-/// Cost: O(local) for the structural checks + one alltoallv of the
-/// interface resolutions (O(shared nodes)).
+/// Cost: O(local log local) to sort the element corners into nodes +
+/// one alltoallv of the interface resolutions (O(shared nodes)).
 ///
-/// Structurally, every constrained node must combine 2–8 masters with
-/// positive weights summing to 1 (a face node has 4, an edge node 2;
-/// chain closure can merge more), and every dof reference must be in
-/// range. For consistency, each rank ships its resolution of every
-/// node — in global-id space — to the node's arbiter (its owner by the
-/// smallest-incident-cell rule); the arbiter verifies that all ranks
-/// seeing a node resolved it to the identical dof/weight combination.
+/// A node is read through its first corner in [`Mesh::corner_dofs`].
+/// Structurally, every constrained node must name a row that combines
+/// 2–8 masters with positive weights summing to 1 (a face node has 4, an
+/// edge node 2; chain closure can merge more), and every dof and row
+/// reference must be in range. For consistency, each rank ships its
+/// resolution of every node — in global-id space — to the node's
+/// arbiter (its owner by the smallest-incident-cell rule); the arbiter
+/// verifies that all ranks seeing a node resolved it to the identical
+/// dof/weight combination.
 pub fn constraints(tree: &DistOctree, mesh: &Mesh) -> Vec<Violation> {
     const NAME: &str = "constraints";
     let comm = tree.comm();
@@ -76,11 +78,17 @@ pub fn constraints(tree: &DistOctree, mesh: &Mesh) -> Vec<Violation> {
     let mut out = Vec::new();
 
     // ---- Local structural checks --------------------------------------
-    for (i, res) in mesh.node_table.iter().enumerate() {
-        let key = mesh.node_keys[i];
-        match res {
-            NodeResolution::Dof(d) => {
-                if *d >= n_local {
+    // Each local node's key and its first corner, in key order.
+    let corners = sorted_corners(&mesh.elements);
+    let nodes: Vec<(u64, Corner)> = corners
+        .chunk_by(|a, b| a.0 == b.0)
+        .map(|run| (run[0].0, run[0].1 as usize))
+        .map(|(key, ec)| (key, mesh.corner(ec / 8, ec % 8)))
+        .collect();
+    for &(key, first) in &nodes {
+        match first {
+            Corner::Dof(d) => {
+                if d >= n_local {
                     out.push(violation(
                         NAME,
                         me,
@@ -88,7 +96,13 @@ pub fn constraints(tree: &DistOctree, mesh: &Mesh) -> Vec<Violation> {
                     ));
                 }
             }
-            NodeResolution::Constrained(terms) => {
+            Corner::Hanging(r) if r >= mesh.n_hanging() => out.push(violation(
+                NAME,
+                me,
+                format!("node {key:#x}: constraint row {r} out of range"),
+            )),
+            Corner::Hanging(r) => {
+                let terms = mesh.constraint_row(r);
                 if terms.len() < 2 || terms.len() > 8 {
                     out.push(violation(
                         NAME,
@@ -130,24 +144,24 @@ pub fn constraints(tree: &DistOctree, mesh: &Mesh) -> Vec<Violation> {
 
     // ---- Cross-rank consistency ---------------------------------------
     // Resolution of each node in gid space, sorted by gid.
-    let resolve = |res: &NodeResolution| -> Vec<(u64, f64)> {
-        let mut terms: Vec<(u64, f64)> = match res {
-            NodeResolution::Dof(d) if *d < n_local => vec![(gid_of(mesh, *d), 1.0)],
-            NodeResolution::Dof(_) => Vec::new(), // out of range, reported above
-            NodeResolution::Constrained(ts) => ts
+    let resolve = |first: Corner| -> Vec<(u64, f64)> {
+        let mut terms: Vec<(u64, f64)> = match first {
+            Corner::Dof(d) if d < n_local => vec![(gid_of(mesh, d), 1.0)],
+            Corner::Hanging(r) if r < mesh.n_hanging() => mesh
+                .constraint_row(r)
                 .iter()
                 .filter(|&&(d, _)| d < n_local)
                 .map(|&(d, w)| (gid_of(mesh, d), w))
                 .collect(),
+            _ => Vec::new(), // out of range, reported above
         };
         terms.sort_by_key(|t| t.0);
         terms
     };
     let mut outgoing: Vec<Vec<ResWire>> = vec![Vec::new(); p];
-    for (i, res) in mesh.node_table.iter().enumerate() {
-        let key = mesh.node_keys[i];
+    for &(key, first) in &nodes {
         let arbiter = node_owner(tree, key);
-        for (gid, weight) in resolve(res) {
+        for (gid, weight) in resolve(first) {
             outgoing[arbiter].push(ResWire { key, gid, weight });
         }
     }

@@ -9,7 +9,7 @@
 
 use fem::op::DofMap;
 use forest::{Forest, ForestLeaf};
-use mesh::extract::{node_coords, LeafView, Mesh, NodeKey, NodeResolution};
+use mesh::extract::{node_coords, sorted_corners, Corner, LeafView, Mesh, NodeKey};
 use octree::balance::BalanceKind;
 use octree::ops::find_containing;
 use octree::parallel::DistOctree;
@@ -63,21 +63,22 @@ pub fn hanging_master_probes(view: &LeafView, p: (u32, u32, u32)) -> Option<Opti
     Some(coarsest)
 }
 
-/// Keys of the local nodes of `mesh` whose resolution disagrees with
-/// [`hanging_master_probes`] over `tree`'s local + ghost leaves: a node
-/// must be `Constrained` iff the oracle says it hangs. A node outside
-/// the view's coverage counts as a disagreement. Collective (it builds
-/// the ghost layer).
+/// Keys of the local nodes of `mesh` whose corner-table entry disagrees
+/// with [`hanging_master_probes`] over `tree`'s local + ghost leaves: a
+/// node's first corner must be [`Corner::Hanging`] iff the oracle says
+/// it hangs. A node outside the view's coverage counts as a
+/// disagreement. Collective (it builds the ghost layer).
 pub fn hanging_disagreements(tree: &DistOctree, mesh: &Mesh) -> Vec<NodeKey> {
     let view = LeafView::new(tree, &tree.ghost_layer());
-    mesh.node_keys
-        .iter()
-        .zip(&mesh.node_table)
-        .filter(|&(&k, res)| {
-            let constrained = matches!(res, NodeResolution::Constrained(_));
-            hanging_master_probes(&view, node_coords(k)).map(|m| m.is_some()) != Some(constrained)
+    sorted_corners(&mesh.elements)
+        .chunk_by(|a, b| a.0 == b.0)
+        .map(|run| run[0])
+        .filter(|&(k, ec)| {
+            let corner = mesh.corner(ec as usize / 8, ec as usize % 8);
+            let hanging = matches!(corner, Corner::Hanging(_));
+            hanging_master_probes(&view, node_coords(k)).map(|m| m.is_some()) != Some(hanging)
         })
-        .map(|(&k, _)| k)
+        .map(|(k, _)| k)
         .collect()
 }
 

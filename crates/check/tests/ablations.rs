@@ -83,20 +83,14 @@ fn viscosity_jump_block() -> Csr {
         t.balance(BalanceKind::Full);
         let m = extract_mesh(&t, [1.0, 1.0, 1.0]);
         let map = fem::op::DofMap::new(&m, comm, 1);
-        let mref = &m;
-        let src = move |e: usize, out: &mut [f64]| {
-            let eta = if mref.elements[e].center_unit()[2] > 0.5 {
+        let eta = |e: usize| {
+            if m.elements[e].center_unit()[2] > 0.5 {
                 1e4
             } else {
                 1.0
-            };
-            let k = fem::element::stiffness_matrix(mref.element_size(e), eta);
-            for i in 0..8 {
-                for j in 0..8 {
-                    out[i * 8 + j] = k[i][j];
-                }
             }
         };
+        let src = fem::element::stiffness_source(&m, eta);
         let bc: Vec<bool> = (0..m.n_owned).map(|d| m.dof_on_boundary(d)).collect();
         fem::assembly::assemble_owned_block(&map, &src, Some(&bc))
     })

@@ -7,7 +7,7 @@
 
 use check::curve_checks::{balance21, ghost_symmetry, morton_order, partition};
 use forest::{Connectivity, Forest};
-use mesh::extract::{extract_mesh, NodeResolution};
+use mesh::extract::{extract_mesh, sorted_corners, Corner, Mesh};
 use octree::balance::BalanceKind;
 use octree::curve::NoSeam;
 use octree::ghost::{GhostEntry, GhostKind};
@@ -258,28 +258,62 @@ fn constraints_clean() {
     });
 }
 
+/// Extract the adapted mesh, apply `corrupt` on every rank that holds a
+/// constraint row, and run the constraints checker: this rank's
+/// violations and the number of corrupted ranks.
+fn constraints_after(c: &Comm, corrupt: impl Fn(&mut Mesh)) -> (Vec<check::Violation>, u64) {
+    let t = adapted_tree(c);
+    let mut m = extract_mesh(&t, [1.0, 1.0, 1.0]);
+    let hanging = m.n_hanging() > 0;
+    if hanging {
+        corrupt(&mut m);
+    }
+    let corrupted = c.allreduce_sum(&[hanging as u64])[0];
+    assert!(corrupted >= 1, "fixture must have hanging nodes");
+    (check::mesh_checks::constraints(&t, &m), corrupted)
+}
+
 #[test]
 fn constraints_detects_broken_row_sum() {
     spmd::run(2, |c| {
-        let t = adapted_tree(c);
-        let mut m = extract_mesh(&t, [1.0, 1.0, 1.0]);
-        let mut corrupted = 0u64;
-        for res in &mut m.node_table {
-            if let NodeResolution::Constrained(terms) = res {
-                terms[0].1 += 0.25; // row sum now 1.25
-                corrupted = 1;
-                break;
-            }
-        }
-        assert!(
-            c.allreduce_sum(&[corrupted])[0] >= 1,
-            "fixture must have hanging nodes"
-        );
-        let v = check::mesh_checks::constraints(&t, &m);
+        // Row 0 now sums to 1.25.
+        let (v, _) = constraints_after(c, |m| m.constraints.terms[0].1 += 0.25);
         assert!(
             total_violations(c, &v) >= 1,
             "weights summing to 1.25 must be caught"
         );
+    });
+}
+
+#[test]
+fn constraints_detects_row_index_out_of_range() {
+    spmd::run(2, |c| {
+        // Drop the last row: the corners tagged with it name a row the
+        // arena does not hold.
+        let (v, corrupted) = constraints_after(c, |m| {
+            m.constraints.offsets.pop();
+        });
+        let caught = v
+            .iter()
+            .filter(|x| x.detail.contains("constraint row") && x.detail.contains("out of range"))
+            .count();
+        assert_eq!(c.allreduce_sum(&[caught as u64])[0], corrupted, "{v:?}");
+    });
+}
+
+#[test]
+fn constraints_detects_row_with_one_term() {
+    spmd::run(2, |c| {
+        // End row 0 after its first term; row 1, if any, absorbs the rest.
+        let (v, corrupted) = constraints_after(c, |m| {
+            let offsets = &mut m.constraints.offsets;
+            offsets[1] = offsets[0] + 1;
+        });
+        let caught = v
+            .iter()
+            .filter(|x| x.detail.contains(": 1 constraint terms"))
+            .count();
+        assert_eq!(c.allreduce_sum(&[caught as u64])[0], corrupted, "{v:?}");
     });
 }
 
@@ -289,25 +323,26 @@ fn constraints_detects_cross_rank_disagreement() {
         let t = adapted_tree(c);
         let mut m = extract_mesh(&t, [1.0, 1.0, 1.0]);
         // Find the smallest node key present on both ranks, then make
-        // the higher rank resolve it differently. Each rank's view
-        // stays locally well-formed — only the cross-rank comparison
-        // can catch this.
-        let lens = c.allgatherv(&[m.node_keys.len() as u64]);
-        let all = c.allgatherv(&m.node_keys);
+        // the higher rank resolve it differently, at every corner of
+        // the node. Each rank's view stays locally well-formed — only
+        // the cross-rank comparison can catch this.
+        let corners = sorted_corners(&m.elements);
+        let mut keys: Vec<u64> = corners.iter().map(|t| t.0).collect();
+        keys.dedup();
+        let lens = c.allgatherv(&[keys.len() as u64]);
+        let all = c.allgatherv(&keys);
         let (r0, r1) = all.split_at(lens[0] as usize);
-        let shared = {
-            let mut s: Vec<u64> = r0.iter().filter(|k| r1.contains(k)).copied().collect();
-            s.sort_unstable();
-            s
-        };
-        let key = *shared.first().expect("interface nodes must exist at P=2");
+        let shared = r0.iter().find(|k| r1.contains(k));
+        let key = *shared.expect("interface nodes must exist at P=2");
         if c.rank() == 1 {
-            let i = m.node_keys.iter().position(|&k| k == key).unwrap();
-            let repl = match &m.node_table[i] {
-                NodeResolution::Dof(d) => (*d + 1) % m.n_owned.max(1),
-                NodeResolution::Constrained(_) => 0,
-            };
-            m.node_table[i] = NodeResolution::Dof(repl);
+            for &(_, ec) in corners.iter().filter(|t| t.0 == key) {
+                let (e, i) = (ec as usize / 8, ec as usize % 8);
+                let repl = match m.corner(e, i) {
+                    Corner::Dof(d) => (d + 1) % m.n_owned.max(1),
+                    Corner::Hanging(_) => 0,
+                };
+                m.corner_dofs[ec as usize] = repl as u32;
+            }
         }
         let v = check::mesh_checks::constraints(&t, &m);
         assert!(

@@ -6,7 +6,7 @@
 //! identically.
 
 use check::curve_checks;
-use fem::element::stiffness_matrix;
+use fem::element::stiffness_source;
 use fem::op::{DistOp, DofMap};
 use mesh::extract::extract_mesh;
 use octree::balance::BalanceKind;
@@ -58,17 +58,7 @@ fn pipeline(plan: Option<FaultPlan>) -> Outcome {
         // Real ghost traffic: every message the plan jitters below is a
         // mesh ghost exchange.
         let map = DofMap::new(&m, c, 1);
-        let mesh_ref = &m;
-        let op = DistOp::new(
-            &map,
-            Box::new(move |e, out: &mut [f64]| {
-                let k = stiffness_matrix(mesh_ref.element_size(e), 1.0);
-                for i in 0..8 {
-                    out[i * 8..i * 8 + 8].copy_from_slice(&k[i]);
-                }
-            }),
-            None,
-        );
+        let op = DistOp::new(&map, Box::new(stiffness_source(&m, |_| 1.0)), None);
         let x: Vec<f64> = (0..m.n_owned)
             .map(|d| ((m.global_offset + d as u64) % 11) as f64 - 5.0)
             .collect();

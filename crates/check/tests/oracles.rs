@@ -14,13 +14,13 @@ use check::oracles::{
     balance_local_naive_kind, dist_apply_reference, forest_flat_adjacent, forest_ghosts_flat,
     hanging_disagreements,
 };
-use fem::element::stiffness_matrix;
+use fem::element::stiffness_source;
 use fem::op::{DistOp, DofMap};
 use forest::{Connectivity, Forest, ForestLeaf, GhostKind};
 use la::dense::Lu;
 use la::krylov::euclidean_dot;
 use la::{minres, Csr};
-use mesh::extract::{extract_mesh, node_coords, NodeResolution};
+use mesh::extract::{extract_mesh, node_coords};
 use octree::balance::{balance_local_kind, is_balanced_kind, BalanceKind};
 use octree::ops::{new_tree, refine};
 use octree::parallel::DistOctree;
@@ -235,7 +235,7 @@ fn fuzz_marked_tree(c: &scomm::Comm) -> DistOctree<'_> {
 #[test]
 fn hanging_nodes_match_probe_oracle() {
     // The parent-midpoint rule against the eight-probe incidence oracle:
-    // every local node is `Constrained` iff the oracle says it hangs.
+    // every local node is hanging iff the oracle says it hangs.
     for build in [sphere_tree, fuzz_marked_tree] {
         for p in [1usize, 2, 4, 8] {
             spmd::run(p, |c| {
@@ -251,12 +251,7 @@ fn hanging_nodes_match_probe_oracle() {
                     wrong.len(),
                     node_coords(wrong[0])
                 );
-                let hanging = m
-                    .node_table
-                    .iter()
-                    .filter(|r| matches!(r, NodeResolution::Constrained(_)))
-                    .count();
-                assert!(c.allreduce_sum(&[hanging as u64])[0] > 0, "P={p}");
+                assert!(c.allreduce_sum(&[m.n_hanging() as u64])[0] > 0, "P={p}");
             });
         }
     }
@@ -334,12 +329,7 @@ fn dist_op_apply_matches_reference_bitwise() {
             let m = extract_mesh(&t, [1.0, 1.0, 1.0]);
             let map = DofMap::new(&m, c, 1);
             let bc: Vec<bool> = (0..m.n_owned).map(|d| m.dof_on_boundary(d)).collect();
-            let elem_matrix = |e: usize, out: &mut [f64]| {
-                let k = stiffness_matrix(m.element_size(e), 1.0);
-                for i in 0..8 {
-                    out[i * 8..i * 8 + 8].copy_from_slice(&k[i]);
-                }
-            };
+            let elem_matrix = stiffness_source(&m, |_| 1.0);
             let x: Vec<f64> = (0..m.n_owned)
                 .map(|d| {
                     let g = m.global_offset + d as u64;
@@ -347,7 +337,7 @@ fn dist_op_apply_matches_reference_bitwise() {
                 })
                 .collect();
             for mask in [Some(&bc[..]), None] {
-                let op = DistOp::new(&map, Box::new(elem_matrix), mask);
+                let op = DistOp::new(&map, Box::new(&elem_matrix), mask);
                 let mut y = vec![0.0; m.n_owned];
                 op.apply_owned(&x, &mut y);
                 let y_ref = dist_apply_reference(&map, &elem_matrix, mask, &x);

@@ -11,6 +11,7 @@
 
 use crate::op::DofMap;
 use la::Csr;
+use mesh::extract::Corner;
 
 /// Source of element matrices for assembly.
 pub type ElementMatrixSource<'a> = dyn Fn(usize, &mut [f64]) + 'a;
@@ -56,19 +57,18 @@ pub fn assemble_owned_block(
     let offsets = comm.allgatherv(&[offset]);
     let owner_of_gid = |g: u64| -> usize { offsets.partition_point(|&o| o <= g) - 1 };
 
-    use mesh::extract::NodeResolution;
     for e in 0..mesh.elements.len() {
         elem_matrix(e, &mut mat);
-        let resolution = |c: usize| &mesh.node_table[mesh.elem_nodes[e][c] as usize];
         // Corner expansions: a plain dof is one unit-weight term in a
-        // stack slot, a hanging corner its constraint terms in place.
-        let plain: [(usize, f64); 8] = std::array::from_fn(|c| match resolution(c) {
-            NodeResolution::Dof(d) => (*d, 1.0),
-            NodeResolution::Constrained(_) => (usize::MAX, 0.0),
+        // stack slot, a hanging corner its constraint row in place.
+        let corners: [Corner; 8] = std::array::from_fn(|c| mesh.corner(e, c));
+        let plain: [(usize, f64); 8] = std::array::from_fn(|c| match corners[c] {
+            Corner::Dof(d) => (d, 1.0),
+            Corner::Hanging(_) => (usize::MAX, 0.0),
         });
-        let expansions: [&[(usize, f64)]; 8] = std::array::from_fn(|c| match resolution(c) {
-            NodeResolution::Dof(_) => std::slice::from_ref(&plain[c]),
-            NodeResolution::Constrained(terms) => terms.as_slice(),
+        let expansions: [&[(usize, f64)]; 8] = std::array::from_fn(|c| match corners[c] {
+            Corner::Dof(_) => std::slice::from_ref(&plain[c]),
+            Corner::Hanging(r) => mesh.constraint_row(r),
         });
         for ci in 0..8 {
             for cj in 0..8 {
@@ -150,7 +150,7 @@ pub fn assemble_owned_block(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::element::stiffness_matrix;
+    use crate::element::stiffness_source;
     use crate::op::{DistOp, DofMap};
     use mesh::extract::extract_mesh;
     use octree::balance::BalanceKind;
@@ -167,15 +167,7 @@ mod tests {
             t.balance(BalanceKind::Full);
             let m = extract_mesh(&t, [1.0, 1.0, 1.0]);
             let map = DofMap::new(&m, c, 1);
-            let mref = &m;
-            let src = move |e: usize, out: &mut [f64]| {
-                let k = stiffness_matrix(mref.element_size(e), 2.0);
-                for i in 0..8 {
-                    for j in 0..8 {
-                        out[i * 8 + j] = k[i][j];
-                    }
-                }
-            };
+            let src = stiffness_source(&m, |_| 2.0);
             let bc: Vec<bool> = (0..m.n_owned).map(|d| m.dof_on_boundary(d)).collect();
             let a = assemble_owned_block(&map, &src, Some(&bc));
             let op = DistOp::new(&map, Box::new(src), Some(&bc));
@@ -214,15 +206,7 @@ mod tests {
             t.partition();
             let m = extract_mesh(&t, [1.0, 1.0, 1.0]);
             let map = DofMap::new(&m, c, 1);
-            let mref = &m;
-            let src = move |e: usize, out: &mut [f64]| {
-                let k = stiffness_matrix(mref.element_size(e), 1.0);
-                for i in 0..8 {
-                    for j in 0..8 {
-                        out[i * 8 + j] = k[i][j];
-                    }
-                }
-            };
+            let src = stiffness_source(&m, |_| 1.0);
             let a = assemble_owned_block(&map, &src, None);
             let block_diag = a.diagonal();
             // True diagonal via matrix-free: diag_i = eᵢᵀ A eᵢ... cheaper:
@@ -253,15 +237,7 @@ mod tests {
             let t = DistOctree::new_uniform(c, 2);
             let m = extract_mesh(&t, [1.0, 1.0, 1.0]);
             let map = DofMap::new(&m, c, 1);
-            let mref = &m;
-            let src = move |e: usize, out: &mut [f64]| {
-                let k = stiffness_matrix(mref.element_size(e), 1.0);
-                for i in 0..8 {
-                    for j in 0..8 {
-                        out[i * 8 + j] = k[i][j];
-                    }
-                }
-            };
+            let src = stiffness_source(&m, |_| 1.0);
             let bc: Vec<bool> = (0..m.n_owned).map(|d| m.dof_on_boundary(d)).collect();
             let a = assemble_owned_block(&map, &src, Some(&bc));
             for (d, &isbc) in bc.iter().enumerate() {

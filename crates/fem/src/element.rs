@@ -96,6 +96,21 @@ pub fn stiffness_matrix(h: [f64; 3], kappa: f64) -> [[f64; 8]; 8] {
     k
 }
 
+/// The stiffness of every element of `mesh`, with `kappa(e)` the
+/// coefficient of element `e`, as an element-matrix source: it fills the
+/// row-major 8×8 matrix `DistOp` and `assemble_owned_block` take.
+pub fn stiffness_source<'a>(
+    mesh: &'a mesh::extract::Mesh,
+    kappa: impl Fn(usize) -> f64 + 'a,
+) -> impl Fn(usize, &mut [f64]) + 'a {
+    move |e, out| {
+        let k = stiffness_matrix(mesh.element_size(e), kappa(e));
+        for (row, k) in out.chunks_exact_mut(8).zip(&k) {
+            row.copy_from_slice(k);
+        }
+    }
+}
+
 /// Advection matrix `∫ N_i (a · ∇N_j)` for a constant element velocity.
 pub fn advection_matrix(h: [f64; 3], a: [f64; 3]) -> [[f64; 8]; 8] {
     let mut m = [[0.0; 8]; 8];

@@ -10,7 +10,7 @@
 use std::cell::{Cell, RefCell};
 
 use la::LinearOp;
-use mesh::extract::{ExchangeBuffers, Mesh, NodeResolution};
+use mesh::extract::{ExchangeBuffers, Mesh};
 use scomm::Comm;
 
 /// Clear and re-zero a reusable buffer without shrinking its allocation.
@@ -62,41 +62,20 @@ impl Workspace {
     }
 }
 
-/// Sentinel in [`DofMap::corner_dofs`] for a hanging corner that must be
-/// resolved through the node table's constraint terms.
-const CONSTRAINED: u32 = u32::MAX;
-
-/// Dof-map helper bundling the mesh and communicator.
+/// A view of the mesh's element-to-dof table ([`Mesh::corner_dofs`]) for
+/// fields with `ncomp` interleaved components per dof, plus the
+/// communicator its exchanges and reductions run on. It owns nothing:
+/// constructing one is free.
 pub struct DofMap<'a> {
     pub mesh: &'a Mesh,
     pub comm: &'a Comm,
     /// Components per node (1 = scalar, 3 = velocity).
     pub ncomp: usize,
-    /// Flat corner → local-dof table: entry `8e + c` is the local dof of
-    /// corner `c` of element `e`, or [`CONSTRAINED`] for hanging corners.
-    /// Skips the node-table enum indirection on the (overwhelmingly
-    /// common) unconstrained corner in the gather/scatter hot loop.
-    corner_dofs: Vec<u32>,
 }
 
 impl<'a> DofMap<'a> {
     pub fn new(mesh: &'a Mesh, comm: &'a Comm, ncomp: usize) -> Self {
-        let mut corner_dofs = Vec::with_capacity(mesh.elem_nodes.len() * 8);
-        mesh.for_each_elem_corner(|_, _, res| {
-            corner_dofs.push(match res {
-                NodeResolution::Dof(d) => {
-                    debug_assert!((*d as u64) < CONSTRAINED as u64);
-                    *d as u32
-                }
-                NodeResolution::Constrained(_) => CONSTRAINED,
-            });
-        });
-        DofMap {
-            mesh,
-            comm,
-            ncomp,
-            corner_dofs,
-        }
+        DofMap { mesh, comm, ncomp }
     }
 
     /// Owned vector length.
@@ -114,11 +93,6 @@ impl<'a> DofMap<'a> {
         debug_assert_eq!(a.len(), self.n_owned());
         let local: f64 = a.iter().zip(b).map(|(x, y)| x * y).sum();
         self.comm.allreduce_sum(&[local])[0]
-    }
-
-    /// Global L² norm of an owned vector.
-    pub fn norm(&self, a: &[f64]) -> f64 {
-        self.dot(a, a).sqrt()
     }
 
     /// Global max-norm of an owned vector.
@@ -209,89 +183,18 @@ impl<'a> DofMap<'a> {
     }
 
     /// Gather the element-local vector (length `8·ncomp`) of element `e`
-    /// from an owned+ghost vector, applying hanging-node constraints.
+    /// from an owned+ghost vector, applying hanging-node constraints
+    /// ([`Mesh::gather_element`]).
+    #[inline]
     pub fn gather_element(&self, e: usize, v: &[f64], out: &mut [f64]) {
-        let nc = self.ncomp;
-        debug_assert_eq!(out.len(), 8 * nc);
-        let dofs = &self.corner_dofs[e * 8..e * 8 + 8];
-        if nc == 1 {
-            // Scalar fast path: fixed trip counts, no per-component loop.
-            let out: &mut [f64; 8] = out.try_into().unwrap();
-            for (c, (&d, o)) in dofs.iter().zip(out.iter_mut()).enumerate() {
-                if d != CONSTRAINED {
-                    *o = v[d as usize];
-                } else {
-                    let nref = self.mesh.elem_nodes[e][c];
-                    let NodeResolution::Constrained(terms) = &self.mesh.node_table[nref as usize]
-                    else {
-                        unreachable!("corner_dofs sentinel points at a plain dof");
-                    };
-                    *o = terms.iter().map(|&(d, w)| w * v[d]).sum();
-                }
-            }
-            return;
-        }
-        for (c, &d) in dofs.iter().enumerate() {
-            if d != CONSTRAINED {
-                let d = d as usize;
-                for k in 0..nc {
-                    out[c * nc + k] = v[d * nc + k];
-                }
-            } else {
-                let nref = self.mesh.elem_nodes[e][c];
-                let NodeResolution::Constrained(terms) = &self.mesh.node_table[nref as usize]
-                else {
-                    unreachable!("corner_dofs sentinel points at a plain dof");
-                };
-                for k in 0..nc {
-                    out[c * nc + k] = terms.iter().map(|&(d, w)| w * v[d * nc + k]).sum();
-                }
-            }
-        }
+        self.mesh.gather_element(e, self.ncomp, v, out);
     }
 
-    /// Scatter element contributions back with the constraint transpose.
+    /// Scatter element contributions back with the constraint transpose
+    /// ([`Mesh::scatter_element`]).
+    #[inline]
     pub fn scatter_element(&self, e: usize, contrib: &[f64], v: &mut [f64]) {
-        let nc = self.ncomp;
-        debug_assert_eq!(contrib.len(), 8 * nc);
-        let dofs = &self.corner_dofs[e * 8..e * 8 + 8];
-        if nc == 1 {
-            let contrib: &[f64; 8] = contrib.try_into().unwrap();
-            for (c, (&d, &r)) in dofs.iter().zip(contrib.iter()).enumerate() {
-                if d != CONSTRAINED {
-                    v[d as usize] += r;
-                } else {
-                    let nref = self.mesh.elem_nodes[e][c];
-                    let NodeResolution::Constrained(terms) = &self.mesh.node_table[nref as usize]
-                    else {
-                        unreachable!("corner_dofs sentinel points at a plain dof");
-                    };
-                    for &(d, w) in terms {
-                        v[d] += w * r;
-                    }
-                }
-            }
-            return;
-        }
-        for (c, &d) in dofs.iter().enumerate() {
-            if d != CONSTRAINED {
-                let d = d as usize;
-                for k in 0..nc {
-                    v[d * nc + k] += contrib[c * nc + k];
-                }
-            } else {
-                let nref = self.mesh.elem_nodes[e][c];
-                let NodeResolution::Constrained(terms) = &self.mesh.node_table[nref as usize]
-                else {
-                    unreachable!("corner_dofs sentinel points at a plain dof");
-                };
-                for &(d, w) in terms {
-                    for k in 0..nc {
-                        v[d * nc + k] += w * contrib[c * nc + k];
-                    }
-                }
-            }
-        }
+        self.mesh.scatter_element(e, self.ncomp, contrib, v);
     }
 }
 
@@ -437,7 +340,7 @@ impl<'a> LinearOp for DistOp<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::element::{mass_matrix, stiffness_matrix};
+    use crate::element::{mass_matrix, stiffness_source};
     use la::krylov::cg;
     use mesh::extract::extract_mesh;
     use octree::balance::BalanceKind;
@@ -462,19 +365,7 @@ mod tests {
             let f = |p: [f64; 3]| 3.0 * pi * pi * exact(p);
 
             let bc: Vec<bool> = (0..m.n_owned).map(|d| m.dof_on_boundary(d)).collect();
-            let mesh_ref = &m;
-            let op = DistOp::new(
-                &map,
-                Box::new(move |e, out: &mut [f64]| {
-                    let k = stiffness_matrix(mesh_ref.element_size(e), 1.0);
-                    for i in 0..8 {
-                        for j in 0..8 {
-                            out[i * 8 + j] = k[i][j];
-                        }
-                    }
-                }),
-                Some(&bc),
-            );
+            let op = DistOp::new(&map, Box::new(stiffness_source(&m, |_| 1.0)), Some(&bc));
             // rhs = M f (consistent mass), assembled matrix-free.
             let mut rhs_local = vec![0.0; map.n_local()];
             let mut fe = vec![0.0; 8];
@@ -549,20 +440,8 @@ mod tests {
             t.partition();
             let m = extract_mesh(&t, [1.0, 1.0, 1.0]);
             let map = DofMap::new(&m, c, 1);
-            let mesh_ref = &m;
             let bc: Vec<bool> = (0..m.n_owned).map(|d| m.dof_on_boundary(d)).collect();
-            let op = DistOp::new(
-                &map,
-                Box::new(move |e, out: &mut [f64]| {
-                    let k = stiffness_matrix(mesh_ref.element_size(e), 1.0);
-                    for i in 0..8 {
-                        for j in 0..8 {
-                            out[i * 8 + j] = k[i][j];
-                        }
-                    }
-                }),
-                Some(&bc),
-            );
+            let op = DistOp::new(&map, Box::new(stiffness_source(&m, |_| 1.0)), Some(&bc));
             let x: Vec<f64> = (0..m.n_owned).map(|d| (d % 7) as f64 - 3.0).collect();
             let mut y = vec![0.0; m.n_owned];
             op.apply_owned(&x, &mut y);
@@ -588,19 +467,7 @@ mod tests {
             t.partition();
             let m = extract_mesh(&t, [1.0, 1.0, 1.0]);
             let map = DofMap::new(&m, c, 1);
-            let mesh_ref = &m;
-            let op = DistOp::new(
-                &map,
-                Box::new(move |e, out: &mut [f64]| {
-                    let k = stiffness_matrix(mesh_ref.element_size(e), 1.0);
-                    for i in 0..8 {
-                        for j in 0..8 {
-                            out[i * 8 + j] = k[i][j];
-                        }
-                    }
-                }),
-                None,
-            );
+            let op = DistOp::new(&map, Box::new(stiffness_source(&m, |_| 1.0)), None);
             // <Au, v> == <u, Av> with deterministic pseudo-random vectors
             // (consistent across ranks via global dof ids).
             let mk = |salt: u64| -> Vec<f64> {

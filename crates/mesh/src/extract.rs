@@ -40,17 +40,29 @@ pub fn node_coords(key: NodeKey) -> (u32, u32, u32) {
     morton_decode(key)
 }
 
-/// Resolution of one mesh node into independent dofs.
-#[derive(Debug, Clone, PartialEq)]
-pub enum NodeResolution {
-    /// An independent node: local dof index (owned or ghost).
+/// Tag bit of a hanging corner in [`Mesh::corner_dofs`]: the low bits
+/// of such an entry are the corner's row in [`Mesh::constraints`].
+const HANGING_BIT: u32 = 1 << 31;
+
+/// One element corner, decoded from [`Mesh::corner_dofs`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Corner {
+    /// An independent corner: its local dof index (owned or ghost).
     Dof(usize),
-    /// A hanging node: weighted combination of local dof indices.
-    Constrained(Vec<(usize, f64)>),
+    /// A hanging corner: its row of [`Mesh::constraints`].
+    Hanging(usize),
 }
 
-/// Per-element corner reference into [`Mesh::node_table`].
-pub type CornerRef = u32;
+/// The hanging-node constraint rows of a mesh in one CSR arena: one row
+/// per distinct hanging local node, rows in node-key order, each row its
+/// `(local dof, weight)` terms in ascending node-key order.
+#[derive(Debug, Clone)]
+pub struct Constraints {
+    /// Row `r` is `terms[offsets[r]..offsets[r + 1]]`; `offsets[0] = 0`.
+    pub offsets: Vec<usize>,
+    /// The terms of every row, back to back.
+    pub terms: Vec<(usize, f64)>,
+}
 
 /// Ghost-value exchange pattern between ranks.
 #[derive(Debug, Clone, Default)]
@@ -87,7 +99,7 @@ pub struct ExchangeBuffers {
 impl ExchangeBuffers {
     /// Buffers posting on stream 0. The blocking
     /// [`ExchangePattern::exchange`] and
-    /// [`ExchangePattern::reverse_accumulate`] each use a fresh set of
+    /// `fem::op::DofMap::{exchange, reverse_accumulate}` each use a fresh set of
     /// these: they post and complete their round before returning, so
     /// they never leave a stream-0 round in flight. A caller must not
     /// call them while it holds a stream-0 round of its own in flight.
@@ -127,15 +139,6 @@ impl ExchangePattern {
         let mut buf = ExchangeBuffers::new();
         self.exchange_begin_interleaved(comm, v, 1, &mut buf);
         self.exchange_end_interleaved(comm, v, n_owned, 1, &mut buf);
-    }
-
-    /// Reverse exchange: add each ghost value back into the owner's entry
-    /// and zero the ghost block (FEM assembly accumulation). One
-    /// split-phase round, posted and completed.
-    pub fn reverse_accumulate(&self, comm: &Comm, v: &mut [f64], n_owned: usize) {
-        let mut buf = ExchangeBuffers::new();
-        self.reverse_accumulate_begin_interleaved(comm, v, n_owned, 1, &mut buf);
-        self.reverse_accumulate_end_interleaved(comm, v, n_owned, 1, &mut buf);
     }
 
     /// Fold the received reverse contributions into the owned block, in
@@ -253,14 +256,14 @@ pub struct Mesh {
     pub domain: [f64; 3],
     /// Local elements (copies of the octree leaves at extraction time).
     pub elements: Vec<Octant>,
-    /// Per element, indices of its 8 corner nodes into `node_table`
-    /// (z-order).
-    pub elem_nodes: Vec<[CornerRef; 8]>,
-    /// Distinct local nodes: resolution into local dofs.
-    pub node_table: Vec<NodeResolution>,
-    /// Lattice key of each entry of `node_table`, strictly ascending: the
-    /// sorted, deduplicated corner keys of `elements`.
-    pub node_keys: Vec<NodeKey>,
+    /// The element-to-dof table: entry `8e + c` is corner `c` (z-order)
+    /// of element `e`, the corner's local dof if it is independent, or
+    /// its row of [`Mesh::constraints`] tagged as hanging. The corners of
+    /// one node hold the same entry. Read it through [`Mesh::corner`] or
+    /// the element gather and scatter.
+    pub corner_dofs: Vec<u32>,
+    /// The constraint rows the hanging corners of `corner_dofs` name.
+    pub constraints: Constraints,
     /// Number of owned dofs (local dof indices `0..n_owned`).
     pub n_owned: usize,
     /// Number of ghost dofs (local dof indices `n_owned..n_owned+n_ghost`).
@@ -332,29 +335,110 @@ impl Mesh {
         [h * self.domain[0], h * self.domain[1], h * self.domain[2]]
     }
 
-    /// Visit every element corner with its node resolution, elements in
-    /// curve order and corners in z-order — the one traversal dof maps
-    /// and constraint tables are built from, so consumers do not walk
-    /// `elem_nodes` × `node_table` by hand.
-    pub fn for_each_elem_corner(&self, mut f: impl FnMut(usize, usize, &NodeResolution)) {
-        for (e, nodes) in self.elem_nodes.iter().enumerate() {
-            for (c, &nref) in nodes.iter().enumerate() {
-                f(e, c, &self.node_table[nref as usize]);
+    /// Corner `c` of element `e`, decoded.
+    #[inline]
+    pub fn corner(&self, e: usize, c: usize) -> Corner {
+        decode(self.corner_dofs[8 * e + c])
+    }
+
+    /// Number of constraint rows: the distinct hanging local nodes.
+    pub fn n_hanging(&self) -> usize {
+        self.constraints.offsets.len().saturating_sub(1)
+    }
+
+    /// The `(local dof, weight)` terms of constraint row `r < n_hanging()`.
+    #[inline]
+    pub fn constraint_row(&self, r: usize) -> &[(usize, f64)] {
+        let offsets = &self.constraints.offsets;
+        &self.constraints.terms[offsets[r]..offsets[r + 1]]
+    }
+
+    /// Gather the element-local vector of element `e` (length `8·nc`,
+    /// corner-major) from an owned+ghost vector with `nc` interleaved
+    /// components per dof (`v[d·nc + k]`): a hanging corner takes its
+    /// constraint row's weighted sum, terms in row order.
+    #[inline]
+    pub fn gather_element(&self, e: usize, nc: usize, v: &[f64], out: &mut [f64]) {
+        debug_assert_eq!(out.len(), 8 * nc);
+        let dofs = &self.corner_dofs[e * 8..e * 8 + 8];
+        if nc == 1 {
+            // Scalar fast path: fixed trip counts, no per-component loop.
+            let out: &mut [f64; 8] = out.try_into().unwrap();
+            for (&d, o) in dofs.iter().zip(out.iter_mut()) {
+                *o = match decode(d) {
+                    Corner::Dof(d) => v[d],
+                    Corner::Hanging(r) => {
+                        self.constraint_row(r).iter().map(|&(d, w)| w * v[d]).sum()
+                    }
+                };
+            }
+            return;
+        }
+        for (c, &d) in dofs.iter().enumerate() {
+            match decode(d) {
+                Corner::Dof(d) => (0..nc).for_each(|k| out[c * nc + k] = v[d * nc + k]),
+                Corner::Hanging(r) => {
+                    let terms = self.constraint_row(r);
+                    for k in 0..nc {
+                        out[c * nc + k] = terms.iter().map(|&(d, w)| w * v[d * nc + k]).sum();
+                    }
+                }
             }
         }
     }
 
-    /// Resolve the 8 corner values of element `e` from a local field
-    /// vector (owned + ghost layout), applying hanging-node constraints.
+    /// Scatter element contributions (the layout of
+    /// [`Mesh::gather_element`]) back into an owned+ghost vector with the
+    /// constraint transpose, terms in row order.
+    #[inline]
+    pub fn scatter_element(&self, e: usize, nc: usize, contrib: &[f64], v: &mut [f64]) {
+        debug_assert_eq!(contrib.len(), 8 * nc);
+        let dofs = &self.corner_dofs[e * 8..e * 8 + 8];
+        if nc == 1 {
+            let contrib: &[f64; 8] = contrib.try_into().unwrap();
+            for (&d, &r) in dofs.iter().zip(contrib.iter()) {
+                match decode(d) {
+                    Corner::Dof(d) => v[d] += r,
+                    Corner::Hanging(row) => {
+                        for &(d, w) in self.constraint_row(row) {
+                            v[d] += w * r;
+                        }
+                    }
+                }
+            }
+            return;
+        }
+        for (c, &d) in dofs.iter().enumerate() {
+            match decode(d) {
+                Corner::Dof(d) => (0..nc).for_each(|k| v[d * nc + k] += contrib[c * nc + k]),
+                Corner::Hanging(r) => {
+                    for &(d, w) in self.constraint_row(r) {
+                        for k in 0..nc {
+                            v[d * nc + k] += w * contrib[c * nc + k];
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    /// Resolve the 8 corner values of element `e` from a scalar local
+    /// field vector (owned + ghost layout), applying hanging-node
+    /// constraints.
     pub fn corner_values(&self, e: usize, v: &[f64]) -> [f64; 8] {
         let mut out = [0.0; 8];
-        for (c, &nref) in self.elem_nodes[e].iter().enumerate() {
-            out[c] = match &self.node_table[nref as usize] {
-                NodeResolution::Dof(d) => v[*d],
-                NodeResolution::Constrained(terms) => terms.iter().map(|&(d, w)| w * v[d]).sum(),
-            };
-        }
+        self.gather_element(e, 1, v, &mut out);
         out
+    }
+}
+
+/// Decode one entry of [`Mesh::corner_dofs`].
+#[inline]
+fn decode(d: u32) -> Corner {
+    if d & HANGING_BIT == 0 {
+        Corner::Dof(d as usize)
+    } else {
+        Corner::Hanging((d & !HANGING_BIT) as usize)
     }
 }
 
@@ -368,6 +452,20 @@ fn leaf_corner_keys(o: &Octant) -> [NodeKey; 8] {
             o.z() + ((c as u32 >> 2) & 1) * l,
         )
     })
+}
+
+/// Every corner of `elements` as `(key, 8e + c)`, sorted: the corners of
+/// one node form one run, the node's first corner leading it. The
+/// distinct keys in order are the mesh's local nodes.
+pub fn sorted_corners(elements: &[Octant]) -> Vec<(NodeKey, u32)> {
+    let mut corners: Vec<(NodeKey, u32)> = Vec::with_capacity(8 * elements.len());
+    for (e, o) in elements.iter().enumerate() {
+        for (c, k) in leaf_corner_keys(o).into_iter().enumerate() {
+            corners.push((k, (8 * e + c) as u32));
+        }
+    }
+    corners.sort_unstable();
+    corners
 }
 
 /// The up-to-8 finest-level cells incident to node `p`, as octants, in
@@ -545,25 +643,19 @@ pub fn extract_mesh_with_ghosts(
         .map_or(0, |o| view.entries.partition_point(|e| e.0 < *o));
 
     // ---- Node table: sorted, deduplicated corner keys ----------------
-    let mut corners: Vec<(NodeKey, u32)> = Vec::with_capacity(8 * local.len());
-    for (e, o) in local.iter().enumerate() {
-        for (c, k) in leaf_corner_keys(o).into_iter().enumerate() {
-            corners.push((k, (8 * e + c) as u32));
-        }
-    }
-    corners.sort_unstable();
     let mut node_keys: Vec<NodeKey> = Vec::new();
     // Each node's first local corner, packed as 8·e + c.
     let mut first_corner: Vec<u32> = Vec::new();
-    let mut elem_nodes = vec![[0 as CornerRef; 8]; local.len()];
-    for &(k, ec) in &corners {
+    // Node index of each corner 8·e + c; rewritten in place into the
+    // corner table once the nodes are resolved.
+    let mut node_of = vec![0u32; 8 * local.len()];
+    for (k, ec) in sorted_corners(local) {
         if node_keys.last() != Some(&k) {
             node_keys.push(k);
             first_corner.push(ec);
         }
-        elem_nodes[ec as usize / 8][ec as usize % 8] = (node_keys.len() - 1) as CornerRef;
+        node_of[ec as usize] = (node_keys.len() - 1) as u32;
     }
-    drop(corners);
     let n_nodes = node_keys.len();
 
     // ---- Classification: each node once, from its first corner -------
@@ -606,7 +698,7 @@ pub fn extract_mesh_with_ghosts(
                 foreign.push((owner, mkeys[ci], w));
                 continue;
             }
-            let (si, sf) = spans[elem_nodes[mi - first_local][ci] as usize].clone();
+            let (si, sf) = spans[node_of[8 * (mi - first_local) + ci] as usize].clone();
             for j in si {
                 indep.push((indep[j].0, w * indep[j].1));
             }
@@ -764,9 +856,10 @@ pub fn extract_mesh_with_ghosts(
         recv_counts[offsets.partition_point(|&o| o <= g) - 1] += 1;
     }
 
-    // ---- Build the node table over local dof indices ----------------
+    // ---- Corner table and constraint arena over local dof indices ----
     // A constraint row is the node's local terms then its remote ones,
-    // stably sorted by key with duplicate keys summed.
+    // stably sorted by key with duplicate keys summed. Rows follow node
+    // order, so hanging corners of one node share one row.
     let lookup_dof = |k: NodeKey| -> usize {
         owned_keys.binary_search(&k).unwrap_or_else(|_| {
             let fi = foreign_keys
@@ -775,11 +868,17 @@ pub fn extract_mesh_with_ghosts(
             ghost_slot[fi]
         })
     };
+    let mut constraints = Constraints {
+        offsets: vec![0],
+        terms: Vec::new(),
+    };
     let mut row: Vec<(NodeKey, f64)> = Vec::new();
-    let node_table: Vec<NodeResolution> = (0..n_nodes)
+    let node_entry: Vec<u32> = (0..n_nodes)
         .map(|n| {
             if master[n] == INDEPENDENT {
-                return NodeResolution::Dof(lookup_dof(node_keys[n]));
+                let d = lookup_dof(node_keys[n]);
+                debug_assert!(d < HANGING_BIT as usize, "dof {d} overflows the table");
+                return d as u32;
             }
             let lo = remote.partition_point(|t| t.0 < n);
             let hi = remote.partition_point(|t| t.0 <= n);
@@ -793,38 +892,38 @@ pub fn extract_mesh_with_ghosts(
                     true
                 }
             });
-            NodeResolution::Constrained(row.iter().map(|&(k, w)| (lookup_dof(k), w)).collect())
+            // A row is a convex combination: weights in (0,1] summing to
+            // 1. The cross-rank consistency checks live in `check`.
+            debug_assert!(
+                !scomm::checks_enabled()
+                    || (row.iter().map(|t| t.1).sum::<f64>() - 1.0).abs() < 1e-9
+                        && row.iter().all(|t| t.1 > 0.0 && t.1 <= 1.0),
+                "constraint row for node {:#x} is not a partition of unity: {row:?}",
+                node_keys[n]
+            );
+            let r = constraints.offsets.len() - 1;
+            constraints
+                .terms
+                .extend(row.iter().map(|&(k, w)| (lookup_dof(k), w)));
+            constraints.offsets.push(constraints.terms.len());
+            HANGING_BIT | r as u32
         })
         .collect();
+    let mut corner_dofs = node_of;
+    for entry in &mut corner_dofs {
+        *entry = node_entry[*entry as usize];
+    }
 
     // dof keys: owned then ghost (`owned_keys` is not needed again, so
     // move it instead of copying).
     let mut dof_keys = owned_keys;
     dof_keys.extend(gid_queries.iter().flatten());
 
-    // Hanging-node rows are convex combinations: weights in (0,1]
-    // summing to 1. O(local); the cross-rank consistency checks live in
-    // the `check` crate.
-    #[cfg(debug_assertions)]
-    if scomm::checks_enabled() {
-        for (i, res) in node_table.iter().enumerate() {
-            if let NodeResolution::Constrained(terms) = res {
-                let sum: f64 = terms.iter().map(|t| t.1).sum();
-                assert!(
-                    (sum - 1.0).abs() < 1e-9 && terms.iter().all(|t| t.1 > 0.0 && t.1 <= 1.0),
-                    "constraint row for node {:#x} is not a partition of unity: {terms:?}",
-                    node_keys[i]
-                );
-            }
-        }
-    }
-
     Mesh {
         domain,
         elements: tree.local.clone(),
-        elem_nodes,
-        node_table,
-        node_keys,
+        corner_dofs,
+        constraints,
         n_owned,
         n_ghost,
         global_offset,
@@ -843,6 +942,14 @@ mod tests {
     use super::*;
     use octree::balance::BalanceKind;
     use scomm::spmd;
+
+    /// Add the ghost block of the scalar field `v` into its owners.
+    fn reverse_accumulate(m: &Mesh, c: &Comm, v: &mut [f64]) {
+        let mut buf = ExchangeBuffers::new();
+        let ex = &m.exchange;
+        ex.reverse_accumulate_begin_interleaved(c, v, m.n_owned, 1, &mut buf);
+        ex.reverse_accumulate_end_interleaved(c, v, m.n_owned, 1, &mut buf);
+    }
 
     fn extract(nranks: usize, level: u8, refine_corner: bool) -> Vec<(usize, usize, u64)> {
         spmd::run(nranks, move |c| {
@@ -907,20 +1014,17 @@ mod tests {
             t.balance(BalanceKind::Full);
             t.partition();
             let m = extract_mesh(&t, [1.0, 1.0, 1.0]);
-            let mut n_hanging = 0;
-            for res in &m.node_table {
-                if let NodeResolution::Constrained(terms) = res {
-                    n_hanging += 1;
-                    let s: f64 = terms.iter().map(|t| t.1).sum();
-                    assert!((s - 1.0).abs() < 1e-12, "weights sum to {s}");
-                    assert!(
-                        terms.len() == 2 || terms.len() == 4,
-                        "face/edge hanging nodes have 2 or 4 masters, got {}",
-                        terms.len()
-                    );
-                }
+            for r in 0..m.n_hanging() {
+                let terms = m.constraint_row(r);
+                let s: f64 = terms.iter().map(|t| t.1).sum();
+                assert!((s - 1.0).abs() < 1e-12, "weights sum to {s}");
+                assert!(
+                    terms.len() == 2 || terms.len() == 4,
+                    "face/edge hanging nodes have 2 or 4 masters, got {}",
+                    terms.len()
+                );
             }
-            let total = c.allreduce_sum(&[n_hanging as u64])[0];
+            let total = c.allreduce_sum(&[m.n_hanging() as u64])[0];
             assert!(total > 0, "fixture must contain hanging nodes");
         });
     }
@@ -988,7 +1092,7 @@ mod tests {
                 w[m.n_owned + g] = 1.0;
             }
             let ghost_total = c.allreduce_sum(&[m.n_ghost as f64])[0];
-            m.exchange.reverse_accumulate(c, &mut w, m.n_owned);
+            reverse_accumulate(&m, c, &mut w);
             let own_sum: f64 = w[..m.n_owned].iter().sum();
             let total = c.allreduce_sum(&[own_sum])[0];
             assert!((total - ghost_total).abs() < 1e-12);
@@ -1056,7 +1160,7 @@ mod tests {
                 for i in 0..n_local {
                     scratch[i] = w_ref[i * ncomp + k];
                 }
-                m.exchange.reverse_accumulate(c, &mut scratch, m.n_owned);
+                reverse_accumulate(&m, c, &mut scratch);
                 for i in 0..n_local {
                     w_ref[i * ncomp + k] = scratch[i];
                 }
@@ -1108,14 +1212,23 @@ mod tests {
                 t.balance(BalanceKind::Full);
                 t.partition();
                 let m = extract_mesh(&t, [1.0, 1.0, 1.0]);
-                assert!(m.node_keys.windows(2).all(|w| w[0] < w[1]));
-                assert_eq!(m.node_keys.len(), m.node_table.len());
-                for (e, o) in m.elements.iter().enumerate() {
-                    let keys = leaf_corner_keys(o);
-                    for (i, &nref) in m.elem_nodes[e].iter().enumerate() {
-                        assert_eq!(m.node_keys[nref as usize], keys[i], "elem {e} corner {i}");
+                // The corners of one node hold one entry: the dof of its
+                // key, or the next row in key order.
+                let mut rows = 0;
+                for run in sorted_corners(&m.elements).chunk_by(|a, b| a.0 == b.0) {
+                    let (key, first) = (run[0].0, run[0].1 as usize);
+                    for &(_, ec) in run {
+                        assert_eq!(m.corner_dofs[ec as usize], m.corner_dofs[first]);
+                    }
+                    match m.corner(first / 8, first % 8) {
+                        Corner::Dof(d) => assert_eq!(m.dof_keys[d], key),
+                        Corner::Hanging(r) => {
+                            assert_eq!(r, rows, "node {key:#x}");
+                            rows += 1;
+                        }
                     }
                 }
+                assert_eq!(rows, m.n_hanging());
             });
         }
     }

@@ -16,7 +16,7 @@
 //! location from the dofs of an extracted new mesh; the stand-alone
 //! `mesh.interp_ms` probe times it and the tests use it as the reference.
 
-use crate::extract::{incident_probes, node_coords, Mesh, NodeResolution};
+use crate::extract::{incident_probes, node_coords, Corner, Mesh};
 use octree::ops::find_containing;
 use octree::{Octant, MAX_LEVEL};
 
@@ -150,14 +150,14 @@ pub fn unpack_corner_values(mesh: &Mesh, data: &[f64]) -> Vec<f64> {
     assert_eq!(data.len(), 8 * mesh.elements.len());
     let mut f = vec![0.0; mesh.n_owned];
     let mut filled = vec![false; mesh.n_owned];
-    mesh.for_each_elem_corner(|e, c, res| {
-        if let NodeResolution::Dof(d) = *res {
+    for (ec, &value) in data.iter().enumerate() {
+        if let Corner::Dof(d) = mesh.corner(ec / 8, ec % 8) {
             if d < mesh.n_owned && !filled[d] {
-                f[d] = data[8 * e + c];
+                f[d] = value;
                 filled[d] = true;
             }
         }
-    });
+    }
     assert!(filled.iter().all(|&x| x), "owned dof not covered by unpack");
     f
 }
@@ -240,11 +240,7 @@ mod tests {
             let f = |p: [f64; 3]| 2.0 * p[0] - p[1] + 3.0 * p[2] + 0.25;
             let mut t = DistOctree::new_uniform(c, 2);
             let old_mesh = extract_mesh(&t, [1.0, 1.0, 1.0]);
-            let mut v = vec![0.0; old_mesh.n_local()];
-            for d in 0..old_mesh.n_owned {
-                v[d] = f(old_mesh.dof_coords(d));
-            }
-            old_mesh.exchange.exchange(c, &mut v, old_mesh.n_owned);
+            let v = sample(c, &old_mesh, f);
 
             // One adaptation step: refine one region, coarsen another.
             t.refine(|o| o.center_unit()[0] < 0.3);
@@ -310,11 +306,7 @@ mod tests {
                 };
                 let mut t = DistOctree::new_uniform(c, 2);
                 let m_fine = extract_mesh(&t, [1.0, 1.0, 1.0]);
-                let mut v = vec![0.0; m_fine.n_local()];
-                for d in 0..m_fine.n_owned {
-                    v[d] = f(m_fine.dof_coords(d));
-                }
-                m_fine.exchange.exchange(c, &mut v, m_fine.n_owned);
+                let v = sample(c, &m_fine, f);
 
                 t.coarsen(|_| true);
                 let m_coarse = extract_mesh(&t, [1.0, 1.0, 1.0]);

@@ -23,6 +23,6 @@ pub mod extract;
 pub mod interp;
 pub mod vtk;
 
-pub use extract::{CornerRef, ExchangePattern, Mesh, NodeResolution};
+pub use extract::{Constraints, Corner, ExchangePattern, Mesh};
 pub use interp::{transfer_corner_values_into, unpack_corner_values};
 pub use vtk::write_vtk;

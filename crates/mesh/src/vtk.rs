@@ -86,6 +86,12 @@ mod tests {
     use octree::parallel::DistOctree;
     use scomm::spmd;
 
+    /// A path under the temp directory, unique to this test process.
+    fn temp_path(name: &str) -> String {
+        let file = format!("rhea_vtk_{}_{name}.vtk", std::process::id());
+        std::env::temp_dir().join(file).display().to_string()
+    }
+
     #[test]
     fn vtk_output_is_well_formed() {
         spmd::run(2, |c| {
@@ -99,9 +105,10 @@ mod tests {
                 f[d] = m.dof_coords(d)[0];
             }
             m.exchange.exchange(c, &mut f, m.n_owned);
-            let path = format!("/tmp/rhea_vtk_test_{}.vtk", c.rank());
+            let path = temp_path(&format!("test_{}", c.rank()));
             write_vtk(&m, &[("x", &f)], &path).expect("write ok");
             let content = std::fs::read_to_string(&path).unwrap();
+            std::fs::remove_file(&path).ok();
             assert!(content.starts_with("# vtk DataFile"));
             let ne = m.elements.len();
             assert!(content.contains(&format!("POINTS {} double", 8 * ne)));
@@ -111,7 +118,6 @@ mod tests {
             // Point count consistency: POINTS line count parses.
             let lines = content.lines().count();
             assert!(lines > 8 * ne + ne);
-            std::fs::remove_file(&path).ok();
         });
     }
 
@@ -129,9 +135,10 @@ mod tests {
                 let p = m.dof_coords(d);
                 f[d] = p[0] + 2.0 * p[1] - p[2];
             }
-            let path = "/tmp/rhea_vtk_hanging.vtk";
-            write_vtk(&m, &[("lin", &f)], path).unwrap();
-            let content = std::fs::read_to_string(path).unwrap();
+            let path = temp_path("hanging");
+            write_vtk(&m, &[("lin", &f)], &path).unwrap();
+            let content = std::fs::read_to_string(&path).unwrap();
+            std::fs::remove_file(&path).ok();
             // Parse points and values back and verify linearity.
             let mut lines = content.lines();
             for l in lines.by_ref() {
@@ -158,7 +165,6 @@ mod tests {
                 let expect = p[0] + 2.0 * p[1] - p[2];
                 assert!((v - expect).abs() < 1e-9, "at {p:?}: {v} vs {expect}");
             }
-            std::fs::remove_file(path).ok();
         });
     }
 }

@@ -873,12 +873,7 @@ mod tests {
         t.balance(BalanceKind::Full);
         t.partition();
         let m = extract_mesh(&t, [2.0, 1.0, 1.0]);
-        let hanging = m
-            .node_table
-            .iter()
-            .filter(|r| matches!(r, mesh::extract::NodeResolution::Constrained(_)))
-            .count();
-        assert!(hanging > 0, "rank {} sees no hanging node", c.rank());
+        assert!(m.n_hanging() > 0, "rank {} sees no hanging node", c.rank());
         m
     }
 

@@ -3,7 +3,7 @@
 //!
 //! Run with: `cargo run --release --example quickstart`
 
-use fem::element::stiffness_matrix;
+use fem::element::stiffness_source;
 use fem::op::{DistOp, DofMap};
 use la::cg;
 use mesh::extract::extract_mesh;
@@ -41,19 +41,7 @@ fn main() {
         // 6. Solve −Δu = 1 with homogeneous Dirichlet BCs, matrix-free.
         let map = DofMap::new(&mesh, comm, 1);
         let bc: Vec<bool> = (0..mesh.n_owned).map(|d| mesh.dof_on_boundary(d)).collect();
-        let mref = &mesh;
-        let op = DistOp::new(
-            &map,
-            Box::new(move |e, out: &mut [f64]| {
-                let k = stiffness_matrix(mref.element_size(e), 1.0);
-                for i in 0..8 {
-                    for j in 0..8 {
-                        out[i * 8 + j] = k[i][j];
-                    }
-                }
-            }),
-            Some(&bc),
-        );
+        let op = DistOp::new(&map, Box::new(stiffness_source(&mesh, |_| 1.0)), Some(&bc));
         // Load vector: lumped ∫ N_i · 1.
         let mut rhs = vec![0.0; map.n_local()];
         for e in 0..mesh.elements.len() {

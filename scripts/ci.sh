@@ -30,7 +30,10 @@ cargo fmt --all -- --check
 #   both tree types);
 # - the in-tree `proptest` stand-in (seeded tests draw from
 #   `scomm::rng::SplitMix64`) and the octree's copy of the invariant
-#   checkers (`check::curve_checks` serves both tree types).
+#   checkers (`check::curve_checks` serves both tree types);
+# - the mesh's node table with its per-node enum, `DofMap`'s copy of it and
+#   `ExchangePattern::reverse_accumulate` (`mesh` alone owns and decodes the
+#   one element-to-dof table, so no other crate names its hanging tag).
 echo "==> deleted code stays deleted"
 if grep -rnE 'MachineModel|phase_comm_seconds|paper_core_counts|host_to_(model|flops)' \
     crates src tests examples ||
@@ -49,6 +52,10 @@ if grep -rnE 'MachineModel|phase_comm_seconds|paper_core_counts|host_to_(model|f
     grep -rn 'fn insulated' crates/forest ||
     grep -rn proptest Cargo.toml crates ||
     grep -rn octree_checks crates ||
+    grep -rnE 'NodeResolution|node_table|elem_nodes|for_each_elem_corner|CornerRef|CONSTRAINED' \
+        crates src tests examples ||
+    grep -rnE 'pub fn reverse_accumulate\(' crates/mesh/src ||
+    grep -rn HANGING_BIT crates src tests examples | grep -v '^crates/mesh/' ||
     grep -rniE 'modeled|extrapolat' crates/bench/src results/*.txt; then
     echo "ci: deleted code is back (see above)" >&2
     exit 1

@@ -8,10 +8,18 @@
 //! owners in a single `alltoallv`. Received triplets whose column is also
 //! locally owned are added; couplings to other ranks' dofs are dropped
 //! (that is precisely the block-Jacobi approximation).
+//!
+//! Summation order (DESIGN.md §7): entry `(r, c)` is the sum of its
+//! contributions from the local elements in element order — within an
+//! element in `(ci, cj, a, b, row term, column term)` order — and then of
+//! the received foreign-row terms in delivery (rank) order. Masked rows
+//! and columns are eliminated after summation ([`Csr::eliminate`]), so
+//! `assemble_owned_block(map, src, Some(m))` equals
+//! `assemble_owned_block(map, src, None).eliminate(m)` bit for bit.
 
 use crate::op::DofMap;
 use la::Csr;
-use mesh::extract::Corner;
+use mesh::extract::{Corner, Mesh};
 
 /// Source of element matrices for assembly.
 pub type ElementMatrixSource<'a> = dyn Fn(usize, &mut [f64]) + 'a;
@@ -26,9 +34,60 @@ struct WireTriplet {
 }
 unsafe impl scomm::Pod for WireTriplet {}
 
+/// Visit every nonzero raw term of element `e`'s matrix `mat` (row-major,
+/// `8·nc` square) in assembly order: `(ci, cj, a, b)`, then the row
+/// corner's constraint terms, then the column corner's. Each call gets
+/// the local dofs `(di, dj)`, the components `(a, b)` and the weighted
+/// value.
+#[inline]
+fn for_each_term(
+    mesh: &Mesh,
+    e: usize,
+    nc: usize,
+    mat: &[f64],
+    mut f: impl FnMut(usize, usize, usize, usize, f64),
+) {
+    let dim = 8 * nc;
+    // Corner expansions: a plain dof is one unit-weight term in a stack
+    // slot, a hanging corner its constraint row in place.
+    let corners: [Corner; 8] = std::array::from_fn(|c| mesh.corner(e, c));
+    let plain: [(usize, f64); 8] = std::array::from_fn(|c| match corners[c] {
+        Corner::Dof(d) => (d, 1.0),
+        Corner::Hanging(_) => (usize::MAX, 0.0),
+    });
+    let expansions: [&[(usize, f64)]; 8] = std::array::from_fn(|c| match corners[c] {
+        Corner::Dof(_) => std::slice::from_ref(&plain[c]),
+        Corner::Hanging(r) => mesh.constraint_row(r),
+    });
+    for ci in 0..8 {
+        for cj in 0..8 {
+            for a in 0..nc {
+                for b in 0..nc {
+                    let v = mat[(ci * nc + a) * dim + cj * nc + b];
+                    if v == 0.0 {
+                        continue;
+                    }
+                    for &(di, wi) in expansions[ci] {
+                        for &(dj, wj) in expansions[cj] {
+                            f(di, dj, a, b, wi * wj * v);
+                        }
+                    }
+                }
+            }
+        }
+    }
+}
+
 /// Assemble the owned-block CSR (`n_owned·ncomp` square) of the operator
 /// given by `elem_matrix`, with symmetric Dirichlet elimination for
-/// `bc_mask` (identity rows/columns). Collective.
+/// `bc_mask` (identity rows/columns). An absent or zero diagonal becomes
+/// `1.0`. Collective.
+///
+/// No global triplet list: a first pass over the elements counts the raw
+/// terms of each owned row (and ships the foreign-row ones), a second
+/// places `(column, value)` into one row-grouped arena in element order,
+/// and [`Csr::from_row_terms`] sums each row's repeats in arena order.
+/// `elem_matrix` is called twice per element.
 pub fn assemble_owned_block(
     map: &DofMap,
     elem_matrix: &ElementMatrixSource,
@@ -37,14 +96,14 @@ pub fn assemble_owned_block(
     let mesh = map.mesh;
     let comm = map.comm;
     let nc = map.ncomp;
-    let dim = 8 * nc;
     let n_owned = mesh.n_owned;
+    let n = n_owned * nc;
     let offset = mesh.global_offset;
+    assert!(
+        n <= u32::MAX as usize,
+        "owned block columns must fit in u32"
+    );
 
-    // Expand each element corner into (local dof, weight) terms once.
-    let mut mat = vec![0.0; dim * dim];
-    let mut local_trips: Vec<(usize, usize, f64)> = Vec::new();
-    let mut remote: Vec<Vec<WireTriplet>> = vec![Vec::new(); comm.size()];
     // gid of a local dof index (owned or ghost).
     let gid_of = |d: usize| -> u64 {
         if d < n_owned {
@@ -57,94 +116,74 @@ pub fn assemble_owned_block(
     let offsets = comm.allgatherv(&[offset]);
     let owner_of_gid = |g: u64| -> usize { offsets.partition_point(|&o| o <= g) - 1 };
 
+    // Pass one: count the owned terms of each row, ship the foreign ones.
+    let mut mat = vec![0.0; 64 * nc * nc];
+    let mut row_ptr = vec![0usize; n + 1];
+    let mut remote: Vec<Vec<WireTriplet>> = vec![Vec::new(); comm.size()];
     for e in 0..mesh.elements.len() {
         elem_matrix(e, &mut mat);
-        // Corner expansions: a plain dof is one unit-weight term in a
-        // stack slot, a hanging corner its constraint row in place.
-        let corners: [Corner; 8] = std::array::from_fn(|c| mesh.corner(e, c));
-        let plain: [(usize, f64); 8] = std::array::from_fn(|c| match corners[c] {
-            Corner::Dof(d) => (d, 1.0),
-            Corner::Hanging(_) => (usize::MAX, 0.0),
-        });
-        let expansions: [&[(usize, f64)]; 8] = std::array::from_fn(|c| match corners[c] {
-            Corner::Dof(_) => std::slice::from_ref(&plain[c]),
-            Corner::Hanging(r) => mesh.constraint_row(r),
-        });
-        for ci in 0..8 {
-            for cj in 0..8 {
-                for a in 0..nc {
-                    for b in 0..nc {
-                        let v = mat[(ci * nc + a) * dim + cj * nc + b];
-                        if v == 0.0 {
-                            continue;
-                        }
-                        for &(di, wi) in expansions[ci] {
-                            for &(dj, wj) in expansions[cj] {
-                                let val = wi * wj * v;
-                                let ri = di * nc + a;
-                                let cj2 = dj * nc + b;
-                                if di < n_owned {
-                                    if dj < n_owned {
-                                        local_trips.push((ri, cj2, val));
-                                    }
-                                    // column ghost → dropped (block-Jacobi)
-                                } else {
-                                    // Foreign row: ship to its owner.
-                                    let rg = gid_of(di) * nc as u64 + a as u64;
-                                    let cg = gid_of(dj) * nc as u64 + b as u64;
-                                    remote[owner_of_gid(gid_of(di))].push(WireTriplet {
-                                        row: rg,
-                                        col: cg,
-                                        val,
-                                    });
-                                }
-                            }
-                        }
-                    }
+        for_each_term(mesh, e, nc, &mat, |di, dj, a, b, val| {
+            if di < n_owned {
+                // A ghost column is dropped (block-Jacobi).
+                if dj < n_owned {
+                    row_ptr[di * nc + a + 1] += 1;
                 }
+            } else {
+                remote[owner_of_gid(gid_of(di))].push(WireTriplet {
+                    row: gid_of(di) * nc as u64 + a as u64,
+                    col: gid_of(dj) * nc as u64 + b as u64,
+                    val,
+                });
             }
-        }
+        });
     }
     let incoming = comm.alltoallv(&remote);
-    for part in incoming {
-        for t in part {
-            let rg_node = t.row / nc as u64;
-            let a = (t.row % nc as u64) as usize;
-            debug_assert!(rg_node >= offset && rg_node < offset + n_owned as u64);
-            let di = (rg_node - offset) as usize;
-            let cg_node = t.col / nc as u64;
-            if cg_node >= offset && cg_node < offset + n_owned as u64 {
-                let dj = (cg_node - offset) as usize;
-                let b = (t.col % nc as u64) as usize;
-                local_trips.push((di * nc + a, dj * nc + b, t.val));
-            }
-        }
+    drop(remote);
+    // Received terms as owned (row, col, value); other ranks' columns are
+    // dropped.
+    let received = incoming.iter().flatten().filter_map(|t| {
+        let (rg_node, cg_node) = (t.row / nc as u64, t.col / nc as u64);
+        debug_assert!(rg_node >= offset && rg_node < offset + n_owned as u64);
+        (cg_node >= offset && cg_node < offset + n_owned as u64).then(|| {
+            let row = (rg_node - offset) as usize * nc + (t.row % nc as u64) as usize;
+            let col = (cg_node - offset) as usize * nc + (t.col % nc as u64) as usize;
+            (row, col, t.val)
+        })
+    });
+    for (row, _, _) in received.clone() {
+        row_ptr[row + 1] += 1;
+    }
+    for r in 0..n {
+        row_ptr[r + 1] += row_ptr[r];
     }
 
-    // Dirichlet elimination: identity rows/cols for masked dofs.
-    if let Some(mask) = bc_mask {
-        debug_assert_eq!(mask.len(), n_owned * nc);
-        local_trips.retain(|&(r, c, _)| !mask[r] && !mask[c]);
-        for (i, &m) in mask.iter().enumerate() {
-            if m {
-                local_trips.push((i, i, 1.0));
+    // Pass two: place the terms, local elements first, then received.
+    let mut cols = vec![0u32; row_ptr[n]];
+    let mut vals = vec![0.0; row_ptr[n]];
+    let mut cursor = row_ptr[..n].to_vec();
+    let mut place = |row: usize, col: usize, val: f64| {
+        cols[cursor[row]] = col as u32;
+        vals[cursor[row]] = val;
+        cursor[row] += 1;
+    };
+    for e in 0..mesh.elements.len() {
+        elem_matrix(e, &mut mat);
+        for_each_term(mesh, e, nc, &mat, |di, dj, a, b, val| {
+            if di < n_owned && dj < n_owned {
+                place(di * nc + a, dj * nc + b, val);
             }
-        }
+        });
     }
-    // Ensure a full diagonal exists (AMG smoothers divide by it).
-    let mut csr = Csr::from_triplets(n_owned * nc, n_owned * nc, &local_trips);
-    let diag = csr.diagonal();
-    let mut fixups = Vec::new();
-    for (i, &d) in diag.iter().enumerate() {
-        if d == 0.0 {
-            fixups.push((i, i, 1.0));
-        }
+    for (row, col, val) in received {
+        place(row, col, val);
     }
-    if !fixups.is_empty() {
-        local_trips.extend(fixups);
-        csr = Csr::from_triplets(n_owned * nc, n_owned * nc, &local_trips);
+    let block = Csr::from_row_terms(n, &row_ptr, &cols, &vals);
+    // Free the arena before the eliminated copy is made.
+    drop((cols, vals, row_ptr, incoming));
+    match bc_mask {
+        Some(mask) => block.eliminate(mask),
+        None => block.eliminate(&vec![false; n]),
     }
-    csr
 }
 
 #[cfg(test)]
@@ -226,6 +265,95 @@ mod tests {
                     y[d],
                     block_diag[d]
                 );
+            }
+        });
+    }
+
+    /// The owned block against a dense `n × n` accumulation of the same
+    /// contributions — local elements in element order, each element's
+    /// nonzero entries in `(ci, cj, a, b)` order expanded through the
+    /// hanging corners' constraint rows — bit for bit, unmasked and masked,
+    /// for a scalar and a three-component operator on an adapted mesh with
+    /// hanging nodes at P = 1.
+    #[test]
+    fn owned_block_matches_dense_element_order_accumulation() {
+        spmd::run(1, |c| {
+            let mut t = DistOctree::new_uniform(c, 2);
+            t.refine(|o| o.center_unit()[0] < 0.4 && o.center_unit()[2] > 0.3);
+            t.balance(BalanceKind::Full);
+            let m = extract_mesh(&t, [2.0, 1.0, 1.0]);
+            assert!(m.n_hanging() > 0);
+            let eta = |e: usize| 1.0 + (e * 7919 % 13) as f64 / 3.0;
+            let scalar = stiffness_source(&m, eta);
+            let vector = |e: usize, out: &mut [f64]| {
+                let k = crate::element::viscous_matrix(m.element_size(e), eta(e));
+                for (row, k) in out.chunks_exact_mut(24).zip(&k) {
+                    row.copy_from_slice(k);
+                }
+            };
+            let sources: [(usize, &ElementMatrixSource); 2] = [(1, &scalar), (3, &vector)];
+            for (nc, src) in sources {
+                let map = DofMap::new(&m, c, nc);
+                let n = m.n_owned * nc;
+                let dim = 8 * nc;
+                // `None` until the first contribution lands.
+                let mut dense: Vec<Option<f64>> = vec![None; n * n];
+                let mut mat = vec![0.0; dim * dim];
+                for e in 0..m.elements.len() {
+                    src(e, &mut mat);
+                    let terms = |k: usize| -> Vec<(usize, f64)> {
+                        match m.corner(e, k) {
+                            Corner::Dof(d) => vec![(d, 1.0)],
+                            Corner::Hanging(r) => m.constraint_row(r).to_vec(),
+                        }
+                    };
+                    for ci in 0..8 {
+                        for cj in 0..8 {
+                            for a in 0..nc {
+                                for b in 0..nc {
+                                    let v = mat[(ci * nc + a) * dim + cj * nc + b];
+                                    if v == 0.0 {
+                                        continue;
+                                    }
+                                    for (di, wi) in terms(ci) {
+                                        for (dj, wj) in terms(cj) {
+                                            let cell = &mut dense[(di * nc + a) * n + dj * nc + b];
+                                            let x = wi * wj * v;
+                                            *cell = Some(cell.map_or(x, |s| s + x));
+                                        }
+                                    }
+                                }
+                            }
+                        }
+                    }
+                }
+                let mask: Vec<bool> = (0..n).map(|i| m.dof_on_boundary(i / nc)).collect();
+                for bc in [None, Some(&mask[..])] {
+                    let masked = |i: usize| bc.is_some_and(|bc| bc[i]);
+                    let a = assemble_owned_block(&map, src, bc);
+                    assert_eq!((a.nrows, a.ncols), (n, n));
+                    for r in 0..n {
+                        let mut want: Vec<(usize, u64)> = Vec::new();
+                        for col in 0..n {
+                            let entry = if masked(r) {
+                                (col == r).then_some(1.0)
+                            } else if masked(col) {
+                                None
+                            } else if col == r {
+                                Some(dense[r * n + col].filter(|&v| v != 0.0).unwrap_or(1.0))
+                            } else {
+                                dense[r * n + col]
+                            };
+                            if let Some(v) = entry {
+                                want.push((col, v.to_bits()));
+                            }
+                        }
+                        let got: Vec<(usize, u64)> = (a.row_ptr[r]..a.row_ptr[r + 1])
+                            .map(|k| (a.col_idx[k], a.values[k].to_bits()))
+                            .collect();
+                        assert_eq!(got, want, "nc = {nc}, mask = {}, row {r}", bc.is_some());
+                    }
+                }
             }
         });
     }

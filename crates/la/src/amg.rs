@@ -855,32 +855,19 @@ mod tests {
         );
     }
 
-    /// Symmetric Dirichlet elimination of `mask` (identity rows and
-    /// columns), as `fem::assembly` applies a velocity component's mask.
-    fn eliminate(a: &Csr, mask: impl Fn(usize) -> bool) -> Csr {
-        let mut t = Vec::new();
-        for i in 0..a.nrows {
-            if mask(i) {
-                t.push((i, i, 1.0));
-                continue;
-            }
-            for k in a.row_ptr[i]..a.row_ptr[i + 1] {
-                if !mask(a.col_idx[k]) {
-                    t.push((i, a.col_idx[k], a.values[k]));
-                }
-            }
-        }
-        Csr::from_triplets(a.nrows, a.ncols, &t)
+    /// The mask `pinned` marks over the rows of `a`.
+    fn mask(a: &Csr, pinned: impl Fn(usize) -> bool) -> Vec<bool> {
+        (0..a.nrows).map(pinned).collect()
     }
 
     /// Free-slip masks on an `n³` grid: lane `c` pins the rows on the two
     /// faces normal to axis `c`.
     fn free_slip(a: &Csr, n: usize) -> [Csr; 3] {
         std::array::from_fn(|c| {
-            eliminate(a, |i| {
+            a.eliminate(&mask(a, |i| {
                 let x = i / n.pow(c as u32) % n;
                 x == 0 || x == n - 1
-            })
+            }))
         })
     }
 
@@ -934,9 +921,9 @@ mod tests {
         // Free-slip: three masks, three hierarchies.
         assert_fused_matches_scalar(&[ax.clone(), ay, az.clone()], [0, 1, 2]);
         // No-slip: one mask shared by all lanes.
-        let all = eliminate(&a, |i| {
+        let all = a.eliminate(&mask(&a, |i| {
             (0..3).any(|c| [0, n - 1].contains(&(i / n.pow(c) % n)))
-        });
+        }));
         assert_fused_matches_scalar(&[all], [0, 0, 0]);
         // Two lanes share one hierarchy, listed out of order.
         assert_fused_matches_scalar(&[az, ax], [1, 0, 1]);
@@ -957,7 +944,7 @@ mod tests {
         let n = 8;
         let a = poisson3d(n, |_, j, _| 1.0 + j as f64);
         let [ax, _, az] = free_slip(&a, n);
-        let ident = eliminate(&a, |_| true);
+        let ident = a.eliminate(&vec![true; a.nrows]);
         assert_eq!(
             Amg::new(ident.clone(), AmgOptions::default()).num_levels(),
             1

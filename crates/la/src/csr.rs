@@ -11,53 +11,132 @@ pub struct Csr {
 }
 
 impl Csr {
-    /// Build from (row, col, value) triplets; duplicate entries are summed.
+    /// Build from (row, col, value) triplets. The terms of one entry are
+    /// summed in input order, the first term standing as it is: the order
+    /// [`Csr::from_row_terms`] defines, which a stable sort by column
+    /// followed by a running sum would also give.
     pub fn from_triplets(nrows: usize, ncols: usize, triplets: &[(usize, usize, f64)]) -> Csr {
-        let mut counts = vec![0usize; nrows];
+        assert!(ncols <= u32::MAX as usize, "column index must fit in u32");
+        let mut row_ptr = vec![0usize; nrows + 1];
         for &(r, _, _) in triplets {
             debug_assert!(r < nrows);
-            counts[r] += 1;
+            row_ptr[r + 1] += 1;
         }
-        let mut row_start = vec![0usize; nrows + 1];
         for r in 0..nrows {
-            row_start[r + 1] = row_start[r] + counts[r];
+            row_ptr[r + 1] += row_ptr[r];
         }
-        let nnz_raw = row_start[nrows];
-        let mut cols = vec![0usize; nnz_raw];
-        let mut vals = vec![0.0; nnz_raw];
-        let mut cursor = row_start.clone();
+        let mut cols = vec![0u32; triplets.len()];
+        let mut vals = vec![0.0; triplets.len()];
+        let mut cursor = row_ptr.clone();
         for &(r, c, v) in triplets {
             debug_assert!(c < ncols);
-            cols[cursor[r]] = c;
+            cols[cursor[r]] = c as u32;
             vals[cursor[r]] = v;
             cursor[r] += 1;
         }
-        // Sort each row and merge duplicates.
-        let mut row_ptr = vec![0usize; nrows + 1];
-        let mut col_idx = Vec::with_capacity(nnz_raw);
-        let mut values = Vec::with_capacity(nnz_raw);
-        let mut scratch: Vec<(usize, f64)> = Vec::new();
+        Csr::from_row_terms(ncols, &row_ptr, &cols, &vals)
+    }
+
+    /// Build from raw terms grouped by row: row `r`'s terms are
+    /// `cols[row_ptr[r]..row_ptr[r + 1]]` with the matching `vals`, in any
+    /// column order and with repeats. The terms of entry `(r, c)` are
+    /// summed in the order they appear — the first term as it is, each
+    /// later one added to the running sum — and each row's entries come
+    /// out in ascending column order.
+    pub fn from_row_terms(ncols: usize, row_ptr: &[usize], cols: &[u32], vals: &[f64]) -> Csr {
+        debug_assert_eq!(cols.len(), vals.len());
+        let nrows = row_ptr.len() - 1;
+        let mut out_ptr = vec![0usize; nrows + 1];
+        let mut col_idx = Vec::with_capacity(cols.len());
+        let mut values = Vec::with_capacity(cols.len());
+        // Dense accumulator per row (Gustavson): `marker[c] == r` when
+        // column `c` already holds a running sum for row `r`.
+        let mut accum = vec![0.0f64; ncols];
+        let mut marker = vec![usize::MAX; ncols];
+        let mut row_cols: Vec<u32> = Vec::new();
         for r in 0..nrows {
-            scratch.clear();
-            for i in row_start[r]..row_start[r + 1] {
-                scratch.push((cols[i], vals[i]));
-            }
-            scratch.sort_unstable_by_key(|t| t.0);
-            for &(c, v) in scratch.iter() {
-                if let Some(last) = values.last_mut() {
-                    if col_idx.last() == Some(&c) && col_idx.len() > row_ptr[r] {
-                        *last += v;
-                        continue;
-                    }
+            row_cols.clear();
+            for k in row_ptr[r]..row_ptr[r + 1] {
+                let c = cols[k] as usize;
+                debug_assert!(c < ncols);
+                if marker[c] == r {
+                    accum[c] += vals[k];
+                } else {
+                    marker[c] = r;
+                    accum[c] = vals[k];
+                    row_cols.push(cols[k]);
                 }
-                col_idx.push(c);
-                values.push(v);
             }
-            row_ptr[r + 1] = col_idx.len();
+            // Columns are distinct here, so any sort gives the same row.
+            row_cols.sort();
+            for &c in &row_cols {
+                col_idx.push(c as usize);
+                values.push(accum[c as usize]);
+            }
+            out_ptr[r + 1] = col_idx.len();
         }
+        col_idx.shrink_to_fit();
+        values.shrink_to_fit();
         Csr {
             nrows,
             ncols,
+            row_ptr: out_ptr,
+            col_idx,
+            values,
+        }
+    }
+
+    /// Symmetric Dirichlet elimination of the dofs `mask` marks: a masked
+    /// row becomes the identity row, a masked column is dropped from every
+    /// other row, and an absent or exactly zero diagonal becomes `1.0`
+    /// (AMG smoothers divide by it). Entries are copied, not re-summed, so
+    /// eliminating after assembly gives the bits an assembly that skipped
+    /// the masked terms would give. Square matrices only.
+    pub fn eliminate(&self, mask: &[bool]) -> Csr {
+        assert_eq!(self.nrows, self.ncols, "elimination needs a square matrix");
+        assert_eq!(mask.len(), self.nrows);
+        let mut row_ptr = vec![0usize; self.nrows + 1];
+        let mut col_idx = Vec::with_capacity(self.nnz());
+        let mut values = Vec::with_capacity(self.nnz());
+        for r in 0..self.nrows {
+            if mask[r] {
+                col_idx.push(r);
+                values.push(1.0);
+                row_ptr[r + 1] = col_idx.len();
+                continue;
+            }
+            let mut diag_seen = false;
+            for k in self.row_ptr[r]..self.row_ptr[r + 1] {
+                let c = self.col_idx[k];
+                if mask[c] {
+                    continue;
+                }
+                if !diag_seen && c > r {
+                    // Absent diagonal: insert it in column order.
+                    col_idx.push(r);
+                    values.push(1.0);
+                    diag_seen = true;
+                }
+                let v = self.values[k];
+                if c == r {
+                    diag_seen = true;
+                    values.push(if v == 0.0 { 1.0 } else { v });
+                } else {
+                    values.push(v);
+                }
+                col_idx.push(c);
+            }
+            if !diag_seen {
+                col_idx.push(r);
+                values.push(1.0);
+            }
+            row_ptr[r + 1] = col_idx.len();
+        }
+        col_idx.shrink_to_fit();
+        values.shrink_to_fit();
+        Csr {
+            nrows: self.nrows,
+            ncols: self.ncols,
             row_ptr,
             col_idx,
             values,
@@ -164,7 +243,7 @@ impl Csr {
                     accum[c] += av * other.values[j];
                 }
             }
-            row_cols.sort_unstable();
+            row_cols.sort();
             for &c in &row_cols {
                 col_idx.push(c);
                 values.push(accum[c]);
@@ -227,6 +306,87 @@ mod tests {
         let a = Csr::from_triplets(2, 2, &[(0, 0, 1.0), (0, 0, 2.0), (1, 1, 5.0)]);
         assert_eq!(a.nnz(), 2);
         assert_eq!(a.diagonal(), vec![3.0, 5.0]);
+    }
+
+    #[test]
+    fn triplets_sum_duplicates_in_input_order() {
+        // One row of 41 triplets: filler columns around four terms on
+        // column 7 whose sum depends on the order they are added in.
+        let mut t: Vec<(usize, usize, f64)> = (0..20).map(|k| (0, 8 + k % 12, 0.5)).collect();
+        t.insert(3, (0, 7, 1e16));
+        t.insert(11, (0, 7, 1.0));
+        t.insert(17, (0, 7, -1e16));
+        t.insert(20, (0, 7, 1.0));
+        t.extend((0..17).map(|k| (0, k % 7, 0.25)));
+        assert!(t.len() > 32);
+        let a = Csr::from_triplets(1, 20, &t);
+        let at = |c: usize| {
+            let k = a.col_idx.iter().position(|&x| x == c).expect("stored");
+            a.values[k]
+        };
+        // 1e16 + 1 rounds to 1e16, so input order gives 1, reversed order
+        // 0, and the two ±1e16 terms first gives 2.
+        assert_eq!(at(7).to_bits(), 1.0f64.to_bits());
+        assert!(a.col_idx.windows(2).all(|w| w[0] < w[1]));
+        assert_eq!(at(8), 1.0);
+        assert_eq!(at(0), 0.75);
+    }
+
+    #[test]
+    fn eliminate_masks_rows_and_columns_and_fixes_the_diagonal() {
+        // [2 1 0 0]
+        // [1 3 1 0]
+        // [0 1 0 5]   zero diagonal
+        // [0 0 5 0]   absent diagonal
+        let a = Csr::from_triplets(
+            4,
+            4,
+            &[
+                (0, 0, 2.0),
+                (0, 1, 1.0),
+                (1, 0, 1.0),
+                (1, 1, 3.0),
+                (1, 2, 1.0),
+                (2, 1, 1.0),
+                (2, 2, 0.0),
+                (2, 3, 5.0),
+                (3, 2, 5.0),
+            ],
+        );
+        let rows = |m: &Csr| -> Vec<Vec<(usize, f64)>> {
+            (0..m.nrows)
+                .map(|r| {
+                    (m.row_ptr[r]..m.row_ptr[r + 1])
+                        .map(|k| (m.col_idx[k], m.values[k]))
+                        .collect()
+                })
+                .collect()
+        };
+        let e = a.eliminate(&[false, true, false, false]);
+        assert_eq!(
+            rows(&e),
+            vec![
+                vec![(0, 2.0)],
+                vec![(1, 1.0)],
+                vec![(2, 1.0), (3, 5.0)],
+                vec![(2, 5.0), (3, 1.0)],
+            ]
+        );
+        // No mask: only the diagonal fix-up.
+        let e = a.eliminate(&[false; 4]);
+        assert_eq!(rows(&e)[2], vec![(1, 1.0), (2, 1.0), (3, 5.0)]);
+        assert_eq!(rows(&e)[3], vec![(2, 5.0), (3, 1.0)]);
+        assert_eq!(rows(&e)[..2], rows(&a)[..2]);
+        // Everything masked: the identity.
+        assert_eq!(a.eliminate(&[true; 4]), Csr::identity(4));
+        // An absent diagonal between two stored columns.
+        let b = Csr::from_triplets(2, 2, &[(0, 1, 4.0), (1, 0, 4.0)]);
+        let b3 = Csr::from_triplets(3, 3, &[(1, 0, 2.0), (1, 2, 3.0), (0, 0, 1.0), (2, 2, 1.0)]);
+        assert_eq!(
+            rows(&b3.eliminate(&[false; 3]))[1],
+            vec![(0, 2.0), (1, 1.0), (2, 3.0)]
+        );
+        assert_eq!(rows(&b.eliminate(&[false; 2]))[0], vec![(0, 1.0), (1, 4.0)]);
     }
 
     #[test]

@@ -14,9 +14,11 @@
 //! the SUPG mass (lumped-mass solve, then one consistency correction) and
 //! advanced with Heun's method under a CFL-limited step.
 
+use std::cell::{OnceCell, RefCell};
+
 use fem::element::{advection_matrix, lumped_mass, mass_matrix, stiffness_matrix, supg_matrices};
 use fem::op::DofMap;
-use mesh::extract::Mesh;
+use mesh::extract::{ExchangeBuffers, Mesh};
 use scomm::Comm;
 
 /// Transport parameters.
@@ -41,19 +43,54 @@ impl Default for TransportParams {
     }
 }
 
+/// One element's SUPG operators for the current velocity: `k = A + K +
+/// S_a` (each entry summed as `(adv + dif) + sa`) and the SUPG mass `S_m`.
+struct ElementOps {
+    k: [[f64; 8]; 8],
+    sm: [[f64; 8]; 8],
+}
+
+/// Grow-only scratch for [`TransportSolver::step`]: after the first step
+/// every buffer has its final capacity.
+#[derive(Default)]
+struct Scratch {
+    rate: RateScratch,
+    /// Heun stages on owned dofs.
+    k1: Vec<f64>,
+    k2: Vec<f64>,
+    t1: Vec<f64>,
+}
+
+/// The owned+ghost vectors of one rate evaluation.
+#[derive(Default)]
+struct RateScratch {
+    /// Temperature and predictor rate.
+    tl: Vec<f64>,
+    v0l: Vec<f64>,
+    /// Weak rate.
+    r: Vec<f64>,
+    exch: ExchangeBuffers,
+}
+
 /// SUPG transport solver bound to a mesh and a per-element velocity.
 pub struct TransportSolver<'a> {
     pub mesh: &'a Mesh,
     pub comm: &'a Comm,
-    pub params: TransportParams,
+    /// Private for the same reason as `velocity`: κ enters `ops`.
+    params: TransportParams,
     map: DofMap<'a>,
-    /// Per-element advection velocity (constant per element).
-    pub velocity: Vec<[f64; 3]>,
+    /// Per-element advection velocity (constant per element). Private:
+    /// `ops` is integrated from it.
+    velocity: Vec<[f64; 3]>,
+    /// The element operators of `velocity`, integrated on the first rate
+    /// evaluation after the velocity was set and kept until it changes.
+    ops: OnceCell<Vec<ElementOps>>,
     /// Dirichlet mask and values over owned dofs.
     pub bc_mask: Vec<bool>,
     pub bc_values: Vec<f64>,
     /// Assembled global lumped mass over local dofs (constraint-folded).
     lumped: Vec<f64>,
+    scratch: RefCell<Scratch>,
 }
 
 impl<'a> TransportSolver<'a> {
@@ -66,9 +103,11 @@ impl<'a> TransportSolver<'a> {
             params,
             map,
             velocity: vec![[0.0; 3]; mesh.elements.len()],
+            ops: OnceCell::new(),
             bc_mask: vec![false; mesh.n_owned],
             bc_values: vec![0.0; mesh.n_owned],
             lumped: Vec::new(),
+            scratch: RefCell::default(),
         };
         solver.assemble_lumped_mass();
         solver
@@ -101,6 +140,7 @@ impl<'a> TransportSolver<'a> {
             }
             self.velocity[e] = a;
         }
+        self.ops.take();
     }
 
     /// Set the velocity analytically at element centers.
@@ -114,6 +154,29 @@ impl<'a> TransportSolver<'a> {
             ];
             self.velocity[e] = f(p);
         }
+        self.ops.take();
+    }
+
+    /// The element operators of the current velocity, integrated once.
+    fn ops(&self) -> &[ElementOps] {
+        self.ops.get_or_init(|| {
+            let kappa = self.params.kappa;
+            (0..self.mesh.elements.len())
+                .map(|e| {
+                    let h = self.mesh.element_size(e);
+                    let a = self.velocity[e];
+                    let adv = advection_matrix(h, a);
+                    let dif = stiffness_matrix(h, kappa);
+                    let (sm, sa) = supg_matrices(h, a, kappa);
+                    ElementOps {
+                        k: std::array::from_fn(|i| {
+                            std::array::from_fn(|j| adv[i][j] + dif[i][j] + sa[i][j])
+                        }),
+                        sm,
+                    }
+                })
+                .collect()
+        })
     }
 
     /// Impose Dirichlet data where `faces_mask` matches a dof's boundary
@@ -157,90 +220,93 @@ impl<'a> TransportSolver<'a> {
         self.params.cfl * global
     }
 
-    /// Evaluate the SUPG right-hand side `r(T) = −(A+K+S_a)T + b` over
-    /// local dofs (accumulated to owners), optionally subtracting the
-    /// SUPG mass coupling of a previous rate (`S_m v`).
-    fn weak_rate(&self, t_local: &[f64], v_prev_local: Option<&[f64]>) -> Vec<f64> {
-        let mut r = vec![0.0; self.map.n_local()];
+    /// Evaluate the SUPG right-hand side `r(T) = −(A+K+S_a)T + b` into
+    /// `r` over local dofs (accumulated to owners), optionally subtracting
+    /// the SUPG mass coupling of a previous rate (`S_m v`).
+    fn weak_rate(
+        &self,
+        t_local: &[f64],
+        v_prev_local: Option<&[f64]>,
+        r: &mut Vec<f64>,
+        exch: &mut ExchangeBuffers,
+    ) {
+        r.clear();
+        r.resize(self.map.n_local(), 0.0);
         let mut te = [0.0; 8];
         let mut ve = [0.0; 8];
         let mut re = [0.0; 8];
-        let kappa = self.params.kappa;
-        for e in 0..self.mesh.elements.len() {
-            let h = self.mesh.element_size(e);
-            let a = self.velocity[e];
-            let adv = advection_matrix(h, a);
-            let dif = stiffness_matrix(h, kappa);
-            let (sm, sa) = supg_matrices(h, a, kappa);
+        for (e, ops) in self.ops().iter().enumerate() {
             self.map.gather_element(e, t_local, &mut te);
             if let Some(vp) = v_prev_local {
                 self.map.gather_element(e, vp, &mut ve);
             }
-            let mm = (self.params.source != 0.0).then(|| mass_matrix(h));
+            let mm = (self.params.source != 0.0).then(|| mass_matrix(self.mesh.element_size(e)));
             for i in 0..8 {
                 let mut acc = 0.0;
                 for j in 0..8 {
-                    acc -= (adv[i][j] + dif[i][j] + sa[i][j]) * te[j];
+                    acc -= ops.k[i][j] * te[j];
                     if v_prev_local.is_some() {
-                        acc -= sm[i][j] * ve[j];
+                        acc -= ops.sm[i][j] * ve[j];
                     }
                 }
                 // Source: γ ∫ (N_i + τ a·∇N_i).
                 if let Some(mm) = &mm {
                     let mi: f64 = mm[i].iter().sum();
                     // Row sum of S_m equals τ ∫ (a·∇N_i) (Σ_j N_j = 1).
-                    let si: f64 = sm[i].iter().sum();
+                    let si: f64 = ops.sm[i].iter().sum();
                     acc += self.params.source * (mi + si);
                 }
                 re[i] = acc;
             }
-            self.map.scatter_element(e, &re, &mut r);
+            self.map.scatter_element(e, &re, r);
         }
-        let mut racc = r;
-        self.map.reverse_accumulate(&mut racc);
-        racc
+        self.map.reverse_accumulate_begin(r, exch);
+        self.map.reverse_accumulate_end(r, exch);
     }
 
-    /// Temperature rate `Ṫ` on owned dofs, via lumped-mass solve with one
-    /// SUPG-mass corrector pass (the "predictor–corrector" of the paper's
-    /// reference [9]).
-    pub fn rate(&self, t_owned: &[f64]) -> Vec<f64> {
-        let tl = self.map.to_local(t_owned);
-        // Predictor.
-        let r0 = self.weak_rate(&tl, None);
-        let mut v0 = vec![0.0; self.mesh.n_owned];
-        for d in 0..self.mesh.n_owned {
-            v0[d] = r0[d] / self.lumped[d];
+    /// Temperature rate `Ṫ` on owned dofs into `out`, via lumped-mass
+    /// solve with one SUPG-mass corrector pass (the "predictor–corrector"
+    /// of the paper's reference [9]).
+    fn rate(&self, t_owned: &[f64], out: &mut Vec<f64>, ws: &mut RateScratch) {
+        let n = self.mesh.n_owned;
+        let RateScratch { tl, v0l, r, exch } = ws;
+        self.map.fill_local(t_owned, tl);
+        self.map.exchange_begin(tl, exch);
+        self.map.exchange_end(tl, exch);
+        // Predictor, written straight into the owned block of `v0l`.
+        self.weak_rate(tl, None, r, exch);
+        v0l.clear();
+        v0l.resize(self.map.n_local(), 0.0);
+        for d in 0..n {
+            v0l[d] = if self.bc_mask[d] {
+                0.0
+            } else {
+                r[d] / self.lumped[d]
+            };
         }
-        for (d, &m) in self.bc_mask.iter().enumerate() {
-            if m {
-                v0[d] = 0.0;
-            }
-        }
+        self.map.exchange_begin(v0l, exch);
+        self.map.exchange_end(v0l, exch);
         // Corrector: v₁ = M_L⁻¹ (r(T) − S_m v₀).
-        let v0l = self.map.to_local(&v0);
-        let r1 = self.weak_rate(&tl, Some(&v0l));
-        let mut v1 = vec![0.0; self.mesh.n_owned];
-        for d in 0..self.mesh.n_owned {
-            v1[d] = r1[d] / self.lumped[d];
-        }
-        for (d, &m) in self.bc_mask.iter().enumerate() {
-            if m {
-                v1[d] = 0.0;
+        self.weak_rate(tl, Some(v0l), r, exch);
+        out.clear();
+        out.extend((0..n).map(|d| {
+            if self.bc_mask[d] {
+                0.0
+            } else {
+                r[d] / self.lumped[d]
             }
-        }
-        v1
+        }));
     }
 
     /// Advance `t` by `dt` with Heun's method (RK2). Collective.
     pub fn step(&self, t: &mut [f64], dt: f64) {
-        let k1 = self.rate(t);
-        let mut t1 = t.to_vec();
-        for d in 0..t.len() {
-            t1[d] += dt * k1[d];
-        }
-        self.apply_bc(&mut t1);
-        let k2 = self.rate(&t1);
+        let mut ws = self.scratch.borrow_mut();
+        let Scratch { rate, k1, k2, t1 } = &mut *ws;
+        self.rate(t, k1, rate);
+        t1.clear();
+        t1.extend(t.iter().zip(k1.iter()).map(|(&x, &k)| x + dt * k));
+        self.apply_bc(t1);
+        self.rate(t1, k2, rate);
         for d in 0..t.len() {
             t[d] += 0.5 * dt * (k1[d] + k2[d]);
         }
@@ -383,6 +449,60 @@ mod tests {
             for d in 0..m.n_owned {
                 assert!((temp[d] - 2.0 * dt).abs() < 1e-12, "dof {d}: {}", temp[d]);
             }
+        });
+    }
+
+    /// The element operators are integrated once per velocity: three
+    /// steps of one solver equal, bit for bit, three steps each taken by a
+    /// fresh solver with the same velocity and BCs, and a new velocity
+    /// set after a step reaches the next step.
+    #[test]
+    fn stored_operators_match_reintegrated_ones_and_follow_the_velocity() {
+        spmd::run(2, |c| {
+            let mut t = DistOctree::new_uniform(c, 2);
+            t.refine(|o| o.center_unit()[0] < 0.4 && o.center_unit()[2] > 0.3);
+            t.balance(octree::balance::BalanceKind::Full);
+            t.partition();
+            let m = extract_mesh(&t, [2.0, 1.0, 1.0]);
+            let params = TransportParams {
+                kappa: 1e-3,
+                source: 0.5,
+                cfl: 0.3,
+            };
+            let swirl = |p: [f64; 3]| [0.5 - p[1], p[0] - 1.0, 0.25 * p[2]];
+            let solver = |f: &dyn Fn([f64; 3]) -> [f64; 3]| {
+                let mut ts = TransportSolver::new(&m, c, params);
+                ts.set_velocity_fn(f);
+                ts.set_dirichlet(0b010000, |_| 1.0);
+                ts.set_dirichlet(0b100000, |_| 0.0);
+                ts
+            };
+            let t0: Vec<f64> = (0..m.n_owned)
+                .map(|d| {
+                    let p = m.dof_coords(d);
+                    (-((p[0] - 0.7).powi(2) + (p[1] - 0.5).powi(2)) / 0.05).exp()
+                })
+                .collect();
+            let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+            let kept = solver(&swirl);
+            let dt = kept.stable_dt();
+            let (mut a, mut b) = (t0.clone(), t0);
+            for k in 0..3 {
+                kept.step(&mut a, dt);
+                solver(&swirl).step(&mut b, dt);
+                assert_eq!(bits(&a), bits(&b), "step {k}");
+            }
+            // A second velocity, set on the stepped solver.
+            let shear = |p: [f64; 3]| [p[2], 0.0, -0.5 * p[0]];
+            let mut kept = kept;
+            let before = a.clone();
+            kept.set_velocity_fn(shear);
+            kept.step(&mut a, dt);
+            solver(&shear).step(&mut b, dt);
+            assert_eq!(bits(&a), bits(&b), "after the new velocity");
+            let mut stale = before;
+            solver(&swirl).step(&mut stale, dt);
+            assert_ne!(bits(&a), bits(&stale));
         });
     }
 

@@ -219,11 +219,10 @@ impl<'a> StokesSolver<'a> {
             })
             .collect();
         // Whether two components share a hierarchy must be a *global*
-        // decision: `assemble_owned_block` is collective, so every rank
-        // has to run the same number of assemblies even when its local
-        // mask fragments happen to coincide (common at high P, where a
-        // rank may own no boundary dofs at all — its three local masks
-        // are identical while a neighbor's still differ).
+        // decision, so that every rank fuses the same lane layout even
+        // when its local mask fragments happen to coincide (common at high
+        // P, where a rank may own no boundary dofs at all — its three
+        // local masks are identical while a neighbor's still differ).
         let eq_local: [f64; 3] = [
             f64::from(masks[0] == masks[1]),
             f64::from(masks[0] == masks[2]),
@@ -239,6 +238,9 @@ impl<'a> StokesSolver<'a> {
             };
             eq[idx] == p
         };
+        // One collective assembly; each distinct mask is an elimination of
+        // it, which gives the bits a per-mask assembly would (DESIGN.md §7).
+        let a_block = fem::assembly::assemble_owned_block(&self.smap, &src, None);
         let mut hierarchies = Vec::new();
         let mut lanes = [0; 3];
         for comp in 0..3 {
@@ -246,10 +248,10 @@ impl<'a> StokesSolver<'a> {
                 lanes[comp] = lanes[earlier];
                 continue;
             }
-            let a_block = fem::assembly::assemble_owned_block(&self.smap, &src, Some(&masks[comp]));
             lanes[comp] = hierarchies.len();
-            hierarchies.push(Amg::new(a_block, self.options.amg));
+            hierarchies.push(Amg::new(a_block.eliminate(&masks[comp]), self.options.amg));
         }
+        drop(a_block);
         self.amg = Some(Amg::fuse(hierarchies, lanes));
 
         // Schur approximation: lumped pressure mass weighted by 1/η.

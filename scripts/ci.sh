@@ -33,7 +33,12 @@ cargo fmt --all -- --check
 #   checkers (`check::curve_checks` serves both tree types);
 # - the mesh's node table with its per-node enum, `DofMap`'s copy of it and
 #   `ExchangePattern::reverse_accumulate` (`mesh` alone owns and decodes the
-#   one element-to-dof table, so no other crate names its hanging tag).
+#   one element-to-dof table, so no other crate names its hanging tag);
+# - the owned block's global triplet list, the test-only copy of the
+#   Dirichlet elimination and the unstable row sort that left the order of
+#   summed duplicates undefined (`assemble_owned_block` places terms in one
+#   row-grouped arena in element order, `Csr::eliminate` is the one
+#   elimination, and `Csr` sums repeats in input order).
 echo "==> deleted code stays deleted"
 if grep -rnE 'MachineModel|phase_comm_seconds|paper_core_counts|host_to_(model|flops)' \
     crates src tests examples ||
@@ -56,6 +61,9 @@ if grep -rnE 'MachineModel|phase_comm_seconds|paper_core_counts|host_to_(model|f
         crates src tests examples ||
     grep -rnE 'pub fn reverse_accumulate\(' crates/mesh/src ||
     grep -rn HANGING_BIT crates src tests examples | grep -v '^crates/mesh/' ||
+    grep -rn 'local_trips' crates/fem ||
+    grep -n 'fn eliminate' crates/la/src/amg.rs ||
+    grep -n 'sort_unstable' crates/la/src/csr.rs ||
     grep -rniE 'modeled|extrapolat' crates/bench/src results/*.txt; then
     echo "ci: deleted code is back (see above)" >&2
     exit 1

@@ -13,7 +13,9 @@
 //! crossover may shift from the paper's GotoBLAS point, but the
 //! flops-vs-cache tradeoff it demonstrates is architecture-independent.
 
-use mangll::kernels::{matrix_derivative_flops, tensor_derivative_flops, ElementDerivative};
+use mangll::kernels::{
+    matrix_derivative_flops, tensor_derivative_flops, ElementDerivative, MatrixDerivative,
+};
 use rhea_bench::{banner, Table};
 
 fn time_kernel(f: impl Fn()) -> f64 {
@@ -48,6 +50,7 @@ fn main() {
     let mut prev_faster_matrix = false;
     for p in 1..=8usize {
         let ed = ElementDerivative::new(p);
+        let dense = MatrixDerivative::new(&ed);
         let n3 = ed.n3();
         // Batch sized to ~8 MB of input to exercise the cache hierarchy.
         let nelem = (1_000_000 / n3).clamp(8, 4096);
@@ -56,7 +59,7 @@ fn main() {
             .collect();
         let out = std::cell::RefCell::new(vec![0.0; 3 * n3 * nelem]);
         let t_mat = time_kernel(|| {
-            ed.apply_matrix_batch(&u, &mut out.borrow_mut(), nelem);
+            dense.apply_batch(&u, &mut out.borrow_mut(), nelem);
         }) / nelem as f64;
         let t_ten = time_kernel(|| {
             ed.apply_tensor_batch(&u, &mut out.borrow_mut(), nelem);

@@ -15,6 +15,7 @@ use octree::ops::find_containing;
 use octree::parallel::DistOctree;
 use octree::{Octant, MAX_LEVEL, ROOT_LEN};
 
+pub mod element;
 pub mod unpacked;
 
 /// Corner-incidence classification of lattice node `p`: resolve each of

@@ -2,19 +2,21 @@
 //! (the DESIGN.md §10 table): 2:1 balance vs the naive restart loop,
 //! packed octant arithmetic vs coordinate structs, recursive forest
 //! ghosts vs the flat scan, the parent-midpoint hanging-node rule vs
-//! the eight-probe incidence walk, MINRES vs a dense LU solve, and the
+//! the eight-probe incidence walk, MINRES vs a dense LU solve, the
 //! split-phase `DistOp` vs the allocating-collective rebuild of the same
-//! product.
+//! product, and the element-block table (and the Stokes operator built
+//! from it) vs direct per-element quadrature.
 
 use std::sync::Arc;
 
 use check::fuzz_amr::{mark_coarsen_refine, FuzzConfig};
+use check::oracles::element as direct;
 use check::oracles::unpacked::Unpacked;
 use check::oracles::{
     balance_local_naive_kind, dist_apply_reference, forest_flat_adjacent, forest_ghosts_flat,
     hanging_disagreements,
 };
-use fem::element::stiffness_source;
+use fem::element::{stiffness_matrix, stiffness_source, supg_tau, ElementBlocks};
 use fem::op::{DistOp, DofMap};
 use forest::{Connectivity, Forest, ForestLeaf, GhostKind};
 use la::dense::Lu;
@@ -27,6 +29,7 @@ use octree::parallel::DistOctree;
 use octree::{is_complete, is_valid_linear, Octant, MAX_LEVEL, ROOT_LEN};
 use scomm::rng::{mix, SplitMix64};
 use scomm::spmd;
+use stokes::{StokesOptions, StokesSolver};
 
 const KINDS: [BalanceKind; 3] = [BalanceKind::Face, BalanceKind::FaceEdge, BalanceKind::Full];
 
@@ -352,4 +355,160 @@ fn dist_op_apply_matches_reference_bitwise() {
             }
         });
     }
+}
+
+// -------------------------------------------------------- element blocks
+
+/// `got` within 1e-13 of the largest entry of `want`, entry by entry.
+fn assert_block<const R: usize, const C: usize>(
+    what: &str,
+    got: &[[f64; C]; R],
+    want: &[[f64; C]; R],
+) {
+    let largest = want.iter().flatten().fold(0.0f64, |m, v| m.max(v.abs()));
+    for i in 0..R {
+        for j in 0..C {
+            let err = (got[i][j] - want[i][j]).abs();
+            assert!(err <= 1e-13 * largest, "{what}[{i}][{j}] off by {err}");
+        }
+    }
+}
+
+/// Every block the table forms — and every scaling of it a solver
+/// applies — against direct quadrature with the coefficient inside the
+/// integrand: anisotropic boxes (the last at level 3 of the 8×4×1 domain),
+/// η over decades, no flow (τ = 0), axis-aligned and oblique flow, and κ
+/// on both sides of the Péclet switch in `supg_tau`.
+#[test]
+fn table_blocks_match_direct_quadrature() {
+    let sizes = [
+        [0.5, 0.25, 1.0],
+        [1.0 / 32.0, 1.0 / 16.0, 1.0 / 32.0],
+        [0.3, 0.7, 0.11],
+        [1.0, 0.5, 0.125],
+    ];
+    let flows = [[0.0; 3], [0.0, 0.0, -2.5], [1.0, -0.3, 0.6]];
+    for h in sizes {
+        let t = ElementBlocks::new(h);
+        assert_block("M", &t.mass, &direct::mass_matrix(h));
+        assert_block("m", &[t.lumped_mass], &[direct::lumped_mass(h)]);
+        assert_block("K₁", &t.stiffness, &stiffness_matrix(h, 1.0));
+        assert_block("A₁", &t.viscous, &direct::viscous_matrix(h, 1.0));
+        assert_block("B", &t.divergence, &direct::divergence_matrix(h));
+        let c1 = direct::pressure_stabilization(h, 1.0);
+        assert_block("C₁", &t.stabilization, &c1);
+        for i in 0..8 {
+            assert!(
+                (0..24).all(|c| t.divergence_t[c][i] == t.divergence[i][c]),
+                "Bᵀ"
+            );
+        }
+        for eta in [1e-3, 0.37, 1.0, 42.0, 1e4] {
+            let scale = |m: &[[f64; 24]; 24], s: f64| m.map(|row| row.map(|v| s * v));
+            assert_block(
+                "ηA₁",
+                &scale(&t.viscous, eta),
+                &direct::viscous_matrix(h, eta),
+            );
+            let c = t.stabilization.map(|row| row.map(|v| v / eta));
+            assert_block("C₁/η", &c, &direct::pressure_stabilization(h, eta));
+        }
+        for a in flows {
+            assert_block("A(a)", &t.advection(a), &direct::advection_matrix(h, a));
+            for kappa in [0.0, 1e-9, 1.0] {
+                let k = t.stiffness.map(|row| row.map(|v| kappa * v));
+                assert_block("κK₁", &k, &stiffness_matrix(h, kappa));
+                let (sm, sa) = t.supg(a, supg_tau(h, a, kappa));
+                let (want_sm, want_sa) = direct::supg_matrices(h, a, kappa);
+                assert_block("S_m", &sm, &want_sm);
+                assert_block("S_a", &sa, &want_sa);
+            }
+        }
+    }
+}
+
+/// The Stokes operator `[ηA₁ Bᵀ; B −C₁/η]` rebuilt element by element
+/// from direct quadrature with each element's own `h` and η, through the
+/// blocking `to_local` / `reverse_accumulate`, with the solver's
+/// symmetric Dirichlet elimination when `bc` is given.
+fn stokes_reference_apply(s: &StokesSolver, x: &[f64], bc: Option<&[bool]>) -> Vec<f64> {
+    let (m, nu) = (s.mesh, 3 * s.mesh.n_owned);
+    let (vmap, smap) = (DofMap::new(m, s.comm, 3), DofMap::new(m, s.comm, 1));
+    let masked = |i: usize| bc.is_some_and(|b| b[i]);
+    let u: Vec<f64> = (0..nu)
+        .map(|i| if masked(i) { 0.0 } else { x[i] })
+        .collect();
+    let ul = vmap.to_local(&u);
+    let pl = smap.to_local(&x[nu..]);
+    let mut yu = vec![0.0; vmap.n_local()];
+    let mut yp = vec![0.0; smap.n_local()];
+    let (mut ue, mut pe) = ([0.0; 24], [0.0; 8]);
+    for e in 0..m.elements.len() {
+        let (h, eta) = (m.element_size(e), s.viscosity[e]);
+        let a = direct::viscous_matrix(h, eta);
+        let b = direct::divergence_matrix(h);
+        let c = direct::pressure_stabilization(h, eta);
+        vmap.gather_element(e, &ul, &mut ue);
+        smap.gather_element(e, &pl, &mut pe);
+        let ru: [f64; 24] = std::array::from_fn(|i| {
+            (0..24).map(|j| a[i][j] * ue[j]).sum::<f64>()
+                + (0..8).map(|q| b[q][i] * pe[q]).sum::<f64>()
+        });
+        let rp: [f64; 8] = std::array::from_fn(|q| {
+            (0..24).map(|j| b[q][j] * ue[j]).sum::<f64>()
+                - (0..8).map(|r| c[q][r] * pe[r]).sum::<f64>()
+        });
+        vmap.scatter_element(e, &ru, &mut yu);
+        smap.scatter_element(e, &rp, &mut yp);
+    }
+    vmap.reverse_accumulate(&mut yu);
+    smap.reverse_accumulate(&mut yp);
+    let mut y = yu[..nu].to_vec();
+    y.extend_from_slice(&yp[..m.n_owned]);
+    for (i, yi) in y.iter_mut().enumerate().take(nu) {
+        if masked(i) {
+            *yi = x[i];
+        }
+    }
+    y
+}
+
+#[test]
+fn stokes_apply_matches_per_element_integration() {
+    // Hanging nodes, two ranks, an anisotropic box, and η scattered
+    // element by element over four decades; with the no-slip mask and
+    // without any (the unconstrained operator of the Dirichlet lift).
+    spmd::run(2, |c| {
+        let mut t = DistOctree::new_uniform(c, 2);
+        t.refine(|o| o.center_unit()[0] < 0.4 && o.center_unit()[2] > 0.3);
+        t.balance(BalanceKind::Full);
+        t.partition();
+        let m = extract_mesh(&t, [2.0, 1.0, 1.0]);
+        assert!(m.n_hanging() > 0, "rank {} sees no hanging node", c.rank());
+        let mut rng = SplitMix64::new(mix(3 << 32 | c.rank() as u64));
+        let visc: Vec<f64> = m
+            .elements
+            .iter()
+            .map(|_| 10f64.powf(4.0 * rng.unit() - 2.0))
+            .collect();
+        let no_slip: Vec<bool> = (0..3 * m.n_owned)
+            .map(|i| m.dof_on_boundary(i / 3))
+            .collect();
+        let x: Vec<f64> = (0..4 * m.n_owned).map(|_| 2.0 * rng.unit() - 1.0).collect();
+        for bc in [Some(&no_slip[..]), None] {
+            let mask = bc.map_or_else(|| vec![false; 3 * m.n_owned], <[bool]>::to_vec);
+            let solver = StokesSolver::new(&m, c, visc.clone(), mask, StokesOptions::default());
+            let mut y = vec![0.0; solver.n_owned()];
+            solver.apply(&x, &mut y);
+            let want = stokes_reference_apply(&solver, &x, bc);
+            let scale = c.allreduce_max(&[want.iter().fold(0.0f64, |m, v| m.max(v.abs()))])[0];
+            for (i, (got, want)) in y.iter().zip(&want).enumerate() {
+                assert!(
+                    (got - want).abs() <= 1e-12 * scale,
+                    "masked = {}, entry {i}: {got} vs {want}",
+                    bc.is_some()
+                );
+            }
+        }
+    });
 }

@@ -285,10 +285,13 @@ mod tests {
             assert!(m.n_hanging() > 0);
             let eta = |e: usize| 1.0 + (e * 7919 % 13) as f64 / 3.0;
             let scalar = stiffness_source(&m, eta);
+            let blocks = crate::element::LevelBlocks::new(&m);
             let vector = |e: usize, out: &mut [f64]| {
-                let k = crate::element::viscous_matrix(m.element_size(e), eta(e));
-                for (row, k) in out.chunks_exact_mut(24).zip(&k) {
-                    row.copy_from_slice(k);
+                let k = &blocks.of(&m, e).viscous;
+                for (row, k) in out.chunks_exact_mut(24).zip(k) {
+                    for (o, v) in row.iter_mut().zip(k) {
+                        *o = eta(e) * v;
+                    }
                 }
             };
             let sources: [(usize, &ElementMatrixSource); 2] = [(1, &scalar), (3, &vector)];

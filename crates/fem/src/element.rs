@@ -1,10 +1,19 @@
-//! Reference-element machinery and element matrices for axis-aligned
-//! trilinear hexahedra.
+//! Reference-element machinery and the element-matrix table for
+//! axis-aligned trilinear hexahedra.
 //!
 //! Octree elements are boxes with edge lengths `(hx, hy, hz)`, so the
 //! Jacobian is diagonal and all element integrals reduce to tensor-product
 //! Gauss quadrature on `[0,1]^3` with scaled gradients. Corners follow the
 //! octree z-order: corner `c` at `((c&1), (c>>1)&1, (c>>2)&1)`.
+//!
+//! [`ElementBlocks::new`] integrates three quantities of one element size
+//! in one quadrature loop — `M = ∫N_i N_j`, `G^d = ∫N_i ∂_d N_j` and
+//! `H^{de} = ∫∂_d N_i ∂_e N_j` — and every block a solver uses is algebra
+//! on them. [`LevelBlocks`] keeps one per element size of a mesh, and
+//! [`LevelBlocks::of`] is the one function that knows a box domain has one
+//! size per octree level.
+
+use mesh::extract::Mesh;
 
 /// 2-point Gauss–Legendre abscissae on `[0,1]` (degree-3 exactness).
 pub const GAUSS_2: [(f64, f64); 2] = [
@@ -63,27 +72,10 @@ pub fn quad_points(h: [f64; 3]) -> [(f64, [f64; 3], [f64; 8], [[f64; 3]; 8]); 8]
     })
 }
 
-/// Consistent mass matrix `∫ N_i N_j`.
-pub fn mass_matrix(h: [f64; 3]) -> [[f64; 8]; 8] {
-    let mut m = [[0.0; 8]; 8];
-    for (w, _, n, _) in quad_points(h) {
-        for i in 0..8 {
-            for j in 0..8 {
-                m[i][j] += w * n[i] * n[j];
-            }
-        }
-    }
-    m
-}
-
-/// Lumped (row-sum) mass vector.
-pub fn lumped_mass(h: [f64; 3]) -> [f64; 8] {
-    let m = mass_matrix(h);
-    std::array::from_fn(|i| m[i].iter().sum())
-}
-
 /// Variable-coefficient stiffness `∫ κ ∇N_i · ∇N_j` with per-element
-/// constant `κ`.
+/// constant `κ`, by direct quadrature. The solvers read `κ·K₁` from
+/// [`LevelBlocks`]; this stands alone as the reference kernel of the
+/// benchmark's element-apply probe.
 pub fn stiffness_matrix(h: [f64; 3], kappa: f64) -> [[f64; 8]; 8] {
     let mut k = [[0.0; 8]; 8];
     for (w, _, _, g) in quad_points(h) {
@@ -98,30 +90,21 @@ pub fn stiffness_matrix(h: [f64; 3], kappa: f64) -> [[f64; 8]; 8] {
 
 /// The stiffness of every element of `mesh`, with `kappa(e)` the
 /// coefficient of element `e`, as an element-matrix source: it fills the
-/// row-major 8×8 matrix `DistOp` and `assemble_owned_block` take.
+/// row-major 8×8 matrix `DistOp` and `assemble_owned_block` take with
+/// `κ(e)·K₁` from a [`LevelBlocks`] table of the mesh.
 pub fn stiffness_source<'a>(
-    mesh: &'a mesh::extract::Mesh,
+    mesh: &'a Mesh,
     kappa: impl Fn(usize) -> f64 + 'a,
 ) -> impl Fn(usize, &mut [f64]) + 'a {
+    let blocks = LevelBlocks::new(mesh);
     move |e, out| {
-        let k = stiffness_matrix(mesh.element_size(e), kappa(e));
-        for (row, k) in out.chunks_exact_mut(8).zip(&k) {
-            row.copy_from_slice(k);
-        }
-    }
-}
-
-/// Advection matrix `∫ N_i (a · ∇N_j)` for a constant element velocity.
-pub fn advection_matrix(h: [f64; 3], a: [f64; 3]) -> [[f64; 8]; 8] {
-    let mut m = [[0.0; 8]; 8];
-    for (w, _, n, g) in quad_points(h) {
-        for i in 0..8 {
-            for j in 0..8 {
-                m[i][j] += w * n[i] * (a[0] * g[j][0] + a[1] * g[j][1] + a[2] * g[j][2]);
+        let (k, kappa) = (&blocks.of(mesh, e).stiffness, kappa(e));
+        for (row, k) in out.chunks_exact_mut(8).zip(k) {
+            for (o, v) in row.iter_mut().zip(k) {
+                *o = kappa * v;
             }
         }
     }
-    m
 }
 
 /// The SUPG stabilization parameter τ (Brooks–Hughes): optimal 1D rule
@@ -148,122 +131,165 @@ pub fn supg_tau(h: [f64; 3], a: [f64; 3], kappa: f64) -> f64 {
     he * xi / (2.0 * amag)
 }
 
-/// SUPG matrices for the transport equation: returns
-/// `(S_mass, S_adv)` where `S_mass[i][j] = τ ∫ (a·∇N_i) N_j` (applies to
-/// the time-derivative/reaction terms) and `S_adv[i][j] = τ ∫ (a·∇N_i)
-/// (a·∇N_j)` (streamline diffusion).
-pub fn supg_matrices(h: [f64; 3], a: [f64; 3], kappa: f64) -> ([[f64; 8]; 8], [[f64; 8]; 8]) {
-    let tau = supg_tau(h, a, kappa);
-    let mut sm = [[0.0; 8]; 8];
-    let mut sa = [[0.0; 8]; 8];
-    if tau == 0.0 {
-        return (sm, sa);
-    }
-    for (w, _, n, g) in quad_points(h) {
-        let adotg: [f64; 8] =
-            std::array::from_fn(|i| a[0] * g[i][0] + a[1] * g[i][1] + a[2] * g[i][2]);
-        for i in 0..8 {
-            for j in 0..8 {
-                sm[i][j] += w * tau * adotg[i] * n[j];
-                sa[i][j] += w * tau * adotg[i] * adotg[j];
-            }
-        }
-    }
-    (sm, sa)
+/// Row-major 8×8 element matrix.
+pub type Mat8 = [[f64; 8]; 8];
+
+/// Every unit-coefficient element block of one box size `h`, formed from
+/// three integrals. On an axis-aligned box the coefficients factor out:
+/// the Stokes momentum block is `η·A₁`, the stabilization `C₁/η`, the AMG
+/// block `η·K₁`, the Schur diagonal `m/η`, the load `M·f`; transport forms
+/// `A(a) + κK₁ + S_a` and `S_m` per element from [`Self::advection`] and
+/// [`Self::supg`].
+pub struct ElementBlocks {
+    /// `M_ij = ∫ N_i N_j`.
+    pub mass: Mat8,
+    /// `G^d_ij = ∫ N_i ∂_d N_j`.
+    grad: [Mat8; 3],
+    /// `H^{de}_ij = ∫ ∂_d N_i ∂_e N_j`.
+    grad_grad: [[Mat8; 3]; 3],
+    /// `m_i = Σ_j M_ij = ∫ N_i`, the lumped mass.
+    pub lumped_mass: [f64; 8],
+    /// `K₁ = Σ_d H^{dd}`.
+    pub stiffness: Mat8,
+    /// `A₁[3i+a][3j+b] = δ_ab K₁_ij + H^{ba}_ij`: the weak form of
+    /// `−∇·(∇u + ∇uᵀ)`.
+    pub viscous: [[f64; 24]; 24],
+    /// `B[i][3j+d] = G^d_ij`: pressure test row `i`, velocity trial column
+    /// `(j, d)`. The Stokes system has `B` in the continuity row and `Bᵀ`
+    /// (the pressure gradient) in the momentum rows.
+    pub divergence: [[f64; 24]; 8],
+    /// `Bᵀ`, so that the Stokes sweep runs `Bu` with the eight pressure
+    /// rows as vector lanes.
+    pub divergence_t: [[f64; 8]; 24],
+    /// Dohrmann–Bochev polynomial pressure projection `C₁ = M − m mᵀ/V`:
+    /// `∫ (N_i − Π N_i)(N_j − Π N_j)` with `Π` the element-wise `L²`
+    /// projection onto constants and `V` the element volume. Exactly
+    /// symmetric, so it is its own transpose.
+    pub stabilization: Mat8,
 }
 
-/// Viscous (strain-rate) block for the Stokes momentum operator:
-/// `K[3i+a][3j+b] = ∫ η ( δ_ab ∇N_i·∇N_j + ∂N_i/∂x_b ∂N_j/∂x_a )`,
-/// i.e. the weak form of `−∇·[η(∇u + ∇uᵀ)]`.
-pub fn viscous_matrix(h: [f64; 3], eta: f64) -> [[f64; 24]; 24] {
-    let mut k = [[0.0; 24]; 24];
-    for (w, _, _, g) in quad_points(h) {
-        for i in 0..8 {
-            for j in 0..8 {
-                let gij = g[i][0] * g[j][0] + g[i][1] * g[j][1] + g[i][2] * g[j][2];
-                for a in 0..3 {
-                    for b in 0..3 {
-                        let mut v = g[i][b] * g[j][a];
-                        if a == b {
-                            v += gij;
+impl ElementBlocks {
+    /// Integrate `M`, `G` and `H` on a box of size `h` by 2-point Gauss
+    /// quadrature (exact for all three) and form the blocks. Every product
+    /// is `w·(x·y)`, so `M`, `H^{dd}`, `K₁`, `A₁` and `C₁` are exactly
+    /// symmetric.
+    pub fn new(h: [f64; 3]) -> Self {
+        let mut mass = [[0.0; 8]; 8];
+        let mut grad = [[[0.0; 8]; 8]; 3];
+        let mut grad_grad = [[[[0.0; 8]; 8]; 3]; 3];
+        for (w, _, n, g) in quad_points(h) {
+            for i in 0..8 {
+                for j in 0..8 {
+                    mass[i][j] += w * (n[i] * n[j]);
+                    for d in 0..3 {
+                        grad[d][i][j] += w * (n[i] * g[j][d]);
+                        for e in 0..3 {
+                            grad_grad[d][e][i][j] += w * (g[i][d] * g[j][e]);
                         }
-                        k[3 * i + a][3 * j + b] += w * eta * v;
                     }
                 }
             }
         }
-    }
-    k
-}
-
-/// Discrete divergence coupling: `B[i][3j+d] = ∫ N_i ∂N_j/∂x_d`
-/// (pressure test row `i`, velocity trial column `(j,d)`). The Stokes
-/// system uses `−B` in the continuity row and `Bᵀ` (pressure gradient) in
-/// the momentum rows.
-pub fn divergence_matrix(h: [f64; 3]) -> [[f64; 24]; 8] {
-    let mut b = [[0.0; 24]; 8];
-    for (w, _, n, g) in quad_points(h) {
-        for i in 0..8 {
-            for j in 0..8 {
-                for d in 0..3 {
-                    b[i][3 * j + d] += w * n[i] * g[j][d];
+        let lumped_mass: [f64; 8] = std::array::from_fn(|i| mass[i].iter().sum());
+        let stiffness: Mat8 = std::array::from_fn(|i| {
+            std::array::from_fn(|j| {
+                grad_grad[0][0][i][j] + grad_grad[1][1][i][j] + grad_grad[2][2][i][j]
+            })
+        });
+        let viscous = std::array::from_fn(|r| {
+            std::array::from_fn(|c| {
+                let (i, a, j, b) = (r / 3, r % 3, c / 3, c % 3);
+                let cross = grad_grad[b][a][i][j];
+                if a == b {
+                    stiffness[i][j] + cross
+                } else {
+                    cross
                 }
+            })
+        });
+        let divergence: [[f64; 24]; 8] =
+            std::array::from_fn(|i| std::array::from_fn(|c| grad[c % 3][i][c / 3]));
+        let vol = h[0] * h[1] * h[2];
+        let stabilization: Mat8 = std::array::from_fn(|i| {
+            std::array::from_fn(|j| mass[i][j] - lumped_mass[i] * lumped_mass[j] / vol)
+        });
+        ElementBlocks {
+            divergence_t: std::array::from_fn(|c| std::array::from_fn(|i| divergence[i][c])),
+            mass,
+            grad,
+            grad_grad,
+            lumped_mass,
+            stiffness,
+            viscous,
+            divergence,
+            stabilization,
+        }
+    }
+
+    /// Galerkin advection `A(a) = Σ_d a_d G^d`, i.e. `∫ N_i (a·∇N_j)`, for
+    /// a constant element velocity `a`.
+    pub fn advection(&self, a: [f64; 3]) -> Mat8 {
+        let g = &self.grad;
+        std::array::from_fn(|i| {
+            std::array::from_fn(|j| a[0] * g[0][i][j] + a[1] * g[1][i][j] + a[2] * g[2][i][j])
+        })
+    }
+
+    /// The SUPG blocks for velocity `a` and parameter `tau` ([`supg_tau`]):
+    /// `(S_m, S_a)` with `S_m = τ Σ_d a_d (G^d)ᵀ = τ ∫ (a·∇N_i) N_j` (the
+    /// coupling of the time derivative and the source) and
+    /// `S_a = τ Σ_de a_d a_e H^{de} = τ ∫ (a·∇N_i)(a·∇N_j)` (streamline
+    /// diffusion).
+    pub fn supg(&self, a: [f64; 3], tau: f64) -> (Mat8, Mat8) {
+        let (g, hh) = (&self.grad, &self.grad_grad);
+        let sm = std::array::from_fn(|i| {
+            std::array::from_fn(|j| {
+                tau * (a[0] * g[0][j][i] + a[1] * g[1][j][i] + a[2] * g[2][j][i])
+            })
+        });
+        let aa: [[f64; 3]; 3] = std::array::from_fn(|d| std::array::from_fn(|e| a[d] * a[e]));
+        let sa = std::array::from_fn(|i| {
+            std::array::from_fn(|j| {
+                let mut s = 0.0;
+                for d in 0..3 {
+                    for e in 0..3 {
+                        s += aa[d][e] * hh[d][e][i][j];
+                    }
+                }
+                tau * s
+            })
+        });
+        (sm, sa)
+    }
+}
+
+/// The [`ElementBlocks`] of every element of a mesh: one entry per octree
+/// level present, because a box domain has one element size per level.
+/// Every element matrix a solver uses is read from here and scaled by the
+/// element's coefficients.
+pub struct LevelBlocks(Vec<Option<Box<ElementBlocks>>>);
+
+impl LevelBlocks {
+    pub fn new(mesh: &Mesh) -> Self {
+        let mut table: Vec<Option<Box<ElementBlocks>>> = Vec::new();
+        for (e, o) in mesh.elements.iter().enumerate() {
+            let level = o.level() as usize;
+            if table.len() <= level {
+                table.resize_with(level + 1, || None);
             }
+            table[level].get_or_insert_with(|| Box::new(ElementBlocks::new(mesh.element_size(e))));
         }
+        LevelBlocks(table)
     }
-    b
-}
 
-/// Dohrmann–Bochev polynomial-pressure-projection stabilization:
-/// `C = (1/η) ∫ (N_i − Π N_i)(N_j − Π N_j)` where `Π` is the element-wise
-/// `L²` projection onto constants; equals `(M − m mᵀ/V)/η` with the
-/// pressure mass matrix `M`, `m_i = ∫ N_i`, and element volume `V`.
-pub fn pressure_stabilization(h: [f64; 3], eta: f64) -> [[f64; 8]; 8] {
-    let m = mass_matrix(h);
-    let vol = h[0] * h[1] * h[2];
-    let mvec: [f64; 8] = std::array::from_fn(|i| m[i].iter().sum());
-    let mut c = [[0.0; 8]; 8];
-    for i in 0..8 {
-        for j in 0..8 {
-            c[i][j] = (m[i][j] - mvec[i] * mvec[j] / vol) / eta;
-        }
-    }
-    c
-}
-
-/// The unit-coefficient element blocks of the stabilized Stokes system
-/// on a box of size `h`, integrated once and scaled per element: on an
-/// axis-aligned box `viscous_matrix(h, η) = η·viscous`,
-/// `stiffness_matrix(h, η) = η·stiffness`,
-/// `pressure_stabilization(h, η) = stabilization/η`, and the divergence
-/// and mass blocks carry no coefficient. An octree mesh on a box domain
-/// has one `h` per refinement level, so callers keep one of these per
-/// level; a mapped geometry would keep one per element.
-pub struct StokesBlocks {
-    /// `viscous_matrix(h, 1)`.
-    pub viscous: [[f64; 24]; 24],
-    /// `divergence_matrix(h)`.
-    pub divergence: [[f64; 24]; 8],
-    /// `pressure_stabilization(h, 1)`.
-    pub stabilization: [[f64; 8]; 8],
-    /// `stiffness_matrix(h, 1)`.
-    pub stiffness: [[f64; 8]; 8],
-    /// `mass_matrix(h)`.
-    pub mass: [[f64; 8]; 8],
-    /// `lumped_mass(h)`.
-    pub lumped_mass: [f64; 8],
-}
-
-impl StokesBlocks {
-    pub fn new(h: [f64; 3]) -> Self {
-        StokesBlocks {
-            viscous: viscous_matrix(h, 1.0),
-            divergence: divergence_matrix(h),
-            stabilization: pressure_stabilization(h, 1.0),
-            stiffness: stiffness_matrix(h, 1.0),
-            mass: mass_matrix(h),
-            lumped_mass: lumped_mass(h),
-        }
+    /// The blocks of local element `e` of the mesh the table was built on.
+    /// The one geometry hook: a mapped geometry would index per-element
+    /// blocks here and no caller would change.
+    #[inline]
+    pub fn of(&self, mesh: &Mesh, e: usize) -> &ElementBlocks {
+        self.0[mesh.elements[e].level() as usize]
+            .as_deref()
+            .expect("a block per level present in the mesh")
     }
 }
 
@@ -273,35 +299,11 @@ mod tests {
 
     const H: [f64; 3] = [0.5, 0.25, 1.0];
 
-    /// The identity [`StokesBlocks`] rests on: the coefficient factors out
-    /// of every block to rounding, for anisotropic `h` and η over decades.
-    #[test]
-    fn coefficient_factors_out_of_every_block() {
-        fn assert_scaled<const N: usize>(
-            what: &str,
-            got: &[[f64; N]; N],
-            unit: &[[f64; N]; N],
-            s: f64,
-        ) {
-            let largest = got.iter().flatten().fold(0.0f64, |m, v| m.max(v.abs()));
-            for i in 0..N {
-                for j in 0..N {
-                    let err = (got[i][j] - s * unit[i][j]).abs();
-                    assert!(err <= 1e-13 * largest, "{what}[{i}][{j}] off by {err}");
-                }
-            }
-        }
-        for h in [H, [1.0 / 32.0, 1.0 / 16.0, 1.0 / 32.0], [0.3, 0.7, 0.11]] {
-            let unit = StokesBlocks::new(h);
-            for eta in [1e-3, 0.37, 1.0, 42.0, 1e4] {
-                let a = viscous_matrix(h, eta);
-                assert_scaled("viscous", &a, &unit.viscous, eta);
-                let c = pressure_stabilization(h, eta);
-                assert_scaled("stabilization", &c, &unit.stabilization, 1.0 / eta);
-                let k = stiffness_matrix(h, eta);
-                assert_scaled("stiffness", &k, &unit.stiffness, eta);
-            }
-        }
+    /// `xᵀ K x` for a square matrix given by rows.
+    fn quadratic_form<const N: usize>(k: &[[f64; N]; N], x: &[f64; N]) -> f64 {
+        (0..N)
+            .map(|i| (0..N).map(|j| x[i] * k[i][j] * x[j]).sum::<f64>())
+            .sum()
     }
 
     #[test]
@@ -334,52 +336,52 @@ mod tests {
     }
 
     #[test]
-    fn mass_matrix_totals_volume() {
-        let m = mass_matrix(H);
-        let total: f64 = m.iter().flatten().sum();
-        assert!((total - H[0] * H[1] * H[2]).abs() < 1e-14);
-        // Symmetry + positivity of diagonal.
+    fn symmetric_blocks_are_exactly_symmetric() {
+        let b = ElementBlocks::new(H);
         for i in 0..8 {
-            assert!(m[i][i] > 0.0);
             for j in 0..8 {
-                assert!((m[i][j] - m[j][i]).abs() < 1e-15);
+                assert_eq!(b.mass[i][j].to_bits(), b.mass[j][i].to_bits());
+                assert_eq!(b.stiffness[i][j].to_bits(), b.stiffness[j][i].to_bits());
+                let c = &b.stabilization;
+                assert_eq!(c[i][j].to_bits(), c[j][i].to_bits());
             }
         }
-        let lm = lumped_mass(H);
-        assert!((lm.iter().sum::<f64>() - H[0] * H[1] * H[2]).abs() < 1e-14);
+        for r in 0..24 {
+            for c in 0..24 {
+                assert_eq!(b.viscous[r][c].to_bits(), b.viscous[c][r].to_bits());
+            }
+        }
+    }
+
+    #[test]
+    fn mass_matrix_totals_volume() {
+        let b = ElementBlocks::new(H);
+        let vol = H[0] * H[1] * H[2];
+        let total: f64 = b.mass.iter().flatten().sum();
+        assert!((total - vol).abs() < 1e-14);
+        assert!((0..8).all(|i| b.mass[i][i] > 0.0));
+        assert!((b.lumped_mass.iter().sum::<f64>() - vol).abs() < 1e-14);
     }
 
     #[test]
     fn stiffness_annihilates_constants_and_is_spd() {
-        let k = stiffness_matrix(H, 3.0);
-        for i in 0..8 {
-            let row: f64 = k[i].iter().sum();
-            assert!(row.abs() < 1e-13, "constant in kernel");
-            for j in 0..8 {
-                assert!((k[i][j] - k[j][i]).abs() < 1e-13);
-            }
+        let k = ElementBlocks::new(H).stiffness;
+        for row in &k {
+            assert!(row.iter().sum::<f64>().abs() < 1e-13, "constant in kernel");
         }
-        // Energy of a linear function x: u_c = x_c ⇒ uᵀKu = κ ∫ |∇x|² = κ·V/hx²·hx²… = κ·V.
+        // Energy of the linear function x: u_c = x_c ⇒ uᵀK₁u = ∫ |∇x|² = V.
         let u: [f64; 8] = std::array::from_fn(|c| (c & 1) as f64 * H[0]);
-        let mut e = 0.0;
-        for i in 0..8 {
-            for j in 0..8 {
-                e += u[i] * k[i][j] * u[j];
-            }
-        }
-        assert!((e - 3.0 * H[0] * H[1] * H[2]).abs() < 1e-13, "e = {e}");
+        let e = quadratic_form(&k, &u);
+        assert!((e - H[0] * H[1] * H[2]).abs() < 1e-13, "e = {e}");
     }
 
     #[test]
     fn advection_is_skew_on_interior_pairing() {
-        // ∫ N_i a·∇N_j + ∫ N_j a·∇N_i = boundary term = a·n surface
-        // integrals; for the row sums: A·1 = 0 (gradient of constant).
-        let a = advection_matrix(H, [1.0, -2.0, 0.5]);
-        for i in 0..8 {
-            let row: f64 = a[i].iter().sum();
-            assert!(row.abs() < 1e-14);
+        // A·1 = ∫ N_i a·∇1 = 0 row by row, so the total vanishes too.
+        let a = ElementBlocks::new(H).advection([1.0, -2.0, 0.5]);
+        for row in &a {
+            assert!(row.iter().sum::<f64>().abs() < 1e-14);
         }
-        // Total ∑_ij A_ij = ∫ a·∇(1)… = 0? No: ∑_i N_i = 1 so ∑_ij = ∫ a·∇1 = 0.
         let total: f64 = a.iter().flatten().sum();
         assert!(total.abs() < 1e-13);
     }
@@ -398,90 +400,64 @@ mod tests {
 
     #[test]
     fn supg_streamline_matrix_is_psd() {
-        let (_, sa) = supg_matrices(H, [1.0, 0.3, -0.2], 1e-3);
-        // xᵀ S x ≥ 0 for a few vectors.
+        let a = [1.0, 0.3, -0.2];
+        let (_, sa) = ElementBlocks::new(H).supg(a, supg_tau(H, a, 1e-3));
         for seed in 0..5u64 {
             let x: [f64; 8] = std::array::from_fn(|i| {
                 (((i as u64 + 1) * (seed + 3) * 2654435761) % 1000) as f64 / 500.0 - 1.0
             });
-            let mut q = 0.0;
-            for i in 0..8 {
-                for j in 0..8 {
-                    q += x[i] * sa[i][j] * x[j];
-                }
-            }
+            let q = quadratic_form(&sa, &x);
             assert!(q >= -1e-12, "quadratic form {q}");
         }
     }
 
     #[test]
     fn viscous_matrix_annihilates_rigid_motions() {
-        let k = viscous_matrix(H, 2.5);
+        let k = ElementBlocks::new(H).viscous;
         // Translations.
         for d in 0..3 {
             let u: [f64; 24] = std::array::from_fn(|i| if i % 3 == d { 1.0 } else { 0.0 });
-            for i in 0..24 {
-                let r: f64 = (0..24).map(|j| k[i][j] * u[j]).sum();
+            for row in &k {
+                let r: f64 = row.iter().zip(&u).map(|(a, b)| a * b).sum();
                 assert!(r.abs() < 1e-12, "translation {d} not in kernel");
             }
         }
         // Rotation about z: u = (−y, x, 0).
         let mut u = [0.0; 24];
         for c in 0..8 {
-            let x = (c & 1) as f64 * H[0];
-            let y = ((c >> 1) & 1) as f64 * H[1];
-            u[3 * c] = -y;
-            u[3 * c + 1] = x;
+            u[3 * c] = -(((c >> 1) & 1) as f64 * H[1]);
+            u[3 * c + 1] = (c & 1) as f64 * H[0];
         }
-        let mut e = 0.0;
-        for i in 0..24 {
-            for j in 0..24 {
-                e += u[i] * k[i][j] * u[j];
-            }
-        }
+        let e = quadratic_form(&k, &u);
         assert!(e.abs() < 1e-12, "rigid rotation energy {e}");
-        // Symmetry.
-        for i in 0..24 {
-            for j in 0..24 {
-                assert!((k[i][j] - k[j][i]).abs() < 1e-12);
-            }
-        }
     }
 
     #[test]
     fn divergence_exact_on_linear_velocity() {
         // u = (x, 0, 0) has div u = 1; B u against each pressure shape
         // must give ∫ N_i · 1 = m_i.
-        let b = divergence_matrix(H);
+        let b = ElementBlocks::new(H);
         let mut u = [0.0; 24];
         for c in 0..8 {
             u[3 * c] = (c & 1) as f64 * H[0];
         }
-        let m = mass_matrix(H);
         for i in 0..8 {
-            let bi: f64 = (0..24).map(|j| b[i][j] * u[j]).sum();
-            let mi: f64 = m[i].iter().sum();
-            assert!((bi - mi).abs() < 1e-13);
+            let bi: f64 = (0..24).map(|j| b.divergence[i][j] * u[j]).sum();
+            assert!((bi - b.lumped_mass[i]).abs() < 1e-13);
         }
     }
 
     #[test]
     fn pressure_stabilization_kills_constants_only() {
-        let c = pressure_stabilization(H, 2.0);
-        // C·1 = 0 (constants unpenalized).
-        for i in 0..8 {
-            let r: f64 = c[i].iter().sum();
-            assert!(r.abs() < 1e-13);
+        let c = ElementBlocks::new(H).stabilization;
+        // C₁·1 = 0 (constants unpenalized).
+        for row in &c {
+            assert!(row.iter().sum::<f64>().abs() < 1e-13);
         }
         // The checkerboard mode is penalized.
         let cb: [f64; 8] =
             std::array::from_fn(|i| if (i.count_ones() & 1) == 0 { 1.0 } else { -1.0 });
-        let mut q = 0.0;
-        for i in 0..8 {
-            for j in 0..8 {
-                q += cb[i] * c[i][j] * cb[j];
-            }
-        }
+        let q = quadratic_form(&c, &cb);
         assert!(q > 1e-6, "checkerboard energy {q}");
     }
 }

@@ -4,12 +4,12 @@
 //! trilinear Lagrange elements for all fields on octree-derived hex
 //! meshes, with
 //!
-//! * element matrices on axis-aligned boxes: mass, variable-coefficient
-//!   stiffness, advection with SUPG stabilization (Brooks–Hughes), the
-//!   variable-viscosity viscous (strain-rate) block, discrete divergence,
-//!   and the Dohrmann–Bochev polynomial-pressure-projection stabilization
-//!   used to circumvent the inf-sup condition for equal-order
-//!   velocity–pressure pairs;
+//! * one table of element matrices on axis-aligned boxes, formed from
+//!   three integrals per element size: mass, stiffness, advection with
+//!   SUPG stabilization (Brooks–Hughes), the viscous (strain-rate) block,
+//!   discrete divergence, and the Dohrmann–Bochev
+//!   polynomial-pressure-projection stabilization used to circumvent the
+//!   inf-sup condition for equal-order velocity–pressure pairs;
 //! * element-level application of the hanging-node constraints `CᵀKC`;
 //! * distributed matrix-free operator application (ghost exchange →
 //!   element kernels → reverse accumulation), which is how the paper's
@@ -22,8 +22,5 @@ pub mod element;
 pub mod op;
 
 pub use assembly::{assemble_owned_block, ElementMatrixSource};
-pub use element::{
-    advection_matrix, divergence_matrix, mass_matrix, pressure_stabilization, stiffness_matrix,
-    supg_matrices, supg_tau, viscous_matrix, GAUSS_2,
-};
+pub use element::{stiffness_matrix, supg_tau, ElementBlocks, LevelBlocks, GAUSS_2};
 pub use op::{DistOp, DofMap};

@@ -340,7 +340,7 @@ impl<'a> LinearOp for DistOp<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::element::{mass_matrix, stiffness_source};
+    use crate::element::{stiffness_source, LevelBlocks};
     use la::krylov::cg;
     use mesh::extract::extract_mesh;
     use octree::balance::BalanceKind;
@@ -376,8 +376,9 @@ mod tests {
                 fv[d] = f(m.dof_coords(d));
             }
             let fl = map.to_local(&fv);
+            let blocks = LevelBlocks::new(&m);
             for e in 0..m.elements.len() {
-                let mm = mass_matrix(m.element_size(e));
+                let mm = &blocks.of(&m, e).mass;
                 map.gather_element(e, &fl, &mut fe);
                 for i in 0..8 {
                     re[i] = (0..8).map(|j| mm[i][j] * fe[j]).sum();

@@ -32,20 +32,10 @@ pub fn tensor_derivative_flops(p: usize) -> u64 {
     6 * n.pow(4)
 }
 
-/// Which kernel implementation to run.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum DerivativeKernel {
-    MatrixBased,
-    TensorProduct,
-}
-
 /// Precomputed operators for applying the reference gradient on elements
-/// of order `p`.
+/// of order `p` with the tensor-product kernel.
 pub struct ElementDerivative {
     pub lgl: Lgl,
-    /// Stacked dense derivative matrix `[Dξ; Dη; Dζ]`, row-major
-    /// `3n³ × n³` (matrix-based path).
-    big: Vec<f64>,
     /// Transpose of the 1D differentiation matrix (`diff_t[m·n + i] =
     /// diff[i·n + m]`): the ξ contraction walks D by columns, and the
     /// transposed layout turns that into unit-stride rows.
@@ -57,74 +47,19 @@ impl ElementDerivative {
     pub fn new(p: usize) -> Self {
         let lgl = Lgl::new(p);
         let n1 = lgl.n();
-        let n3 = n1 * n1 * n1;
-        let mut big = vec![0.0; 3 * n3 * n3];
         let d = &lgl.diff;
-        // Node (i,j,k) ↔ flat index i + n*(j + n*k); ξ varies with i.
-        let flat = |i: usize, j: usize, k: usize| i + n1 * (j + n1 * k);
-        for k in 0..n1 {
-            for j in 0..n1 {
-                for i in 0..n1 {
-                    let row = flat(i, j, k);
-                    for m in 0..n1 {
-                        // ∂/∂ξ couples i↔m.
-                        big[row * n3 + flat(m, j, k)] += d[i * n1 + m];
-                        // ∂/∂η couples j↔m.
-                        big[(n3 + row) * n3 + flat(i, m, k)] += d[j * n1 + m];
-                        // ∂/∂ζ couples k↔m.
-                        big[(2 * n3 + row) * n3 + flat(i, j, m)] += d[k * n1 + m];
-                    }
-                }
-            }
-        }
         let mut diff_t = vec![0.0; n1 * n1];
         for i in 0..n1 {
             for m in 0..n1 {
                 diff_t[m * n1 + i] = d[i * n1 + m];
             }
         }
-        ElementDerivative {
-            lgl,
-            big,
-            diff_t,
-            n1,
-        }
+        ElementDerivative { lgl, diff_t, n1 }
     }
 
     /// Nodes per element.
     pub fn n3(&self) -> usize {
         self.n1 * self.n1 * self.n1
-    }
-
-    /// Matrix-based path: one `3n³ × n³` by `n³ × nelem` multiply over a
-    /// batch of elements. `u` is `n³ × nelem` (element-major columns,
-    /// i.e. `u[e*n3 + node]`), `out` is `3n³ × nelem` laid out
-    /// `out[e*3n3 + dir*n3 + node]`.
-    pub fn apply_matrix_batch(&self, u: &[f64], out: &mut [f64], nelem: usize) {
-        let n3 = self.n3();
-        debug_assert_eq!(u.len(), n3 * nelem);
-        debug_assert_eq!(out.len(), 3 * n3 * nelem);
-        // Cache-blocked GEMM: out(e) = big · u(e); block over rows and the
-        // inner dimension. The inner product runs over zipped slices so
-        // the compiler can drop bounds checks and vectorize.
-        const BK: usize = 64;
-        for e in 0..nelem {
-            let ue = &u[e * n3..(e + 1) * n3];
-            let oe = &mut out[e * 3 * n3..(e + 1) * 3 * n3];
-            oe.fill(0.0);
-            for k0 in (0..n3).step_by(BK) {
-                let k1 = (k0 + BK).min(n3);
-                let ub = &ue[k0..k1];
-                for (r, orow) in oe.iter_mut().enumerate() {
-                    let brow = &self.big[r * n3 + k0..r * n3 + k1];
-                    let mut acc = 0.0;
-                    for (&bv, &uv) in brow.iter().zip(ub) {
-                        acc += bv * uv;
-                    }
-                    *orow += acc;
-                }
-            }
-        }
     }
 
     /// Tensor-product path: three 1D contractions per element, written as
@@ -140,7 +75,8 @@ impl ElementDerivative {
     /// * ∂/∂ζ — each contiguous `n²`-slab accumulates input slabs scaled
     ///   by `D[k][m]`.
     ///
-    /// Layouts as in [`Self::apply_matrix_batch`].
+    /// `u` is `n³ × nelem` (element-major columns, i.e. `u[e*n3 + node]`),
+    /// `out` is `3n³ × nelem` laid out `out[e*3n3 + dir*n3 + node]`.
     ///
     /// [`diff_t`]: struct.ElementDerivative.html#structfield.diff_t
     pub fn apply_tensor_batch(&self, u: &[f64], out: &mut [f64], nelem: usize) {
@@ -232,6 +168,71 @@ impl ElementDerivative {
                         }
                         oe[2 * n3 + i + n * (j + n * kk)] = acc;
                     }
+                }
+            }
+        }
+    }
+}
+
+/// The matrix-based kernel: the stacked dense derivative matrix
+/// `[Dξ; Dη; Dζ]` (`3n³ × n³`, row-major) of an [`ElementDerivative`]'s
+/// order, applied as one matrix–matrix multiply over a batch of elements.
+/// The Section VII experiment's other side; the solver runs the tensor
+/// kernel.
+pub struct MatrixDerivative {
+    big: Vec<f64>,
+    n3: usize,
+}
+
+impl MatrixDerivative {
+    pub fn new(ed: &ElementDerivative) -> Self {
+        let (n1, n3) = (ed.n1, ed.n3());
+        let d = &ed.lgl.diff;
+        let mut big = vec![0.0; 3 * n3 * n3];
+        // Node (i,j,k) ↔ flat index i + n*(j + n*k); ξ varies with i.
+        let flat = |i: usize, j: usize, k: usize| i + n1 * (j + n1 * k);
+        for k in 0..n1 {
+            for j in 0..n1 {
+                for i in 0..n1 {
+                    let row = flat(i, j, k);
+                    for m in 0..n1 {
+                        // ∂/∂ξ couples i↔m.
+                        big[row * n3 + flat(m, j, k)] += d[i * n1 + m];
+                        // ∂/∂η couples j↔m.
+                        big[(n3 + row) * n3 + flat(i, m, k)] += d[j * n1 + m];
+                        // ∂/∂ζ couples k↔m.
+                        big[(2 * n3 + row) * n3 + flat(i, j, m)] += d[k * n1 + m];
+                    }
+                }
+            }
+        }
+        MatrixDerivative { big, n3 }
+    }
+
+    /// One `3n³ × n³` by `n³ × nelem` multiply, in the layouts of
+    /// [`ElementDerivative::apply_tensor_batch`].
+    pub fn apply_batch(&self, u: &[f64], out: &mut [f64], nelem: usize) {
+        let n3 = self.n3;
+        debug_assert_eq!(u.len(), n3 * nelem);
+        debug_assert_eq!(out.len(), 3 * n3 * nelem);
+        // Cache-blocked GEMM: out(e) = big · u(e); block over rows and the
+        // inner dimension. The inner product runs over zipped slices so
+        // the compiler can drop bounds checks and vectorize.
+        const BK: usize = 64;
+        for e in 0..nelem {
+            let ue = &u[e * n3..(e + 1) * n3];
+            let oe = &mut out[e * 3 * n3..(e + 1) * 3 * n3];
+            oe.fill(0.0);
+            for k0 in (0..n3).step_by(BK) {
+                let k1 = (k0 + BK).min(n3);
+                let ub = &ue[k0..k1];
+                for (r, orow) in oe.iter_mut().enumerate() {
+                    let brow = &self.big[r * n3 + k0..r * n3 + k1];
+                    let mut acc = 0.0;
+                    for (&bv, &uv) in brow.iter().zip(ub) {
+                        acc += bv * uv;
+                    }
+                    *orow += acc;
                 }
             }
         }
@@ -361,7 +362,7 @@ mod tests {
                 .collect();
             let mut a = vec![0.0; 3 * n3 * nelem];
             let mut b = vec![0.0; 3 * n3 * nelem];
-            ed.apply_matrix_batch(&u, &mut a, nelem);
+            MatrixDerivative::new(&ed).apply_batch(&u, &mut a, nelem);
             ed.apply_tensor_batch(&u, &mut b, nelem);
             for i in 0..a.len() {
                 assert!(

@@ -19,6 +19,6 @@ pub mod lgl;
 
 pub use advection::{DgAdvection, DgParams};
 pub use kernels::{
-    matrix_derivative_flops, tensor_derivative_flops, DerivativeKernel, ElementDerivative,
+    matrix_derivative_flops, tensor_derivative_flops, ElementDerivative, MatrixDerivative,
 };
 pub use lgl::Lgl;

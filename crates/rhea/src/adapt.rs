@@ -22,35 +22,13 @@
 
 use mesh::extract::{extract_mesh_with_ghosts, ExchangeBuffers, Mesh};
 use mesh::interp::{transfer_corner_values_into, unpack_corner_values};
-use octree::mark::MarkParams;
 use octree::parallel::{transfer_fields_into, DistOctree, PartitionPlan};
 use octree::{balance::BalanceKind, ops::level_histogram};
 use scomm::Comm;
 
-/// Adaptation parameters.
-#[derive(Debug, Clone, Copy)]
-pub struct AdaptParams {
-    /// Global element-count target held by `MarkElements`.
-    pub target_elements: u64,
-    /// Relative tolerance around the target.
-    pub tolerance: f64,
-    pub max_level: u8,
-    pub min_level: u8,
-    /// Coarsening threshold as a fraction of the refinement threshold.
-    pub coarsen_ratio: f64,
-}
-
-impl Default for AdaptParams {
-    fn default() -> Self {
-        AdaptParams {
-            target_elements: 0,
-            tolerance: 0.1,
-            max_level: octree::MAX_LEVEL,
-            min_level: 0,
-            coarsen_ratio: 0.05,
-        }
-    }
-}
+/// Adaptation parameters: the `MarkElements` threshold search's, which
+/// is all the pipeline is configured by.
+pub use octree::mark::MarkParams as AdaptParams;
 
 /// Grow-only scratch for the adaptation pipeline, mirroring the MINRES
 /// workspace discipline: every reusable intermediate buffer of the Fig. 4
@@ -178,16 +156,8 @@ pub fn adapt_mesh_ws(
     let cap0 = tree.alloc_bytes() + ws.capacity_bytes();
 
     // MarkElements, then CoarsenTree and RefineTree on its marks.
-    let mark_params = MarkParams {
-        target_elements: params.target_elements,
-        tolerance: params.tolerance,
-        max_level: params.max_level,
-        min_level: params.min_level,
-        coarsen_ratio: params.coarsen_ratio,
-        ..Default::default()
-    };
     rec.with_cat("MarkElements", "amr", || {
-        tree.mark_for_target(indicators, &mark_params)
+        tree.mark_for_target(indicators, params)
     });
     let coarsened = rec.with_cat("CoarsenTree", "amr", || tree.coarsen_marked());
     let refined = rec.with_cat("RefineTree", "amr", || tree.refine_marked());

@@ -14,9 +14,9 @@
 //! the SUPG mass (lumped-mass solve, then one consistency correction) and
 //! advanced with Heun's method under a CFL-limited step.
 
-use std::cell::{OnceCell, RefCell};
+use std::cell::RefCell;
 
-use fem::element::{advection_matrix, lumped_mass, mass_matrix, stiffness_matrix, supg_matrices};
+use fem::element::{supg_tau, LevelBlocks};
 use fem::op::DofMap;
 use mesh::extract::{ExchangeBuffers, Mesh};
 use scomm::Comm;
@@ -41,13 +41,6 @@ impl Default for TransportParams {
             cfl: 0.5,
         }
     }
-}
-
-/// One element's SUPG operators for the current velocity: `k = A + K +
-/// S_a` (each entry summed as `(adv + dif) + sa`) and the SUPG mass `S_m`.
-struct ElementOps {
-    k: [[f64; 8]; 8],
-    sm: [[f64; 8]; 8],
 }
 
 /// Grow-only scratch for [`TransportSolver::step`]: after the first step
@@ -76,15 +69,12 @@ struct RateScratch {
 pub struct TransportSolver<'a> {
     pub mesh: &'a Mesh,
     pub comm: &'a Comm,
-    /// Private for the same reason as `velocity`: κ enters `ops`.
     params: TransportParams,
     map: DofMap<'a>,
-    /// Per-element advection velocity (constant per element). Private:
-    /// `ops` is integrated from it.
+    /// The unit-coefficient element blocks every operator is formed from.
+    blocks: LevelBlocks,
+    /// Per-element advection velocity (constant per element).
     velocity: Vec<[f64; 3]>,
-    /// The element operators of `velocity`, integrated on the first rate
-    /// evaluation after the velocity was set and kept until it changes.
-    ops: OnceCell<Vec<ElementOps>>,
     /// Dirichlet mask and values over owned dofs.
     pub bc_mask: Vec<bool>,
     pub bc_values: Vec<f64>,
@@ -97,31 +87,25 @@ impl<'a> TransportSolver<'a> {
     /// Create a solver with zero velocity and no Dirichlet constraints.
     pub fn new(mesh: &'a Mesh, comm: &'a Comm, params: TransportParams) -> Self {
         let map = DofMap::new(mesh, comm, 1);
-        let mut solver = TransportSolver {
+        let blocks = LevelBlocks::new(mesh);
+        let mut lumped = vec![0.0; map.n_local()];
+        for e in 0..mesh.elements.len() {
+            map.scatter_element(e, &blocks.of(mesh, e).lumped_mass, &mut lumped);
+        }
+        // Owned entries are now complete; ghosts zeroed by accumulate.
+        map.reverse_accumulate(&mut lumped);
+        TransportSolver {
             mesh,
             comm,
             params,
             map,
+            blocks,
             velocity: vec![[0.0; 3]; mesh.elements.len()],
-            ops: OnceCell::new(),
             bc_mask: vec![false; mesh.n_owned],
             bc_values: vec![0.0; mesh.n_owned],
-            lumped: Vec::new(),
+            lumped,
             scratch: RefCell::default(),
-        };
-        solver.assemble_lumped_mass();
-        solver
-    }
-
-    fn assemble_lumped_mass(&mut self) {
-        let mut ml = vec![0.0; self.map.n_local()];
-        for e in 0..self.mesh.elements.len() {
-            let lm = lumped_mass(self.mesh.element_size(e));
-            self.map.scatter_element(e, &lm, &mut ml);
         }
-        self.map.reverse_accumulate(&mut ml);
-        // Owned entries are now complete; ghosts zeroed by accumulate.
-        self.lumped = ml;
     }
 
     /// Set the advection velocity from a nodal (owned, 3-component)
@@ -140,7 +124,6 @@ impl<'a> TransportSolver<'a> {
             }
             self.velocity[e] = a;
         }
-        self.ops.take();
     }
 
     /// Set the velocity analytically at element centers.
@@ -154,29 +137,6 @@ impl<'a> TransportSolver<'a> {
             ];
             self.velocity[e] = f(p);
         }
-        self.ops.take();
-    }
-
-    /// The element operators of the current velocity, integrated once.
-    fn ops(&self) -> &[ElementOps] {
-        self.ops.get_or_init(|| {
-            let kappa = self.params.kappa;
-            (0..self.mesh.elements.len())
-                .map(|e| {
-                    let h = self.mesh.element_size(e);
-                    let a = self.velocity[e];
-                    let adv = advection_matrix(h, a);
-                    let dif = stiffness_matrix(h, kappa);
-                    let (sm, sa) = supg_matrices(h, a, kappa);
-                    ElementOps {
-                        k: std::array::from_fn(|i| {
-                            std::array::from_fn(|j| adv[i][j] + dif[i][j] + sa[i][j])
-                        }),
-                        sm,
-                    }
-                })
-                .collect()
-        })
     }
 
     /// Impose Dirichlet data where `faces_mask` matches a dof's boundary
@@ -232,29 +192,33 @@ impl<'a> TransportSolver<'a> {
     ) {
         r.clear();
         r.resize(self.map.n_local(), 0.0);
+        let kappa = self.params.kappa;
         let mut te = [0.0; 8];
         let mut ve = [0.0; 8];
         let mut re = [0.0; 8];
-        for (e, ops) in self.ops().iter().enumerate() {
+        for (e, &a) in self.velocity.iter().enumerate() {
+            // k = A + κK₁ + S_a and S_m, formed from the level's blocks.
+            let blocks = self.blocks.of(self.mesh, e);
+            let adv = blocks.advection(a);
+            let (sm, sa) = blocks.supg(a, supg_tau(self.mesh.element_size(e), a, kappa));
+            let k = &blocks.stiffness;
             self.map.gather_element(e, t_local, &mut te);
             if let Some(vp) = v_prev_local {
                 self.map.gather_element(e, vp, &mut ve);
             }
-            let mm = (self.params.source != 0.0).then(|| mass_matrix(self.mesh.element_size(e)));
             for i in 0..8 {
                 let mut acc = 0.0;
                 for j in 0..8 {
-                    acc -= ops.k[i][j] * te[j];
+                    acc -= (adv[i][j] + kappa * k[i][j] + sa[i][j]) * te[j];
                     if v_prev_local.is_some() {
-                        acc -= ops.sm[i][j] * ve[j];
+                        acc -= sm[i][j] * ve[j];
                     }
                 }
-                // Source: γ ∫ (N_i + τ a·∇N_i).
-                if let Some(mm) = &mm {
-                    let mi: f64 = mm[i].iter().sum();
-                    // Row sum of S_m equals τ ∫ (a·∇N_i) (Σ_j N_j = 1).
-                    let si: f64 = ops.sm[i].iter().sum();
-                    acc += self.params.source * (mi + si);
+                // Source: γ ∫ (N_i + τ a·∇N_i); the row sum of S_m is
+                // τ ∫ (a·∇N_i) because Σ_j N_j = 1.
+                if self.params.source != 0.0 {
+                    let si: f64 = sm[i].iter().sum();
+                    acc += self.params.source * (blocks.lumped_mass[i] + si);
                 }
                 re[i] = acc;
             }
@@ -452,12 +416,12 @@ mod tests {
         });
     }
 
-    /// The element operators are integrated once per velocity: three
+    /// A solver carries no state between steps but the velocity: three
     /// steps of one solver equal, bit for bit, three steps each taken by a
     /// fresh solver with the same velocity and BCs, and a new velocity
     /// set after a step reaches the next step.
     #[test]
-    fn stored_operators_match_reintegrated_ones_and_follow_the_velocity() {
+    fn kept_solver_steps_like_fresh_ones_and_follows_the_velocity() {
         spmd::run(2, |c| {
             let mut t = DistOctree::new_uniform(c, 2);
             t.refine(|o| o.center_unit()[0] < 0.4 && o.center_unit()[2] > 0.3);

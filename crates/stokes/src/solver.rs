@@ -1,7 +1,7 @@
 //! The stabilized Stokes operator, its block preconditioner, and the
 //! MINRES driver.
 
-use fem::element::StokesBlocks;
+use fem::element::{ElementBlocks, LevelBlocks};
 use fem::op::DofMap;
 use la::krylov::{minres, LinearOp, SolveInfo};
 use la::{Amg, AmgOptions};
@@ -76,57 +76,6 @@ impl SolverWorkspace {
     }
 }
 
-/// Unit-viscosity element blocks, integrated once per solver: one entry
-/// per octree level present in the mesh (a box domain has one element
-/// size per level). Every element matrix the solver uses is one of these
-/// scaled by the element's η. [`LevelBlocks::of`] is the only place that
-/// knows the table is indexed by level; a mapped geometry would index
-/// per-element blocks there instead.
-struct LevelBlocks(Vec<Option<Box<LevelBlock>>>);
-
-/// One level's blocks, plus `B` and `C₁` transposed, so that `sweep` runs
-/// `Bu` and `C₁p` with the eight pressure rows as vector lanes.
-struct LevelBlock {
-    blocks: StokesBlocks,
-    divergence_t: [[f64; 8]; 24],
-    stabilization_t: [[f64; 8]; 8],
-}
-
-impl LevelBlock {
-    fn new(h: [f64; 3]) -> Self {
-        let blocks = StokesBlocks::new(h);
-        LevelBlock {
-            divergence_t: std::array::from_fn(|j| std::array::from_fn(|q| blocks.divergence[q][j])),
-            stabilization_t: std::array::from_fn(|r| {
-                std::array::from_fn(|q| blocks.stabilization[q][r])
-            }),
-            blocks,
-        }
-    }
-}
-
-impl LevelBlocks {
-    fn new(mesh: &Mesh) -> Self {
-        let mut table: Vec<Option<Box<LevelBlock>>> = Vec::new();
-        for (e, o) in mesh.elements.iter().enumerate() {
-            let level = o.level() as usize;
-            if table.len() <= level {
-                table.resize_with(level + 1, || None);
-            }
-            table[level].get_or_insert_with(|| Box::new(LevelBlock::new(mesh.element_size(e))));
-        }
-        LevelBlocks(table)
-    }
-
-    /// The blocks of local element `e` of the mesh the table was built on.
-    #[inline]
-    fn of(&self, mesh: &Mesh, e: usize) -> &LevelBlock {
-        self.0[mesh.elements[e].level() as usize]
-            .as_deref()
-            .expect("a block per level present in the mesh")
-    }
-}
-
 /// A variable-viscosity Stokes solver bound to a mesh.
 ///
 /// Unknown layout: `[u₀x u₀y u₀z u₁x … | p₀ p₁ …]` — velocity block of
@@ -141,6 +90,8 @@ pub struct StokesSolver<'a> {
     pub vel_bc: Vec<bool>,
     vmap: DofMap<'a>,
     smap: DofMap<'a>,
+    /// Unit-viscosity element blocks, one per octree level present; every
+    /// element matrix the solver uses is one of these scaled by η.
     blocks: LevelBlocks,
     /// AMG on the rank-local η-weighted scalar Poisson block, one
     /// hierarchy per *distinct* velocity-component Dirichlet mask (the
@@ -204,7 +155,7 @@ impl<'a> StokesSolver<'a> {
         // hierarchy.
         let (blocks, mesh, visc) = (&self.blocks, self.mesh, &self.viscosity);
         let src = move |e: usize, out: &mut [f64]| {
-            let (k, eta) = (&blocks.of(mesh, e).blocks.stiffness, visc[e]);
+            let (k, eta) = (&blocks.of(mesh, e).stiffness, visc[e]);
             for i in 0..8 {
                 for j in 0..8 {
                     out[i * 8 + j] = eta * k[i][j];
@@ -257,7 +208,7 @@ impl<'a> StokesSolver<'a> {
         // Schur approximation: lumped pressure mass weighted by 1/η.
         let mut sdiag = vec![0.0; self.smap.n_local()];
         for e in 0..self.mesh.elements.len() {
-            let lm = &self.blocks.of(self.mesh, e).blocks.lumped_mass;
+            let lm = &self.blocks.of(self.mesh, e).lumped_mass;
             let scaled: [f64; 8] = std::array::from_fn(|i| lm[i] / self.viscosity[e]);
             self.smap.scatter_element(e, &scaled, &mut sdiag);
         }
@@ -369,15 +320,12 @@ impl<'a> StokesSolver<'a> {
         let mut pe = [0.0; 8];
         for e in 0..self.mesh.elements.len() {
             let eta = self.viscosity[e];
-            let LevelBlock {
-                blocks:
-                    StokesBlocks {
-                        viscous: a,
-                        divergence: b,
-                        ..
-                    },
+            let ElementBlocks {
+                viscous: a,
+                divergence: b,
                 divergence_t: bt,
-                stabilization_t: ct,
+                stabilization: c,
+                ..
             } = self.blocks.of(self.mesh, e);
             self.vmap.gather_element(e, &ws.ul, &mut ue);
             self.smap.gather_element(e, &ws.pl, &mut pe);
@@ -398,9 +346,10 @@ impl<'a> StokesSolver<'a> {
                     ru[i] += b[q][i] * pe[q];
                 }
             }
-            // rp = B u − (C₁ p)/η over the eight rows at once, from the
-            // transposed blocks. Each row sums in index order from −0.0,
-            // the start of `Iterator::sum` for f64.
+            // rp = B u − (C₁ p)/η over the eight rows at once, from Bᵀ
+            // and the (exactly symmetric) C₁ read as C₁ᵀ. Each row sums
+            // in index order from −0.0, the start of `Iterator::sum` for
+            // f64.
             let mut bu = [-0.0; 8];
             for j in 0..24 {
                 for q in 0..8 {
@@ -410,7 +359,7 @@ impl<'a> StokesSolver<'a> {
             let mut cp = [-0.0; 8];
             for r in 0..8 {
                 for q in 0..8 {
-                    cp[q] += ct[r][q] * pe[r];
+                    cp[q] += c[r][q] * pe[r];
                 }
             }
             let rp: [f64; 8] = std::array::from_fn(|q| bu[q] - cp[q] / eta);
@@ -543,7 +492,7 @@ impl<'a> StokesSolver<'a> {
         let mut fe = [0.0; 24];
         let mut re = [0.0; 24];
         for e in 0..self.mesh.elements.len() {
-            let mm = &self.blocks.of(self.mesh, e).blocks.mass;
+            let mm = &self.blocks.of(self.mesh, e).mass;
             self.vmap.gather_element(e, &fl, &mut fe);
             for i in 0..8 {
                 for c in 0..3 {
@@ -816,57 +765,6 @@ mod tests {
         });
     }
 
-    /// The operator the block table must reproduce: every element
-    /// integrated with its own `h` and η by the `fem::element` builders,
-    /// through the blocking `to_local` / `reverse_accumulate`.
-    fn reference_apply(s: &StokesSolver, x: &[f64], constrained: bool) -> Vec<f64> {
-        use fem::element::{divergence_matrix, pressure_stabilization, viscous_matrix};
-        let nu = 3 * s.mesh.n_owned;
-        let mut u = x[..nu].to_vec();
-        if constrained {
-            for (ui, &m) in u.iter_mut().zip(&s.vel_bc) {
-                if m {
-                    *ui = 0.0;
-                }
-            }
-        }
-        let ul = s.vmap.to_local(&u);
-        let pl = s.smap.to_local(&x[nu..]);
-        let mut yu = vec![0.0; s.vmap.n_local()];
-        let mut yp = vec![0.0; s.smap.n_local()];
-        let (mut ue, mut pe) = ([0.0; 24], [0.0; 8]);
-        for e in 0..s.mesh.elements.len() {
-            let (h, eta) = (s.mesh.element_size(e), s.viscosity[e]);
-            let a = viscous_matrix(h, eta);
-            let b = divergence_matrix(h);
-            let c = pressure_stabilization(h, eta);
-            s.vmap.gather_element(e, &ul, &mut ue);
-            s.smap.gather_element(e, &pl, &mut pe);
-            let ru: [f64; 24] = std::array::from_fn(|i| {
-                (0..24).map(|j| a[i][j] * ue[j]).sum::<f64>()
-                    + (0..8).map(|q| b[q][i] * pe[q]).sum::<f64>()
-            });
-            let rp: [f64; 8] = std::array::from_fn(|q| {
-                (0..24).map(|j| b[q][j] * ue[j]).sum::<f64>()
-                    - (0..8).map(|r| c[q][r] * pe[r]).sum::<f64>()
-            });
-            s.vmap.scatter_element(e, &ru, &mut yu);
-            s.smap.scatter_element(e, &rp, &mut yp);
-        }
-        s.vmap.reverse_accumulate(&mut yu);
-        s.smap.reverse_accumulate(&mut yp);
-        let mut y = yu[..nu].to_vec();
-        y.extend_from_slice(&yp[..s.mesh.n_owned]);
-        if constrained {
-            for (i, &m) in s.vel_bc.iter().enumerate() {
-                if m {
-                    y[i] = x[i];
-                }
-            }
-        }
-        y
-    }
-
     /// An adapted mesh of an anisotropic box with hanging nodes on every
     /// rank.
     fn adapted_mesh(c: &Comm) -> Mesh {
@@ -906,37 +804,6 @@ mod tests {
             .collect()
     }
 
-    #[test]
-    fn apply_matches_per_element_integration() {
-        // Hanging nodes, two ranks, an anisotropic box, and η scattered
-        // element by element over four decades.
-        spmd::run(2, |c| {
-            let m = adapted_mesh(c);
-            let n = m.n_owned;
-            let mut unit = uniform(c);
-            let visc = random_viscosity(&m, &mut unit);
-            let bc: Vec<bool> = (0..3 * n).map(|i| m.dof_on_boundary(i / 3)).collect();
-            let solver = StokesSolver::new(&m, c, visc, bc, StokesOptions::default());
-            let x: Vec<f64> = (0..solver.n_owned()).map(|_| 2.0 * unit() - 1.0).collect();
-            let mut y = vec![0.0; solver.n_owned()];
-            for constrained in [true, false] {
-                if constrained {
-                    solver.apply(&x, &mut y);
-                } else {
-                    solver.apply_unconstrained(&x, &mut y);
-                }
-                let want = reference_apply(&solver, &x, constrained);
-                let scale = c.allreduce_max(&[want.iter().fold(0.0f64, |m, v| m.max(v.abs()))])[0];
-                for (i, (got, want)) in y.iter().zip(&want).enumerate() {
-                    assert!(
-                        (got - want).abs() <= 1e-12 * scale,
-                        "constrained = {constrained}, entry {i}: {got} vs {want}"
-                    );
-                }
-            }
-        });
-    }
-
     /// The preconditioner as three scalar V-cycles, one per velocity
     /// component, on blocks assembled here, and the solver's pressure
     /// diagonal.
@@ -949,7 +816,7 @@ mod tests {
         fn new(solver: &'s StokesSolver<'a>) -> Self {
             let (m, visc) = (solver.mesh, &solver.viscosity);
             let src = |e: usize, out: &mut [f64]| {
-                let k = &solver.blocks.of(m, e).blocks.stiffness;
+                let k = &solver.blocks.of(m, e).stiffness;
                 for i in 0..8 {
                     for j in 0..8 {
                         out[i * 8 + j] = visc[e] * k[i][j];

@@ -3,7 +3,7 @@
 //!
 //! Run with: `cargo run --release --example quickstart`
 
-use fem::element::stiffness_source;
+use fem::element::{stiffness_source, LevelBlocks};
 use fem::op::{DistOp, DofMap};
 use la::cg;
 use mesh::extract::extract_mesh;
@@ -44,9 +44,9 @@ fn main() {
         let op = DistOp::new(&map, Box::new(stiffness_source(&mesh, |_| 1.0)), Some(&bc));
         // Load vector: lumped ∫ N_i · 1.
         let mut rhs = vec![0.0; map.n_local()];
+        let blocks = LevelBlocks::new(&mesh);
         for e in 0..mesh.elements.len() {
-            let lm = fem::element::lumped_mass(mesh.element_size(e));
-            map.scatter_element(e, &lm, &mut rhs);
+            map.scatter_element(e, &blocks.of(&mesh, e).lumped_mass, &mut rhs);
         }
         map.reverse_accumulate(&mut rhs);
         let mut rhs = rhs[..mesh.n_owned].to_vec();

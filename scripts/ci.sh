@@ -38,7 +38,13 @@ cargo fmt --all -- --check
 #   Dirichlet elimination and the unstable row sort that left the order of
 #   summed duplicates undefined (`assemble_owned_block` places terms in one
 #   row-grouped arena in element order, `Csr::eliminate` is the one
-#   elimination, and `Csr` sums repeats in input order).
+#   elimination, and `Csr` sums repeats in input order);
+# - the per-block element quadratures of `fem::element`, the Stokes
+#   solver's private level table and transport's per-velocity operator
+#   store (`fem::element::LevelBlocks` forms every block from three
+#   integrals; direct quadrature is the oracle `check::oracles::element`);
+# - rhea's copy of the marking parameters (`AdaptParams` is
+#   `octree::mark::MarkParams`) and mangll's unused kernel selector.
 echo "==> deleted code stays deleted"
 if grep -rnE 'MachineModel|phase_comm_seconds|paper_core_counts|host_to_(model|flops)' \
     crates src tests examples ||
@@ -64,6 +70,11 @@ if grep -rnE 'MachineModel|phase_comm_seconds|paper_core_counts|host_to_(model|f
     grep -rn 'local_trips' crates/fem ||
     grep -n 'fn eliminate' crates/la/src/amg.rs ||
     grep -n 'sort_unstable' crates/la/src/csr.rs ||
+    grep -rn 'struct LevelBlocks' crates/stokes ||
+    grep -rnE 'fn (mass_matrix|advection_matrix|supg_matrices|viscous_matrix|divergence_matrix|pressure_stabilization)\b' crates/fem/src ||
+    grep -nE 'OnceCell|ElementOps' crates/rhea/src/transport.rs ||
+    grep -rn 'pub struct AdaptParams' crates/rhea ||
+    grep -rn DerivativeKernel crates ||
     grep -rniE 'modeled|extrapolat' crates/bench/src results/*.txt; then
     echo "ci: deleted code is back (see above)" >&2
     exit 1

@@ -476,8 +476,9 @@ fn stokes_reference_apply(s: &StokesSolver, x: &[f64], bc: Option<&[bool]>) -> V
 #[test]
 fn stokes_apply_matches_per_element_integration() {
     // Hanging nodes, two ranks, an anisotropic box, and η scattered
-    // element by element over four decades; with the no-slip mask and
-    // without any (the unconstrained operator of the Dirichlet lift).
+    // element by element over four decades, under the no-slip mask: the
+    // constrained operator, and the unconstrained one the Dirichlet lift
+    // applies to nonzero boundary values.
     spmd::run(2, |c| {
         let mut t = DistOctree::new_uniform(c, 2);
         t.refine(|o| o.center_unit()[0] < 0.4 && o.center_unit()[2] > 0.3);
@@ -494,21 +495,50 @@ fn stokes_apply_matches_per_element_integration() {
         let no_slip: Vec<bool> = (0..3 * m.n_owned)
             .map(|i| m.dof_on_boundary(i / 3))
             .collect();
-        let x: Vec<f64> = (0..4 * m.n_owned).map(|_| 2.0 * rng.unit() - 1.0).collect();
-        for bc in [Some(&no_slip[..]), None] {
-            let mask = bc.map_or_else(|| vec![false; 3 * m.n_owned], <[bool]>::to_vec);
-            let solver = StokesSolver::new(&m, c, visc.clone(), mask, StokesOptions::default());
-            let mut y = vec![0.0; solver.n_owned()];
-            solver.apply(&x, &mut y);
-            let want = stokes_reference_apply(&solver, &x, bc);
+        let solver = StokesSolver::new(&m, c, visc, no_slip.clone(), StokesOptions::default());
+        let check = |what: &str, got: &[f64], want: &[f64]| {
             let scale = c.allreduce_max(&[want.iter().fold(0.0f64, |m, v| m.max(v.abs()))])[0];
-            for (i, (got, want)) in y.iter().zip(&want).enumerate() {
+            assert!(scale > 0.0, "{what}: zero reference");
+            for (i, (got, want)) in got.iter().zip(want).enumerate() {
                 assert!(
                     (got - want).abs() <= 1e-12 * scale,
-                    "masked = {}, entry {i}: {got} vs {want}",
-                    bc.is_some()
+                    "{what}, entry {i}: {got} vs {want}"
                 );
             }
+        };
+
+        let x: Vec<f64> = (0..4 * m.n_owned).map(|_| 2.0 * rng.unit() - 1.0).collect();
+        let mut y = vec![0.0; solver.n_owned()];
+        solver.apply(&x, &mut y);
+        check(
+            "apply",
+            &y,
+            &stokes_reference_apply(&solver, &x, Some(&no_slip)),
+        );
+
+        // The lift subtracts A·x0, x0 = g on the masked dofs and zero
+        // elsewhere, with A not eliminating the mask, then sets the masked
+        // rows to g.
+        let g = |p: [f64; 3]| [1.0 + p[0] * p[1], p[2] - 0.5 * p[0], (3.0 * p[1]).sin()];
+        let rhs0: Vec<f64> = (0..4 * m.n_owned).map(|_| 2.0 * rng.unit() - 1.0).collect();
+        let mut rhs = rhs0.clone();
+        let x0 = solver.dirichlet_lift(&mut rhs, g);
+        for (i, &masked) in no_slip.iter().enumerate() {
+            let want = if masked {
+                g(m.dof_coords(i / 3))[i % 3]
+            } else {
+                0.0
+            };
+            assert_eq!(x0[i], want, "lift value, entry {i}");
+            if masked {
+                assert_eq!(rhs[i], want, "lifted row {i} is not u = g");
+            }
         }
+        let mut lifted: Vec<f64> = rhs0.iter().zip(&rhs).map(|(r0, r)| r0 - r).collect();
+        let mut want = stokes_reference_apply(&solver, &x0, None);
+        for (i, _) in no_slip.iter().enumerate().filter(|(_, &masked)| masked) {
+            (lifted[i], want[i]) = (0.0, 0.0);
+        }
+        check("dirichlet_lift", &lifted, &want);
     });
 }

@@ -212,8 +212,8 @@ pub fn forest_ghosts_flat(forest: &Forest) -> Vec<(usize, ForestLeaf)> {
 /// → gather / mat-vec / scatter over the local elements in element order
 /// into fresh vectors → `reverse_accumulate`, with the same symmetric
 /// Dirichlet elimination as `DistOp`. Its independence is the sweep —
-/// no workspace, no fixed-size fast path, masking by index — not the
-/// transport: both sides ship ghosts through the one split-phase round,
+/// no workspace, no kernel trait, no AVX2 build, runtime element sizes,
+/// masking by index — not the transport: both sides ship ghosts through the one split-phase round,
 /// which `check/tests/exchange_analytic.rs` pins to a closed form. Same
 /// floating-point accumulation order, so `DistOp::apply_owned` must
 /// agree bitwise. Collective.

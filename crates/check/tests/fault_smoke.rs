@@ -1,9 +1,9 @@
 //! Fault-injection smoke: the AMR pipeline (refine → balance → partition
 //! → ghost → mesh extraction, invariant checkers on), then real ghost
-//! traffic — a split-phase `DistOp::apply_owned` and a blocking
-//! `DofMap::to_local` — must produce identical results under an
-//! adversarial but seeded message schedule, and produce them twice,
-//! identically.
+//! traffic — a split-phase `DistOp::apply_owned`, a `StokesSolver::apply`
+//! on its one four-component field and a blocking `DofMap::to_local` —
+//! must produce identical results under an adversarial but seeded message
+//! schedule, and produce them twice, identically.
 
 use check::curve_checks;
 use fem::element::stiffness_source;
@@ -12,6 +12,7 @@ use mesh::extract::extract_mesh;
 use octree::balance::BalanceKind;
 use octree::parallel::DistOctree;
 use scomm::{spmd, FaultPlan};
+use stokes::{StokesOptions, StokesSolver};
 
 /// What one pipeline run produces, gathered over ranks in rank order.
 #[derive(Debug, PartialEq)]
@@ -23,6 +24,8 @@ struct Outcome {
     apply_bits: Vec<u64>,
     /// Bits of the ghost-expanded `A x`.
     local_bits: Vec<u64>,
+    /// Bits of the Stokes operator applied to `[u | p]`.
+    stokes_bits: Vec<u64>,
     /// Messages the fault plan delayed, per rank.
     delayed: Vec<u64>,
 }
@@ -65,6 +68,18 @@ fn pipeline(plan: Option<FaultPlan>) -> Outcome {
         let mut y = vec![0.0; m.n_owned];
         op.apply_owned(&x, &mut y);
         let yl = map.to_local(&y);
+        let no_slip: Vec<bool> = (0..3 * m.n_owned)
+            .map(|i| m.dof_on_boundary(i / 3))
+            .collect();
+        let visc: Vec<f64> = (0..m.elements.len())
+            .map(|e| 1.0 + (e % 3) as f64)
+            .collect();
+        let solver = StokesSolver::new(&m, c, visc, no_slip, StokesOptions::default());
+        let xs: Vec<f64> = (0..4 * m.n_owned)
+            .map(|i| ((m.global_offset * 4 + i as u64) % 13) as f64 - 6.0)
+            .collect();
+        let mut ys = vec![0.0; xs.len()];
+        solver.apply(&xs, &mut ys);
         let delayed = c.fault_counters().map_or(0, |f| f.delayed);
         c.set_fault_plan(None);
         let bits = |v: &[f64]| v.iter().map(|f| f.to_bits()).collect::<Vec<u64>>();
@@ -74,6 +89,7 @@ fn pipeline(plan: Option<FaultPlan>) -> Outcome {
             g.len() as u64,
             bits(&y),
             bits(&yl),
+            bits(&ys),
             delayed,
         )
     });
@@ -84,14 +100,16 @@ fn pipeline(plan: Option<FaultPlan>) -> Outcome {
         ghosts: 0,
         apply_bits: Vec::new(),
         local_bits: Vec::new(),
+        stokes_bits: Vec::new(),
         delayed: Vec::new(),
     };
-    for (keys, ng, ghosts, y, yl, delayed) in per_rank {
+    for (keys, ng, ghosts, y, yl, ys, delayed) in per_rank {
         assert_eq!(ng, n_global, "n_global must agree across ranks");
         out.leaf_keys.extend(keys);
         out.ghosts += ghosts;
         out.apply_bits.extend(y);
         out.local_bits.extend(yl);
+        out.stokes_bits.extend(ys);
         out.delayed.push(delayed);
     }
     out
@@ -108,6 +126,7 @@ fn pipeline_under_adversarial_schedule_is_deterministic() {
     assert_eq!(clean.ghosts, faulted1.ghosts, "ghost count");
     assert_eq!(clean.apply_bits, faulted1.apply_bits, "split-phase apply");
     assert_eq!(clean.local_bits, faulted1.local_bits, "blocking to_local");
+    assert_eq!(clean.stokes_bits, faulted1.stokes_bits, "Stokes apply");
     // ...and the faulty schedule itself must be reproducible.
     assert_eq!(faulted1, faulted2, "same seed, same run, same counters");
     assert!(

@@ -322,7 +322,8 @@ fn minres_matches_dense_lu() {
 fn dist_op_apply_matches_reference_bitwise() {
     // Workspace sweep vs an allocating sweep; same transport (pinned by
     // exchange_analytic.rs) and element-order accumulation. Adapted mesh,
-    // so hanging-node constraints are in play on every rank.
+    // so hanging-node constraints are in play on every rank; one
+    // component, and four coupled ones (the Stokes field's count).
     for p in [1usize, 2, 4, 8] {
         spmd::run(p, |c| {
             let mut t = DistOctree::new_uniform(c, 2);
@@ -330,28 +331,43 @@ fn dist_op_apply_matches_reference_bitwise() {
             t.balance(BalanceKind::Full);
             t.partition();
             let m = extract_mesh(&t, [1.0, 1.0, 1.0]);
-            let map = DofMap::new(&m, c, 1);
-            let bc: Vec<bool> = (0..m.n_owned).map(|d| m.dof_on_boundary(d)).collect();
-            let elem_matrix = stiffness_source(&m, |_| 1.0);
-            let x: Vec<f64> = (0..m.n_owned)
-                .map(|d| {
-                    let g = m.global_offset + d as u64;
-                    ((g.wrapping_mul(0x9e37_79b9_7f4a_7c15) >> 32) % 9973) as f64 / 9973.0 - 0.5
-                })
-                .collect();
-            for mask in [Some(&bc[..]), None] {
-                let op = DistOp::new(&map, Box::new(&elem_matrix), mask);
-                let mut y = vec![0.0; m.n_owned];
-                op.apply_owned(&x, &mut y);
-                let y_ref = dist_apply_reference(&map, &elem_matrix, mask, &x);
-                let bits = |v: &[f64]| v.iter().map(|f| f.to_bits()).collect::<Vec<_>>();
-                assert_eq!(
-                    bits(&y),
-                    bits(&y_ref),
-                    "rank {} at P={p}, bc {}",
-                    c.rank(),
-                    mask.is_some()
-                );
+            let scalar = stiffness_source(&m, |_| 1.0);
+            let coupled = |e: usize, out: &mut [f64]| {
+                let mut k = [0.0; 64];
+                scalar(e, &mut k);
+                for (r, row) in out.chunks_exact_mut(32).enumerate() {
+                    for (col, v) in row.iter_mut().enumerate() {
+                        let weight = 1.0 + ((r % 4) * 4 + col % 4) as f64 / 7.0;
+                        *v = weight * k[(r / 4) * 8 + col / 4];
+                    }
+                }
+            };
+            let sources: [(usize, &dyn Fn(usize, &mut [f64])); 2] = [(1, &scalar), (4, &coupled)];
+            for (nc, elem_matrix) in sources {
+                let map = DofMap::new(&m, c, nc);
+                let bc: Vec<bool> = (0..map.n_owned())
+                    .map(|i| m.dof_on_boundary(i / nc))
+                    .collect();
+                let x: Vec<f64> = (0..map.n_owned())
+                    .map(|i| {
+                        let g = m.global_offset * nc as u64 + i as u64;
+                        ((g.wrapping_mul(0x9e37_79b9_7f4a_7c15) >> 32) % 9973) as f64 / 9973.0 - 0.5
+                    })
+                    .collect();
+                for mask in [Some(&bc[..]), None] {
+                    let op = DistOp::new(&map, Box::new(elem_matrix), mask);
+                    let mut y = vec![0.0; map.n_owned()];
+                    op.apply_owned(&x, &mut y);
+                    let y_ref = dist_apply_reference(&map, elem_matrix, mask, &x);
+                    let bits = |v: &[f64]| v.iter().map(|f| f.to_bits()).collect::<Vec<_>>();
+                    assert_eq!(
+                        bits(&y),
+                        bits(&y_ref),
+                        "rank {} at P={p}, {nc} components, bc {}",
+                        c.rank(),
+                        mask.is_some()
+                    );
+                }
             }
         });
     }

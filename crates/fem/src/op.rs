@@ -6,6 +6,10 @@
 //! constraint application (`CᵀKC`), and accumulates boundary
 //! contributions back to their owners — the standard parallel FEM
 //! operator pipeline the paper's MINRES relies on.
+//!
+//! Every CG operator runs that pipeline through one element sweep,
+//! [`sweep`], with its own [`ElementKernel`]: `DistOp`'s element matrix,
+//! the Stokes stencil and the SUPG transport rate.
 
 use std::cell::{Cell, RefCell};
 
@@ -20,44 +24,103 @@ fn reset(buf: &mut Vec<f64>, n: usize) {
     buf.resize(n, 0.0);
 }
 
-/// Reusable scratch for the distributed operator pipeline: owned and
-/// owned+ghost vectors, element scratch, and ghost-exchange pack/unpack
-/// buffers. Grow-only — after the first application every buffer is
-/// recycled, so steady-state operator applies perform zero heap
-/// allocations (verifiable through [`Workspace::capacity_bytes`]).
+/// One element's share of a CG operator. [`sweep`] hands it the gathered
+/// element vector (corner-major, `NI` components per corner, hanging
+/// corners already resolved) and scatters what it writes (`NO`
+/// components per corner) with the constraint transpose.
+///
+/// Implementations mark `apply` `#[inline(always)]`: the sweep's AVX2
+/// build only vectorises a kernel that is inlined into it, and an
+/// ordinary `#[inline]` leaves that to the compiler's cost model.
+pub trait ElementKernel<const NI: usize, const NO: usize> {
+    /// Overwrite every entry of `y` with element `e`'s contribution for
+    /// the element input `x`.
+    fn apply(&mut self, e: usize, x: &[[f64; NI]; 8], y: &mut [[f64; NO]; 8]);
+}
+
+/// The one CG element sweep: for every local element in element order,
+/// gather its input from the owned+ghost field `x` (`NI` interleaved
+/// components per dof), apply `kernel`, and add the result into the
+/// owned+ghost field `y` (`NO` components per dof). Runs the AVX2 build
+/// where the CPU has it; both builds compute the same bits, because AVX2
+/// brings no FMA and Rust never contracts `a * b + c`.
+pub fn sweep<const NI: usize, const NO: usize>(
+    mesh: &Mesh,
+    kernel: &mut impl ElementKernel<NI, NO>,
+    x: &[f64],
+    y: &mut [f64],
+) {
+    #[cfg(target_arch = "x86_64")]
+    if std::arch::is_x86_feature_detected!("avx2") {
+        // SAFETY: the CPU supports AVX2, checked on the line above.
+        unsafe { sweep_avx2(mesh, kernel, x, y) };
+        return;
+    }
+    sweep_plain(mesh, kernel, x, y);
+}
+
+/// [`sweep`] compiled for 256-bit vectors.
+///
+/// # Safety
+/// The CPU must support AVX2.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+unsafe fn sweep_avx2<const NI: usize, const NO: usize>(
+    mesh: &Mesh,
+    kernel: &mut impl ElementKernel<NI, NO>,
+    x: &[f64],
+    y: &mut [f64],
+) {
+    sweep_plain(mesh, kernel, x, y);
+}
+
+/// [`sweep`] without the AVX2 build: the element loop, written once and
+/// inlined into each build, public so that a test can compare the two.
+#[doc(hidden)]
+#[inline(always)]
+pub fn sweep_plain<const NI: usize, const NO: usize>(
+    mesh: &Mesh,
+    kernel: &mut impl ElementKernel<NI, NO>,
+    x: &[f64],
+    y: &mut [f64],
+) {
+    debug_assert_eq!(x.len(), mesh.n_local() * NI);
+    debug_assert_eq!(y.len(), mesh.n_local() * NO);
+    let (mut xe, mut ye) = ([[0.0; NI]; 8], [[0.0; NO]; 8]);
+    for e in 0..mesh.elements.len() {
+        mesh.gather(e, x, &mut xe);
+        kernel.apply(e, &xe, &mut ye);
+        mesh.scatter(e, &ye, y);
+    }
+}
+
+/// Reusable buffers of one operator's applications: the owned+ghost
+/// input and output and the ghost-exchange staging. Grow-only — after
+/// the first application every buffer is recycled, so steady-state
+/// applies perform zero heap allocations (verifiable through
+/// [`Workspace::capacity_bytes`]).
 #[derive(Default)]
 pub struct Workspace {
-    /// BC-masked copy of the input (owned layout).
-    xw: Vec<f64>,
-    /// Owned+ghost expansion of the input.
+    /// Owned+ghost input of the last [`DofMap::apply_kernel`].
     xl: Vec<f64>,
     /// Owned+ghost accumulation target.
     yl: Vec<f64>,
-    /// Row-major element matrix scratch.
-    mat: Vec<f64>,
-    /// Element-local input/output vectors.
-    ue: Vec<f64>,
-    re: Vec<f64>,
     /// Ghost-exchange pack/unpack buffers.
     exch: ExchangeBuffers,
 }
 
 impl Workspace {
-    pub fn new() -> Workspace {
-        Workspace::default()
+    /// The owned+ghost input of the last [`DofMap::apply_kernel`], its
+    /// ghosts filled.
+    pub fn input(&self) -> &[f64] {
+        &self.xl
     }
 
     /// Total heap capacity currently held, in bytes. The per-apply delta
     /// of this value is the operator's allocation count: zero once the
     /// buffers have reached steady state.
     pub fn capacity_bytes(&self) -> u64 {
-        ((self.xw.capacity()
-            + self.xl.capacity()
-            + self.yl.capacity()
-            + self.mat.capacity()
-            + self.ue.capacity()
-            + self.re.capacity())
-            * std::mem::size_of::<f64>()) as u64
+        ((self.xl.capacity() + self.yl.capacity()) * std::mem::size_of::<f64>()) as u64
             + self.exch.capacity_bytes()
     }
 }
@@ -182,28 +245,100 @@ impl<'a> DofMap<'a> {
         self.reverse_accumulate_end(v, &mut buf);
     }
 
-    /// Gather the element-local vector (length `8·ncomp`) of element `e`
-    /// from an owned+ghost vector, applying hanging-node constraints
-    /// ([`Mesh::gather_element`]).
+    /// One operator application on this map's field: `fill` writes the
+    /// owned block of the input, one ghost exchange round fills the rest,
+    /// and [`DofMap::accumulate_kernel`] sweeps `kernel` and
+    /// reverse-accumulates. Returns the owned block of the result.
+    pub fn apply_kernel<'w, const NC: usize>(
+        &self,
+        kernel: &mut impl ElementKernel<NC, NC>,
+        ws: &'w mut Workspace,
+        fill: impl FnOnce(&mut [f64]),
+    ) -> &'w [f64] {
+        assert_eq!(NC, self.ncomp, "kernel and map disagree on components");
+        reset(&mut ws.xl, self.n_local());
+        fill(&mut ws.xl[..self.n_owned()]);
+        self.exchange_begin(&ws.xl, &mut ws.exch);
+        self.exchange_end(&mut ws.xl, &mut ws.exch);
+        let xl = std::mem::take(&mut ws.xl);
+        self.accumulate_kernel(kernel, &xl, ws);
+        ws.xl = xl;
+        &ws.yl[..self.n_owned()]
+    }
+
+    /// Sweep `kernel` over the owned+ghost field `x` (`NI` components per
+    /// dof, ghosts already filled) into a zeroed result on this map's
+    /// field, reverse-accumulate it in one round and return its owned
+    /// block.
+    pub fn accumulate_kernel<'w, const NI: usize, const NO: usize>(
+        &self,
+        kernel: &mut impl ElementKernel<NI, NO>,
+        x: &[f64],
+        ws: &'w mut Workspace,
+    ) -> &'w [f64] {
+        assert_eq!(NO, self.ncomp, "kernel and map disagree on components");
+        reset(&mut ws.yl, self.n_local());
+        sweep(self.mesh, kernel, x, &mut ws.yl);
+        self.reverse_accumulate_begin(&mut ws.yl, &mut ws.exch);
+        self.reverse_accumulate_end(&mut ws.yl, &mut ws.exch);
+        &ws.yl[..self.n_owned()]
+    }
+
+    /// Fill the ghost block of the owned+ghost vector `v` in one round on
+    /// `ws`'s exchange buffers, allocation-free.
+    pub fn exchange_with(&self, v: &mut [f64], ws: &mut Workspace) {
+        self.exchange_begin(v, &mut ws.exch);
+        self.exchange_end(v, &mut ws.exch);
+    }
+
+    /// Gather the element-local vector (length `8·ncomp`, corner-major)
+    /// of element `e` from an owned+ghost vector, applying hanging-node
+    /// constraints: [`Mesh::gather`] for the component counts the
+    /// operators use, 1, 3 and 4.
     #[inline]
     pub fn gather_element(&self, e: usize, v: &[f64], out: &mut [f64]) {
-        self.mesh.gather_element(e, self.ncomp, v, out);
+        match self.ncomp {
+            1 => self.mesh.gather::<1>(e, v, corners_mut(out)),
+            3 => self.mesh.gather::<3>(e, v, corners_mut(out)),
+            4 => self.mesh.gather::<4>(e, v, corners_mut(out)),
+            nc => panic!("no element gather for {nc} components per node"),
+        }
     }
 
     /// Scatter element contributions back with the constraint transpose
-    /// ([`Mesh::scatter_element`]).
+    /// ([`Mesh::scatter`]).
     #[inline]
     pub fn scatter_element(&self, e: usize, contrib: &[f64], v: &mut [f64]) {
-        self.mesh.scatter_element(e, self.ncomp, contrib, v);
+        match self.ncomp {
+            1 => self.mesh.scatter::<1>(e, corners(contrib), v),
+            3 => self.mesh.scatter::<3>(e, corners(contrib), v),
+            4 => self.mesh.scatter::<4>(e, corners(contrib), v),
+            nc => panic!("no element scatter for {nc} components per node"),
+        }
     }
+}
+
+/// An element vector of `8·NC` entries as its eight corners.
+fn corners<const NC: usize>(flat: &[f64]) -> &[[f64; NC]; 8] {
+    debug_assert_eq!(flat.len(), 8 * NC);
+    let (corners, _) = flat.as_chunks();
+    corners.try_into().expect("8·ncomp entries")
+}
+
+/// [`corners`] for writing.
+fn corners_mut<const NC: usize>(flat: &mut [f64]) -> &mut [[f64; NC]; 8] {
+    debug_assert_eq!(flat.len(), 8 * NC);
+    let (corners, _) = flat.as_chunks_mut();
+    corners.try_into().expect("8·ncomp entries")
 }
 
 /// A distributed symmetric operator defined by per-element matrices, with
 /// optional symmetric Dirichlet elimination. Carries its own reusable
 /// [`Workspace`], so repeated applications are allocation-free.
 ///
-/// An application posts the split-phase ghost exchange, completes it,
-/// sweeps every local element in element order and reverse-accumulates.
+/// An application is [`DofMap::apply_kernel`] with the element matrix as
+/// the kernel: post and complete the ghost exchange, sweep every local
+/// element in element order, reverse-accumulate.
 /// `check::oracles::dist_apply_reference` rebuilds the same product from
 /// freshly allocated vectors and the blocking `to_local` /
 /// `reverse_accumulate`, in the same accumulation order; the two agree
@@ -230,14 +365,9 @@ impl<'a> DistOp<'a> {
             map,
             elem_matrix,
             bc_mask,
-            ws: RefCell::new(Workspace::new()),
+            ws: RefCell::default(),
             grown: Cell::new(0),
         }
-    }
-
-    /// The dof map this operator acts on.
-    pub fn map(&self) -> &DofMap<'a> {
-        self.map
     }
 
     /// Cumulative bytes of workspace growth over all applications so
@@ -249,81 +379,58 @@ impl<'a> DistOp<'a> {
 
     /// Apply `y = A x` on owned vectors.
     pub fn apply_owned(&self, x: &[f64], y: &mut [f64]) {
-        let map = self.map;
-        let n_owned = map.n_owned();
-        debug_assert_eq!(x.len(), n_owned);
-        debug_assert_eq!(y.len(), n_owned);
-        let nc = map.ncomp;
-        let dim = 8 * nc;
-        let mut ws_ref = self.ws.borrow_mut();
-        let ws = &mut *ws_ref;
-        let cap0 = ws.capacity_bytes();
-
-        // Zero BC entries of the input (symmetric elimination), expand.
-        ws.xw.clear();
-        ws.xw.extend_from_slice(x);
-        if let Some(mask) = self.bc_mask {
-            for (v, &m) in ws.xw.iter_mut().zip(mask) {
-                if m {
-                    *v = 0.0;
-                }
-            }
+        match self.map.ncomp {
+            1 => self.apply_with::<1>(x, y),
+            3 => self.apply_with::<3>(x, y),
+            4 => self.apply_with::<4>(x, y),
+            nc => panic!("DistOp has no sweep for {nc} components per node"),
         }
-        reset(&mut ws.xl, map.n_local());
-        ws.xl[..n_owned].copy_from_slice(&ws.xw);
+    }
 
-        reset(&mut ws.yl, map.n_local());
-        reset(&mut ws.mat, dim * dim);
-        reset(&mut ws.ue, dim);
-        reset(&mut ws.re, dim);
-        map.exchange_begin(&ws.xl, &mut ws.exch);
-        map.exchange_end(&mut ws.xl, &mut ws.exch);
-        self.sweep(ws);
-        map.reverse_accumulate_begin(&mut ws.yl, &mut ws.exch);
-        map.reverse_accumulate_end(&mut ws.yl, &mut ws.exch);
-        y.copy_from_slice(&ws.yl[..n_owned]);
-        if let Some(mask) = self.bc_mask {
-            for (i, &m) in mask.iter().enumerate() {
-                if m {
-                    y[i] = x[i];
-                }
+    fn apply_with<const NC: usize>(&self, x: &[f64], y: &mut [f64]) {
+        let mut ws = self.ws.borrow_mut();
+        let cap0 = ws.capacity_bytes();
+        let mut kernel = MatrixKernel {
+            elem_matrix: &*self.elem_matrix,
+            mat: [0.0; 32 * 32],
+        };
+        // Symmetric elimination: masked entries of the input are zero,
+        // masked rows of the result the identity.
+        let masked = |i: usize| self.bc_mask.is_some_and(|m| m[i]);
+        let yo = self.map.apply_kernel::<NC>(&mut kernel, &mut ws, |xo| {
+            for (i, v) in xo.iter_mut().enumerate() {
+                *v = if masked(i) { 0.0 } else { x[i] };
             }
+        });
+        for (i, v) in y.iter_mut().enumerate() {
+            *v = if masked(i) { x[i] } else { yo[i] };
         }
         self.grown
             .set(self.grown.get() + (ws.capacity_bytes() - cap0));
     }
+}
 
-    /// Sweep every local element: form its element matrix, gather the
-    /// element vector from `ws.xl`, multiply, scatter into `ws.yl`.
-    fn sweep(&self, ws: &mut Workspace) {
-        let map = self.map;
-        let dim = 8 * map.ncomp;
-        for e in 0..map.mesh.elements.len() {
-            (self.elem_matrix)(e, &mut ws.mat);
-            map.gather_element(e, &ws.xl, &mut ws.ue);
-            if dim == 8 {
-                // Scalar fast path: fixed-size rows, fully unrolled dots
-                // with the same left-to-right accumulation order as the
-                // generic loop below.
-                let ue: &[f64; 8] = ws.ue[..8].try_into().unwrap();
-                for (r, row) in ws.re.iter_mut().zip(ws.mat.chunks_exact(8)) {
-                    let row: &[f64; 8] = row.try_into().unwrap();
-                    let mut acc = 0.0;
-                    for k in 0..8 {
-                        acc += row[k] * ue[k];
-                    }
-                    *r = acc;
-                }
-            } else {
-                for (r, row) in ws.re.iter_mut().zip(ws.mat.chunks_exact(dim)) {
-                    let mut acc = 0.0;
-                    for (&a, &u) in row.iter().zip(ws.ue.iter()) {
-                        acc += a * u;
-                    }
-                    *r = acc;
-                }
+/// `DistOp`'s kernel: form the element matrix, multiply, each row summed
+/// left to right from 0.0.
+struct MatrixKernel<'k> {
+    elem_matrix: &'k dyn Fn(usize, &mut [f64]),
+    /// Room for the largest element matrix, four components per node.
+    mat: [f64; 32 * 32],
+}
+
+impl<const NC: usize> ElementKernel<NC, NC> for MatrixKernel<'_> {
+    #[inline(always)]
+    fn apply(&mut self, e: usize, x: &[[f64; NC]; 8], y: &mut [[f64; NC]; 8]) {
+        let dim = 8 * NC;
+        let mat = &mut self.mat[..dim * dim];
+        (self.elem_matrix)(e, mat);
+        let x = x.as_flattened();
+        for (r, row) in y.as_flattened_mut().iter_mut().zip(mat.chunks_exact(dim)) {
+            let mut acc = 0.0;
+            for (&a, &u) in row.iter().zip(x) {
+                acc += a * u;
             }
-            map.scatter_element(e, &ws.re, &mut ws.yl);
+            *r = acc;
         }
     }
 }
@@ -456,6 +563,42 @@ mod tests {
                 warm,
                 "steady-state applies must not allocate"
             );
+        });
+    }
+
+    /// The dispatching sweep (AVX2 on an AVX2 host) against the plain
+    /// build, with the element-matrix kernel on `NC` components.
+    fn sweep_builds_agree<const NC: usize>(m: &Mesh, elem_matrix: &dyn Fn(usize, &mut [f64])) {
+        let mut rng = scomm::rng::SplitMix64::new(NC as u64);
+        let x: Vec<f64> = (0..NC * m.n_local()).map(|_| rng.unit() - 0.5).collect();
+        let mut kernel = MatrixKernel {
+            elem_matrix,
+            mat: [0.0; 32 * 32],
+        };
+        let (mut dispatched, mut plain) = (vec![0.0; x.len()], vec![0.0; x.len()]);
+        sweep::<NC, NC>(m, &mut kernel, &x, &mut dispatched);
+        sweep_plain::<NC, NC>(m, &mut kernel, &x, &mut plain);
+        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(&dispatched), bits(&plain), "{NC} components");
+    }
+
+    #[test]
+    fn sweep_builds_agree_bitwise() {
+        spmd::run(2, |c| {
+            let mut t = DistOctree::new_uniform(c, 2);
+            t.refine(|o| o.center_unit()[0] < 0.4 && o.center_unit()[2] > 0.3);
+            t.balance(BalanceKind::Full);
+            t.partition();
+            let m = extract_mesh(&t, [2.0, 1.0, 1.0]);
+            assert!(m.n_hanging() > 0);
+            let blocks = LevelBlocks::new(&m);
+            let viscous = |e: usize, out: &mut [f64]| {
+                for (row, k) in out.chunks_exact_mut(24).zip(&blocks.of(&m, e).viscous) {
+                    row.copy_from_slice(k);
+                }
+            };
+            sweep_builds_agree::<1>(&m, &stiffness_source(&m, |e| 1.0 + (e % 5) as f64));
+            sweep_builds_agree::<3>(&m, &viscous);
         });
     }
 

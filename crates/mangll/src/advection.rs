@@ -24,8 +24,8 @@ use scomm::Exchange;
 
 use crate::kernels::{apply_face, apply_volume, ElementDerivative, FaceTables};
 
-/// Exchange stream id for the DG ghost traces (streams 1–2 are claimed
-/// by the Stokes velocity/pressure ghost layers).
+/// Exchange stream id for the DG ghost traces (the CG operators post on
+/// stream 0).
 const DG_STREAM: u64 = 9;
 
 /// Carpenter–Kennedy LSRK45 coefficients.

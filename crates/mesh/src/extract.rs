@@ -81,8 +81,8 @@ pub struct ExchangePattern {
 /// One `ExchangeBuffers` value also carries the [`scomm::Exchange`]
 /// stream state for the split-phase paths, so at most one split-phase
 /// round (forward *or* reverse) can be in flight per buffer set. Two
-/// buffer sets whose rounds overlap in time (e.g. the velocity and
-/// pressure ghost layers of a Stokes operator) must use distinct stream
+/// buffer sets whose rounds overlap in time (e.g. the ghost layers of two
+/// fields exchanged together) must use distinct stream
 /// ids — construct them with [`ExchangeBuffers::with_stream`].
 #[derive(Debug, Default)]
 pub struct ExchangeBuffers {
@@ -353,68 +353,44 @@ impl Mesh {
         &self.constraints.terms[offsets[r]..offsets[r + 1]]
     }
 
-    /// Gather the element-local vector of element `e` (length `8·nc`,
-    /// corner-major) from an owned+ghost vector with `nc` interleaved
-    /// components per dof (`v[d·nc + k]`): a hanging corner takes its
-    /// constraint row's weighted sum, terms in row order.
-    #[inline]
-    pub fn gather_element(&self, e: usize, nc: usize, v: &[f64], out: &mut [f64]) {
-        debug_assert_eq!(out.len(), 8 * nc);
+    /// Gather element `e`'s corner values from an owned+ghost vector with
+    /// `NC` interleaved components per dof (`v[d·NC + k]`): an independent
+    /// corner copies its dof's components, a hanging corner takes its
+    /// constraint row's weighted sum, terms in row order, one component
+    /// at a time. Every trip count is a constant.
+    #[inline(always)]
+    pub fn gather<const NC: usize>(&self, e: usize, v: &[f64], out: &mut [[f64; NC]; 8]) {
         let dofs = &self.corner_dofs[e * 8..e * 8 + 8];
-        if nc == 1 {
-            // Scalar fast path: fixed trip counts, no per-component loop.
-            let out: &mut [f64; 8] = out.try_into().unwrap();
-            for (&d, o) in dofs.iter().zip(out.iter_mut()) {
-                *o = match decode(d) {
-                    Corner::Dof(d) => v[d],
-                    Corner::Hanging(r) => {
-                        self.constraint_row(r).iter().map(|&(d, w)| w * v[d]).sum()
-                    }
-                };
-            }
-            return;
-        }
-        for (c, &d) in dofs.iter().enumerate() {
+        for (&d, o) in dofs.iter().zip(out.iter_mut()) {
             match decode(d) {
-                Corner::Dof(d) => (0..nc).for_each(|k| out[c * nc + k] = v[d * nc + k]),
+                Corner::Dof(d) => o.copy_from_slice(&v[d * NC..d * NC + NC]),
                 Corner::Hanging(r) => {
                     let terms = self.constraint_row(r);
-                    for k in 0..nc {
-                        out[c * nc + k] = terms.iter().map(|&(d, w)| w * v[d * nc + k]).sum();
+                    for k in 0..NC {
+                        o[k] = terms.iter().map(|&(d, w)| w * v[d * NC + k]).sum();
                     }
                 }
             }
         }
     }
 
-    /// Scatter element contributions (the layout of
-    /// [`Mesh::gather_element`]) back into an owned+ghost vector with the
-    /// constraint transpose, terms in row order.
-    #[inline]
-    pub fn scatter_element(&self, e: usize, nc: usize, contrib: &[f64], v: &mut [f64]) {
-        debug_assert_eq!(contrib.len(), 8 * nc);
+    /// Add element `e`'s corner contributions (the layout of
+    /// [`Mesh::gather`]) into an owned+ghost vector with the constraint
+    /// transpose, terms in row order.
+    #[inline(always)]
+    pub fn scatter<const NC: usize>(&self, e: usize, contrib: &[[f64; NC]; 8], v: &mut [f64]) {
         let dofs = &self.corner_dofs[e * 8..e * 8 + 8];
-        if nc == 1 {
-            let contrib: &[f64; 8] = contrib.try_into().unwrap();
-            for (&d, &r) in dofs.iter().zip(contrib.iter()) {
-                match decode(d) {
-                    Corner::Dof(d) => v[d] += r,
-                    Corner::Hanging(row) => {
-                        for &(d, w) in self.constraint_row(row) {
-                            v[d] += w * r;
-                        }
+        for (&d, c) in dofs.iter().zip(contrib) {
+            match decode(d) {
+                Corner::Dof(d) => {
+                    for k in 0..NC {
+                        v[d * NC + k] += c[k];
                     }
                 }
-            }
-            return;
-        }
-        for (c, &d) in dofs.iter().enumerate() {
-            match decode(d) {
-                Corner::Dof(d) => (0..nc).for_each(|k| v[d * nc + k] += contrib[c * nc + k]),
                 Corner::Hanging(r) => {
                     for &(d, w) in self.constraint_row(r) {
-                        for k in 0..nc {
-                            v[d * nc + k] += w * contrib[c * nc + k];
+                        for k in 0..NC {
+                            v[d * NC + k] += w * c[k];
                         }
                     }
                 }
@@ -426,9 +402,9 @@ impl Mesh {
     /// field vector (owned + ghost layout), applying hanging-node
     /// constraints.
     pub fn corner_values(&self, e: usize, v: &[f64]) -> [f64; 8] {
-        let mut out = [0.0; 8];
-        self.gather_element(e, 1, v, &mut out);
-        out
+        let mut out = [[0.0]; 8];
+        self.gather(e, v, &mut out);
+        out.map(|[value]| value)
     }
 }
 
@@ -962,6 +938,79 @@ mod tests {
             let m = extract_mesh(&t, [1.0, 1.0, 1.0]);
             (m.n_owned, m.n_ghost, m.n_global)
         })
+    }
+
+    /// One four-component field and its three- and one-component parts
+    /// give the same bits, component by component, through every step
+    /// of an operator application: ghost exchange, element gather,
+    /// element scatter and reverse accumulation. Adapted mesh, so
+    /// hanging corners are gathered and scattered through their rows.
+    #[test]
+    fn four_components_move_like_three_and_one() {
+        for p in [1, 2] {
+            spmd::run(p, |c| {
+                let mut t = DistOctree::new_uniform(c, 2);
+                t.refine(|o| o.center_unit()[0] < 0.4 && o.center_unit()[2] > 0.3);
+                t.balance(BalanceKind::Full);
+                t.partition();
+                let m = extract_mesh(&t, [2.0, 1.0, 1.0]);
+                assert!(m.n_hanging() > 0, "rank {} sees no hanging node", c.rank());
+                let (n, ex) = (m.n_local(), &m.exchange);
+                let mut rng = scomm::rng::SplitMix64::new(c.rank() as u64);
+                let split = |f4: &[f64]| -> (Vec<f64>, Vec<f64>) {
+                    let f3 = f4
+                        .chunks_exact(4)
+                        .flat_map(|v| [v[0], v[1], v[2]])
+                        .collect();
+                    (f3, f4.chunks_exact(4).map(|v| v[3]).collect())
+                };
+                let same = |what: &str, f4: &[f64], f3: &[f64], f1: &[f64]| {
+                    let (want3, want1) = split(f4);
+                    let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+                    assert_eq!(bits(&want3), bits(f3), "{what}: velocity, P = {p}");
+                    assert_eq!(bits(&want1), bits(f1), "{what}: pressure, P = {p}");
+                };
+
+                // Ghost exchange: owned values in, ghosts filled.
+                let mut x4: Vec<f64> = (0..4 * n).map(|_| rng.unit() - 0.5).collect();
+                x4[4 * m.n_owned..].fill(0.0);
+                let (mut x3, mut x1) = split(&x4);
+                let mut buf = ExchangeBuffers::new();
+                for (v, nc) in [(&mut x4, 4), (&mut x3, 3), (&mut x1, 1)] {
+                    ex.exchange_begin_interleaved(c, v, nc, &mut buf);
+                    ex.exchange_end_interleaved(c, v, m.n_owned, nc, &mut buf);
+                }
+                same("exchange", &x4, &x3, &x1);
+
+                // Gather and scatter, element by element in element order.
+                let (mut y4, mut y3, mut y1) = (vec![0.0; 4 * n], vec![0.0; 3 * n], vec![0.0; n]);
+                for e in 0..m.elements.len() {
+                    let (mut g4, mut g3, mut g1) = ([[0.0; 4]; 8], [[0.0; 3]; 8], [[0.0; 1]; 8]);
+                    m.gather(e, &x4, &mut g4);
+                    m.gather(e, &x3, &mut g3);
+                    m.gather(e, &x1, &mut g1);
+                    same(
+                        "gather",
+                        g4.as_flattened(),
+                        g3.as_flattened(),
+                        g1.as_flattened(),
+                    );
+                    let r4: [[f64; 4]; 8] = std::array::from_fn(|_| [0; 4].map(|_| rng.unit()));
+                    let (r3, r1) = split(r4.as_flattened());
+                    m.scatter(e, &r4, &mut y4);
+                    m.scatter::<3>(e, r3.as_chunks().0.try_into().unwrap(), &mut y3);
+                    m.scatter::<1>(e, r1.as_chunks().0.try_into().unwrap(), &mut y1);
+                }
+                same("scatter", &y4, &y3, &y1);
+
+                // Reverse accumulation of the ghost contributions.
+                for (v, nc) in [(&mut y4, 4), (&mut y3, 3), (&mut y1, 1)] {
+                    ex.reverse_accumulate_begin_interleaved(c, v, m.n_owned, nc, &mut buf);
+                    ex.reverse_accumulate_end_interleaved(c, v, m.n_owned, nc, &mut buf);
+                }
+                same("reverse accumulation", &y4, &y3, &y1);
+            });
+        }
     }
 
     #[test]

@@ -56,6 +56,8 @@ pub struct StepReport {
     pub dt: f64,
     pub n_elements: u64,
     pub minres_iterations: usize,
+    /// Every MINRES solve of the step's flow solve converged.
+    pub flow_converged: bool,
     pub adapt: Option<AdaptReport>,
     pub t_min: f64,
     pub t_max: f64,
@@ -152,6 +154,11 @@ impl<'c> ConvectionSim<'c> {
     /// Solve the (nonlinear) Stokes flow for the current temperature.
     /// Returns total MINRES iterations. Collective.
     pub fn solve_flow(&mut self, law: &impl ViscosityLaw) -> usize {
+        self.flow_solve(law).total_minres_iterations
+    }
+
+    /// [`ConvectionSim::solve_flow`], reporting what the Picard loop did.
+    fn flow_solve(&mut self, law: &impl ViscosityLaw) -> stokes::PicardResult {
         // Element-mean temperature: with the element's non-dimensional
         // height, all the viscosity law reads besides the strain rate.
         let map = fem::op::DofMap::new(&self.mesh, self.comm, 1);
@@ -190,7 +197,7 @@ impl<'c> ConvectionSim<'c> {
         let result = stokes::picard_solve(&mut solver, &buoyancy, &mut x, rheology, steps);
         self.viscosity = std::mem::take(&mut solver.viscosity);
         self.flow = Some(x);
-        result.total_minres_iterations
+        result
     }
 
     /// Surface Nusselt number: mean conductive heat flux `−∂T/∂z` through
@@ -266,7 +273,9 @@ impl<'c> ConvectionSim<'c> {
         }
 
         // Flow solve.
-        report.minres_iterations = self.solve_flow(law);
+        let flow = self.flow_solve(law);
+        report.minres_iterations = flow.total_minres_iterations;
+        report.flow_converged = flow.minres_converged;
 
         // Transport step.
         let transport_span = self.rec.span_cat("TimeIntegration", "solve");
@@ -329,6 +338,33 @@ mod tests {
             assert!(last.v_rms > 0.0, "buoyancy must drive flow");
             assert!(last.t_min > -0.05 && last.t_max < 1.05, "{last:?}");
             assert!(last.minres_iterations > 0);
+            assert!(last.flow_converged, "{last:?}");
+        });
+    }
+
+    #[test]
+    fn unconverged_minres_is_reported() {
+        // One MINRES iteration cannot reach the tolerance: the step, the
+        // Picard result and the recorder all say so.
+        spmd::run(1, |c| {
+            let params = ConvectionParams {
+                adapt_every: 0,
+                stokes: StokesOptions {
+                    max_iter: 1,
+                    ..Default::default()
+                },
+                ..Default::default()
+            };
+            let mut sim = ConvectionSim::new(c, 2, params);
+            let law = ConstantLaw(1.0);
+            let report = sim.step(&law);
+            assert!(!report.flow_converged, "{report:?}");
+            let unconverged = sim.rec.summary().counter("minres.unconverged");
+            assert!(unconverged > 0);
+            let result = sim.flow_solve(&law);
+            assert!(!result.minres_converged);
+            let more = sim.rec.summary().counter("minres.unconverged");
+            assert!(more > unconverged, "{more} after {unconverged}");
         });
     }
 
@@ -386,6 +422,7 @@ mod tests {
                     assert!(a.elements_after > 0);
                 }
                 assert!(rep.t_max < 1.1 && rep.t_min > -0.1, "{rep:?}");
+                assert!(rep.flow_converged, "{rep:?}");
             }
             assert!(adapted, "adaptation must have run");
             assert!(sim.tree.validate());

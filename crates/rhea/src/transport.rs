@@ -17,8 +17,8 @@
 use std::cell::RefCell;
 
 use fem::element::{supg_tau, LevelBlocks};
-use fem::op::DofMap;
-use mesh::extract::{ExchangeBuffers, Mesh};
+use fem::op::{DofMap, ElementKernel, Workspace};
+use mesh::extract::Mesh;
 use scomm::Comm;
 
 /// Transport parameters.
@@ -47,22 +47,16 @@ impl Default for TransportParams {
 /// every buffer has its final capacity.
 #[derive(Default)]
 struct Scratch {
-    rate: RateScratch,
+    /// The rate sweeps' buffers: `T` with ghosts in, the weak rate out.
+    op: Workspace,
+    /// The predictor rate `v₀` with ghosts.
+    v0l: Vec<f64>,
+    /// `[T v₀]` interleaved with ghosts: the corrector's input.
+    tv: Vec<f64>,
     /// Heun stages on owned dofs.
     k1: Vec<f64>,
     k2: Vec<f64>,
     t1: Vec<f64>,
-}
-
-/// The owned+ghost vectors of one rate evaluation.
-#[derive(Default)]
-struct RateScratch {
-    /// Temperature and predictor rate.
-    tl: Vec<f64>,
-    v0l: Vec<f64>,
-    /// Weak rate.
-    r: Vec<f64>,
-    exch: ExchangeBuffers,
 }
 
 /// SUPG transport solver bound to a mesh and a per-element velocity.
@@ -180,97 +174,61 @@ impl<'a> TransportSolver<'a> {
         self.params.cfl * global
     }
 
-    /// Evaluate the SUPG right-hand side `r(T) = −(A+K+S_a)T + b` into
-    /// `r` over local dofs (accumulated to owners), optionally subtracting
-    /// the SUPG mass coupling of a previous rate (`S_m v`).
-    fn weak_rate(
-        &self,
-        t_local: &[f64],
-        v_prev_local: Option<&[f64]>,
-        r: &mut Vec<f64>,
-        exch: &mut ExchangeBuffers,
-    ) {
-        r.clear();
-        r.resize(self.map.n_local(), 0.0);
-        let kappa = self.params.kappa;
-        let mut te = [0.0; 8];
-        let mut ve = [0.0; 8];
-        let mut re = [0.0; 8];
-        for (e, &a) in self.velocity.iter().enumerate() {
-            // k = A + κK₁ + S_a and S_m, formed from the level's blocks.
-            let blocks = self.blocks.of(self.mesh, e);
-            let adv = blocks.advection(a);
-            let (sm, sa) = blocks.supg(a, supg_tau(self.mesh.element_size(e), a, kappa));
-            let k = &blocks.stiffness;
-            self.map.gather_element(e, t_local, &mut te);
-            if let Some(vp) = v_prev_local {
-                self.map.gather_element(e, vp, &mut ve);
-            }
-            for i in 0..8 {
-                let mut acc = 0.0;
-                for j in 0..8 {
-                    acc -= (adv[i][j] + kappa * k[i][j] + sa[i][j]) * te[j];
-                    if v_prev_local.is_some() {
-                        acc -= sm[i][j] * ve[j];
-                    }
-                }
-                // Source: γ ∫ (N_i + τ a·∇N_i); the row sum of S_m is
-                // τ ∫ (a·∇N_i) because Σ_j N_j = 1.
-                if self.params.source != 0.0 {
-                    let si: f64 = sm[i].iter().sum();
-                    acc += self.params.source * (blocks.lumped_mass[i] + si);
-                }
-                re[i] = acc;
-            }
-            self.map.scatter_element(e, &re, r);
-        }
-        self.map.reverse_accumulate_begin(r, exch);
-        self.map.reverse_accumulate_end(r, exch);
-    }
-
     /// Temperature rate `Ṫ` on owned dofs into `out`, via lumped-mass
     /// solve with one SUPG-mass corrector pass (the "predictor–corrector"
-    /// of the paper's reference [9]).
-    fn rate(&self, t_owned: &[f64], out: &mut Vec<f64>, ws: &mut RateScratch) {
+    /// of the paper's reference [9]): two sweeps of [`WeakRate`], the
+    /// second reading `T` and the predictor `v₀` as one two-component
+    /// field built from the two exchanged vectors.
+    fn rate(
+        &self,
+        t_owned: &[f64],
+        out: &mut Vec<f64>,
+        op: &mut Workspace,
+        v0l: &mut Vec<f64>,
+        tv: &mut Vec<f64>,
+    ) {
         let n = self.mesh.n_owned;
-        let RateScratch { tl, v0l, r, exch } = ws;
-        self.map.fill_local(t_owned, tl);
-        self.map.exchange_begin(tl, exch);
-        self.map.exchange_end(tl, exch);
-        // Predictor, written straight into the owned block of `v0l`.
-        self.weak_rate(tl, None, r, exch);
-        v0l.clear();
-        v0l.resize(self.map.n_local(), 0.0);
-        for d in 0..n {
-            v0l[d] = if self.bc_mask[d] {
-                0.0
-            } else {
-                r[d] / self.lumped[d]
-            };
-        }
-        self.map.exchange_begin(v0l, exch);
-        self.map.exchange_end(v0l, exch);
-        // Corrector: v₁ = M_L⁻¹ (r(T) − S_m v₀).
-        self.weak_rate(tl, Some(v0l), r, exch);
-        out.clear();
-        out.extend((0..n).map(|d| {
+        let lumped_solve = |r: &[f64], d: usize| {
             if self.bc_mask[d] {
                 0.0
             } else {
                 r[d] / self.lumped[d]
             }
-        }));
+        };
+        // Predictor, written straight into the owned block of `v0l`.
+        let r = self
+            .map
+            .apply_kernel(&mut WeakRate(self), op, |tl| tl.copy_from_slice(t_owned));
+        v0l.clear();
+        v0l.extend((0..n).map(|d| lumped_solve(r, d)));
+        v0l.resize(self.map.n_local(), 0.0);
+        self.map.exchange_with(v0l, op);
+        // Corrector: v₁ = M_L⁻¹ (r(T) − S_m v₀).
+        tv.clear();
+        tv.extend(op.input().iter().zip(&*v0l).flat_map(|(&t, &v)| [t, v]));
+        let r = self
+            .map
+            .accumulate_kernel::<2, 1>(&mut WeakRate(self), tv, op);
+        out.clear();
+        out.extend((0..n).map(|d| lumped_solve(r, d)));
     }
 
     /// Advance `t` by `dt` with Heun's method (RK2). Collective.
     pub fn step(&self, t: &mut [f64], dt: f64) {
         let mut ws = self.scratch.borrow_mut();
-        let Scratch { rate, k1, k2, t1 } = &mut *ws;
-        self.rate(t, k1, rate);
+        let Scratch {
+            op,
+            v0l,
+            tv,
+            k1,
+            k2,
+            t1,
+        } = &mut *ws;
+        self.rate(t, k1, op, v0l, tv);
         t1.clear();
         t1.extend(t.iter().zip(k1.iter()).map(|(&x, &k)| x + dt * k));
         self.apply_bc(t1);
-        self.rate(t1, k2, rate);
+        self.rate(t1, k2, op, v0l, tv);
         for d in 0..t.len() {
             t[d] += 0.5 * dt * (k1[d] + k2[d]);
         }
@@ -300,6 +258,41 @@ impl<'a> TransportSolver<'a> {
     pub fn total_mass(&self, t: &[f64]) -> f64 {
         let local: f64 = (0..self.mesh.n_owned).map(|d| self.lumped[d] * t[d]).sum();
         self.comm.allreduce_sum(&[local])[0]
+    }
+}
+
+/// The SUPG weak rate `r(T) = −(A+K+S_a)T + b` of one element, formed
+/// from the level's blocks. On one component (`T`) it is the predictor;
+/// on two (`[T v₀]`) it is the corrector, which also subtracts the SUPG
+/// mass coupling of the predictor rate, `S_m v₀`.
+struct WeakRate<'s, 'a>(&'s TransportSolver<'a>);
+
+impl<const NI: usize> ElementKernel<NI, 1> for WeakRate<'_, '_> {
+    #[inline(always)]
+    fn apply(&mut self, e: usize, x: &[[f64; NI]; 8], y: &mut [[f64; 1]; 8]) {
+        let ts = self.0;
+        let (a, kappa) = (ts.velocity[e], ts.params.kappa);
+        // k = A + κK₁ + S_a and S_m, formed from the level's blocks.
+        let blocks = ts.blocks.of(ts.mesh, e);
+        let adv = blocks.advection(a);
+        let (sm, sa) = blocks.supg(a, supg_tau(ts.mesh.element_size(e), a, kappa));
+        let k = &blocks.stiffness;
+        for i in 0..8 {
+            let mut acc = 0.0;
+            for j in 0..8 {
+                acc -= (adv[i][j] + kappa * k[i][j] + sa[i][j]) * x[j][0];
+                if NI == 2 {
+                    acc -= sm[i][j] * x[j][NI - 1];
+                }
+            }
+            // Source: γ ∫ (N_i + τ a·∇N_i); the row sum of S_m is
+            // τ ∫ (a·∇N_i) because Σ_j N_j = 1.
+            if ts.params.source != 0.0 {
+                let si: f64 = sm[i].iter().sum();
+                acc += ts.params.source * (blocks.lumped_mass[i] + si);
+            }
+            y[i] = [acc];
+        }
     }
 }
 
@@ -467,6 +460,38 @@ mod tests {
             let mut stale = before;
             solver(&swirl).step(&mut stale, dt);
             assert_ne!(bits(&a), bits(&stale));
+        });
+    }
+
+    #[test]
+    fn sweep_builds_agree_bitwise() {
+        // The dispatching sweep (AVX2 on an AVX2 host) against the plain
+        // build, with the predictor and the corrector kernel.
+        spmd::run(2, |c| {
+            let mut t = DistOctree::new_uniform(c, 2);
+            t.refine(|o| o.center_unit()[0] < 0.4 && o.center_unit()[2] > 0.3);
+            t.balance(octree::balance::BalanceKind::Full);
+            t.partition();
+            let m = extract_mesh(&t, [2.0, 1.0, 1.0]);
+            assert!(m.n_hanging() > 0);
+            let params = TransportParams {
+                kappa: 1e-3,
+                source: 0.5,
+                cfl: 0.3,
+            };
+            let mut ts = TransportSolver::new(&m, c, params);
+            ts.set_velocity_fn(|p| [0.5 - p[1], p[0] - 1.0, 0.25 * p[2]]);
+            let mut rng = scomm::rng::SplitMix64::new(c.rank() as u64);
+            let x: Vec<f64> = (0..2 * m.n_local()).map(|_| rng.unit() - 0.5).collect();
+            let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+            let (mut dispatched, mut plain) = (vec![0.0; m.n_local()], vec![0.0; m.n_local()]);
+            fem::op::sweep::<1, 1>(&m, &mut WeakRate(&ts), &x[..m.n_local()], &mut dispatched);
+            fem::op::sweep_plain::<1, 1>(&m, &mut WeakRate(&ts), &x[..m.n_local()], &mut plain);
+            assert_eq!(bits(&dispatched), bits(&plain), "predictor");
+            let (mut dispatched, mut plain) = (vec![0.0; m.n_local()], vec![0.0; m.n_local()]);
+            fem::op::sweep::<2, 1>(&m, &mut WeakRate(&ts), &x, &mut dispatched);
+            fem::op::sweep_plain::<2, 1>(&m, &mut WeakRate(&ts), &x, &mut plain);
+            assert_eq!(bits(&dispatched), bits(&plain), "corrector");
         });
     }
 

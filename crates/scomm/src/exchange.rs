@@ -31,8 +31,8 @@ const EXCHANGE_TAG_BASE: u64 = 0xE5C0 << 48;
 /// One `Exchange` value represents one logical communication *stream*: a
 /// sequence of `exchange_start` / `exchange_end` rounds that are posted
 /// and completed in order. Two exchanges may be in flight at the same time
-/// (e.g. the velocity and pressure ghost layers of a Stokes operator
-/// application) **iff** they use distinct stream ids — the stream id is
+/// (e.g. the ghost layers of two fields exchanged together) **iff** they
+/// use distinct stream ids — the stream id is
 /// folded into the message tag, which is what keeps concurrently in-flight
 /// rounds from matching each other's messages. Within one stream, rounds
 /// are disambiguated by a sequence number in the tag's low bits, and the

@@ -19,6 +19,9 @@ const RHEOLOGY_TOL: f64 = 1e-3;
 pub struct PicardResult {
     pub picard_iterations: usize,
     pub total_minres_iterations: usize,
+    /// Every MINRES solve of the call converged; `false` when one ended
+    /// at its iteration cap or broke down first.
+    pub minres_converged: bool,
     /// The last viscosity re-evaluation moved η by less than the
     /// tolerance; `false` when the step cap ended the loop first.
     pub converged: bool,
@@ -41,12 +44,15 @@ pub fn picard_solve(
     let mut result = PicardResult {
         picard_iterations: 0,
         total_minres_iterations: 0,
+        minres_converged: true,
         converged: false,
     };
     loop {
         let mut rhs = solver.nodal_load(force);
         solver.dirichlet_lift(&mut rhs, |_| [0.0; 3]);
-        result.total_minres_iterations += solver.solve(&rhs, x).iterations;
+        let info = solver.solve(&rhs, x);
+        result.total_minres_iterations += info.iterations;
+        result.minres_converged &= info.converged;
         result.picard_iterations += 1;
         if result.picard_iterations >= max_steps {
             return result;

@@ -2,10 +2,10 @@
 //! MINRES driver.
 
 use fem::element::{ElementBlocks, LevelBlocks};
-use fem::op::DofMap;
-use la::krylov::{minres, LinearOp, SolveInfo};
+use fem::op::{DofMap, ElementKernel, Workspace};
+use la::krylov::{minres, SolveInfo};
 use la::{Amg, AmgOptions};
-use mesh::extract::{ExchangeBuffers, Mesh};
+use mesh::extract::Mesh;
 use obs::Recorder;
 use scomm::Comm;
 use std::cell::RefCell;
@@ -28,58 +28,12 @@ impl Default for StokesOptions {
     }
 }
 
-/// Reusable scratch for the operator and preconditioner applications.
-/// Grow-only: after the first application every buffer has reached its
-/// final capacity and subsequent applies perform zero heap allocations
-/// (the `minres.alloc_bytes` telemetry counter proves it per solve).
-#[derive(Debug)]
-struct SolverWorkspace {
-    /// BC-zeroed owned velocity copy.
-    u: Vec<f64>,
-    /// Owned+ghost velocity / pressure vectors.
-    ul: Vec<f64>,
-    pl: Vec<f64>,
-    /// Owned+ghost result accumulators.
-    yu: Vec<f64>,
-    yp: Vec<f64>,
-    /// Packed ghost-exchange staging for the velocity / scalar maps.
-    /// Distinct streams so both exchanges may be in flight concurrently
-    /// on the split-phase path without their messages crossing.
-    vexch: ExchangeBuffers,
-    sexch: ExchangeBuffers,
-}
-
-impl Default for SolverWorkspace {
-    fn default() -> Self {
-        SolverWorkspace {
-            u: Vec::new(),
-            ul: Vec::new(),
-            pl: Vec::new(),
-            yu: Vec::new(),
-            yp: Vec::new(),
-            vexch: ExchangeBuffers::with_stream(1),
-            sexch: ExchangeBuffers::with_stream(2),
-        }
-    }
-}
-
-impl SolverWorkspace {
-    fn capacity_bytes(&self) -> u64 {
-        ((self.u.capacity()
-            + self.ul.capacity()
-            + self.pl.capacity()
-            + self.yu.capacity()
-            + self.yp.capacity())
-            * std::mem::size_of::<f64>()) as u64
-            + self.vexch.capacity_bytes()
-            + self.sexch.capacity_bytes()
-    }
-}
-
 /// A variable-viscosity Stokes solver bound to a mesh.
 ///
 /// Unknown layout: `[u₀x u₀y u₀z u₁x … | p₀ p₁ …]` — velocity block of
 /// length `3·n_owned` followed by the pressure block of length `n_owned`.
+/// The operator application alone sees the unknown as one
+/// four-component field `[u_x u_y u_z p]` per node.
 pub struct StokesSolver<'a> {
     pub mesh: &'a Mesh,
     pub comm: &'a Comm,
@@ -88,8 +42,8 @@ pub struct StokesSolver<'a> {
     /// Velocity Dirichlet mask, length `3·n_owned` (componentwise; both
     /// no-slip walls and free-slip normal components are expressible).
     pub vel_bc: Vec<bool>,
-    vmap: DofMap<'a>,
-    smap: DofMap<'a>,
+    /// The four-component field the operator is applied on.
+    map: DofMap<'a>,
     /// Unit-viscosity element blocks, one per octree level present; every
     /// element matrix the solver uses is one of these scaled by η.
     blocks: LevelBlocks,
@@ -100,7 +54,10 @@ pub struct StokesSolver<'a> {
     amg: Option<Amg<3>>,
     /// Inverse of the η⁻¹-weighted lumped pressure mass diagonal.
     schur_diag_inv: Vec<f64>,
-    ws: RefCell<SolverWorkspace>,
+    /// The operator's owned+ghost buffers, grow-only: after the first
+    /// application every apply performs zero heap allocations (the
+    /// `minres.alloc_bytes` telemetry counter proves it per solve).
+    ws: RefCell<Workspace>,
     options: StokesOptions,
 }
 
@@ -116,19 +73,16 @@ impl<'a> StokesSolver<'a> {
     ) -> Self {
         assert_eq!(viscosity.len(), mesh.elements.len());
         assert_eq!(vel_bc.len(), 3 * mesh.n_owned);
-        let vmap = DofMap::new(mesh, comm, 3);
-        let smap = DofMap::new(mesh, comm, 1);
         let mut solver = StokesSolver {
             mesh,
             comm,
             viscosity,
             vel_bc,
-            vmap,
-            smap,
+            map: DofMap::new(mesh, comm, 4),
             blocks: LevelBlocks::new(mesh),
             amg: None,
             schur_diag_inv: Vec::new(),
-            ws: RefCell::new(SolverWorkspace::default()),
+            ws: RefCell::default(),
             options,
         };
         solver.setup();
@@ -191,7 +145,8 @@ impl<'a> StokesSolver<'a> {
         };
         // One collective assembly; each distinct mask is an elimination of
         // it, which gives the bits a per-mask assembly would (DESIGN.md §7).
-        let a_block = fem::assembly::assemble_owned_block(&self.smap, &src, None);
+        let smap = DofMap::new(self.mesh, self.comm, 1);
+        let a_block = fem::assembly::assemble_owned_block(&smap, &src, None);
         let mut hierarchies = Vec::new();
         let mut lanes = [0; 3];
         for comp in 0..3 {
@@ -206,13 +161,13 @@ impl<'a> StokesSolver<'a> {
         self.amg = Some(Amg::fuse(hierarchies, lanes));
 
         // Schur approximation: lumped pressure mass weighted by 1/η.
-        let mut sdiag = vec![0.0; self.smap.n_local()];
+        let mut sdiag = vec![0.0; smap.n_local()];
         for e in 0..self.mesh.elements.len() {
             let lm = &self.blocks.of(self.mesh, e).lumped_mass;
             let scaled: [f64; 8] = std::array::from_fn(|i| lm[i] / self.viscosity[e]);
-            self.smap.scatter_element(e, &scaled, &mut sdiag);
+            smap.scatter_element(e, &scaled, &mut sdiag);
         }
-        self.smap.reverse_accumulate(&mut sdiag);
+        smap.reverse_accumulate(&mut sdiag);
         self.schur_diag_inv = sdiag[..self.mesh.n_owned]
             .iter()
             .map(|&v| if v > 0.0 { 1.0 / v } else { 1.0 })
@@ -231,140 +186,42 @@ impl<'a> StokesSolver<'a> {
     }
 
     /// Apply the stabilized Stokes operator to a combined vector.
-    /// Allocation-free at steady state (reusable [`SolverWorkspace`]).
+    /// Allocation-free at steady state (reusable [`Workspace`]).
     pub fn apply(&self, x: &[f64], y: &mut [f64]) {
-        let mut ws = self.ws.borrow_mut();
-        self.apply_with(x, y, &mut ws, true);
+        self.apply_masked(x, y, Some(&self.vel_bc));
     }
 
-    /// Shared body of [`StokesSolver::apply`] (BC-eliminated) and the
-    /// unconstrained application used for the Dirichlet lift.
-    fn apply_with(&self, x: &[f64], y: &mut [f64], ws: &mut SolverWorkspace, constrained: bool) {
+    /// [`StokesSolver::apply`] with the velocity Dirichlet mask `bc`
+    /// eliminated symmetrically, or without elimination (`None`, the
+    /// operator of the Dirichlet lift). The combined vector is
+    /// interleaved into the four-component field, so one exchange round
+    /// each way carries velocity and pressure together.
+    fn apply_masked(&self, x: &[f64], y: &mut [f64], bc: Option<&[bool]>) {
         let nu = 3 * self.mesh.n_owned;
-        let np = self.mesh.n_owned;
-        debug_assert_eq!(x.len(), nu + np);
-        // Split and zero velocity BC entries (symmetric elimination).
-        ws.u.clear();
-        ws.u.extend_from_slice(&x[..nu]);
-        if constrained {
-            for (i, &m) in self.vel_bc.iter().enumerate() {
-                if m {
-                    ws.u[i] = 0.0;
+        debug_assert_eq!(x.len(), nu + self.mesh.n_owned);
+        let (u, p) = x.split_at(nu);
+        let mut kernel = StokesKernel {
+            mesh: self.mesh,
+            blocks: &self.blocks,
+            viscosity: &self.viscosity,
+        };
+        let masked = |i: usize| bc.is_some_and(|bc| bc[i]);
+        let mut ws = self.ws.borrow_mut();
+        let yl = self.map.apply_kernel(&mut kernel, &mut ws, |xl| {
+            for (d, node) in xl.chunks_exact_mut(4).enumerate() {
+                for k in 0..3 {
+                    node[k] = if masked(3 * d + k) { 0.0 } else { u[3 * d + k] };
                 }
+                node[3] = p[d];
             }
-        }
-        ws.yu.clear();
-        ws.yu.resize(self.vmap.n_local(), 0.0);
-        ws.yp.clear();
-        ws.yp.resize(self.smap.n_local(), 0.0);
-        // Post both exchanges (velocity and pressure on distinct
-        // streams, in flight together), complete them, sweep.
-        self.vmap.fill_local(&ws.u, &mut ws.ul);
-        self.smap.fill_local(&x[nu..], &mut ws.pl);
-        self.vmap.exchange_begin(&ws.ul, &mut ws.vexch);
-        self.smap.exchange_begin(&ws.pl, &mut ws.sexch);
-        self.vmap.exchange_end(&mut ws.ul, &mut ws.vexch);
-        self.smap.exchange_end(&mut ws.pl, &mut ws.sexch);
-        self.sweep(ws);
-        self.vmap
-            .reverse_accumulate_begin(&mut ws.yu, &mut ws.vexch);
-        self.smap
-            .reverse_accumulate_begin(&mut ws.yp, &mut ws.sexch);
-        self.vmap.reverse_accumulate_end(&mut ws.yu, &mut ws.vexch);
-        self.smap.reverse_accumulate_end(&mut ws.yp, &mut ws.sexch);
-        y[..nu].copy_from_slice(&ws.yu[..nu]);
-        y[nu..].copy_from_slice(&ws.yp[..np]);
-        if constrained {
-            // Identity on velocity BC rows.
-            for (i, &m) in self.vel_bc.iter().enumerate() {
-                if m {
-                    y[i] = x[i];
-                }
+        });
+        // Identity on masked velocity rows.
+        for (d, node) in yl.chunks_exact(4).enumerate() {
+            for k in 0..3 {
+                let i = 3 * d + k;
+                y[i] = if masked(i) { x[i] } else { node[k] };
             }
-        }
-    }
-
-    /// Sweep every local element of the stabilized Stokes stencil:
-    /// gather velocity/pressure element vectors from `ws.ul`/`ws.pl`,
-    /// apply the block stencil, scatter into `ws.yu`/`ws.yp`. Runs
-    /// [`StokesSolver::sweep_body`] compiled for AVX2 where the CPU has
-    /// it; both builds compute the same bits.
-    fn sweep(&self, ws: &mut SolverWorkspace) {
-        #[cfg(target_arch = "x86_64")]
-        if std::arch::is_x86_feature_detected!("avx2") {
-            // SAFETY: the CPU supports AVX2, checked on the line above.
-            unsafe { self.sweep_avx2(ws) };
-            return;
-        }
-        self.sweep_body(ws);
-    }
-
-    /// [`StokesSolver::sweep_body`] with 256-bit vectors. AVX2 brings no
-    /// FMA, and Rust never contracts `a * b + c`, so every lane rounds
-    /// as the plain build does.
-    ///
-    /// # Safety
-    /// The CPU must support AVX2.
-    #[cfg(target_arch = "x86_64")]
-    #[target_feature(enable = "avx2")]
-    unsafe fn sweep_avx2(&self, ws: &mut SolverWorkspace) {
-        self.sweep_body(ws);
-    }
-
-    /// The element sweep, written once and inlined into each build.
-    /// Every output is an independent accumulation in a fixed order, so
-    /// vector lanes change no rounding.
-    #[inline(always)]
-    fn sweep_body(&self, ws: &mut SolverWorkspace) {
-        let mut ue = [0.0; 24];
-        let mut pe = [0.0; 8];
-        for e in 0..self.mesh.elements.len() {
-            let eta = self.viscosity[e];
-            let ElementBlocks {
-                viscous: a,
-                divergence: b,
-                divergence_t: bt,
-                stabilization: c,
-                ..
-            } = self.blocks.of(self.mesh, e);
-            self.vmap.gather_element(e, &ws.ul, &mut ue);
-            self.smap.gather_element(e, &ws.pl, &mut pe);
-            // ru = η·(A₁ u) + Bᵀ p, accumulated one column of the
-            // (symmetric) A₁ and one row of B at a time so the inner
-            // loops run over contiguous memory with no reduction.
-            let mut ru = [0.0; 24];
-            for j in 0..24 {
-                for i in 0..24 {
-                    ru[i] += a[j][i] * ue[j];
-                }
-            }
-            for i in 0..24 {
-                ru[i] *= eta;
-            }
-            for q in 0..8 {
-                for i in 0..24 {
-                    ru[i] += b[q][i] * pe[q];
-                }
-            }
-            // rp = B u − (C₁ p)/η over the eight rows at once, from Bᵀ
-            // and the (exactly symmetric) C₁ read as C₁ᵀ. Each row sums
-            // in index order from −0.0, the start of `Iterator::sum` for
-            // f64.
-            let mut bu = [-0.0; 8];
-            for j in 0..24 {
-                for q in 0..8 {
-                    bu[q] += bt[j][q] * ue[j];
-                }
-            }
-            let mut cp = [-0.0; 8];
-            for r in 0..8 {
-                for q in 0..8 {
-                    cp[q] += c[r][q] * pe[r];
-                }
-            }
-            let rp: [f64; 8] = std::array::from_fn(|q| bu[q] - cp[q] / eta);
-            self.vmap.scatter_element(e, &ru, &mut ws.yu);
-            self.smap.scatter_element(e, &rp, &mut ws.yp);
+            y[nu + d] = node[3];
         }
     }
 
@@ -384,28 +241,6 @@ impl<'a> StokesSolver<'a> {
     /// starting from `x` (initial guess, velocity BC entries = boundary
     /// values that the RHS was lifted with). Collective.
     pub fn solve(&mut self, rhs: &[f64], x: &mut [f64]) -> SolveInfo {
-        struct OpWrap<'s, 'a>(&'s StokesSolver<'a>);
-        impl LinearOp for OpWrap<'_, '_> {
-            fn apply(&self, x: &[f64], y: &mut [f64]) {
-                self.0.apply(x, y);
-            }
-            fn len(&self) -> usize {
-                self.0.n_owned()
-            }
-        }
-        struct PreWrap<'s, 'a>(&'s StokesSolver<'a>, Option<Recorder>);
-        impl LinearOp for PreWrap<'_, '_> {
-            fn apply(&self, r: &[f64], z: &mut [f64]) {
-                let _span = self.1.as_ref().map(|rec| {
-                    rec.add_count("amg.vcycles", 3); // one per velocity component
-                    rec.span_cat("AMGSolve", "solve")
-                });
-                self.0.apply_preconditioner(r, z);
-            }
-            fn len(&self) -> usize {
-                self.0.n_owned()
-            }
-        }
         let rec = self.recorder();
         let _span = rec.as_ref().map(|r| r.span_cat("MINRES", "solve"));
         // Snapshot communication stats and workspace capacity: their
@@ -414,8 +249,15 @@ impl<'a> StokesSolver<'a> {
         let stats0 = self.comm.stats();
         let cap0 = self.ws.borrow().capacity_bytes();
         let info = {
-            let op = OpWrap(self);
-            let pre = PreWrap(self, rec.clone());
+            let n = self.n_owned();
+            let op = (n, |x: &[f64], y: &mut [f64]| self.apply(x, y));
+            let pre = (n, |r: &[f64], z: &mut [f64]| {
+                let _span = rec.as_ref().map(|rec| {
+                    rec.add_count("amg.vcycles", 3); // one per velocity component
+                    rec.span_cat("AMGSolve", "solve")
+                });
+                self.apply_preconditioner(r, z);
+            });
             let observe = |_iter: usize, res: f64| {
                 #[cfg(debug_assertions)]
                 if scomm::checks_enabled() {
@@ -444,6 +286,9 @@ impl<'a> StokesSolver<'a> {
             let stats1 = self.comm.stats();
             let cap1 = self.ws.borrow().capacity_bytes();
             r.add_count("minres.iterations", info.iterations as u64);
+            if !info.converged {
+                r.add_count("minres.unconverged", 1);
+            }
             r.add_count("minres.allreduces", stats1.allreduces - stats0.allreduces);
             r.add_count(
                 "minres.exchange_msgs",
@@ -487,21 +332,22 @@ impl<'a> StokesSolver<'a> {
     pub fn nodal_load(&self, fv: &[f64]) -> Vec<f64> {
         let nu = 3 * self.mesh.n_owned;
         assert_eq!(fv.len(), nu);
-        let fl = self.vmap.to_local(fv);
-        let mut rhs_local = vec![0.0; self.vmap.n_local()];
+        let vmap = DofMap::new(self.mesh, self.comm, 3);
+        let fl = vmap.to_local(fv);
+        let mut rhs_local = vec![0.0; vmap.n_local()];
         let mut fe = [0.0; 24];
         let mut re = [0.0; 24];
         for e in 0..self.mesh.elements.len() {
             let mm = &self.blocks.of(self.mesh, e).mass;
-            self.vmap.gather_element(e, &fl, &mut fe);
+            vmap.gather_element(e, &fl, &mut fe);
             for i in 0..8 {
                 for c in 0..3 {
                     re[3 * i + c] = (0..8).map(|j| mm[i][j] * fe[3 * j + c]).sum();
                 }
             }
-            self.vmap.scatter_element(e, &re, &mut rhs_local);
+            vmap.scatter_element(e, &re, &mut rhs_local);
         }
-        self.vmap.reverse_accumulate(&mut rhs_local);
+        vmap.reverse_accumulate(&mut rhs_local);
         let mut rhs = vec![0.0; self.n_owned()];
         rhs[..nu].copy_from_slice(&rhs_local[..nu]);
         rhs
@@ -535,7 +381,7 @@ impl<'a> StokesSolver<'a> {
             // rhs -= A_full · x0 where A_full ignores the BC elimination
             // (we need the coupling of boundary values into the interior).
             let mut ax0 = vec![0.0; self.n_owned()];
-            self.apply_unconstrained(&x0, &mut ax0);
+            self.apply_masked(&x0, &mut ax0, None);
             for i in 0..self.n_owned() {
                 rhs[i] -= ax0[i];
             }
@@ -549,23 +395,18 @@ impl<'a> StokesSolver<'a> {
         x0
     }
 
-    /// Operator application without BC elimination (used for the lift).
-    fn apply_unconstrained(&self, x: &[f64], y: &mut [f64]) {
-        let mut ws = self.ws.borrow_mut();
-        self.apply_with(x, y, &mut ws, false);
-    }
-
     /// Compute the per-element second invariant of the strain rate
     /// `ė = sqrt(½ ε̇:ε̇)` at the element center from a combined solution
     /// vector. Used by the yielding rheology.
     pub fn strain_rate_invariant(&self, x: &[f64]) -> Vec<f64> {
         let nu = 3 * self.mesh.n_owned;
-        let ul = self.vmap.to_local(&x[..nu]);
+        let vmap = DofMap::new(self.mesh, self.comm, 3);
+        let ul = vmap.to_local(&x[..nu]);
         let mut out = Vec::with_capacity(self.mesh.elements.len());
         let mut ue = [0.0; 24];
         for e in 0..self.mesh.elements.len() {
             let h = self.mesh.element_size(e);
-            self.vmap.gather_element(e, &ul, &mut ue);
+            vmap.gather_element(e, &ul, &mut ue);
             // Velocity gradient at the element center.
             let mut grad = [[0.0f64; 3]; 3]; // grad[a][b] = ∂u_a/∂x_b
             for cnode in 0..8 {
@@ -590,9 +431,73 @@ impl<'a> StokesSolver<'a> {
     }
 }
 
+/// The stabilized Stokes stencil of one element on the four-component
+/// field: the level's unit-viscosity blocks scaled by the element's η.
+struct StokesKernel<'s> {
+    mesh: &'s Mesh,
+    blocks: &'s LevelBlocks,
+    viscosity: &'s [f64],
+}
+
+impl ElementKernel<4, 4> for StokesKernel<'_> {
+    /// Every output is an independent accumulation in a fixed order, so
+    /// vector lanes change no rounding.
+    #[inline(always)]
+    fn apply(&mut self, e: usize, x: &[[f64; 4]; 8], y: &mut [[f64; 4]; 8]) {
+        let eta = self.viscosity[e];
+        let ElementBlocks {
+            viscous: a,
+            divergence: b,
+            divergence_t: bt,
+            stabilization: c,
+            ..
+        } = self.blocks.of(self.mesh, e);
+        let ue: [f64; 24] = std::array::from_fn(|j| x[j / 3][j % 3]);
+        let pe: [f64; 8] = x.map(|node| node[3]);
+        // ru = η·(A₁ u) + Bᵀ p, accumulated one column of the
+        // (symmetric) A₁ and one row of B at a time so the inner
+        // loops run over contiguous memory with no reduction.
+        let mut ru = [0.0; 24];
+        for j in 0..24 {
+            for i in 0..24 {
+                ru[i] += a[j][i] * ue[j];
+            }
+        }
+        for i in 0..24 {
+            ru[i] *= eta;
+        }
+        for q in 0..8 {
+            for i in 0..24 {
+                ru[i] += b[q][i] * pe[q];
+            }
+        }
+        // rp = B u − (C₁ p)/η over the eight rows at once, from Bᵀ
+        // and the (exactly symmetric) C₁ read as C₁ᵀ. Each row sums
+        // in index order from −0.0, the start of `Iterator::sum` for
+        // f64.
+        let mut bu = [-0.0; 8];
+        for j in 0..24 {
+            for q in 0..8 {
+                bu[q] += bt[j][q] * ue[j];
+            }
+        }
+        let mut cp = [-0.0; 8];
+        for r in 0..8 {
+            for q in 0..8 {
+                cp[q] += c[r][q] * pe[r];
+            }
+        }
+        for (node, out) in y.iter_mut().enumerate() {
+            let u = &ru[3 * node..3 * node + 3];
+            *out = [u[0], u[1], u[2], bu[node] - cp[node] / eta];
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use la::krylov::LinearOp;
     use mesh::extract::extract_mesh;
     use octree::balance::BalanceKind;
     use octree::parallel::DistOctree;
@@ -815,6 +720,7 @@ mod tests {
     impl<'s, 'a> ScalarVcycles<'s, 'a> {
         fn new(solver: &'s StokesSolver<'a>) -> Self {
             let (m, visc) = (solver.mesh, &solver.viscosity);
+            let smap = DofMap::new(m, solver.comm, 1);
             let src = |e: usize, out: &mut [f64]| {
                 let k = &solver.blocks.of(m, e).stiffness;
                 for i in 0..8 {
@@ -827,7 +733,7 @@ mod tests {
                 let mask: Vec<bool> = (0..m.n_owned)
                     .map(|d| solver.vel_bc[3 * d + comp])
                     .collect();
-                let block = fem::assembly::assemble_owned_block(&solver.smap, &src, Some(&mask));
+                let block = fem::assembly::assemble_owned_block(&smap, &src, Some(&mask));
                 Amg::new(block, solver.options.amg)
             });
             ScalarVcycles { solver, amg }
@@ -910,33 +816,48 @@ mod tests {
     }
 
     #[test]
+    fn warm_solve_allocates_nothing() {
+        // `build_rhs`'s Dirichlet lift applies the operator once, so the
+        // workspace is warm before the first solve: no solve may grow it.
+        spmd::run(2, |c| {
+            let rec = Recorder::new(c.rank());
+            c.set_recorder(rec.clone());
+            let m = adapted_mesh(c);
+            let mut unit = uniform(c);
+            let visc = random_viscosity(&m, &mut unit);
+            let options = StokesOptions::default();
+            let mut solver = StokesSolver::new(&m, c, visc, free_slip(&m), options);
+            let (rhs, x0) = solver.build_rhs(|p| [0.0, 0.0, (3.0 * p[0]).sin()], |_| [0.0; 3]);
+            assert!(solver.ws.borrow().capacity_bytes() > 0);
+            for _ in 0..2 {
+                let info = solver.solve(&rhs, &mut x0.clone());
+                assert!(info.converged, "{info:?}");
+            }
+            assert!(rec.summary().counter("minres.iterations") > 0);
+            assert_eq!(rec.summary().counter("minres.alloc_bytes"), 0);
+        });
+    }
+
+    #[test]
     fn sweep_builds_agree_bitwise() {
         // The dispatching sweep (AVX2 on an AVX2 host) against the plain
-        // build of the same body, so one build covers both.
+        // build, with the Stokes kernel, so one build covers both.
         spmd::run(2, |c| {
             let m = adapted_mesh(c);
             let mut unit = uniform(c);
             let visc = random_viscosity(&m, &mut unit);
-            let solver = StokesSolver::new(&m, c, visc, free_slip(&m), StokesOptions::default());
-            let ul: Vec<f64> = (0..solver.vmap.n_local())
-                .map(|_| 2.0 * unit() - 1.0)
-                .collect();
-            let pl: Vec<f64> = (0..solver.smap.n_local())
-                .map(|_| 2.0 * unit() - 1.0)
-                .collect();
-            let workspace = || SolverWorkspace {
-                yu: vec![0.0; ul.len()],
-                yp: vec![0.0; pl.len()],
-                ul: ul.clone(),
-                pl: pl.clone(),
-                ..SolverWorkspace::default()
+            let blocks = LevelBlocks::new(&m);
+            let mut kernel = StokesKernel {
+                mesh: &m,
+                blocks: &blocks,
+                viscosity: &visc,
             };
-            let (mut ws, mut plain) = (workspace(), workspace());
-            solver.sweep(&mut ws);
-            solver.sweep_body(&mut plain);
+            let x: Vec<f64> = (0..4 * m.n_local()).map(|_| 2.0 * unit() - 1.0).collect();
+            let (mut dispatched, mut plain) = (vec![0.0; x.len()], vec![0.0; x.len()]);
+            fem::op::sweep(&m, &mut kernel, &x, &mut dispatched);
+            fem::op::sweep_plain(&m, &mut kernel, &x, &mut plain);
             let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
-            assert_eq!(bits(&ws.yu), bits(&plain.yu));
-            assert_eq!(bits(&ws.yp), bits(&plain.yp));
+            assert_eq!(bits(&dispatched), bits(&plain));
         });
     }
 

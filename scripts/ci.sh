@@ -44,7 +44,12 @@ cargo fmt --all -- --check
 #   store (`fem::element::LevelBlocks` forms every block from three
 #   integrals; direct quadrature is the oracle `check::oracles::element`);
 # - rhea's copy of the marking parameters (`AdaptParams` is
-#   `octree::mark::MarkParams`) and mangll's unused kernel selector.
+#   `octree::mark::MarkParams`) and mangll's unused kernel selector;
+# - the Stokes solver's own element sweep with its AVX2 twin, its
+#   two-stream velocity/pressure workspace and its `unsafe`, and the
+#   transport rate's own element loop and exchange scratch (`fem::op::sweep`
+#   is the one CG element sweep, and with `octree::simd` the one place a
+#   `target_feature` build lives).
 echo "==> deleted code stays deleted"
 if grep -rnE 'MachineModel|phase_comm_seconds|paper_core_counts|host_to_(model|flops)' \
     crates src tests examples ||
@@ -75,6 +80,9 @@ if grep -rnE 'MachineModel|phase_comm_seconds|paper_core_counts|host_to_(model|f
     grep -nE 'OnceCell|ElementOps' crates/rhea/src/transport.rs ||
     grep -rn 'pub struct AdaptParams' crates/rhea ||
     grep -rn DerivativeKernel crates ||
+    grep -nE 'SolverWorkspace|sweep_avx2|sweep_body|with_stream\(2\)|unsafe' -r crates/stokes/src ||
+    grep -n RateScratch crates/rhea/src/transport.rs ||
+    grep -rn target_feature crates | grep -vE '^crates/(octree/src/simd|fem/src/op)\.rs:' ||
     grep -rniE 'modeled|extrapolat' crates/bench/src results/*.txt; then
     echo "ci: deleted code is back (see above)" >&2
     exit 1
@@ -153,9 +161,10 @@ echo "==> mangll (release)"
 cargo test -q --release -p mangll
 
 # The fused V-cycle and the AVX2 element sweep claim bitwise-identical
-# iterates, which is a claim about the optimized code too.
-echo "==> la, stokes (release)"
-cargo test -q --release -p la -p stokes
+# iterates, which is a claim about the optimized code too: the sweep's two
+# builds are compared with every production kernel (fem, stokes, rhea).
+echo "==> la, fem, stokes, rhea (release)"
+cargo test -q --release -p la -p fem -p stokes -p rhea
 
 # The two figure bins that finish in seconds, so that a figure bin that
 # panics fails here; the other eight are run by hand.

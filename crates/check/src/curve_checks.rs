@@ -1,9 +1,9 @@
-//! Invariant checkers for a distributed leaf curve: the single octree
-//! (`DistOctree`, a one-tree curve with [`NoSeam`]) and the forest of
-//! octrees (`Forest`, the `(tree, Morton)` curve whose seam is the
+//! Invariant checkers for the distributed tree, [`LeafCurve`]: the single
+//! octree (`DistOctree`, a one-tree curve with [`NoSeam`]) and the forest
+//! of octrees (`Forest`, the `(tree, Morton)` curve whose seam is the
 //! connectivity's composed face transforms). Each checker is written
-//! once over [`LeafCurve`], the local leaves and, where adjacency
-//! matters, the [`TreeSeam`].
+//! once over the tree: its local leaves, its curve metadata and, where
+//! adjacency matters, the [`TreeSeam`] it owns.
 //!
 //! Every checker is collective — all ranks of the curve's communicator
 //! must enter it together — and the sequence of collective operations
@@ -30,9 +30,13 @@ use crate::{violation, Violation};
 /// ancestor/descendant pair violates that. Across ranks the same test is
 /// applied to the gathered per-rank extremes. Cross-rank violations are
 /// attributed to the later-indexed rank so each is reported exactly once.
-pub fn morton_order<L: CurveLeaf + Debug>(curve: &LeafCurve<L>, local: &[L]) -> Vec<Violation> {
+pub fn morton_order<L, S>(tree: &LeafCurve<L, S>) -> Vec<Violation>
+where
+    L: CurveLeaf + Debug,
+    S: TreeSeam<L>,
+{
     const NAME: &str = "morton_order";
-    let comm = curve.comm();
+    let (comm, local) = (tree.comm(), &tree.local);
     let me = comm.rank();
     let mut out = Vec::new();
     for (i, w) in local.windows(2).enumerate() {
@@ -82,13 +86,17 @@ pub fn morton_order<L: CurveLeaf + Debug>(curve: &LeafCurve<L>, local: &[L]) -> 
 /// marker-based ownership search, (2) the replicated count metadata
 /// matches the actual local count, and (3) the leaf regions exactly tile
 /// every tree of the curve by volume (no gap, no double coverage).
-pub fn partition<L: CurveLeaf + Debug>(curve: &LeafCurve<L>, local: &[L]) -> Vec<Violation> {
+pub fn partition<L, S>(tree: &LeafCurve<L, S>) -> Vec<Violation>
+where
+    L: CurveLeaf + Debug,
+    S: TreeSeam<L>,
+{
     const NAME: &str = "partition";
-    let comm = curve.comm();
+    let (comm, local) = (tree.comm(), &tree.local);
     let me = comm.rank();
     let mut out = Vec::new();
     for l in local {
-        let owner = curve.owner_of(l);
+        let owner = tree.owner_of(l);
         if owner != me {
             out.push(violation(
                 NAME,
@@ -97,25 +105,25 @@ pub fn partition<L: CurveLeaf + Debug>(curve: &LeafCurve<L>, local: &[L]) -> Vec
             ));
         }
     }
-    if curve.rank_counts()[me] != local.len() as u64 {
+    if tree.rank_counts()[me] != local.len() as u64 {
         out.push(violation(
             NAME,
             me,
             format!(
                 "replicated count {} disagrees with actual local count {}",
-                curve.rank_counts()[me],
+                tree.rank_counts()[me],
                 local.len()
             ),
         ));
     }
     let total = comm.allreduce_sum(&[local.len() as u64])[0];
-    if total != curve.global_count() && me == 0 {
+    if total != tree.global_count() && me == 0 {
         out.push(violation(
             NAME,
             me,
             format!(
                 "global count metadata {} disagrees with actual total {total}",
-                curve.global_count()
+                tree.global_count()
             ),
         ));
     }
@@ -129,7 +137,7 @@ pub fn partition<L: CurveLeaf + Debug>(curve: &LeafCurve<L>, local: &[L]) -> Vec
         .sum();
     let limbs = comm.allgatherv(&vol.to_words());
     let covered: u128 = limbs.chunks_exact(2).map(u128::from_words).sum();
-    let want = (ROOT_LEN as u128).pow(3) * curve.ntrees() as u128;
+    let want = (ROOT_LEN as u128).pow(3) * tree.ntrees() as u128;
     if covered != want && me == 0 {
         out.push(violation(
             NAME,
@@ -146,17 +154,16 @@ pub fn partition<L: CurveLeaf + Debug>(curve: &LeafCurve<L>, local: &[L]) -> Vec
 /// The adjacency class of the first of the [`DIRS`] (faces first) whose
 /// same-size regions around my leaf `l` reach rank `j`'s curve range.
 fn mirror_kind<L: CurveLeaf, S: TreeSeam<L>>(
-    curve: &LeafCurve<L>,
-    seam: &S,
+    tree: &LeafCurve<L, S>,
     l: &L,
     j: usize,
     scratch: &mut Vec<L>,
 ) -> Option<GhostKind> {
     DIRS.iter()
         .position(|&d| {
-            adjacent_regions(seam, l, d, scratch);
+            adjacent_regions(tree.seam(), l, d, scratch);
             scratch.iter().any(|n| {
-                let (rlo, rhi) = curve.owner_range(n);
+                let (rlo, rhi) = tree.owner_range(n);
                 rlo <= j && j <= rhi
             })
         })
@@ -170,18 +177,13 @@ fn mirror_kind<L: CurveLeaf, S: TreeSeam<L>>(
 /// directions, one at a time). A face ghost misclassified as an edge
 /// ghost is a violation even though the leaf sets agree. Cost:
 /// O(boundary · 26) + two alltoallvs.
-pub fn ghost_symmetry<L, S>(
-    curve: &LeafCurve<L>,
-    local: &[L],
-    seam: &S,
-    ghosts: &[GhostEntry<L>],
-) -> Vec<Violation>
+pub fn ghost_symmetry<L, S>(tree: &LeafCurve<L, S>, ghosts: &[GhostEntry<L>]) -> Vec<Violation>
 where
     L: CurveLeaf + Debug,
     S: TreeSeam<L>,
 {
     const NAME: &str = "ghost_symmetry";
-    let comm = curve.comm();
+    let (comm, local) = (tree.comm(), &tree.local);
     let (p, me) = (comm.size(), comm.rank());
     let mut out = Vec::new();
 
@@ -211,9 +213,9 @@ where
     for l in local {
         let mut seen: Vec<usize> = Vec::new();
         for (d, &dir) in DIRS.iter().enumerate() {
-            adjacent_regions(seam, l, dir, &mut scratch);
+            adjacent_regions(tree.seam(), l, dir, &mut scratch);
             for n in &scratch {
-                let (rlo, rhi) = curve.owner_range(n);
+                let (rlo, rhi) = tree.owner_range(n);
                 for r in rlo..=rhi.min(p - 1) {
                     if r != me && !seen.contains(&r) {
                         seen.push(r);
@@ -243,7 +245,7 @@ where
                 ));
             } else if want.binary_search(&(g, kind)).is_err() {
                 // Distinguish wrong-kind from spurious for the report.
-                let detail = match mirror_kind(curve, seam, &g, j, &mut scratch) {
+                let detail = match mirror_kind(tree, &g, j, &mut scratch) {
                     Some(k) => format!(
                         "rank {j} holds ghost {g:?} with kind code {kind}, \
                          but its adjacency class is {k:?}"
@@ -282,18 +284,13 @@ where
 /// a violation. Too-*fine* neighbours are caught from the fine side by
 /// the rank owning the fine leaf, so the sweep over all ranks covers both
 /// directions.
-pub fn balance21<L, S>(
-    curve: &LeafCurve<L>,
-    local: &[L],
-    seam: &S,
-    kind: BalanceKind,
-) -> Vec<Violation>
+pub fn balance21<L, S>(tree: &LeafCurve<L, S>, kind: BalanceKind) -> Vec<Violation>
 where
     L: CurveLeaf + Debug,
     S: TreeSeam<L>,
 {
     const NAME: &str = "balance21";
-    let comm = curve.comm();
+    let (comm, local) = (tree.comm(), &tree.local);
     let me = comm.rank();
     let mut union: Vec<L> = comm.allgatherv(local);
     union.sort();
@@ -301,7 +298,7 @@ where
     let mut regions = Vec::new();
     for l in local {
         for &d in kind.direction_slice() {
-            adjacent_regions(seam, l, d, &mut regions);
+            adjacent_regions(tree.seam(), l, d, &mut regions);
             for i in regions.iter().filter_map(|n| find_containing(&union, n)) {
                 if union[i].oct().level() + 1 < l.oct().level() {
                     out.push(violation(

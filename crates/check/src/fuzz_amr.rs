@@ -44,7 +44,6 @@
 use mesh::extract::{extract_mesh, Mesh};
 use mesh::interp::{interpolate_node_field, transfer_corner_values_into, unpack_corner_values};
 use octree::balance::{balance_local_kind_ws, BalanceKind, BalanceWorkspace};
-use octree::curve::NoSeam;
 use octree::parallel::{transfer_fields, DistOctree};
 use octree::Octant;
 use scomm::rng::mix;
@@ -257,11 +256,11 @@ pub fn run_cycles(comm: &Comm, cfg: &FuzzConfig) -> u64 {
 
         // All six invariants on the post-partition state.
         let new_mesh = extract_mesh(&tree, domain);
-        let mut v = morton_order(tree.curve(), &tree.local);
-        v.extend(partition(tree.curve(), &tree.local));
-        v.extend(balance21(tree.curve(), &tree.local, &NoSeam, cfg.kind));
-        let ghosts = tree.ghost_layer();
-        v.extend(ghost_symmetry(tree.curve(), &tree.local, &NoSeam, &ghosts));
+        let mut v = morton_order(&tree);
+        v.extend(partition(&tree));
+        v.extend(balance21(&tree, cfg.kind));
+        let ghosts = tree.ghosts().entries;
+        v.extend(ghost_symmetry(&tree, &ghosts));
         v.extend(mesh_checks::constraints(&tree, &new_mesh));
         v.extend(mesh_checks::dof_numbering(&tree, &new_mesh));
         assert_clean_with_ctx(comm, &ctx, &v);
@@ -315,12 +314,7 @@ pub fn run_cycles(comm: &Comm, cfg: &FuzzConfig) -> u64 {
                 ),
             );
         }
-        let fv = ghost_symmetry(
-            forest.curve(),
-            &forest.local,
-            forest.connectivity().as_ref(),
-            &layer.entries,
-        );
+        let fv = ghost_symmetry(&forest, &layer.entries);
         assert_clean_with_ctx(comm, &ctx, &fv);
 
         // Carry the field across to the next cycle through the unpacked

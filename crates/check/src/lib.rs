@@ -15,11 +15,11 @@
 //!   inspects, and the number and order of collective operations inside
 //!   a checker never depends on the data, so corrupted structures are
 //!   diagnosed instead of deadlocked on.
-//! * **Stage guards** ([`guard_tree`], [`guard_forest`], [`guard_mesh`])
-//!   — the form used between AMR pipeline stages (rhea calls these in
-//!   debug builds when `CHECK_INVARIANTS=1`): run a checker suite under
-//!   an `obs` span, report violations through the recorder, and abort
-//!   the run on the first global violation.
+//! * **Stage guards** ([`guard_tree`], for either tree type, and
+//!   [`guard_mesh`]) — the form used between AMR pipeline stages (rhea
+//!   calls these in debug builds when `CHECK_INVARIANTS=1`): run a
+//!   checker suite under an `obs` span, report violations through the
+//!   recorder, and abort the run on the first global violation.
 //! * **Differential harness** ([`differential`]) — runs the same seeded
 //!   problem at several rank counts and asserts that the global leaf
 //!   set, the node numbering, and (to tolerance) solver residual series
@@ -45,7 +45,7 @@
 
 use obs::json::Value;
 use obs::Recorder;
-use octree::curve::NoSeam;
+use octree::curve::{CurveLeaf, LeafCurve, TreeSeam};
 use scomm::Comm;
 
 pub mod curve_checks;
@@ -119,50 +119,26 @@ pub fn assert_clean(comm: &Comm, violations: &[Violation]) {
     }
 }
 
-/// Stage guard over a distributed octree: Morton order, partition
-/// completeness, and 2:1 balance, under a `check`-category span.
-/// Collective; panics on the first global violation.
-pub fn guard_tree(
-    tree: &octree::parallel::DistOctree,
+/// Stage guard over a distributed tree, the octree or the forest: curve
+/// order, partition completeness, and 2:1 balance across rank and tree
+/// boundaries, under a `check`-category span. Collective; panics on the
+/// first global violation.
+pub fn guard_tree<L, S>(
+    tree: &LeafCurve<L, S>,
     kind: octree::balance::BalanceKind,
     rec: Option<&Recorder>,
-) {
+) where
+    L: CurveLeaf + std::fmt::Debug,
+    S: TreeSeam<L>,
+{
     let _s = rec.map(|r| r.span_cat("check:tree", "check"));
-    let curve = tree.curve();
-    let mut v = curve_checks::morton_order(curve, &tree.local);
-    v.extend(curve_checks::partition(curve, &tree.local));
-    v.extend(curve_checks::balance21(curve, &tree.local, &NoSeam, kind));
+    let mut v = curve_checks::morton_order(tree);
+    v.extend(curve_checks::partition(tree));
+    v.extend(curve_checks::balance21(tree, kind));
     if let Some(r) = rec {
         report(r, &v);
     }
     assert_clean(tree.comm(), &v);
-}
-
-/// Stage guard over a forest: curve order, partition completeness,
-/// inter-tree 2:1 balance, and kind-aware symmetry of the recursive
-/// face/edge/corner ghost layer. Collective; panics on the first global
-/// violation.
-pub fn guard_forest(
-    forest: &forest::Forest,
-    kind: octree::balance::BalanceKind,
-    rec: Option<&Recorder>,
-) {
-    let _s = rec.map(|r| r.span_cat("check:forest", "check"));
-    let (curve, seam) = (forest.curve(), forest.connectivity().as_ref());
-    let mut v = curve_checks::morton_order(curve, &forest.local);
-    v.extend(curve_checks::partition(curve, &forest.local));
-    v.extend(curve_checks::balance21(curve, &forest.local, seam, kind));
-    let ghosts = forest.ghosts();
-    v.extend(curve_checks::ghost_symmetry(
-        curve,
-        &forest.local,
-        seam,
-        &ghosts.entries,
-    ));
-    if let Some(r) = rec {
-        report(r, &v);
-    }
-    assert_clean(forest.comm(), &v);
 }
 
 /// Stage guard over an extracted mesh (plus the ghost layer of the tree
@@ -175,8 +151,7 @@ pub fn guard_mesh(
     rec: Option<&Recorder>,
 ) {
     let _s = rec.map(|r| r.span_cat("check:mesh", "check"));
-    let ghosts = tree.ghost_layer();
-    let mut v = curve_checks::ghost_symmetry(tree.curve(), &tree.local, &NoSeam, &ghosts);
+    let mut v = curve_checks::ghost_symmetry(tree, &tree.ghosts().entries);
     v.extend(mesh_checks::constraints(tree, mesh));
     v.extend(mesh_checks::dof_numbering(tree, mesh));
     if let Some(r) = rec {

@@ -9,8 +9,10 @@
 
 use fem::op::DofMap;
 use forest::{Forest, ForestLeaf};
-use mesh::extract::{node_coords, sorted_corners, Corner, LeafView, Mesh, NodeKey};
+use mesh::extract::{node_coords, sorted_corners, Corner, Mesh, NodeKey};
 use octree::balance::BalanceKind;
+use octree::curve::CurveLeaf;
+use octree::ghost::GhostEntry;
 use octree::ops::find_containing;
 use octree::parallel::DistOctree;
 use octree::{Octant, MAX_LEVEL, ROOT_LEN};
@@ -18,9 +20,24 @@ use octree::{Octant, MAX_LEVEL, ROOT_LEN};
 pub mod element;
 pub mod unpacked;
 
+/// This rank's leaves (owned by `me`) and its ghost layer as one
+/// curve-sorted list of `(leaf, owner)`, built by concatenating and
+/// sorting: the oracle of the one-pass merge of
+/// `octree::ghost::LocalGhostView`.
+pub fn sorted_local_ghost_view<L: CurveLeaf>(
+    local: &[L],
+    ghosts: &[GhostEntry<L>],
+    me: usize,
+) -> Vec<(L, usize)> {
+    let mut entries: Vec<(L, usize)> = local.iter().map(|&l| (l, me)).collect();
+    entries.extend(ghosts.iter().map(|g| (g.leaf, g.owner as usize)));
+    entries.sort_by_key(|e| e.0);
+    entries
+}
+
 /// Corner-incidence classification of lattice node `p`: resolve each of
-/// the up-to-8 finest-level cells touching `p` through the view and
-/// report
+/// the up-to-8 finest-level cells touching `p` through the sorted
+/// `(leaf, owner)` view of [`sorted_local_ghost_view`] and report
 ///
 /// * `None` — some incident cell is missing from the view (the node is
 ///   outside this rank's local + ghost coverage),
@@ -33,7 +50,14 @@ pub mod unpacked;
 /// Independent of `mesh::extract`'s parent-midpoint rule: it reads the
 /// definition of a hanging node off all incident leaves and assumes no
 /// balance at all.
-pub fn hanging_master_probes(view: &LeafView, p: (u32, u32, u32)) -> Option<Option<usize>> {
+pub fn hanging_master_probes(
+    view: &[(Octant, usize)],
+    p: (u32, u32, u32),
+) -> Option<Option<usize>> {
+    let containing = |probe: &Octant| {
+        let i = view.partition_point(|e| e.0 <= *probe).checked_sub(1)?;
+        view[i].0.contains(probe).then_some(i)
+    };
     let is_vertex = |o: &Octant| {
         let l = o.len();
         [(p.0, o.x()), (p.1, o.y()), (p.2, o.z())]
@@ -52,11 +76,11 @@ pub fn hanging_master_probes(view: &LeafView, p: (u32, u32, u32)) -> Option<Opti
         if x >= ROOT_LEN || y >= ROOT_LEN || z >= ROOT_LEN {
             continue;
         }
-        let idx = view.containing(&Octant::new(x, y, z, MAX_LEVEL))?;
-        let leaf = view.entry(idx).0;
+        let idx = containing(&Octant::new(x, y, z, MAX_LEVEL))?;
+        let leaf = view[idx].0;
         if !is_vertex(&leaf) {
             coarsest = match coarsest {
-                Some(cur) if view.entry(cur).0.level() <= leaf.level() => Some(cur),
+                Some(cur) if view[cur].0.level() <= leaf.level() => Some(cur),
                 _ => Some(idx),
             };
         }
@@ -70,7 +94,8 @@ pub fn hanging_master_probes(view: &LeafView, p: (u32, u32, u32)) -> Option<Opti
 /// it hangs. A node outside the view's coverage counts as a
 /// disagreement. Collective (it builds the ghost layer).
 pub fn hanging_disagreements(tree: &DistOctree, mesh: &Mesh) -> Vec<NodeKey> {
-    let view = LeafView::new(tree, &tree.ghost_layer());
+    let me = tree.comm().rank();
+    let view = sorted_local_ghost_view(&tree.local, &tree.ghosts().entries, me);
     sorted_corners(&mesh.elements)
         .chunk_by(|a, b| a.0 == b.0)
         .map(|run| run[0])

@@ -9,7 +9,6 @@ use check::curve_checks::{balance21, ghost_symmetry, morton_order, partition};
 use forest::{Connectivity, Forest};
 use mesh::extract::{extract_mesh, sorted_corners, Corner, Mesh};
 use octree::balance::BalanceKind;
-use octree::curve::NoSeam;
 use octree::ghost::{GhostEntry, GhostKind};
 use octree::parallel::DistOctree;
 use octree::{Octant, MAX_LEVEL, ROOT_LEN};
@@ -39,7 +38,7 @@ fn total_violations(c: &Comm, v: &[check::Violation]) -> u64 {
 fn morton_order_clean() {
     spmd::run(4, |c| {
         let t = adapted_tree(c);
-        let v = morton_order(t.curve(), &t.local);
+        let v = morton_order(&t);
         assert_eq!(total_violations(c, &v), 0, "{v:?}");
     });
 }
@@ -51,7 +50,7 @@ fn morton_order_detects_local_disorder() {
         if c.rank() == 0 {
             t.local.swap(0, 1);
         }
-        let v = morton_order(t.curve(), &t.local);
+        let v = morton_order(&t);
         assert!(
             total_violations(c, &v) >= 1,
             "swapped leaves must be caught"
@@ -74,7 +73,7 @@ fn morton_order_detects_cross_rank_overlap() {
             .map(|i| Octant::from_uniform_index(2, i))
             .collect();
         let t = DistOctree::from_local(c, local);
-        let v = morton_order(t.curve(), &t.local);
+        let v = morton_order(&t);
         assert!(
             total_violations(c, &v) >= 1,
             "globally inverted segments must be caught"
@@ -88,7 +87,7 @@ fn morton_order_detects_cross_rank_overlap() {
 fn balance21_clean() {
     spmd::run(4, |c| {
         let t = adapted_tree(c);
-        let v = balance21(t.curve(), &t.local, &NoSeam, BalanceKind::Full);
+        let v = balance21(&t, BalanceKind::Full);
         assert_eq!(total_violations(c, &v), 0, "{v:?}");
     });
 }
@@ -116,7 +115,7 @@ fn balance21_detects_unbalanced_corner() {
             Vec::new()
         };
         let t = DistOctree::from_local(c, local);
-        let v = balance21(t.curve(), &t.local, &NoSeam, BalanceKind::Full);
+        let v = balance21(&t, BalanceKind::Full);
         assert!(
             total_violations(c, &v) >= 1,
             "level jump of 2 must be caught"
@@ -130,7 +129,7 @@ fn balance21_detects_unbalanced_corner() {
 fn partition_clean() {
     spmd::run(4, |c| {
         let t = adapted_tree(c);
-        let v = partition(t.curve(), &t.local);
+        let v = partition(&t);
         assert_eq!(total_violations(c, &v), 0, "{v:?}");
     });
 }
@@ -142,7 +141,7 @@ fn partition_detects_missing_leaf() {
         if c.rank() == 0 {
             t.local.pop(); // hole in the domain; counts metadata stale
         }
-        let v = partition(t.curve(), &t.local);
+        let v = partition(&t);
         assert!(
             total_violations(c, &v) >= 1,
             "dropped leaf must show up as count mismatch and volume gap"
@@ -156,8 +155,8 @@ fn partition_detects_missing_leaf() {
 fn ghost_symmetry_clean() {
     spmd::run(4, |c| {
         let t = adapted_tree(c);
-        let g = t.ghost_layer();
-        let v = ghost_symmetry(t.curve(), &t.local, &NoSeam, &g);
+        let g = t.ghosts().entries;
+        let v = ghost_symmetry(&t, &g);
         assert_eq!(total_violations(c, &v), 0, "{v:?}");
     });
 }
@@ -166,7 +165,7 @@ fn ghost_symmetry_clean() {
 fn ghost_symmetry_detects_missing_and_bogus_ghosts() {
     spmd::run(4, |c| {
         let t = adapted_tree(c);
-        let mut g = t.ghost_layer();
+        let mut g = t.ghosts().entries;
         if c.rank() == 0 {
             assert!(!g.is_empty(), "rank 0 must have ghosts in this fixture");
             // Missing: drop a real ghost — its owner must notice the
@@ -180,7 +179,7 @@ fn ghost_symmetry_detects_missing_and_bogus_ghosts() {
                 leaf: Octant::new(0, 0, 0, MAX_LEVEL),
             });
         }
-        let v = ghost_symmetry(t.curve(), &t.local, &NoSeam, &g);
+        let v = ghost_symmetry(&t, &g);
         let total = total_violations(c, &v);
         assert!(
             total >= 2,
@@ -199,13 +198,8 @@ fn forest_morton_order_and_balance_clean() {
         f.refine(|l| l.tree == 0 && l.oct.center_unit()[0] > 0.5);
         f.balance(BalanceKind::Full);
         f.partition();
-        let mut v = morton_order(f.curve(), &f.local);
-        v.extend(balance21(
-            f.curve(),
-            &f.local,
-            f.connectivity().as_ref(),
-            BalanceKind::Full,
-        ));
+        let mut v = morton_order(&f);
+        v.extend(balance21(&f, BalanceKind::Full));
         assert_eq!(total_violations(c, &v), 0, "{v:?}");
     });
 }
@@ -218,7 +212,7 @@ fn forest_morton_order_detects_disorder() {
         if c.rank() == 0 && f.local.len() >= 2 {
             f.local.swap(0, 1);
         }
-        let v = morton_order(f.curve(), &f.local);
+        let v = morton_order(&f);
         assert!(total_violations(c, &v) >= 1, "swapped forest leaves");
     });
 }
@@ -233,12 +227,7 @@ fn forest_balance21_detects_inter_tree_jump() {
         for _ in 0..2 {
             f.refine(|l| l.tree == 0 && l.oct.x() + l.oct.len() == ROOT_LEN);
         }
-        let v = balance21(
-            f.curve(),
-            &f.local,
-            f.connectivity().as_ref(),
-            BalanceKind::Full,
-        );
+        let v = balance21(&f, BalanceKind::Full);
         assert!(
             total_violations(c, &v) >= 1,
             "level jump across the tree face must be caught"

@@ -41,19 +41,13 @@ fn pipeline(plan: Option<FaultPlan>) -> Outcome {
         });
         t.balance(BalanceKind::Full);
         t.partition();
-        let g = t.ghost_layer();
+        let g = t.ghosts().entries;
         let m = extract_mesh(&t, [1.0, 1.0, 1.0]);
         // The checkers must stay clean under faulty scheduling.
-        let (curve, seam) = (t.curve(), &octree::curve::NoSeam);
-        let mut v = curve_checks::morton_order(curve, &t.local);
-        v.extend(curve_checks::partition(curve, &t.local));
-        v.extend(curve_checks::balance21(
-            curve,
-            &t.local,
-            seam,
-            BalanceKind::Full,
-        ));
-        v.extend(curve_checks::ghost_symmetry(curve, &t.local, seam, &g));
+        let mut v = curve_checks::morton_order(&t);
+        v.extend(curve_checks::partition(&t));
+        v.extend(curve_checks::balance21(&t, BalanceKind::Full));
+        v.extend(curve_checks::ghost_symmetry(&t, &g));
         v.extend(check::mesh_checks::constraints(&t, &m));
         v.extend(check::mesh_checks::dof_numbering(&t, &m));
         check::assert_clean(c, &v);

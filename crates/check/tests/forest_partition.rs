@@ -10,15 +10,16 @@ use check::fuzz_amr::roll;
 use check::oracles::forest_balance_naive;
 use forest::{Connectivity, Forest, ForestLeaf};
 use octree::balance::BalanceKind;
+use octree::ghost::LocalGhostView;
 use octree::mark::MarkParams;
 use octree::parallel::{DistOctree, PartitionPlan};
 use octree::{Octant, ROOT_LEN};
 use scomm::{spmd, Comm};
 
 fn assert_partition_clean(f: &Forest) {
-    let v = partition(f.curve(), &f.local);
+    let v = partition(f);
     assert!(v.is_empty(), "partition checker found: {v:?}");
-    let v = morton_order(f.curve(), &f.local);
+    let v = morton_order(f);
     assert!(v.is_empty(), "morton_order checker found: {v:?}");
 }
 
@@ -82,12 +83,7 @@ fn balanced_24_tree_shell_partition_is_stable() {
         let (s, e) = plan.send_ranges[c.rank()];
         assert_eq!(e - s, before);
         assert_partition_clean(&f);
-        let v = balance21(
-            f.curve(),
-            &f.local,
-            f.connectivity().as_ref(),
-            BalanceKind::Full,
-        );
+        let v = balance21(&f, BalanceKind::Full);
         assert!(v.is_empty(), "balance checker found: {v:?}");
     });
 }
@@ -110,12 +106,11 @@ fn assert_same(stage: &str, c: &Comm, tree: &DistOctree, forest: &Forest) {
     );
     assert!(tree.validate(), "{stage}: octree invalid");
     assert!(forest.validate(), "{stage}: forest invalid");
-    let lifted: Vec<_> = tree
-        .ghost_layer()
-        .iter()
+    let (tree_ghosts, forest_ghosts) = (tree.ghosts().entries, forest.ghosts().entries);
+    let lifted: Vec<_> = (tree_ghosts.iter())
         .map(|e| (e.owner, e.kind, ForestLeaf::new(0, e.leaf)))
         .collect();
-    let layer: Vec<_> = (forest.ghosts().entries.iter())
+    let layer: Vec<_> = (forest_ghosts.iter())
         .map(|e| (e.owner, e.kind, e.leaf))
         .collect();
     assert_eq!(
@@ -124,13 +119,28 @@ fn assert_same(stage: &str, c: &Comm, tree: &DistOctree, forest: &Forest) {
         "{stage}: ghost layers differ on rank {}",
         c.rank()
     );
+    let tree_view = LocalGhostView::new(&tree.local, &tree_ghosts);
+    let forest_view = LocalGhostView::new(&forest.local, &forest_ghosts);
+    let octs: Vec<Octant> = forest_view.leaves.iter().map(|l| l.oct).collect();
+    assert_eq!(octs, tree_view.leaves, "{stage}: view leaves differ");
+    assert_eq!(
+        forest_view.origins, tree_view.origins,
+        "{stage}: view origins differ"
+    );
+}
+
+/// The one stage guard, on both tree types.
+fn guard_both(tree: &DistOctree, forest: &Forest) {
+    check::guard_tree(tree, BalanceKind::Full, None);
+    check::guard_tree(forest, BalanceKind::Full, None);
 }
 
 /// `DistOctree` and a one-tree `Forest` over `unit_cube` run the same
 /// curve code (`octree::curve`, `octree::ghost`) at two leaf types: one
 /// seeded sequence of refine, coarsen, `adapt_to_target`, `balance(Full)`
 /// and `partition_with` must leave bitwise-equal leaf arrays, rank
-/// counts, ghost layers and partition plans after every stage, at
+/// counts, ghost layers, local+ghost views and partition plans after
+/// every stage, and pass the one stage guard once balanced, at
 /// P ∈ {1, 2, 4, 8}. The independent balance check is
 /// `forest_balance_matches_naive_oracle`.
 #[test]
@@ -179,6 +189,7 @@ fn one_tree_forest_matches_octree_stage_by_stage() {
                 let added = tree.balance(BalanceKind::Full);
                 assert_eq!(forest.balance(BalanceKind::Full), added);
                 assert_same("balance", c, &tree, &forest);
+                guard_both(&tree, &forest);
                 balance_added += added;
 
                 let (mut a, mut b) = (PartitionPlan::default(), PartitionPlan::default());
@@ -186,6 +197,7 @@ fn one_tree_forest_matches_octree_stage_by_stage() {
                 forest.partition_with(&mut b);
                 assert_eq!(a, b, "partition plans differ on rank {}", c.rank());
                 assert_same("partition_with", c, &tree, &forest);
+                guard_both(&tree, &forest);
             }
             assert!(balance_added > 0, "balance never refined: no cross-check");
         });
@@ -241,12 +253,7 @@ fn forest_balance_matches_naive_oracle() {
                 assert_eq!(f.balance(BalanceKind::Full), added as u64, "P={p}");
                 let got: Vec<ForestLeaf> = c.allgatherv(&f.local);
                 assert_eq!(got, expected, "P={p}: balance differs from the oracle");
-                let v = balance21(
-                    f.curve(),
-                    &f.local,
-                    f.connectivity().as_ref(),
-                    BalanceKind::Full,
-                );
+                let v = balance21(&f, BalanceKind::Full);
                 assert!(v.is_empty(), "P={p}: {v:?}");
                 let deepest = |leaves: &[ForestLeaf], t| {
                     leaves

@@ -1,7 +1,8 @@
 //! Every production path against its one oracle in [`check::oracles`]
 //! (the DESIGN.md §10 table): 2:1 balance vs the naive restart loop,
 //! packed octant arithmetic vs coordinate structs, recursive forest
-//! ghosts vs the flat scan, the parent-midpoint hanging-node rule vs
+//! ghosts vs the flat scan, the merged local+ghost view vs a sorted
+//! concatenation, the parent-midpoint hanging-node rule vs
 //! the eight-probe incidence walk, MINRES vs a dense LU solve, the
 //! split-phase `DistOp` vs the allocating-collective rebuild of the same
 //! product, and the element-block table (and the Stokes operator built
@@ -14,7 +15,7 @@ use check::oracles::element as direct;
 use check::oracles::unpacked::Unpacked;
 use check::oracles::{
     balance_local_naive_kind, dist_apply_reference, forest_flat_adjacent, forest_ghosts_flat,
-    hanging_disagreements,
+    hanging_disagreements, sorted_local_ghost_view,
 };
 use fem::element::{stiffness_matrix, stiffness_source, supg_tau, ElementBlocks};
 use fem::op::{DistOp, DofMap};
@@ -24,6 +25,8 @@ use la::krylov::euclidean_dot;
 use la::{minres, Csr};
 use mesh::extract::{extract_mesh, node_coords};
 use octree::balance::{balance_local_kind, is_balanced_kind, BalanceKind};
+use octree::curve::{CurveLeaf, LeafCurve, TreeSeam};
+use octree::ghost::{LeafOrigin, LocalGhostView};
 use octree::ops::{new_tree, refine};
 use octree::parallel::DistOctree;
 use octree::{is_complete, is_valid_linear, Octant, MAX_LEVEL, ROOT_LEN};
@@ -194,16 +197,67 @@ fn recursive_ghosts_match_flat_scan() {
                 if p > 1 {
                     assert!(!layer.entries.is_empty(), "P={p} must produce ghosts");
                 }
-                let v = check::curve_checks::ghost_symmetry(
-                    f.curve(),
-                    &f.local,
-                    f.connectivity().as_ref(),
-                    &layer.entries,
-                );
+                let v = check::curve_checks::ghost_symmetry(&f, &layer.entries);
                 assert!(v.is_empty(), "ghost symmetry violations at P={p}: {v:?}");
             });
         }
     }
+}
+
+/// The one-pass local+ghost merge against the concatenate-and-sort
+/// oracle, entry for entry: leaf and owner, and each provenance index
+/// points back at its leaf.
+fn assert_view_matches_sort<L, S>(tree: &LeafCurve<L, S>, what: &str)
+where
+    L: CurveLeaf + std::fmt::Debug,
+    S: TreeSeam<L>,
+{
+    let me = tree.comm().rank();
+    let ghosts = tree.ghosts().entries;
+    let view = LocalGhostView::new(&tree.local, &ghosts);
+    let merged: Vec<(L, usize)> = (view.leaves.iter().zip(&view.origins))
+        .map(|(&l, o)| (l, o.owner(me, &ghosts)))
+        .collect();
+    let want = sorted_local_ghost_view(&tree.local, &ghosts, me);
+    assert_eq!(merged, want, "{what}: rank {me}");
+    for (&l, &o) in view.leaves.iter().zip(&view.origins) {
+        let from = match o {
+            LeafOrigin::Local(i) => tree.local[i as usize],
+            LeafOrigin::Ghost(j) => ghosts[j as usize].leaf,
+        };
+        assert_eq!(from, l, "{what}: rank {me}, {o:?}");
+    }
+}
+
+#[test]
+fn local_ghost_view_matches_sorted_concatenation() {
+    let cfg = FuzzConfig {
+        seed: 9,
+        ..Default::default()
+    };
+    for p in [1usize, 2, 4] {
+        spmd::run(p, |c| {
+            let mut t = DistOctree::new_uniform(c, cfg.level);
+            for cycle in 0..4 {
+                mark_coarsen_refine(&mut t, &cfg, cycle);
+                t.balance(BalanceKind::Full);
+                t.partition();
+                assert_view_matches_sort(&t, &format!("octree P={p} cycle {cycle}"));
+            }
+        });
+        spmd::run(p, |c| {
+            assert_view_matches_sort(&adapted_brick(c), &format!("brick P={p}"));
+            assert_view_matches_sort(&adapted_sphere(c), &format!("sphere P={p}"));
+        });
+    }
+    // Rank 1 owns no leaves; its neighbours on the curve do.
+    spmd::run(4, |c| {
+        let leaves = new_tree(1);
+        let range = [0..4, 4..4, 4..6, 6..8][c.rank()].clone();
+        let t = DistOctree::from_local(c, leaves[range].to_vec());
+        assert_eq!(t.local.is_empty(), c.rank() == 1);
+        assert_view_matches_sort(&t, "empty rank");
+    });
 }
 
 // ------------------------------------------------ hanging classification

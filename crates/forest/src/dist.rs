@@ -2,13 +2,14 @@
 //!
 //! Leaves are `(tree, octant)` pairs ordered lexicographically — the
 //! space-filling curve traverses tree 0's octree, then tree 1's, and so
-//! on, exactly as in P4EST. The curve bookkeeping is the single octree's:
-//! markers, ownership, refine/coarsen, mark application, partition and
-//! validation are [`octree::curve::LeafCurve`], the same code that serves
-//! [`octree::parallel::DistOctree`], instantiated with [`ForestLeaf`] and
-//! its `u128` `(tree, Morton)` keys; so are the 2:1 balance and the ghost
-//! layer ([`octree::ghost`]). What differs is the [`octree::curve::TreeSeam`]
-//! the [`crate::Connectivity`] provides: a step out of a tree's root cube
+//! on, exactly as in P4EST. The forest is the single octree's
+//! distributed tree type: markers, ownership, refine/coarsen, mark
+//! application, partition, validation, the 2:1 balance and the ghost
+//! layer ([`octree::ghost`]) are [`octree::curve::LeafCurve`], the type
+//! [`octree::parallel::DistOctree`] names, instantiated with
+//! [`ForestLeaf`] and its `u128` `(tree, Morton)` keys. What differs is
+//! the [`octree::curve::TreeSeam`] the tree owns, the
+//! [`crate::Connectivity`]: a step out of a tree's root cube
 //! is chased through *composed* face transforms, one face per hop
 //! ([`crate::traverse`]), so balance and ghosts both hold across tree
 //! faces, edges and corners. This covers every connectivity in which
@@ -16,12 +17,10 @@
 //! hops (true for `unit_cube`, `brick`, and `cubed_sphere`; general
 //! arbitrary-valence corner tables remain out of scope).
 
+use std::ops::{Deref, DerefMut};
 use std::sync::Arc;
 
-use octree::balance::BalanceKind;
 use octree::curve::{CurveLeaf, LeafCurve};
-use octree::mark::MarkParams;
-use octree::ops::find_containing;
 use octree::{Octant, ROOT_LEN};
 use scomm::Comm;
 
@@ -64,11 +63,6 @@ impl ForestLeaf {
     pub const fn new(tree: u32, oct: Octant) -> Self {
         ForestLeaf { tree, pad: 0, oct }
     }
-
-    /// Containment within the same tree.
-    pub(crate) fn contains(&self, other: &ForestLeaf) -> bool {
-        self.tree == other.tree && self.oct.contains(&other.oct)
-    }
 }
 
 impl CurveLeaf for ForestLeaf {
@@ -91,13 +85,26 @@ impl CurveLeaf for ForestLeaf {
 /// Re-export of the partition plan shape shared with the octree crate.
 pub use octree::curve::PartitionPlan;
 
-/// A distributed forest of octrees on a simulated communicator.
-pub struct Forest<'c> {
-    conn: Arc<Connectivity>,
-    /// Locally owned leaves in global `(tree, Morton)` order.
-    pub local: Vec<ForestLeaf>,
-    /// Markers, counts, and the refine/coarsen/balance/partition scratch.
-    curve: LeafCurve<'c, ForestLeaf>,
+/// A distributed forest of octrees on a simulated communicator. Every
+/// tree operation — refine, coarsen, mark, balance, partition, the ghost
+/// layer, validation, ownership — is the [`LeafCurve`] it dereferences
+/// to; the forest adds only what needs the connectivity: construction,
+/// face neighbours and iterate ([`crate::traverse`]). It is a type of its
+/// own, not an alias, because those methods are inherent: Rust allows
+/// inherent methods only in the crate that defines the type.
+pub struct Forest<'c>(LeafCurve<'c, ForestLeaf, Arc<Connectivity>>);
+
+impl<'c> Deref for Forest<'c> {
+    type Target = LeafCurve<'c, ForestLeaf, Arc<Connectivity>>;
+    fn deref(&self) -> &Self::Target {
+        &self.0
+    }
+}
+
+impl DerefMut for Forest<'_> {
+    fn deref_mut(&mut self) -> &mut Self::Target {
+        &mut self.0
+    }
 }
 
 impl<'c> Forest<'c> {
@@ -128,51 +135,12 @@ impl<'c> Forest<'c> {
     pub fn from_local(comm: &'c Comm, conn: Arc<Connectivity>, local: Vec<ForestLeaf>) -> Self {
         debug_assert!(local.windows(2).all(|w| w[0] < w[1]));
         debug_assert!(local.iter().all(|l| (l.tree as usize) < conn.num_trees()));
-        Forest {
-            curve: LeafCurve::new(comm, conn.num_trees(), &local),
-            conn,
-            local,
-        }
+        Forest(LeafCurve::new(comm, conn.num_trees(), conn, local))
     }
 
-    /// The connectivity this forest is built on.
+    /// The connectivity this forest is built on: its tree seam.
     pub fn connectivity(&self) -> &Arc<Connectivity> {
-        &self.conn
-    }
-
-    /// The communicator.
-    pub fn comm(&self) -> &'c Comm {
-        self.curve.comm()
-    }
-
-    /// The shared curve metadata (markers, ownership) of this forest.
-    pub fn curve(&self) -> &LeafCurve<'c, ForestLeaf> {
-        &self.curve
-    }
-
-    /// Global leaf count.
-    pub fn global_count(&self) -> u64 {
-        self.curve.global_count()
-    }
-
-    /// Global index of this rank's first leaf.
-    pub fn global_offset(&self) -> u64 {
-        self.curve.global_offset()
-    }
-
-    /// Replicated per-rank leaf counts (one entry per rank).
-    pub fn rank_counts(&self) -> &[u64] {
-        self.curve.rank_counts()
-    }
-
-    /// Rank owning the region of `leaf`.
-    pub fn owner_of(&self, leaf: &ForestLeaf) -> usize {
-        self.curve.owner_of(leaf)
-    }
-
-    /// Inclusive rank range intersecting the region of `leaf`.
-    pub fn owner_range(&self, leaf: &ForestLeaf) -> (usize, usize) {
-        self.curve.owner_range(leaf)
+        self.seam()
     }
 
     /// Same-size neighbor of `(tree, oct)` in direction `(dx,dy,dz)`,
@@ -196,76 +164,19 @@ impl<'c> Forest<'c> {
             )),
             (Some(axis), None) => {
                 let face = (2 * axis + usize::from(a[axis] >= lim)) as u8;
-                let t = self.conn.neighbor_across(leaf.tree, face)?;
+                let t = self.connectivity().neighbor_across(leaf.tree, face)?;
                 Some(ForestLeaf::new(t.tree, t.apply(a, o.level())))
             }
             _ => None,
         }
-    }
-
-    /// Binary-search the local leaves for the one containing `target`.
-    pub fn find_containing(&self, target: &ForestLeaf) -> Option<usize> {
-        find_containing(&self.local, target)
-    }
-
-    /// `RefineTree` on the forest: local, no communication. Warm calls
-    /// reuse the curve's swap buffer and do not allocate.
-    pub fn refine<F: FnMut(&ForestLeaf) -> bool>(&mut self, should_refine: F) -> usize {
-        self.curve.refine(&mut self.local, should_refine)
-    }
-
-    /// `CoarsenTree` on the forest: merge complete same-tree families
-    /// whose eight leaves are all marked. Warm calls do not allocate.
-    pub fn coarsen<F: FnMut(&ForestLeaf) -> bool>(&mut self, should_coarsen: F) -> usize {
-        self.curve.coarsen(&mut self.local, should_coarsen)
-    }
-
-    /// `MarkElements` + apply on the forest: the octree's threshold
-    /// iteration and mark application on forest leaves. Returns
-    /// `(refined, coarsened_families)`; warm calls do not allocate.
-    pub fn adapt_to_target(&mut self, indicators: &[f64], params: &MarkParams) -> (usize, usize) {
-        self.curve
-            .adapt_to_target(&mut self.local, indicators, params)
-    }
-
-    /// Parallel 2:1 `BalanceTree` across the forest (see
-    /// [`LeafCurve::balance`]), through composed crossings between trees.
-    /// Returns leaves added globally.
-    pub fn balance(&mut self, kind: BalanceKind) -> u64 {
-        self.curve
-            .balance(&mut self.local, kind, self.conn.as_ref())
-    }
-
-    /// `PartitionTree` on the forest: equal share of the curve per rank.
-    pub fn partition(&mut self) -> PartitionPlan {
-        let mut plan = PartitionPlan::default();
-        self.partition_with(&mut plan);
-        plan
-    }
-
-    /// [`Forest::partition`] writing the plan into a caller-provided value
-    /// (see [`LeafCurve::partition_with`]); warm calls do not allocate.
-    pub fn partition_with(&mut self, plan: &mut PartitionPlan) {
-        self.curve.partition_with(&mut self.local, plan)
-    }
-
-    /// Heap capacity currently held by this forest's tracked buffers, in
-    /// bytes; its growth across a warm adapt cycle must be zero at steady
-    /// state (the forest's contribution to `amr.alloc_bytes`).
-    pub fn alloc_bytes(&self) -> u64 {
-        self.curve.alloc_bytes(&self.local)
-    }
-
-    /// Collective validation: per-rank sortedness, cross-rank ordering,
-    /// and per-tree volume completeness.
-    pub fn validate(&self) -> bool {
-        self.curve.validate(&self.local)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use octree::balance::BalanceKind;
+    use octree::mark::MarkParams;
     use scomm::spmd;
 
     fn sphere() -> Arc<Connectivity> {
@@ -349,7 +260,8 @@ mod tests {
                 for (dx, dy, dz) in Octant::neighbor_directions() {
                     if let Some(n) = f.neighbor(l, dx, dy, dz) {
                         // Find the containing leaf in `all`.
-                        if let Some(cont) = all.iter().find(|x| x.contains(&n)) {
+                        let contains = |x: &&ForestLeaf| x.tree == n.tree && x.oct.contains(&n.oct);
+                        if let Some(cont) = all.iter().find(contains) {
                             assert!(
                                 cont.oct.level() + 1 >= l.oct.level(),
                                 "2:1 violated between {l:?} and {cont:?}"

@@ -13,10 +13,12 @@
 //! * [`Forest::iterate_faces`] / [`Forest::iterate_edges`] /
 //!   [`Forest::iterate_corners`] — visit every face/edge/corner entity
 //!   touching a local leaf exactly once, with full hanging-neighbor
-//!   information, over the merged local+ghost leaf view.
+//!   information, over the merged local+ghost leaf view
+//!   ([`LocalGhostView`], shared with mesh extraction).
 
 use octree::curve::{adjacent_regions, TreeSeam};
-pub use octree::ghost::{GhostEntry, GhostKind, GhostWorkspace, DIRS};
+use octree::ghost::LocalGhostView;
+pub use octree::ghost::{GhostEntry, GhostKind, GhostWorkspace, LeafOrigin, DIRS};
 use octree::{Octant, MAX_LEVEL, ROOT_LEN};
 
 use crate::connectivity::{transverse_axes, Connectivity};
@@ -114,21 +116,6 @@ fn collect_extended_pt(
 // Iterate
 // ----------------------------------------------------------------------
 
-/// Where a leaf in the merged traversal view came from.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum LeafOrigin {
-    /// Index into `forest.local`.
-    Local(u32),
-    /// Index into `GhostLayer::entries`.
-    Ghost(u32),
-}
-
-impl LeafOrigin {
-    pub fn is_local(&self) -> bool {
-        matches!(self, LeafOrigin::Local(_))
-    }
-}
-
 /// One side of a face entity.
 #[derive(Debug, Clone, Copy)]
 pub struct FaceSide {
@@ -181,19 +168,6 @@ pub struct EdgeVisit<'a> {
     pub mid2: [i64; 3],
     pub sides: &'a [Incident],
     pub hanging: bool,
-}
-
-fn view_containing(view: &[(ForestLeaf, LeafOrigin)], target: &ForestLeaf) -> Option<usize> {
-    let idx = view.partition_point(|(l, _)| l <= target);
-    if idx == 0 {
-        return None;
-    }
-    let c = idx - 1;
-    if view[c].0.contains(target) {
-        Some(c)
-    } else {
-        None
-    }
 }
 
 /// The MAX_LEVEL probe cell just inside `region` touching the lattice
@@ -267,38 +241,7 @@ impl<'c> Forest<'c> {
         dz: i32,
         out: &mut Vec<ForestLeaf>,
     ) {
-        adjacent_regions(self.connectivity().as_ref(), leaf, (dx, dy, dz), out);
-    }
-
-    /// The recursive ghost layer (see [`octree::ghost`]) into grow-only
-    /// workspace storage.
-    pub fn ghost_layer_into<'w>(&self, ws: &'w mut GhostWorkspace<ForestLeaf>) -> &'w GhostLayer {
-        self.curve()
-            .ghost_layer_into(&self.local, self.connectivity().as_ref(), ws)
-    }
-
-    /// Convenience allocating wrapper around [`Forest::ghost_layer_into`].
-    pub fn ghosts(&self) -> GhostLayer {
-        let mut ws = GhostWorkspace::new();
-        self.ghost_layer_into(&mut ws);
-        ws.take_layer()
-    }
-
-    fn merged_view(&self, ghosts: &GhostLayer) -> Vec<(ForestLeaf, LeafOrigin)> {
-        let mut view = Vec::with_capacity(self.local.len() + ghosts.len());
-        let (mut i, mut j) = (0usize, 0usize);
-        while i < self.local.len() || j < ghosts.len() {
-            let take_local = j >= ghosts.len()
-                || (i < self.local.len() && self.local[i] < ghosts.entries[j].leaf);
-            if take_local {
-                view.push((self.local[i], LeafOrigin::Local(i as u32)));
-                i += 1;
-            } else {
-                view.push((ghosts.entries[j].leaf, LeafOrigin::Ghost(j as u32)));
-                j += 1;
-            }
-        }
-        view
+        adjacent_regions(self.seam(), leaf, (dx, dy, dz), out);
     }
 
     /// Visit every face entity with at least one local side exactly
@@ -309,9 +252,9 @@ impl<'c> Forest<'c> {
     /// hanging face seen from a ghost big side are pairwise edge/corner
     /// adjacent, which the flat face-only layer does not provide.
     pub fn iterate_faces<V: FnMut(&FaceVisit<'_>)>(&self, ghosts: &GhostLayer, visit: &mut V) {
-        let view = self.merged_view(ghosts);
+        let view = LocalGhostView::new(&self.local, &ghosts.entries);
         let mut fine: Vec<FaceSide> = Vec::with_capacity(4);
-        for &(x, xo) in view.iter() {
+        for (&x, &xo) in view.leaves.iter().zip(&view.origins) {
             for face in 0u8..6 {
                 let (dx, dy, dz) = DIRS[face as usize];
                 let Some(n) = self.neighbor(&x, dx, dy, dz) else {
@@ -353,9 +296,9 @@ impl<'c> Forest<'c> {
                     face,
                     orient,
                 };
-                match view_containing(&view, &n) {
+                match view.containing(&n) {
                     Some(yi) => {
-                        let (y, yo) = view[yi];
+                        let (y, yo) = (view.leaves[yi], view.origins[yi]);
                         if y.oct.level() == x.oct.level()
                             && x < y
                             && (xo.is_local() || yo.is_local())
@@ -388,11 +331,11 @@ impl<'c> Forest<'c> {
                                 continue;
                             }
                             let kid = ForestLeaf::new(n.tree, n.oct.child(k));
-                            match view_containing(&view, &kid) {
-                                Some(ki) if view[ki].0.oct.level() == kid.oct.level() => {
+                            match view.containing(&kid) {
+                                Some(ki) if view.leaves[ki].oct.level() == kid.oct.level() => {
                                     fine.push(FaceSide {
-                                        leaf: view[ki].0,
-                                        origin: view[ki].1,
+                                        leaf: view.leaves[ki],
+                                        origin: view.origins[ki],
                                         face: facing,
                                         orient: back,
                                     });
@@ -425,11 +368,11 @@ impl<'c> Forest<'c> {
     /// has the point as an own vertex. Sides list every incident leaf
     /// (across tree seams via composed transforms) with a hanging flag.
     pub fn iterate_corners<V: FnMut(&CornerVisit<'_>)>(&self, ghosts: &GhostLayer, visit: &mut V) {
-        let view = self.merged_view(ghosts);
+        let view = LocalGhostView::new(&self.local, &ghosts.entries);
         let conn = self.connectivity().clone();
         let mut regions: Vec<(ForestLeaf, [i64; 3])> = Vec::new();
         let mut sides: Vec<Incident> = Vec::new();
-        for &(x, _) in view.iter() {
+        for &x in &view.leaves {
             let o = &x.oct;
             let len = o.len() as i64;
             let anchor = [o.x() as i64, o.y() as i64, o.z() as i64];
@@ -464,7 +407,7 @@ impl<'c> Forest<'c> {
                 }
                 regions.sort_unstable_by_key(|(r, _)| *r);
                 regions.dedup_by_key(|(r, _)| *r);
-                if !self.resolve_incident(&view, &regions, &mut sides, true) {
+                if !resolve_incident(&view, &regions, &mut sides, true) {
                     continue;
                 }
                 let min_conf = sides
@@ -495,11 +438,11 @@ impl<'c> Forest<'c> {
     /// has the segment as a full own edge. Sides list every leaf
     /// touching the segment (finer half-edge leaves included).
     pub fn iterate_edges<V: FnMut(&EdgeVisit<'_>)>(&self, ghosts: &GhostLayer, visit: &mut V) {
-        let view = self.merged_view(ghosts);
+        let view = LocalGhostView::new(&self.local, &ghosts.entries);
         let conn = self.connectivity().clone();
         let mut regions: Vec<(ForestLeaf, [i64; 3])> = Vec::new();
         let mut sides: Vec<Incident> = Vec::new();
-        for &(x, _) in view.iter() {
+        for &x in &view.leaves {
             let o = &x.oct;
             let len = o.len() as i64;
             let anchor = [o.x() as i64, o.y() as i64, o.z() as i64];
@@ -541,7 +484,7 @@ impl<'c> Forest<'c> {
                 }
                 regions.sort_unstable_by_key(|(r, _)| *r);
                 regions.dedup_by_key(|(r, _)| *r);
-                if !self.resolve_incident(&view, &regions, &mut sides, false) {
+                if !resolve_incident(&view, &regions, &mut sides, false) {
                     continue;
                 }
                 let min_conf = sides
@@ -567,50 +510,49 @@ impl<'c> Forest<'c> {
             }
         }
     }
+}
 
-    /// Resolve the incident leaves of a corner/edge entity from its
-    /// surrounding same-size regions via just-inside MAX_LEVEL probes.
-    /// Returns `false` when the entity's full incidence is not visible
-    /// from this rank's view (ghost-frame entity not involving us — the
-    /// emission is skipped; a local emitter always has full visibility
-    /// through the edge/corner ghost layer).
-    fn resolve_incident(
-        &self,
-        view: &[(ForestLeaf, LeafOrigin)],
-        regions: &[(ForestLeaf, [i64; 3])],
-        sides: &mut Vec<Incident>,
-        corner: bool,
-    ) -> bool {
-        sides.clear();
-        for (region, p2) in regions.iter() {
-            for lo in [true, false] {
-                let Some(probe) = probe_at(&region.oct, *p2, lo) else {
-                    return false;
-                };
-                let probe_leaf = ForestLeaf::new(region.tree, probe);
-                let Some(vi) = view_containing(view, &probe_leaf) else {
-                    return false;
-                };
-                let (l, origin) = view[vi];
-                let conforming = if corner {
-                    is_corner_of(&l.oct, *p2)
-                } else {
-                    is_edge_center_of(&l.oct, *p2)
-                };
-                sides.push(Incident {
-                    leaf: l,
-                    origin,
-                    conforming,
-                });
-                if corner {
-                    break; // one probe per region suffices for corners
-                }
+/// Resolve the incident leaves of a corner/edge entity from its
+/// surrounding same-size regions via just-inside MAX_LEVEL probes.
+/// Returns `false` when the entity's full incidence is not visible
+/// from this rank's view (ghost-frame entity not involving us — the
+/// emission is skipped; a local emitter always has full visibility
+/// through the edge/corner ghost layer).
+fn resolve_incident(
+    view: &LocalGhostView<ForestLeaf>,
+    regions: &[(ForestLeaf, [i64; 3])],
+    sides: &mut Vec<Incident>,
+    corner: bool,
+) -> bool {
+    sides.clear();
+    for (region, p2) in regions.iter() {
+        for lo in [true, false] {
+            let Some(probe) = probe_at(&region.oct, *p2, lo) else {
+                return false;
+            };
+            let probe_leaf = ForestLeaf::new(region.tree, probe);
+            let Some(vi) = view.containing(&probe_leaf) else {
+                return false;
+            };
+            let (l, origin) = (view.leaves[vi], view.origins[vi]);
+            let conforming = if corner {
+                is_corner_of(&l.oct, *p2)
+            } else {
+                is_edge_center_of(&l.oct, *p2)
+            };
+            sides.push(Incident {
+                leaf: l,
+                origin,
+                conforming,
+            });
+            if corner {
+                break; // one probe per region suffices for corners
             }
         }
-        sides.sort_unstable_by_key(|s| s.leaf);
-        sides.dedup_by_key(|s| s.leaf);
-        true
     }
+    sides.sort_unstable_by_key(|s| s.leaf);
+    sides.dedup_by_key(|s| s.leaf);
+    true
 }
 
 #[cfg(test)]

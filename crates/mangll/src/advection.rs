@@ -20,6 +20,7 @@
 //! * parallel exchange of ghost face traces per RK stage.
 
 use forest::{transverse_axes, FaceSide, FaceVisit, Forest, GhostKind, GhostWorkspace, LeafOrigin};
+use octree::ops::find_containing;
 use scomm::Exchange;
 
 use crate::kernels::{apply_face, apply_volume, ElementDerivative, FaceTables};
@@ -716,7 +717,7 @@ impl<'f, 'c> DgAdvection<'f, 'c> {
         let (mut parent, mut tmp) = (vec![0.0; n3], vec![0.0; n3]);
         for (e, leaf) in new_forest.local.iter().enumerate() {
             // Find the old local element covering this new element.
-            let old_e = self.forest.find_containing(leaf).unwrap_or_else(|| {
+            let old_e = find_containing(&self.forest.local, leaf).unwrap_or_else(|| {
                 panic!(
                     "new element {leaf:?} not covered by the old local forest — \
                          resample before repartitioning"

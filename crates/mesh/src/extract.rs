@@ -18,7 +18,7 @@
 
 use std::ops::Range;
 
-use octree::ghost::GhostEntry;
+use octree::ghost::{GhostEntry, LeafOrigin, LocalGhostView};
 use octree::morton::{morton_decode, morton_key};
 use octree::parallel::DistOctree;
 use octree::{Octant, MAX_LEVEL, ROOT_LEN};
@@ -456,40 +456,6 @@ pub(crate) fn incident_probes(p: (u32, u32, u32)) -> impl Iterator<Item = Octant
     })
 }
 
-/// Sorted local+ghost leaf view with owner provenance — the mesh
-/// extraction analogue of the forest traversal's merged view. This
-/// rank's leaves are one contiguous run of it.
-pub struct LeafView {
-    entries: Vec<(Octant, usize)>,
-}
-
-impl LeafView {
-    /// Merge this rank's leaves (owned by `rank()`) with the supplied
-    /// ghost layer into one Morton-sorted view.
-    pub fn new(tree: &DistOctree, ghosts: &[GhostEntry<Octant>]) -> Self {
-        let me = tree.comm().rank();
-        let mut entries: Vec<(Octant, usize)> = tree.local.iter().map(|&o| (o, me)).collect();
-        entries.extend(ghosts.iter().map(|g| (g.leaf, g.owner as usize)));
-        entries.sort_by_key(|a| a.0);
-        LeafView { entries }
-    }
-
-    /// The view leaf at index `i` and its owner rank.
-    pub fn entry(&self, i: usize) -> (Octant, usize) {
-        self.entries[i]
-    }
-
-    /// Index of the view leaf containing `probe` (equal or ancestor),
-    /// or `None` if that region is not covered by local + ghost leaves.
-    pub fn containing(&self, probe: &Octant) -> Option<usize> {
-        let idx = self
-            .entries
-            .partition_point(|e| e.0 <= *probe)
-            .checked_sub(1)?;
-        self.entries[idx].0.contains(probe).then_some(idx)
-    }
-}
-
 /// The leaf that corner `c` of local leaf `o` hangs on, by the 2:1
 /// parent-midpoint rule, as a view index; `None` if the corner is
 /// independent.
@@ -501,10 +467,10 @@ impl LeafView {
 /// neighbours across that face or edge is a leaf one level coarser than
 /// `o`. Each neighbour is read through one finest-level probe that
 /// touches the corner and lies inside it; neighbours outside the root
-/// are skipped. On a tie the leaf owned by `me` wins, which keeps the
+/// are skipped. On a tie the local leaf wins, which keeps the
 /// constraint chain local. Needs full (corner) 2:1 balance: a probed
 /// leaf two levels coarser than `o` panics with the node and both levels.
-fn corner_master(view: &LeafView, o: &Octant, c: usize, me: usize) -> Option<usize> {
+fn corner_master(view: &LocalGhostView<Octant>, o: &Octant, c: usize) -> Option<usize> {
     let l = o.level();
     if l == 0 {
         return None;
@@ -537,14 +503,15 @@ fn corner_master(view: &LeafView, o: &Octant, c: usize, me: usize) -> Option<usi
         let i = view
             .containing(&Octant::new(x, y, z, MAX_LEVEL))
             .unwrap_or_else(|| panic!("incident cell of node {p:?} missing from local+ghost view"));
-        let (leaf, owner) = view.entry(i);
+        let leaf = view.leaves[i];
         assert!(
             leaf.level() + 1 >= l,
             "ExtractMesh needs full 2:1 balance: node {p:?} of a level-{l} element \
              touches a level-{} leaf",
             leaf.level()
         );
-        if leaf.level() + 1 == l && master.is_none_or(|j| view.entry(j).1 != me && owner == me) {
+        let local = |j: usize| view.origins[j].is_local();
+        if leaf.level() + 1 == l && master.is_none_or(|j| !local(j) && local(i)) {
             master = Some(i);
         }
     }
@@ -593,15 +560,14 @@ const INDEPENDENT: u32 = u32::MAX;
 
 /// Build the distributed mesh from a balanced octree (collective).
 pub fn extract_mesh(tree: &DistOctree, domain: [f64; 3]) -> Mesh {
-    let ghosts = tree.ghost_layer();
-    extract_mesh_with_ghosts(tree, domain, &ghosts)
+    extract_mesh_with_ghosts(tree, domain, &tree.ghosts().entries)
 }
 
 /// [`extract_mesh`] with a caller-supplied ghost layer (as produced by
-/// `DistOctree::ghost_layer` or its grow-only `ghost_layer_into`
-/// variant), so AMR loops that already maintain a ghost workspace do
-/// not rebuild — or reallocate — the layer here (collective). The tree
-/// must be balanced with `BalanceKind::Full`.
+/// the tree's `ghosts` or its grow-only `ghost_layer_into` variant), so
+/// AMR loops that already maintain a ghost workspace do not rebuild — or
+/// reallocate — the layer here (collective). The tree must be balanced
+/// with `BalanceKind::Full`.
 pub fn extract_mesh_with_ghosts(
     tree: &DistOctree,
     domain: [f64; 3],
@@ -611,12 +577,7 @@ pub fn extract_mesh_with_ghosts(
     let me = comm.rank();
     let p = comm.size();
     let local = &tree.local;
-    let view = LeafView::new(tree, ghosts);
-    // View index of local element 0: a local view index minus this is the
-    // element index.
-    let first_local = local
-        .first()
-        .map_or(0, |o| view.entries.partition_point(|e| e.0 < *o));
+    let view = LocalGhostView::new(local, ghosts);
 
     // ---- Node table: sorted, deduplicated corner keys ----------------
     let mut node_keys: Vec<NodeKey> = Vec::new();
@@ -639,7 +600,7 @@ pub fn extract_mesh_with_ghosts(
         .iter()
         .map(|&ec| {
             let (e, c) = (ec as usize / 8, ec as usize % 8);
-            corner_master(&view, &local[e], c, me).map_or(INDEPENDENT, |i| i as u32)
+            corner_master(&view, &local[e], c).map_or(INDEPENDENT, |i| i as u32)
         })
         .collect();
 
@@ -660,21 +621,21 @@ pub fn extract_mesh_with_ghosts(
             spans[n].0 = indep.len()..indep.len() + 1;
             indep.push((node_keys[n], 1.0));
         } else {
-            hanging.push((view.entry(mi as usize).0.level(), n));
+            hanging.push((view.leaves[mi as usize].level(), n));
         }
     }
     hanging.sort_unstable();
     for &(_, n) in &hanging {
         let mi = master[n] as usize;
-        let (mo, owner) = view.entry(mi);
+        let (mo, origin) = (view.leaves[mi], view.origins[mi]);
         let (i0, f0) = (indep.len(), foreign.len());
         let mkeys = leaf_corner_keys(&mo);
         for (ci, w) in master_weights(&mo, node_coords(node_keys[n])) {
-            if owner != me {
-                foreign.push((owner, mkeys[ci], w));
+            let LeafOrigin::Local(e) = origin else {
+                foreign.push((origin.owner(me, ghosts), mkeys[ci], w));
                 continue;
-            }
-            let (si, sf) = spans[node_of[8 * (mi - first_local) + ci] as usize].clone();
+            };
+            let (si, sf) = spans[node_of[8 * e as usize + ci] as usize].clone();
             for j in si {
                 indep.push((indep[j].0, w * indep[j].1));
             }

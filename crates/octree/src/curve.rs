@@ -1,6 +1,9 @@
-//! One rank's segment of a distributed, curve-ordered leaf array: the
-//! bookkeeping the single octree ([`crate::parallel::DistOctree`]) and
-//! the forest of octrees (`forest::Forest`) share.
+//! The distributed tree: one rank's segment of a curve-ordered leaf
+//! array, with everything that refines, balances and repartitions it.
+//! [`LeafCurve`] is the one distributed tree type: the single octree
+//! ([`crate::parallel::DistOctree`]) is its one-tree instantiation and
+//! the forest of octrees (`forest::Forest`) wraps the `(tree, Morton)`
+//! one.
 //!
 //! The paper keeps one marker per rank, the curve key of its first leaf,
 //! exchanged by one `allgather`, and partitions by cutting the curve into
@@ -10,12 +13,12 @@
 //! the marker refresh and ownership queries, refine and coarsen,
 //! `MarkElements` and its application, `PartitionTree`, 2:1 balance,
 //! validation and allocation accounting; the ghost layer is written the
-//! same way in [`crate::ghost`]. What really differs per tree type is one
-//! [`TreeSeam`]: the same-size regions a step out of a tree's root cube
-//! reaches in other trees (none for a single octree, the composed face
-//! transforms for a forest). Every step inside a tree runs through the
-//! batched [`crate::simd`] kernels on the tree's `u64` Morton keys, with
-//! the curve markers projected into that key space.
+//! same way in [`crate::ghost`]. What really differs per tree type is the
+//! [`TreeSeam`] the tree owns: the same-size regions a step out of a
+//! tree's root cube reaches in other trees (none for a single octree, the
+//! composed face transforms for a forest). Every step inside a tree runs
+//! through the batched [`crate::simd`] kernels on the tree's `u64` Morton
+//! keys, with the curve markers projected into that key space.
 //!
 //! `BalanceTree` runs seed propagation ([`crate::balance`]) on each
 //! tree's run of the local leaves, then exchanges one size request per
@@ -27,11 +30,13 @@
 //! 2:1 closure of the composed neighbour relation.
 
 use crate::balance::{balance_run_into, BalanceKind, BalanceWorkspace};
+use crate::ghost::{GhostLayer, GhostWorkspace};
 use crate::mark::{mark_elements_into, Mark, MarkParams};
 use crate::morton::{Octant, ROOT_LEN};
 use crate::ops::{self, find_containing};
 use crate::simd;
 use scomm::{Comm, Pod};
+use std::sync::Arc;
 
 /// A position on the space-filling curve, shipped as one or two `u64`
 /// words (so marker and validation messages carry no padding).
@@ -151,6 +156,13 @@ pub struct NoSeam;
 impl<L: CurveLeaf> TreeSeam<L> for NoSeam {
     fn across(&self, _leaf: &L, _d: (i32, i32, i32), out: &mut Vec<L>) {
         out.clear();
+    }
+}
+
+/// A shared seam (the forest's connectivity is shared with its solvers).
+impl<L: CurveLeaf, S: TreeSeam<L>> TreeSeam<L> for Arc<S> {
+    fn across(&self, leaf: &L, d: (i32, i32, i32), out: &mut Vec<L>) {
+        S::across(self, leaf, d, out)
     }
 }
 
@@ -280,13 +292,16 @@ pub struct PartitionPlan {
     pub new_len: usize,
 }
 
-/// The replicated curve metadata and the grow-only scratch of one rank's
-/// leaf segment. The tree type owns the leaf array itself (its public
-/// `local` field) and passes it in. Once every buffer has reached its
-/// steady-state capacity, warm refine, coarsen, adapt and partition calls
-/// perform no heap allocation here ([`LeafCurve::alloc_bytes`]).
-pub struct LeafCurve<'c, L: CurveLeaf> {
+/// A distributed tree: this rank's leaves, the [`TreeSeam`] that joins
+/// its trees, the replicated curve metadata and the grow-only scratch of
+/// every operation. Once every buffer has reached its steady-state
+/// capacity, warm refine, coarsen, adapt and partition calls perform no
+/// heap allocation ([`LeafCurve::alloc_bytes`]).
+pub struct LeafCurve<'c, L: CurveLeaf, S> {
+    /// This rank's leaves, in curve order.
+    pub local: Vec<L>,
     comm: &'c Comm,
+    seam: S,
     /// Trees the curve threads (1 for a single octree); validation
     /// checks the volume of each.
     ntrees: usize,
@@ -315,12 +330,16 @@ pub struct LeafCurve<'c, L: CurveLeaf> {
     balance_rounds: u64,
 }
 
-impl<'c, L: CurveLeaf> LeafCurve<'c, L> {
-    /// Metadata of `local` on a curve through `ntrees` trees; runs the
-    /// collective marker refresh once.
-    pub fn new(comm: &'c Comm, ntrees: usize, local: &[L]) -> Self {
-        let mut curve = LeafCurve {
+impl<'c, L: CurveLeaf, S: TreeSeam<L>> LeafCurve<'c, L, S> {
+    /// The tree of the already-distributed leaves `local` (globally
+    /// curve-sorted and non-overlapping across ranks) on a curve through
+    /// `ntrees` trees joined by `seam`; runs the collective marker refresh
+    /// once.
+    pub fn new(comm: &'c Comm, ntrees: usize, seam: S, local: Vec<L>) -> Self {
+        let mut tree = LeafCurve {
+            local,
             comm,
+            seam,
             ntrees,
             markers: Vec::new(),
             counts: Vec::new(),
@@ -334,8 +353,8 @@ impl<'c, L: CurveLeaf> LeafCurve<'c, L> {
             ripple: RippleScratch::default(),
             balance_rounds: 0,
         };
-        curve.update(local);
-        curve
+        tree.update();
+        tree
     }
 
     /// The communicator.
@@ -343,15 +362,20 @@ impl<'c, L: CurveLeaf> LeafCurve<'c, L> {
         self.comm
     }
 
+    /// How the trees meet.
+    pub fn seam(&self) -> &S {
+        &self.seam
+    }
+
     /// Re-establish the per-rank markers and counts after any structural
     /// change: one allgather of `(first key, count)` per rank, all buffers
     /// reused.
-    pub fn update(&mut self, local: &[L]) {
+    pub fn update(&mut self) {
         let w = L::Key::WORDS;
-        let first = local.first().map_or(L::Key::MAX, L::curve_key);
+        let first = self.local.first().map_or(L::Key::MAX, L::curve_key);
         let mut msg = [0u64; 3];
         msg[..2].copy_from_slice(&first.to_words());
-        msg[w] = local.len() as u64;
+        msg[w] = self.local.len() as u64;
         self.comm.allgatherv_into(&msg[..=w], &mut self.gather);
         self.markers.clear();
         self.counts.clear();
@@ -414,24 +438,19 @@ impl<'c, L: CurveLeaf> LeafCurve<'c, L> {
 
     /// `RefineTree`: local, then the marker refresh. Returns the number of
     /// leaves refined.
-    pub fn refine<F: FnMut(&L) -> bool>(&mut self, local: &mut Vec<L>, should_refine: F) -> usize {
-        let n = ops::refine_with(local, &mut self.scratch, should_refine);
-        self.update(local);
+    pub fn refine<F: FnMut(&L) -> bool>(&mut self, should_refine: F) -> usize {
+        let n = ops::refine_with(&mut self.local, &mut self.scratch, should_refine);
+        self.update();
         n
     }
 
     /// Parallel `BalanceTree` over `kind`'s neighbour set, across trees
-    /// through `seam` (see the module docs): each round a local
+    /// through the seam (see the module docs): each round a local
     /// seed-propagation pass per tree run, one alltoallv of size requests
     /// and one allreduce exit test; the round count is bounded by the
     /// number of levels, as in the paper. Returns the number of leaves
     /// added globally.
-    pub fn balance<S: TreeSeam<L>>(
-        &mut self,
-        local: &mut Vec<L>,
-        kind: BalanceKind,
-        seam: &S,
-    ) -> u64 {
+    pub fn balance(&mut self, kind: BalanceKind) -> u64 {
         let before = self.global_count();
         let dirs = kind.direction_slice();
         let comm = self.comm;
@@ -445,13 +464,13 @@ impl<'c, L: CurveLeaf> LeafCurve<'c, L> {
             self.balance_rounds += 1;
             ws.out.clear();
             let mut added = 0;
-            for run in local.chunk_by(|a, b| a.tree() == b.tree()) {
+            for run in self.local.chunk_by(|a, b| a.tree() == b.tree()) {
                 added += balance_run_into(run, kind, &mut ws.seeds, &mut ws.out);
             }
             if added > 0 {
-                std::mem::swap(local, &mut ws.out);
+                std::mem::swap(&mut self.local, &mut ws.out);
             }
-            self.update(local);
+            self.update();
 
             // Size requests, direction-major per tree run: one batched
             // neighbour-kernel call and one batched ownership query per
@@ -461,7 +480,7 @@ impl<'c, L: CurveLeaf> LeafCurve<'c, L> {
             for buf in &mut ws.req_bufs {
                 buf.clear();
             }
-            for run in local.chunk_by(|a, b| a.tree() == b.tree()) {
+            for run in self.local.chunk_by(|a, b| a.tree() == b.tree()) {
                 ws.owners.project(&self.markers, run[0].tree());
                 ws.octs.clear();
                 ws.octs.extend(run.iter().map(L::oct));
@@ -477,7 +496,7 @@ impl<'c, L: CurveLeaf> LeafCurve<'c, L> {
                             }
                             continue;
                         }
-                        seam.across(&run[i], d, &mut ws.images);
+                        self.seam.across(&run[i], d, &mut ws.images);
                         for img in &ws.images {
                             let (rlo, rhi) = self.owner_range(img);
                             for buf in &mut ws.req_bufs[rlo..=rhi] {
@@ -503,11 +522,11 @@ impl<'c, L: CurveLeaf> LeafCurve<'c, L> {
             // Any local leaf containing a requested region must be at
             // most one level coarser than the requester.
             self.flags.clear();
-            self.flags.resize(local.len(), false);
+            self.flags.resize(self.local.len(), false);
             let mut changed = 0u64;
             for n in &ws.recv_flat {
-                if let Some(i) = find_containing(local, n) {
-                    if local[i].oct().level() + 1 < n.oct().level() && !self.flags[i] {
+                if let Some(i) = find_containing(&self.local, n) {
+                    if self.local[i].oct().level() + 1 < n.oct().level() && !self.flags[i] {
                         self.flags[i] = true;
                         changed += 1;
                     }
@@ -515,7 +534,7 @@ impl<'c, L: CurveLeaf> LeafCurve<'c, L> {
             }
             if changed > 0 {
                 let (flags, mut i) = (&self.flags, 0);
-                ops::refine_with(local, &mut self.scratch, |_| {
+                ops::refine_with(&mut self.local, &mut self.scratch, |_| {
                     i += 1;
                     flags[i - 1]
                 });
@@ -523,13 +542,13 @@ impl<'c, L: CurveLeaf> LeafCurve<'c, L> {
             if comm.allreduce_sum(&[changed])[0] == 0 {
                 break;
             }
-            self.update(local);
+            self.update();
         }
         self.ripple = ws;
         #[cfg(debug_assertions)]
         if scomm::checks_enabled() {
             assert!(
-                self.validate(local),
+                self.validate(),
                 "leaf array invariants violated after balance"
             );
         }
@@ -547,15 +566,11 @@ impl<'c, L: CurveLeaf> LeafCurve<'c, L> {
     /// families spanning rank boundaries are not coarsened (at most
     /// `P − 1` such families exist). Returns the number of families
     /// coarsened.
-    pub fn coarsen<F: FnMut(&L) -> bool>(
-        &mut self,
-        local: &mut Vec<L>,
-        should_coarsen: F,
-    ) -> usize {
+    pub fn coarsen<F: FnMut(&L) -> bool>(&mut self, should_coarsen: F) -> usize {
         self.flags.clear();
-        self.flags.extend(local.iter().map(should_coarsen));
-        let n = ops::coarsen_marked_with(local, &mut self.scratch, &self.flags);
-        self.update(local);
+        self.flags.extend(self.local.iter().map(should_coarsen));
+        let n = ops::coarsen_marked_with(&mut self.local, &mut self.scratch, &self.flags);
+        self.update();
         n
     }
 
@@ -563,22 +578,22 @@ impl<'c, L: CurveLeaf> LeafCurve<'c, L> {
     /// element-count target, driven by per-element indicators. Leaves one
     /// mark per local leaf for [`LeafCurve::coarsen_marked`] and
     /// [`LeafCurve::refine_marked`], which must follow in that order.
-    pub fn mark_for_target(&mut self, local: &[L], indicators: &[f64], params: &MarkParams) {
-        mark_elements_into(self.comm, local, indicators, params, &mut self.marks);
+    pub fn mark_for_target(&mut self, indicators: &[f64], params: &MarkParams) {
+        mark_elements_into(self.comm, &self.local, indicators, params, &mut self.marks);
     }
 
     /// `CoarsenTree` on the marks (family-aligned by construction). Local;
     /// returns the number of families coarsened and re-aligns the marks
     /// with the new leaves.
-    pub fn coarsen_marked(&mut self, local: &mut Vec<L>) -> usize {
+    pub fn coarsen_marked(&mut self) -> usize {
         self.flags.clear();
         self.flags
             .extend(self.marks.iter().map(|m| *m == Mark::Coarsen));
-        let coarsened = ops::coarsen_marked_with(local, &mut self.scratch, &self.flags);
+        let coarsened = ops::coarsen_marked_with(&mut self.local, &mut self.scratch, &self.flags);
         // A coarsened family becomes one parent that keeps its size; every
         // other leaf keeps its mark.
         let mut j = 0usize;
-        for i in 0..local.len() {
+        for i in 0..self.local.len() {
             if self.flags[j] {
                 self.marks[i] = Mark::None;
                 j += 8;
@@ -587,49 +602,52 @@ impl<'c, L: CurveLeaf> LeafCurve<'c, L> {
                 j += 1;
             }
         }
-        self.marks.truncate(local.len());
+        self.marks.truncate(self.local.len());
         coarsened
     }
 
     /// `RefineTree` on the surviving marks, then the one marker refresh of
     /// the adaptation. Returns the number of leaves refined.
-    pub fn refine_marked(&mut self, local: &mut Vec<L>) -> usize {
+    pub fn refine_marked(&mut self) -> usize {
         let marks = &self.marks;
         let mut i = 0usize;
-        let refined = ops::refine_with(local, &mut self.scratch, |_| {
+        let refined = ops::refine_with(&mut self.local, &mut self.scratch, |_| {
             let m = marks[i] == Mark::Refine;
             i += 1;
             m
         });
-        self.update(local);
+        self.update();
         refined
     }
 
     /// `MarkElements` + apply: [`LeafCurve::mark_for_target`], then
     /// coarsen, then refine the survivors. Returns
     /// `(refined, coarsened_families)`.
-    pub fn adapt_to_target(
-        &mut self,
-        local: &mut Vec<L>,
-        indicators: &[f64],
-        params: &MarkParams,
-    ) -> (usize, usize) {
-        self.mark_for_target(local, indicators, params);
-        let coarsened = self.coarsen_marked(local);
-        (self.refine_marked(local), coarsened)
+    pub fn adapt_to_target(&mut self, indicators: &[f64], params: &MarkParams) -> (usize, usize) {
+        self.mark_for_target(indicators, params);
+        let coarsened = self.coarsen_marked();
+        (self.refine_marked(), coarsened)
     }
 
     /// `PartitionTree`: redistribute the leaves so that every rank owns an
-    /// equal share (±1) of the curve, writing the plan into `plan` (ranges
+    /// equal share (±1) of the curve. Returns the plan, which must be
+    /// replayed on element data with [`crate::parallel::transfer_fields`].
+    pub fn partition(&mut self) -> PartitionPlan {
+        let mut plan = PartitionPlan::default();
+        self.partition_with(&mut plan);
+        plan
+    }
+
+    /// [`LeafCurve::partition`] writing the plan into `plan` (ranges
     /// cleared first, capacity reused). The send ranges tile the local
     /// array contiguously in rank order, so the leaf array itself is the
     /// flat send buffer: each leaf moves exactly once, with no packing
-    /// copy.
-    pub fn partition_with(&mut self, local: &mut Vec<L>, plan: &mut PartitionPlan) {
+    /// copy, and warm calls do not allocate.
+    pub fn partition_with(&mut self, plan: &mut PartitionPlan) {
         let p = self.comm.size() as u64;
         let n = self.global_count();
         let start = self.global_offset();
-        let end = start + local.len() as u64;
+        let end = start + self.local.len() as u64;
         // Rank r owns the global index range [r·n/p, (r+1)·n/p).
         let share_start = |r: u64| n * r / p;
         plan.send_ranges.clear();
@@ -642,30 +660,30 @@ impl<'c, L: CurveLeaf> LeafCurve<'c, L> {
             self.send_counts.push((hi - lo) as usize);
         }
         self.comm.alltoallv_flat(
-            local,
+            &self.local,
             &self.send_counts,
             &mut self.recv,
             &mut self.recv_counts,
         );
         // Rank order is curve order: the flat receive buffer is the new
         // local segment.
-        std::mem::swap(local, &mut self.recv);
-        self.update(local);
+        std::mem::swap(&mut self.local, &mut self.recv);
+        self.update();
         #[cfg(debug_assertions)]
         if scomm::checks_enabled() {
             assert!(
-                self.validate(local),
+                self.validate(),
                 "leaf array invariants violated after partition"
             );
         }
-        plan.new_len = local.len();
+        plan.new_len = self.local.len();
     }
 
     /// Validate the distributed linear-octree invariants (collective):
     /// local order, order across rank boundaries, and that the leaves of
     /// every tree exactly cover its root volume.
-    pub fn validate(&self, local: &[L]) -> bool {
-        let comm = self.comm;
+    pub fn validate(&self) -> bool {
+        let (comm, local) = (self.comm, &self.local);
         let w = L::Key::WORDS;
         let locally_valid = L::is_valid_linear(local);
         let first = local.first().map_or(L::Key::MAX, L::curve_key);
@@ -709,12 +727,21 @@ impl<'c, L: CurveLeaf> LeafCurve<'c, L> {
         comm.allreduce_min(&[ok as u64])[0] == 1
     }
 
+    /// The ghost layer (see [`crate::ghost`]) in a fresh workspace; AMR
+    /// loops keep a [`GhostWorkspace`] and call
+    /// [`LeafCurve::ghost_layer_into`].
+    pub fn ghosts(&self) -> GhostLayer<L> {
+        let mut ws = GhostWorkspace::new();
+        self.ghost_layer_into(&mut ws);
+        ws.take_layer()
+    }
+
     /// Heap capacity held by the leaf array and this metadata, in bytes.
     /// Its growth across a warm adapt cycle is the tree layer's share of
     /// the `amr.alloc_bytes` counter; at steady state it must be zero.
-    pub fn alloc_bytes(&self, local: &Vec<L>) -> u64 {
+    pub fn alloc_bytes(&self) -> u64 {
         use capacity_bytes as cap;
-        let mut b = cap(local) + cap(&self.markers) + cap(&self.counts) + cap(&self.gather);
+        let mut b = cap(&self.local) + cap(&self.markers) + cap(&self.counts) + cap(&self.gather);
         b += cap(&self.scratch) + cap(&self.flags) + cap(&self.marks) + cap(&self.recv);
         b + cap(&self.send_counts) + cap(&self.recv_counts) + self.ripple.capacity_bytes()
     }

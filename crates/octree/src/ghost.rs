@@ -17,12 +17,16 @@
 //! neighbour regions. Receiver side: a received leaf is kept with the
 //! [`GhostKind`] of the first of the [`DIRS`] (faces first) whose regions
 //! reach this rank's curve range, and dropped if none does.
+//!
+//! Mesh extraction and the forest's iterate read the local leaves and the
+//! ghost layer as one curve-sorted sequence, [`LocalGhostView`], which
+//! records where each leaf came from ([`LeafOrigin`]).
 
 use crate::curve::{
     adjacent_regions, capacity_bytes as cap, CurveLeaf, LeafCurve, TreeOwners, TreeSeam,
 };
 use crate::morton::{Octant, MAX_LEVEL};
-use crate::ops;
+use crate::ops::{self, find_containing};
 use crate::simd;
 
 /// The 26 unit directions grouped by codimension: 6 faces (indexed to
@@ -204,16 +208,76 @@ impl<L> GhostWorkspace<L> {
     }
 }
 
-impl<L: CurveLeaf> LeafCurve<'_, L> {
-    /// Build the ghost layer of `local` (see the module docs) into `ws`:
-    /// one alltoallv, and no heap allocation once `ws` is warm.
-    pub fn ghost_layer_into<'w, S: TreeSeam<L>>(
-        &self,
-        local: &[L],
-        seam: &S,
-        ws: &'w mut GhostWorkspace<L>,
-    ) -> &'w GhostLayer<L> {
-        let comm = self.comm();
+/// Where a leaf of a [`LocalGhostView`] came from.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum LeafOrigin {
+    /// Index into the local leaves.
+    Local(u32),
+    /// Index into the ghost entries.
+    Ghost(u32),
+}
+
+impl LeafOrigin {
+    pub fn is_local(&self) -> bool {
+        matches!(self, LeafOrigin::Local(_))
+    }
+
+    /// The rank owning the leaf: `me` for a local one, else the owner of
+    /// its entry in `ghosts`.
+    pub fn owner<L>(self, me: usize, ghosts: &[GhostEntry<L>]) -> usize {
+        match self {
+            LeafOrigin::Local(_) => me,
+            LeafOrigin::Ghost(j) => ghosts[j as usize].owner as usize,
+        }
+    }
+}
+
+/// This rank's leaves and its ghost layer as one curve-sorted sequence,
+/// each leaf with its provenance: the view `ExtractMesh` classifies
+/// hanging corners in and the forest's iterate walks.
+pub struct LocalGhostView<L> {
+    /// Local and ghost leaves, in curve order.
+    pub leaves: Vec<L>,
+    /// Where `leaves[i]` came from.
+    pub origins: Vec<LeafOrigin>,
+}
+
+impl<L: CurveLeaf> LocalGhostView<L> {
+    /// One merge of the curve-sorted `local` leaves with the `(leaf,
+    /// owner)`-sorted `ghosts`; the two sets are disjoint.
+    pub fn new(local: &[L], ghosts: &[GhostEntry<L>]) -> Self {
+        let n = local.len() + ghosts.len();
+        let mut view = LocalGhostView {
+            leaves: Vec::with_capacity(n),
+            origins: Vec::with_capacity(n),
+        };
+        let (mut i, mut j) = (0, 0);
+        while i < local.len() || j < ghosts.len() {
+            if j == ghosts.len() || (i < local.len() && local[i] < ghosts[j].leaf) {
+                view.leaves.push(local[i]);
+                view.origins.push(LeafOrigin::Local(i as u32));
+                i += 1;
+            } else {
+                view.leaves.push(ghosts[j].leaf);
+                view.origins.push(LeafOrigin::Ghost(j as u32));
+                j += 1;
+            }
+        }
+        view
+    }
+
+    /// Index of the view leaf containing `probe` (equal or ancestor), or
+    /// `None` if local and ghost leaves do not cover that region.
+    pub fn containing(&self, probe: &L) -> Option<usize> {
+        find_containing(&self.leaves, probe)
+    }
+}
+
+impl<L: CurveLeaf, S: TreeSeam<L>> LeafCurve<'_, L, S> {
+    /// Build the ghost layer (see the module docs) into `ws`: one
+    /// alltoallv, and no heap allocation once `ws` is warm.
+    pub fn ghost_layer_into<'w>(&self, ws: &'w mut GhostWorkspace<L>) -> &'w GhostLayer<L> {
+        let (comm, local, seam) = (self.comm(), &self.local, self.seam());
         let (p, me) = (comm.size(), comm.rank());
         let GhostWorkspace {
             keys,
@@ -266,7 +330,7 @@ impl<L: CurveLeaf> LeafCurve<'_, L> {
                     continue;
                 }
                 if hi - lo > RUN && node.level() < MAX_LEVEL {
-                    if self.insulated(&local[lo].with_oct(node), seam, regions) {
+                    if self.insulated(&local[lo].with_oct(node), regions) {
                         continue;
                     }
                     ops::child_split(&keys[lo..hi], &node, needles, ends);
@@ -323,7 +387,7 @@ impl<L: CurveLeaf> LeafCurve<'_, L> {
         let mut off = 0usize;
         for (src, &cnt) in recv_counts.iter().enumerate() {
             for &leaf in &recv_flat[off..off + cnt] {
-                if let Some(kind) = self.classify_ghost(&leaf, seam, regions) {
+                if let Some(kind) = self.classify_ghost(&leaf, regions) {
                     layer.entries.push(GhostEntry {
                         owner: src as u32,
                         kind,
@@ -340,16 +404,11 @@ impl<L: CurveLeaf> LeafCurve<'_, L> {
     /// The class of the first of the [`DIRS`] whose same-size regions
     /// around `leaf` intersect this rank's curve range; `None` means not
     /// adjacent.
-    fn classify_ghost<S: TreeSeam<L>>(
-        &self,
-        leaf: &L,
-        seam: &S,
-        regions: &mut Vec<L>,
-    ) -> Option<GhostKind> {
+    fn classify_ghost(&self, leaf: &L, regions: &mut Vec<L>) -> Option<GhostKind> {
         let me = self.comm().rank();
         DIRS.iter()
             .position(|&d| {
-                adjacent_regions(seam, leaf, d, regions);
+                adjacent_regions(self.seam(), leaf, d, regions);
                 regions.iter().any(|n| {
                     let (rlo, rhi) = self.owner_range(n);
                     rlo <= me && me <= rhi
@@ -361,11 +420,11 @@ impl<L: CurveLeaf> LeafCurve<'_, L> {
     /// The box `node` plus its full 26-neighbourhood is owned by this
     /// rank alone: no leaf below it can have a remote neighbour, so the
     /// ghost recursion prunes the whole subtree.
-    fn insulated<S: TreeSeam<L>>(&self, node: &L, seam: &S, regions: &mut Vec<L>) -> bool {
+    fn insulated(&self, node: &L, regions: &mut Vec<L>) -> bool {
         let me = self.comm().rank();
         self.owner_range(node) == (me, me)
             && DIRS.iter().all(|&d| {
-                adjacent_regions(seam, node, d, regions);
+                adjacent_regions(self.seam(), node, d, regions);
                 regions.iter().all(|n| self.owner_range(n) == (me, me))
             })
     }

@@ -10,17 +10,19 @@
 //! | paper          | here |
 //! |----------------|------|
 //! | `NewTree`      | [`ops::new_tree`] / [`parallel::DistOctree::new_uniform`] |
-//! | `RefineTree`   | [`ops::refine`] / [`parallel::DistOctree::refine`] |
-//! | `CoarsenTree`  | [`ops::coarsen`] / [`parallel::DistOctree::coarsen`] |
-//! | `BalanceTree`  | [`balance::balance_local`] / [`parallel::DistOctree::balance`] |
-//! | `PartitionTree`| [`parallel::DistOctree::partition`] |
-//! | `MarkElements` | [`mark::mark_elements_into`] / [`parallel::DistOctree::adapt_to_target`] |
+//! | `RefineTree`   | [`ops::refine`] / [`curve::LeafCurve::refine`] |
+//! | `CoarsenTree`  | [`ops::coarsen`] / [`curve::LeafCurve::coarsen`] |
+//! | `BalanceTree`  | [`balance::balance_local`] / [`curve::LeafCurve::balance`] |
+//! | `PartitionTree`| [`curve::LeafCurve::partition`] |
+//! | `MarkElements` | [`mark::mark_elements_into`] / [`curve::LeafCurve::adapt_to_target`] |
 //!
-//! The distributed bookkeeping that does not depend on the tree type —
-//! rank markers, ownership, refine/coarsen, mark application, 2:1
-//! balance, partition, validation — lives in [`curve`], and the ghost
-//! layer in [`ghost`], both generic over the leaf type; they serve the
-//! forest of octrees too, which adds only its [`curve::TreeSeam`].
+//! There is one distributed tree type, [`curve::LeafCurve`], generic over
+//! the leaf type: it owns this rank's leaves and its
+//! [`curve::TreeSeam`], and carries rank markers, ownership,
+//! refine/coarsen, mark application, 2:1 balance, partition, validation
+//! and the ghost layer ([`ghost`]). The single octree
+//! ([`parallel::DistOctree`]) is its one-tree instantiation; the forest
+//! of octrees wraps another, which adds only its seam.
 //!
 //! A leaf octant is an axis-aligned cube identified by its anchor corner in
 //! integer coordinates on a `2^MAX_LEVEL`-wide lattice plus a refinement

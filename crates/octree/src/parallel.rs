@@ -5,15 +5,14 @@
 //! (paper, Section IV-A). The only global metadata is one marker per rank
 //! (the Morton key of the first owned leaf), established with an
 //! `allgather` of one long integer per core — exactly the paper's scheme.
-//! Every operation is the one-tree case of the shared curve code:
-//! [`LeafCurve`] (balance included) and [`crate::ghost`], with the
-//! [`NoSeam`] seam — a step out of the root cube is the domain boundary.
+//! The tree is the one-tree case of the one distributed tree type,
+//! [`LeafCurve`] (balance included, and the ghost layer of
+//! [`crate::ghost`]), with the [`NoSeam`] seam — a step out of the root
+//! cube is the domain boundary — and its packed `u64` Morton keys.
 
-use crate::balance::BalanceKind;
 pub use crate::curve::PartitionPlan;
 use crate::curve::{LeafCurve, NoSeam};
-use crate::ghost::{GhostEntry, GhostLayer, GhostWorkspace};
-use crate::mark::MarkParams;
+use crate::ghost::GhostWorkspace;
 use crate::morton::Octant;
 use scomm::{pod, Comm};
 
@@ -22,12 +21,7 @@ use scomm::{pod, Comm};
 pub type GhostScratch = GhostWorkspace<Octant>;
 
 /// A distributed linear octree: this rank's view.
-pub struct DistOctree<'c> {
-    /// Locally owned leaves, Morton-sorted.
-    pub local: Vec<Octant>,
-    /// Markers, counts, and the refine/coarsen/balance/partition scratch.
-    curve: LeafCurve<'c, Octant>,
-}
+pub type DistOctree<'c> = LeafCurve<'c, Octant, NoSeam>;
 
 impl<'c> DistOctree<'c> {
     /// `NewTree`: build a uniform tree at `level`, leaves divided evenly
@@ -45,145 +39,7 @@ impl<'c> DistOctree<'c> {
     /// Wrap already-distributed leaves (must be globally Morton-sorted and
     /// non-overlapping across ranks).
     pub fn from_local(comm: &'c Comm, local: Vec<Octant>) -> Self {
-        DistOctree {
-            curve: LeafCurve::new(comm, 1, &local),
-            local,
-        }
-    }
-
-    /// The shared curve metadata (markers, ownership) of this tree.
-    pub fn curve(&self) -> &LeafCurve<'c, Octant> {
-        &self.curve
-    }
-
-    /// Global number of elements.
-    pub fn global_count(&self) -> u64 {
-        self.curve.global_count()
-    }
-
-    /// Global index of this rank's first element.
-    pub fn global_offset(&self) -> u64 {
-        self.curve.global_offset()
-    }
-
-    /// The communicator this tree lives on.
-    pub fn comm(&self) -> &'c Comm {
-        self.curve.comm()
-    }
-
-    /// Per-rank element counts (metadata from the last marker exchange).
-    pub fn rank_counts(&self) -> &[u64] {
-        self.curve.rank_counts()
-    }
-
-    /// The rank owning `octant` (by its first descendant). Assumes the
-    /// global tree covers the octant's region.
-    pub fn owner_of(&self, octant: &Octant) -> usize {
-        self.curve.owner_of(octant)
-    }
-
-    /// The inclusive rank range whose segments intersect the region of
-    /// `octant` (it may span several ranks).
-    pub fn owner_range(&self, octant: &Octant) -> (usize, usize) {
-        self.curve.owner_range(octant)
-    }
-
-    /// `RefineTree`: purely local, no communication (markers refreshed).
-    pub fn refine<F: FnMut(&Octant) -> bool>(&mut self, should_refine: F) -> usize {
-        self.curve.refine(&mut self.local, should_refine)
-    }
-
-    /// `CoarsenTree`: local families only (see [`LeafCurve::coarsen`]).
-    pub fn coarsen<F: FnMut(&Octant) -> bool>(&mut self, should_coarsen: F) -> usize {
-        self.curve.coarsen(&mut self.local, should_coarsen)
-    }
-
-    /// `MarkElements` (see [`LeafCurve::mark_for_target`]); the marks stay
-    /// with the tree for [`DistOctree::coarsen_marked`] and
-    /// [`DistOctree::refine_marked`], which must follow in that order.
-    pub fn mark_for_target(&mut self, indicators: &[f64], params: &MarkParams) {
-        self.curve.mark_for_target(&self.local, indicators, params)
-    }
-
-    /// `CoarsenTree` on the marks; returns the families coarsened.
-    pub fn coarsen_marked(&mut self) -> usize {
-        self.curve.coarsen_marked(&mut self.local)
-    }
-
-    /// `RefineTree` on the surviving marks, then the one marker refresh
-    /// of the adaptation. Returns the number of leaves refined.
-    pub fn refine_marked(&mut self) -> usize {
-        self.curve.refine_marked(&mut self.local)
-    }
-
-    /// `MarkElements` + apply. Returns `(refined, coarsened_families)`.
-    /// Warm calls reuse the tree's scratch and do not allocate.
-    pub fn adapt_to_target(&mut self, indicators: &[f64], params: &MarkParams) -> (usize, usize) {
-        self.curve
-            .adapt_to_target(&mut self.local, indicators, params)
-    }
-
-    /// Parallel `BalanceTree` (see [`LeafCurve::balance`]). Returns the
-    /// number of leaves added globally.
-    pub fn balance(&mut self, kind: BalanceKind) -> u64 {
-        self.curve.balance(&mut self.local, kind, &NoSeam)
-    }
-
-    /// Ripple rounds (local-balance + exchange iterations) used by the
-    /// most recent [`DistOctree::balance`] call — the `amr.ripple_rounds`
-    /// obs counter.
-    pub fn last_balance_rounds(&self) -> u64 {
-        self.curve.last_balance_rounds()
-    }
-
-    /// Heap capacity currently held by this tree's tracked buffers (leaf
-    /// array, curve metadata, and the adaptation scratch), in bytes. The
-    /// growth of this value across a warm adapt cycle is the
-    /// `amr.alloc_bytes` contribution of the tree layer; at steady state
-    /// it must be zero.
-    pub fn alloc_bytes(&self) -> u64 {
-        self.curve.alloc_bytes(&self.local)
-    }
-
-    /// `PartitionTree`: redistribute leaves so that every rank owns an
-    /// equal share (±1) of the Morton curve. Returns the plan, which must
-    /// be replayed on element data with [`transfer_fields`].
-    pub fn partition(&mut self) -> PartitionPlan {
-        let mut plan = PartitionPlan::default();
-        self.partition_with(&mut plan);
-        plan
-    }
-
-    /// [`DistOctree::partition`] writing the plan into a caller-provided
-    /// value (see [`LeafCurve::partition_with`]); warm calls do not
-    /// allocate.
-    pub fn partition_with(&mut self, plan: &mut PartitionPlan) {
-        self.curve.partition_with(&mut self.local, plan)
-    }
-
-    /// Build the ghost layer: the remote leaves face/edge/corner-adjacent
-    /// to this rank's leaves, with owner and adjacency class, sorted.
-    /// One alltoallv, mirroring the paper's `ExtractMesh` ghost gather.
-    /// Allocating wrapper around [`DistOctree::ghost_layer_into`].
-    pub fn ghost_layer(&self) -> Vec<GhostEntry<Octant>> {
-        let mut ws = GhostScratch::default();
-        self.ghost_layer_into(&mut ws);
-        ws.take_layer().entries
-    }
-
-    /// Grow-only variant of [`DistOctree::ghost_layer`] (see
-    /// [`LeafCurve::ghost_layer_into`]): a warm adapt cycle rebuilds the
-    /// ghost layer without heap allocation (the workspace discipline the
-    /// `rhea` AMR loop asserts through `amr.alloc_bytes == 0`).
-    pub fn ghost_layer_into<'w>(&self, ws: &'w mut GhostScratch) -> &'w GhostLayer<Octant> {
-        self.curve.ghost_layer_into(&self.local, &NoSeam, ws)
-    }
-
-    /// Validate the distributed linear-octree invariants (collective):
-    /// local validity (the vectorized sweep), global sortedness across
-    /// rank boundaries, global completeness.
-    pub fn validate(&self) -> bool {
-        self.curve.validate(&self.local)
+        LeafCurve::new(comm, 1, NoSeam, local)
     }
 }
 
@@ -244,6 +100,8 @@ pub fn transfer_fields_into<T: pod::Pod>(
 mod tests {
     use super::*;
     use crate::balance::{is_balanced, BalanceKind};
+    use crate::ghost::GhostEntry;
+    use crate::mark::MarkParams;
     use scomm::spmd;
 
     #[test]
@@ -356,7 +214,7 @@ mod tests {
             t.refine(|o| o.center_unit()[0] < 0.5);
             t.balance(BalanceKind::Full);
             t.partition();
-            let ghosts = t.ghost_layer();
+            let ghosts = t.ghosts().entries;
             // Each ghost must be adjacent to at least one local leaf and
             // owned by the rank recorded.
             for GhostEntry { owner, leaf: g, .. } in &ghosts {
@@ -390,7 +248,7 @@ mod tests {
             t.refine(|o| o.center_unit()[0] + o.center_unit()[1] < 1.0);
             t.balance(BalanceKind::Full);
             t.partition();
-            let oracle = t.ghost_layer();
+            let oracle = t.ghosts().entries;
             let mut ws = GhostScratch::new();
             // Warm the scratch, then assert rebuilds are allocation-free
             // and bitwise-stable.
@@ -456,7 +314,7 @@ mod tests {
                 assert!(refined > 0 && coarsened > 0, "both splices must run");
                 assert_eq!((refined, coarsened), counts);
                 assert_eq!(by_hand.local, whole.local);
-                assert_eq!(by_hand.curve.markers(), whole.curve.markers());
+                assert_eq!(by_hand.markers(), whole.markers());
                 assert_eq!(by_hand.rank_counts(), whole.rank_counts());
             });
         }

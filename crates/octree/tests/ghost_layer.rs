@@ -21,7 +21,7 @@ fn ghost_counts_pinned_at_4_ranks() {
         });
         t.balance(BalanceKind::Full);
         t.partition();
-        let g = t.ghost_layer();
+        let g = t.ghosts().entries;
         // Every ghost must be attributed to a foreign rank and be
         // consistent with the ownership metadata.
         for e in &g {
@@ -72,7 +72,7 @@ fn ghost_layer_handles_more_than_32_adjacent_ranks() {
         };
         let t = DistOctree::from_local(c, global[lo..hi].to_vec());
         assert!(t.validate());
-        let g = t.ghost_layer();
+        let g = t.ghosts().entries;
         if me == 0 {
             // The coarse leaf faces the refined sibling: at least the
             // 64 face-adjacent fine leaves are ghosts here.
@@ -115,7 +115,8 @@ fn ghost_layer_is_exact_across_staging_blocks() {
         expect.sort_by_key(|a| a.1);
         assert_eq!(expect.len(), 256);
         let got: Vec<(usize, Octant)> = t
-            .ghost_layer()
+            .ghosts()
+            .entries
             .iter()
             .map(|e| (e.owner as usize, e.leaf))
             .collect();

@@ -48,8 +48,7 @@ pub fn picard_solve(
         converged: false,
     };
     loop {
-        let mut rhs = solver.nodal_load(force);
-        solver.dirichlet_lift(&mut rhs, |_| [0.0; 3]);
+        let rhs = solver.homogeneous_rhs(force);
         let info = solver.solve(&rhs, x);
         result.total_minres_iterations += info.iterations;
         result.minres_converged &= info.converged;

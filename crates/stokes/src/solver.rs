@@ -353,6 +353,21 @@ impl<'a> StokesSolver<'a> {
         rhs
     }
 
+    /// [`StokesSolver::nodal_load`] with every constrained velocity row
+    /// set to the homogeneous condition `u = 0`: the right-hand side of a
+    /// Picard step. It equals the zero [`StokesSolver::dirichlet_lift`]
+    /// bit for bit without that lift's operator apply, whose `A·0` adds
+    /// only +0.0 to the other rows. Collective.
+    pub fn homogeneous_rhs(&self, fv: &[f64]) -> Vec<f64> {
+        let mut rhs = self.nodal_load(fv);
+        for (r, &masked) in rhs.iter_mut().zip(&self.vel_bc) {
+            if masked {
+                *r = 0.0;
+            }
+        }
+        rhs
+    }
+
     /// Dirichlet lift of the combined `rhs` for boundary values
     /// `g(point) -> [ux, uy, uz]` on the constrained components: the
     /// returned `x0` carries `g` there, `A·x0` is subtracted from `rhs`,
@@ -883,6 +898,36 @@ mod tests {
             let inv = solver.strain_rate_invariant(&x);
             for v in inv {
                 assert!((v - gamma / 2.0).abs() < 1e-12, "ė = {v}");
+            }
+        });
+    }
+
+    #[test]
+    fn homogeneous_rhs_equals_the_zero_lift_bitwise() {
+        spmd::run(2, |c| {
+            let mut t = DistOctree::new_uniform(c, 2);
+            t.refine(|o| o.center_unit()[0] + o.center_unit()[1] < 0.7);
+            t.balance(BalanceKind::Full);
+            t.partition();
+            let m = extract_mesh(&t, [1.0, 1.0, 1.0]);
+            let n = m.n_owned;
+            let no_slip = (0..3 * n).map(|i| m.dof_on_boundary(i / 3)).collect();
+            let free_slip = (0..3 * n)
+                .map(|i| m.dof_boundary_faces(i / 3) & (0b11 << (2 * (i % 3))) != 0)
+                .collect();
+            for bc in [no_slip, free_slip] {
+                let visc = (0..m.elements.len())
+                    .map(|e| 1.0 + (e % 7) as f64)
+                    .collect();
+                let solver = StokesSolver::new(&m, c, visc, bc, Default::default());
+                let force: Vec<f64> = (0..3 * n)
+                    .map(|i| (m.dof_coords(i / 3)[i % 3] * 5.0).sin() - 0.5)
+                    .collect();
+                let mut lifted = solver.nodal_load(&force);
+                solver.dirichlet_lift(&mut lifted, |_| [0.0; 3]);
+                let rhs = solver.homogeneous_rhs(&force);
+                let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+                assert_eq!(bits(&rhs), bits(&lifted), "rank {}", c.rank());
             }
         });
     }

@@ -49,7 +49,15 @@ cargo fmt --all -- --check
 #   two-stream velocity/pressure workspace and its `unsafe`, and the
 #   transport rate's own element loop and exchange scratch (`fem::op::sweep`
 #   is the one CG element sweep, and with `octree::simd` the one place a
-#   `target_feature` build lives).
+#   `target_feature` build lives);
+# - the octree's and the forest's wrapper structs around the curve, with
+#   their one-line delegates and `curve()` accessors, the mesh's and the
+#   forest's own local+ghost views and the forest's stage guard
+#   (`LeafCurve` is the one distributed tree type, `DistOctree` an alias
+#   of it, `LocalGhostView` the one merged view, `guard_tree` the one tree
+#   guard);
+# - the zero Dirichlet lift of every Picard step (`homogeneous_rhs` sets
+#   the masked rows directly).
 echo "==> deleted code stays deleted"
 if grep -rnE 'MachineModel|phase_comm_seconds|paper_core_counts|host_to_(model|flops)' \
     crates src tests examples ||
@@ -83,6 +91,10 @@ if grep -rnE 'MachineModel|phase_comm_seconds|paper_core_counts|host_to_(model|f
     grep -nE 'SolverWorkspace|sweep_avx2|sweep_body|with_stream\(2\)|unsafe' -r crates/stokes/src ||
     grep -n RateScratch crates/rhea/src/transport.rs ||
     grep -rn target_feature crates | grep -vE '^crates/(octree/src/simd|fem/src/op)\.rs:' ||
+    grep -rnE 'pub struct DistOctree|struct LeafView|fn (merged_view|view_containing)|fn guard_forest' \
+        crates ||
+    grep -rn 'fn curve(' crates/octree/src/parallel.rs crates/forest/src ||
+    grep -n dirichlet_lift crates/stokes/src/picard.rs ||
     grep -rniE 'modeled|extrapolat' crates/bench/src results/*.txt; then
     echo "ci: deleted code is back (see above)" >&2
     exit 1

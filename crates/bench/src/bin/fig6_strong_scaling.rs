@@ -30,7 +30,7 @@ fn main() {
     let mut table = Table::new(&scaling_headers(&["speedup", "efficiency"]));
     let mut base = 0.0;
     for p in RANK_COUNTS {
-        let run = transport_workload_traced(p, level, target, steps, adapt_every);
+        let (run, _) = transport_workload_traced(p, level, target, steps, adapt_every);
         if p == 1 {
             base = run.max_cpu_s();
         }

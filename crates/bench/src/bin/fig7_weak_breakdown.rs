@@ -46,7 +46,7 @@ fn main() {
     let mut base = 0.0;
     let mut traced: Option<Run> = None;
     for p in RANK_COUNTS {
-        let run = transport_workload_traced(p, level, p as u64 * per_rank, steps, adapt_every);
+        let (run, _) = transport_workload_traced(p, level, p as u64 * per_rank, steps, adapt_every);
         if p == 1 {
             base = run.max_cpu_s();
         }

@@ -7,13 +7,14 @@
 //! for p = 6, adapting every 32 steps.
 //!
 //! Here: the real DG solver advects a front by solid-body rotation on
-//! the 24-tree cubed sphere across simulated ranks (exercising the
-//! inter-tree face transforms and ghost exchanges). The paper's
+//! the 24-tree cubed sphere (6 caps × 4 trees) across simulated ranks,
+//! exercising the inter-tree face transforms and ghost exchanges, and
+//! tracks the front's azimuth as it crosses the caps. The paper's
 //! weak-scaling efficiencies are not reproduced.
 
 use forest::{Connectivity, Forest};
 use mangll::advection::{DgAdvection, DgParams};
-use rhea_bench::banner;
+use rhea_bench::{banner, Table};
 use scomm::spmd;
 use std::sync::Arc;
 
@@ -23,7 +24,12 @@ fn main() {
         "DG advection on the cubed sphere (24 octrees)",
     );
     let conn = Arc::new(Connectivity::cubed_sphere(0.55, 1.0));
-    let nsteps = 20;
+    println!(
+        "connectivity: {} trees, {} vertices (6 caps × 4 trees, the paper's split)",
+        conn.num_trees(),
+        conn.vertices.len()
+    );
+    let nsteps = 40;
     let order = 2;
     let (out, stats) = spmd::run_with_stats(4, move |c| {
         let f = Forest::new_uniform(c, conn.clone(), 1);
@@ -44,21 +50,53 @@ fn main() {
         );
         let m0 = dg.total_mass();
         let dt = dg.stable_dt();
-        for _ in 0..nsteps {
+        let mut snapshots = Vec::new();
+        for s in 1..=nsteps {
             dg.step(dt);
+            if s % 10 == 0 {
+                // Front azimuth as the solution-weighted circular mean
+                // over all nodes: it follows sub-element motion, where an
+                // argmax is quantized to the node spacing.
+                let n3 = dg.u.len() / f.local.len();
+                let (mut sx, mut sy, mut umax) = (0.0f64, 0.0f64, 0.0f64);
+                for e in 0..f.local.len() {
+                    for (node, p) in dg.node_positions(e).enumerate() {
+                        let u = dg.u[e * n3 + node].max(0.0);
+                        let az = p[1].atan2(p[0]);
+                        sx += u * az.cos();
+                        sy += u * az.sin();
+                        umax = umax.max(u);
+                    }
+                }
+                let sums = c.allreduce_sum(&[sx, sy]);
+                let gmax = c.allreduce_max(&[umax])[0];
+                snapshots.push((s, s as f64 * dt, sums[1].atan2(sums[0]), gmax));
+            }
         }
         let m1 = dg.total_mass();
-        let umax = dg.u.iter().cloned().fold(0.0f64, f64::max);
-        let gmax = c.allreduce_max(&[umax])[0];
-        (f.global_count(), m0, m1, gmax, dt * nsteps as f64)
+        (f.global_count(), m0, m1, snapshots)
     });
-    let (n_elem, m0, m1, umax, t_sim) = out[0];
+    let (n_elem, m0, m1, snapshots) = &out[0];
+    let t_sim = snapshots.last().expect("a snapshot").1;
     println!(
-        "real run: {} elements (24 trees), p = {order}, {nsteps} RK45 steps, rotation angle {:.2} rad",
-        n_elem, t_sim
+        "real run: {n_elem} elements (24 trees), p = {order}, {nsteps} RK45 steps, rotation \
+         angle {t_sim:.3} rad\n"
     );
+    let mut table = Table::new(&["step", "t", "front azimuth", "front max", "expected"]);
+    for &(s, t, azimuth, peak) in snapshots {
+        table.row(&[
+            s.to_string(),
+            format!("{t:.3}"),
+            format!("{azimuth:.3} rad"),
+            format!("{peak:.3}"),
+            format!("≈ {t:.3}"),
+        ]);
+    }
+    table.print();
+    println!();
     println!(
-        "front max {umax:.3} (bounded), mass drift {:.2}% (box geometry; the mortars are exact),",
+        "mass drift {:.2}% (box geometry: the two sides of a shell face disagree on its\n\
+         area; the mortars conserve exactly on bricks)",
         100.0 * (m1 - m0).abs() / m0.abs().max(1e-300)
     );
     println!(

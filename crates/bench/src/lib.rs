@@ -8,6 +8,7 @@
 //! 1…62,464 cores are quoted beside them as not reproduced.
 
 use obs::{RankProfile, Recorder};
+use rhea::adapt::AdaptReport;
 use scomm::{spmd, Comm, CommStats};
 
 /// Print a figure/table banner.
@@ -70,25 +71,28 @@ pub struct Run {
 }
 
 /// Run `workload` on `ranks` traced ranks; it returns `(elements, MINRES
-/// iterations)` and is clocked per rank with [`obs::thread_cpu_ns`].
-pub fn measure<F>(ranks: usize, steps: usize, workload: F) -> Run
+/// iterations, output)` and is clocked per rank with [`obs::thread_cpu_ns`].
+/// The outputs come back beside the [`Run`], in rank order.
+pub fn measure<T, F>(ranks: usize, steps: usize, workload: F) -> (Run, Vec<T>)
 where
-    F: Fn(&Comm, &Recorder) -> (u64, usize) + Sync,
+    T: Send,
+    F: Fn(&Comm, &Recorder) -> (u64, usize, T) + Sync,
 {
     let (out, profiles) = spmd::run_traced(ranks, |c, rec| {
         let cpu0 = obs::thread_cpu_ns();
-        let (elements, iters) = workload(c, rec);
+        let (elements, iters, own) = workload(c, rec);
         let cpu_s = (obs::thread_cpu_ns() - cpu0) as f64 * 1e-9;
-        (elements, iters, cpu_s, c.stats())
+        (elements, iters, cpu_s, c.stats(), own)
     });
-    Run {
+    let run = Run {
         profiles,
         elements: out[0].0,
         minres_iters: out[0].1,
         steps,
         cpu_s: out.iter().map(|o| o.2).collect(),
-        stats: out.into_iter().map(|o| o.3).collect(),
-    }
+        stats: out.iter().map(|o| o.3.clone()).collect(),
+    };
+    (run, out.into_iter().map(|o| o.4).collect())
 }
 
 impl Run {
@@ -272,22 +276,32 @@ impl Table {
     }
 }
 
-/// The adaptive advection–diffusion workload of the Fig. 6 and Fig. 7
-/// harnesses: a spherical front in a rotating flow, the mesh adapted
-/// toward `target_elements` twice before the first step (as the paper
-/// adapts its initial mesh) and then every `adapt_every` steps.
+/// What the advecting front leaves besides its [`Run`].
+pub struct Front {
+    /// Every adaptation's report: the two before the first step, then one
+    /// per `adapt_every` steps.
+    pub adapts: Vec<AdaptReport>,
+    /// Global minimum and maximum of the temperature after the last step.
+    pub bounds: (f64, f64),
+}
+
+/// The adaptive advection–diffusion workload of Figs. 5–7: a spherical
+/// front in a rotating flow, the mesh adapted toward `target_elements`
+/// twice before the first step (as the paper adapts its initial mesh) and
+/// then every `adapt_every` steps, refining along the front and
+/// coarsening in its wake.
 pub fn transport_workload_traced(
     ranks: usize,
     level: u8,
     target_elements: u64,
     steps: usize,
     adapt_every: usize,
-) -> Run {
+) -> (Run, Front) {
     use mesh::extract::extract_mesh;
     use octree::parallel::DistOctree;
     use rhea::adapt::{adapt_mesh_ws, gradient_indicator, AdaptParams, AdaptWorkspace};
     use rhea::transport::{TransportParams, TransportSolver};
-    measure(ranks, steps, move |c, rec| {
+    let (run, out) = measure(ranks, steps, move |c, rec| {
         let mut tree = rec.with_cat("NewTree", "amr", || DistOctree::new_uniform(c, level));
         let mut mesh = rec.with_cat("ExtractMesh", "amr", || {
             extract_mesh(&tree, [1.0, 1.0, 1.0])
@@ -309,13 +323,15 @@ pub fn transport_workload_traced(
             ..Default::default()
         };
         let mut ws = AdaptWorkspace::new();
+        let mut adapts = Vec::new();
         let mut adapt = |mesh: &mut mesh::extract::Mesh, temp: &mut Vec<f64>| {
             let ind = gradient_indicator(mesh, c, temp);
             let fields = [std::mem::take(temp)];
-            let (nm, mut nf, _) =
+            let (nm, mut nf, report) =
                 adapt_mesh_ws(&mut tree, mesh, &fields, &ind, &aparams, rec, &mut ws);
             *mesh = nm;
             *temp = nf.remove(0);
+            adapts.push(report);
         };
         adapt(&mut mesh, &mut temp);
         adapt(&mut mesh, &mut temp);
@@ -335,8 +351,17 @@ pub fn transport_workload_traced(
                 adapt(&mut mesh, &mut temp);
             }
         }
-        (tree.global_count(), 0)
-    })
+        // Folded over ranks below: a collective would count in the rows.
+        let lo = temp.iter().cloned().fold(f64::INFINITY, f64::min);
+        let hi = temp.iter().cloned().fold(f64::NEG_INFINITY, f64::max);
+        (tree.global_count(), 0, (adapts, lo, hi))
+    });
+    let bounds = (
+        out.iter().map(|o| o.1).fold(f64::INFINITY, f64::min),
+        out.iter().map(|o| o.2).fold(f64::NEG_INFINITY, f64::max),
+    );
+    let adapts = out.into_iter().next().expect("one rank").0;
+    (run, Front { adapts, bounds })
 }
 
 /// The full-convection workload of the Fig. 8 and Fig. 10 harnesses:
@@ -352,7 +377,7 @@ pub fn convection_workload_traced(
 ) -> Run {
     use rhea::convection::{ConvectionParams, ConvectionSim};
     use rhea::rheology::ArrheniusLaw;
-    measure(ranks, steps, move |c, _rec| {
+    let (run, _) = measure(ranks, steps, move |c, _rec| {
         let params = ConvectionParams {
             rayleigh: 1e5,
             adapt_every,
@@ -378,8 +403,9 @@ pub fn convection_workload_traced(
         for _ in 0..steps {
             iters += sim.step(&law).minres_iterations;
         }
-        (sim.tree.global_count(), iters)
-    })
+        (sim.tree.global_count(), iters, ())
+    });
+    run
 }
 
 #[cfg(test)]
@@ -392,6 +418,22 @@ mod tests {
         assert_eq!(human(67_200), "67.2K");
         assert_eq!(human(2_060_000), "2.06M");
         assert_eq!(human(1_070_000_000), "1.07B");
+    }
+
+    /// The advecting front reports every adaptation it makes, the two
+    /// before the first step included, and its last report describes the
+    /// mesh the run ends on.
+    #[test]
+    fn front_reports_every_adaptation() {
+        let (steps, adapt_every) = (4, 2);
+        for ranks in [1, 2] {
+            let (run, front) = transport_workload_traced(ranks, 2, 200, steps, adapt_every);
+            assert_eq!(front.adapts.len(), 2 + steps / adapt_every, "P = {ranks}");
+            let last = front.adapts.last().unwrap();
+            assert_eq!(last.elements_after, run.elements, "P = {ranks}");
+            let (lo, hi) = front.bounds;
+            assert!(lo <= hi && lo.is_finite() && hi.is_finite(), "P = {ranks}");
+        }
     }
 
     /// Every [`PAPER_PHASES`] row names a span the convection loop

@@ -51,23 +51,23 @@ use crate::krylov::LinearOp;
 /// Setup options.
 #[derive(Debug, Clone, Copy)]
 pub struct AmgOptions {
-    /// Pre/post symmetric Gauss–Seidel sweeps per level.
-    pub smooth_sweeps: usize,
     /// Stop coarsening below this size and solve directly.
     pub max_coarse: usize,
-    /// Hard cap on hierarchy depth.
-    pub max_levels: usize,
 }
 
 impl Default for AmgOptions {
     fn default() -> Self {
-        AmgOptions {
-            smooth_sweeps: 1,
-            max_coarse: 64,
-            max_levels: 20,
-        }
+        AmgOptions { max_coarse: 64 }
     }
 }
+
+/// Pre- and post-smoothing symmetric Gauss–Seidel sweeps per level. Not
+/// an option: every caller runs one.
+const SMOOTH_SWEEPS: usize = 1;
+
+/// Hard cap on hierarchy depth. Not an option: no caller's hierarchy
+/// comes near it.
+const MAX_LEVELS: usize = 20;
 
 /// Symmetric Gauss–Seidel sweeps that solve a coarsest level which has
 /// no dense factor.
@@ -366,11 +366,11 @@ impl<const C: usize> Level<C> {
     }
 
     /// One V-cycle from the initial guess in `x`, on every lane.
-    fn cycle(&self, b: &[f64], x: &mut [f64], sweeps: usize) {
+    fn cycle(&self, b: &[f64], x: &mut [f64]) {
         let mut guard = self.scratch.borrow_mut();
         let s = &mut *guard;
         if self.coarsens {
-            for _ in 0..sweeps {
+            for _ in 0..SMOOTH_SWEEPS {
                 self.op.sgs(b, x);
             }
             self.op.residual(b, x, &mut s.r);
@@ -379,11 +379,11 @@ impl<const C: usize> Level<C> {
                     let (rc, ec) = (&mut s.rc[..r.nrows], &mut s.ec[..r.nrows]);
                     restrict_lane::<C>(r, &s.r, c, rc);
                     ec.fill(0.0);
-                    next.cycle(rc, ec, sweeps);
+                    next.cycle(rc, ec);
                     prolong_add_lane::<C>(p, ec, c, x);
                 }
             }
-            for _ in 0..sweeps {
+            for _ in 0..SMOOTH_SWEEPS {
                 self.op.sgs(b, x);
             }
         }
@@ -425,7 +425,6 @@ impl<const C: usize> Level<C> {
 /// plain `Amg` is one hierarchy for a scalar vector.
 pub struct Amg<const C: usize = 1> {
     top: Level<C>,
-    smooth_sweeps: usize,
 }
 
 /// Strength-of-connection threshold θ: `j` is a strong neighbor of `i`
@@ -548,7 +547,7 @@ impl Amg {
         // (operator, prolongator from the next level, restriction to it)
         let mut levels: Vec<(LevelOp<1>, Csr, Csr)> = Vec::new();
         let mut current = a;
-        while current.nrows > options.max_coarse && levels.len() < options.max_levels {
+        while current.nrows > options.max_coarse && levels.len() < MAX_LEVELS {
             let diag = current.diagonal();
             let (agg, n_agg) = aggregate(&current);
             if n_agg == 0 || n_agg >= current.nrows {
@@ -611,10 +610,7 @@ impl Amg {
             let next = Box::new(top);
             top = Level::new(op, vec![Below::Coarser { r, p, next }], [0]);
         }
-        Amg {
-            top,
-            smooth_sweeps: options.smooth_sweeps,
-        }
+        Amg { top }
     }
 
     /// The levels, finest first.
@@ -657,11 +653,6 @@ impl<const C: usize> Amg<C> {
             "lanes {lanes:?} index {} hierarchies",
             hierarchies.len()
         );
-        let smooth_sweeps = hierarchies[lanes[0]].smooth_sweeps;
-        assert!(
-            hierarchies.iter().all(|h| h.smooth_sweeps == smooth_sweeps),
-            "one smoothing schedule"
-        );
         let (ops, below): (Vec<LevelOp<1>>, Vec<Below>) = hierarchies
             .into_iter()
             .map(|h| {
@@ -673,7 +664,6 @@ impl<const C: usize> Amg<C> {
         drop(ops);
         Amg {
             top: Level::new(op, below, lanes),
-            smooth_sweeps,
         }
     }
 
@@ -682,7 +672,7 @@ impl<const C: usize> Amg<C> {
     /// Allocation-free: all per-level scratch was sized during setup.
     pub fn vcycle(&self, b: &[f64], x: &mut [f64]) {
         x.fill(0.0);
-        self.top.cycle(b, x, self.smooth_sweeps);
+        self.top.cycle(b, x);
     }
 }
 

@@ -153,13 +153,7 @@ fn amg_vcycle_is_spd_operator() {
     for seed in seeds(6) {
         let a = arb_spd(&mut SplitMix64::new(seed), 30);
         let n = a.nrows;
-        let amg = Amg::new(
-            a,
-            AmgOptions {
-                max_coarse: 8,
-                ..Default::default()
-            },
-        );
+        let amg = Amg::new(a, AmgOptions { max_coarse: 8 });
         let u: Vec<f64> = (0..n)
             .map(|i| ((i * 7919) % 100) as f64 / 50.0 - 1.0)
             .collect();

@@ -21,6 +21,9 @@ pub enum Mark {
     Refine,
 }
 
+/// Bisection iterations, one allreduce each. Not an option: no caller varies it.
+const MAX_ITERATIONS: usize = 40;
+
 /// Parameters of the threshold search.
 #[derive(Debug, Clone, Copy)]
 pub struct MarkParams {
@@ -34,8 +37,6 @@ pub struct MarkParams {
     pub min_level: u8,
     /// Coarsening threshold as a fraction of the refinement threshold.
     pub coarsen_ratio: f64,
-    /// Maximum bisection iterations (each costs one allreduce).
-    pub max_iterations: usize,
 }
 
 impl Default for MarkParams {
@@ -46,7 +47,6 @@ impl Default for MarkParams {
             max_level: MAX_LEVEL,
             min_level: 0,
             coarsen_ratio: 0.05,
-            max_iterations: 40,
         }
     }
 }
@@ -122,7 +122,7 @@ pub fn mark_elements_into<L: CurveLeaf>(
     let mut hi = eta_max * (1.0 + 1e-12); // refines nothing
     let mut theta = eta_max * 0.5;
     let mut best = (f64::INFINITY, theta);
-    for _ in 0..params.max_iterations {
+    for _ in 0..MAX_ITERATIONS {
         let (lref, lfam) = count_marks(
             leaves,
             indicators,

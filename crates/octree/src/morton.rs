@@ -422,13 +422,6 @@ pub fn raw_keys(octs: &[Octant]) -> &[u64] {
     unsafe { std::slice::from_raw_parts(octs.as_ptr() as *const u64, octs.len()) }
 }
 
-/// View a slice of raw packed keys as octants (inverse of [`raw_keys`]).
-#[inline]
-pub fn from_raw_keys(keys: &[u64]) -> &[Octant] {
-    // SAFETY: Octant is repr(transparent) over u64 — identical layout.
-    unsafe { std::slice::from_raw_parts(keys.as_ptr() as *const Octant, keys.len()) }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -572,14 +565,5 @@ mod tests {
             (a1.x(), a1.y(), a1.z()),
             (ROOT_LEN / 2, ROOT_LEN / 2, ROOT_LEN / 2)
         );
-    }
-
-    #[test]
-    fn raw_key_slice_views() {
-        let octs = [Octant::root(), Octant::new(0, 0, 0, 3).child(5)];
-        let keys = raw_keys(&octs);
-        assert_eq!(keys.len(), 2);
-        assert_eq!(keys[0], 0);
-        assert_eq!(from_raw_keys(keys), &octs);
     }
 }

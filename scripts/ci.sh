@@ -57,9 +57,21 @@ cargo fmt --all -- --check
 #   of it, `LocalGhostView` the one merged view, `guard_tree` the one tree
 #   guard);
 # - the zero Dirichlet lift of every Picard step (`homogeneous_rhs` sets
-#   the masked rows directly).
+#   the masked rows directly);
+# - the three examples that duplicated a figure program, with their
+#   archived outputs (each paper experiment has one program in
+#   crates/bench, and the Figs. 5–7 front is `transport_workload_traced`);
+# - the AMG and marking knobs no caller varied (`AmgOptions::{smooth_sweeps,
+#   max_levels}`, `MarkParams::max_iterations`, now module constants) and
+#   the unused `from_raw_keys` slice cast.
 echo "==> deleted code stays deleted"
-if grep -rnE 'MachineModel|phase_comm_seconds|paper_core_counts|host_to_(model|flops)' \
+if ls -d examples/{mantle_convection,advecting_front,spherical_advection}.rs \
+    results/example_{mantle_convection,advecting_front,spherical_advection}.txt 2>/dev/null |
+    grep . ||
+    grep -rn 'fn from_raw_keys' crates ||
+    grep -rnwE 'smooth_sweeps|max_levels' crates/la crates/stokes ||
+    grep -rnw max_iterations crates/octree crates/rhea ||
+    grep -rnE 'MachineModel|phase_comm_seconds|paper_core_counts|host_to_(model|flops)' \
     crates src tests examples ||
     grep -rnE 'run_virtual|scomm::vrank|global_asm|ParkSite|ProfileCollector|SCOMM_VRANK_STACK' \
         crates src tests examples ||
@@ -178,11 +190,16 @@ cargo test -q --release -p mangll
 echo "==> la, fem, stokes, rhea (release)"
 cargo test -q --release -p la -p fem -p stokes -p rhea
 
-# The two figure bins that finish in seconds, so that a figure bin that
-# panics fails here; the other eight are run by hand.
+# The three figure bins that finish in seconds, so that a figure bin that
+# panics fails here; the other seven are run by hand. The cubed-sphere run
+# (level 1, 192 elements, 40 steps) is timed: it is the one figure smoke
+# of the forest and DG stack.
 echo "==> figure bins smoke (release)"
 cargo run -q --release -p rhea-bench --bin fig6_strong_scaling >/dev/null
 cargo run -q --release -p rhea-bench --bin fig10_amr_timings >/dev/null
+cargo build -q --release -p rhea-bench --bin sec7_sphere_advection
+TIMEFORMAT="sec7_sphere_advection: %R s"
+time cargo run -q --release -p rhea-bench --bin sec7_sphere_advection >/dev/null
 
 # The benchmark is a package of its own (not a workspace member): its
 # smoke run and failing-path tests.

@@ -12,7 +12,8 @@
 //! quantities — viscosity range, level span, finest resolution in km,
 //! and the element-reduction factor vs. a uniform mesh at the deepest
 //! level used — after a per-step table of the run, with whether each
-//! step's flow solves converged, and the AMR share of its runtime.
+//! step's flow solves converged, how far its last Picard re-evaluation
+//! moved η, and the AMR share of its runtime.
 
 use rhea::convection::{ConvectionParams, ConvectionSim};
 use rhea::rheology::{ViscosityLaw, YieldingLaw};
@@ -86,6 +87,7 @@ fn main() {
         "elements",
         "MINRES",
         "converged",
+        "Δη",
         "dt",
         "v_rms",
         "η range",
@@ -97,6 +99,7 @@ fn main() {
             rep.n_elements.to_string(),
             rep.minres_iterations.to_string(),
             if rep.flow_converged { "yes" } else { "no" }.into(),
+            rep.eta_change.map_or("-".into(), |d| format!("{d:.3e}")),
             format!("{:.2e}", rep.dt),
             format!("{:.2e}", rep.v_rms),
             format!("{gmin:.0e}–{gmax:.0e}"),
@@ -108,7 +111,8 @@ fn main() {
     println!(
         "{unconverged} of {steps} steps have an unconverged flow solve: a MINRES solve of the \
          step stopped\nshort of its 1e-5 tolerance (cap 300 iterations per solve; the MINRES \
-         column sums\nthe step's Picard solves)"
+         column sums\nthe step's Picard solves). Δη is the largest relative η change of the step's \
+         last\nPicard re-evaluation: the fixed point is reached below 1e-3"
     );
     println!(
         "AMR share of runtime: {:.2}% (AMR against solver span seconds on rank 0; paper:\n\

@@ -11,7 +11,7 @@
 //! [`sweep`], with its own [`ElementKernel`]: `DistOp`'s element matrix,
 //! the Stokes stencil and the SUPG transport rate.
 
-use std::cell::{Cell, RefCell};
+use std::cell::RefCell;
 
 use la::LinearOp;
 use mesh::extract::{ExchangeBuffers, Mesh};
@@ -43,7 +43,9 @@ pub trait ElementKernel<const NI: usize, const NO: usize> {
 /// components per dof), apply `kernel`, and add the result into the
 /// owned+ghost field `y` (`NO` components per dof). Runs the AVX2 build
 /// where the CPU has it; both builds compute the same bits, because AVX2
-/// brings no FMA and Rust never contracts `a * b + c`.
+/// brings no FMA and Rust never contracts `a * b + c`. The AVX2 build
+/// stays: without it `conv_cube_p1` ran 1.026× slower in 8 of 8 pairs
+/// (EXPERIMENTS.md, "Why the two AVX2 builds stay").
 pub fn sweep<const NI: usize, const NO: usize>(
     mesh: &Mesh,
     kernel: &mut impl ElementKernel<NI, NO>,
@@ -96,9 +98,9 @@ pub fn sweep_plain<const NI: usize, const NO: usize>(
 
 /// Reusable buffers of one operator's applications: the owned+ghost
 /// input and output and the ghost-exchange staging. Grow-only — after
-/// the first application every buffer is recycled, so steady-state
-/// applies perform zero heap allocations (verifiable through
-/// [`Workspace::capacity_bytes`]).
+/// the first application every buffer is recycled. A warm apply
+/// allocates nothing at P = 1 and one payload per point-to-point message
+/// it sends at P ≥ 2, as `tests/allocations.rs` counts.
 #[derive(Default)]
 pub struct Workspace {
     /// Owned+ghost input of the last [`DofMap::apply_kernel`].
@@ -114,14 +116,6 @@ impl Workspace {
     /// ghosts filled.
     pub fn input(&self) -> &[f64] {
         &self.xl
-    }
-
-    /// Total heap capacity currently held, in bytes. The per-apply delta
-    /// of this value is the operator's allocation count: zero once the
-    /// buffers have reached steady state.
-    pub fn capacity_bytes(&self) -> u64 {
-        ((self.xl.capacity() + self.yl.capacity()) * std::mem::size_of::<f64>()) as u64
-            + self.exch.capacity_bytes()
     }
 }
 
@@ -174,7 +168,7 @@ impl<'a> DofMap<'a> {
         v
     }
 
-    /// Split-phase, allocation-free ghost fill: post one packed
+    /// Split-phase ghost fill on reused buffers: post one packed
     /// interleaved message per neighbor and return while the messages are
     /// in flight. Only the owned block of `v` is read at post time;
     /// [`DofMap::exchange_end`] fills the ghost block.
@@ -195,7 +189,7 @@ impl<'a> DofMap<'a> {
         );
     }
 
-    /// Split-phase, allocation-free reverse accumulation: post the ghost
+    /// Split-phase reverse accumulation on reused buffers: post the ghost
     /// contributions back to their owners and zero the ghost block.
     pub fn reverse_accumulate_begin(&self, v: &mut [f64], buf: &mut ExchangeBuffers) {
         self.mesh.exchange.reverse_accumulate_begin_interleaved(
@@ -285,7 +279,7 @@ impl<'a> DofMap<'a> {
     }
 
     /// Fill the ghost block of the owned+ghost vector `v` in one round on
-    /// `ws`'s exchange buffers, allocation-free.
+    /// `ws`'s exchange buffers.
     pub fn exchange_with(&self, v: &mut [f64], ws: &mut Workspace) {
         self.exchange_begin(v, &mut ws.exch);
         self.exchange_end(v, &mut ws.exch);
@@ -334,7 +328,7 @@ fn corners_mut<const NC: usize>(flat: &mut [f64]) -> &mut [[f64; NC]; 8] {
 
 /// A distributed symmetric operator defined by per-element matrices, with
 /// optional symmetric Dirichlet elimination. Carries its own reusable
-/// [`Workspace`], so repeated applications are allocation-free.
+/// [`Workspace`], so repeated applications reuse every buffer.
 ///
 /// An application is [`DofMap::apply_kernel`] with the element matrix as
 /// the kernel: post and complete the ghost exchange, sweep every local
@@ -351,8 +345,6 @@ pub struct DistOp<'a> {
     /// entries behave as identity rows/columns.
     bc_mask: Option<&'a [bool]>,
     ws: RefCell<Workspace>,
-    /// Cumulative workspace growth, in bytes (see [`DistOp::alloc_bytes`]).
-    grown: Cell<u64>,
 }
 
 impl<'a> DistOp<'a> {
@@ -366,15 +358,7 @@ impl<'a> DistOp<'a> {
             elem_matrix,
             bc_mask,
             ws: RefCell::default(),
-            grown: Cell::new(0),
         }
-    }
-
-    /// Cumulative bytes of workspace growth over all applications so
-    /// far. The delta across a window of applies is the heap-allocation
-    /// volume of that window: zero once buffers reached steady state.
-    pub fn alloc_bytes(&self) -> u64 {
-        self.grown.get()
     }
 
     /// Apply `y = A x` on owned vectors.
@@ -389,7 +373,6 @@ impl<'a> DistOp<'a> {
 
     fn apply_with<const NC: usize>(&self, x: &[f64], y: &mut [f64]) {
         let mut ws = self.ws.borrow_mut();
-        let cap0 = ws.capacity_bytes();
         let mut kernel = MatrixKernel {
             elem_matrix: &*self.elem_matrix,
             mat: [0.0; 32 * 32],
@@ -405,8 +388,6 @@ impl<'a> DistOp<'a> {
         for (i, v) in y.iter_mut().enumerate() {
             *v = if masked(i) { x[i] } else { yo[i] };
         }
-        self.grown
-            .set(self.grown.get() + (ws.capacity_bytes() - cap0));
     }
 }
 
@@ -535,35 +516,6 @@ mod tests {
         // And the adapted solution is still accurate (coarse half of the
         // mesh is level 2, so expect the level-2 error scale).
         assert!(par < 0.08, "error {par}");
-    }
-
-    #[test]
-    fn steady_state_apply_is_allocation_free() {
-        // After the first application warms the workspace, subsequent
-        // applies must not grow any buffer.
-        spmd::run(2, |c| {
-            let mut t = DistOctree::new_uniform(c, 2);
-            t.refine(|o| o.center_unit()[0] < 0.4);
-            t.balance(BalanceKind::Full);
-            t.partition();
-            let m = extract_mesh(&t, [1.0, 1.0, 1.0]);
-            let map = DofMap::new(&m, c, 1);
-            let bc: Vec<bool> = (0..m.n_owned).map(|d| m.dof_on_boundary(d)).collect();
-            let op = DistOp::new(&map, Box::new(stiffness_source(&m, |_| 1.0)), Some(&bc));
-            let x: Vec<f64> = (0..m.n_owned).map(|d| (d % 7) as f64 - 3.0).collect();
-            let mut y = vec![0.0; m.n_owned];
-            op.apply_owned(&x, &mut y);
-            assert!(op.alloc_bytes() > 0, "first apply must warm the workspace");
-            let warm = op.alloc_bytes();
-            for _ in 0..5 {
-                op.apply_owned(&x, &mut y);
-            }
-            assert_eq!(
-                op.alloc_bytes(),
-                warm,
-                "steady-state applies must not allocate"
-            );
-        });
     }
 
     /// The dispatching sweep (AVX2 on an AVX2 host) against the plain

@@ -293,7 +293,7 @@ mod tests {
     }
 
     #[test]
-    fn warm_forest_cycle_does_not_allocate() {
+    fn warm_forest_cycle_adapts_every_cycle() {
         let conn = sphere();
         spmd::run(4, |c| {
             let mut f = Forest::new_uniform(c, conn.clone(), 1);
@@ -314,8 +314,8 @@ mod tests {
                 ..Default::default()
             };
             let mut ind = Vec::new();
-            // Deterministic geometric cycle: reaches a periodic orbit, so
-            // after warm-up no buffer finds a new capacity maximum.
+            // Deterministic geometric cycle: reaches a periodic orbit;
+            // `tests/allocations.rs` counts what it allocates once warm.
             let mut cycle = |f: &mut Forest, plan: &mut PartitionPlan| {
                 f.refine(|l| l.oct.level() < 3 && l.tree < 6 && l.oct.x() < ROOT_LEN / 2);
                 f.coarsen(|l| l.oct.level() > 1 && l.tree >= 12);
@@ -333,17 +333,10 @@ mod tests {
             for _ in 0..3 {
                 cycle(&mut f, &mut plan);
             }
-            let baseline = f.alloc_bytes();
             for _ in 0..4 {
                 let (refined, coarsened) = cycle(&mut f, &mut plan);
                 let adapted = c.allreduce_sum(&[refined, coarsened]);
                 assert!(adapted.iter().all(|&n| n > 0), "adapt idle: {adapted:?}");
-                assert_eq!(
-                    f.alloc_bytes(),
-                    baseline,
-                    "warm forest adapt cycle allocated (rank {})",
-                    c.rank()
-                );
             }
         });
     }

@@ -602,23 +602,6 @@ mod tests {
     }
 
     #[test]
-    fn warm_ghost_rebuild_does_not_allocate() {
-        let conn = sphere();
-        spmd::run(4, |c| {
-            let f = adapted_forest(c, conn.clone());
-            let mut ws = GhostWorkspace::new();
-            for _ in 0..3 {
-                f.ghost_layer_into(&mut ws);
-            }
-            let cap0 = ws.capacity_bytes();
-            for _ in 0..4 {
-                f.ghost_layer_into(&mut ws);
-            }
-            assert_eq!(ws.capacity_bytes(), cap0, "warm ghost rebuild allocated");
-        });
-    }
-
-    #[test]
     fn neighbors_full_agrees_with_single_transform() {
         let conn = sphere();
         spmd::run(1, |c| {

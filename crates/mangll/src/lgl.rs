@@ -2,6 +2,8 @@
 //! mortar matrices for one dimension; tensor products build the 3D
 //! spectral element (Hesthaven–Warburton, the paper's reference [34]).
 
+use la::dense::Lu;
+
 /// LGL data for polynomial order `p` (`n = p + 1` nodes on `[-1, 1]`).
 #[derive(Debug, Clone)]
 pub struct Lgl {
@@ -98,53 +100,6 @@ fn gauss_legendre(n: usize) -> (Vec<f64>, Vec<f64>) {
     (x, w)
 }
 
-/// Tiny in-place LU (no pivoting needed for SPD mass matrices, but do
-/// partial pivoting anyway).
-fn dense_lu(a: &[f64], n: usize) -> (Vec<f64>, Vec<usize>) {
-    let mut lu = a.to_vec();
-    let mut piv: Vec<usize> = (0..n).collect();
-    for k in 0..n {
-        let mut pm = k;
-        for i in k + 1..n {
-            if lu[i * n + k].abs() > lu[pm * n + k].abs() {
-                pm = i;
-            }
-        }
-        if pm != k {
-            for j in 0..n {
-                lu.swap(k * n + j, pm * n + j);
-            }
-            piv.swap(k, pm);
-        }
-        let pivot = lu[k * n + k];
-        for i in k + 1..n {
-            let f = lu[i * n + k] / pivot;
-            lu[i * n + k] = f;
-            for j in k + 1..n {
-                lu[i * n + j] -= f * lu[k * n + j];
-            }
-        }
-    }
-    (lu, piv)
-}
-
-fn lu_solve(lu_piv: &(Vec<f64>, Vec<usize>), n: usize, b: &[f64]) -> Vec<f64> {
-    let (lu, piv) = lu_piv;
-    let mut x: Vec<f64> = piv.iter().map(|&p| b[p]).collect();
-    for i in 1..n {
-        for k in 0..i {
-            x[i] -= lu[i * n + k] * x[k];
-        }
-    }
-    for i in (0..n).rev() {
-        for k in i + 1..n {
-            x[i] -= lu[i * n + k] * x[k];
-        }
-        x[i] /= lu[i * n + i];
-    }
-    x
-}
-
 /// Lagrange basis value `ℓ_j(x)` on the given nodes.
 fn lagrange(nodes: &[f64], j: usize, x: f64) -> f64 {
     let mut v = 1.0;
@@ -234,14 +189,14 @@ impl Lgl {
             }
         }
         // P = M⁻¹ · mixed (dense solve per column).
-        let lu = dense_lu(&mass, n);
+        let lu = Lu::factor(&mass, n).expect("the mass matrix is SPD");
         let mut project_lo = vec![0.0; n * n];
         let mut project_hi = vec![0.0; n * n];
         for j in 0..n {
-            let col_lo: Vec<f64> = (0..n).map(|i| mixed_lo[i * n + j]).collect();
-            let col_hi: Vec<f64> = (0..n).map(|i| mixed_hi[i * n + j]).collect();
-            let slo = lu_solve(&lu, n, &col_lo);
-            let shi = lu_solve(&lu, n, &col_hi);
+            let mut slo: Vec<f64> = (0..n).map(|i| mixed_lo[i * n + j]).collect();
+            let mut shi: Vec<f64> = (0..n).map(|i| mixed_hi[i * n + j]).collect();
+            lu.solve_in_place(&mut slo);
+            lu.solve_in_place(&mut shi);
             for i in 0..n {
                 project_lo[i * n + j] = slo[i];
                 project_hi[i * n + j] = shi[i];

@@ -98,24 +98,6 @@ impl BalanceWorkspace {
     pub fn new() -> BalanceWorkspace {
         BalanceWorkspace::default()
     }
-
-    /// Total heap capacity currently held, in bytes. The `amr.alloc_bytes`
-    /// counter reports growth of this value across a warm adapt cycle.
-    pub fn capacity_bytes(&self) -> u64 {
-        let oct = std::mem::size_of::<Octant>() as u64;
-        let mut b = (self.demands.capacity()
-            + self.out.capacity()
-            + self.parents.capacity()
-            + self.nbrs.capacity()) as u64
-            * oct;
-        b += self.needles.capacity() as u64 * 8;
-        b += (self.q_lo.capacity() + self.q_hi.capacity()) as u64 * 4;
-        b += (self.buckets.capacity() * std::mem::size_of::<Vec<Octant>>()) as u64;
-        for v in &self.buckets {
-            b += v.capacity() as u64 * oct;
-        }
-        b
-    }
 }
 
 /// Recursively rebuild the subtree of `v` (in `leaf`'s tree): split
@@ -373,24 +355,6 @@ mod tests {
         // Full balance implies face balance.
         assert!(is_balanced_kind(&b, BalanceKind::Face));
         assert!(b.len() >= a.len());
-    }
-
-    #[test]
-    fn fast_balance_warm_calls_do_not_grow_workspace() {
-        // The output buffer is swapped with the caller's vector, so the
-        // zero-allocation contract is on the closed system {leaf vector,
-        // workspace}: its total capacity stops growing once warm.
-        let sys_cap = |t: &Vec<Octant>, ws: &BalanceWorkspace| {
-            ws.capacity_bytes() + (t.capacity() * std::mem::size_of::<Octant>()) as u64
-        };
-        let mut ws = BalanceWorkspace::new();
-        let mut t = center_spike(6);
-        balance_local_kind_ws(&mut t, BalanceKind::Full, &mut ws);
-        balance_local_kind_ws(&mut t, BalanceKind::Full, &mut ws);
-        let cap = sys_cap(&t, &ws);
-        balance_local_kind_ws(&mut t, BalanceKind::Full, &mut ws);
-        balance_local_kind_ws(&mut t, BalanceKind::Full, &mut ws);
-        assert_eq!(sys_cap(&t, &ws), cap, "warm balance must not allocate");
     }
 
     #[test]

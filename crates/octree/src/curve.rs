@@ -226,11 +226,6 @@ impl TreeOwners {
         let rank = |bound: u32| (bound as usize).saturating_sub(1);
         (rank(self.lo[i]), rank(self.hi[i]))
     }
-
-    pub(crate) fn capacity_bytes(&self) -> u64 {
-        let b = capacity_bytes(&self.markers) + capacity_bytes(&self.key_lo);
-        b + capacity_bytes(&self.key_hi) + capacity_bytes(&self.lo) + capacity_bytes(&self.hi)
-    }
 }
 
 /// Grow-only scratch of [`LeafCurve::balance`]'s rounds.
@@ -270,16 +265,6 @@ impl<L> Default for RippleScratch<L> {
     }
 }
 
-impl<L> RippleScratch<L> {
-    fn capacity_bytes(&self) -> u64 {
-        use capacity_bytes as cap;
-        let mut b = self.seeds.capacity_bytes() + self.owners.capacity_bytes();
-        b += cap(&self.out) + cap(&self.send_flat) + cap(&self.recv_flat) + cap(&self.octs);
-        b += cap(&self.nbrs) + cap(&self.images);
-        b + cap(&self.req_bufs) + self.req_bufs.iter().map(cap).sum::<u64>()
-    }
-}
-
 /// Description of the element movement performed by a repartition; apply
 /// the same plan to element-attached data with
 /// [`crate::parallel::transfer_fields`] (the paper's `TransferFields`).
@@ -295,8 +280,9 @@ pub struct PartitionPlan {
 /// A distributed tree: this rank's leaves, the [`TreeSeam`] that joins
 /// its trees, the replicated curve metadata and the grow-only scratch of
 /// every operation. Once every buffer has reached its steady-state
-/// capacity, warm refine, coarsen, adapt and partition calls perform no
-/// heap allocation ([`LeafCurve::alloc_bytes`]).
+/// capacity, warm refine, coarsen and partition calls reuse it; a warm
+/// refine → coarsen → balance → partition cycle allocates only the
+/// result of balance's termination reduction (`tests/allocations.rs`).
 pub struct LeafCurve<'c, L: CurveLeaf, S> {
     /// This rank's leaves, in curve order.
     pub local: Vec<L>,
@@ -735,20 +721,4 @@ impl<'c, L: CurveLeaf, S: TreeSeam<L>> LeafCurve<'c, L, S> {
         self.ghost_layer_into(&mut ws);
         ws.take_layer()
     }
-
-    /// Heap capacity held by the leaf array and this metadata, in bytes.
-    /// Its growth across a warm adapt cycle is the tree layer's share of
-    /// the `amr.alloc_bytes` counter; at steady state it must be zero.
-    pub fn alloc_bytes(&self) -> u64 {
-        use capacity_bytes as cap;
-        let mut b = cap(&self.local) + cap(&self.markers) + cap(&self.counts) + cap(&self.gather);
-        b += cap(&self.scratch) + cap(&self.flags) + cap(&self.marks) + cap(&self.recv);
-        b + cap(&self.send_counts) + cap(&self.recv_counts) + self.ripple.capacity_bytes()
-    }
-}
-
-/// Heap capacity of a vector's buffer, in bytes: the unit of every
-/// grow-only workspace's `alloc_bytes` accounting.
-pub fn capacity_bytes<T>(v: &Vec<T>) -> u64 {
-    (v.capacity() * std::mem::size_of::<T>()) as u64
 }

@@ -22,9 +22,7 @@
 //! ghost layer as one curve-sorted sequence, [`LocalGhostView`], which
 //! records where each leaf came from ([`LeafOrigin`]).
 
-use crate::curve::{
-    adjacent_regions, capacity_bytes as cap, CurveLeaf, LeafCurve, TreeOwners, TreeSeam,
-};
+use crate::curve::{adjacent_regions, CurveLeaf, LeafCurve, TreeOwners, TreeSeam};
 use crate::morton::{Octant, MAX_LEVEL};
 use crate::ops::{self, find_containing};
 use crate::simd;
@@ -121,14 +119,10 @@ impl<L> GhostLayer<L> {
     pub fn is_empty(&self) -> bool {
         self.entries.is_empty()
     }
-
-    pub fn capacity_bytes(&self) -> u64 {
-        cap(&self.entries)
-    }
 }
 
 /// Grow-only scratch and output of [`LeafCurve::ghost_layer_into`]: once
-/// warm, rebuilding the ghost layer performs no heap allocation.
+/// warm, rebuilding the ghost layer reuses every buffer of it.
 pub struct GhostWorkspace<L> {
     /// Packed raw keys of the local leaves, rebuilt per call.
     keys: Vec<u64>,
@@ -195,16 +189,6 @@ impl<L> GhostWorkspace<L> {
     /// Take ownership of the last constructed layer.
     pub fn take_layer(&mut self) -> GhostLayer<L> {
         std::mem::take(&mut self.layer)
-    }
-
-    pub fn capacity_bytes(&self) -> u64 {
-        let mut b = cap(&self.keys) + cap(&self.stack) + cap(&self.needles);
-        b += cap(&self.ends) + cap(&self.run_octs) + cap(&self.nbrs);
-        b += self.owners.capacity_bytes() + cap(&self.stamp) + cap(&self.regions);
-        b += cap(&self.send_flat) + cap(&self.send_counts);
-        b += cap(&self.recv_flat) + cap(&self.recv_counts);
-        b += cap(&self.send_bufs) + self.send_bufs.iter().map(cap).sum::<u64>();
-        b + self.layer.capacity_bytes()
     }
 }
 
@@ -275,7 +259,8 @@ impl<L: CurveLeaf> LocalGhostView<L> {
 
 impl<L: CurveLeaf, S: TreeSeam<L>> LeafCurve<'_, L, S> {
     /// Build the ghost layer (see the module docs) into `ws`: one
-    /// alltoallv, and no heap allocation once `ws` is warm.
+    /// alltoallv. Once `ws` is warm the only allocation left is the
+    /// stable sort's scratch, once the layer outgrows its stack buffer.
     pub fn ghost_layer_into<'w>(&self, ws: &'w mut GhostWorkspace<L>) -> &'w GhostLayer<L> {
         let (comm, local, seam) = (self.comm(), &self.local, self.seam());
         let (p, me) = (comm.size(), comm.rank());

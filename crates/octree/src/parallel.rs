@@ -242,7 +242,9 @@ mod tests {
     }
 
     #[test]
-    fn warm_ghost_layer_into_matches_and_does_not_allocate() {
+    fn warm_ghost_layer_into_matches_fresh_layer() {
+        // Rebuilds into a reused scratch are bitwise-stable; their
+        // allocation count is pinned in `tests/allocations.rs`.
         spmd::run(4, |c| {
             let mut t = DistOctree::new_uniform(c, 2);
             t.refine(|o| o.center_unit()[0] + o.center_unit()[1] < 1.0);
@@ -250,22 +252,10 @@ mod tests {
             t.partition();
             let oracle = t.ghosts().entries;
             let mut ws = GhostScratch::new();
-            // Warm the scratch, then assert rebuilds are allocation-free
-            // and bitwise-stable.
-            for _ in 0..3 {
-                t.ghost_layer_into(&mut ws);
-            }
-            assert_eq!(ws.ghosts(), &oracle[..]);
-            let cap0 = ws.capacity_bytes();
-            for _ in 0..4 {
+            for _ in 0..7 {
                 t.ghost_layer_into(&mut ws);
                 assert_eq!(ws.ghosts(), &oracle[..]);
             }
-            assert_eq!(
-                ws.capacity_bytes(),
-                cap0,
-                "warm ghost rebuild grew its scratch"
-            );
         });
     }
 
@@ -318,40 +308,6 @@ mod tests {
                 assert_eq!(by_hand.rank_counts(), whole.rank_counts());
             });
         }
-    }
-
-    #[test]
-    fn warm_adapt_cycle_does_not_allocate() {
-        // Repeat an identical mark→refine→coarsen→balance→partition cycle;
-        // once warm, the tree's tracked capacity must stop growing.
-        spmd::run(4, |c| {
-            let mut t = DistOctree::new_uniform(c, 2);
-            let mut plan = PartitionPlan {
-                send_ranges: Vec::new(),
-                new_len: 0,
-            };
-            // Deterministic geometric predicates: the cycle map reaches a
-            // periodic orbit after a couple of applications, after which
-            // all buffer sizes are steady.
-            let cycle = |t: &mut DistOctree, plan: &mut PartitionPlan| {
-                t.refine(|o| {
-                    let c = o.center_unit();
-                    let d2 = (c[0] - 0.5).powi(2) + (c[1] - 0.5).powi(2) + (c[2] - 0.5).powi(2);
-                    o.level() < 4 && d2 < 0.09
-                });
-                t.coarsen(|o| o.level() > 2 && o.center_unit()[0] > 0.5);
-                t.balance(BalanceKind::Full);
-                t.partition_with(plan);
-            };
-            for _ in 0..3 {
-                cycle(&mut t, &mut plan);
-            }
-            let cap = t.alloc_bytes();
-            for _ in 0..4 {
-                cycle(&mut t, &mut plan);
-            }
-            assert_eq!(t.alloc_bytes(), cap, "warm adapt cycle allocated");
-        });
     }
 
     #[test]

@@ -14,6 +14,10 @@
 //!   `std::simd` is nightly-only) compiled on every x86-64 build and
 //!   selected by `is_x86_feature_detected!`.
 //!
+//! The AVX2 bodies stay: with only the scalar ones `amr_front_p2` ran
+//! 1.364× slower in 8 of 8 pairs (EXPERIMENTS.md, "Why the two AVX2
+//! builds stay").
+//!
 //! Both bodies compute bit-identical results. The choice is made here,
 //! by what the target and the CPU offer, never by the caller. The unit
 //! tests run the dispatching kernel and the scalar body side by side

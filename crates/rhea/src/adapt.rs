@@ -30,11 +30,11 @@ use scomm::Comm;
 /// is all the pipeline is configured by.
 pub use octree::mark::MarkParams as AdaptParams;
 
-/// Grow-only scratch for the adaptation pipeline, mirroring the MINRES
-/// workspace discipline: every reusable intermediate buffer of the Fig. 4
-/// stages lives here, so a warm adapt cycle grows no tracked buffer —
-/// the `amr.alloc_bytes` telemetry counter proves it per cycle, exactly
-/// as `minres.alloc_bytes` does per solve.
+/// Grow-only scratch for the adaptation pipeline: every reusable
+/// intermediate buffer of the Fig. 4 stages lives here and is recycled
+/// by the next cycle. What a warm cycle still allocates — collective
+/// results, message payloads and the new `Mesh` — is counted by
+/// `tests/allocations.rs` (DESIGN.md §9).
 #[derive(Default)]
 pub struct AdaptWorkspace {
     /// Repartition plan (send ranges reused across cycles).
@@ -60,18 +60,6 @@ pub struct AdaptWorkspace {
 impl AdaptWorkspace {
     pub fn new() -> Self {
         Self::default()
-    }
-
-    /// Heap capacity currently held by the workspace, in bytes.
-    pub fn capacity_bytes(&self) -> u64 {
-        use octree::curve::capacity_bytes as cap;
-        let mut b = cap(&self.plan.send_ranges) + cap(&self.fl);
-        b += cap(&self.counts) + cap(&self.recv_counts);
-        b += cap(&self.corner_data) + cap(&self.moved);
-        for v in self.corner_data.iter().chain(&self.moved) {
-            b += cap(v);
-        }
-        b + self.exch.capacity_bytes() + self.ghost.capacity_bytes()
     }
 }
 
@@ -136,9 +124,8 @@ pub fn adapt_mesh(
 
 /// [`adapt_mesh`] with a caller-held workspace: warm cycles reuse every
 /// intermediate buffer, and the recorder gains the per-cycle counters
-/// `amr.alloc_bytes` (tracked-capacity growth of tree + workspace, 0 at
-/// steady state), `amr.p2p_msgs` (point-to-point messages in the cycle)
-/// and `amr.ripple_rounds` (balance communication rounds).
+/// `amr.p2p_msgs` (point-to-point messages in the cycle) and
+/// `amr.ripple_rounds` (balance communication rounds).
 pub fn adapt_mesh_ws(
     tree: &mut DistOctree,
     old_mesh: &Mesh,
@@ -153,7 +140,6 @@ pub fn adapt_mesh_ws(
     let domain = old_mesh.domain;
     let n_before = tree.global_count();
     let stats0 = comm.stats();
-    let cap0 = tree.alloc_bytes() + ws.capacity_bytes();
 
     // MarkElements, then CoarsenTree and RefineTree on its marks.
     rec.with_cat("MarkElements", "amr", || {
@@ -225,8 +211,7 @@ pub fn adapt_mesh_ws(
     }
 
     // ExtractMesh on the new partition. The ghost layer is rebuilt
-    // through the grow-only workspace so warm cycles stay allocation-free
-    // on the gather path.
+    // through the grow-only workspace, so warm cycles reuse its buffers.
     let new_mesh = rec.with_cat("ExtractMesh", "amr", || {
         tree.ghost_layer_into(ghost);
         extract_mesh_with_ghosts(tree, domain, ghost.ghosts())
@@ -277,12 +262,10 @@ pub fn adapt_mesh_ws(
         ]),
     );
 
-    // Cycle telemetry, mirroring the `minres.*` counter contract: tracked
-    // buffer growth (0 once warm), point-to-point traffic, and the number
-    // of 2:1-balance communication rounds.
+    // Cycle telemetry, mirroring the `minres.*` counter contract:
+    // point-to-point traffic and the number of 2:1-balance communication
+    // rounds.
     let stats1 = comm.stats();
-    let cap1 = tree.alloc_bytes() + ws.capacity_bytes();
-    rec.add_count("amr.alloc_bytes", cap1.saturating_sub(cap0));
     rec.add_count("amr.p2p_msgs", stats1.p2p_messages - stats0.p2p_messages);
     rec.add_count("amr.ripple_rounds", tree.last_balance_rounds());
 
@@ -392,11 +375,11 @@ mod tests {
         }
     }
 
-    /// The zero-allocation proof for the adapt hot path: after warm-up,
-    /// every cycle must report `amr.alloc_bytes == 0`, and the other two
-    /// `amr.*` counters must be present and sane.
+    /// Warm cycles on a reused workspace record their `amr.*` counters
+    /// and carry a linear field exactly; their allocation count is
+    /// pinned in `tests/allocations.rs`.
     #[test]
-    fn warm_adapt_cycle_records_zero_alloc() {
+    fn warm_adapt_cycles_count_traffic_and_keep_linear_fields() {
         spmd::run(4, |c| {
             let mut tree = DistOctree::new_uniform(c, 2);
             let mut mesh = extract_mesh(&tree, [1.0, 1.0, 1.0]);
@@ -409,7 +392,7 @@ mod tests {
                 ..Default::default()
             };
             let mut ws = AdaptWorkspace::new();
-            for cycle in 0..7 {
+            for _ in 0..7 {
                 // Geometry-driven indicator: the cycle map is deterministic
                 // and reaches a periodic orbit during warm-up.
                 let ind: Vec<f64> = mesh
@@ -428,14 +411,6 @@ mod tests {
                 let counters = &rec.summary().counters;
                 assert!(counters["amr.p2p_msgs"] > 0, "no traffic recorded");
                 assert!(counters["amr.ripple_rounds"] >= 1);
-                if cycle >= 3 {
-                    assert_eq!(
-                        counters["amr.alloc_bytes"],
-                        0,
-                        "warm cycle {cycle} allocated on rank {}",
-                        c.rank()
-                    );
-                }
             }
             // The field is linear, so it must still be exact after 7 cycles.
             for d in 0..mesh.n_owned {

@@ -58,6 +58,9 @@ pub struct StepReport {
     pub minres_iterations: usize,
     /// Every MINRES solve of the step's flow solve converged.
     pub flow_converged: bool,
+    /// Largest relative η change of the flow solve's last Picard
+    /// re-evaluation (`None` with one Picard step).
+    pub eta_change: Option<f64>,
     pub adapt: Option<AdaptReport>,
     pub t_min: f64,
     pub t_max: f64,
@@ -276,6 +279,7 @@ impl<'c> ConvectionSim<'c> {
         let flow = self.flow_solve(law);
         report.minres_iterations = flow.total_minres_iterations;
         report.flow_converged = flow.minres_converged;
+        report.eta_change = flow.last_eta_change;
 
         // Transport step.
         let transport_span = self.rec.span_cat("TimeIntegration", "solve");

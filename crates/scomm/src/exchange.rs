@@ -39,10 +39,10 @@ const EXCHANGE_TAG_BASE: u64 = 0xE5C0 << 48;
 /// per-`(source, tag)` FIFO of the transport does the rest.
 ///
 /// The state is deliberately small and grow-only (the expected-count table
-/// and the staged self-payload), so it can live inside a solver workspace
-/// without violating warm-path zero-allocation guarantees;
-/// [`Exchange::capacity_bytes`] reports its footprint for allocation
-/// accounting.
+/// and the staged self-payload), so it can live inside a solver workspace:
+/// a warm round reuses both. What a warm round does allocate — one
+/// payload per point-to-point message it sends — is counted by the
+/// workspace's allocation test, `tests/allocations.rs`.
 #[derive(Debug)]
 pub struct Exchange {
     pub(crate) stream: u64,
@@ -90,12 +90,6 @@ impl Exchange {
             | (self.stream << EXCHANGE_SEQ_BITS)
             | (self.seq & ((1u64 << EXCHANGE_SEQ_BITS) - 1))
     }
-
-    /// Heap footprint of the exchange state, for workspace allocation
-    /// accounting (grow-only, like the buffers it lives next to).
-    pub fn capacity_bytes(&self) -> u64 {
-        (self.expect.capacity() * std::mem::size_of::<usize>() + self.self_buf.capacity()) as u64
-    }
 }
 
 impl Default for Exchange {
@@ -127,14 +121,5 @@ mod tests {
     #[should_panic(expected = "16 bits")]
     fn oversized_stream_rejected() {
         let _ = Exchange::new(1 << 16);
-    }
-
-    #[test]
-    fn capacity_accounting_tracks_growth() {
-        let mut ex = Exchange::new(3);
-        assert_eq!(ex.capacity_bytes(), 0);
-        ex.expect.reserve(8);
-        ex.self_buf.reserve(64);
-        assert!(ex.capacity_bytes() >= 8 * std::mem::size_of::<usize>() as u64 + 64);
     }
 }

@@ -25,6 +25,9 @@ pub struct PicardResult {
     /// The last viscosity re-evaluation moved η by less than the
     /// tolerance; `false` when the step cap ended the loop first.
     pub converged: bool,
+    /// Largest relative η change of the last viscosity re-evaluation;
+    /// `None` when the step cap allowed no re-evaluation.
+    pub last_eta_change: Option<f64>,
 }
 
 /// Solve the nonlinear Stokes problem `−∇·[η(ė)(∇u+∇uᵀ)] + ∇p = f`,
@@ -33,7 +36,9 @@ pub struct PicardResult {
 /// nodal body force (three components per owned dof); `x` is the warm
 /// start and returns the iterate; `rheology(element, strain_rate_invariant)`
 /// evaluates the viscosity law. The strain rate is swept only when
-/// `max_steps` allows another solve to use it. Collective.
+/// `max_steps` allows another solve to use it. A call that the step cap
+/// ends after a re-evaluation moved η by at least the tolerance adds 1
+/// to the recorder's `picard.unconverged` count. Collective.
 pub fn picard_solve(
     solver: &mut StokesSolver,
     force: &[f64],
@@ -46,6 +51,7 @@ pub fn picard_solve(
         total_minres_iterations: 0,
         minres_converged: true,
         converged: false,
+        last_eta_change: None,
     };
     loop {
         let rhs = solver.homogeneous_rhs(force);
@@ -54,6 +60,9 @@ pub fn picard_solve(
         result.minres_converged &= info.converged;
         result.picard_iterations += 1;
         if result.picard_iterations >= max_steps {
+            if let (Some(rec), Some(_)) = (solver.comm.recorder(), result.last_eta_change) {
+                rec.add_count("picard.unconverged", 1);
+            }
             return result;
         }
         let edot = solver.strain_rate_invariant(x);
@@ -64,7 +73,9 @@ pub fn picard_solve(
             max_rel = max_rel.max((eta_new - eta_old).abs() / eta_old.abs().max(1e-300));
             solver.viscosity[e] = eta_new;
         }
-        if solver.comm.allreduce_max(&[max_rel])[0] < RHEOLOGY_TOL {
+        let max_rel = solver.comm.allreduce_max(&[max_rel])[0];
+        result.last_eta_change = Some(max_rel);
+        if max_rel < RHEOLOGY_TOL {
             result.converged = true;
             return result;
         }
@@ -107,6 +118,7 @@ mod tests {
             let res = picard_solve(&mut solver, &force, &mut x, |_, _| 1.0, 30);
             assert!(res.converged);
             assert!(res.picard_iterations <= 2, "{}", res.picard_iterations);
+            assert_eq!(res.last_eta_change, Some(0.0));
         });
     }
 
@@ -129,6 +141,19 @@ mod tests {
                     eta0
                 }
             };
+            // Capped early, the loop ends unconverged, and says so only
+            // once a re-evaluation has measured η moving.
+            let rec = obs::Recorder::new(c.rank());
+            c.set_recorder(rec.clone());
+            let once = picard_solve(&mut solver, &force, &mut x, yielding, 1);
+            assert!(!once.converged && once.last_eta_change.is_none());
+            assert_eq!(rec.summary().counter("picard.unconverged"), 0);
+            let capped = picard_solve(&mut solver, &force, &mut x, yielding, 2);
+            assert!(capped.last_eta_change.is_some_and(|d| d > RHEOLOGY_TOL));
+            assert_eq!(rec.summary().counter("picard.unconverged"), 1);
+            x.fill(0.0);
+            solver.viscosity.fill(1.0);
+            solver.setup();
             let res = picard_solve(&mut solver, &force, &mut x, yielding, 40);
             assert!(res.converged, "picard did not converge");
             let min_eta = (solver.viscosity.iter().cloned()).fold(f64::INFINITY, f64::min);
@@ -138,6 +163,7 @@ mod tests {
                 "yielding must lower viscosity somewhere: min η = {g}"
             );
             assert!(res.picard_iterations > 1, "nonlinearity must engage");
+            assert!(res.last_eta_change.is_some_and(|d| d < RHEOLOGY_TOL));
         });
     }
 }

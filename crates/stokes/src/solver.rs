@@ -55,8 +55,8 @@ pub struct StokesSolver<'a> {
     /// Inverse of the η⁻¹-weighted lumped pressure mass diagonal.
     schur_diag_inv: Vec<f64>,
     /// The operator's owned+ghost buffers, grow-only: after the first
-    /// application every apply performs zero heap allocations (the
-    /// `minres.alloc_bytes` telemetry counter proves it per solve).
+    /// application every apply reuses them (`tests/allocations.rs` counts
+    /// what a warm apply allocates).
     ws: RefCell<Workspace>,
     options: StokesOptions,
 }
@@ -186,7 +186,8 @@ impl<'a> StokesSolver<'a> {
     }
 
     /// Apply the stabilized Stokes operator to a combined vector.
-    /// Allocation-free at steady state (reusable [`Workspace`]).
+    /// Reuses one [`Workspace`]; a warm apply allocates only its message
+    /// payloads.
     pub fn apply(&self, x: &[f64], y: &mut [f64]) {
         self.apply_masked(x, y, Some(&self.vel_bc));
     }
@@ -243,11 +244,10 @@ impl<'a> StokesSolver<'a> {
     pub fn solve(&mut self, rhs: &[f64], x: &mut [f64]) -> SolveInfo {
         let rec = self.recorder();
         let _span = rec.as_ref().map(|r| r.span_cat("MINRES", "solve"));
-        // Snapshot communication stats and workspace capacity: their
-        // deltas across the solve become the per-solve telemetry counters
-        // (reductions per iteration, exchange messages, allocation proof).
+        // Snapshot communication stats: their deltas across the solve
+        // become the per-solve telemetry counters (reductions per
+        // iteration, exchange messages).
         let stats0 = self.comm.stats();
-        let cap0 = self.ws.borrow().capacity_bytes();
         let info = {
             let n = self.n_owned();
             let op = (n, |x: &[f64], y: &mut [f64]| self.apply(x, y));
@@ -284,7 +284,6 @@ impl<'a> StokesSolver<'a> {
         };
         if let Some(r) = rec.as_ref() {
             let stats1 = self.comm.stats();
-            let cap1 = self.ws.borrow().capacity_bytes();
             r.add_count("minres.iterations", info.iterations as u64);
             if !info.converged {
                 r.add_count("minres.unconverged", 1);
@@ -294,9 +293,6 @@ impl<'a> StokesSolver<'a> {
                 "minres.exchange_msgs",
                 stats1.p2p_messages - stats0.p2p_messages,
             );
-            // Workspace growth during the solve; 0 once buffers reached
-            // steady state (the zero-allocation proof for the hot path).
-            r.add_count("minres.alloc_bytes", cap1 - cap0);
             if info.iterations > 0 {
                 r.push_series(
                     "minres.reductions_per_iter",
@@ -831,9 +827,9 @@ mod tests {
     }
 
     #[test]
-    fn warm_solve_allocates_nothing() {
-        // `build_rhs`'s Dirichlet lift applies the operator once, so the
-        // workspace is warm before the first solve: no solve may grow it.
+    fn warm_solves_converge_and_record_iterations() {
+        // Repeated solves on one solver converge and feed the recorder;
+        // what a warm solve allocates is pinned in `tests/allocations.rs`.
         spmd::run(2, |c| {
             let rec = Recorder::new(c.rank());
             c.set_recorder(rec.clone());
@@ -843,13 +839,11 @@ mod tests {
             let options = StokesOptions::default();
             let mut solver = StokesSolver::new(&m, c, visc, free_slip(&m), options);
             let (rhs, x0) = solver.build_rhs(|p| [0.0, 0.0, (3.0 * p[0]).sin()], |_| [0.0; 3]);
-            assert!(solver.ws.borrow().capacity_bytes() > 0);
             for _ in 0..2 {
                 let info = solver.solve(&rhs, &mut x0.clone());
                 assert!(info.converged, "{info:?}");
             }
             assert!(rec.summary().counter("minres.iterations") > 0);
-            assert_eq!(rec.summary().counter("minres.alloc_bytes"), 0);
         });
     }
 

@@ -63,12 +63,18 @@ cargo fmt --all -- --check
 #   crates/bench, and the Figs. 5–7 front is `transport_workload_traced`);
 # - the AMG and marking knobs no caller varied (`AmgOptions::{smooth_sweeps,
 #   max_levels}`, `MarkParams::max_iterations`, now module constants) and
-#   the unused `from_raw_keys` slice cast.
+#   the unused `from_raw_keys` slice cast;
+# - the hand-written capacity sums of every grow-only workspace and the
+#   `minres.alloc_bytes` / `amr.alloc_bytes` counters built on them
+#   (tests/allocations.rs counts real allocations with a counting
+#   allocator), and mangll's private dense LU (`la::dense::Lu` is the one).
 echo "==> deleted code stays deleted"
 if ls -d examples/{mantle_convection,advecting_front,spherical_advection}.rs \
     results/example_{mantle_convection,advecting_front,spherical_advection}.txt 2>/dev/null |
     grep . ||
     grep -rn 'fn from_raw_keys' crates ||
+    grep -rnE 'capacity_bytes|fn alloc_bytes|(minres|amr)\.alloc_bytes' crates src tests examples ||
+    grep -rn 'fn dense_lu' crates/mangll ||
     grep -rnwE 'smooth_sweeps|max_levels' crates/la crates/stokes ||
     grep -rnw max_iterations crates/octree crates/rhea ||
     grep -rnE 'MachineModel|phase_comm_seconds|paper_core_counts|host_to_(model|flops)' \
@@ -187,8 +193,10 @@ cargo test -q --release -p mangll
 # The fused V-cycle and the AVX2 element sweep claim bitwise-identical
 # iterates, which is a claim about the optimized code too: the sweep's two
 # builds are compared with every production kernel (fem, stokes, rhea).
-echo "==> la, fem, stokes, rhea (release)"
+# The warm-path allocation counts are pinned for the optimized code too.
+echo "==> la, fem, stokes, rhea, allocations (release)"
 cargo test -q --release -p la -p fem -p stokes -p rhea
+cargo test -q --release --test allocations
 
 # The three figure bins that finish in seconds, so that a figure bin that
 # panics fails here; the other seven are run by hand. The cubed-sphere run

@@ -602,6 +602,35 @@ mod tests {
     }
 
     #[test]
+    fn warm_ghost_rebuild_does_not_allocate() {
+        // Rebuilds into a warm workspace reproduce the fresh layer in the
+        // same output buffer. The heap allocations of the whole rebuild
+        // are counted (none) by the counting allocator of
+        // `tests/allocations.rs`, on this forest.
+        let conn = sphere();
+        spmd::run(4, |c| {
+            let f = adapted_forest(c, conn.clone());
+            let fresh = f.ghosts().entries;
+            assert!(!fresh.is_empty());
+            let mut ws = GhostWorkspace::new();
+            for _ in 0..3 {
+                f.ghost_layer_into(&mut ws);
+            }
+            let buffer = |l: &GhostLayer| (l.entries.as_ptr(), l.entries.capacity());
+            let warm = buffer(f.ghost_layer_into(&mut ws));
+            for _ in 0..4 {
+                let layer = f.ghost_layer_into(&mut ws);
+                assert_eq!(layer.entries, fresh);
+                assert_eq!(
+                    buffer(layer),
+                    warm,
+                    "warm ghost rebuild allocated its layer"
+                );
+            }
+        });
+    }
+
+    #[test]
     fn neighbors_full_agrees_with_single_transform() {
         let conn = sphere();
         spmd::run(1, |c| {

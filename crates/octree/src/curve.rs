@@ -297,8 +297,8 @@ pub struct LeafCurve<'c, L: CurveLeaf, S> {
     markers: Vec<L::Key>,
     /// Per-rank leaf counts.
     counts: Vec<u64>,
-    /// Reused gather buffer of the marker refresh: per rank, the first
-    /// key's words, then the count.
+    /// Reused gather buffer of the marker refresh (per rank, the first
+    /// key's words, then the count) and of balance's exit test.
     gather: Vec<u64>,
     /// Swap partner of the leaf array for refine and coarsen.
     scratch: Vec<L>,
@@ -525,7 +525,8 @@ impl<'c, L: CurveLeaf, S: TreeSeam<L>> LeafCurve<'c, L, S> {
                     flags[i - 1]
                 });
             }
-            if comm.allreduce_sum(&[changed])[0] == 0 {
+            comm.allreduce_into(&[changed], |a, b| a + b, &mut self.gather);
+            if self.gather[0] == 0 {
                 break;
             }
             self.update();

@@ -259,8 +259,7 @@ impl<L: CurveLeaf> LocalGhostView<L> {
 
 impl<L: CurveLeaf, S: TreeSeam<L>> LeafCurve<'_, L, S> {
     /// Build the ghost layer (see the module docs) into `ws`: one
-    /// alltoallv. Once `ws` is warm the only allocation left is the
-    /// stable sort's scratch, once the layer outgrows its stack buffer.
+    /// alltoallv. Once `ws` is warm it allocates nothing.
     pub fn ghost_layer_into<'w>(&self, ws: &'w mut GhostWorkspace<L>) -> &'w GhostLayer<L> {
         let (comm, local, seam) = (self.comm(), &self.local, self.seam());
         let (p, me) = (comm.size(), comm.rank());
@@ -382,7 +381,9 @@ impl<L: CurveLeaf, S: TreeSeam<L>> LeafCurve<'_, L, S> {
             }
             off += cnt;
         }
-        layer.entries.sort_by_key(|e| (e.leaf, e.owner));
+        // Keys are unique (each leaf has one owner, sent once per rank),
+        // so the unstable sort gives the stable order without its scratch.
+        layer.entries.sort_unstable_by_key(|e| (e.leaf, e.owner));
         layer
     }
 

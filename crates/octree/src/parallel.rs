@@ -311,6 +311,44 @@ mod tests {
     }
 
     #[test]
+    fn warm_adapt_cycle_does_not_allocate() {
+        // Repeat an identical refine→coarsen→balance→partition cycle. Its
+        // heap allocations are counted (none once warm) by the counting
+        // allocator of `tests/allocations.rs`; this pins what that count
+        // rests on. The geometric predicates drive the tree onto a fixed
+        // orbit, and the leaf array's role rotates through a fixed set of
+        // buffers: no warm cycle brings in or regrows one.
+        spmd::run(4, |c| {
+            let mut t = DistOctree::new_uniform(c, 2);
+            let mut plan = PartitionPlan::default();
+            let cycle = |t: &mut DistOctree, plan: &mut PartitionPlan| {
+                t.refine(|o| {
+                    let d = o.center_unit().map(|x| (x - 0.5) * (x - 0.5));
+                    o.level() < 4 && d.iter().sum::<f64>() < 0.09
+                });
+                t.coarsen(|o| o.level() > 2 && o.center_unit()[0] > 0.5);
+                t.balance(BalanceKind::Full);
+                t.partition_with(plan);
+                (t.local.as_ptr(), t.local.capacity())
+            };
+            for _ in 0..3 {
+                cycle(&mut t, &mut plan);
+            }
+            let (leaves, ranges) = (t.local.clone(), plan.send_ranges.clone());
+            let buffers: Vec<_> = (0..3).map(|_| cycle(&mut t, &mut plan)).collect();
+            for _ in 0..6 {
+                let buffer = cycle(&mut t, &mut plan);
+                assert!(
+                    buffers.contains(&buffer),
+                    "warm cycle allocated a leaf array"
+                );
+                assert_eq!(t.local, leaves, "warm cycle left its orbit");
+                assert_eq!(plan.send_ranges, ranges);
+            }
+        });
+    }
+
+    #[test]
     fn transfer_fields_into_matches_nested() {
         spmd::run(3, |c| {
             let mut t = DistOctree::new_uniform(c, 2);

@@ -548,17 +548,26 @@ impl Comm {
         self.count_collective_bytes(bytes);
     }
 
-    /// All-reduce with an arbitrary elementwise combiner — the one
-    /// reduction path behind every `allreduce*` entry point. All ranks
+    /// All-reduce with an arbitrary elementwise combiner into a fresh
+    /// `Vec`; every `allreduce*` entry point reduces through
+    /// [`Comm::allreduce_into`]. All ranks
     /// must pass equal-length slices. The fold order is fixed — rank 0's
     /// contribution first, then ascending rank order — independent of
     /// message timing, so for any deterministic combiner the result is
     /// bitwise identical on every rank.
     pub fn allreduce<T: Pod, F: Fn(T, T) -> T>(&self, data: &[T], op: F) -> Vec<T> {
+        let mut all = Vec::new();
+        self.allreduce_into(data, op, &mut all);
+        all
+    }
+
+    /// Allocation-free counterpart of [`Comm::allreduce`]: the result is
+    /// left in `all` (cleared first, capacity reused), which needs room
+    /// for every rank's contribution.
+    pub fn allreduce_into<T: Pod, F: Fn(T, T) -> T>(&self, data: &[T], op: F, all: &mut Vec<T>) {
         let _t = self.op_span("comm:allreduce");
         let n = data.len();
-        let mut all = Vec::new();
-        let bytes = self.gather_into(data, &mut all);
+        let bytes = self.gather_into(data, all);
         assert_eq!(
             all.len(),
             n * self.size(),
@@ -572,7 +581,6 @@ impl Comm {
             }
         }
         all.truncate(n);
-        all
     }
 
     /// Elementwise global sum (via the generic [`Comm::allreduce`] path).

@@ -298,7 +298,7 @@ pub struct LeafCurve<'c, L: CurveLeaf, S> {
     /// Per-rank leaf counts.
     counts: Vec<u64>,
     /// Reused gather buffer of the marker refresh (per rank, the first
-    /// key's words, then the count) and of balance's exit test.
+    /// key's words, then the count).
     gather: Vec<u64>,
     /// Swap partner of the leaf array for refine and coarsen.
     scratch: Vec<L>,
@@ -525,8 +525,7 @@ impl<'c, L: CurveLeaf, S: TreeSeam<L>> LeafCurve<'c, L, S> {
                     flags[i - 1]
                 });
             }
-            comm.allreduce_into(&[changed], |a, b| a + b, &mut self.gather);
-            if self.gather[0] == 0 {
+            if comm.allreduce_sum(&[changed])[0] == 0 {
                 break;
             }
             self.update();

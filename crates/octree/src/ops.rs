@@ -165,9 +165,9 @@ pub fn child_split(keys: &[u64], node: &Octant, needles: &mut Vec<u64>, ends: &m
     crate::simd::upper_bounds_into(keys, needles, ends);
 }
 
-/// Histogram of leaf counts per level (used by the Fig. 5 right panel).
-pub fn level_histogram(leaves: &[Octant]) -> Vec<u64> {
-    let mut hist = vec![0u64; MAX_LEVEL as usize + 1];
+/// Leaf counts per level, `0..=MAX_LEVEL` (used by the Fig. 5 right panel).
+pub fn level_histogram(leaves: &[Octant]) -> [u64; MAX_LEVEL as usize + 1] {
+    let mut hist = [0u64; MAX_LEVEL as usize + 1];
     for o in leaves {
         hist[o.level() as usize] += 1;
     }

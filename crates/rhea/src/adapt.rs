@@ -23,7 +23,7 @@
 use mesh::extract::{extract_mesh_with_ghosts, ExchangeBuffers, Mesh};
 use mesh::interp::{transfer_corner_values_into, unpack_corner_values};
 use octree::parallel::{transfer_fields_into, DistOctree, PartitionPlan};
-use octree::{balance::BalanceKind, ops::level_histogram};
+use octree::{balance::BalanceKind, ops::level_histogram, MAX_LEVEL};
 use scomm::Comm;
 
 /// Adaptation parameters: the `MarkElements` threshold search's, which
@@ -72,7 +72,7 @@ pub struct AdaptReport {
     pub unchanged: u64,
     pub elements_after: u64,
     /// Elements per octree level after adaptation (Fig. 5 right).
-    pub level_histogram: Vec<u64>,
+    pub level_histogram: [u64; MAX_LEVEL as usize + 1],
 }
 
 /// Per-element gradient error indicator `η_e = h ‖∇T‖` at the element
@@ -235,19 +235,14 @@ pub fn adapt_mesh_ws(
     };
 
     let elements_after = tree.global_count();
-    let marked = comm.allreduce_sum(&[refined as u64, coarsened as u64]);
+    let [refined, coarsened_families] = comm.allreduce_sum(&[refined as u64, coarsened as u64]);
     let report = AdaptReport {
-        refined: marked[0],
-        coarsened_families: marked[1],
+        refined,
+        coarsened_families,
         balance_added,
-        unchanged: n_before
-            .saturating_sub(marked[0])
-            .saturating_sub(8 * marked[1]),
+        unchanged: n_before.saturating_sub(refined + 8 * coarsened_families),
         elements_after,
-        level_histogram: {
-            let local = level_histogram(&tree.local);
-            comm.allreduce_sum(&local)
-        },
+        level_histogram: comm.allreduce_sum(&level_histogram(&tree.local)),
     };
     rec.instant(
         "adapt",

@@ -31,7 +31,7 @@ use obs::Recorder;
 
 use crate::exchange::Exchange;
 use crate::fault::{FaultCounters, FaultPlan, FaultState};
-use crate::pod::{as_bytes, extend_from_bytes, from_bytes, Pod};
+use crate::pod::{as_bytes, extend_from_bytes, from_bytes, read_bytes, Pod};
 use crate::stats::CommStats;
 
 /// `World::dead` while every rank is alive.
@@ -112,6 +112,7 @@ impl World {
             world: Arc::clone(self),
             rank,
             pending: RefCell::new(VecDeque::new()),
+            spare: RefCell::new(Vec::new()),
             stats: RefCell::new(CommStats::default()),
             rec: RefCell::new(None),
             fault: RefCell::new(None),
@@ -203,6 +204,9 @@ pub struct Comm {
     rank: usize,
     /// Messages received but not yet matched by an `exchange_end`.
     pending: RefCell<VecDeque<Message>>,
+    /// Payload buffers of matched messages, refilled by the next
+    /// `exchange_start` (at most `size()` kept).
+    spare: RefCell<Vec<Vec<u8>>>,
     stats: RefCell<CommStats>,
     /// Optional telemetry recorder; when attached, every communication op
     /// emits a `comm`-category span and message sizes feed a histogram.
@@ -359,7 +363,9 @@ impl Comm {
     /// exchange patterns always do).
     ///
     /// One tagged point-to-point message is posted per destination with a
-    /// nonempty payload; the self-payload is staged locally. No barrier is
+    /// nonempty payload, its bytes copied into a buffer recycled from a
+    /// message an earlier `exchange_end` matched (a fresh one only while
+    /// none is spare); the self-payload is staged locally. No barrier is
     /// involved at either end: a rank only ever waits for the neighbors it
     /// expects data from, and only at [`Comm::exchange_end`].
     pub fn exchange_start<T: Pod>(
@@ -400,7 +406,9 @@ impl Comm {
             if cnt == 0 {
                 continue;
             }
-            let bytes = as_bytes(chunk).to_vec();
+            let mut bytes = self.spare.borrow_mut().pop().unwrap_or_default();
+            bytes.clear();
+            bytes.extend_from_slice(as_bytes(chunk));
             sent_bytes += bytes.len() as u64;
             msgs += 1;
             self.world.post(
@@ -469,6 +477,10 @@ impl Comm {
                 "exchange payload from rank {src} does not match the expected count"
             );
             extend_from_bytes(recv, &msg.bytes);
+            let mut spare = self.spare.borrow_mut();
+            if spare.len() < p {
+                spare.push(msg.bytes);
+            }
         }
         ex.in_flight = false;
         ex.seq = ex.seq.wrapping_add(1);
@@ -491,13 +503,20 @@ impl Comm {
         self.coll_barrier();
     }
 
-    /// The one gather body behind `allgatherv*`, `allreduce*` and
-    /// `exscan_sum`: publish `data` in this rank's slot, rendezvous, append
-    /// every rank's slot to `out` (cleared first) in rank order,
-    /// rendezvous. It opens no span and counts nothing, so each public
+    /// Book one collective's read volume in the statistics and the
+    /// message-size histogram.
+    fn count_collective_bytes(&self, bytes: u64) {
+        self.stats.borrow_mut().collective_bytes += bytes;
+        self.op_bytes(bytes);
+    }
+
+    /// The one slot body behind `allgatherv_into`, the reductions and
+    /// `exscan_sum`: publish `data` in this rank's slot, rendezvous, hand
+    /// every rank's slot to `take` in ascending rank order, rendezvous, and
+    /// book the bytes read. It allocates nothing once the slot has grown,
+    /// opens no span and bumps no counter but the bytes, so each public
     /// collective records exactly one span and one counter — its own.
-    /// Returns the bytes read, which the caller books as collective bytes.
-    fn gather_into<T: Pod>(&self, data: &[T], out: &mut Vec<T>) -> u64 {
+    fn gather_slots<T: Pod>(&self, data: &[T], mut take: impl FnMut(usize, &[u8])) {
         self.maybe_stagger();
         let world = &self.world;
         {
@@ -506,22 +525,14 @@ impl Comm {
             slot.extend_from_slice(as_bytes(data));
         }
         self.coll_barrier();
-        out.clear();
-        let mut total_bytes = 0u64;
-        for r in 0..world.nranks {
-            let slot = world.slots[r].lock().unwrap();
-            total_bytes += slot.len() as u64;
-            extend_from_bytes(out, &slot);
+        let mut bytes = 0u64;
+        for (r, slot) in world.slots.iter().enumerate() {
+            let slot = slot.lock().unwrap();
+            bytes += slot.len() as u64;
+            take(r, &slot);
         }
         self.coll_barrier();
-        total_bytes
-    }
-
-    /// Book one collective's read volume in the statistics and the
-    /// message-size histogram.
-    fn count_collective_bytes(&self, bytes: u64) {
-        self.stats.borrow_mut().collective_bytes += bytes;
-        self.op_bytes(bytes);
+        self.count_collective_bytes(bytes);
     }
 
     /// Gather `data` (same length on every rank) from all ranks, in rank
@@ -543,75 +554,64 @@ impl Comm {
     /// reused) in rank order.
     pub fn allgatherv_into<T: Pod>(&self, data: &[T], out: &mut Vec<T>) {
         let _t = self.op_span("comm:allgatherv");
-        let bytes = self.gather_into(data, out);
+        out.clear();
+        self.gather_slots(data, |_, slot| extend_from_bytes(out, slot));
         self.stats.borrow_mut().allgathers += 1;
-        self.count_collective_bytes(bytes);
     }
 
-    /// All-reduce with an arbitrary elementwise combiner into a fresh
-    /// `Vec`; every `allreduce*` entry point reduces through
-    /// [`Comm::allreduce_into`]. All ranks
-    /// must pass equal-length slices. The fold order is fixed — rank 0's
-    /// contribution first, then ascending rank order — independent of
-    /// message timing, so for any deterministic combiner the result is
-    /// bitwise identical on every rank.
-    pub fn allreduce<T: Pod, F: Fn(T, T) -> T>(&self, data: &[T], op: F) -> Vec<T> {
-        let mut all = Vec::new();
-        self.allreduce_into(data, op, &mut all);
+    /// Elementwise all-reduce of `N` values (equal `N` on every rank) into
+    /// a stack array. The fold order is fixed — rank 0's contribution
+    /// first, then ascending rank order — independent of message timing,
+    /// so the result is bitwise identical on every rank.
+    fn reduce<T: Pod, const N: usize>(&self, data: &[T; N], op: impl Fn(T, T) -> T) -> [T; N] {
+        let _t = self.op_span("comm:allreduce");
+        let mut all = *data;
+        self.gather_slots(data, |r, slot| {
+            let v: [T; N] = read_bytes(slot);
+            all = if r == 0 {
+                v
+            } else {
+                std::array::from_fn(|i| op(all[i], v[i]))
+            };
+        });
+        self.stats.borrow_mut().allreduces += 1;
         all
     }
 
-    /// Allocation-free counterpart of [`Comm::allreduce`]: the result is
-    /// left in `all` (cleared first, capacity reused), which needs room
-    /// for every rank's contribution.
-    pub fn allreduce_into<T: Pod, F: Fn(T, T) -> T>(&self, data: &[T], op: F, all: &mut Vec<T>) {
-        let _t = self.op_span("comm:allreduce");
-        let n = data.len();
-        let bytes = self.gather_into(data, all);
-        assert_eq!(
-            all.len(),
-            n * self.size(),
-            "allreduce requires equal-length contributions on every rank"
-        );
-        self.stats.borrow_mut().allreduces += 1;
-        self.count_collective_bytes(bytes);
-        for r in 1..self.size() {
-            for i in 0..n {
-                all[i] = op(all[i], all[r * n + i]);
-            }
-        }
-        all.truncate(n);
+    /// Elementwise global sum.
+    pub fn allreduce_sum<T, const N: usize>(&self, data: &[T; N]) -> [T; N]
+    where
+        T: Pod + std::ops::Add<Output = T>,
+    {
+        self.reduce(data, |a, b| a + b)
     }
 
-    /// Elementwise global sum (via the generic [`Comm::allreduce`] path).
-    pub fn allreduce_sum<T: Pod + std::ops::Add<Output = T>>(&self, data: &[T]) -> Vec<T> {
-        self.allreduce(data, |a, b| a + b)
+    /// Elementwise global max.
+    pub fn allreduce_max<T: Pod + PartialOrd, const N: usize>(&self, data: &[T; N]) -> [T; N] {
+        self.reduce(data, |a, b| if b > a { b } else { a })
     }
 
-    /// Elementwise global max (via the generic [`Comm::allreduce`] path).
-    pub fn allreduce_max<T: Pod + PartialOrd>(&self, data: &[T]) -> Vec<T> {
-        self.allreduce(data, |a, b| if b > a { b } else { a })
-    }
-
-    /// Elementwise global min (via the generic [`Comm::allreduce`] path).
-    pub fn allreduce_min<T: Pod + PartialOrd>(&self, data: &[T]) -> Vec<T> {
-        self.allreduce(data, |a, b| if b < a { b } else { a })
+    /// Elementwise global min.
+    pub fn allreduce_min<T: Pod + PartialOrd, const N: usize>(&self, data: &[T; N]) -> [T; N] {
+        self.reduce(data, |a, b| if b < a { b } else { a })
     }
 
     /// Exclusive prefix sum over one value per rank: rank r receives the
-    /// sum of the values of ranks `0..r` (0 on rank 0).
+    /// sum of the values of ranks `0..r` (0 on rank 0), folded in
+    /// ascending rank order onto `T::default()`.
     pub fn exscan_sum<T>(&self, value: T) -> T
     where
         T: Pod + std::ops::Add<Output = T> + Default,
     {
         let _t = self.op_span("comm:exscan");
-        let mut all = Vec::new();
-        let bytes = self.gather_into(&[value], &mut all);
+        let mut sum = T::default();
+        self.gather_slots(&[value], |r, slot| {
+            if r < self.rank {
+                sum = sum + read_bytes(slot);
+            }
+        });
         self.stats.borrow_mut().exscans += 1;
-        self.count_collective_bytes(bytes);
-        all[..self.rank]
-            .iter()
-            .fold(T::default(), |acc, &v| acc + v)
+        sum
     }
 
     /// Broadcast `data` from `root` to all ranks.
@@ -774,6 +774,29 @@ mod tests {
         });
         for o in out {
             assert_eq!(o, (3.0, 0.0, 0.0, -3.0));
+        }
+    }
+
+    #[test]
+    fn allreduce_counts_one_call_and_its_read_volume() {
+        let p = 3;
+        let out = spmd::run(p, |c| {
+            let delta = |f: &dyn Fn()| {
+                let s0 = c.stats();
+                f();
+                let s1 = c.stats();
+                [
+                    s1.allreduces - s0.allreduces,
+                    s1.collective_bytes - s0.collective_bytes,
+                ]
+            };
+            [
+                delta(&|| _ = c.allreduce_sum(&[1.0f64; 5])),
+                delta(&|| _ = c.allreduce_max(&[7u32])),
+            ]
+        });
+        for o in out {
+            assert_eq!(o, [[1, 5 * 8 * p as u64], [1, 4 * p as u64]]);
         }
     }
 

@@ -8,7 +8,8 @@
 //! it completes the round.
 //!
 //! * **Sends are buffered**: `exchange_start` copies every payload into
-//!   its destination's mailbox before it returns.
+//!   its destination's mailbox before it returns, in a buffer recycled
+//!   from a message this rank matched earlier.
 //! * **Everything observable happens at completion**: message matching,
 //!   fault-plan jitter (delays, reordering, drop-with-panic) and the
 //!   `comm:exchange` span all happen in `exchange_end`, never at post
@@ -40,9 +41,8 @@ const EXCHANGE_TAG_BASE: u64 = 0xE5C0 << 48;
 ///
 /// The state is deliberately small and grow-only (the expected-count table
 /// and the staged self-payload), so it can live inside a solver workspace:
-/// a warm round reuses both. What a warm round does allocate — one
-/// payload per point-to-point message it sends — is counted by the
-/// workspace's allocation test, `tests/allocations.rs`.
+/// a warm round reuses both, and its payloads reuse the buffers of
+/// messages received (`tests/allocations.rs` counts what it allocates).
 #[derive(Debug)]
 pub struct Exchange {
     pub(crate) stream: u64,

@@ -17,9 +17,10 @@
 //!   its end. Completion-time semantics (matching, fault jitter, the
 //!   post→complete telemetry span) are described in [`exchange`].
 //! * **Collectives** — [`Comm::barrier`], [`Comm::allgather`],
-//!   [`Comm::allgatherv`], [`Comm::allreduce_sum`], [`Comm::exscan_sum`],
-//!   [`Comm::bcast`], [`Comm::alltoallv`] — all with MPI semantics
-//!   (every rank of the communicator must call them in the same order).
+//!   [`Comm::allgatherv`], [`Comm::bcast`], [`Comm::alltoallv`] and the
+//!   array reductions `allreduce_{sum,max,min}` (`&[T; N]` → `[T; N]`,
+//!   folded on the stack in rank order) and [`Comm::exscan_sum`] — all
+//!   with MPI semantics (every rank must call them in the same order).
 //! * **Statistics** ([`stats::CommStats`]) — per-rank message and byte
 //!   counts, printed per rank and step by the figure harnesses.
 //! * **Fault injection** ([`fault::FaultPlan`]) — a seeded adversarial

@@ -70,26 +70,27 @@ pub fn as_bytes<T: Pod>(data: &[T]) -> &[u8] {
 ///
 /// Panics if `bytes.len()` is not a multiple of `size_of::<T>()`.
 pub fn from_bytes<T: Pod>(bytes: &[u8]) -> Vec<T> {
-    let size = std::mem::size_of::<T>();
-    assert!(
-        size == 0 || bytes.len().is_multiple_of(size),
-        "byte buffer length {} not a multiple of element size {}",
-        bytes.len(),
-        size
-    );
-    if size == 0 {
-        return Vec::new();
-    }
-    let n = bytes.len() / size;
-    let mut out = Vec::<T>::with_capacity(n);
-    // SAFETY: destination capacity is n elements = bytes.len() bytes; the
-    // source bytes were produced from valid `T`s by `as_bytes`, and `T: Pod`
-    // means any such bytes form valid values. Regions cannot overlap.
-    unsafe {
-        std::ptr::copy_nonoverlapping(bytes.as_ptr(), out.as_mut_ptr() as *mut u8, bytes.len());
-        out.set_len(n);
-    }
+    let mut out = Vec::new();
+    extend_from_bytes(&mut out, bytes);
     out
+}
+
+/// Read back the one value (a `[T; N]` reads `N`) whose bytes [`as_bytes`]
+/// produced: the heap-free counterpart of [`from_bytes`].
+///
+/// # Panics
+///
+/// Panics if `bytes.len()` is not `size_of::<T>()`.
+pub(crate) fn read_bytes<T: Pod>(bytes: &[u8]) -> T {
+    let size = std::mem::size_of::<T>();
+    assert_eq!(
+        bytes.len(),
+        size,
+        "byte buffer length does not match the value's size"
+    );
+    // SAFETY: the length matches, and bytes `as_bytes` made of a valid `T`
+    // form a valid `T` (`T: Pod`); a byte buffer is read unaligned.
+    unsafe { std::ptr::read_unaligned(bytes.as_ptr().cast::<T>()) }
 }
 
 /// Append typed values decoded from raw bytes onto `out`, reusing its
@@ -167,6 +168,19 @@ mod tests {
         let data = vec![[1u32, 2, 3], [4, 5, 6]];
         let back: Vec<[u32; 3]> = from_bytes(as_bytes(&data));
         assert_eq!(back, data);
+    }
+
+    #[test]
+    fn read_bytes_roundtrips_an_array() {
+        let data = [1.5f64, -0.0, 1e300];
+        let back: [f64; 3] = read_bytes(as_bytes(&data[..]));
+        assert_eq!(back.map(f64::to_bits), data.map(f64::to_bits));
+    }
+
+    #[test]
+    #[should_panic(expected = "does not match")]
+    fn read_bytes_bad_length_panics() {
+        let _: [u32; 2] = read_bytes(&[0u8; 7]);
     }
 
     #[test]

@@ -150,7 +150,7 @@ mod tests {
             assert_eq!(p.summary.phases["Step"].count, 1);
             assert_eq!(p.summary.phases["comm:allreduce"].cat, "comm");
             assert_eq!(p.summary.phases["comm:barrier"].count, 1);
-            // allreduce gathers through the private body: no nested span.
+            // allreduce folds through the private body: no nested span.
             assert!(!p.summary.phases.contains_key("comm:allgatherv"));
             // Payload sizes landed in the histogram (8 bytes * 3 ranks).
             assert_eq!(p.summary.hists["comm.bytes"].count, 1);

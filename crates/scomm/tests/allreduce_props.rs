@@ -1,6 +1,9 @@
-//! Property tests for the generic allreduce path: for every world size we
-//! run, all ranks must compute the *identical* result — bitwise — because
-//! the fold order (ascending rank) is fixed independent of scheduling.
+//! Property tests for the array reductions: for every world size we run
+//! and every array length N ∈ {1, 3, 20}, every rank must compute the
+//! identical result — bitwise — and that result must be bitwise the serial
+//! fold of the ranks' arrays in ascending rank order, because the fold
+//! order is fixed independent of scheduling. `exscan_sum` is the same
+//! fold over ranks `0..r`.
 
 use scomm::rng::{mix, SplitMix64};
 use scomm::spmd;
@@ -14,49 +17,65 @@ fn seeds(prop: u64) -> impl Iterator<Item = u64> {
     (0..CASES).map(move |case| mix(prop << 32 | case))
 }
 
-/// Rank `rank`'s `n` values: mixed magnitudes and signs, all finite.
-fn rank_values(seed: u64, rank: usize, n: usize) -> Vec<f64> {
+/// Rank `rank`'s `N` values: mixed magnitudes and signs, all finite.
+fn rank_values<const N: usize>(seed: u64, rank: usize) -> [f64; N] {
     let mut rng = SplitMix64::new(seed ^ mix(rank as u64));
-    (0..n)
-        .map(|_| (rng.below(2_000_001) as f64 - 1_000_000.0) / 977.0)
-        .collect()
+    std::array::from_fn(|_| (rng.below(2_000_001) as f64 - 1_000_000.0) / 977.0)
+}
+
+/// Sum, max, min and the exclusive prefix sum of element 0, as bits.
+type Folds<const N: usize> = ([u64; N], [u64; N], [u64; N], u64);
+
+fn bits<const N: usize>(sum: [f64; N], max: [f64; N], min: [f64; N], scan: f64) -> Folds<N> {
+    let b = |v: [f64; N]| v.map(f64::to_bits);
+    (b(sum), b(max), b(min), scan.to_bits())
+}
+
+/// Rank `me`'s reductions at `p` ranks, folded serially in rank order.
+fn serial<const N: usize>(seed: u64, p: usize, me: usize) -> Folds<N> {
+    let first = rank_values::<N>(seed, 0);
+    let (mut sum, mut max, mut min) = (first, first, first);
+    for r in 1..p {
+        let v = rank_values::<N>(seed, r);
+        for i in 0..N {
+            sum[i] += v[i];
+            max[i] = if v[i] > max[i] { v[i] } else { max[i] };
+            min[i] = if v[i] < min[i] { v[i] } else { min[i] };
+        }
+    }
+    let scan = (0..me).fold(0.0, |acc, r| acc + rank_values::<N>(seed, r)[0]);
+    bits(sum, max, min, scan)
+}
+
+fn check<const N: usize>(seed: u64) {
+    for p in [1usize, 2, 4, 8] {
+        let out = spmd::run(p, move |c| {
+            let mine = rank_values::<N>(seed, c.rank());
+            let (sum, max, min) = (
+                c.allreduce_sum(&mine),
+                c.allreduce_max(&mine),
+                c.allreduce_min(&mine),
+            );
+            bits(sum, max, min, c.exscan_sum(mine[0]))
+        });
+        for (r, got) in out.iter().enumerate() {
+            let at = format!("on rank {r} at P={p}, N={N}, seed {seed:#x}");
+            let (sum, max, min, _) = &out[0];
+            assert_eq!(
+                (&got.0, &got.1, &got.2),
+                (sum, max, min),
+                "ranks differ {at}"
+            );
+            assert_eq!(*got, serial::<N>(seed, p, r), "not the serial fold {at}");
+        }
+    }
 }
 
 #[test]
 fn allreduce_identical_on_every_rank() {
     for seed in seeds(1) {
-        let n = 1 + SplitMix64::new(seed).below(31) as usize;
-        for p in [1usize, 2, 4, 8] {
-            let out = spmd::run(p, move |c| {
-                let mine = rank_values(seed, c.rank(), n);
-                let sum = c.allreduce_sum(&mine);
-                let max = c.allreduce_max(&mine);
-                let min = c.allreduce_min(&mine);
-                (sum, max, min)
-            });
-            let (sum0, max0, min0) = &out[0];
-            for (r, (sum, max, min)) in out.iter().enumerate() {
-                // Bitwise comparison: identical fold order must give
-                // identical floats, not merely close ones.
-                let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
-                let at = format!("on rank {r} at P={p}, seed {seed:#x}");
-                assert_eq!(bits(sum), bits(sum0), "sum differs {at}");
-                assert_eq!(bits(max), bits(max0), "max differs {at}");
-                assert_eq!(bits(min), bits(min0), "min differs {at}");
-            }
-            // Cross-check against a serial fold in rank order.
-            let mut want = rank_values(seed, 0, n);
-            for r in 1..p {
-                for (w, v) in want.iter_mut().zip(rank_values(seed, r, n)) {
-                    *w += v;
-                }
-            }
-            for (w, s) in want.iter().zip(sum0.iter()) {
-                assert!(
-                    (w - s).abs() <= 1e-9 * w.abs().max(1.0),
-                    "P={p}, seed {seed:#x}"
-                );
-            }
-        }
+        check::<1>(seed);
+        check::<3>(seed);
+        check::<20>(seed);
     }
 }

@@ -67,7 +67,11 @@ cargo fmt --all -- --check
 # - the hand-written capacity sums of every grow-only workspace and the
 #   `minres.alloc_bytes` / `amr.alloc_bytes` counters built on them
 #   (tests/allocations.rs counts real allocations with a counting
-#   allocator), and mangll's private dense LU (`la::dense::Lu` is the one).
+#   allocator), and mangll's private dense LU (`la::dense::Lu` is the one);
+# - the `Vec`-returning generic `allreduce`, `allreduce_into`, the private
+#   `gather_into` and the per-message payload copy of `exchange_start`
+#   (`allreduce_{sum,max,min}` over `[T; N]` and `exscan_sum` fold every
+#   rank's slot on the stack, and exchange payloads are recycled).
 echo "==> deleted code stays deleted"
 if ls -d examples/{mantle_convection,advecting_front,spherical_advection}.rs \
     results/example_{mantle_convection,advecting_front,spherical_advection}.txt 2>/dev/null |
@@ -75,6 +79,8 @@ if ls -d examples/{mantle_convection,advecting_front,spherical_advection}.rs \
     grep -rn 'fn from_raw_keys' crates ||
     grep -rnE 'capacity_bytes|fn alloc_bytes|(minres|amr)\.alloc_bytes' crates src tests examples ||
     grep -rn 'fn dense_lu' crates/mangll ||
+    grep -rnE 'pub fn allreduce<|fn (allreduce_into|gather_into)\b|as_bytes\(chunk\)\.to_vec\(\)' \
+        crates src tests examples ||
     grep -rnwE 'smooth_sweeps|max_levels' crates/la crates/stokes ||
     grep -rnw max_iterations crates/octree crates/rhea ||
     grep -rnE 'MachineModel|phase_comm_seconds|paper_core_counts|host_to_(model|flops)' \

@@ -203,11 +203,14 @@ fn tree_cycles_and_ghost_layers() {
         });
         for (rank, [octree, forest, adapt, ghosts, forest_ghosts]) in runs.iter().enumerate() {
             let at = format!("P = {p}, rank {rank}");
-            assert!(steady(octree) && steady(forest) && steady(adapt), "{at}");
+            assert!(steady(adapt), "{at}: {adapt:?}");
             assert_eq!(allocations(ghosts), [0; 4], "{at}");
             assert_eq!(allocations(forest_ghosts), [0; 4], "{at}");
-            if !(cfg!(debug_assertions) && scomm::checks_enabled()) {
+            if cfg!(debug_assertions) && scomm::checks_enabled() {
+                assert!(steady(octree) && steady(forest), "{at}");
+            } else {
                 assert_eq!(allocations(octree), [0; 4], "{at}");
+                assert_eq!(allocations(forest), [0; 4], "{at}");
             }
         }
     }
@@ -229,12 +232,15 @@ fn operators_and_minres() {
             let bc: Vec<bool> = (0..m.n_owned).map(|d| m.dof_on_boundary(d)).collect();
             let op = DistOp::new(&map, Box::new(stiffness_source(&m, |_| 1.0)), Some(&bc));
             let (x, mut y) = (vec![1.0; m.n_owned], vec![0.0; m.n_owned]);
-            let dist_op = windows(c, 1, || op.apply_owned(&x, &mut y));
+            // Three warm-ups: payload buffers circulate between ranks, and
+            // each grows until it has carried the largest payload its
+            // orbit brings it (at P = 4 that takes two applies).
+            let dist_op = windows(c, 3, || op.apply_owned(&x, &mut y));
             let m = adapted_mesh(c, |x| x[0] < 0.4 && x[2] > 0.3);
             let mut solver = stokes_solver(&m, c);
             let (rhs, x0) = solver.build_rhs(|p| [0.0, 0.0, (3.0 * p[0]).sin()], |_| [0.0; 3]);
             let mut z = vec![0.0; rhs.len()];
-            let stokes = windows(c, 1, || solver.apply(&rhs, &mut z));
+            let stokes = windows(c, 3, || solver.apply(&rhs, &mut z));
             let pre = windows(c, 1, || solver.apply_preconditioner(&rhs, &mut z));
             let minres = windows(c, 1, || {
                 z.copy_from_slice(&x0);
@@ -244,19 +250,40 @@ fn operators_and_minres() {
         });
         for (rank, [op, st, pre, minres]) in runs.iter().enumerate() {
             let at = format!("P = {p}, rank {rank}");
-            // `exchange_start` copies each outgoing payload into the
-            // message it posts; nothing else in a warm apply allocates.
-            let sent = |ws: &[Window], n| ws.iter().all(|w| [w.allocations, w.messages] == [n; 2]);
+            // Each message's payload travels in a buffer recycled from
+            // one this rank received; the V-cycles and the Schur diagonal
+            // are rank-local.
+            let sent = |ws: &[Window], n| ws.iter().all(|w| [w.allocations, w.messages] == [0, n]);
             assert!(sent(op, dist_op[rank]), "{at}: {op:?}");
             assert!(sent(st, stokes[rank]), "{at}: {st:?}");
-            // The V-cycles and the Schur diagonal are rank-local.
             assert_eq!(allocations(pre), [0; 4], "{at}");
-            // A warm solve: one result `Vec` per allreduce (the dot
-            // products), one payload per message, and MINRES's nine work
-            // vectors.
-            let w = minres[0];
-            assert!(steady(minres), "{at}: {minres:?}");
-            assert_eq!(w.allocations, w.allreduces + w.messages + 9, "{at}: {w:?}");
+            // A warm solve allocates MINRES's nine work vectors and
+            // nothing else. They stay per solve while the Stokes solver is
+            // rebuilt every time step (ROADMAP item 7): a workspace it
+            // owned would be allocated as often.
+            assert!(
+                minres.iter().all(|w| w.allocations == 9),
+                "{at}: {minres:?}"
+            );
+        }
+    }
+}
+
+#[test]
+fn reductions() {
+    for p in [1, 2, 4] {
+        let runs = spmd::run(p, |c| {
+            let x = c.rank() as f64;
+            windows(c, 1, || {
+                c.allreduce_sum(&[x; 20]);
+                c.allreduce_max(&[c.rank() as u64, 1]);
+                c.allreduce_min(&[x]);
+                c.exscan_sum(x);
+            })
+        });
+        for (rank, ws) in runs.iter().enumerate() {
+            assert_eq!(allocations(ws), [0; 4], "P = {p}, rank {rank}");
+            assert!(ws.iter().all(|w| w.allreduces == 3), "P = {p}, rank {rank}");
         }
     }
 }

@@ -6,8 +6,9 @@
 //! in mesh size and viscosity (Section III). This module provides the
 //! same contract: [`Amg::new`] is the *setup phase* (coarse hierarchy +
 //! transfer operators), [`Amg::vcycle`] applies one V-cycle, and the
-//! operator is SPD (symmetric Gauss–Seidel smoothing with matching pre-
-//! and post-sweeps), making it admissible inside MINRES and CG.
+//! operator is SPD (a forward Gauss–Seidel pass before the coarse
+//! correction and its adjoint, a backward pass, after it), making it
+//! admissible inside MINRES and CG.
 //!
 //! Algorithm: Vaněk–Mandel–Brezina smoothed aggregation with the constant
 //! near-nullspace — strength graph by `|a_ij| ≥ θ √(a_ii a_jj)` (θ is
@@ -60,10 +61,6 @@ impl Default for AmgOptions {
         AmgOptions { max_coarse: 64 }
     }
 }
-
-/// Pre- and post-smoothing symmetric Gauss–Seidel sweeps per level. Not
-/// an option: every caller runs one.
-const SMOOTH_SWEEPS: usize = 1;
 
 /// Hard cap on hierarchy depth. Not an option: no caller's hierarchy
 /// comes near it.
@@ -200,16 +197,20 @@ impl<const C: usize> LevelOp<C> {
         self.diag.len()
     }
 
-    /// One symmetric Gauss–Seidel sweep (forward, then backward) of every
-    /// lane of the interleaved `x` (length `C·n`).
-    fn sgs(&self, b: &[f64], x: &mut [f64]) {
+    /// One Gauss–Seidel pass over `rows`, in their order, of every lane
+    /// of the interleaved `x` (length `C·n`). The backward pass is the
+    /// adjoint of the forward one.
+    fn gs(&self, b: &[f64], x: &mut [f64], rows: impl Iterator<Item = usize>) {
         let (b, x) = (lanes::<C>(b), lanes_mut::<C>(x));
-        for i in 0..self.n() {
+        for i in rows {
             self.relax(i, b, x);
         }
-        for i in (0..self.n()).rev() {
-            self.relax(i, b, x);
-        }
+    }
+
+    /// One symmetric Gauss–Seidel sweep: forward, then backward.
+    fn sgs(&self, b: &[f64], x: &mut [f64]) {
+        self.gs(b, x, 0..self.n());
+        self.gs(b, x, (0..self.n()).rev());
     }
 
     /// Solve row `i` of every lane for `x_i`, the other unknowns fixed.
@@ -370,9 +371,10 @@ impl<const C: usize> Level<C> {
         let mut guard = self.scratch.borrow_mut();
         let s = &mut *guard;
         if self.coarsens {
-            for _ in 0..SMOOTH_SWEEPS {
-                self.op.sgs(b, x);
-            }
+            // Forward before the coarse correction, backward after: the
+            // post-smoother is the pre-smoother's adjoint, so the cycle
+            // is SPD with one pass over the operator on each side.
+            self.op.gs(b, x, 0..self.op.n());
             self.op.residual(b, x, &mut s.r);
             for (c, &k) in self.lanes.iter().enumerate() {
                 if let Below::Coarser { r, p, next } = &self.below[k] {
@@ -383,9 +385,7 @@ impl<const C: usize> Level<C> {
                     prolong_add_lane::<C>(p, ec, c, x);
                 }
             }
-            for _ in 0..SMOOTH_SWEEPS {
-                self.op.sgs(b, x);
-            }
+            self.op.gs(b, x, (0..self.op.n()).rev());
         }
         if !s.swept.is_empty() {
             s.swept.fill(0.0);
@@ -689,6 +689,7 @@ impl<const C: usize> LinearOp for Amg<C> {
 mod tests {
     use super::*;
     use crate::krylov::{cg, euclidean_dot};
+    use scomm::rng::SplitMix64;
 
     /// 3D 7-point Poisson with optional variable coefficient field.
     fn poisson3d(n: usize, kappa: impl Fn(usize, usize, usize) -> f64) -> Csr {
@@ -843,6 +844,52 @@ mod tests {
             (lhs - rhs).abs() <= 1e-10 * lhs.abs().max(rhs.abs()),
             "V-cycle not symmetric: {lhs} vs {rhs}"
         );
+    }
+
+    #[test]
+    fn fused_vcycle_is_symmetric_positive_definite() {
+        // MINRES needs an SPD preconditioner: the backward post-smoothing
+        // pass is the adjoint of the forward pre-smoothing one.
+        let n = 8;
+        let a = poisson3d(n, |i, j, k| 1.0 + ((i * 7 + j * 3 + k) % 5) as f64 * 30.0);
+        let [ax, _, az] = free_slip(&a, n);
+        // A diagonal shift makes every coupling weak: the lane does not
+        // coarsen, and its 512 rows > max_coarse are left to smoother
+        // sweeps.
+        let mut shifted = Vec::new();
+        for i in 0..a.nrows {
+            for k in a.row_ptr[i]..a.row_ptr[i + 1] {
+                shifted.push((i, a.col_idx[k], a.values[k]));
+            }
+            shifted.push((i, i, 1e4));
+        }
+        let ay = Csr::from_triplets(a.nrows, a.ncols, &shifted);
+        let hierarchies: Vec<Amg> = [ax, ay, az]
+            .into_iter()
+            .map(|m| Amg::new(m, AmgOptions::default()))
+            .collect();
+        assert!(hierarchies[0].num_levels() >= 2);
+        assert!(matches!(
+            hierarchies[1].top.below[..],
+            [Below::Solve(Direct::Sweeps)]
+        ));
+        let fused = Amg::fuse(hierarchies, [0, 1, 2]);
+        let len = fused.len();
+        let mut rng = SplitMix64::new(0x5eed);
+        let mut random = || -> Vec<f64> { (0..len).map(|_| 2.0 * rng.unit() - 1.0).collect() };
+        for case in 0..8 {
+            let (u, v) = (random(), random());
+            let (mut bu, mut bv) = (vec![0.0; len], vec![0.0; len]);
+            fused.vcycle(&u, &mut bu);
+            fused.vcycle(&v, &mut bv);
+            let (lhs, rhs) = (euclidean_dot(&bu, &v), euclidean_dot(&u, &bv));
+            assert!(
+                (lhs - rhs).abs() <= 1e-10 * lhs.abs().max(rhs.abs()),
+                "case {case}: V-cycle not symmetric: {lhs} vs {rhs}"
+            );
+            let ubu = euclidean_dot(&u, &bu);
+            assert!(ubu > 0.0, "case {case}: uᵀBu = {ubu}");
+        }
     }
 
     /// The mask `pinned` marks over the rows of `a`.

@@ -57,11 +57,17 @@ pub fn euclidean_dot(a: &[f64], b: &[f64]) -> f64 {
 /// Preconditioned MINRES for symmetric (possibly indefinite) `A` with SPD
 /// preconditioner applied by `m_inv ≈ A⁻¹`. Solves `A x = b`; the initial
 /// content of `x` is the starting guess. Converges when the
-/// preconditioned residual norm drops below `tol` times its initial
-/// value. `dot` is the (possibly global) inner product. `observe(iteration,
-/// residual_estimate)` runs once per iteration with the preconditioned
-/// norm `|η|` the convergence test uses — the hook the telemetry layer
-/// records residual histories through (pass `|_, _| {}` for none).
+/// preconditioned residual norm `|η|` drops to `tol · ‖b‖_{M⁻¹}`, where
+/// `‖b‖_{M⁻¹} = √⟨M⁻¹b, b⟩` — PETSc's default test, so every solve is
+/// solved to the same accuracy and a good guess saves iterations. A guess
+/// whose residual norm `γ₁` exceeds `‖b‖_{M⁻¹}` is worse than none: the
+/// solve restarts from `x = 0` and runs exactly as a cold solve would (so
+/// `b = 0` returns `x = 0` unless `A x = 0` already). A guess already
+/// within the tolerance is returned untouched after 0 iterations. `dot`
+/// is the (possibly global) inner product. `observe(iteration,
+/// residual_estimate)` runs once per iteration with the `|η|` the
+/// convergence test uses — the hook the telemetry layer records residual
+/// histories through (pass `|_, _| {}` for none).
 ///
 /// The classic Paige–Saunders recurrence as in Elman–Silvester–Wathen:
 /// two sequentially dependent inner products per iteration, `δ = ⟨Az₁, z₁⟩`
@@ -92,28 +98,53 @@ where
         Some(m) => m.apply(r, z),
         None => z.copy_from_slice(r),
     };
-
-    // r1 = b − A x ; z1 = M⁻¹ r1 ; γ1 = sqrt(<z1, r1>).
+    // ‖v‖_{M⁻¹} = √⟨M⁻¹v, v⟩, leaving M⁻¹v in `z`.
+    let m_norm = |v: &[f64], z: &mut [f64]| {
+        apply_m(v, z);
+        let g2 = dot(z, v);
+        assert!(
+            g2 >= 0.0 || g2 >= -1e-12 * dot(v, v).max(1.0),
+            "MINRES preconditioner is not positive definite"
+        );
+        g2.max(0.0).sqrt()
+    };
+    // Every vector lives for the whole solve and rotates through the
+    // slots below, so the iteration performs zero heap allocations.
     let mut r0 = vec![0.0; n]; // previous Lanczos residual
     let mut r1 = vec![0.0; n];
-    a.apply(x, &mut r1);
-    for i in 0..n {
-        r1[i] = b[i] - r1[i];
-    }
     let mut z1 = vec![0.0; n];
-    apply_m(&r1, &mut z1);
-    let g2 = dot(&z1, &r1);
-    assert!(
-        g2 >= -1e-12 * dot(&r1, &r1).max(1.0),
-        "MINRES preconditioner is not positive definite"
-    );
-    let mut gamma1 = g2.max(0.0).sqrt();
-    let gamma_init = gamma1;
-    if gamma1 == 0.0 {
+    let mut w0 = vec![0.0; n];
+    let mut w1 = vec![0.0; n];
+    let mut az = vec![0.0; n];
+    let mut r2 = vec![0.0; n];
+    let mut z2 = vec![0.0; n];
+    let mut w2 = vec![0.0; n];
+
+    // The stopping scale, with M⁻¹b in z2 until the loop overwrites it.
+    let norm_b = m_norm(b, &mut z2);
+    // r1 = b − A x ; z1 = M⁻¹ r1 ; γ1 = ‖r1‖_{M⁻¹}. A zero guess (decided
+    // by a global reduction, so every rank takes the same branch) skips
+    // the operator and the second preconditioner apply.
+    let mut gamma1 = f64::INFINITY;
+    if dot(x, x) > 0.0 {
+        a.apply(x, &mut r1);
+        for i in 0..n {
+            r1[i] = b[i] - r1[i];
+        }
+        gamma1 = m_norm(&r1, &mut z1);
+    }
+    if gamma1 > norm_b {
+        x.fill(0.0);
+        r1.copy_from_slice(b);
+        z1.copy_from_slice(&z2);
+        gamma1 = norm_b;
+    }
+    let stop = tol * norm_b;
+    if gamma1 <= stop {
         return SolveInfo {
             iterations: 0,
             converged: true,
-            residual: 0.0,
+            residual: gamma1,
         };
     }
     let mut gamma0 = 1.0f64; // γ0 (unused weight on the vanishing j=1 term)
@@ -121,15 +152,6 @@ where
     let mut eta = gamma1;
     let (mut s0, mut s1) = (0.0f64, 0.0f64);
     let (mut c0, mut c1) = (1.0f64, 1.0f64);
-    let mut w0 = vec![0.0; n];
-    let mut w1 = vec![0.0; n];
-    let mut az = vec![0.0; n];
-    // Rotating buffers: all vectors live for the whole solve, so the
-    // iteration performs zero heap allocations.
-    let mut r2 = vec![0.0; n];
-    let mut z2 = vec![0.0; n];
-    let mut w2 = vec![0.0; n];
-
     for iter in 1..=max_iter {
         // Lanczos step.
         let inv_g = 1.0 / gamma1;
@@ -186,7 +208,7 @@ where
         std::mem::swap(&mut w1, &mut w2);
 
         observe(iter, eta.abs());
-        if eta.abs() <= tol * gamma_init || gamma1 == 0.0 {
+        if eta.abs() <= stop || gamma1 == 0.0 {
             return SolveInfo {
                 iterations: iter,
                 converged: true,
@@ -460,20 +482,88 @@ mod tests {
     fn zero_rhs_returns_immediately() {
         let a = laplace1d(10);
         let b = vec![0.0; 10];
-        let mut x = vec![0.0; 10];
-        let info = minres(
-            &a,
-            None::<&Csr>,
-            &b,
-            &mut x,
-            1e-10,
-            100,
-            euclidean_dot,
-            |_, _| {},
-        );
-        assert_eq!(info.iterations, 0);
-        assert!(info.converged);
-        assert!(x.iter().all(|&v| v == 0.0));
+        // From a zero and from a nonzero guess: x = 0 solves A x = 0.
+        for guess in [0.0, 3.5] {
+            let mut x = vec![guess; 10];
+            let info = minres(
+                &a,
+                None::<&Csr>,
+                &b,
+                &mut x,
+                1e-10,
+                100,
+                euclidean_dot,
+                |_, _| panic!("no iteration on b = 0"),
+            );
+            assert_eq!(info.iterations, 0, "guess {guess}");
+            assert!(info.converged, "guess {guess}");
+            assert!(x.iter().all(|&v| v == 0.0), "guess {guess}: {x:?}");
+        }
+    }
+
+    /// `(info, residual estimates, x)` of a MINRES solve of the Jacobi-
+    /// preconditioned indefinite test system from `x`, all as bits.
+    fn jacobi_minres(b: &[f64], mut x: Vec<f64>, tol: f64) -> (SolveInfo, Vec<u64>, Vec<u64>) {
+        let a = indefinite(b.len());
+        let d = a.diagonal();
+        let m = (b.len(), move |r: &[f64], z: &mut [f64]| {
+            for i in 0..r.len() {
+                z[i] = r[i] / d[i].abs();
+            }
+        });
+        let mut history = Vec::new();
+        let info = minres(&a, Some(&m), b, &mut x, tol, 500, euclidean_dot, |_, r| {
+            history.push(r.to_bits())
+        });
+        (info, history, x.iter().map(|v| v.to_bits()).collect())
+    }
+
+    fn rhs(n: usize) -> Vec<f64> {
+        (0..n).map(|i| (i as f64 * 0.7).sin() + 0.2).collect()
+    }
+
+    #[test]
+    fn cold_solve_stops_at_the_first_estimate_within_tol_norm_b() {
+        let b = rhs(40);
+        let tol = 1e-9;
+        let (info, history, _) = jacobi_minres(&b, vec![0.0; 40], tol);
+        let d = indefinite(40).diagonal();
+        let norm_b = b
+            .iter()
+            .zip(&d)
+            .map(|(bi, di)| bi * bi / di.abs())
+            .sum::<f64>()
+            .sqrt();
+        let eta: Vec<f64> = history.iter().map(|&r| f64::from_bits(r)).collect();
+        assert!(info.converged && info.iterations == eta.len(), "{info:?}");
+        let (last, before) = eta.split_last().unwrap();
+        assert!(*last <= tol * norm_b, "{last} vs {}", tol * norm_b);
+        assert!(before.iter().all(|&r| r > tol * norm_b), "{eta:?}");
+    }
+
+    #[test]
+    fn warm_start_worse_than_zero_runs_the_cold_solve() {
+        let b = rhs(40);
+        let cold = jacobi_minres(&b, vec![0.0; 40], 1e-10);
+        assert!(cold.0.converged && cold.0.iterations > 10, "{:?}", cold.0);
+        // Its residual is far larger than b's in the M⁻¹ norm.
+        let guess: Vec<f64> = (0..40).map(|i| 50.0 * (i as f64 * 1.3).cos()).collect();
+        let warm = jacobi_minres(&b, guess, 1e-10);
+        assert_eq!(warm.0, cold.0);
+        assert!(warm.1 == cold.1, "residual estimates differ");
+        assert!(warm.2 == cold.2, "iterates differ");
+    }
+
+    #[test]
+    fn warm_start_within_tolerance_is_returned_untouched() {
+        let b = rhs(40);
+        let (_, _, tight) = jacobi_minres(&b, vec![0.0; 40], 1e-13);
+        let guess: Vec<f64> = tight.iter().map(|&v| f64::from_bits(v)).collect();
+        let (info, history, x) = jacobi_minres(&b, guess, 1e-8);
+        assert_eq!(info.iterations, 0, "{info:?}");
+        assert!(info.converged, "{info:?}");
+        assert!(history.is_empty());
+        assert!(x == tight, "x moved");
     }
 
     fn diag(d: &[f64]) -> Csr {

@@ -347,6 +347,54 @@ mod tests {
     }
 
     #[test]
+    fn loose_solves_track_tight_ones_over_four_steps() {
+        // Each flow solve stops at tol·‖b‖_{M⁻¹}, warm or cold, so four
+        // steps at 1e-6 stay close to the same steps at 1e-10.
+        let run = |tol: f64| {
+            spmd::run(2, move |c| {
+                let params = ConvectionParams {
+                    adapt_every: 0,
+                    stokes: StokesOptions {
+                        tol,
+                        ..Default::default()
+                    },
+                    ..Default::default()
+                };
+                let mut sim = ConvectionSim::new(c, 2, params);
+                let law = ArrheniusLaw::default();
+                let v_rms: Vec<f64> = (0..4)
+                    .map(|_| {
+                        let report = sim.step(&law);
+                        assert!(report.flow_converged, "tol {tol}: {report:?}");
+                        report.v_rms
+                    })
+                    .collect();
+                (sim.temperature, v_rms)
+            })
+        };
+        // Measured: under 6.3e-6 in T and 6.3e-7 in v_rms; allowed: 1e-4
+        // and 1e-5.
+        let (loose, tight) = (run(1e-6), run(1e-10));
+        let max_abs = |v: &mut dyn Iterator<Item = f64>| v.fold(0.0f64, |m, x| m.max(x.abs()));
+        let t_scale = max_abs(&mut tight.iter().flat_map(|(t, _)| t.iter().copied()));
+        let t_dist = max_abs(
+            &mut loose
+                .iter()
+                .zip(&tight)
+                .flat_map(|((a, _), (b, _))| a.iter().zip(b).map(|(x, y)| x - y)),
+        ) / t_scale;
+        assert!(
+            t_dist <= 1e-4,
+            "temperature moved by {t_dist:e} of its scale"
+        );
+        let (v_loose, v_tight) = (&loose[0].1, &tight[0].1);
+        for (step, (a, b)) in v_loose.iter().zip(v_tight).enumerate() {
+            let v_dist = (a - b).abs() / b;
+            assert!(v_dist <= 1e-5, "step {step}: v_rms {a} vs {b}");
+        }
+    }
+
+    #[test]
     fn unconverged_minres_is_reported() {
         // One MINRES iteration cannot reach the tolerance: the step, the
         // Picard result and the recorder all say so.

@@ -13,6 +13,9 @@ use std::cell::RefCell;
 /// Solver options.
 #[derive(Debug, Clone, Copy)]
 pub struct StokesOptions {
+    /// MINRES stops when its preconditioned residual norm falls to
+    /// `tol · ‖b‖_{M⁻¹}`, relative to the right-hand side, not to the
+    /// initial guess's residual: a warm start saves iterations.
     pub tol: f64,
     pub max_iter: usize,
     pub amg: AmgOptions,
@@ -822,6 +825,63 @@ mod tests {
                 let info = solver.solve(&rhs, &mut x);
                 assert_eq!(info, want.0);
                 assert!(x.iter().map(|v| v.to_bits()).eq(want.2.iter().copied()));
+            });
+        }
+    }
+
+    /// `‖v‖_{M⁻¹} = √⟨M⁻¹v, v⟩` under the solver's preconditioner.
+    fn m_norm(solver: &StokesSolver, v: &[f64]) -> f64 {
+        let mut z = vec![0.0; v.len()];
+        solver.apply_preconditioner(v, &mut z);
+        solver.dot(&z, v).sqrt()
+    }
+
+    #[test]
+    fn converged_solves_meet_the_stop_in_their_true_residual() {
+        // MINRES stops on its recurrence estimate |η| ≤ tol·‖b‖_{M⁻¹}; the
+        // true residual ‖b − Ax‖_{M⁻¹}, which |η| equals in exact
+        // arithmetic, may exceed it by rounding only. Here the two agree
+        // to 5e-11 relative on every solve; allowed: 1e-6.
+        const SLACK: f64 = 1e-6;
+        let tol = 1e-6;
+        for nranks in [1, 2] {
+            spmd::run(nranks, |c| {
+                let m = adapted_mesh(c);
+                let mut unit = uniform(c);
+                let visc = random_viscosity(&m, &mut unit);
+                let options = StokesOptions {
+                    tol,
+                    ..StokesOptions::default()
+                };
+                let mut solver = StokesSolver::new(&m, c, visc, free_slip(&m), options);
+                let n = solver.n_owned();
+                let mut x = vec![0.0; n];
+                let mut iterations = Vec::new();
+                // A cold solve; two warm ones on a load that drifts as a
+                // time step's buoyancy does; one whose guess is worse than
+                // zero (the load reversed), which restarts from zero.
+                for (shift, sign) in [(0.0, 1.0), (0.02, 1.0), (0.05, 1.0), (0.05, -1.0)] {
+                    let (rhs, _) = solver.build_rhs(
+                        |p| [0.0, 0.0, sign * (3.0 * p[0] + shift).sin()],
+                        |_| [0.0; 3],
+                    );
+                    let info = solver.solve(&rhs, &mut x);
+                    assert!(info.converged, "P = {nranks}, shift {shift}: {info:?}");
+                    let mut r = vec![0.0; n];
+                    solver.apply(&x, &mut r);
+                    for (ri, bi) in r.iter_mut().zip(&rhs) {
+                        *ri = bi - *ri;
+                    }
+                    let ratio = m_norm(&solver, &r) / (tol * m_norm(&solver, &rhs));
+                    assert!(
+                        ratio <= 1.0 + SLACK,
+                        "P = {nranks}, shift {shift}, sign {sign}: true residual \
+                         {ratio} × tol·‖b‖"
+                    );
+                    iterations.push(info.iterations);
+                }
+                // A close guess pays: fewer iterations than from zero.
+                assert!(iterations[1] < iterations[0], "{iterations:?}");
             });
         }
     }

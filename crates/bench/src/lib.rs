@@ -306,6 +306,7 @@ pub fn transport_workload_traced(
         let mut mesh = rec.with_cat("ExtractMesh", "amr", || {
             extract_mesh(&tree, [1.0, 1.0, 1.0])
         });
+        rhea::adapt::count_extraction(rec, &mesh);
         let mut temp: Vec<f64> = (0..mesh.n_owned)
             .map(|d| {
                 let p = mesh.dof_coords(d);

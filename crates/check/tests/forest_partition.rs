@@ -272,3 +272,65 @@ fn forest_balance_matches_naive_oracle() {
         }
     }
 }
+
+/// The peninsula of `oracles.rs::many_round_balance_matches_naive`,
+/// moved inside tree 0 of the cubed-sphere shell (every tree uniform at
+/// level 2): rank 0 owns tree 0 up to A = the first child of
+/// C = [¾, 1) × [½, ¾)², with B = [½, ¾)³ its last level-2 leaf, and C's
+/// second child, on the next rank, is refined from level 3 to level 7
+/// toward its corner on A. Only the later rounds' seeded passes refine B.
+/// Beside it, the last tree is refined to level 7 at the middle of a face
+/// it shares with another tree, so requests also cross a seam and the
+/// partition boundary at once. At least three rounds; bitwise the serial
+/// neighbour fixpoint with the composed relation, at P ∈ {2, 4, 8}.
+#[test]
+fn many_round_forest_balance_matches_naive_oracle() {
+    let conn = Arc::new(Connectivity::cubed_sphere(0.55, 1.0));
+    let (half, quarter) = (ROOT_LEN / 2, ROOT_LEN / 4);
+    let c_cell = ForestLeaf::new(0, Octant::new(half + quarter, half, half, 2));
+    let mut all: Vec<ForestLeaf> = Vec::new();
+    for tree in 0..conn.num_trees() as u32 {
+        for i in 0..64 {
+            let leaf = ForestLeaf::new(tree, Octant::from_uniform_index(2, i));
+            if leaf == c_cell {
+                all.extend(leaf.oct.children().map(|o| ForestLeaf::new(0, o)));
+            } else {
+                all.push(leaf);
+            }
+        }
+    }
+    let a_end = all.partition_point(|l| *l <= ForestLeaf::new(0, c_cell.oct.child(0)));
+    let peninsula = Octant::new(half + quarter + quarter / 2, half, half, octree::MAX_LEVEL);
+    // The middle of the last tree's x = 0 face, a seam.
+    let last = conn.num_trees() as u32 - 1;
+    assert!(conn.neighbor_across(last, 0).is_some());
+    let seam = Octant::new(0, half - 1, half - 1, octree::MAX_LEVEL);
+    for p in [2, 4, 8] {
+        spmd::run(p, |c| {
+            // Rank 0 ends with A; ranks 1.. share the rest evenly.
+            let (r, rest) = (c.rank(), all.len() - a_end);
+            let (lo, hi) = match r {
+                0 => (0, a_end),
+                _ => (a_end + rest * (r - 1) / (p - 1), a_end + rest * r / (p - 1)),
+            };
+            let mut f = Forest::from_local(c, conn.clone(), all[lo..hi].to_vec());
+            for _ in 3..7 {
+                f.refine(|l| {
+                    (l.tree == 0 && l.oct.contains(&peninsula))
+                        || (l.tree == last && l.oct.contains(&seam))
+                });
+            }
+            let mut expected: Vec<ForestLeaf> = c.allgatherv(&f.local);
+            let added = forest_balance_naive(&mut expected, BalanceKind::Full, |l, d, out| {
+                f.neighbors_full(l, d.0, d.1, d.2, out)
+            });
+            assert_eq!(f.balance(BalanceKind::Full), added as u64, "P={p}");
+            assert!(
+                f.last_balance_rounds() >= 3,
+                "P={p}: {}",
+                f.last_balance_rounds()
+            );
+            assert_eq!(c.allgatherv(&f.local), expected, "P={p}");
+        });
+    }
+}

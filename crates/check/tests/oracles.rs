@@ -113,6 +113,47 @@ fn balance_matches_naive_on_random_trees() {
     }
 }
 
+/// A rank-0 peninsula that a remote sibling refines deeply. Rank 0 owns
+/// only B = [0, ¼)³ (level 2) and A = the first child of C = [¼, ½) ×
+/// [0, ¼)² (level 3); C's second child, across the partition boundary, is
+/// refined from level 3 to level 7 toward its corner on A. Each round's
+/// requests refine the part of A next to it by one level. Only the next
+/// round's local pass, seeded with the children they created, refines B
+/// to keep 2:1 with them: no remote leaf near B is fine enough to request
+/// it. So the balance takes four rounds, and one whose later rounds skip
+/// the pass leaves B too coarse. Bitwise the naive balance of the gathered
+/// leaves, at P ∈ {2, 4, 8}.
+#[test]
+fn many_round_balance_matches_naive() {
+    let mut all = new_tree(2);
+    let c_cell = Octant::new(ROOT_LEN / 4, 0, 0, 2);
+    refine(&mut all, |o| *o == c_cell);
+    let target = Octant::new(3 * ROOT_LEN / 8, 0, 0, MAX_LEVEL);
+    for p in [2, 4, 8] {
+        spmd::run(p, |c| {
+            // Rank 0: B and A; ranks 1.. share the rest evenly.
+            let (r, rest) = (c.rank(), all.len() - 2);
+            let (lo, hi) = match r {
+                0 => (0, 2),
+                _ => (2 + rest * (r - 1) / (p - 1), 2 + rest * r / (p - 1)),
+            };
+            let mut t = DistOctree::from_local(c, all[lo..hi].to_vec());
+            for _ in 3..7 {
+                t.refine(|o| o.contains(&target));
+            }
+            let mut expected: Vec<Octant> = c.allgatherv(&t.local);
+            let added = balance_local_naive_kind(&mut expected, BalanceKind::Full);
+            assert_eq!(t.balance(BalanceKind::Full), added as u64, "P={p}");
+            assert!(
+                t.last_balance_rounds() >= 3,
+                "P={p}: {}",
+                t.last_balance_rounds()
+            );
+            assert_eq!(c.allgatherv(&t.local), expected, "P={p}");
+        });
+    }
+}
+
 #[test]
 fn packed_ops_agree_with_unpacked_reference() {
     for seed in seeds(2) {

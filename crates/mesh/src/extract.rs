@@ -254,6 +254,9 @@ pub struct Mesh {
     pub corner_dofs: Vec<u32>,
     /// The constraint rows the hanging corners of `corner_dofs` name.
     pub constraints: Constraints,
+    /// Distinct corners of the local elements: the nodes extraction
+    /// classified, one per entry of its node table.
+    pub n_nodes: usize,
     /// Number of owned dofs (local dof indices `0..n_owned`).
     pub n_owned: usize,
     /// Number of ghost dofs (local dof indices `n_owned..n_owned+n_ghost`).
@@ -408,29 +411,53 @@ fn decode(d: u32) -> Corner {
     }
 }
 
-/// Vertex keys of a leaf (z-order).
-fn leaf_corner_keys(o: &Octant) -> [NodeKey; 8] {
-    let l = o.len();
-    std::array::from_fn(|c| {
-        node_key(
-            o.x() + (c as u32 & 1) * l,
-            o.y() + ((c as u32 >> 1) & 1) * l,
-            o.z() + ((c as u32 >> 2) & 1) * l,
-        )
-    })
-}
-
 /// Every corner of `elements` as `(key, 8e + c)`, sorted: the corners of
 /// one node form one run, the node's first corner leading it. The
 /// distinct keys in order are the mesh's local nodes.
+///
+/// Ordered in place, without a comparison sort of all pairs: one counting
+/// pass over the buckets `(key − kmin) >> shift` (about one per four
+/// pairs), a scatter of the regenerated pairs to their buckets, and a
+/// sort of each bucket. Buckets partition the key range in order and
+/// hold every pair of a key together, so the result is the sorted pair
+/// array, bit for bit.
 pub fn sorted_corners(elements: &[Octant]) -> Vec<(NodeKey, u32)> {
-    let mut corners: Vec<(NodeKey, u32)> = Vec::with_capacity(8 * elements.len());
-    for (e, o) in elements.iter().enumerate() {
-        for (c, k) in leaf_corner_keys(o).into_iter().enumerate() {
-            corners.push((k, (8 * e + c) as u32));
+    if elements.is_empty() {
+        return Vec::new();
+    }
+    let n = 8 * elements.len();
+    // Corner 0 (the anchor) has a leaf's least key, corner 7 its greatest.
+    let (kmin, kmax) = elements.iter().fold((u64::MAX, 0), |(lo, hi), o| {
+        let k = o.vertex_keys();
+        (lo.min(k[0]), hi.max(k[7]))
+    });
+    let span = (kmax - kmin) / (n / 4).max(1) as u64;
+    let shift = u64::BITS - span.leading_zeros();
+    let bucket = |k: NodeKey| ((k - kmin) >> shift) as usize;
+    // `starts[b + 1]` counts bucket b, then (prefix sums) `starts[b]` is
+    // its first slot and, once the scatter has advanced it, its end.
+    let mut starts = vec![0u32; bucket(kmax) + 2];
+    for o in elements {
+        for k in o.vertex_keys() {
+            starts[bucket(k) + 1] += 1;
         }
     }
-    corners.sort_unstable();
+    for b in 1..starts.len() {
+        starts[b] += starts[b - 1];
+    }
+    let mut corners = vec![(0, 0); n];
+    for (e, o) in elements.iter().enumerate() {
+        for (c, k) in o.vertex_keys().into_iter().enumerate() {
+            let slot = &mut starts[bucket(k)];
+            corners[*slot as usize] = (k, (8 * e + c) as u32);
+            *slot += 1;
+        }
+    }
+    let mut lo = 0;
+    for &hi in &starts[..starts.len() - 1] {
+        corners[lo..hi as usize].sort_unstable();
+        lo = hi as usize;
+    }
     corners
 }
 
@@ -619,7 +646,7 @@ pub fn extract_mesh_with_ghosts(
         let mi = master[n] as usize;
         let (mo, origin) = (view.leaves[mi], view.origins[mi]);
         let (i0, f0) = (indep.len(), foreign.len());
-        let mkeys = leaf_corner_keys(&mo);
+        let mkeys = mo.vertex_keys();
         for (ci, w) in master_weights(&mo, node_coords(node_keys[n])) {
             let LeafOrigin::Local(e) = origin else {
                 foreign.push((origin.owner(me, ghosts), mkeys[ci], w));
@@ -851,6 +878,7 @@ pub fn extract_mesh_with_ghosts(
         elements: tree.local.clone(),
         corner_dofs,
         constraints,
+        n_nodes,
         n_owned,
         n_ghost,
         global_offset,
@@ -1051,7 +1079,7 @@ mod tests {
             for e in 0..m.elements.len() {
                 let vals = m.corner_values(e, &v);
                 let o = &m.elements[e];
-                let keys = super::leaf_corner_keys(o);
+                let keys = o.vertex_keys();
                 for (i, &k) in keys.iter().enumerate() {
                     let (x, y, z) = node_coords(k);
                     let s = ROOT_LEN as f64;
@@ -1216,6 +1244,53 @@ mod tests {
                     }
                 }
                 assert_eq!(rows, m.n_hanging());
+            });
+        }
+    }
+
+    /// The bucketed node-table order is a plain sort of every `(corner
+    /// key, 8e + c)` pair, bitwise: on empty and one-leaf segments, on
+    /// seeded adapted trees with leaves on the root's upper faces (node
+    /// coordinate `ROOT_LEN`) and `MAX_LEVEL` leaves, at P ∈ {1, 4, 8}.
+    #[test]
+    fn sorted_corners_equal_a_sort_of_all_corner_pairs() {
+        let oracle = |elements: &[Octant]| {
+            let mut pairs: Vec<(NodeKey, u32)> = Vec::new();
+            for (e, o) in elements.iter().enumerate() {
+                for (c, k) in o.vertex_keys().into_iter().enumerate() {
+                    pairs.push((k, (8 * e + c) as u32));
+                }
+            }
+            pairs.sort_unstable();
+            pairs
+        };
+        let far = Octant::new(ROOT_LEN - 1, ROOT_LEN - 1, ROOT_LEN - 1, MAX_LEVEL);
+        let near = Octant::new(0, ROOT_LEN / 2, 1, MAX_LEVEL);
+        for p in [1, 4, 8] {
+            spmd::run(p, |c| {
+                // Root only (every rank but rank 0 empty), then one leaf
+                // per rank at P = 8.
+                for level in [0, 1] {
+                    let t = DistOctree::new_uniform(c, level);
+                    assert!(t.local.len() <= 1 || p < 8);
+                    assert_eq!(sorted_corners(&t.local), oracle(&t.local));
+                }
+                let mut rng = scomm::rng::SplitMix64::new(17);
+                let mut t = DistOctree::new_uniform(c, 2);
+                for _ in 0..3 {
+                    // The same draws on every rank: one per leaf of the
+                    // level-2 grid, so the refinement is rank-independent.
+                    let marks: Vec<u64> = (0..64).map(|_| rng.below(4)).collect();
+                    t.refine(|o| marks[o.ancestor_at(2).uniform_index() as usize] == 0);
+                }
+                for _ in 0..MAX_LEVEL {
+                    t.refine(|o| o.level() < MAX_LEVEL && (o.contains(&far) || o.contains(&near)));
+                }
+                t.balance(BalanceKind::Full);
+                t.partition();
+                let finest = t.local.iter().map(|o| o.level() as u64).max();
+                assert_eq!(c.allreduce_max(&[finest.unwrap_or(0)]), [MAX_LEVEL as u64]);
+                assert_eq!(sorted_corners(&t.local), oracle(&t.local));
             });
         }
     }

@@ -142,18 +142,25 @@ pub fn balance_local_kind_ws(
 ) -> usize {
     let mut out = std::mem::take(&mut ws.out);
     out.clear();
-    let added = balance_run_into(leaves, kind, ws, &mut out);
+    let added = balance_run_into(leaves, leaves, kind, ws, &mut out);
     std::mem::swap(leaves, &mut out);
     ws.out = out;
     added
 }
 
 /// Seed propagation over one tree's sorted run of leaves (a whole tree
-/// or one rank's segment of it), appending the balanced run to `out`:
-/// the body of [`balance_local_kind_ws`] and of every local pass of the
-/// distributed balance. Returns the number of leaves added.
+/// or one rank's segment of it): appends `run` to `out`, each leaf split
+/// wherever the demand closure of `seeds` lands a strictly finer demand
+/// inside it. The body of [`balance_local_kind_ws`] and of every local
+/// pass of the distributed balance. Seeded with `run` itself, the output
+/// is the run's minimal balanced refinement. The parent rule is unary, so
+/// the closure of a leaf set is the union of its leaves' closures: if
+/// `run` refines a balanced run and `seeds` are the leaves it added,
+/// seeding `seeds` alone gives the same output. Returns the number of
+/// leaves added.
 pub(crate) fn balance_run_into<L: CurveLeaf>(
     run: &[L],
+    seeds: &[L],
     kind: BalanceKind,
     ws: &mut BalanceWorkspace,
     out: &mut Vec<L>,
@@ -174,9 +181,9 @@ pub(crate) fn balance_run_into<L: CurveLeaf>(
     }
     ws.demands.clear();
 
-    // Seed: every input leaf demands its own level over its own region.
+    // Seed: every seed leaf demands its own level over its own region.
     let mut max_level = 0u8;
-    for o in run.iter().map(L::oct) {
+    for o in seeds.iter().map(L::oct) {
         if o.level() >= 2 {
             ws.buckets[o.level() as usize].push(o);
         }

@@ -27,7 +27,10 @@
 //! rank refines. Seed propagation is not extended across trees: its
 //! parent rule is not closed under the face transforms. Every refinement
 //! either step makes is forced, so the rounds reach the unique minimal
-//! 2:1 closure of the composed neighbour relation.
+//! 2:1 closure of the composed neighbour relation. Only leaves near the
+//! segment's boundary build requests, and a round after the first seeds
+//! its pass only with the children the previous round's requests created
+//! (DESIGN.md §5).
 
 use crate::balance::{balance_run_into, BalanceKind, BalanceWorkspace};
 use crate::ghost::{GhostLayer, GhostWorkspace};
@@ -226,22 +229,41 @@ impl TreeOwners {
         let rank = |bound: u32| (bound as usize).saturating_sub(1);
         (rank(self.lo[i]), rank(self.hi[i]))
     }
+
+    /// `o` is insulated in rank `me`'s segment: the 3×3×3 block of
+    /// same-size cells around it stays inside the root and inside `me`'s
+    /// projected key range, so no neighbour region of `o` lies on another
+    /// rank or across the seam. The Morton key grows with each coordinate,
+    /// so the block's keys lie between those of its lowest and highest
+    /// points. O(1); conservative, never wrong.
+    pub(crate) fn insulates(&self, me: usize, o: Octant) -> bool {
+        let (Some(lo), Some(hi)) = (o.neighbor(-1, -1, -1), o.neighbor(1, 1, 1)) else {
+            return false;
+        };
+        let end = self.markers.get(me + 1).copied().unwrap_or(u64::MAX);
+        self.markers[me] <= lo.key() && hi.last_descendant().key() < end
+    }
 }
 
 /// Grow-only scratch of [`LeafCurve::balance`]'s rounds.
 struct RippleScratch<L> {
     /// Seed-propagation scratch of the local pass, and its output, swapped
     /// with the leaf array when the pass added leaves.
-    seeds: BalanceWorkspace,
+    pass: BalanceWorkspace,
     out: Vec<L>,
+    /// The seeds of the next local pass: the children the last request
+    /// refinement created, in curve order.
+    seeds: Vec<L>,
     /// Per-destination size requests: a same-size neighbour region, whose
     /// level is the requesting leaf's.
     req_bufs: Vec<Vec<L>>,
     /// Flat request exchange buffers.
     send_flat: Vec<L>,
     recv_flat: Vec<L>,
-    /// One tree run's octants, the batch neighbour-kernel output (one
-    /// entry per leaf of the run, per direction) and its ownership ranges.
+    /// Of one tree run, the leaves that are not insulated (their indices
+    /// and octants), the batch neighbour-kernel output (one entry per such
+    /// leaf, per direction) and its ownership ranges.
+    idx: Vec<u32>,
     octs: Vec<Octant>,
     nbrs: Vec<Octant>,
     owners: TreeOwners,
@@ -252,11 +274,13 @@ struct RippleScratch<L> {
 impl<L> Default for RippleScratch<L> {
     fn default() -> Self {
         RippleScratch {
-            seeds: BalanceWorkspace::default(),
+            pass: BalanceWorkspace::default(),
             out: Vec::new(),
+            seeds: Vec::new(),
             req_bufs: Vec::new(),
             send_flat: Vec::new(),
             recv_flat: Vec::new(),
+            idx: Vec::new(),
             octs: Vec::new(),
             nbrs: Vec::new(),
             owners: TreeOwners::default(),
@@ -311,9 +335,12 @@ pub struct LeafCurve<'c, L: CurveLeaf, S> {
     recv: Vec<L>,
     send_counts: Vec<usize>,
     recv_counts: Vec<usize>,
-    /// Balance scratch, and the rounds the last balance took.
+    /// Balance scratch, and the rounds, requesting leaves and seeds of
+    /// the last balance.
     ripple: RippleScratch<L>,
     balance_rounds: u64,
+    balance_request_leaves: u64,
+    balance_seed_leaves: u64,
 }
 
 impl<'c, L: CurveLeaf, S: TreeSeam<L>> LeafCurve<'c, L, S> {
@@ -338,6 +365,8 @@ impl<'c, L: CurveLeaf, S: TreeSeam<L>> LeafCurve<'c, L, S> {
             recv_counts: Vec::new(),
             ripple: RippleScratch::default(),
             balance_rounds: 0,
+            balance_request_leaves: 0,
+            balance_seed_leaves: 0,
         };
         tree.update();
         tree
@@ -434,8 +463,11 @@ impl<'c, L: CurveLeaf, S: TreeSeam<L>> LeafCurve<'c, L, S> {
     /// through the seam (see the module docs): each round a local
     /// seed-propagation pass per tree run, one alltoallv of size requests
     /// and one allreduce exit test; the round count is bounded by the
-    /// number of levels, as in the paper. Returns the number of leaves
-    /// added globally.
+    /// number of levels, as in the paper. Round 1 seeds its pass with
+    /// every leaf, a later round with the children the previous round's
+    /// requests created (none: no pass). Only leaves that are not
+    /// insulated in this rank's segment build requests. Returns the number
+    /// of leaves added globally.
     pub fn balance(&mut self, kind: BalanceKind) -> u64 {
         let before = self.global_count();
         let dirs = kind.direction_slice();
@@ -446,43 +478,69 @@ impl<'c, L: CurveLeaf, S: TreeSeam<L>> LeafCurve<'c, L, S> {
             ws.req_bufs.resize_with(p, Vec::new);
         }
         self.balance_rounds = 0;
+        self.balance_request_leaves = 0;
+        self.balance_seed_leaves = 0;
         loop {
             self.balance_rounds += 1;
-            ws.out.clear();
-            let mut added = 0;
-            for run in self.local.chunk_by(|a, b| a.tree() == b.tree()) {
-                added += balance_run_into(run, kind, &mut ws.seeds, &mut ws.out);
-            }
-            if added > 0 {
-                std::mem::swap(&mut self.local, &mut ws.out);
+            // Coarsening can break the demands of unchanged leaves, so
+            // round 1 seeds every leaf; after it, only the children request
+            // refinement created can add demands (see `balance_run_into`).
+            let first = self.balance_rounds == 1;
+            if first || !ws.seeds.is_empty() {
+                ws.out.clear();
+                let (mut added, mut s) = (0, 0);
+                for run in self.local.chunk_by(|a, b| a.tree() == b.tree()) {
+                    let seeds = if first {
+                        run
+                    } else {
+                        let t = run[0].tree();
+                        let n = ws.seeds[s..].partition_point(|l| l.tree() == t);
+                        s += n;
+                        &ws.seeds[s - n..s]
+                    };
+                    self.balance_seed_leaves += seeds.len() as u64;
+                    added += balance_run_into(run, seeds, kind, &mut ws.pass, &mut ws.out);
+                }
+                if added > 0 {
+                    std::mem::swap(&mut self.local, &mut ws.out);
+                }
             }
             self.update();
 
             // Size requests, direction-major per tree run: one batched
             // neighbour-kernel call and one batched ownership query per
-            // direction. A request `n` says some leaf at level
-            // `n.level()` touches region `n`. Request sets are unordered
-            // (the receiver flags idempotently).
+            // direction over the run's leaves that are not insulated (an
+            // insulated leaf would request nothing). A request `n` says
+            // some leaf at level `n.level()` touches region `n`. Request
+            // sets are unordered (the receiver flags idempotently).
             for buf in &mut ws.req_bufs {
                 buf.clear();
             }
             for run in self.local.chunk_by(|a, b| a.tree() == b.tree()) {
                 ws.owners.project(&self.markers, run[0].tree());
+                ws.idx.clear();
                 ws.octs.clear();
-                ws.octs.extend(run.iter().map(L::oct));
+                for (i, o) in run.iter().map(L::oct).enumerate() {
+                    if !ws.owners.insulates(me, o) {
+                        ws.idx.push(i as u32);
+                        ws.octs.push(o);
+                    }
+                }
+                self.balance_request_leaves += ws.idx.len() as u64;
                 for &d in dirs {
                     ws.nbrs.clear();
                     simd::neighbor_keys_into(&ws.octs, d.0, d.1, d.2, &mut ws.nbrs);
                     ws.owners.query(&ws.nbrs);
                     for (i, &n) in ws.nbrs.iter().enumerate() {
+                        let leaf = &run[ws.idx[i] as usize];
                         if n != Octant::INVALID {
                             let (rlo, rhi) = ws.owners.ranks(i);
                             for r in (rlo..=rhi).filter(|&r| r != me) {
-                                ws.req_bufs[r].push(run[i].with_oct(n));
+                                ws.req_bufs[r].push(leaf.with_oct(n));
                             }
                             continue;
                         }
-                        self.seam.across(&run[i], d, &mut ws.images);
+                        self.seam.across(leaf, d, &mut ws.images);
                         for img in &ws.images {
                             let (rlo, rhi) = self.owner_range(img);
                             for buf in &mut ws.req_bufs[rlo..=rhi] {
@@ -506,7 +564,8 @@ impl<'c, L: CurveLeaf, S: TreeSeam<L>> LeafCurve<'c, L, S> {
             );
 
             // Any local leaf containing a requested region must be at
-            // most one level coarser than the requester.
+            // most one level coarser than the requester. The children of
+            // the leaves refined here seed the next round's pass.
             self.flags.clear();
             self.flags.resize(self.local.len(), false);
             let mut changed = 0u64;
@@ -518,7 +577,12 @@ impl<'c, L: CurveLeaf, S: TreeSeam<L>> LeafCurve<'c, L, S> {
                     }
                 }
             }
+            ws.seeds.clear();
             if changed > 0 {
+                for (leaf, _) in self.local.iter().zip(&self.flags).filter(|(_, &f)| f) {
+                    ws.seeds
+                        .extend(leaf.oct().children().map(|c| leaf.with_oct(c)));
+                }
                 let (flags, mut i) = (&self.flags, 0);
                 ops::refine_with(&mut self.local, &mut self.scratch, |_| {
                     i += 1;
@@ -545,6 +609,19 @@ impl<'c, L: CurveLeaf, S: TreeSeam<L>> LeafCurve<'c, L, S> {
     /// [`LeafCurve::balance`] call.
     pub fn last_balance_rounds(&self) -> u64 {
         self.balance_rounds
+    }
+
+    /// Local leaves that built size requests in the most recent
+    /// [`LeafCurve::balance`] call, summed over its rounds (the others
+    /// were insulated).
+    pub fn last_balance_request_leaves(&self) -> u64 {
+        self.balance_request_leaves
+    }
+
+    /// Seeds of the local passes of the most recent
+    /// [`LeafCurve::balance`] call, summed over its rounds.
+    pub fn last_balance_seed_leaves(&self) -> u64 {
+        self.balance_seed_leaves
     }
 
     /// `CoarsenTree`: merge the complete local families whose eight leaves

@@ -354,6 +354,24 @@ impl Octant {
         Some(Octant::new(nx as u32, ny as u32, nz as u32, self.level()))
     }
 
+    /// Morton keys of the eight vertices in z-order (`x` fastest): the
+    /// anchor key with the dilated edge length added on each axis lane, as
+    /// [`neighbor_raw_unit`] steps, with no coordinate interleaved again.
+    /// A vertex coordinate may equal `ROOT_LEN`; its bit lands in lane 19,
+    /// which the dilated masks cover.
+    #[inline]
+    pub fn vertex_keys(&self) -> [u64; 8] {
+        let key = self.key();
+        let step = 1u64 << key_shift(self.level());
+        let lanes = |mask: u64, delta: u64| [key & mask, dilated_step(key & mask, delta, 1, mask)];
+        let (x, y, z) = (
+            lanes(DIL_X, step),
+            lanes(DIL_Y, step << 1),
+            lanes(DIL_Z, step << 2),
+        );
+        std::array::from_fn(|c| x[c & 1] | y[(c >> 1) & 1] | z[c >> 2])
+    }
+
     /// Iterate the 26 `(dx,dy,dz)` displacement triples of the full
     /// face/edge/corner neighborhood (z outermost, x innermost).
     pub fn neighbor_directions() -> impl Iterator<Item = (i32, i32, i32)> {
@@ -514,6 +532,30 @@ mod tests {
         let far = Octant::new(ROOT_LEN / 2, ROOT_LEN / 2, ROOT_LEN / 2, 1);
         assert!(far.neighbor(1, 0, 0).is_none(), "past +x face");
         assert_eq!(Octant::neighbor_directions().count(), 26);
+    }
+
+    /// The dilated vertex keys equal the interleaved vertex coordinates at
+    /// every level, at the root's far corner (whose upper vertices sit at
+    /// `ROOT_LEN`, lane 19), at the origin and one step inside each.
+    #[test]
+    fn vertex_keys_interleave_the_vertex_coordinates() {
+        for level in 0..=MAX_LEVEL {
+            let len = 1u32 << (MAX_LEVEL - level);
+            let (far, near) = (ROOT_LEN - len, len.min(ROOT_LEN - len));
+            for a in [
+                (far, far, far),
+                (0, 0, 0),
+                (near, 0, far),
+                (far, near, near),
+            ] {
+                let o = Octant::new(a.0, a.1, a.2, level);
+                let oracle: [u64; 8] = std::array::from_fn(|c| {
+                    let bit = |d: usize| ((c >> d) & 1) as u32 * len;
+                    morton_key(a.0 + bit(0), a.1 + bit(1), a.2 + bit(2))
+                });
+                assert_eq!(o.vertex_keys(), oracle, "{o:?}");
+            }
+        }
     }
 
     #[test]

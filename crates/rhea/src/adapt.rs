@@ -101,6 +101,13 @@ pub fn gradient_indicator(mesh: &Mesh, comm: &Comm, t_owned: &[f64]) -> Vec<f64>
     out
 }
 
+/// Record one `ExtractMesh` in the counters `mesh.extract_calls` and
+/// `mesh.nodes_classified` (the nodes of its node table).
+pub fn count_extraction(rec: &obs::Recorder, mesh: &Mesh) {
+    rec.add_count("mesh.extract_calls", 1);
+    rec.add_count("mesh.nodes_classified", mesh.n_nodes as u64);
+}
+
 /// Run the full Fig. 4 pipeline: adapt the octree toward the target
 /// element count using `indicators`, rebalance, transfer the given nodal
 /// `fields`, repartition, and extract the new mesh. Returns the new mesh,
@@ -124,8 +131,11 @@ pub fn adapt_mesh(
 
 /// [`adapt_mesh`] with a caller-held workspace: warm cycles reuse every
 /// intermediate buffer, and the recorder gains the per-cycle counters
-/// `amr.p2p_msgs` (point-to-point messages in the cycle) and
-/// `amr.ripple_rounds` (balance communication rounds).
+/// `amr.p2p_msgs` (point-to-point messages in the cycle),
+/// `amr.ripple_rounds` (balance communication rounds),
+/// `balance.request_leaves` and `balance.seed_leaves` (see
+/// `LeafCurve::last_balance_request_leaves`) and those of
+/// [`count_extraction`].
 pub fn adapt_mesh_ws(
     tree: &mut DistOctree,
     old_mesh: &Mesh,
@@ -148,8 +158,11 @@ pub fn adapt_mesh_ws(
     let coarsened = rec.with_cat("CoarsenTree", "amr", || tree.coarsen_marked());
     let refined = rec.with_cat("RefineTree", "amr", || tree.refine_marked());
 
-    // BalanceTree.
+    // BalanceTree, with the leaves that built size requests and the
+    // seeds of its local passes.
     let balance_added = rec.with_cat("BalanceTree", "amr", || tree.balance(BalanceKind::Full));
+    rec.add_count("balance.request_leaves", tree.last_balance_request_leaves());
+    rec.add_count("balance.seed_leaves", tree.last_balance_seed_leaves());
 
     // Stage guard: the tree invariants (order, partition, 2:1) must hold
     // before anything downstream consumes the adapted tree.
@@ -216,6 +229,7 @@ pub fn adapt_mesh_ws(
         tree.ghost_layer_into(ghost);
         extract_mesh_with_ghosts(tree, domain, ghost.ghosts())
     });
+    count_extraction(rec, &new_mesh);
 
     // Stage guard: repartitioned tree + extracted mesh (ghost symmetry,
     // hanging-node constraints, dof numbering) before fields land on it.
@@ -412,6 +426,54 @@ mod tests {
                 let expect = f(mesh.dof_coords(d));
                 assert!((fields[0][d] - expect).abs() < 1e-10);
             }
+        });
+    }
+
+    /// At P = 2 most leaves are insulated in their rank's segment, so
+    /// fewer than rounds × leaves build balance requests, and a later
+    /// round seeds only the children its predecessor's requests created,
+    /// not every leaf again. The round counts are pinned at the ones the
+    /// full-scan balance took on this input.
+    #[test]
+    fn balance_counters_show_the_pruning() {
+        spmd::run(2, |c| {
+            let mut tree = DistOctree::new_uniform(c, 2);
+            let mut mesh = extract_mesh(&tree, [1.0, 1.0, 1.0]);
+            let mut fields = vec![vec![0.0; mesh.n_owned]];
+            let params = AdaptParams {
+                target_elements: 1000,
+                ..Default::default()
+            };
+            let mut ws = AdaptWorkspace::new();
+            let mut rounds = Vec::new();
+            for _ in 0..8 {
+                // A spike just above the partition boundary z = ½.
+                let ind: Vec<f64> = mesh
+                    .elements
+                    .iter()
+                    .map(|o| {
+                        let d = o.center_unit().map(|x| x - 0.51);
+                        (-200.0 * d.iter().map(|x| x * x).sum::<f64>()).exp()
+                    })
+                    .collect();
+                let rec = obs::Recorder::new(c.rank());
+                let (nm, nf, report) =
+                    adapt_mesh_ws(&mut tree, &mesh, &fields, &ind, &params, &rec, &mut ws);
+                (mesh, fields) = (nm, nf);
+                let counters = &rec.summary().counters;
+                let r = counters["amr.ripple_rounds"];
+                let [requests, seeds] = c.allreduce_sum(&[
+                    counters["balance.request_leaves"],
+                    counters["balance.seed_leaves"],
+                ]);
+                let leaves = report.elements_after;
+                assert!(requests < r * leaves, "{requests} of {r} × {leaves}");
+                assert!(seeds <= leaves, "{seeds} seeds, {leaves} leaves");
+                assert_eq!(counters["mesh.extract_calls"], 1);
+                assert_eq!(counters["mesh.nodes_classified"], mesh.n_nodes as u64);
+                rounds.push(r);
+            }
+            assert_eq!(rounds, [1, 1, 1, 1, 1, 2, 1, 1]);
         });
     }
 

@@ -4,7 +4,9 @@
 //! variable-viscosity (Picard-linearized) Stokes solve for the flow —
 //! with dynamic AMR every `adapt_every` steps.
 
-use crate::adapt::{adapt_mesh_ws, gradient_indicator, AdaptParams, AdaptReport, AdaptWorkspace};
+use crate::adapt::{
+    adapt_mesh_ws, count_extraction, gradient_indicator, AdaptParams, AdaptReport, AdaptWorkspace,
+};
 use crate::rheology::ViscosityLaw;
 use crate::transport::{TransportParams, TransportSolver};
 use mesh::extract::{extract_mesh, Mesh};
@@ -104,6 +106,7 @@ impl<'c> ConvectionSim<'c> {
         });
         let tree = rec.with_cat("NewTree", "amr", || DistOctree::new_uniform(comm, level));
         let mesh = rec.with_cat("ExtractMesh", "amr", || extract_mesh(&tree, params.domain));
+        count_extraction(&rec, &mesh);
         let lz = params.domain[2];
         let lx = params.domain[0];
         let ly = params.domain[1];

@@ -216,6 +216,53 @@ fn tree_cycles_and_ghost_layers() {
     }
 }
 
+/// A warm octree cycle whose balance takes four rounds at P ≥ 2, each
+/// later one with a seeded local pass that adds leaves: the peninsula of
+/// `check/tests/oracles.rs::many_round_balance_matches_naive` refined to
+/// level 7, balanced, and coarsened back. The seed list is grow-only
+/// scratch too.
+#[test]
+fn many_round_balance_cycle() {
+    let mut all = ops::new_tree(2);
+    let c_cell = Octant::new(ROOT_LEN / 4, 0, 0, 2);
+    ops::refine(&mut all, |o| *o == c_cell);
+    let target = Octant::new(3 * ROOT_LEN / 8, 0, 0, MAX_LEVEL);
+    for p in [1, 2, 4] {
+        let runs = spmd::run(p, |c| {
+            fill_mailboxes(c);
+            let (r, rest) = (c.rank(), all.len() - 2);
+            let (lo, hi) = match (p, r) {
+                (1, _) => (0, all.len()),
+                (_, 0) => (0, 2),
+                _ => (2 + rest * (r - 1) / (p - 1), 2 + rest * r / (p - 1)),
+            };
+            let mut t = DistOctree::from_local(c, all[lo..hi].to_vec());
+            let mut rounds = 0;
+            let cycle = windows(c, 3, || {
+                for _ in 3..7 {
+                    t.refine(|o| o.contains(&target));
+                }
+                t.balance(BalanceKind::Full);
+                rounds = t.last_balance_rounds();
+                for _ in 3..7 {
+                    t.coarsen(|o| o.level() > if c_cell.contains(o) { 3 } else { 2 });
+                }
+            });
+            (cycle, rounds, t.local.len() == hi - lo)
+        });
+        for (rank, (cycle, rounds, restored)) in runs.iter().enumerate() {
+            let at = format!("P = {p}, rank {rank}");
+            assert!(p == 1 || *rounds >= 3, "{at}: {rounds} rounds");
+            assert!(restored, "{at}: the cycle does not return to its start");
+            if cfg!(debug_assertions) && scomm::checks_enabled() {
+                assert!(steady(cycle), "{at}");
+            } else {
+                assert_eq!(allocations(cycle), [0; 4], "{at}");
+            }
+        }
+    }
+}
+
 #[test]
 fn operators_and_minres() {
     // Messages per apply on each rank: the scalar `DistOp`, and the

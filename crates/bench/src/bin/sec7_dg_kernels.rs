@@ -15,8 +15,13 @@
 
 use mangll::kernels::{
     matrix_derivative_flops, tensor_derivative_flops, ElementDerivative, MatrixDerivative,
+    MAX_ORDER,
 };
 use rhea_bench::{banner, Table};
+
+/// Flops per timed batch of either kernel: the dense kernel at p = 8 then
+/// runs 42 elements a batch, and the whole sweep takes seconds.
+const BATCH_FLOPS: u64 = 1 << 27;
 
 fn time_kernel(f: impl Fn()) -> f64 {
     // Warmup + best-of-3 timing.
@@ -48,24 +53,27 @@ fn main() {
     ]);
     let mut crossover: Option<usize> = None;
     let mut prev_faster_matrix = false;
-    for p in 1..=8usize {
+    for p in 1..=MAX_ORDER {
         let ed = ElementDerivative::new(p);
         let dense = MatrixDerivative::new(&ed);
         let n3 = ed.n3();
-        // Batch sized to ~8 MB of input to exercise the cache hierarchy.
+        // Input of up to ~8 MB, to exercise the cache hierarchy; each
+        // kernel's batch is as many of its elements as BATCH_FLOPS buys.
         let nelem = (1_000_000 / n3).clamp(8, 4096);
         let u: Vec<f64> = (0..n3 * nelem)
             .map(|i| ((i * 2654435761 + 7) % 1000) as f64 / 999.0)
             .collect();
         let out = std::cell::RefCell::new(vec![0.0; 3 * n3 * nelem]);
-        let t_mat = time_kernel(|| {
-            dense.apply_batch(&u, &mut out.borrow_mut(), nelem);
-        }) / nelem as f64;
-        let t_ten = time_kernel(|| {
-            ed.apply_tensor_batch(&u, &mut out.borrow_mut(), nelem);
-        }) / nelem as f64;
         let fm = matrix_derivative_flops(p);
         let ft = tensor_derivative_flops(p);
+        let batch = |flops: u64| (BATCH_FLOPS / flops).clamp(8, nelem as u64) as usize;
+        let (bm, bt) = (batch(fm), batch(ft));
+        let t_mat = time_kernel(|| {
+            dense.apply_batch(&u[..n3 * bm], &mut out.borrow_mut()[..3 * n3 * bm], bm);
+        }) / bm as f64;
+        let t_ten = time_kernel(|| {
+            ed.apply_tensor_batch(&u, &mut out.borrow_mut(), bt);
+        }) / bt as f64;
         let faster_matrix = t_mat < t_ten;
         if prev_faster_matrix && !faster_matrix && crossover.is_none() {
             crossover = Some(p);

@@ -6,7 +6,9 @@
 //! each element as the box spanned by its mapped corners — a documented
 //! geometric approximation):
 //!
-//! * volume terms from the tensor-product derivative kernel;
+//! * per RK stage one pass over the local elements, monomorphised on the
+//!   order: volume terms from the tensor-product derivative kernel and
+//!   the faces' upwind lift into one stack block per element;
 //! * upwind numerical flux on faces, each face entity of the forest
 //!   integrated on its mortar: a conforming face (inside a tree or across
 //!   trees) on the shared `n²` LGL nodes, permuted by the inter-tree
@@ -23,7 +25,7 @@ use forest::{transverse_axes, FaceSide, FaceVisit, Forest, GhostKind, GhostWorks
 use octree::ops::find_containing;
 use scomm::Exchange;
 
-use crate::kernels::{apply_face, apply_volume, ElementDerivative, FaceTables};
+use crate::kernels::{apply_face, apply_volume, grad, with_nodes, ElementDerivative, FaceTables};
 
 /// Exchange stream id for the DG ghost traces (the CG operators post on
 /// stream 0).
@@ -116,17 +118,6 @@ impl FaceLink {
     }
 }
 
-/// Grow-only scratch of [`DgAdvection::step`]: RK residual, stage
-/// right-hand side, one element's reference gradient and five face
-/// traces. Warm steps allocate nothing.
-#[derive(Default)]
-struct StepScratch {
-    res: Vec<f64>,
-    k: Vec<f64>,
-    grad: Vec<f64>,
-    face: Vec<f64>,
-}
-
 /// Upwind flux correction `a·n (u* − u⁻)` at one mortar node.
 #[inline]
 fn upwind(an: f64, u_in: f64, u_out: f64) -> f64 {
@@ -163,6 +154,9 @@ pub struct DgAdvection<'f, 'c> {
     an: Vec<f64>,
     /// Entry `e·6 + face`: what is across that face.
     links: Vec<FaceLink>,
+    /// Entry `e·6 + face`: bit `m` set where mortar `m` of that face
+    /// takes inflow (some `a·n < 0`); a face without inflow has no flux.
+    inflow: Vec<u8>,
     /// The fine sides' `−a·n` on the mortars of every coarse hanging
     /// face, in the coarse face's layout (`4n²` per face): both sides of
     /// a mortar then take the same flux.
@@ -180,7 +174,8 @@ pub struct DgAdvection<'f, 'c> {
     ex: Exchange,
     send_flat: Vec<f64>,
     got_counts: Vec<usize>,
-    scratch: StepScratch,
+    /// The RK residual, grow-only: warm steps allocate nothing.
+    res: Vec<f64>,
 }
 
 impl<'f, 'c> DgAdvection<'f, 'c> {
@@ -249,6 +244,7 @@ impl<'f, 'c> DgAdvection<'f, 'c> {
             u,
             an: Vec::new(),
             links: Vec::new(),
+            inflow: Vec::new(),
             mortar_an: Vec::new(),
             ghost_u: Vec::new(),
             send_faces: Vec::new(),
@@ -257,7 +253,7 @@ impl<'f, 'c> DgAdvection<'f, 'c> {
             ex: Exchange::new(DG_STREAM),
             send_flat: Vec::new(),
             got_counts: Vec::new(),
-            scratch: StepScratch::default(),
+            res: Vec::new(),
         };
         solver.build_face_links();
         solver
@@ -430,6 +426,15 @@ impl<'f, 'c> DgAdvection<'f, 'c> {
                 }
             }
         }
+        let inflow = |an: &[f64]| !an.iter().all(|&a| a >= 0.0);
+        self.inflow = (links.iter().enumerate())
+            .map(|(i, l)| match *l {
+                FaceLink::Finer { an, .. } => (0..4)
+                    .map(|m| u8::from(inflow(&self.mortar_an[an as usize + m * n2..][..n2])) << m)
+                    .sum(),
+                _ => u8::from(inflow(&self.an[i * n2..][..n2])),
+            })
+            .collect();
         self.links = links;
     }
 
@@ -457,21 +462,26 @@ impl<'f, 'c> DgAdvection<'f, 'c> {
         self.exchange_ghosts_end();
     }
 
+    /// Where the trace of `t` laid over a face of ours by `orient` is
+    /// read: node `k` of it is `values[at[k]]` for `(values, at)`.
+    fn source(&self, t: Trace, orient: u8) -> (&[f64], &[u32]) {
+        let (n2, n3) = (self.ed.lgl.n().pow(2), self.ed.n3());
+        if t.ghost {
+            (
+                &self.ghost_u[t.id as usize * n2..][..n2],
+                self.ft.perm(orient),
+            )
+        } else {
+            let at = self.ft.across(t.face as usize, orient);
+            (&self.u[t.id as usize * n3..][..n3], at)
+        }
+    }
+
     /// The `n²` trace of `t` laid over a face of ours by `orient`.
     fn load_trace(&self, t: Trace, orient: u8, out: &mut [f64]) {
-        let (n2, n3) = (out.len(), self.ed.n3());
-        let perm = self.ft.perm(orient);
-        if t.ghost {
-            let theirs = &self.ghost_u[t.id as usize * n2..][..n2];
-            for (o, &k) in out.iter_mut().zip(perm) {
-                *o = theirs[k as usize];
-            }
-        } else {
-            let ue = &self.u[t.id as usize * n3..][..n3];
-            let nodes = self.ft.nodes(t.face as usize);
-            for (o, &k) in out.iter_mut().zip(perm) {
-                *o = ue[nodes[k as usize] as usize];
-            }
+        let (theirs, at) = self.source(t, orient);
+        for (o, &k) in out.iter_mut().zip(at) {
+            *o = theirs[k as usize];
         }
     }
 
@@ -533,85 +543,107 @@ impl<'f, 'c> DgAdvection<'f, 'c> {
         }
     }
 
-    /// Volume terms of the DG right-hand side `−a·∇u` for every local
-    /// element, written into `rhs`; `grad` is scratch for one element's
-    /// reference gradient (`3·n³`). Ghost-independent.
-    fn rhs_volume(&self, grad: &mut [f64], rhs: &mut [f64]) {
-        let n3 = self.ed.n3();
-        let nelem = self.forest.local.len();
-        // Reference gradient then chain rule per node.
-        for e in 0..nelem {
-            self.ed
-                .apply_tensor_batch(&self.u[e * n3..(e + 1) * n3], grad, 1);
-            let h = self.half[e];
-            for node in 0..n3 {
-                let a = &self.velocity[(e * n3 + node) * 3..(e * n3 + node) * 3 + 3];
-                rhs[e * n3 + node] = -(a[0] * grad[node] / h[0]
-                    + a[1] * grad[n3 + node] / h[1]
-                    + a[2] * grad[2 * n3 + node] / h[2]);
+    /// The upwind flux correction on a boundary or hanging face of
+    /// element `e`, in our face layout, into `flux`: on its one mortar,
+    /// except on the coarse side of a hanging face on each of the four
+    /// mortars whose bit is set in `inflow`, with the fine side's `a·n`,
+    /// projected back and summed. `work` is `4n²` scratch. Ghost traces
+    /// must be current.
+    fn mortar_flux(&self, e: usize, face: usize, inflow: u8, flux: &mut [f64], work: &mut [f64]) {
+        let n2 = flux.len();
+        let lgl = &self.ed.lgl;
+        let (own, work) = work.split_at_mut(n2);
+        let (ext, work) = work.split_at_mut(n2);
+        let FaceLink::Finer { an, .. } = self.links[e * 6 + face] else {
+            let an = &self.an[(e * 6 + face) * n2..][..n2];
+            self.mortar_states(e, face, 0, own, ext, work);
+            for (f, ((&a, &o), &x)) in flux.iter_mut().zip(an.iter().zip(&*own).zip(&*ext)) {
+                *f = upwind(a, o, x);
+            }
+            return;
+        };
+        flux.fill(0.0);
+        for m in (0..4).filter(|m| inflow >> m & 1 == 1) {
+            let an = &self.mortar_an[an as usize + m * n2..][..n2];
+            self.mortar_states(e, face, m, own, ext, work);
+            // `own` becomes the mortar's flux correction.
+            for ((o, &x), &a) in own.iter_mut().zip(&*ext).zip(an) {
+                *o = upwind(a, *o, x);
+            }
+            let (tmp, back) = work.split_at_mut(n2);
+            let half = |lo| lgl.project(m & lo != 0);
+            apply_face(half(1), half(2), lgl.n(), own, tmp, back);
+            for (f, &b) in flux.iter_mut().zip(&*back) {
+                *f += b;
             }
         }
     }
 
-    /// Upwind face lifting for every local element, accumulated into
-    /// `rhs` face by face from the traces on both sides. On the coarse
-    /// side of a hanging face the flux is taken on each of the four
-    /// mortars with the fine side's `a·n` and projected back. `work` is
-    /// `5n²` scratch. Ghost traces must be current.
-    fn rhs_faces(&self, work: &mut [f64], rhs: &mut [f64]) {
-        let (n, n3) = (self.ed.lgl.n(), self.ed.n3());
-        let n2 = n * n;
-        let lgl = &self.ed.lgl;
-        let w_end = lgl.weights[0]; // = weights[p]
-        let (own, work) = work.split_at_mut(n2);
-        let (ext, work) = work.split_at_mut(n2);
-        let (flux, work) = work.split_at_mut(n2);
-        for e in 0..self.forest.local.len() {
+    /// Refresh the ghost traces, then fold every local node's right-hand
+    /// side `k` into `out` by `fold(&mut out[i], k)`.
+    fn rhs_into(&mut self, out: &mut [f64], fold: impl Fn(&mut f64, f64)) {
+        self.refresh_ghosts();
+        with_nodes!(self.ed.lgl.n(), N => self.rhs_pass::<N>(out, fold));
+    }
+
+    /// [`Self::rhs_into`]'s one pass over the local elements, for `N`
+    /// nodes per direction. Per element, on the stack: the volume term
+    /// `−a·∇u` (reference gradient, then the chain rule with the box
+    /// metrics), then the upwind lift of each face that takes inflow,
+    /// then the fold. A conforming face gathers the state across through
+    /// one index table; boundary and hanging faces go through their
+    /// mortars ([`Self::mortar_flux`]).
+    fn rhs_pass<const N: usize>(&self, out: &mut [f64], fold: impl Fn(&mut f64, f64)) {
+        let (n2, n3) = (N * N, N * N * N);
+        let d = self.ed.diff::<N>();
+        let w_end = self.ed.lgl.weights[0]; // = weights[p]
+        let (mut g, mut blk) = ([[[[0.0; N]; N]; N]; 3], [[[0.0; N]; N]; N]);
+        let mut work = [[[0.0; N]; N]; 5];
+        let g = g.as_flattened_mut().as_flattened_mut().as_flattened_mut();
+        let blk = blk.as_flattened_mut().as_flattened_mut();
+        let (flux, work) = work.as_flattened_mut().as_flattened_mut().split_at_mut(n2);
+        for (e, oe) in out.chunks_exact_mut(n3).enumerate() {
+            let ue = &self.u[e * n3..][..n3];
+            grad(&d, ue, g);
+            let (gx, gyz) = g.split_at(n3);
+            let (gy, gz) = gyz.split_at(n3);
             let h = self.half[e];
+            let vel = self.velocity[e * 3 * n3..][..3 * n3].as_chunks::<3>().0;
+            for (b, (a, ((&x, &y), &z))) in blk
+                .iter_mut()
+                .zip(vel.iter().zip(gx.iter().zip(gy).zip(gz)))
+            {
+                *b = -(a[0] * x / h[0] + a[1] * y / h[1] + a[2] * z / h[2]);
+            }
             for face in 0..6 {
-                if let FaceLink::Finer { an, .. } = self.links[e * 6 + face] {
-                    flux.fill(0.0);
-                    for m in 0..4 {
-                        let an = &self.mortar_an[an as usize + m * n2..][..n2];
-                        if an.iter().all(|&a| a >= 0.0) {
-                            continue;
-                        }
-                        self.mortar_states(e, face, m, own, ext, work);
-                        // `own` becomes the mortar's flux correction.
-                        for k in 0..n2 {
-                            own[k] = upwind(an[k], own[k], ext[k]);
-                        }
-                        let (tmp, back) = work.split_at_mut(n2);
-                        apply_face(
-                            lgl.project(m & 1 != 0),
-                            lgl.project(m & 2 != 0),
-                            n,
-                            own,
-                            tmp,
-                            back,
-                        );
-                        for (f, &b) in flux.iter_mut().zip(back.iter()) {
-                            *f += b;
+                let i = e * 6 + face;
+                let inflow = self.inflow[i];
+                if inflow == 0 {
+                    continue; // outflow everywhere: u* = u⁻, no flux
+                }
+                let nodes = &self.ft.nodes(face)[..n2];
+                match self.links[i] {
+                    FaceLink::Same { nbr, orient } => {
+                        let (theirs, at) = self.source(nbr, orient);
+                        let an = &self.an[i * n2..][..n2];
+                        let states = (nodes.iter().zip(at))
+                            .map(|(&k, &j)| (ue[k as usize], theirs[j as usize]));
+                        for ((f, &a), (o, x)) in flux.iter_mut().zip(an).zip(states) {
+                            *f = upwind(a, o, x);
                         }
                     }
-                } else {
-                    let an = &self.an[(e * 6 + face) * n2..][..n2];
-                    if an.iter().all(|&a| a >= 0.0) {
-                        continue; // outflow everywhere: u* = u⁻, no flux
-                    }
-                    self.mortar_states(e, face, 0, own, ext, work);
-                    for k in 0..n2 {
-                        flux[k] = upwind(an[k], own[k], ext[k]);
-                    }
+                    _ => self.mortar_flux(e, face, inflow, flux, work),
                 }
                 // Lift: (sJ / (w_end · J)) with box metrics
                 // sJ/J = 1/|h_axis| (reference face/volume weights
                 // already encoded in w_end).
                 let lift = 1.0 / (w_end * h[face / 2].abs());
-                let re = &mut rhs[e * n3..(e + 1) * n3];
-                for (&i, &fl) in self.ft.nodes(face).iter().zip(flux.iter()) {
-                    re[i as usize] -= lift * fl;
+                for (&k, &fl) in nodes.iter().zip(&*flux) {
+                    blk[k as usize] -= lift * fl;
                 }
+            }
+            for (o, &k) in oe.iter_mut().zip(&*blk) {
+                fold(o, k);
             }
         }
     }
@@ -636,32 +668,21 @@ impl<'f, 'c> DgAdvection<'f, 'c> {
         self.params.cfl * g
     }
 
-    /// One right-hand-side evaluation into `s.k`: refresh the ghost
-    /// traces, then the volume and face terms of every local element.
-    fn rhs(&mut self, s: &mut StepScratch) {
-        // `rhs_volume` overwrites every entry of `k` and `grad`.
-        s.k.resize(self.u.len(), 0.0);
-        s.grad.resize(3 * self.ed.n3(), 0.0);
-        s.face.resize(5 * self.ed.lgl.n().pow(2), 0.0);
-        self.refresh_ghosts();
-        self.rhs_volume(&mut s.grad, &mut s.k);
-        self.rhs_faces(&mut s.face, &mut s.k);
-    }
-
-    /// Advance one LSRK45 step (5 ghost exchanges).
+    /// Advance one LSRK45 step (5 ghost exchanges). Per stage, one
+    /// element pass folds the right-hand side into the residual; `u` is
+    /// updated in a second, streaming pass, since the face terms read
+    /// neighbours' `u`.
     pub fn step(&mut self, dt: f64) {
-        let ndof = self.u.len();
-        let mut s = std::mem::take(&mut self.scratch);
-        s.res.clear();
-        s.res.resize(ndof, 0.0);
-        for stage in 0..5 {
-            self.rhs(&mut s);
-            for i in 0..ndof {
-                s.res[i] = RK_A[stage] * s.res[i] + dt * s.k[i];
-                self.u[i] += RK_B[stage] * s.res[i];
+        let mut res = std::mem::take(&mut self.res);
+        res.clear();
+        res.resize(self.u.len(), 0.0);
+        for (a, b) in RK_A.into_iter().zip(RK_B) {
+            self.rhs_into(&mut res, |r, k| *r = a * *r + dt * k);
+            for (u, &r) in self.u.iter_mut().zip(&res) {
+                *u += b * r;
             }
         }
-        self.scratch = s;
+        self.res = res;
     }
 
     /// Global ∫u dΩ by LGL quadrature (conservation diagnostic).
@@ -746,9 +767,107 @@ mod tests {
 
     /// One right-hand-side evaluation (ghost refresh included).
     fn rhs_of(dg: &mut DgAdvection) -> Vec<f64> {
-        let mut s = StepScratch::default();
-        dg.rhs(&mut s);
-        s.k
+        let mut k = vec![f64::NAN; dg.u.len()];
+        dg.rhs_into(&mut k, |k, r| *k = r);
+        k
+    }
+
+    // The oracle `rhs_into` must match bitwise: the right-hand side as
+    // whole-array volume and face passes at a runtime order, with the
+    // tensor kernel's scalar reference and a scan of `a·n` per face in
+    // place of the inflow flags.
+
+    /// Volume terms of the DG right-hand side `−a·∇u` for every local
+    /// element, written into `rhs`; `grad` is scratch for one element's
+    /// reference gradient (`3·n³`). Ghost-independent.
+    fn rhs_volume(dg: &DgAdvection, grad: &mut [f64], rhs: &mut [f64]) {
+        let n3 = dg.ed.n3();
+        let nelem = dg.forest.local.len();
+        // Reference gradient then chain rule per node.
+        for e in 0..nelem {
+            dg.ed
+                .apply_tensor_batch_reference(&dg.u[e * n3..(e + 1) * n3], grad, 1);
+            let h = dg.half[e];
+            for node in 0..n3 {
+                let a = &dg.velocity[(e * n3 + node) * 3..(e * n3 + node) * 3 + 3];
+                rhs[e * n3 + node] = -(a[0] * grad[node] / h[0]
+                    + a[1] * grad[n3 + node] / h[1]
+                    + a[2] * grad[2 * n3 + node] / h[2]);
+            }
+        }
+    }
+
+    /// Upwind face lifting for every local element, accumulated into
+    /// `rhs` face by face from the traces on both sides. On the coarse
+    /// side of a hanging face the flux is taken on each of the four
+    /// mortars with the fine side's `a·n` and projected back. `work` is
+    /// `5n²` scratch. Ghost traces must be current.
+    fn rhs_faces(dg: &DgAdvection, work: &mut [f64], rhs: &mut [f64]) {
+        let (n, n3) = (dg.ed.lgl.n(), dg.ed.n3());
+        let n2 = n * n;
+        let lgl = &dg.ed.lgl;
+        let w_end = lgl.weights[0]; // = weights[p]
+        let (own, work) = work.split_at_mut(n2);
+        let (ext, work) = work.split_at_mut(n2);
+        let (flux, work) = work.split_at_mut(n2);
+        for e in 0..dg.forest.local.len() {
+            let h = dg.half[e];
+            for face in 0..6 {
+                if let FaceLink::Finer { an, .. } = dg.links[e * 6 + face] {
+                    flux.fill(0.0);
+                    for m in 0..4 {
+                        let an = &dg.mortar_an[an as usize + m * n2..][..n2];
+                        if an.iter().all(|&a| a >= 0.0) {
+                            continue;
+                        }
+                        dg.mortar_states(e, face, m, own, ext, work);
+                        // `own` becomes the mortar's flux correction.
+                        for k in 0..n2 {
+                            own[k] = upwind(an[k], own[k], ext[k]);
+                        }
+                        let (tmp, back) = work.split_at_mut(n2);
+                        apply_face(
+                            lgl.project(m & 1 != 0),
+                            lgl.project(m & 2 != 0),
+                            n,
+                            own,
+                            tmp,
+                            back,
+                        );
+                        for (f, &b) in flux.iter_mut().zip(back.iter()) {
+                            *f += b;
+                        }
+                    }
+                } else {
+                    let an = &dg.an[(e * 6 + face) * n2..][..n2];
+                    if an.iter().all(|&a| a >= 0.0) {
+                        continue; // outflow everywhere: u* = u⁻, no flux
+                    }
+                    dg.mortar_states(e, face, 0, own, ext, work);
+                    for k in 0..n2 {
+                        flux[k] = upwind(an[k], own[k], ext[k]);
+                    }
+                }
+                // Lift: (sJ / (w_end · J)) with box metrics
+                // sJ/J = 1/|h_axis| (reference face/volume weights
+                // already encoded in w_end).
+                let lift = 1.0 / (w_end * h[face / 2].abs());
+                let re = &mut rhs[e * n3..(e + 1) * n3];
+                for (&i, &fl) in dg.ft.nodes(face).iter().zip(flux.iter()) {
+                    re[i as usize] -= lift * fl;
+                }
+            }
+        }
+    }
+
+    /// The oracle's right-hand side (ghost refresh included).
+    fn rhs_oracle(dg: &mut DgAdvection) -> Vec<f64> {
+        dg.refresh_ghosts();
+        let (n2, n3) = (dg.ed.lgl.n().pow(2), dg.ed.n3());
+        let mut k = vec![0.0; dg.u.len()];
+        rhs_volume(dg, &mut vec![0.0; 3 * n3], &mut k);
+        rhs_faces(dg, &mut vec![0.0; 5 * n2], &mut k);
+        k
     }
 
     /// Quadrature weight (Jacobian included) of every local node.
@@ -1299,6 +1418,55 @@ mod tests {
         }
     }
 
+    /// The fused const-order pass against the oracle, bitwise, at every
+    /// order the DG runs tests at: a refined cubed sphere (sign-reversed
+    /// boxes, hanging faces from both sides, inter-tree seams, ghosts at
+    /// P = 2), random data and a rotation that makes every face kind take
+    /// inflow somewhere and not elsewhere.
+    #[test]
+    fn fused_rhs_matches_the_runtime_order_oracle_bitwise() {
+        let conn = Arc::new(Connectivity::cubed_sphere(0.55, 1.0));
+        for p in [1usize, 2] {
+            for order in 1..=4 {
+                let conn = conn.clone();
+                spmd::run(p, move |c| {
+                    let mut f = Forest::new_uniform(c, conn.clone(), 1);
+                    f.refine(|l| (l.tree as u64 + l.oct.key()).is_multiple_of(3));
+                    f.balance(octree::balance::BalanceKind::Full);
+                    f.partition();
+                    let params = DgParams {
+                        order,
+                        inflow_value: 0.25,
+                        ..Default::default()
+                    };
+                    let rotate = |q: [f64; 3]| [0.3 * q[2] - q[1], q[0] - 0.2 * q[2], 0.2 * q[1]];
+                    let mut dg = DgAdvection::new(&f, params, |_| 0.0, rotate);
+                    let n3 = dg.ed.n3();
+                    for (e, l) in f.local.iter().enumerate() {
+                        for node in 0..n3 {
+                            dg.u[e * n3 + node] = noise(l, node);
+                        }
+                    }
+                    let (fused, oracle) = (rhs_of(&mut dg), rhs_oracle(&mut dg));
+                    let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+                    assert_eq!(bits(&fused), bits(&oracle), "P={p} order {order}");
+                    let mut seen = [0u64; 4];
+                    for (l, &inflow) in dg.links.iter().zip(&dg.inflow) {
+                        seen[match l {
+                            FaceLink::Boundary => 0,
+                            FaceLink::Same { .. } => 1,
+                            _ => 2,
+                        }] += u64::from(inflow != 0);
+                        seen[3] += l.traces().iter().filter(|t| t.ghost).count() as u64;
+                    }
+                    let seen = c.allreduce_sum(&seen);
+                    assert!(seen[..3].iter().all(|&s| s > 0), "P={p}: {seen:?}");
+                    assert_eq!(seen[3] > 0, p > 1, "P={p}: ghost traces {seen:?}");
+                });
+            }
+        }
+    }
+
     /// The continuity oracle: nodal data sampled from one global
     /// polynomial of degree ≤ p per variable has no jump across any face
     /// — conforming, hanging seen from either side, or across the tree
@@ -1343,11 +1511,9 @@ mod tests {
                 );
 
                 let k = rhs_of(&mut dg);
-                let mut s = StepScratch::default();
-                s.k.resize(dg.u.len(), 0.0);
-                s.grad.resize(3 * dg.ed.n3(), 0.0);
-                dg.rhs_volume(&mut s.grad, &mut s.k);
-                let kmax = s.k.iter().fold(0.0f64, |m, v| m.max(v.abs()));
+                let mut vol = vec![0.0; dg.u.len()];
+                rhs_volume(&dg, &mut vec![0.0; 3 * dg.ed.n3()], &mut vol);
+                let kmax = vol.iter().fold(0.0f64, |m, v| m.max(v.abs()));
                 assert!(kmax > 0.1);
                 // (Elements on the domain boundary also feel the inflow.)
                 let n3 = dg.ed.n3();
@@ -1359,7 +1525,7 @@ mod tests {
                         continue;
                     }
                     inner += 1;
-                    for (a, b) in k[e * n3..(e + 1) * n3].iter().zip(&s.k[e * n3..]) {
+                    for (a, b) in k[e * n3..(e + 1) * n3].iter().zip(&vol[e * n3..]) {
                         assert!(
                             (a - b).abs() <= 1e-12 * kmax,
                             "P={p}: rhs {a} vs volume term {b}"

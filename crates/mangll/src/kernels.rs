@@ -32,29 +32,104 @@ pub fn tensor_derivative_flops(p: usize) -> u64 {
     6 * n.pow(4)
 }
 
+/// Highest polynomial order the const-order kernels are built for.
+pub const MAX_ORDER: usize = 8;
+
+/// Evaluate `$body` with `const $N: usize` bound to `$n`, the nodes per
+/// direction of an order in `1..=MAX_ORDER`: every element kernel has one
+/// body, monomorphised per order, so its loops run at a compile-time trip
+/// count the compiler unrolls and vectorises.
+macro_rules! with_nodes {
+    ($n:expr, $N:ident => $body:expr) => {
+        $crate::kernels::with_nodes!($n, $N => $body; 2 3 4 5 6 7 8 9)
+    };
+    ($n:expr, $N:ident => $body:expr; $($k:literal)*) => {
+        match $n {
+            $($k => {
+                const $N: usize = $k;
+                $body
+            })*
+            n => unreachable!("{n} nodes per direction: orders 1..={} only", $crate::kernels::MAX_ORDER),
+        }
+    };
+}
+pub(crate) use with_nodes;
+
+/// The reference gradient of one element `u` (`N³` nodes) into `out`
+/// (`3N³`: ∂/∂ξ, ∂/∂η, ∂/∂ζ) with `D` and `Dᵀ` ([`ElementDerivative::diff`])
+/// as axpy sweeps over fixed-size lines. Per output node the contraction
+/// accumulates in ascending `m` order from a zero start, so results are
+/// **bitwise identical** to the plain scalar triple loop (pinned by a
+/// test):
+///
+/// * ∂/∂ξ — each `N`-line of the output accumulates the rows of `Dᵀ`
+///   scaled by one input value each;
+/// * ∂/∂η — each `N`-row of an `(i, j)` plane accumulates input rows of
+///   the same `k`-plane scaled by `D[j][m]`;
+/// * ∂/∂ζ — each contiguous `N²`-slab accumulates input slabs scaled by
+///   `D[k][m]`.
+#[inline(always)]
+pub(crate) fn grad<const N: usize>([d, dt]: &[[[f64; N]; N]; 2], u: &[f64], out: &mut [f64]) {
+    let (n2, n3) = (N * N, N * N * N);
+    let (ox, rest) = out.split_at_mut(n3);
+    let (oy, oz) = rest.split_at_mut(n3);
+    let (olines, ulines) = (ox.as_chunks_mut::<N>().0, u.as_chunks::<N>().0);
+    for (oline, uline) in olines.iter_mut().zip(ulines) {
+        *oline = [0.0; N];
+        for (&um, dtrow) in uline.iter().zip(dt) {
+            for (o, &dv) in oline.iter_mut().zip(dtrow) {
+                *o += dv * um;
+            }
+        }
+    }
+    for (oplane, uplane) in oy.chunks_exact_mut(n2).zip(u.chunks_exact(n2)) {
+        let urows = uplane.as_chunks::<N>().0;
+        for (orow, drow) in oplane.as_chunks_mut::<N>().0.iter_mut().zip(d) {
+            *orow = [0.0; N];
+            for (&dm, urow) in drow.iter().zip(urows) {
+                for (o, &uv) in orow.iter_mut().zip(urow) {
+                    *o += dm * uv;
+                }
+            }
+        }
+    }
+    for (oslab, drow) in oz.chunks_exact_mut(n2).zip(d) {
+        oslab.fill(0.0);
+        for (&dm, uslab) in drow.iter().zip(u.chunks_exact(n2)) {
+            for (o, &uv) in oslab.iter_mut().zip(uslab) {
+                *o += dm * uv;
+            }
+        }
+    }
+}
+
 /// Precomputed operators for applying the reference gradient on elements
 /// of order `p` with the tensor-product kernel.
 pub struct ElementDerivative {
     pub lgl: Lgl,
-    /// Transpose of the 1D differentiation matrix (`diff_t[m·n + i] =
-    /// diff[i·n + m]`): the ξ contraction walks D by columns, and the
-    /// transposed layout turns that into unit-stride rows.
-    diff_t: Vec<f64>,
     n1: usize,
 }
 
 impl ElementDerivative {
+    /// Panics unless `1 ≤ p ≤ MAX_ORDER`, the orders the kernels are
+    /// built for.
     pub fn new(p: usize) -> Self {
+        assert!(
+            (1..=MAX_ORDER).contains(&p),
+            "ElementDerivative: order {p} is not supported (orders 1..={MAX_ORDER} are)"
+        );
         let lgl = Lgl::new(p);
         let n1 = lgl.n();
-        let d = &lgl.diff;
-        let mut diff_t = vec![0.0; n1 * n1];
-        for i in 0..n1 {
-            for m in 0..n1 {
-                diff_t[m * n1 + i] = d[i * n1 + m];
-            }
-        }
-        ElementDerivative { lgl, diff_t, n1 }
+        ElementDerivative { lgl, n1 }
+    }
+
+    /// `D` by rows and by columns, on the stack, for [`grad`].
+    pub(crate) fn diff<const N: usize>(&self) -> [[[f64; N]; N]; 2] {
+        let d = |i: usize, m: usize| self.lgl.diff[i * N + m];
+        [
+            std::array::from_fn(|i| std::array::from_fn(|m| d(i, m))),
+            std::array::from_fn(|m| std::array::from_fn(|i| d(i, m))),
+        ]
     }
 
     /// Nodes per element.
@@ -62,71 +137,25 @@ impl ElementDerivative {
         self.n1 * self.n1 * self.n1
     }
 
-    /// Tensor-product path: three 1D contractions per element, written as
-    /// unit-stride axpy sweeps so each direction vectorizes. Per output
-    /// node the contraction still accumulates in ascending `m` order from
-    /// a zero start, so results are **bitwise identical** to the plain
-    /// scalar triple loop (pinned by a test):
-    ///
-    /// * ∂/∂ξ — each contiguous `n`-line of the output accumulates
-    ///   `Dᵀ`-rows scaled by one input value (hence [`diff_t`]);
-    /// * ∂/∂η — each `n`-row of an `(i, j)` plane accumulates input rows
-    ///   of the same `k`-plane scaled by `D[j][m]`;
-    /// * ∂/∂ζ — each contiguous `n²`-slab accumulates input slabs scaled
-    ///   by `D[k][m]`.
-    ///
-    /// `u` is `n³ × nelem` (element-major columns, i.e. `u[e*n3 + node]`),
-    /// `out` is `3n³ × nelem` laid out `out[e*3n3 + dir*n3 + node]`.
-    ///
-    /// [`diff_t`]: struct.ElementDerivative.html#structfield.diff_t
+    /// Tensor-product path: three 1D contractions per element, the one
+    /// const-order body `grad`. `u` is `n³ × nelem`
+    /// (element-major columns, i.e. `u[e*n3 + node]`), `out` is
+    /// `3n³ × nelem` laid out `out[e*3n3 + dir*n3 + node]`.
     pub fn apply_tensor_batch(&self, u: &[f64], out: &mut [f64], nelem: usize) {
-        let n = self.n1;
-        let n2 = n * n;
-        let n3 = self.n3();
-        let d = &self.lgl.diff;
-        let dt = &self.diff_t;
-        for e in 0..nelem {
-            let ue = &u[e * n3..(e + 1) * n3];
-            let oe = &mut out[e * 3 * n3..(e + 1) * 3 * n3];
-            let (ox, rest) = oe.split_at_mut(n3);
-            let (oy, oz) = rest.split_at_mut(n3);
-            // ∂/∂ξ: out-line(j,k) = Σ_m u[m] · Dᵀ-row(m).
-            for (oline, uline) in ox.chunks_exact_mut(n).zip(ue.chunks_exact(n)) {
-                oline.fill(0.0);
-                for (&um, dtrow) in uline.iter().zip(dt.chunks_exact(n)) {
-                    for (o, &dv) in oline.iter_mut().zip(dtrow) {
-                        *o += dv * um;
-                    }
-                }
+        with_nodes!(self.n1, N => {
+            let (d, n3) = (self.diff::<N>(), N * N * N);
+            let (u, out) = (&u[..n3 * nelem], &mut out[..3 * n3 * nelem]);
+            for (ue, oe) in u.chunks_exact(n3).zip(out.chunks_exact_mut(3 * n3)) {
+                grad(&d, ue, oe);
             }
-            // ∂/∂η: per k-plane, out-row(j) = Σ_m D[j][m] · u-row(m).
-            for (oplane, uplane) in oy.chunks_exact_mut(n2).zip(ue.chunks_exact(n2)) {
-                oplane.fill(0.0);
-                for (orow, drow) in oplane.chunks_exact_mut(n).zip(d.chunks_exact(n)) {
-                    for (&dm, urow) in drow.iter().zip(uplane.chunks_exact(n)) {
-                        for (o, &uv) in orow.iter_mut().zip(urow) {
-                            *o += dm * uv;
-                        }
-                    }
-                }
-            }
-            // ∂/∂ζ: out-slab(k) = Σ_m D[k][m] · u-slab(m).
-            oz.fill(0.0);
-            for (oslab, drow) in oz.chunks_exact_mut(n2).zip(d.chunks_exact(n)) {
-                for (&dm, uslab) in drow.iter().zip(ue.chunks_exact(n2)) {
-                    for (o, &uv) in oslab.iter_mut().zip(uslab) {
-                        *o += dm * uv;
-                    }
-                }
-            }
-        }
+        })
     }
 
     /// Straightforward scalar tensor-product contraction: the readable
-    /// reference implementation the vectorized [`Self::apply_tensor_batch`]
+    /// reference implementation the const-order [`Self::apply_tensor_batch`]
     /// must match bitwise.
     #[cfg(test)]
-    fn apply_tensor_batch_reference(&self, u: &[f64], out: &mut [f64], nelem: usize) {
+    pub(crate) fn apply_tensor_batch_reference(&self, u: &[f64], out: &mut [f64], nelem: usize) {
         let n = self.n1;
         let n3 = self.n3();
         let d = &self.lgl.diff;
@@ -287,6 +316,7 @@ pub struct FaceTables {
     n2: usize,
     nodes: Vec<u32>,
     perm: Vec<u32>,
+    across: Vec<u32>,
 }
 
 impl FaceTables {
@@ -320,7 +350,18 @@ impl FaceTables {
                 }
             }
         }
-        FaceTables { n2, nodes, perm }
+        let mut across = Vec::with_capacity(48 * n2);
+        for face in 0..6 {
+            for theirs in perm.chunks_exact(n2) {
+                across.extend(theirs.iter().map(|&k| nodes[face * n2 + k as usize]));
+            }
+        }
+        FaceTables {
+            n2,
+            nodes,
+            perm,
+            across,
+        }
     }
 
     /// Volume node index of every node of `face`, in trace order.
@@ -335,6 +376,14 @@ impl FaceTables {
     /// is the reversed index.
     pub fn perm(&self, orient: u8) -> &[u32] {
         &self.perm[orient as usize * self.n2..(orient as usize + 1) * self.n2]
+    }
+
+    /// For every node of our trace, the volume node index of the
+    /// coinciding node in the element across the face, whose face is
+    /// `face`: [`Self::nodes`]`(face)` through [`Self::perm`]`(orient)`,
+    /// one table.
+    pub fn across(&self, face: usize, orient: u8) -> &[u32] {
+        &self.across[(face * 8 + orient as usize) * self.n2..][..self.n2]
     }
 }
 
@@ -377,7 +426,7 @@ mod tests {
 
     #[test]
     fn vectorized_tensor_kernel_is_bitwise_identical_to_reference() {
-        for p in [1usize, 2, 3, 4, 6] {
+        for p in 1..=MAX_ORDER {
             let ed = ElementDerivative::new(p);
             let n3 = ed.n3();
             let nelem = 5;
@@ -389,6 +438,21 @@ mod tests {
             ed.apply_tensor_batch(&u, &mut a, nelem);
             ed.apply_tensor_batch_reference(&u, &mut b, nelem);
             assert_eq!(a, b, "p={p}: vectorized kernel must match bitwise");
+        }
+    }
+
+    #[test]
+    fn unsupported_orders_are_refused() {
+        for p in [0, MAX_ORDER + 1] {
+            let err = std::panic::catch_unwind(|| ElementDerivative::new(p)).err();
+            let msg = err.as_ref().and_then(|e| e.downcast_ref::<String>());
+            assert_eq!(
+                msg.map(String::as_str),
+                Some(
+                    format!("ElementDerivative: order {p} is not supported (orders 1..=8 are)")
+                        .as_str()
+                )
+            );
         }
     }
 
@@ -519,6 +583,10 @@ mod tests {
         assert_eq!(ft.perm(1)[1], n as u32);
         assert_eq!(ft.perm(2)[0], (n - 1) as u32);
         assert_eq!(ft.perm(4)[0], (n * (n - 1)) as u32);
+        for (face, o) in (0..6).flat_map(|f| (0..8).map(move |o| (f, o))) {
+            let composed = ft.perm(o).iter().map(|&k| ft.nodes(face)[k as usize]);
+            assert!(composed.eq(ft.across(face, o).iter().copied()));
+        }
         for o in 0..8 {
             let mut seen = vec![false; n * n];
             ft.perm(o).iter().for_each(|&j| seen[j as usize] = true);

@@ -466,8 +466,9 @@ impl<'c, L: CurveLeaf, S: TreeSeam<L>> LeafCurve<'c, L, S> {
     /// number of levels, as in the paper. Round 1 seeds its pass with
     /// every leaf, a later round with the children the previous round's
     /// requests created (none: no pass). Only leaves that are not
-    /// insulated in this rank's segment build requests. Returns the number
-    /// of leaves added globally.
+    /// insulated in this rank's segment build requests. One marker
+    /// refresh follows the last round. Returns the number of leaves added
+    /// globally.
     pub fn balance(&mut self, kind: BalanceKind) -> u64 {
         let before = self.global_count();
         let dirs = kind.direction_slice();
@@ -505,7 +506,6 @@ impl<'c, L: CurveLeaf, S: TreeSeam<L>> LeafCurve<'c, L, S> {
                     std::mem::swap(&mut self.local, &mut ws.out);
                 }
             }
-            self.update();
 
             // Size requests, direction-major per tree run: one batched
             // neighbour-kernel call and one batched ownership query per
@@ -592,8 +592,12 @@ impl<'c, L: CurveLeaf, S: TreeSeam<L>> LeafCurve<'c, L, S> {
             if comm.allreduce_sum(&[changed])[0] == 0 {
                 break;
             }
-            self.update();
         }
+        // Refinement keeps every rank's first key (a leaf's first child
+        // has its anchor) and its emptiness, so the markers the requests
+        // were routed by stay current through the rounds; only the counts
+        // change.
+        self.update();
         self.ripple = ws;
         #[cfg(debug_assertions)]
         if scomm::checks_enabled() {

@@ -212,12 +212,14 @@ echo "==> la, fem, stokes, rhea, allocations (release)"
 cargo test -q --release -p la -p fem -p stokes -p rhea
 cargo test -q --release --test allocations
 
-# The seven figure bins that finish in seconds, so that a figure bin that
-# panics fails here; the other three are run by hand. The cubed-sphere run
+# The eight figure bins that finish in seconds, so that a figure bin that
+# panics fails here; the other two are run by hand. The cubed-sphere run
 # (level 1, 192 elements, 40 steps) is timed: it is the one figure smoke
-# of the forest and DG stack. Fig. 2 (MINRES iterations over size and
-# ranks) and Fig. 9 (AMG setup and V-cycles) are the Stokes solver's and
-# the AMG's, each under a second. Figs. 5 and 7 run the adapt pipeline on
+# of the forest and DG stack. The Section VII kernel sweep runs both
+# derivative kernels at every order the const-order kernels are built for
+# (1–8, batches sized by flops, ~2 s). Fig. 2 (MINRES iterations over
+# size and ranks) and Fig. 9 (AMG setup and V-cycles) are the Stokes
+# solver's and the AMG's, each under a second. Figs. 5 and 7 run the adapt pipeline on
 # the advected front at P ∈ {1, 2, 4, 8}; Fig. 7 writes its run manifest
 # under results/obs of its working directory, so it runs in a scratch one
 # and the archived manifest stays as committed.
@@ -225,9 +227,10 @@ echo "==> figure bins smoke (release)"
 cargo run -q --release -p rhea-bench --bin fig6_strong_scaling >/dev/null
 cargo run -q --release -p rhea-bench --bin fig10_amr_timings >/dev/null
 cargo build -q --release -p rhea-bench --bin sec7_sphere_advection \
-    --bin fig2_stokes_weak --bin fig9_amg_vs_laplace \
+    --bin sec7_dg_kernels --bin fig2_stokes_weak --bin fig9_amg_vs_laplace \
     --bin fig5_adaptation_stats --bin fig7_weak_breakdown
-for bin in sec7_sphere_advection fig2_stokes_weak fig9_amg_vs_laplace fig5_adaptation_stats; do
+for bin in sec7_sphere_advection sec7_dg_kernels fig2_stokes_weak fig9_amg_vs_laplace \
+    fig5_adaptation_stats; do
     TIMEFORMAT="$bin: %R s"
     time cargo run -q --release -p rhea-bench --bin "$bin" >/dev/null
 done

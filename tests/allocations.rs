@@ -14,6 +14,7 @@ use std::sync::Arc;
 
 use fem::{element::stiffness_source, op::DistOp, op::DofMap};
 use forest::{Connectivity, Forest, GhostWorkspace};
+use mangll::{DgAdvection, DgParams};
 use mesh::extract::{extract_mesh, Mesh};
 use octree::balance::{balance_local_kind_ws, BalanceKind, BalanceWorkspace};
 use octree::parallel::{DistOctree, GhostScratch, PartitionPlan};
@@ -331,6 +332,38 @@ fn reductions() {
         for (rank, ws) in runs.iter().enumerate() {
             assert_eq!(allocations(ws), [0; 4], "P = {p}, rank {rank}");
             assert!(ws.iter().all(|w| w.allreduces == 3), "P = {p}, rank {rank}");
+        }
+    }
+}
+
+/// A warm DG step on the refined shell: five stages, each one ghost-trace
+/// exchange (one message per neighbour rank) and one element pass.
+#[test]
+fn dg_steps() {
+    for p in [1, 2] {
+        let runs = spmd::run(p, |c| {
+            fill_mailboxes(c);
+            let mut f = sphere_forest(c);
+            f.refine(|l| (l.tree as u64 + l.oct.key()).is_multiple_of(3));
+            f.balance(BalanceKind::Full);
+            f.partition();
+            let params = DgParams {
+                order: 3,
+                ..Default::default()
+            };
+            let rotate = |q: [f64; 3]| [-q[1], q[0], 0.2 * q[0]];
+            let mut dg = DgAdvection::new(&f, params, |q| q[0] * q[1], rotate);
+            let dt = dg.stable_dt();
+            windows(c, 3, || dg.step(dt))
+        });
+        for (rank, ws) in runs.iter().enumerate() {
+            let at = format!("P = {p}, rank {rank}");
+            let step = Window {
+                allocations: 0,
+                messages: 5 * (p as u64 - 1),
+                allreduces: 0,
+            };
+            assert!(ws.iter().all(|w| *w == step), "{at}: {ws:?}");
         }
     }
 }

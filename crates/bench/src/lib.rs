@@ -1,7 +1,7 @@
 //! Shared harness utilities for the paper-figure reproductions.
 //!
 //! Every binary in `src/bin/` regenerates one table or figure of the
-//! paper (see DESIGN.md §3 for the index). The scaling figures run the
+//! paper (EXPERIMENTS.md has the index). The scaling figures run the
 //! *real* distributed algorithms at the rank counts in [`RANK_COUNTS`],
 //! one thread per rank, and print one row per run: what a row shows was
 //! read from a clock or a counter during that run. The paper's numbers at

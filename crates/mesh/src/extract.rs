@@ -19,7 +19,7 @@
 use std::ops::Range;
 
 use octree::ghost::{GhostEntry, LeafOrigin, LocalGhostView};
-use octree::morton::{morton_decode, morton_key};
+use octree::morton::morton_decode;
 use octree::parallel::DistOctree;
 use octree::{Octant, MAX_LEVEL, ROOT_LEN};
 use scomm::Comm;
@@ -27,12 +27,6 @@ use scomm::Comm;
 /// Lattice key of a node: Morton key of its coordinates (which may equal
 /// `ROOT_LEN` on the upper domain boundary; keys use 20 bits per axis).
 pub type NodeKey = u64;
-
-/// Pack node coordinates into a key.
-#[inline]
-pub fn node_key(x: u32, y: u32, z: u32) -> NodeKey {
-    morton_key(x, y, z)
-}
 
 /// Unpack a node key.
 #[inline]

@@ -94,14 +94,6 @@ impl Summary {
             .unwrap_or(0.0)
     }
 
-    /// Exclusive seconds of a named phase (0 if absent).
-    pub fn excl_seconds(&self, phase: &str) -> f64 {
-        self.phases
-            .get(phase)
-            .map(|p| p.excl_seconds())
-            .unwrap_or(0.0)
-    }
-
     /// A counter's value (0 if absent).
     pub fn counter(&self, name: &str) -> u64 {
         self.counters.get(name).copied().unwrap_or(0)

@@ -116,24 +116,11 @@ pub fn count_extraction(rec: &obs::Recorder, mesh: &Mesh) {
 /// Every pipeline stage is recorded as an `amr`-category span named after
 /// the paper's phase (`MarkElements`, `BalanceTree`, …) under one `AMR`
 /// umbrella span; read per-phase seconds with
-/// [`obs::Summary::incl_seconds`] by span name.
-pub fn adapt_mesh(
-    tree: &mut DistOctree,
-    old_mesh: &Mesh,
-    fields: &[Vec<f64>],
-    indicators: &[f64],
-    params: &AdaptParams,
-    rec: &obs::Recorder,
-) -> (Mesh, Vec<Vec<f64>>, AdaptReport) {
-    let mut ws = AdaptWorkspace::new();
-    adapt_mesh_ws(tree, old_mesh, fields, indicators, params, rec, &mut ws)
-}
-
-/// [`adapt_mesh`] with a caller-held workspace: warm cycles reuse every
-/// intermediate buffer, and the recorder gains the per-cycle counters
-/// `amr.p2p_msgs` (point-to-point messages in the cycle),
-/// `amr.ripple_rounds` (balance communication rounds),
-/// `balance.request_leaves` and `balance.seed_leaves` (see
+/// [`obs::Summary::incl_seconds`] by span name. Warm cycles reuse every
+/// intermediate buffer of the caller-held workspace `ws`, and the
+/// recorder gains the per-cycle counters `amr.p2p_msgs` (point-to-point
+/// messages in the cycle), `amr.ripple_rounds` (balance communication
+/// rounds), `balance.request_leaves` and `balance.seed_leaves` (see
 /// `LeafCurve::last_balance_request_leaves`) and those of
 /// [`count_extraction`].
 pub fn adapt_mesh_ws(
@@ -309,8 +296,9 @@ mod tests {
                 ..Default::default()
             };
             let rec = obs::Recorder::new(c.rank());
+            let mut ws = AdaptWorkspace::new();
             let (new_mesh, new_fields, report) =
-                adapt_mesh(&mut tree, &mesh, &[t], &ind, &params, &rec);
+                adapt_mesh_ws(&mut tree, &mesh, &[t], &ind, &params, &rec, &mut ws);
             assert!(tree.validate());
             assert!(report.refined > 0, "{report:?}");
             assert!(report.elements_after > 0);
@@ -363,7 +351,8 @@ mod tests {
                 target_elements: 700,
                 ..Default::default()
             };
-            adapt_mesh(&mut tree, &mesh, &[t], &ind, &params, rec);
+            let mut ws = AdaptWorkspace::new();
+            adapt_mesh_ws(&mut tree, &mesh, &[t], &ind, &params, rec, &mut ws);
         });
         for p in &profiles {
             let st = &p.summary.phases["MarkElements"];
@@ -489,7 +478,9 @@ mod tests {
                 ..Default::default()
             };
             let rec = obs::Recorder::new(c.rank());
-            let (_, _, report) = adapt_mesh(&mut tree, &mesh, &[t], &ind, &params, &rec);
+            let mut ws = AdaptWorkspace::new();
+            let (_, _, report) =
+                adapt_mesh_ws(&mut tree, &mesh, &[t], &ind, &params, &rec, &mut ws);
             let total: u64 = report.level_histogram.iter().sum();
             assert_eq!(total, report.elements_after);
         });

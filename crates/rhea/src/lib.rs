@@ -22,7 +22,7 @@ pub mod convection;
 pub mod rheology;
 pub mod transport;
 
-pub use adapt::{adapt_mesh, adapt_mesh_ws, AdaptParams, AdaptReport, AdaptWorkspace};
+pub use adapt::{adapt_mesh_ws, AdaptParams, AdaptReport, AdaptWorkspace};
 pub use convection::{ConvectionParams, ConvectionSim, StepReport};
 pub use rheology::{ViscosityLaw, YieldingLaw};
 pub use transport::{TransportParams, TransportSolver};

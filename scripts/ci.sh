@@ -74,7 +74,10 @@ cargo fmt --all -- --check
 #   rank's slot on the stack, and exchange payloads are recycled);
 # - MINRES's stop against the initial guess's residual and the AMG's
 #   symmetric sweep on each side of the coarse correction (MINRES stops at
-#   tol·‖b‖_{M⁻¹}, and the V-cycle smooths forward before, backward after).
+#   tol·‖b‖_{M⁻¹}, and the V-cycle smooths forward before, backward after);
+# - API nothing called: `mesh::extract::node_key`, `obs::Summary::excl_seconds`
+#   and the allocating `rhea::adapt::adapt_mesh` wrapper (`adapt_mesh_ws`
+#   with a caller-held workspace is the one adapt entry point).
 # Production outside scomm calls neither `Comm::allgather` nor `Comm::bcast`:
 # only the benchmark harness does (DESIGN.md §4).
 echo "==> deleted code stays deleted"
@@ -126,6 +129,9 @@ if ls -d examples/{mantle_convection,advecting_front,spherical_advection}.rs \
     grep -n dirichlet_lift crates/stokes/src/picard.rs ||
     grep -rn SMOOTH_SWEEPS crates/la ||
     grep -n gamma_init crates/la/src/krylov.rs ||
+    grep -rnE 'fn node_key\b' crates/mesh ||
+    grep -nE 'fn excl_seconds\(&self, phase' crates/obs/src/summary.rs ||
+    grep -rnE 'fn adapt_mesh\(|adapt::adapt_mesh\(' crates src tests examples ||
     grep -rnE '\.(allgather|bcast)(::<[^>]*>)?\(' crates src tests examples | grep -v '^crates/scomm/' ||
     grep -rniE 'modeled|extrapolat' crates/bench/src results/*.txt; then
     echo "ci: deleted code is back (see above)" >&2
@@ -136,10 +142,19 @@ fi
 # indexes every archived output: a CHANGES.md entry longer than 600
 # characters, a cited `DESIGN.md §N` without a `## N.` heading, a quoted
 # `EXPERIMENTS.md, "…"` that no heading contains, or a `results/*.txt` that
-# EXPERIMENTS.md does not name in full fails here.
-echo "==> docs: entry lengths, section citations, archived outputs"
+# EXPERIMENTS.md does not name in full fails here. So does a `results/…`
+# path (brace groups expanded, globs matched) in README.md, DESIGN.md or
+# EXPERIMENTS.md that git does not track: each number cut from a document
+# must stay in a file the document names. The size caps keep the documents
+# readable in one sitting: EXPERIMENTS.md at most 71,400 bytes (half its
+# size before its Trajectory was condensed), DESIGN.md at most 72,000, and
+# each heading block under EXPERIMENTS.md's `## Trajectory` (its text up to
+# the next heading of any level) at most 1,200 bytes, since a line cap does
+# not bound a block of long lines. Detail beyond that belongs in results/
+# or in git history, where the entry points.
+echo "==> docs: sizes, entry lengths, section citations, archived outputs, sources"
 python3 - <<'PY'
-import glob, os, re, subprocess, sys
+import fnmatch, glob, os, re, subprocess, sys
 
 bad = []
 for i, line in enumerate(open("CHANGES.md", encoding="utf-8").read().split("\n"), 1):
@@ -148,8 +163,9 @@ for i, line in enumerate(open("CHANGES.md", encoding="utf-8").read().split("\n")
 sections = set(re.findall(r"(?m)^## (\d+)\.", open("DESIGN.md", encoding="utf-8").read()))
 experiments = open("EXPERIMENTS.md", encoding="utf-8").read()
 headings = re.findall(r"(?m)^#+ (.*)$", experiments)
-tracked = subprocess.run(["git", "ls-files", "*.md", "*.rs", "*.sh", "*.toml"],
-                         capture_output=True, text=True, check=True).stdout.split()
+every = subprocess.run(["git", "ls-files"], capture_output=True, text=True,
+                       check=True).stdout.split()
+tracked = [f for f in every if f.endswith((".md", ".rs", ".sh", ".toml"))]
 # At the root only the project's own documents are checked; other root notes
 # (paper abstract, related work) quote citations as examples.
 documents = {"README.md", "DESIGN.md", "EXPERIMENTS.md", "ROADMAP.md", "CHANGES.md"}
@@ -170,6 +186,33 @@ for path in tracked:
 for f in sorted(glob.glob("results/*.txt")):
     if os.path.basename(f) not in experiments:
         bad.append(f"{f} is not named in EXPERIMENTS.md")
+
+caps = {"EXPERIMENTS.md": 71_400, "DESIGN.md": 72_000}
+for path, cap in caps.items():
+    size = os.path.getsize(path)
+    if size > cap:
+        bad.append(f"{path} is {size} bytes (cap {cap})")
+trajectory = re.search(r"(?ms)^## Trajectory\n.*?(?=^## |\Z)", experiments).group(0)
+for block in re.split(r"\n(?=#+ )", trajectory):
+    size = len(block.encode("utf-8"))
+    if size > 1200:
+        bad.append(f"EXPERIMENTS.md: heading block is {size} bytes (cap 1200): "
+                   + block.split("\n", 1)[0])
+
+def expand(path):
+    m = re.search(r"\{([^{}]*)\}", path)
+    if not m:
+        return [path]
+    return [q for alt in m.group(1).split(",")
+            for q in expand(path[:m.start()] + alt + path[m.end():])]
+
+for doc in ("README.md", "DESIGN.md", "EXPERIMENTS.md"):
+    text = open(doc, encoding="utf-8").read()
+    for ref in re.findall(r"(?<![\w./-])((?:[\w.-]+/)*results/[\w./{},*-]*)", text):
+        for path in expand(ref.rstrip(".,")):
+            pattern = path + "*" if path.endswith("/") else path
+            if not any(fnmatch.fnmatchcase(f, pattern) for f in every):
+                bad.append(f"{doc}: names {path}, which git does not track")
 for b in bad:
     print(b, file=sys.stderr)
 sys.exit(1 if bad else 0)

@@ -5,6 +5,7 @@ use mesh::extract::extract_mesh;
 use octree::balance::BalanceKind;
 use octree::mark::MarkParams;
 use octree::parallel::DistOctree;
+use rhea::adapt::{adapt_mesh_ws, AdaptWorkspace};
 use scomm::spmd;
 
 /// The complete Fig. 4 adaptation cycle repeated several times with a
@@ -35,8 +36,9 @@ fn repeated_adaptation_cycles_stay_valid() {
                 min_level: 1,
                 ..Default::default()
             };
+            let mut ws = AdaptWorkspace::new();
             let (nm, mut nf, _) =
-                rhea::adapt::adapt_mesh(&mut tree, &mesh, &[field], &ind, &params, &rec);
+                adapt_mesh_ws(&mut tree, &mesh, &[field], &ind, &params, &rec, &mut ws);
             mesh = nm;
             field = nf.remove(0);
             assert!(tree.validate(), "cycle {cycle}");
@@ -245,8 +247,9 @@ fn rhea_amr_solve_cycle_is_rank_count_independent() {
                 coarsen_ratio: 0.0,
                 ..Default::default()
             };
+            let mut ws = AdaptWorkspace::new();
             let (new_mesh, _fields, report) =
-                rhea::adapt::adapt_mesh(&mut tree, &mesh, &[t], &ind, &params, &rec);
+                adapt_mesh_ws(&mut tree, &mesh, &[t], &ind, &params, &rec, &mut ws);
             let n = new_mesh.n_owned;
             let bc: Vec<bool> = (0..3 * n)
                 .map(|i| new_mesh.dof_on_boundary(i / 3))

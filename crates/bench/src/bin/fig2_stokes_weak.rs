@@ -14,7 +14,6 @@
 //! hardware, property, so the measured series are the result.
 
 use mesh::extract::extract_mesh;
-use octree::balance::BalanceKind;
 use octree::parallel::DistOctree;
 use rhea_bench::{banner, human, Table};
 use scomm::spmd;
@@ -42,29 +41,24 @@ fn main() {
     //     introduced by the rank-local block-Jacobi AMG composition
     //     (DESIGN.md substitution #2).
     // Viscosity contrast 10⁴ across a diagonal interface throughout.
-    let mut cases: Vec<(usize, u8, bool, &str)> = vec![
-        (1, 2, false, "A: size"),
-        (1, 3, false, "A: size"),
-        (1, 4, false, "A: size"),
-        (2, 3, false, "B: ranks"),
-        (4, 3, false, "B: ranks"),
-        (8, 3, false, "B: ranks"),
+    let mut cases: Vec<(usize, u8, &str)> = vec![
+        (1, 2, "A: size"),
+        (1, 3, "A: size"),
+        (1, 4, "A: size"),
+        (2, 3, "B: ranks"),
+        (4, 3, "B: ranks"),
+        (8, 3, "B: ranks"),
     ];
     if std::env::var("RHEA_BENCH_LARGE").is_ok() {
         // ~3 minutes: the 32K-element rung showing the plateau directly
         // (a prior calibration run measured 142 iterations here, vs 131
         // at 4K elements — 8% growth over an 8× size jump).
-        cases.push((1, 5, false, "A: size"));
+        cases.push((1, 5, "A: size"));
     }
     let cases = &cases;
-    for &(ranks, level, refine_half, series) in cases.iter() {
+    for &(ranks, level, series) in cases.iter() {
         let out = spmd::run(ranks, move |c| {
-            let mut t = DistOctree::new_uniform(c, level);
-            if refine_half {
-                t.refine(|o| o.center_unit()[0] < 0.5);
-                t.balance(BalanceKind::Full);
-                t.partition();
-            }
+            let t = DistOctree::new_uniform(c, level);
             let m = extract_mesh(&t, [1.0, 1.0, 1.0]);
             let n = m.n_owned;
             let bc: Vec<bool> = (0..3 * n).map(|i| m.dof_on_boundary(i / 3)).collect();

@@ -146,7 +146,7 @@ pub fn balance_local_naive_kind(leaves: &mut Vec<Octant>, kind: BalanceKind) -> 
 /// refines the flagged leaves; sweeps repeat until none is flagged.
 /// Serial, over one array, with no seed propagation, no rank boundaries
 /// and no tree seam of its own. With the composed relation
-/// (`Forest::neighbors_full`, DESIGN.md §5) the minimal
+/// (`adjacent_regions` over `Forest::seam`, DESIGN.md §5) the minimal
 /// balanced refinement is unique, so `Forest::balance` must equal it
 /// bitwise. Returns the number of leaves added.
 pub fn forest_balance_naive(

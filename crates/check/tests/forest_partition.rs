@@ -10,6 +10,7 @@ use check::fuzz_amr::roll;
 use check::oracles::forest_balance_naive;
 use forest::{Connectivity, Forest, ForestLeaf};
 use octree::balance::BalanceKind;
+use octree::curve::adjacent_regions;
 use octree::ghost::LocalGhostView;
 use octree::mark::MarkParams;
 use octree::parallel::{DistOctree, PartitionPlan};
@@ -244,7 +245,7 @@ fn forest_balance_matches_naive_oracle() {
                 let mut expected: Vec<ForestLeaf> = c.allgatherv(&f.local);
                 let mut face_only = expected.clone();
                 let added = forest_balance_naive(&mut expected, BalanceKind::Full, |l, d, out| {
-                    f.neighbors_full(l, d.0, d.1, d.2, out)
+                    adjacent_regions(f.seam(), l, d, out)
                 });
                 forest_balance_naive(&mut face_only, BalanceKind::Full, |l, d, out| {
                     out.clear();
@@ -322,7 +323,7 @@ fn many_round_forest_balance_matches_naive_oracle() {
             }
             let mut expected: Vec<ForestLeaf> = c.allgatherv(&f.local);
             let added = forest_balance_naive(&mut expected, BalanceKind::Full, |l, d, out| {
-                f.neighbors_full(l, d.0, d.1, d.2, out)
+                adjacent_regions(f.seam(), l, d, out)
             });
             assert_eq!(f.balance(BalanceKind::Full), added as u64, "P={p}");
             assert!(

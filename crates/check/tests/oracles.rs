@@ -387,9 +387,10 @@ fn minres_matches_dense_lu() {
         }
     }
     let b: Vec<f64> = (0..n).map(|i| 1.0 + (i as f64 * 0.2).cos()).collect();
-    let x_lu = Lu::factor(&dense, n)
+    let mut x_lu = b.clone();
+    Lu::factor(&dense, n)
         .expect("indefinite(60) is nonsingular")
-        .solve(&b);
+        .solve_in_place(&mut x_lu);
     let scale = x_lu.iter().fold(0.0f64, |m, v| m.max(v.abs()));
     let d = a.diagonal();
     let jacobi = (n, move |x: &[f64], y: &mut [f64]| {

@@ -77,23 +77,12 @@ impl FaceTransform {
         o
     }
 
-    /// Map an exact lattice point in doubled coordinates, as tracked for
-    /// the corner and edge entities of the recursive iterate traversal.
-    pub fn apply_point_i64(&self, p2: [i64; 3]) -> [i64; 3] {
-        let mut out = [0i64; 3];
-        for i in 0..3 {
-            out[i] = self.sign[i] * p2[self.axis[i]] + self.off[i];
-        }
-        out
-    }
-
     /// Map an octant anchor given in extended (possibly out-of-tree)
     /// source coordinates into destination coordinates that may
     /// themselves still lie outside the destination tree on the axes not
     /// crossed. No in-tree assertion: composed transform chains — the
-    /// inter-tree edge/corner paths of the recursive ghost and iterate
-    /// traversals — step through this and re-examine which axes remain
-    /// out of range after each hop.
+    /// inter-tree edge/corner paths of the tree seam — step through this
+    /// and re-examine which axes remain out of range after each hop.
     pub fn apply_anchor(&self, anchor: [i64; 3], level: u8) -> [i64; 3] {
         let len = (1u32 << (octree::MAX_LEVEL - level)) as i64;
         // Doubled center coordinates stay integral under reflections.

@@ -146,7 +146,8 @@ impl<'c> Forest<'c> {
     /// Same-size neighbor of `(tree, oct)` in direction `(dx,dy,dz)`,
     /// following a face transform when exactly one axis exits the tree.
     /// Returns `None` on the domain boundary and for inter-tree
-    /// edge/corner crossings, which [`Forest::neighbors_full`] follows.
+    /// edge/corner crossings, which the tree seam follows
+    /// (`octree::curve::adjacent_regions` over `Forest::seam`).
     pub fn neighbor(&self, leaf: &ForestLeaf, dx: i32, dy: i32, dz: i32) -> Option<ForestLeaf> {
         let o = &leaf.oct;
         let len = o.len() as i64;

@@ -33,6 +33,5 @@ pub mod traverse;
 pub use connectivity::{transverse_axes, Connectivity, FaceTransform, TreeGeometry};
 pub use dist::{Forest, ForestLeaf};
 pub use traverse::{
-    CornerVisit, EdgeVisit, FaceSide, FaceVisit, GhostEntry, GhostKind, GhostLayer, GhostWorkspace,
-    Incident, LeafOrigin, DIRS,
+    FaceSide, FaceVisit, GhostEntry, GhostKind, GhostLayer, GhostWorkspace, LeafOrigin, DIRS,
 };

@@ -1,4 +1,4 @@
-//! Forest traversal: the tree seam, and iterate.
+//! Forest traversal: the tree seam, and face iteration.
 //!
 //! * The forest's [`TreeSeam`]: a same-size neighbour region that leaves
 //!   the root cube is chased across connected faces through *composed*
@@ -10,18 +10,17 @@
 //!   recursive ghost layer ([`octree::ghost`], re-exported here: face,
 //!   edge and corner ghosts with [`GhostKind`] provenance) run the same
 //!   code as the single octree over this seam.
-//! * [`Forest::iterate_faces`] / [`Forest::iterate_edges`] /
-//!   [`Forest::iterate_corners`] — visit every face/edge/corner entity
-//!   touching a local leaf exactly once, with full hanging-neighbor
-//!   information, over the merged local+ghost leaf view
-//!   ([`LocalGhostView`], shared with mesh extraction).
+//! * [`Forest::iterate_faces`] — visit every face entity touching a
+//!   local leaf exactly once, with full hanging-neighbor information,
+//!   over the merged local+ghost leaf view ([`LocalGhostView`], shared
+//!   with mesh extraction).
 
-use octree::curve::{adjacent_regions, TreeSeam};
+use octree::curve::TreeSeam;
 use octree::ghost::LocalGhostView;
 pub use octree::ghost::{GhostEntry, GhostKind, GhostWorkspace, LeafOrigin, DIRS};
-use octree::{Octant, MAX_LEVEL, ROOT_LEN};
+use octree::{Octant, ROOT_LEN};
 
-use crate::connectivity::{transverse_axes, Connectivity};
+use crate::connectivity::Connectivity;
 use crate::dist::{Forest, ForestLeaf};
 
 /// The forest's ghost layer: entries sorted by `(leaf, owner)`.
@@ -75,43 +74,6 @@ impl TreeSeam<ForestLeaf> for Connectivity {
     }
 }
 
-/// Same, additionally carrying an exact lattice point (doubled
-/// coordinates) through each hop — corner/edge entity tracking.
-fn collect_extended_pt(
-    conn: &Connectivity,
-    tree: u32,
-    a: [i64; 3],
-    p2: [i64; 3],
-    level: u8,
-    out: &mut Vec<(ForestLeaf, [i64; 3])>,
-) {
-    let lim = ROOT_LEN as i64;
-    if (0..3).all(|i| (0..lim).contains(&a[i])) {
-        let region = ForestLeaf::new(
-            tree,
-            Octant::new(a[0] as u32, a[1] as u32, a[2] as u32, level),
-        );
-        out.push((region, p2));
-        return;
-    }
-    for axis in 0..3 {
-        if (0..lim).contains(&a[axis]) {
-            continue;
-        }
-        let face = (2 * axis + usize::from(a[axis] >= lim)) as u8;
-        if let Some(tr) = conn.neighbor_across(tree, face) {
-            collect_extended_pt(
-                conn,
-                tr.tree,
-                tr.apply_anchor(a, level),
-                tr.apply_point_i64(p2),
-                level,
-                out,
-            );
-        }
-    }
-}
-
 // ----------------------------------------------------------------------
 // Iterate
 // ----------------------------------------------------------------------
@@ -139,111 +101,7 @@ pub struct FaceVisit<'a> {
     pub hanging: bool,
 }
 
-/// One leaf incident to a corner or edge entity.
-#[derive(Debug, Clone, Copy)]
-pub struct Incident {
-    pub leaf: ForestLeaf,
-    pub origin: LeafOrigin,
-    /// The entity is a full own corner (resp. edge) of this leaf; false
-    /// marks a hanging incidence — the entity lies interior to a face or
-    /// edge of this (coarser) leaf.
-    pub conforming: bool,
-}
-
-/// A corner entity, identified by its doubled lattice coordinates in the
-/// emitting leaf's tree frame.
-pub struct CornerVisit<'a> {
-    pub tree: u32,
-    pub point2: [i64; 3],
-    pub sides: &'a [Incident],
-    pub hanging: bool,
-}
-
-/// An edge entity, identified by its midpoint in doubled lattice
-/// coordinates in the emitting leaf's tree frame; `axis` is the edge
-/// direction in that frame.
-pub struct EdgeVisit<'a> {
-    pub tree: u32,
-    pub axis: u8,
-    pub mid2: [i64; 3],
-    pub sides: &'a [Incident],
-    pub hanging: bool,
-}
-
-/// The MAX_LEVEL probe cell just inside `region` touching the lattice
-/// point/midpoint `p2` (doubled coordinates, same tree frame), displaced
-/// toward the low (`lo = true`) or high side on axes where `p2` lies
-/// interior to the region's extent. Returns `None` if `p2` does not
-/// touch the closed region.
-fn probe_at(region: &Octant, p2: [i64; 3], lo: bool) -> Option<Octant> {
-    let len = region.len() as i64;
-    let anchor = [region.x() as i64, region.y() as i64, region.z() as i64];
-    let mut px = [0i64; 3];
-    for i in 0..3 {
-        let a2 = 2 * anchor[i];
-        let b2 = 2 * (anchor[i] + len);
-        if p2[i] < a2 || p2[i] > b2 {
-            return None;
-        }
-        px[i] = if p2[i] == a2 {
-            anchor[i]
-        } else if p2[i] == b2 {
-            anchor[i] + len - 1
-        } else if p2[i] % 2 != 0 {
-            (p2[i] - 1) / 2
-        } else if lo {
-            p2[i] / 2 - 1
-        } else {
-            p2[i] / 2
-        };
-    }
-    Some(Octant::new(
-        px[0] as u32,
-        px[1] as u32,
-        px[2] as u32,
-        MAX_LEVEL,
-    ))
-}
-
-/// `p2` is one of the eight corner points of `oct` (doubled coords).
-fn is_corner_of(oct: &Octant, p2: [i64; 3]) -> bool {
-    let len = oct.len() as i64;
-    let a = [oct.x() as i64, oct.y() as i64, oct.z() as i64];
-    (0..3).all(|i| p2[i] == 2 * a[i] || p2[i] == 2 * (a[i] + len))
-}
-
-/// `mid2` is the center of one of the twelve edges of `oct`.
-fn is_edge_center_of(oct: &Octant, mid2: [i64; 3]) -> bool {
-    let len = oct.len() as i64;
-    let a = [oct.x() as i64, oct.y() as i64, oct.z() as i64];
-    let mut interior = 0;
-    for i in 0..3 {
-        if mid2[i] == 2 * a[i] + len {
-            interior += 1;
-        } else if mid2[i] != 2 * a[i] && mid2[i] != 2 * (a[i] + len) {
-            return false;
-        }
-    }
-    interior == 1
-}
-
 impl<'c> Forest<'c> {
-    /// All same-size neighbor regions of `leaf` in direction
-    /// `(dx, dy, dz)`, including inter-tree images reached through
-    /// composed face transforms (all crossing orders, deduplicated).
-    /// For face directions this is at most one region; edge/corner
-    /// directions can fan out across tree seams. `out` is overwritten.
-    pub fn neighbors_full(
-        &self,
-        leaf: &ForestLeaf,
-        dx: i32,
-        dy: i32,
-        dz: i32,
-        out: &mut Vec<ForestLeaf>,
-    ) {
-        adjacent_regions(self.seam(), leaf, (dx, dy, dz), out);
-    }
-
     /// Visit every face entity with at least one local side exactly
     /// once: conforming faces from the curve-smaller side, hanging
     /// (2:1 nonconforming) faces from the big side with all four fine
@@ -362,203 +220,13 @@ impl<'c> Forest<'c> {
             }
         }
     }
-
-    /// Visit every corner entity with at least one local incident leaf
-    /// exactly once, emitted from the curve-smallest incident leaf that
-    /// has the point as an own vertex. Sides list every incident leaf
-    /// (across tree seams via composed transforms) with a hanging flag.
-    pub fn iterate_corners<V: FnMut(&CornerVisit<'_>)>(&self, ghosts: &GhostLayer, visit: &mut V) {
-        let view = LocalGhostView::new(&self.local, &ghosts.entries);
-        let conn = self.connectivity().clone();
-        let mut regions: Vec<(ForestLeaf, [i64; 3])> = Vec::new();
-        let mut sides: Vec<Incident> = Vec::new();
-        for &x in &view.leaves {
-            let o = &x.oct;
-            let len = o.len() as i64;
-            let anchor = [o.x() as i64, o.y() as i64, o.z() as i64];
-            for c in 0u8..8 {
-                let cb = [c & 1, (c >> 1) & 1, (c >> 2) & 1];
-                let p2 = [
-                    2 * (anchor[0] + cb[0] as i64 * len),
-                    2 * (anchor[1] + cb[1] as i64 * len),
-                    2 * (anchor[2] + cb[2] as i64 * len),
-                ];
-                regions.clear();
-                regions.push((x, p2));
-                for d in 1u8..8 {
-                    let db = [d & 1, (d >> 1) & 1, (d >> 2) & 1];
-                    let dir: Vec<i64> = (0..3)
-                        .map(|i| {
-                            if db[i] == 0 {
-                                0
-                            } else if cb[i] == 0 {
-                                -1
-                            } else {
-                                1
-                            }
-                        })
-                        .collect();
-                    let a = [
-                        anchor[0] + dir[0] * len,
-                        anchor[1] + dir[1] * len,
-                        anchor[2] + dir[2] * len,
-                    ];
-                    collect_extended_pt(conn.as_ref(), x.tree, a, p2, o.level(), &mut regions);
-                }
-                regions.sort_unstable_by_key(|(r, _)| *r);
-                regions.dedup_by_key(|(r, _)| *r);
-                if !resolve_incident(&view, &regions, &mut sides, true) {
-                    continue;
-                }
-                let min_conf = sides
-                    .iter()
-                    .filter(|s| s.conforming)
-                    .map(|s| s.leaf)
-                    .min()
-                    .expect("the emitting leaf is a conforming side");
-                if min_conf != x {
-                    continue;
-                }
-                if !sides.iter().any(|s| s.origin.is_local()) {
-                    continue;
-                }
-                let hanging = sides.iter().any(|s| !s.conforming);
-                visit(&CornerVisit {
-                    tree: x.tree,
-                    point2: p2,
-                    sides: &sides,
-                    hanging,
-                });
-            }
-        }
-    }
-
-    /// Visit every edge entity with at least one local incident leaf
-    /// exactly once, emitted from the curve-smallest incident leaf that
-    /// has the segment as a full own edge. Sides list every leaf
-    /// touching the segment (finer half-edge leaves included).
-    pub fn iterate_edges<V: FnMut(&EdgeVisit<'_>)>(&self, ghosts: &GhostLayer, visit: &mut V) {
-        let view = LocalGhostView::new(&self.local, &ghosts.entries);
-        let conn = self.connectivity().clone();
-        let mut regions: Vec<(ForestLeaf, [i64; 3])> = Vec::new();
-        let mut sides: Vec<Incident> = Vec::new();
-        for &x in &view.leaves {
-            let o = &x.oct;
-            let len = o.len() as i64;
-            let anchor = [o.x() as i64, o.y() as i64, o.z() as i64];
-            for e in 0u8..12 {
-                let axis = (e / 4) as usize;
-                let [t1, t2] = transverse_axes(2 * axis as u8);
-                let s1 = (e % 4) & 1;
-                let s2 = (e % 4) >> 1;
-                let mut mid2 = [0i64; 3];
-                mid2[axis] = 2 * anchor[axis] + len;
-                mid2[t1] = 2 * (anchor[t1] + s1 as i64 * len);
-                mid2[t2] = 2 * (anchor[t2] + s2 as i64 * len);
-                regions.clear();
-                regions.push((x, mid2));
-                for d in 1u8..4 {
-                    let d1 = d & 1;
-                    let d2 = d >> 1;
-                    let mut dir = [0i64; 3];
-                    dir[t1] = if d1 == 0 {
-                        0
-                    } else if s1 == 0 {
-                        -1
-                    } else {
-                        1
-                    };
-                    dir[t2] = if d2 == 0 {
-                        0
-                    } else if s2 == 0 {
-                        -1
-                    } else {
-                        1
-                    };
-                    let a = [
-                        anchor[0] + dir[0] * len,
-                        anchor[1] + dir[1] * len,
-                        anchor[2] + dir[2] * len,
-                    ];
-                    collect_extended_pt(conn.as_ref(), x.tree, a, mid2, o.level(), &mut regions);
-                }
-                regions.sort_unstable_by_key(|(r, _)| *r);
-                regions.dedup_by_key(|(r, _)| *r);
-                if !resolve_incident(&view, &regions, &mut sides, false) {
-                    continue;
-                }
-                let min_conf = sides
-                    .iter()
-                    .filter(|s| s.conforming)
-                    .map(|s| s.leaf)
-                    .min()
-                    .expect("the emitting leaf is a conforming side");
-                if min_conf != x {
-                    continue;
-                }
-                if !sides.iter().any(|s| s.origin.is_local()) {
-                    continue;
-                }
-                let hanging = sides.iter().any(|s| !s.conforming);
-                visit(&EdgeVisit {
-                    tree: x.tree,
-                    axis: axis as u8,
-                    mid2,
-                    sides: &sides,
-                    hanging,
-                });
-            }
-        }
-    }
-}
-
-/// Resolve the incident leaves of a corner/edge entity from its
-/// surrounding same-size regions via just-inside MAX_LEVEL probes.
-/// Returns `false` when the entity's full incidence is not visible
-/// from this rank's view (ghost-frame entity not involving us — the
-/// emission is skipped; a local emitter always has full visibility
-/// through the edge/corner ghost layer).
-fn resolve_incident(
-    view: &LocalGhostView<ForestLeaf>,
-    regions: &[(ForestLeaf, [i64; 3])],
-    sides: &mut Vec<Incident>,
-    corner: bool,
-) -> bool {
-    sides.clear();
-    for (region, p2) in regions.iter() {
-        for lo in [true, false] {
-            let Some(probe) = probe_at(&region.oct, *p2, lo) else {
-                return false;
-            };
-            let probe_leaf = ForestLeaf::new(region.tree, probe);
-            let Some(vi) = view.containing(&probe_leaf) else {
-                return false;
-            };
-            let (l, origin) = (view.leaves[vi], view.origins[vi]);
-            let conforming = if corner {
-                is_corner_of(&l.oct, *p2)
-            } else {
-                is_edge_center_of(&l.oct, *p2)
-            };
-            sides.push(Incident {
-                leaf: l,
-                origin,
-                conforming,
-            });
-            if corner {
-                break; // one probe per region suffices for corners
-            }
-        }
-    }
-    sides.sort_unstable_by_key(|s| s.leaf);
-    sides.dedup_by_key(|s| s.leaf);
-    true
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::connectivity::Connectivity;
+    use octree::curve::adjacent_regions;
     use scomm::spmd;
     use std::collections::BTreeSet;
     use std::sync::Arc;
@@ -631,14 +299,14 @@ mod tests {
     }
 
     #[test]
-    fn neighbors_full_agrees_with_single_transform() {
+    fn adjacent_regions_agree_with_single_transform() {
         let conn = sphere();
         spmd::run(1, |c| {
             let f = Forest::new_uniform(c, conn.clone(), 1);
             let mut out = Vec::new();
             for l in &f.local {
                 for (dx, dy, dz) in Octant::neighbor_directions() {
-                    f.neighbors_full(l, dx, dy, dz, &mut out);
+                    adjacent_regions(f.seam(), l, (dx, dy, dz), &mut out);
                     if let Some(n) = f.neighbor(l, dx, dy, dz) {
                         assert!(
                             out.contains(&n),
@@ -663,14 +331,14 @@ mod tests {
             let f = Forest::new_uniform(c, conn.clone(), 0);
             let l = ForestLeaf::new(0, Octant::root());
             let mut out = Vec::new();
-            f.neighbors_full(&l, 1, 1, 1, &mut out);
+            adjacent_regions(f.seam(), &l, (1, 1, 1), &mut out);
             let trees: BTreeSet<u32> = out.iter().map(|n| n.tree).collect();
             assert_eq!(
                 trees,
                 BTreeSet::from([7]),
                 "corner direction reaches tree 7"
             );
-            f.neighbors_full(&l, 1, 1, 0, &mut out);
+            adjacent_regions(f.seam(), &l, (1, 1, 0), &mut out);
             let trees: BTreeSet<u32> = out.iter().map(|n| n.tree).collect();
             assert_eq!(trees, BTreeSet::from([3]), "edge direction reaches tree 3");
         });
@@ -738,54 +406,6 @@ mod tests {
                 }
             });
             assert_eq!(hanging, 3, "child 0 exposes 3 hanging interior faces");
-        });
-    }
-
-    #[test]
-    fn iterate_corners_and_edges_unit_cube_counts() {
-        let conn = Arc::new(Connectivity::unit_cube());
-        spmd::run(1, |c| {
-            let f = Forest::new_uniform(c, conn.clone(), 1);
-            let ghosts = f.ghosts();
-            let mut corners = 0usize;
-            f.iterate_corners(&ghosts, &mut |v: &CornerVisit<'_>| {
-                corners += 1;
-                assert!(!v.hanging);
-                assert!(!v.sides.is_empty() && v.sides.len() <= 8);
-            });
-            // 3^3 lattice points of the 2x2x2 leaf grid.
-            assert_eq!(corners, 27);
-            let mut edges = 0usize;
-            f.iterate_edges(&ghosts, &mut |v: &EdgeVisit<'_>| {
-                edges += 1;
-                assert!(!v.hanging);
-                assert!(!v.sides.is_empty() && v.sides.len() <= 4);
-            });
-            // Per axis: 2 segments along x 3x3 transverse lines.
-            assert_eq!(edges, 54);
-        });
-    }
-
-    #[test]
-    fn iterate_corners_brick_center_valence_eight() {
-        let conn = Arc::new(Connectivity::brick(2, 2, 2));
-        spmd::run(1, |c| {
-            let f = Forest::new_uniform(c, conn.clone(), 0);
-            let ghosts = f.ghosts();
-            let mut total = 0usize;
-            let mut max_valence = 0usize;
-            f.iterate_corners(&ghosts, &mut |v: &CornerVisit<'_>| {
-                total += 1;
-                max_valence = max_valence.max(v.sides.len());
-                if v.sides.len() == 8 {
-                    // The center vertex: all 8 trees meet there.
-                    let trees: BTreeSet<u32> = v.sides.iter().map(|s| s.leaf.tree).collect();
-                    assert_eq!(trees.len(), 8);
-                }
-            });
-            // 3^3 lattice points of the 2x2x2 tree grid.
-            assert_eq!(total, 27);
-            assert_eq!(max_valence, 8);
         });
     }
 

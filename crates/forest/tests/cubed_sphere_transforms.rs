@@ -9,10 +9,10 @@
 //! (2,1,0,1)]` and cross-checked geometrically through
 //! `Connectivity::map_point`.
 
-use forest::{Connectivity, CornerVisit, EdgeVisit, FaceVisit, Forest, ForestLeaf};
+use forest::{Connectivity, FaceVisit, Forest, ForestLeaf};
+use octree::curve::adjacent_regions;
 use octree::{Octant, ROOT_LEN};
 use scomm::spmd;
-use std::collections::BTreeSet;
 use std::sync::Arc;
 
 fn sphere() -> Arc<Connectivity> {
@@ -96,10 +96,10 @@ fn cap_to_cap_pinned_pairs() {
 
 #[test]
 fn level0_entity_counts_match_shell_topology() {
-    // 24 hexes, one radial layer: per shell surface V=26, E=48, F=24
-    // (Euler V-E+F=2), two shells plus 26 radial edges. Hence 52 corner
-    // entities, 2*48+26 = 122 edge entities, 48 interior + 48 shell
-    // boundary face entities.
+    // 24 hexes, one radial layer: per shell surface F = 24 quadrilaterals
+    // with E = 48 edges (Euler V - E + F = 2 with V = 26). Hence 48
+    // interior face entities (one per surface edge, extruded radially)
+    // and 48 shell-boundary ones (24 per shell).
     let conn = sphere();
     spmd::run(1, |c| {
         let f = Forest::new_uniform(c, conn.clone(), 0);
@@ -113,75 +113,61 @@ fn level0_entity_counts_match_shell_topology() {
             }
         });
         assert_eq!((interior, boundary), (48, 48));
-        let mut edges = 0usize;
-        let mut radial = 0usize;
-        f.iterate_edges(&ghosts, &mut |v: &EdgeVisit<'_>| {
-            edges += 1;
-            if v.axis == 2 {
-                radial += 1;
-            }
-        });
-        assert_eq!(edges, 122);
-        assert_eq!(radial, 26);
-        let mut corners = 0usize;
-        let mut valences: Vec<usize> = Vec::new();
-        f.iterate_corners(&ghosts, &mut |v: &CornerVisit<'_>| {
-            corners += 1;
-            valences.push(v.sides.len());
-        });
-        assert_eq!(corners, 52);
-        // Cube-corner vertices have valence 3 (8 per shell), all other
-        // surface vertices valence 4.
-        assert_eq!(valences.iter().filter(|&&v| v == 3).count(), 16);
-        assert_eq!(valences.iter().filter(|&&v| v == 4).count(), 36);
     });
+}
+
+/// The corners of `leaf` in the unit cube of its tree, in z-order.
+fn unit_corners(leaf: &ForestLeaf) -> impl Iterator<Item = [f64; 3]> + '_ {
+    let o = &leaf.oct;
+    let (a, len) = ([o.x(), o.y(), o.z()], o.len());
+    (0..8u32).map(move |c| {
+        let at = |i: usize| (a[i] + ((c >> i) & 1) * len) as f64 / ROOT_LEN as f64;
+        [at(0), at(1), at(2)]
+    })
 }
 
 #[test]
 fn cross_cap_corner_entities_coincide_geometrically() {
-    // For every corner entity, each conforming side must have a leaf
-    // corner mapping to the same physical point as the emitting frame's
-    // point — across caps this exercises the composed edge/corner
-    // transforms end to end.
+    // For every leaf and every edge or corner direction d, each same-size
+    // region the tree seam returns must share the leaf's corners toward
+    // d (both ends of the edge, or the one corner) physically — across
+    // caps this exercises the composed edge/corner transforms end to end.
     let conn = sphere();
     spmd::run(1, |c| {
         let f = Forest::new_uniform(c, conn.clone(), 1);
-        let ghosts = f.ghosts();
-        let lim = 2.0 * ROOT_LEN as f64;
-        let mut checked_cross_cap = 0usize;
-        f.iterate_corners(&ghosts, &mut |v: &CornerVisit<'_>| {
-            let uvw = [
-                v.point2[0] as f64 / lim,
-                v.point2[1] as f64 / lim,
-                v.point2[2] as f64 / lim,
-            ];
-            let p = conn.map_point(v.tree, uvw);
-            let trees: BTreeSet<u32> = v.sides.iter().map(|s| s.leaf.tree).collect();
-            if trees.len() > 1 {
-                checked_cross_cap += 1;
-            }
-            for s in v.sides.iter().filter(|s| s.conforming) {
-                let o = &s.leaf.oct;
-                let (ax, len) = ([o.x() as f64, o.y() as f64, o.z() as f64], o.len() as f64);
-                let best = (0..8)
-                    .map(|cb| {
-                        let q = conn.map_point(
-                            s.leaf.tree,
-                            [
-                                (ax[0] + (cb & 1) as f64 * len) / ROOT_LEN as f64,
-                                (ax[1] + ((cb >> 1) & 1) as f64 * len) / ROOT_LEN as f64,
-                                (ax[2] + ((cb >> 2) & 1) as f64 * len) / ROOT_LEN as f64,
-                            ],
-                        );
-                        (q[0] - p[0]).abs() + (q[1] - p[1]).abs() + (q[2] - p[2]).abs()
+        let mut regions = Vec::new();
+        let mut cross_tree = 0usize;
+        for leaf in &f.local {
+            for d in Octant::neighbor_directions() {
+                let dv = [d.0, d.1, d.2];
+                if dv.iter().filter(|&&x| x != 0).count() < 2 {
+                    continue;
+                }
+                adjacent_regions(f.seam(), leaf, d, &mut regions);
+                let toward: Vec<[f64; 3]> = unit_corners(leaf)
+                    .enumerate()
+                    .filter(|&(cb, _)| {
+                        (0..3).all(|i| dv[i] == 0 || ((cb >> i) & 1 == 1) == (dv[i] > 0))
                     })
-                    .fold(f64::INFINITY, f64::min);
-                assert!(
-                    best < 1e-9,
-                    "conforming side has no corner at the entity point (dist {best})"
-                );
+                    .map(|(_, p)| conn.map_point(leaf.tree, p))
+                    .collect();
+                for r in &regions {
+                    cross_tree += usize::from(r.tree != leaf.tree);
+                    for p in &toward {
+                        let best = unit_corners(r)
+                            .map(|u| {
+                                let q = conn.map_point(r.tree, u);
+                                (q[0] - p[0]).abs() + (q[1] - p[1]).abs() + (q[2] - p[2]).abs()
+                            })
+                            .fold(f64::INFINITY, f64::min);
+                        assert!(
+                            best < 1e-9,
+                            "{leaf:?} toward {d:?}: region {r:?} has no corner at {p:?} (dist {best})"
+                        );
+                    }
+                }
             }
-        });
-        assert!(checked_cross_cap > 0, "no cross-tree corner entity seen");
+        }
+        assert!(cross_tree > 0, "no cross-tree edge or corner region seen");
     });
 }

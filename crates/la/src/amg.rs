@@ -46,7 +46,7 @@
 use std::cell::RefCell;
 
 use crate::csr::Csr;
-use crate::dense::{Cholesky, Lu};
+use crate::dense::Cholesky;
 use crate::krylov::LinearOp;
 
 /// Setup options.
@@ -289,7 +289,6 @@ fn prolong_add_lane<const C: usize>(p: &Csr, e: &[f64], c: usize, x: &mut [f64])
 /// How a coarsest level is solved.
 enum Direct {
     Cholesky(Cholesky),
-    Lu(Lu),
     /// [`COARSE_SWEEPS`] smoother sweeps from zero, for a coarsest level
     /// that is singular or still larger than `max_coarse` (its vanishing
     /// diagonal entries are replaced by `1.0`).
@@ -398,21 +397,16 @@ impl<const C: usize> Level<C> {
                 continue;
             };
             let x = lanes_mut::<C>(x);
-            if let Direct::Sweeps = direct {
+            let Direct::Cholesky(ch) = direct else {
                 for (xi, si) in x.iter_mut().zip(lanes::<C>(&s.swept)) {
                     xi[c] = si[c];
                 }
                 continue;
-            }
+            };
             for (li, bi) in s.lane.iter_mut().zip(lanes::<C>(b)) {
                 *li = bi[c];
             }
-            if let Direct::Cholesky(ch) = direct {
-                ch.solve(&mut s.lane);
-            }
-            if let Direct::Lu(lu) = direct {
-                lu.solve_in_place(&mut s.lane);
-            }
+            ch.solve(&mut s.lane);
             for (xi, li) in x.iter_mut().zip(&s.lane) {
                 xi[c] = *li;
             }
@@ -526,7 +520,9 @@ fn spectral_radius_dinv_a(a: &Csr, diag: &[f64], iters: usize) -> f64 {
     lambda.max(1e-8)
 }
 
-/// Dense Cholesky, else LU, factorization of `a`; `None` if singular.
+/// Dense Cholesky factorization of `a`; `None` if a pivot is not
+/// positive. The Galerkin coarse operator `Pᵀ A P` of an SPD input is SPD
+/// unless singular, and a singular one is solved by sweeps.
 fn dense_factor(a: &Csr) -> Option<Direct> {
     let n = a.nrows;
     let mut dense = vec![0.0; n * n];
@@ -535,10 +531,7 @@ fn dense_factor(a: &Csr) -> Option<Direct> {
             dense[i * n + a.col_idx[k]] = a.values[k];
         }
     }
-    match Cholesky::factor(&dense, n) {
-        Some(ch) => Some(Direct::Cholesky(ch)),
-        None => Lu::factor(&dense, n).map(Direct::Lu),
-    }
+    Cholesky::factor(&dense, n).map(Direct::Cholesky)
 }
 
 impl Amg {

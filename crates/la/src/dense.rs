@@ -1,5 +1,6 @@
-//! Small dense kernels: column-major matrices, Cholesky and LU solves.
-//! Used for AMG coarse-grid solves and element-level operations.
+//! Small dense kernels: row-major matrices, Cholesky and LU solves.
+//! Cholesky serves the AMG coarse-grid solve, LU `mangll`'s LGL
+//! projection operators.
 
 /// Dense Cholesky factorization `A = L Lᵀ` of an SPD matrix given in
 /// row-major order (symmetric, so layout is moot).
@@ -69,7 +70,7 @@ impl Cholesky {
 }
 
 /// Dense LU with partial pivoting, for small general square systems
-/// (used where SPD cannot be guaranteed).
+/// (`mangll` forms its LGL projection operators with it).
 #[derive(Debug, Clone)]
 pub struct Lu {
     n: usize,
@@ -115,13 +116,6 @@ impl Lu {
             }
         }
         Some(Lu { n, lu, swaps })
-    }
-
-    /// Solve `A x = b`; returns `x`.
-    pub fn solve(&self, b: &[f64]) -> Vec<f64> {
-        let mut x = b.to_vec();
-        self.solve_in_place(&mut x);
-        x
     }
 
     /// Solve `A x = b` in place: `x` holds `b` on entry and the solution
@@ -180,7 +174,8 @@ mod tests {
         // Non-symmetric with pivoting needed.
         let a = [0.0, 2.0, 1.0, 3.0, 0.0, 1.0, 1.0, 1.0, 1.0];
         let lu = Lu::factor(&a, 3).unwrap();
-        let x = lu.solve(&[5.0, 7.0, 6.0]);
+        let mut x = [5.0, 7.0, 6.0];
+        lu.solve_in_place(&mut x);
         // Verify residual.
         let r = [
             2.0 * x[1] + x[2] - 5.0,

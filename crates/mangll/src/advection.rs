@@ -22,10 +22,9 @@
 //! * parallel exchange of ghost face traces per RK stage.
 
 use forest::{transverse_axes, FaceSide, FaceVisit, Forest, GhostKind, GhostWorkspace, LeafOrigin};
-use octree::ops::find_containing;
 use scomm::Exchange;
 
-use crate::kernels::{apply_face, apply_volume, grad, with_nodes, ElementDerivative, FaceTables};
+use crate::kernels::{apply_face, grad, with_nodes, ElementDerivative, FaceTables};
 
 /// Exchange stream id for the DG ghost traces (the CG operators post on
 /// stream 0).
@@ -717,44 +716,6 @@ impl<'f, 'c> DgAdvection<'f, 'c> {
         }
         self.forest.comm().allreduce_max(&[local])[0]
     }
-
-    /// Transfer the solution onto a *refined* forest (each new element
-    /// equal to or contained in an old local element, before
-    /// repartitioning): the old polynomial on the new element, through
-    /// the tensor child interpolation once per level of depth between
-    /// the two — exact, since children carry the same polynomial.
-    /// Coarsening transfer (an L² projection) is not yet provided;
-    /// coarsen between runs by re-initializing instead. Returns a new
-    /// solver bound to `new_forest` with the velocity field re-sampled
-    /// from `vel`.
-    pub fn resample_onto<'g>(
-        &self,
-        new_forest: &'g Forest<'c>,
-        vel: impl Fn([f64; 3]) -> [f64; 3],
-    ) -> DgAdvection<'g, 'c> {
-        let mut new = DgAdvection::new(new_forest, self.params, |_| 0.0, vel);
-        let (n, n3) = (self.ed.lgl.n(), self.ed.n3());
-        let lgl = &self.ed.lgl;
-        let (mut parent, mut tmp) = (vec![0.0; n3], vec![0.0; n3]);
-        for (e, leaf) in new_forest.local.iter().enumerate() {
-            // Find the old local element covering this new element.
-            let old_e = find_containing(&self.forest.local, leaf).unwrap_or_else(|| {
-                panic!(
-                    "new element {leaf:?} not covered by the old local forest — \
-                         resample before repartitioning"
-                )
-            });
-            let ue = &mut new.u[e * n3..(e + 1) * n3];
-            ue.copy_from_slice(&self.u[old_e * n3..(old_e + 1) * n3]);
-            for level in self.forest.local[old_e].oct.level() + 1..=leaf.oct.level() {
-                let c = leaf.oct.ancestor_at(level).child_id();
-                let halves = [0, 1, 2].map(|d| lgl.interp((c >> d) & 1 == 1));
-                parent.copy_from_slice(ue);
-                apply_volume(halves, n, &parent, &mut tmp, ue);
-            }
-        }
-        new
-    }
 }
 
 #[cfg(test)]
@@ -1067,61 +1028,6 @@ mod tests {
                 escaped < 5e-3 * m0.abs(),
                 "the front stays inside: {escaped}"
             );
-        });
-    }
-
-    /// Adaptive DG: refine mid-run under the front and keep advecting —
-    /// the Fig. 12 usage pattern (adapt every k steps).
-    #[test]
-    fn adaptive_resampling_mid_run() {
-        let conn = Arc::new(Connectivity::brick(1, 1, 1));
-        spmd::run(1, |c| {
-            let f0 = Forest::new_uniform(c, conn.clone(), 2);
-            let width = 0.02;
-            let init = move |q: [f64; 3]| {
-                let r2 = (q[0] - 0.35).powi(2) + (q[1] - 0.5).powi(2) + (q[2] - 0.5).powi(2);
-                (-r2 / width).exp()
-            };
-            let vel = |_: [f64; 3]| [1.0f64, 0.0, 0.0];
-            let mut dg = DgAdvection::new(
-                &f0,
-                DgParams {
-                    order: 3,
-                    cfl: 0.2,
-                    ..Default::default()
-                },
-                init,
-                vel,
-            );
-            // Advance a bit on the coarse mesh.
-            let dt = dg.stable_dt();
-            for _ in 0..5 {
-                dg.step(dt);
-            }
-            let mass_before = dg.total_mass();
-            // Refine the downstream half and transfer the field.
-            let mut f1 = Forest::new_uniform(c, conn.clone(), 2);
-            f1.refine(|l| l.oct.center_unit()[0] > 0.45);
-            f1.balance(octree::balance::BalanceKind::Full);
-            let mut dg2 = dg.resample_onto(&f1, vel);
-            let mass_after = dg2.total_mass();
-            assert!(
-                (mass_after - mass_before).abs() / mass_before.abs() < 1e-12,
-                "polynomial re-evaluation under refinement is exact: {mass_before} vs {mass_after}"
-            );
-            // Keep advecting on the refined mesh.
-            let dt2 = dg2.stable_dt();
-            let nsteps = (0.2 / dt2).ceil() as usize;
-            let t_total = 5.0 * dt + nsteps as f64 * (0.2 / nsteps as f64);
-            for _ in 0..nsteps {
-                dg2.step(0.2 / nsteps as f64);
-            }
-            let err = dg2.max_error(move |q| {
-                let r2 =
-                    (q[0] - 0.35 - t_total).powi(2) + (q[1] - 0.5).powi(2) + (q[2] - 0.5).powi(2);
-                (-r2 / width).exp()
-            });
-            assert!(err < 0.15, "adaptive transport error {err}");
         });
     }
 

@@ -289,26 +289,6 @@ pub fn apply_face(a: &[f64], b: &[f64], n: usize, x: &[f64], tmp: &mut [f64], ou
     }
 }
 
-/// `out = (C ⊗ B ⊗ A) x` on an `n³` element `x[i + n·(j + n·k)]`, one
-/// matrix per axis: with the half-interval interpolations of [`Lgl`],
-/// the parent polynomial on one of its eight children. `tmp` is `n³`
-/// scratch.
-pub fn apply_volume(m: [&[f64]; 3], n: usize, x: &[f64], tmp: &mut [f64], out: &mut [f64]) {
-    let n2 = n * n;
-    for (oslab, xslab) in out.chunks_exact_mut(n2).zip(x.chunks_exact(n2)) {
-        apply_face(m[0], m[1], n, xslab, &mut tmp[..n2], oslab);
-    }
-    tmp.copy_from_slice(out);
-    for (oslab, crow) in out.chunks_exact_mut(n2).zip(m[2].chunks_exact(n)) {
-        oslab.fill(0.0);
-        for (&cv, tslab) in crow.iter().zip(tmp.chunks_exact(n2)) {
-            for (o, &t) in oslab.iter_mut().zip(tslab) {
-                *o += cv * t;
-            }
-        }
-    }
-}
-
 /// Index tables of the `n²` trace of an element face. Face node
 /// `a + n·b` runs `a` along the lower and `b` along the higher of the
 /// face's two transverse axes.
@@ -524,39 +504,6 @@ mod tests {
                 (coarse - children).abs() < 1e-13,
                 "p={p}: {coarse} vs {children}"
             );
-        }
-    }
-
-    /// `apply_volume` with the child interpolations is the parent
-    /// polynomial evaluated at the child's nodes.
-    #[test]
-    fn volume_interpolation_reproduces_the_parent_polynomial() {
-        let p = 3;
-        let lgl = Lgl::new(p);
-        let n = lgl.n();
-        let f = |x: f64, y: f64, z: f64| (1.0 + x - x.powi(3)) * (0.5 - y * y) * (2.0 + z.powi(3));
-        let sample = |at: &dyn Fn(f64) -> [f64; 3]| -> Vec<f64> {
-            let x = &lgl.nodes;
-            let mut out = Vec::new();
-            for k in 0..n {
-                for j in 0..n {
-                    for i in 0..n {
-                        out.push(f(at(x[i])[0], at(x[j])[1], at(x[k])[2]));
-                    }
-                }
-            }
-            out
-        };
-        let parent = sample(&|x| [x; 3]);
-        let (mut tmp, mut child) = (vec![0.0; n * n * n], vec![0.0; n * n * n]);
-        for c in 0..8usize {
-            let hi = [c & 1 != 0, c & 2 != 0, c & 4 != 0];
-            apply_volume(hi.map(|h| lgl.interp(h)), n, &parent, &mut tmp, &mut child);
-            let half = |d: usize, x: f64| 0.5 * (x + if hi[d] { 1.0 } else { -1.0 });
-            let exact = sample(&|x| [half(0, x), half(1, x), half(2, x)]);
-            for (a, b) in child.iter().zip(&exact) {
-                assert!((a - b).abs() < 1e-13, "child {c}: {a} vs {b}");
-            }
         }
     }
 

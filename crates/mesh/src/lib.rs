@@ -21,8 +21,6 @@
 
 pub mod extract;
 pub mod interp;
-pub mod vtk;
 
 pub use extract::{Constraints, Corner, ExchangePattern, Mesh};
 pub use interp::{transfer_corner_values_into, unpack_corner_values};
-pub use vtk::write_vtk;

@@ -109,25 +109,6 @@ pub fn is_family<L: CurveLeaf>(leaves: &[L], i: usize) -> bool {
     })
 }
 
-/// Remove overlaps from a sorted octant list, keeping the *finest* octants
-/// (drop any octant that is a strict ancestor of the one following it).
-/// Input must be sorted; duplicates are removed too.
-pub fn linearize(octants: &mut Vec<Octant>) {
-    octants.dedup();
-    let mut out: Vec<Octant> = Vec::with_capacity(octants.len());
-    for &o in octants.iter() {
-        while let Some(&last) = out.last() {
-            if last.is_ancestor_of(&o) {
-                out.pop();
-            } else {
-                break;
-            }
-        }
-        out.push(o);
-    }
-    *octants = out;
-}
-
 /// Binary-search the sorted leaf array for the leaf that contains `target`
 /// (i.e. equals it or is its ancestor in the same tree). Returns its
 /// index, or `None` if the containing region is not present locally.
@@ -240,17 +221,6 @@ mod tests {
         assert_eq!(n, 1);
         assert_eq!(t.len(), before - 7);
         assert!(is_complete(&t));
-    }
-
-    #[test]
-    fn linearize_keeps_finest() {
-        let root = Octant::root();
-        let c0 = root.child(0);
-        let mut v = vec![root, c0, c0.child(3), root.child(2)];
-        v.sort();
-        linearize(&mut v);
-        assert_eq!(v, vec![c0.child(3), root.child(2)]);
-        assert!(is_valid_linear(&v));
     }
 
     #[test]

@@ -2,7 +2,7 @@
 //! cases, and every assertion names the case seed, which replays it.
 
 use octree::balance::{balance_local, is_balanced};
-use octree::ops::{coarsen, find_containing, linearize, new_tree, refine};
+use octree::ops::{coarsen, find_containing, new_tree, refine};
 use octree::{is_complete, is_valid_linear, morton, Octant, MAX_LEVEL, ROOT_LEN};
 use scomm::rng::{mix, SplitMix64};
 
@@ -113,18 +113,6 @@ fn find_containing_agrees_with_scan() {
         let fast = find_containing(&t, &probe);
         let slow = t.iter().position(|o| o.contains(&probe));
         assert_eq!(fast, slow, "seed {seed:#x}");
-    }
-}
-
-#[test]
-fn linearize_removes_all_overlaps() {
-    for seed in seeds(8) {
-        let mut rng = SplitMix64::new(seed);
-        let n = 1 + rng.below(39);
-        let mut v: Vec<Octant> = (0..n).map(|_| arb_octant(&mut rng, 5)).collect();
-        v.sort();
-        linearize(&mut v);
-        assert!(is_valid_linear(&v), "seed {seed:#x}");
     }
 }
 

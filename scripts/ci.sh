@@ -77,7 +77,15 @@ cargo fmt --all -- --check
 #   tol·‖b‖_{M⁻¹}, and the V-cycle smooths forward before, backward after);
 # - API nothing called: `mesh::extract::node_key`, `obs::Summary::excl_seconds`
 #   and the allocating `rhea::adapt::adapt_mesh` wrapper (`adapt_mesh_ws`
-#   with a caller-held workspace is the one adapt entry point).
+#   with a caller-held workspace is the one adapt entry point);
+# - API only its own tests called: the forest's edge and corner iterators
+#   with their lattice-point transform, the `neighbors_full` wrapper, the
+#   VTK writer, DG's refine-only `resample_onto` with its volume kernel,
+#   `Lu`'s allocating `solve` and `octree::ops::linearize`
+#   (`iterate_faces`, `adjacent_regions` over the seam and
+#   `Lu::solve_in_place` are what programs run), and the AMG's LU fallback
+#   for a coarsest level, which no test, figure or benchmark run took
+#   (DESIGN.md §8).
 # Production outside scomm calls neither `Comm::allgather` nor `Comm::bcast`:
 # only the benchmark harness does (DESIGN.md §4).
 echo "==> deleted code stays deleted"
@@ -132,6 +140,10 @@ if ls -d examples/{mantle_convection,advecting_front,spherical_advection}.rs \
     grep -rnE 'fn node_key\b' crates/mesh ||
     grep -nE 'fn excl_seconds\(&self, phase' crates/obs/src/summary.rs ||
     grep -rnE 'fn adapt_mesh\(|adapt::adapt_mesh\(' crates src tests examples ||
+    grep -rnE 'fn (iterate_corners|iterate_edges|write_vtk|resample_onto|apply_volume|neighbors_full|linearize|apply_point_i64)\b' \
+        crates src tests examples ||
+    grep -nE 'fn solve\(&self, \w+: &\[f64\]\)' crates/la/src/dense.rs ||
+    grep -nw Lu crates/la/src/amg.rs ||
     grep -rnE '\.(allgather|bcast)(::<[^>]*>)?\(' crates src tests examples | grep -v '^crates/scomm/' ||
     grep -rniE 'modeled|extrapolat' crates/bench/src results/*.txt; then
     echo "ci: deleted code is back (see above)" >&2

@@ -15,7 +15,9 @@
 //! the received foreign-row terms in delivery (rank) order. Masked rows
 //! and columns are eliminated after summation ([`Csr::eliminate`]), so
 //! `assemble_owned_block(map, src, Some(m))` equals
-//! `assemble_owned_block(map, src, None).eliminate(m)` bit for bit.
+//! `assemble_owned_sum(map, src).eliminate(m)` bit for bit, and an
+//! operator that needs several masks ([`la::Amg::masked`]) assembles
+//! once.
 
 use crate::op::DofMap;
 use la::Csr;
@@ -34,6 +36,23 @@ struct WireTriplet {
 }
 unsafe impl scomm::Pod for WireTriplet {}
 
+/// `f` on the corner expansions of element `e`: per corner, its
+/// `(local dof, weight)` terms — a plain dof is one unit-weight term in a
+/// stack slot, a hanging corner its constraint row in place.
+#[inline]
+fn with_expansions<R>(mesh: &Mesh, e: usize, f: impl FnOnce(&[&[(usize, f64)]; 8]) -> R) -> R {
+    let corners: [Corner; 8] = std::array::from_fn(|c| mesh.corner(e, c));
+    let plain: [(usize, f64); 8] = std::array::from_fn(|c| match corners[c] {
+        Corner::Dof(d) => (d, 1.0),
+        Corner::Hanging(_) => (usize::MAX, 0.0),
+    });
+    let expansions: [&[(usize, f64)]; 8] = std::array::from_fn(|c| match corners[c] {
+        Corner::Dof(_) => std::slice::from_ref(&plain[c]),
+        Corner::Hanging(r) => mesh.constraint_row(r),
+    });
+    f(&expansions)
+}
+
 /// Visit every nonzero raw term of element `e`'s matrix `mat` (row-major,
 /// `8·nc` square) in assembly order: `(ci, cj, a, b)`, then the row
 /// corner's constraint terms, then the column corner's. Each call gets
@@ -48,51 +67,56 @@ fn for_each_term(
     mut f: impl FnMut(usize, usize, usize, usize, f64),
 ) {
     let dim = 8 * nc;
-    // Corner expansions: a plain dof is one unit-weight term in a stack
-    // slot, a hanging corner its constraint row in place.
-    let corners: [Corner; 8] = std::array::from_fn(|c| mesh.corner(e, c));
-    let plain: [(usize, f64); 8] = std::array::from_fn(|c| match corners[c] {
-        Corner::Dof(d) => (d, 1.0),
-        Corner::Hanging(_) => (usize::MAX, 0.0),
-    });
-    let expansions: [&[(usize, f64)]; 8] = std::array::from_fn(|c| match corners[c] {
-        Corner::Dof(_) => std::slice::from_ref(&plain[c]),
-        Corner::Hanging(r) => mesh.constraint_row(r),
-    });
-    for ci in 0..8 {
-        for cj in 0..8 {
-            for a in 0..nc {
-                for b in 0..nc {
-                    let v = mat[(ci * nc + a) * dim + cj * nc + b];
-                    if v == 0.0 {
-                        continue;
-                    }
-                    for &(di, wi) in expansions[ci] {
-                        for &(dj, wj) in expansions[cj] {
-                            f(di, dj, a, b, wi * wj * v);
+    with_expansions(mesh, e, |expansions| {
+        for ci in 0..8 {
+            for cj in 0..8 {
+                for a in 0..nc {
+                    for b in 0..nc {
+                        let v = mat[(ci * nc + a) * dim + cj * nc + b];
+                        if v == 0.0 {
+                            continue;
+                        }
+                        for &(di, wi) in expansions[ci] {
+                            for &(dj, wj) in expansions[cj] {
+                                f(di, dj, a, b, wi * wj * v);
+                            }
                         }
                     }
                 }
             }
         }
-    }
+    });
 }
 
 /// Assemble the owned-block CSR (`n_owned·ncomp` square) of the operator
 /// given by `elem_matrix`, with symmetric Dirichlet elimination for
 /// `bc_mask` (identity rows/columns). An absent or zero diagonal becomes
 /// `1.0`. Collective.
-///
-/// No global triplet list: a first pass over the elements counts the raw
-/// terms of each owned row (and ships the foreign-row ones), a second
-/// places `(column, value)` into one row-grouped arena in element order,
-/// and [`Csr::from_row_terms`] sums each row's repeats in arena order.
-/// `elem_matrix` is called twice per element.
 pub fn assemble_owned_block(
     map: &DofMap,
     elem_matrix: &ElementMatrixSource,
     bc_mask: Option<&[bool]>,
 ) -> Csr {
+    let block = assemble_owned_sum(map, elem_matrix);
+    match bc_mask {
+        Some(mask) => block.eliminate(mask),
+        None => block.eliminate(&vec![false; block.nrows]),
+    }
+}
+
+/// The owned block before any elimination: each entry the sum of its
+/// terms in the order of the module documentation, a zero or absent
+/// diagonal as it comes. Collective.
+///
+/// No global triplet list, and each element matrix is evaluated once. A
+/// first pass bounds each owned row's raw terms from the corner
+/// expansions alone (it counts the zero element entries the second pass
+/// skips). The second evaluates every element, places its owned terms in
+/// element order into one arena with that much room per row, and ships
+/// the foreign-row ones. The received terms are grouped by row in
+/// delivery order, and [`Csr::from_row_terms`] sums each row's local
+/// terms, then its received ones.
+pub fn assemble_owned_sum(map: &DofMap, elem_matrix: &ElementMatrixSource) -> Csr {
     let mesh = map.mesh;
     let comm = map.comm;
     let nc = map.ncomp;
@@ -116,17 +140,51 @@ pub fn assemble_owned_block(
     let offsets = comm.allgatherv(&[offset]);
     let owner_of_gid = |g: u64| -> usize { offsets.partition_point(|&o| o <= g) - 1 };
 
-    // Pass one: count the owned terms of each row, ship the foreign ones.
-    let mut mat = vec![0.0; 64 * nc * nc];
+    // Pass one: room for each owned row's terms, and the foreign terms
+    // bound for each rank. Row `(di, a)` gets `nc` terms per owned column
+    // dof of every corner's expansion.
     let mut row_ptr = vec![0usize; n + 1];
-    let mut remote: Vec<Vec<WireTriplet>> = vec![Vec::new(); comm.size()];
+    let mut foreign = vec![0usize; comm.size()];
+    for e in 0..mesh.elements.len() {
+        with_expansions(mesh, e, |expansions| {
+            let all: usize = expansions.iter().map(|x| x.len()).sum();
+            let owned: usize = expansions
+                .iter()
+                .map(|x| x.iter().filter(|&&(dj, _)| dj < n_owned).count())
+                .sum();
+            for &(di, _) in expansions.iter().copied().flatten() {
+                if di < n_owned {
+                    for a in 0..nc {
+                        row_ptr[di * nc + a + 1] += nc * owned;
+                    }
+                } else {
+                    foreign[owner_of_gid(gid_of(di))] += nc * nc * all;
+                }
+            }
+        });
+    }
+    for r in 0..n {
+        row_ptr[r + 1] += row_ptr[r];
+    }
+
+    // Pass two: place the owned terms, ship the foreign ones.
+    let mut mat = vec![0.0; 64 * nc * nc];
+    let mut cols = vec![0u32; row_ptr[n]];
+    let mut vals = vec![0.0; row_ptr[n]];
+    let mut end = row_ptr[..n].to_vec();
+    let mut remote: Vec<Vec<WireTriplet>> =
+        foreign.iter().map(|&k| Vec::with_capacity(k)).collect();
     for e in 0..mesh.elements.len() {
         elem_matrix(e, &mut mat);
         for_each_term(mesh, e, nc, &mat, |di, dj, a, b, val| {
             if di < n_owned {
                 // A ghost column is dropped (block-Jacobi).
                 if dj < n_owned {
-                    row_ptr[di * nc + a + 1] += 1;
+                    let (row, at) = (di * nc + a, &mut end[di * nc + a]);
+                    debug_assert!(*at < row_ptr[row + 1]);
+                    cols[*at] = (dj * nc + b) as u32;
+                    vals[*at] = val;
+                    *at += 1;
                 }
             } else {
                 remote[owner_of_gid(gid_of(di))].push(WireTriplet {
@@ -147,43 +205,44 @@ pub fn assemble_owned_block(
         (cg_node >= offset && cg_node < offset + n_owned as u64).then(|| {
             let row = (rg_node - offset) as usize * nc + (t.row % nc as u64) as usize;
             let col = (cg_node - offset) as usize * nc + (t.col % nc as u64) as usize;
-            (row, col, t.val)
+            (row, col as u32, t.val)
         })
     });
+    // Grouped by row, in delivery order: `recv_ptr[r]` runs from the
+    // start of row `r` to its end while placing, then shifts back.
+    let mut recv_ptr = vec![0usize; n + 1];
     for (row, _, _) in received.clone() {
-        row_ptr[row + 1] += 1;
+        recv_ptr[row + 1] += 1;
     }
     for r in 0..n {
-        row_ptr[r + 1] += row_ptr[r];
+        recv_ptr[r + 1] += recv_ptr[r];
     }
-
-    // Pass two: place the terms, local elements first, then received.
-    let mut cols = vec![0u32; row_ptr[n]];
-    let mut vals = vec![0.0; row_ptr[n]];
-    let mut cursor = row_ptr[..n].to_vec();
-    let mut place = |row: usize, col: usize, val: f64| {
-        cols[cursor[row]] = col as u32;
-        vals[cursor[row]] = val;
-        cursor[row] += 1;
-    };
-    for e in 0..mesh.elements.len() {
-        elem_matrix(e, &mut mat);
-        for_each_term(mesh, e, nc, &mat, |di, dj, a, b, val| {
-            if di < n_owned && dj < n_owned {
-                place(di * nc + a, dj * nc + b, val);
-            }
-        });
-    }
+    let mut recv_cols = vec![0u32; recv_ptr[n]];
+    let mut recv_vals = vec![0.0; recv_ptr[n]];
     for (row, col, val) in received {
-        place(row, col, val);
+        recv_cols[recv_ptr[row]] = col;
+        recv_vals[recv_ptr[row]] = val;
+        recv_ptr[row] += 1;
     }
-    let block = Csr::from_row_terms(n, &row_ptr, &cols, &vals);
-    // Free the arena before the eliminated copy is made.
-    drop((cols, vals, row_ptr, incoming));
-    match bc_mask {
-        Some(mask) => block.eliminate(mask),
-        None => block.eliminate(&vec![false; n]),
+    for r in (1..=n).rev() {
+        recv_ptr[r] = recv_ptr[r - 1];
     }
+    recv_ptr[0] = 0;
+    let terms = (0..n).map(|r| end[r] - row_ptr[r]).sum::<usize>() + recv_ptr[n];
+    let row = |r: usize| {
+        let (local, recv) = (row_ptr[r]..end[r], recv_ptr[r]..recv_ptr[r + 1]);
+        let local = cols[local.clone()]
+            .iter()
+            .copied()
+            .zip(vals[local].iter().copied());
+        local.chain(
+            recv_cols[recv.clone()]
+                .iter()
+                .copied()
+                .zip(recv_vals[recv].iter().copied()),
+        )
+    };
+    Csr::from_row_terms(n, n, terms, row)
 }
 
 #[cfg(test)]

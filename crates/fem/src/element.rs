@@ -266,20 +266,33 @@ impl ElementBlocks {
 /// The [`ElementBlocks`] of every element of a mesh: one entry per octree
 /// level present, because a box domain has one element size per level.
 /// Every element matrix a solver uses is read from here and scaled by the
-/// element's coefficients.
-pub struct LevelBlocks(Vec<Option<Box<ElementBlocks>>>);
+/// element's coefficients. The entries share one allocation, whatever the
+/// levels present.
+pub struct LevelBlocks {
+    /// Per octree level, its entry in `blocks` (`u8::MAX` if absent).
+    slot: [u8; octree::MAX_LEVEL as usize + 1],
+    blocks: Vec<ElementBlocks>,
+}
 
 impl LevelBlocks {
     pub fn new(mesh: &Mesh) -> Self {
-        let mut table: Vec<Option<Box<ElementBlocks>>> = Vec::new();
+        let present = mesh
+            .elements
+            .iter()
+            .fold(0u32, |bits, o| bits | 1 << o.level());
+        let mut table = LevelBlocks {
+            slot: [u8::MAX; octree::MAX_LEVEL as usize + 1],
+            blocks: Vec::with_capacity(present.count_ones() as usize),
+        };
+        // Each level's blocks from its first element.
         for (e, o) in mesh.elements.iter().enumerate() {
-            let level = o.level() as usize;
-            if table.len() <= level {
-                table.resize_with(level + 1, || None);
+            let slot = &mut table.slot[o.level() as usize];
+            if *slot == u8::MAX {
+                *slot = table.blocks.len() as u8;
+                table.blocks.push(ElementBlocks::new(mesh.element_size(e)));
             }
-            table[level].get_or_insert_with(|| Box::new(ElementBlocks::new(mesh.element_size(e))));
         }
-        LevelBlocks(table)
+        table
     }
 
     /// The blocks of local element `e` of the mesh the table was built on.
@@ -287,8 +300,9 @@ impl LevelBlocks {
     /// blocks here and no caller would change.
     #[inline]
     pub fn of(&self, mesh: &Mesh, e: usize) -> &ElementBlocks {
-        self.0[mesh.elements[e].level() as usize]
-            .as_deref()
+        let slot = self.slot[mesh.elements[e].level() as usize];
+        self.blocks
+            .get(slot as usize)
             .expect("a block per level present in the mesh")
     }
 }

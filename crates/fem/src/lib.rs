@@ -21,6 +21,6 @@ pub mod assembly;
 pub mod element;
 pub mod op;
 
-pub use assembly::{assemble_owned_block, ElementMatrixSource};
+pub use assembly::{assemble_owned_block, assemble_owned_sum, ElementMatrixSource};
 pub use element::{stiffness_matrix, supg_tau, ElementBlocks, LevelBlocks, GAUSS_2};
 pub use op::{DistOp, DofMap};

@@ -23,14 +23,27 @@
 //! **Interleaved components.** An [`Amg<C>`] applies `C` scalar
 //! hierarchies to the `C` interleaved components of one vector (the
 //! velocity block of the Stokes preconditioner, `[ux uy uz]` per node).
-//! [`Amg::fuse`] stores their finest operators once, on the union of
-//! their sparsity patterns with every lane's value per entry, so one
-//! Gauss–Seidel pass advances all `C` dependency chains together. Each
-//! lane's arithmetic is that of its own scalar V-cycle, operation for
-//! operation, so the result is bitwise the same; restriction,
-//! prolongation and the coarser levels stay per hierarchy. The smoother
-//! and residual are written once, generic over `C`; the scalar [`Amg`]
-//! is the instance `C = 1`.
+//! [`Amg::masked`] builds them from one assembled matrix and one
+//! Dirichlet mask per lane. Lane `c`'s matrix is that matrix eliminated by
+//! its mask ([`Csr::eliminate`]), which drops entries and sets diagonals
+//! but re-sums nothing, so the lanes share every stored value. The fine
+//! level is therefore stored once: one value per entry, a presence bit
+//! per lane, and a diagonal per lane; a row that every lane stores whole
+//! skips the presence test. One Gauss–Seidel pass advances all `C`
+//! dependency chains together. Each distinct mask keeps its own coarser
+//! levels. Each lane's arithmetic is that of [`Amg::new`] on its
+//! eliminated matrix, operation for operation, so the result is bitwise
+//! the same. The smoother and residual are written once, generic over
+//! `C`; the scalar [`Amg`] is the instance `C = 1`.
+//!
+//! **Setup storage.** One workspace, sized from the fine level, holds
+//! every setup temporary (strength lists, the power iteration, the
+//! sparse products) for every level of every lane, and each hierarchy
+//! stores all its coarse levels and restrictions in one set of arrays
+//! reserved from the fine level's size (half its rows and entries for
+//! the coarse levels). So a setup allocates the same number of times
+//! whatever its rows and levels (`tests/allocations.rs` pins it); only a
+//! hierarchy that outgrows a reservation reallocates.
 //!
 //! **Communication.** This hierarchy is deliberately *rank-local*
 //! (block-Jacobi across ranks): [`Amg::new`] takes the owned diagonal
@@ -44,6 +57,7 @@
 //! §8 for the deviation note versus the paper's distributed BoomerAMG.
 
 use std::cell::RefCell;
+use std::ops::Range;
 
 use crate::csr::Csr;
 use crate::dense::Cholesky;
@@ -70,24 +84,27 @@ const MAX_LEVELS: usize = 20;
 /// no dense factor.
 const COARSE_SWEEPS: usize = 20;
 
-/// One stored entry of a [`LevelOp`]: its column and every lane's value.
+/// One stored entry of a [`LevelOp`].
 #[derive(Clone, Copy)]
-struct Entry<const C: usize> {
-    val: [f64; C],
+struct Entry {
+    /// The value every lane that stores the entry shares. A diagonal
+    /// slot's is never read: the smoother skips the slot, and the
+    /// residual and the setup read [`LevelOp::diag`].
+    val: f64,
     col: u32,
-    /// Bit `c` is set when lane `c`'s matrix stores the entry.
+    /// Bit `c` is set when lane `c` stores the entry.
     present: u8,
 }
 
-impl<const C: usize> Entry<C> {
+impl Entry {
     /// Lane `c`'s term `a_ij · x_j`. A lane that does not store the entry
     /// gets `+0.0`: an exact no-op for `σ −= t` and for a sum that starts
     /// at `+0.0`, whereas `0.0 · x_j` is `−0.0` for negative `x_j` and
     /// turns a `−0.0` partial result into `+0.0`.
     #[inline(always)]
     fn term(&self, c: usize, x: f64) -> f64 {
-        let t = self.val[c] * x;
-        if C == 1 || self.present >> c & 1 != 0 {
+        let t = self.val * x;
+        if self.present >> c & 1 != 0 {
             t
         } else {
             0.0
@@ -95,106 +112,181 @@ impl<const C: usize> Entry<C> {
     }
 }
 
-/// One level's operator in the form the smoother reads: the `C` lane
-/// matrices, all of order `n`, on the union of their sparsity patterns
-/// (columns ascending within a row).
+/// The presence bits of an entry every one of `C` lanes stores.
+const fn every_lane<const C: usize>() -> u8 {
+    ((1u16 << C) - 1) as u8
+}
+
+/// Operators of `C` lanes, row by row with columns ascending: one level
+/// (the fine one), or a hierarchy's coarse levels one after the other,
+/// each with its own column numbering.
 struct LevelOp<const C: usize> {
     row_ptr: Vec<usize>,
-    entries: Vec<Entry<C>>,
+    entries: Vec<Entry>,
     /// Per row, where the entries left and right of the diagonal end and
     /// start: the smoother skips the diagonal slot between them.
     around_diag: Vec<(usize, usize)>,
     /// Per row, each lane's diagonal (`0.0` where not stored).
     diag: Vec<[f64; C]>,
+    /// Per row, whether every lane stores every entry (empty for `C = 1`,
+    /// where the one lane does).
+    uniform: Vec<bool>,
 }
 
-impl LevelOp<1> {
-    fn from_csr(a: Csr, diag: Vec<f64>) -> Self {
+impl<const C: usize> LevelOp<C> {
+    fn with_capacity(rows: usize, entries: usize) -> Self {
+        const { assert!(C >= 1 && C <= 8, "one presence bit per lane in a u8") };
+        let mut row_ptr = Vec::with_capacity(rows + 1);
+        row_ptr.push(0);
+        LevelOp {
+            row_ptr,
+            entries: Vec::with_capacity(entries),
+            around_diag: Vec::with_capacity(rows),
+            diag: Vec::with_capacity(rows),
+            uniform: Vec::with_capacity(if C == 1 { 0 } else { rows }),
+        }
+    }
+
+    /// Rows stored.
+    fn n(&self) -> usize {
+        self.diag.len()
+    }
+
+    /// Close row `i` of its level, made of the entries pushed since the
+    /// last row was closed, with the lanes' diagonals `diag`.
+    fn end_row(&mut self, i: usize, diag: [f64; C]) {
+        let (lo, hi) = (self.row_ptr[self.row_ptr.len() - 1], self.entries.len());
+        let row = &self.entries[lo..hi];
+        let mid = lo + row.partition_point(|e| (e.col as usize) < i);
+        let on_diag = mid < hi && self.entries[mid].col as usize == i;
+        self.around_diag.push((mid, mid + usize::from(on_diag)));
+        self.diag.push(diag);
+        if C > 1 {
+            let whole = row.iter().all(|e| e.present == every_lane::<C>());
+            self.uniform.push(whole);
+        }
+        self.row_ptr.push(hi);
+    }
+
+    /// The level stored in `range`.
+    fn rows(&self, range: Range<usize>) -> Rows<'_, C> {
+        Rows {
+            row_ptr: &self.row_ptr[range.start..=range.end],
+            around_diag: &self.around_diag[range.clone()],
+            diag: &self.diag[range.clone()],
+            uniform: if C == 1 { &[] } else { &self.uniform[range] },
+            entries: &self.entries,
+        }
+    }
+
+    /// `a` eliminated lane by lane: lane `c` stores what
+    /// `a.eliminate(mask_c)` stores, bit for bit, where bit `c` of
+    /// `pinned[i]` is `mask_c[i]`. Columns of `a` must be ascending and
+    /// distinct within a row, as [`Csr::from_row_terms`] leaves them.
+    /// Entries no lane stores are left out.
+    fn masked(a: &Csr, pinned: &[u8]) -> Self {
+        assert_eq!(a.nrows, a.ncols, "elimination needs a square matrix");
+        assert_eq!(pinned.len(), a.nrows);
         assert!(
             u32::try_from(a.ncols).is_ok(),
             "{} columns exceed the u32 column index",
             a.ncols
         );
-        let entries = a
-            .col_idx
-            .iter()
-            .zip(&a.values)
-            .map(|(&col, &v)| Entry {
-                val: [v],
-                col: col as u32,
-                present: 1,
-            })
-            .collect();
-        LevelOp::new(a.row_ptr, entries, diag.into_iter().map(|d| [d]).collect())
+        let every = every_lane::<C>();
+        let mut op = LevelOp::with_capacity(a.nrows, a.nnz() + a.nrows);
+        for i in 0..a.nrows {
+            let row = a.row_ptr[i]..a.row_ptr[i + 1];
+            // `Csr::eliminate`'s diagonal: 1.0 on a masked row, and for an
+            // absent or exactly zero stored one.
+            let stored = row.clone().find(|&k| a.col_idx[k] == i);
+            let d = stored.map_or(1.0, |k| a.values[k]);
+            let d = if d == 0.0 { 1.0 } else { d };
+            let diag = std::array::from_fn(|c| if pinned[i] >> c & 1 != 0 { 1.0 } else { d });
+            let slot = Entry {
+                val: 0.0,
+                col: i as u32,
+                present: every,
+            };
+            let mut slot_placed = false;
+            for k in row {
+                let j = a.col_idx[k];
+                debug_assert!(k == a.row_ptr[i] || a.col_idx[k - 1] < j);
+                if !slot_placed && j >= i {
+                    op.entries.push(slot);
+                    slot_placed = true;
+                }
+                let present = every & !(pinned[i] | pinned[j]);
+                if j != i && present != 0 {
+                    op.entries.push(Entry {
+                        val: a.values[k],
+                        col: j as u32,
+                        present,
+                    });
+                }
+            }
+            if !slot_placed {
+                op.entries.push(slot);
+            }
+            op.end_row(i, diag);
+        }
+        op
     }
 }
 
-impl<const C: usize> LevelOp<C> {
-    fn new(row_ptr: Vec<usize>, entries: Vec<Entry<C>>, diag: Vec<[f64; C]>) -> Self {
-        let around_diag = (0..diag.len())
-            .map(|i| {
-                let (lo, hi) = (row_ptr[i], row_ptr[i + 1]);
-                let mid = lo + entries[lo..hi].partition_point(|e| (e.col as usize) < i);
-                let on_diag = mid < hi && entries[mid].col as usize == i;
-                (mid, mid + usize::from(on_diag))
-            })
-            .collect();
-        LevelOp {
-            row_ptr,
-            entries,
-            around_diag,
-            diag,
-        }
-    }
-
-    /// The lane matrices `lanes[c]` (scalar operators of one order, the
-    /// same one in several lanes if they share it) on one pattern.
-    fn union(lanes: [&LevelOp<1>; C]) -> Self {
-        const { assert!(C >= 1 && C <= 8, "one presence bit per lane in a u8") };
-        let n = lanes[0].n();
+impl LevelOp<1> {
+    /// The scalar operator `a` as it is stored.
+    fn from_csr(a: &Csr) -> Self {
         assert!(
-            lanes.iter().all(|l| l.n() == n),
-            "lane operators of one order"
+            u32::try_from(a.ncols).is_ok(),
+            "{} columns exceed the u32 column index",
+            a.ncols
         );
-        // Row `i` of the union, entry by entry in column order.
-        let merge_row = |i: usize, emit: &mut dyn FnMut(Entry<C>)| {
-            let mut rows = lanes.map(|l| &l.entries[l.row_ptr[i]..l.row_ptr[i + 1]]);
-            while let Some(col) = rows.iter().filter_map(|r| r.first()).map(|e| e.col).min() {
-                let mut entry = Entry {
-                    val: [0.0; C],
-                    col,
-                    present: 0,
-                };
-                for (c, row) in rows.iter_mut().enumerate() {
-                    if let Some((first, rest)) = row.split_first().filter(|(f, _)| f.col == col) {
-                        entry.val[c] = first.val[0];
-                        entry.present |= 1 << c;
-                        *row = rest;
-                    }
+        let mut op = LevelOp::with_capacity(a.nrows, a.nnz());
+        for i in 0..a.nrows {
+            let mut diag = None;
+            for k in a.row_ptr[i]..a.row_ptr[i + 1] {
+                let (col, val) = (a.col_idx[k], a.values[k]);
+                if col == i && diag.is_none() {
+                    diag = Some(val);
                 }
-                emit(entry);
+                op.entries.push(Entry {
+                    val,
+                    col: col as u32,
+                    present: 1,
+                });
             }
-        };
-        // Count first, so the entries are allocated once at their size.
-        let mut nnz = 0;
-        for i in 0..n {
-            merge_row(i, &mut |_| nnz += 1);
+            op.end_row(i, [diag.unwrap_or(0.0)]);
         }
-        let mut row_ptr = Vec::with_capacity(n + 1);
-        row_ptr.push(0);
-        let mut entries = Vec::with_capacity(nnz);
-        for i in 0..n {
-            merge_row(i, &mut |e| entries.push(e));
-            row_ptr.push(entries.len());
-        }
-        let diag = (0..n)
-            .map(|i| std::array::from_fn(|c| lanes[c].diag[i][0]))
-            .collect();
-        LevelOp::new(row_ptr, entries, diag)
+        op
     }
+}
 
+/// One level of a [`LevelOp`], rows and columns numbered from zero.
+#[derive(Clone, Copy)]
+struct Rows<'a, const C: usize> {
+    /// `n + 1` offsets into `entries`.
+    row_ptr: &'a [usize],
+    around_diag: &'a [(usize, usize)],
+    diag: &'a [[f64; C]],
+    uniform: &'a [bool],
+    entries: &'a [Entry],
+}
+
+impl<'a, const C: usize> Rows<'a, C> {
     fn n(&self) -> usize {
         self.diag.len()
+    }
+
+    /// Row `i`'s entries left and right of its diagonal slot, and whether
+    /// every lane stores all of them.
+    #[inline(always)]
+    fn off_diagonal(&self, i: usize) -> ([&'a [Entry]; 2], bool) {
+        let (lower_end, upper_start) = self.around_diag[i];
+        let parts = [
+            &self.entries[self.row_ptr[i]..lower_end],
+            &self.entries[upper_start..self.row_ptr[i + 1]],
+        ];
+        (parts, C == 1 || self.uniform[i])
     }
 
     /// One Gauss–Seidel pass over `rows`, in their order, of every lane
@@ -216,18 +308,10 @@ impl<const C: usize> LevelOp<C> {
     /// Solve row `i` of every lane for `x_i`, the other unknowns fixed.
     #[inline(always)]
     fn relax(&self, i: usize, b: &[[f64; C]], x: &mut [[f64; C]]) {
-        let (lower_end, upper_start) = self.around_diag[i];
+        let (parts, whole) = self.off_diagonal(i);
         let mut sigma = b[i];
-        for part in [
-            &self.entries[self.row_ptr[i]..lower_end],
-            &self.entries[upper_start..self.row_ptr[i + 1]],
-        ] {
-            for e in part {
-                let xj = x[e.col as usize];
-                for c in 0..C {
-                    sigma[c] -= e.term(c, xj[c]);
-                }
-            }
+        for part in parts {
+            terms(part, whole, x, |c, t| sigma[c] -= t);
         }
         let d = self.diag[i];
         x[i] = std::array::from_fn(|c| sigma[c] / d[c]);
@@ -237,14 +321,64 @@ impl<const C: usize> LevelOp<C> {
     fn residual(&self, b: &[f64], x: &[f64], r: &mut [f64]) {
         let (b, x, r) = (lanes::<C>(b), lanes::<C>(x), lanes_mut::<C>(r));
         for (i, ri) in r.iter_mut().enumerate() {
-            let mut acc = [0.0; C];
-            for e in &self.entries[self.row_ptr[i]..self.row_ptr[i + 1]] {
-                let xj = x[e.col as usize];
-                for c in 0..C {
-                    acc[c] += e.term(c, xj[c]);
-                }
-            }
+            let acc = self.row_product(i, x);
             *ri = std::array::from_fn(|c| b[i][c] - acc[c]);
+        }
+    }
+
+    /// Row `i` of `A x`, every lane, each summed in column order from
+    /// `0.0`; the diagonal term is read from `diag`, in its column's place.
+    #[inline(always)]
+    fn row_product(&self, i: usize, x: &[[f64; C]]) -> [f64; C] {
+        let ([lower, upper], whole) = self.off_diagonal(i);
+        let mut acc = [0.0; C];
+        terms(lower, whole, x, |c, t| acc[c] += t);
+        let (lower_end, upper_start) = self.around_diag[i];
+        if upper_start > lower_end {
+            for c in 0..C {
+                acc[c] += self.diag[i][c] * x[i][c];
+            }
+        }
+        terms(upper, whole, x, |c, t| acc[c] += t);
+        acc
+    }
+
+    /// Row `i` of lane `c` as `(column, value)`, columns ascending: the
+    /// entries the lane stores, with its diagonal read from `diag` — the
+    /// row `Csr::eliminate` gives that lane.
+    fn lane_row(self, i: usize, c: usize) -> impl Iterator<Item = (usize, f64)> + 'a {
+        let ([lower, upper], whole) = self.off_diagonal(i);
+        let (lower_end, upper_start) = self.around_diag[i];
+        let keep = move |e: &&Entry| whole || e.present >> c & 1 != 0;
+        let pair = |e: &Entry| (e.col as usize, e.val);
+        let diag = (upper_start > lower_end).then(|| (i, self.diag[i][c]));
+        let lower = lower.iter().filter(keep).map(pair);
+        lower.chain(diag).chain(upper.iter().filter(keep).map(pair))
+    }
+}
+
+/// `f(c, t)` for lane `c`'s term `t` of every entry of `part`, in order.
+/// `whole` says every lane stores every entry, so no presence test runs.
+#[inline(always)]
+fn terms<const C: usize>(
+    part: &[Entry],
+    whole: bool,
+    x: &[[f64; C]],
+    mut f: impl FnMut(usize, f64),
+) {
+    if whole {
+        for e in part {
+            let xj = x[e.col as usize];
+            for c in 0..C {
+                f(c, e.val * xj[c]);
+            }
+        }
+    } else {
+        for e in part {
+            let xj = x[e.col as usize];
+            for c in 0..C {
+                f(c, e.term(c, xj[c]));
+            }
         }
     }
 }
@@ -262,27 +396,101 @@ fn lanes_mut<const C: usize>(v: &mut [f64]) -> &mut [[f64; C]] {
     rows
 }
 
-/// `out = R r_c`: restriction of lane `c` of the interleaved `r`.
-fn restrict_lane<const C: usize>(rmat: &Csr, r: &[f64], c: usize, out: &mut [f64]) {
-    let r = lanes::<C>(r);
-    for (i, o) in out.iter_mut().enumerate() {
+/// Sparse rows with `u32` columns: prolongators, and the setup's
+/// products.
+struct Sparse {
+    ptr: Vec<usize>,
+    cols: Vec<u32>,
+    vals: Vec<f64>,
+}
+
+impl Sparse {
+    fn with_capacity(rows: usize, entries: usize) -> Self {
+        let mut ptr = Vec::with_capacity(rows + 1);
+        ptr.push(0);
+        Sparse {
+            ptr,
+            cols: Vec::with_capacity(entries),
+            vals: Vec::with_capacity(entries),
+        }
+    }
+
+    fn clear(&mut self) {
+        self.ptr.truncate(1);
+        self.cols.clear();
+        self.vals.clear();
+    }
+
+    fn rows(&self) -> usize {
+        self.ptr.len() - 1
+    }
+
+    fn push(&mut self, col: usize, val: f64) {
+        self.cols.push(col as u32);
+        self.vals.push(val);
+    }
+
+    fn end_row(&mut self) {
+        self.ptr.push(self.cols.len());
+    }
+
+    /// Append the rows of `other`.
+    fn append(&mut self, other: &Sparse) {
+        let base = self.cols.len();
+        self.ptr.extend(other.ptr[1..].iter().map(|&k| base + k));
+        self.cols.extend_from_slice(&other.cols);
+        self.vals.extend_from_slice(&other.vals);
+    }
+
+    fn row(&self, i: usize) -> impl Iterator<Item = (usize, f64)> + '_ {
+        let k = self.ptr[i]..self.ptr[i + 1];
+        let cols = self.cols[k.clone()].iter().map(|&j| j as usize);
+        cols.zip(self.vals[k].iter().copied())
+    }
+}
+
+/// `out = R r_c`: restriction of lane `c` of the interleaved `r` by the
+/// restriction whose rows are `rmat`'s `rows`.
+fn restrict<const C: usize>(
+    rmat: &Sparse,
+    rows: Range<usize>,
+    r: &[[f64; C]],
+    c: usize,
+    out: &mut [f64],
+) {
+    for (i, o) in rows.zip(out) {
         let mut acc = 0.0;
-        for k in rmat.row_ptr[i]..rmat.row_ptr[i + 1] {
-            acc += rmat.values[k] * r[rmat.col_idx[k]][c];
+        for k in rmat.ptr[i]..rmat.ptr[i + 1] {
+            acc += rmat.vals[k] * r[rmat.cols[k] as usize][c];
         }
         *o = acc;
     }
 }
 
-/// `x_c += P e`: prolongation of `e` added to lane `c` of the
-/// interleaved `x`.
-fn prolong_add_lane<const C: usize>(p: &Csr, e: &[f64], c: usize, x: &mut [f64]) {
-    for (i, xi) in lanes_mut::<C>(x).iter_mut().enumerate() {
-        let mut acc = 0.0;
-        for k in p.row_ptr[i]..p.row_ptr[i + 1] {
-            acc += p.values[k] * e[p.col_idx[k]];
+/// `x_c += P e` for `P = Rᵀ`, where `R` is `rmat`'s `rows`: prolongation
+/// of `e` added to lane `c` of the interleaved `x`. Each fine entry sums
+/// its terms from `0.0` in lane `c` of `acc` in `R`-row order — ascending
+/// coarse column, the order of its row of `P` — and is then added to `x`.
+/// Scattering along the long rows of `R` keeps the short rows of `P` (a
+/// few entries each) from costing a loop exit apiece.
+fn prolong_add<const C: usize>(
+    rmat: &Sparse,
+    rows: Range<usize>,
+    e: &[f64],
+    c: usize,
+    acc: &mut [[f64; C]],
+    x: &mut [[f64; C]],
+) {
+    for a in acc.iter_mut() {
+        a[c] = 0.0;
+    }
+    for (j, ej) in rows.zip(e) {
+        for k in rmat.ptr[j]..rmat.ptr[j + 1] {
+            acc[rmat.cols[k] as usize][c] += rmat.vals[k] * ej;
         }
-        xi[c] += acc;
+    }
+    for (xi, ai) in x.iter_mut().zip(acc) {
+        xi[c] += ai[c];
     }
 }
 
@@ -295,130 +503,165 @@ enum Direct {
     Sweeps,
 }
 
-/// What follows one level for one scalar hierarchy.
-enum Below {
-    /// Restrict, cycle on the next coarser level, prolong.
-    Coarser { r: Csr, p: Csr, next: Box<Level<1>> },
-    /// This is the coarsest level: solve it directly.
-    Solve(Direct),
-}
-
-/// One level of `C` lanes: its operator and, per distinct hierarchy,
-/// what follows it.
-struct Level<const C: usize> {
-    op: LevelOp<C>,
-    below: Vec<Below>,
-    /// Lane `c` continues in `below[lanes[c]]`.
-    lanes: [usize; C],
-    /// Whether some lane coarsens from here (and is smoothed here).
-    coarsens: bool,
+/// One scalar hierarchy below the fine level: the coarse levels built
+/// from one lane's matrix, the restrictions between them, and how the
+/// coarsest level is solved.
+struct Chain {
+    /// Coarse levels; 0 when the fine level is the coarsest.
+    depth: usize,
+    /// Coarse level `k` (from 1) is rows `ends[k - 1]..ends[k]` of `ops`.
+    ends: [usize; MAX_LEVELS + 1],
+    ops: LevelOp<1>,
+    /// `R_k = P_kᵀ` for `k < depth`, where `P_k` prolongs from level
+    /// `k + 1` to level `k` (level 0 is the fine one): one row per
+    /// level-`k + 1` row, stacked as `ops` is. The V-cycle needs no `P_k`.
+    r: Sparse,
+    direct: Direct,
     /// Interior mutability because `LinearOp::apply` takes `&self`.
-    /// V-cycles never nest, and each level is visited by one cycle at a
-    /// time, so the borrow is always uncontended.
-    scratch: RefCell<Scratch>,
+    /// V-cycles never nest, so the borrow is always uncontended.
+    scratch: RefCell<ChainScratch>,
 }
 
-/// Per-level V-cycle scratch, sized at setup so steady-state V-cycles are
-/// allocation-free. Every buffer is fully overwritten before it is read,
-/// so reuse is bitwise-transparent.
-struct Scratch {
-    /// Interleaved residual, `C·n` (empty if no lane coarsens).
+/// Every coarse level's right-hand side, iterate and residual (reused to
+/// sum the prolonged correction), stacked as the levels are. Every entry
+/// is overwritten before it is read, so reuse is bitwise-transparent.
+struct ChainScratch {
+    b: Vec<f64>,
+    x: Vec<f64>,
     r: Vec<f64>,
-    /// Restricted residual and coarse correction, sized for the largest
-    /// next level.
-    rc: Vec<f64>,
-    ec: Vec<f64>,
-    /// One lane, for the dense direct solves.
-    lane: Vec<f64>,
-    /// Every lane swept from zero, for [`Direct::Sweeps`].
-    swept: Vec<f64>,
 }
 
-impl<const C: usize> Level<C> {
-    fn new(op: LevelOp<C>, below: Vec<Below>, lanes: [usize; C]) -> Self {
-        let n = op.n();
-        let coarser = || {
-            below.iter().filter_map(|b| match b {
-                Below::Coarser { r, .. } => Some(r.nrows),
-                Below::Solve(_) => None,
-            })
+impl Chain {
+    /// Build the hierarchy of lane `c` of the fine level `fine`, whose
+    /// `D⁻¹A` has spectral radius `rho` in that lane.
+    fn build<const C: usize>(
+        fine: Rows<'_, C>,
+        c: usize,
+        rho: f64,
+        options: AmgOptions,
+        ws: &mut Setup,
+    ) -> Chain {
+        let n_fine = fine.n();
+        let mut chain = Chain {
+            depth: 0,
+            ends: [0; MAX_LEVELS + 1],
+            ops: LevelOp::with_capacity(n_fine / 2, ws.entries / 2),
+            r: Sparse::with_capacity(n_fine / 2, ws.entries),
+            direct: Direct::Sweeps,
+            scratch: RefCell::new(ChainScratch {
+                b: Vec::new(),
+                x: Vec::new(),
+                r: Vec::new(),
+            }),
         };
-        let coarsens = coarser().next().is_some();
-        let nc = coarser().max().unwrap_or(0);
-        let solves =
-            |f: fn(&Direct) -> bool| below.iter().any(|b| matches!(b, Below::Solve(d) if f(d)));
-        let dense = solves(|d| !matches!(d, Direct::Sweeps));
-        let sweeps = solves(|d| matches!(d, Direct::Sweeps));
-        let scratch = Scratch {
-            r: vec![0.0; if coarsens { C * n } else { 0 }],
-            rc: vec![0.0; nc],
-            ec: vec![0.0; nc],
-            lane: vec![0.0; if dense { n } else { 0 }],
-            swept: vec![0.0; if sweeps { C * n } else { 0 }],
-        };
-        Level {
-            op,
-            below,
-            lanes,
-            coarsens,
-            scratch: RefCell::new(scratch),
+        let mut n = n_fine;
+        while n > options.max_coarse && chain.depth < MAX_LEVELS {
+            let coarse = match chain.depth {
+                0 => ws.coarsen(fine, c, Some(rho)),
+                d => ws.coarsen(chain.level(d), 0, None),
+            };
+            let Some(n_agg) = coarse else {
+                break; // nothing to coarsen, or no progress; stop here
+            };
+            ws.galerkin(n_agg, &mut chain.ops);
+            chain.r.append(&ws.r);
+            chain.depth += 1;
+            chain.ends[chain.depth] = chain.ops.n();
+            n = n_agg;
         }
+        // Direct coarse solve, degrading to smoother sweeps for singular
+        // coarse operators (e.g. pure-Neumann problems) and for a level
+        // that stalled above `max_coarse` rows, where a dense factor
+        // would cost O(n²) per V-cycle.
+        let d = chain.depth;
+        let last = chain.ends[d.saturating_sub(1)]..chain.ends[d];
+        if n <= options.max_coarse {
+            let factor = match d {
+                0 => dense_factor(fine, c),
+                _ => dense_factor(chain.ops.rows(last.clone()), 0),
+            };
+            if let Some(ch) = factor {
+                chain.direct = Direct::Cholesky(ch);
+            }
+        }
+        if d > 0 && matches!(chain.direct, Direct::Sweeps) {
+            for [v] in &mut chain.ops.diag[last] {
+                if v.abs() < 1e-300 {
+                    *v = 1.0;
+                }
+            }
+        }
+        let rows = chain.ops.n();
+        chain.scratch = RefCell::new(ChainScratch {
+            b: vec![0.0; rows],
+            x: vec![0.0; rows],
+            r: vec![0.0; rows],
+        });
+        chain
     }
 
-    /// One V-cycle from the initial guess in `x`, on every lane.
-    fn cycle(&self, b: &[f64], x: &mut [f64]) {
+    /// Coarse level `k`.
+    fn level(&self, k: usize) -> Rows<'_, 1> {
+        self.ops.rows(self.ends[k - 1]..self.ends[k])
+    }
+
+    /// Coarse-grid correction of lane `c` of the fine level: restrict its
+    /// residual `r`, cycle on level 1 from zero, and add the prolonged
+    /// result to `x`. Lane `c` of `r` is spent on the prolongation.
+    fn correct<const C: usize>(&self, r: &mut [[f64; C]], c: usize, x: &mut [[f64; C]]) {
         let mut guard = self.scratch.borrow_mut();
         let s = &mut *guard;
-        if self.coarsens {
+        let n1 = self.ends[1];
+        restrict(&self.r, 0..n1, r, c, &mut s.b[..n1]);
+        self.cycle(1, &mut s.b, &mut s.x, &mut s.r);
+        prolong_add(&self.r, 0..n1, &s.x[..n1], c, r, x);
+    }
+
+    /// One V-cycle on coarse level `k` from a zero guess. `b`, `x` and `r`
+    /// start with level `k`'s right-hand side, iterate and residual, the
+    /// coarser levels' follow.
+    fn cycle(&self, k: usize, b: &mut [f64], x: &mut [f64], r: &mut [f64]) {
+        let op = self.level(k);
+        let n = op.n();
+        let (b, b_next) = b.split_at_mut(n);
+        let (x, x_next) = x.split_at_mut(n);
+        let (r, r_next) = r.split_at_mut(n);
+        x.fill(0.0);
+        if k < self.depth {
             // Forward before the coarse correction, backward after: the
             // post-smoother is the pre-smoother's adjoint, so the cycle
             // is SPD with one pass over the operator on each side.
-            self.op.gs(b, x, 0..self.op.n());
-            self.op.residual(b, x, &mut s.r);
-            for (c, &k) in self.lanes.iter().enumerate() {
-                if let Below::Coarser { r, p, next } = &self.below[k] {
-                    let (rc, ec) = (&mut s.rc[..r.nrows], &mut s.ec[..r.nrows]);
-                    restrict_lane::<C>(r, &s.r, c, rc);
-                    ec.fill(0.0);
-                    next.cycle(rc, ec);
-                    prolong_add_lane::<C>(p, ec, c, x);
+            op.gs(b, x, 0..n);
+            op.residual(b, x, r);
+            let coarse = self.ends[k]..self.ends[k + 1];
+            let nc = coarse.len();
+            restrict::<1>(&self.r, coarse.clone(), lanes(r), 0, &mut b_next[..nc]);
+            self.cycle(k + 1, b_next, x_next, r_next);
+            let e = &x_next[..nc];
+            prolong_add::<1>(&self.r, coarse, e, 0, lanes_mut(r), lanes_mut(x));
+            op.gs(b, x, (0..n).rev());
+        } else {
+            match &self.direct {
+                Direct::Cholesky(ch) => {
+                    x.copy_from_slice(b);
+                    ch.solve(x);
                 }
-            }
-            self.op.gs(b, x, (0..self.op.n()).rev());
-        }
-        if !s.swept.is_empty() {
-            s.swept.fill(0.0);
-            for _ in 0..COARSE_SWEEPS {
-                self.op.sgs(b, &mut s.swept);
-            }
-        }
-        for (c, &k) in self.lanes.iter().enumerate() {
-            let Below::Solve(direct) = &self.below[k] else {
-                continue;
-            };
-            let x = lanes_mut::<C>(x);
-            let Direct::Cholesky(ch) = direct else {
-                for (xi, si) in x.iter_mut().zip(lanes::<C>(&s.swept)) {
-                    xi[c] = si[c];
+                Direct::Sweeps => {
+                    for _ in 0..COARSE_SWEEPS {
+                        op.sgs(b, x);
+                    }
                 }
-                continue;
-            };
-            for (li, bi) in s.lane.iter_mut().zip(lanes::<C>(b)) {
-                *li = bi[c];
-            }
-            ch.solve(&mut s.lane);
-            for (xi, li) in x.iter_mut().zip(&s.lane) {
-                xi[c] = *li;
             }
         }
     }
-}
 
-/// `C` smoothed-aggregation hierarchies, one per interleaved component
-/// of the vectors they precondition (see the module documentation). The
-/// plain `Amg` is one hierarchy for a scalar vector.
-pub struct Amg<const C: usize = 1> {
-    top: Level<C>,
+    /// `(rows, non-zeros)` of every coarse level, finest first.
+    fn level_sizes(&self) -> impl Iterator<Item = (usize, usize)> + '_ {
+        (1..=self.depth).map(|k| {
+            let l = self.level(k);
+            (l.n(), l.row_ptr[l.n()] - l.row_ptr[0])
+        })
+    }
 }
 
 /// Strength-of-connection threshold θ: `j` is a strong neighbor of `i`
@@ -443,186 +686,434 @@ const THETA: f64 = 0.02;
 /// Marks a row that belongs to no aggregate.
 const UNAGG: usize = usize::MAX;
 
-/// Greedy aggregation on the strength graph. Returns (aggregate id per
-/// node, number of aggregates). A row with no non-zero off-diagonal gets
-/// no aggregate ([`UNAGG`]): nothing couples it to a coarse unknown.
-fn aggregate(a: &Csr) -> (Vec<usize>, usize) {
-    let n = a.nrows;
-    let diag = a.diagonal();
-    // Strong neighbor lists.
-    let mut strong: Vec<Vec<usize>> = vec![Vec::new(); n];
-    let mut isolated = vec![true; n];
-    for i in 0..n {
-        for k in a.row_ptr[i]..a.row_ptr[i + 1] {
-            let j = a.col_idx[k];
-            if j != i && a.values[k] != 0.0 {
-                isolated[i] = false;
-                let bound = THETA * (diag[i].abs() * diag[j].abs()).sqrt();
-                if a.values[k].abs() >= bound {
-                    strong[i].push(j);
+/// The setup's temporaries, allocated once per [`Amg`] build at the fine
+/// level's size (rows, lanes and entries) and reused by every level of
+/// every lane.
+struct Setup {
+    /// Entries of the fine level: the bound every reservation starts from.
+    entries: usize,
+    /// The diagonal of the level being coarsened.
+    diag: Vec<f64>,
+    /// Aggregate per row ([`UNAGG`] for none).
+    agg: Vec<usize>,
+    isolated: Vec<bool>,
+    /// Strong neighbours of every row, flat: row `i`'s are
+    /// `strong[strong_ptr[i]..strong_ptr[i + 1]]`.
+    strong_ptr: Vec<usize>,
+    strong: Vec<u32>,
+    /// Power-iteration vectors.
+    x: Vec<f64>,
+    y: Vec<f64>,
+    /// `A·P0`, `P`, `R = Pᵀ` and `A·P` of the level being coarsened.
+    ap0: Sparse,
+    p: Sparse,
+    r: Sparse,
+    ap: Sparse,
+    /// The sparse products' dense row accumulator, each column with the
+    /// row it last summed for, and the columns of the current row.
+    accum: Vec<(usize, f64)>,
+    row_cols: Vec<u32>,
+}
+
+impl Setup {
+    fn new(n: usize, lanes: usize, entries: usize) -> Self {
+        Setup {
+            entries,
+            diag: Vec::with_capacity(n),
+            agg: Vec::with_capacity(n),
+            isolated: Vec::with_capacity(n),
+            strong_ptr: Vec::with_capacity(n + 1),
+            strong: Vec::with_capacity(entries),
+            x: Vec::with_capacity(lanes * n),
+            y: Vec::with_capacity(lanes * n),
+            ap0: Sparse::with_capacity(n, entries),
+            p: Sparse::with_capacity(n, entries),
+            r: Sparse::with_capacity(n / 2, entries),
+            ap: Sparse::with_capacity(n, entries),
+            accum: Vec::with_capacity(n),
+            row_cols: Vec::with_capacity(n),
+        }
+    }
+
+    /// One coarsening step of lane `c` of `a`: aggregate, smooth the
+    /// tentative prolongator `P` (with the spectral radius `rho` of lane
+    /// `c`'s `D⁻¹A` if already estimated), and leave `R = Pᵀ` and `A·P`
+    /// here for [`Setup::galerkin`]. `None` if aggregation makes no
+    /// progress (no aggregate, or one per row).
+    fn coarsen<const C: usize>(
+        &mut self,
+        a: Rows<'_, C>,
+        c: usize,
+        rho: Option<f64>,
+    ) -> Option<usize> {
+        let n = a.n();
+        self.diag.clear();
+        self.diag.extend(a.diag.iter().map(|d| d[c]));
+        let n_agg = self.aggregate(a, c);
+        if n_agg == 0 || n_agg >= n {
+            return None;
+        }
+        // Smooth: P = (I − ω D⁻¹ A) P0 with ω = 4/(3ρ).
+        let rho = rho.unwrap_or_else(|| self.spectral_radii(a, 12)[c]);
+        let omega = 4.0 / (3.0 * rho);
+        let Setup {
+            diag,
+            agg,
+            ap0,
+            p,
+            r,
+            ap,
+            accum,
+            row_cols,
+            ..
+        } = self;
+        // A·P0, where P0 is the tentative prolongator: piecewise constant
+        // over aggregates, an empty row for a node in none.
+        let p0 = |j: usize| (agg[j] != UNAGG).then_some((agg[j], 1.0)).into_iter();
+        ap0.clear();
+        let ws = (&mut *accum, &mut *row_cols);
+        gustavson(
+            n,
+            n_agg,
+            |i| a.lane_row(i, c),
+            p0,
+            ws,
+            true,
+            |_, cols, acc| {
+                for &j in cols {
+                    ap0.push(j as usize, acc[j as usize].1);
+                }
+                ap0.end_row();
+            },
+        );
+        // P = P0 − ω D⁻¹ (A P0), row by row: the row of P0 (one 1.0 in
+        // the aggregate's column) first, then the scaled row of A·P0,
+        // each column's terms summed in that order.
+        p.clear();
+        for i in 0..n {
+            let scale = omega / diag[i].max(1e-300);
+            let mut tentative = (agg[i] != UNAGG).then_some(agg[i]);
+            for (j, v) in ap0.row(i) {
+                let smoothed = -scale * v;
+                match tentative {
+                    Some(g) if g < j => {
+                        p.push(g, 1.0);
+                        p.push(j, smoothed);
+                        tentative = None;
+                    }
+                    Some(g) if g == j => {
+                        p.push(j, 1.0 + smoothed);
+                        tentative = None;
+                    }
+                    _ => p.push(j, smoothed),
+                }
+            }
+            if let Some(g) = tentative {
+                p.push(g, 1.0);
+            }
+            p.end_row();
+        }
+        transpose(p, n_agg, r);
+        ap.clear();
+        let p_row = |j: usize| p.row(j);
+        let ws = (accum, row_cols);
+        gustavson(
+            n,
+            n_agg,
+            |i| a.lane_row(i, c),
+            p_row,
+            ws,
+            false,
+            |_, cols, acc| {
+                for &j in cols {
+                    ap.push(j as usize, acc[j as usize].1);
+                }
+                ap.end_row();
+            },
+        );
+        Some(n_agg)
+    }
+
+    /// Append the Galerkin operator `R·(A·P)` of the last
+    /// [`Setup::coarsen`] to `ops` as a level of `n_agg` rows.
+    fn galerkin(&mut self, n_agg: usize, ops: &mut LevelOp<1>) {
+        let Setup {
+            r,
+            ap,
+            accum,
+            row_cols,
+            ..
+        } = self;
+        let ws = (accum, row_cols);
+        gustavson(
+            n_agg,
+            n_agg,
+            |i| r.row(i),
+            |j| ap.row(j),
+            ws,
+            true,
+            |i, cols, acc| {
+                let mut diag = 0.0;
+                for &j in cols {
+                    let val = acc[j as usize].1;
+                    if j as usize == i {
+                        diag = val;
+                    }
+                    ops.entries.push(Entry {
+                        val,
+                        col: j,
+                        present: 1,
+                    });
+                }
+                ops.end_row(i, [diag]);
+            },
+        );
+    }
+
+    /// Greedy aggregation on the strength graph of lane `c` of `a` into
+    /// `agg`. Returns the number of aggregates. A row with no non-zero
+    /// off-diagonal gets no aggregate ([`UNAGG`]): nothing couples it to
+    /// a coarse unknown.
+    fn aggregate<const C: usize>(&mut self, a: Rows<'_, C>, c: usize) -> usize {
+        let n = a.n();
+        let Setup {
+            diag,
+            agg,
+            isolated,
+            strong_ptr,
+            strong,
+            ..
+        } = self;
+        strong_ptr.clear();
+        strong_ptr.push(0);
+        strong.clear();
+        isolated.clear();
+        isolated.resize(n, true);
+        for i in 0..n {
+            a.lane_row(i, c).for_each(|(j, v)| {
+                if j != i && v != 0.0 {
+                    isolated[i] = false;
+                    let bound = THETA * (diag[i].abs() * diag[j].abs()).sqrt();
+                    if v.abs() >= bound {
+                        strong.push(j as u32);
+                    }
+                }
+            });
+            strong_ptr.push(strong.len());
+        }
+        let strong = |i: usize| {
+            strong[strong_ptr[i]..strong_ptr[i + 1]]
+                .iter()
+                .map(|&j| j as usize)
+        };
+        agg.clear();
+        agg.resize(n, UNAGG);
+        let mut n_agg = 0;
+        // Pass 1: roots whose entire strong neighborhood is unaggregated.
+        for i in 0..n {
+            if agg[i] != UNAGG || isolated[i] {
+                continue;
+            }
+            if strong(i).all(|j| agg[j] == UNAGG) {
+                agg[i] = n_agg;
+                for j in strong(i) {
+                    agg[j] = n_agg;
+                }
+                n_agg += 1;
+            }
+        }
+        // Pass 2: attach stragglers to a neighboring aggregate.
+        for i in 0..n {
+            if agg[i] == UNAGG {
+                if let Some(j) = strong(i).find(|&j| agg[j] != UNAGG) {
+                    agg[i] = agg[j];
                 }
             }
         }
-    }
-    let mut agg = vec![UNAGG; n];
-    let mut n_agg = 0;
-    // Pass 1: roots whose entire strong neighborhood is unaggregated.
-    for i in 0..n {
-        if agg[i] != UNAGG || isolated[i] {
-            continue;
-        }
-        if strong[i].iter().all(|&j| agg[j] == UNAGG) {
-            agg[i] = n_agg;
-            for &j in &strong[i] {
-                agg[j] = n_agg;
-            }
-            n_agg += 1;
-        }
-    }
-    // Pass 2: attach stragglers to a neighboring aggregate.
-    for i in 0..n {
-        if agg[i] == UNAGG {
-            if let Some(&j) = strong[i].iter().find(|&&j| agg[j] != UNAGG) {
-                agg[i] = agg[j];
+        // Pass 3: leftovers that couple to something become singletons.
+        for i in 0..n {
+            if agg[i] == UNAGG && !isolated[i] {
+                agg[i] = n_agg;
+                n_agg += 1;
             }
         }
+        n_agg
     }
-    // Pass 3: leftovers that couple to something become singletons.
-    for i in 0..n {
-        if agg[i] == UNAGG && !isolated[i] {
-            agg[i] = n_agg;
-            n_agg += 1;
+
+    /// Estimate ρ(D⁻¹A) of every lane of `a` by power iteration
+    /// (deterministic start), the lanes side by side. Each lane's
+    /// arithmetic is that of the iteration on its matrix alone: a term
+    /// the lane does not store adds `+0.0` to a sum that starts at `+0.0`.
+    fn spectral_radii<const C: usize>(&mut self, a: Rows<'_, C>, iters: usize) -> [f64; C] {
+        let n = a.n();
+        let Setup { x, y, .. } = self;
+        x.clear();
+        x.extend((0..n).flat_map(|i| [1.0 + (i % 7) as f64 * 0.1; C]));
+        y.clear();
+        y.resize(C * n, 0.0);
+        let (x, y) = (lanes_mut::<C>(x), lanes_mut::<C>(y));
+        let mut lambda = [1.0f64; C];
+        // A lane whose `D⁻¹A x` vanishes stops at ρ = 1.
+        let mut live = [true; C];
+        for _ in 0..iters {
+            for (i, yi) in y.iter_mut().enumerate() {
+                let ax = a.row_product(i, x);
+                *yi = std::array::from_fn(|c| ax[c] / a.diag[i][c].max(1e-300));
+            }
+            for c in 0..C {
+                if !live[c] {
+                    continue;
+                }
+                let norm = y.iter().map(|v| v[c] * v[c]).sum::<f64>().sqrt();
+                if norm == 0.0 {
+                    (lambda[c], live[c]) = (1.0, false);
+                    continue;
+                }
+                let norm_x = x.iter().map(|v| v[c] * v[c]).sum::<f64>().sqrt();
+                lambda[c] = norm / norm_x.max(1e-300);
+                for (xi, yi) in x.iter_mut().zip(y.iter()) {
+                    xi[c] = yi[c] / norm;
+                }
+            }
         }
+        lambda.map(|l| l.max(1e-8))
     }
-    (agg, n_agg)
 }
 
-/// Estimate ρ(D⁻¹A) by power iteration (deterministic start).
-fn spectral_radius_dinv_a(a: &Csr, diag: &[f64], iters: usize) -> f64 {
-    let n = a.nrows;
-    let mut x: Vec<f64> = (0..n).map(|i| 1.0 + (i % 7) as f64 * 0.1).collect();
-    let mut y = vec![0.0; n];
-    let mut lambda = 1.0f64;
-    for _ in 0..iters {
-        a.matvec(&x, &mut y);
-        for i in 0..n {
-            y[i] /= diag[i].max(1e-300);
+/// Row by row, the sparse product of `left` (rows `0..nrows`) and `right`
+/// (columns `0..ncols`): row `i` accumulates `l · r` for each term
+/// `(k, l)` of `left(i)` and each term `(j, r)` of `right(k)`, in that
+/// order, in a dense accumulator that starts at `0.0` per column, and
+/// `emit(i, columns, accumulator)` takes the row: its columns ascending
+/// if `sorted`, else in the order first met (a product whose rows only
+/// feed another product's sums, which no column order changes).
+fn gustavson<L, R>(
+    nrows: usize,
+    ncols: usize,
+    left: impl Fn(usize) -> L,
+    right: impl Fn(usize) -> R,
+    (accum, row_cols): (&mut Vec<(usize, f64)>, &mut Vec<u32>),
+    sorted: bool,
+    mut emit: impl FnMut(usize, &[u32], &[(usize, f64)]),
+) where
+    L: Iterator<Item = (usize, f64)>,
+    R: Iterator<Item = (usize, f64)>,
+{
+    accum.clear();
+    accum.resize(ncols, (usize::MAX, 0.0));
+    for i in 0..nrows {
+        row_cols.clear();
+        left(i).for_each(|(k, lv)| {
+            for (j, rv) in right(k) {
+                let (row, sum) = &mut accum[j];
+                if *row != i {
+                    (*row, *sum) = (i, 0.0);
+                    row_cols.push(j as u32);
+                }
+                *sum += lv * rv;
+            }
+        });
+        if sorted {
+            // Columns are distinct, so any sort gives the same row.
+            row_cols.sort_unstable();
         }
-        let norm = y.iter().map(|v| v * v).sum::<f64>().sqrt();
-        if norm == 0.0 {
-            return 1.0;
-        }
-        lambda = norm / x.iter().map(|v| v * v).sum::<f64>().sqrt().max(1e-300);
-        for i in 0..n {
-            x[i] = y[i] / norm;
-        }
+        emit(i, row_cols, accum);
     }
-    lambda.max(1e-8)
 }
 
-/// Dense Cholesky factorization of `a`; `None` if a pivot is not
-/// positive. The Galerkin coarse operator `Pᵀ A P` of an SPD input is SPD
-/// unless singular, and a singular one is solved by sweeps.
-fn dense_factor(a: &Csr) -> Option<Direct> {
-    let n = a.nrows;
+/// `out = Pᵀ` for `P` with `ncols` columns: row `J` of `out` lists
+/// column `J` of `P` in row order.
+fn transpose(p: &Sparse, ncols: usize, out: &mut Sparse) {
+    out.ptr.clear();
+    out.ptr.resize(ncols + 1, 0);
+    for &j in &p.cols {
+        out.ptr[j as usize + 1] += 1;
+    }
+    for j in 0..ncols {
+        out.ptr[j + 1] += out.ptr[j];
+    }
+    out.cols.clear();
+    out.cols.resize(p.cols.len(), 0);
+    out.vals.clear();
+    out.vals.resize(p.cols.len(), 0.0);
+    // `ptr[j]` runs from the start of row `j` to its end, the start of
+    // row `j + 1`; shifted back afterwards.
+    for i in 0..p.rows() {
+        for k in p.ptr[i]..p.ptr[i + 1] {
+            let j = p.cols[k] as usize;
+            let at = out.ptr[j];
+            out.cols[at] = i as u32;
+            out.vals[at] = p.vals[k];
+            out.ptr[j] += 1;
+        }
+    }
+    for j in (1..=ncols).rev() {
+        out.ptr[j] = out.ptr[j - 1];
+    }
+    out.ptr[0] = 0;
+}
+
+/// Dense Cholesky factorization of lane `c` of `a`; `None` if a pivot is
+/// not positive. The Galerkin coarse operator `Pᵀ A P` of an SPD input is
+/// SPD unless singular, and a singular one is solved by sweeps.
+fn dense_factor<const C: usize>(a: Rows<'_, C>, c: usize) -> Option<Cholesky> {
+    let n = a.n();
     let mut dense = vec![0.0; n * n];
     for i in 0..n {
-        for k in a.row_ptr[i]..a.row_ptr[i + 1] {
-            dense[i * n + a.col_idx[k]] = a.values[k];
+        for (j, v) in a.lane_row(i, c) {
+            dense[i * n + j] = v;
         }
     }
-    Cholesky::factor(&dense, n).map(Direct::Cholesky)
+    Cholesky::factor(&dense, n)
+}
+
+/// `C` smoothed-aggregation hierarchies, one per interleaved component
+/// of the vectors they precondition (see the module documentation). The
+/// plain `Amg` is one hierarchy for a scalar vector.
+pub struct Amg<const C: usize = 1> {
+    fine: LevelOp<C>,
+    /// One per distinct lane matrix.
+    chains: Vec<Chain>,
+    /// Lane `c` continues in `chains[lanes[c]]`.
+    lanes: [usize; C],
+    /// Whether some lane coarsens (and is smoothed on the fine level).
+    coarsens: bool,
+    scratch: RefCell<FineScratch>,
+}
+
+/// Fine-level V-cycle scratch, sized at setup so steady-state V-cycles
+/// are allocation-free. Every buffer is fully overwritten before it is
+/// read, so reuse is bitwise-transparent.
+struct FineScratch {
+    /// Interleaved residual, `C·n` (empty if no lane coarsens); each
+    /// lane's is reused to sum its prolonged correction.
+    r: Vec<f64>,
+    /// One lane, for the dense direct solves of lanes that do not
+    /// coarsen.
+    lane: Vec<f64>,
+    /// Every lane swept from zero, for [`Direct::Sweeps`] on the fine
+    /// level.
+    swept: Vec<f64>,
 }
 
 impl Amg {
     /// Setup phase: build the hierarchy for SPD `a`.
     pub fn new(a: Csr, options: AmgOptions) -> Amg {
-        // (operator, prolongator from the next level, restriction to it)
-        let mut levels: Vec<(LevelOp<1>, Csr, Csr)> = Vec::new();
-        let mut current = a;
-        while current.nrows > options.max_coarse && levels.len() < MAX_LEVELS {
-            let diag = current.diagonal();
-            let (agg, n_agg) = aggregate(&current);
-            if n_agg == 0 || n_agg >= current.nrows {
-                break; // nothing to coarsen, or no progress; stop here
-            }
-            // Tentative prolongator: piecewise constant over aggregates,
-            // an empty row for a node in none.
-            let triplets: Vec<(usize, usize, f64)> = agg
-                .iter()
-                .enumerate()
-                .filter(|&(_, &g)| g != UNAGG)
-                .map(|(i, &g)| (i, g, 1.0))
-                .collect();
-            let p0 = Csr::from_triplets(current.nrows, n_agg, &triplets);
-            // Smooth: P = (I − ω D⁻¹ A) P0 with ω = 4/(3ρ).
-            let rho = spectral_radius_dinv_a(&current, &diag, 12);
-            let omega = 4.0 / (3.0 * rho);
-            let ap0 = current.matmul(&p0);
-            // P = P0 − ω D⁻¹ (A P0): subtract scaled rows.
-            let mut p_trip: Vec<(usize, usize, f64)> = Vec::with_capacity(ap0.nnz() + p0.nnz());
-            for i in 0..p0.nrows {
-                for k in p0.row_ptr[i]..p0.row_ptr[i + 1] {
-                    p_trip.push((i, p0.col_idx[k], p0.values[k]));
-                }
-                let scale = omega / diag[i].max(1e-300);
-                for k in ap0.row_ptr[i]..ap0.row_ptr[i + 1] {
-                    p_trip.push((i, ap0.col_idx[k], -scale * ap0.values[k]));
-                }
-            }
-            let p = Csr::from_triplets(current.nrows, n_agg, &p_trip);
-            let r = p.transpose();
-            let coarse = r.matmul(&current.matmul(&p));
-            let fine = std::mem::replace(&mut current, coarse);
-            levels.push((LevelOp::from_csr(fine, diag), p, r));
-        }
-        // Direct coarse solve, degrading to smoother sweeps for singular
-        // coarse operators (e.g. pure-Neumann problems) and for a level
-        // that stalled above `max_coarse` rows, where a dense factor
-        // would cost O(n²) per V-cycle.
-        let mut diag = current.diagonal();
-        let factor = if current.nrows <= options.max_coarse {
-            dense_factor(&current)
-        } else {
-            None
-        };
-        let direct = factor.unwrap_or_else(|| {
-            for d in &mut diag {
-                if d.abs() < 1e-300 {
-                    *d = 1.0;
-                }
-            }
-            Direct::Sweeps
-        });
-        let mut top = Level::new(
-            LevelOp::from_csr(current, diag),
-            vec![Below::Solve(direct)],
-            [0],
-        );
-        for (op, p, r) in levels.into_iter().rev() {
-            let next = Box::new(top);
-            top = Level::new(op, vec![Below::Coarser { r, p, next }], [0]);
-        }
-        Amg { top }
-    }
-
-    /// The levels, finest first.
-    fn levels(&self) -> impl Iterator<Item = &Level<1>> {
-        std::iter::successors(Some(&self.top), |l| match &l.below[0] {
-            Below::Coarser { next, .. } => Some(&**next),
-            Below::Solve(_) => None,
-        })
+        let fine = LevelOp::from_csr(&a);
+        drop(a);
+        Amg::build(fine, [0], options)
     }
 
     /// Number of levels including the coarse grid.
     pub fn num_levels(&self) -> usize {
-        self.levels().count()
+        1 + self.chains[0].depth
     }
 
     /// `(rows, non-zeros)` of the operator on every level, finest first.
     pub fn level_sizes(&self) -> Vec<(usize, usize)> {
-        self.levels()
-            .map(|l| (l.op.n(), l.op.entries.len()))
+        let fine = (self.fine.n(), self.fine.entries.len());
+        std::iter::once(fine)
+            .chain(self.chains[0].level_sizes())
             .collect()
     }
 
@@ -636,28 +1127,88 @@ impl Amg {
 }
 
 impl<const C: usize> Amg<C> {
-    /// Lane `c` of the vectors this preconditions is preconditioned by
-    /// `hierarchies[lanes[c]]`, V-cycle for V-cycle bitwise as that
-    /// hierarchy alone would. Their finest operators are stored once (see
-    /// the module documentation); every coarser level is kept as built.
-    pub fn fuse(hierarchies: Vec<Amg>, lanes: [usize; C]) -> Amg<C> {
+    /// Lane `c` of the vectors this preconditions is preconditioned as
+    /// `Amg::new(a.eliminate(masks[lanes[c]]), options)` would, V-cycle
+    /// for V-cycle bitwise, with one hierarchy per mask. The fine level is
+    /// built from `a` itself, with no eliminated copy (see the module
+    /// documentation). Columns of `a` must be ascending and distinct
+    /// within a row, as [`Csr::from_row_terms`] leaves them.
+    pub fn masked(a: &Csr, masks: &[&[bool]], lanes: [usize; C], options: AmgOptions) -> Amg<C> {
         assert!(
-            lanes.iter().all(|&k| k < hierarchies.len()),
-            "lanes {lanes:?} index {} hierarchies",
-            hierarchies.len()
+            (0..masks.len()).all(|k| lanes.contains(&k)) && lanes.iter().all(|&k| k < masks.len()),
+            "lanes {lanes:?} must use each of {} masks and no other",
+            masks.len()
         );
-        let (ops, below): (Vec<LevelOp<1>>, Vec<Below>) = hierarchies
-            .into_iter()
-            .map(|h| {
-                let Level { op, mut below, .. } = h.top;
-                (op, below.pop().expect("a scalar level has one successor"))
+        assert!(masks.iter().all(|m| m.len() == a.nrows));
+        let pinned: Vec<u8> = (0..a.nrows)
+            .map(|i| {
+                let bits = lanes.iter().enumerate();
+                bits.fold(0, |pinned, (c, &k)| pinned | u8::from(masks[k][i]) << c)
             })
-            .unzip();
-        let op = LevelOp::union(lanes.map(|k| &ops[k]));
-        drop(ops);
-        Amg {
-            top: Level::new(op, below, lanes),
+            .collect();
+        Amg::build(LevelOp::masked(a, &pinned), lanes, options)
+    }
+
+    /// The hierarchies below `fine`, one per distinct entry of `lanes`.
+    fn build(mut fine: LevelOp<C>, lanes: [usize; C], options: AmgOptions) -> Amg<C> {
+        let n = fine.n();
+        let n_chains = lanes.iter().max().map_or(0, |&k| k + 1);
+        let mut ws = Setup::new(n, C, fine.entries.len());
+        // Every lane's spectral radius in one pass per power step; only a
+        // level above `max_coarse` rows is coarsened and needs one.
+        let rho = if n > options.max_coarse {
+            ws.spectral_radii(fine.rows(0..n), 12)
+        } else {
+            [1.0; C]
+        };
+        let mut chains = Vec::with_capacity(n_chains);
+        for k in 0..n_chains {
+            let c = lanes
+                .iter()
+                .position(|&l| l == k)
+                .expect("every hierarchy has a lane");
+            let chain = Chain::build(fine.rows(0..n), c, rho[c], options, &mut ws);
+            if chain.depth == 0 && matches!(chain.direct, Direct::Sweeps) {
+                for d in &mut fine.diag {
+                    for (c, _) in lanes.iter().enumerate().filter(|&(_, &l)| l == k) {
+                        if d[c].abs() < 1e-300 {
+                            d[c] = 1.0;
+                        }
+                    }
+                }
+            }
+            chains.push(chain);
         }
+        drop(ws);
+        let fine_solves =
+            |f: fn(&Direct) -> bool| chains.iter().any(|ch| ch.depth == 0 && f(&ch.direct));
+        let coarsens = chains.iter().any(|ch| ch.depth > 0);
+        let dense = fine_solves(|d| matches!(d, Direct::Cholesky(_)));
+        let sweeps = fine_solves(|d| matches!(d, Direct::Sweeps));
+        let scratch = FineScratch {
+            r: vec![0.0; if coarsens { C * n } else { 0 }],
+            lane: vec![0.0; if dense { n } else { 0 }],
+            swept: vec![0.0; if sweeps { C * n } else { 0 }],
+        };
+        Amg {
+            fine,
+            chains,
+            lanes,
+            coarsens,
+            scratch: RefCell::new(scratch),
+        }
+    }
+
+    /// Hierarchies built: one per distinct lane matrix.
+    pub fn hierarchies(&self) -> usize {
+        self.chains.len()
+    }
+
+    /// Stored operator entries one V-cycle sweeps: the fine level's once,
+    /// and each coarse level's once per lane that cycles it.
+    pub fn vcycle_entries(&self) -> usize {
+        let coarse = |k: usize| self.chains[k].ops.entries.len();
+        self.fine.entries.len() + self.lanes.iter().map(|&k| coarse(k)).sum::<usize>()
     }
 
     /// Apply one V-cycle to `b` with zero initial guess: `x = B b` where
@@ -665,7 +1216,48 @@ impl<const C: usize> Amg<C> {
     /// Allocation-free: all per-level scratch was sized during setup.
     pub fn vcycle(&self, b: &[f64], x: &mut [f64]) {
         x.fill(0.0);
-        self.top.cycle(b, x);
+        let op = self.fine.rows(0..self.fine.n());
+        let n = op.n();
+        let mut guard = self.scratch.borrow_mut();
+        let s = &mut *guard;
+        if self.coarsens {
+            // Forward before the coarse correction, backward after, as on
+            // the coarse levels.
+            op.gs(b, x, 0..n);
+            op.residual(b, x, &mut s.r);
+            for (c, &k) in self.lanes.iter().enumerate() {
+                if self.chains[k].depth > 0 {
+                    self.chains[k].correct(lanes_mut::<C>(&mut s.r), c, lanes_mut::<C>(x));
+                }
+            }
+            op.gs(b, x, (0..n).rev());
+        }
+        if !s.swept.is_empty() {
+            s.swept.fill(0.0);
+            for _ in 0..COARSE_SWEEPS {
+                op.sgs(b, &mut s.swept);
+            }
+        }
+        for (c, &k) in self.lanes.iter().enumerate() {
+            let chain = &self.chains[k];
+            if chain.depth > 0 {
+                continue;
+            }
+            let x = lanes_mut::<C>(x);
+            let Direct::Cholesky(ch) = &chain.direct else {
+                for (xi, si) in x.iter_mut().zip(lanes::<C>(&s.swept)) {
+                    xi[c] = si[c];
+                }
+                continue;
+            };
+            for (li, bi) in s.lane.iter_mut().zip(lanes::<C>(b)) {
+                *li = bi[c];
+            }
+            ch.solve(&mut s.lane);
+            for (xi, li) in x.iter_mut().zip(&s.lane) {
+                xi[c] = *li;
+            }
+        }
     }
 }
 
@@ -674,7 +1266,7 @@ impl<const C: usize> LinearOp for Amg<C> {
         self.vcycle(x, y);
     }
     fn len(&self) -> usize {
-        C * self.top.op.n()
+        C * self.fine.n()
     }
 }
 
@@ -845,28 +1437,15 @@ mod tests {
         // pass is the adjoint of the forward pre-smoothing one.
         let n = 8;
         let a = poisson3d(n, |i, j, k| 1.0 + ((i * 7 + j * 3 + k) % 5) as f64 * 30.0);
-        let [ax, _, az] = free_slip(&a, n);
-        // A diagonal shift makes every coupling weak: the lane does not
-        // coarsen, and its 512 rows > max_coarse are left to smoother
-        // sweeps.
-        let mut shifted = Vec::new();
-        for i in 0..a.nrows {
-            for k in a.row_ptr[i]..a.row_ptr[i + 1] {
-                shifted.push((i, a.col_idx[k], a.values[k]));
-            }
-            shifted.push((i, i, 1e4));
-        }
-        let ay = Csr::from_triplets(a.nrows, a.ncols, &shifted);
-        let hierarchies: Vec<Amg> = [ax, ay, az]
-            .into_iter()
-            .map(|m| Amg::new(m, AmgOptions::default()))
-            .collect();
-        assert!(hierarchies[0].num_levels() >= 2);
-        assert!(matches!(
-            hierarchies[1].top.below[..],
-            [Below::Solve(Direct::Sweeps)]
-        ));
-        let fused = Amg::fuse(hierarchies, [0, 1, 2]);
+        let [mx, _, mz] = free_slip(n);
+        // A lane masked everywhere: every row an identity row, so the lane
+        // does not coarsen, and its 512 rows > max_coarse are left to
+        // smoother sweeps.
+        let all = vec![true; a.nrows];
+        let masks: [&[bool]; 3] = [&mx, &all, &mz];
+        let fused = Amg::masked(&a, &masks, [0, 1, 2], AmgOptions::default());
+        assert!(fused.chains[0].depth >= 1);
+        assert!(fused.chains[1].depth == 0 && matches!(fused.chains[1].direct, Direct::Sweeps));
         let len = fused.len();
         let mut rng = SplitMix64::new(0x5eed);
         let mut random = || -> Vec<f64> { (0..len).map(|_| 2.0 * rng.unit() - 1.0).collect() };
@@ -885,35 +1464,33 @@ mod tests {
         }
     }
 
-    /// The mask `pinned` marks over the rows of `a`.
-    fn mask(a: &Csr, pinned: impl Fn(usize) -> bool) -> Vec<bool> {
-        (0..a.nrows).map(pinned).collect()
-    }
-
     /// Free-slip masks on an `n³` grid: lane `c` pins the rows on the two
     /// faces normal to axis `c`.
-    fn free_slip(a: &Csr, n: usize) -> [Csr; 3] {
+    fn free_slip(n: usize) -> [Vec<bool>; 3] {
         std::array::from_fn(|c| {
-            a.eliminate(&mask(a, |i| {
-                let x = i / n.pow(c as u32) % n;
-                x == 0 || x == n - 1
-            }))
+            (0..n.pow(3))
+                .map(|i| {
+                    let x = i / n.pow(c as u32) % n;
+                    x == 0 || x == n - 1
+                })
+                .collect()
         })
     }
 
-    /// The fused V-cycle on interleaved `b` against one scalar V-cycle
+    /// The fused V-cycle of `Amg::masked(a, masks, lanes)` on
+    /// interleaved `b` against one `Amg::new(a.eliminate(mask))` V-cycle
     /// per lane, bit for bit. `b` holds `±0.0` and negative values at
     /// masked rows and elsewhere.
-    fn assert_fused_matches_scalar(mats: &[Csr], lanes: [usize; 3]) {
-        let n = mats[0].nrows;
-        let build = || -> Vec<Amg> {
-            mats.iter()
-                .map(|a| Amg::new(a.clone(), AmgOptions::default()))
-                .collect()
-        };
-        let scalar = build();
-        let fused = Amg::fuse(build(), lanes);
+    fn assert_fused_matches_scalar(a: &Csr, masks: &[&[bool]], lanes: [usize; 3]) {
+        let n = a.nrows;
+        let options = AmgOptions::default();
+        let scalar: Vec<Amg> = masks
+            .iter()
+            .map(|m| Amg::new(a.eliminate(m), options))
+            .collect();
+        let fused = Amg::masked(a, masks, lanes, options);
         assert_eq!(fused.len(), 3 * n);
+        assert_eq!(fused.hierarchies(), masks.len());
         let b: Vec<f64> = (0..3 * n)
             .map(|i| match i % 5 {
                 0 => -0.0,
@@ -946,39 +1523,65 @@ mod tests {
     fn fused_vcycle_matches_scalar_vcycles_bitwise() {
         let n = 10;
         let a = poisson3d(n, |i, j, k| 1.0 + ((i * 7 + j * 3 + k) % 5) as f64 * 30.0);
-        let [ax, ay, az] = free_slip(&a, n);
-        assert!(Amg::new(ax.clone(), AmgOptions::default()).num_levels() >= 3);
+        let [mx, my, mz] = free_slip(n);
+        assert!(Amg::new(a.eliminate(&mx), AmgOptions::default()).num_levels() >= 3);
         // Free-slip: three masks, three hierarchies.
-        assert_fused_matches_scalar(&[ax.clone(), ay, az.clone()], [0, 1, 2]);
+        assert_fused_matches_scalar(&a, &[&mx, &my, &mz], [0, 1, 2]);
         // No-slip: one mask shared by all lanes.
-        let all = a.eliminate(&mask(&a, |i| {
-            (0..3).any(|c| [0, n - 1].contains(&(i / n.pow(c) % n)))
-        }));
-        assert_fused_matches_scalar(&[all], [0, 0, 0]);
+        let all: Vec<bool> = (0..a.nrows).map(|i| mx[i] || my[i] || mz[i]).collect();
+        assert_fused_matches_scalar(&a, &[&all], [0, 0, 0]);
         // Two lanes share one hierarchy, listed out of order.
-        assert_fused_matches_scalar(&[az, ax], [1, 0, 1]);
+        assert_fused_matches_scalar(&a, &[&mz, &mx], [1, 0, 1]);
     }
 
     #[test]
     fn fused_vcycle_matches_on_coarse_only_and_mixed_hierarchies() {
         // 27 rows ≤ max_coarse: every lane is one dense direct solve.
         let a = poisson3d(3, |i, _, _| 1.0 + i as f64);
-        let coarse_only = free_slip(&a, 3);
+        let [mx, my, mz] = free_slip(3);
         assert_eq!(
-            Amg::new(coarse_only[0].clone(), AmgOptions::default()).num_levels(),
+            Amg::new(a.eliminate(&mx), AmgOptions::default()).num_levels(),
             1
         );
-        assert_fused_matches_scalar(&coarse_only, [0, 1, 2]);
+        assert_fused_matches_scalar(&a, &[&mx, &my, &mz], [0, 1, 2]);
         // One lane of identity rows only (no aggregate, solved by sweeps)
         // beside two that coarsen.
         let n = 8;
         let a = poisson3d(n, |_, j, _| 1.0 + j as f64);
-        let [ax, _, az] = free_slip(&a, n);
-        let ident = a.eliminate(&vec![true; a.nrows]);
+        let [mx, _, mz] = free_slip(n);
+        let all = vec![true; a.nrows];
         assert_eq!(
-            Amg::new(ident.clone(), AmgOptions::default()).num_levels(),
+            Amg::new(a.eliminate(&all), AmgOptions::default()).num_levels(),
             1
         );
-        assert_fused_matches_scalar(&[ax, ident, az], [0, 1, 2]);
+        assert_fused_matches_scalar(&a, &[&mx, &all, &mz], [0, 1, 2]);
+    }
+
+    #[test]
+    fn fused_vcycle_matches_on_zero_and_absent_diagonals() {
+        // An assembled matrix as `Csr::eliminate` meets it: in unmasked
+        // rows one stored zero diagonal and one absent diagonal (both
+        // become 1.0), and an off-diagonal zero that stays stored.
+        let n = 8;
+        let a = poisson3d(n, |i, j, k| 1.0 + ((i + 2 * j + 3 * k) % 4) as f64 * 7.0);
+        let (zero, absent) = (3 + n * (3 + 3 * n), 4 + n * (2 + 5 * n));
+        let mut t = Vec::new();
+        for i in 0..a.nrows {
+            for k in a.row_ptr[i]..a.row_ptr[i + 1] {
+                let (j, v) = (a.col_idx[k], a.values[k]);
+                match (i == j, i) {
+                    (true, r) if r == zero => t.push((i, j, 0.0)),
+                    (true, r) if r == absent => {}
+                    _ => t.push((i, j, if (i, j) == (zero, zero + 1) { 0.0 } else { v })),
+                }
+            }
+        }
+        let a = Csr::from_triplets(a.nrows, a.ncols, &t);
+        let [mx, my, _] = free_slip(n);
+        assert!(![zero, absent].iter().any(|&r| mx[r] || my[r]));
+        let all = vec![true; a.nrows];
+        // A lane masked everywhere, and two lanes sharing the x mask.
+        assert_fused_matches_scalar(&a, &[&mx, &all], [0, 1, 0]);
+        assert_fused_matches_scalar(&a, &[&my, &mx, &all], [2, 0, 1]);
     }
 }

@@ -34,37 +34,44 @@ impl Csr {
             vals[cursor[r]] = v;
             cursor[r] += 1;
         }
-        Csr::from_row_terms(ncols, &row_ptr, &cols, &vals)
+        let row = |r: usize| {
+            let k = row_ptr[r]..row_ptr[r + 1];
+            cols[k.clone()].iter().copied().zip(vals[k].iter().copied())
+        };
+        Csr::from_row_terms(nrows, ncols, triplets.len(), row)
     }
 
-    /// Build from raw terms grouped by row: row `r`'s terms are
-    /// `cols[row_ptr[r]..row_ptr[r + 1]]` with the matching `vals`, in any
-    /// column order and with repeats. The terms of entry `(r, c)` are
-    /// summed in the order they appear — the first term as it is, each
+    /// Build from raw terms grouped by row: row `r`'s terms are the
+    /// `(column, value)` pairs `row(r)` yields, in any column order and
+    /// with repeats, `terms` of them in all. The terms of entry `(r, c)`
+    /// are summed in the order they come — the first term as it is, each
     /// later one added to the running sum — and each row's entries come
     /// out in ascending column order.
-    pub fn from_row_terms(ncols: usize, row_ptr: &[usize], cols: &[u32], vals: &[f64]) -> Csr {
-        debug_assert_eq!(cols.len(), vals.len());
-        let nrows = row_ptr.len() - 1;
+    pub fn from_row_terms<I: Iterator<Item = (u32, f64)>>(
+        nrows: usize,
+        ncols: usize,
+        terms: usize,
+        row: impl Fn(usize) -> I,
+    ) -> Csr {
         let mut out_ptr = vec![0usize; nrows + 1];
-        let mut col_idx = Vec::with_capacity(cols.len());
-        let mut values = Vec::with_capacity(cols.len());
+        let mut col_idx = Vec::with_capacity(terms);
+        let mut values = Vec::with_capacity(terms);
         // Dense accumulator per row (Gustavson): `marker[c] == r` when
         // column `c` already holds a running sum for row `r`.
         let mut accum = vec![0.0f64; ncols];
         let mut marker = vec![usize::MAX; ncols];
-        let mut row_cols: Vec<u32> = Vec::new();
+        let mut row_cols: Vec<u32> = Vec::with_capacity(ncols);
         for r in 0..nrows {
             row_cols.clear();
-            for k in row_ptr[r]..row_ptr[r + 1] {
-                let c = cols[k] as usize;
+            for (col, val) in row(r) {
+                let c = col as usize;
                 debug_assert!(c < ncols);
                 if marker[c] == r {
-                    accum[c] += vals[k];
+                    accum[c] += val;
                 } else {
                     marker[c] = r;
-                    accum[c] = vals[k];
-                    row_cols.push(cols[k]);
+                    accum[c] = val;
+                    row_cols.push(col);
                 }
             }
             // Columns are distinct here, so any sort gives the same row.
@@ -216,49 +223,6 @@ impl Csr {
         }
     }
 
-    /// Sparse product `A · B`.
-    pub fn matmul(&self, other: &Csr) -> Csr {
-        assert_eq!(self.ncols, other.nrows);
-        let n = self.nrows;
-        let m = other.ncols;
-        let mut row_ptr = vec![0usize; n + 1];
-        let mut col_idx = Vec::new();
-        let mut values = Vec::new();
-        // Dense accumulator per row (classic Gustavson).
-        let mut accum = vec![0.0f64; m];
-        let mut marker = vec![usize::MAX; m];
-        let mut row_cols: Vec<usize> = Vec::new();
-        for r in 0..n {
-            row_cols.clear();
-            for i in self.row_ptr[r]..self.row_ptr[r + 1] {
-                let k = self.col_idx[i];
-                let av = self.values[i];
-                for j in other.row_ptr[k]..other.row_ptr[k + 1] {
-                    let c = other.col_idx[j];
-                    if marker[c] != r {
-                        marker[c] = r;
-                        accum[c] = 0.0;
-                        row_cols.push(c);
-                    }
-                    accum[c] += av * other.values[j];
-                }
-            }
-            row_cols.sort();
-            for &c in &row_cols {
-                col_idx.push(c);
-                values.push(accum[c]);
-            }
-            row_ptr[r + 1] = col_idx.len();
-        }
-        Csr {
-            nrows: n,
-            ncols: m,
-            row_ptr,
-            col_idx,
-            values,
-        }
-    }
-
     /// Frobenius-norm difference to another matrix of the same shape
     /// (test helper).
     pub fn diff_norm(&self, other: &Csr) -> f64 {
@@ -398,20 +362,6 @@ mod tests {
         assert_eq!(y, [4.0, 10.0, 14.0]);
         // A is symmetric.
         assert_eq!(a.transpose().diff_norm(&a), 0.0);
-    }
-
-    #[test]
-    fn matmul_against_identity_and_manual() {
-        let a = example();
-        let i = Csr::identity(3);
-        assert_eq!(a.matmul(&i).diff_norm(&a), 0.0);
-        assert_eq!(i.matmul(&a).diff_norm(&a), 0.0);
-        // A·A spot check: (0,0) = 2·2 + 1·1 = 5.
-        let aa = a.matmul(&a);
-        let mut y = [0.0; 3];
-        aa.matvec(&[1.0, 0.0, 0.0], &mut y);
-        assert_eq!(y[0], 5.0);
-        assert_eq!(y[1], 2.0 + 3.0); // row1·col0 = 1·2+3·1+1·0
     }
 
     #[test]

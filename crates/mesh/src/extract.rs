@@ -1275,7 +1275,12 @@ mod tests {
                     // The same draws on every rank: one per leaf of the
                     // level-2 grid, so the refinement is rank-independent.
                     let marks: Vec<u64> = (0..64).map(|_| rng.below(4)).collect();
-                    t.refine(|o| marks[o.ancestor_at(2).uniform_index() as usize] == 0);
+                    let at_2 = |o: &Octant| {
+                        std::iter::successors(Some(*o), |a| Some(a.parent()))
+                            .find(|a| a.level() == 2)
+                            .expect("leaves at level 2 or finer")
+                    };
+                    t.refine(|o| marks[at_2(o).uniform_index() as usize] == 0);
                 }
                 for _ in 0..MAX_LEVEL {
                     t.refine(|o| o.level() < MAX_LEVEL && (o.contains(&far) || o.contains(&near)));

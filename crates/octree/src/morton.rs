@@ -295,19 +295,6 @@ impl Octant {
         std::array::from_fn(|i| self.child(i as u8))
     }
 
-    /// Ancestor at `level <= self.level` (self if equal).
-    #[inline]
-    pub fn ancestor_at(&self, level: u8) -> Octant {
-        debug_assert!(level <= self.level());
-        Octant::from_key_level(self.key() & !0u64 << key_shift(level), level)
-    }
-
-    /// Strict ancestry test: coarser level and identical key prefix.
-    #[inline]
-    pub fn is_ancestor_of(&self, other: &Octant) -> bool {
-        self.level() < other.level() && (self.key() ^ other.key()) >> key_shift(self.level()) == 0
-    }
-
     /// `self == other` or `self` is an ancestor of `other`.
     #[inline]
     pub fn contains(&self, other: &Octant) -> bool {
@@ -501,12 +488,13 @@ mod tests {
         let o = Octant::new(0, 0, 0, 2);
         for k in o.children() {
             assert!(o < k, "ancestor must sort before descendants");
-            assert!(o.is_ancestor_of(&k));
             assert!(o.contains(&k));
-            assert!(!k.is_ancestor_of(&o));
+            assert!(!k.contains(&o));
+            for g in k.children() {
+                assert!(o < g && o.contains(&g) && !g.contains(&o));
+            }
         }
         assert!(o.contains(&o));
-        assert!(!o.is_ancestor_of(&o));
     }
 
     #[test]
@@ -600,12 +588,20 @@ mod tests {
     #[test]
     fn ancestor_at_levels() {
         let leaf = Octant::new(ROOT_LEN - 1, ROOT_LEN - 1, ROOT_LEN - 1, MAX_LEVEL);
-        let a0 = leaf.ancestor_at(0);
-        assert_eq!(a0, Octant::root());
-        let a1 = leaf.ancestor_at(1);
+        // The ancestors by repeated `parent`, finest first.
+        let line: Vec<Octant> =
+            std::iter::successors(Some(leaf), |o| (o.level() > 0).then(|| o.parent())).collect();
+        assert_eq!(line.len(), MAX_LEVEL as usize + 1);
+        let at = |level: u8| line[(MAX_LEVEL - level) as usize];
+        assert_eq!(at(0), Octant::root());
+        let a1 = at(1);
+        assert_eq!(a1.level(), 1);
         assert_eq!(
             (a1.x(), a1.y(), a1.z()),
             (ROOT_LEN / 2, ROOT_LEN / 2, ROOT_LEN / 2)
         );
+        assert!(line
+            .windows(2)
+            .all(|w| w[1].contains(&w[0]) && w[1] != w[0]));
     }
 }

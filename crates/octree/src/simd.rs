@@ -520,7 +520,7 @@ mod tests {
     /// The invariant spelled with the `Octant` API, one pair at a time.
     fn first_invalid_window(octs: &[Octant]) -> Option<usize> {
         octs.windows(2)
-            .position(|w| w[0] >= w[1] || w[0].is_ancestor_of(&w[1]))
+            .position(|w| w[0] >= w[1] || w[0].contains(&w[1]))
     }
 
     #[test]

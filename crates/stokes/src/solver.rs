@@ -146,22 +146,27 @@ impl<'a> StokesSolver<'a> {
             };
             eq[idx] == p
         };
-        // One collective assembly; each distinct mask is an elimination of
-        // it, which gives the bits a per-mask assembly would (DESIGN.md §7).
+        // One collective assembly, unmasked; each distinct mask is one
+        // lane elimination of it, which gives the bits a per-mask assembly
+        // would (DESIGN.md §7), with no eliminated copy.
         let smap = DofMap::new(self.mesh, self.comm, 1);
-        let a_block = fem::assembly::assemble_owned_block(&smap, &src, None);
-        let mut hierarchies = Vec::new();
+        let a_block = fem::assembly::assemble_owned_sum(&smap, &src);
+        let mut distinct: Vec<&[bool]> = Vec::with_capacity(3);
         let mut lanes = [0; 3];
         for comp in 0..3 {
             if let Some(earlier) = (0..comp).find(|&m| globally_equal(m, comp)) {
                 lanes[comp] = lanes[earlier];
                 continue;
             }
-            lanes[comp] = hierarchies.len();
-            hierarchies.push(Amg::new(a_block.eliminate(&masks[comp]), self.options.amg));
+            lanes[comp] = distinct.len();
+            distinct.push(&masks[comp]);
         }
+        let amg = Amg::masked(&a_block, &distinct, lanes, self.options.amg);
         drop(a_block);
-        self.amg = Some(Amg::fuse(hierarchies, lanes));
+        if let Some(rec) = self.recorder() {
+            rec.add_count("amg.setups", amg.hierarchies() as u64);
+        }
+        self.amg = Some(amg);
 
         // Schur approximation: lumped pressure mass weighted by 1/η.
         let mut sdiag = vec![0.0; smap.n_local()];
@@ -251,12 +256,15 @@ impl<'a> StokesSolver<'a> {
         // become the per-solve telemetry counters (reductions per
         // iteration, exchange messages).
         let stats0 = self.comm.stats();
+        let amg = self.amg.as_ref().expect("setup() must run first");
+        let vcycle_entries = amg.vcycle_entries() as u64;
         let info = {
             let n = self.n_owned();
             let op = (n, |x: &[f64], y: &mut [f64]| self.apply(x, y));
             let pre = (n, |r: &[f64], z: &mut [f64]| {
                 let _span = rec.as_ref().map(|rec| {
                     rec.add_count("amg.vcycles", 3); // one per velocity component
+                    rec.add_count("amg.vcycle_entries", vcycle_entries);
                     rec.span_cat("AMGSolve", "solve")
                 });
                 self.apply_preconditioner(r, z);
@@ -731,25 +739,30 @@ mod tests {
         amg: [Amg; 3],
     }
 
+    /// Each velocity component's η-weighted Poisson block, assembled
+    /// under that component's mask.
+    fn lane_blocks(solver: &StokesSolver) -> [la::Csr; 3] {
+        let (m, visc) = (solver.mesh, &solver.viscosity);
+        let smap = DofMap::new(m, solver.comm, 1);
+        let src = |e: usize, out: &mut [f64]| {
+            let k = &solver.blocks.of(m, e).stiffness;
+            for i in 0..8 {
+                for j in 0..8 {
+                    out[i * 8 + j] = visc[e] * k[i][j];
+                }
+            }
+        };
+        std::array::from_fn(|comp| {
+            let mask: Vec<bool> = (0..m.n_owned)
+                .map(|d| solver.vel_bc[3 * d + comp])
+                .collect();
+            fem::assembly::assemble_owned_block(&smap, &src, Some(&mask))
+        })
+    }
+
     impl<'s, 'a> ScalarVcycles<'s, 'a> {
         fn new(solver: &'s StokesSolver<'a>) -> Self {
-            let (m, visc) = (solver.mesh, &solver.viscosity);
-            let smap = DofMap::new(m, solver.comm, 1);
-            let src = |e: usize, out: &mut [f64]| {
-                let k = &solver.blocks.of(m, e).stiffness;
-                for i in 0..8 {
-                    for j in 0..8 {
-                        out[i * 8 + j] = visc[e] * k[i][j];
-                    }
-                }
-            };
-            let amg = std::array::from_fn(|comp| {
-                let mask: Vec<bool> = (0..m.n_owned)
-                    .map(|d| solver.vel_bc[3 * d + comp])
-                    .collect();
-                let block = fem::assembly::assemble_owned_block(&smap, &src, Some(&mask));
-                Amg::new(block, solver.options.amg)
-            });
+            let amg = lane_blocks(solver).map(|block| Amg::new(block, solver.options.amg));
             ScalarVcycles { solver, amg }
         }
     }
@@ -827,6 +840,61 @@ mod tests {
                 assert!(x.iter().map(|v| v.to_bits()).eq(want.2.iter().copied()));
             });
         }
+    }
+
+    #[test]
+    fn setup_and_vcycle_counters_are_exact() {
+        // `amg.setups` counts the hierarchies a `setup()` builds, one per
+        // distinct velocity mask; `amg.vcycle_entries` adds, per
+        // preconditioner apply, the stored entries it sweeps: the fused
+        // fine level once (each position some component's eliminated
+        // matrix stores) and every component's coarse levels.
+        spmd::run(1, |c| {
+            let rec = Recorder::new(c.rank());
+            c.set_recorder(rec.clone());
+            let count = |name: &str| rec.summary().counter(name);
+            let m = adapted_mesh(c);
+            let visc = random_viscosity(&m, &mut uniform(c));
+            let no_slip = (0..3 * m.n_owned)
+                .map(|i| m.dof_on_boundary(i / 3))
+                .collect();
+            for (bc, hierarchies) in [(free_slip(&m), 3), (no_slip, 1)] {
+                let setups = count("amg.setups");
+                let options = StokesOptions::default();
+                let mut solver = StokesSolver::new(&m, c, visc.clone(), bc, options);
+                assert_eq!(count("amg.setups") - setups, hierarchies);
+                solver.setup();
+                assert_eq!(count("amg.setups") - setups, 2 * hierarchies);
+                let blocks = lane_blocks(&solver);
+                let union: usize = (0..m.n_owned)
+                    .map(|i| {
+                        let mut cols: Vec<usize> = blocks
+                            .iter()
+                            .flat_map(|a| a.col_idx[a.row_ptr[i]..a.row_ptr[i + 1]].to_vec())
+                            .collect();
+                        cols.sort();
+                        cols.dedup();
+                        cols.len()
+                    })
+                    .sum();
+                let coarse: usize = blocks
+                    .map(|a| {
+                        let sizes = Amg::new(a, options.amg).level_sizes();
+                        sizes[1..].iter().map(|&(_, nnz)| nnz).sum::<usize>()
+                    })
+                    .iter()
+                    .sum();
+                let (vcycles, entries) = (count("amg.vcycles"), count("amg.vcycle_entries"));
+                let (rhs, mut x) = solver.build_rhs(|p| [0.0, 0.0, p[0].sin()], |_| [0.0; 3]);
+                assert!(solver.solve(&rhs, &mut x).converged);
+                let applies = (count("amg.vcycles") - vcycles) / 3;
+                assert!(applies > 10, "{applies} applies");
+                assert_eq!(
+                    count("amg.vcycle_entries") - entries,
+                    applies * (union + coarse) as u64
+                );
+            }
+        });
     }
 
     /// `‖v‖_{M⁻¹} = √⟨M⁻¹v, v⟩` under the solver's preconditioner.

@@ -85,7 +85,13 @@ cargo fmt --all -- --check
 #   (`iterate_faces`, `adjacent_regions` over the seam and
 #   `Lu::solve_in_place` are what programs run), and the AMG's LU fallback
 #   for a coarsest level, which no test, figure or benchmark run took
-#   (DESIGN.md §8).
+#   (DESIGN.md §8);
+# - the AMG's union of per-lane fine operators and the fusing constructor
+#   that took one eliminated copy per lane (`Amg::masked` builds the
+#   fused fine level from the one assembled matrix and the lane masks), and
+#   `Octant::ancestor_at` / `is_ancestor_of`, which only tests called
+#   (`contains` and `parent` say the same), and `Csr::matmul`, the general
+#   sparse product the AMG setup no longer calls.
 # Production outside scomm calls neither `Comm::allgather` nor `Comm::bcast`:
 # only the benchmark harness does (DESIGN.md §4).
 echo "==> deleted code stays deleted"
@@ -144,6 +150,9 @@ if ls -d examples/{mantle_convection,advecting_front,spherical_advection}.rs \
         crates src tests examples ||
     grep -nE 'fn solve\(&self, \w+: &\[f64\]\)' crates/la/src/dense.rs ||
     grep -nw Lu crates/la/src/amg.rs ||
+    grep -nE 'fn (fuse|union)\b' crates/la/src/amg.rs ||
+    grep -rnE 'fn (ancestor_at|is_ancestor_of)\b' crates src tests examples ||
+    grep -n 'fn matmul' crates/la/src/csr.rs ||
     grep -rnE '\.(allgather|bcast)(::<[^>]*>)?\(' crates src tests examples | grep -v '^crates/scomm/' ||
     grep -rniE 'modeled|extrapolat' crates/bench/src results/*.txt; then
     echo "ci: deleted code is back (see above)" >&2
@@ -260,9 +269,12 @@ echo "==> mangll (release)"
 cargo test -q --release -p mangll
 
 # The fused V-cycle and the AVX2 element sweep claim bitwise-identical
-# iterates, which is a claim about the optimized code too: the sweep's two
-# builds are compared with every production kernel (fem, stokes, rhea).
-# The warm-path allocation counts are pinned for the optimized code too.
+# iterates, which is a claim about the optimized code too: `la` compares
+# the fused fine level built from one matrix and the lane masks with one
+# `Amg::new` per eliminated lane matrix, `stokes` the MINRES iterates with
+# three scalar hierarchies, and the sweep's two builds are compared with
+# every production kernel (fem, stokes, rhea). The warm-path and setup
+# allocation counts are pinned for the optimized code too.
 echo "==> la, fem, stokes, rhea, allocations (release)"
 cargo test -q --release -p la -p fem -p stokes -p rhea
 cargo test -q --release --test allocations

@@ -367,3 +367,30 @@ fn dg_steps() {
         }
     }
 }
+
+#[test]
+fn stokes_setup() {
+    // `StokesSolver::new` allocates the same number of times on a level-3
+    // cube, a level-4 cube (6.7× the rows, one more AMG level) and an
+    // adapted mesh with two element levels: nothing is allocated per row,
+    // per element, per AMG level or per octree level. One solver on a
+    // level-2 cube first, for the communicator's one-time growth.
+    let counts = spmd::run(1, |c| {
+        let cube = |level| extract_mesh(&DistOctree::new_uniform(c, level), [1.0, 1.0, 1.0]);
+        drop(stokes_solver(&cube(2), c));
+        let adapted = adapted_mesh(c, |x| x[0] < 0.4 && x[2] > 0.3);
+        [cube(3), cube(4), adapted].map(|m| {
+            let a0 = ALLOCATIONS.with(Cell::get);
+            let solver = stokes_solver(&m, c);
+            let a1 = ALLOCATIONS.with(Cell::get);
+            drop(solver);
+            a1 - a0
+        })
+    });
+    // 97: the element blocks and the masks; the assembly's arena, its
+    // row sums and the P = 1 collectives; the fused fine level and one
+    // setup workspace; per hierarchy (three under free slip) its stacked
+    // coarse levels and restrictions, its V-cycle scratch and its dense
+    // coarsest factor; the Schur diagonal.
+    assert_eq!(counts[0], [97; 3]);
+}

@@ -6,10 +6,11 @@
 
 use std::collections::HashMap;
 
-use mesh::extract::{node_coords, sorted_corners, Corner, Mesh};
+use mesh::extract::{node_coords, Corner, Mesh};
 use octree::parallel::DistOctree;
 use octree::{Octant, MAX_LEVEL, ROOT_LEN};
 
+use crate::oracles::sorted_corners;
 use crate::{violation, Violation};
 
 /// Owner rank of the node at `key`: the owner of the Morton-smallest

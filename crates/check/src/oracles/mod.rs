@@ -9,7 +9,7 @@
 
 use fem::op::DofMap;
 use forest::{Forest, ForestLeaf};
-use mesh::extract::{node_coords, sorted_corners, Corner, Mesh, NodeKey};
+use mesh::extract::{node_coords, Corner, Mesh, NodeKey};
 use octree::balance::BalanceKind;
 use octree::curve::CurveLeaf;
 use octree::ghost::GhostEntry;
@@ -86,6 +86,21 @@ pub fn hanging_master_probes(
         }
     }
     Some(coarsest)
+}
+
+/// Every corner of `elements` as `(key, 8e + c)`, in one sort: the
+/// corners of one node form one run, the node's first corner leading
+/// it, and the runs' keys in order are the mesh's local nodes. The
+/// oracle of `mesh::extract`'s hashed node table.
+pub fn sorted_corners(elements: &[Octant]) -> Vec<(NodeKey, u32)> {
+    let mut corners: Vec<(NodeKey, u32)> = Vec::with_capacity(8 * elements.len());
+    for (e, o) in elements.iter().enumerate() {
+        for (c, k) in o.vertex_keys().into_iter().enumerate() {
+            corners.push((k, (8 * e + c) as u32));
+        }
+    }
+    corners.sort_unstable();
+    corners
 }
 
 /// Keys of the local nodes of `mesh` whose corner-table entry disagrees

@@ -6,8 +6,9 @@
 //! schedule, so these tests also prove "diagnose, don't deadlock").
 
 use check::curve_checks::{balance21, ghost_symmetry, morton_order, partition};
+use check::oracles::sorted_corners;
 use forest::{Connectivity, Forest};
-use mesh::extract::{extract_mesh, sorted_corners, Corner, Mesh};
+use mesh::extract::{extract_mesh, Corner, Mesh};
 use octree::balance::BalanceKind;
 use octree::ghost::{GhostEntry, GhostKind};
 use octree::parallel::DistOctree;

@@ -226,17 +226,26 @@ impl<'a> DofMap<'a> {
     /// interleaved components: one packed round, posted and completed on
     /// a fresh stream-0 buffer set (see [`ExchangeBuffers::new`]).
     pub fn exchange(&self, v: &mut [f64]) {
-        let mut buf = ExchangeBuffers::new();
-        self.exchange_begin(v, &mut buf);
-        self.exchange_end(v, &mut buf);
+        self.exchange_in(v, &mut Workspace::default());
     }
 
     /// Reverse-accumulate ghost contributions to owners (assembly step):
     /// one packed round, posted and completed.
     pub fn reverse_accumulate(&self, v: &mut [f64]) {
-        let mut buf = ExchangeBuffers::new();
-        self.reverse_accumulate_begin(v, &mut buf);
-        self.reverse_accumulate_end(v, &mut buf);
+        self.reverse_accumulate_in(v, &mut Workspace::default());
+    }
+
+    /// [`DofMap::exchange`] on `ws`'s stream-0 buffers, which a warm
+    /// workspace recycles: for set-up code that keeps one.
+    pub fn exchange_in(&self, v: &mut [f64], ws: &mut Workspace) {
+        self.exchange_begin(v, &mut ws.exch);
+        self.exchange_end(v, &mut ws.exch);
+    }
+
+    /// [`DofMap::reverse_accumulate`] on `ws`'s stream-0 buffers.
+    pub fn reverse_accumulate_in(&self, v: &mut [f64], ws: &mut Workspace) {
+        self.reverse_accumulate_begin(v, &mut ws.exch);
+        self.reverse_accumulate_end(v, &mut ws.exch);
     }
 
     /// One operator application on this map's field: `fill` writes the

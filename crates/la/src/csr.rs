@@ -192,54 +192,6 @@ impl Csr {
         }
         d
     }
-
-    /// Explicit transpose.
-    pub fn transpose(&self) -> Csr {
-        let mut counts = vec![0usize; self.ncols];
-        for &c in &self.col_idx {
-            counts[c] += 1;
-        }
-        let mut row_ptr = vec![0usize; self.ncols + 1];
-        for c in 0..self.ncols {
-            row_ptr[c + 1] = row_ptr[c] + counts[c];
-        }
-        let mut col_idx = vec![0usize; self.nnz()];
-        let mut values = vec![0.0; self.nnz()];
-        let mut cursor = row_ptr.clone();
-        for r in 0..self.nrows {
-            for i in self.row_ptr[r]..self.row_ptr[r + 1] {
-                let c = self.col_idx[i];
-                col_idx[cursor[c]] = r;
-                values[cursor[c]] = self.values[i];
-                cursor[c] += 1;
-            }
-        }
-        Csr {
-            nrows: self.ncols,
-            ncols: self.nrows,
-            row_ptr,
-            col_idx,
-            values,
-        }
-    }
-
-    /// Frobenius-norm difference to another matrix of the same shape
-    /// (test helper).
-    pub fn diff_norm(&self, other: &Csr) -> f64 {
-        assert_eq!((self.nrows, self.ncols), (other.nrows, other.ncols));
-        let mut dense = std::collections::HashMap::new();
-        for r in 0..self.nrows {
-            for i in self.row_ptr[r]..self.row_ptr[r + 1] {
-                *dense.entry((r, self.col_idx[i])).or_insert(0.0) += self.values[i];
-            }
-        }
-        for r in 0..other.nrows {
-            for i in other.row_ptr[r]..other.row_ptr[r + 1] {
-                *dense.entry((r, other.col_idx[i])).or_insert(0.0) -= other.values[i];
-            }
-        }
-        dense.values().map(|v| v * v).sum::<f64>().sqrt()
-    }
 }
 
 #[cfg(test)]
@@ -354,21 +306,18 @@ mod tests {
     }
 
     #[test]
-    fn matvec_and_transpose() {
+    fn matvec_of_the_example() {
         let a = example();
         let x = [1.0, 2.0, 3.0];
         let mut y = [0.0; 3];
         a.matvec(&x, &mut y);
         assert_eq!(y, [4.0, 10.0, 14.0]);
-        // A is symmetric.
-        assert_eq!(a.transpose().diff_norm(&a), 0.0);
     }
 
     #[test]
     fn rectangular_shapes() {
         let a = Csr::from_triplets(2, 3, &[(0, 2, 1.0), (1, 0, 2.0)]);
-        let at = a.transpose();
-        assert_eq!((at.nrows, at.ncols), (3, 2));
+        assert_eq!((a.nrows, a.ncols), (2, 3));
         let mut y = [0.0; 2];
         a.matvec(&[1.0, 1.0, 1.0], &mut y);
         assert_eq!(y, [1.0, 2.0]);

@@ -54,15 +54,6 @@ fn arb_spd(rng: &mut SplitMix64, max_n: usize) -> Csr {
 }
 
 #[test]
-fn transpose_is_involution() {
-    for seed in seeds(1) {
-        let a = arb_spd(&mut SplitMix64::new(seed), 12);
-        let att = a.transpose().transpose();
-        assert!(att.diff_norm(&a) < 1e-12, "seed {seed:#x}");
-    }
-}
-
-#[test]
 fn cg_solves_random_spd() {
     for seed in seeds(3) {
         let mut rng = SplitMix64::new(seed);

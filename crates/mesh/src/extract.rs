@@ -7,10 +7,12 @@
 //! neighbor) and its value is algebraically constrained to the coarse
 //! element's corner dofs.
 //!
-//! The extraction works on sorted arrays. The node table is the sorted,
-//! deduplicated list of local element corners. Each node is classified
-//! once, from one incident local element, by the 2:1 parent-midpoint
-//! rule (`corner_master`), which needs full (corner) 2:1 balance.
+//! The extraction works on sorted arrays, found by table lookups. The
+//! node table is the sorted distinct keys of the local element corners,
+//! deduplicated through a hash table. Each node is classified once, from
+//! one incident local element, by the 2:1 parent-midpoint rule
+//! (`corner_master`, hash lookups of the view's leaves), which needs full
+//! (corner) 2:1 balance.
 //! Constraint chains (a master corner that itself hangs) are expanded in
 //! ascending master level, a topological order, into flat arenas; chains
 //! crossing rank boundaries are resolved with a bounded number of
@@ -19,10 +21,12 @@
 use std::ops::Range;
 
 use octree::ghost::{GhostEntry, LeafOrigin, LocalGhostView};
-use octree::morton::morton_decode;
+use octree::morton::{morton_decode, morton_key};
 use octree::parallel::DistOctree;
 use octree::{Octant, MAX_LEVEL, ROOT_LEN};
 use scomm::Comm;
+
+use crate::table::{sort_distinct, KeyTable};
 
 /// Lattice key of a node: Morton key of its coordinates (which may equal
 /// `ROOT_LEN` on the upper domain boundary; keys use 20 bits per axis).
@@ -405,54 +409,50 @@ fn decode(d: u32) -> Corner {
     }
 }
 
-/// Every corner of `elements` as `(key, 8e + c)`, sorted: the corners of
-/// one node form one run, the node's first corner leading it. The
-/// distinct keys in order are the mesh's local nodes.
-///
-/// Ordered in place, without a comparison sort of all pairs: one counting
-/// pass over the buckets `(key − kmin) >> shift` (about one per four
-/// pairs), a scatter of the regenerated pairs to their buckets, and a
-/// sort of each bucket. Buckets partition the key range in order and
-/// hold every pair of a key together, so the result is the sorted pair
-/// array, bit for bit.
-pub fn sorted_corners(elements: &[Octant]) -> Vec<(NodeKey, u32)> {
-    if elements.is_empty() {
-        return Vec::new();
-    }
-    let n = 8 * elements.len();
-    // Corner 0 (the anchor) has a leaf's least key, corner 7 its greatest.
-    let (kmin, kmax) = elements.iter().fold((u64::MAX, 0), |(lo, hi), o| {
-        let k = o.vertex_keys();
-        (lo.min(k[0]), hi.max(k[7]))
-    });
-    let span = (kmax - kmin) / (n / 4).max(1) as u64;
-    let shift = u64::BITS - span.leading_zeros();
-    let bucket = |k: NodeKey| ((k - kmin) >> shift) as usize;
-    // `starts[b + 1]` counts bucket b, then (prefix sums) `starts[b]` is
-    // its first slot and, once the scatter has advanced it, its end.
-    let mut starts = vec![0u32; bucket(kmax) + 2];
-    for o in elements {
-        for k in o.vertex_keys() {
-            starts[bucket(k) + 1] += 1;
-        }
-    }
-    for b in 1..starts.len() {
-        starts[b] += starts[b - 1];
-    }
-    let mut corners = vec![(0, 0); n];
+/// The local nodes of `elements`: their keys in ascending order, each
+/// node's first corner `8e + c` (its smallest), and the node of every
+/// corner `8e + c`.
+pub(crate) struct NodeTable {
+    pub keys: Vec<NodeKey>,
+    pub first_corner: Vec<u32>,
+    pub node_of: Vec<u32>,
+}
+
+/// Build the [`NodeTable`] without ordering the corners: one scan in
+/// `(e, c)` order looks each corner key up in a hash table, where the
+/// key's first insertion fixes its first corner; then only the distinct
+/// keys are sorted and the corners renumbered. The table has room for
+/// 8 keys per element, as a segment of disconnected leaves needs.
+pub(crate) fn number_nodes(elements: &[Octant]) -> NodeTable {
+    let mut ids = KeyTable::with_capacity(8 * elements.len());
+    // Distinct keys with their first corners, in scan order: the index
+    // is the node's provisional number.
+    let mut nodes: Vec<(NodeKey, u32)> = Vec::new();
+    let mut node_of = Vec::with_capacity(8 * elements.len());
     for (e, o) in elements.iter().enumerate() {
         for (c, k) in o.vertex_keys().into_iter().enumerate() {
-            let slot = &mut starts[bucket(k)];
-            corners[*slot as usize] = (k, (8 * e + c) as u32);
-            *slot += 1;
+            let id = ids.get_or_insert(k, nodes.len() as u32);
+            if id as usize == nodes.len() {
+                nodes.push((k, (8 * e + c) as u32));
+            }
+            node_of.push(id);
         }
     }
-    let mut lo = 0;
-    for &hi in &starts[..starts.len() - 1] {
-        corners[lo..hi as usize].sort_unstable();
-        lo = hi as usize;
+    // A node's first corner names its provisional number.
+    sort_distinct(&mut nodes);
+    let mut number = vec![0u32; nodes.len()];
+    for (n, &(_, ec)) in nodes.iter().enumerate() {
+        number[node_of[ec as usize] as usize] = n as u32;
     }
-    corners
+    for id in &mut node_of {
+        *id = number[*id as usize];
+    }
+    let (keys, first_corner) = nodes.into_iter().unzip();
+    NodeTable {
+        keys,
+        first_corner,
+        node_of,
+    }
 }
 
 /// The up-to-8 finest-level cells incident to node `p`, as octants, in
@@ -479,9 +479,19 @@ pub(crate) fn incident_probes(p: (u32, u32, u32)) -> impl Iterator<Item = Octant
 /// `o`. Each neighbour is read through one finest-level probe that
 /// touches the corner and lies inside it; neighbours outside the root
 /// are skipped. On a tie the local leaf wins, which keeps the
-/// constraint chain local. Needs full (corner) 2:1 balance: a probed
-/// leaf two levels coarser than `o` panics with the node and both levels.
-fn corner_master(view: &LocalGhostView<Octant>, o: &Octant, c: usize) -> Option<usize> {
+/// constraint chain local.
+///
+/// The leaf holding a probe is found by table lookups, in `at` (view
+/// leaf → index), of the probe's ancestors at levels `l − 1`, `l` and
+/// `l + 1`: under full (corner) 2:1 balance one of them is a leaf. If
+/// none is, the view is searched, and a leaf two or more levels coarser
+/// than `o` panics with the node and both levels.
+fn corner_master(
+    view: &LocalGhostView<Octant>,
+    at: &KeyTable,
+    o: &Octant,
+    c: usize,
+) -> Option<usize> {
     let l = o.level();
     if l == 0 {
         return None;
@@ -511,8 +521,14 @@ fn corner_master(view: &LocalGhostView<Octant>, o: &Octant, c: usize) -> Option<
         let [Some(x), Some(y), Some(z)] = cell else {
             continue;
         };
-        let i = view
-            .containing(&Octant::new(x, y, z, MAX_LEVEL))
+        let key = morton_key(x, y, z);
+        let near = (l - 1..=(l + 1).min(MAX_LEVEL)).find_map(|lv| {
+            let s = 3 * (MAX_LEVEL - lv) as u32;
+            at.get(Octant::from_key_level(key >> s << s, lv).raw())
+        });
+        let i = near
+            .map(|i| i as usize)
+            .or_else(|| view.containing(&Octant::new(x, y, z, MAX_LEVEL)))
             .unwrap_or_else(|| panic!("incident cell of node {p:?} missing from local+ghost view"));
         let leaf = view.leaves[i];
         assert!(
@@ -590,30 +606,31 @@ pub fn extract_mesh_with_ghosts(
     let local = &tree.local;
     let view = LocalGhostView::new(local, ghosts);
 
-    // ---- Node table: sorted, deduplicated corner keys ----------------
-    let mut node_keys: Vec<NodeKey> = Vec::new();
-    // Each node's first local corner, packed as 8·e + c.
-    let mut first_corner: Vec<u32> = Vec::new();
-    // Node index of each corner 8·e + c; rewritten in place into the
-    // corner table once the nodes are resolved.
-    let mut node_of = vec![0u32; 8 * local.len()];
-    for (k, ec) in sorted_corners(local) {
-        if node_keys.last() != Some(&k) {
-            node_keys.push(k);
-            first_corner.push(ec);
-        }
-        node_of[ec as usize] = (node_keys.len() - 1) as u32;
-    }
+    // ---- Node table: distinct corner keys, ascending ----------------
+    // `node_of` is rewritten in place into the corner table once the
+    // nodes are resolved.
+    let NodeTable {
+        keys: node_keys,
+        first_corner,
+        node_of,
+    } = number_nodes(local);
     let n_nodes = node_keys.len();
 
     // ---- Classification: each node once, from its first corner -------
+    // The view's table has room for twice its leaves: most nodes miss at
+    // level `l − 1`, and a miss walks to an empty slot.
+    let mut at = KeyTable::with_capacity(2 * view.leaves.len());
+    for (i, leaf) in view.leaves.iter().enumerate() {
+        at.get_or_insert(leaf.raw(), i as u32);
+    }
     let master: Vec<u32> = first_corner
         .iter()
         .map(|&ec| {
             let (e, c) = (ec as usize / 8, ec as usize % 8);
-            corner_master(&view, &local[e], c).map_or(INDEPENDENT, |i| i as u32)
+            corner_master(&view, &at, &local[e], c).map_or(INDEPENDENT, |i| i as u32)
         })
         .collect();
+    drop((at, first_corner));
 
     // ---- Expansion in ascending master level -------------------------
     // An independent node expands to itself. A hanging node expands
@@ -621,16 +638,16 @@ pub fn extract_mesh_with_ghosts(
     // to its owner; a local master's corners are local nodes that hang,
     // if at all, on a strictly coarser leaf — so in ascending master
     // level their expansions are complete when read. Each node's terms
-    // are one span of `indep` (over independent keys) and one of
+    // are one span of `indep` (independent local node, weight) and one of
     // `foreign` (owner, key, weight).
-    let mut indep: Vec<(NodeKey, f64)> = Vec::with_capacity(n_nodes);
+    let mut indep: Vec<(u32, f64)> = Vec::with_capacity(n_nodes);
     let mut foreign: Vec<(usize, NodeKey, f64)> = Vec::new();
     let mut spans: Vec<(Range<usize>, Range<usize>)> = vec![(0..0, 0..0); n_nodes];
     let mut hanging: Vec<(u8, usize)> = Vec::new();
     for (n, &mi) in master.iter().enumerate() {
         if mi == INDEPENDENT {
             spans[n].0 = indep.len()..indep.len() + 1;
-            indep.push((node_keys[n], 1.0));
+            indep.push((n as u32, 1.0));
         } else {
             hanging.push((view.leaves[mi as usize].level(), n));
         }
@@ -695,7 +712,11 @@ pub fn extract_mesh_with_ghosts(
                     weight,
                     next_owner,
                 };
-                answers[src].extend(indep[si].iter().map(|&(k, w)| term(k, w, u64::MAX)));
+                answers[src].extend(
+                    indep[si]
+                        .iter()
+                        .map(|&(m, w)| term(node_keys[m as usize], w, u64::MAX)),
+                );
                 answers[src].extend(foreign[sf].iter().map(|&(o, k, w)| term(k, w, o as u64)));
             }
         }
@@ -725,13 +746,19 @@ pub fn extract_mesh_with_ghosts(
     // ---- Own + number the independent dofs --------------------------
     // The owner of a node sees it as a local-element corner, so the
     // owned keys are the independent, owned entries of the sorted table.
+    // `node_entry` becomes the corner table's entry of each node: owned
+    // dofs now, ghost dofs of `foreign_nodes` and rows below.
+    let mut node_entry = vec![0u32; n_nodes];
     let mut owned_keys: Vec<NodeKey> = Vec::new();
     let mut foreign_keys: Vec<NodeKey> = Vec::new();
+    let mut foreign_nodes: Vec<usize> = Vec::new();
     for (n, &k) in node_keys.iter().enumerate() {
         if master[n] == INDEPENDENT {
             if node_owner(tree, node_coords(k)) == me {
+                node_entry[n] = owned_keys.len() as u32;
                 owned_keys.push(k);
             } else {
+                foreign_nodes.push(n);
                 foreign_keys.push(k);
             }
         }
@@ -742,14 +769,12 @@ pub fn extract_mesh_with_ghosts(
 
     // ---- Foreign gid lookup + exchange pattern -----------------------
     // Foreign independent keys: the non-owned ones above plus every
-    // non-owned key a constraint row names.
-    let row_keys = hanging
-        .iter()
-        .flat_map(|&(_, n)| &indep[spans[n].0.clone()]);
+    // non-owned key a remote constraint term names (a local term names a
+    // local independent node, sorted above already).
     foreign_keys.extend(
-        row_keys
-            .map(|t| t.0)
-            .chain(remote.iter().map(|t| t.1))
+        remote
+            .iter()
+            .map(|t| t.1)
             .filter(|k| owned_keys.binary_search(k).is_err()),
     );
     foreign_keys.sort_unstable();
@@ -805,58 +830,67 @@ pub fn extract_mesh_with_ghosts(
     }
 
     // ---- Corner table and constraint arena over local dof indices ----
-    // A constraint row is the node's local terms then its remote ones,
-    // stably sorted by key with duplicate keys summed. Rows follow node
-    // order, so hanging corners of one node share one row.
-    let lookup_dof = |k: NodeKey| -> usize {
+    // Foreign independent nodes come in key order: one cursor walks the
+    // foreign keys. A constraint row is the node's local terms then its
+    // remote ones, stably sorted by key with duplicate keys summed. Rows
+    // follow node order, so hanging corners of one node share one row.
+    let mut fc = 0;
+    for &n in &foreign_nodes {
+        while foreign_keys[fc] < node_keys[n] {
+            fc += 1;
+        }
+        debug_assert_eq!(foreign_keys[fc], node_keys[n]);
+        node_entry[n] = ghost_slot[fc] as u32;
+    }
+    let lookup_dof = |k: NodeKey| -> u32 {
         owned_keys.binary_search(&k).unwrap_or_else(|_| {
             let fi = foreign_keys
                 .binary_search(&k)
                 .unwrap_or_else(|_| panic!("unresolved node key {k}"));
             ghost_slot[fi]
-        })
+        }) as u32
     };
+    debug_assert!(n_owned + n_ghost < HANGING_BIT as usize);
     let mut constraints = Constraints {
         offsets: vec![0],
         terms: Vec::new(),
     };
-    let mut row: Vec<(NodeKey, f64)> = Vec::new();
-    let node_entry: Vec<u32> = (0..n_nodes)
-        .map(|n| {
-            if master[n] == INDEPENDENT {
-                let d = lookup_dof(node_keys[n]);
-                debug_assert!(d < HANGING_BIT as usize, "dof {d} overflows the table");
-                return d as u32;
+    let mut row: Vec<(NodeKey, u32, f64)> = Vec::new();
+    let mut rc = 0;
+    for n in (0..n_nodes).filter(|&n| master[n] != INDEPENDENT) {
+        row.clear();
+        row.extend(indep[spans[n].0.clone()].iter().map(|&(m, w)| {
+            let m = m as usize;
+            (node_keys[m], node_entry[m], w)
+        }));
+        while remote.get(rc).is_some_and(|t| t.0 < n) {
+            rc += 1;
+        }
+        for &(_, k, w) in remote[rc..].iter().take_while(|t| t.0 == n) {
+            row.push((k, lookup_dof(k), w));
+        }
+        row.sort_by_key(|t| t.0);
+        row.dedup_by(|t, kept| {
+            t.0 == kept.0 && {
+                kept.2 += t.2;
+                true
             }
-            let lo = remote.partition_point(|t| t.0 < n);
-            let hi = remote.partition_point(|t| t.0 <= n);
-            row.clear();
-            row.extend_from_slice(&indep[spans[n].0.clone()]);
-            row.extend(remote[lo..hi].iter().map(|&(_, k, w)| (k, w)));
-            row.sort_by_key(|t| t.0);
-            row.dedup_by(|t, kept| {
-                t.0 == kept.0 && {
-                    kept.1 += t.1;
-                    true
-                }
-            });
-            // A row is a convex combination: weights in (0,1] summing to
-            // 1. The cross-rank consistency checks live in `check`.
-            debug_assert!(
-                !scomm::checks_enabled()
-                    || (row.iter().map(|t| t.1).sum::<f64>() - 1.0).abs() < 1e-9
-                        && row.iter().all(|t| t.1 > 0.0 && t.1 <= 1.0),
-                "constraint row for node {:#x} is not a partition of unity: {row:?}",
-                node_keys[n]
-            );
-            let r = constraints.offsets.len() - 1;
-            constraints
-                .terms
-                .extend(row.iter().map(|&(k, w)| (lookup_dof(k), w)));
-            constraints.offsets.push(constraints.terms.len());
-            HANGING_BIT | r as u32
-        })
-        .collect();
+        });
+        // A row is a convex combination: weights in (0,1] summing to
+        // 1. The cross-rank consistency checks live in `check`.
+        debug_assert!(
+            !scomm::checks_enabled()
+                || (row.iter().map(|t| t.2).sum::<f64>() - 1.0).abs() < 1e-9
+                    && row.iter().all(|t| t.2 > 0.0 && t.2 <= 1.0),
+            "constraint row for node {:#x} is not a partition of unity: {row:?}",
+            node_keys[n]
+        );
+        node_entry[n] = HANGING_BIT | (constraints.offsets.len() - 1) as u32;
+        constraints
+            .terms
+            .extend(row.iter().map(|&(_, d, w)| (d as usize, w)));
+        constraints.offsets.push(constraints.terms.len());
+    }
     let mut corner_dofs = node_of;
     for entry in &mut corner_dofs {
         *entry = node_entry[*entry as usize];
@@ -1223,12 +1257,15 @@ mod tests {
                 let m = extract_mesh(&t, [1.0, 1.0, 1.0]);
                 // The corners of one node hold one entry: the dof of its
                 // key, or the next row in key order.
+                let nodes = number_nodes(&m.elements);
+                assert!(nodes.keys.windows(2).all(|w| w[0] < w[1]));
+                for (ec, &n) in nodes.node_of.iter().enumerate() {
+                    let first = nodes.first_corner[n as usize];
+                    assert_eq!(m.corner_dofs[ec], m.corner_dofs[first as usize]);
+                }
                 let mut rows = 0;
-                for run in sorted_corners(&m.elements).chunk_by(|a, b| a.0 == b.0) {
-                    let (key, first) = (run[0].0, run[0].1 as usize);
-                    for &(_, ec) in run {
-                        assert_eq!(m.corner_dofs[ec as usize], m.corner_dofs[first]);
-                    }
+                for (&key, &first) in nodes.keys.iter().zip(&nodes.first_corner) {
+                    let first = first as usize;
                     match m.corner(first / 8, first % 8) {
                         Corner::Dof(d) => assert_eq!(m.dof_keys[d], key),
                         Corner::Hanging(r) => {
@@ -1242,13 +1279,17 @@ mod tests {
         }
     }
 
-    /// The bucketed node-table order is a plain sort of every `(corner
-    /// key, 8e + c)` pair, bitwise: on empty and one-leaf segments, on
-    /// seeded adapted trees with leaves on the root's upper faces (node
-    /// coordinate `ROOT_LEN`) and `MAX_LEVEL` leaves, at P ∈ {1, 4, 8}.
+    /// The hashed node table is a plain sort of every `(corner key,
+    /// 8e + c)` pair, bitwise: its keys are the distinct keys, each
+    /// node's first corner leads its run, and `node_of` names the run of
+    /// every corner. On empty and one-leaf segments, on 64 leaves that
+    /// share no corner (8 nodes per element, the table's capacity), and
+    /// on seeded adapted trees with leaves on the root's upper faces
+    /// (node coordinate `ROOT_LEN`) and `MAX_LEVEL` leaves, at
+    /// P ∈ {1, 4, 8}.
     #[test]
     fn sorted_corners_equal_a_sort_of_all_corner_pairs() {
-        let oracle = |elements: &[Octant]| {
+        let check = |elements: &[Octant]| {
             let mut pairs: Vec<(NodeKey, u32)> = Vec::new();
             for (e, o) in elements.iter().enumerate() {
                 for (c, k) in o.vertex_keys().into_iter().enumerate() {
@@ -1256,8 +1297,25 @@ mod tests {
                 }
             }
             pairs.sort_unstable();
-            pairs
+            let mut want = (Vec::new(), Vec::new(), vec![0; pairs.len()]);
+            for (n, run) in pairs.chunk_by(|a, b| a.0 == b.0).enumerate() {
+                want.0.push(run[0].0);
+                want.1.push(run[0].1);
+                for &(_, ec) in run {
+                    want.2[ec as usize] = n as u32;
+                }
+            }
+            let got = number_nodes(elements);
+            assert_eq!((got.keys, got.first_corner, got.node_of), want);
         };
+        let mut apart: Vec<Octant> = (0..64u32)
+            .map(|i| {
+                let at = |b: u32| ((i >> b) & 3) * ROOT_LEN / 4;
+                Octant::new(at(0), at(2), at(4), 3)
+            })
+            .collect();
+        apart.sort_unstable();
+        check(&apart);
         let far = Octant::new(ROOT_LEN - 1, ROOT_LEN - 1, ROOT_LEN - 1, MAX_LEVEL);
         let near = Octant::new(0, ROOT_LEN / 2, 1, MAX_LEVEL);
         for p in [1, 4, 8] {
@@ -1267,7 +1325,7 @@ mod tests {
                 for level in [0, 1] {
                     let t = DistOctree::new_uniform(c, level);
                     assert!(t.local.len() <= 1 || p < 8);
-                    assert_eq!(sorted_corners(&t.local), oracle(&t.local));
+                    check(&t.local);
                 }
                 let mut rng = scomm::rng::SplitMix64::new(17);
                 let mut t = DistOctree::new_uniform(c, 2);
@@ -1289,7 +1347,7 @@ mod tests {
                 t.partition();
                 let finest = t.local.iter().map(|o| o.level() as u64).max();
                 assert_eq!(c.allreduce_max(&[finest.unwrap_or(0)]), [MAX_LEVEL as u64]);
-                assert_eq!(sorted_corners(&t.local), oracle(&t.local));
+                check(&t.local);
             });
         }
     }
@@ -1307,6 +1365,24 @@ mod tests {
             t.refine(|o| o.contains(&inner));
             t.refine(|o| *o == inner);
             t.balance(BalanceKind::Face);
+            extract_mesh(&t, [1.0, 1.0, 1.0]);
+        });
+    }
+
+    #[test]
+    #[should_panic(expected = "of a level-4 element touches a level-1 leaf")]
+    fn neighbour_three_levels_coarser_panics() {
+        // Unbalanced: octant 1 refined three times toward the origin's
+        // edge, next to octant 0 at level 1. The first node that breaks
+        // the balance in key order, (½, 1/16, 0), is a level-4 corner on
+        // a parent edge: none of the three lookups hits, and the search
+        // finds octant 0.
+        spmd::run(1, |c| {
+            let mut t = DistOctree::new_uniform(c, 1);
+            let inner = Octant::root().child(1).child(0).child(0);
+            for _ in 0..3 {
+                t.refine(|o| o.contains(&inner));
+            }
             extract_mesh(&t, [1.0, 1.0, 1.0]);
         });
     }

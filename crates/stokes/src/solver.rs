@@ -175,7 +175,7 @@ impl<'a> StokesSolver<'a> {
             let scaled: [f64; 8] = std::array::from_fn(|i| lm[i] / self.viscosity[e]);
             smap.scatter_element(e, &scaled, &mut sdiag);
         }
-        smap.reverse_accumulate(&mut sdiag);
+        smap.reverse_accumulate_in(&mut sdiag, self.ws.get_mut());
         self.schur_diag_inv = sdiag[..self.mesh.n_owned]
             .iter()
             .map(|&v| if v > 0.0 { 1.0 / v } else { 1.0 })
@@ -340,7 +340,10 @@ impl<'a> StokesSolver<'a> {
         let nu = 3 * self.mesh.n_owned;
         assert_eq!(fv.len(), nu);
         let vmap = DofMap::new(self.mesh, self.comm, 3);
-        let fl = vmap.to_local(fv);
+        let ws = &mut *self.ws.borrow_mut();
+        let mut fl = Vec::new();
+        vmap.fill_local(fv, &mut fl);
+        vmap.exchange_in(&mut fl, ws);
         let mut rhs_local = vec![0.0; vmap.n_local()];
         let mut fe = [0.0; 24];
         let mut re = [0.0; 24];
@@ -354,7 +357,7 @@ impl<'a> StokesSolver<'a> {
             }
             vmap.scatter_element(e, &re, &mut rhs_local);
         }
-        vmap.reverse_accumulate(&mut rhs_local);
+        vmap.reverse_accumulate_in(&mut rhs_local, ws);
         let mut rhs = vec![0.0; self.n_owned()];
         rhs[..nu].copy_from_slice(&rhs_local[..nu]);
         rhs

@@ -18,8 +18,11 @@ cargo fmt --all -- --check
 # - the blocking and request-based point-to-point API, its overlap counter
 #   and the duplicate collective entry points (the split-phase `Exchange`
 #   is the one point-to-point path); forest search; the `alps` façade;
-# - the hashed node tables of `ExtractMesh` and its eight-probe
-#   classification (now the oracle `check::oracles::hanging_master_probes`);
+# - the `HashMap` node tables of `ExtractMesh` and its eight-probe
+#   classification (now the oracle `check::oracles::hanging_master_probes`),
+#   and its bucket-sorted corner pairs (now the oracle
+#   `check::oracles::sorted_corners`);
+# - `Csr::{transpose, diff_norm}`, which only tests called;
 # - the forest's copies of the curve bookkeeping (`octree::curve` serves
 #   both tree types) and the allocating `mark_elements` wrapper;
 # - the per-component copies of the Stokes preconditioner (one fused
@@ -114,6 +117,8 @@ if ls -d examples/{mantle_convection,advecting_front,spherical_advection}.rs \
     grep -rnE 'fn (send|recv|recv_any|sendrecv|isend|irecv|wait_into|waitall)<|RecvRequest|SendRequest|OVERLAP_COUNTER|overlap_ns|allgather_u64|search_points|SearchNode|alps::' \
         crates src tests examples ||
     grep -nE 'HashMap' crates/mesh/src/extract.rs ||
+    grep -rnE 'fn sorted_corners\b' crates/mesh ||
+    grep -nE 'fn (transpose|diff_norm)\b' crates/la/src/csr.rs ||
     grep -rnE 'fn hanging_master\b' crates/mesh ||
     grep -rnE 'fn (update_markers|coarsen_marked_into|refine_flags_no_marker)\b|target_lo' crates/forest/src ||
     grep -rn 'fn mark_elements\b' crates ||

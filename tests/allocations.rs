@@ -370,7 +370,8 @@ fn dg_steps() {
 
 #[test]
 fn stokes_setup() {
-    // `StokesSolver::new` allocates the same number of times on a level-3
+    // `StokesSolver::new`, a re-`setup` (as Picard runs one) and a
+    // right-hand side each allocate the same number of times on a level-3
     // cube, a level-4 cube (6.7× the rows, one more AMG level) and an
     // adapted mesh with two element levels: nothing is allocated per row,
     // per element, per AMG level or per octree level. One solver on a
@@ -380,17 +381,26 @@ fn stokes_setup() {
         drop(stokes_solver(&cube(2), c));
         let adapted = adapted_mesh(c, |x| x[0] < 0.4 && x[2] > 0.3);
         [cube(3), cube(4), adapted].map(|m| {
+            let force = vec![1.0; 3 * m.n_owned];
             let a0 = ALLOCATIONS.with(Cell::get);
-            let solver = stokes_solver(&m, c);
+            let mut solver = stokes_solver(&m, c);
             let a1 = ALLOCATIONS.with(Cell::get);
-            drop(solver);
-            a1 - a0
+            solver.setup();
+            let a2 = ALLOCATIONS.with(Cell::get);
+            let rhs = solver.homogeneous_rhs(&force);
+            let a3 = ALLOCATIONS.with(Cell::get);
+            drop((solver, rhs));
+            [a1 - a0, a2 - a1, a3 - a2]
         })
     });
     // 97: the element blocks and the masks; the assembly's arena, its
     // row sums and the P = 1 collectives; the fused fine level and one
     // setup workspace; per hierarchy (three under free slip) its stacked
     // coarse levels and restrictions, its V-cycle scratch and its dense
-    // coarsest factor; the Schur diagonal.
-    assert_eq!(counts[0], [97; 3]);
+    // coarsest factor; the Schur diagonal, whose exchange round grows the
+    // solver's workspace (4) for every later round to reuse. 90: a
+    // re-setup, which builds no arguments or element blocks and finds the
+    // workspace warm. 3: the owned+ghost force, the owned+ghost load and
+    // the load.
+    assert_eq!(counts[0], [[97, 90, 3]; 3]);
 }

@@ -5,7 +5,8 @@
 //! 8192-fold increase in cores and problem size beyond 2 billion dofs.
 //!
 //! Here: the identical solver (MINRES + block factorization + one AMG
-//! V-cycle per velocity component + inverse-viscosity Schur diagonal) is
+//! V-cycle per velocity component + a Chebyshev polynomial in the
+//! stabilized pressure mass `(M + C)/η`) is
 //! run with a 10⁴ viscosity contrast in two measured series: (A) growing
 //! problem size with globally-coupled AMG — the algorithmic-scalability
 //! claim itself — and (B) growing rank count at fixed size, which

@@ -421,10 +421,13 @@ pub(crate) struct NodeTable {
 /// Build the [`NodeTable`] without ordering the corners: one scan in
 /// `(e, c)` order looks each corner key up in a hash table, where the
 /// key's first insertion fixes its first corner; then only the distinct
-/// keys are sorted and the corners renumbered. The table has room for
-/// 8 keys per element, as a segment of disconnected leaves needs.
+/// keys are sorted and the corners renumbered. The table starts with
+/// room for 2 keys per element (a conforming mesh has about one node per
+/// element) and grows to the 8 per element a segment of disconnected
+/// leaves needs; growth keeps every key's number, so the table's size
+/// never shows in the mesh.
 pub(crate) fn number_nodes(elements: &[Octant]) -> NodeTable {
-    let mut ids = KeyTable::with_capacity(8 * elements.len());
+    let mut ids = KeyTable::with_capacity(2 * elements.len());
     // Distinct keys with their first corners, in scan order: the index
     // is the node's provisional number.
     let mut nodes: Vec<(NodeKey, u32)> = Vec::new();

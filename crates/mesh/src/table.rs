@@ -7,26 +7,42 @@
 /// octant (`Octant::INVALID` is all ones) has every bit set.
 const EMPTY: u64 = u64::MAX;
 
-/// A fixed-capacity map from `u64` keys to `u32` values: linear probing
-/// from a multiplicative (Fibonacci) hash, no removal and no growth.
-/// Built for at most `n` keys with at least a third of its slots empty,
-/// so every probe run ends at an empty slot.
+/// A map from `u64` keys to `u32` values: linear probing from a
+/// multiplicative (Fibonacci) hash, no removal. It doubles its slots
+/// before an insertion would fill more than two thirds of them, so every
+/// probe run ends at an empty slot. Growth moves every key with its
+/// value, so what a lookup returns never depends on the capacity.
 pub(crate) struct KeyTable {
     keys: Vec<u64>,
     vals: Vec<u32>,
     /// `64 − log2(slots)`: the hash is the product's top bits.
     shift: u32,
+    /// Keys present.
+    len: usize,
 }
 
 impl KeyTable {
-    /// An empty table with room for `n` distinct keys.
+    /// An empty table with room for `n` distinct keys before it grows.
     pub(crate) fn with_capacity(n: usize) -> KeyTable {
         let slots = (n + n / 2 + 1).next_power_of_two().max(2);
         KeyTable {
             keys: vec![EMPTY; slots],
             vals: vec![0; slots],
             shift: u64::BITS - slots.trailing_zeros(),
+            len: 0,
         }
+    }
+
+    /// Double the slots and re-insert every key with its value.
+    #[cold]
+    fn grow(&mut self) {
+        let mut grown = KeyTable::with_capacity(self.keys.len());
+        for (&k, &v) in self.keys.iter().zip(&self.vals) {
+            if k != EMPTY {
+                grown.get_or_insert(k, v);
+            }
+        }
+        *self = grown;
     }
 
     #[inline]
@@ -35,8 +51,7 @@ impl KeyTable {
     }
 
     /// The value of `k`; if `k` is absent, insert it with value `v`
-    /// first. The caller keeps the number of distinct keys within the
-    /// capacity.
+    /// first, growing the table if it would pass two thirds full.
     #[inline]
     pub(crate) fn get_or_insert(&mut self, k: u64, v: u32) -> u32 {
         debug_assert_ne!(k, EMPTY);
@@ -45,8 +60,13 @@ impl KeyTable {
         loop {
             match self.keys[i] {
                 EMPTY => {
+                    if 3 * (self.len + 1) > 2 * self.keys.len() {
+                        self.grow();
+                        return self.get_or_insert(k, v);
+                    }
                     self.keys[i] = k;
                     self.vals[i] = v;
+                    self.len += 1;
                     return v;
                 }
                 x if x == k => return self.vals[i],
@@ -121,6 +141,27 @@ mod tests {
             }
             assert_eq!(t.get(EMPTY - 1), None);
         }
+    }
+
+    #[test]
+    fn growth_keeps_every_key_with_its_value() {
+        // From room for one key to 5000 keys: twelve doublings, each
+        // moving every key; no slot count is ever more than two thirds
+        // full.
+        let mut rng = scomm::rng::SplitMix64::new(7);
+        let keys: Vec<u64> = (0..5000).map(|_| rng.next_u64() >> 4).collect();
+        let mut t = KeyTable::with_capacity(1);
+        for (v, &k) in keys.iter().enumerate() {
+            let first = keys.iter().position(|&x| x == k).unwrap() as u32;
+            assert_eq!(t.get_or_insert(k, v as u32), first);
+            assert!(3 * t.len <= 2 * t.keys.len());
+        }
+        for (v, &k) in keys.iter().enumerate() {
+            let first = keys[..=v].iter().position(|&x| x == k).unwrap() as u32;
+            assert_eq!(t.get(k), Some(first));
+            assert_eq!(t.get(k | 1 << 62), None);
+        }
+        assert!(t.keys.len() >= 4096, "{} slots", t.keys.len());
     }
 
     #[test]

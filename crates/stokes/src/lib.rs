@@ -19,8 +19,10 @@
 //! where `Ã` is the variable-viscosity discrete vector Laplacian
 //! approximated by **one AMG V-cycle per component** (the BoomerAMG
 //! substitution of DESIGN.md, composed block-Jacobi over ranks), and `S̃`
-//! is the inverse-viscosity-weighted lumped pressure mass matrix, which is
-//! spectrally equivalent to the Schur complement (paper reference [11]).
+//! is the inverse-viscosity-weighted pressure mass plus the stabilization,
+//! `Σ_e (M_e + C_e)/η_e`, spectrally equivalent to the Schur complement
+//! (paper reference [11]). The paper takes the lumped mass alone; here
+//! that diagonal scales a fixed Chebyshev polynomial in `S̃` (DESIGN.md §8).
 //!
 //! The nonlinearity of strain-rate-dependent viscosity is handled by the
 //! Picard fixed-point iteration in [`picard`].

@@ -17,6 +17,7 @@ use octree::ops::find_containing;
 use octree::parallel::DistOctree;
 use octree::{Octant, MAX_LEVEL, ROOT_LEN};
 
+pub mod amg;
 pub mod element;
 pub mod unpacked;
 

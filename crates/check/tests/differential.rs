@@ -146,8 +146,10 @@ fn stokes_residual_series_match_across_rank_counts() {
         *iters.iter().min().unwrap() as f64,
         *iters.iter().max().unwrap() as f64,
     );
+    // One AMG hierarchy across the ranks: 51 / 51 / 52 iterations at
+    // P = 1 / 2 / 4. The band allows two more than the fewest.
     assert!(
-        hi <= 1.5 * lo + 5.0,
+        hi <= lo + 2.0,
         "MINRES iteration counts must stay in a band across P: {minres:?}"
     );
     let r0: Vec<f64> = minres.iter().map(|&(_, _, r)| r).collect();

@@ -11,6 +11,7 @@
 use std::sync::Arc;
 
 use check::fuzz_amr::{mark_coarsen_refine, FuzzConfig};
+use check::oracles::amg::GatheredAmg;
 use check::oracles::element as direct;
 use check::oracles::unpacked::Unpacked;
 use check::oracles::{
@@ -653,4 +654,108 @@ fn stokes_apply_matches_per_element_integration() {
         }
         check("dirichlet_lift", &lifted, &want);
     });
+}
+
+/// MINRES iterations of an Arrhenius-like first flow solve of
+/// `conv_cube` at `nranks`: the level-3 cube, the conductive profile with
+/// its two modes, η = exp(−6.9 T̄) per element, free slip, Ra = 10⁵, to
+/// 1e-6 from zero. The velocity V-cycle is production's (`gathered` =
+/// false) or [`GatheredAmg`] on the same matrix and masks.
+fn conv_first_solve(nranks: usize, gathered: bool) -> usize {
+    spmd::run(nranks, move |c| {
+        let m = extract_mesh(&DistOctree::new_uniform(c, 3), [1.0, 1.0, 1.0]);
+        let pi = std::f64::consts::PI;
+        let temperature: Vec<f64> = (0..m.n_owned)
+            .map(|d| {
+                let [x, y, z] = m.dof_coords(d);
+                let modes =
+                    (pi * x).cos() * (pi * y).cos() + 0.4 * (2.0 * pi * x).cos() * (pi * y).cos();
+                ((1.0 - z) + 0.05 * modes * (pi * z).sin()).clamp(0.0, 1.0)
+            })
+            .collect();
+        let tl = DofMap::new(&m, c, 1).to_local(&temperature);
+        let visc: Vec<f64> = (0..m.elements.len())
+            .map(|e| (-6.9 * m.corner_values(e, &tl).iter().sum::<f64>() / 8.0).exp())
+            .collect();
+        let free_slip: Vec<bool> = (0..3 * m.n_owned)
+            .map(|i| m.dof_boundary_faces(i / 3) & (0b11 << (2 * (i % 3))) != 0)
+            .collect();
+        let options = StokesOptions {
+            tol: 1e-6,
+            ..StokesOptions::default()
+        };
+        let blocks = fem::element::LevelBlocks::new(&m);
+        let src = |e: usize, out: &mut [f64]| {
+            let k = &blocks.of(&m, e).stiffness;
+            for (o, kij) in out.iter_mut().zip(k.as_flattened()) {
+                *o = visc[e] * kij;
+            }
+        };
+        let rows = fem::assembly::assemble_owned_sum(&DofMap::new(&m, c, 1), &src);
+        let lane =
+            |k: usize| -> Vec<bool> { (0..m.n_owned).map(|d| free_slip[3 * d + k]).collect() };
+        let masks = [lane(0), lane(1), lane(2)];
+        let masks: Vec<&[bool]> = masks.iter().map(Vec::as_slice).collect();
+        let oracle = GatheredAmg::new(c, &rows, &masks, [0, 1, 2], options.amg);
+        let solver = StokesSolver::new(&m, c, visc.clone(), free_slip.clone(), options);
+        let buoyancy: Vec<f64> = (0..3 * m.n_owned)
+            .map(|i| {
+                if i % 3 == 2 {
+                    1e5 * temperature[i / 3]
+                } else {
+                    0.0
+                }
+            })
+            .collect();
+        let rhs = solver.homogeneous_rhs(&buoyancy);
+        let (n, nu) = (solver.n_owned(), 3 * m.n_owned);
+        let op = (n, |x: &[f64], y: &mut [f64]| solver.apply(x, y));
+        let pre = (n, |r: &[f64], z: &mut [f64]| {
+            solver.apply_preconditioner(r, z);
+            if gathered {
+                oracle.vcycle(&r[..nu], &mut z[..nu]);
+            }
+        });
+        let dot = |a: &[f64], b: &[f64]| solver.dot(a, b);
+        let mut x = vec![0.0; n];
+        let info = minres(
+            &op,
+            Some(&pre),
+            &rhs,
+            &mut x,
+            options.tol,
+            500,
+            dot,
+            |_, _| {},
+        );
+        assert!(info.converged, "P = {nranks}: {info:?}");
+        info.iterations
+    })[0]
+}
+
+#[test]
+fn coupled_amg_stays_near_the_gathered_hierarchy() {
+    // ROADMAP item 3(a): the gathered hierarchy is the one-rank
+    // preconditioner at every P, so its count moves only by the rounding
+    // of the distributed dot products. The coupled hierarchy aggregates
+    // within ranks; measured 37 / 36 / 38 at P = 1 / 2 / 4 against the
+    // gathered 37 / 37 / 37 (one hierarchy per rank, composed
+    // block-Jacobi: 37 / 42 / 56).
+    let one = conv_first_solve(1, false);
+    assert_eq!(
+        conv_first_solve(1, true),
+        one,
+        "one rank: the same hierarchy"
+    );
+    for p in [2, 4] {
+        let (coupled, gathered) = (conv_first_solve(p, false), conv_first_solve(p, true));
+        assert!(
+            gathered.abs_diff(one) <= 1,
+            "P = {p}: gathered {gathered} against {one}"
+        );
+        assert!(
+            100 * coupled <= 115 * gathered,
+            "P = {p}: coupled {coupled} against gathered {gathered}"
+        );
+    }
 }

@@ -1,26 +1,27 @@
-//! Assembly of the rank-local *owned block* of a distributed FEM matrix.
+//! Assembly of the rank-local *owned rows* of a distributed FEM matrix.
 //!
-//! The block-Jacobi AMG preconditioner (DESIGN.md substitution #2) needs,
-//! on each rank, the exact restriction of the global matrix to its owned
-//! dofs: `A_rr = R_r A R_rᵀ`. Every rank assembles all contributions of
-//! its own elements — including those landing in rows owned by neighbors
-//! — and ships foreign-row triplets `(row gid, col gid, value)` to their
-//! owners in a single `alltoallv`. Received triplets whose column is also
-//! locally owned are added; couplings to other ranks' dofs are dropped
-//! (that is precisely the block-Jacobi approximation).
+//! The AMG preconditioner (DESIGN.md substitution #2) needs, on each rank,
+//! the exact rows of the global matrix it owns, with every column they
+//! couple to: `R_r A`, numbered as [`la::DistCsr`] numbers it. Every rank
+//! assembles all contributions of its own elements — including those
+//! landing in rows owned by neighbors — and ships foreign-row triplets
+//! `(row gid, col gid, value)` to their owners in a single `alltoallv`.
+//! A column another rank owns becomes a ghost column; that may be a dof
+//! no local element touches, when the coupling came from a neighbour's
+//! element.
 //!
 //! Summation order (DESIGN.md §7): entry `(r, c)` is the sum of its
 //! contributions from the local elements in element order — within an
 //! element in `(ci, cj, a, b, row term, column term)` order — and then of
 //! the received foreign-row terms in delivery (rank) order. Masked rows
 //! and columns are eliminated after summation ([`Csr::eliminate`]), so
-//! `assemble_owned_block(map, src, Some(m))` equals
-//! `assemble_owned_sum(map, src).eliminate(m)` bit for bit, and an
-//! operator that needs several masks ([`la::Amg::masked`]) assembles
+//! `assemble_owned_block(map, src, Some(m))` equals the owned columns of
+//! `assemble_owned_sum(map, src)`, eliminated by `m`, bit for bit, and an
+//! operator that needs several masks ([`la::Amg::coupled`]) assembles
 //! once.
 
 use crate::op::DofMap;
-use la::Csr;
+use la::{Csr, DistCsr};
 use mesh::extract::{Corner, Mesh};
 
 /// Source of element matrices for assembly.
@@ -88,35 +89,49 @@ fn for_each_term(
     });
 }
 
-/// Assemble the owned-block CSR (`n_owned·ncomp` square) of the operator
-/// given by `elem_matrix`, with symmetric Dirichlet elimination for
-/// `bc_mask` (identity rows/columns). An absent or zero diagonal becomes
-/// `1.0`. Collective.
+/// Assemble the owned-block CSR (`n_owned·ncomp` square: the owned rows
+/// of [`assemble_owned_sum`] restricted to their owned columns) of the
+/// operator given by `elem_matrix`, with symmetric Dirichlet elimination
+/// for `bc_mask` (identity rows/columns). An absent or zero diagonal
+/// becomes `1.0`. Collective.
 pub fn assemble_owned_block(
     map: &DofMap,
     elem_matrix: &ElementMatrixSource,
     bc_mask: Option<&[bool]>,
 ) -> Csr {
-    let block = assemble_owned_sum(map, elem_matrix);
+    let rows = assemble_owned_sum(map, elem_matrix).a;
+    let block = if rows.ncols == rows.nrows {
+        rows
+    } else {
+        let n = rows.nrows;
+        let kept =
+            |r: usize| (rows.row_ptr[r]..rows.row_ptr[r + 1]).filter(|&k| rows.col_idx[k] < n);
+        let terms = (0..n).map(|r| kept(r).count()).sum();
+        let owned = |r: usize| kept(r).map(|k| (rows.col_idx[k] as u32, rows.values[k]));
+        Csr::from_row_terms(n, n, terms, owned)
+    };
     match bc_mask {
         Some(mask) => block.eliminate(mask),
         None => block.eliminate(&vec![false; block.nrows]),
     }
 }
 
-/// The owned block before any elimination: each entry the sum of its
-/// terms in the order of the module documentation, a zero or absent
-/// diagonal as it comes. Collective.
+/// The owned rows before any elimination, with every column they couple
+/// to (owned, then ghost, as [`DistCsr`] numbers them): each entry the
+/// sum of its terms in the order of the module documentation, a zero or
+/// absent diagonal as it comes. Collective.
 ///
 /// No global triplet list, and each element matrix is evaluated once. A
 /// first pass bounds each owned row's raw terms from the corner
 /// expansions alone (it counts the zero element entries the second pass
-/// skips). The second evaluates every element, places its owned terms in
-/// element order into one arena with that much room per row, and ships
-/// the foreign-row ones. The received terms are grouped by row in
-/// delivery order, and [`Csr::from_row_terms`] sums each row's local
-/// terms, then its received ones.
-pub fn assemble_owned_sum(map: &DofMap, elem_matrix: &ElementMatrixSource) -> Csr {
+/// skips). The second evaluates every element, places its owned-row
+/// terms in element order into one arena with that much room per row,
+/// columns by local dof, and ships the foreign-row ones. The received
+/// terms are grouped by row in delivery order, the ghost columns listed
+/// (every ghost dof of an element with an owned dof, and the received
+/// terms' other columns), and [`Csr::from_row_terms`] sums each row's
+/// local terms, then its received ones. A ghost column may hold no entry.
+pub fn assemble_owned_sum(map: &DofMap, elem_matrix: &ElementMatrixSource) -> DistCsr {
     let mesh = map.mesh;
     let comm = map.comm;
     let nc = map.ncomp;
@@ -124,8 +139,8 @@ pub fn assemble_owned_sum(map: &DofMap, elem_matrix: &ElementMatrixSource) -> Cs
     let n = n_owned * nc;
     let offset = mesh.global_offset;
     assert!(
-        n <= u32::MAX as usize,
-        "owned block columns must fit in u32"
+        mesh.n_local() * nc <= u32::MAX as usize,
+        "local columns must fit in u32"
     );
 
     // gid of a local dof index (owned or ghost).
@@ -141,24 +156,31 @@ pub fn assemble_owned_sum(map: &DofMap, elem_matrix: &ElementMatrixSource) -> Cs
     let owner_of_gid = |g: u64| -> usize { offsets.partition_point(|&o| o <= g) - 1 };
 
     // Pass one: room for each owned row's terms, and the foreign terms
-    // bound for each rank. Row `(di, a)` gets `nc` terms per owned column
-    // dof of every corner's expansion.
+    // bound for each rank. Row `(di, a)` gets `nc` terms per dof of every
+    // corner's expansion. A ghost dof of an element that has an owned one
+    // is a ghost column.
     let mut row_ptr = vec![0usize; n + 1];
     let mut foreign = vec![0usize; comm.size()];
+    let mut reached = vec![false; mesh.n_ghost];
     for e in 0..mesh.elements.len() {
         with_expansions(mesh, e, |expansions| {
             let all: usize = expansions.iter().map(|x| x.len()).sum();
-            let owned: usize = expansions
-                .iter()
-                .map(|x| x.iter().filter(|&&(dj, _)| dj < n_owned).count())
-                .sum();
+            let mut owns = false;
             for &(di, _) in expansions.iter().copied().flatten() {
                 if di < n_owned {
+                    owns = true;
                     for a in 0..nc {
-                        row_ptr[di * nc + a + 1] += nc * owned;
+                        row_ptr[di * nc + a + 1] += nc * all;
                     }
                 } else {
                     foreign[owner_of_gid(gid_of(di))] += nc * nc * all;
+                }
+            }
+            if owns && !reached.is_empty() {
+                for &(dj, _) in expansions.iter().copied().flatten() {
+                    if dj >= n_owned {
+                        reached[dj - n_owned] = true;
+                    }
                 }
             }
         });
@@ -167,7 +189,8 @@ pub fn assemble_owned_sum(map: &DofMap, elem_matrix: &ElementMatrixSource) -> Cs
         row_ptr[r + 1] += row_ptr[r];
     }
 
-    // Pass two: place the owned terms, ship the foreign ones.
+    // Pass two: place the owned-row terms, columns by local dof; ship the
+    // foreign ones.
     let mut mat = vec![0.0; 64 * nc * nc];
     let mut cols = vec![0u32; row_ptr[n]];
     let mut vals = vec![0.0; row_ptr[n]];
@@ -178,14 +201,11 @@ pub fn assemble_owned_sum(map: &DofMap, elem_matrix: &ElementMatrixSource) -> Cs
         elem_matrix(e, &mut mat);
         for_each_term(mesh, e, nc, &mat, |di, dj, a, b, val| {
             if di < n_owned {
-                // A ghost column is dropped (block-Jacobi).
-                if dj < n_owned {
-                    let (row, at) = (di * nc + a, &mut end[di * nc + a]);
-                    debug_assert!(*at < row_ptr[row + 1]);
-                    cols[*at] = (dj * nc + b) as u32;
-                    vals[*at] = val;
-                    *at += 1;
-                }
+                let (row, at) = (di * nc + a, &mut end[di * nc + a]);
+                debug_assert!(*at < row_ptr[row + 1]);
+                cols[*at] = (dj * nc + b) as u32;
+                vals[*at] = val;
+                *at += 1;
             } else {
                 remote[owner_of_gid(gid_of(di))].push(WireTriplet {
                     row: gid_of(di) * nc as u64 + a as u64,
@@ -197,16 +217,32 @@ pub fn assemble_owned_sum(map: &DofMap, elem_matrix: &ElementMatrixSource) -> Cs
     }
     let incoming = comm.alltoallv(&remote);
     drop(remote);
-    // Received terms as owned (row, col, value); other ranks' columns are
-    // dropped.
-    let received = incoming.iter().flatten().filter_map(|t| {
-        let (rg_node, cg_node) = (t.row / nc as u64, t.col / nc as u64);
-        debug_assert!(rg_node >= offset && rg_node < offset + n_owned as u64);
-        (cg_node >= offset && cg_node < offset + n_owned as u64).then(|| {
-            let row = (rg_node - offset) as usize * nc + (t.row % nc as u64) as usize;
-            let col = (cg_node - offset) as usize * nc + (t.col % nc as u64) as usize;
-            (row, col as u32, t.val)
-        })
+    let first = offset * nc as u64;
+    let owned = first..first + n as u64;
+    // Ghost columns: those of the local terms and of the received ones.
+    let local_gid = |col: u32| {
+        let (d, b) = (col as usize / nc, col as usize % nc);
+        gid_of(d) * nc as u64 + b as u64
+    };
+    let reached = (0..reached.len()).filter(|&k| reached[k]);
+    let reached = reached.flat_map(|k| (0..nc).map(move |b| ((n_owned + k) * nc + b) as u32));
+    let mut ghosts: Vec<u64> = reached
+        .map(local_gid)
+        .chain(incoming.iter().flatten().map(|t| t.col))
+        .filter(|g| !owned.contains(g))
+        .collect();
+    ghosts.sort_unstable();
+    ghosts.dedup();
+    let column = |g: u64| -> u32 {
+        match owned.contains(&g) {
+            true => (g - first) as u32,
+            false => (n + ghosts.binary_search(&g).expect("a listed ghost")) as u32,
+        }
+    };
+    // Received terms as owned (row, col, value).
+    let received = incoming.iter().flatten().map(|t| {
+        debug_assert!(owned.contains(&t.row));
+        ((t.row - first) as usize, column(t.col), t.val)
     });
     // Grouped by row, in delivery order: `recv_ptr[r]` runs from the
     // start of row `r` to its end while placing, then shifts back.
@@ -229,11 +265,15 @@ pub fn assemble_owned_sum(map: &DofMap, elem_matrix: &ElementMatrixSource) -> Cs
     }
     recv_ptr[0] = 0;
     let terms = (0..n).map(|r| end[r] - row_ptr[r]).sum::<usize>() + recv_ptr[n];
+    let local_column = |col: u32| match (col as usize) < n {
+        true => col,
+        false => column(local_gid(col)),
+    };
     let row = |r: usize| {
         let (local, recv) = (row_ptr[r]..end[r], recv_ptr[r]..recv_ptr[r + 1]);
         let local = cols[local.clone()]
             .iter()
-            .copied()
+            .map(|&col| local_column(col))
             .zip(vals[local].iter().copied());
         local.chain(
             recv_cols[recv.clone()]
@@ -242,7 +282,12 @@ pub fn assemble_owned_sum(map: &DofMap, elem_matrix: &ElementMatrixSource) -> Cs
                 .zip(recv_vals[recv].iter().copied()),
         )
     };
-    Csr::from_row_terms(n, n, terms, row)
+    let a = Csr::from_row_terms(n, n + ghosts.len(), terms, row);
+    DistCsr {
+        a,
+        first_row: first,
+        ghosts,
+    }
 }
 
 #[cfg(test)]

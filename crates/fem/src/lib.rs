@@ -14,8 +14,8 @@
 //! * distributed matrix-free operator application (ghost exchange →
 //!   element kernels → reverse accumulation), which is how the paper's
 //!   MINRES applies the Stokes operator;
-//! * assembly of the rank-local owned-block CSR (all global contributions
-//!   to owned rows/columns) feeding the block-Jacobi AMG preconditioner.
+//! * assembly of each rank's owned rows with their ghost columns (all
+//!   global contributions), feeding the AMG preconditioner.
 
 pub mod assembly;
 pub mod element;

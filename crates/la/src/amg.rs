@@ -20,6 +20,33 @@
 //! aggregation stalls above `max_coarse` rows the coarsest level is
 //! solved by smoother sweeps, never by a dense factorization.
 //!
+//! **One hierarchy across ranks.** [`Amg::coupled`] builds one hierarchy
+//! over the rows of every rank, as BoomerAMG does, from each rank's owned
+//! rows with their ghost columns ([`DistCsr`]). Aggregation stays
+//! rank-local ("uncoupled" aggregation, Tuminaro & Tong, SC 2000): an
+//! aggregate holds owned rows only, and coarse rows are numbered globally
+//! by an exclusive scan of the aggregate counts. The smoothed prolongator
+//! gets its ghost rows in one exchange, the Galerkin product `Pᵀ(AP)` runs
+//! over owned and ghost columns, and the terms of coarse rows another
+//! rank owns are shipped to it. Each level smooths by ℓ1-hybrid
+//! Gauss–Seidel (Baker, Falgout, Kolev & Yang 2011): a rank sweeps its
+//! owned rows with the ghost values of one exchange, adding each row's
+//! residual over a divisor that gains `½Σ|a_ij|` over its ghost columns.
+//! Half the off-rank row sum already keeps `M + Mᵀ − A` positive definite
+//! (Gershgorin on `2D_ℓ1 − A_off`) and damps less than the whole: 63
+//! against 69 iterations at P = 4 on the Stokes gate
+//! (`iterations_stay_flat_in_the_rank_count`). The forward sweep before
+//! the coarse correction and the backward one after it keep the V-cycle
+//! the fixed SPD operator MINRES needs. Coarsening stops on the global
+//! row count; the coarsest level is gathered to every rank and solved
+//! redundantly by one dense Cholesky factor. The lanes' coarse levels
+//! cycle in lock-step, so one exchange round per step carries every
+//! lane: three rounds per level smoothed, one per restriction, and one
+//! gather per coarsest solve ([`Amg::vcycle_traffic`] counts them).
+//! [`Amg::new`] and [`Amg::masked`] are the instance for one rank's rows
+//! alone: no ghost column and no message, so the smoother is plain
+//! Gauss–Seidel, and a coupled hierarchy on one rank is bitwise theirs.
+//!
 //! **Interleaved components.** An [`Amg<C>`] applies `C` scalar
 //! hierarchies to the `C` interleaved components of one vector (the
 //! velocity block of the Stokes preconditioner, `[ux uy uz]` per node).
@@ -30,43 +57,36 @@
 //! level is therefore stored once: one value per entry, a presence bit
 //! per lane, and a diagonal per lane; a row that every lane stores whole
 //! skips the presence test. One Gauss–Seidel pass advances all `C`
-//! dependency chains together. Each distinct mask keeps its own coarser
-//! levels. Each lane's arithmetic is that of [`Amg::new`] on its
-//! eliminated matrix, operation for operation, so the result is bitwise
-//! the same. The smoother and residual are written once, generic over
-//! `C`; the scalar [`Amg`] is the instance `C = 1`.
+//! dependency chains together, and one exchange carries every lane's
+//! ghost values. Each distinct mask keeps its own coarser levels. Each
+//! lane's arithmetic is that of [`Amg::new`] on its eliminated matrix,
+//! operation for operation, so the result is bitwise the same. The
+//! smoother and residual are written once, generic over `C`; the scalar
+//! [`Amg`] is the instance `C = 1`.
 //!
 //! **Setup storage.** One workspace, sized from the fine level, holds
 //! every setup temporary (strength lists, the power iteration, the
 //! sparse products) for every level of every lane, and each hierarchy
 //! stores all its coarse levels and restrictions in one set of arrays
 //! reserved from the fine level's size (half its rows and entries for
-//! the coarse levels). So a setup allocates the same number of times
-//! whatever its rows and levels (`tests/allocations.rs` pins it); only a
-//! hierarchy that outgrows a reservation reallocates.
-//!
-//! **Communication.** This hierarchy is deliberately *rank-local*
-//! (block-Jacobi across ranks): [`Amg::new`] takes the owned diagonal
-//! block and every smoother sweep, restriction, and coarse solve touches
-//! only local data — there are no ghost exchanges to overlap, split-phase
-//! or otherwise. The split-phase machinery (`fem::DofMap::exchange_begin`
-//! / `exchange_end`) therefore lives in the distributed operator
-//! applications that wrap these V-cycles (`fem::op::DistOp`,
-//! `stokes`), not here; if a distributed smoother is ever added, its
-//! halo exchange should adopt the same begin/end pattern. See DESIGN.md
-//! §8 for the deviation note versus the paper's distributed BoomerAMG.
+//! the coarse levels). So a setup on one rank allocates the same number
+//! of times whatever its rows and levels (`tests/allocations.rs` pins
+//! it); only a hierarchy that outgrows a reservation reallocates.
 
 use std::cell::RefCell;
 use std::ops::Range;
 
-use crate::csr::Csr;
+use scomm::{Comm, Exchange, Pod};
+
+use crate::csr::{Csr, DistCsr};
 use crate::dense::Cholesky;
 use crate::krylov::LinearOp;
 
 /// Setup options.
 #[derive(Debug, Clone, Copy)]
 pub struct AmgOptions {
-    /// Stop coarsening below this size and solve directly.
+    /// Stop coarsening at this many rows, over all ranks, and solve
+    /// directly.
     pub max_coarse: usize,
 }
 
@@ -83,6 +103,169 @@ const MAX_LEVELS: usize = 20;
 /// Symmetric Gauss–Seidel sweeps that solve a coarsest level which has
 /// no dense factor.
 const COARSE_SWEEPS: usize = 20;
+
+/// Exchange streams: the V-cycle's, and the setup's three payload types.
+const VCYCLE_STREAM: u64 = 0xA0;
+const SETUP_F64_STREAM: u64 = 0xA1;
+const SETUP_U64_STREAM: u64 = 0xA2;
+const SETUP_U8_STREAM: u64 = 0xA3;
+
+/// The communicator of a hierarchy that spans ranks; `None` for one
+/// rank's rows alone, which exchange nothing.
+type Net<'c> = Option<&'c Comm>;
+
+/// Where one level's rows lie across ranks: this rank owns global rows
+/// `first..first + n`, its rows' other columns are the ghost rows
+/// `ghosts`, and `send` lists what each rank reads of its owned rows.
+/// Empty ([`ALONE`]) for a rank alone.
+#[derive(Default)]
+struct Halo {
+    first: u64,
+    /// Global ids of the ghost columns (local columns `n..`), ascending,
+    /// so grouped by owner rank.
+    ghosts: Vec<u64>,
+    /// The owned rows every rank reads as ghosts, rank after rank, each
+    /// rank's in its ghost order.
+    send: Vec<u32>,
+    /// Per rank: rows of `send` it reads; ghost rows it owns.
+    send_counts: Vec<usize>,
+    recv_counts: Vec<usize>,
+}
+
+/// The halo of a level with no ghost column.
+static ALONE: Halo = Halo {
+    first: 0,
+    ghosts: Vec::new(),
+    send: Vec::new(),
+    send_counts: Vec::new(),
+    recv_counts: Vec::new(),
+};
+
+/// The rank owning global row `g` when rank `r` owns
+/// `offsets[r]..offsets[r + 1]`.
+fn owner(offsets: &[u64], g: u64) -> usize {
+    offsets.partition_point(|&o| o <= g) - 1
+}
+
+/// Every rank's first global row for this rank's `n` rows, ranks in
+/// order, and the total after the last. Collective.
+fn row_offsets(comm: &Comm, n: usize, out: &mut Vec<u64>) {
+    comm.allgatherv_into(&[n as u64], out);
+    let mut sum = 0;
+    for o in out.iter_mut() {
+        (*o, sum) = (sum, sum + *o);
+    }
+    out.push(sum);
+}
+
+impl Halo {
+    /// The halo of owned rows from `first` with ghost columns `ghosts`
+    /// (ascending), rank `r` owning `offsets[r]..offsets[r + 1]`.
+    /// Collective.
+    fn new(comm: &Comm, first: u64, ghosts: Vec<u64>, offsets: &[u64]) -> Halo {
+        let mut requests: Vec<Vec<u64>> = vec![Vec::new(); comm.size()];
+        for &g in &ghosts {
+            requests[owner(offsets, g)].push(g);
+        }
+        let incoming = comm.alltoallv(&requests);
+        Halo {
+            first,
+            send: incoming
+                .iter()
+                .flatten()
+                .map(|&g| (g - first) as u32)
+                .collect(),
+            send_counts: incoming.iter().map(Vec::len).collect(),
+            recv_counts: requests.iter().map(Vec::len).collect(),
+            ghosts,
+        }
+    }
+
+    /// Global id of local column `j` of a level with `n` owned rows.
+    fn gid(&self, n: usize, j: usize) -> u64 {
+        if j < n {
+            self.first + j as u64
+        } else {
+            self.ghosts[j - n]
+        }
+    }
+
+    /// Overwrite the ghost rows of `v` (owned rows, then one per ghost,
+    /// `lanes` values each) with their owners' values: one round.
+    fn fill<T: Pod>(&self, comm: &Comm, v: &mut [T], lanes: usize, wire: &mut Wire<T>) {
+        let n = v.len() / lanes - self.ghosts.len();
+        wire.send.clear();
+        for &i in &self.send {
+            let i = i as usize;
+            wire.send.extend_from_slice(&v[i * lanes..(i + 1) * lanes]);
+        }
+        wire.counts(&self.send_counts, &self.recv_counts, lanes);
+        comm.exchange_start(&wire.send, &wire.send_counts, &wire.expect, &mut wire.ex);
+        comm.exchange_end(&mut wire.ex, &mut wire.recv, &mut wire.recv_counts);
+        v[n * lanes..].copy_from_slice(&wire.recv);
+    }
+
+    /// Messages one ghost fill and one accumulation on this halo alone
+    /// send.
+    fn messages(&self) -> (u64, u64) {
+        let busy = |counts: &[usize]| counts.iter().filter(|&&k| k > 0).count() as u64;
+        (busy(&self.send_counts), busy(&self.recv_counts))
+    }
+}
+
+/// [`Halo::fill`] where the level spans ranks.
+fn fill_ghosts(net: Net, halo: &Halo, v: &mut [f64], lanes: usize, wire: &mut Wire<f64>) {
+    if let Some(comm) = net {
+        halo.fill(comm, v, lanes, wire);
+    }
+}
+
+/// The buffers and stream of one kind of exchange round; grow-only.
+struct Wire<T> {
+    send: Vec<T>,
+    recv: Vec<T>,
+    send_counts: Vec<usize>,
+    expect: Vec<usize>,
+    recv_counts: Vec<usize>,
+    ex: Exchange,
+}
+
+impl<T> Wire<T> {
+    fn new(stream: u64) -> Self {
+        Wire {
+            send: Vec::new(),
+            recv: Vec::new(),
+            send_counts: Vec::new(),
+            expect: Vec::new(),
+            recv_counts: Vec::new(),
+            ex: Exchange::new(stream),
+        }
+    }
+
+    /// Rows sent and expected per rank, `lanes` values each.
+    fn counts(&mut self, send: &[usize], expect: &[usize], lanes: usize) {
+        self.send_counts.clear();
+        self.send_counts.extend(send.iter().map(|&k| k * lanes));
+        self.expect.clear();
+        self.expect.extend(expect.iter().map(|&k| k * lanes));
+    }
+
+    /// Values sent and expected per rank in one round that carries
+    /// several halos' rows, one value each: the sums of their
+    /// `(send, expect)` counts.
+    fn batch_counts<'h>(&mut self, p: usize, halos: impl Iterator<Item = [&'h [usize]; 2]>) {
+        self.send_counts.clear();
+        self.send_counts.resize(p, 0);
+        self.expect.clear();
+        self.expect.resize(p, 0);
+        for [send, expect] in halos {
+            for r in 0..p {
+                self.send_counts[r] += send[r];
+                self.expect[r] += expect[r];
+            }
+        }
+    }
+}
 
 /// One stored entry of a [`LevelOp`].
 #[derive(Clone, Copy)]
@@ -119,7 +302,8 @@ const fn every_lane<const C: usize>() -> u8 {
 
 /// Operators of `C` lanes, row by row with columns ascending: one level
 /// (the fine one), or a hierarchy's coarse levels one after the other,
-/// each with its own column numbering.
+/// each with its own column numbering: its owned rows, then its ghost
+/// columns.
 struct LevelOp<const C: usize> {
     row_ptr: Vec<usize>,
     entries: Vec<Entry>,
@@ -128,6 +312,10 @@ struct LevelOp<const C: usize> {
     around_diag: Vec<(usize, usize)>,
     /// Per row, each lane's diagonal (`0.0` where not stored).
     diag: Vec<[f64; C]>,
+    /// Per row, each lane's ℓ1 smoother divisor: the diagonal plus
+    /// `½Σ|a_ij|` over the row's ghost columns. Empty for a rank alone,
+    /// whose divisor is the diagonal.
+    l1: Vec<[f64; C]>,
     /// Per row, whether every lane stores every entry (empty for `C = 1`,
     /// where the one lane does).
     uniform: Vec<bool>,
@@ -143,6 +331,7 @@ impl<const C: usize> LevelOp<C> {
             entries: Vec::with_capacity(entries),
             around_diag: Vec::with_capacity(rows),
             diag: Vec::with_capacity(rows),
+            l1: Vec::new(),
             uniform: Vec::with_capacity(if C == 1 { 0 } else { rows }),
         }
     }
@@ -174,19 +363,46 @@ impl<const C: usize> LevelOp<C> {
             row_ptr: &self.row_ptr[range.start..=range.end],
             around_diag: &self.around_diag[range.clone()],
             diag: &self.diag[range.clone()],
+            l1: if self.l1.is_empty() {
+                &self.diag[range.clone()]
+            } else {
+                &self.l1[range.clone()]
+            },
+            hybrid: !self.l1.is_empty(),
             uniform: if C == 1 { &[] } else { &self.uniform[range] },
             entries: &self.entries,
         }
     }
 
+    /// Give the levels in `levels` (row ranges, each numbering its
+    /// columns from its first row) the ℓ1 divisors of a hierarchy that
+    /// spans ranks: each row's diagonal plus half the magnitudes of the
+    /// entries in its ghost columns, the columns past the level's rows.
+    fn hybrid(&mut self, levels: impl Iterator<Item = Range<usize>>) {
+        self.l1 = self.diag.clone();
+        for level in levels {
+            let n = level.len();
+            for i in level {
+                for e in &self.entries[self.row_ptr[i]..self.row_ptr[i + 1]] {
+                    if e.col as usize >= n {
+                        for c in (0..C).filter(|&c| e.present >> c & 1 != 0) {
+                            self.l1[i][c] += 0.5 * e.val.abs();
+                        }
+                    }
+                }
+            }
+        }
+    }
+
     /// `a` eliminated lane by lane: lane `c` stores what
     /// `a.eliminate(mask_c)` stores, bit for bit, where bit `c` of
-    /// `pinned[i]` is `mask_c[i]`. Columns of `a` must be ascending and
-    /// distinct within a row, as [`Csr::from_row_terms`] leaves them.
-    /// Entries no lane stores are left out.
+    /// `pinned[j]` is `mask_c[j]` for every column `j` (owned rows, then
+    /// ghost columns). Columns of `a` must be ascending and distinct
+    /// within a row, as [`Csr::from_row_terms`] leaves them. Entries no
+    /// lane stores are left out.
     fn masked(a: &Csr, pinned: &[u8]) -> Self {
-        assert_eq!(a.nrows, a.ncols, "elimination needs a square matrix");
-        assert_eq!(pinned.len(), a.nrows);
+        assert!(a.ncols >= a.nrows, "owned rows number the first columns");
+        assert_eq!(pinned.len(), a.ncols);
         assert!(
             u32::try_from(a.ncols).is_ok(),
             "{} columns exceed the u32 column index",
@@ -261,13 +477,18 @@ impl LevelOp<1> {
     }
 }
 
-/// One level of a [`LevelOp`], rows and columns numbered from zero.
+/// One level of a [`LevelOp`], rows numbered from zero, and columns:
+/// its rows, then its ghost columns.
 #[derive(Clone, Copy)]
 struct Rows<'a, const C: usize> {
     /// `n + 1` offsets into `entries`.
     row_ptr: &'a [usize],
     around_diag: &'a [(usize, usize)],
     diag: &'a [[f64; C]],
+    /// The smoother's divisors, and whether they are ℓ1 divisors rather
+    /// than the diagonal.
+    l1: &'a [[f64; C]],
+    hybrid: bool,
     uniform: &'a [bool],
     entries: &'a [Entry],
 }
@@ -290,34 +511,36 @@ impl<'a, const C: usize> Rows<'a, C> {
     }
 
     /// One Gauss–Seidel pass over `rows`, in their order, of every lane
-    /// of the interleaved `x` (length `C·n`). The backward pass is the
-    /// adjoint of the forward one.
+    /// of the interleaved `x` (owned rows, then ghost rows, which stay as
+    /// they are). The backward pass is the adjoint of the forward one.
     fn gs(&self, b: &[f64], x: &mut [f64], rows: impl Iterator<Item = usize>) {
         let (b, x) = (lanes::<C>(b), lanes_mut::<C>(x));
-        for i in rows {
-            self.relax(i, b, x);
+        if self.hybrid {
+            rows.for_each(|i| self.relax::<true>(i, b, x));
+        } else {
+            rows.for_each(|i| self.relax::<false>(i, b, x));
         }
     }
 
-    /// One symmetric Gauss–Seidel sweep: forward, then backward.
-    fn sgs(&self, b: &[f64], x: &mut [f64]) {
-        self.gs(b, x, 0..self.n());
-        self.gs(b, x, (0..self.n()).rev());
-    }
-
-    /// Solve row `i` of every lane for `x_i`, the other unknowns fixed.
+    /// Relax row `i` of every lane, the other unknowns fixed: solve it for
+    /// `x_i` (`x_i = σ/a_ii`), or with ℓ1 divisors (`HYBRID`) add the
+    /// row's residual over its divisor (`x_i += (σ − a_ii x_i)/l1_i`),
+    /// which keeps the backward pass the forward one's adjoint.
     #[inline(always)]
-    fn relax(&self, i: usize, b: &[[f64; C]], x: &mut [[f64; C]]) {
+    fn relax<const HYBRID: bool>(&self, i: usize, b: &[[f64; C]], x: &mut [[f64; C]]) {
         let (parts, whole) = self.off_diagonal(i);
         let mut sigma = b[i];
         for part in parts {
             terms(part, whole, x, |c, t| sigma[c] -= t);
         }
-        let d = self.diag[i];
-        x[i] = std::array::from_fn(|c| sigma[c] / d[c]);
+        let (d, a) = (self.l1[i], self.diag[i]);
+        x[i] = std::array::from_fn(|c| match HYBRID {
+            false => sigma[c] / d[c],
+            true => (sigma[c] + (d[c] - a[c]) * x[i][c]) / d[c],
+        });
     }
 
-    /// `r = b − A x`, every lane.
+    /// `r = b − A x` on the owned rows, every lane.
     fn residual(&self, b: &[f64], x: &[f64], r: &mut [f64]) {
         let (b, x, r) = (lanes::<C>(b), lanes::<C>(x), lanes_mut::<C>(r));
         for (i, ri) in r.iter_mut().enumerate() {
@@ -383,6 +606,25 @@ fn terms<const C: usize>(
     }
 }
 
+/// `COARSE_SWEEPS` symmetric Gauss–Seidel sweeps on `x`, each pass after
+/// one exchange of its ghost values.
+fn sweeps<const C: usize>(
+    op: Rows<'_, C>,
+    net: Net,
+    halo: &Halo,
+    b: &[f64],
+    x: &mut [f64],
+    wire: &mut Wire<f64>,
+) {
+    let n = op.n();
+    for _ in 0..COARSE_SWEEPS {
+        fill_ghosts(net, halo, x, C, wire);
+        op.gs(b, x, 0..n);
+        fill_ghosts(net, halo, x, C, wire);
+        op.gs(b, x, (0..n).rev());
+    }
+}
+
 /// An interleaved vector as one `[f64; C]` per row.
 fn lanes<const C: usize>(v: &[f64]) -> &[[f64; C]] {
     let (rows, rest) = v.as_chunks();
@@ -421,10 +663,6 @@ impl Sparse {
         self.vals.clear();
     }
 
-    fn rows(&self) -> usize {
-        self.ptr.len() - 1
-    }
-
     fn push(&mut self, col: usize, val: f64) {
         self.cols.push(col as u32);
         self.vals.push(val);
@@ -434,12 +672,14 @@ impl Sparse {
         self.ptr.push(self.cols.len());
     }
 
-    /// Append the rows of `other`.
-    fn append(&mut self, other: &Sparse) {
-        let base = self.cols.len();
-        self.ptr.extend(other.ptr[1..].iter().map(|&k| base + k));
-        self.cols.extend_from_slice(&other.cols);
-        self.vals.extend_from_slice(&other.vals);
+    /// Append rows `rows` of `other`.
+    fn append(&mut self, other: &Sparse, rows: Range<usize>) {
+        let k = other.ptr[rows.start]..other.ptr[rows.end];
+        let base = self.cols.len() - k.start;
+        let ptrs = &other.ptr[rows.start + 1..=rows.end];
+        self.ptr.extend(ptrs.iter().map(|&p| base + p));
+        self.cols.extend_from_slice(&other.cols[k.clone()]);
+        self.vals.extend_from_slice(&other.vals[k]);
     }
 
     fn row(&self, i: usize) -> impl Iterator<Item = (usize, f64)> + '_ {
@@ -468,11 +708,12 @@ fn restrict<const C: usize>(
 }
 
 /// `x_c += P e` for `P = Rᵀ`, where `R` is `rmat`'s `rows`: prolongation
-/// of `e` added to lane `c` of the interleaved `x`. Each fine entry sums
-/// its terms from `0.0` in lane `c` of `acc` in `R`-row order — ascending
-/// coarse column, the order of its row of `P` — and is then added to `x`.
-/// Scattering along the long rows of `R` keeps the short rows of `P` (a
-/// few entries each) from costing a loop exit apiece.
+/// of `e` added to lane `c` of the owned rows of the interleaved `x`.
+/// Each fine entry sums its terms from `0.0` in lane `c` of `acc` in
+/// `R`-row order — ascending coarse column, the order of its row of `P` —
+/// and is then added to `x`. Scattering along the long rows of `R` keeps
+/// the short rows of `P` (a few entries each) from costing a loop exit
+/// apiece.
 fn prolong_add<const C: usize>(
     rmat: &Sparse,
     rows: Range<usize>,
@@ -496,11 +737,38 @@ fn prolong_add<const C: usize>(
 
 /// How a coarsest level is solved.
 enum Direct {
+    /// A dense factor of the whole level, which every rank holds.
     Cholesky(Cholesky),
     /// [`COARSE_SWEEPS`] smoother sweeps from zero, for a coarsest level
     /// that is singular or still larger than `max_coarse` (its vanishing
     /// diagonal entries are replaced by `1.0`).
     Sweeps,
+}
+
+/// Solve a level that `ch` factors whole for the right-hand side in the
+/// `n` owned rows of `x`, leaving the solution in `x`'s owned rows and in
+/// its ghost rows past them: gather the right-hand side from every rank
+/// into `whole` and solve it redundantly.
+fn solve_whole(
+    net: Net,
+    ch: &Cholesky,
+    halo: &Halo,
+    x: &mut [f64],
+    n: usize,
+    whole: &mut Vec<f64>,
+) {
+    let Some(comm) = net else {
+        ch.solve(&mut x[..n]);
+        return;
+    };
+    comm.allgatherv_into(&x[..n], whole);
+    ch.solve(whole);
+    let (owned, ghosts) = x.split_at_mut(n);
+    let first = halo.first as usize;
+    owned.copy_from_slice(&whole[first..first + n]);
+    for (xg, &g) in ghosts.iter_mut().zip(&halo.ghosts) {
+        *xg = whole[g as usize];
+    }
 }
 
 /// One scalar hierarchy below the fine level: the coarse levels built
@@ -511,63 +779,66 @@ struct Chain {
     depth: usize,
     /// Coarse level `k` (from 1) is rows `ends[k - 1]..ends[k]` of `ops`.
     ends: [usize; MAX_LEVELS + 1],
+    /// Its vectors, owned rows then ghost rows, are
+    /// `vec_ends[k - 1]..vec_ends[k]` of the stacked scratch.
+    vec_ends: [usize; MAX_LEVELS + 1],
+    /// Coarse level `k`'s halo is `halos[k - 1]`; none for a rank alone.
+    halos: Vec<Halo>,
     ops: LevelOp<1>,
     /// `R_k = P_kᵀ` for `k < depth`, where `P_k` prolongs from level
     /// `k + 1` to level `k` (level 0 is the fine one): one row per
-    /// level-`k + 1` row, stacked as `ops` is. The V-cycle needs no `P_k`.
+    /// level-`k + 1` row, owned then ghost, listing owned level-`k` rows,
+    /// stacked as the scratch vectors are. The V-cycle needs no `P_k`.
     r: Sparse,
     direct: Direct,
-    /// Interior mutability because `LinearOp::apply` takes `&self`.
-    /// V-cycles never nest, so the borrow is always uncontended.
-    scratch: RefCell<ChainScratch>,
-}
-
-/// Every coarse level's right-hand side, iterate and residual (reused to
-/// sum the prolonged correction), stacked as the levels are. Every entry
-/// is overwritten before it is read, so reuse is bitwise-transparent.
-struct ChainScratch {
-    b: Vec<f64>,
-    x: Vec<f64>,
-    r: Vec<f64>,
 }
 
 impl Chain {
     /// Build the hierarchy of lane `c` of the fine level `fine`, whose
-    /// `D⁻¹A` has spectral radius `rho` in that lane.
+    /// `D⁻¹A` has spectral radius `rho` in that lane and which has
+    /// `n_global` rows over all ranks. Collective.
+    #[allow(clippy::too_many_arguments)]
     fn build<const C: usize>(
         fine: Rows<'_, C>,
+        fine_halo: &Halo,
+        n_global: u64,
         c: usize,
         rho: f64,
         options: AmgOptions,
         ws: &mut Setup,
+        net: Net,
     ) -> Chain {
         let n_fine = fine.n();
         let mut chain = Chain {
             depth: 0,
             ends: [0; MAX_LEVELS + 1],
+            vec_ends: [0; MAX_LEVELS + 1],
+            halos: Vec::new(),
             ops: LevelOp::with_capacity(n_fine / 2, ws.entries / 2),
             r: Sparse::with_capacity(n_fine / 2, ws.entries),
             direct: Direct::Sweeps,
-            scratch: RefCell::new(ChainScratch {
-                b: Vec::new(),
-                x: Vec::new(),
-                r: Vec::new(),
-            }),
         };
-        let mut n = n_fine;
-        while n > options.max_coarse && chain.depth < MAX_LEVELS {
+        let mut n = n_global;
+        while n > options.max_coarse as u64 && chain.depth < MAX_LEVELS {
             let coarse = match chain.depth {
-                0 => ws.coarsen(fine, c, Some(rho)),
-                d => ws.coarsen(chain.level(d), 0, None),
+                0 => ws.coarsen(fine, fine_halo, n, c, Some(rho), net),
+                d => ws.coarsen(chain.level(d), chain.halo(d), n, 0, None, net),
             };
-            let Some(n_agg) = coarse else {
+            let Some(n_coarse) = coarse else {
                 break; // nothing to coarsen, or no progress; stop here
             };
-            ws.galerkin(n_agg, &mut chain.ops);
-            chain.r.append(&ws.r);
+            let ghosts = ws.galerkin(net, &mut chain.ops, &mut chain.r);
             chain.depth += 1;
-            chain.ends[chain.depth] = chain.ops.n();
-            n = n_agg;
+            let d = chain.depth;
+            chain.ends[d] = chain.ops.n();
+            chain.vec_ends[d] = chain.vec_ends[d - 1] + ws.n_agg + ghosts.len();
+            if let Some(comm) = net {
+                let first = ws.offsets[comm.rank()];
+                chain
+                    .halos
+                    .push(Halo::new(comm, first, ghosts, &ws.offsets));
+            }
+            n = n_coarse;
         }
         // Direct coarse solve, degrading to smoother sweeps for singular
         // coarse operators (e.g. pure-Neumann problems) and for a level
@@ -575,10 +846,10 @@ impl Chain {
         // would cost O(n²) per V-cycle.
         let d = chain.depth;
         let last = chain.ends[d.saturating_sub(1)]..chain.ends[d];
-        if n <= options.max_coarse {
+        if n <= options.max_coarse as u64 {
             let factor = match d {
-                0 => dense_factor(fine, c),
-                _ => dense_factor(chain.ops.rows(last.clone()), 0),
+                0 => dense_factor(fine, fine_halo, n, c, net),
+                _ => dense_factor(chain.ops.rows(last.clone()), chain.halo(d), n, 0, net),
             };
             if let Some(ch) = factor {
                 chain.direct = Direct::Cholesky(ch);
@@ -591,12 +862,11 @@ impl Chain {
                 }
             }
         }
-        let rows = chain.ops.n();
-        chain.scratch = RefCell::new(ChainScratch {
-            b: vec![0.0; rows],
-            x: vec![0.0; rows],
-            r: vec![0.0; rows],
-        });
+        if net.is_some() {
+            let levels = (1..=d).map(|k| chain.ends[k - 1]..chain.ends[k]);
+            let levels: Vec<Range<usize>> = levels.collect();
+            chain.ops.hybrid(levels.into_iter());
+        }
         chain
     }
 
@@ -605,54 +875,9 @@ impl Chain {
         self.ops.rows(self.ends[k - 1]..self.ends[k])
     }
 
-    /// Coarse-grid correction of lane `c` of the fine level: restrict its
-    /// residual `r`, cycle on level 1 from zero, and add the prolonged
-    /// result to `x`. Lane `c` of `r` is spent on the prolongation.
-    fn correct<const C: usize>(&self, r: &mut [[f64; C]], c: usize, x: &mut [[f64; C]]) {
-        let mut guard = self.scratch.borrow_mut();
-        let s = &mut *guard;
-        let n1 = self.ends[1];
-        restrict(&self.r, 0..n1, r, c, &mut s.b[..n1]);
-        self.cycle(1, &mut s.b, &mut s.x, &mut s.r);
-        prolong_add(&self.r, 0..n1, &s.x[..n1], c, r, x);
-    }
-
-    /// One V-cycle on coarse level `k` from a zero guess. `b`, `x` and `r`
-    /// start with level `k`'s right-hand side, iterate and residual, the
-    /// coarser levels' follow.
-    fn cycle(&self, k: usize, b: &mut [f64], x: &mut [f64], r: &mut [f64]) {
-        let op = self.level(k);
-        let n = op.n();
-        let (b, b_next) = b.split_at_mut(n);
-        let (x, x_next) = x.split_at_mut(n);
-        let (r, r_next) = r.split_at_mut(n);
-        x.fill(0.0);
-        if k < self.depth {
-            // Forward before the coarse correction, backward after: the
-            // post-smoother is the pre-smoother's adjoint, so the cycle
-            // is SPD with one pass over the operator on each side.
-            op.gs(b, x, 0..n);
-            op.residual(b, x, r);
-            let coarse = self.ends[k]..self.ends[k + 1];
-            let nc = coarse.len();
-            restrict::<1>(&self.r, coarse.clone(), lanes(r), 0, &mut b_next[..nc]);
-            self.cycle(k + 1, b_next, x_next, r_next);
-            let e = &x_next[..nc];
-            prolong_add::<1>(&self.r, coarse, e, 0, lanes_mut(r), lanes_mut(x));
-            op.gs(b, x, (0..n).rev());
-        } else {
-            match &self.direct {
-                Direct::Cholesky(ch) => {
-                    x.copy_from_slice(b);
-                    ch.solve(x);
-                }
-                Direct::Sweeps => {
-                    for _ in 0..COARSE_SWEEPS {
-                        op.sgs(b, x);
-                    }
-                }
-            }
-        }
+    /// Coarse level `k`'s halo.
+    fn halo(&self, k: usize) -> &Halo {
+        self.halos.get(k - 1).unwrap_or(&ALONE)
     }
 
     /// `(rows, non-zeros)` of every coarse level, finest first.
@@ -694,7 +919,8 @@ struct Setup {
     entries: usize,
     /// The diagonal of the level being coarsened.
     diag: Vec<f64>,
-    /// Aggregate per row ([`UNAGG`] for none).
+    /// Aggregate per row ([`UNAGG`] for none): per owned row its own,
+    /// then per ghost row its column of `P`.
     agg: Vec<usize>,
     isolated: Vec<bool>,
     /// Strong neighbours of every row, flat: row `i`'s are
@@ -704,7 +930,8 @@ struct Setup {
     /// Power-iteration vectors.
     x: Vec<f64>,
     y: Vec<f64>,
-    /// `A·P0`, `P`, `R = Pᵀ` and `A·P` of the level being coarsened.
+    /// `A·P0`, `P` (owned rows, then ghost rows), `R = Pᵀ` and `A·P` of
+    /// the level being coarsened.
     ap0: Sparse,
     p: Sparse,
     r: Sparse,
@@ -713,6 +940,18 @@ struct Setup {
     /// row it last summed for, and the columns of the current row.
     accum: Vec<(usize, f64)>,
     row_cols: Vec<u32>,
+    /// Aggregates on this rank, and their first global id: the owned
+    /// coarse rows.
+    n_agg: usize,
+    /// Where the ranks' coarse rows start, and their total after them.
+    offsets: Vec<u64>,
+    /// Global ids of the coarse columns past the owned ones: those of
+    /// the ghost rows' aggregates, then with the ghost rows of `P`.
+    g1: Vec<u64>,
+    g2: Vec<u64>,
+    ids: Vec<u64>,
+    wire_f: Wire<f64>,
+    wire_u: Wire<u64>,
 }
 
 impl Setup {
@@ -732,37 +971,61 @@ impl Setup {
             ap: Sparse::with_capacity(n, entries),
             accum: Vec::with_capacity(n),
             row_cols: Vec::with_capacity(n),
+            n_agg: 0,
+            offsets: Vec::new(),
+            g1: Vec::new(),
+            g2: Vec::new(),
+            ids: Vec::new(),
+            wire_f: Wire::new(SETUP_F64_STREAM),
+            wire_u: Wire::new(SETUP_U64_STREAM),
         }
     }
 
-    /// One coarsening step of lane `c` of `a`: aggregate, smooth the
-    /// tentative prolongator `P` (with the spectral radius `rho` of lane
-    /// `c`'s `D⁻¹A` if already estimated), and leave `R = Pᵀ` and `A·P`
-    /// here for [`Setup::galerkin`]. `None` if aggregation makes no
-    /// progress (no aggregate, or one per row).
+    /// One coarsening step of lane `c` of `a`, a level of `n_global` rows
+    /// over all ranks: aggregate, smooth the tentative prolongator `P`
+    /// (with the spectral radius `rho` of lane `c`'s `D⁻¹A` if already
+    /// estimated), and leave `R = Pᵀ` and `A·P` here for
+    /// [`Setup::galerkin`]. Returns the coarse level's rows over all
+    /// ranks; `None` if aggregation makes no progress (no aggregate, or
+    /// one per row). Collective.
     fn coarsen<const C: usize>(
         &mut self,
         a: Rows<'_, C>,
+        halo: &Halo,
+        n_global: u64,
         c: usize,
         rho: Option<f64>,
-    ) -> Option<usize> {
+        net: Net,
+    ) -> Option<u64> {
         let n = a.n();
         self.diag.clear();
         self.diag.extend(a.diag.iter().map(|d| d[c]));
         let n_agg = self.aggregate(a, c);
-        if n_agg == 0 || n_agg >= n {
-            return None;
-        }
+        self.n_agg = n_agg;
+        let (first, n_coarse) = match net {
+            None if n_agg == 0 || n_agg >= n => return None,
+            None => (0, n_agg as u64),
+            Some(comm) => {
+                row_offsets(comm, n_agg, &mut self.offsets);
+                let total = self.offsets[comm.size()];
+                if total == 0 || total >= n_global {
+                    return None;
+                }
+                (self.offsets[comm.rank()], total)
+            }
+        };
         // Smooth: P = (I − ω D⁻¹ A) P0 with ω = 4/(3ρ).
-        let rho = rho.unwrap_or_else(|| self.spectral_radii(a, 12)[c]);
+        let rho = rho.unwrap_or_else(|| self.spectral_radii(a, halo, 12, net)[c]);
         let omega = 4.0 / (3.0 * rho);
+        self.g1.clear();
+        if let Some(comm) = net {
+            self.ghost_aggregates(comm, halo, n, first);
+        }
         let Setup {
             diag,
             agg,
             ap0,
             p,
-            r,
-            ap,
             accum,
             row_cols,
             ..
@@ -771,13 +1034,12 @@ impl Setup {
         // over aggregates, an empty row for a node in none.
         let p0 = |j: usize| (agg[j] != UNAGG).then_some((agg[j], 1.0)).into_iter();
         ap0.clear();
-        let ws = (&mut *accum, &mut *row_cols);
         gustavson(
             n,
-            n_agg,
+            n_agg + self.g1.len(),
             |i| a.lane_row(i, c),
             p0,
-            ws,
+            (&mut *accum, &mut *row_cols),
             true,
             |_, cols, acc| {
                 for &j in cols {
@@ -813,16 +1075,27 @@ impl Setup {
             }
             p.end_row();
         }
-        transpose(p, n_agg, r);
+        self.g2.clear();
+        if let Some(comm) = net {
+            self.ghost_prolongator_rows(comm, halo, first);
+        }
+        let nc = n_agg + self.g2.len();
+        let Setup {
+            p,
+            r,
+            ap,
+            accum,
+            row_cols,
+            ..
+        } = self;
+        transpose(p, n, nc, r);
         ap.clear();
-        let p_row = |j: usize| p.row(j);
-        let ws = (accum, row_cols);
         gustavson(
             n,
-            n_agg,
+            nc,
             |i| a.lane_row(i, c),
-            p_row,
-            ws,
+            |j| p.row(j),
+            (accum, row_cols),
             false,
             |_, cols, acc| {
                 for &j in cols {
@@ -831,49 +1104,253 @@ impl Setup {
                 ap.end_row();
             },
         );
-        Some(n_agg)
+        Some(n_coarse)
+    }
+
+    /// Give each ghost row of the level being coarsened (the `agg`
+    /// entries past its `n` owned rows) its column of `P`: the aggregate
+    /// its owner put it in, from one exchange, numbered past the owned
+    /// aggregates in ascending global id (`g1`).
+    fn ghost_aggregates(&mut self, comm: &Comm, halo: &Halo, n: usize, first: u64) {
+        let gid = |g: usize| {
+            if g == UNAGG {
+                u64::MAX
+            } else {
+                first + g as u64
+            }
+        };
+        self.ids.clear();
+        self.ids.extend(self.agg[..n].iter().map(|&g| gid(g)));
+        self.ids.resize(n + halo.ghosts.len(), u64::MAX);
+        halo.fill(comm, &mut self.ids, 1, &mut self.wire_u);
+        let ghosts = &self.ids[n..];
+        self.g1
+            .extend(ghosts.iter().copied().filter(|&g| g != u64::MAX));
+        self.g1.sort_unstable();
+        self.g1.dedup();
+        self.agg.truncate(n);
+        for &g in ghosts {
+            let col = self.g1.binary_search(&g).map_or(UNAGG, |k| self.n_agg + k);
+            self.agg.push(col);
+        }
+    }
+
+    /// Append to `P`'s owned rows its ghost rows: each rank ships the rows
+    /// the others read as ghosts, columns as global ids. The coarse
+    /// columns past the owned ones become `g2`, the ids in `g1` and in
+    /// the ghost rows, and the owned rows are renumbered to it.
+    fn ghost_prolongator_rows(&mut self, comm: &Comm, halo: &Halo, first: u64) {
+        let n_agg = self.n_agg;
+        let own = first..first + n_agg as u64;
+        let (p, g1) = (&mut self.p, &self.g1);
+        let gid = |j: usize| {
+            if j < n_agg {
+                first + j as u64
+            } else {
+                g1[j - n_agg]
+            }
+        };
+        let mut lens: Vec<Vec<u32>> = vec![Vec::new(); comm.size()];
+        let mut terms: Vec<Vec<(u64, f64)>> = vec![Vec::new(); comm.size()];
+        let mut rows = halo.send.iter();
+        for (rank, &count) in halo.send_counts.iter().enumerate() {
+            for &i in rows.by_ref().take(count) {
+                let row = p.row(i as usize);
+                let before = terms[rank].len();
+                terms[rank].extend(row.map(|(j, v)| (gid(j), v)));
+                lens[rank].push((terms[rank].len() - before) as u32);
+            }
+        }
+        let (lens, terms) = (comm.alltoallv(&lens), comm.alltoallv(&terms));
+        let g2 = &mut self.g2;
+        g2.extend_from_slice(g1);
+        g2.extend(
+            terms
+                .iter()
+                .flatten()
+                .map(|t| t.0)
+                .filter(|g| !own.contains(g)),
+        );
+        g2.sort_unstable();
+        g2.dedup();
+        let col = |g: u64| match own.contains(&g) {
+            true => (g - first) as usize,
+            false => n_agg + g2.binary_search(&g).expect("a listed coarse column"),
+        };
+        for j in &mut p.cols {
+            if *j as usize >= n_agg {
+                *j = col(g1[*j as usize - n_agg]) as u32;
+            }
+        }
+        // Ranks in order, each rank's rows in this rank's ghost order.
+        for (lens, terms) in lens.iter().zip(&terms) {
+            let mut terms = terms.iter();
+            for &len in lens {
+                for &(g, v) in terms.by_ref().take(len as usize) {
+                    p.push(col(g), v);
+                }
+                p.end_row();
+            }
+        }
     }
 
     /// Append the Galerkin operator `R·(A·P)` of the last
-    /// [`Setup::coarsen`] to `ops` as a level of `n_agg` rows.
-    fn galerkin(&mut self, n_agg: usize, ops: &mut LevelOp<1>) {
+    /// [`Setup::coarsen`] to `ops` as a level of `n_agg` owned rows, and
+    /// its restriction to `r_out`. Rows of coarse columns another rank
+    /// owns are shipped to it, and a rank adds what it receives after its
+    /// own terms, in delivery order. Returns the ghost columns of the new
+    /// level (ascending global ids). Collective.
+    fn galerkin(&mut self, net: Net, ops: &mut LevelOp<1>, r_out: &mut Sparse) -> Vec<u64> {
+        let n_agg = self.n_agg;
+        let nc = n_agg + self.g2.len();
+        let first = net.map_or(0, |comm| self.offsets[comm.rank()]);
         let Setup {
             r,
             ap,
+            ap0: own_rows,
             accum,
             row_cols,
+            g2,
+            offsets,
             ..
         } = self;
-        let ws = (accum, row_cols);
+        let gid = |j: usize| {
+            if j < n_agg {
+                first + j as u64
+            } else {
+                g2[j - n_agg]
+            }
+        };
+        let Some(comm) = net else {
+            gustavson(
+                nc,
+                nc,
+                |i| r.row(i),
+                |j| ap.row(j),
+                (accum, row_cols),
+                true,
+                |i, cols, acc| {
+                    let mut diag = 0.0;
+                    for &j in cols {
+                        let val = acc[j as usize].1;
+                        if j as usize == i {
+                            diag = val;
+                        }
+                        ops.entries.push(Entry {
+                            val,
+                            col: j,
+                            present: 1,
+                        });
+                    }
+                    ops.end_row(i, [diag]);
+                },
+            );
+            r_out.append(r, 0..n_agg);
+            return Vec::new();
+        };
+        // Owned rows wait in `own_rows` (`A·P0` is spent) for the terms
+        // other ranks ship.
+        let mut ship: Vec<Vec<(u64, u64, f64)>> = vec![Vec::new(); comm.size()];
+        own_rows.clear();
         gustavson(
-            n_agg,
-            n_agg,
+            nc,
+            nc,
             |i| r.row(i),
             |j| ap.row(j),
-            ws,
+            (accum, row_cols),
             true,
             |i, cols, acc| {
-                let mut diag = 0.0;
-                for &j in cols {
-                    let val = acc[j as usize].1;
-                    if j as usize == i {
-                        diag = val;
+                if i >= n_agg {
+                    let (row, to) = (gid(i), owner(offsets, gid(i)));
+                    let terms = cols
+                        .iter()
+                        .map(|&j| (row, gid(j as usize), acc[j as usize].1));
+                    ship[to].extend(terms);
+                } else {
+                    for &j in cols {
+                        own_rows.push(j as usize, acc[j as usize].1);
                     }
-                    ops.entries.push(Entry {
-                        val,
-                        col: j,
-                        present: 1,
-                    });
+                    own_rows.end_row();
                 }
-                ops.end_row(i, [diag]);
             },
         );
+        let incoming = comm.alltoallv(&ship);
+        drop(ship);
+        let received = || incoming.iter().flatten();
+        let own = first..first + n_agg as u64;
+        // The level's columns past its rows: those of its owned rows, of
+        // the terms received, and of the restriction's rows.
+        let mut ghosts: Vec<u64> = own_rows
+            .cols
+            .iter()
+            .map(|&j| j as usize)
+            .filter(|&j| j >= n_agg)
+            .map(gid)
+            .collect();
+        ghosts.extend(received().map(|t| t.1).filter(|g| !own.contains(g)));
+        ghosts.extend((n_agg..nc).filter(|&j| r.ptr[j + 1] > r.ptr[j]).map(gid));
+        ghosts.sort_unstable();
+        ghosts.dedup();
+        let col = |g: u64| match own.contains(&g) {
+            true => (g - first) as usize,
+            false => n_agg + ghosts.binary_search(&g).expect("a listed ghost"),
+        };
+        // Received terms grouped by row, in delivery order.
+        let mut recv_ptr = vec![0usize; n_agg + 1];
+        for t in received() {
+            recv_ptr[(t.0 - first) as usize + 1] += 1;
+        }
+        for i in 0..n_agg {
+            recv_ptr[i + 1] += recv_ptr[i];
+        }
+        let mut recv = vec![(0usize, 0.0); recv_ptr[n_agg]];
+        let mut at = recv_ptr.clone();
+        for &(row, c, v) in received() {
+            let i = (row - first) as usize;
+            recv[at[i]] = (col(c), v);
+            at[i] += 1;
+        }
+        // Each row: its own sums, then what it received.
+        accum.clear();
+        accum.resize(n_agg + ghosts.len(), (usize::MAX, 0.0));
+        for i in 0..n_agg {
+            row_cols.clear();
+            let local = own_rows.row(i).map(|(j, v)| (col(gid(j)), v));
+            for (j, v) in local.chain(recv[recv_ptr[i]..recv_ptr[i + 1]].iter().copied()) {
+                let (row, sum) = &mut accum[j];
+                if *row == i {
+                    *sum += v;
+                } else {
+                    (*row, *sum) = (i, v);
+                    row_cols.push(j as u32);
+                }
+            }
+            row_cols.sort_unstable();
+            let diag = if accum[i].0 == i { accum[i].1 } else { 0.0 };
+            for &j in row_cols.iter() {
+                ops.entries.push(Entry {
+                    val: accum[j as usize].1,
+                    col: j,
+                    present: 1,
+                });
+            }
+            ops.end_row(i, [diag]);
+        }
+        // The restriction: owned coarse rows, then one per ghost column.
+        r_out.append(r, 0..n_agg);
+        for g in &ghosts {
+            match g2.binary_search(g) {
+                Ok(k) => r_out.append(r, n_agg + k..n_agg + k + 1),
+                Err(_) => r_out.end_row(),
+            }
+        }
+        ghosts
     }
 
-    /// Greedy aggregation on the strength graph of lane `c` of `a` into
-    /// `agg`. Returns the number of aggregates. A row with no non-zero
-    /// off-diagonal gets no aggregate ([`UNAGG`]): nothing couples it to
-    /// a coarse unknown.
+    /// Greedy aggregation of the owned rows on the strength graph of lane
+    /// `c` of `a`, among owned rows, into `agg`. Returns the number of
+    /// aggregates. A row with no non-zero off-diagonal gets no aggregate
+    /// ([`UNAGG`]): nothing couples it to a coarse unknown.
     fn aggregate<const C: usize>(&mut self, a: Rows<'_, C>, c: usize) -> usize {
         let n = a.n();
         let Setup {
@@ -893,9 +1370,11 @@ impl Setup {
             a.lane_row(i, c).for_each(|(j, v)| {
                 if j != i && v != 0.0 {
                     isolated[i] = false;
-                    let bound = THETA * (diag[i].abs() * diag[j].abs()).sqrt();
-                    if v.abs() >= bound {
-                        strong.push(j as u32);
+                    if j < n {
+                        let bound = THETA * (diag[i].abs() * diag[j].abs()).sqrt();
+                        if v.abs() >= bound {
+                            strong.push(j as u32);
+                        }
                     }
                 }
             });
@@ -941,37 +1420,57 @@ impl Setup {
     }
 
     /// Estimate ρ(D⁻¹A) of every lane of `a` by power iteration
-    /// (deterministic start), the lanes side by side. Each lane's
-    /// arithmetic is that of the iteration on its matrix alone: a term
-    /// the lane does not store adds `+0.0` to a sum that starts at `+0.0`.
-    fn spectral_radii<const C: usize>(&mut self, a: Rows<'_, C>, iters: usize) -> [f64; C] {
+    /// (deterministic start, by global row), the lanes side by side. Each
+    /// lane's arithmetic is that of the iteration on its matrix alone: a
+    /// term the lane does not store adds `+0.0` to a sum that starts at
+    /// `+0.0`. Collective where the level spans ranks: each step
+    /// exchanges the ghost values and sums the norms over ranks.
+    fn spectral_radii<const C: usize>(
+        &mut self,
+        a: Rows<'_, C>,
+        halo: &Halo,
+        iters: usize,
+        net: Net,
+    ) -> [f64; C] {
         let n = a.n();
-        let Setup { x, y, .. } = self;
+        let Setup { x, y, wire_f, .. } = self;
         x.clear();
-        x.extend((0..n).flat_map(|i| [1.0 + (i % 7) as f64 * 0.1; C]));
+        let start = |i: usize| 1.0 + ((halo.first as usize + i) % 7) as f64 * 0.1;
+        x.extend((0..n).flat_map(|i| [start(i); C]));
+        x.resize(C * (n + halo.ghosts.len()), 0.0);
         y.clear();
         y.resize(C * n, 0.0);
-        let (x, y) = (lanes_mut::<C>(x), lanes_mut::<C>(y));
         let mut lambda = [1.0f64; C];
         // A lane whose `D⁻¹A x` vanishes stops at ρ = 1.
         let mut live = [true; C];
         for _ in 0..iters {
-            for (i, yi) in y.iter_mut().enumerate() {
-                let ax = a.row_product(i, x);
+            fill_ghosts(net, halo, x, C, wire_f);
+            let (xs, ys) = (lanes_mut::<C>(x), lanes_mut::<C>(y));
+            for (i, yi) in ys.iter_mut().enumerate() {
+                let ax = a.row_product(i, xs);
                 *yi = std::array::from_fn(|c| ax[c] / a.diag[i][c].max(1e-300));
+            }
+            // Per lane Σy² and Σx² over the owned rows, summed over ranks.
+            let mut sums = [0.0; 16];
+            for c in 0..C {
+                sums[c] = ys.iter().map(|v| v[c] * v[c]).sum::<f64>();
+                sums[8 + c] = xs[..n].iter().map(|v| v[c] * v[c]).sum::<f64>();
+            }
+            if let Some(comm) = net {
+                sums = comm.allreduce_sum(&sums);
             }
             for c in 0..C {
                 if !live[c] {
                     continue;
                 }
-                let norm = y.iter().map(|v| v[c] * v[c]).sum::<f64>().sqrt();
+                let norm = sums[c].sqrt();
                 if norm == 0.0 {
                     (lambda[c], live[c]) = (1.0, false);
                     continue;
                 }
-                let norm_x = x.iter().map(|v| v[c] * v[c]).sum::<f64>().sqrt();
+                let norm_x = sums[8 + c].sqrt();
                 lambda[c] = norm / norm_x.max(1e-300);
-                for (xi, yi) in x.iter_mut().zip(y.iter()) {
+                for (xi, yi) in xs.iter_mut().zip(ys.iter()) {
                     xi[c] = yi[c] / norm;
                 }
             }
@@ -1021,24 +1520,25 @@ fn gustavson<L, R>(
     }
 }
 
-/// `out = Pᵀ` for `P` with `ncols` columns: row `J` of `out` lists
-/// column `J` of `P` in row order.
-fn transpose(p: &Sparse, ncols: usize, out: &mut Sparse) {
+/// `out = Pᵀ` for the first `rows` rows of `P`, with `ncols` columns:
+/// row `J` of `out` lists column `J` of those rows in row order.
+fn transpose(p: &Sparse, rows: usize, ncols: usize, out: &mut Sparse) {
+    let entries = p.ptr[rows];
     out.ptr.clear();
     out.ptr.resize(ncols + 1, 0);
-    for &j in &p.cols {
+    for &j in &p.cols[..entries] {
         out.ptr[j as usize + 1] += 1;
     }
     for j in 0..ncols {
         out.ptr[j + 1] += out.ptr[j];
     }
     out.cols.clear();
-    out.cols.resize(p.cols.len(), 0);
+    out.cols.resize(entries, 0);
     out.vals.clear();
-    out.vals.resize(p.cols.len(), 0.0);
+    out.vals.resize(entries, 0.0);
     // `ptr[j]` runs from the start of row `j` to its end, the start of
     // row `j + 1`; shifted back afterwards.
-    for i in 0..p.rows() {
+    for i in 0..rows {
         for k in p.ptr[i]..p.ptr[i + 1] {
             let j = p.cols[k] as usize;
             let at = out.ptr[j];
@@ -1053,63 +1553,108 @@ fn transpose(p: &Sparse, ncols: usize, out: &mut Sparse) {
     out.ptr[0] = 0;
 }
 
-/// Dense Cholesky factorization of lane `c` of `a`; `None` if a pivot is
+/// Dense Cholesky factorization of lane `c` of the level `a`, whole: a
+/// level that spans ranks is gathered to every rank. `None` if a pivot is
 /// not positive. The Galerkin coarse operator `Pᵀ A P` of an SPD input is
 /// SPD unless singular, and a singular one is solved by sweeps.
-fn dense_factor<const C: usize>(a: Rows<'_, C>, c: usize) -> Option<Cholesky> {
-    let n = a.n();
-    let mut dense = vec![0.0; n * n];
-    for i in 0..n {
-        for (j, v) in a.lane_row(i, c) {
-            dense[i * n + j] = v;
+/// Collective.
+fn dense_factor<const C: usize>(
+    a: Rows<'_, C>,
+    halo: &Halo,
+    n_global: u64,
+    c: usize,
+    net: Net,
+) -> Option<Cholesky> {
+    let (n, ng) = (a.n(), n_global as usize);
+    let mut dense = vec![0.0; ng * ng];
+    let Some(comm) = net else {
+        for i in 0..n {
+            for (j, v) in a.lane_row(i, c) {
+                dense[i * n + j] = v;
+            }
         }
+        return Cholesky::factor(&dense, n);
+    };
+    let mine: Vec<(u64, u64, f64)> = (0..n)
+        .flat_map(|i| a.lane_row(i, c).map(move |(j, v)| (i, j, v)))
+        .map(|(i, j, v)| (halo.first + i as u64, halo.gid(n, j), v))
+        .collect();
+    for (i, j, v) in comm.allgatherv(&mine) {
+        dense[i as usize * ng + j as usize] = v;
     }
-    Cholesky::factor(&dense, n)
+    Cholesky::factor(&dense, ng)
 }
 
 /// `C` smoothed-aggregation hierarchies, one per interleaved component
 /// of the vectors they precondition (see the module documentation). The
-/// plain `Amg` is one hierarchy for a scalar vector.
-pub struct Amg<const C: usize = 1> {
+/// plain `Amg` is one hierarchy for a scalar vector. A hierarchy that
+/// spans ranks holds their communicator for its V-cycles.
+pub struct Amg<'c, const C: usize = 1> {
+    net: Net<'c>,
     fine: LevelOp<C>,
+    halo: Halo,
     /// One per distinct lane matrix.
     chains: Vec<Chain>,
     /// Lane `c` continues in `chains[lanes[c]]`.
     lanes: [usize; C],
     /// Whether some lane coarsens (and is smoothed on the fine level).
     coarsens: bool,
-    scratch: RefCell<FineScratch>,
+    scratch: RefCell<FineScratch<C>>,
 }
 
 /// Fine-level V-cycle scratch, sized at setup so steady-state V-cycles
 /// are allocation-free. Every buffer is fully overwritten before it is
 /// read, so reuse is bitwise-transparent.
-struct FineScratch {
+struct FineScratch<const C: usize> {
     /// Interleaved residual, `C·n` (empty if no lane coarsens); each
     /// lane's is reused to sum its prolonged correction.
     r: Vec<f64>,
+    /// The interleaved iterate with its ghost rows, where the fine level
+    /// has ghost columns (empty otherwise: the iterate is the caller's).
+    x: Vec<f64>,
     /// One lane, for the dense direct solves of lanes that do not
-    /// coarsen.
+    /// coarsen, and the whole level such a solve gathers.
     lane: Vec<f64>,
-    /// Every lane swept from zero, for [`Direct::Sweeps`] on the fine
-    /// level.
+    whole: Vec<f64>,
+    /// Every lane swept from zero, with ghost rows, for
+    /// [`Direct::Sweeps`] on the fine level.
     swept: Vec<f64>,
+    /// Each coarsening lane's coarse-level vectors.
+    coarse: [LaneScratch; C],
+    wire: Wire<f64>,
 }
 
-impl Amg {
-    /// Setup phase: build the hierarchy for SPD `a`.
-    pub fn new(a: Csr, options: AmgOptions) -> Amg {
+/// One lane's right-hand side, iterate and residual (reused to sum the
+/// prolonged correction) on every coarse level of its hierarchy, owned
+/// rows then ghost rows, stacked as the levels are.
+#[derive(Default)]
+struct LaneScratch {
+    b: Vec<f64>,
+    x: Vec<f64>,
+    r: Vec<f64>,
+}
+
+/// The field of a lane's coarse vectors an exchange round carries.
+type Field = fn(&mut LaneScratch) -> &mut Vec<f64>;
+
+impl Amg<'static> {
+    /// Setup phase: build the hierarchy for SPD `a`, the whole matrix.
+    pub fn new(a: Csr, options: AmgOptions) -> Amg<'static> {
         let fine = LevelOp::from_csr(&a);
         drop(a);
-        Amg::build(fine, [0], options)
+        let n = fine.n() as u64;
+        Amg::build(None, fine, Halo::default(), n, [0], options)
     }
+}
 
+impl Amg<'_> {
     /// Number of levels including the coarse grid.
     pub fn num_levels(&self) -> usize {
         1 + self.chains[0].depth
     }
 
-    /// `(rows, non-zeros)` of the operator on every level, finest first.
+    /// `(rows, non-zeros)` of the operator on every level, finest first:
+    /// this rank's rows.
     pub fn level_sizes(&self) -> Vec<(usize, usize)> {
         let fine = (self.fine.n(), self.fine.entries.len());
         std::iter::once(fine)
@@ -1126,38 +1671,97 @@ impl Amg {
     }
 }
 
-impl<const C: usize> Amg<C> {
+/// Per row, bit `c` set when lane `c`'s mask pins it.
+fn pinned_bits<const C: usize>(n: usize, masks: &[&[bool]], lanes: [usize; C]) -> Vec<u8> {
+    assert!(
+        (0..masks.len()).all(|k| lanes.contains(&k)) && lanes.iter().all(|&k| k < masks.len()),
+        "lanes {lanes:?} must use each of {} masks and no other",
+        masks.len()
+    );
+    assert!(masks.iter().all(|m| m.len() == n));
+    (0..n)
+        .map(|i| {
+            let bits = lanes.iter().enumerate();
+            bits.fold(0, |pinned, (c, &k)| pinned | u8::from(masks[k][i]) << c)
+        })
+        .collect()
+}
+
+impl<'c, const C: usize> Amg<'c, C> {
     /// Lane `c` of the vectors this preconditions is preconditioned as
     /// `Amg::new(a.eliminate(masks[lanes[c]]), options)` would, V-cycle
     /// for V-cycle bitwise, with one hierarchy per mask. The fine level is
     /// built from `a` itself, with no eliminated copy (see the module
     /// documentation). Columns of `a` must be ascending and distinct
     /// within a row, as [`Csr::from_row_terms`] leaves them.
-    pub fn masked(a: &Csr, masks: &[&[bool]], lanes: [usize; C], options: AmgOptions) -> Amg<C> {
-        assert!(
-            (0..masks.len()).all(|k| lanes.contains(&k)) && lanes.iter().all(|&k| k < masks.len()),
-            "lanes {lanes:?} must use each of {} masks and no other",
-            masks.len()
+    pub fn masked(
+        a: &Csr,
+        masks: &[&[bool]],
+        lanes: [usize; C],
+        options: AmgOptions,
+    ) -> Amg<'c, C> {
+        assert_eq!(a.nrows, a.ncols, "the whole matrix is square");
+        let pinned = pinned_bits(a.nrows, masks, lanes);
+        let n = a.nrows as u64;
+        Amg::build(
+            None,
+            LevelOp::masked(a, &pinned),
+            Halo::default(),
+            n,
+            lanes,
+            options,
+        )
+    }
+
+    /// [`Amg::masked`] for the matrix whose rows the ranks of `comm` own
+    /// as `a`, one hierarchy across them (see the module documentation),
+    /// `masks` over the owned rows. On one rank it is `Amg::masked` of
+    /// `a.a`. Collective.
+    pub fn coupled(
+        comm: &'c Comm,
+        a: &DistCsr,
+        masks: &[&[bool]],
+        lanes: [usize; C],
+        options: AmgOptions,
+    ) -> Amg<'c, C> {
+        let n = a.a.nrows;
+        assert_eq!(a.a.ncols, n + a.ghosts.len(), "owned columns, then ghosts");
+        let mut pinned = pinned_bits(n, masks, lanes);
+        if comm.size() == 1 {
+            let fine = LevelOp::masked(&a.a, &pinned);
+            return Amg::build(None, fine, Halo::default(), n as u64, lanes, options);
+        }
+        let mut offsets = Vec::new();
+        row_offsets(comm, n, &mut offsets);
+        assert_eq!(
+            offsets[comm.rank()],
+            a.first_row,
+            "ranks own rows in rank order"
         );
-        assert!(masks.iter().all(|m| m.len() == a.nrows));
-        let pinned: Vec<u8> = (0..a.nrows)
-            .map(|i| {
-                let bits = lanes.iter().enumerate();
-                bits.fold(0, |pinned, (c, &k)| pinned | u8::from(masks[k][i]) << c)
-            })
-            .collect();
-        Amg::build(LevelOp::masked(a, &pinned), lanes, options)
+        let halo = Halo::new(comm, a.first_row, a.ghosts.clone(), &offsets);
+        pinned.resize(n + a.ghosts.len(), 0);
+        halo.fill(comm, &mut pinned, 1, &mut Wire::new(SETUP_U8_STREAM));
+        let n_global = offsets[comm.size()];
+        let fine = LevelOp::masked(&a.a, &pinned);
+        Amg::build(Some(comm), fine, halo, n_global, lanes, options)
     }
 
     /// The hierarchies below `fine`, one per distinct entry of `lanes`.
-    fn build(mut fine: LevelOp<C>, lanes: [usize; C], options: AmgOptions) -> Amg<C> {
+    fn build(
+        net: Net<'c>,
+        mut fine: LevelOp<C>,
+        halo: Halo,
+        n_global: u64,
+        lanes: [usize; C],
+        options: AmgOptions,
+    ) -> Amg<'c, C> {
         let n = fine.n();
         let n_chains = lanes.iter().max().map_or(0, |&k| k + 1);
         let mut ws = Setup::new(n, C, fine.entries.len());
         // Every lane's spectral radius in one pass per power step; only a
         // level above `max_coarse` rows is coarsened and needs one.
-        let rho = if n > options.max_coarse {
-            ws.spectral_radii(fine.rows(0..n), 12)
+        let rho = if n_global > options.max_coarse as u64 {
+            ws.spectral_radii(fine.rows(0..n), &halo, 12, net)
         } else {
             [1.0; C]
         };
@@ -1167,7 +1771,8 @@ impl<const C: usize> Amg<C> {
                 .iter()
                 .position(|&l| l == k)
                 .expect("every hierarchy has a lane");
-            let chain = Chain::build(fine.rows(0..n), c, rho[c], options, &mut ws);
+            let fine_rows = fine.rows(0..n);
+            let chain = Chain::build(fine_rows, &halo, n_global, c, rho[c], options, &mut ws, net);
             if chain.depth == 0 && matches!(chain.direct, Direct::Sweeps) {
                 for d in &mut fine.diag {
                     for (c, _) in lanes.iter().enumerate().filter(|&(_, &l)| l == k) {
@@ -1180,18 +1785,40 @@ impl<const C: usize> Amg<C> {
             chains.push(chain);
         }
         drop(ws);
+        if net.is_some() {
+            fine.hybrid(std::iter::once(0..n));
+        }
         let fine_solves =
             |f: fn(&Direct) -> bool| chains.iter().any(|ch| ch.depth == 0 && f(&ch.direct));
         let coarsens = chains.iter().any(|ch| ch.depth > 0);
         let dense = fine_solves(|d| matches!(d, Direct::Cholesky(_)));
+        let gathered = chains.iter().filter_map(|ch| match &ch.direct {
+            Direct::Cholesky(f) if net.is_some() => Some(f.len()),
+            _ => None,
+        });
+        let gathered = gathered.max().unwrap_or(0);
         let sweeps = fine_solves(|d| matches!(d, Direct::Sweeps));
+        let rows = n + halo.ghosts.len();
         let scratch = FineScratch {
             r: vec![0.0; if coarsens { C * n } else { 0 }],
+            x: vec![0.0; if halo.ghosts.is_empty() { 0 } else { C * rows }],
             lane: vec![0.0; if dense { n } else { 0 }],
-            swept: vec![0.0; if sweeps { C * n } else { 0 }],
+            whole: Vec::with_capacity(gathered),
+            swept: vec![0.0; if sweeps { C * rows } else { 0 }],
+            coarse: std::array::from_fn(|c| {
+                let len = chains[lanes[c]].vec_ends[chains[lanes[c]].depth];
+                LaneScratch {
+                    b: vec![0.0; len],
+                    x: vec![0.0; len],
+                    r: vec![0.0; len],
+                }
+            }),
+            wire: Wire::new(VCYCLE_STREAM),
         };
         Amg {
+            net,
             fine,
+            halo,
             chains,
             lanes,
             coarsens,
@@ -1204,39 +1831,110 @@ impl<const C: usize> Amg<C> {
         self.chains.len()
     }
 
-    /// Stored operator entries one V-cycle sweeps: the fine level's once,
-    /// and each coarse level's once per lane that cycles it.
+    /// Stored operator entries one V-cycle sweeps on this rank: the fine
+    /// level's once, and each coarse level's once per lane that cycles it.
     pub fn vcycle_entries(&self) -> usize {
         let coarse = |k: usize| self.chains[k].ops.entries.len();
         self.fine.entries.len() + self.lanes.iter().map(|&k| coarse(k)).sum::<usize>()
     }
 
+    /// Exchange rounds one V-cycle runs and the point-to-point messages
+    /// this rank sends in them; `(0, 0)` for a rank alone. Each
+    /// coarsest-level solve gathers its right-hand side besides, in one
+    /// collective.
+    pub fn vcycle_traffic(&self) -> (u64, u64) {
+        if self.net.is_none() {
+            return (0, 0);
+        }
+        let (fill, _) = self.halo.messages();
+        let mut total = (0, 0);
+        if self.coarsens {
+            total = (2, 2 * fill);
+        }
+        if !self.scratch.borrow().swept.is_empty() {
+            let rounds = 2 * COARSE_SWEEPS as u64;
+            total = (total.0 + rounds, total.1 + rounds * fill);
+        }
+        let cycling = std::array::from_fn(|c| self.chain(c).depth > 0);
+        if cycling.contains(&true) {
+            let (rounds, msgs) = self.descent_traffic(1, cycling);
+            let acc = self.round_messages(1, cycling, false);
+            total = (total.0 + rounds + 1, total.1 + msgs + acc);
+        }
+        total
+    }
+
+    /// Rounds and messages of one [`Amg::descend`] on level `k`.
+    fn descent_traffic(&self, k: usize, set: [bool; C]) -> (u64, u64) {
+        let smooth = std::array::from_fn(|c| set[c] && k < self.chain(c).depth);
+        let mut total = (0, 0);
+        if smooth.contains(&true) {
+            let (rounds, msgs) = self.descent_traffic(k + 1, smooth);
+            let fill = self.round_messages(k, smooth, true);
+            let acc = self.round_messages(k + 1, smooth, false);
+            total = (rounds + 4, msgs + 3 * fill + acc);
+        }
+        for c in (0..C).filter(|&c| set[c] && !smooth[c]) {
+            if let Direct::Sweeps = self.chain(c).direct {
+                let (fill, _) = self.chain(c).halo(k).messages();
+                let rounds = 2 * COARSE_SWEEPS as u64 + 1;
+                total = (total.0 + rounds, total.1 + rounds * fill);
+            }
+        }
+        total
+    }
+
+    /// Messages this rank sends in one round on level `k` of the lanes in
+    /// `set`: a ghost fill (`fill`) or an accumulation.
+    fn round_messages(&self, k: usize, set: [bool; C], fill: bool) -> u64 {
+        let p = self.net.map_or(1, Comm::size);
+        let sends = |r: usize| {
+            (0..C).filter(|&c| set[c]).any(|c| {
+                let h = self.chain(c).halo(k);
+                let counts = if fill { &h.send_counts } else { &h.recv_counts };
+                counts[r] > 0
+            })
+        };
+        (0..p).filter(|&r| sends(r)).count() as u64
+    }
+
     /// Apply one V-cycle to `b` with zero initial guess: `x = B b` where
-    /// `B ≈ A⁻¹` is SPD, on each of the `C` interleaved lanes.
-    /// Allocation-free: all per-level scratch was sized during setup.
+    /// `B ≈ A⁻¹` is SPD, on each of the `C` interleaved lanes of the
+    /// owned rows. Allocation-free: all per-level scratch was sized during
+    /// setup. Collective where the hierarchy spans ranks.
     pub fn vcycle(&self, b: &[f64], x: &mut [f64]) {
-        x.fill(0.0);
-        let op = self.fine.rows(0..self.fine.n());
-        let n = op.n();
         let mut guard = self.scratch.borrow_mut();
         let s = &mut *guard;
+        if s.x.is_empty() {
+            self.cycle(b, x, s);
+        } else {
+            let mut with_ghosts = std::mem::take(&mut s.x);
+            self.cycle(b, &mut with_ghosts, s);
+            x.copy_from_slice(&with_ghosts[..x.len()]);
+            s.x = with_ghosts;
+        }
+    }
+
+    /// [`Amg::vcycle`] into `x`, the owned rows and then the ghost rows.
+    fn cycle(&self, b: &[f64], x: &mut [f64], s: &mut FineScratch<C>) {
+        x.fill(0.0);
+        let (net, halo) = (self.net, &self.halo);
+        let op = self.fine.rows(0..self.fine.n());
+        let n = op.n();
         if self.coarsens {
             // Forward before the coarse correction, backward after, as on
-            // the coarse levels.
+            // the coarse levels. The forward pass starts from zero ghost
+            // values, which are exact.
             op.gs(b, x, 0..n);
+            fill_ghosts(net, halo, x, C, &mut s.wire);
             op.residual(b, x, &mut s.r);
-            for (c, &k) in self.lanes.iter().enumerate() {
-                if self.chains[k].depth > 0 {
-                    self.chains[k].correct(lanes_mut::<C>(&mut s.r), c, lanes_mut::<C>(x));
-                }
-            }
+            self.correct(x, s);
+            fill_ghosts(net, halo, x, C, &mut s.wire);
             op.gs(b, x, (0..n).rev());
         }
         if !s.swept.is_empty() {
             s.swept.fill(0.0);
-            for _ in 0..COARSE_SWEEPS {
-                op.sgs(b, &mut s.swept);
-            }
+            sweeps(op, net, halo, b, &mut s.swept, &mut s.wire);
         }
         for (c, &k) in self.lanes.iter().enumerate() {
             let chain = &self.chains[k];
@@ -1253,15 +1951,191 @@ impl<const C: usize> Amg<C> {
             for (li, bi) in s.lane.iter_mut().zip(lanes::<C>(b)) {
                 *li = bi[c];
             }
-            ch.solve(&mut s.lane);
+            solve_whole(net, ch, halo, &mut s.lane, n, &mut s.whole);
             for (xi, li) in x.iter_mut().zip(&s.lane) {
                 xi[c] = *li;
             }
         }
     }
+
+    /// Lane `c`'s hierarchy.
+    fn chain(&self, c: usize) -> &Chain {
+        &self.chains[self.lanes[c]]
+    }
+
+    /// Coarse-grid correction of every lane that coarsens: restrict the
+    /// fine residual `s.r`, cycle on level 1 from zero, and add the
+    /// prolonged result to `x`. Each lane of `s.r` is spent on its
+    /// prolongation.
+    fn correct(&self, x: &mut [f64], s: &mut FineScratch<C>) {
+        let cycling = std::array::from_fn(|c| self.chain(c).depth > 0);
+        for c in (0..C).filter(|&c| cycling[c]) {
+            let (ch, b) = (self.chain(c), &mut s.coarse[c].b);
+            let v1 = ch.vec_ends[1];
+            restrict(&ch.r, 0..v1, lanes::<C>(&s.r), c, &mut b[..v1]);
+        }
+        self.accumulate_level(1, cycling, s);
+        self.descend(1, cycling, s);
+        for c in (0..C).filter(|&c| cycling[c]) {
+            let ch = self.chain(c);
+            let v1 = ch.vec_ends[1];
+            let (r, x) = (lanes_mut::<C>(&mut s.r), lanes_mut::<C>(x));
+            prolong_add(&ch.r, 0..v1, &s.coarse[c].x[..v1], c, r, x);
+        }
+    }
+
+    /// One V-cycle from zero on coarse level `k` of the lanes in `set`,
+    /// whose hierarchies all reach level `k`, side by side: each exchange
+    /// round carries every lane's ghost values. Leaves each lane's
+    /// level-`k` iterate with its ghost values, for the prolongation.
+    fn descend(&self, k: usize, set: [bool; C], s: &mut FineScratch<C>) {
+        let net = self.net;
+        let smooth = std::array::from_fn(|c| set[c] && k < self.chain(c).depth);
+        let level = |c: usize| {
+            let ch = self.chain(c);
+            (ch, ch.level(k), ch.vec_ends[k - 1]..ch.vec_ends[k])
+        };
+        for c in (0..C).filter(|&c| set[c]) {
+            let (_, op, range) = level(c);
+            let LaneScratch { b, x, .. } = &mut s.coarse[c];
+            let (b, x) = (&b[range.clone()], &mut x[range]);
+            x.fill(0.0);
+            if smooth[c] {
+                // Forward before the coarse correction, backward after:
+                // the post-smoother is the pre-smoother's adjoint, so the
+                // cycle is SPD with one pass over the operator on each
+                // side.
+                op.gs(&b[..op.n()], x, 0..op.n());
+            }
+        }
+        if smooth.contains(&true) {
+            let x: Field = |l| &mut l.x;
+            self.fill_level(k, smooth, x, s);
+            for c in (0..C).filter(|&c| smooth[c]) {
+                let (ch, op, range) = level(c);
+                let n = op.n();
+                let coarse = ch.vec_ends[k]..ch.vec_ends[k + 1];
+                let LaneScratch { b, x, r } = &mut s.coarse[c];
+                let (b_here, b_next) = b.split_at_mut(coarse.start);
+                let (b_here, r) = (&b_here[range.clone()], &mut r[range.clone()]);
+                op.residual(&b_here[..n], &x[range], &mut r[..n]);
+                let b_next = &mut b_next[..coarse.len()];
+                restrict::<1>(&ch.r, coarse, lanes(r), 0, b_next);
+            }
+            self.accumulate_level(k + 1, smooth, s);
+            self.descend(k + 1, smooth, s);
+            for c in (0..C).filter(|&c| smooth[c]) {
+                let (ch, _, range) = level(c);
+                let coarse = ch.vec_ends[k]..ch.vec_ends[k + 1];
+                let LaneScratch { x, r, .. } = &mut s.coarse[c];
+                let (x, e) = x.split_at_mut(coarse.start);
+                let e = &e[..coarse.len()];
+                let (r, x) = (&mut r[range.clone()], &mut x[range]);
+                prolong_add::<1>(&ch.r, coarse, e, 0, lanes_mut(r), lanes_mut(x));
+            }
+            self.fill_level(k, smooth, x, s);
+            for c in (0..C).filter(|&c| smooth[c]) {
+                let (_, op, range) = level(c);
+                let LaneScratch { b, x, .. } = &mut s.coarse[c];
+                let (b, x) = (&b[range.clone()], &mut x[range]);
+                op.gs(&b[..op.n()], x, (0..op.n()).rev());
+            }
+            self.fill_level(k, smooth, x, s);
+        }
+        for c in (0..C).filter(|&c| set[c] && !smooth[c]) {
+            let (ch, op, range) = level(c);
+            let (halo, n) = (ch.halo(k), op.n());
+            let LaneScratch { b, x, .. } = &mut s.coarse[c];
+            let (b, x) = (&b[range.clone()], &mut x[range]);
+            match &ch.direct {
+                Direct::Cholesky(f) => {
+                    x[..n].copy_from_slice(&b[..n]);
+                    solve_whole(net, f, halo, x, n, &mut s.whole);
+                }
+                Direct::Sweeps => {
+                    sweeps(op, net, halo, &b[..n], x, &mut s.wire);
+                    fill_ghosts(net, halo, x, 1, &mut s.wire);
+                }
+            }
+        }
+    }
+
+    /// One round that fills the ghost rows of level `k` of `field` of
+    /// every lane in `set` with their owners' values.
+    fn fill_level(&self, k: usize, set: [bool; C], field: Field, s: &mut FineScratch<C>) {
+        let Some(comm) = self.net else { return };
+        let (p, wire) = (comm.size(), &mut s.wire);
+        let lanes = || (0..C).filter(|&c| set[c]);
+        let halos = lanes().map(|c| self.chain(c).halo(k));
+        wire.batch_counts(p, halos.map(|h| [&h.send_counts[..], &h.recv_counts[..]]));
+        // Rank by rank, each lane's rows for that rank.
+        wire.send.clear();
+        let mut at = [0; C];
+        for r in 0..p {
+            for c in lanes() {
+                let ch = self.chain(c);
+                let v = &field(&mut s.coarse[c])[ch.vec_ends[k - 1]..];
+                let rows = &ch.halo(k).send[at[c]..at[c] + ch.halo(k).send_counts[r]];
+                wire.send.extend(rows.iter().map(|&i| v[i as usize]));
+                at[c] += rows.len();
+            }
+        }
+        comm.exchange_start(&wire.send, &wire.send_counts, &wire.expect, &mut wire.ex);
+        comm.exchange_end(&mut wire.ex, &mut wire.recv, &mut wire.recv_counts);
+        let (mut pos, mut filled) = (0, [0; C]);
+        for r in 0..p {
+            for c in lanes() {
+                let ch = self.chain(c);
+                let n = ch.ends[k] - ch.ends[k - 1];
+                let count = ch.halo(k).recv_counts[r];
+                let v = &mut field(&mut s.coarse[c])[ch.vec_ends[k - 1] + n + filled[c]..];
+                v[..count].copy_from_slice(&wire.recv[pos..pos + count]);
+                (pos, filled[c]) = (pos + count, filled[c] + count);
+            }
+        }
+    }
+
+    /// One round that adds the ghost rows of level `k` of the lanes'
+    /// right-hand sides into their owners' rows, in ascending source
+    /// rank, then each lane's `send` order. The ghost rows stay.
+    fn accumulate_level(&self, k: usize, set: [bool; C], s: &mut FineScratch<C>) {
+        let Some(comm) = self.net else { return };
+        let (p, wire) = (comm.size(), &mut s.wire);
+        let lanes = || (0..C).filter(|&c| set[c]);
+        let halos = lanes().map(|c| self.chain(c).halo(k));
+        wire.batch_counts(p, halos.map(|h| [&h.recv_counts[..], &h.send_counts[..]]));
+        // Rank by rank, each lane's ghost rows that rank owns.
+        wire.send.clear();
+        let mut sent = [0; C];
+        for r in 0..p {
+            for c in lanes() {
+                let ch = self.chain(c);
+                let n = ch.ends[k] - ch.ends[k - 1];
+                let count = ch.halo(k).recv_counts[r];
+                let ghost = ch.vec_ends[k - 1] + n + sent[c];
+                wire.send
+                    .extend_from_slice(&s.coarse[c].b[ghost..ghost + count]);
+                sent[c] += count;
+            }
+        }
+        comm.exchange_start(&wire.send, &wire.send_counts, &wire.expect, &mut wire.ex);
+        comm.exchange_end(&mut wire.ex, &mut wire.recv, &mut wire.recv_counts);
+        let (mut added, mut at) = (wire.recv.iter(), [0; C]);
+        for r in 0..p {
+            for c in lanes() {
+                let ch = self.chain(c);
+                let b = &mut s.coarse[c].b[ch.vec_ends[k - 1]..];
+                let rows = &ch.halo(k).send[at[c]..at[c] + ch.halo(k).send_counts[r]];
+                for (&i, a) in rows.iter().zip(added.by_ref()) {
+                    b[i as usize] += a;
+                }
+                at[c] += rows.len();
+            }
+        }
+    }
 }
 
-impl<const C: usize> LinearOp for Amg<C> {
+impl<const C: usize> LinearOp for Amg<'_, C> {
     fn apply(&self, x: &[f64], y: &mut [f64]) {
         self.vcycle(x, y);
     }
@@ -1583,5 +2457,151 @@ mod tests {
         // A lane masked everywhere, and two lanes sharing the x mask.
         assert_fused_matches_scalar(&a, &[&mx, &all], [0, 1, 0]);
         assert_fused_matches_scalar(&a, &[&my, &mx, &all], [2, 0, 1]);
+    }
+
+    /// Rows `lo..hi` of `a` as rank `rank` of `p` owns them, the ranks
+    /// splitting the rows evenly in order.
+    fn rows_of(a: &Csr, rank: usize, p: usize) -> DistCsr {
+        let (lo, hi) = (a.nrows * rank / p, a.nrows * (rank + 1) / p);
+        let cols = |i: usize| a.col_idx[a.row_ptr[i]..a.row_ptr[i + 1]].iter().copied();
+        let mut ghosts: Vec<u64> = (lo..hi)
+            .flat_map(cols)
+            .filter(|j| !(lo..hi).contains(j))
+            .map(|j| j as u64)
+            .collect();
+        ghosts.sort_unstable();
+        ghosts.dedup();
+        let local = |j: usize| match (lo..hi).contains(&j) {
+            true => (j - lo) as u32,
+            false => (hi - lo + ghosts.binary_search(&(j as u64)).unwrap()) as u32,
+        };
+        let row = |i: usize| {
+            let k = a.row_ptr[lo + i]..a.row_ptr[lo + i + 1];
+            let vals = a.values[k.clone()].iter().copied();
+            a.col_idx[k].iter().map(move |&j| local(j)).zip(vals)
+        };
+        let m = Csr::from_row_terms(hi - lo, hi - lo + ghosts.len(), a.nnz(), row);
+        DistCsr {
+            a: m,
+            first_row: lo as u64,
+            ghosts,
+        }
+    }
+
+    /// `B u` and `B v` of the coupled V-cycle on `P` ranks, for `u`, `v`
+    /// drawn over the global rows (so the same at every `P`), and the
+    /// global `⟨Bu, v⟩`, `⟨u, Bv⟩` and `⟨Bu, u⟩`.
+    fn coupled_forms(a: &Csr, masks: &[Vec<bool>], lanes: [usize; 3], p: usize) -> [f64; 3] {
+        let a = a.clone();
+        let masks = masks.to_vec();
+        let out = scomm::spmd::run(p, move |comm| {
+            let rows = rows_of(&a, comm.rank(), p);
+            let (lo, n) = (rows.first_row as usize, rows.a.nrows);
+            let owned: Vec<Vec<bool>> = masks.iter().map(|m| m[lo..lo + n].to_vec()).collect();
+            let owned: Vec<&[bool]> = owned.iter().map(Vec::as_slice).collect();
+            let amg = Amg::coupled(comm, &rows, &owned, lanes, AmgOptions::default());
+            let mut rng = SplitMix64::new(0x5eed);
+            let draw: Vec<f64> = (0..6 * a.nrows).map(|_| 2.0 * rng.unit() - 1.0).collect();
+            let u = &draw[3 * lo..3 * (lo + n)];
+            let v = &draw[3 * (a.nrows + lo)..3 * (a.nrows + lo + n)];
+            let (mut bu, mut bv) = (vec![0.0; 3 * n], vec![0.0; 3 * n]);
+            amg.vcycle(u, &mut bu);
+            amg.vcycle(v, &mut bv);
+            let dots = [
+                euclidean_dot(&bu, v),
+                euclidean_dot(u, &bv),
+                euclidean_dot(&bu, u),
+            ];
+            comm.allreduce_sum(&dots)
+        });
+        out[0]
+    }
+
+    #[test]
+    fn coupled_vcycle_on_one_rank_is_the_whole_matrix_vcycle_bitwise() {
+        let n = 10;
+        let a = poisson3d(n, |i, j, k| 1.0 + ((i * 7 + j * 3 + k) % 5) as f64 * 30.0);
+        let [mx, my, mz] = free_slip(n);
+        let fused = Amg::masked(&a, &[&mx, &my, &mz], [0, 1, 2], AmgOptions::default());
+        let scalar = Amg::new(a.clone(), AmgOptions::default());
+        let b: Vec<f64> = (0..3 * a.nrows)
+            .map(|i| ((i * 7919) % 211) as f64 / 50.0 - 2.2)
+            .collect();
+        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        let (mut want3, mut want1) = (vec![0.0; 3 * a.nrows], vec![0.0; a.nrows]);
+        fused.vcycle(&b, &mut want3);
+        scalar.vcycle(&b[..a.nrows], &mut want1);
+        let (want3, want1) = (bits(&want3), bits(&want1));
+        scomm::spmd::run(1, |comm| {
+            let rows = rows_of(&a, 0, 1);
+            assert!(rows.ghosts.is_empty());
+            let options = AmgOptions::default();
+            let coupled = Amg::coupled(comm, &rows, &[&mx, &my, &mz], [0, 1, 2], options);
+            let mut z = vec![0.0; 3 * a.nrows];
+            coupled.vcycle(&b, &mut z);
+            assert_eq!(bits(&z), want3, "free-slip lanes");
+            let none = vec![false; a.nrows];
+            let coupled = Amg::coupled(comm, &rows, &[&none], [0], options);
+            let mut z = vec![0.0; a.nrows];
+            coupled.vcycle(&b[..a.nrows], &mut z);
+            assert_eq!(bits(&z), want1, "one unmasked lane");
+            assert_eq!(coupled.vcycle_traffic(), (0, 0));
+        });
+    }
+
+    #[test]
+    fn coupled_vcycle_is_symmetric_positive_definite_across_ranks() {
+        // One hierarchy over P ∈ {2, 4} ranks: the ℓ1-hybrid forward and
+        // backward sweeps keep ⟨Bu, v⟩ = ⟨u, Bv⟩ and ⟨Bu, u⟩ > 0, on
+        // free-slip lanes and on a no-slip mask shared by all three.
+        let n = 10;
+        let a = poisson3d(n, |i, j, k| 1.0 + ((i * 7 + j * 3 + k) % 5) as f64 * 30.0);
+        let slip = free_slip(n).to_vec();
+        let all: Vec<bool> = (0..a.nrows).map(|i| slip.iter().any(|m| m[i])).collect();
+        for p in [2, 4] {
+            for (masks, lanes) in [(slip.clone(), [0, 1, 2]), (vec![all.clone()], [0, 0, 0])] {
+                let [buv, ubv, buu] = coupled_forms(&a, &masks, lanes, p);
+                let gap = (buv - ubv).abs() / buv.abs().max(ubv.abs());
+                assert!(gap <= 1e-12, "P = {p}, lanes {lanes:?}: {buv} vs {ubv}");
+                assert!(buu > 0.0, "P = {p}, lanes {lanes:?}: uᵀBu = {buu}");
+            }
+        }
+    }
+
+    #[test]
+    fn coupled_pcg_iterations_do_not_grow_with_ranks() {
+        // One hierarchy across the ranks keeps PCG's count near the
+        // one-rank count on a 10³ coefficient jump.
+        let n = 14;
+        let a = poisson3d(n, |i, _, _| if i < n / 2 { 1.0 } else { 1e3 });
+        let iterations = |p: usize| {
+            let a = a.clone();
+            scomm::spmd::run(p, move |comm| {
+                let rows = rows_of(&a, comm.rank(), p);
+                let none = vec![false; rows.a.nrows];
+                let amg = Amg::coupled(comm, &rows, &[&none], [0], AmgOptions::default());
+                let n = rows.a.nrows;
+                let op = (n, |x: &[f64], y: &mut [f64]| {
+                    let mut xl = x.to_vec();
+                    xl.resize(rows.a.ncols, 0.0);
+                    let all = comm.allgatherv(x);
+                    for (k, &g) in rows.ghosts.iter().enumerate() {
+                        xl[n + k] = all[g as usize];
+                    }
+                    rows.a.matvec(&xl, y);
+                });
+                let b = vec![1.0; n];
+                let mut x = vec![0.0; n];
+                let dot = |u: &[f64], v: &[f64]| comm.allreduce_sum(&[euclidean_dot(u, v)])[0];
+                let info = cg(&op, Some(&amg), &b, &mut x, 1e-8, 300, dot);
+                assert!(info.converged, "P = {p}: {info:?}");
+                info.iterations
+            })[0]
+        };
+        let one = iterations(1);
+        for p in [2, 4] {
+            let many = iterations(p);
+            assert!(many <= one + 3, "P = {p}: {many} against {one} on one rank");
+        }
     }
 }

@@ -10,6 +10,18 @@ pub struct Csr {
     pub values: Vec<f64>,
 }
 
+/// The rows one rank owns of a matrix distributed by rows: rank `r` owns
+/// a contiguous range of global rows, the ranks' ranges in rank order.
+/// `a` holds the owned rows; its columns are the owned rows (`0..nrows`,
+/// global rows `first_row..`), then one per entry of `ghosts`, the global
+/// ids of the other ranks' rows the owned rows couple to, ascending.
+#[derive(Debug, Clone, PartialEq)]
+pub struct DistCsr {
+    pub a: Csr,
+    pub first_row: u64,
+    pub ghosts: Vec<u64>,
+}
+
 impl Csr {
     /// Build from (row, col, value) triplets. The terms of one entry are
     /// summed in input order, the first term standing as it is: the order

@@ -11,10 +11,12 @@
 //! severe viscosity heterogeneity — is reproduced by the aggregation
 //! hierarchy.
 //!
-//! Everything in this crate is rank-local (serial); distributed solvers
-//! are composed on top by the `fem`/`stokes` crates, which supply
+//! The Krylov solvers and sparse kernels are rank-local; distributed
+//! solvers are composed on top by the `fem`/`stokes` crates, which supply
 //! globally-reduced inner products and ghost-exchanging operators
-//! through the [`LinearOp`] and dot-product hooks.
+//! through the [`LinearOp`] and dot-product hooks. The AMG alone talks to
+//! the other ranks itself ([`Amg::coupled`]): one hierarchy across them
+//! exchanges ghost values on every level it smooths.
 
 pub mod amg;
 pub mod csr;
@@ -22,6 +24,6 @@ pub mod dense;
 pub mod krylov;
 
 pub use amg::{Amg, AmgOptions};
-pub use csr::Csr;
+pub use csr::{Csr, DistCsr};
 pub use dense::Cholesky;
 pub use krylov::{cg, minres, LinearOp, SolveInfo};

@@ -205,7 +205,10 @@ pub struct Comm {
     /// Messages received but not yet matched by an `exchange_end`.
     pending: RefCell<VecDeque<Message>>,
     /// Payload buffers of matched messages, refilled by the next
-    /// `exchange_start` (at most `size()` kept).
+    /// `exchange_start`. At most `size() + 1` are kept: one more than a
+    /// round can receive, so that a round that receives more than it sends
+    /// (a forward exchange on a rank with more owners than readers) drops
+    /// no buffer the next round sends in.
     spare: RefCell<Vec<Vec<u8>>>,
     stats: RefCell<CommStats>,
     /// Optional telemetry recorder; when attached, every communication op
@@ -478,7 +481,7 @@ impl Comm {
             );
             extend_from_bytes(recv, &msg.bytes);
             let mut spare = self.spare.borrow_mut();
-            if spare.len() < p {
+            if spare.len() <= p {
                 spare.push(msg.bytes);
             }
         }

@@ -18,7 +18,7 @@
 //!
 //! where `Ã` is the variable-viscosity discrete vector Laplacian
 //! approximated by **one AMG V-cycle per component** (the BoomerAMG
-//! substitution of DESIGN.md, composed block-Jacobi over ranks), and `S̃`
+//! substitution of DESIGN.md, one hierarchy across the ranks), and `S̃`
 //! is the inverse-viscosity-weighted pressure mass plus the stabilization,
 //! `Σ_e (M_e + C_e)/η_e`, spectrally equivalent to the Schur complement
 //! (paper reference [11]). The paper takes the lumped mass alone; here

@@ -50,11 +50,11 @@ pub struct StokesSolver<'a> {
     /// Unit-viscosity element blocks, one per octree level present; every
     /// element matrix the solver uses is one of these scaled by η.
     blocks: LevelBlocks,
-    /// AMG on the rank-local η-weighted scalar Poisson block, one
-    /// hierarchy per *distinct* velocity-component Dirichlet mask (the
-    /// masks differ under free-slip conditions), applied to the three
+    /// AMG on the η-weighted scalar Poisson operator, one hierarchy
+    /// across the ranks per *distinct* velocity-component Dirichlet mask
+    /// (the masks differ under free-slip conditions), applied to the three
     /// interleaved components at once. `None` until `setup` runs.
-    amg: Option<Amg<3>>,
+    amg: Option<Amg<'a, 3>>,
     /// `D⁻¹`, the inverse of the η⁻¹-weighted lumped pressure mass
     /// `D = Σ_e m_e/η_e` (the paper's whole `S̃`): the scaling of the
     /// Chebyshev polynomial in [`StokesSolver::apply_preconditioner`].
@@ -102,8 +102,9 @@ impl<'a> StokesSolver<'a> {
         self.comm.recorder()
     }
 
-    /// (Re-)run the preconditioner setup: assemble the η-weighted scalar
-    /// Poisson owned block, build AMG, and the Schur diagonal.
+    /// (Re-)run the preconditioner setup: assemble the owned rows of the
+    /// η-weighted scalar Poisson operator, build AMG, and the Schur
+    /// diagonal. Collective.
     pub fn setup(&mut self) {
         let _span = self.recorder().map(|r| r.span_cat("AMGSetup", "solve"));
         // One scalar η-weighted Poisson hierarchy per velocity component:
@@ -151,8 +152,9 @@ impl<'a> StokesSolver<'a> {
         // One collective assembly, unmasked; each distinct mask is one
         // lane elimination of it, which gives the bits a per-mask assembly
         // would (DESIGN.md §7), with no eliminated copy.
-        let smap = DofMap::new(self.mesh, self.comm, 1);
-        let a_block = fem::assembly::assemble_owned_sum(&smap, &src);
+        let (mesh, comm) = (self.mesh, self.comm);
+        let smap = DofMap::new(mesh, comm, 1);
+        let a_rows = fem::assembly::assemble_owned_sum(&smap, &src);
         let mut distinct: Vec<&[bool]> = Vec::with_capacity(3);
         let mut lanes = [0; 3];
         for comp in 0..3 {
@@ -163,8 +165,8 @@ impl<'a> StokesSolver<'a> {
             lanes[comp] = distinct.len();
             distinct.push(&masks[comp]);
         }
-        let amg = Amg::masked(&a_block, &distinct, lanes, self.options.amg);
-        drop(a_block);
+        let amg = Amg::coupled(comm, &a_rows, &distinct, lanes, self.options.amg);
+        drop(a_rows);
         if let Some(rec) = self.recorder() {
             rec.add_count("amg.setups", amg.hierarchies() as u64);
         }
@@ -182,6 +184,13 @@ impl<'a> StokesSolver<'a> {
             .iter()
             .map(|&v| if v > 0.0 { 1.0 / v } else { 1.0 })
             .collect();
+    }
+
+    /// Exchange rounds one velocity V-cycle runs and the messages this
+    /// rank sends in them ([`Amg::vcycle_traffic`]).
+    pub fn vcycle_traffic(&self) -> (u64, u64) {
+        let amg = self.amg.as_ref().expect("setup() must run first");
+        amg.vcycle_traffic()
     }
 
     /// `D⁻¹`, the inverse η⁻¹-weighted lumped pressure mass that scales
@@ -305,6 +314,7 @@ impl<'a> StokesSolver<'a> {
         let stats0 = self.comm.stats();
         let amg = self.amg.as_ref().expect("setup() must run first");
         let vcycle_entries = amg.vcycle_entries() as u64;
+        let (exchanges, _) = amg.vcycle_traffic();
         let info = {
             let n = self.n_owned();
             let op = (n, |x: &[f64], y: &mut [f64]| self.apply(x, y));
@@ -312,6 +322,7 @@ impl<'a> StokesSolver<'a> {
                 let _span = rec.as_ref().map(|rec| {
                     rec.add_count("amg.vcycles", 3); // one per velocity component
                     rec.add_count("amg.vcycle_entries", vcycle_entries);
+                    rec.add_count("amg.exchanges", exchanges);
                     rec.span_cat("AMGSolve", "solve")
                 });
                 self.apply_preconditioner(r, z);
@@ -729,10 +740,10 @@ mod tests {
         let (es, is) = solve_mms(1, 2);
         let (ep, ip) = solve_mms(2, 2);
         assert!((es - ep).abs() < 1e-6, "errors {es} vs {ep}");
-        // Block-Jacobi AMG changes with rank count; iterations may move a
-        // little but must stay in the same regime.
+        // The hierarchy spans the ranks but aggregates within each, so
+        // iterations may move a little.
         assert!(
-            (is as i64 - ip as i64).unsigned_abs() as usize <= is / 2 + 10,
+            (is as i64 - ip as i64).unsigned_abs() as usize <= is / 10 + 3,
             "iterations {is} vs {ip}"
         );
     }
@@ -845,37 +856,51 @@ mod tests {
     }
 
     /// The preconditioner as three scalar V-cycles, one per velocity
-    /// component, on blocks assembled here, and the solver's pressure
-    /// half.
+    /// component, each a hierarchy across the ranks of its own, and the
+    /// solver's pressure half.
     struct ScalarVcycles<'s, 'a> {
         solver: &'s StokesSolver<'a>,
-        amg: [Amg; 3],
+        amg: [Amg<'a>; 3],
     }
 
-    /// Each velocity component's η-weighted Poisson block, assembled
-    /// under that component's mask.
-    fn lane_blocks(solver: &StokesSolver) -> [la::Csr; 3] {
+    /// The η-weighted Poisson source of the solver's velocity block.
+    fn poisson_source<'s>(solver: &'s StokesSolver) -> impl Fn(usize, &mut [f64]) + 's {
         let (m, visc) = (solver.mesh, &solver.viscosity);
-        let smap = DofMap::new(m, solver.comm, 1);
-        let src = |e: usize, out: &mut [f64]| {
+        move |e: usize, out: &mut [f64]| {
             let k = &solver.blocks.of(m, e).stiffness;
             for i in 0..8 {
                 for j in 0..8 {
                     out[i * 8 + j] = visc[e] * k[i][j];
                 }
             }
-        };
+        }
+    }
+
+    /// Component `comp`'s Dirichlet mask over the owned dofs.
+    fn lane_mask(solver: &StokesSolver, comp: usize) -> Vec<bool> {
+        let n = solver.mesh.n_owned;
+        (0..n).map(|d| solver.vel_bc[3 * d + comp]).collect()
+    }
+
+    /// Each velocity component's η-weighted Poisson block, assembled
+    /// under that component's mask.
+    fn lane_blocks(solver: &StokesSolver) -> [la::Csr; 3] {
+        let smap = DofMap::new(solver.mesh, solver.comm, 1);
+        let src = poisson_source(solver);
         std::array::from_fn(|comp| {
-            let mask: Vec<bool> = (0..m.n_owned)
-                .map(|d| solver.vel_bc[3 * d + comp])
-                .collect();
+            let mask = lane_mask(solver, comp);
             fem::assembly::assemble_owned_block(&smap, &src, Some(&mask))
         })
     }
 
     impl<'s, 'a> ScalarVcycles<'s, 'a> {
         fn new(solver: &'s StokesSolver<'a>) -> Self {
-            let amg = lane_blocks(solver).map(|block| Amg::new(block, solver.options.amg));
+            let smap = DofMap::new(solver.mesh, solver.comm, 1);
+            let rows = fem::assembly::assemble_owned_sum(&smap, &poisson_source(solver));
+            let amg = std::array::from_fn(|comp| {
+                let mask = lane_mask(solver, comp);
+                Amg::coupled(solver.comm, &rows, &[&mask], [0], solver.options.amg)
+            });
             ScalarVcycles { solver, amg }
         }
     }
@@ -958,8 +983,8 @@ mod tests {
     fn preconditioner_is_symmetric_positive_definite() {
         // ⟨Pu, v⟩ = ⟨u, Pv⟩ up to rounding, measured against the
         // Cauchy–Schwarz scale √(⟨Pu, u⟩⟨Pv, v⟩), and ⟨Pu, u⟩ > 0, on
-        // random vectors (velocity and pressure), at P = 1 and 2.
-        for nranks in [1, 2] {
+        // random vectors (velocity and pressure), at P = 1, 2 and 4.
+        for nranks in [1, 2, 4] {
             spmd::run(nranks, |c| {
                 let m = adapted_mesh(c);
                 let mut unit = uniform(c);
@@ -979,6 +1004,43 @@ mod tests {
                     assert!(gap <= 1e-12, "P = {nranks}, trial {trial}: {gap:e}");
                 }
             });
+        }
+    }
+
+    #[test]
+    fn iterations_stay_flat_in_the_rank_count() {
+        // One AMG hierarchy across the ranks: a fixed adapted level-3 box
+        // (η over four decades, free slip) takes 59 iterations at P = 1
+        // and 60, 63, 64 at P = 2, 4, 8; allowed: 1.15× P = 1's. On the
+        // level-2 `adapted_mesh` (≈ 40 elements a rank at P = 8) the same
+        // reads 51 → 54, 57, 60 (1.18×): aggregates stop at rank
+        // boundaries, which costs most on the smallest subdomains.
+        let iterations = |nranks: usize| {
+            spmd::run(nranks, |c| {
+                let mut t = DistOctree::new_uniform(c, 3);
+                t.refine(|o| o.center_unit()[0] < 0.3 && o.center_unit()[2] > 0.6);
+                t.balance(BalanceKind::Full);
+                t.partition();
+                let m = extract_mesh(&t, [2.0, 1.0, 1.0]);
+                let eta = |o: &octree::Octant| 10f64.powf(4.0 * o.center_unit()[0] - 2.0);
+                let visc = m.elements.iter().map(eta).collect();
+                let mut solver = StokesSolver::new(&m, c, visc, free_slip(&m), Default::default());
+                let (rhs, mut x) = solver.build_rhs(
+                    |p| [(5.0 * p[1]).cos(), 0.0, (3.0 * p[0]).sin()],
+                    |_| [0.0; 3],
+                );
+                let info = solver.solve(&rhs, &mut x);
+                assert!(info.converged, "P = {nranks}: {info:?}");
+                info.iterations
+            })[0]
+        };
+        let one = iterations(1);
+        for nranks in [2, 4, 8] {
+            let many = iterations(nranks);
+            assert!(
+                100 * many <= 115 * one,
+                "P = {nranks}: {many} iterations against {one} at P = 1"
+            );
         }
     }
 

@@ -289,24 +289,26 @@ fn operators_and_minres() {
             let (rhs, x0) = solver.build_rhs(|p| [0.0, 0.0, (3.0 * p[0]).sin()], |_| [0.0; 3]);
             let mut z = vec![0.0; rhs.len()];
             let stokes = windows(c, 3, || solver.apply(&rhs, &mut z));
-            let pre = windows(c, 1, || solver.apply_preconditioner(&rhs, &mut z));
+            let pre = windows(c, 6, || solver.apply_preconditioner(&rhs, &mut z));
             let minres = windows(c, 1, || {
                 z.copy_from_slice(&x0);
                 assert!(solver.solve(&rhs, &mut z).converged);
             });
-            [dist_op, stokes, pre, minres]
+            let (_, vcycle) = solver.vcycle_traffic();
+            ([dist_op, stokes, pre, minres], vcycle)
         });
-        for (rank, [op, st, pre, minres]) in runs.iter().enumerate() {
+        for (rank, ([op, st, pre, minres], vcycle)) in runs.iter().enumerate() {
             let at = format!("P = {p}, rank {rank}");
             // Each message's payload travels in a buffer recycled from
-            // one this rank received. The V-cycles are rank-local; the
-            // pressure polynomial's two S̃ applies each exchange with the
-            // Stokes operator's neighbours, and its vectors live in the
-            // solver's workspace.
+            // one this rank received. The pressure polynomial's two S̃
+            // applies each exchange with the Stokes operator's neighbours,
+            // and its vectors live in the solver's workspace; the V-cycle
+            // sends what its exchange rounds count, none at P = 1.
             let sent = |ws: &[Window], n| ws.iter().all(|w| [w.allocations, w.messages] == [0, n]);
             assert!(sent(op, dist_op[rank]), "{at}: {op:?}");
             assert!(sent(st, stokes[rank]), "{at}: {st:?}");
-            assert!(sent(pre, 2 * stokes[rank]), "{at}: {pre:?}");
+            assert_eq!(*vcycle == 0, p == 1, "{at}: {vcycle} V-cycle messages");
+            assert!(sent(pre, 2 * stokes[rank] + vcycle), "{at}: {pre:?}");
             // A warm solve allocates MINRES's nine work vectors and
             // nothing else. They stay per solve while the Stokes solver is
             // rebuilt every time step (ROADMAP item 7): a workspace it

@@ -213,8 +213,8 @@ fn dg_and_fem_share_octree_infrastructure() {
 
 /// Differential P-vs-1 run of one full rhea AMR + Stokes-solve cycle:
 /// the refined tree must be bitwise identical at P=1 and P=4, and the
-/// MINRES residual history must match under the band contract that a
-/// rank-local AMG preconditioner actually guarantees (same initial
+/// MINRES residual history must match under the band contract that an
+/// AMG aggregating within ranks actually guarantees (same initial
 /// residual to the percent level, convergence at both rank counts,
 /// iteration counts in a narrow band — the paper's Fig. 2 claim).
 #[test]

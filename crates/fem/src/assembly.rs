@@ -265,15 +265,21 @@ pub fn assemble_owned_sum(map: &DofMap, elem_matrix: &ElementMatrixSource) -> Di
     }
     recv_ptr[0] = 0;
     let terms = (0..n).map(|r| end[r] - row_ptr[r]).sum::<usize>() + recv_ptr[n];
-    let local_column = |col: u32| match (col as usize) < n {
-        true => col,
-        false => column(local_gid(col)),
-    };
+    // Local terms' ghost dofs become ghost columns.
+    if !ghosts.is_empty() {
+        for r in 0..n {
+            for col in &mut cols[row_ptr[r]..end[r]] {
+                if *col as usize >= n {
+                    *col = column(local_gid(*col));
+                }
+            }
+        }
+    }
     let row = |r: usize| {
         let (local, recv) = (row_ptr[r]..end[r], recv_ptr[r]..recv_ptr[r + 1]);
         let local = cols[local.clone()]
             .iter()
-            .map(|&col| local_column(col))
+            .copied()
             .zip(vals[local].iter().copied());
         local.chain(
             recv_cols[recv.clone()]

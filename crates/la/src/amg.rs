@@ -17,8 +17,9 @@
 //! the spectral radius estimated by power iteration. Rows with no
 //! off-diagonal entry (Dirichlet identity rows) join no aggregate: the
 //! smoother solves them exactly and they never reach a coarse level. If
-//! aggregation stalls above `max_coarse` rows the coarsest level is
-//! solved by smoother sweeps, never by a dense factorization.
+//! aggregation stalls above `max_coarse` rows, and above four rows per
+//! rank, the coarsest level is solved by smoother sweeps, never by a
+//! dense factorization.
 //!
 //! **One hierarchy across ranks.** [`Amg::coupled`] builds one hierarchy
 //! over the rows of every rank, as BoomerAMG does, from each rank's owned
@@ -39,10 +40,11 @@
 //! the coarse correction and the backward one after it keep the V-cycle
 //! the fixed SPD operator MINRES needs. Coarsening stops on the global
 //! row count; the coarsest level is gathered to every rank and solved
-//! redundantly by one dense Cholesky factor. The lanes' coarse levels
-//! cycle in lock-step, so one exchange round per step carries every
-//! lane: three rounds per level smoothed, one per restriction, and one
-//! gather per coarsest solve ([`Amg::vcycle_traffic`] counts them).
+//! redundantly by one dense Cholesky factor. Across ranks the lanes'
+//! coarse levels cycle in lock-step, so one exchange round per step
+//! carries every lane: three rounds per level smoothed, one per
+//! restriction, and one gather per coarsest solve ([`Amg::exchanges`]
+//! counts the rounds run).
 //! [`Amg::new`] and [`Amg::masked`] are the instance for one rank's rows
 //! alone: no ghost column and no message, so the smoother is plain
 //! Gauss–Seidel, and a coupled hierarchy on one rank is bitwise theirs.
@@ -110,15 +112,14 @@ const SETUP_F64_STREAM: u64 = 0xA1;
 const SETUP_U64_STREAM: u64 = 0xA2;
 const SETUP_U8_STREAM: u64 = 0xA3;
 
-/// The communicator of a hierarchy that spans ranks; `None` for one
-/// rank's rows alone, which exchange nothing.
-type Net<'c> = Option<&'c Comm>;
+/// How one level of a hierarchy that spans ranks reaches the others: the
+/// communicator and the level's [`Halo`]. `None` for one rank's rows
+/// alone, which have no ghost column and exchange nothing.
+type Link<'a> = Option<(&'a Comm, &'a Halo)>;
 
 /// Where one level's rows lie across ranks: this rank owns global rows
 /// `first..first + n`, its rows' other columns are the ghost rows
 /// `ghosts`, and `send` lists what each rank reads of its owned rows.
-/// Empty ([`ALONE`]) for a rank alone.
-#[derive(Default)]
 struct Halo {
     first: u64,
     /// Global ids of the ghost columns (local columns `n..`), ascending,
@@ -131,15 +132,6 @@ struct Halo {
     send_counts: Vec<usize>,
     recv_counts: Vec<usize>,
 }
-
-/// The halo of a level with no ghost column.
-static ALONE: Halo = Halo {
-    first: 0,
-    ghosts: Vec::new(),
-    send: Vec::new(),
-    send_counts: Vec::new(),
-    recv_counts: Vec::new(),
-};
 
 /// The rank owning global row `g` when rank `r` owns
 /// `offsets[r]..offsets[r + 1]`.
@@ -200,22 +192,14 @@ impl Halo {
             wire.send.extend_from_slice(&v[i * lanes..(i + 1) * lanes]);
         }
         wire.counts(&self.send_counts, &self.recv_counts, lanes);
-        comm.exchange_start(&wire.send, &wire.send_counts, &wire.expect, &mut wire.ex);
-        comm.exchange_end(&mut wire.ex, &mut wire.recv, &mut wire.recv_counts);
+        wire.exchange(comm);
         v[n * lanes..].copy_from_slice(&wire.recv);
-    }
-
-    /// Messages one ghost fill and one accumulation on this halo alone
-    /// send.
-    fn messages(&self) -> (u64, u64) {
-        let busy = |counts: &[usize]| counts.iter().filter(|&&k| k > 0).count() as u64;
-        (busy(&self.send_counts), busy(&self.recv_counts))
     }
 }
 
 /// [`Halo::fill`] where the level spans ranks.
-fn fill_ghosts(net: Net, halo: &Halo, v: &mut [f64], lanes: usize, wire: &mut Wire<f64>) {
-    if let Some(comm) = net {
+fn fill_ghosts(link: Link, v: &mut [f64], lanes: usize, wire: &mut Wire<f64>) {
+    if let Some((comm, halo)) = link {
         halo.fill(comm, v, lanes, wire);
     }
 }
@@ -228,9 +212,12 @@ struct Wire<T> {
     expect: Vec<usize>,
     recv_counts: Vec<usize>,
     ex: Exchange,
+    /// Rounds run and messages this rank sent in them.
+    rounds: u64,
+    messages: u64,
 }
 
-impl<T> Wire<T> {
+impl<T: Pod> Wire<T> {
     fn new(stream: u64) -> Self {
         Wire {
             send: Vec::new(),
@@ -239,7 +226,18 @@ impl<T> Wire<T> {
             expect: Vec::new(),
             recv_counts: Vec::new(),
             ex: Exchange::new(stream),
+            rounds: 0,
+            messages: 0,
         }
+    }
+
+    /// One round: `send` goes out by `send_counts`, and `recv` takes what
+    /// `expect` says arrives.
+    fn exchange(&mut self, comm: &Comm) {
+        comm.exchange_start(&self.send, &self.send_counts, &self.expect, &mut self.ex);
+        comm.exchange_end(&mut self.ex, &mut self.recv, &mut self.recv_counts);
+        self.rounds += 1;
+        self.messages += self.send_counts.iter().filter(|&&k| k > 0).count() as u64;
     }
 
     /// Rows sent and expected per rank, `lanes` values each.
@@ -363,12 +361,7 @@ impl<const C: usize> LevelOp<C> {
             row_ptr: &self.row_ptr[range.start..=range.end],
             around_diag: &self.around_diag[range.clone()],
             diag: &self.diag[range.clone()],
-            l1: if self.l1.is_empty() {
-                &self.diag[range.clone()]
-            } else {
-                &self.l1[range.clone()]
-            },
-            hybrid: !self.l1.is_empty(),
+            l1: (!self.l1.is_empty()).then(|| &self.l1[range.clone()]),
             uniform: if C == 1 { &[] } else { &self.uniform[range] },
             entries: &self.entries,
         }
@@ -485,10 +478,9 @@ struct Rows<'a, const C: usize> {
     row_ptr: &'a [usize],
     around_diag: &'a [(usize, usize)],
     diag: &'a [[f64; C]],
-    /// The smoother's divisors, and whether they are ℓ1 divisors rather
-    /// than the diagonal.
-    l1: &'a [[f64; C]],
-    hybrid: bool,
+    /// The smoother's ℓ1 divisors; `None` for a rank alone, whose
+    /// divisor is the diagonal.
+    l1: Option<&'a [[f64; C]]>,
     uniform: &'a [bool],
     entries: &'a [Entry],
 }
@@ -515,29 +507,37 @@ impl<'a, const C: usize> Rows<'a, C> {
     /// they are). The backward pass is the adjoint of the forward one.
     fn gs(&self, b: &[f64], x: &mut [f64], rows: impl Iterator<Item = usize>) {
         let (b, x) = (lanes::<C>(b), lanes_mut::<C>(x));
-        if self.hybrid {
-            rows.for_each(|i| self.relax::<true>(i, b, x));
-        } else {
-            rows.for_each(|i| self.relax::<false>(i, b, x));
+        match self.l1 {
+            None => rows.for_each(|i| self.relax::<false>(i, self.diag, b, x)),
+            Some(l1) => rows.for_each(|i| self.relax::<true>(i, l1, b, x)),
         }
     }
 
     /// Relax row `i` of every lane, the other unknowns fixed: solve it for
-    /// `x_i` (`x_i = σ/a_ii`), or with ℓ1 divisors (`HYBRID`) add the
-    /// row's residual over its divisor (`x_i += (σ − a_ii x_i)/l1_i`),
-    /// which keeps the backward pass the forward one's adjoint.
+    /// `x_i` (`x_i = σ/a_ii`, `div` the diagonal), or with ℓ1 divisors
+    /// `div` (`HYBRID`) add the row's residual over its divisor
+    /// (`x_i += (σ − a_ii x_i)/l1_i`), which keeps the backward pass the
+    /// forward one's adjoint.
     #[inline(always)]
-    fn relax<const HYBRID: bool>(&self, i: usize, b: &[[f64; C]], x: &mut [[f64; C]]) {
+    fn relax<const HYBRID: bool>(
+        &self,
+        i: usize,
+        div: &[[f64; C]],
+        b: &[[f64; C]],
+        x: &mut [[f64; C]],
+    ) {
         let (parts, whole) = self.off_diagonal(i);
         let mut sigma = b[i];
         for part in parts {
             terms(part, whole, x, |c, t| sigma[c] -= t);
         }
-        let (d, a) = (self.l1[i], self.diag[i]);
-        x[i] = std::array::from_fn(|c| match HYBRID {
-            false => sigma[c] / d[c],
-            true => (sigma[c] + (d[c] - a[c]) * x[i][c]) / d[c],
-        });
+        let d = div[i];
+        x[i] = if HYBRID {
+            let a = self.diag[i];
+            std::array::from_fn(|c| (sigma[c] + (d[c] - a[c]) * x[i][c]) / d[c])
+        } else {
+            std::array::from_fn(|c| sigma[c] / d[c])
+        };
     }
 
     /// `r = b − A x` on the owned rows, every lane.
@@ -610,17 +610,16 @@ fn terms<const C: usize>(
 /// one exchange of its ghost values.
 fn sweeps<const C: usize>(
     op: Rows<'_, C>,
-    net: Net,
-    halo: &Halo,
+    link: Link,
     b: &[f64],
     x: &mut [f64],
     wire: &mut Wire<f64>,
 ) {
     let n = op.n();
     for _ in 0..COARSE_SWEEPS {
-        fill_ghosts(net, halo, x, C, wire);
+        fill_ghosts(link, x, C, wire);
         op.gs(b, x, 0..n);
-        fill_ghosts(net, halo, x, C, wire);
+        fill_ghosts(link, x, C, wire);
         op.gs(b, x, (0..n).rev());
     }
 }
@@ -749,15 +748,8 @@ enum Direct {
 /// `n` owned rows of `x`, leaving the solution in `x`'s owned rows and in
 /// its ghost rows past them: gather the right-hand side from every rank
 /// into `whole` and solve it redundantly.
-fn solve_whole(
-    net: Net,
-    ch: &Cholesky,
-    halo: &Halo,
-    x: &mut [f64],
-    n: usize,
-    whole: &mut Vec<f64>,
-) {
-    let Some(comm) = net else {
+fn solve_whole(link: Link, ch: &Cholesky, x: &mut [f64], n: usize, whole: &mut Vec<f64>) {
+    let Some((comm, halo)) = link else {
         ch.solve(&mut x[..n]);
         return;
     };
@@ -797,17 +789,15 @@ impl Chain {
     /// Build the hierarchy of lane `c` of the fine level `fine`, whose
     /// `D⁻¹A` has spectral radius `rho` in that lane and which has
     /// `n_global` rows over all ranks. Collective.
-    #[allow(clippy::too_many_arguments)]
     fn build<const C: usize>(
         fine: Rows<'_, C>,
-        fine_halo: &Halo,
+        link: Link,
         n_global: u64,
-        c: usize,
-        rho: f64,
+        (c, rho): (usize, f64),
         options: AmgOptions,
         ws: &mut Setup,
-        net: Net,
     ) -> Chain {
+        let net = link.map(|(comm, _)| comm);
         let n_fine = fine.n();
         let mut chain = Chain {
             depth: 0,
@@ -821,8 +811,8 @@ impl Chain {
         let mut n = n_global;
         while n > options.max_coarse as u64 && chain.depth < MAX_LEVELS {
             let coarse = match chain.depth {
-                0 => ws.coarsen(fine, fine_halo, n, c, Some(rho), net),
-                d => ws.coarsen(chain.level(d), chain.halo(d), n, 0, None, net),
+                0 => ws.coarsen(fine, link, n, c, Some(rho)),
+                d => ws.coarsen(chain.level(d), chain.link(d, net), n, 0, None),
             };
             let Some(n_coarse) = coarse else {
                 break; // nothing to coarsen, or no progress; stop here
@@ -843,13 +833,17 @@ impl Chain {
         // Direct coarse solve, degrading to smoother sweeps for singular
         // coarse operators (e.g. pure-Neumann problems) and for a level
         // that stalled above `max_coarse` rows, where a dense factor
-        // would cost O(n²) per V-cycle.
+        // would cost O(n²) per V-cycle. Aggregation within each rank
+        // keeps a coarse row on every rank with rows, so a level spread
+        // over more than `max_coarse` ranks stalls at a few rows per
+        // rank; up to four per rank it is still gathered and factored.
         let d = chain.depth;
         let last = chain.ends[d.saturating_sub(1)]..chain.ends[d];
-        if n <= options.max_coarse as u64 {
+        let ranks = net.map_or(1, Comm::size);
+        if n <= options.max_coarse.max(4 * ranks) as u64 {
             let factor = match d {
-                0 => dense_factor(fine, fine_halo, n, c, net),
-                _ => dense_factor(chain.ops.rows(last.clone()), chain.halo(d), n, 0, net),
+                0 => dense_factor(fine, link, n, c),
+                _ => dense_factor(chain.ops.rows(last.clone()), chain.link(d, net), n, 0),
             };
             if let Some(ch) = factor {
                 chain.direct = Direct::Cholesky(ch);
@@ -875,9 +869,15 @@ impl Chain {
         self.ops.rows(self.ends[k - 1]..self.ends[k])
     }
 
-    /// Coarse level `k`'s halo.
+    /// How coarse level `k` reaches the other ranks of `net`.
+    fn link<'a>(&'a self, k: usize, net: Option<&'a Comm>) -> Link<'a> {
+        net.map(|comm| (comm, &self.halos[k - 1]))
+    }
+
+    /// Coarse level `k`'s halo; only a hierarchy that spans ranks has
+    /// one.
     fn halo(&self, k: usize) -> &Halo {
-        self.halos.get(k - 1).unwrap_or(&ALONE)
+        &self.halos[k - 1]
     }
 
     /// `(rows, non-zeros)` of every coarse level, finest first.
@@ -991,21 +991,20 @@ impl Setup {
     fn coarsen<const C: usize>(
         &mut self,
         a: Rows<'_, C>,
-        halo: &Halo,
+        link: Link,
         n_global: u64,
         c: usize,
         rho: Option<f64>,
-        net: Net,
     ) -> Option<u64> {
         let n = a.n();
         self.diag.clear();
         self.diag.extend(a.diag.iter().map(|d| d[c]));
         let n_agg = self.aggregate(a, c);
         self.n_agg = n_agg;
-        let (first, n_coarse) = match net {
+        let (first, n_coarse) = match link {
             None if n_agg == 0 || n_agg >= n => return None,
             None => (0, n_agg as u64),
-            Some(comm) => {
+            Some((comm, _)) => {
                 row_offsets(comm, n_agg, &mut self.offsets);
                 let total = self.offsets[comm.size()];
                 if total == 0 || total >= n_global {
@@ -1015,10 +1014,10 @@ impl Setup {
             }
         };
         // Smooth: P = (I − ω D⁻¹ A) P0 with ω = 4/(3ρ).
-        let rho = rho.unwrap_or_else(|| self.spectral_radii(a, halo, 12, net)[c]);
+        let rho = rho.unwrap_or_else(|| self.spectral_radii(a, link, 12)[c]);
         let omega = 4.0 / (3.0 * rho);
         self.g1.clear();
-        if let Some(comm) = net {
+        if let Some((comm, halo)) = link {
             self.ghost_aggregates(comm, halo, n, first);
         }
         let Setup {
@@ -1076,7 +1075,7 @@ impl Setup {
             p.end_row();
         }
         self.g2.clear();
-        if let Some(comm) = net {
+        if let Some((comm, halo)) = link {
             self.ghost_prolongator_rows(comm, halo, first);
         }
         let nc = n_agg + self.g2.len();
@@ -1200,7 +1199,12 @@ impl Setup {
     /// owns are shipped to it, and a rank adds what it receives after its
     /// own terms, in delivery order. Returns the ghost columns of the new
     /// level (ascending global ids). Collective.
-    fn galerkin(&mut self, net: Net, ops: &mut LevelOp<1>, r_out: &mut Sparse) -> Vec<u64> {
+    fn galerkin(
+        &mut self,
+        net: Option<&Comm>,
+        ops: &mut LevelOp<1>,
+        r_out: &mut Sparse,
+    ) -> Vec<u64> {
         let n_agg = self.n_agg;
         let nc = n_agg + self.g2.len();
         let first = net.map_or(0, |comm| self.offsets[comm.rank()]);
@@ -1428,23 +1432,23 @@ impl Setup {
     fn spectral_radii<const C: usize>(
         &mut self,
         a: Rows<'_, C>,
-        halo: &Halo,
+        link: Link,
         iters: usize,
-        net: Net,
     ) -> [f64; C] {
         let n = a.n();
         let Setup { x, y, wire_f, .. } = self;
         x.clear();
-        let start = |i: usize| 1.0 + ((halo.first as usize + i) % 7) as f64 * 0.1;
+        let (first, ghosts) = link.map_or((0, 0), |(_, h)| (h.first as usize, h.ghosts.len()));
+        let start = |i: usize| 1.0 + ((first + i) % 7) as f64 * 0.1;
         x.extend((0..n).flat_map(|i| [start(i); C]));
-        x.resize(C * (n + halo.ghosts.len()), 0.0);
+        x.resize(C * (n + ghosts), 0.0);
         y.clear();
         y.resize(C * n, 0.0);
         let mut lambda = [1.0f64; C];
         // A lane whose `D⁻¹A x` vanishes stops at ρ = 1.
         let mut live = [true; C];
         for _ in 0..iters {
-            fill_ghosts(net, halo, x, C, wire_f);
+            fill_ghosts(link, x, C, wire_f);
             let (xs, ys) = (lanes_mut::<C>(x), lanes_mut::<C>(y));
             for (i, yi) in ys.iter_mut().enumerate() {
                 let ax = a.row_product(i, xs);
@@ -1456,7 +1460,7 @@ impl Setup {
                 sums[c] = ys.iter().map(|v| v[c] * v[c]).sum::<f64>();
                 sums[8 + c] = xs[..n].iter().map(|v| v[c] * v[c]).sum::<f64>();
             }
-            if let Some(comm) = net {
+            if let Some((comm, _)) = link {
                 sums = comm.allreduce_sum(&sums);
             }
             for c in 0..C {
@@ -1560,14 +1564,13 @@ fn transpose(p: &Sparse, rows: usize, ncols: usize, out: &mut Sparse) {
 /// Collective.
 fn dense_factor<const C: usize>(
     a: Rows<'_, C>,
-    halo: &Halo,
+    link: Link,
     n_global: u64,
     c: usize,
-    net: Net,
 ) -> Option<Cholesky> {
     let (n, ng) = (a.n(), n_global as usize);
     let mut dense = vec![0.0; ng * ng];
-    let Some(comm) = net else {
+    let Some((comm, halo)) = link else {
         for i in 0..n {
             for (j, v) in a.lane_row(i, c) {
                 dense[i * n + j] = v;
@@ -1590,9 +1593,10 @@ fn dense_factor<const C: usize>(
 /// plain `Amg` is one hierarchy for a scalar vector. A hierarchy that
 /// spans ranks holds their communicator for its V-cycles.
 pub struct Amg<'c, const C: usize = 1> {
-    net: Net<'c>,
+    /// The communicator and the fine level's halo of a hierarchy that
+    /// spans ranks.
+    net: Option<(&'c Comm, Halo)>,
     fine: LevelOp<C>,
-    halo: Halo,
     /// One per distinct lane matrix.
     chains: Vec<Chain>,
     /// Lane `c` continues in `chains[lanes[c]]`.
@@ -1643,7 +1647,7 @@ impl Amg<'static> {
         let fine = LevelOp::from_csr(&a);
         drop(a);
         let n = fine.n() as u64;
-        Amg::build(None, fine, Halo::default(), n, [0], options)
+        Amg::build(None, fine, n, [0], options)
     }
 }
 
@@ -1703,14 +1707,7 @@ impl<'c, const C: usize> Amg<'c, C> {
         assert_eq!(a.nrows, a.ncols, "the whole matrix is square");
         let pinned = pinned_bits(a.nrows, masks, lanes);
         let n = a.nrows as u64;
-        Amg::build(
-            None,
-            LevelOp::masked(a, &pinned),
-            Halo::default(),
-            n,
-            lanes,
-            options,
-        )
+        Amg::build(None, LevelOp::masked(a, &pinned), n, lanes, options)
     }
 
     /// [`Amg::masked`] for the matrix whose rows the ranks of `comm` own
@@ -1726,11 +1723,10 @@ impl<'c, const C: usize> Amg<'c, C> {
     ) -> Amg<'c, C> {
         let n = a.a.nrows;
         assert_eq!(a.a.ncols, n + a.ghosts.len(), "owned columns, then ghosts");
-        let mut pinned = pinned_bits(n, masks, lanes);
         if comm.size() == 1 {
-            let fine = LevelOp::masked(&a.a, &pinned);
-            return Amg::build(None, fine, Halo::default(), n as u64, lanes, options);
+            return Amg::masked(&a.a, masks, lanes, options);
         }
+        let mut pinned = pinned_bits(n, masks, lanes);
         let mut offsets = Vec::new();
         row_offsets(comm, n, &mut offsets);
         assert_eq!(
@@ -1743,14 +1739,13 @@ impl<'c, const C: usize> Amg<'c, C> {
         halo.fill(comm, &mut pinned, 1, &mut Wire::new(SETUP_U8_STREAM));
         let n_global = offsets[comm.size()];
         let fine = LevelOp::masked(&a.a, &pinned);
-        Amg::build(Some(comm), fine, halo, n_global, lanes, options)
+        Amg::build(Some((comm, halo)), fine, n_global, lanes, options)
     }
 
     /// The hierarchies below `fine`, one per distinct entry of `lanes`.
     fn build(
-        net: Net<'c>,
+        net: Option<(&'c Comm, Halo)>,
         mut fine: LevelOp<C>,
-        halo: Halo,
         n_global: u64,
         lanes: [usize; C],
         options: AmgOptions,
@@ -1758,10 +1753,11 @@ impl<'c, const C: usize> Amg<'c, C> {
         let n = fine.n();
         let n_chains = lanes.iter().max().map_or(0, |&k| k + 1);
         let mut ws = Setup::new(n, C, fine.entries.len());
+        let link = net.as_ref().map(|(comm, halo)| (*comm, halo));
         // Every lane's spectral radius in one pass per power step; only a
         // level above `max_coarse` rows is coarsened and needs one.
         let rho = if n_global > options.max_coarse as u64 {
-            ws.spectral_radii(fine.rows(0..n), &halo, 12, net)
+            ws.spectral_radii(fine.rows(0..n), link, 12)
         } else {
             [1.0; C]
         };
@@ -1772,7 +1768,7 @@ impl<'c, const C: usize> Amg<'c, C> {
                 .position(|&l| l == k)
                 .expect("every hierarchy has a lane");
             let fine_rows = fine.rows(0..n);
-            let chain = Chain::build(fine_rows, &halo, n_global, c, rho[c], options, &mut ws, net);
+            let chain = Chain::build(fine_rows, link, n_global, (c, rho[c]), options, &mut ws);
             if chain.depth == 0 && matches!(chain.direct, Direct::Sweeps) {
                 for d in &mut fine.diag {
                     for (c, _) in lanes.iter().enumerate().filter(|&(_, &l)| l == k) {
@@ -1785,7 +1781,7 @@ impl<'c, const C: usize> Amg<'c, C> {
             chains.push(chain);
         }
         drop(ws);
-        if net.is_some() {
+        if link.is_some() {
             fine.hybrid(std::iter::once(0..n));
         }
         let fine_solves =
@@ -1793,15 +1789,16 @@ impl<'c, const C: usize> Amg<'c, C> {
         let coarsens = chains.iter().any(|ch| ch.depth > 0);
         let dense = fine_solves(|d| matches!(d, Direct::Cholesky(_)));
         let gathered = chains.iter().filter_map(|ch| match &ch.direct {
-            Direct::Cholesky(f) if net.is_some() => Some(f.len()),
+            Direct::Cholesky(f) if link.is_some() => Some(f.len()),
             _ => None,
         });
         let gathered = gathered.max().unwrap_or(0);
         let sweeps = fine_solves(|d| matches!(d, Direct::Sweeps));
-        let rows = n + halo.ghosts.len();
+        let ghosts = link.map_or(0, |(_, halo)| halo.ghosts.len());
+        let rows = n + ghosts;
         let scratch = FineScratch {
             r: vec![0.0; if coarsens { C * n } else { 0 }],
-            x: vec![0.0; if halo.ghosts.is_empty() { 0 } else { C * rows }],
+            x: vec![0.0; if ghosts == 0 { 0 } else { C * rows }],
             lane: vec![0.0; if dense { n } else { 0 }],
             whole: Vec::with_capacity(gathered),
             swept: vec![0.0; if sweeps { C * rows } else { 0 }],
@@ -1818,7 +1815,6 @@ impl<'c, const C: usize> Amg<'c, C> {
         Amg {
             net,
             fine,
-            halo,
             chains,
             lanes,
             coarsens,
@@ -1838,64 +1834,23 @@ impl<'c, const C: usize> Amg<'c, C> {
         self.fine.entries.len() + self.lanes.iter().map(|&k| coarse(k)).sum::<usize>()
     }
 
-    /// Exchange rounds one V-cycle runs and the point-to-point messages
-    /// this rank sends in them; `(0, 0)` for a rank alone. Each
-    /// coarsest-level solve gathers its right-hand side besides, in one
-    /// collective.
-    pub fn vcycle_traffic(&self) -> (u64, u64) {
-        if self.net.is_none() {
-            return (0, 0);
-        }
-        let (fill, _) = self.halo.messages();
-        let mut total = (0, 0);
-        if self.coarsens {
-            total = (2, 2 * fill);
-        }
-        if !self.scratch.borrow().swept.is_empty() {
-            let rounds = 2 * COARSE_SWEEPS as u64;
-            total = (total.0 + rounds, total.1 + rounds * fill);
-        }
-        let cycling = std::array::from_fn(|c| self.chain(c).depth > 0);
-        if cycling.contains(&true) {
-            let (rounds, msgs) = self.descent_traffic(1, cycling);
-            let acc = self.round_messages(1, cycling, false);
-            total = (total.0 + rounds + 1, total.1 + msgs + acc);
-        }
-        total
+    /// Exchange rounds this rank's V-cycles have run so far and the
+    /// point-to-point messages it sent in them; `(0, 0)` for a rank
+    /// alone. Each coarsest-level solve gathers its right-hand side
+    /// besides, in one collective.
+    pub fn exchanges(&self) -> (u64, u64) {
+        let wire = &self.scratch.borrow().wire;
+        (wire.rounds, wire.messages)
     }
 
-    /// Rounds and messages of one [`Amg::descend`] on level `k`.
-    fn descent_traffic(&self, k: usize, set: [bool; C]) -> (u64, u64) {
-        let smooth = std::array::from_fn(|c| set[c] && k < self.chain(c).depth);
-        let mut total = (0, 0);
-        if smooth.contains(&true) {
-            let (rounds, msgs) = self.descent_traffic(k + 1, smooth);
-            let fill = self.round_messages(k, smooth, true);
-            let acc = self.round_messages(k + 1, smooth, false);
-            total = (rounds + 4, msgs + 3 * fill + acc);
-        }
-        for c in (0..C).filter(|&c| set[c] && !smooth[c]) {
-            if let Direct::Sweeps = self.chain(c).direct {
-                let (fill, _) = self.chain(c).halo(k).messages();
-                let rounds = 2 * COARSE_SWEEPS as u64 + 1;
-                total = (total.0 + rounds, total.1 + rounds * fill);
-            }
-        }
-        total
+    /// The communicator of a hierarchy that spans ranks.
+    fn comm(&self) -> Option<&Comm> {
+        self.net.as_ref().map(|(comm, _)| *comm)
     }
 
-    /// Messages this rank sends in one round on level `k` of the lanes in
-    /// `set`: a ghost fill (`fill`) or an accumulation.
-    fn round_messages(&self, k: usize, set: [bool; C], fill: bool) -> u64 {
-        let p = self.net.map_or(1, Comm::size);
-        let sends = |r: usize| {
-            (0..C).filter(|&c| set[c]).any(|c| {
-                let h = self.chain(c).halo(k);
-                let counts = if fill { &h.send_counts } else { &h.recv_counts };
-                counts[r] > 0
-            })
-        };
-        (0..p).filter(|&r| sends(r)).count() as u64
+    /// How the fine level reaches the other ranks.
+    fn link(&self) -> Link<'_> {
+        self.net.as_ref().map(|(comm, halo)| (*comm, halo))
     }
 
     /// Apply one V-cycle to `b` with zero initial guess: `x = B b` where
@@ -1918,7 +1873,7 @@ impl<'c, const C: usize> Amg<'c, C> {
     /// [`Amg::vcycle`] into `x`, the owned rows and then the ghost rows.
     fn cycle(&self, b: &[f64], x: &mut [f64], s: &mut FineScratch<C>) {
         x.fill(0.0);
-        let (net, halo) = (self.net, &self.halo);
+        let link = self.link();
         let op = self.fine.rows(0..self.fine.n());
         let n = op.n();
         if self.coarsens {
@@ -1926,15 +1881,15 @@ impl<'c, const C: usize> Amg<'c, C> {
             // the coarse levels. The forward pass starts from zero ghost
             // values, which are exact.
             op.gs(b, x, 0..n);
-            fill_ghosts(net, halo, x, C, &mut s.wire);
+            fill_ghosts(link, x, C, &mut s.wire);
             op.residual(b, x, &mut s.r);
             self.correct(x, s);
-            fill_ghosts(net, halo, x, C, &mut s.wire);
+            fill_ghosts(link, x, C, &mut s.wire);
             op.gs(b, x, (0..n).rev());
         }
         if !s.swept.is_empty() {
             s.swept.fill(0.0);
-            sweeps(op, net, halo, b, &mut s.swept, &mut s.wire);
+            sweeps(op, link, b, &mut s.swept, &mut s.wire);
         }
         for (c, &k) in self.lanes.iter().enumerate() {
             let chain = &self.chains[k];
@@ -1951,7 +1906,7 @@ impl<'c, const C: usize> Amg<'c, C> {
             for (li, bi) in s.lane.iter_mut().zip(lanes::<C>(b)) {
                 *li = bi[c];
             }
-            solve_whole(net, ch, halo, &mut s.lane, n, &mut s.whole);
+            solve_whole(link, ch, &mut s.lane, n, &mut s.whole);
             for (xi, li) in x.iter_mut().zip(&s.lane) {
                 xi[c] = *li;
             }
@@ -1963,12 +1918,26 @@ impl<'c, const C: usize> Amg<'c, C> {
         &self.chains[self.lanes[c]]
     }
 
-    /// Coarse-grid correction of every lane that coarsens: restrict the
+    /// Coarse-grid correction of every lane that coarsens. Across ranks
+    /// the lanes cycle in lock-step, one exchange round carrying them
+    /// all; a rank alone cycles them one after the other, so each lane's
+    /// levels stay in cache from its pre- to its post-smoothing.
+    fn correct(&self, x: &mut [f64], s: &mut FineScratch<C>) {
+        let cycling: [bool; C] = std::array::from_fn(|c| self.chain(c).depth > 0);
+        if self.net.is_some() {
+            self.correct_lanes(cycling, x, s);
+        } else {
+            for c in (0..C).filter(|&c| cycling[c]) {
+                self.correct_lanes(std::array::from_fn(|l| l == c), x, s);
+            }
+        }
+    }
+
+    /// Coarse-grid correction of the lanes in `cycling`: restrict the
     /// fine residual `s.r`, cycle on level 1 from zero, and add the
     /// prolonged result to `x`. Each lane of `s.r` is spent on its
     /// prolongation.
-    fn correct(&self, x: &mut [f64], s: &mut FineScratch<C>) {
-        let cycling = std::array::from_fn(|c| self.chain(c).depth > 0);
+    fn correct_lanes(&self, cycling: [bool; C], x: &mut [f64], s: &mut FineScratch<C>) {
         for c in (0..C).filter(|&c| cycling[c]) {
             let (ch, b) = (self.chain(c), &mut s.coarse[c].b);
             let v1 = ch.vec_ends[1];
@@ -1989,7 +1958,7 @@ impl<'c, const C: usize> Amg<'c, C> {
     /// round carries every lane's ghost values. Leaves each lane's
     /// level-`k` iterate with its ghost values, for the prolongation.
     fn descend(&self, k: usize, set: [bool; C], s: &mut FineScratch<C>) {
-        let net = self.net;
+        let net = self.comm();
         let smooth = std::array::from_fn(|c| set[c] && k < self.chain(c).depth);
         let level = |c: usize| {
             let ch = self.chain(c);
@@ -2044,17 +2013,17 @@ impl<'c, const C: usize> Amg<'c, C> {
         }
         for c in (0..C).filter(|&c| set[c] && !smooth[c]) {
             let (ch, op, range) = level(c);
-            let (halo, n) = (ch.halo(k), op.n());
+            let (link, n) = (ch.link(k, net), op.n());
             let LaneScratch { b, x, .. } = &mut s.coarse[c];
             let (b, x) = (&b[range.clone()], &mut x[range]);
             match &ch.direct {
                 Direct::Cholesky(f) => {
                     x[..n].copy_from_slice(&b[..n]);
-                    solve_whole(net, f, halo, x, n, &mut s.whole);
+                    solve_whole(link, f, x, n, &mut s.whole);
                 }
                 Direct::Sweeps => {
-                    sweeps(op, net, halo, &b[..n], x, &mut s.wire);
-                    fill_ghosts(net, halo, x, 1, &mut s.wire);
+                    sweeps(op, link, &b[..n], x, &mut s.wire);
+                    fill_ghosts(link, x, 1, &mut s.wire);
                 }
             }
         }
@@ -2063,7 +2032,7 @@ impl<'c, const C: usize> Amg<'c, C> {
     /// One round that fills the ghost rows of level `k` of `field` of
     /// every lane in `set` with their owners' values.
     fn fill_level(&self, k: usize, set: [bool; C], field: Field, s: &mut FineScratch<C>) {
-        let Some(comm) = self.net else { return };
+        let Some(comm) = self.comm() else { return };
         let (p, wire) = (comm.size(), &mut s.wire);
         let lanes = || (0..C).filter(|&c| set[c]);
         let halos = lanes().map(|c| self.chain(c).halo(k));
@@ -2080,8 +2049,7 @@ impl<'c, const C: usize> Amg<'c, C> {
                 at[c] += rows.len();
             }
         }
-        comm.exchange_start(&wire.send, &wire.send_counts, &wire.expect, &mut wire.ex);
-        comm.exchange_end(&mut wire.ex, &mut wire.recv, &mut wire.recv_counts);
+        wire.exchange(comm);
         let (mut pos, mut filled) = (0, [0; C]);
         for r in 0..p {
             for c in lanes() {
@@ -2099,7 +2067,7 @@ impl<'c, const C: usize> Amg<'c, C> {
     /// right-hand sides into their owners' rows, in ascending source
     /// rank, then each lane's `send` order. The ghost rows stay.
     fn accumulate_level(&self, k: usize, set: [bool; C], s: &mut FineScratch<C>) {
-        let Some(comm) = self.net else { return };
+        let Some(comm) = self.comm() else { return };
         let (p, wire) = (comm.size(), &mut s.wire);
         let lanes = || (0..C).filter(|&c| set[c]);
         let halos = lanes().map(|c| self.chain(c).halo(k));
@@ -2118,8 +2086,7 @@ impl<'c, const C: usize> Amg<'c, C> {
                 sent[c] += count;
             }
         }
-        comm.exchange_start(&wire.send, &wire.send_counts, &wire.expect, &mut wire.ex);
-        comm.exchange_end(&mut wire.ex, &mut wire.recv, &mut wire.recv_counts);
+        wire.exchange(comm);
         let (mut added, mut at) = (wire.recv.iter(), [0; C]);
         for r in 0..p {
             for c in lanes() {
@@ -2545,7 +2512,7 @@ mod tests {
             let mut z = vec![0.0; a.nrows];
             coupled.vcycle(&b[..a.nrows], &mut z);
             assert_eq!(bits(&z), want1, "one unmasked lane");
-            assert_eq!(coupled.vcycle_traffic(), (0, 0));
+            assert_eq!(coupled.exchanges(), (0, 0));
         });
     }
 
@@ -2565,6 +2532,43 @@ mod tests {
                 assert!(gap <= 1e-12, "P = {p}, lanes {lanes:?}: {buv} vs {ubv}");
                 assert!(buu > 0.0, "P = {p}, lanes {lanes:?}: uᵀBu = {buu}");
             }
+        }
+    }
+
+    #[test]
+    fn coupled_vcycle_exchanges_follow_the_levels() {
+        // One lane with a factored coarsest level: two ghost fills on the
+        // fine level, then per coarse level one accumulation into it and,
+        // above the coarsest, three fills. Each round sends one message
+        // per rank that has rows to send in it.
+        let n = 10;
+        let a = poisson3d(n, |i, j, k| 1.0 + ((i * 7 + j * 3 + k) % 5) as f64 * 30.0);
+        for p in [2, 4] {
+            let a = a.clone();
+            scomm::spmd::run(p, move |comm| {
+                let rows = rows_of(&a, comm.rank(), p);
+                let none = vec![false; rows.a.nrows];
+                let amg = Amg::coupled(comm, &rows, &[&none], [0], AmgOptions::default());
+                let ch = &amg.chains[0];
+                assert!(ch.depth >= 2 && matches!(ch.direct, Direct::Cholesky(_)));
+                let busy = |counts: &[usize]| counts.iter().filter(|&&k| k > 0).count() as u64;
+                let fine = &amg.net.as_ref().unwrap().1;
+                let mut want = (2, 2 * busy(&fine.send_counts));
+                for k in 1..=ch.depth {
+                    want.0 += 1;
+                    want.1 += busy(&ch.halo(k).recv_counts);
+                    if k < ch.depth {
+                        want.0 += 3;
+                        want.1 += 3 * busy(&ch.halo(k).send_counts);
+                    }
+                }
+                let b = vec![1.0; rows.a.nrows];
+                let mut x = vec![0.0; rows.a.nrows];
+                for cycles in 1..=2 {
+                    amg.vcycle(&b, &mut x);
+                    assert_eq!(amg.exchanges(), (cycles * want.0, cycles * want.1));
+                }
+            });
         }
     }
 

@@ -186,11 +186,11 @@ impl<'a> StokesSolver<'a> {
             .collect();
     }
 
-    /// Exchange rounds one velocity V-cycle runs and the messages this
-    /// rank sends in them ([`Amg::vcycle_traffic`]).
-    pub fn vcycle_traffic(&self) -> (u64, u64) {
+    /// Exchange rounds the velocity V-cycles of this setup have run and
+    /// the messages this rank sent in them ([`Amg::exchanges`]).
+    pub fn amg_exchanges(&self) -> (u64, u64) {
         let amg = self.amg.as_ref().expect("setup() must run first");
-        amg.vcycle_traffic()
+        amg.exchanges()
     }
 
     /// `D⁻¹`, the inverse η⁻¹-weighted lumped pressure mass that scales
@@ -314,7 +314,7 @@ impl<'a> StokesSolver<'a> {
         let stats0 = self.comm.stats();
         let amg = self.amg.as_ref().expect("setup() must run first");
         let vcycle_entries = amg.vcycle_entries() as u64;
-        let (exchanges, _) = amg.vcycle_traffic();
+        let (rounds0, _) = amg.exchanges();
         let info = {
             let n = self.n_owned();
             let op = (n, |x: &[f64], y: &mut [f64]| self.apply(x, y));
@@ -322,7 +322,6 @@ impl<'a> StokesSolver<'a> {
                 let _span = rec.as_ref().map(|rec| {
                     rec.add_count("amg.vcycles", 3); // one per velocity component
                     rec.add_count("amg.vcycle_entries", vcycle_entries);
-                    rec.add_count("amg.exchanges", exchanges);
                     rec.span_cat("AMGSolve", "solve")
                 });
                 self.apply_preconditioner(r, z);
@@ -358,6 +357,7 @@ impl<'a> StokesSolver<'a> {
                 r.add_count("minres.unconverged", 1);
             }
             r.add_count("minres.allreduces", stats1.allreduces - stats0.allreduces);
+            r.add_count("amg.exchanges", amg.exchanges().0 - rounds0);
             r.add_count(
                 "minres.exchange_msgs",
                 stats1.p2p_messages - stats0.p2p_messages,

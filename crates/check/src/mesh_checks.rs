@@ -323,49 +323,32 @@ pub fn dof_numbering(tree: &DistOctree, mesh: &Mesh) -> Vec<Violation> {
             per_owner[owner] += 1;
         }
     }
-    if mesh.exchange.recv_counts.len() != p {
-        out.push(violation(
-            NAME,
-            me,
-            format!(
-                "recv_counts has {} entries for {p} ranks",
-                mesh.exchange.recv_counts.len()
-            ),
-        ));
-    } else {
-        for r in 0..p {
-            if per_owner[r] != mesh.exchange.recv_counts[r] {
-                out.push(violation(
-                    NAME,
-                    me,
-                    format!(
-                        "recv_counts[{r}] = {} but {} ghost gids fall in rank {r}'s range",
-                        mesh.exchange.recv_counts[r], per_owner[r]
-                    ),
-                ));
-            }
-        }
+    let halo = &mesh.exchange;
+    if halo.recv_counts != per_owner {
+        let got = &halo.recv_counts;
+        let msg = format!("recv_counts {got:?} but ghost gids fall {per_owner:?} per rank");
+        out.push(violation(NAME, me, msg));
     }
 
-    // Send lists: in-range, unique per peer.
-    for (r, idx) in mesh.exchange.send_idx.iter().enumerate() {
-        let mut seen = idx.clone();
-        seen.sort_unstable();
-        seen.dedup();
-        if seen.len() != idx.len() {
-            out.push(violation(
-                NAME,
-                me,
-                format!("send_idx[{r}] contains duplicate dof indices"),
-            ));
-        }
-        for &i in idx {
-            if i >= mesh.n_owned {
-                out.push(violation(
-                    NAME,
-                    me,
-                    format!("send_idx[{r}] references non-owned dof {i}"),
-                ));
+    // The flat send list: its counts cover it; each rank's rows are
+    // owned and distinct.
+    if halo.send_counts.iter().sum::<usize>() != halo.send.len() {
+        let n = halo.send.len();
+        let msg = format!(
+            "send_counts {:?} do not cover {n} send rows",
+            halo.send_counts
+        );
+        out.push(violation(NAME, me, msg));
+    } else {
+        let mut rest = &halo.send[..];
+        for (r, &count) in halo.send_counts.iter().enumerate() {
+            let mut rows = rest[..count].to_vec();
+            rest = &rest[count..];
+            rows.sort_unstable();
+            rows.dedup();
+            if rows.len() != count || rows.last().is_some_and(|&i| i as usize >= mesh.n_owned) {
+                let msg = format!("send rows for rank {r} repeat a dof or name a non-owned one");
+                out.push(violation(NAME, me, msg));
             }
         }
     }
@@ -373,19 +356,14 @@ pub fn dof_numbering(tree: &DistOctree, mesh: &Mesh) -> Vec<Violation> {
     // Exchange symmetry: ship "I expect recv_counts[r] values from you"
     // to each peer; each peer compares against its planned send length.
     let expect: Vec<Vec<u64>> = (0..p)
-        .map(|r| vec![mesh.exchange.recv_counts.get(r).copied().unwrap_or(0) as u64])
+        .map(|r| vec![halo.recv_counts.get(r).copied().unwrap_or(0) as u64])
         .collect();
     let expects = comm.alltoallv(&expect);
     for (src, e) in expects.iter().enumerate() {
         if src == me {
             continue;
         }
-        let planned = mesh
-            .exchange
-            .send_idx
-            .get(src)
-            .map(|v| v.len())
-            .unwrap_or(0) as u64;
+        let planned = halo.send_counts.get(src).copied().unwrap_or(0) as u64;
         if e[0] != planned {
             out.push(violation(
                 NAME,

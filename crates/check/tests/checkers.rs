@@ -380,16 +380,16 @@ fn dof_numbering_detects_exchange_asymmetry() {
     spmd::run(2, |c| {
         let t = adapted_tree(c);
         let mut m = extract_mesh(&t, [1.0, 1.0, 1.0]);
-        let sends = c.allgatherv(&[m.exchange.send_idx.iter().any(|s| !s.is_empty()) as u64]);
+        let sends = c.allgatherv(&[!m.exchange.send.is_empty() as u64]);
         let corrupt = sends.iter().position(|&s| s == 1).expect("someone sends");
         if c.rank() == corrupt {
-            let idx = m
-                .exchange
-                .send_idx
-                .iter()
-                .position(|s| !s.is_empty())
-                .unwrap();
-            m.exchange.send_idx[idx].pop(); // peer still expects this value
+            // Drop the last row sent to the first rank sent to; that
+            // peer still expects its value.
+            let counts = &mut m.exchange.send_counts;
+            let idx = counts.iter().position(|&k| k > 0).unwrap();
+            let last = counts[..=idx].iter().sum::<usize>() - 1;
+            counts[idx] -= 1;
+            m.exchange.send.remove(last);
         }
         let v = check::mesh_checks::dof_numbering(&t, &m);
         assert!(

@@ -1,7 +1,8 @@
 //! Ghost exchange against a closed form, at P ∈ {1, 2, 4, 8} and
-//! ncomp ∈ {1, 3}: the split-phase `*_begin/*_end` round — the one
-//! transport every ghost exchange uses — is checked against what the
-//! answer must be, not against other code.
+//! ncomp ∈ {1, 3, 4} (4 is the Stokes field every MINRES apply
+//! exchanges): the split-phase `*_begin/*_end` round — the one transport
+//! every ghost exchange uses — is checked against what the answer must
+//! be, not against other code.
 //!
 //! * Forward: owned entries hold a pure function of (lattice node key,
 //!   component); after the exchange every ghost entry must hold that
@@ -14,10 +15,10 @@
 use std::collections::HashMap;
 
 use fem::op::DofMap;
-use mesh::extract::{extract_mesh, ExchangeBuffers};
+use mesh::extract::extract_mesh;
 use octree::balance::BalanceKind;
 use octree::parallel::DistOctree;
-use scomm::spmd;
+use scomm::{spmd, HaloBuffers};
 
 const RANK_COUNTS: [usize; 4] = [1, 2, 4, 8];
 
@@ -43,7 +44,7 @@ fn bits(v: &[f64]) -> Vec<u64> {
 #[test]
 fn forward_exchange_delivers_the_owners_values() {
     for p in RANK_COUNTS {
-        for ncomp in [1usize, 3] {
+        for ncomp in [1usize, 3, 4] {
             spmd::run(p, move |c| {
                 let t = fixture(c);
                 let m = extract_mesh(&t, [1.0, 1.0, 1.0]);
@@ -60,7 +61,7 @@ fn forward_exchange_delivers_the_owners_values() {
                     .collect();
 
                 let mut split = Vec::new();
-                let mut buf = ExchangeBuffers::with_stream(1);
+                let mut buf = HaloBuffers::with_stream(1);
                 map.fill_local(&owned, &mut split);
                 map.exchange_begin(&split, &mut buf);
                 map.exchange_end(&mut split, &mut buf);
@@ -75,7 +76,7 @@ fn forward_exchange_delivers_the_owners_values() {
 #[test]
 fn reverse_accumulate_conserves_the_global_sum() {
     for p in RANK_COUNTS {
-        for ncomp in [1usize, 3] {
+        for ncomp in [1usize, 3, 4] {
             spmd::run(p, move |c| {
                 let t = fixture(c);
                 let m = extract_mesh(&t, [1.0, 1.0, 1.0]);
@@ -98,9 +99,9 @@ fn reverse_accumulate_conserves_the_global_sum() {
                 }
 
                 let mut split = local;
-                let mut buf = ExchangeBuffers::with_stream(1);
-                map.reverse_accumulate_begin(&mut split, &mut buf);
-                map.reverse_accumulate_end(&mut split, &mut buf);
+                let (mut buf, halo) = (HaloBuffers::with_stream(1), &m.exchange);
+                buf.accumulate_begin(c, &[halo], &mut [&mut split], ncomp);
+                buf.accumulate_end(c, &[halo], &mut [&mut split], ncomp);
 
                 for (i, &got) in split[..n_owned].iter().enumerate() {
                     let key = (m.dof_keys[i / ncomp], (i % ncomp) as u64);

@@ -14,8 +14,8 @@
 use std::cell::RefCell;
 
 use la::LinearOp;
-use mesh::extract::{ExchangeBuffers, Mesh};
-use scomm::Comm;
+use mesh::extract::Mesh;
+use scomm::{Comm, HaloBuffers};
 
 /// Clear and re-zero a reusable buffer without shrinking its allocation.
 #[inline]
@@ -108,7 +108,7 @@ pub struct Workspace {
     /// Owned+ghost accumulation target.
     yl: Vec<f64>,
     /// Ghost-exchange pack/unpack buffers.
-    exch: ExchangeBuffers,
+    exch: HaloBuffers<f64>,
 }
 
 impl Workspace {
@@ -159,12 +159,12 @@ impl<'a> DofMap<'a> {
     }
 
     /// Expand an owned vector into a fresh owned+ghost vector and fill its
-    /// ghosts: [`DofMap::fill_local`] + [`DofMap::exchange`], for set-up
-    /// code that does not keep a buffer.
+    /// ghosts on a fresh stream-0 buffer set (see [`HaloBuffers::new`]),
+    /// for set-up code that does not keep a buffer.
     pub fn to_local(&self, owned: &[f64]) -> Vec<f64> {
         let mut v = Vec::new();
         self.fill_local(owned, &mut v);
-        self.exchange(&mut v);
+        self.exchange_in(&mut v, &mut Workspace::default());
         v
     }
 
@@ -172,45 +172,15 @@ impl<'a> DofMap<'a> {
     /// interleaved message per neighbor and return while the messages are
     /// in flight. Only the owned block of `v` is read at post time;
     /// [`DofMap::exchange_end`] fills the ghost block.
-    pub fn exchange_begin(&self, v: &[f64], buf: &mut ExchangeBuffers) {
-        self.mesh
-            .exchange
-            .exchange_begin_interleaved(self.comm, v, self.ncomp, buf);
+    pub fn exchange_begin(&self, v: &[f64], buf: &mut HaloBuffers<f64>) {
+        debug_assert_eq!(v.len(), self.n_local());
+        buf.fill_begin(self.comm, &[&self.mesh.exchange], &[v], self.ncomp);
     }
 
     /// Complete the ghost fill posted by [`DofMap::exchange_begin`].
-    pub fn exchange_end(&self, v: &mut [f64], buf: &mut ExchangeBuffers) {
-        self.mesh.exchange.exchange_end_interleaved(
-            self.comm,
-            v,
-            self.mesh.n_owned,
-            self.ncomp,
-            buf,
-        );
-    }
-
-    /// Split-phase reverse accumulation on reused buffers: post the ghost
-    /// contributions back to their owners and zero the ghost block.
-    pub fn reverse_accumulate_begin(&self, v: &mut [f64], buf: &mut ExchangeBuffers) {
-        self.mesh.exchange.reverse_accumulate_begin_interleaved(
-            self.comm,
-            v,
-            self.mesh.n_owned,
-            self.ncomp,
-            buf,
-        );
-    }
-
-    /// Complete the accumulation posted by
-    /// [`DofMap::reverse_accumulate_begin`].
-    pub fn reverse_accumulate_end(&self, v: &mut [f64], buf: &mut ExchangeBuffers) {
-        self.mesh.exchange.reverse_accumulate_end_interleaved(
-            self.comm,
-            v,
-            self.mesh.n_owned,
-            self.ncomp,
-            buf,
-        );
+    pub fn exchange_end(&self, v: &mut [f64], buf: &mut HaloBuffers<f64>) {
+        debug_assert_eq!(v.len(), self.n_local());
+        buf.fill_end(self.comm, &[&self.mesh.exchange], &mut [v], self.ncomp);
     }
 
     /// Reset `v` to owned+ghost length and copy the owned entries in,
@@ -222,30 +192,26 @@ impl<'a> DofMap<'a> {
         v[..owned.len()].copy_from_slice(owned);
     }
 
-    /// Exchange ghost values of an owned+ghost vector with `ncomp`
-    /// interleaved components: one packed round, posted and completed on
-    /// a fresh stream-0 buffer set (see [`ExchangeBuffers::new`]).
-    pub fn exchange(&self, v: &mut [f64]) {
-        self.exchange_in(v, &mut Workspace::default());
-    }
-
-    /// Reverse-accumulate ghost contributions to owners (assembly step):
-    /// one packed round, posted and completed.
+    /// Reverse-accumulate ghost contributions to owners (assembly step)
+    /// on a fresh stream-0 buffer set.
     pub fn reverse_accumulate(&self, v: &mut [f64]) {
         self.reverse_accumulate_in(v, &mut Workspace::default());
     }
 
-    /// [`DofMap::exchange`] on `ws`'s stream-0 buffers, which a warm
-    /// workspace recycles: for set-up code that keeps one.
+    /// Fill the ghost block of the owned+ghost vector `v` (`ncomp`
+    /// interleaved components per dof) in one round on `ws`'s stream-0
+    /// buffers, which a warm workspace recycles.
     pub fn exchange_in(&self, v: &mut [f64], ws: &mut Workspace) {
         self.exchange_begin(v, &mut ws.exch);
         self.exchange_end(v, &mut ws.exch);
     }
 
-    /// [`DofMap::reverse_accumulate`] on `ws`'s stream-0 buffers.
+    /// Add the ghost block of the owned+ghost vector `v` into its owners'
+    /// rows and zero it, in one round on `ws`'s stream-0 buffers.
     pub fn reverse_accumulate_in(&self, v: &mut [f64], ws: &mut Workspace) {
-        self.reverse_accumulate_begin(v, &mut ws.exch);
-        self.reverse_accumulate_end(v, &mut ws.exch);
+        debug_assert_eq!(v.len(), self.n_local());
+        let halo = &self.mesh.exchange;
+        ws.exch.accumulate(self.comm, &[halo], &mut [v], self.ncomp);
     }
 
     /// One operator application on this map's field: `fill` writes the
@@ -282,16 +248,10 @@ impl<'a> DofMap<'a> {
         assert_eq!(NO, self.ncomp, "kernel and map disagree on components");
         reset(&mut ws.yl, self.n_local());
         sweep(self.mesh, kernel, x, &mut ws.yl);
-        self.reverse_accumulate_begin(&mut ws.yl, &mut ws.exch);
-        self.reverse_accumulate_end(&mut ws.yl, &mut ws.exch);
+        let halo = &self.mesh.exchange;
+        ws.exch
+            .accumulate(self.comm, &[halo], &mut [&mut ws.yl], self.ncomp);
         &ws.yl[..self.n_owned()]
-    }
-
-    /// Fill the ghost block of the owned+ghost vector `v` in one round on
-    /// `ws`'s exchange buffers.
-    pub fn exchange_with(&self, v: &mut [f64], ws: &mut Workspace) {
-        self.exchange_begin(v, &mut ws.exch);
-        self.exchange_end(v, &mut ws.exch);
     }
 
     /// Gather the element-local vector (length `8·ncomp`, corner-major)

@@ -78,7 +78,7 @@
 use std::cell::RefCell;
 use std::ops::Range;
 
-use scomm::{Comm, Exchange, Pod};
+use scomm::{Comm, Halo, HaloBuffers};
 
 use crate::csr::{Csr, DistCsr};
 use crate::dense::Cholesky;
@@ -113,24 +113,19 @@ const SETUP_U64_STREAM: u64 = 0xA2;
 const SETUP_U8_STREAM: u64 = 0xA3;
 
 /// How one level of a hierarchy that spans ranks reaches the others: the
-/// communicator and the level's [`Halo`]. `None` for one rank's rows
+/// communicator and the level's [`Ghosts`]. `None` for one rank's rows
 /// alone, which have no ghost column and exchange nothing.
-type Link<'a> = Option<(&'a Comm, &'a Halo)>;
+type Link<'a> = Option<(&'a Comm, &'a Ghosts)>;
 
 /// Where one level's rows lie across ranks: this rank owns global rows
-/// `first..first + n`, its rows' other columns are the ghost rows
-/// `ghosts`, and `send` lists what each rank reads of its owned rows.
-struct Halo {
+/// `first..first + n`, its rows' other columns are the ghost rows `gids`,
+/// and `halo` moves their values.
+struct Ghosts {
     first: u64,
     /// Global ids of the ghost columns (local columns `n..`), ascending,
     /// so grouped by owner rank.
-    ghosts: Vec<u64>,
-    /// The owned rows every rank reads as ghosts, rank after rank, each
-    /// rank's in its ghost order.
-    send: Vec<u32>,
-    /// Per rank: rows of `send` it reads; ghost rows it owns.
-    send_counts: Vec<usize>,
-    recv_counts: Vec<usize>,
+    gids: Vec<u64>,
+    halo: Halo,
 }
 
 /// The rank owning global row `g` when rank `r` owns
@@ -150,27 +145,13 @@ fn row_offsets(comm: &Comm, n: usize, out: &mut Vec<u64>) {
     out.push(sum);
 }
 
-impl Halo {
-    /// The halo of owned rows from `first` with ghost columns `ghosts`
+impl Ghosts {
+    /// The owned rows from `first` with ghost columns `gids`
     /// (ascending), rank `r` owning `offsets[r]..offsets[r + 1]`.
     /// Collective.
-    fn new(comm: &Comm, first: u64, ghosts: Vec<u64>, offsets: &[u64]) -> Halo {
-        let mut requests: Vec<Vec<u64>> = vec![Vec::new(); comm.size()];
-        for &g in &ghosts {
-            requests[owner(offsets, g)].push(g);
-        }
-        let incoming = comm.alltoallv(&requests);
-        Halo {
-            first,
-            send: incoming
-                .iter()
-                .flatten()
-                .map(|&g| (g - first) as u32)
-                .collect(),
-            send_counts: incoming.iter().map(Vec::len).collect(),
-            recv_counts: requests.iter().map(Vec::len).collect(),
-            ghosts,
-        }
+    fn new(comm: &Comm, first: u64, gids: Vec<u64>, offsets: &[u64]) -> Ghosts {
+        let halo = Halo::from_ghosts(comm, first, &gids, offsets);
+        Ghosts { first, gids, halo }
     }
 
     /// Global id of local column `j` of a level with `n` owned rows.
@@ -178,89 +159,7 @@ impl Halo {
         if j < n {
             self.first + j as u64
         } else {
-            self.ghosts[j - n]
-        }
-    }
-
-    /// Overwrite the ghost rows of `v` (owned rows, then one per ghost,
-    /// `lanes` values each) with their owners' values: one round.
-    fn fill<T: Pod>(&self, comm: &Comm, v: &mut [T], lanes: usize, wire: &mut Wire<T>) {
-        let n = v.len() / lanes - self.ghosts.len();
-        wire.send.clear();
-        for &i in &self.send {
-            let i = i as usize;
-            wire.send.extend_from_slice(&v[i * lanes..(i + 1) * lanes]);
-        }
-        wire.counts(&self.send_counts, &self.recv_counts, lanes);
-        wire.exchange(comm);
-        v[n * lanes..].copy_from_slice(&wire.recv);
-    }
-}
-
-/// [`Halo::fill`] where the level spans ranks.
-fn fill_ghosts(link: Link, v: &mut [f64], lanes: usize, wire: &mut Wire<f64>) {
-    if let Some((comm, halo)) = link {
-        halo.fill(comm, v, lanes, wire);
-    }
-}
-
-/// The buffers and stream of one kind of exchange round; grow-only.
-struct Wire<T> {
-    send: Vec<T>,
-    recv: Vec<T>,
-    send_counts: Vec<usize>,
-    expect: Vec<usize>,
-    recv_counts: Vec<usize>,
-    ex: Exchange,
-    /// Rounds run and messages this rank sent in them.
-    rounds: u64,
-    messages: u64,
-}
-
-impl<T: Pod> Wire<T> {
-    fn new(stream: u64) -> Self {
-        Wire {
-            send: Vec::new(),
-            recv: Vec::new(),
-            send_counts: Vec::new(),
-            expect: Vec::new(),
-            recv_counts: Vec::new(),
-            ex: Exchange::new(stream),
-            rounds: 0,
-            messages: 0,
-        }
-    }
-
-    /// One round: `send` goes out by `send_counts`, and `recv` takes what
-    /// `expect` says arrives.
-    fn exchange(&mut self, comm: &Comm) {
-        comm.exchange_start(&self.send, &self.send_counts, &self.expect, &mut self.ex);
-        comm.exchange_end(&mut self.ex, &mut self.recv, &mut self.recv_counts);
-        self.rounds += 1;
-        self.messages += self.send_counts.iter().filter(|&&k| k > 0).count() as u64;
-    }
-
-    /// Rows sent and expected per rank, `lanes` values each.
-    fn counts(&mut self, send: &[usize], expect: &[usize], lanes: usize) {
-        self.send_counts.clear();
-        self.send_counts.extend(send.iter().map(|&k| k * lanes));
-        self.expect.clear();
-        self.expect.extend(expect.iter().map(|&k| k * lanes));
-    }
-
-    /// Values sent and expected per rank in one round that carries
-    /// several halos' rows, one value each: the sums of their
-    /// `(send, expect)` counts.
-    fn batch_counts<'h>(&mut self, p: usize, halos: impl Iterator<Item = [&'h [usize]; 2]>) {
-        self.send_counts.clear();
-        self.send_counts.resize(p, 0);
-        self.expect.clear();
-        self.expect.resize(p, 0);
-        for [send, expect] in halos {
-            for r in 0..p {
-                self.send_counts[r] += send[r];
-                self.expect[r] += expect[r];
-            }
+            self.gids[j - n]
         }
     }
 }
@@ -613,13 +512,17 @@ fn sweeps<const C: usize>(
     link: Link,
     b: &[f64],
     x: &mut [f64],
-    wire: &mut Wire<f64>,
+    wire: &mut HaloBuffers<f64>,
 ) {
     let n = op.n();
     for _ in 0..COARSE_SWEEPS {
-        fill_ghosts(link, x, C, wire);
+        if let Some((comm, g)) = link {
+            wire.fill(comm, &[&g.halo], &mut [x], C);
+        }
         op.gs(b, x, 0..n);
-        fill_ghosts(link, x, C, wire);
+        if let Some((comm, g)) = link {
+            wire.fill(comm, &[&g.halo], &mut [x], C);
+        }
         op.gs(b, x, (0..n).rev());
     }
 }
@@ -749,16 +652,16 @@ enum Direct {
 /// its ghost rows past them: gather the right-hand side from every rank
 /// into `whole` and solve it redundantly.
 fn solve_whole(link: Link, ch: &Cholesky, x: &mut [f64], n: usize, whole: &mut Vec<f64>) {
-    let Some((comm, halo)) = link else {
+    let Some((comm, level)) = link else {
         ch.solve(&mut x[..n]);
         return;
     };
     comm.allgatherv_into(&x[..n], whole);
     ch.solve(whole);
     let (owned, ghosts) = x.split_at_mut(n);
-    let first = halo.first as usize;
+    let first = level.first as usize;
     owned.copy_from_slice(&whole[first..first + n]);
-    for (xg, &g) in ghosts.iter_mut().zip(&halo.ghosts) {
+    for (xg, &g) in ghosts.iter_mut().zip(&level.gids) {
         *xg = whole[g as usize];
     }
 }
@@ -774,8 +677,9 @@ struct Chain {
     /// Its vectors, owned rows then ghost rows, are
     /// `vec_ends[k - 1]..vec_ends[k]` of the stacked scratch.
     vec_ends: [usize; MAX_LEVELS + 1],
-    /// Coarse level `k`'s halo is `halos[k - 1]`; none for a rank alone.
-    halos: Vec<Halo>,
+    /// Coarse level `k`'s ghosts are `ghosts[k - 1]`; none for a rank
+    /// alone.
+    ghosts: Vec<Ghosts>,
     ops: LevelOp<1>,
     /// `R_k = P_kᵀ` for `k < depth`, where `P_k` prolongs from level
     /// `k + 1` to level `k` (level 0 is the fine one): one row per
@@ -803,7 +707,7 @@ impl Chain {
             depth: 0,
             ends: [0; MAX_LEVELS + 1],
             vec_ends: [0; MAX_LEVELS + 1],
-            halos: Vec::new(),
+            ghosts: Vec::new(),
             ops: LevelOp::with_capacity(n_fine / 2, ws.entries / 2),
             r: Sparse::with_capacity(n_fine / 2, ws.entries),
             direct: Direct::Sweeps,
@@ -817,16 +721,15 @@ impl Chain {
             let Some(n_coarse) = coarse else {
                 break; // nothing to coarsen, or no progress; stop here
             };
-            let ghosts = ws.galerkin(net, &mut chain.ops, &mut chain.r);
+            let gids = ws.galerkin(net, &mut chain.ops, &mut chain.r);
             chain.depth += 1;
             let d = chain.depth;
             chain.ends[d] = chain.ops.n();
-            chain.vec_ends[d] = chain.vec_ends[d - 1] + ws.n_agg + ghosts.len();
+            chain.vec_ends[d] = chain.vec_ends[d - 1] + ws.n_agg + gids.len();
             if let Some(comm) = net {
                 let first = ws.offsets[comm.rank()];
-                chain
-                    .halos
-                    .push(Halo::new(comm, first, ghosts, &ws.offsets));
+                let level = Ghosts::new(comm, first, gids, &ws.offsets);
+                chain.ghosts.push(level);
             }
             n = n_coarse;
         }
@@ -871,13 +774,7 @@ impl Chain {
 
     /// How coarse level `k` reaches the other ranks of `net`.
     fn link<'a>(&'a self, k: usize, net: Option<&'a Comm>) -> Link<'a> {
-        net.map(|comm| (comm, &self.halos[k - 1]))
-    }
-
-    /// Coarse level `k`'s halo; only a hierarchy that spans ranks has
-    /// one.
-    fn halo(&self, k: usize) -> &Halo {
-        &self.halos[k - 1]
+        net.map(|comm| (comm, &self.ghosts[k - 1]))
     }
 
     /// `(rows, non-zeros)` of every coarse level, finest first.
@@ -950,8 +847,8 @@ struct Setup {
     g1: Vec<u64>,
     g2: Vec<u64>,
     ids: Vec<u64>,
-    wire_f: Wire<f64>,
-    wire_u: Wire<u64>,
+    wire_f: HaloBuffers<f64>,
+    wire_u: HaloBuffers<u64>,
 }
 
 impl Setup {
@@ -976,8 +873,8 @@ impl Setup {
             g1: Vec::new(),
             g2: Vec::new(),
             ids: Vec::new(),
-            wire_f: Wire::new(SETUP_F64_STREAM),
-            wire_u: Wire::new(SETUP_U64_STREAM),
+            wire_f: HaloBuffers::with_stream(SETUP_F64_STREAM),
+            wire_u: HaloBuffers::with_stream(SETUP_U64_STREAM),
         }
     }
 
@@ -1017,8 +914,8 @@ impl Setup {
         let rho = rho.unwrap_or_else(|| self.spectral_radii(a, link, 12)[c]);
         let omega = 4.0 / (3.0 * rho);
         self.g1.clear();
-        if let Some((comm, halo)) = link {
-            self.ghost_aggregates(comm, halo, n, first);
+        if let Some((comm, g)) = link {
+            self.ghost_aggregates(comm, g, n, first);
         }
         let Setup {
             diag,
@@ -1075,8 +972,8 @@ impl Setup {
             p.end_row();
         }
         self.g2.clear();
-        if let Some((comm, halo)) = link {
-            self.ghost_prolongator_rows(comm, halo, first);
+        if let Some((comm, g)) = link {
+            self.ghost_prolongator_rows(comm, &g.halo, first);
         }
         let nc = n_agg + self.g2.len();
         let Setup {
@@ -1110,7 +1007,7 @@ impl Setup {
     /// entries past its `n` owned rows) its column of `P`: the aggregate
     /// its owner put it in, from one exchange, numbered past the owned
     /// aggregates in ascending global id (`g1`).
-    fn ghost_aggregates(&mut self, comm: &Comm, halo: &Halo, n: usize, first: u64) {
+    fn ghost_aggregates(&mut self, comm: &Comm, g: &Ghosts, n: usize, first: u64) {
         let gid = |g: usize| {
             if g == UNAGG {
                 u64::MAX
@@ -1120,8 +1017,8 @@ impl Setup {
         };
         self.ids.clear();
         self.ids.extend(self.agg[..n].iter().map(|&g| gid(g)));
-        self.ids.resize(n + halo.ghosts.len(), u64::MAX);
-        halo.fill(comm, &mut self.ids, 1, &mut self.wire_u);
+        self.ids.resize(n + g.gids.len(), u64::MAX);
+        (self.wire_u).fill(comm, &[&g.halo], &mut [&mut self.ids], 1);
         let ghosts = &self.ids[n..];
         self.g1
             .extend(ghosts.iter().copied().filter(|&g| g != u64::MAX));
@@ -1438,7 +1335,7 @@ impl Setup {
         let n = a.n();
         let Setup { x, y, wire_f, .. } = self;
         x.clear();
-        let (first, ghosts) = link.map_or((0, 0), |(_, h)| (h.first as usize, h.ghosts.len()));
+        let (first, ghosts) = link.map_or((0, 0), |(_, g)| (g.first as usize, g.gids.len()));
         let start = |i: usize| 1.0 + ((first + i) % 7) as f64 * 0.1;
         x.extend((0..n).flat_map(|i| [start(i); C]));
         x.resize(C * (n + ghosts), 0.0);
@@ -1448,7 +1345,9 @@ impl Setup {
         // A lane whose `D⁻¹A x` vanishes stops at ρ = 1.
         let mut live = [true; C];
         for _ in 0..iters {
-            fill_ghosts(link, x, C, wire_f);
+            if let Some((comm, g)) = link {
+                wire_f.fill(comm, &[&g.halo], &mut [x], C);
+            }
             let (xs, ys) = (lanes_mut::<C>(x), lanes_mut::<C>(y));
             for (i, yi) in ys.iter_mut().enumerate() {
                 let ax = a.row_product(i, xs);
@@ -1570,7 +1469,7 @@ fn dense_factor<const C: usize>(
 ) -> Option<Cholesky> {
     let (n, ng) = (a.n(), n_global as usize);
     let mut dense = vec![0.0; ng * ng];
-    let Some((comm, halo)) = link else {
+    let Some((comm, g)) = link else {
         for i in 0..n {
             for (j, v) in a.lane_row(i, c) {
                 dense[i * n + j] = v;
@@ -1580,7 +1479,7 @@ fn dense_factor<const C: usize>(
     };
     let mine: Vec<(u64, u64, f64)> = (0..n)
         .flat_map(|i| a.lane_row(i, c).map(move |(j, v)| (i, j, v)))
-        .map(|(i, j, v)| (halo.first + i as u64, halo.gid(n, j), v))
+        .map(|(i, j, v)| (g.first + i as u64, g.gid(n, j), v))
         .collect();
     for (i, j, v) in comm.allgatherv(&mine) {
         dense[i as usize * ng + j as usize] = v;
@@ -1593,9 +1492,9 @@ fn dense_factor<const C: usize>(
 /// plain `Amg` is one hierarchy for a scalar vector. A hierarchy that
 /// spans ranks holds their communicator for its V-cycles.
 pub struct Amg<'c, const C: usize = 1> {
-    /// The communicator and the fine level's halo of a hierarchy that
+    /// The communicator and the fine level's ghosts of a hierarchy that
     /// spans ranks.
-    net: Option<(&'c Comm, Halo)>,
+    net: Option<(&'c Comm, Ghosts)>,
     fine: LevelOp<C>,
     /// One per distinct lane matrix.
     chains: Vec<Chain>,
@@ -1625,7 +1524,7 @@ struct FineScratch<const C: usize> {
     swept: Vec<f64>,
     /// Each coarsening lane's coarse-level vectors.
     coarse: [LaneScratch; C],
-    wire: Wire<f64>,
+    wire: HaloBuffers<f64>,
 }
 
 /// One lane's right-hand side, iterate and residual (reused to sum the
@@ -1734,17 +1633,18 @@ impl<'c, const C: usize> Amg<'c, C> {
             a.first_row,
             "ranks own rows in rank order"
         );
-        let halo = Halo::new(comm, a.first_row, a.ghosts.clone(), &offsets);
+        let ghosts = Ghosts::new(comm, a.first_row, a.ghosts.clone(), &offsets);
         pinned.resize(n + a.ghosts.len(), 0);
-        halo.fill(comm, &mut pinned, 1, &mut Wire::new(SETUP_U8_STREAM));
+        let mut wire = HaloBuffers::with_stream(SETUP_U8_STREAM);
+        wire.fill(comm, &[&ghosts.halo], &mut [&mut pinned], 1);
         let n_global = offsets[comm.size()];
         let fine = LevelOp::masked(&a.a, &pinned);
-        Amg::build(Some((comm, halo)), fine, n_global, lanes, options)
+        Amg::build(Some((comm, ghosts)), fine, n_global, lanes, options)
     }
 
     /// The hierarchies below `fine`, one per distinct entry of `lanes`.
     fn build(
-        net: Option<(&'c Comm, Halo)>,
+        net: Option<(&'c Comm, Ghosts)>,
         mut fine: LevelOp<C>,
         n_global: u64,
         lanes: [usize; C],
@@ -1753,7 +1653,7 @@ impl<'c, const C: usize> Amg<'c, C> {
         let n = fine.n();
         let n_chains = lanes.iter().max().map_or(0, |&k| k + 1);
         let mut ws = Setup::new(n, C, fine.entries.len());
-        let link = net.as_ref().map(|(comm, halo)| (*comm, halo));
+        let link = net.as_ref().map(|(comm, g)| (*comm, g));
         // Every lane's spectral radius in one pass per power step; only a
         // level above `max_coarse` rows is coarsened and needs one.
         let rho = if n_global > options.max_coarse as u64 {
@@ -1794,7 +1694,7 @@ impl<'c, const C: usize> Amg<'c, C> {
         });
         let gathered = gathered.max().unwrap_or(0);
         let sweeps = fine_solves(|d| matches!(d, Direct::Sweeps));
-        let ghosts = link.map_or(0, |(_, halo)| halo.ghosts.len());
+        let ghosts = link.map_or(0, |(_, g)| g.gids.len());
         let rows = n + ghosts;
         let scratch = FineScratch {
             r: vec![0.0; if coarsens { C * n } else { 0 }],
@@ -1810,7 +1710,7 @@ impl<'c, const C: usize> Amg<'c, C> {
                     r: vec![0.0; len],
                 }
             }),
-            wire: Wire::new(VCYCLE_STREAM),
+            wire: HaloBuffers::with_stream(VCYCLE_STREAM),
         };
         Amg {
             net,
@@ -1839,8 +1739,7 @@ impl<'c, const C: usize> Amg<'c, C> {
     /// alone. Each coarsest-level solve gathers its right-hand side
     /// besides, in one collective.
     pub fn exchanges(&self) -> (u64, u64) {
-        let wire = &self.scratch.borrow().wire;
-        (wire.rounds, wire.messages)
+        self.scratch.borrow().wire.exchanges()
     }
 
     /// The communicator of a hierarchy that spans ranks.
@@ -1850,7 +1749,7 @@ impl<'c, const C: usize> Amg<'c, C> {
 
     /// How the fine level reaches the other ranks.
     fn link(&self) -> Link<'_> {
-        self.net.as_ref().map(|(comm, halo)| (*comm, halo))
+        self.net.as_ref().map(|(comm, g)| (*comm, g))
     }
 
     /// Apply one V-cycle to `b` with zero initial guess: `x = B b` where
@@ -1881,10 +1780,14 @@ impl<'c, const C: usize> Amg<'c, C> {
             // the coarse levels. The forward pass starts from zero ghost
             // values, which are exact.
             op.gs(b, x, 0..n);
-            fill_ghosts(link, x, C, &mut s.wire);
+            if let Some((comm, g)) = link {
+                s.wire.fill(comm, &[&g.halo], &mut [x], C);
+            }
             op.residual(b, x, &mut s.r);
             self.correct(x, s);
-            fill_ghosts(link, x, C, &mut s.wire);
+            if let Some((comm, g)) = link {
+                s.wire.fill(comm, &[&g.halo], &mut [x], C);
+            }
             op.gs(b, x, (0..n).rev());
         }
         if !s.swept.is_empty() {
@@ -2023,7 +1926,9 @@ impl<'c, const C: usize> Amg<'c, C> {
                 }
                 Direct::Sweeps => {
                     sweeps(op, link, &b[..n], x, &mut s.wire);
-                    fill_ghosts(link, x, 1, &mut s.wire);
+                    if let Some((comm, g)) = link {
+                        s.wire.fill(comm, &[&g.halo], &mut [x], 1);
+                    }
                 }
             }
         }
@@ -2033,72 +1938,39 @@ impl<'c, const C: usize> Amg<'c, C> {
     /// every lane in `set` with their owners' values.
     fn fill_level(&self, k: usize, set: [bool; C], field: Field, s: &mut FineScratch<C>) {
         let Some(comm) = self.comm() else { return };
-        let (p, wire) = (comm.size(), &mut s.wire);
-        let lanes = || (0..C).filter(|&c| set[c]);
-        let halos = lanes().map(|c| self.chain(c).halo(k));
-        wire.batch_counts(p, halos.map(|h| [&h.send_counts[..], &h.recv_counts[..]]));
-        // Rank by rank, each lane's rows for that rank.
-        wire.send.clear();
-        let mut at = [0; C];
-        for r in 0..p {
-            for c in lanes() {
-                let ch = self.chain(c);
-                let v = &field(&mut s.coarse[c])[ch.vec_ends[k - 1]..];
-                let rows = &ch.halo(k).send[at[c]..at[c] + ch.halo(k).send_counts[r]];
-                wire.send.extend(rows.iter().map(|&i| v[i as usize]));
-                at[c] += rows.len();
-            }
-        }
-        wire.exchange(comm);
-        let (mut pos, mut filled) = (0, [0; C]);
-        for r in 0..p {
-            for c in lanes() {
-                let ch = self.chain(c);
-                let n = ch.ends[k] - ch.ends[k - 1];
-                let count = ch.halo(k).recv_counts[r];
-                let v = &mut field(&mut s.coarse[c])[ch.vec_ends[k - 1] + n + filled[c]..];
-                v[..count].copy_from_slice(&wire.recv[pos..pos + count]);
-                (pos, filled[c]) = (pos + count, filled[c] + count);
-            }
-        }
+        let (halos, mut vs, m) = self.level_parts(k, set, field, &mut s.coarse);
+        s.wire.fill(comm, &halos[..m], &mut vs[..m], 1);
     }
 
     /// One round that adds the ghost rows of level `k` of the lanes'
     /// right-hand sides into their owners' rows, in ascending source
-    /// rank, then each lane's `send` order. The ghost rows stay.
+    /// rank, then each lane's `send` order, and zeroes them.
     fn accumulate_level(&self, k: usize, set: [bool; C], s: &mut FineScratch<C>) {
         let Some(comm) = self.comm() else { return };
-        let (p, wire) = (comm.size(), &mut s.wire);
-        let lanes = || (0..C).filter(|&c| set[c]);
-        let halos = lanes().map(|c| self.chain(c).halo(k));
-        wire.batch_counts(p, halos.map(|h| [&h.recv_counts[..], &h.send_counts[..]]));
-        // Rank by rank, each lane's ghost rows that rank owns.
-        wire.send.clear();
-        let mut sent = [0; C];
-        for r in 0..p {
-            for c in lanes() {
-                let ch = self.chain(c);
-                let n = ch.ends[k] - ch.ends[k - 1];
-                let count = ch.halo(k).recv_counts[r];
-                let ghost = ch.vec_ends[k - 1] + n + sent[c];
-                wire.send
-                    .extend_from_slice(&s.coarse[c].b[ghost..ghost + count]);
-                sent[c] += count;
-            }
+        let (halos, mut vs, m) = self.level_parts(k, set, |l| &mut l.b, &mut s.coarse);
+        s.wire.accumulate(comm, &halos[..m], &mut vs[..m], 1);
+    }
+
+    /// The halos and the level-`k` vectors of `field` of the lanes in
+    /// `set`, which one round carries side by side: the first `m` of each.
+    fn level_parts<'a>(
+        &'a self,
+        k: usize,
+        set: [bool; C],
+        field: Field,
+        coarse: &'a mut [LaneScratch; C],
+    ) -> ([&'a Halo; C], [&'a mut [f64]; C], usize) {
+        let first = set.iter().position(|&s| s).expect("a lane in the round");
+        let mut halos = [&self.chain(first).ghosts[k - 1].halo; C];
+        let mut vs: [&mut [f64]; C] = std::array::from_fn(|_| Default::default());
+        let mut m = 0;
+        for (c, lane) in coarse.iter_mut().enumerate().filter(|&(c, _)| set[c]) {
+            let ch = self.chain(c);
+            halos[m] = &ch.ghosts[k - 1].halo;
+            vs[m] = &mut field(lane)[ch.vec_ends[k - 1]..ch.vec_ends[k]];
+            m += 1;
         }
-        wire.exchange(comm);
-        let (mut added, mut at) = (wire.recv.iter(), [0; C]);
-        for r in 0..p {
-            for c in lanes() {
-                let ch = self.chain(c);
-                let b = &mut s.coarse[c].b[ch.vec_ends[k - 1]..];
-                let rows = &ch.halo(k).send[at[c]..at[c] + ch.halo(k).send_counts[r]];
-                for (&i, a) in rows.iter().zip(added.by_ref()) {
-                    b[i as usize] += a;
-                }
-                at[c] += rows.len();
-            }
-        }
+        (halos, vs, m)
     }
 }
 
@@ -2552,14 +2424,14 @@ mod tests {
                 let ch = &amg.chains[0];
                 assert!(ch.depth >= 2 && matches!(ch.direct, Direct::Cholesky(_)));
                 let busy = |counts: &[usize]| counts.iter().filter(|&&k| k > 0).count() as u64;
-                let fine = &amg.net.as_ref().unwrap().1;
+                let fine = &amg.net.as_ref().unwrap().1.halo;
                 let mut want = (2, 2 * busy(&fine.send_counts));
                 for k in 1..=ch.depth {
                     want.0 += 1;
-                    want.1 += busy(&ch.halo(k).recv_counts);
+                    want.1 += busy(&ch.ghosts[k - 1].halo.recv_counts);
                     if k < ch.depth {
                         want.0 += 3;
-                        want.1 += 3 * busy(&ch.halo(k).send_counts);
+                        want.1 += 3 * busy(&ch.ghosts[k - 1].halo.send_counts);
                     }
                 }
                 let b = vec![1.0; rows.a.nrows];

@@ -22,7 +22,7 @@
 //! * parallel exchange of ghost face traces per RK stage.
 
 use forest::{transverse_axes, FaceSide, FaceVisit, Forest, GhostKind, GhostWorkspace, LeafOrigin};
-use scomm::Exchange;
+use scomm::{Halo, HaloBuffers};
 
 use crate::kernels::{apply_face, grad, with_nodes, ElementDerivative, FaceTables};
 
@@ -160,19 +160,15 @@ pub struct DgAdvection<'f, 'c> {
     /// face, in the coarse face's layout (`4n²` per face): both sides of
     /// a mortar then take the same flux.
     mortar_an: Vec<f64>,
-    /// Ghost traces, `n²` per slot: the receive buffer of the exchange
-    /// as it arrives — by source rank, then Morton order of (leaf, face).
-    ghost_u: Vec<f64>,
-    /// Outgoing traces `(element, face)` in destination-rank order, each
-    /// rank's share in Morton order of (leaf, face) — the order in which
-    /// the receiver numbered its slots from its own view of the faces.
-    send_faces: Vec<(u32, u8)>,
-    send_counts: Vec<usize>,
-    recv_counts: Vec<usize>,
-    /// Split-phase exchange state and wire buffers.
-    ex: Exchange,
-    send_flat: Vec<f64>,
-    got_counts: Vec<usize>,
+    /// The face traces each rank reads, `n²` values per row: send rows
+    /// `e·6 + face` in destination-rank order, each rank's share in
+    /// Morton order of (leaf, face) — the order in which the receiver
+    /// numbered its slots from its own view of the faces.
+    halo: Halo,
+    /// Its exchange buffers. The ghost traces, `n²` per slot, are what
+    /// the last round received: by source rank, then Morton order of
+    /// (leaf, face).
+    traces: HaloBuffers<f64>,
     /// The RK residual, grow-only: warm steps allocate nothing.
     res: Vec<f64>,
 }
@@ -245,13 +241,8 @@ impl<'f, 'c> DgAdvection<'f, 'c> {
             links: Vec::new(),
             inflow: Vec::new(),
             mortar_an: Vec::new(),
-            ghost_u: Vec::new(),
-            send_faces: Vec::new(),
-            send_counts: Vec::new(),
-            recv_counts: Vec::new(),
-            ex: Exchange::new(DG_STREAM),
-            send_flat: Vec::new(),
-            got_counts: Vec::new(),
+            halo: Halo::default(),
+            traces: HaloBuffers::with_stream(DG_STREAM),
             res: Vec::new(),
         };
         solver.build_face_links();
@@ -385,13 +376,16 @@ impl<'f, 'c> DgAdvection<'f, 'c> {
         let per_rank = |list: &[(u32, u32, u8)]| -> Vec<usize> {
             let mut counts = vec![0usize; p];
             for &(r, ..) in list {
-                counts[r as usize] += n2;
+                counts[r as usize] += 1;
             }
             counts
         };
-        self.recv_counts = per_rank(&need);
-        self.send_counts = per_rank(&send);
-        self.send_faces = send.iter().map(|&(_, e, face)| (e, face)).collect();
+        let rows = send.iter().map(|&(_, e, face)| e * 6 + face as u32);
+        self.halo = Halo {
+            send: rows.collect(),
+            send_counts: per_rank(&send),
+            recv_counts: per_rank(&need),
+        };
         for l in &mut links {
             for t in l.traces_mut().iter_mut().filter(|t| t.ghost) {
                 let key = (ghosts.entries[t.id as usize].owner, t.id, t.face);
@@ -399,24 +393,14 @@ impl<'f, 'c> DgAdvection<'f, 'c> {
             }
         }
         // The fine sides' a·n on the mortars, through the same pattern.
-        self.send_flat.clear();
-        for &(e, face) in &self.send_faces {
-            let at = (e as usize * 6 + face as usize) * n2;
-            self.send_flat.extend_from_slice(&self.an[at..at + n2]);
-        }
-        (f.comm()).exchange_start(
-            &self.send_flat,
-            &self.send_counts,
-            &self.recv_counts,
-            &mut self.ex,
-        );
-        self.exchange_ghosts_end();
+        (self.traces).fill_begin(f.comm(), &[&self.halo], &[&self.an], n2);
+        self.traces.complete(f.comm());
         for l in &mut links {
             if let FaceLink::Finer { nbrs, orient, an } = l {
                 *an = self.mortar_an.len() as u32;
                 for t in nbrs.iter() {
                     let theirs = if t.ghost {
-                        &self.ghost_u[t.id as usize * n2..][..n2]
+                        &self.traces.received()[t.id as usize * n2..][..n2]
                     } else {
                         &self.an[(t.id as usize * 6 + t.face as usize) * n2..][..n2]
                     };
@@ -437,28 +421,18 @@ impl<'f, 'c> DgAdvection<'f, 'c> {
         self.links = links;
     }
 
-    /// Complete a posted exchange into the ghost slots.
-    fn exchange_ghosts_end(&mut self) {
-        (self.forest.comm()).exchange_end(&mut self.ex, &mut self.ghost_u, &mut self.got_counts);
-    }
-
     /// Refresh the ghost traces from the current solution: post the
     /// current trace of every requested face, per destination rank, as
     /// one split-phase round, and complete it before returning.
     pub fn refresh_ghosts(&mut self) {
-        let n3 = self.ed.n3();
-        self.send_flat.clear();
-        for &(e, face) in &self.send_faces {
-            let ue = &self.u[e as usize * n3..(e as usize + 1) * n3];
-            (self.send_flat).extend(self.ft.nodes(face as usize).iter().map(|&i| ue[i as usize]));
-        }
-        self.forest.comm().exchange_start(
-            &self.send_flat,
-            &self.send_counts,
-            &self.recv_counts,
-            &mut self.ex,
-        );
-        self.exchange_ghosts_end();
+        let (n2, n3) = (self.ed.lgl.n().pow(2), self.ed.n3());
+        let (u, ft, comm) = (&self.u, &self.ft, self.forest.comm());
+        self.traces
+            .fill_begin_with(comm, &[&self.halo], n2, |_, row, send| {
+                let ue = &u[row / 6 * n3..][..n3];
+                send.extend(ft.nodes(row % 6).iter().map(|&i| ue[i as usize]));
+            });
+        self.traces.complete(comm);
     }
 
     /// Where the trace of `t` laid over a face of ours by `orient` is
@@ -467,7 +441,7 @@ impl<'f, 'c> DgAdvection<'f, 'c> {
         let (n2, n3) = (self.ed.lgl.n().pow(2), self.ed.n3());
         if t.ghost {
             (
-                &self.ghost_u[t.id as usize * n2..][..n2],
+                &self.traces.received()[t.id as usize * n2..][..n2],
                 self.ft.perm(orient),
             )
         } else {

@@ -24,7 +24,7 @@ use octree::ghost::{GhostEntry, LeafOrigin, LocalGhostView};
 use octree::morton::{morton_decode, morton_key};
 use octree::parallel::DistOctree;
 use octree::{Octant, MAX_LEVEL, ROOT_LEN};
-use scomm::Comm;
+use scomm::{Halo, HaloBuffers};
 
 use crate::table::{sort_distinct, KeyTable};
 
@@ -62,180 +62,9 @@ pub struct Constraints {
     pub terms: Vec<(usize, f64)>,
 }
 
-/// Ghost-value exchange pattern between ranks.
-#[derive(Debug, Clone, Default)]
-pub struct ExchangePattern {
-    /// For each rank, the local *owned* dof indices whose values it needs.
-    pub send_idx: Vec<Vec<usize>>,
-    /// For each rank, how many ghost values it contributes to our ghost
-    /// block (ghosts are stored grouped by owner rank, gid-sorted).
-    pub recv_counts: Vec<usize>,
-}
-
-/// Reusable pack/unpack buffers for the split-phase interleaved
-/// exchange. Grow-only: once a solver
-/// reaches steady state every call recycles the same allocations.
-///
-/// One `ExchangeBuffers` value also carries the [`scomm::Exchange`]
-/// stream state for the split-phase paths, so at most one split-phase
-/// round (forward *or* reverse) can be in flight per buffer set. Two
-/// buffer sets whose rounds overlap in time (e.g. the ghost layers of two
-/// fields exchanged together) must use distinct stream
-/// ids — construct them with [`ExchangeBuffers::with_stream`].
-#[derive(Debug, Default)]
-pub struct ExchangeBuffers {
-    send: Vec<f64>,
-    send_counts: Vec<usize>,
-    recv: Vec<f64>,
-    recv_counts: Vec<usize>,
-    /// Expected per-source element counts of the posted round.
-    expect: Vec<usize>,
-    /// Split-phase stream state (tag namespace + round sequencing).
-    ex: scomm::Exchange,
-}
-
-impl ExchangeBuffers {
-    /// Buffers posting on stream 0. The blocking
-    /// [`ExchangePattern::exchange`] and
-    /// `fem::op::DofMap::{exchange, reverse_accumulate}` each use a fresh set of
-    /// these: they post and complete their round before returning, so
-    /// they never leave a stream-0 round in flight. A caller must not
-    /// call them while it holds a stream-0 round of its own in flight.
-    pub fn new() -> ExchangeBuffers {
-        ExchangeBuffers::default()
-    }
-
-    /// Buffers posting split-phase rounds under exchange stream `stream`.
-    pub fn with_stream(stream: u64) -> ExchangeBuffers {
-        ExchangeBuffers {
-            ex: scomm::Exchange::new(stream),
-            ..ExchangeBuffers::default()
-        }
-    }
-
-    /// Whether a split-phase round is posted but not yet completed.
-    pub fn in_flight(&self) -> bool {
-        self.ex.in_flight()
-    }
-}
-
-impl ExchangePattern {
-    /// Fill the ghost block of `v` (`v.len() = n_owned + n_ghost`) with
-    /// the owners' current values: one split-phase round, posted and
-    /// completed. Collective over the ranks of the pattern.
-    pub fn exchange(&self, comm: &Comm, v: &mut [f64], n_owned: usize) {
-        let mut buf = ExchangeBuffers::new();
-        self.exchange_begin_interleaved(comm, v, 1, &mut buf);
-        self.exchange_end_interleaved(comm, v, n_owned, 1, &mut buf);
-    }
-
-    /// Fold the received reverse contributions into the owned block, in
-    /// ascending source-rank then send-index order, component by
-    /// component — the one accumulation order of every reverse exchange.
-    fn accumulate_received(&self, owned: &mut [f64], ncomp: usize, buf: &ExchangeBuffers) {
-        let mut pos = 0;
-        for (r, idx) in self.send_idx.iter().enumerate() {
-            assert_eq!(buf.recv_counts[r], idx.len() * ncomp);
-            for &i in idx {
-                for k in 0..ncomp {
-                    owned[i * ncomp + k] += buf.recv[pos];
-                    pos += 1;
-                }
-            }
-        }
-    }
-
-    /// Post the ghost fill of a vector with `ncomp` interleaved components
-    /// per dof (`v[d*ncomp + k]`) without completing it: pack the owned
-    /// values each neighbor needs — one packed message per neighbor, not
-    /// one per component — and start a split-phase round on `buf`'s
-    /// stream. Only the *owned* block of `v` is read; the ghost block is
-    /// filled by [`ExchangePattern::exchange_end_interleaved`]. Not collective in
-    /// the rendezvous sense: no barrier at either end.
-    pub fn exchange_begin_interleaved(
-        &self,
-        comm: &Comm,
-        v: &[f64],
-        ncomp: usize,
-        buf: &mut ExchangeBuffers,
-    ) {
-        buf.send.clear();
-        buf.send_counts.clear();
-        for idx in &self.send_idx {
-            buf.send_counts.push(idx.len() * ncomp);
-            for &i in idx {
-                buf.send.extend_from_slice(&v[i * ncomp..(i + 1) * ncomp]);
-            }
-        }
-        buf.expect.clear();
-        buf.expect
-            .extend(self.recv_counts.iter().map(|&c| c * ncomp));
-        comm.exchange_start(&buf.send, &buf.send_counts, &buf.expect, &mut buf.ex);
-    }
-
-    /// Complete the round posted by
-    /// [`ExchangePattern::exchange_begin_interleaved`] and copy the
-    /// received values into the ghost block of `v`. The ghost block is
-    /// grouped by owner rank in receive order, so the flat receive buffer
-    /// copies straight into it.
-    pub fn exchange_end_interleaved(
-        &self,
-        comm: &Comm,
-        v: &mut [f64],
-        n_owned: usize,
-        ncomp: usize,
-        buf: &mut ExchangeBuffers,
-    ) {
-        comm.exchange_end(&mut buf.ex, &mut buf.recv, &mut buf.recv_counts);
-        for (r, &cnt) in self.recv_counts.iter().enumerate() {
-            assert_eq!(buf.recv_counts[r], cnt * ncomp);
-        }
-        let ghost = &mut v[n_owned * ncomp..];
-        assert_eq!(ghost.len(), buf.recv.len());
-        ghost.copy_from_slice(&buf.recv);
-    }
-
-    /// Post the reverse accumulation for interleaved components without
-    /// completing it: the ghost block itself is the flat send buffer (no
-    /// pack pass; payload copied at post time) and is then zeroed. The
-    /// owned block is untouched until
-    /// [`ExchangePattern::reverse_accumulate_end_interleaved`].
-    pub fn reverse_accumulate_begin_interleaved(
-        &self,
-        comm: &Comm,
-        v: &mut [f64],
-        n_owned: usize,
-        ncomp: usize,
-        buf: &mut ExchangeBuffers,
-    ) {
-        buf.send_counts.clear();
-        buf.send_counts
-            .extend(self.recv_counts.iter().map(|&c| c * ncomp));
-        buf.expect.clear();
-        buf.expect
-            .extend(self.send_idx.iter().map(|idx| idx.len() * ncomp));
-        let ghost = &mut v[n_owned * ncomp..];
-        comm.exchange_start(ghost, &buf.send_counts, &buf.expect, &mut buf.ex);
-        ghost.fill(0.0);
-    }
-
-    /// Complete the round posted by
-    /// [`ExchangePattern::reverse_accumulate_begin_interleaved`],
-    /// accumulating the neighbors' contributions into the owned block in
-    /// ascending source-rank order.
-    pub fn reverse_accumulate_end_interleaved(
-        &self,
-        comm: &Comm,
-        v: &mut [f64],
-        n_owned: usize,
-        ncomp: usize,
-        buf: &mut ExchangeBuffers,
-    ) {
-        comm.exchange_end(&mut buf.ex, &mut buf.recv, &mut buf.recv_counts);
-        let owned = &mut v[..n_owned * ncomp];
-        self.accumulate_received(owned, ncomp, buf);
-    }
-}
+/// The ghost-exchange buffers of a mesh field: the name the benchmark
+/// uses for [`scomm::HaloBuffers`] of `f64`.
+pub type ExchangeBuffers = HaloBuffers<f64>;
 
 /// The distributed trilinear hexahedral mesh extracted from an octree.
 pub struct Mesh {
@@ -267,8 +96,8 @@ pub struct Mesh {
     pub ghost_gids: Vec<u64>,
     /// Lattice key of each local dof (owned then ghost).
     pub dof_keys: Vec<NodeKey>,
-    /// Ghost exchange pattern.
-    pub exchange: ExchangePattern,
+    /// The ghost block's exchange pattern.
+    pub exchange: Halo,
 }
 
 impl Mesh {
@@ -795,14 +624,14 @@ pub fn extract_mesh_with_ghosts(
     // Answer with gids. Queries arrive sorted and unique, so the owned
     // indices they name are the gid-sorted send list of that rank.
     let mut gid_answers: Vec<Vec<u64>> = vec![Vec::new(); p];
-    let mut send_idx: Vec<Vec<usize>> = vec![Vec::new(); p];
+    let mut send = Vec::new();
     for (src, qs) in gid_incoming.iter().enumerate() {
         for &k in qs {
             let li = owned_keys
                 .binary_search(&k)
                 .unwrap_or_else(|_| panic!("rank {me} asked for non-owned node {k}"));
             gid_answers[src].push(global_offset + li as u64);
-            send_idx[src].push(li);
+            send.push(li as u32);
         }
     }
     let gid_replies = comm.alltoallv(&gid_answers);
@@ -916,8 +745,9 @@ pub fn extract_mesh_with_ghosts(
         n_global,
         ghost_gids,
         dof_keys,
-        exchange: ExchangePattern {
-            send_idx,
+        exchange: Halo {
+            send,
+            send_counts: gid_incoming.iter().map(Vec::len).collect(),
             recv_counts,
         },
     }
@@ -927,14 +757,12 @@ pub fn extract_mesh_with_ghosts(
 mod tests {
     use super::*;
     use octree::balance::BalanceKind;
-    use scomm::spmd;
+    use scomm::{spmd, Comm};
 
     /// Add the ghost block of the scalar field `v` into its owners.
     fn reverse_accumulate(m: &Mesh, c: &Comm, v: &mut [f64]) {
-        let mut buf = ExchangeBuffers::new();
-        let ex = &m.exchange;
-        ex.reverse_accumulate_begin_interleaved(c, v, m.n_owned, 1, &mut buf);
-        ex.reverse_accumulate_end_interleaved(c, v, m.n_owned, 1, &mut buf);
+        assert_eq!(v.len(), m.n_local());
+        ExchangeBuffers::new().accumulate(c, &[&m.exchange], &mut [v], 1);
     }
 
     fn extract(nranks: usize, level: u8, refine_corner: bool) -> Vec<(usize, usize, u64)> {
@@ -987,8 +815,7 @@ mod tests {
                 let (mut x3, mut x1) = split(&x4);
                 let mut buf = ExchangeBuffers::new();
                 for (v, nc) in [(&mut x4, 4), (&mut x3, 3), (&mut x1, 1)] {
-                    ex.exchange_begin_interleaved(c, v, nc, &mut buf);
-                    ex.exchange_end_interleaved(c, v, m.n_owned, nc, &mut buf);
+                    buf.fill(c, &[ex], &mut [v], nc);
                 }
                 same("exchange", &x4, &x3, &x1);
 
@@ -1015,8 +842,7 @@ mod tests {
 
                 // Reverse accumulation of the ghost contributions.
                 for (v, nc) in [(&mut y4, 4), (&mut y3, 3), (&mut y1, 1)] {
-                    ex.reverse_accumulate_begin_interleaved(c, v, m.n_owned, nc, &mut buf);
-                    ex.reverse_accumulate_end_interleaved(c, v, m.n_owned, nc, &mut buf);
+                    buf.accumulate(c, &[ex], &mut [v], nc);
                 }
                 same("reverse accumulation", &y4, &y3, &y1);
             });
@@ -1198,11 +1024,9 @@ mod tests {
 
             // Split-phase path.
             let mut buf = ExchangeBuffers::with_stream(1);
-            m.exchange
-                .exchange_begin_interleaved(c, &v, ncomp, &mut buf);
+            buf.fill_begin(c, &[&m.exchange], &[&v], ncomp);
             assert!(buf.in_flight());
-            m.exchange
-                .exchange_end_interleaved(c, &mut v, m.n_owned, ncomp, &mut buf);
+            buf.fill_end(c, &[&m.exchange], &mut [&mut v], ncomp);
             assert!(!buf.in_flight());
             assert_eq!(v, v_ref, "ghost values must be bitwise identical");
 
@@ -1223,10 +1047,8 @@ mod tests {
                     w_ref[i * ncomp + k] = scratch[i];
                 }
             }
-            m.exchange
-                .reverse_accumulate_begin_interleaved(c, &mut w, m.n_owned, ncomp, &mut buf);
-            m.exchange
-                .reverse_accumulate_end_interleaved(c, &mut w, m.n_owned, ncomp, &mut buf);
+            buf.accumulate_begin(c, &[&m.exchange], &mut [&mut w], ncomp);
+            buf.accumulate_end(c, &[&m.exchange], &mut [&mut w], ncomp);
             assert_eq!(w, w_ref, "accumulated values must be bitwise identical");
         });
     }

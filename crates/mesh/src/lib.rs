@@ -23,5 +23,5 @@ pub mod extract;
 pub mod interp;
 mod table;
 
-pub use extract::{Constraints, Corner, ExchangePattern, Mesh};
+pub use extract::{Constraints, Corner, Mesh};
 pub use interp::{transfer_corner_values_into, unpack_corner_values};

@@ -20,11 +20,11 @@
 //! merge and writes the corner data directly. `ExtractMesh` runs once per
 //! adaptation, on the final partition.
 
-use mesh::extract::{extract_mesh_with_ghosts, ExchangeBuffers, Mesh};
+use mesh::extract::{extract_mesh_with_ghosts, Mesh};
 use mesh::interp::{transfer_corner_values_into, unpack_corner_values};
 use octree::parallel::{transfer_fields_into, DistOctree, PartitionPlan};
 use octree::{balance::BalanceKind, ops::level_histogram, MAX_LEVEL};
-use scomm::Comm;
+use scomm::{Comm, HaloBuffers};
 
 /// Adaptation parameters: the `MarkElements` threshold search's, which
 /// is all the pipeline is configured by.
@@ -42,7 +42,7 @@ pub struct AdaptWorkspace {
     /// Ghost-expanded old field.
     fl: Vec<f64>,
     /// Pack/unpack buffers of the old field's ghost exchange.
-    exch: ExchangeBuffers,
+    exch: HaloBuffers<f64>,
     /// Per-field corner values of the adapted, not yet repartitioned
     /// leaves (8 values per element).
     corner_data: Vec<Vec<f64>>,
@@ -184,9 +184,7 @@ pub fn adapt_mesh_ws(
             fl.clear();
             fl.resize(old_mesh.n_local(), 0.0);
             fl[..old_mesh.n_owned].copy_from_slice(f);
-            let pattern = &old_mesh.exchange;
-            pattern.exchange_begin_interleaved(comm, fl, 1, exch);
-            pattern.exchange_end_interleaved(comm, fl, old_mesh.n_owned, 1, exch);
+            exch.fill(comm, &[&old_mesh.exchange], &mut [fl], 1);
             transfer_corner_values_into(old_mesh, fl, &tree.local, &mut corner_data[i]);
         }
     }

@@ -202,7 +202,7 @@ impl<'a> TransportSolver<'a> {
         v0l.clear();
         v0l.extend((0..n).map(|d| lumped_solve(r, d)));
         v0l.resize(self.map.n_local(), 0.0);
-        self.map.exchange_with(v0l, op);
+        self.map.exchange_in(v0l, op);
         // Corrector: v₁ = M_L⁻¹ (r(T) − S_m v₀).
         tv.clear();
         tv.extend(op.input().iter().zip(&*v0l).flat_map(|(&t, &v)| [t, v]));

@@ -17,9 +17,9 @@
 //! * **Per-`(source, tag)` FIFO order is preserved**, with or without a
 //!   fault plan attached.
 //!
-//! Every ghost-value exchange of the mesh, FEM and DG layers is one such
-//! round; a blocking one is an `exchange_start` followed at once by its
-//! `exchange_end`.
+//! Every ghost-value exchange of the mesh, FEM, AMG and DG layers is one
+//! such round, posted by a [`crate::HaloBuffers`]; a blocking one is an
+//! `exchange_start` followed at once by its `exchange_end`.
 
 /// Number of low bits of the exchange tag carrying the round sequence.
 const EXCHANGE_SEQ_BITS: u32 = 32;
@@ -72,11 +72,6 @@ impl Exchange {
             in_flight: false,
             posted_ns: None,
         }
-    }
-
-    /// The stream id this exchange posts under.
-    pub fn stream(&self) -> u64 {
-        self.stream
     }
 
     /// Whether a round is currently posted but not yet completed.

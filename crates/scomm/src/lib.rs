@@ -12,10 +12,12 @@
 //! * **One point-to-point primitive**: the split-phase neighbor exchange
 //!   ([`Comm::exchange_start`] / [`Comm::exchange_end`] over a reusable
 //!   [`Exchange`] stream) — the barrier-free contract that every ghost
-//!   exchange of the mesh, FEM and DG layers uses, with several streams
-//!   in flight at once. A blocking exchange is a start followed at once by
-//!   its end. Completion-time semantics (matching, fault jitter, the
-//!   post→complete telemetry span) are described in [`exchange`].
+//!   exchange of the mesh, FEM, AMG and DG layers uses, with several
+//!   streams in flight at once, each through one [`Halo`] and its
+//!   [`HaloBuffers`] ([`halo`]). A blocking exchange is a start followed
+//!   at once by its end. Completion-time semantics (matching, fault
+//!   jitter, the post→complete telemetry span) are described in
+//!   [`exchange`].
 //! * **Collectives** — [`Comm::barrier`], [`Comm::allgather`],
 //!   [`Comm::allgatherv`], [`Comm::bcast`], [`Comm::alltoallv`] and the
 //!   array reductions `allreduce_{sum,max,min}` (`&[T; N]` → `[T; N]`,
@@ -45,6 +47,7 @@ pub mod comm;
 pub mod exchange;
 pub mod fault;
 pub mod gate;
+pub mod halo;
 pub mod pod;
 pub mod rng;
 pub mod spmd;
@@ -54,5 +57,6 @@ pub use comm::Comm;
 pub use exchange::Exchange;
 pub use fault::{FaultCounters, FaultPlan};
 pub use gate::checks_enabled;
+pub use halo::{Halo, HaloBuffers};
 pub use pod::Pod;
 pub use stats::CommStats;

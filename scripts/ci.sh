@@ -94,7 +94,11 @@ cargo fmt --all -- --check
 #   fused fine level from the one assembled matrix and the lane masks), and
 #   `Octant::ancestor_at` / `is_ancestor_of`, which only tests called
 #   (`contains` and `parent` say the same), and `Csr::matmul`, the general
-#   sparse product the AMG setup no longer calls.
+#   sparse product the AMG setup no longer calls;
+# - the hand-written halo copies: the mesh's `ExchangePattern` with its
+#   `*_interleaved` rounds, the AMG's `Wire` and `fill_ghosts`, and
+#   `DofMap::exchange_with` (`scomm::Halo` and `HaloBuffers` are the one
+#   halo exchange, `DofMap::exchange_in` its one blocking workspace call).
 # Production outside scomm calls neither `Comm::allgather` nor `Comm::bcast`:
 # only the benchmark harness does (DESIGN.md §4).
 echo "==> deleted code stays deleted"
@@ -158,6 +162,8 @@ if ls -d examples/{mantle_convection,advecting_front,spherical_advection}.rs \
     grep -nE 'fn (fuse|union)\b' crates/la/src/amg.rs ||
     grep -rnE 'fn (ancestor_at|is_ancestor_of)\b' crates src tests examples ||
     grep -n 'fn matmul' crates/la/src/csr.rs ||
+    grep -rnE 'struct ExchangePattern|_interleaved\(|fn exchange_with\b' crates src tests examples ||
+    grep -nE 'struct Wire\b|fn fill_ghosts\b' crates/la/src/amg.rs ||
     grep -rnE '\.(allgather|bcast)(::<[^>]*>)?\(' crates src tests examples | grep -v '^crates/scomm/' ||
     grep -rniE 'modeled|extrapolat' crates/bench/src results/*.txt; then
     echo "ci: deleted code is back (see above)" >&2

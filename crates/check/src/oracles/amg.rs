@@ -6,7 +6,7 @@ use la::{Amg, AmgOptions, Csr, DistCsr};
 use scomm::Comm;
 
 /// The serial hierarchy of the whole matrix whose rows the ranks of
-/// `comm` own: every rank gathers every row and mask and builds
+/// `comm` own: every rank gathers every row and the mask and builds
 /// [`Amg::masked`] on them, and a V-cycle gathers the right-hand side,
 /// cycles the whole vector and keeps the owned rows. What a hierarchy
 /// that ignored rank boundaries altogether would do, so at every `P` it
@@ -23,15 +23,10 @@ pub struct GatheredAmg<'c, const C: usize> {
 }
 
 impl<'c, const C: usize> GatheredAmg<'c, C> {
-    /// Gather `rows` and `masks` (over the owned rows) from every rank
-    /// and build the whole matrix's hierarchy. Collective.
-    pub fn new(
-        comm: &'c Comm,
-        rows: &DistCsr,
-        masks: &[&[bool]],
-        lanes: [usize; C],
-        options: AmgOptions,
-    ) -> Self {
+    /// Gather `rows` and the interleaved Dirichlet `mask` (`C` flags per
+    /// owned row) from every rank and build the whole matrix's
+    /// hierarchy. Collective.
+    pub fn new(comm: &'c Comm, rows: &DistCsr, mask: &[bool], options: AmgOptions) -> Self {
         let (a, first) = (&rows.a, rows.first_row);
         let column = |j: usize| match j < a.nrows {
             true => first + j as u64,
@@ -42,23 +37,17 @@ impl<'c, const C: usize> GatheredAmg<'c, C> {
             .map(|(i, k)| (first + i as u64, column(a.col_idx[k]), a.values[k]))
             .collect();
         let all = comm.allgatherv(&mine);
-        let n_global = comm.allreduce_sum(&[a.nrows as u64])[0] as usize;
+        let n_global = rows.offsets[comm.size()] as usize;
         let triplets: Vec<(usize, usize, f64)> = all
             .iter()
             .map(|&(i, j, v)| (i as usize, j as usize, v))
             .collect();
         let whole = Csr::from_triplets(n_global, n_global, &triplets);
-        let masks: Vec<Vec<bool>> = masks
-            .iter()
-            .map(|m| {
-                let bits: Vec<u8> = m.iter().map(|&b| u8::from(b)).collect();
-                comm.allgatherv(&bits).iter().map(|&b| b != 0).collect()
-            })
-            .collect();
-        let masks: Vec<&[bool]> = masks.iter().map(Vec::as_slice).collect();
+        let bits: Vec<u8> = mask.iter().map(|&b| u8::from(b)).collect();
+        let mask: Vec<bool> = comm.allgatherv(&bits).iter().map(|&b| b != 0).collect();
         GatheredAmg {
             comm,
-            amg: Amg::masked(&whole, &masks, lanes, options),
+            amg: Amg::masked(&whole, &mask, options),
             first: first as usize,
             n: a.nrows,
             whole: RefCell::new((Vec::new(), vec![0.0; C * n_global])),

@@ -90,7 +90,8 @@ fn viscosity_jump_block() -> Csr {
                 1.0
             }
         };
-        let src = fem::element::stiffness_source(&m, eta);
+        let blocks = fem::element::LevelBlocks::new(&m);
+        let src = fem::element::stiffness_source(&m, &blocks, eta);
         let bc: Vec<bool> = (0..m.n_owned).map(|d| m.dof_on_boundary(d)).collect();
         fem::assembly::assemble_owned_block(&map, &src, Some(&bc))
     })

@@ -6,7 +6,7 @@
 //! schedule, and produce them twice, identically.
 
 use check::curve_checks;
-use fem::element::stiffness_source;
+use fem::element::{stiffness_source, LevelBlocks};
 use fem::op::{DistOp, DofMap};
 use mesh::extract::extract_mesh;
 use octree::balance::BalanceKind;
@@ -55,7 +55,8 @@ fn pipeline(plan: Option<FaultPlan>) -> Outcome {
         // Real ghost traffic: every message the plan jitters below is a
         // mesh ghost exchange.
         let map = DofMap::new(&m, c, 1);
-        let op = DistOp::new(&map, Box::new(stiffness_source(&m, |_| 1.0)), None);
+        let blocks = LevelBlocks::new(&m);
+        let op = DistOp::new(&map, Box::new(stiffness_source(&m, &blocks, |_| 1.0)), None);
         let x: Vec<f64> = (0..m.n_owned)
             .map(|d| ((m.global_offset + d as u64) % 11) as f64 - 5.0)
             .collect();

@@ -18,7 +18,7 @@ use check::oracles::{
     balance_local_naive_kind, dist_apply_reference, forest_flat_adjacent, forest_ghosts_flat,
     hanging_disagreements, sorted_local_ghost_view,
 };
-use fem::element::{stiffness_matrix, stiffness_source, supg_tau, ElementBlocks};
+use fem::element::{stiffness_matrix, stiffness_source, supg_tau, ElementBlocks, LevelBlocks};
 use fem::op::{DistOp, DofMap};
 use forest::{Connectivity, Forest, ForestLeaf, GhostKind};
 use la::dense::Lu;
@@ -428,7 +428,8 @@ fn dist_op_apply_matches_reference_bitwise() {
             t.balance(BalanceKind::Full);
             t.partition();
             let m = extract_mesh(&t, [1.0, 1.0, 1.0]);
-            let scalar = stiffness_source(&m, |_| 1.0);
+            let blocks = LevelBlocks::new(&m);
+            let scalar = stiffness_source(&m, &blocks, |_| 1.0);
             let coupled = |e: usize, out: &mut [f64]| {
                 let mut k = [0.0; 64];
                 scalar(e, &mut k);
@@ -684,19 +685,10 @@ fn conv_first_solve(nranks: usize, gathered: bool) -> usize {
             tol: 1e-6,
             ..StokesOptions::default()
         };
-        let blocks = fem::element::LevelBlocks::new(&m);
-        let src = |e: usize, out: &mut [f64]| {
-            let k = &blocks.of(&m, e).stiffness;
-            for (o, kij) in out.iter_mut().zip(k.as_flattened()) {
-                *o = visc[e] * kij;
-            }
-        };
+        let blocks = LevelBlocks::new(&m);
+        let src = stiffness_source(&m, &blocks, |e| visc[e]);
         let rows = fem::assembly::assemble_owned_sum(&DofMap::new(&m, c, 1), &src);
-        let lane =
-            |k: usize| -> Vec<bool> { (0..m.n_owned).map(|d| free_slip[3 * d + k]).collect() };
-        let masks = [lane(0), lane(1), lane(2)];
-        let masks: Vec<&[bool]> = masks.iter().map(Vec::as_slice).collect();
-        let oracle = GatheredAmg::new(c, &rows, &masks, [0, 1, 2], options.amg);
+        let oracle = GatheredAmg::<3>::new(c, &rows, &free_slip, options.amg);
         let solver = StokesSolver::new(&m, c, visc.clone(), free_slip.clone(), options);
         let buoyancy: Vec<f64> = (0..3 * m.n_owned)
             .map(|i| {
@@ -731,6 +723,57 @@ fn conv_first_solve(nranks: usize, gathered: bool) -> usize {
         assert!(info.converged, "P = {nranks}: {info:?}");
         info.iterations
     })[0]
+}
+
+#[test]
+fn lane_sharing_is_decided_across_ranks() {
+    // Rank 0 owns no pinned row, so its three lane masks agree; rank 1's
+    // are free slip's and differ. Both ranks must build the three
+    // hierarchies rank 1's rows call for (a rank-local decision builds one
+    // on rank 0, and the ranks' collectives part ways). With the whole
+    // matrix factored, the V-cycle is the gathered hierarchy's exact solve.
+    let out = spmd::run(2, |c| {
+        let m = extract_mesh(&DistOctree::new_uniform(c, 2), [1.0, 1.0, 1.0]);
+        let blocks = LevelBlocks::new(&m);
+        let src = stiffness_source(&m, &blocks, |e| 1.0 + (e % 3) as f64);
+        let rows = fem::assembly::assemble_owned_sum(&DofMap::new(&m, c, 1), &src);
+        let mask: Vec<bool> = (0..3 * m.n_owned)
+            .map(|i| c.rank() == 1 && m.dof_boundary_faces(i / 3) & (0b11 << (2 * (i % 3))) != 0)
+            .collect();
+        let lane = |k: usize| mask.iter().skip(k).step_by(3).copied().collect::<Vec<_>>();
+        let distinct = [(0, 1), (0, 2), (1, 2)].map(|(k, l)| lane(k) != lane(l));
+        assert_eq!(
+            distinct,
+            [c.rank() == 1; 3],
+            "rank {}: the fixture",
+            c.rank()
+        );
+        let whole = la::AmgOptions {
+            max_coarse: rows.offsets[2] as usize,
+        };
+        let coarsened = la::Amg::<3>::coupled(c, &rows, &mask, la::AmgOptions::default());
+        let amg = la::Amg::<3>::coupled(c, &rows, &mask, whole);
+        let oracle = GatheredAmg::<3>::new(c, &rows, &mask, whole);
+        let b: Vec<f64> = (0..3 * m.n_owned)
+            .map(|i| ((i * 7919 + 31 * c.rank()) % 211) as f64 / 50.0 - 2.2)
+            .collect();
+        let (mut z, mut want) = (vec![0.0; b.len()], vec![0.0; b.len()]);
+        amg.vcycle(&b, &mut z);
+        oracle.vcycle(&b, &mut want);
+        let scale = want.iter().fold(0.0f64, |s, v| s.max(v.abs()));
+        let gap = z
+            .iter()
+            .zip(&want)
+            .fold(0.0f64, |s, (x, y)| s.max((x - y).abs()));
+        (coarsened.hierarchies(), amg.hierarchies(), gap / scale)
+    });
+    for (rank, &(coarsened, whole, gap)) in out.iter().enumerate() {
+        assert_eq!((coarsened, whole), (3, 3), "rank {rank}: hierarchies");
+        assert!(
+            gap <= 1e-12,
+            "rank {rank}: V-cycle {gap:e} from the gathered one"
+        );
+    }
 }
 
 #[test]

@@ -4,8 +4,9 @@
 //! the exact rows of the global matrix it owns, with every column they
 //! couple to: `R_r A`, numbered as [`la::DistCsr`] numbers it. Every rank
 //! assembles all contributions of its own elements — including those
-//! landing in rows owned by neighbors — and ships foreign-row triplets
-//! `(row gid, col gid, value)` to their owners in a single `alltoallv`.
+//! landing in rows owned by neighbors — and [`la::OwnedRows`] ships the
+//! foreign-row triplets `(row gid, col gid, value)` to their owners in a
+//! single `alltoallv`, as it does for every Galerkin level of the AMG.
 //! A column another rank owns becomes a ghost column; that may be a dof
 //! no local element touches, when the coupling came from a neighbour's
 //! element.
@@ -21,21 +22,11 @@
 //! once.
 
 use crate::op::DofMap;
-use la::{Csr, DistCsr};
+use la::{Csr, DistCsr, OwnedRows};
 use mesh::extract::{Corner, Mesh};
 
 /// Source of element matrices for assembly.
 pub type ElementMatrixSource<'a> = dyn Fn(usize, &mut [f64]) + 'a;
-
-/// Wire triplet.
-#[derive(Clone, Copy)]
-#[repr(C)]
-struct WireTriplet {
-    row: u64,
-    col: u64,
-    val: f64,
-}
-unsafe impl scomm::Pod for WireTriplet {}
 
 /// `f` on the corner expansions of element `e`: per corner, its
 /// `(local dof, weight)` terms — a plain dof is one unit-weight term in a
@@ -126,11 +117,11 @@ pub fn assemble_owned_block(
 /// expansions alone (it counts the zero element entries the second pass
 /// skips). The second evaluates every element, places its owned-row
 /// terms in element order into one arena with that much room per row,
-/// columns by local dof, and ships the foreign-row ones. The received
-/// terms are grouped by row in delivery order, the ghost columns listed
-/// (every ghost dof of an element with an owned dof, and the received
-/// terms' other columns), and [`Csr::from_row_terms`] sums each row's
-/// local terms, then its received ones. A ghost column may hold no entry.
+/// columns by local dof, and lists the foreign-row ones for their owners
+/// (the mesh's rank offsets name them). [`OwnedRows::sum`] ships those
+/// and sums each row; the ghost columns are every ghost dof of an element
+/// with an owned dof and the received terms' other columns, so a ghost
+/// column may hold no entry.
 pub fn assemble_owned_sum(map: &DofMap, elem_matrix: &ElementMatrixSource) -> DistCsr {
     let mesh = map.mesh;
     let comm = map.comm;
@@ -143,7 +134,7 @@ pub fn assemble_owned_sum(map: &DofMap, elem_matrix: &ElementMatrixSource) -> Di
         "local columns must fit in u32"
     );
 
-    // gid of a local dof index (owned or ghost).
+    // gid of a local dof index (owned or ghost), and its owner rank.
     let gid_of = |d: usize| -> u64 {
         if d < n_owned {
             offset + d as u64
@@ -151,9 +142,7 @@ pub fn assemble_owned_sum(map: &DofMap, elem_matrix: &ElementMatrixSource) -> Di
             mesh.ghost_gids[d - n_owned]
         }
     };
-    // Owner rank of a gid (via gathered offsets).
-    let offsets = comm.allgatherv(&[offset]);
-    let owner_of_gid = |g: u64| -> usize { offsets.partition_point(|&o| o <= g) - 1 };
+    let owner_of_gid = |g: u64| -> usize { mesh.offsets.partition_point(|&o| o <= g) - 1 };
 
     // Pass one: room for each owned row's terms, and the foreign terms
     // bound for each rank. Row `(di, a)` gets `nc` terms per dof of every
@@ -189,14 +178,14 @@ pub fn assemble_owned_sum(map: &DofMap, elem_matrix: &ElementMatrixSource) -> Di
         row_ptr[r + 1] += row_ptr[r];
     }
 
-    // Pass two: place the owned-row terms, columns by local dof; ship the
-    // foreign ones.
+    // Pass two: place the owned-row terms, columns by local dof; list the
+    // foreign ones for their owners.
+    let mut rows = OwnedRows::default();
+    rows.ship = foreign.iter().map(|&k| Vec::with_capacity(k)).collect();
     let mut mat = vec![0.0; 64 * nc * nc];
     let mut cols = vec![0u32; row_ptr[n]];
     let mut vals = vec![0.0; row_ptr[n]];
     let mut end = row_ptr[..n].to_vec();
-    let mut remote: Vec<Vec<WireTriplet>> =
-        foreign.iter().map(|&k| Vec::with_capacity(k)).collect();
     for e in 0..mesh.elements.len() {
         elem_matrix(e, &mut mat);
         for_each_term(mesh, e, nc, &mat, |di, dj, a, b, val| {
@@ -207,91 +196,32 @@ pub fn assemble_owned_sum(map: &DofMap, elem_matrix: &ElementMatrixSource) -> Di
                 vals[*at] = val;
                 *at += 1;
             } else {
-                remote[owner_of_gid(gid_of(di))].push(WireTriplet {
-                    row: gid_of(di) * nc as u64 + a as u64,
-                    col: gid_of(dj) * nc as u64 + b as u64,
+                rows.ship[owner_of_gid(gid_of(di))].push((
+                    gid_of(di) * nc as u64 + a as u64,
+                    gid_of(dj) * nc as u64 + b as u64,
                     val,
-                });
+                ));
             }
         });
     }
-    let incoming = comm.alltoallv(&remote);
-    drop(remote);
-    let first = offset * nc as u64;
-    let owned = first..first + n as u64;
-    // Ghost columns: those of the local terms and of the received ones.
     let local_gid = |col: u32| {
         let (d, b) = (col as usize / nc, col as usize % nc);
         gid_of(d) * nc as u64 + b as u64
     };
     let reached = (0..reached.len()).filter(|&k| reached[k]);
     let reached = reached.flat_map(|k| (0..nc).map(move |b| ((n_owned + k) * nc + b) as u32));
-    let mut ghosts: Vec<u64> = reached
-        .map(local_gid)
-        .chain(incoming.iter().flatten().map(|t| t.col))
-        .filter(|g| !owned.contains(g))
-        .collect();
-    ghosts.sort_unstable();
-    ghosts.dedup();
-    let column = |g: u64| -> u32 {
-        match owned.contains(&g) {
-            true => (g - first) as u32,
-            false => (n + ghosts.binary_search(&g).expect("a listed ghost")) as u32,
-        }
+    let local = |r: usize| {
+        let k = row_ptr[r]..end[r];
+        cols[k.clone()].iter().copied().zip(vals[k].iter().copied())
     };
-    // Received terms as owned (row, col, value).
-    let received = incoming.iter().flatten().map(|t| {
-        debug_assert!(owned.contains(&t.row));
-        ((t.row - first) as usize, column(t.col), t.val)
-    });
-    // Grouped by row, in delivery order: `recv_ptr[r]` runs from the
-    // start of row `r` to its end while placing, then shifts back.
-    let mut recv_ptr = vec![0usize; n + 1];
-    for (row, _, _) in received.clone() {
-        recv_ptr[row + 1] += 1;
-    }
-    for r in 0..n {
-        recv_ptr[r + 1] += recv_ptr[r];
-    }
-    let mut recv_cols = vec![0u32; recv_ptr[n]];
-    let mut recv_vals = vec![0.0; recv_ptr[n]];
-    for (row, col, val) in received {
-        recv_cols[recv_ptr[row]] = col;
-        recv_vals[recv_ptr[row]] = val;
-        recv_ptr[row] += 1;
-    }
-    for r in (1..=n).rev() {
-        recv_ptr[r] = recv_ptr[r - 1];
-    }
-    recv_ptr[0] = 0;
-    let terms = (0..n).map(|r| end[r] - row_ptr[r]).sum::<usize>() + recv_ptr[n];
-    // Local terms' ghost dofs become ghost columns.
-    if !ghosts.is_empty() {
-        for r in 0..n {
-            for col in &mut cols[row_ptr[r]..end[r]] {
-                if *col as usize >= n {
-                    *col = column(local_gid(*col));
-                }
-            }
-        }
-    }
-    let row = |r: usize| {
-        let (local, recv) = (row_ptr[r]..end[r], recv_ptr[r]..recv_ptr[r + 1]);
-        let local = cols[local.clone()]
-            .iter()
-            .copied()
-            .zip(vals[local].iter().copied());
-        local.chain(
-            recv_cols[recv.clone()]
-                .iter()
-                .copied()
-                .zip(recv_vals[recv].iter().copied()),
-        )
-    };
-    let a = Csr::from_row_terms(n, n + ghosts.len(), terms, row);
+    let terms = (0..n).map(|r| end[r] - row_ptr[r]).sum();
+    let first = offset * nc as u64;
+    let owned = (first, n, terms);
+    let (a, ghosts) = rows.assemble(Some(comm), owned, local, local_gid, reached.map(local_gid));
     DistCsr {
         a,
         first_row: first,
+        offsets: mesh.offsets.iter().map(|&o| o * nc as u64).collect(),
         ghosts,
     }
 }
@@ -299,7 +229,7 @@ pub fn assemble_owned_sum(map: &DofMap, elem_matrix: &ElementMatrixSource) -> Di
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::element::stiffness_source;
+    use crate::element::{stiffness_source, LevelBlocks};
     use crate::op::{DistOp, DofMap};
     use mesh::extract::extract_mesh;
     use octree::balance::BalanceKind;
@@ -316,7 +246,8 @@ mod tests {
             t.balance(BalanceKind::Full);
             let m = extract_mesh(&t, [1.0, 1.0, 1.0]);
             let map = DofMap::new(&m, c, 1);
-            let src = stiffness_source(&m, |_| 2.0);
+            let blocks = LevelBlocks::new(&m);
+            let src = stiffness_source(&m, &blocks, |_| 2.0);
             let bc: Vec<bool> = (0..m.n_owned).map(|d| m.dof_on_boundary(d)).collect();
             let a = assemble_owned_block(&map, &src, Some(&bc));
             let op = DistOp::new(&map, Box::new(src), Some(&bc));
@@ -355,7 +286,8 @@ mod tests {
             t.partition();
             let m = extract_mesh(&t, [1.0, 1.0, 1.0]);
             let map = DofMap::new(&m, c, 1);
-            let src = stiffness_source(&m, |_| 1.0);
+            let blocks = LevelBlocks::new(&m);
+            let src = stiffness_source(&m, &blocks, |_| 1.0);
             let a = assemble_owned_block(&map, &src, None);
             let block_diag = a.diagonal();
             // True diagonal via matrix-free: diag_i = eᵢᵀ A eᵢ... cheaper:
@@ -394,8 +326,8 @@ mod tests {
             let m = extract_mesh(&t, [2.0, 1.0, 1.0]);
             assert!(m.n_hanging() > 0);
             let eta = |e: usize| 1.0 + (e * 7919 % 13) as f64 / 3.0;
-            let scalar = stiffness_source(&m, eta);
-            let blocks = crate::element::LevelBlocks::new(&m);
+            let blocks = LevelBlocks::new(&m);
+            let scalar = stiffness_source(&m, &blocks, eta);
             let vector = |e: usize, out: &mut [f64]| {
                 let k = &blocks.of(&m, e).viscous;
                 for (row, k) in out.chunks_exact_mut(24).zip(k) {
@@ -478,7 +410,8 @@ mod tests {
             let t = DistOctree::new_uniform(c, 2);
             let m = extract_mesh(&t, [1.0, 1.0, 1.0]);
             let map = DofMap::new(&m, c, 1);
-            let src = stiffness_source(&m, |_| 1.0);
+            let blocks = LevelBlocks::new(&m);
+            let src = stiffness_source(&m, &blocks, |_| 1.0);
             let bc: Vec<bool> = (0..m.n_owned).map(|d| m.dof_on_boundary(d)).collect();
             let a = assemble_owned_block(&map, &src, Some(&bc));
             for (d, &isbc) in bc.iter().enumerate() {
@@ -490,5 +423,31 @@ mod tests {
                 }
             }
         });
+    }
+
+    #[test]
+    fn owned_sum_gathers_nothing() {
+        // The owners of foreign rows come from the mesh's rank offsets:
+        // the assembly's one collective is the all-to-all that ships
+        // them, and a rank alone runs none.
+        for p in [1, 2, 4] {
+            spmd::run(p, move |c| {
+                let mut t = DistOctree::new_uniform(c, 2);
+                t.refine(|o| o.center_unit()[2] > 0.6);
+                t.balance(BalanceKind::Full);
+                t.partition();
+                let m = extract_mesh(&t, [1.0, 1.0, 1.0]);
+                let blocks = LevelBlocks::new(&m);
+                let src = stiffness_source(&m, &blocks, |_| 1.0);
+                let map = DofMap::new(&m, c, 1);
+                let s0 = c.stats();
+                let rows = assemble_owned_sum(&map, &src);
+                let s1 = c.stats();
+                let want = u64::from(p > 1);
+                assert_eq!(s1.collectives() - s0.collectives(), want, "P = {p}");
+                assert_eq!(s1.alltoalls - s0.alltoalls, want, "P = {p}");
+                assert_eq!(rows.offsets, m.offsets);
+            });
+        }
     }
 }

@@ -91,12 +91,12 @@ pub fn stiffness_matrix(h: [f64; 3], kappa: f64) -> [[f64; 8]; 8] {
 /// The stiffness of every element of `mesh`, with `kappa(e)` the
 /// coefficient of element `e`, as an element-matrix source: it fills the
 /// row-major 8×8 matrix `DistOp` and `assemble_owned_block` take with
-/// `κ(e)·K₁` from a [`LevelBlocks`] table of the mesh.
+/// `κ(e)·K₁` from `blocks`, the mesh's [`LevelBlocks`].
 pub fn stiffness_source<'a>(
     mesh: &'a Mesh,
+    blocks: &'a LevelBlocks,
     kappa: impl Fn(usize) -> f64 + 'a,
 ) -> impl Fn(usize, &mut [f64]) + 'a {
-    let blocks = LevelBlocks::new(mesh);
     move |e, out| {
         let (k, kappa) = (&blocks.of(mesh, e).stiffness, kappa(e));
         for (row, k) in out.chunks_exact_mut(8).zip(k) {

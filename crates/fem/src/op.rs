@@ -422,7 +422,12 @@ mod tests {
             let f = |p: [f64; 3]| 3.0 * pi * pi * exact(p);
 
             let bc: Vec<bool> = (0..m.n_owned).map(|d| m.dof_on_boundary(d)).collect();
-            let op = DistOp::new(&map, Box::new(stiffness_source(&m, |_| 1.0)), Some(&bc));
+            let blocks = LevelBlocks::new(&m);
+            let op = DistOp::new(
+                &map,
+                Box::new(stiffness_source(&m, &blocks, |_| 1.0)),
+                Some(&bc),
+            );
             // rhs = M f (consistent mass), assembled matrix-free.
             let mut rhs_local = vec![0.0; map.n_local()];
             let mut fe = vec![0.0; 8];
@@ -518,7 +523,7 @@ mod tests {
                     row.copy_from_slice(k);
                 }
             };
-            sweep_builds_agree::<1>(&m, &stiffness_source(&m, |e| 1.0 + (e % 5) as f64));
+            sweep_builds_agree::<1>(&m, &stiffness_source(&m, &blocks, |e| 1.0 + (e % 5) as f64));
             sweep_builds_agree::<3>(&m, &viscous);
         });
     }
@@ -532,7 +537,8 @@ mod tests {
             t.partition();
             let m = extract_mesh(&t, [1.0, 1.0, 1.0]);
             let map = DofMap::new(&m, c, 1);
-            let op = DistOp::new(&map, Box::new(stiffness_source(&m, |_| 1.0)), None);
+            let blocks = LevelBlocks::new(&m);
+            let op = DistOp::new(&map, Box::new(stiffness_source(&m, &blocks, |_| 1.0)), None);
             // <Au, v> == <u, Av> with deterministic pseudo-random vectors
             // (consistent across ranks via global dof ids).
             let mk = |salt: u64| -> Vec<f64> {

@@ -29,7 +29,8 @@
 //! by an exclusive scan of the aggregate counts. The smoothed prolongator
 //! gets its ghost rows in one exchange, the Galerkin product `Pᵀ(AP)` runs
 //! over owned and ghost columns, and the terms of coarse rows another
-//! rank owns are shipped to it. Each level smooths by ℓ1-hybrid
+//! rank owns are shipped to it ([`OwnedRows`], the assembly the fine
+//! matrix has too). Each level smooths by ℓ1-hybrid
 //! Gauss–Seidel (Baker, Falgout, Kolev & Yang 2011): a rank sweeps its
 //! owned rows with the ghost values of one exchange, adding each row's
 //! residual over a divisor that gains `½Σ|a_ij|` over its ghost columns.
@@ -40,8 +41,8 @@
 //! the coarse correction and the backward one after it keep the V-cycle
 //! the fixed SPD operator MINRES needs. Coarsening stops on the global
 //! row count; the coarsest level is gathered to every rank and solved
-//! redundantly by one dense Cholesky factor. Across ranks the lanes'
-//! coarse levels cycle in lock-step, so one exchange round per step
+//! redundantly by one dense Cholesky factor. The lanes' coarse levels
+//! cycle in lock-step, so across ranks one exchange round per step
 //! carries every lane: three rounds per level smoothed, one per
 //! restriction, and one gather per coarsest solve ([`Amg::exchanges`]
 //! counts the rounds run).
@@ -52,15 +53,18 @@
 //! **Interleaved components.** An [`Amg<C>`] applies `C` scalar
 //! hierarchies to the `C` interleaved components of one vector (the
 //! velocity block of the Stokes preconditioner, `[ux uy uz]` per node).
-//! [`Amg::masked`] builds them from one assembled matrix and one
-//! Dirichlet mask per lane. Lane `c`'s matrix is that matrix eliminated by
-//! its mask ([`Csr::eliminate`]), which drops entries and sets diagonals
-//! but re-sums nothing, so the lanes share every stored value. The fine
-//! level is therefore stored once: one value per entry, a presence bit
-//! per lane, and a diagonal per lane; a row that every lane stores whole
-//! skips the presence test. One Gauss–Seidel pass advances all `C`
-//! dependency chains together, and one exchange carries every lane's
-//! ghost values. Each distinct mask keeps its own coarser levels. Each
+//! [`Amg::masked`] builds them from one assembled matrix and the
+//! interleaved Dirichlet mask, `C` flags per row. Lane `c`'s matrix is
+//! that matrix eliminated by its mask ([`Csr::eliminate`]), which drops
+//! entries and sets diagonals but re-sums nothing, so the lanes share
+//! every stored value. The fine level is therefore stored once: one value
+//! per entry, a presence bit per lane, and a diagonal per lane; a row that
+//! every lane stores whole skips the presence test. One Gauss–Seidel pass
+//! advances all `C` dependency chains together, and one exchange carries
+//! every lane's ghost values. Each distinct lane mask keeps its own
+//! coarser levels: two lanes share a hierarchy when their masks agree on
+//! every rank, which one reduction decides, since a rank may own only rows
+//! on which two lanes' masks agree while another rank's differ. Each
 //! lane's arithmetic is that of [`Amg::new`] on its eliminated matrix,
 //! operation for operation, so the result is bitwise the same. The
 //! smoother and residual are written once, generic over `C`; the scalar
@@ -80,7 +84,7 @@ use std::ops::Range;
 
 use scomm::{Comm, Halo, HaloBuffers};
 
-use crate::csr::{Csr, DistCsr};
+use crate::csr::{Csr, DistCsr, OwnedRows};
 use crate::dense::Cholesky;
 use crate::krylov::LinearOp;
 
@@ -132,17 +136,6 @@ struct Ghosts {
 /// `offsets[r]..offsets[r + 1]`.
 fn owner(offsets: &[u64], g: u64) -> usize {
     offsets.partition_point(|&o| o <= g) - 1
-}
-
-/// Every rank's first global row for this rank's `n` rows, ranks in
-/// order, and the total after the last. Collective.
-fn row_offsets(comm: &Comm, n: usize, out: &mut Vec<u64>) {
-    comm.allgatherv_into(&[n as u64], out);
-    let mut sum = 0;
-    for o in out.iter_mut() {
-        (*o, sum) = (sum, sum + *o);
-    }
-    out.push(sum);
 }
 
 impl Ghosts {
@@ -833,10 +826,9 @@ struct Setup {
     p: Sparse,
     r: Sparse,
     ap: Sparse,
-    /// The sparse products' dense row accumulator, each column with the
-    /// row it last summed for, and the columns of the current row.
-    accum: Vec<(usize, f64)>,
-    row_cols: Vec<u32>,
+    /// The Galerkin levels' assembly, whose row accumulator the sparse
+    /// products share.
+    rows: OwnedRows,
     /// Aggregates on this rank, and their first global id: the owned
     /// coarse rows.
     n_agg: usize,
@@ -866,8 +858,11 @@ impl Setup {
             p: Sparse::with_capacity(n, entries),
             r: Sparse::with_capacity(n / 2, entries),
             ap: Sparse::with_capacity(n, entries),
-            accum: Vec::with_capacity(n),
-            row_cols: Vec::with_capacity(n),
+            rows: OwnedRows {
+                accum: Vec::with_capacity(n),
+                row_cols: Vec::with_capacity(n),
+                ..OwnedRows::default()
+            },
             n_agg: 0,
             offsets: Vec::new(),
             g1: Vec::new(),
@@ -902,7 +897,7 @@ impl Setup {
             None if n_agg == 0 || n_agg >= n => return None,
             None => (0, n_agg as u64),
             Some((comm, _)) => {
-                row_offsets(comm, n_agg, &mut self.offsets);
+                comm.offsets_into(n_agg as u64, &mut self.offsets);
                 let total = self.offsets[comm.size()];
                 if total == 0 || total >= n_global {
                     return None;
@@ -922,8 +917,7 @@ impl Setup {
             agg,
             ap0,
             p,
-            accum,
-            row_cols,
+            rows,
             ..
         } = self;
         // A·P0, where P0 is the tentative prolongator: piecewise constant
@@ -935,7 +929,7 @@ impl Setup {
             n_agg + self.g1.len(),
             |i| a.lane_row(i, c),
             p0,
-            (&mut *accum, &mut *row_cols),
+            (&mut rows.accum, &mut rows.row_cols),
             true,
             |_, cols, acc| {
                 for &j in cols {
@@ -976,14 +970,7 @@ impl Setup {
             self.ghost_prolongator_rows(comm, &g.halo, first);
         }
         let nc = n_agg + self.g2.len();
-        let Setup {
-            p,
-            r,
-            ap,
-            accum,
-            row_cols,
-            ..
-        } = self;
+        let Setup { p, r, ap, rows, .. } = self;
         transpose(p, n, nc, r);
         ap.clear();
         gustavson(
@@ -991,7 +978,7 @@ impl Setup {
             nc,
             |i| a.lane_row(i, c),
             |j| p.row(j),
-            (accum, row_cols),
+            (&mut rows.accum, &mut rows.row_cols),
             false,
             |_, cols, acc| {
                 for &j in cols {
@@ -1092,10 +1079,11 @@ impl Setup {
 
     /// Append the Galerkin operator `R·(A·P)` of the last
     /// [`Setup::coarsen`] to `ops` as a level of `n_agg` owned rows, and
-    /// its restriction to `r_out`. Rows of coarse columns another rank
-    /// owns are shipped to it, and a rank adds what it receives after its
-    /// own terms, in delivery order. Returns the ghost columns of the new
-    /// level (ascending global ids). Collective.
+    /// its restriction to `r_out`: [`OwnedRows::sum`] ships the rows of
+    /// coarse columns another rank owns to it and adds them after the
+    /// owner's own sums. Returns the ghost columns of the new level
+    /// (ascending global ids): those of its rows and of the restriction's
+    /// rows. Collective where the level spans ranks.
     fn galerkin(
         &mut self,
         net: Option<&Comm>,
@@ -1109,8 +1097,7 @@ impl Setup {
             r,
             ap,
             ap0: own_rows,
-            accum,
-            row_cols,
+            rows,
             g2,
             offsets,
             ..
@@ -1122,36 +1109,15 @@ impl Setup {
                 g2[j - n_agg]
             }
         };
-        let Some(comm) = net else {
-            gustavson(
-                nc,
-                nc,
-                |i| r.row(i),
-                |j| ap.row(j),
-                (accum, row_cols),
-                true,
-                |i, cols, acc| {
-                    let mut diag = 0.0;
-                    for &j in cols {
-                        let val = acc[j as usize].1;
-                        if j as usize == i {
-                            diag = val;
-                        }
-                        ops.entries.push(Entry {
-                            val,
-                            col: j,
-                            present: 1,
-                        });
-                    }
-                    ops.end_row(i, [diag]);
-                },
-            );
-            r_out.append(r, 0..n_agg);
-            return Vec::new();
-        };
-        // Owned rows wait in `own_rows` (`A·P0` is spent) for the terms
-        // other ranks ship.
-        let mut ship: Vec<Vec<(u64, u64, f64)>> = vec![Vec::new(); comm.size()];
+        // Owned rows wait in `own_rows` (`A·P0` is spent); the others are
+        // shipped.
+        rows.ship.resize_with(net.map_or(0, Comm::size), Vec::new);
+        let OwnedRows {
+            ship,
+            accum,
+            row_cols,
+            ..
+        } = rows;
         own_rows.clear();
         gustavson(
             nc,
@@ -1175,68 +1141,33 @@ impl Setup {
                 }
             },
         );
-        let incoming = comm.alltoallv(&ship);
-        drop(ship);
-        let received = || incoming.iter().flatten();
-        let own = first..first + n_agg as u64;
-        // The level's columns past its rows: those of its owned rows, of
-        // the terms received, and of the restriction's rows.
-        let mut ghosts: Vec<u64> = own_rows
+        // The level's ghost columns: its owned rows' and the restriction's.
+        let restricted = (n_agg..nc).filter(|&j| r.ptr[j + 1] > r.ptr[j]);
+        let local = own_rows
             .cols
             .iter()
             .map(|&j| j as usize)
-            .filter(|&j| j >= n_agg)
-            .map(gid)
-            .collect();
-        ghosts.extend(received().map(|t| t.1).filter(|g| !own.contains(g)));
-        ghosts.extend((n_agg..nc).filter(|&j| r.ptr[j + 1] > r.ptr[j]).map(gid));
-        ghosts.sort_unstable();
-        ghosts.dedup();
-        let col = |g: u64| match own.contains(&g) {
-            true => (g - first) as usize,
-            false => n_agg + ghosts.binary_search(&g).expect("a listed ghost"),
-        };
-        // Received terms grouped by row, in delivery order.
-        let mut recv_ptr = vec![0usize; n_agg + 1];
-        for t in received() {
-            recv_ptr[(t.0 - first) as usize + 1] += 1;
-        }
-        for i in 0..n_agg {
-            recv_ptr[i + 1] += recv_ptr[i];
-        }
-        let mut recv = vec![(0usize, 0.0); recv_ptr[n_agg]];
-        let mut at = recv_ptr.clone();
-        for &(row, c, v) in received() {
-            let i = (row - first) as usize;
-            recv[at[i]] = (col(c), v);
-            at[i] += 1;
-        }
-        // Each row: its own sums, then what it received.
-        accum.clear();
-        accum.resize(n_agg + ghosts.len(), (usize::MAX, 0.0));
-        for i in 0..n_agg {
-            row_cols.clear();
-            let local = own_rows.row(i).map(|(j, v)| (col(gid(j)), v));
-            for (j, v) in local.chain(recv[recv_ptr[i]..recv_ptr[i + 1]].iter().copied()) {
-                let (row, sum) = &mut accum[j];
-                if *row == i {
-                    *sum += v;
-                } else {
-                    (*row, *sum) = (i, v);
-                    row_cols.push(j as u32);
-                }
-            }
-            row_cols.sort_unstable();
-            let diag = if accum[i].0 == i { accum[i].1 } else { 0.0 };
-            for &j in row_cols.iter() {
-                ops.entries.push(Entry {
-                    val: accum[j as usize].1,
+            .filter(|&j| j >= n_agg);
+        let own_row = |i: usize| own_rows.row(i).map(|(j, v)| (j as u32, v));
+        let gid_u32 = |j: u32| gid(j as usize);
+        let extra = local.chain(restricted).map(gid);
+        let ghosts = rows.sum(
+            net,
+            (first, n_agg),
+            own_row,
+            gid_u32,
+            extra,
+            |i, cols, acc| {
+                let diag = if acc[i].0 == i { acc[i].1 } else { 0.0 };
+                let entry = |&j: &u32| Entry {
+                    val: acc[j as usize].1,
                     col: j,
                     present: 1,
-                });
-            }
-            ops.end_row(i, [diag]);
-        }
+                };
+                ops.entries.extend(cols.iter().map(entry));
+                ops.end_row(i, [diag]);
+            },
+        );
         // The restriction: owned coarse rows, then one per ghost column.
         r_out.append(r, 0..n_agg);
         for g in &ghosts {
@@ -1574,72 +1505,93 @@ impl Amg<'_> {
     }
 }
 
-/// Per row, bit `c` set when lane `c`'s mask pins it.
-fn pinned_bits<const C: usize>(n: usize, masks: &[&[bool]], lanes: [usize; C]) -> Vec<u8> {
-    assert!(
-        (0..masks.len()).all(|k| lanes.contains(&k)) && lanes.iter().all(|&k| k < masks.len()),
-        "lanes {lanes:?} must use each of {} masks and no other",
-        masks.len()
-    );
-    assert!(masks.iter().all(|m| m.len() == n));
-    (0..n)
-        .map(|i| {
-            let bits = lanes.iter().enumerate();
-            bits.fold(0, |pinned, (c, &k)| pinned | u8::from(masks[k][i]) << c)
-        })
-        .collect()
+/// The lanes of the interleaved Dirichlet `mask` (`C` flags per owned
+/// row): per row, bit `c` set when lane `c` is pinned, and the hierarchy
+/// each lane continues in, that of the first earlier lane pinned on the
+/// same rows of every rank, else a new one. Whether two lanes share is
+/// decided across the ranks of `comm` in one reduction, so that every
+/// rank builds the same hierarchies even where its own rows cannot tell
+/// two lanes apart; a rank alone (`None`) decides by itself.
+fn lane_layout<const C: usize>(mask: &[bool], comm: Option<&Comm>) -> (Vec<u8>, [usize; C]) {
+    let (rows, rest) = mask.as_chunks::<C>();
+    assert!(rest.is_empty(), "{C} mask flags per row");
+    let pinned: Vec<u8> = rows
+        .iter()
+        .map(|m| (0..C).fold(0, |bits, c| bits | u8::from(m[c]) << c))
+        .collect();
+    // `differ[8 * c + e]`: lanes `c` and `e < c` pin different rows.
+    let mut differ = [0u8; 64];
+    for c in 0..C {
+        for e in 0..c {
+            differ[8 * c + e] = u8::from(pinned.iter().any(|&b| (b >> c ^ b >> e) & 1 != 0));
+        }
+    }
+    if let Some(comm) = comm {
+        differ = comm.allreduce_max(&differ);
+    }
+    let mut lanes = [0; C];
+    for c in 1..C {
+        lanes[c] = match (0..c).find(|&e| differ[8 * c + e] == 0) {
+            Some(e) => lanes[e],
+            None => lanes[..c].iter().max().unwrap() + 1,
+        };
+    }
+    (pinned, lanes)
 }
 
 impl<'c, const C: usize> Amg<'c, C> {
     /// Lane `c` of the vectors this preconditions is preconditioned as
-    /// `Amg::new(a.eliminate(masks[lanes[c]]), options)` would, V-cycle
-    /// for V-cycle bitwise, with one hierarchy per mask. The fine level is
-    /// built from `a` itself, with no eliminated copy (see the module
-    /// documentation). Columns of `a` must be ascending and distinct
-    /// within a row, as [`Csr::from_row_terms`] leaves them.
-    pub fn masked(
-        a: &Csr,
-        masks: &[&[bool]],
-        lanes: [usize; C],
-        options: AmgOptions,
-    ) -> Amg<'c, C> {
+    /// `Amg::new(a.eliminate(m_c), options)` would, V-cycle for V-cycle
+    /// bitwise, where `m_c` is lane `c` of the interleaved Dirichlet
+    /// `mask` (`C` flags per row), with one hierarchy per distinct lane
+    /// mask. The fine level is built from `a` itself, with no eliminated
+    /// copy (see the module documentation). Columns of `a` must be
+    /// ascending and distinct within a row, as [`Csr::from_row_terms`]
+    /// leaves them.
+    pub fn masked(a: &Csr, mask: &[bool], options: AmgOptions) -> Amg<'c, C> {
         assert_eq!(a.nrows, a.ncols, "the whole matrix is square");
-        let pinned = pinned_bits(a.nrows, masks, lanes);
+        assert_eq!(mask.len(), C * a.nrows, "{C} mask flags per row");
+        let (pinned, lanes) = lane_layout::<C>(mask, None);
         let n = a.nrows as u64;
         Amg::build(None, LevelOp::masked(a, &pinned), n, lanes, options)
     }
 
     /// [`Amg::masked`] for the matrix whose rows the ranks of `comm` own
     /// as `a`, one hierarchy across them (see the module documentation),
-    /// `masks` over the owned rows. On one rank it is `Amg::masked` of
+    /// `mask` over the owned rows; two lanes share a hierarchy when their
+    /// masks agree on every rank. On one rank it is `Amg::masked` of
     /// `a.a`. Collective.
-    pub fn coupled(
-        comm: &'c Comm,
-        a: &DistCsr,
-        masks: &[&[bool]],
-        lanes: [usize; C],
-        options: AmgOptions,
-    ) -> Amg<'c, C> {
+    pub fn coupled(comm: &'c Comm, a: &DistCsr, mask: &[bool], options: AmgOptions) -> Amg<'c, C> {
         let n = a.a.nrows;
         assert_eq!(a.a.ncols, n + a.ghosts.len(), "owned columns, then ghosts");
         if comm.size() == 1 {
-            return Amg::masked(&a.a, masks, lanes, options);
+            return Amg::masked(&a.a, mask, options);
         }
-        let mut pinned = pinned_bits(n, masks, lanes);
-        let mut offsets = Vec::new();
-        row_offsets(comm, n, &mut offsets);
+        let (rank, offsets) = (comm.rank(), &a.offsets);
         assert_eq!(
-            offsets[comm.rank()],
-            a.first_row,
+            offsets.len(),
+            comm.size() + 1,
+            "one offset per rank, then the total"
+        );
+        assert_eq!(
+            (offsets[rank], offsets[rank + 1] - offsets[rank]),
+            (a.first_row, n as u64),
             "ranks own rows in rank order"
         );
-        let ghosts = Ghosts::new(comm, a.first_row, a.ghosts.clone(), &offsets);
+        assert_eq!(mask.len(), C * n, "{C} mask flags per owned row");
+        let (mut pinned, lanes) = lane_layout::<C>(mask, Some(comm));
+        let ghosts = Ghosts::new(comm, a.first_row, a.ghosts.clone(), offsets);
         pinned.resize(n + a.ghosts.len(), 0);
         let mut wire = HaloBuffers::with_stream(SETUP_U8_STREAM);
         wire.fill(comm, &[&ghosts.halo], &mut [&mut pinned], 1);
-        let n_global = offsets[comm.size()];
         let fine = LevelOp::masked(&a.a, &pinned);
-        Amg::build(Some((comm, ghosts)), fine, n_global, lanes, options)
+        Amg::build(
+            Some((comm, ghosts)),
+            fine,
+            offsets[comm.size()],
+            lanes,
+            options,
+        )
     }
 
     /// The hierarchies below `fine`, one per distinct entry of `lanes`.
@@ -1821,26 +1773,13 @@ impl<'c, const C: usize> Amg<'c, C> {
         &self.chains[self.lanes[c]]
     }
 
-    /// Coarse-grid correction of every lane that coarsens. Across ranks
-    /// the lanes cycle in lock-step, one exchange round carrying them
-    /// all; a rank alone cycles them one after the other, so each lane's
-    /// levels stay in cache from its pre- to its post-smoothing.
+    /// Coarse-grid correction of every lane that coarsens, the lanes in
+    /// lock-step (across ranks one exchange round carries them all):
+    /// restrict the fine residual `s.r`, cycle on level 1 from zero, and
+    /// add the prolonged result to `x`. Each lane of `s.r` is spent on its
+    /// prolongation.
     fn correct(&self, x: &mut [f64], s: &mut FineScratch<C>) {
         let cycling: [bool; C] = std::array::from_fn(|c| self.chain(c).depth > 0);
-        if self.net.is_some() {
-            self.correct_lanes(cycling, x, s);
-        } else {
-            for c in (0..C).filter(|&c| cycling[c]) {
-                self.correct_lanes(std::array::from_fn(|l| l == c), x, s);
-            }
-        }
-    }
-
-    /// Coarse-grid correction of the lanes in `cycling`: restrict the
-    /// fine residual `s.r`, cycle on level 1 from zero, and add the
-    /// prolonged result to `x`. Each lane of `s.r` is spent on its
-    /// prolongation.
-    fn correct_lanes(&self, cycling: [bool; C], x: &mut [f64], s: &mut FineScratch<C>) {
         for c in (0..C).filter(|&c| cycling[c]) {
             let (ch, b) = (self.chain(c), &mut s.coarse[c].b);
             let v1 = ch.vec_ends[1];
@@ -2155,8 +2094,7 @@ mod tests {
         // does not coarsen, and its 512 rows > max_coarse are left to
         // smoother sweeps.
         let all = vec![true; a.nrows];
-        let masks: [&[bool]; 3] = [&mx, &all, &mz];
-        let fused = Amg::masked(&a, &masks, [0, 1, 2], AmgOptions::default());
+        let fused = Amg::<3>::masked(&a, &interleave([&mx, &all, &mz]), AmgOptions::default());
         assert!(fused.chains[0].depth >= 1);
         assert!(fused.chains[1].depth == 0 && matches!(fused.chains[1].direct, Direct::Sweeps));
         let len = fused.len();
@@ -2190,20 +2128,25 @@ mod tests {
         })
     }
 
-    /// The fused V-cycle of `Amg::masked(a, masks, lanes)` on
-    /// interleaved `b` against one `Amg::new(a.eliminate(mask))` V-cycle
-    /// per lane, bit for bit. `b` holds `±0.0` and negative values at
-    /// masked rows and elsewhere.
-    fn assert_fused_matches_scalar(a: &Csr, masks: &[&[bool]], lanes: [usize; 3]) {
+    /// The interleaved Dirichlet mask of three lanes' masks.
+    fn interleave(lanes: [&[bool]; 3]) -> Vec<bool> {
+        (0..3 * lanes[0].len())
+            .map(|i| lanes[i % 3][i / 3])
+            .collect()
+    }
+
+    /// The fused V-cycle of `Amg::masked` on the lanes' masks `lanes`,
+    /// interleaved, on interleaved `b` against one
+    /// `Amg::new(a.eliminate(mask))` V-cycle per lane, bit for bit, with
+    /// `hierarchies` hierarchies built. `b` holds `±0.0` and negative
+    /// values at masked rows and elsewhere.
+    fn assert_fused_matches_scalar(a: &Csr, lanes: [&[bool]; 3], hierarchies: usize) {
         let n = a.nrows;
         let options = AmgOptions::default();
-        let scalar: Vec<Amg> = masks
-            .iter()
-            .map(|m| Amg::new(a.eliminate(m), options))
-            .collect();
-        let fused = Amg::masked(a, masks, lanes, options);
+        let scalar = lanes.map(|m| Amg::new(a.eliminate(m), options));
+        let fused = Amg::<3>::masked(a, &interleave(lanes), options);
         assert_eq!(fused.len(), 3 * n);
-        assert_eq!(fused.hierarchies(), masks.len());
+        assert_eq!(fused.hierarchies(), hierarchies);
         let b: Vec<f64> = (0..3 * n)
             .map(|i| match i % 5 {
                 0 => -0.0,
@@ -2215,10 +2158,10 @@ mod tests {
         // Twice: the second cycle runs on warm scratch.
         for _ in 0..2 {
             fused.vcycle(&b, &mut z);
-            for (c, &k) in lanes.iter().enumerate() {
+            for (c, scalar) in scalar.iter().enumerate() {
                 let bc: Vec<f64> = (0..n).map(|i| b[3 * i + c]).collect();
                 let mut zc = vec![0.0; n];
-                scalar[k].vcycle(&bc, &mut zc);
+                scalar.vcycle(&bc, &mut zc);
                 for i in 0..n {
                     assert_eq!(
                         z[3 * i + c].to_bits(),
@@ -2239,12 +2182,12 @@ mod tests {
         let [mx, my, mz] = free_slip(n);
         assert!(Amg::new(a.eliminate(&mx), AmgOptions::default()).num_levels() >= 3);
         // Free-slip: three masks, three hierarchies.
-        assert_fused_matches_scalar(&a, &[&mx, &my, &mz], [0, 1, 2]);
+        assert_fused_matches_scalar(&a, [&mx, &my, &mz], 3);
         // No-slip: one mask shared by all lanes.
         let all: Vec<bool> = (0..a.nrows).map(|i| mx[i] || my[i] || mz[i]).collect();
-        assert_fused_matches_scalar(&a, &[&all], [0, 0, 0]);
-        // Two lanes share one hierarchy, listed out of order.
-        assert_fused_matches_scalar(&a, &[&mz, &mx], [1, 0, 1]);
+        assert_fused_matches_scalar(&a, [&all, &all, &all], 1);
+        // The first and the last lane share one hierarchy.
+        assert_fused_matches_scalar(&a, [&mz, &mx, &mz], 2);
     }
 
     #[test]
@@ -2256,7 +2199,7 @@ mod tests {
             Amg::new(a.eliminate(&mx), AmgOptions::default()).num_levels(),
             1
         );
-        assert_fused_matches_scalar(&a, &[&mx, &my, &mz], [0, 1, 2]);
+        assert_fused_matches_scalar(&a, [&mx, &my, &mz], 3);
         // One lane of identity rows only (no aggregate, solved by sweeps)
         // beside two that coarsen.
         let n = 8;
@@ -2267,7 +2210,7 @@ mod tests {
             Amg::new(a.eliminate(&all), AmgOptions::default()).num_levels(),
             1
         );
-        assert_fused_matches_scalar(&a, &[&mx, &all, &mz], [0, 1, 2]);
+        assert_fused_matches_scalar(&a, [&mx, &all, &mz], 3);
     }
 
     #[test]
@@ -2294,8 +2237,8 @@ mod tests {
         assert!(![zero, absent].iter().any(|&r| mx[r] || my[r]));
         let all = vec![true; a.nrows];
         // A lane masked everywhere, and two lanes sharing the x mask.
-        assert_fused_matches_scalar(&a, &[&mx, &all], [0, 1, 0]);
-        assert_fused_matches_scalar(&a, &[&my, &mx, &all], [2, 0, 1]);
+        assert_fused_matches_scalar(&a, [&mx, &all, &mx], 2);
+        assert_fused_matches_scalar(&a, [&all, &my, &mx], 3);
     }
 
     /// Rows `lo..hi` of `a` as rank `rank` of `p` owns them, the ranks
@@ -2323,22 +2266,22 @@ mod tests {
         DistCsr {
             a: m,
             first_row: lo as u64,
+            offsets: (0..=p).map(|r| (a.nrows * r / p) as u64).collect(),
             ghosts,
         }
     }
 
-    /// `B u` and `B v` of the coupled V-cycle on `P` ranks, for `u`, `v`
-    /// drawn over the global rows (so the same at every `P`), and the
-    /// global `⟨Bu, v⟩`, `⟨u, Bv⟩` and `⟨Bu, u⟩`.
-    fn coupled_forms(a: &Csr, masks: &[Vec<bool>], lanes: [usize; 3], p: usize) -> [f64; 3] {
-        let a = a.clone();
-        let masks = masks.to_vec();
+    /// `B u` and `B v` of the coupled V-cycle on `P` ranks with the
+    /// interleaved Dirichlet `mask`, for `u`, `v` drawn over the global
+    /// rows (so the same at every `P`), and the global `⟨Bu, v⟩`,
+    /// `⟨u, Bv⟩` and `⟨Bu, u⟩`.
+    fn coupled_forms(a: &Csr, mask: &[bool], p: usize) -> [f64; 3] {
+        let (a, mask) = (a.clone(), mask.to_vec());
         let out = scomm::spmd::run(p, move |comm| {
             let rows = rows_of(&a, comm.rank(), p);
             let (lo, n) = (rows.first_row as usize, rows.a.nrows);
-            let owned: Vec<Vec<bool>> = masks.iter().map(|m| m[lo..lo + n].to_vec()).collect();
-            let owned: Vec<&[bool]> = owned.iter().map(Vec::as_slice).collect();
-            let amg = Amg::coupled(comm, &rows, &owned, lanes, AmgOptions::default());
+            let owned = &mask[3 * lo..3 * (lo + n)];
+            let amg = Amg::<3>::coupled(comm, &rows, owned, AmgOptions::default());
             let mut rng = SplitMix64::new(0x5eed);
             let draw: Vec<f64> = (0..6 * a.nrows).map(|_| 2.0 * rng.unit() - 1.0).collect();
             let u = &draw[3 * lo..3 * (lo + n)];
@@ -2361,7 +2304,8 @@ mod tests {
         let n = 10;
         let a = poisson3d(n, |i, j, k| 1.0 + ((i * 7 + j * 3 + k) % 5) as f64 * 30.0);
         let [mx, my, mz] = free_slip(n);
-        let fused = Amg::masked(&a, &[&mx, &my, &mz], [0, 1, 2], AmgOptions::default());
+        let slip = interleave([&mx, &my, &mz]);
+        let fused = Amg::<3>::masked(&a, &slip, AmgOptions::default());
         let scalar = Amg::new(a.clone(), AmgOptions::default());
         let b: Vec<f64> = (0..3 * a.nrows)
             .map(|i| ((i * 7919) % 211) as f64 / 50.0 - 2.2)
@@ -2375,12 +2319,12 @@ mod tests {
             let rows = rows_of(&a, 0, 1);
             assert!(rows.ghosts.is_empty());
             let options = AmgOptions::default();
-            let coupled = Amg::coupled(comm, &rows, &[&mx, &my, &mz], [0, 1, 2], options);
+            let coupled = Amg::<3>::coupled(comm, &rows, &slip, options);
             let mut z = vec![0.0; 3 * a.nrows];
             coupled.vcycle(&b, &mut z);
             assert_eq!(bits(&z), want3, "free-slip lanes");
             let none = vec![false; a.nrows];
-            let coupled = Amg::coupled(comm, &rows, &[&none], [0], options);
+            let coupled = Amg::<1>::coupled(comm, &rows, &none, options);
             let mut z = vec![0.0; a.nrows];
             coupled.vcycle(&b[..a.nrows], &mut z);
             assert_eq!(bits(&z), want1, "one unmasked lane");
@@ -2395,14 +2339,14 @@ mod tests {
         // free-slip lanes and on a no-slip mask shared by all three.
         let n = 10;
         let a = poisson3d(n, |i, j, k| 1.0 + ((i * 7 + j * 3 + k) % 5) as f64 * 30.0);
-        let slip = free_slip(n).to_vec();
-        let all: Vec<bool> = (0..a.nrows).map(|i| slip.iter().any(|m| m[i])).collect();
+        let [mx, my, mz] = free_slip(n);
+        let all: Vec<bool> = (0..a.nrows).map(|i| mx[i] || my[i] || mz[i]).collect();
         for p in [2, 4] {
-            for (masks, lanes) in [(slip.clone(), [0, 1, 2]), (vec![all.clone()], [0, 0, 0])] {
-                let [buv, ubv, buu] = coupled_forms(&a, &masks, lanes, p);
+            for (name, lanes) in [("free slip", [&mx, &my, &mz]), ("no slip", [&all; 3])] {
+                let [buv, ubv, buu] = coupled_forms(&a, &interleave(lanes.map(|m| &m[..])), p);
                 let gap = (buv - ubv).abs() / buv.abs().max(ubv.abs());
-                assert!(gap <= 1e-12, "P = {p}, lanes {lanes:?}: {buv} vs {ubv}");
-                assert!(buu > 0.0, "P = {p}, lanes {lanes:?}: uᵀBu = {buu}");
+                assert!(gap <= 1e-12, "P = {p}, {name}: {buv} vs {ubv}");
+                assert!(buu > 0.0, "P = {p}, {name}: uᵀBu = {buu}");
             }
         }
     }
@@ -2420,7 +2364,7 @@ mod tests {
             scomm::spmd::run(p, move |comm| {
                 let rows = rows_of(&a, comm.rank(), p);
                 let none = vec![false; rows.a.nrows];
-                let amg = Amg::coupled(comm, &rows, &[&none], [0], AmgOptions::default());
+                let amg = Amg::<1>::coupled(comm, &rows, &none, AmgOptions::default());
                 let ch = &amg.chains[0];
                 assert!(ch.depth >= 2 && matches!(ch.direct, Direct::Cholesky(_)));
                 let busy = |counts: &[usize]| counts.iter().filter(|&&k| k > 0).count() as u64;
@@ -2455,7 +2399,7 @@ mod tests {
             scomm::spmd::run(p, move |comm| {
                 let rows = rows_of(&a, comm.rank(), p);
                 let none = vec![false; rows.a.nrows];
-                let amg = Amg::coupled(comm, &rows, &[&none], [0], AmgOptions::default());
+                let amg = Amg::<1>::coupled(comm, &rows, &none, AmgOptions::default());
                 let n = rows.a.nrows;
                 let op = (n, |x: &[f64], y: &mut [f64]| {
                     let mut xl = x.to_vec();

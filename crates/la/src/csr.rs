@@ -1,4 +1,7 @@
-//! Compressed sparse row matrices.
+//! Compressed sparse row matrices, and the rows one rank owns of a
+//! matrix distributed by rows.
+
+use scomm::Comm;
 
 /// A CSR matrix with `f64` entries.
 #[derive(Debug, Clone, PartialEq)]
@@ -11,15 +14,143 @@ pub struct Csr {
 }
 
 /// The rows one rank owns of a matrix distributed by rows: rank `r` owns
-/// a contiguous range of global rows, the ranks' ranges in rank order.
-/// `a` holds the owned rows; its columns are the owned rows (`0..nrows`,
-/// global rows `first_row..`), then one per entry of `ghosts`, the global
-/// ids of the other ranks' rows the owned rows couple to, ascending.
+/// global rows `offsets[r]..offsets[r + 1]`, the ranks' ranges in rank
+/// order, `offsets` ending with the total. `a` holds the owned rows; its
+/// columns are the owned rows (`0..nrows`, global rows `first_row..`),
+/// then one per entry of `ghosts`, the global ids of the other ranks'
+/// rows the owned rows couple to, ascending.
 #[derive(Debug, Clone, PartialEq)]
 pub struct DistCsr {
     pub a: Csr,
     pub first_row: u64,
+    pub offsets: Vec<u64>,
     pub ghosts: Vec<u64>,
+}
+
+/// The one assembly of the rows a rank owns from the terms every rank
+/// adds to them: the fine matrix (`fem::assembly`) and every Galerkin
+/// level of the AMG. The caller hands [`OwnedRows::sum`] each owned row's
+/// local terms and lists in `ship` the terms of rows other ranks own. The
+/// buffers only grow, so a caller that keeps one `OwnedRows` allocates
+/// once for all its assemblies.
+#[derive(Default)]
+pub struct OwnedRows {
+    /// Per rank, the `(row, column, value)` terms bound for its rows, by
+    /// global id; [`OwnedRows::sum`] ships and empties them.
+    pub ship: Vec<Vec<(u64, u64, f64)>>,
+    /// The received terms as `(row, column, value)`, row and column
+    /// local, each row's in delivery order.
+    pub(crate) recv: Vec<(u32, u32, f64)>,
+    /// The row accumulator: per column the row it last summed for and
+    /// the sum, and the columns of the current row. The AMG's sparse
+    /// products use them too.
+    pub(crate) accum: Vec<(usize, f64)>,
+    pub(crate) row_cols: Vec<u32>,
+}
+
+impl OwnedRows {
+    /// Sum the owned global rows `first..first + n`, after shipping `ship`
+    /// to the rows' owners over `comm` in one all-to-all (a rank alone
+    /// ships nothing). Row `i` sums its local terms `local(i)` in caller
+    /// order, then the received ones in delivery (source rank) order, the
+    /// first term of an entry as it is and each later one added. A local
+    /// column below `n` is an owned row, any other that of global id
+    /// `gid(j)`. `emit(i, columns, accumulator)` takes row `i`: its
+    /// columns ascending, entry `j` at `accumulator[j].1`. Columns number
+    /// the owned rows, then the returned ghost ids, ascending: `extra`,
+    /// which lists every local term's and may list columns that hold no
+    /// entry, and those of the received terms. Collective where `comm`
+    /// spans ranks.
+    pub fn sum<I: Iterator<Item = (u32, f64)>>(
+        &mut self,
+        comm: Option<&Comm>,
+        (first, n): (u64, usize),
+        local: impl Fn(usize) -> I,
+        gid: impl Fn(u32) -> u64,
+        extra: impl Iterator<Item = u64>,
+        mut emit: impl FnMut(usize, &[u32], &[(usize, f64)]),
+    ) -> Vec<u64> {
+        let incoming = match comm {
+            Some(comm) if comm.size() > 1 => comm.alltoallv(&self.ship),
+            _ => Vec::new(),
+        };
+        self.ship.iter_mut().for_each(Vec::clear);
+        let (owned, received) = (first..first + n as u64, incoming.iter().flatten());
+        let others = received.clone().map(|t| t.1).filter(|g| !owned.contains(g));
+        let mut ghosts: Vec<u64> = extra.chain(others).collect();
+        ghosts.sort();
+        ghosts.dedup();
+        let column = |g: u64| match owned.contains(&g) {
+            true => (g - first) as u32,
+            false => (n + ghosts.binary_search(&g).expect("a listed ghost")) as u32,
+        };
+        let OwnedRows {
+            recv,
+            accum,
+            row_cols,
+            ..
+        } = self;
+        recv.clear();
+        recv.extend(received.map(|&(i, j, v)| ((i - first) as u32, column(j), v)));
+        // A stable sort keeps each row's terms in delivery order.
+        recv.sort_by_key(|t| t.0);
+        let mut recv = recv.iter().peekable();
+        let ncols = n + ghosts.len();
+        accum.clear();
+        accum.resize(ncols, (usize::MAX, 0.0));
+        row_cols.clear();
+        row_cols.reserve(ncols);
+        for i in 0..n {
+            let local = local(i).map(|(j, v)| match j as usize >= n {
+                true => (column(gid(j)), v),
+                false => (j, v),
+            });
+            let got = std::iter::from_fn(|| recv.next_if(|t| t.0 == i as u32));
+            row_cols.clear();
+            for (j, v) in local.chain(got.map(|t| (t.1, t.2))) {
+                let (row, sum) = &mut accum[j as usize];
+                if *row == i {
+                    *sum += v;
+                } else {
+                    (*row, *sum) = (i, v);
+                    row_cols.push(j);
+                }
+            }
+            row_cols.sort();
+            emit(i, row_cols, accum);
+        }
+        ghosts
+    }
+
+    /// [`OwnedRows::sum`] into a matrix with room for `terms` entries:
+    /// the owned rows with all their columns, and the ghost ids.
+    pub fn assemble<I: Iterator<Item = (u32, f64)>>(
+        &mut self,
+        comm: Option<&Comm>,
+        (first, n, terms): (u64, usize, usize),
+        local: impl Fn(usize) -> I,
+        gid: impl Fn(u32) -> u64,
+        extra: impl Iterator<Item = u64>,
+    ) -> (Csr, Vec<u64>) {
+        let mut row_ptr = Vec::with_capacity(n + 1);
+        row_ptr.push(0);
+        let (mut col_idx, mut values) = (Vec::with_capacity(terms), Vec::with_capacity(terms));
+        let ghosts = self.sum(comm, (first, n), local, gid, extra, |_, cols, acc| {
+            col_idx.extend(cols.iter().map(|&j| j as usize));
+            values.extend(cols.iter().map(|&j| acc[j as usize].1));
+            row_ptr.push(col_idx.len());
+        });
+        col_idx.shrink_to_fit();
+        values.shrink_to_fit();
+        let a = Csr {
+            nrows: n,
+            ncols: n + ghosts.len(),
+            row_ptr,
+            col_idx,
+            values,
+        };
+        (a, ghosts)
+    }
 }
 
 impl Csr {
@@ -58,51 +189,20 @@ impl Csr {
     /// with repeats, `terms` of them in all. The terms of entry `(r, c)`
     /// are summed in the order they come — the first term as it is, each
     /// later one added to the running sum — and each row's entries come
-    /// out in ascending column order.
+    /// out in ascending column order: [`OwnedRows::sum`] for a rank alone
+    /// whose every column past the rows is a ghost of its own id.
     pub fn from_row_terms<I: Iterator<Item = (u32, f64)>>(
         nrows: usize,
         ncols: usize,
         terms: usize,
         row: impl Fn(usize) -> I,
     ) -> Csr {
-        let mut out_ptr = vec![0usize; nrows + 1];
-        let mut col_idx = Vec::with_capacity(terms);
-        let mut values = Vec::with_capacity(terms);
-        // Dense accumulator per row (Gustavson): `marker[c] == r` when
-        // column `c` already holds a running sum for row `r`.
-        let mut accum = vec![0.0f64; ncols];
-        let mut marker = vec![usize::MAX; ncols];
-        let mut row_cols: Vec<u32> = Vec::with_capacity(ncols);
-        for r in 0..nrows {
-            row_cols.clear();
-            for (col, val) in row(r) {
-                let c = col as usize;
-                debug_assert!(c < ncols);
-                if marker[c] == r {
-                    accum[c] += val;
-                } else {
-                    marker[c] = r;
-                    accum[c] = val;
-                    row_cols.push(col);
-                }
-            }
-            // Columns are distinct here, so any sort gives the same row.
-            row_cols.sort();
-            for &c in &row_cols {
-                col_idx.push(c as usize);
-                values.push(accum[c as usize]);
-            }
-            out_ptr[r + 1] = col_idx.len();
-        }
-        col_idx.shrink_to_fit();
-        values.shrink_to_fit();
-        Csr {
-            nrows,
-            ncols,
-            row_ptr: out_ptr,
-            col_idx,
-            values,
-        }
+        let past_the_rows = nrows as u64..ncols as u64;
+        let rows = (0, nrows, terms);
+        let gid = |j: u32| j as u64;
+        OwnedRows::default()
+            .assemble(None, rows, row, gid, past_the_rows)
+            .0
     }
 
     /// Symmetric Dirichlet elimination of the dofs `mask` marks: a masked
@@ -333,5 +433,96 @@ mod tests {
         let mut y = [0.0; 2];
         a.matvec(&[1.0, 1.0, 1.0], &mut y);
         assert_eq!(y, [1.0, 2.0]);
+    }
+
+    /// The terms rank `r` of `p` adds to a matrix of `4p` rows, each rank
+    /// owning four, by global id: random rows and columns, `±0.0`, and
+    /// two entries every rank adds to twice.
+    fn terms_of(r: usize, p: usize) -> Vec<(u64, u64, f64)> {
+        let mut rng = scomm::rng::SplitMix64::new(0x0a5e + r as u64);
+        let n = 4 * p as u64;
+        let mut terms: Vec<(u64, u64, f64)> = (0..40)
+            .map(|k| {
+                let (i, j) = (rng.below(n), rng.below(n));
+                let v = [-0.0, 0.0, 2.0 * rng.unit() - 1.0][k % 3];
+                (i, j, v)
+            })
+            .collect();
+        for _ in 0..2 {
+            terms.extend([(0, n - 1, 1.0 + r as f64), (n - 1, 0, 0.3 * r as f64)]);
+        }
+        terms
+    }
+
+    #[test]
+    fn owned_rows_sum_as_triplets_in_owner_then_source_rank_order() {
+        for p in [1, 2, 3] {
+            scomm::spmd::run(p, move |comm| {
+                let (me, n) = (comm.rank(), 4);
+                let first = 4 * me as u64;
+                let owned = first..first + 4;
+                let mine = terms_of(me, p);
+                // Local terms in caller order, their ghost columns numbered
+                // by a table; the other terms shipped to their owners.
+                let (ours, theirs): (Vec<&(u64, u64, f64)>, Vec<_>) =
+                    mine.iter().partition(|t| owned.contains(&t.0));
+                let mut table: Vec<u64> = ours
+                    .iter()
+                    .map(|t| t.1)
+                    .filter(|g| !owned.contains(g))
+                    .collect();
+                table.sort();
+                table.dedup();
+                let col = |g: u64| match owned.contains(&g) {
+                    true => (g - first) as u32,
+                    false => (n + table.binary_search(&g).unwrap()) as u32,
+                };
+                let local = |i: usize| {
+                    let row = ours.iter().filter(move |t| t.0 == first + i as u64);
+                    row.map(|t| (col(t.1), t.2))
+                };
+                let mut rows = OwnedRows {
+                    ship: vec![Vec::new(); p],
+                    ..OwnedRows::default()
+                };
+                for t in theirs {
+                    rows.ship[t.0 as usize / 4].push(*t);
+                }
+                let gid = |j: u32| table[j as usize - n];
+                let sizes = (first, n, ours.len());
+                let (a, ghosts) =
+                    rows.assemble(Some(comm), sizes, local, gid, table.iter().copied());
+                // The owner's terms, then every other rank's, ascending.
+                let ranks = std::iter::once(me).chain((0..p).filter(|&r| r != me));
+                let terms: Vec<(u64, u64, f64)> = ranks
+                    .flat_map(|r| terms_of(r, p))
+                    .filter(|t| owned.contains(&t.0))
+                    .collect();
+                let mut want_ghosts: Vec<u64> = terms
+                    .iter()
+                    .map(|t| t.1)
+                    .filter(|g| !owned.contains(g))
+                    .collect();
+                want_ghosts.sort();
+                want_ghosts.dedup();
+                assert_eq!(ghosts, want_ghosts, "P = {p}, rank {me}");
+                let column = |g: u64| match owned.contains(&g) {
+                    true => (g - first) as usize,
+                    false => n + ghosts.binary_search(&g).unwrap(),
+                };
+                let triplets: Vec<(usize, usize, f64)> = terms
+                    .iter()
+                    .map(|&(i, j, v)| ((i - first) as usize, column(j), v))
+                    .collect();
+                let want = Csr::from_triplets(n, n + ghosts.len(), &triplets);
+                let bits = |a: &Csr| a.values.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+                assert_eq!((&a.row_ptr, &a.col_idx), (&want.row_ptr, &want.col_idx));
+                assert_eq!(
+                    (a.ncols, bits(&a)),
+                    (want.ncols, bits(&want)),
+                    "P = {p}, rank {me}"
+                );
+            });
+        }
     }
 }

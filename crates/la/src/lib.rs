@@ -24,6 +24,6 @@ pub mod dense;
 pub mod krylov;
 
 pub use amg::{Amg, AmgOptions};
-pub use csr::{Csr, DistCsr};
+pub use csr::{Csr, DistCsr, OwnedRows};
 pub use dense::Cholesky;
 pub use krylov::{cg, minres, LinearOp, SolveInfo};

@@ -92,6 +92,9 @@ pub struct Mesh {
     pub global_offset: u64,
     /// Global dof count.
     pub n_global: u64,
+    /// Every rank's first global dof id in rank order, then `n_global`:
+    /// rank `r` owns the gids `offsets[r]..offsets[r + 1]`.
+    pub offsets: Vec<u64>,
     /// Global ids of the ghost dofs, in ghost-block order.
     pub ghost_gids: Vec<u64>,
     /// Lattice key of each local dof (owned then ghost).
@@ -595,9 +598,10 @@ pub fn extract_mesh_with_ghosts(
             }
         }
     }
-    let n_owned = owned_keys.len();
-    let global_offset = comm.exscan_sum(n_owned as u64);
-    let n_global = comm.allreduce_sum(&[n_owned as u64])[0];
+    // The gid offsets, from every rank's owned count gathered once.
+    let (n_owned, mut offsets) = (owned_keys.len(), Vec::new());
+    comm.offsets_into(n_owned as u64, &mut offsets);
+    let (global_offset, n_global) = (offsets[me], offsets[p]);
 
     // ---- Foreign gid lookup + exchange pattern -----------------------
     // Foreign independent keys: the non-owned ones above plus every
@@ -653,13 +657,6 @@ pub fn extract_mesh_with_ghosts(
             cursor[owner] - 1
         })
         .collect();
-
-    // recv counts per owner rank: gather rank offsets to map gid→rank.
-    let offsets = comm.allgatherv(&[global_offset]);
-    let mut recv_counts = vec![0usize; p];
-    for &g in &ghost_gids {
-        recv_counts[offsets.partition_point(|&o| o <= g) - 1] += 1;
-    }
 
     // ---- Corner table and constraint arena over local dof indices ----
     // Foreign independent nodes come in key order: one cursor walks the
@@ -743,12 +740,13 @@ pub fn extract_mesh_with_ghosts(
         n_ghost,
         global_offset,
         n_global,
+        offsets,
         ghost_gids,
         dof_keys,
         exchange: Halo {
             send,
             send_counts: gid_incoming.iter().map(Vec::len).collect(),
-            recv_counts,
+            recv_counts: gid_queries.iter().map(Vec::len).collect(),
         },
     }
 }
@@ -1210,5 +1208,37 @@ mod tests {
             }
             extract_mesh(&t, [1.0, 1.0, 1.0]);
         });
+    }
+
+    #[test]
+    fn extraction_gathers_the_rank_offsets_once() {
+        // Outside its resolution rounds (an allreduce and two all-to-alls
+        // each, then the allreduce that finds none pending) extraction
+        // runs the gid lookup's two all-to-alls and one allgatherv, the
+        // owned counts the offsets come from: no exscan, no other gather.
+        for p in [1, 2, 4] {
+            spmd::run(p, move |c| {
+                let mut t = DistOctree::new_uniform(c, 2);
+                t.refine(|o| o.x() == 0 && o.y() == 0 && o.z() == 0);
+                t.balance(BalanceKind::Full);
+                t.partition();
+                let ghosts = t.ghosts();
+                let s0 = c.stats();
+                let m = extract_mesh_with_ghosts(&t, [1.0, 1.0, 1.0], &ghosts.entries);
+                let s1 = c.stats();
+                let d = |f: fn(&scomm::CommStats) -> u64| f(&s1) - f(&s0);
+                assert_eq!(d(|s| s.exscans), 0, "P = {p}");
+                assert_eq!(d(|s| s.allgathers), 1, "P = {p}");
+                assert_eq!(d(|s| s.alltoalls), 2 * d(|s| s.allreduces), "P = {p}");
+                assert_eq!(d(|s| s.collectives()), 3 * d(|s| s.allreduces) + 1);
+                let owned = c.allgatherv(&[m.n_owned as u64]);
+                let offsets: Vec<u64> = (0..=p).map(|r| owned[..r].iter().sum()).collect();
+                assert_eq!(m.offsets, offsets, "P = {p}");
+                assert_eq!(
+                    (m.global_offset, m.n_global),
+                    (offsets[c.rank()], offsets[p])
+                );
+            });
+        }
     }
 }

@@ -140,21 +140,10 @@ impl<'c> ConvectionSim<'c> {
     /// Velocity boundary mask: free-slip on all walls (zero normal
     /// component only), the standard regional mantle convection choice.
     fn velocity_bc(&self) -> Vec<bool> {
-        let n = self.mesh.n_owned;
-        let mut bc = vec![false; 3 * n];
-        for d in 0..n {
-            let faces = self.mesh.dof_boundary_faces(d);
-            if faces & 0b000011 != 0 {
-                bc[3 * d] = true; // x faces constrain u_x
-            }
-            if faces & 0b001100 != 0 {
-                bc[3 * d + 1] = true; // y faces constrain u_y
-            }
-            if faces & 0b110000 != 0 {
-                bc[3 * d + 2] = true; // z faces constrain u_z
-            }
-        }
-        bc
+        // Component `c` is pinned on the two faces normal to axis `c`.
+        (0..3 * self.mesh.n_owned)
+            .map(|i| self.mesh.dof_boundary_faces(i / 3) & (0b11 << (2 * (i % 3))) != 0)
+            .collect()
     }
 
     /// Solve the (nonlinear) Stokes flow for the current temperature.

@@ -236,14 +236,13 @@ impl<'a> TransportSolver<'a> {
     }
 
     /// Global extrema of an owned field (diagnostics / oscillation
-    /// checks). Collective.
+    /// checks), in one reduction: the maximum of `−min` is `−` the
+    /// minimum, bit for bit. Collective.
     pub fn min_max(&self, t: &[f64]) -> (f64, f64) {
         let lmin = t.iter().cloned().fold(f64::INFINITY, f64::min);
         let lmax = t.iter().cloned().fold(f64::NEG_INFINITY, f64::max);
-        (
-            self.comm.allreduce_min(&[lmin])[0],
-            self.comm.allreduce_max(&[lmax])[0],
-        )
+        let [neg_min, max] = self.comm.allreduce_max(&[-lmin, lmax]);
+        (-neg_min, max)
     }
 
     /// Global L² norm weighted by the lumped mass (≈ ∫T² ).

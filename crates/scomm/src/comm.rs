@@ -562,6 +562,18 @@ impl Comm {
         self.stats.borrow_mut().allgathers += 1;
     }
 
+    /// The numbering in which each rank holds `n` consecutive ids, ranks
+    /// in order, into `out`: every rank's first id, then the total, from
+    /// one [`Comm::allgatherv_into`]. Collective.
+    pub fn offsets_into(&self, n: u64, out: &mut Vec<u64>) {
+        self.allgatherv_into(&[n], out);
+        let mut sum = 0;
+        for o in out.iter_mut() {
+            (*o, sum) = (sum, sum + *o);
+        }
+        out.push(sum);
+    }
+
     /// Elementwise all-reduce of `N` values (equal `N` on every rank) into
     /// a stack array. The fold order is fixed — rank 0's contribution
     /// first, then ascending rank order — independent of message timing,

@@ -1,7 +1,7 @@
 //! The stabilized Stokes operator, its block preconditioner, and the
 //! MINRES driver.
 
-use fem::element::{ElementBlocks, LevelBlocks};
+use fem::element::{stiffness_source, ElementBlocks, LevelBlocks};
 use fem::op::{DofMap, ElementKernel, Workspace};
 use la::krylov::{minres, SolveInfo};
 use la::{Amg, AmgOptions};
@@ -111,61 +111,16 @@ impl<'a> StokesSolver<'a> {
         // under free-slip conditions the components carry different
         // Dirichlet masks, and using a shared all-boundary mask degrades
         // MINRES badly (tangential boundary rows would be preconditioned
-        // as identities). Components with identical masks share one
-        // hierarchy.
-        let (blocks, mesh, visc) = (&self.blocks, self.mesh, &self.viscosity);
-        let src = move |e: usize, out: &mut [f64]| {
-            let (k, eta) = (&blocks.of(mesh, e).stiffness, visc[e]);
-            for i in 0..8 {
-                for j in 0..8 {
-                    out[i * 8 + j] = eta * k[i][j];
-                }
-            }
-        };
-        let masks: Vec<Vec<bool>> = (0..3)
-            .map(|comp| {
-                (0..self.mesh.n_owned)
-                    .map(|d| self.vel_bc[3 * d + comp])
-                    .collect()
-            })
-            .collect();
-        // Whether two components share a hierarchy must be a *global*
-        // decision, so that every rank fuses the same lane layout even
-        // when its local mask fragments happen to coincide (common at high
-        // P, where a rank may own no boundary dofs at all — its three
-        // local masks are identical while a neighbor's still differ).
-        let eq_local: [f64; 3] = [
-            f64::from(masks[0] == masks[1]),
-            f64::from(masks[0] == masks[2]),
-            f64::from(masks[1] == masks[2]),
-        ];
-        let eq = self.comm.allreduce_sum(&eq_local);
-        let p = self.comm.size() as f64;
-        let globally_equal = |a: usize, b: usize| -> bool {
-            let idx = match (a.min(b), a.max(b)) {
-                (0, 1) => 0,
-                (0, 2) => 1,
-                _ => 2,
-            };
-            eq[idx] == p
-        };
-        // One collective assembly, unmasked; each distinct mask is one
-        // lane elimination of it, which gives the bits a per-mask assembly
-        // would (DESIGN.md §7), with no eliminated copy.
-        let (mesh, comm) = (self.mesh, self.comm);
+        // as identities). Components whose masks agree on every rank
+        // share one hierarchy (`Amg::coupled` decides). One collective
+        // assembly, unmasked; each distinct mask is one lane elimination
+        // of it, which gives the bits a per-mask assembly would
+        // (DESIGN.md §7), with no eliminated copy.
+        let (mesh, comm, visc) = (self.mesh, self.comm, &self.viscosity);
+        let src = stiffness_source(mesh, &self.blocks, |e| visc[e]);
         let smap = DofMap::new(mesh, comm, 1);
         let a_rows = fem::assembly::assemble_owned_sum(&smap, &src);
-        let mut distinct: Vec<&[bool]> = Vec::with_capacity(3);
-        let mut lanes = [0; 3];
-        for comp in 0..3 {
-            if let Some(earlier) = (0..comp).find(|&m| globally_equal(m, comp)) {
-                lanes[comp] = lanes[earlier];
-                continue;
-            }
-            lanes[comp] = distinct.len();
-            distinct.push(&masks[comp]);
-        }
-        let amg = Amg::coupled(comm, &a_rows, &distinct, lanes, self.options.amg);
+        let amg = Amg::coupled(comm, &a_rows, &self.vel_bc, self.options.amg);
         drop(a_rows);
         if let Some(rec) = self.recorder() {
             rec.add_count("amg.setups", amg.hierarchies() as u64);
@@ -865,15 +820,7 @@ mod tests {
 
     /// The η-weighted Poisson source of the solver's velocity block.
     fn poisson_source<'s>(solver: &'s StokesSolver) -> impl Fn(usize, &mut [f64]) + 's {
-        let (m, visc) = (solver.mesh, &solver.viscosity);
-        move |e: usize, out: &mut [f64]| {
-            let k = &solver.blocks.of(m, e).stiffness;
-            for i in 0..8 {
-                for j in 0..8 {
-                    out[i * 8 + j] = visc[e] * k[i][j];
-                }
-            }
-        }
+        stiffness_source(solver.mesh, &solver.blocks, |e| solver.viscosity[e])
     }
 
     /// Component `comp`'s Dirichlet mask over the owned dofs.
@@ -899,7 +846,7 @@ mod tests {
             let rows = fem::assembly::assemble_owned_sum(&smap, &poisson_source(solver));
             let amg = std::array::from_fn(|comp| {
                 let mask = lane_mask(solver, comp);
-                Amg::coupled(solver.comm, &rows, &[&mask], [0], solver.options.amg)
+                Amg::coupled(solver.comm, &rows, &mask, solver.options.amg)
             });
             ScalarVcycles { solver, amg }
         }

@@ -41,7 +41,12 @@ fn main() {
         // 6. Solve −Δu = 1 with homogeneous Dirichlet BCs, matrix-free.
         let map = DofMap::new(&mesh, comm, 1);
         let bc: Vec<bool> = (0..mesh.n_owned).map(|d| mesh.dof_on_boundary(d)).collect();
-        let op = DistOp::new(&map, Box::new(stiffness_source(&mesh, |_| 1.0)), Some(&bc));
+        let blocks = LevelBlocks::new(&mesh);
+        let op = DistOp::new(
+            &map,
+            Box::new(stiffness_source(&mesh, &blocks, |_| 1.0)),
+            Some(&bc),
+        );
         // Load vector: lumped ∫ N_i · 1.
         let mut rhs = vec![0.0; map.n_local()];
         let blocks = LevelBlocks::new(&mesh);

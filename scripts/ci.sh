@@ -98,7 +98,11 @@ cargo fmt --all -- --check
 # - the hand-written halo copies: the mesh's `ExchangePattern` with its
 #   `*_interleaved` rounds, the AMG's `Wire` and `fill_ghosts`, and
 #   `DofMap::exchange_with` (`scomm::Halo` and `HaloBuffers` are the one
-#   halo exchange, `DofMap::exchange_in` its one blocking workspace call).
+#   halo exchange, `DofMap::exchange_in` its one blocking workspace call);
+# - the Stokes setup's own lane-sharing reduction, the mesh's scan for its
+#   gid offset and the assembly's gather of the rank offsets (`la::Amg`
+#   decides which lanes share a hierarchy, `Mesh::offsets` comes from one
+#   gather at extraction and `la::DistCsr` carries it on).
 # Production outside scomm calls neither `Comm::allgather` nor `Comm::bcast`:
 # only the benchmark harness does (DESIGN.md §4).
 echo "==> deleted code stays deleted"
@@ -164,6 +168,9 @@ if ls -d examples/{mantle_convection,advecting_front,spherical_advection}.rs \
     grep -n 'fn matmul' crates/la/src/csr.rs ||
     grep -rnE 'struct ExchangePattern|_interleaved\(|fn exchange_with\b' crates src tests examples ||
     grep -nE 'struct Wire\b|fn fill_ghosts\b' crates/la/src/amg.rs ||
+    grep -rn globally_equal crates/stokes ||
+    grep -rn exscan_sum crates/mesh/src ||
+    grep -n allgatherv crates/fem/src/assembly.rs ||
     grep -rnE '\.(allgather|bcast)(::<[^>]*>)?\(' crates src tests examples | grep -v '^crates/scomm/' ||
     grep -rniE 'modeled|extrapolat' crates/bench/src results/*.txt; then
     echo "ci: deleted code is back (see above)" >&2
@@ -290,32 +297,38 @@ echo "==> la, fem, stokes, rhea, allocations (release)"
 cargo test -q --release -p la -p fem -p stokes -p rhea
 cargo test -q --release --test allocations
 
-# The eight figure bins that finish in seconds, so that a figure bin that
-# panics fails here; the other two are run by hand. The cubed-sphere run
+# All ten figure bins, so that a figure bin that panics fails here. The
+# cubed-sphere run
 # (level 1, 192 elements, 40 steps) is timed: it is the one figure smoke
 # of the forest and DG stack. The Section VII kernel sweep runs both
 # derivative kernels at every order the const-order kernels are built for
 # (1–8, batches sized by flops, ~2 s). Fig. 2 (MINRES iterations over
 # size and ranks) and Fig. 9 (AMG setup and V-cycles) are the Stokes
 # solver's and the AMG's, each under a second. Figs. 5 and 7 run the adapt pipeline on
-# the advected front at P ∈ {1, 2, 4, 8}; Fig. 7 writes its run manifest
-# under results/obs of its working directory, so it runs in a scratch one
-# and the archived manifest stays as committed.
+# the advected front at P ∈ {1, 2, 4, 8}. Fig. 8 (full Stokes solves per
+# rank count, ~8 s) and Section VI (the yielding run, ~7 s) are the
+# longest. Figs. 7 and 8 write their run manifests under results/obs of
+# their working directory, so they run in a scratch one and the archived
+# manifests stay as committed.
 echo "==> figure bins smoke (release)"
 cargo run -q --release -p rhea-bench --bin fig6_strong_scaling >/dev/null
 cargo run -q --release -p rhea-bench --bin fig10_amr_timings >/dev/null
 cargo build -q --release -p rhea-bench --bin sec7_sphere_advection \
     --bin sec7_dg_kernels --bin fig2_stokes_weak --bin fig9_amg_vs_laplace \
-    --bin fig5_adaptation_stats --bin fig7_weak_breakdown
+    --bin fig5_adaptation_stats --bin fig7_weak_breakdown --bin fig8_full_breakdown \
+    --bin sec6_yielding
 for bin in sec7_sphere_advection sec7_dg_kernels fig2_stokes_weak fig9_amg_vs_laplace \
-    fig5_adaptation_stats; do
+    fig5_adaptation_stats sec6_yielding; do
     TIMEFORMAT="$bin: %R s"
     time cargo run -q --release -p rhea-bench --bin "$bin" >/dev/null
 done
-fig7_dir=$(mktemp -d)
-(cd "$fig7_dir" && cargo run -q --release --manifest-path "$OLDPWD/Cargo.toml" \
-    -p rhea-bench --bin fig7_weak_breakdown >/dev/null)
-rm -rf "$fig7_dir"
+obs_dir=$(mktemp -d)
+for bin in fig7_weak_breakdown fig8_full_breakdown; do
+    TIMEFORMAT="$bin: %R s"
+    time (cd "$obs_dir" && cargo run -q --release --manifest-path "$OLDPWD/Cargo.toml" \
+        -p rhea-bench --bin "$bin" >/dev/null)
+done
+rm -rf "$obs_dir"
 
 # The benchmark is a package of its own (not a workspace member): its
 # smoke run and failing-path tests.

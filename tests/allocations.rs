@@ -12,7 +12,8 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 use std::sync::Arc;
 
-use fem::{element::stiffness_source, op::DistOp, op::DofMap};
+use fem::element::{stiffness_source, LevelBlocks};
+use fem::{op::DistOp, op::DofMap};
 use forest::{Connectivity, Forest, GhostWorkspace};
 use mangll::{DgAdvection, DgParams};
 use mesh::extract::{extract_mesh, Mesh};
@@ -278,7 +279,12 @@ fn operators_and_minres() {
             let m = adapted_mesh(c, |x| x[0] < 0.4);
             let map = DofMap::new(&m, c, 1);
             let bc: Vec<bool> = (0..m.n_owned).map(|d| m.dof_on_boundary(d)).collect();
-            let op = DistOp::new(&map, Box::new(stiffness_source(&m, |_| 1.0)), Some(&bc));
+            let blocks = LevelBlocks::new(&m);
+            let op = DistOp::new(
+                &map,
+                Box::new(stiffness_source(&m, &blocks, |_| 1.0)),
+                Some(&bc),
+            );
             let (x, mut y) = (vec![1.0; m.n_owned], vec![0.0; m.n_owned]);
             // Three warm-ups: payload buffers circulate between ranks, and
             // each grows until it has carried the largest payload its
@@ -406,14 +412,14 @@ fn stokes_setup() {
             [a1 - a0, a2 - a1, a3 - a2]
         })
     });
-    // 97: the element blocks and the masks; the assembly's arena, its
-    // row sums and the P = 1 collectives; the fused fine level and one
-    // setup workspace; per hierarchy (three under free slip) its stacked
-    // coarse levels and restrictions, its V-cycle scratch and its dense
-    // coarsest factor; the Schur diagonal, whose exchange round grows the
-    // solver's workspace (4) for every later round to reuse. 90: a
-    // re-setup, which builds no arguments or element blocks and finds the
-    // workspace warm. 3: the owned+ghost force, the owned+ghost load and
-    // the load.
-    assert_eq!(counts[0], [[97, 90, 3]; 3]);
+    // 89: the element blocks and the masks; the assembly's arena, its
+    // row sums and its rank offsets (read from the mesh: no collective at
+    // P = 1); the lanes' pinned bits, the fused fine level and one setup
+    // workspace; per hierarchy (three under free slip) its stacked coarse
+    // levels and restrictions, its V-cycle scratch and its dense coarsest
+    // factor; the Schur diagonal, whose exchange round grows the solver's
+    // workspace (4) for every later round to reuse. 82: a re-setup, which
+    // builds no arguments or element blocks and finds the workspace warm.
+    // 3: the owned+ghost force, the owned+ghost load and the load.
+    assert_eq!(counts[0], [[89, 82, 3]; 3]);
 }
